@@ -2,7 +2,7 @@
 //! Optional arguments: population scale (default 0.001), `--json`
 //! (write `BENCH_shard_scale.json` alongside the printed tables), and
 //! `--trace <path>` (write a Chrome-trace timeline of one traced
-//! 8-shard pipelined uniform-mix batch).
+//! 8-shard uniform-mix batch).
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let trace_path = args

@@ -1,8 +1,8 @@
-//! Prints the shard-scaling tables (serial vs pipelined coordinator at
+//! Prints the shard-scaling tables (routed vs local load at
 //! 1 → 8 shards). With `--json`, the same single sweep also writes
 //! `BENCH_shard_scale.json` so the perf trajectory is machine-readable.
 //! With `--trace <path>`, additionally writes a Chrome-trace timeline
-//! of one traced pipelined uniform-mix batch (load it in Perfetto or
+//! of one traced uniform-mix batch (load it in Perfetto or
 //! `chrome://tracing`); `--trace-shards <n>` sets its shard count
 //! (default 8).
 fn main() {

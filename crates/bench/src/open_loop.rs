@@ -21,9 +21,7 @@
 use std::fmt::Write as _;
 
 use pushtap_chbench::RemoteMix;
-use pushtap_shard::{
-    ArrivalConfig, ArrivalGen, CoordinatorMode, OpenLoopConfig, ShardConfig, ShardedHtap,
-};
+use pushtap_shard::{ArrivalConfig, ArrivalGen, OpenLoopConfig, ShardConfig, ShardedHtap};
 
 /// Offered-load fractions of measured closed-loop capacity: three
 /// points below the knee, two past it.
@@ -73,8 +71,7 @@ pub struct OpenLoopPoint {
 }
 
 fn deployment(shards: u32) -> ShardedHtap {
-    ShardedHtap::new(ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined))
-        .expect("build shards")
+    ShardedHtap::new(ShardConfig::small(shards)).expect("build shards")
 }
 
 /// Measures the deployment's closed-loop capacity: `txns` back-to-back

@@ -1,37 +1,26 @@
 //! Shard-scaling experiment: aggregate OLTP throughput (tpmC),
-//! two-phase-commit cost, coordinator scheduling (serial barrier
-//! flushes vs conflict-aware waves), and scatter-gather query latency
-//! as the deployment grows from 1 to N warehouse-partitioned shards
-//! over one fixed global population.
+//! two-phase-commit cost, wave scheduling, and scatter-gather query
+//! latency as the deployment grows from 1 to N warehouse-partitioned
+//! shards over one fixed global population.
 //!
-//! Per point, the same routed global stream runs under **both**
-//! coordinator modes:
-//!
-//! * **serial** — the oracle: local transactions on concurrent per-shard
-//!   queues, every cross-shard transaction behind a barrier flush with
-//!   its 2PC rounds delivered one at a time;
-//! * **pipelined** — conflict-aware wave scheduling
-//!   ([`pushtap_shard::CoordinatorMode::Pipelined`]): non-conflicting
-//!   transactions (local *and* cross-shard) execute concurrently and a
-//!   wave's 2PC message rounds overlap in flight.
-//!
-//! A third, perfectly-partitionable **local** load bounds the no-
-//! coordination upper limit. The interesting gaps: local vs routed is
-//! the price of cross-shard atomic commitment; serial vs pipelined is
-//! how much of that price a conflict-aware schedule claws back — the
-//! wave stats (count, width, overlap ratio, barrier flushes avoided)
-//! say *why*. The sweep covers three [`RemoteMix`]es: fully local (0 %
-//! remote — 2PC never fires), TPC-C's specified 1 %/15 % remote
-//! probabilities, and the uniform draw (≈ (k−1)/k of touches remote at
-//! k shards — a worst case).
+//! Per point, a routed global stream runs through the wave-scheduling
+//! coordinator: non-conflicting transactions (local *and* cross-shard)
+//! execute concurrently and a wave's 2PC message rounds overlap in
+//! flight. A perfectly-partitionable **local** load bounds the
+//! no-coordination upper limit; the gap between the two is the price
+//! of cross-shard atomic commitment, and the wave stats (count, width,
+//! overlap ratio) say how much of it the schedule claws back. The
+//! sweep covers three [`RemoteMix`]es: fully local (0 % remote — 2PC
+//! never fires), TPC-C's specified 1 %/15 % remote probabilities, and
+//! the uniform draw (≈ (k−1)/k of touches remote at k shards — a worst
+//! case).
 //!
 //! Every routed batch runs with the per-shard effect WAL enabled
 //! ([`pushtap_shard::ShardedHtap::enable_wal`]), so each point also
 //! reports the durability cost: effect-log appends/forces/bytes, the
 //! coordinator decision log's appends/syncs, and **fsync-per-txn** —
 //! group commit's acceptance number, which one barrier per wave keeps
-//! below 1.0 under the pipelined coordinator while the serial
-//! bucket-at-a-time cadence pays several.
+//! below 1.0.
 //!
 //! `--json` (on the `shard_scale` and `all_figures` binaries) writes
 //! the full sweep to `BENCH_shard_scale.json` so the perf trajectory is
@@ -44,12 +33,12 @@ use pushtap_chbench::RemoteMix;
 use pushtap_olap::Query;
 use pushtap_pim::Ps;
 use pushtap_sanitizer::ShadowSanitizer;
-use pushtap_shard::{CoordinatorMode, ShardConfig, ShardedHtap};
+use pushtap_shard::{ShardConfig, ShardedHtap};
 use pushtap_trace::{chrome, fmt_ps, two_pc_overlap_peak, LatencyStats, MemSink};
 
-/// One coordinator mode's outcome for the routed stream of one point.
+/// The routed stream's outcome at one point.
 #[derive(Debug, Clone, Copy)]
-pub struct ModePoint {
+pub struct RoutedPoint {
     /// Aggregate tpmC of the routed global stream.
     pub routed_tpmc: f64,
     /// Share of deployment busy time spent on 2PC message rounds
@@ -58,13 +47,11 @@ pub struct ModePoint {
     /// Sequential-delivery ledger of 2PC message latency.
     pub two_pc_time: Ps,
     /// Coordinator latency that actually landed on the shards' clocks:
-    /// 2PC message rounds (equal to the ledger under serial delivery;
-    /// smaller under waves) plus group-commit force barriers
-    /// ([`ModePoint::wal_force_time`]).
+    /// 2PC message stalls (what is left of the ledger after a wave's
+    /// deliveries overlap, plus laggard-vote waits) and group-commit
+    /// force barriers ([`RoutedPoint::wal_force_time`]).
     pub critical_path_time: Ps,
-    /// Barrier flushes (serial: one per cross-shard txn; pipelined: 0).
-    pub barrier_flushes: u64,
-    /// Waves scheduled (pipelined only).
+    /// Waves dispatched.
     pub waves: u64,
     /// Transactions in the largest wave.
     pub max_wave: u64,
@@ -97,13 +84,13 @@ pub struct ModePoint {
     pub fsync_per_txn: f64,
 }
 
-/// One row of the shard-scaling table: both coordinator modes over the
-/// same routed stream, plus the local upper bound and query latencies.
+/// One row of the shard-scaling table: the routed stream, the local
+/// upper bound and the query latencies.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPoint {
     /// Shard count.
     pub shards: u32,
-    /// Transactions committed (routed batches of both modes + local).
+    /// Transactions committed (the routed batch + the local streams).
     pub committed: u64,
     /// Aggregate tpmC of perfectly-partitioned local streams.
     pub local_tpmc: f64,
@@ -112,13 +99,11 @@ pub struct ShardPoint {
     pub cross_shard_fraction: f64,
     /// Effects applied on non-home shards during the routed batch.
     pub forwarded_effects: u64,
-    /// Two-phase-commit message rounds charged during the routed batch
-    /// (identical across modes — the ledger is schedule-independent).
+    /// Two-phase-commit message rounds charged during the routed batch.
     pub commit_rounds: u64,
-    /// The serial (barrier-flush) coordinator's outcome.
-    pub serial: ModePoint,
-    /// The pipelined (wave-scheduling) coordinator's outcome.
-    pub pipelined: ModePoint,
+    /// The routed batch's outcome (the `"pipelined"` object of the JSON
+    /// report — a key kept so the file stays diffable across PRs).
+    pub routed: RoutedPoint,
     /// End-to-end scatter-gather Q1 latency.
     pub q1_latency: Ps,
     /// End-to-end scatter-gather Q6 latency.
@@ -127,25 +112,22 @@ pub struct ShardPoint {
     pub q9_latency: Ps,
 }
 
-fn run_mode(
+fn run_routed(
     shards: u32,
     txns: u64,
     cores: u32,
     mix: RemoteMix,
-    mode: CoordinatorMode,
-) -> (ShardedHtap, pushtap_shard::ShardOltpReport, ModePoint) {
-    let mut service =
-        ShardedHtap::new(ShardConfig::small(shards).with_mode(mode)).expect("build shards");
+) -> (ShardedHtap, pushtap_shard::ShardOltpReport, RoutedPoint) {
+    let mut service = ShardedHtap::new(ShardConfig::small(shards)).expect("build shards");
     let _wal = service.enable_wal();
     let warehouses = service.map().warehouses();
     let mut gen = service.global_txn_gen(42).with_remote_mix(mix, warehouses);
     let routed = service.run_txns(&mut gen, txns);
-    let point = ModePoint {
+    let point = RoutedPoint {
         routed_tpmc: routed.tpmc(cores),
         two_pc_time_share: routed.two_pc_time_share(),
         two_pc_time: routed.two_pc_time(),
         critical_path_time: routed.critical_path_time(),
-        barrier_flushes: routed.coord.barrier_flushes,
         waves: routed.coord.waves,
         max_wave: routed.coord.max_wave,
         overlap_ratio: routed.overlap_ratio(),
@@ -164,29 +146,25 @@ fn run_mode(
 }
 
 /// Runs the sweep under the given remote-warehouse mix: `txns` routed
-/// transactions under each coordinator mode (and the same count again
-/// as local streams) per shard count, then one scatter-gather pass of
-/// each query on the pipelined deployment.
+/// transactions (and the same count again as local streams) per shard
+/// count, then one scatter-gather pass of each query.
 pub fn sweep(shard_counts: &[u32], txns: u64, cores: u32, mix: RemoteMix) -> Vec<ShardPoint> {
     shard_counts
         .iter()
         .map(|&shards| {
-            let (_, _, serial) = run_mode(shards, txns, cores, mix, CoordinatorMode::Serial);
-            let (mut service, routed, pipelined) =
-                run_mode(shards, txns, cores, mix, CoordinatorMode::Pipelined);
+            let (mut service, report, routed) = run_routed(shards, txns, cores, mix);
             let local = service.run_local_txns(43, txns / shards as u64);
             let q1 = service.run_query(Query::Q1);
             let q6 = service.run_query(Query::Q6);
             let q9 = service.run_query(Query::Q9);
             ShardPoint {
                 shards,
-                committed: 2 * routed.committed() + local.committed(),
+                committed: report.committed() + local.committed(),
                 local_tpmc: local.tpmc(cores),
-                cross_shard_fraction: routed.remote.cross_shard_fraction(),
-                forwarded_effects: routed.forwarded_effects(),
-                commit_rounds: routed.commit_rounds(),
-                serial,
-                pipelined,
+                cross_shard_fraction: report.remote.cross_shard_fraction(),
+                forwarded_effects: report.forwarded_effects(),
+                commit_rounds: report.commit_rounds(),
+                routed,
                 q1_latency: q1.total(),
                 q6_latency: q6.total(),
                 q9_latency: q9.total(),
@@ -208,46 +186,36 @@ const MIXES: [(RemoteMix, &str, &str); 3] = [
 fn print_table(label: &str, points: &[ShardPoint]) {
     println!("-- remote-warehouse mix: {label} --");
     println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>6} {:>5} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10}",
+        "{:>6} {:>12} {:>12} {:>8} {:>6} {:>5} {:>8} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10}",
         "shards",
-        "serial tpmC",
-        "pipel. tpmC",
+        "routed tpmC",
         "local tpmC",
         "x-shard",
-        "flushes",
         "waves",
         "maxw",
         "overlap",
-        "2pc(ser)",
-        "2pc(pip)",
-        "fs/tx(ser)",
-        "fs/tx(pip)",
-        "p99(ser)",
-        "p50(pip)",
-        "p99(pip)",
+        "2pc",
+        "fsync/txn",
+        "p50",
+        "p99",
         "Q1",
         "Q6",
         "Q9"
     );
     for p in points {
         println!(
-            "{:>6} {:>12.0} {:>12.0} {:>12.0} {:>7.1}% {:>8} {:>6} {:>5} {:>7.1}% {:>8.2}% {:>8.2}% {:>9.3} {:>9.3} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10}",
+            "{:>6} {:>12.0} {:>12.0} {:>7.1}% {:>6} {:>5} {:>7.1}% {:>8.2}% {:>9.3} {:>9} {:>9} {:>10} {:>10} {:>10}",
             p.shards,
-            p.serial.routed_tpmc,
-            p.pipelined.routed_tpmc,
+            p.routed.routed_tpmc,
             p.local_tpmc,
             p.cross_shard_fraction * 100.0,
-            p.serial.barrier_flushes,
-            p.pipelined.waves,
-            p.pipelined.max_wave,
-            p.pipelined.overlap_ratio * 100.0,
-            p.serial.two_pc_time_share * 100.0,
-            p.pipelined.two_pc_time_share * 100.0,
-            p.serial.fsync_per_txn,
-            p.pipelined.fsync_per_txn,
-            fmt_ps(p.serial.commit_latency.p99),
-            fmt_ps(p.pipelined.commit_latency.p50),
-            fmt_ps(p.pipelined.commit_latency.p99),
+            p.routed.waves,
+            p.routed.max_wave,
+            p.routed.overlap_ratio * 100.0,
+            p.routed.two_pc_time_share * 100.0,
+            p.routed.fsync_per_txn,
+            fmt_ps(p.routed.commit_latency.p50),
+            fmt_ps(p.routed.commit_latency.p99),
             p.q1_latency,
             p.q6_latency,
             p.q9_latency,
@@ -255,9 +223,8 @@ fn print_table(label: &str, points: &[ShardPoint]) {
     }
 }
 
-/// Runs the full sweep once: every mix × the given shard counts × both
-/// coordinator modes. One entry per mix: (json key, table label,
-/// points).
+/// Runs the full sweep once: every mix × the given shard counts. One
+/// entry per mix: (json key, table label, points).
 fn sweep_all(
     shard_counts: &[u32],
     txns: u64,
@@ -270,8 +237,8 @@ fn sweep_all(
 }
 
 fn print_header() {
-    println!("== Shard scaling: tpmC (serial vs pipelined coordinator), 2PC cost, waves, scatter-gather latency ==");
-    println!("(small population, 8 warehouses, 400 routed txns per point per mode)");
+    println!("== Shard scaling: tpmC, 2PC cost, waves, scatter-gather latency ==");
+    println!("(small population, 8 warehouses, 400 routed txns per point)");
 }
 
 /// The sanitizer-overhead outcome of one armed-vs-unarmed pair.
@@ -298,16 +265,14 @@ impl SanitizerOverhead {
     }
 }
 
-/// Runs the same pipelined uniform-mix point twice — NullSanitizer vs
+/// Runs the same uniform-mix point twice — NullSanitizer vs
 /// an armed [`ShadowSanitizer`] — and reports the simulated-throughput
 /// delta plus what the tracker checked. Panics if the armed run is not
 /// violation-free: the scaling harness doubles as a soundness gate.
 pub fn sanitizer_overhead(shards: u32, txns: u64, cores: u32) -> SanitizerOverhead {
     let mix = RemoteMix::Uniform;
-    let (_, baseline, _) = run_mode(shards, txns, cores, mix, CoordinatorMode::Pipelined);
-    let mut service =
-        ShardedHtap::new(ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined))
-            .expect("build shards");
+    let (_, baseline, _) = run_routed(shards, txns, cores, mix);
+    let mut service = ShardedHtap::new(ShardConfig::small(shards)).expect("build shards");
     let san = Arc::new(ShadowSanitizer::new());
     service.set_sanitizer(san.clone());
     let _wal = service.enable_wal();
@@ -325,7 +290,7 @@ pub fn sanitizer_overhead(shards: u32, txns: u64, cores: u32) -> SanitizerOverhe
 
 fn print_sanitizer_overhead() {
     let o = sanitizer_overhead(4, 400, 16);
-    println!("-- sanitizer overhead (pipelined, uniform mix, 4 shards) --");
+    println!("-- sanitizer overhead (uniform mix, 4 shards) --");
     println!(
         "{:>12} {:>12} {:>9} {:>10} {:>8}",
         "base tpmC", "armed tpmC", "overhead", "accesses", "scopes"
@@ -365,11 +330,11 @@ pub fn print_and_write_json() -> std::io::Result<()> {
     Ok(())
 }
 
-fn json_mode(out: &mut String, point: &ModePoint) {
+fn json_routed(out: &mut String, point: &RoutedPoint) {
     let _ = write!(
         out,
         "{{\"routed_tpmc\":{:.1},\"two_pc_time_share\":{:.6},\"two_pc_time_ps\":{},\
-         \"critical_path_time_ps\":{},\"barrier_flushes\":{},\"waves\":{},\"max_wave\":{},\
+         \"critical_path_time_ps\":{},\"waves\":{},\"max_wave\":{},\
          \"overlap_ratio\":{:.6},\"participant_aborts\":{},\"parallel_efficiency\":{:.4},\
          \"commit_p50_ps\":{},\"commit_p99_ps\":{},\"commit_p999_ps\":{},\
          \"commit_mean_ps\":{},\"commit_max_ps\":{},\
@@ -379,7 +344,6 @@ fn json_mode(out: &mut String, point: &ModePoint) {
         point.two_pc_time_share,
         point.two_pc_time.ps(),
         point.critical_path_time.ps(),
-        point.barrier_flushes,
         point.waves,
         point.max_wave,
         point.overlap_ratio,
@@ -400,8 +364,8 @@ fn json_mode(out: &mut String, point: &ModePoint) {
     );
 }
 
-/// Renders a completed sweep (all mixes × shard counts × both
-/// coordinator modes) as a JSON document.
+/// Renders a completed sweep (all mixes × shard counts) as a JSON
+/// document.
 fn render_json(all: &[(&'static str, &'static str, Vec<ShardPoint>)]) -> String {
     let mut out = String::from("{\n  \"bench\": \"shard_scale\",\n  \"points\": [\n");
     let mut first = true;
@@ -416,7 +380,7 @@ fn render_json(all: &[(&'static str, &'static str, Vec<ShardPoint>)]) -> String 
                 "    {{\"mix\":\"{mix_key}\",\"shards\":{},\"committed\":{},\
                  \"local_tpmc\":{:.1},\"cross_shard_fraction\":{:.6},\
                  \"forwarded_effects\":{},\"commit_rounds\":{},\
-                 \"q1_ps\":{},\"q6_ps\":{},\"q9_ps\":{},\"serial\":",
+                 \"q1_ps\":{},\"q6_ps\":{},\"q9_ps\":{},\"pipelined\":",
                 p.shards,
                 p.committed,
                 p.local_tpmc,
@@ -427,9 +391,7 @@ fn render_json(all: &[(&'static str, &'static str, Vec<ShardPoint>)]) -> String 
                 p.q6_latency.ps(),
                 p.q9_latency.ps(),
             );
-            json_mode(&mut out, &p.serial);
-            out.push_str(",\"pipelined\":");
-            json_mode(&mut out, &p.pipelined);
+            json_routed(&mut out, &p.routed);
             out.push('}');
         }
     }
@@ -439,13 +401,12 @@ fn render_json(all: &[(&'static str, &'static str, Vec<ShardPoint>)]) -> String 
 
 /// Runs the sweep at the given scale and renders it as JSON — the
 /// machine-readable form `BENCH_shard_scale.json` holds (throughput,
-/// 2PC time share, wave/overlap stats per mix × shard count ×
-/// coordinator mode).
+/// 2PC time share, wave/overlap stats per mix × shard count).
 pub fn json_report(shard_counts: &[u32], txns: u64, cores: u32) -> String {
     render_json(&sweep_all(shard_counts, txns, cores))
 }
 
-/// Collects one traced pipelined run (uniform remote mix — the
+/// Collects one traced run (uniform remote mix — the
 /// 2PC-heaviest load) and renders it as a Chrome-trace JSON document:
 /// one process per shard, lanes for engine work, coordinator protocol
 /// phases, defragmentation stalls, and queue waits. The document is
@@ -461,9 +422,7 @@ pub fn json_report(shard_counts: &[u32], txns: u64, cores: u32) -> String {
 /// Panics if the rendered document fails its own validator — that is a
 /// bug in the span emission, never an input-dependent condition.
 pub fn render_trace(shards: u32, txns: u64) -> (String, u64, usize) {
-    let mut service =
-        ShardedHtap::new(ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined))
-            .expect("build shards");
+    let mut service = ShardedHtap::new(ShardConfig::small(shards)).expect("build shards");
     let sink = Arc::new(MemSink::default());
     service.set_trace_sink(sink.clone());
     let warehouses = service.map().warehouses();
@@ -480,7 +439,7 @@ pub fn render_trace(shards: u32, txns: u64) -> (String, u64, usize) {
     (doc, wave, peak)
 }
 
-/// Runs a traced pipelined batch and writes the Chrome-trace document
+/// Runs a traced batch and writes the Chrome-trace document
 /// to `path` (see [`render_trace`]).
 ///
 /// # Errors
@@ -490,7 +449,7 @@ pub fn write_trace(path: &str, shards: u32, txns: u64) -> std::io::Result<()> {
     let (doc, wave, peak) = render_trace(shards, txns);
     std::fs::write(path, &doc)?;
     println!(
-        "wrote {path} ({} bytes): {shards}-shard pipelined uniform-mix timeline, \
+        "wrote {path} ({} bytes): {shards}-shard uniform-mix timeline, \
          peak {peak} concurrent 2PCs in wave {wave}",
         doc.len()
     );
@@ -524,8 +483,7 @@ mod tests {
         assert!(four.cross_shard_fraction > 0.5);
         assert!(four.forwarded_effects > 0);
         assert!(four.commit_rounds > 0);
-        assert!(four.serial.two_pc_time_share > 0.0);
-        assert!(four.pipelined.two_pc_time_share > 0.0);
+        assert!(four.routed.two_pc_time_share > 0.0);
     }
 
     /// The TPC-C remote rates cut cross-shard coordination by an order
@@ -538,8 +496,7 @@ mod tests {
         let uniform = sweep(&[4], 150, 16, RemoteMix::Uniform);
         assert_eq!(local[0].cross_shard_fraction, 0.0);
         assert_eq!(local[0].forwarded_effects, 0);
-        assert_eq!(local[0].serial.two_pc_time_share, 0.0);
-        assert_eq!(local[0].pipelined.two_pc_time_share, 0.0);
+        assert_eq!(local[0].routed.two_pc_time_share, 0.0);
         assert!(
             tpcc[0].cross_shard_fraction < uniform[0].cross_shard_fraction * 0.5,
             "TPC-C {} vs uniform {}",
@@ -555,43 +512,22 @@ mod tests {
         assert!(tpcc[0].commit_rounds < uniform[0].commit_rounds);
     }
 
-    /// The refactor's acceptance criterion: at ≥ 4 shards under the
-    /// cross-shard-heavy mixes, the pipelined coordinator strictly
-    /// reduces barrier flushes, reports positive 2PC overlap, and pays
-    /// no more clock for its message rounds than the serial oracle.
+    /// At ≥ 4 shards under the cross-shard-heavy mixes the schedule
+    /// overlaps 2PCs.
     #[test]
-    fn pipelined_reduces_flushes_and_overlaps() {
+    fn waves_overlap_two_pcs() {
         for mix in [RemoteMix::TPCC, RemoteMix::Uniform] {
             for p in sweep(&[4, 8], 150, 16, mix) {
-                assert!(p.serial.barrier_flushes > 0, "{} shards", p.shards);
-                assert!(
-                    p.pipelined.barrier_flushes < p.serial.barrier_flushes,
-                    "{} shards: flushes must strictly reduce",
-                    p.shards
-                );
-                assert!(p.pipelined.overlap_ratio > 0.0, "{} shards", p.shards);
-                assert!(p.pipelined.waves > 0 && p.pipelined.max_wave > 1);
-                // Compare the message-round component alone: with the
-                // WAL on, the critical path also carries group-commit
-                // force time, whose cadence (buckets vs waves) is a
-                // different axis than 2PC overlap.
-                let ser_rounds = p
-                    .serial
-                    .critical_path_time
-                    .saturating_sub(p.serial.wal_force_time);
-                let pip_rounds = p
-                    .pipelined
-                    .critical_path_time
-                    .saturating_sub(p.pipelined.wal_force_time);
-                assert!(pip_rounds <= ser_rounds);
-                assert!(p.serial.two_pc_time_share <= 1.0);
-                assert!(p.pipelined.two_pc_time_share <= 1.0);
+                let r = p.routed;
+                assert!(r.overlap_ratio > 0.0, "{} shards", p.shards);
+                assert!(r.waves > 0 && r.max_wave > 1);
+                assert!(r.two_pc_time_share <= 1.0);
             }
         }
     }
 
-    /// The JSON report covers every mix × shard count with both modes
-    /// and parsable numbers.
+    /// The JSON report covers every mix × shard count with parsable
+    /// numbers.
     #[test]
     fn json_report_lists_every_point() {
         let json = json_report(&[1, 2], 60, 16);
@@ -602,73 +538,59 @@ mod tests {
                 "{mix} missing"
             );
         }
-        assert_eq!(json.matches("\"serial\":").count(), 6);
         assert_eq!(json.matches("\"pipelined\":").count(), 6);
-        assert_eq!(json.matches("\"waves\":").count(), 12);
-        // Every mode entry carries its commit-latency percentiles.
-        assert_eq!(json.matches("\"commit_p50_ps\":").count(), 12);
-        assert_eq!(json.matches("\"commit_p99_ps\":").count(), 12);
-        assert_eq!(json.matches("\"commit_p999_ps\":").count(), 12);
+        assert_eq!(json.matches("\"waves\":").count(), 6);
+        // Every point carries its commit-latency percentiles.
+        assert_eq!(json.matches("\"commit_p50_ps\":").count(), 6);
+        assert_eq!(json.matches("\"commit_p99_ps\":").count(), 6);
+        assert_eq!(json.matches("\"commit_p999_ps\":").count(), 6);
         // ... and its durability columns.
-        assert_eq!(json.matches("\"wal_forces\":").count(), 12);
-        assert_eq!(json.matches("\"decision_forces\":").count(), 12);
-        assert_eq!(json.matches("\"fsync_per_txn\":").count(), 12);
+        assert_eq!(json.matches("\"wal_forces\":").count(), 6);
+        assert_eq!(json.matches("\"decision_forces\":").count(), 6);
+        assert_eq!(json.matches("\"fsync_per_txn\":").count(), 6);
         // Balanced braces — cheap well-formedness check without a
         // JSON parser in the dependency-free build.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     /// The durability acceptance number: every sweep runs with the
-    /// effect WAL on, and group commit keeps the pipelined
-    /// coordinator's durable syncs per committed transaction below one
-    /// at scale — one force barrier amortized across each wave — while
-    /// the serial coordinator's bucket-at-a-time cadence pays several.
-    /// A fully warehouse-local mix never touches the decision log.
+    /// effect WAL on, and group commit keeps durable syncs per
+    /// committed transaction below one at scale — one force barrier
+    /// amortized across each wave. A fully warehouse-local mix never
+    /// touches the decision log.
     #[test]
     fn group_commit_amortizes_under_waves() {
         for p in sweep(&[4, 8], 150, 16, RemoteMix::Uniform) {
-            assert!(p.serial.wal_appends > 0 && p.pipelined.wal_appends > 0);
-            assert!(p.serial.wal_forces > 0 && p.pipelined.wal_forces > 0);
-            assert!(p.pipelined.wal_bytes > 0);
+            let r = p.routed;
+            assert!(r.wal_appends > 0 && r.wal_forces > 0 && r.wal_bytes > 0);
             assert!(
-                p.pipelined.fsync_per_txn < 1.0,
-                "{} shards: pipelined fsync/txn {:.3} must stay below 1",
+                r.fsync_per_txn < 1.0,
+                "{} shards: fsync/txn {:.3} must stay below 1",
                 p.shards,
-                p.pipelined.fsync_per_txn
-            );
-            assert!(
-                p.pipelined.fsync_per_txn < p.serial.fsync_per_txn,
-                "{} shards: waves must amortize better ({:.3} vs {:.3})",
-                p.shards,
-                p.pipelined.fsync_per_txn,
-                p.serial.fsync_per_txn
+                r.fsync_per_txn
             );
             // Presumed abort: one durable decision per cross-shard
             // commit, synced at most once per decision.
-            assert!(p.serial.decision_appends > 0);
-            assert_eq!(p.serial.decision_appends, p.pipelined.decision_appends);
-            assert!(p.pipelined.decision_forces <= p.pipelined.decision_appends);
-            assert!(p.pipelined.wal_force_time > Ps::ZERO);
+            assert!(r.decision_appends > 0);
+            assert!(r.decision_forces <= r.decision_appends);
+            assert!(r.wal_force_time > Ps::ZERO);
         }
         let local = sweep(&[4], 100, 16, RemoteMix::LOCAL);
-        assert_eq!(local[0].serial.decision_appends, 0);
-        assert_eq!(local[0].pipelined.decision_appends, 0);
-        assert!(local[0].pipelined.wal_appends > 0);
+        assert_eq!(local[0].routed.decision_appends, 0);
+        assert!(local[0].routed.wal_appends > 0);
     }
 
-    /// Commit-latency percentiles are populated and ordered on every
-    /// mode of a routed sweep point.
+    /// Commit-latency percentiles are populated and ordered on a routed
+    /// sweep point.
     #[test]
     fn sweep_reports_ordered_commit_percentiles() {
         let points = sweep(&[2], 80, 16, RemoteMix::Uniform);
-        for mode in [&points[0].serial, &points[0].pipelined] {
-            let s = mode.commit_latency;
-            assert_eq!(s.count, 80, "one sample per committed txn");
-            assert!(s.p50 > 0);
-            assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999);
-            assert!(s.p999 <= s.max);
-            assert!(s.mean > 0);
-        }
+        let s = points[0].routed.commit_latency;
+        assert_eq!(s.count, 80, "one sample per committed txn");
+        assert!(s.p50 > 0);
+        assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999);
+        assert!(s.p999 <= s.max);
+        assert!(s.mean > 0);
     }
 
     /// Arming the sanitizer costs zero *simulated* time: the armed
@@ -687,7 +609,7 @@ mod tests {
     }
 
     /// The rendered Chrome trace validates and shows genuinely
-    /// overlapping two-phase commits under the pipelined coordinator.
+    /// overlapping two-phase commits.
     #[test]
     fn trace_renders_and_overlaps() {
         let (doc, _wave, peak) = render_trace(4, 120);

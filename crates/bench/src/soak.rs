@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use pushtap_chbench::RemoteMix;
 use pushtap_core::{tpmc, GcStats};
 use pushtap_pim::Ps;
-use pushtap_shard::{CoordinatorMode, ShardConfig, ShardedHtap};
+use pushtap_shard::{ShardConfig, ShardedHtap};
 use pushtap_trace::{fmt_ps, Histogram, LatencyStats};
 
 /// Shards in the soak deployment.
@@ -104,7 +104,7 @@ impl SoakRun {
 /// never reclaims behind the experiment's back); only the maintenance
 /// period differs.
 fn soak_cfg(total_txns: u64, gc: bool) -> ShardConfig {
-    let mut cfg = ShardConfig::small(SHARDS).with_mode(CoordinatorMode::Pipelined);
+    let mut cfg = ShardConfig::small(SHARDS);
     // Delta capacity comfortably above the whole stream's version
     // count (~13 versions per transaction deployment-wide, measured):
     // the no-GC control must *grow*, not abort-and-reclaim. The
@@ -276,7 +276,7 @@ pub fn render_json(gc: &SoakRun, no_gc: &SoakRun) -> String {
 ///
 /// Panics if the acceptance shape does not hold.
 pub fn print_and_write_json(total_txns: u64) -> std::io::Result<()> {
-    println!("-- soak: {total_txns} txns, {SHARDS} shards, pipelined, TPC-C mix --");
+    println!("-- soak: {total_txns} txns, {SHARDS} shards, TPC-C mix --");
     let (gc, no_gc) = run_both(total_txns);
     print_run(&gc);
     print_run(&no_gc);

@@ -23,19 +23,20 @@ pub struct CommitConfig {
     /// Latency of one write-ahead-log force barrier (the group-commit
     /// fsync, extending the §6.3 force-barrier model to durable media).
     /// Charged to the forcing shard's clock and `critical_path_time`
-    /// once per *force*, not per transaction — a pipelined wave
-    /// amortizes one force across every record the wave appended.
+    /// once per *force*, not per transaction — a wave amortizes one
+    /// force across every record it appended.
     /// Inert unless the deployment enables its WAL
     /// (`ShardedHtap::enable_wal`).
     pub force_latency: Ps,
     /// Upper bound of the per-participant vote-processing skew in the
     /// laggard vote-barrier model. A participant's "yes" vote leaves
-    /// its shard when that shard's *whole* prepare pass finished (its
-    /// clock), travels one `prepare_hop`, and is additionally delayed
-    /// by a deterministic per-(participant, transaction) skew drawn
-    /// uniformly from `[0, vote_jitter]` — so the coordinator's
-    /// decision stall reflects the *slowest* participant, not a free
-    /// round-trip. [`Ps::ZERO`] disables the jitter term but not the
+    /// its shard the instant *that transaction's* prepare finished on
+    /// its clock (an early vote: later items of the same wave and the
+    /// wave's group-commit force do not hold it back), travels one
+    /// `prepare_hop`, and is additionally delayed by a deterministic
+    /// per-(participant, transaction) skew drawn uniformly from
+    /// `[0, vote_jitter]` — so the coordinator's decision stall
+    /// reflects the *slowest* participant, not a free round-trip. [`Ps::ZERO`] disables the jitter term but not the
     /// laggard coupling itself.
     pub vote_jitter: Ps,
 }
@@ -49,32 +50,6 @@ impl CommitConfig {
         force_latency: Ps::ZERO,
         vote_jitter: Ps::ZERO,
     };
-}
-
-/// How the coordinator executes a routed stream.
-///
-/// Both modes commit byte-identical state (the committed bytes are a
-/// pure function of the committed transaction stream — the
-/// Serial-vs-Pipelined proptests assert it); they differ in how much
-/// concurrency the execution schedule extracts and therefore in
-/// wall-clock, message-delivery stalls, and host-side parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoordinatorMode {
-    /// The oracle path: warehouse-local transactions queue per shard and
-    /// run concurrently, but every cross-shard transaction first
-    /// *flushes* the involved shards' queues (a barrier) and then runs
-    /// its two-phase commit alone — one 2PC in flight at a time,
-    /// message rounds delivered sequentially.
-    Serial,
-    /// Conflict-aware wave scheduling: the stream's keysets
-    /// ([`pushtap_oltp::KeySet`]) build a dependency graph, conflicting
-    /// transactions are ordered by pinned timestamp, and each wave of
-    /// mutually non-conflicting transactions — local *and* cross-shard —
-    /// executes concurrently, with all of a wave's 2PC prepare/vote/
-    /// decide rounds overlapped instead of run one at a time. The
-    /// default.
-    #[default]
-    Pipelined,
 }
 
 /// Configuration of a [`crate::ShardedHtap`] deployment.
@@ -91,11 +66,6 @@ pub struct ShardConfig {
     /// rows are *forwarded* to their owning shard and committed there
     /// under the coordinator's pinned timestamp).
     pub commit: CommitConfig,
-    /// How the coordinator schedules the routed stream:
-    /// [`CoordinatorMode::Pipelined`] (conflict-aware waves, the
-    /// default) or [`CoordinatorMode::Serial`] (the barrier-flush
-    /// oracle).
-    pub mode: CoordinatorMode,
     /// CPU cycles per gathered partial row spent merging scatter-gather
     /// results on the coordinator.
     pub merge_cycles_per_row: u64,
@@ -127,15 +97,8 @@ impl ShardConfig {
                 force_latency: Ps::from_us(2.0),
                 vote_jitter: Ps::from_ns(200.0),
             },
-            mode: CoordinatorMode::default(),
             merge_cycles_per_row: 8,
         }
-    }
-
-    /// The same configuration with a different coordinator mode.
-    pub fn with_mode(mut self, mode: CoordinatorMode) -> ShardConfig {
-        self.mode = mode;
-        self
     }
 }
 
@@ -145,10 +108,12 @@ impl ShardConfig {
 /// lives in [`crate::ArrivalConfig`] / [`crate::ArrivalGen`].
 #[derive(Debug, Clone, Copy)]
 pub struct OpenLoopConfig {
-    /// Per-shard inbox bound: an arrival finding this many transactions
-    /// already admitted-but-undispatched at its home shard is
-    /// *rejected* — counted, reported as backpressure, never silently
-    /// dropped. Must be positive.
+    /// Per-shard inbox bound: an arrival finding this many of its home
+    /// shard's transactions still in the system — admitted and waiting
+    /// for dispatch, or dispatched in a wave that has not yet completed
+    /// on the home clock at the arrival instant — is *rejected*:
+    /// counted, reported as backpressure, never silently dropped. Must
+    /// be positive.
     pub inbox_depth: usize,
     /// Sliding-window size of the incremental wave scheduler: the
     /// frontier wave is dispatched whenever this many admitted

@@ -1,21 +1,11 @@
-//! The transaction coordinator: stream-order execution over the shard
+//! The transaction coordinator: one wave at a time over the shard
 //! engines, with a simulated two-phase commit for transactions whose
-//! effects span shards — either one 2PC at a time behind a barrier
-//! flush ([`CoordinatorMode::Serial`], the oracle path) or
-//! conflict-aware wave scheduling that overlaps every non-conflicting
-//! transaction ([`CoordinatorMode::Pipelined`], the default).
+//! effects span shards. There is one execution path — `run_wave` — and
+//! every committed byte of the sharded service goes through it:
+//! closed-loop batches, open-loop arrivals, logged and unlogged runs,
+//! and the retries of its own casualties (a retry is a wave of one).
 //!
-//! # The serial oracle
-//!
-//! The original execution model: warehouse-local transactions queue per
-//! home shard and flush in concurrent per-shard runs, but every
-//! cross-shard transaction first drains the involved shards' queues (a
-//! *barrier flush*) and then runs its prepare/vote/decide rounds alone.
-//! Correct, and byte-identical to the unpartitioned reference — but the
-//! hot remote mixes degenerate toward one 2PC at a time exactly when
-//! scale-out matters most.
-//!
-//! # Wave scheduling (the pipelined path)
+//! # Wave execution
 //!
 //! [`TpccDb::decompose`](pushtap_oltp::TpccDb::decompose) is read-only
 //! and retry-stable, so every transaction's keyset — rows read, rows
@@ -24,7 +14,7 @@
 //! timestamp-ordered stream into **waves** of mutually non-conflicting
 //! transactions; conflicting pairs always land in timestamp order
 //! across waves, so per-row commit order (and therefore every committed
-//! byte) matches the reference. One wave executes as:
+//! byte) matches the unpartitioned reference. One wave executes as:
 //!
 //! 1. **Decompose** every wave member at its home engine and split the
 //!    effects by owning shard (read-only; wave members touch disjoint
@@ -35,54 +25,47 @@
 //!    (the multi-scope machinery in `pushtap-mvcc`). Forwarded effect
 //!    sets pay their prepare-hop *delivery*: a wave's messages are all
 //!    in flight together, so a delivery only stalls the engine until
-//!    its arrival time — overlapped, not summed.
+//!    its arrival time — overlapped, not summed. With a WAL, every
+//!    prepared record is appended and the shard ends its pass with one
+//!    group-commit force.
 //! 3. **Vote barrier** — a transaction commits iff every involved shard
-//!    prepared it; any `DeltaFull` vote aborts it everywhere.
+//!    prepared it; any `DeltaFull` vote aborts it everywhere. With a
+//!    WAL, the commit decisions of cross-shard members are logged and
+//!    forced here, before any is delivered.
 //! 4. **Decision phase** — all shards concurrently deliver commit/abort
 //!    decisions in timestamp order (again overlapped deliveries);
 //!    committed scopes resolve, aborted scopes replay their pinned undo
 //!    records in reverse.
-//! 5. **Retries** — aborted transactions defragment their no-voting
-//!    shards and re-run serially at the *same* pinned timestamps before
-//!    the next wave starts, feeding the engine-level atomic-retry
-//!    machinery. Committed bytes therefore never depend on where or
-//!    when arenas filled up.
+//! 5. **Retries** — each aborted transaction reclaims its no-voting
+//!    shards' arenas and re-enters `run_wave` alone, at the *same*
+//!    pinned timestamp, until it commits, before the next wave starts.
+//!    Committed bytes therefore never depend on where or when arenas
+//!    filled up.
 //!
 //! # Timing
 //!
-//! Message rounds are charged per [`CommitConfig`]. Both modes keep the
-//! same *ledger* (`two_pc_time`, `commit_rounds`: one entry per
-//! delivered message), but the clock cost differs: the serial path
-//! delivers rounds one at a time (each hop lands fully on the receiving
-//! shard's clock), while a wave's concurrent deliveries overlap — the
-//! clock advance they actually cause is recorded as
-//! `critical_path_time` (see [`OltpReport`]). All other engine-time
-//! accounting (transaction time, wasted retry latency, defragmentation
-//! pauses) is identical across modes.
+//! Message rounds are charged per [`CommitConfig`]. The *ledger*
+//! (`two_pc_time`, `commit_rounds`) counts one full hop per delivered
+//! message; the clock advance the overlapped deliveries actually cause
+//! is recorded as `critical_path_time` (see [`OltpReport`]).
 //!
-//! Decision latency uses the **laggard vote-barrier model** in both
-//! modes: the coordinator cannot act before the *slowest* participant's
-//! vote arrives. A participant's vote leaves its shard the instant that
+//! Decision latency uses the **laggard vote-barrier model**: the
+//! coordinator cannot act before the *slowest* participant's vote
+//! arrives. A participant's vote leaves its shard the instant that
 //! *transaction's* prepare finished on its clock (early vote — the
 //! wave's group-commit force overlaps the decision round; the decision
 //! *apply* still lands after the force because the participant's clock
-//! crossed it at the phase barrier), travels one
-//! `prepare_hop`, and is delayed by a deterministic per-(participant,
-//! transaction) skew drawn from `[0, vote_jitter]`
-//! ([`CommitConfig::vote_jitter`]). The home's own
-//! `phase clock + prepare_hop` floors the wait, so coupling clocks
-//! never makes a decision *cheaper* than the old uncoupled model; the
+//! crossed it at the phase barrier), travels one `prepare_hop`, and is
+//! delayed by a deterministic per-(participant, transaction) skew drawn
+//! from `[0, vote_jitter]` ([`CommitConfig::vote_jitter`]). The home's
+//! own `phase clock + prepare_hop` floors the wait, so coupling clocks
+//! never makes a decision *cheaper* than an uncoupled round-trip; the
 //! extra stall lands on `critical_path_time` (and the vote-barrier
 //! stall histogram) while the `two_pc_time` hop ledger — one hop per
 //! delivered message — is unchanged, which is why the stall can exceed
-//! the ledger under a slow participant. The serial/pipelined
-//! comparison stays apples-to-apples: both modes wait for the same
-//! laggard votes, and still differ only in how much delivery overlap
-//! the schedule extracts.
+//! the ledger under a slow participant.
 //!
 //! [`OltpReport`]: pushtap_core::OltpReport
-//! [`CoordinatorMode::Serial`]: crate::CoordinatorMode::Serial
-//! [`CoordinatorMode::Pipelined`]: crate::CoordinatorMode::Pipelined
 
 pub mod schedule;
 
@@ -91,93 +74,22 @@ use std::thread;
 
 use pushtap_core::{MaintPause, Pushtap};
 use pushtap_mvcc::Ts;
-use pushtap_oltp::{codec, Breakdown, TaggedEffect, TxnResult, TxnRole};
+use pushtap_oltp::{codec, TaggedEffect, TxnResult, TxnRole};
 use pushtap_pim::Ps;
 use pushtap_trace::{Phase, Span};
 use pushtap_wal::{Wal, HEADER_LEN};
 
-use crate::config::{CommitConfig, CoordinatorMode};
+use crate::config::CommitConfig;
 use crate::durability::{encode_decision, CrashSite, DurabilityCtx};
 use crate::partition::WarehouseMap;
-use crate::report::{CoordStats, ShardLoad};
+use crate::report::ShardLoad;
 use crate::router::RoutedTxn;
-
-/// Flags the durability context crashed. An armed crash site implies
-/// the context exists (`armed_at` just read it), so a missing context
-/// here is a coordinator bug, not an input condition.
-fn mark_crashed(dur: &mut Option<&mut DurabilityCtx>) {
-    match dur.as_deref_mut() {
-        Some(d) => d.crashed = true,
-        None => unreachable!("an armed crash site implies a durability ctx"),
-    }
-}
 
 /// Joins a scoped shard worker, re-raising any panic on the caller's
 /// thread with its original payload intact.
 pub(crate) fn join_worker<T>(h: thread::ScopedJoinHandle<'_, T>) -> T {
     h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
 }
-
-/// Executes one globally-ordered routed stream across the shard
-/// engines under the configured coordinator mode, returning each
-/// shard's accumulated load plus the coordinator's scheduling stats.
-/// With a durability context the coordinator logs every prepared
-/// effect set (group-commit forced before votes), writes the decision
-/// log, and honors an armed crash point — a fired crash stops the
-/// stream dead and is reported in [`CoordStats::crashed`].
-pub(crate) fn execute_stream(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    stream: Vec<RoutedTxn>,
-    commit: CommitConfig,
-    mode: CoordinatorMode,
-    mut dur: Option<&mut DurabilityCtx>,
-) -> (Vec<ShardLoad>, CoordStats) {
-    let starts: Vec<Ps> = shards.iter().map(Pushtap::now).collect();
-    let mut loads: Vec<ShardLoad> = (0..shards.len()).map(|_| ShardLoad::default()).collect();
-    let mut stats = CoordStats {
-        mode,
-        ..CoordStats::default()
-    };
-    let decisions_before = dur.as_deref().map(|d| d.decision_log.stats());
-    match mode {
-        CoordinatorMode::Serial => execute_serial(
-            shards,
-            map,
-            stream,
-            commit,
-            &mut loads,
-            &mut stats,
-            dur.as_deref_mut(),
-        ),
-        CoordinatorMode::Pipelined => execute_pipelined(
-            shards,
-            map,
-            stream,
-            commit,
-            &mut loads,
-            &mut stats,
-            dur.as_deref_mut(),
-        ),
-    }
-    if let (Some(d), Some(before)) = (dur.as_deref(), decisions_before) {
-        let after = d.decision_log.stats();
-        stats.decision_appends = after.appends - before.appends;
-        stats.decision_forces = after.forces - before.forces;
-        stats.crashed = d.crashed;
-    }
-    for (i, load) in loads.iter_mut().enumerate() {
-        load.elapsed = shards[i].now().saturating_sub(starts[i]);
-        // Drain the engine's GC tally (pass counters plus end-of-batch
-        // live-version / commit-log gauges) into this batch's report.
-        load.report.gc.merge(&shards[i].take_gc_stats());
-    }
-    (loads, stats)
-}
-
-// ---------------------------------------------------------------------
-// Durability plumbing shared by both coordinator modes.
-// ---------------------------------------------------------------------
 
 /// Appends one prepared effect set to a shard's effect log (volatile
 /// until the next force barrier) and accounts it.
@@ -253,120 +165,6 @@ enum ForceMode {
     TornAt(usize),
 }
 
-// ---------------------------------------------------------------------
-// The serial oracle: per-shard local queues + barrier-flushed 2PCs.
-// ---------------------------------------------------------------------
-
-/// The original execution discipline: local transactions queue per home
-/// shard, every cross-shard transaction flushes the involved shards'
-/// queues and runs its two-phase commit alone.
-fn execute_serial(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    stream: Vec<RoutedTxn>,
-    commit: CommitConfig,
-    loads: &mut [ShardLoad],
-    stats: &mut CoordStats,
-    mut dur: Option<&mut DurabilityCtx>,
-) {
-    // Each queue entry carries the shard clock at enqueue time, so the
-    // flush can attribute the wait between routing and execution.
-    let mut pending: Vec<Vec<(RoutedTxn, Ps)>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    // Serial crash points are counted in cross-shard 2PCs (1-based).
-    let mut two_pcs = 0u64;
-    for routed in stream {
-        if routed.participants.is_empty() {
-            let home = routed.shard as usize;
-            let enqueued = shards[home].now();
-            pending[home].push((routed, enqueued));
-        } else {
-            // Stream-order discipline: every involved engine applies all
-            // its earlier stream work before this transaction's effects
-            // land (per-row commit timestamps must stay monotone).
-            // Uninvolved shards keep queueing — their rows are disjoint
-            // from this transaction's by ownership.
-            two_pcs += 1;
-            let crash = dur.as_deref().and_then(|d| d.armed_at(two_pcs));
-            if crash == Some(CrashSite::BeforePrepare) {
-                // The kill lands before this 2PC starts: still-queued
-                // local transactions were never logged and die with the
-                // process (their effects were never durable — recovery
-                // correctly omits them).
-                mark_crashed(&mut dur);
-                return;
-            }
-            let mut involved = routed.participants.clone();
-            involved.push(routed.shard);
-            stats.barrier_flushes += 1;
-            let home = &shards[routed.shard as usize];
-            if home.trace_enabled() {
-                home.trace_record(Span::instant(
-                    home.trace_track(),
-                    Phase::Barrier,
-                    routed.ts.0,
-                    home.now().ps(),
-                ));
-            }
-            flush(
-                shards,
-                &mut pending,
-                loads,
-                Some(&involved),
-                dur.as_deref_mut(),
-            );
-            if two_phase_commit(
-                shards,
-                map,
-                &routed,
-                commit,
-                loads,
-                0,
-                dur.as_deref_mut(),
-                crash,
-            ) {
-                return; // the armed crash fired mid-2PC
-            }
-        }
-    }
-    flush(shards, &mut pending, loads, None, dur);
-}
-
-/// Drains the pending warehouse-local queues of the selected shards
-/// (all shards when `only` is `None`), one OS thread per non-empty
-/// queue, and folds the partial loads into `loads`.
-fn flush(
-    shards: &mut [Pushtap],
-    pending: &mut [Vec<(RoutedTxn, Ps)>],
-    loads: &mut [ShardLoad],
-    only: Option<&[u32]>,
-    dur: Option<&mut DurabilityCtx>,
-) {
-    let force_latency = dur.as_ref().map_or(Ps::ZERO, |d| d.force_latency);
-    let mut wals: Vec<Option<&mut Wal>> = match dur {
-        Some(d) => d.logs.iter_mut().map(Some).collect(),
-        None => shards.iter().map(|_| None).collect(),
-    };
-    let results: Vec<(usize, ShardLoad)> = thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter_mut()
-            .zip(pending.iter_mut())
-            .zip(wals.iter_mut())
-            .enumerate()
-            .filter(|(i, _)| only.is_none_or(|set| set.contains(&(*i as u32))))
-            .filter(|(_, ((_, queue), _))| !queue.is_empty())
-            .map(|(i, ((shard, queue), wal))| {
-                let bucket = std::mem::take(queue);
-                let wal = wal.as_deref_mut();
-                scope.spawn(move || (i, run_local_bucket(shard, bucket, wal, force_latency)))
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    for (i, partial) in results {
-        merge_load(&mut loads[i], partial);
-    }
-}
-
 /// Folds one thread's partial load into a shard's batch load.
 fn merge_load(into: &mut ShardLoad, partial: ShardLoad) {
     into.routed += partial.routed;
@@ -375,133 +173,12 @@ fn merge_load(into: &mut ShardLoad, partial: ShardLoad) {
     into.report.merge(&partial.report);
 }
 
-/// Executes one shard's queued warehouse-local transactions, each under
-/// its pinned stream-order timestamp (a `DeltaFull` retry re-runs under
-/// the same timestamp). Each entry's enqueue clock feeds the queue-wait
-/// histogram: later entries wait out the bucket's earlier work.
-fn run_local_bucket(
-    shard: &mut Pushtap,
-    bucket: Vec<(RoutedTxn, Ps)>,
-    mut wal: Option<&mut Wal>,
-    force_latency: Ps,
-) -> ShardLoad {
-    let mut load = ShardLoad::default();
-    for (routed, enqueued) in bucket {
-        debug_assert!(
-            routed.participants.is_empty(),
-            "cross-shard transaction queued as local"
-        );
-        let wait = shard.now().saturating_sub(enqueued);
-        load.report.queue_wait.record(wait.ps());
-        if wait > Ps::ZERO && shard.trace_enabled() {
-            shard.trace_record(Span::new(
-                shard.trace_track(),
-                Phase::Queued,
-                routed.ts.0,
-                enqueued.ps(),
-                shard.now().ps(),
-            ));
-        }
-        run_local_txn(shard, &routed, &mut load, false, wal.as_deref_mut());
-    }
-    // One group-commit force amortized over the whole bucket: the
-    // bucket's records become durable (and its transactions recoverable)
-    // together.
-    if let Some(w) = wal {
-        wal_force(w, &mut load, shard, force_latency, 0);
-    }
-    load
-}
-
-/// Executes one warehouse-local transaction through the engine's
-/// defragment-and-retry loop, folding the outcome into `load`.
-/// `was_retried` marks a transaction whose first (wave) attempt already
-/// aborted, so it counts as retried even if this run commits cleanly.
-///
-/// With a log, the transaction's effect record is appended (pending —
-/// the *caller* owns the group-commit force barrier, amortizing it over
-/// its bucket or wave). `decompose` is retry-stable, so the record
-/// logged up front equals what the engine commits even if it had to
-/// defragment and retry in between.
-fn run_local_txn(
-    shard: &mut Pushtap,
-    routed: &RoutedTxn,
-    load: &mut ShardLoad,
-    was_retried: bool,
-    wal: Option<&mut Wal>,
-) {
-    let before = shard.now();
-    if let Some(w) = wal {
-        let effects = shard.db().decompose(&routed.txn, routed.ts);
-        wal_append(
-            w,
-            load,
-            shard,
-            routed.ts,
-            TxnRole::Coordinator,
-            false,
-            &effects,
-            0,
-        );
-    }
-    if was_retried && shard.trace_enabled() {
-        shard.trace_record(Span::instant(
-            shard.trace_track(),
-            Phase::Retry,
-            routed.ts.0,
-            before.ps(),
-        ));
-    }
-    {
-        let san = shard.db().sanitizer();
-        if san.enabled() {
-            san.begin_execution(routed.shard, routed.ts.0, shard.now().ps());
-        }
-    }
-    let aborts_before = shard.db().aborts();
-    let wasted_before = shard.db().wasted_retry_time();
-    let (result, pauses) = shard.execute_txn_at(&routed.txn, routed.ts);
-    load.routed += 1;
-    load.report.committed += 1;
-    let aborted = shard.db().aborts() - aborts_before;
-    load.report.aborts += aborted;
-    if aborted > 0 || was_retried {
-        load.report.retried_txns += 1;
-    }
-    charge_maintenance(load, pauses);
-    load.report.wasted_retry_time += shard.db().wasted_retry_time().saturating_sub(wasted_before);
-    load.report.txn_time += shard
-        .now()
-        .saturating_sub(before)
-        .saturating_sub(pauses.total());
-    load.report.breakdown.merge(&result.breakdown);
-    load.report
-        .commit_latency
-        .record(shard.now().saturating_sub(before).ps());
-}
-
-/// Charges one serially-delivered 2PC message round (exactly one hop of
-/// latency) to a shard's clock and its load accounting, so
-/// `commit_rounds` counts message deliveries in uniform units on every
-/// shard. Sequential delivery means the full hop lands on the critical
-/// path.
-fn charge_hop(load: &mut ShardLoad, shard: &mut Pushtap, hop: Ps) {
-    if hop > Ps::ZERO {
-        shard.advance(hop);
-    }
-    load.remote_time += hop;
-    load.report.two_pc_time += hop;
-    load.report.critical_path_time += hop;
-    load.report.commit_rounds += 1;
-    load.report.two_pc_stall.record(hop.ps());
-}
-
 /// Charges one *overlapped* 2PC message delivery: the message was
 /// dispatched together with the rest of its wave, so the engine stalls
 /// only until the arrival time (zero if it is still busy with earlier
 /// wave work). The ledger (`two_pc_time`, `commit_rounds`) counts the
-/// full hop like the serial path; the clock and `critical_path_time`
-/// record only the stall actually caused.
+/// full hop; the clock and `critical_path_time` record only the stall
+/// actually caused.
 fn deliver(load: &mut ShardLoad, shard: &mut Pushtap, hop: Ps, arrive_at: Ps) {
     let wait = arrive_at.saturating_sub(shard.now());
     if wait > Ps::ZERO {
@@ -600,330 +277,6 @@ fn decompose_split(
     (local, forwarded)
 }
 
-/// Runs one cross-shard transaction as a serially-delivered two-phase
-/// commit, retrying (under the same pinned timestamp) until every
-/// participant votes yes. `prior_attempts` counts attempts already made
-/// by a pipelined wave, so a transaction the wave aborted still counts
-/// as retried when this run commits on its first try.
-///
-/// With a durability context, every successful prepare appends its
-/// effect record, the involved logs force (home first, participants
-/// ascending) once all votes are yes — *before* the decision round —
-/// and the commit decision is appended to the decision log and forced
-/// before any engine commits. `crash` injects a kill at the given site
-/// the first time it is reached; returns `true` if the kill fired (the
-/// caller must stop the stream dead).
-#[allow(clippy::too_many_arguments)]
-fn two_phase_commit(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    routed: &RoutedTxn,
-    commit: CommitConfig,
-    loads: &mut [ShardLoad],
-    prior_attempts: u64,
-    mut dur: Option<&mut DurabilityCtx>,
-    crash: Option<CrashSite>,
-) -> bool {
-    let home = routed.shard as usize;
-    let ts = routed.ts;
-
-    // Periodic maintenance (GC first, defragmentation as the fallback)
-    // runs between transactions — never while any scope is open.
-    charge_maintenance(&mut loads[home], shards[home].defrag_if_due());
-
-    let (local, forwarded) = decompose_split(shards, map, routed);
-
-    // Submitter-perceived latency starts here: every retry loop below
-    // (and its defragmentation) is part of what this transaction waited.
-    let start = shards[home].now();
-    let mut attempts = prior_attempts;
-    loop {
-        if attempts > 0 && shards[home].trace_enabled() {
-            // This iteration re-runs an aborted attempt (a wave casualty
-            // or an earlier loop of ours).
-            let s = &shards[home];
-            s.trace_record(Span::instant(
-                s.trace_track(),
-                Phase::Retry,
-                ts.0,
-                s.now().ps(),
-            ));
-        }
-        attempts += 1;
-        {
-            let san = shards[home].db().sanitizer();
-            if san.enabled() {
-                san.begin_execution(routed.shard, ts.0, shards[home].now().ps());
-            }
-        }
-        // Phase 1a: the home half prepares its owned effects.
-        let home_result = charge_engine(&mut loads[home], &mut shards[home], |s| {
-            s.prepare_effects_at(&local, ts)
-        });
-        let home_result = match home_result {
-            Ok(r) => {
-                loads[home].report.prepared_txns += 1;
-                if let Some(d) = dur.as_deref_mut() {
-                    wal_append(
-                        &mut d.logs[home],
-                        &mut loads[home],
-                        &shards[home],
-                        ts,
-                        TxnRole::Coordinator,
-                        true,
-                        &local,
-                        0,
-                    );
-                }
-                r
-            }
-            Err(_full) => {
-                // Home voted no before anything was forwarded: its
-                // partial effects are already rolled back; reclaim its
-                // arenas and retry the whole transaction.
-                loads[home].report.aborts += 1;
-                charge_maintenance(&mut loads[home], shards[home].reclaim_now());
-                continue;
-            }
-        };
-
-        // Phase 1b: forward each participant its owned effect subset (a
-        // prepare round delivers it) and collect votes.
-        let mut prepared: Vec<(usize, Breakdown)> = Vec::new();
-        let mut vote_no: Option<usize> = None;
-        for (&p, effs) in &forwarded {
-            charge_hop(&mut loads[p], &mut shards[p], commit.prepare_hop);
-            {
-                let san = shards[p].db().sanitizer();
-                if san.enabled() {
-                    san.begin_execution(p as u32, ts.0, shards[p].now().ps());
-                }
-            }
-            let r = charge_engine(&mut loads[p], &mut shards[p], |s| {
-                s.prepare_effects_at(effs, ts)
-            });
-            match r {
-                Ok(r) => {
-                    loads[p].report.prepared_txns += 1;
-                    loads[p].report.forwarded_effects += effs.len() as u64;
-                    if let Some(d) = dur.as_deref_mut() {
-                        wal_append(
-                            &mut d.logs[p],
-                            &mut loads[p],
-                            &shards[p],
-                            ts,
-                            TxnRole::Participant,
-                            true,
-                            effs,
-                            0,
-                        );
-                    }
-                    prepared.push((p, r.breakdown));
-                }
-                Err(_full) => {
-                    loads[p].report.aborts += 1;
-                    vote_no = Some(p);
-                    break;
-                }
-            }
-        }
-
-        // The kill after the prepares (and their pending appends) but
-        // before any force barrier: every record of this 2PC evaporates
-        // with the process.
-        if crash == Some(CrashSite::AfterPrepare) {
-            mark_crashed(&mut dur);
-            return true;
-        }
-
-        if let Some(no_shard) = vote_no {
-            // Phase 2, abort decision: the home half and every prepared
-            // participant roll their pinned effects back (the decision
-            // round is charged like a commit would be), and the
-            // coordinator pays the same message round-trip it would on
-            // a commit — the prepares went out and the "no" vote had to
-            // come back, failed rounds are not free. The prepare's
-            // latency lands in wasted retry time — the clock already
-            // covered the work, now thrown away. The voting shard's
-            // arenas are reclaimed, then the whole transaction retries
-            // under the same timestamp.
-            if let Some(d) = dur.as_deref_mut() {
-                // Withdraw the attempt's never-forced records: the
-                // involved logs hold nothing else pending (buckets force
-                // before a 2PC starts), so the discard is exact.
-                d.logs[home].discard_pending();
-                for &p in forwarded.keys() {
-                    d.logs[p].discard_pending();
-                }
-            }
-            // Laggard vote barrier: the abort decision waits for the
-            // slowest vote — each voter's shard clock plus one
-            // prepare-hop and its deterministic skew (the "no" voter's
-            // vote included). The home's own round-trip floors the
-            // wait, so the stall is never cheaper than the uncoupled
-            // model's fixed round-trip.
-            let vb_start = shards[home].now();
-            let mut vote_at = vb_start + commit.prepare_hop;
-            for &(q, _) in &prepared {
-                vote_at = vote_at.max(
-                    shards[q].now()
-                        + commit.prepare_hop
-                        + vote_skew(commit.vote_jitter, q as u32, ts),
-                );
-            }
-            vote_at = vote_at.max(
-                shards[no_shard].now()
-                    + commit.prepare_hop
-                    + vote_skew(commit.vote_jitter, no_shard as u32, ts),
-            );
-            deliver(
-                &mut loads[home],
-                &mut shards[home],
-                commit.prepare_hop,
-                vote_at,
-            );
-            charge_hop(&mut loads[home], &mut shards[home], commit.commit_hop);
-            if shards[home].trace_enabled() {
-                let s = &shards[home];
-                s.trace_record(Span::new(
-                    s.trace_track(),
-                    Phase::VoteBarrier,
-                    ts.0,
-                    vb_start.ps(),
-                    s.now().ps(),
-                ));
-            }
-            charge_engine(&mut loads[home], &mut shards[home], |s| {
-                s.abort_prepared(ts)
-            });
-            loads[home].report.aborts += 1;
-            loads[home].report.participant_aborts += 1;
-            for &(q, _) in &prepared {
-                charge_hop(&mut loads[q], &mut shards[q], commit.commit_hop);
-                charge_engine(&mut loads[q], &mut shards[q], |s| s.abort_prepared(ts));
-                loads[q].report.aborts += 1;
-                loads[q].report.participant_aborts += 1;
-            }
-            charge_maintenance(&mut loads[no_shard], shards[no_shard].reclaim_now());
-            continue;
-        }
-
-        // Every vote is yes: each involved shard forces its effect log
-        // (home first, then participants ascending) before its vote may
-        // reach the coordinator — a shard never votes yes on records a
-        // crash could still lose. MidEffectFlush kills the process with
-        // the last involved log torn mid-record and the earlier ones
-        // fully durable.
-        if let Some(d) = dur.as_deref_mut() {
-            let latency = d.force_latency;
-            let mut involved: Vec<usize> = vec![home];
-            involved.extend(forwarded.keys().copied());
-            // `involved` starts from `home`, so it is never empty.
-            let last = *involved.last().unwrap_or(&home);
-            for &i in &involved {
-                if crash == Some(CrashSite::MidEffectFlush) && i == last {
-                    let half = d.logs[i].pending_len() / 2;
-                    d.logs[i].force_torn(half);
-                    d.crashed = true;
-                    return true;
-                }
-                wal_force(&mut d.logs[i], &mut loads[i], &mut shards[i], latency, 0);
-            }
-        }
-
-        // Phase 2, commit decision: the coordinator waits out the
-        // laggard vote barrier — the decision round-trip still counts
-        // as two ledger rounds (one prepare-delivery out, one
-        // vote/decision back), but the stall waits for the *slowest*
-        // participant's vote: its shard clock (prepare work and WAL
-        // force included) plus one prepare-hop and its deterministic
-        // skew, floored by the home's own round-trip. Then every
-        // engine commits at the pinned timestamp (metadata-only —
-        // prepare already flushed).
-        let vb_start = shards[home].now();
-        let mut vote_at = vb_start + commit.prepare_hop;
-        for &(q, _) in &prepared {
-            vote_at = vote_at.max(
-                shards[q].now() + commit.prepare_hop + vote_skew(commit.vote_jitter, q as u32, ts),
-            );
-        }
-        deliver(
-            &mut loads[home],
-            &mut shards[home],
-            commit.prepare_hop,
-            vote_at,
-        );
-        charge_hop(&mut loads[home], &mut shards[home], commit.commit_hop);
-        if shards[home].trace_enabled() {
-            let s = &shards[home];
-            s.trace_record(Span::new(
-                s.trace_track(),
-                Phase::VoteBarrier,
-                ts.0,
-                vb_start.ps(),
-                s.now().ps(),
-            ));
-        }
-        // The commit decision becomes durable before any engine acts on
-        // it: append `Commit(ts)` and force the decision log. Recovery
-        // presumes abort for any prepared cross-shard scope the decision
-        // log does not vouch for.
-        if let Some(d) = dur.as_deref_mut() {
-            if crash == Some(CrashSite::BetweenVoteAndDecision) {
-                d.crashed = true;
-                return true;
-            }
-            d.decision_log.append(&encode_decision(ts));
-            if crash == Some(CrashSite::MidDecisionLogWrite) {
-                let half = d.decision_log.pending_len() / 2;
-                d.decision_log.force_torn(half);
-                d.crashed = true;
-                return true;
-            }
-            d.decision_log.force();
-            if crash == Some(CrashSite::AfterDecision) {
-                d.crashed = true;
-                return true;
-            }
-        }
-        shards[home].commit_prepared(ts, TxnRole::Coordinator);
-        loads[home].routed += 1;
-        loads[home].report.committed += 1;
-        loads[home].report.breakdown.merge(&home_result.breakdown);
-        loads[home].remote_touches += routed.remote;
-        loads[home]
-            .report
-            .commit_latency
-            .record(shards[home].now().saturating_sub(start).ps());
-        if shards[home].trace_enabled() {
-            // The whole serial 2PC as one span: wave 0 marks a 2PC that
-            // ran alone (barrier-flushed or a wave casualty's retry), so
-            // overlap analysis never counts it.
-            let s = &shards[home];
-            s.trace_record(Span::new(
-                s.trace_track(),
-                Phase::TwoPc,
-                ts.0,
-                start.ps(),
-                s.now().ps(),
-            ));
-        }
-        if attempts > 1 {
-            loads[home].report.retried_txns += 1;
-        }
-        for (q, breakdown) in prepared {
-            charge_hop(&mut loads[q], &mut shards[q], commit.commit_hop);
-            shards[q].commit_prepared(ts, TxnRole::Participant);
-            loads[q].report.breakdown.merge(&breakdown);
-        }
-        return false;
-    }
-}
-
-// ---------------------------------------------------------------------
-// The pipelined path: conflict-aware waves with overlapped 2PC rounds.
-// ---------------------------------------------------------------------
-
 /// One shard's share of a wave: an effect set to prepare at a pinned
 /// timestamp, as the transaction's home half or a forwarded
 /// participant.
@@ -941,147 +294,52 @@ struct WaveItem {
     effects: Vec<TaggedEffect>,
 }
 
-/// Wave scheduling + execution: cut the stream into conflict-free
-/// waves, run each wave's prepares and decisions concurrently across
-/// shards with overlapped message deliveries, retry wave casualties
-/// serially before the next wave.
-fn execute_pipelined(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    stream: Vec<RoutedTxn>,
-    commit: CommitConfig,
-    loads: &mut [ShardLoad],
-    stats: &mut CoordStats,
-    mut dur: Option<&mut DurabilityCtx>,
-) {
-    let waves = schedule::build_waves(stream);
-    stats.waves = waves.len() as u64;
-    for (w, wave) in waves.into_iter().enumerate() {
-        stats.max_wave = stats.max_wave.max(wave.len() as u64);
-        let cross = wave.iter().filter(|t| !t.participants.is_empty()).count() as u64;
-        // Every cross-shard 2PC of a wave with at least two of them ran
-        // concurrently with another (a wave aborted and retried serially
-        // still overlapped on its wave attempt).
-        if cross >= 2 {
-            stats.overlapped_two_pcs += cross;
-        }
-        // Wave ids in spans are 1-based: wave 0 is reserved for 2PCs
-        // that ran alone (the serial path).
-        if run_wave(
-            shards,
-            map,
-            wave,
-            commit,
-            loads,
-            w as u64 + 1,
-            dur.as_deref_mut(),
-        ) {
-            return; // the armed crash fired mid-wave
-        }
-    }
-}
-
-/// Executes one wave dispatched by the open-loop front-end
-/// ([`crate::ShardedHtap::run_open_loop`]). Before the wave runs, every
-/// shard's clock is gated to the wave's latest member arrival — a wave
-/// cannot close before all its members exist, and gating *all* engines
-/// keeps the deployment on one open-loop timeline (participants and
-/// retry passes included, which is what the sanitizer's
-/// no-execution-before-arrival invariant checks). Each member's real
-/// inbox wait (arrival → gated home clock) lands in its home shard's
-/// queue-wait histogram and, when positive, a [`Phase::Queued`] span;
-/// after the wave commits, each member's *sojourn* (arrival →
-/// home-shard wave completion) is recorded into `sojourn`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_open_wave(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    wave: Vec<RoutedTxn>,
-    commit: CommitConfig,
-    loads: &mut [ShardLoad],
-    stats: &mut CoordStats,
-    wave_id: u64,
-    sojourn: &mut pushtap_trace::Histogram,
-) {
-    stats.waves += 1;
-    stats.max_wave = stats.max_wave.max(wave.len() as u64);
-    let cross = wave.iter().filter(|t| !t.participants.is_empty()).count() as u64;
-    if cross >= 2 {
-        stats.overlapped_two_pcs += cross;
-    }
-    let gate = wave.iter().map(|t| t.arrival).max().unwrap_or(Ps::ZERO);
-    for shard in shards.iter_mut() {
-        let wait = gate.saturating_sub(shard.now());
-        if wait > Ps::ZERO {
-            shard.advance(wait);
-        }
-    }
-    for routed in &wave {
-        let home = routed.shard as usize;
-        let wait = shards[home].now().saturating_sub(routed.arrival);
-        loads[home].report.queue_wait.record(wait.ps());
-        if wait > Ps::ZERO && shards[home].trace_enabled() {
-            let s = &shards[home];
-            s.trace_record(
-                Span::new(
-                    s.trace_track(),
-                    Phase::Queued,
-                    routed.ts.0,
-                    routed.arrival.ps(),
-                    s.now().ps(),
-                )
-                .in_wave(wave_id),
-            );
-        }
-    }
-    let members: Vec<(usize, Ps)> = wave.iter().map(|t| (t.shard as usize, t.arrival)).collect();
-    let crashed = run_wave(shards, map, wave, commit, loads, wave_id, None);
-    debug_assert!(!crashed, "open-loop waves run without a durability ctx");
-    for (home, arrival) in members {
-        sojourn.record(shards[home].now().saturating_sub(arrival).ps());
-    }
-}
-
 /// Executes one conflict-free wave (see the module docs for the five
 /// steps). With a durability context, every shard appends its prepared
 /// records during the prepare phase and forces once — the wave's group
 /// commit — before returning its votes; committed cross-shard
 /// transactions land in the decision log (forced) between the vote
-/// barrier and the decision phase. Returns `true` if an armed crash
-/// fired in this wave (the caller must stop the stream dead).
-fn run_wave(
+/// barrier and the decision phase.
+///
+/// `wave_id` is the wave's 1-based number within the run — or 0 for a
+/// casualty's retry, which runs alone: its spans carry wave 0 like
+/// everything outside wave execution, so overlap analysis never counts
+/// it. `crash` is the armed crash site this wave dies at, resolved by
+/// the caller from the wave's number; a retry has no number of its own,
+/// so it neither consumes a crash-point event nor fires one. Returns
+/// `true` if the crash fired (the caller must stop the stream dead).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_wave(
     shards: &mut [Pushtap],
     map: &WarehouseMap,
-    wave: Vec<RoutedTxn>,
+    wave: &[RoutedTxn],
     commit: CommitConfig,
     loads: &mut [ShardLoad],
     wave_id: u64,
     mut dur: Option<&mut DurabilityCtx>,
+    crash: Option<CrashSite>,
 ) -> bool {
-    let crash = dur.as_deref().and_then(|d| d.armed_at(wave_id));
     if crash == Some(CrashSite::BeforePrepare) {
         // The kill lands before the wave starts: nothing of it was
         // logged or applied.
-        mark_crashed(&mut dur);
         return true;
     }
     // Report the wave's membership to the shadow tracker (every engine
     // shares one sanitizer): members of the same wave overlap, so the
     // tracker can lockset-check that the scheduler really kept their
-    // key footprints disjoint. Wave ids are 1-based here; 0 is the
-    // tracker's "solo/serial" wave, which is never cross-checked.
-    {
+    // key footprints disjoint. A retry stays a member of the wave that
+    // scheduled it.
+    if wave_id > 0 {
         let san = shards[0].db().sanitizer();
         if san.enabled() {
-            for routed in &wave {
+            for routed in wave {
                 san.assign_wave(routed.ts.0, wave_id);
             }
         }
     }
     // Step 1: decompose every member at its home engine and build each
     // shard's timestamp-ordered item list. Wave members touch disjoint
-    // rows and rings, so decomposition order is irrelevant and the
-    // splits equal what the serial path would compute.
+    // rows and rings, so decomposition order is irrelevant.
     let mut items: Vec<Vec<WaveItem>> = (0..shards.len()).map(|_| Vec::new()).collect();
     for (i, routed) in wave.iter().enumerate() {
         let (local, forwarded) = decompose_split(shards, map, routed);
@@ -1270,7 +528,6 @@ fn run_wave(
         crash,
         Some(CrashSite::AfterPrepare | CrashSite::MidEffectFlush)
     ) {
-        mark_crashed(&mut dur);
         return true;
     }
 
@@ -1295,7 +552,6 @@ fn run_wave(
     // does not vouch for.
     if let Some(d) = dur.as_deref_mut() {
         if crash == Some(CrashSite::BetweenVoteAndDecision) {
-            d.crashed = true;
             return true;
         }
         for (i, routed) in wave.iter().enumerate() {
@@ -1306,12 +562,10 @@ fn run_wave(
         if crash == Some(CrashSite::MidDecisionLogWrite) {
             let half = d.decision_log.pending_len() / 2;
             d.decision_log.force_torn(half);
-            d.crashed = true;
             return true;
         }
         d.decision_log.force();
         if crash == Some(CrashSite::AfterDecision) {
-            d.crashed = true;
             return true;
         }
     }
@@ -1337,7 +591,6 @@ fn run_wave(
     }
     let vote_ready_ref = &vote_ready;
     let committed_ref = &committed;
-    let wave_ref = &wave;
     let results: Vec<(usize, ShardLoad)> = thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter_mut()
@@ -1374,7 +627,7 @@ fn run_wave(
                                 // the wave's rounds.
                                 if item.cross {
                                     let mut vote_at = phase_start + commit.prepare_hop;
-                                    for &p in &wave_ref[item.txn].participants {
+                                    for &p in &wave[item.txn].participants {
                                         vote_at = vote_at.max(
                                             vote_ready_ref[p as usize][item.txn]
                                                 + commit.prepare_hop
@@ -1406,7 +659,7 @@ fn run_wave(
                                     load.routed += 1;
                                     load.report.committed += 1;
                                     load.report.breakdown.merge(&result.breakdown);
-                                    load.remote_touches += wave_ref[item.txn].remote;
+                                    load.remote_touches += wave[item.txn].remote;
                                     load.report
                                         .commit_latency
                                         .record(shard.now().saturating_sub(prepare_start).ps());
@@ -1468,12 +721,18 @@ fn run_wave(
         merge_load(&mut loads[i], partial);
     }
 
-    // Step 5: retries — aborted transactions re-run serially at their
-    // pinned timestamps before the next wave. Every scope of this wave
-    // is resolved by now, so reclaiming the no-voting shards' arenas
-    // (GC first, defragmentation as the fallback) is safe; the retried
-    // transactions conflict with nothing still in flight (their wave
-    // was conflict-free and later waves have not started).
+    // Step 5: retries — each aborted transaction re-enters this
+    // function as a wave of one, at its pinned timestamp, before the
+    // next wave starts. Every scope of this wave is resolved by now, so
+    // reclaiming the no-voting shards' arenas (GC first,
+    // defragmentation as the fallback) is safe; the retry conflicts
+    // with nothing still in flight (its wave was conflict-free and
+    // later waves have not started). A retry that aborts again recurses
+    // the same way, so the loop ends when the transaction commits. Its
+    // records force alone — there is no wave to amortize the barrier
+    // over — and replay dedupes the casualty's duplicate appends
+    // keep-last (decomposition is retry-stable, so they are
+    // byte-identical).
     for (i, routed) in wave.iter().enumerate() {
         if committed[i] {
             continue;
@@ -1481,34 +740,30 @@ fn run_wave(
         for &v in &no_voters[i] {
             charge_maintenance(&mut loads[v], shards[v].reclaim_now());
         }
-        if routed.participants.is_empty() {
-            let home = routed.shard as usize;
-            let wal = dur.as_deref_mut().map(|d| &mut d.logs[home]);
-            run_local_txn(&mut shards[home], routed, &mut loads[home], true, wal);
-            // A retry runs alone, so its record forces alone — no wave
-            // to amortize the barrier over.
-            if let Some(d) = dur.as_deref_mut() {
-                wal_force(
-                    &mut d.logs[home],
-                    &mut loads[home],
-                    &mut shards[home],
-                    force_latency,
-                    wave_id,
-                );
-            }
-        } else {
-            let crashed = two_phase_commit(
-                shards,
-                map,
-                routed,
-                commit,
-                loads,
-                1,
-                dur.as_deref_mut(),
-                None,
-            );
-            debug_assert!(!crashed, "an unarmed 2PC cannot crash");
+        let home = routed.shard as usize;
+        if wave_id > 0 {
+            loads[home].report.retried_txns += 1;
         }
+        if shards[home].trace_enabled() {
+            let s = &shards[home];
+            s.trace_record(Span::instant(
+                s.trace_track(),
+                Phase::Retry,
+                routed.ts.0,
+                s.now().ps(),
+            ));
+        }
+        let crashed = run_wave(
+            shards,
+            map,
+            std::slice::from_ref(routed),
+            commit,
+            loads,
+            0,
+            dur.as_deref_mut(),
+            None,
+        );
+        debug_assert!(!crashed, "an unarmed wave cannot crash");
     }
     false
 }

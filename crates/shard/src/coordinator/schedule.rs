@@ -1,23 +1,22 @@
 //! Conflict-aware wave scheduling of a routed stream.
 //!
-//! The stream arrives in global timestamp order with every transaction
-//! carrying its conflict keyset ([`pushtap_oltp::KeySet`], derived from
-//! the read-only effect decomposition — known *before* execution). The
-//! scheduler builds the stream's dependency graph and cuts it into
-//! **waves**: maximal greedy groups of mutually non-conflicting
-//! transactions. Conflicting transactions land in later waves than every
-//! conflicting predecessor, so per-row commit order equals stream
-//! (timestamp) order — the invariant MVCC chains and byte identity
-//! require — while everything inside one wave, warehouse-local and
-//! cross-shard alike, is free to execute concurrently with its
-//! two-phase-commit rounds overlapped.
+//! Transactions are admitted in global timestamp order, each carrying
+//! its conflict keyset ([`pushtap_oltp::KeySet`], derived from the
+//! read-only effect decomposition — known *before* execution). The
+//! [`WaveScheduler`] assigns every admission to a **wave**: the earliest
+//! group of mutually non-conflicting transactions after every
+//! conflicting predecessor. Conflicting transactions therefore dispatch
+//! in timestamp order, so per-row commit order equals stream order — the
+//! invariant MVCC chains and byte identity require — while everything
+//! inside one wave, warehouse-local and cross-shard alike, is free to
+//! execute concurrently with its two-phase-commit rounds overlapped.
 //!
-//! Because the stream is timestamp-ordered, the greedy pass assigns any
-//! conflicting pair to waves in timestamp order automatically: the
-//! earlier transaction is scheduled first, and the later one sees it in
-//! the key maps and lands strictly after it.
+//! There is one scheduler. The open-loop front-end bounds its window;
+//! a closed-loop batch is the same scheduler with an unbounded window,
+//! admitted whole and then drained ([`build_waves`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use pushtap_oltp::Key;
 
@@ -27,100 +26,41 @@ use crate::router::RoutedTxn;
 /// concurrently, in stream order.
 pub type Wave = Vec<RoutedTxn>;
 
-/// Cuts a timestamp-ordered routed stream into conflict-free waves.
+/// Greedy earliest-wave assignment over a sliding window of admitted
+/// transactions.
 ///
-/// Greedy earliest-wave assignment: transaction `t` joins the first
-/// wave after every earlier transaction it conflicts with — a writer
+/// The scheduler keeps, per key, the latest wave holding a writer / any
+/// reader of it, and a `floor`: the first wave index not yet
+/// dispatched. [`admit`](WaveScheduler::admit) assigns each transaction
+/// the earliest wave after every conflicting predecessor — a writer
 /// waits for earlier readers *and* writers of its keys, a reader only
-/// for earlier writers. Within a wave, transactions keep stream order.
+/// for earlier writers — and never below the floor (dispatched waves
+/// are closed). [`pop_wave`](WaveScheduler::pop_wave) extracts the
+/// *frontier*: the lowest pending wave, in admission order.
 ///
-/// # Panics
+/// The stream is admitted in timestamp order and the floor only rises
+/// past dispatched waves, so any conflicting pair lands in strictly
+/// increasing waves whatever the window size. A narrow window may split
+/// what a wider one would co-schedule; it never reorders a conflict.
 ///
-/// Debug-asserts that every transaction's keyset is stamped (an empty
-/// keyset would schedule a TPC-C transaction as conflict-free with
-/// everything, which is never true and almost certainly means the
-/// service forgot to stamp the stream).
-pub fn build_waves(stream: Vec<RoutedTxn>) -> Vec<Wave> {
-    let mut waves: Vec<Wave> = Vec::new();
-    // Per key: the latest wave holding a writer / any reader of it.
-    let mut last_writer: BTreeMap<Key, usize> = BTreeMap::new();
-    let mut last_reader: BTreeMap<Key, usize> = BTreeMap::new();
-    for routed in stream {
-        debug_assert!(
-            !routed.keys.is_empty(),
-            "unstamped keyset in the scheduled stream (ts {:?})",
-            routed.ts
-        );
-        let mut wave = 0usize;
-        for k in routed.keys.reads() {
-            if let Some(&w) = last_writer.get(k) {
-                wave = wave.max(w + 1);
-            }
-        }
-        for k in routed.keys.writes() {
-            if let Some(&w) = last_writer.get(k) {
-                wave = wave.max(w + 1);
-            }
-            if let Some(&w) = last_reader.get(k) {
-                wave = wave.max(w + 1);
-            }
-        }
-        for k in routed.keys.reads() {
-            let e = last_reader.entry(*k).or_insert(wave);
-            *e = (*e).max(wave);
-        }
-        for k in routed.keys.writes() {
-            last_writer.insert(*k, wave);
-        }
-        if wave == waves.len() {
-            waves.push(Vec::new());
-        }
-        waves[wave].push(routed);
-    }
-    waves
-}
-
-/// Incremental wave construction over a sliding window of admitted
-/// transactions — [`build_waves`]' greedy pass run *online*.
-///
-/// The scheduler maintains the same last-writer/last-reader key maps,
-/// but keyed by **global** wave index so they survive across
-/// dispatches, and a `floor`: the first wave index not yet dispatched.
-/// [`admit`](WaveScheduler::admit) assigns each transaction the
-/// earliest wave after every conflicting predecessor (never below the
-/// floor — already-dispatched waves are closed), and
-/// [`pop_wave`](WaveScheduler::pop_wave) extracts the *frontier*: all
-/// pending transactions in the minimum pending wave, in admission
-/// order.
-///
-/// Equivalence with the batch oracle: the greedy rule is identical, the
-/// floor only ever rises past fully-dispatched waves, and the stream is
-/// admitted in timestamp order — so any conflicting pair lands in
-/// strictly increasing waves and is dispatched in timestamp order,
-/// whatever the window size. Per-row commit order therefore equals
-/// stream order, which is the only property byte identity needs; the
-/// `open_loop` integration suite proves the committed bytes equal the
-/// batch scheduler's and the unpartitioned reference's across window
-/// sizes, mixes, and shard counts. With a window at least the stream
-/// length, the partition itself is *exactly* [`build_waves`]' output.
-///
-/// Memory stays bounded by the window: map entries below the floor are
-/// pruned at every dispatch, so only keys touched by still-pending
-/// transactions are tracked.
+/// Memory stays bounded by the window: a dispatched wave takes its own
+/// key-map entries with it, so only keys of still-pending transactions
+/// are tracked.
 #[derive(Debug, Clone)]
 pub struct WaveScheduler {
     window: usize,
     floor: u64,
     last_writer: BTreeMap<Key, u64>,
     last_reader: BTreeMap<Key, u64>,
-    /// Admitted-but-undispatched transactions with their assigned
-    /// global wave index, in admission order.
-    pending: VecDeque<(u64, RoutedTxn)>,
+    /// Admitted-but-undispatched transactions bucketed by assigned wave
+    /// index, each bucket in admission order.
+    pending: BTreeMap<u64, Wave>,
+    pending_txns: usize,
 }
 
 impl WaveScheduler {
-    /// A scheduler dispatching whenever `window` transactions are
-    /// pending.
+    /// A scheduler whose window closes at `window` pending
+    /// transactions ([`usize::MAX`]: never — a closed-loop batch).
     ///
     /// # Panics
     /// Panics if `window` is zero.
@@ -131,7 +71,8 @@ impl WaveScheduler {
             floor: 0,
             last_writer: BTreeMap::new(),
             last_reader: BTreeMap::new(),
-            pending: VecDeque::new(),
+            pending: BTreeMap::new(),
+            pending_txns: 0,
         }
     }
 
@@ -140,7 +81,10 @@ impl WaveScheduler {
     /// maps. Transactions must be admitted in timestamp order.
     ///
     /// # Panics
-    /// Debug-asserts the keyset is stamped, as [`build_waves`] does.
+    /// Debug-asserts that the keyset is stamped (an empty keyset would
+    /// schedule a TPC-C transaction as conflict-free with everything,
+    /// which is never true and almost certainly means the service
+    /// forgot to stamp it).
     pub fn admit(&mut self, routed: RoutedTxn) {
         debug_assert!(
             !routed.keys.is_empty(),
@@ -168,23 +112,24 @@ impl WaveScheduler {
         for k in routed.keys.writes() {
             self.last_writer.insert(*k, wave);
         }
-        self.pending.push_back((wave, routed));
+        self.pending.entry(wave).or_default().push(routed);
+        self.pending_txns += 1;
     }
 
     /// Number of admitted-but-undispatched transactions.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.pending_txns
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.pending_txns == 0
     }
 
     /// True when the sliding window is closed: at least `window`
     /// transactions pending, so the frontier wave should dispatch.
     pub fn window_full(&self) -> bool {
-        self.pending.len() >= self.window
+        self.pending_txns >= self.window
     }
 
     /// Key-map entries currently tracked — bounded by the keys of
@@ -193,35 +138,49 @@ impl WaveScheduler {
         self.last_writer.len() + self.last_reader.len()
     }
 
-    /// Dispatches the frontier: removes and returns every pending
-    /// transaction in the minimum pending wave (admission order —
-    /// i.e. timestamp order), advances the floor past it, and prunes
-    /// map entries the floor subsumes. `None` when nothing is pending.
+    /// Dispatches the frontier: removes and returns the lowest pending
+    /// wave (admission order — i.e. timestamp order), advances the
+    /// floor past it, and drops the map entries it owned. `None` when
+    /// nothing is pending.
     pub fn pop_wave(&mut self) -> Option<Wave> {
-        let min_wave = self.pending.iter().map(|(w, _)| *w).min()?;
-        let mut wave: Wave = Vec::new();
-        let mut rest: VecDeque<(u64, RoutedTxn)> = VecDeque::with_capacity(self.pending.len());
-        for (w, routed) in self.pending.drain(..) {
-            if w == min_wave {
-                wave.push(routed);
-            } else {
-                rest.push_back((w, routed));
+        let (index, wave) = self.pending.pop_first()?;
+        self.pending_txns -= wave.len();
+        self.floor = index + 1;
+        // A key's entry names the latest wave touching it. Entries that
+        // still name this wave constrain nothing the floor doesn't
+        // already; entries a later admission raised stay with that
+        // admission's wave. Only this wave's own keys can name it, so
+        // the prune costs its members' keysets, not the whole map.
+        let prune = |map: &mut BTreeMap<Key, u64>, k: &Key| {
+            if let Entry::Occupied(e) = map.entry(*k) {
+                if *e.get() == index {
+                    e.remove();
+                }
+            }
+        };
+        for routed in &wave {
+            for k in routed.keys.reads() {
+                prune(&mut self.last_reader, k);
+            }
+            for k in routed.keys.writes() {
+                prune(&mut self.last_writer, k);
             }
         }
-        self.pending = rest;
-        self.floor = min_wave + 1;
-        // Entries below the floor constrain nothing the floor doesn't
-        // already: pruning them is what keeps memory window-bounded.
-        self.last_writer.retain(|_, w| *w >= self.floor);
-        self.last_reader.retain(|_, w| *w >= self.floor);
         Some(wave)
+    }
+
+    /// Ends admission and yields the remaining waves in dispatch order.
+    /// A scheduler that will admit nothing more needs no key maps, so
+    /// they are dropped whole instead of pruned wave by wave — a
+    /// closed-loop batch, which dispatches only here, pays nothing
+    /// between its waves.
+    pub fn drain(self) -> impl Iterator<Item = Wave> {
+        self.pending.into_values()
     }
 }
 
 /// Runs a whole timestamp-ordered stream through a [`WaveScheduler`]
-/// with the given window, returning the dispatched waves in order —
-/// the incremental counterpart of [`build_waves`] for tests and
-/// benches.
+/// with the given window, returning the dispatched waves in order.
 pub fn incremental_waves(stream: Vec<RoutedTxn>, window: usize) -> Vec<Wave> {
     let mut sched = WaveScheduler::new(window);
     let mut waves: Vec<Wave> = Vec::new();
@@ -234,10 +193,15 @@ pub fn incremental_waves(stream: Vec<RoutedTxn>, window: usize) -> Vec<Wave> {
             }
         }
     }
-    while let Some(w) = sched.pop_wave() {
-        waves.push(w);
-    }
+    waves.extend(sched.drain());
     waves
+}
+
+/// Cuts a timestamp-ordered routed stream into conflict-free waves with
+/// the whole stream in view: the drain of an unbounded-window
+/// [`WaveScheduler`], which is how a closed-loop batch is scheduled.
+pub fn build_waves(stream: Vec<RoutedTxn>) -> Vec<Wave> {
+    incremental_waves(stream, usize::MAX)
 }
 
 #[cfg(test)]
@@ -374,12 +338,16 @@ mod tests {
         ]
     }
 
-    /// With a window at least the stream length, the incremental
-    /// scheduler reproduces the batch partition *exactly*.
+    /// With a window at least the stream length nothing dispatches
+    /// before the whole stream is admitted, so the partition is the
+    /// batch partition *exactly* — worked out by hand here: ts 3 and 5
+    /// wait for their warehouses' first payments, ts 7 for customer
+    /// 500's (ts 5), ts 8 for warehouse 0's second (ts 3).
     #[test]
     fn wide_window_equals_batch_partition() {
+        let batch = ts_of(&build_waves(mixed_stream()));
+        assert_eq!(batch, vec![vec![1, 2, 4, 6], vec![3, 5], vec![7, 8]]);
         for window in [8usize, 16, 1000] {
-            let batch = ts_of(&build_waves(mixed_stream()));
             let inc = ts_of(&incremental_waves(mixed_stream(), window));
             assert_eq!(inc, batch, "window {window} must match batch");
         }

@@ -9,9 +9,9 @@
 //! subset on that shard as an [`EffectRecord`](pushtap_oltp::EffectRecord)
 //! — volatile until the
 //! next **group-commit force**. The force barrier runs once per wave
-//! per involved shard (pipelined) or per two-phase commit / local
-//! bucket (serial), *before* the shard's votes reach the coordinator:
-//! a shard never votes yes on records a crash could still lose.
+//! per involved shard (a retried casualty is a wave of one), *before*
+//! the shard's votes reach the coordinator: a shard never votes yes on
+//! records a crash could still lose.
 //!
 //! Cross-shard transactions additionally need the coordinator's
 //! **decision log**: after the vote barrier, the coordinator appends
@@ -31,22 +31,28 @@
 //! # Crash points
 //!
 //! A [`CrashPoint`] arms an in-process simulated kill at one of six
-//! [`CrashSite`]s of the `event`-th wave (pipelined) or cross-shard
-//! two-phase commit (serial). The coordinator stops dead at the site —
+//! [`CrashSite`]s of the `event`-th wave the next run dispatches —
+//! closed loop or open loop, there is one driver. Retries of a wave's
+//! casualties belong to that wave: they consume no event number and
+//! never fire a crash. The coordinator stops dead at the site —
 //! pending log bytes evaporate, forced bytes survive — and the service
-//! refuses further batches; a test then harvests the durable bytes and
+//! refuses further runs; a test then harvests the durable bytes and
 //! recovers them into a fresh deployment
 //! ([`ShardedHtap::recover`](crate::ShardedHtap::recover)).
 
+use std::fmt;
+
+use pushtap_format::LayoutError;
 use pushtap_mvcc::Ts;
+use pushtap_oltp::CodecError;
 use pushtap_pim::Ps;
 use pushtap_wal::{Wal, WalTrim};
 
 /// Where in the commit protocol an armed crash kills the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
-    /// Before the target wave / two-phase commit starts: nothing of it
-    /// is logged or applied.
+    /// Before the target wave starts: nothing of it is logged or
+    /// applied.
     BeforePrepare,
     /// After every prepare (and its log append) of the target, before
     /// any force barrier: the target's records are pending and die with
@@ -82,14 +88,13 @@ impl CrashSite {
 }
 
 /// An armed in-process kill: die at `site` of the `event`-th wave
-/// (pipelined coordinator, 1-based) or the `event`-th cross-shard
-/// two-phase commit (serial coordinator, 1-based). If the batch has
-/// fewer events the crash never fires and the batch completes.
+/// (1-based) of the next run. If the run dispatches fewer waves the
+/// crash never fires and the run completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint {
     /// The protocol point to die at.
     pub site: CrashSite,
-    /// Which wave / cross-shard 2PC to die in (1-based).
+    /// Which wave to die in (1-based).
     pub event: u64,
 }
 
@@ -135,8 +140,8 @@ pub struct ShardRecovery {
     /// scopes whose commit decision never became durable.
     pub skipped: u64,
     /// Durable records superseded by a later append at the same
-    /// timestamp: a wave casualty's forced record and its serial
-    /// retry's log byte-identical payloads (decomposition is
+    /// timestamp: a wave casualty's forced record and its retry's log
+    /// byte-identical payloads (decomposition is
     /// retry-stable), and replay keeps the last. Always
     /// `replayed + skipped + duplicates == records`.
     pub duplicates: u64,
@@ -228,17 +233,99 @@ pub(crate) fn encode_decision(ts: Ts) -> [u8; 8] {
     ts.0.to_le_bytes()
 }
 
-/// Decodes a decision-log payload (the frame checksum already vouched
-/// for the bytes).
-pub(crate) fn decode_decision(payload: &[u8]) -> Ts {
-    let bytes: [u8; 8] = match payload.try_into() {
-        Ok(b) => b,
-        Err(_) => panic!(
-            "decision record must be exactly 8 bytes, got {} — log format version skew",
-            payload.len()
-        ),
-    };
-    Ts(u64::from_le_bytes(bytes))
+/// Decodes a decision-log payload. The frame checksum vouches for the
+/// bytes, not for their meaning: a payload of any other length is a
+/// record this version did not write.
+pub(crate) fn decode_decision(payload: &[u8]) -> Result<Ts, CodecError> {
+    match <[u8; 8]>::try_from(payload) {
+        Ok(bytes) => Ok(Ts(u64::from_le_bytes(bytes))),
+        Err(_) if payload.len() < 8 => Err(CodecError::Truncated),
+        Err(_) => Err(CodecError::TrailingBytes),
+    }
+}
+
+/// Why log bytes could not be replayed or compacted. Torn and
+/// bit-flipped records never get this far — the scan truncates the log
+/// at the first bad checksum — so these are logs that are intact but
+/// not this deployment's: the wrong shard count, or records another
+/// format version wrote.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecoverError {
+    /// Building the fresh deployment failed.
+    Layout(LayoutError),
+    /// The log images cover a different number of shards than the
+    /// configuration.
+    ShardCount {
+        /// Shards in the configuration.
+        expected: usize,
+        /// Effect-log images supplied.
+        found: usize,
+    },
+    /// A record with a valid checksum failed to decode.
+    Undecodable {
+        /// The shard whose effect log holds the record; `None` for the
+        /// coordinator decision log.
+        shard: Option<usize>,
+        /// Position of the record within the log's valid prefix.
+        record: usize,
+        /// What the decoder rejected.
+        error: CodecError,
+    },
+}
+
+impl fmt::Display for RecoverError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecoverError::Layout(e) => write!(f, "cannot build the deployment: {e}"),
+            RecoverError::ShardCount { expected, found } => write!(
+                f,
+                "log images cover {found} shard(s), the configuration has {expected}"
+            ),
+            RecoverError::Undecodable {
+                shard: Some(shard),
+                record,
+                error,
+            } => write!(
+                f,
+                "record {record} of shard {shard}'s effect log is checksummed but undecodable: {error}"
+            ),
+            RecoverError::Undecodable {
+                shard: None,
+                record,
+                error,
+            } => write!(
+                f,
+                "record {record} of the decision log is checksummed but undecodable: {error}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RecoverError {}
+
+impl From<LayoutError> for RecoverError {
+    fn from(e: LayoutError) -> RecoverError {
+        RecoverError::Layout(e)
+    }
+}
+
+/// Decodes every record of a scanned decision log into the set of
+/// decided timestamps.
+pub(crate) fn decided_set(
+    records: &[Vec<u8>],
+) -> Result<std::collections::BTreeSet<u64>, RecoverError> {
+    records
+        .iter()
+        .enumerate()
+        .map(|(record, payload)| match decode_decision(payload) {
+            Ok(ts) => Ok(ts.0),
+            Err(error) => Err(RecoverError::Undecodable {
+                shard: None,
+                record,
+                error,
+            }),
+        })
+        .collect()
 }
 
 /// The durability state a deployment owns once its WAL is enabled.
@@ -274,18 +361,14 @@ pub(crate) struct DurabilityCtx<'a> {
     pub force_latency: Ps,
     /// The armed crash point, if any.
     pub armed: Option<CrashPoint>,
-    /// Set when the armed crash fires; the coordinator stops dead.
-    pub crashed: bool,
 }
 
 impl DurabilityCtx<'_> {
-    /// The armed crash site if it targets 1-based protocol event
-    /// `event` and has not fired yet.
+    /// The armed crash site if it targets the run's `event`-th wave
+    /// (1-based). The driver stops dispatching once a crash fires, so
+    /// a fired crash is never asked about again.
     pub fn armed_at(&self, event: u64) -> Option<CrashSite> {
-        match self.armed {
-            Some(p) if p.event == event && !self.crashed => Some(p.site),
-            _ => None,
-        }
+        self.armed.filter(|p| p.event == event).map(|p| p.site)
     }
 }
 
@@ -296,8 +379,10 @@ mod tests {
     #[test]
     fn decision_entries_round_trip() {
         for ts in [0u64, 1, 42, u64::MAX] {
-            assert_eq!(decode_decision(&encode_decision(Ts(ts))), Ts(ts));
+            assert_eq!(decode_decision(&encode_decision(Ts(ts))), Ok(Ts(ts)));
         }
+        assert_eq!(decode_decision(&[1, 2, 3]), Err(CodecError::Truncated));
+        assert_eq!(decode_decision(&[0; 9]), Err(CodecError::TrailingBytes));
     }
 
     #[test]
@@ -319,14 +404,8 @@ mod tests {
                 site: CrashSite::AfterPrepare,
                 event: 3,
             }),
-            crashed: false,
         };
         assert_eq!(ctx.armed_at(2), None);
         assert_eq!(ctx.armed_at(3), Some(CrashSite::AfterPrepare));
-        let fired = DurabilityCtx {
-            crashed: true,
-            ..ctx
-        };
-        assert_eq!(fired.armed_at(3), None, "a fired crash never re-fires");
     }
 }

@@ -23,29 +23,29 @@
 //!   customers that live elsewhere), and stamps every transaction's
 //!   commit timestamp from the deployment's shared
 //!   [`pushtap_mvcc::TsOracle`] in *global stream order*;
-//! * [`coordinator`] — conflict-aware execution under a
-//!   [`CoordinatorMode`] knob. The default *pipelined* path derives
-//!   every transaction's keyset ([`pushtap_oltp::KeySet`]) from the
-//!   read-only decomposition, cuts the stream into conflict-free
-//!   waves ([`coordinator::schedule`]), and executes each wave —
-//!   warehouse-local and cross-shard transactions alike — concurrently
-//!   with all two-phase-commit prepare/vote/decide rounds overlapped;
-//!   the *serial* oracle keeps the original discipline (local
-//!   transactions on per-shard queues, every cross-shard transaction
-//!   behind a barrier flush with its 2PC run alone). In both modes the
-//!   home shard decomposes the transaction into owner-tagged effects
-//!   ([`pushtap_oltp::TpccDb::decompose`]), prepares its own, forwards
-//!   the rest, collects votes, and commits (or aborts and retries at
-//!   the same pinned timestamp) everywhere;
-//! * [`ArrivalGen`] / [`OpenLoopConfig`] — the open-loop front-end:
-//!   a deterministic seeded arrival process (Poisson plus an on/off
-//!   burstiness knob) feeds bounded per-shard inboxes with admission
-//!   control, and an incremental sliding-window
-//!   [`coordinator::schedule::WaveScheduler`] maintains the batch
-//!   scheduler's last-writer/last-reader maps online, dispatching
-//!   conflict-free waves as windows close — byte-identical committed
-//!   state to the batch path over the admitted stream
-//!   ([`ShardedHtap::run_open_loop`], [`OpenLoopReport`]);
+//! * [`coordinator`] — the one execution path. Every transaction's
+//!   keyset ([`pushtap_oltp::KeySet`]) is derived from the read-only
+//!   decomposition before it runs; the
+//!   [`coordinator::schedule::WaveScheduler`] assigns each admission to
+//!   the earliest conflict-free wave; and each wave — warehouse-local
+//!   and cross-shard transactions alike — executes concurrently across
+//!   the shards with all two-phase-commit prepare/vote/decide rounds
+//!   overlapped. The home shard decomposes the transaction into
+//!   owner-tagged effects ([`pushtap_oltp::TpccDb::decompose`]),
+//!   prepares its own, forwards the rest, collects votes, and commits
+//!   everywhere — or aborts everywhere and re-enters alone, as a wave
+//!   of one, at the same pinned timestamp;
+//! * [`ArrivalGen`] / [`OpenLoopConfig`] — the front-end the one driver
+//!   runs behind: a deterministic seeded arrival process (Poisson plus
+//!   an on/off burstiness knob) feeds bounded per-shard inboxes with
+//!   admission control, and the scheduler's sliding window dispatches
+//!   frontier waves as it fills or as the engines go idle
+//!   ([`ShardedHtap::run_open_loop`], [`OpenLoopReport`]). A
+//!   closed-loop batch ([`ShardedHtap::run_txns`]) is the same driver
+//!   with every arrival at time zero and no bound on inbox or window —
+//!   so both commit byte-identical state over the same admitted
+//!   stream, and both log, group-commit, checkpoint and crash the same
+//!   way when the WAL ([`durability`]) is on;
 //! * [`ShardedHtap`] — the service: N independent [`pushtap_core::Pushtap`]
 //!   engines (fact tables warehouse-partitioned, dimension tables
 //!   replicated, all drawing timestamps from one oracle), OLTP driven
@@ -58,7 +58,7 @@
 //!   participant aborts, forwarded effects, commit rounds, the
 //!   sequential 2PC-time ledger and the critical-path time that
 //!   actually landed on clocks — plus the coordinator's scheduling
-//!   stats in [`CoordStats`]: barrier flushes, waves, overlap).
+//!   stats in [`CoordStats`]: waves, overlap, decision log).
 //!
 //! # Byte identity
 //!
@@ -124,9 +124,9 @@ mod router;
 mod service;
 
 pub use arrival::{ArrivalConfig, ArrivalGen};
-pub use config::{CommitConfig, CoordinatorMode, OpenLoopConfig, ShardConfig};
+pub use config::{CommitConfig, OpenLoopConfig, ShardConfig};
 pub use durability::{
-    CheckpointReport, CrashPoint, CrashSite, RecoveryReport, ShardRecovery, WalBytes,
+    CheckpointReport, CrashPoint, CrashSite, RecoverError, RecoveryReport, ShardRecovery, WalBytes,
 };
 pub use partition::WarehouseMap;
 pub use report::{

@@ -6,8 +6,6 @@ use pushtap_olap::QueryResult;
 use pushtap_pim::Ps;
 use pushtap_trace::Histogram;
 
-use crate::config::CoordinatorMode;
-
 /// Aggregate cross-shard accounting of one routed batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RemoteTouches {
@@ -53,41 +51,30 @@ pub struct ShardLoad {
     pub elapsed: Ps,
 }
 
-/// Coordinator-level scheduling statistics of one routed batch: how the
-/// stream was cut into execution units and how much two-phase-commit
-/// overlap the schedule extracted.
+/// Coordinator-level scheduling statistics of one run: how the stream
+/// was cut into waves and how much two-phase-commit overlap the
+/// schedule extracted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordStats {
-    /// Which coordinator executed the batch.
-    pub mode: CoordinatorMode,
-    /// Barrier flushes: times the serial coordinator drained the
-    /// involved shards' local queues before running a cross-shard
-    /// two-phase commit alone (one per cross-shard transaction). The
-    /// pipelined coordinator never flushes — waves subsume the barrier —
-    /// so this is zero there, which is exactly the reduction the
-    /// refactor claims.
-    pub barrier_flushes: u64,
-    /// Waves scheduled (pipelined only; zero under the serial path).
+    /// Waves dispatched.
     pub waves: u64,
     /// Transactions in the largest wave.
     pub max_wave: u64,
     /// Cross-shard two-phase commits that ran concurrently with at
     /// least one other 2PC of the same wave: a wave holding `k ≥ 2` of
     /// them contributes all `k` (each overlapped the others; a wave
-    /// casualty retried serially still overlapped on its wave attempt).
-    /// Zero under the serial coordinator (every 2PC runs alone).
+    /// casualty retried alone still overlapped on its wave attempt).
     pub overlapped_two_pcs: u64,
     /// `Commit(ts)` entries appended to the coordinator decision log
     /// (one per committed cross-shard transaction; zero with the WAL
     /// off).
     pub decision_appends: u64,
-    /// Decision-log force barriers (one per wave holding a committed
-    /// cross-shard transaction under the pipelined coordinator, one per
-    /// committed 2PC under the serial one). Charged to no engine clock:
+    /// Decision-log force barriers (one per wave, or retry, holding a
+    /// committed cross-shard transaction). Charged to no engine clock:
     /// the decision log is coordinator-side state, forced while the
     /// decision round-trip is already in flight.
     pub decision_forces: u64,
-    /// Whether an armed crash point fired during the batch (the stream
+    /// Whether an armed crash point fired during the run (the stream
     /// stopped dead at the crash site).
     pub crashed: bool,
 }
@@ -99,8 +86,8 @@ pub struct ShardOltpReport {
     pub per_shard: Vec<ShardLoad>,
     /// Aggregate routing/remote accounting.
     pub remote: RemoteTouches,
-    /// Coordinator scheduling statistics (waves, overlap, barrier
-    /// flushes).
+    /// Coordinator scheduling statistics (waves, overlap, decision
+    /// log).
     pub coord: CoordStats,
 }
 
@@ -254,7 +241,7 @@ impl ShardOltpReport {
     /// the clocks) minus the group-commit force time it includes —
     /// forces are durability, not messaging, so a logged but fully
     /// warehouse-local batch reports zero here. The share can never
-    /// exceed 1.0 even when the pipelined coordinator overlaps many
+    /// exceed 1.0 even when the coordinator overlaps many
     /// 2PCs — dividing the sequential ledger by busy time could.
     pub fn two_pc_time_share(&self) -> f64 {
         let busy: u64 = self.per_shard.iter().map(|s| s.elapsed.ps()).sum();
@@ -296,8 +283,8 @@ impl ShardOltpReport {
     /// Durable syncs per committed transaction: every effect-log force
     /// plus every decision-log force, over the batch's commits. Group
     /// commit's whole point is to push this **below 1.0** — one barrier
-    /// amortized across a wave or bucket — where naive per-transaction
-    /// durability would pay ≥ 1.
+    /// amortized across a wave — where naive per-transaction durability
+    /// would pay ≥ 1.
     pub fn fsync_per_txn(&self) -> f64 {
         let committed = self.committed();
         if committed == 0 {
@@ -309,8 +296,7 @@ impl ShardOltpReport {
 
     /// Fraction of this batch's cross-shard two-phase commits that ran
     /// concurrently with another 2PC of their wave: the overlap the
-    /// pipelined scheduler extracted (zero under the serial
-    /// coordinator, or when nothing crossed shards).
+    /// wave scheduler extracted (zero when nothing crossed shards).
     pub fn overlap_ratio(&self) -> f64 {
         if self.remote.cross_shard_txns == 0 {
             0.0
@@ -327,13 +313,12 @@ impl ShardOltpReport {
         self.merged(|r| &r.commit_latency)
     }
 
-    /// Coordinator-queue wait merged across all shards: how long
-    /// warehouse-local transactions sat parked before a flush under the
-    /// serial coordinator, or how long admitted arrivals sat in their
-    /// home inbox before their wave dispatched under the open-loop
-    /// front-end (one sample per admitted transaction there). Empty
-    /// for a pipelined *batch* run — waves subsume the queues and the
-    /// whole batch is offered at time zero.
+    /// Coordinator-queue wait merged across all shards, one sample per
+    /// admitted transaction: how long it sat in its home inbox before
+    /// its wave dispatched. Open loop, that is arrival → dispatch;
+    /// closed loop, where the whole batch is offered at once, it is the
+    /// wait behind the earlier waves of the same batch on the home
+    /// shard (measured from the run's start, not the deployment's age).
     pub fn queue_wait(&self) -> Histogram {
         self.merged(|r| &r.queue_wait)
     }
@@ -352,9 +337,9 @@ impl ShardOltpReport {
 
     /// Per-round 2PC message stall merged across all shards:
     /// `two_pc_stall().stats().count == commit_rounds()` and the sample
-    /// sum equals [`ShardOltpReport::critical_path_time`] — the serial
-    /// path records full hops, the pipelined path records only the
-    /// residual stall after overlap.
+    /// sum plus [`ShardOltpReport::wal_force_time`] equals
+    /// [`ShardOltpReport::critical_path_time`] — each sample is the
+    /// residual stall after overlap, not the full hop.
     pub fn two_pc_stall(&self) -> Histogram {
         self.merged(|r| &r.two_pc_stall)
     }
@@ -434,9 +419,10 @@ pub struct OpenLoopReport {
     pub arrivals: u64,
     /// Arrivals turned away at a full home-shard inbox, per shard.
     pub rejected_per_shard: Vec<u64>,
-    /// Sojourn times — arrival to home-shard wave completion — one
-    /// sample per admitted transaction: the open-loop latency the
-    /// queueing front-end exists to measure.
+    /// Sojourn times — arrival (or the run's start on the home clock,
+    /// if later) to home-shard wave completion — one sample per
+    /// admitted transaction: the open-loop latency the queueing
+    /// front-end exists to measure.
     pub sojourn: Histogram,
     /// Inbox depth sampled after every admission (merged over shards);
     /// its max is the deepest backlog any inbox held.

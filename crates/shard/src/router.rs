@@ -28,18 +28,18 @@ pub struct RoutedTxn {
     pub remote: u64,
     /// The commit timestamp every participant executes this transaction
     /// under, drawn from the deployment's shared [`TsOracle`] in global
-    /// stream order by [`TxnRouter::route_stream`] ([`Ts::ZERO`] until
-    /// stamped). Stream-order assignment is what makes the sharded
-    /// deployment commit the exact timestamps a single-instance
-    /// reference would — and therefore byte-identical state, since
-    /// timestamps are encoded into stored rows.
+    /// stream order at admission ([`Ts::ZERO`] until stamped).
+    /// Stream-order assignment is what makes the sharded deployment
+    /// commit the exact timestamps a single-instance reference would —
+    /// and therefore byte-identical state, since timestamps are encoded
+    /// into stored rows.
     pub ts: Ts,
     /// The transaction's conflict keyset — the rows it reads, the rows
     /// it writes, and the insert rings it consumes, derived from the
     /// home engine's read-only decomposition
     /// ([`pushtap_oltp::TpccDb::keyset`]). Empty until the service
-    /// stamps it ([`crate::ShardedHtap`] stamps every stream it routes);
-    /// the pipelined coordinator's wave scheduler requires it.
+    /// stamps it ([`crate::ShardedHtap`] stamps every transaction it
+    /// admits); the wave scheduler requires it.
     pub keys: KeySet,
     /// The instant this transaction *arrived* at the deployment, in
     /// simulated picoseconds. [`Ps::ZERO`] for closed-loop (batch)
@@ -133,9 +133,13 @@ impl TxnRouter {
     /// Stamping must happen here, before execution fans out: once
     /// transactions interleave across concurrent shard threads, the
     /// stream order (the only order that matches the single-instance
-    /// reference) is gone. The coordinator preserves that order for
-    /// every *conflicting* pair by flushing each involved shard's queued
-    /// local work before a cross-shard transaction's effects land.
+    /// reference) is gone. The wave scheduler preserves that order for
+    /// every *conflicting* pair: the later transaction always lands in a
+    /// later wave.
+    ///
+    /// The service routes and stamps one admission at a time
+    /// ([`TxnRouter::route`] plus the oracle); this whole-batch form
+    /// serves callers that want a routed stream without executing it.
     pub fn route_stream(
         &self,
         batch: Vec<Txn>,

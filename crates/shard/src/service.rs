@@ -1,14 +1,14 @@
 //! The sharded HTAP service: N PUSHtap engines behind one router, one
-//! transaction coordinator (stream-order execution + two-phase commit
-//! for cross-shard writes — see [`crate::coordinator`]), and one
-//! scatter-gather query coordinator.
+//! transaction driver (admission, wave scheduling, and — through
+//! [`crate::coordinator`] — wave execution with two-phase commit for
+//! cross-shard writes), and one scatter-gather query coordinator.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
 use std::thread;
 
-use pushtap_chbench::{Table, TxnGen};
+use pushtap_chbench::{Table, Txn, TxnGen};
 use pushtap_core::{Pushtap, QueryReport};
 use pushtap_format::LayoutError;
 use pushtap_mvcc::{Ts, TsOracle};
@@ -22,16 +22,16 @@ use pushtap_wal::{scan, MemLog, Wal, WalTrim};
 use crate::arrival::ArrivalGen;
 use crate::config::{CommitConfig, OpenLoopConfig, ShardConfig};
 use crate::coordinator;
-use crate::coordinator::schedule::WaveScheduler;
+use crate::coordinator::schedule::{Wave, WaveScheduler};
 use crate::durability::{
-    decode_decision, CheckpointReport, CrashPoint, Durability, DurabilityCtx, RecoveryReport,
-    ShardRecovery, WalBytes,
+    decided_set, decode_decision, CheckpointReport, CrashPoint, Durability, DurabilityCtx,
+    RecoverError, RecoveryReport, ShardRecovery, WalBytes,
 };
 use crate::partition::WarehouseMap;
 use crate::report::{
     CoordStats, OpenLoopReport, RemoteTouches, ShardLoad, ShardOltpReport, ShardQueryReport,
 };
-use crate::router::TxnRouter;
+use crate::router::{RoutedTxn, TxnRouter};
 
 /// Harvest handles onto an in-memory WAL deployment's durable bytes
 /// ([`ShardedHtap::enable_wal`]): they outlive the service, so a test
@@ -62,12 +62,12 @@ impl WalHandles {
 /// Each shard is a complete [`Pushtap`] instance — its own simulated
 /// memory system, PIM scan engine, MVCC state, and clock — holding the
 /// shard's slice of the fact tables and a full replica of the dimension
-/// tables. Transactions route by home warehouse and execute in global
-/// stream order: warehouse-local ones on concurrent per-shard queues,
-/// cross-shard ones as coordinator-driven two-phase commits that
-/// forward remote-owned effects to their owning shards
-/// ([`crate::coordinator`]). Analytical queries scatter to every shard
-/// (each runs its snapshot + two-phase PIM scan concurrently) and
+/// tables. Transactions route by home warehouse and execute in waves
+/// of mutually non-conflicting transactions, conflicting ones in global
+/// stream order; cross-shard ones commit by a coordinator-driven
+/// two-phase commit that forwards remote-owned effects to their owning
+/// shards ([`crate::coordinator`]). Analytical queries scatter to every
+/// shard (each runs its snapshot + two-phase PIM scan concurrently) and
 /// gather by merging distributive partials.
 ///
 /// All shards share one [`TsOracle`]: the coordinator stamps every
@@ -127,8 +127,7 @@ impl ShardedHtap {
     /// handles that outlive the service, so a crash-point test can kill
     /// the deployment and still read the durable bytes. Forces charge
     /// [`crate::CommitConfig::force_latency`] to the forcing shard's
-    /// clock (group commit amortizes one force across a wave or
-    /// bucket).
+    /// clock (group commit amortizes one force across a wave).
     pub fn enable_wal(&mut self) -> WalHandles {
         let (logs, handles): (Vec<Wal>, Vec<MemLog>) =
             (0..self.shards.len()).map(|_| Wal::in_memory()).unzip();
@@ -172,9 +171,10 @@ impl ShardedHtap {
         self.durability.is_some()
     }
 
-    /// Arms a simulated kill at `point`: the next batch stops dead when
-    /// it reaches the site, leaving only forced bytes behind. The
-    /// service then refuses further batches ([`ShardedHtap::crashed`]);
+    /// Arms a simulated kill at `point`: the next run — closed loop or
+    /// open loop — stops dead when it reaches the site, leaving only
+    /// forced bytes behind. The service then refuses further runs
+    /// ([`ShardedHtap::crashed`]);
     /// harvest the logs and [`ShardedHtap::recover`] into a fresh
     /// deployment.
     ///
@@ -212,20 +212,18 @@ impl ShardedHtap {
     ///
     /// # Errors
     ///
-    /// Propagates layout-generation errors from the fresh build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `logs` has a different shard count than `cfg`, or if a
+    /// [`RecoverError::Layout`] if the fresh build fails,
+    /// [`RecoverError::ShardCount`] if `logs` has a different shard
+    /// count than `cfg`, and [`RecoverError::Undecodable`] if a
     /// checksummed record fails to decode (log format version skew —
     /// torn or corrupt records are *truncated* by the scan, never
     /// decoded).
     pub fn recover(
         cfg: ShardConfig,
         logs: &WalBytes,
-    ) -> Result<(ShardedHtap, RecoveryReport), LayoutError> {
+    ) -> Result<(ShardedHtap, RecoveryReport), RecoverError> {
         let mut service = ShardedHtap::new(cfg)?;
-        let report = service.replay(logs);
+        let report = service.replay(logs)?;
         Ok((service, report))
     }
 
@@ -235,52 +233,48 @@ impl ShardedHtap {
     ///
     /// # Errors
     ///
-    /// Propagates layout-generation errors from the fresh build.
+    /// As [`ShardedHtap::recover`].
     pub fn recover_traced(
         cfg: ShardConfig,
         logs: &WalBytes,
         sink: Arc<dyn TraceSink>,
-    ) -> Result<(ShardedHtap, RecoveryReport), LayoutError> {
+    ) -> Result<(ShardedHtap, RecoveryReport), RecoverError> {
         let mut service = ShardedHtap::new(cfg)?;
         service.set_trace_sink(sink);
-        let report = service.replay(logs);
+        let report = service.replay(logs)?;
         Ok((service, report))
     }
 
     /// Replays harvested log bytes into this (freshly built) deployment.
-    fn replay(&mut self, logs: &WalBytes) -> RecoveryReport {
-        assert_eq!(
-            logs.shards.len(),
-            self.shards.len(),
-            "log images must match the deployment's shard count"
-        );
+    fn replay(&mut self, logs: &WalBytes) -> Result<RecoveryReport, RecoverError> {
+        if logs.shards.len() != self.shards.len() {
+            return Err(RecoverError::ShardCount {
+                expected: self.shards.len(),
+                found: logs.shards.len(),
+            });
+        }
         let dscan = scan(&logs.decisions);
-        let decided: BTreeSet<u64> = dscan.records.iter().map(|p| decode_decision(p).0).collect();
-        let decided = &decided;
-        type ShardOutcome = (usize, ShardRecovery, Vec<Ts>, u64);
-        let results: Vec<ShardOutcome> = thread::scope(|scope| {
+        let decided = &decided_set(&dscan.records)?;
+        let results = thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
-                .zip(logs.shards.iter())
+                .zip(&logs.shards)
                 .enumerate()
                 .map(|(i, (shard, bytes))| {
-                    scope.spawn(move || (i, replay_shard(shard, bytes, decided)))
+                    scope.spawn(move || replay_shard(i, shard, bytes, decided))
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    let (i, (rec, committed, max_ts)) = coordinator::join_worker(h);
-                    (i, rec, committed, max_ts)
-                })
-                .collect()
-        });
-        let mut per_shard = vec![ShardRecovery::default(); self.shards.len()];
+                .map(coordinator::join_worker)
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        let mut per_shard = Vec::with_capacity(self.shards.len());
         let mut committed: Vec<Ts> = Vec::new();
         let mut watermark = 0u64;
-        for (i, rec, c, max_ts) in results {
-            per_shard[i] = rec;
+        for (rec, c, max_ts) in results {
+            per_shard.push(rec);
             committed.extend(c);
             watermark = watermark.max(max_ts);
         }
@@ -289,13 +283,13 @@ impl ShardedHtap {
         // (presumed-abort) records included, their timestamps were
         // allocated — so post-recovery batches draw fresh ones.
         self.oracle.advance_to(Ts(watermark));
-        RecoveryReport {
+        Ok(RecoveryReport {
             per_shard,
             committed,
             decisions: dscan.records.len() as u64,
             decision_truncated: dscan.truncated_bytes,
             watermark: Ts(watermark),
-        }
+        })
     }
 
     /// The deployment-wide timestamp oracle all shards draw from.
@@ -391,117 +385,49 @@ impl ShardedHtap {
             .collect()
     }
 
-    /// Routes `n` transactions from a global stream and executes them in
-    /// stream order: warehouse-local transactions run in concurrent
-    /// per-shard queues, cross-shard transactions run as coordinator-
-    /// driven two-phase commits (effects forwarded to their owning
-    /// shards — see [`crate::coordinator`]). Every transaction is
-    /// stamped with its stream-order timestamp from the shared oracle at
-    /// routing time, so the deployment commits exactly the timestamps a
-    /// single unpartitioned instance executing the same stream would.
+    /// Routes `n` transactions from a global stream and executes them
+    /// closed-loop: the whole batch is offered at once, scheduled into
+    /// conflict-free waves, and every wave runs concurrently across the
+    /// shards with cross-shard members committing by two-phase commit
+    /// (effects forwarded to their owning shards — see
+    /// [`crate::coordinator`]). Every transaction is stamped with its
+    /// stream-order timestamp from the shared oracle at admission, so
+    /// the deployment commits exactly the timestamps a single
+    /// unpartitioned instance executing the same stream would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service crashed at an armed crash point.
     pub fn run_txns(&mut self, gen: &mut TxnGen, n: u64) -> ShardOltpReport {
-        let batch = gen.batch(n as usize);
-        let (stream, remote) = self.router.route_stream(batch, &self.oracle);
-        let (per_shard, coord) = self.execute_stream(stream);
-        ShardOltpReport {
-            per_shard,
-            remote,
-            coord,
-        }
+        self.drive(n, || (gen.next_txn(), Ps::ZERO), &CLOSED_LOOP)
+            .exec
     }
 
     /// Executes `per_shard` transactions on every shard from that
-    /// shard's own warehouse-local stream (all shards run concurrently;
-    /// no transaction crosses a shard, so no two-phase commit fires).
+    /// shard's own warehouse-local stream, closed-loop (no transaction
+    /// crosses a shard, so no two-phase commit fires).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service crashed at an armed crash point.
     pub fn run_local_txns(&mut self, seed: u64, per_shard: u64) -> ShardOltpReport {
         // Each generator's home warehouses lie inside its own shard's
-        // range, so routing the concatenated streams re-creates exactly
-        // the per-shard batches (order preserved within each shard).
-        let batch: Vec<_> = self
-            .local_txn_gens(seed)
-            .iter_mut()
-            .flat_map(|g| g.batch(per_shard as usize))
-            .collect();
-        let (stream, remote) = self.router.route_stream(batch, &self.oracle);
+        // range, so the concatenated streams route back to exactly the
+        // per-shard streams (order preserved within each shard).
+        let mut gens = self.local_txn_gens(seed);
+        let total = per_shard * gens.len() as u64;
+        let mut drawn = 0u64;
+        let next = || {
+            let gen = &mut gens[(drawn / per_shard) as usize];
+            drawn += 1;
+            (gen.next_txn(), Ps::ZERO)
+        };
+        let report = self.drive(total, next, &CLOSED_LOOP).exec;
         debug_assert_eq!(
-            remote.remote_touches, 0,
+            report.remote.remote_touches, 0,
             "warehouse-local streams must never cross shards"
         );
-        let (per_shard, coord) = self.execute_stream(stream);
-        ShardOltpReport {
-            per_shard,
-            remote,
-            coord,
-        }
-    }
-
-    /// Runs a routed stream through the coordinator: stamps every
-    /// transaction's conflict keyset (derived from the home engine's
-    /// read-only decomposition — the wave scheduler's input; skipped
-    /// under the serial oracle, which never reads it) and executes
-    /// under the configured [`crate::CoordinatorMode`].
-    fn execute_stream(
-        &mut self,
-        mut stream: Vec<crate::router::RoutedTxn>,
-    ) -> (Vec<ShardLoad>, crate::report::CoordStats) {
-        assert!(
-            !self.crashed(),
-            "service crashed at its armed crash point; harvest the logs and \
-             recover into a fresh deployment"
-        );
-        if self.cfg.mode == crate::CoordinatorMode::Pipelined {
-            for routed in &mut stream {
-                routed.keys = self.shards[routed.shard as usize]
-                    .db()
-                    .keyset(&routed.txn, routed.ts);
-            }
-        }
-        for routed in &stream {
-            let home = &self.shards[routed.shard as usize];
-            if home.trace_enabled() {
-                // Ingestion marker: the stream-order point where this
-                // transaction entered its home shard's pipeline.
-                home.trace_record(Span::instant(
-                    home.trace_track(),
-                    Phase::Routed,
-                    routed.ts.0,
-                    home.now().ps(),
-                ));
-            }
-        }
-        let map = *self.router.map();
-        let force_latency = self.cfg.commit.force_latency;
-        let mut ctx = self.durability.as_mut().map(|d| DurabilityCtx {
-            logs: &mut d.logs,
-            decision_log: &mut d.decision_log,
-            force_latency,
-            armed: d.armed,
-            crashed: d.crashed,
-        });
-        let out = coordinator::execute_stream(
-            &mut self.shards,
-            &map,
-            stream,
-            self.cfg.commit,
-            self.cfg.mode,
-            ctx.as_mut(),
-        );
-        let crashed = ctx.map(|c| c.crashed); // consumes ctx, ending its borrow
-        if let (Some(crashed), Some(d)) = (crashed, self.durability.as_mut()) {
-            d.crashed = crashed;
-        }
-        // Batch boundary for the shadow tracker: every scope must be
-        // decided and zero prepared versions may linger. A crashed batch
-        // legitimately leaves prepared scopes behind (recovery resolves
-        // them by presumed abort), so the boundary check is skipped.
-        if !self.crashed() {
-            let san = self.shards[0].db().sanitizer();
-            if san.enabled() {
-                let pending: u64 = self.shards.iter().map(|s| s.db().prepared_versions()).sum();
-                san.batch_end(pending);
-            }
-        }
-        out
+        report
     }
 
     /// Drives the deployment **open-loop**: `n` transactions arrive on
@@ -513,16 +439,15 @@ impl ShardedHtap {
     ///
     /// Rejected arrivals draw **no** timestamp, so the admitted stream
     /// carries contiguous oracle timestamps and commits byte-identical
-    /// state to a closed-loop run of the same admitted transactions —
-    /// the invariant `crates/shard/tests/open_loop.rs` proves.
+    /// state to a closed-loop run of the same admitted transactions.
+    /// This is the same driver [`ShardedHtap::run_txns`] uses, so an
+    /// enabled WAL logs, group-commits and honors an armed crash point
+    /// here exactly as it does there.
     ///
     /// # Panics
     ///
-    /// Panics if the service crashed at an armed crash point, if a WAL
-    /// is attached (open-loop durability is future work), if the
-    /// coordinator mode is not [`crate::CoordinatorMode::Pipelined`]
-    /// (the serial oracle has no wave scheduler to feed), or if `open`
-    /// has a zero inbox depth or window.
+    /// Panics if the service crashed at an armed crash point, or if
+    /// `open` has a zero inbox depth or window.
     pub fn run_open_loop(
         &mut self,
         gen: &mut TxnGen,
@@ -530,202 +455,165 @@ impl ShardedHtap {
         n: u64,
         open: &OpenLoopConfig,
     ) -> OpenLoopReport {
+        self.drive(n, || (gen.next_txn(), arrivals.next_arrival()), open)
+    }
+
+    /// The one path from a generated transaction to a committed byte.
+    ///
+    /// Draws `n` `(transaction, arrival)` pairs from `next`, in order.
+    /// Each passes admission control at its home shard's inbox, is
+    /// routed, stamped with the next oracle timestamp and its conflict
+    /// keyset, and admitted to the [`WaveScheduler`]. The frontier wave
+    /// dispatches — clock-gated to its members' arrivals, then through
+    /// [`coordinator::run_wave`] — while the window is full, while every
+    /// engine would otherwise idle before the next arrival, and once
+    /// the source is exhausted. A closed-loop batch is this loop with
+    /// every arrival at time zero and no bound on inbox or window
+    /// ([`CLOSED_LOOP`]): nothing dispatches until the whole batch is
+    /// admitted, so it is scheduled with the full stream in view.
+    ///
+    /// With the WAL enabled the run logs through one [`DurabilityCtx`];
+    /// an armed crash that fires stops the loop dead (admitted work not
+    /// yet dispatched dies with the process) and marks the service
+    /// crashed.
+    fn drive(
+        &mut self,
+        n: u64,
+        mut next: impl FnMut() -> (Txn, Ps),
+        open: &OpenLoopConfig,
+    ) -> OpenLoopReport {
         assert!(
             !self.crashed(),
             "service crashed at its armed crash point; harvest the logs and \
              recover into a fresh deployment"
         );
-        assert!(
-            self.durability.is_none(),
-            "open-loop runs do not support an attached WAL yet"
-        );
-        assert_eq!(
-            self.cfg.mode,
-            crate::CoordinatorMode::Pipelined,
-            "open-loop scheduling requires the pipelined coordinator"
-        );
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
-        assert!(open.window > 0, "scheduling window must be positive");
-
-        /// One dispatch step: pop the scheduler's frontier wave, move
-        /// its members from waiting to in-flight, and execute it
-        /// (clock-gated to its members' arrivals). A member's inbox
-        /// slot stays occupied until its wave *completes* on its home
-        /// clock (`in_flight` holds the completion times), the way a
-        /// bounded queue counts its in-service customers.
-        #[allow(clippy::too_many_arguments)]
-        fn dispatch_open_wave(
-            shards: &mut [Pushtap],
-            map: &WarehouseMap,
-            commit: CommitConfig,
-            sched: &mut WaveScheduler,
-            waiting: &mut [u64],
-            in_flight: &mut [VecDeque<Ps>],
-            loads: &mut [ShardLoad],
-            stats: &mut CoordStats,
-            wave_seq: &mut u64,
-            sojourn: &mut Histogram,
-        ) {
-            let Some(wave) = sched.pop_wave() else { return };
-            let homes: Vec<usize> = wave.iter().map(|t| t.shard as usize).collect();
-            for &h in &homes {
-                waiting[h] -= 1;
-            }
-            *wave_seq += 1;
-            coordinator::execute_open_wave(
-                shards, map, wave, commit, loads, stats, *wave_seq, sojourn,
-            );
-            for &h in &homes {
-                // Shard clocks are monotone and waves execute in
-                // dispatch order, so each queue stays sorted.
-                in_flight[h].push_back(shards[h].now());
-            }
-        }
-
-        let map = *self.router.map();
-        let commit = self.cfg.commit;
-        let starts: Vec<Ps> = self.shards.iter().map(Pushtap::now).collect();
-        let mut loads: Vec<ShardLoad> = (0..self.shards.len())
-            .map(|_| ShardLoad::default())
-            .collect();
-        let mut stats = CoordStats {
-            mode: self.cfg.mode,
-            ..CoordStats::default()
+        let shard_count = self.shards.len();
+        let force_latency = self.cfg.commit.force_latency;
+        let mut run = Run {
+            map: *self.router.map(),
+            commit: self.cfg.commit,
+            starts: self.shards.iter().map(Pushtap::now).collect(),
+            shards: &mut self.shards,
+            dur: self.durability.as_mut().map(|d| DurabilityCtx {
+                logs: &mut d.logs,
+                decision_log: &mut d.decision_log,
+                force_latency,
+                armed: d.armed,
+            }),
+            waiting: vec![0; shard_count],
+            in_flight: vec![VecDeque::new(); shard_count],
+            loads: (0..shard_count).map(|_| ShardLoad::default()).collect(),
+            stats: CoordStats::default(),
+            sojourn: Histogram::default(),
         };
-        let mut remote = RemoteTouches::default();
         let mut sched = WaveScheduler::new(open.window);
-        // Inbox occupancy per shard = `waiting` (admitted, not yet
-        // dispatched) + `in_flight` (dispatched, wave still completing
-        // at the arrival instant under scrutiny — sorted completion
-        // clocks, drained lazily as later arrivals pass them).
-        let mut waiting: Vec<u64> = vec![0; self.shards.len()];
-        let mut in_flight: Vec<VecDeque<Ps>> = vec![VecDeque::new(); self.shards.len()];
-        let mut rejected: Vec<u64> = vec![0; self.shards.len()];
-        let mut sojourn = Histogram::default();
+        let decisions_before = run.dur.as_ref().map(|d| d.decision_log.stats());
+        let mut remote = RemoteTouches::default();
+        let mut rejected: Vec<u64> = vec![0; shard_count];
         let mut inbox_depth = Histogram::default();
         let mut committed_ts: Vec<Ts> = Vec::new();
         let mut admitted_index: Vec<u64> = Vec::new();
-        let mut wave_seq = 0u64;
         let mut horizon = Ps::ZERO;
         for arrival_idx in 0..n {
-            let txn = gen.next_txn();
-            let at = arrivals.next_arrival();
+            let (txn, at) = next();
             horizon = at;
             // Work conservation: while every engine would sit idle
             // before this arrival lands, flush pending frontier waves
             // into the gap instead of holding admitted work hostage to
             // a window that may never fill.
-            while !sched.is_empty() {
-                let busy_until = self
-                    .shards
-                    .iter()
-                    .map(Pushtap::now)
-                    .max()
-                    .unwrap_or(Ps::ZERO);
-                if busy_until >= at {
-                    break;
-                }
-                dispatch_open_wave(
-                    &mut self.shards,
-                    &map,
-                    commit,
-                    &mut sched,
-                    &mut waiting,
-                    &mut in_flight,
-                    &mut loads,
-                    &mut stats,
-                    &mut wave_seq,
-                    &mut sojourn,
-                );
+            run.dispatch_while(&mut sched, |r, _| r.busy_until() < at);
+            if run.stats.crashed {
+                break;
             }
             let mut routed = self.router.route(txn);
             let home = routed.shard as usize;
             // Free the slots of home transactions whose waves completed
             // before this arrival landed.
-            while in_flight[home].front().is_some_and(|&done| done <= at) {
-                in_flight[home].pop_front();
+            while run.in_flight[home].front().is_some_and(|&done| done <= at) {
+                run.in_flight[home].pop_front();
             }
-            let depth = waiting[home] + in_flight[home].len() as u64;
+            let depth = run.waiting[home] + run.in_flight[home].len() as u64;
             if depth >= open.inbox_depth as u64 {
                 // Admission control: a full home inbox turns the
                 // arrival away *before* it draws a timestamp, keeping
                 // the admitted stream's timestamps contiguous. The
                 // rejection is counted and traced, never silent.
                 rejected[home] += 1;
-                let s = &self.shards[home];
+                let s = &run.shards[home];
                 if s.trace_enabled() {
                     s.trace_record(Span::instant(s.trace_track(), Phase::Rejected, 0, at.ps()));
                 }
                 continue;
             }
             routed.ts = self.oracle.allocate();
-            routed.keys = self.shards[home].db().keyset(&routed.txn, routed.ts);
+            routed.keys = run.shards[home].db().keyset(&routed.txn, routed.ts);
             routed.arrival = at;
             remote.routed += 1;
             if routed.remote > 0 {
                 remote.cross_shard_txns += 1;
                 remote.remote_touches += routed.remote;
             }
-            waiting[home] += 1;
+            run.waiting[home] += 1;
             inbox_depth.record(depth + 1);
-            {
-                let san = self.shards[home].db().sanitizer();
-                if san.enabled() {
-                    san.note_arrival(routed.ts.0, at.ps());
-                    san.inbox_admit(routed.shard, depth + 1, open.inbox_depth as u64);
-                }
+            let s = &run.shards[home];
+            let san = s.db().sanitizer();
+            if san.enabled() {
+                san.note_arrival(routed.ts.0, at.ps());
+                san.inbox_admit(routed.shard, depth + 1, open.inbox_depth as u64);
             }
-            let s = &self.shards[home];
             if s.trace_enabled() {
-                // Ingestion marker at the arrival instant (the batch
-                // path stamps it at the home clock instead).
+                // Ingestion marker: the instant this transaction
+                // entered its home shard's pipeline.
                 s.trace_record(Span::instant(
                     s.trace_track(),
                     Phase::Routed,
                     routed.ts.0,
-                    at.ps(),
+                    run.entered(&routed).ps(),
                 ));
             }
             committed_ts.push(routed.ts);
             admitted_index.push(arrival_idx);
             sched.admit(routed);
-            while sched.window_full() {
-                dispatch_open_wave(
-                    &mut self.shards,
-                    &map,
-                    commit,
-                    &mut sched,
-                    &mut waiting,
-                    &mut in_flight,
-                    &mut loads,
-                    &mut stats,
-                    &mut wave_seq,
-                    &mut sojourn,
-                );
+            run.dispatch_while(&mut sched, |_, s| s.window_full());
+        }
+        // The source is exhausted; drain everything still queued.
+        for wave in sched.drain() {
+            if run.stats.crashed {
+                break;
             }
+            run.dispatch(wave);
         }
-        // The arrival process ended; drain everything still queued.
-        while !sched.is_empty() {
-            dispatch_open_wave(
-                &mut self.shards,
-                &map,
-                commit,
-                &mut sched,
-                &mut waiting,
-                &mut in_flight,
-                &mut loads,
-                &mut stats,
-                &mut wave_seq,
-                &mut sojourn,
+
+        let Run {
+            dur,
+            starts,
+            waiting,
+            mut loads,
+            mut stats,
+            sojourn,
+            ..
+        } = run;
+        if let (Some(d), Some(before)) = (dur, decisions_before) {
+            let after = d.decision_log.stats();
+            stats.decision_appends = after.appends - before.appends;
+            stats.decision_forces = after.forces - before.forces;
+        }
+        if stats.crashed {
+            // Only an enabled WAL can arm a crash; the service is dead
+            // from here on. A crashed run legitimately leaves prepared
+            // scopes behind (recovery resolves them by presumed abort),
+            // so the shadow tracker's boundary check is skipped.
+            if let Some(d) = self.durability.as_mut() {
+                d.crashed = true;
+            }
+        } else {
+            debug_assert!(
+                waiting.iter().all(|&d| d == 0),
+                "drained inboxes must be empty"
             );
-        }
-        debug_assert!(
-            waiting.iter().all(|&d| d == 0),
-            "drained inboxes must be empty"
-        );
-        // Batch boundary for the shadow tracker (see execute_stream):
-        // every scope decided, no prepared versions, arrivals cleared.
-        {
+            // Batch boundary for the shadow tracker: every scope must
+            // be decided and zero prepared versions may linger.
             let san = self.shards[0].db().sanitizer();
             if san.enabled() {
                 let pending: u64 = self.shards.iter().map(|s| s.db().prepared_versions()).sum();
@@ -734,6 +622,8 @@ impl ShardedHtap {
         }
         for (i, load) in loads.iter_mut().enumerate() {
             load.elapsed = self.shards[i].now().saturating_sub(starts[i]);
+            // Drain the engine's GC tally (pass counters plus end-of-run
+            // live-version / commit-log gauges) into this run's report.
             load.report.gc.merge(&self.shards[i].take_gc_stats());
         }
         OpenLoopReport {
@@ -803,11 +693,34 @@ impl ShardedHtap {
     ///
     /// # Panics
     ///
+    /// As [`ShardedHtap::try_checkpoint`], and additionally if a log
+    /// holds a record this version cannot decode — use `try_checkpoint`
+    /// where the log files may have been written by something else.
+    pub fn checkpoint(&mut self) -> CheckpointReport {
+        match self.try_checkpoint() {
+            Ok(report) => report,
+            Err(e) => panic!("checkpoint failed: {e}"),
+        }
+    }
+
+    /// [`ShardedHtap::checkpoint`], reporting an undecodable log record
+    /// as an error instead of panicking. On `Err` the logs still
+    /// recover to the same state: each effect log compacts on its own,
+    /// and the decision log is trimmed only after all of them have.
+    ///
+    /// # Errors
+    ///
+    /// [`RecoverError::Undecodable`] if a checksummed record of any log
+    /// fails to decode (a file-backed log another format version wrote
+    /// into).
+    ///
+    /// # Panics
+    ///
     /// Panics if the WAL is disabled, the service crashed, a snapshot
     /// pin is active (a pinned reader's cut must stay reconstructible),
     /// or any log holds pending (unforced) bytes — a checkpoint runs on
     /// a quiesced deployment between batches.
-    pub fn checkpoint(&mut self) -> CheckpointReport {
+    pub fn try_checkpoint(&mut self) -> Result<CheckpointReport, RecoverError> {
         assert!(
             !self.crashed(),
             "checkpoint on a crashed service — recover it instead"
@@ -824,24 +737,24 @@ impl ShardedHtap {
         let Some(d) = durability.as_mut() else {
             panic!("checkpoint requires an enabled WAL");
         };
-        let decided: BTreeSet<u64> = scan(&d.decision_log.durable_image())
-            .records
-            .iter()
-            .map(|p| decode_decision(p).0)
-            .collect();
+        let decided = decided_set(&scan(&d.decision_log.durable_image()).records)?;
         let per_shard = shards
             .iter()
             .zip(d.logs.iter_mut())
-            .map(|(shard, log)| compact_shard_log(shard, log, &decided))
-            .collect();
-        let decisions = d
-            .decision_log
-            .truncate_before(|p| (decode_decision(p).0 > cut.0).then(|| p.to_vec()));
-        CheckpointReport {
+            .enumerate()
+            .map(|(i, (shard, log))| compact_shard_log(i, shard, log, &decided))
+            .collect::<Result<Vec<_>, _>>()?;
+        // Every entry decoded a moment ago, into `decided`.
+        let decisions = d.decision_log.truncate_before(|p| {
+            decode_decision(p)
+                .is_ok_and(|ts| ts.0 > cut.0)
+                .then(|| p.to_vec())
+        });
+        Ok(CheckpointReport {
             cut,
             per_shard,
             decisions,
-        }
+        })
     }
 
     /// Answers `query` by global-cut scatter-gather: the coordinator
@@ -912,22 +825,157 @@ impl ShardedHtap {
     }
 }
 
+/// A closed-loop batch, expressed as front-end bounds: no inbox bound
+/// (nothing is ever rejected) and no window bound (nothing dispatches
+/// before the whole batch is admitted).
+const CLOSED_LOOP: OpenLoopConfig = OpenLoopConfig {
+    inbox_depth: usize::MAX,
+    window: usize::MAX,
+};
+
+/// The state of one [`ShardedHtap::drive`] run that dispatching a wave
+/// touches.
+struct Run<'a> {
+    shards: &'a mut [Pushtap],
+    map: WarehouseMap,
+    commit: CommitConfig,
+    dur: Option<DurabilityCtx<'a>>,
+    /// Each shard's clock when the run began.
+    starts: Vec<Ps>,
+    /// Inbox occupancy per shard = `waiting` (admitted, not yet
+    /// dispatched) + `in_flight` (dispatched; the completion clocks of
+    /// the home transactions, sorted, drained lazily as later arrivals
+    /// pass them). A slot stays occupied until its wave *completes* on
+    /// the home clock, the way a bounded queue counts its in-service
+    /// customers.
+    waiting: Vec<u64>,
+    in_flight: Vec<VecDeque<Ps>>,
+    loads: Vec<ShardLoad>,
+    stats: CoordStats,
+    sojourn: Histogram,
+}
+
+impl Run<'_> {
+    /// The instant every engine has gone idle.
+    fn busy_until(&self) -> Ps {
+        self.shards
+            .iter()
+            .map(Pushtap::now)
+            .max()
+            .unwrap_or(Ps::ZERO)
+    }
+
+    /// When `routed` entered the system for latency accounting: its
+    /// arrival, or the run's start on its home clock if that is later.
+    /// A closed-loop batch on a warm deployment thus reports the wait
+    /// behind its own earlier waves, not the deployment's age. (The
+    /// dispatch gate uses the raw arrival, so time-zero arrivals never
+    /// couple shard clocks.)
+    fn entered(&self, routed: &RoutedTxn) -> Ps {
+        routed.arrival.max(self.starts[routed.shard as usize])
+    }
+
+    /// Dispatches `sched`'s frontier waves while `more` holds, work is
+    /// pending and no armed crash has fired.
+    fn dispatch_while(
+        &mut self,
+        sched: &mut WaveScheduler,
+        more: impl Fn(&Self, &WaveScheduler) -> bool,
+    ) {
+        while !self.stats.crashed && more(self, sched) {
+            let Some(wave) = sched.pop_wave() else { break };
+            self.dispatch(wave);
+        }
+    }
+
+    /// Executes one wave the scheduler released. Every shard's clock
+    /// is first gated to the wave's latest member arrival — a wave
+    /// cannot close before all its members exist, and gating *all*
+    /// engines keeps participants and retries on the same timeline (the
+    /// sanitizer's no-execution-before-arrival invariant). Each member's inbox wait lands in its home shard's
+    /// queue-wait histogram and, when positive, a [`Phase::Queued`]
+    /// span; after the wave, its sojourn is recorded and its inbox slot
+    /// is held until the wave's completion on the home clock.
+    fn dispatch(&mut self, wave: Wave) {
+        self.stats.waves += 1;
+        self.stats.max_wave = self.stats.max_wave.max(wave.len() as u64);
+        // Every cross-shard 2PC of a wave with at least two of them
+        // runs concurrently with another.
+        let cross = wave.iter().filter(|t| !t.participants.is_empty()).count() as u64;
+        if cross >= 2 {
+            self.stats.overlapped_two_pcs += cross;
+        }
+        // Wave ids are 1-based within the run; they are also the crash
+        // points' event numbers.
+        let wave_id = self.stats.waves;
+        let gate = wave.iter().map(|t| t.arrival).max().unwrap_or(Ps::ZERO);
+        for shard in self.shards.iter_mut() {
+            let wait = gate.saturating_sub(shard.now());
+            if wait > Ps::ZERO {
+                shard.advance(wait);
+            }
+        }
+        for routed in &wave {
+            let home = routed.shard as usize;
+            self.waiting[home] -= 1;
+            let entered = self.entered(routed);
+            let s = &self.shards[home];
+            let wait = s.now().saturating_sub(entered);
+            self.loads[home].report.queue_wait.record(wait.ps());
+            if wait > Ps::ZERO && s.trace_enabled() {
+                s.trace_record(
+                    Span::new(
+                        s.trace_track(),
+                        Phase::Queued,
+                        routed.ts.0,
+                        entered.ps(),
+                        s.now().ps(),
+                    )
+                    .in_wave(wave_id),
+                );
+            }
+        }
+        let crash = self.dur.as_ref().and_then(|d| d.armed_at(wave_id));
+        self.stats.crashed = coordinator::run_wave(
+            self.shards,
+            &self.map,
+            &wave,
+            self.commit,
+            &mut self.loads,
+            wave_id,
+            self.dur.as_mut(),
+            crash,
+        );
+        if self.stats.crashed {
+            return;
+        }
+        for routed in &wave {
+            let home = routed.shard as usize;
+            // Shard clocks are monotone and waves execute in dispatch
+            // order, so each in-flight queue stays sorted.
+            let done = self.shards[home].now();
+            self.sojourn
+                .record(done.saturating_sub(self.entered(routed)).ps());
+            self.in_flight[home].push_back(done);
+        }
+    }
+}
+
 /// Compacts one shard's effect log under a checkpoint (see
 /// [`ShardedHtap::checkpoint`] for the invariants): plans per-record
 /// rewrites from the shard's committed state, then rewrites the log in
 /// place via [`Wal::truncate_before`].
-fn compact_shard_log(shard: &Pushtap, log: &mut Wal, decided: &BTreeSet<u64>) -> WalTrim {
-    let image = log.durable_image();
-    let scanned = scan(&image);
+fn compact_shard_log(
+    index: usize,
+    shard: &Pushtap,
+    log: &mut Wal,
+    decided: &BTreeSet<u64>,
+) -> Result<WalTrim, RecoverError> {
+    let records = decode_effect_log(index, &scan(&log.durable_image()).records)?;
     // Dedupe by timestamp keep-last, mirroring replay (duplicate
-    // appends — a wave casualty and its serial retry — are
-    // byte-identical by retry-stability).
-    let mut by_ts: BTreeMap<u64, EffectRecord> = BTreeMap::new();
-    for payload in &scanned.records {
-        let r = EffectRecord::decode(payload)
-            .unwrap_or_else(|e| panic!("checksummed record must decode ({e:?})"));
-        by_ts.insert(r.ts.0, r);
-    }
+    // appends — a wave casualty and its retry — are byte-identical by
+    // retry-stability).
+    let by_ts: BTreeMap<u64, &EffectRecord> = records.iter().map(|r| (r.ts.0, r)).collect();
     let committed = |ts: &u64, r: &EffectRecord| !r.cross || decided.contains(ts);
     // Last committed writer per (table, row, column), in ascending
     // timestamp order — the only update writes worth replaying.
@@ -994,48 +1042,54 @@ fn compact_shard_log(shard: &Pushtap, log: &mut Wal, decided: &BTreeSet<u64>) ->
     }
     // Emit each surviving timestamp once, at its first occurrence
     // (duplicates are byte-identical, so first-vs-last is immaterial).
-    let mut emitted: BTreeSet<u64> = BTreeSet::new();
-    log.truncate_before(|payload| {
-        let ts = match EffectRecord::decode(payload) {
-            Ok(r) => r.ts.0,
-            Err(e) => panic!("record decoded on the planning pass must re-decode ({e:?})"),
-        };
-        if emitted.insert(ts) {
-            plan[&ts].clone()
-        } else {
-            None
-        }
-    })
+    // The rewrite walks the same durable image in the same order, so
+    // the plan is handed out positionally.
+    let mut rewrites = records.iter().map(|r| plan.remove(&r.ts.0).flatten());
+    Ok(log.truncate_before(|_| rewrites.next().flatten()))
 }
 
-/// Replays one shard's log image: scans the longest valid record
-/// prefix, dedupes by timestamp keeping the last append (a wave attempt
-/// and its serial retry log byte-identical records — decomposition is
-/// retry-stable — so last-wins is harmless), and re-commits every
-/// record that is warehouse-local or decision-log-vouched through the
-/// ordinary prepare/commit pipeline at its pinned timestamp. Returns
-/// the shard's outcome, the home-side (coordinator-role) timestamps it
-/// committed, and the highest timestamp any durable record mentioned.
+/// Decodes the scanned records of shard `shard`'s effect log. The scan
+/// already truncated any torn or bit-flipped tail; a record whose
+/// checksum holds but whose payload does not decode is an error — the
+/// bytes are intact, they are just not ours.
+fn decode_effect_log(shard: usize, records: &[Vec<u8>]) -> Result<Vec<EffectRecord>, RecoverError> {
+    records
+        .iter()
+        .enumerate()
+        .map(|(record, payload)| {
+            EffectRecord::decode(payload).map_err(|error| RecoverError::Undecodable {
+                shard: Some(shard),
+                record,
+                error,
+            })
+        })
+        .collect()
+}
+
+/// Replays shard `index`'s log image: scans the longest valid record
+/// prefix, decodes it (nothing is applied unless all of it decodes),
+/// dedupes by timestamp keeping the last append (a wave attempt and its
+/// retry log byte-identical records — decomposition is retry-stable —
+/// so last-wins is harmless), and re-commits every record that is
+/// warehouse-local or decision-log-vouched through the ordinary
+/// prepare/commit pipeline at its pinned timestamp. Returns the shard's
+/// outcome, the home-side (coordinator-role) timestamps it committed,
+/// and the highest timestamp any durable record mentioned.
 fn replay_shard(
+    index: usize,
     shard: &mut Pushtap,
     bytes: &[u8],
     decided: &BTreeSet<u64>,
-) -> (ShardRecovery, Vec<Ts>, u64) {
+) -> Result<(ShardRecovery, Vec<Ts>, u64), RecoverError> {
     let log = scan(bytes);
+    let records = decode_effect_log(index, &log.records)?;
     let mut rec = ShardRecovery {
         records: log.records.len() as u64,
         truncated_bytes: log.truncated_bytes,
         torn: log.torn,
         ..ShardRecovery::default()
     };
-    let mut by_ts: BTreeMap<u64, EffectRecord> = BTreeMap::new();
-    for payload in &log.records {
-        let r = match EffectRecord::decode(payload) {
-            Ok(r) => r,
-            Err(e) => panic!("checksummed record must decode ({e:?}) — log format version skew"),
-        };
-        by_ts.insert(r.ts.0, r);
-    }
+    let by_ts: BTreeMap<u64, EffectRecord> = records.into_iter().map(|r| (r.ts.0, r)).collect();
     rec.duplicates = rec.records - by_ts.len() as u64;
     let mut committed: Vec<Ts> = Vec::new();
     let mut max_ts = 0u64;
@@ -1080,7 +1134,7 @@ fn replay_shard(
             shard.now().ps(),
         ));
     }
-    (rec, committed, max_ts)
+    Ok((rec, committed, max_ts))
 }
 
 #[cfg(test)]

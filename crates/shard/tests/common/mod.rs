@@ -38,17 +38,38 @@ pub fn assert_sanitized_clean(san: &Option<Arc<ShadowSanitizer>>, label: &str) {
     }
 }
 
-/// Compares one table's committed bytes (data region — the caller
-/// defragments both sides first so every committed version is folded
-/// in) between a shard and the rows of the unpartitioned reference that
-/// shard holds, timestamp-encoded columns included.
 /// Builds an unpartitioned reference holding *exactly* the `committed`
-/// subset of the routed stream — the byte-identity oracle for crash
-/// recovery. The i-th generated transaction carries pinned timestamp
-/// `i + 1` (the router stamps stream order), so each committed
-/// timestamp selects its transaction from the regenerated batch and
-/// executes at the original pin; everything a crash lost is simply
-/// never run.
+/// subset of an admitted stream — the byte-identity oracle for crash
+/// recovery. `admitted[k]` is the position, in the stream the seeded
+/// generator produces, of the transaction pinned at timestamp `k + 1`
+/// (admission stamps contiguous timestamps; a rejected arrival still
+/// consumes a generator draw). Each committed timestamp selects its
+/// transaction from the regenerated stream and executes at the
+/// original pin; everything a crash lost is simply never run.
+#[allow(dead_code)]
+pub fn reference_holding_admitted(
+    cfg: &pushtap_shard::ShardConfig,
+    mix: pushtap_chbench::RemoteMix,
+    seed: u64,
+    admitted: &[u64],
+    committed: &[pushtap_mvcc::Ts],
+) -> Pushtap {
+    let mut reference = Pushtap::new(cfg.base.clone()).expect("build reference");
+    let warehouses = reference.db().warehouses_global();
+    let mut gen = reference.txn_gen(seed).with_remote_mix(mix, warehouses);
+    let drawn = admitted.iter().max().map_or(0, |&last| last as usize + 1);
+    let stream = gen.batch(drawn);
+    for &ts in committed {
+        let k = usize::try_from(ts.0).expect("ts fits usize") - 1;
+        reference.execute_txn_at(&stream[admitted[k] as usize], ts);
+    }
+    reference.defragment_all();
+    reference
+}
+
+/// [`reference_holding_admitted`] for a closed-loop batch of `txns`
+/// transactions, where nothing is rejected: the i-th generated
+/// transaction carries pinned timestamp `i + 1`.
 #[allow(dead_code)]
 pub fn reference_holding(
     cfg: &pushtap_shard::ShardConfig,
@@ -57,18 +78,14 @@ pub fn reference_holding(
     txns: u64,
     committed: &[pushtap_mvcc::Ts],
 ) -> Pushtap {
-    let mut reference = Pushtap::new(cfg.base.clone()).expect("build reference");
-    let warehouses = reference.db().warehouses_global();
-    let mut gen = reference.txn_gen(seed).with_remote_mix(mix, warehouses);
-    let batch = gen.batch(txns as usize);
-    for &ts in committed {
-        let idx = usize::try_from(ts.0).expect("ts fits usize") - 1;
-        reference.execute_txn_at(&batch[idx], ts);
-    }
-    reference.defragment_all();
-    reference
+    let admitted: Vec<u64> = (0..txns).collect();
+    reference_holding_admitted(cfg, mix, seed, &admitted, committed)
 }
 
+/// Compares one table's committed bytes (data region — the caller
+/// defragments both sides first so every committed version is folded
+/// in) between a shard and the rows of the unpartitioned reference that
+/// shard holds, timestamp-encoded columns included.
 #[allow(dead_code)]
 pub fn assert_table_bytes_match(shard: &Pushtap, reference: &Pushtap, table: Table, label: &str) {
     let db = shard.db();

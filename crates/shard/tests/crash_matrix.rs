@@ -2,13 +2,12 @@
 //! point of the commit protocol, recover from nothing but the forced
 //! log bytes, and the recovered committed state is **byte-identical**
 //! to an untouched reference that executed exactly the recovered
-//! committed transactions — at every shard count, under both
-//! coordinator modes, with and without delta pressure.
+//! committed transactions — at every shard count, with and without
+//! delta pressure.
 //!
-//! The deterministic matrix enumerates every [`CrashSite`] against both
-//! coordinator modes; the proptest then draws arbitrary kill points
-//! (site × event × seed × mix × shards × pressure) and re-proves the
-//! identity. Both also check the recovery hygiene obligations: no
+//! The deterministic matrix enumerates every [`CrashSite`]; the
+//! proptest then draws arbitrary kill points (site × event × seed × mix
+//! × shards × pressure) and re-proves the identity. Both also check the recovery hygiene obligations: no
 //! prepared scope, no prepared versions, no leaked delta slots, a
 //! watermark past every durable timestamp, and a recovered deployment
 //! that keeps accepting batches.
@@ -18,26 +17,20 @@ mod common;
 use proptest::prelude::*;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_shard::{
-    CoordinatorMode, CrashPoint, CrashSite, RecoveryReport, ShardConfig, ShardedHtap,
+    CrashPoint, CrashSite, RecoverError, RecoveryReport, ShardConfig, ShardedHtap, WalBytes,
 };
+use pushtap_wal::Wal;
 
 const SEED: u64 = 2025;
 const TXNS: u64 = 64;
 
 /// Arena knobs from `tests/delta_pressure.rs`: every transaction class
 /// aborts at least once, so crash points land amid `DeltaFull` retries.
-fn squeezed(shards: u32, mode: CoordinatorMode) -> ShardConfig {
-    let mut cfg = ShardConfig::small(shards).with_mode(mode);
+fn squeezed(shards: u32) -> ShardConfig {
+    let mut cfg = ShardConfig::small(shards);
     cfg.base.db.delta_frac = 0.06;
     cfg.base.db.min_delta_rows = 8;
     cfg
-}
-
-fn mode_name(mode: CoordinatorMode) -> &'static str {
-    match mode {
-        CoordinatorMode::Serial => "serial",
-        CoordinatorMode::Pipelined => "pipelined",
-    }
 }
 
 /// Runs one armed batch to its crash (or completion), kills the
@@ -50,7 +43,7 @@ fn mode_name(mode: CoordinatorMode) -> &'static str {
 /// committed timestamp, and a post-recovery batch that commits.
 ///
 /// Returns the recovery report and whether the armed crash fired (an
-/// `event` past the batch's last wave / 2PC never fires — the batch
+/// `event` past the batch's last wave never fires — the batch
 /// just completes, and recovery must then reproduce *all* of it).
 fn crash_and_recover(
     cfg: ShardConfig,
@@ -162,104 +155,133 @@ fn crash_and_recover(
     (rec, crashed)
 }
 
-/// The deterministic kill-point matrix: every [`CrashSite`] × both
-/// coordinator modes, killed at the second wave / second cross-shard
-/// two-phase commit of a cross-heavy batch. Every cell crashes, every
-/// cell recovers byte-identically — and the serial cells additionally
-/// pin down the decision-log shape each site must leave behind
-/// (presumed abort before the decision is durable, commit after).
+/// The deterministic kill-point matrix: every [`CrashSite`], killed at
+/// the second wave of a cross-heavy batch. Every cell crashes, every
+/// cell recovers byte-identically — and the decision-log shape each
+/// site must leave behind is pinned (presumed abort before the
+/// decision is durable, commit after).
 #[test]
-fn every_site_and_mode_recovers_byte_identically() {
-    for mode in [CoordinatorMode::Serial, CoordinatorMode::Pipelined] {
-        for site in CrashSite::ALL {
-            let label = format!("{} {site:?}", mode_name(mode));
-            let point = CrashPoint { site, event: 2 };
-            let cfg = ShardConfig::small(4).with_mode(mode);
-            let (rec, crashed) =
-                crash_and_recover(cfg, RemoteMix::Uniform, SEED, TXNS, point, &label);
-            assert!(crashed, "{label}: a uniform batch has a second event");
-            if mode == CoordinatorMode::Serial {
-                // Serial events *are* cross-shard 2PCs, ample arenas make
-                // every vote yes, and exactly one decision precedes the
-                // target — so each site's durable image is fully pinned.
-                match site {
-                    CrashSite::BetweenVoteAndDecision => {
-                        assert_eq!(rec.decisions, 1, "{label}: only the first 2PC decided");
-                        assert!(
-                            rec.skipped() >= 2,
-                            "{label}: the undecided prepare must be presumed abort"
-                        );
-                    }
-                    CrashSite::MidDecisionLogWrite => {
-                        assert_eq!(rec.decisions, 1, "{label}: the torn entry must not count");
-                        assert!(
-                            rec.decision_truncated > 0,
-                            "{label}: the tear must leave truncated bytes"
-                        );
-                        assert!(
-                            rec.skipped() >= 2,
-                            "{label}: a torn decision is no decision"
-                        );
-                    }
-                    CrashSite::AfterDecision => {
-                        assert_eq!(rec.decisions, 2, "{label}: both decisions durable");
-                        assert_eq!(
-                            rec.skipped(),
-                            0,
-                            "{label}: every durable prepare was decided"
-                        );
-                    }
-                    _ => {}
-                }
+fn every_site_recovers_byte_identically() {
+    // What an uncrashed prefix of exactly one wave leaves in the
+    // decision log: the baseline the per-site shapes are read against.
+    let (first_wave, _) = crash_and_recover(
+        ShardConfig::small(4),
+        RemoteMix::Uniform,
+        SEED,
+        TXNS,
+        CrashPoint {
+            site: CrashSite::BeforePrepare,
+            event: 2,
+        },
+        "BeforePrepare baseline",
+    );
+    assert!(
+        first_wave.decisions > 0,
+        "wave 1 of a uniform batch crosses"
+    );
+    for site in CrashSite::ALL {
+        let label = format!("{site:?}");
+        let point = CrashPoint { site, event: 2 };
+        let (rec, crashed) = crash_and_recover(
+            ShardConfig::small(4),
+            RemoteMix::Uniform,
+            SEED,
+            TXNS,
+            point,
+            &label,
+        );
+        assert!(crashed, "{label}: a uniform batch has a second wave");
+        // Ample arenas make every vote yes, so each site's durable
+        // image is fully pinned by how far wave 2 got.
+        match site {
+            CrashSite::BeforePrepare | CrashSite::AfterPrepare => {
+                assert_eq!(rec.decisions, first_wave.decisions, "{label}");
+                assert_eq!(rec.skipped(), 0, "{label}: wave 2 left no records");
+                assert_eq!(rec.committed, first_wave.committed, "{label}");
+            }
+            CrashSite::MidEffectFlush => {
+                assert_eq!(rec.decisions, first_wave.decisions, "{label}");
+                assert!(
+                    rec.per_shard.iter().any(|s| s.torn),
+                    "{label}: the last involved shard's force must tear"
+                );
+            }
+            CrashSite::BetweenVoteAndDecision => {
+                assert_eq!(
+                    rec.decisions, first_wave.decisions,
+                    "{label}: only the first wave decided"
+                );
+                assert!(
+                    rec.skipped() >= 2,
+                    "{label}: the undecided prepares must be presumed abort"
+                );
+            }
+            CrashSite::MidDecisionLogWrite => {
+                assert!(
+                    rec.decisions >= first_wave.decisions,
+                    "{label}: wave 1's decisions precede the tear"
+                );
+                assert!(
+                    rec.skipped() >= 2,
+                    "{label}: a torn decision is no decision"
+                );
+            }
+            CrashSite::AfterDecision => {
+                assert!(
+                    rec.decisions > first_wave.decisions,
+                    "{label}: both waves' decisions durable"
+                );
+                assert_eq!(
+                    rec.skipped(),
+                    0,
+                    "{label}: every durable prepare was decided"
+                );
+                assert!(rec.committed.len() > first_wave.committed.len(), "{label}");
             }
         }
     }
 }
 
-/// A mid-flush kill at every shard count under delta pressure, both
-/// modes: the torn log truncates to whole records, replay re-runs the
-/// same defragment-and-retry loop live execution used, and the bytes
-/// still match. (At one shard the serial coordinator has no cross-shard
-/// 2PC to crash in — the batch completes and recovery reproduces it
-/// whole, which the helper asserts.)
+/// A mid-flush kill at every shard count under delta pressure: the torn
+/// log truncates to whole records, replay re-runs the same
+/// defragment-and-retry loop live execution used, and the bytes still
+/// match. Retried casualties of wave 1 consume no event number, so the
+/// kill still lands in wave 2.
 #[test]
 fn mid_flush_recovers_at_every_shard_count_under_pressure() {
     for shards in [1u32, 2, 4, 8] {
-        for mode in [CoordinatorMode::Serial, CoordinatorMode::Pipelined] {
-            let label = format!("squeezed {} at {shards} shards", mode_name(mode));
-            let point = CrashPoint {
-                site: CrashSite::MidEffectFlush,
-                event: 2,
-            };
-            crash_and_recover(
-                squeezed(shards, mode),
-                RemoteMix::TPCC,
-                SEED,
-                TXNS,
-                point,
-                &label,
-            );
-        }
+        let label = format!("squeezed at {shards} shards");
+        let point = CrashPoint {
+            site: CrashSite::MidEffectFlush,
+            event: 2,
+        };
+        let (_, crashed) =
+            crash_and_recover(squeezed(shards), RemoteMix::TPCC, SEED, TXNS, point, &label);
+        assert!(crashed, "{label}: a {TXNS}-txn batch has a second wave");
     }
 }
 
-/// An `event` past the batch's last wave / 2PC never fires: the batch
+/// An `event` past the batch's last wave never fires: the batch
 /// completes, the service stays alive, and the durable image recovers
 /// the *entire* committed stream.
 #[test]
 fn crash_past_the_batch_never_fires_and_recovers_everything() {
-    for mode in [CoordinatorMode::Serial, CoordinatorMode::Pipelined] {
-        let label = format!("{} past-the-end", mode_name(mode));
-        let point = CrashPoint {
-            site: CrashSite::AfterDecision,
-            event: 1_000_000,
-        };
-        let cfg = ShardConfig::small(4).with_mode(mode);
-        let (rec, crashed) = crash_and_recover(cfg, RemoteMix::Uniform, SEED, TXNS, point, &label);
-        assert!(!crashed, "{label}: the crash must never fire");
-        assert_eq!(rec.committed.len() as u64, TXNS, "{label}");
-        assert_eq!(rec.skipped(), 0, "{label}: everything was decided");
-    }
+    let label = "past-the-end";
+    let point = CrashPoint {
+        site: CrashSite::AfterDecision,
+        event: 1_000_000,
+    };
+    let (rec, crashed) = crash_and_recover(
+        ShardConfig::small(4),
+        RemoteMix::Uniform,
+        SEED,
+        TXNS,
+        point,
+        label,
+    );
+    assert!(!crashed, "{label}: the crash must never fire");
+    assert_eq!(rec.committed.len() as u64, TXNS, "{label}");
+    assert_eq!(rec.skipped(), 0, "{label}: everything was decided");
 }
 
 /// The checkpoint obligation: after a completed batch, compacting the
@@ -269,138 +291,229 @@ fn crash_past_the_batch_never_fires_and_recovers_everything() {
 /// unchanged pipeline), and (3) keep the crash guarantee alive: a kill
 /// in the *next* batch recovers from compacted-batch-1 + torn-batch-2
 /// bytes to the same state as an untouched reference executing the
-/// recovered committed stream across both batches. Both coordinator
-/// modes, two shard counts.
+/// recovered committed stream across both batches. Two shard counts.
 #[test]
 fn checkpoint_then_crash_recovers_byte_identically() {
     for shards in [2u32, 4] {
-        for mode in [CoordinatorMode::Serial, CoordinatorMode::Pipelined] {
-            let label = format!("checkpoint {} at {shards} shards", mode_name(mode));
-            let cfg = ShardConfig::small(shards).with_mode(mode);
-            let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
-            let san = common::maybe_sanitize(&mut service);
-            let handles = service.enable_wal();
-            let warehouses = service.map().warehouses();
-            let mut gen = service
-                .global_txn_gen(SEED)
-                .with_remote_mix(RemoteMix::Uniform, warehouses);
-            let first = service.run_txns(&mut gen, TXNS);
-            assert_eq!(first.committed(), TXNS, "{label}: batch 1 completes");
+        let label = format!("checkpoint at {shards} shards");
+        let cfg = ShardConfig::small(shards);
+        let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
+        let san = common::maybe_sanitize(&mut service);
+        let handles = service.enable_wal();
+        let warehouses = service.map().warehouses();
+        let mut gen = service
+            .global_txn_gen(SEED)
+            .with_remote_mix(RemoteMix::Uniform, warehouses);
+        let first = service.run_txns(&mut gen, TXNS);
+        assert_eq!(first.committed(), TXNS, "{label}: batch 1 completes");
 
-            let full = handles.harvest();
-            let ckpt = service.checkpoint();
-            assert_eq!(ckpt.cut.0, TXNS, "{label}: the cut is the watermark");
-            assert!(
-                ckpt.bytes_reclaimed() > 0,
-                "{label}: a checkpoint over {TXNS} txns must reclaim bytes"
-            );
-            assert_eq!(
-                ckpt.decisions.records_kept, 0,
-                "{label}: compacted records need no decisions — the log empties"
-            );
-            let compacted = handles.harvest();
-            let size = |img: &pushtap_shard::WalBytes| {
-                img.decisions.len() + img.shards.iter().map(Vec::len).sum::<usize>()
-            };
-            assert!(
-                size(&compacted) < size(&full),
-                "{label}: the durable image must shrink"
-            );
+        let full = handles.harvest();
+        let ckpt = service.checkpoint();
+        assert_eq!(ckpt.cut.0, TXNS, "{label}: the cut is the watermark");
+        assert!(
+            ckpt.bytes_reclaimed() > 0,
+            "{label}: a checkpoint over {TXNS} txns must reclaim bytes"
+        );
+        assert_eq!(
+            ckpt.decisions.records_kept, 0,
+            "{label}: compacted records need no decisions — the log empties"
+        );
+        let compacted = handles.harvest();
+        let size = |img: &pushtap_shard::WalBytes| {
+            img.decisions.len() + img.shards.iter().map(Vec::len).sum::<usize>()
+        };
+        assert!(
+            size(&compacted) < size(&full),
+            "{label}: the durable image must shrink"
+        );
 
-            // Obligation (2): the compacted image alone replays batch 1
-            // in full, byte-identically, with nothing presumed-abort.
-            let (mut ck, ckrec) =
-                ShardedHtap::recover(cfg.clone(), &compacted).expect("recover from checkpoint");
-            assert_eq!(
-                ckrec.committed.len() as u64,
-                TXNS,
-                "{label}: every committed txn survives compaction"
-            );
-            assert_eq!(
-                ckrec.skipped(),
-                0,
-                "{label}: compacted records are decision-free"
-            );
-            ck.defragment_all();
-            let reference = common::reference_holding(
-                ck.cfg(),
-                RemoteMix::Uniform,
-                SEED,
-                TXNS,
-                &ckrec.committed,
-            );
-            for (i, shard) in ck.shards().iter().enumerate() {
-                for table in ALL_TABLES {
-                    common::assert_table_bytes_match(
-                        shard,
-                        &reference,
-                        table,
-                        &format!("{label}: compacted-only shard {i}"),
-                    );
-                }
-            }
-            drop(ck);
-
-            // Obligation (3): crash mid-batch-2 and recover from the
-            // compacted prefix plus the torn second-batch records.
-            service.arm_crash(CrashPoint {
-                site: CrashSite::MidEffectFlush,
-                event: 2,
-            });
-            let second = service.run_txns(&mut gen, TXNS);
-            assert!(service.crashed(), "{label}: batch 2 must hit the kill");
-            assert!(second.coord.crashed, "{label}: report agrees");
-            common::assert_sanitized_clean(&san, &label);
-            let image = handles.harvest();
-            drop(service);
-
-            let (mut recovered, rec) = ShardedHtap::recover(cfg, &image).expect("recover");
-            for (i, s) in rec.per_shard.iter().enumerate() {
-                assert_eq!(
-                    s.replayed + s.skipped + s.duplicates,
-                    s.records,
-                    "{label}: shard {i} scan handed out a partial record"
+        // Obligation (2): the compacted image alone replays batch 1
+        // in full, byte-identically, with nothing presumed-abort.
+        let (mut ck, ckrec) =
+            ShardedHtap::recover(cfg.clone(), &compacted).expect("recover from checkpoint");
+        assert_eq!(
+            ckrec.committed.len() as u64,
+            TXNS,
+            "{label}: every committed txn survives compaction"
+        );
+        assert_eq!(
+            ckrec.skipped(),
+            0,
+            "{label}: compacted records are decision-free"
+        );
+        ck.defragment_all();
+        let reference =
+            common::reference_holding(ck.cfg(), RemoteMix::Uniform, SEED, TXNS, &ckrec.committed);
+        for (i, shard) in ck.shards().iter().enumerate() {
+            for table in ALL_TABLES {
+                common::assert_table_bytes_match(
+                    shard,
+                    &reference,
+                    table,
+                    &format!("{label}: compacted-only shard {i}"),
                 );
             }
-            assert!(
-                rec.committed.len() as u64 >= TXNS,
-                "{label}: the checkpointed batch must recover whole"
-            );
-            recovered.defragment_all();
-            for (i, shard) in recovered.shards().iter().enumerate() {
-                assert_eq!(
-                    shard.db().live_delta_rows(),
-                    0,
-                    "{label}: shard {i} leaked delta slots"
-                );
-            }
-            // Batches 1 and 2 drew from one continuous generator, so the
-            // untouched reference replays the concatenated stream.
-            let reference = common::reference_holding(
-                recovered.cfg(),
-                RemoteMix::Uniform,
-                SEED,
-                2 * TXNS,
-                &rec.committed,
-            );
-            for (i, shard) in recovered.shards().iter().enumerate() {
-                for table in ALL_TABLES {
-                    common::assert_table_bytes_match(
-                        shard,
-                        &reference,
-                        table,
-                        &format!("{label}: shard {i}"),
-                    );
-                }
-            }
-            // Liveness after the full cycle.
-            let mut gen = recovered
-                .global_txn_gen(SEED ^ 0x5eed)
-                .with_remote_mix(RemoteMix::Uniform, warehouses);
-            let post = recovered.run_txns(&mut gen, 16);
-            assert_eq!(post.committed(), 16, "{label}: recovered and live");
         }
+        drop(ck);
+
+        // Obligation (3): crash mid-batch-2 and recover from the
+        // compacted prefix plus the torn second-batch records.
+        service.arm_crash(CrashPoint {
+            site: CrashSite::MidEffectFlush,
+            event: 2,
+        });
+        let second = service.run_txns(&mut gen, TXNS);
+        assert!(service.crashed(), "{label}: batch 2 must hit the kill");
+        assert!(second.coord.crashed, "{label}: report agrees");
+        common::assert_sanitized_clean(&san, &label);
+        let image = handles.harvest();
+        drop(service);
+
+        let (mut recovered, rec) = ShardedHtap::recover(cfg, &image).expect("recover");
+        for (i, s) in rec.per_shard.iter().enumerate() {
+            assert_eq!(
+                s.replayed + s.skipped + s.duplicates,
+                s.records,
+                "{label}: shard {i} scan handed out a partial record"
+            );
+        }
+        assert!(
+            rec.committed.len() as u64 >= TXNS,
+            "{label}: the checkpointed batch must recover whole"
+        );
+        recovered.defragment_all();
+        for (i, shard) in recovered.shards().iter().enumerate() {
+            assert_eq!(
+                shard.db().live_delta_rows(),
+                0,
+                "{label}: shard {i} leaked delta slots"
+            );
+        }
+        // Batches 1 and 2 drew from one continuous generator, so the
+        // untouched reference replays the concatenated stream.
+        let reference = common::reference_holding(
+            recovered.cfg(),
+            RemoteMix::Uniform,
+            SEED,
+            2 * TXNS,
+            &rec.committed,
+        );
+        for (i, shard) in recovered.shards().iter().enumerate() {
+            for table in ALL_TABLES {
+                common::assert_table_bytes_match(
+                    shard,
+                    &reference,
+                    table,
+                    &format!("{label}: shard {i}"),
+                );
+            }
+        }
+        // Liveness after the full cycle.
+        let mut gen = recovered
+            .global_txn_gen(SEED ^ 0x5eed)
+            .with_remote_mix(RemoteMix::Uniform, warehouses);
+        let post = recovered.run_txns(&mut gen, 16);
+        assert_eq!(post.committed(), 16, "{label}: recovered and live");
     }
+}
+
+/// A frame whose checksum holds but whose payload is not a record this
+/// version wrote: the scan cannot truncate it away (the bytes are
+/// intact), so recovery must refuse it — as a typed error naming the
+/// log and the record, not a panic. Same for a log set of the wrong
+/// shard count.
+#[test]
+fn foreign_log_bytes_are_typed_errors_not_panics() {
+    let framed = |payload: &[u8]| {
+        let (mut wal, log) = Wal::in_memory();
+        wal.append(payload);
+        wal.force();
+        log.bytes()
+    };
+    let cfg = ShardConfig::small(2);
+    let garbage = framed(b"\xffnot an effect record");
+    let err = ShardedHtap::recover(
+        cfg.clone(),
+        &WalBytes {
+            shards: vec![Vec::new(), garbage],
+            decisions: Vec::new(),
+        },
+    )
+    .expect_err("an undecodable effect record must fail recovery");
+    assert!(
+        matches!(
+            err,
+            RecoverError::Undecodable {
+                shard: Some(1),
+                record: 0,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    let err = ShardedHtap::recover(
+        cfg.clone(),
+        &WalBytes {
+            shards: vec![Vec::new(), Vec::new()],
+            decisions: framed(&[1, 2, 3]),
+        },
+    )
+    .expect_err("a 3-byte decision entry must fail recovery");
+    assert!(
+        matches!(
+            err,
+            RecoverError::Undecodable {
+                shard: None,
+                record: 0,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    let err = ShardedHtap::recover(
+        cfg,
+        &WalBytes {
+            shards: vec![Vec::new(); 3],
+            decisions: Vec::new(),
+        },
+    )
+    .expect_err("three log images cannot recover a two-shard deployment");
+    assert_eq!(
+        err,
+        RecoverError::ShardCount {
+            expected: 2,
+            found: 3
+        }
+    );
+}
+
+/// The same foreign record met by a checkpoint of a live, file-backed
+/// deployment: `try_checkpoint` reports it instead of panicking.
+#[test]
+fn checkpoint_over_a_foreign_record_is_a_typed_error() {
+    use std::io::Write as _;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("foreign-record-checkpoint");
+    std::fs::create_dir_all(&dir).expect("create log dir");
+    let cfg = ShardConfig::small(2);
+    let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
+    service.enable_wal_files(&dir).expect("open log files");
+    let mut gen = service.global_txn_gen(SEED);
+    assert_eq!(service.run_txns(&mut gen, 16).committed(), 16);
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("shard-1.wal"))
+        .and_then(|mut f| f.write_all(&pushtap_wal::frame(b"\xffnot an effect record")))
+        .expect("append a foreign frame");
+    let err = service
+        .try_checkpoint()
+        .expect_err("the foreign record must fail the checkpoint");
+    assert!(
+        matches!(err, RecoverError::Undecodable { shard: Some(1), .. }),
+        "{err}"
+    );
+    // Recovery sees the same bytes and refuses them the same way.
+    let image = WalBytes::read_dir(&dir, 2).expect("read log files");
+    assert_eq!(ShardedHtap::recover(cfg, &image).map(|_| ()), Err(err));
 }
 
 /// A crashed service is dead: it refuses further batches, exactly like
@@ -428,8 +541,8 @@ proptest! {
 
     /// The headline property: kill the deployment at an *arbitrary*
     /// protocol point — any site, any event, any seed, any remote mix,
-    /// 1/2/4/8 shards, either coordinator mode, with or without delta
-    /// pressure — recover from the forced bytes alone, and the
+    /// 1/2/4/8 shards, with or without delta pressure — recover from
+    /// the forced bytes alone, and the
     /// committed state is byte-identical to the untouched reference,
     /// with zero leaked slots and zero prepared versions.
     #[test]
@@ -438,17 +551,11 @@ proptest! {
         txns in 40u64..=72,
         site_pick in 0u8..6,
         event in 1u64..=5,
-        mode_pick in 0u8..2,
         shard_pick in 0u8..4,
         mix_pick in 0u8..3,
         pressured in 0u8..2,
     ) {
         let site = CrashSite::ALL[site_pick as usize];
-        let mode = if mode_pick == 0 {
-            CoordinatorMode::Serial
-        } else {
-            CoordinatorMode::Pipelined
-        };
         let shards = [1u32, 2, 4, 8][shard_pick as usize];
         let mix = match mix_pick {
             0 => RemoteMix::LOCAL,
@@ -456,13 +563,12 @@ proptest! {
             _ => RemoteMix::Uniform,
         };
         let cfg = if pressured == 1 {
-            squeezed(shards, mode)
+            squeezed(shards)
         } else {
-            ShardConfig::small(shards).with_mode(mode)
+            ShardConfig::small(shards)
         };
         let label = format!(
-            "proptest {} {site:?} event {event} at {shards} shards (seed {seed}, mix {mix_pick}, pressure {pressured})",
-            mode_name(mode),
+            "proptest {site:?} event {event} at {shards} shards (seed {seed}, mix {mix_pick}, pressure {pressured})",
         );
         crash_and_recover(cfg, mix, seed, txns, CrashPoint { site, event }, &label);
     }

@@ -5,7 +5,7 @@
 //!    mid-batch (tiny maintenance period, so the GC-first policy fires
 //!    constantly) commits byte-identical state to an untouched
 //!    unpartitioned reference that never collected — at 1/2/4 shards,
-//!    under every remote mix, both coordinator modes.
+//!    under every remote mix.
 //! 2. **Pinned snapshots**: a long-lived snapshot pin keeps its cut
 //!    readable across arbitrarily many GC passes — the historical
 //!    answer is exactly the answer the cut gave when it was fresh — and
@@ -17,24 +17,17 @@ use proptest::prelude::*;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_mvcc::Ts;
 use pushtap_olap::Query;
-use pushtap_shard::{CoordinatorMode, ShardConfig, ShardedHtap};
+use pushtap_shard::{ShardConfig, ShardedHtap};
 
 const SEED: u64 = 2025;
 const TXNS: u64 = 96;
 
 /// Ample arenas, but a maintenance period so short the GC-first policy
 /// runs throughout the batch.
-fn collecting(shards: u32, mode: CoordinatorMode) -> ShardConfig {
-    let mut cfg = ShardConfig::small(shards).with_mode(mode);
+fn collecting(shards: u32) -> ShardConfig {
+    let mut cfg = ShardConfig::small(shards);
     cfg.base.defrag_period = 25;
     cfg
-}
-
-fn mode_name(mode: CoordinatorMode) -> &'static str {
-    match mode {
-        CoordinatorMode::Serial => "serial",
-        CoordinatorMode::Pipelined => "pipelined",
-    }
 }
 
 /// Runs one batch on a collecting deployment and proves byte identity
@@ -84,22 +77,20 @@ fn collect_and_compare(
 #[test]
 fn collected_batches_stay_byte_identical() {
     for shards in [1u32, 2, 4] {
-        for mode in [CoordinatorMode::Serial, CoordinatorMode::Pipelined] {
-            for (mix, mix_name) in [
-                (RemoteMix::LOCAL, "local"),
-                (RemoteMix::TPCC, "tpcc"),
-                (RemoteMix::Uniform, "uniform"),
-            ] {
-                let label = format!("gc {} {mix_name} at {shards} shards", mode_name(mode));
-                collect_and_compare(collecting(shards, mode), mix, SEED, TXNS, true, &label);
-            }
+        for (mix, mix_name) in [
+            (RemoteMix::LOCAL, "local"),
+            (RemoteMix::TPCC, "tpcc"),
+            (RemoteMix::Uniform, "uniform"),
+        ] {
+            let label = format!("gc {mix_name} at {shards} shards");
+            collect_and_compare(collecting(shards), mix, SEED, TXNS, true, &label);
         }
     }
 }
 
 #[test]
 fn pinned_snapshot_reads_its_exact_cut_across_gc() {
-    let mut service = ShardedHtap::new(collecting(2, CoordinatorMode::Pipelined)).expect("build");
+    let mut service = ShardedHtap::new(collecting(2)).expect("build");
     let san = common::maybe_sanitize(&mut service);
     let warehouses = service.map().warehouses();
     let mut gen = service
@@ -152,7 +143,7 @@ fn pinned_snapshot_reads_its_exact_cut_across_gc() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Arbitrary seed, mix, shard count, mode, and maintenance period:
+    /// Arbitrary seed, mix, shard count, and maintenance period:
     /// the collected deployment's bytes always equal the
     /// never-collecting reference's.
     #[test]
@@ -160,26 +151,19 @@ proptest! {
         seed in 1u64..=1000,
         txns in 40u64..=80,
         period in 10u64..=40,
-        mode_pick in 0u8..2,
         shard_pick in 0u8..3,
         mix_pick in 0u8..3,
     ) {
-        let mode = if mode_pick == 0 {
-            CoordinatorMode::Serial
-        } else {
-            CoordinatorMode::Pipelined
-        };
         let shards = [1u32, 2, 4][shard_pick as usize];
         let mix = match mix_pick {
             0 => RemoteMix::LOCAL,
             1 => RemoteMix::TPCC,
             _ => RemoteMix::Uniform,
         };
-        let mut cfg = ShardConfig::small(shards).with_mode(mode);
+        let mut cfg = ShardConfig::small(shards);
         cfg.base.defrag_period = period;
         let label = format!(
-            "proptest gc {} at {shards} shards (seed {seed}, mix {mix_pick}, period {period})",
-            mode_name(mode),
+            "proptest gc at {shards} shards (seed {seed}, mix {mix_pick}, period {period})",
         );
         // Small draws at high shard counts may never trip the per-shard
         // period — identity must hold either way, so collection is not

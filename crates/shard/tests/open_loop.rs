@@ -1,14 +1,14 @@
 //! The open-loop front-end's acceptance properties:
 //!
-//! * **Incremental == batch**: the sliding-window [`WaveScheduler`]
-//!   behind [`ShardedHtap::run_open_loop`] commits **byte-identical**
-//!   state to the batch pipelined coordinator and the unpartitioned
-//!   reference — at every swept window size, shard count and remote
-//!   mix. Committed bytes are a pure function of the admitted stream;
-//!   when the window closes early the scheduler may split what batch
-//!   `build_waves` would co-schedule, but conflicting transactions
-//!   still dispatch in timestamp order, so per-row commit order is
-//!   unchanged.
+//! * **Open loop == closed loop**: [`ShardedHtap::run_open_loop`]
+//!   with a bounded [`WaveScheduler`] window commits **byte-identical**
+//!   state to a closed-loop `run_txns` over the same stream and to the
+//!   unpartitioned reference — at every swept window size, shard count
+//!   and remote mix. Committed bytes are a pure function of the
+//!   admitted stream; when the window closes early the scheduler may
+//!   split what an unbounded window would co-schedule, but conflicting
+//!   transactions still dispatch in timestamp order, so per-row commit
+//!   order is unchanged.
 //! * **Admission control**: a bounded inbox rejects (counted, never
 //!   silently dropped) exactly when occupancy is at the bound; the
 //!   admitted substream commits byte-identically to a reference
@@ -23,12 +23,10 @@ mod common;
 
 use proptest::prelude::*;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
-use pushtap_core::Pushtap;
 use pushtap_format::RowSlot;
 use pushtap_pim::Ps;
 use pushtap_shard::{
-    ArrivalConfig, ArrivalGen, CoordinatorMode, OpenLoopConfig, OpenLoopReport, ShardConfig,
-    ShardedHtap,
+    ArrivalConfig, ArrivalGen, OpenLoopConfig, OpenLoopReport, ShardConfig, ShardedHtap,
 };
 
 const SEED: u64 = 2025;
@@ -90,22 +88,6 @@ fn run_open(
     (service, report)
 }
 
-/// Builds the unpartitioned reference executing exactly the admitted
-/// arrivals (`admitted_index` into the regenerated arrival stream) at
-/// their pinned timestamps.
-fn reference_of_admitted(mix: RemoteMix, seed: u64, txns: u64, report: &OpenLoopReport) -> Pushtap {
-    let cfg = ShardConfig::small(1).with_mode(CoordinatorMode::Pipelined);
-    let mut reference = Pushtap::new(cfg.base.clone()).expect("build reference");
-    let warehouses = reference.db().warehouses_global();
-    let mut gen = reference.txn_gen(seed).with_remote_mix(mix, warehouses);
-    let batch = gen.batch(txns as usize);
-    for (ts, &idx) in report.committed_ts.iter().zip(&report.admitted_index) {
-        reference.execute_txn_at(&batch[idx as usize], *ts);
-    }
-    reference.defragment_all();
-    reference
-}
-
 /// Byte-compares every table of every shard between two deployments of
 /// the same shard count (both defragmented by the caller).
 fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
@@ -131,15 +113,15 @@ fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
 
 /// The headline identity: with an unbounded inbox every arrival is
 /// admitted, so the open-loop run must commit byte-identical state to
-/// the batch pipelined coordinator over the same stream — and to the
-/// unpartitioned reference — at every window × shard count × mix.
+/// a closed-loop run over the same stream — and to the unpartitioned
+/// reference — at every window × shard count × mix.
 #[test]
 fn incremental_waves_match_batch_and_reference() {
     for mix in [RemoteMix::LOCAL, RemoteMix::TPCC, RemoteMix::Uniform] {
         for shards in [1u32, 2, 4, 8] {
             // One batch service + one unpartitioned reference per
             // (mix, shards), shared across the window sweep.
-            let cfg = ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined);
+            let cfg = ShardConfig::small(shards);
             let mut batch_service = ShardedHtap::new(cfg.clone()).expect("build shards");
             let warehouses = batch_service.map().warehouses();
             let mut gen = batch_service
@@ -190,7 +172,7 @@ fn incremental_waves_match_batch_and_reference() {
 /// exactly the admitted arrivals.
 #[test]
 fn bounded_inbox_rejects_and_admitted_stream_stays_identical() {
-    let cfg = ShardConfig::small(4).with_mode(CoordinatorMode::Pipelined);
+    let cfg = ShardConfig::small(4);
     // 4x the identity rate: arrivals land far faster than service.
     let arrivals = ArrivalConfig::poisson(4.0 * RATE_TPS);
     let open = OpenLoopConfig::new(4, 8);
@@ -216,7 +198,15 @@ fn bounded_inbox_rejects_and_admitted_stream_stays_identical() {
         "inbox depth {} exceeded its bound",
         report.inbox_depth.max()
     );
-    let reference = reference_of_admitted(RemoteMix::TPCC, SEED, TXNS, &report);
+    // The reference replays exactly the admitted arrivals at their
+    // pinned timestamps.
+    let reference = common::reference_holding_admitted(
+        service.cfg(),
+        RemoteMix::TPCC,
+        SEED,
+        &report.admitted_index,
+        &report.committed_ts,
+    );
     for (i, shard) in service.shards().iter().enumerate() {
         for table in ALL_TABLES {
             common::assert_table_bytes_match(
@@ -235,7 +225,7 @@ fn bounded_inbox_rejects_and_admitted_stream_stays_identical() {
 fn open_loop_is_deterministic_per_seed() {
     let run = || {
         run_open(
-            ShardConfig::small(2).with_mode(CoordinatorMode::Pipelined),
+            ShardConfig::small(2),
             RemoteMix::TPCC,
             SEED,
             TXNS,
@@ -262,7 +252,7 @@ fn open_loop_is_deterministic_per_seed() {
 #[test]
 fn laggard_votes_only_add_stall() {
     let run = |jitter: Ps| {
-        let mut cfg = ShardConfig::small(4).with_mode(CoordinatorMode::Pipelined);
+        let mut cfg = ShardConfig::small(4);
         cfg.commit.vote_jitter = jitter;
         let mut service = ShardedHtap::new(cfg).expect("build shards");
         let warehouses = service.map().warehouses();
@@ -310,7 +300,7 @@ proptest! {
         } else {
             ArrivalConfig::bursty(rate, burst, Ps::from_us(2.0))
         };
-        let cfg = ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined);
+        let cfg = ShardConfig::small(shards);
         let label = format!(
             "proptest seed {seed} rate x{rate_scale} burst {burst} inbox {inbox} window {window} {shards} shards"
         );
@@ -324,7 +314,13 @@ proptest! {
             &label,
         );
         prop_assert!(report.inbox_depth.max() <= inbox as u64);
-        let reference = reference_of_admitted(RemoteMix::TPCC, seed, txns, &report);
+        let reference = common::reference_holding_admitted(
+            service.cfg(),
+            RemoteMix::TPCC,
+            seed,
+            &report.admitted_index,
+            &report.committed_ts,
+        );
         for (i, shard) in service.shards().iter().enumerate() {
             for table in ALL_TABLES {
                 common::assert_table_bytes_match(

@@ -1,10 +1,9 @@
-//! The pipelined-coordinator acceptance property: conflict-aware wave
-//! scheduling commits **byte-identical** state to both the serial
-//! (barrier-flush) coordinator and the unpartitioned reference — at
-//! every shard count, under every remote mix, with and without delta
-//! pressure, including waves where participants abort on `DeltaFull`
-//! mid-flight — while strictly reducing barrier flushes and overlapping
-//! the two-phase commits of non-conflicting transactions.
+//! The wave coordinator's acceptance property: conflict-aware wave
+//! scheduling commits **byte-identical** state to the unpartitioned
+//! reference — at every shard count, under every remote mix, with and
+//! without delta pressure, including waves where participants abort on
+//! `DeltaFull` mid-flight and re-enter as waves of one — while
+//! overlapping the two-phase commits of non-conflicting transactions.
 //!
 //! Committed bytes are a pure function of the committed transaction
 //! stream: the wave scheduler orders conflicting transactions by pinned
@@ -18,8 +17,7 @@ mod common;
 use proptest::prelude::*;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_core::Pushtap;
-use pushtap_format::RowSlot;
-use pushtap_shard::{CoordinatorMode, ShardConfig, ShardedHtap};
+use pushtap_shard::{ShardConfig, ShardedHtap};
 
 const SEED: u64 = 2025;
 const TXNS: u64 = 120;
@@ -28,8 +26,8 @@ const TXNS: u64 = 120;
 /// tables get one-slot arenas so every transaction class aborts, while
 /// the smallest partitioned STOCK slice still fits one worst-case
 /// NewOrder after defragmentation.
-fn squeezed(shards: u32, mode: CoordinatorMode) -> ShardConfig {
-    let mut cfg = ShardConfig::small(shards).with_mode(mode);
+fn squeezed(shards: u32) -> ShardConfig {
+    let mut cfg = ShardConfig::small(shards);
     cfg.base.db.delta_frac = 0.06;
     cfg.base.db.min_delta_rows = 8;
     cfg
@@ -59,7 +57,7 @@ fn run_batch(
         .with_remote_mix(mix, warehouses);
     let report = service.run_txns(&mut gen, txns);
     assert_eq!(report.committed(), txns);
-    common::assert_sanitized_clean(&san, "pipelined batch");
+    common::assert_sanitized_clean(&san, "wave-scheduled batch");
     for (i, shard) in service.shards().iter().enumerate() {
         assert!(!shard.db().in_prepared_txn(), "shard {i} holds a scope");
         assert_eq!(shard.db().prepared_versions(), 0, "shard {i} prepared");
@@ -71,32 +69,9 @@ fn run_batch(
     (service, report)
 }
 
-/// Byte-compares every table of every shard between two deployments of
-/// the same shard count (both defragmented by the caller).
-fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
-    assert_eq!(a.shard_count(), b.shard_count());
-    for i in 0..a.shard_count() {
-        let da = a.shard(i).db();
-        let db = b.shard(i).db();
-        assert_eq!(da.last_ts(), db.last_ts(), "{label}: shard {i} watermark");
-        for table in ALL_TABLES {
-            let ta = da.table(table);
-            let tb = db.table(table);
-            assert_eq!(ta.n_rows(), tb.n_rows());
-            for row in 0..ta.n_rows() {
-                assert_eq!(
-                    ta.store().read_row(RowSlot::Data { row }),
-                    tb.store().read_row(RowSlot::Data { row }),
-                    "{label}: shard {i} {table:?} row {row} diverged"
-                );
-            }
-        }
-    }
-}
-
 fn reference(pressured: bool, mix: RemoteMix, seed: u64, txns: u64) -> Pushtap {
     let cfg = if pressured {
-        squeezed(1, CoordinatorMode::Serial)
+        squeezed(1)
     } else {
         ShardConfig::small(1)
     };
@@ -114,46 +89,46 @@ fn reference(pressured: bool, mix: RemoteMix, seed: u64, txns: u64) -> Pushtap {
     reference
 }
 
+/// Byte-compares every table of every shard against the reference.
+fn assert_matches_reference(service: &ShardedHtap, reference: &Pushtap, label: &str) {
+    for (i, shard) in service.shards().iter().enumerate() {
+        for table in ALL_TABLES {
+            common::assert_table_bytes_match(
+                shard,
+                reference,
+                table,
+                &format!("{label}: shard {i}"),
+            );
+        }
+    }
+}
+
 /// The tentpole invariant under delta pressure: at 2, 4, and 8 shards,
-/// under all three remote mixes, the pipelined coordinator's committed
-/// bytes equal the serial coordinator's and the unpartitioned
-/// reference's — with undersized arenas forcing aborts everywhere,
-/// including participants voting no mid-wave.
+/// under all three remote mixes, the committed bytes equal the
+/// unpartitioned reference's — with undersized arenas forcing aborts
+/// everywhere, including participants voting no mid-wave and every
+/// casualty retrying as a wave of one.
 #[test]
-fn pipelined_matches_serial_and_reference_under_pressure() {
+fn waves_match_reference_under_pressure() {
     for mix in [RemoteMix::LOCAL, RemoteMix::TPCC, RemoteMix::Uniform] {
         let reference = reference(true, mix, SEED, TXNS);
         for shards in [2u32, 4, 8] {
             let label = format!("{} mix at {shards} shards", mix_name(mix));
-            let (serial, rs) =
-                run_batch(squeezed(shards, CoordinatorMode::Serial), mix, SEED, TXNS);
-            let (pipelined, rp) = run_batch(
-                squeezed(shards, CoordinatorMode::Pipelined),
-                mix,
-                SEED,
-                TXNS,
+            let (service, report) = run_batch(squeezed(shards), mix, SEED, TXNS);
+            assert!(report.aborts() > 0, "{label}: must feel the pressure");
+            assert!(
+                report.retried_txns() > 0 && report.retried_txns() <= report.aborts(),
+                "{label}: every casualty is retried, and counted once"
             );
-            assert!(rs.aborts() > 0, "{label}: serial must feel the pressure");
-            assert!(rp.aborts() > 0, "{label}: pipelined must feel the pressure");
             // The uniform mix at several shards forwards constantly:
             // participants must have aborted prepared scopes mid-wave.
             if mix == RemoteMix::Uniform {
                 assert!(
-                    rp.participant_aborts() > 0,
+                    report.participant_aborts() > 0,
                     "{label}: squeezed uniform waves must abort participants"
                 );
             }
-            assert_services_match(&serial, &pipelined, &label);
-            for (i, shard) in pipelined.shards().iter().enumerate() {
-                for table in ALL_TABLES {
-                    common::assert_table_bytes_match(
-                        shard,
-                        &reference,
-                        table,
-                        &format!("{label}: shard {i}"),
-                    );
-                }
-            }
+            assert_matches_reference(&service, &reference, &label);
         }
     }
 }
@@ -162,95 +137,39 @@ fn pipelined_matches_serial_and_reference_under_pressure() {
 /// anywhere): waves overlap cleanly and still commit the reference's
 /// exact bytes.
 #[test]
-fn pipelined_matches_serial_and_reference_ample() {
+fn waves_match_reference_ample() {
     for mix in [RemoteMix::TPCC, RemoteMix::Uniform] {
         let reference = reference(false, mix, SEED, TXNS);
         for shards in [4u32, 8] {
             let label = format!("ample {} mix at {shards} shards", mix_name(mix));
-            let (serial, rs) = run_batch(
-                ShardConfig::small(shards).with_mode(CoordinatorMode::Serial),
-                mix,
-                SEED,
-                TXNS,
-            );
-            let (pipelined, rp) = run_batch(
-                ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined),
-                mix,
-                SEED,
-                TXNS,
-            );
-            assert_eq!(rs.aborts(), 0, "{label}: ample arenas abort-free");
-            assert_eq!(rp.aborts(), 0, "{label}: ample arenas abort-free");
-            assert_services_match(&serial, &pipelined, &label);
-            for (i, shard) in pipelined.shards().iter().enumerate() {
-                for table in ALL_TABLES {
-                    common::assert_table_bytes_match(
-                        shard,
-                        &reference,
-                        table,
-                        &format!("{label}: shard {i}"),
-                    );
-                }
-            }
+            let (service, report) = run_batch(ShardConfig::small(shards), mix, SEED, TXNS);
+            assert_eq!(report.aborts(), 0, "{label}: ample arenas abort-free");
+            assert_eq!(report.retried_txns(), 0, "{label}: nothing to retry");
+            assert_matches_reference(&service, &reference, &label);
         }
     }
 }
 
-/// The scheduling claims of the refactor: the pipelined coordinator
-/// never barrier-flushes (the serial one does, once per cross-shard
-/// transaction), overlaps a positive fraction of the 2PCs under
-/// cross-shard-heavy mixes at ≥ 4 shards, and its overlapped message
-/// deliveries keep the 2PC time share meaningful (≤ 1, with the
-/// critical-path cost at most the sequential ledger).
+/// The scheduling claims: under cross-shard-heavy mixes at ≥ 4 shards
+/// the stream is cut into fewer waves than transactions, a positive
+/// fraction of the 2PCs overlap, and the message rounds' share of busy
+/// time stays a share.
 #[test]
-fn waves_reduce_barrier_flushes_and_overlap_two_pcs() {
+fn waves_overlap_two_pcs() {
     for mix in [RemoteMix::TPCC, RemoteMix::Uniform] {
         for shards in [4u32, 8] {
             let label = format!("{} mix at {shards} shards", mix_name(mix));
-            let (_, rs) = run_batch(
-                ShardConfig::small(shards).with_mode(CoordinatorMode::Serial),
-                mix,
-                SEED,
-                TXNS,
-            );
-            let (_, rp) = run_batch(
-                ShardConfig::small(shards).with_mode(CoordinatorMode::Pipelined),
-                mix,
-                SEED,
-                TXNS,
-            );
-            // Same stream, same routing.
-            assert_eq!(rs.remote.cross_shard_txns, rp.remote.cross_shard_txns);
-            assert!(rs.remote.cross_shard_txns > 0, "{label}: stream must cross");
-            // Serial flushes once per cross-shard txn; waves never flush.
-            assert_eq!(rs.coord.barrier_flushes, rs.remote.cross_shard_txns);
-            assert_eq!(rp.coord.barrier_flushes, 0, "{label}: waves never flush");
+            let (_, r) = run_batch(ShardConfig::small(shards), mix, SEED, TXNS);
+            assert!(r.remote.cross_shard_txns > 0, "{label}: stream must cross");
+            assert!(r.coord.waves > 0, "{label}: no waves scheduled");
             assert!(
-                rp.coord.barrier_flushes < rs.coord.barrier_flushes,
-                "{label}: flushes must strictly reduce"
-            );
-            // Waves exist and overlap 2PCs.
-            assert!(rp.coord.waves > 0, "{label}: no waves scheduled");
-            assert!(
-                rp.coord.waves < TXNS,
+                r.coord.waves < TXNS,
                 "{label}: the schedule must beat fully-serial"
             );
-            assert!(rp.coord.max_wave > 1, "{label}: no wave held >1 txn");
-            assert!(rp.overlap_ratio() > 0.0, "{label}: zero 2PC overlap");
-            assert_eq!(rs.overlap_ratio(), 0.0, "serial never overlaps");
-            // The message-round ledger is schedule-independent, but the
-            // latency that lands on the clocks shrinks under overlap.
-            assert_eq!(rs.commit_rounds(), rp.commit_rounds(), "{label}");
-            assert_eq!(rs.two_pc_time(), rp.two_pc_time(), "{label}");
-            assert!(
-                rp.critical_path_time() < rs.critical_path_time(),
-                "{label}: overlapped deliveries must cost less clock"
-            );
-            assert!(rs.two_pc_time_share() <= 1.0 && rp.two_pc_time_share() <= 1.0);
-            assert!(
-                rp.two_pc_time_share() < rs.two_pc_time_share(),
-                "{label}: 2PC share must drop under overlap"
-            );
+            assert!(r.coord.max_wave > 1, "{label}: no wave held >1 txn");
+            assert!(r.overlap_ratio() > 0.0, "{label}: zero 2PC overlap");
+            assert!(r.commit_rounds() > 0, "{label}");
+            assert!(r.two_pc_time_share() > 0.0 && r.two_pc_time_share() <= 1.0);
         }
     }
 }
@@ -261,11 +180,11 @@ proptest! {
     /// Byte identity over arbitrary arena sizes, stream lengths, seeds,
     /// and remote mixes: wherever `DeltaFull` strikes — a local wave
     /// item, the home half, or a forwarded participant mid-wave — the
-    /// pipelined deployment ends byte-identical to the serial one and
-    /// to an unpartitioned reference under the same pressure, with zero
-    /// prepared versions and zero leaked delta slots after every batch.
+    /// deployment ends byte-identical to an unpartitioned reference
+    /// under the same pressure, with zero prepared versions and zero
+    /// leaked delta slots after every batch.
     #[test]
-    fn pipelined_commits_reference_bytes_under_any_pressure(
+    fn waves_commit_reference_bytes_under_any_pressure(
         frac in 0.02f64..0.03,
         min_delta in 2u64..=3,
         txns in 40u64..=80,
@@ -280,12 +199,9 @@ proptest! {
         };
         let shards = if shard_pick == 0 { 2 } else { 4 };
         let min_rows = min_delta * 8;
-        let squeeze = |mode| {
-            let mut cfg = ShardConfig::small(shards).with_mode(mode);
-            cfg.base.db.delta_frac = frac;
-            cfg.base.db.min_delta_rows = min_rows;
-            cfg
-        };
+        let mut cfg = ShardConfig::small(shards);
+        cfg.base.db.delta_frac = frac;
+        cfg.base.db.min_delta_rows = min_rows;
 
         let mut reference = {
             let mut cfg = ShardConfig::small(1);
@@ -298,20 +214,8 @@ proptest! {
         reference.run_txns(&mut rgen, txns);
         reference.defragment_all();
 
-        let (serial, rs) = run_batch(squeeze(CoordinatorMode::Serial), mix, seed, txns);
-        let (pipelined, rp) = run_batch(squeeze(CoordinatorMode::Pipelined), mix, seed, txns);
-        prop_assert!(rs.aborts() > 0, "arenas this small must abort");
-        prop_assert!(rp.aborts() > 0, "arenas this small must abort");
-        assert_services_match(&serial, &pipelined, "proptest serial-vs-pipelined");
-        for (i, shard) in pipelined.shards().iter().enumerate() {
-            for table in ALL_TABLES {
-                common::assert_table_bytes_match(
-                    shard,
-                    &reference,
-                    table,
-                    &format!("proptest shard {i}"),
-                );
-            }
-        }
+        let (service, report) = run_batch(cfg, mix, seed, txns);
+        prop_assert!(report.aborts() > 0, "arenas this small must abort");
+        assert_matches_reference(&service, &reference, "proptest");
     }
 }

@@ -1,6 +1,7 @@
 //! Sanitizer acceptance: an armed keyset-soundness tracker watches
-//! whole sharded batches — serial and pipelined, happy path and
-//! `DeltaFull` pressure — and reports **zero** violations, while the
+//! whole sharded batches — happy path and `DeltaFull` pressure, wave
+//! casualties retrying as waves of one — and reports **zero**
+//! violations, while the
 //! armed deployment's committed bytes stay identical to an unarmed
 //! twin's (the hooks charge no simulated time, so arming is a pure
 //! lens). The injection tests then prove the detector is live end to
@@ -12,7 +13,7 @@ use std::sync::Arc;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_format::RowSlot;
 use pushtap_sanitizer::{Access, AccessKind, AccessSink, ShadowSanitizer, ViolationKind};
-use pushtap_shard::{CoordinatorMode, ShardConfig, ShardedHtap};
+use pushtap_shard::{ShardConfig, ShardedHtap};
 
 mod common;
 
@@ -23,8 +24,8 @@ const SHARDS: u32 = 4;
 /// Arenas squeezed as in `tests/delta_pressure.rs`, so the tracker
 /// also watches `DeltaFull` aborts, pinned-timestamp retries and wave
 /// casualties — the paths where scope discipline is easiest to break.
-fn squeezed(mode: CoordinatorMode) -> ShardConfig {
-    let mut cfg = ShardConfig::small(SHARDS).with_mode(mode);
+fn squeezed() -> ShardConfig {
+    let mut cfg = ShardConfig::small(SHARDS);
     cfg.base.db.delta_frac = 0.06;
     cfg.base.db.min_delta_rows = 8;
     cfg
@@ -32,8 +33,8 @@ fn squeezed(mode: CoordinatorMode) -> ShardConfig {
 
 /// Runs one uniform-mix batch, optionally armed, and returns the
 /// service plus the tracker (present only when armed).
-fn run(mode: CoordinatorMode, armed: bool) -> (ShardedHtap, Option<Arc<ShadowSanitizer>>) {
-    let mut service = ShardedHtap::new(squeezed(mode)).expect("build shards");
+fn run(armed: bool) -> (ShardedHtap, Option<Arc<ShadowSanitizer>>) {
+    let mut service = ShardedHtap::new(squeezed()).expect("build shards");
     let san = armed.then(|| {
         let san = Arc::new(ShadowSanitizer::new());
         service.set_sanitizer(san.clone());
@@ -73,37 +74,32 @@ fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
 
 #[test]
 fn armed_batches_are_violation_free_and_byte_neutral() {
-    for mode in [CoordinatorMode::Serial, CoordinatorMode::Pipelined] {
-        let label = match mode {
-            CoordinatorMode::Serial => "serial",
-            CoordinatorMode::Pipelined => "pipelined",
-        };
-        let (armed, san) = run(mode, true);
-        let san = san.expect("armed run returns its tracker");
-        // The tracker genuinely watched the batch: every transaction
-        // opened at least one scope, and row traffic was checked.
-        assert!(
-            san.scopes_tracked() >= TXNS,
-            "{label}: {} scopes for {TXNS} txns — hooks disconnected?",
-            san.scopes_tracked()
-        );
-        assert!(
-            san.checked_accesses() > TXNS,
-            "{label}: too few checked accesses ({})",
-            san.checked_accesses()
-        );
-        san.assert_clean(label);
-        // And arming changed nothing a byte can see: the hooks charge
-        // zero simulated time, so the armed deployment commits the
-        // exact state an unarmed twin does.
-        let (unarmed, _) = run(mode, false);
-        assert_services_match(&armed, &unarmed, label);
-    }
+    let label = "squeezed uniform batch";
+    let (armed, san) = run(true);
+    let san = san.expect("armed run returns its tracker");
+    // The tracker genuinely watched the batch: every transaction
+    // opened at least one scope, and row traffic was checked.
+    assert!(
+        san.scopes_tracked() >= TXNS,
+        "{label}: {} scopes for {TXNS} txns — hooks disconnected?",
+        san.scopes_tracked()
+    );
+    assert!(
+        san.checked_accesses() > TXNS,
+        "{label}: too few checked accesses ({})",
+        san.checked_accesses()
+    );
+    san.assert_clean(label);
+    // And arming changed nothing a byte can see: the hooks charge
+    // zero simulated time, so the armed deployment commits the
+    // exact state an unarmed twin does.
+    let (unarmed, _) = run(false);
+    assert_services_match(&armed, &unarmed, label);
 }
 
 #[test]
 fn default_deployment_stays_unarmed() {
-    let service = ShardedHtap::new(squeezed(CoordinatorMode::Serial)).expect("build shards");
+    let service = ShardedHtap::new(squeezed()).expect("build shards");
     for shard in service.shards() {
         assert!(
             !shard.db().sanitizer().enabled(),
@@ -119,7 +115,7 @@ fn default_deployment_stays_unarmed() {
 /// breach correctly.
 #[test]
 fn injected_stray_access_fires_end_to_end() {
-    let (_service, san) = run(CoordinatorMode::Pipelined, true);
+    let (_service, san) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     san.record_access(
@@ -147,7 +143,7 @@ fn injected_stray_access_fires_end_to_end() {
 /// installed tracker a real deployment holds.
 #[test]
 fn injected_undeclared_access_fires_end_to_end() {
-    let (_service, san) = run(CoordinatorMode::Serial, true);
+    let (_service, san) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     let next_ts = 1_000_000;
@@ -177,7 +173,7 @@ fn injected_undeclared_access_fires_end_to_end() {
 /// core promise broken by hand, caught by the lockset check.
 #[test]
 fn injected_wave_conflict_fires_end_to_end() {
-    let (_service, san) = run(CoordinatorMode::Pipelined, true);
+    let (_service, san) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     let (a, b) = (2_000_000, 2_000_001);
@@ -215,7 +211,7 @@ fn injected_wave_conflict_fires_end_to_end() {
 /// silent again once the pin is released.
 #[test]
 fn injected_reclaim_under_pin_fires_end_to_end() {
-    let (_service, san) = run(CoordinatorMode::Pipelined, true);
+    let (_service, san) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     let cut = 4_000_000;
@@ -242,7 +238,7 @@ fn injected_reclaim_under_pin_fires_end_to_end() {
 /// coordinator bug would leave behind.
 #[test]
 fn injected_unbalanced_prepare_fires_end_to_end() {
-    let (_service, san) = run(CoordinatorMode::Serial, true);
+    let (_service, san) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     let ts = 3_000_000;

@@ -1,6 +1,6 @@
 //! Observability acceptance: tracing is a *read-only* lens. A traced
-//! batch commits byte-identical state to an untraced one (serial and
-//! pipelined alike), and the emitted spans and histograms reconcile
+//! run commits byte-identical state to an untraced one (closed loop and
+//! open loop alike), and the emitted spans and histograms reconcile
 //! exactly with the coordinator's own counters — span counts are not
 //! decorative, they are the same events the reports count, seen from
 //! the timeline side.
@@ -11,8 +11,8 @@ use std::sync::Arc;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_format::RowSlot;
 use pushtap_shard::{
-    ArrivalConfig, ArrivalGen, CoordinatorMode, CrashPoint, CrashSite, OpenLoopConfig,
-    OpenLoopReport, ShardConfig, ShardOltpReport, ShardedHtap, WalHandles,
+    ArrivalConfig, ArrivalGen, CrashPoint, CrashSite, OpenLoopConfig, OpenLoopReport, ShardConfig,
+    ShardOltpReport, ShardedHtap, WalHandles,
 };
 use pushtap_trace::{two_pc_overlap_peak, MemSink, Phase, Span};
 
@@ -24,8 +24,8 @@ const SHARDS: u32 = 4;
 
 /// Arenas squeezed as in `tests/delta_pressure.rs`, so the abort and
 /// retry span paths are exercised, not just the happy path.
-fn squeezed(mode: CoordinatorMode) -> ShardConfig {
-    let mut cfg = ShardConfig::small(SHARDS).with_mode(mode);
+fn squeezed() -> ShardConfig {
+    let mut cfg = ShardConfig::small(SHARDS);
     cfg.base.db.delta_frac = 0.06;
     cfg.base.db.min_delta_rows = 8;
     cfg
@@ -33,8 +33,8 @@ fn squeezed(mode: CoordinatorMode) -> ShardConfig {
 
 /// Runs one uniform-mix batch, optionally traced, and defragments so
 /// committed bytes are comparable.
-fn run(mode: CoordinatorMode, traced: bool) -> (ShardedHtap, ShardOltpReport, Vec<Span>) {
-    let mut service = ShardedHtap::new(squeezed(mode)).expect("build shards");
+fn run(traced: bool) -> (ShardedHtap, ShardOltpReport, Vec<Span>) {
+    let mut service = ShardedHtap::new(squeezed()).expect("build shards");
     let san = common::maybe_sanitize(&mut service);
     let sink = Arc::new(MemSink::default());
     if traced {
@@ -52,10 +52,10 @@ fn run(mode: CoordinatorMode, traced: bool) -> (ShardedHtap, ShardOltpReport, Ve
 }
 
 /// [`run`] with the effect WAL enabled (always traced): every prepare
-/// appends a record and every wave/bucket ends in one group-commit
-/// force barrier, charged at `ShardConfig::small`'s force latency.
-fn run_wal(mode: CoordinatorMode) -> (ShardedHtap, ShardOltpReport, Vec<Span>, WalHandles) {
-    let mut service = ShardedHtap::new(squeezed(mode)).expect("build shards");
+/// appends a record and every wave ends in one group-commit force
+/// barrier, charged at `ShardConfig::small`'s force latency.
+fn run_wal() -> (ShardedHtap, ShardOltpReport, Vec<Span>, WalHandles) {
+    let mut service = ShardedHtap::new(squeezed()).expect("build shards");
     let san = common::maybe_sanitize(&mut service);
     let handles = service.enable_wal();
     let sink = Arc::new(MemSink::default());
@@ -97,7 +97,8 @@ fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
     }
 }
 
-/// The histogram/counter invariants shared by both coordinator modes.
+/// The histogram/counter invariants of a closed-loop batch, WAL on or
+/// off.
 fn assert_report_reconciles(report: &ShardOltpReport, spans: &[Span], label: &str) {
     // One commit-latency sample per committed transaction.
     assert_eq!(
@@ -244,60 +245,40 @@ fn assert_report_reconciles(report: &ShardOltpReport, spans: &[Span], label: &st
 }
 
 #[test]
-fn serial_trace_reconciles_with_counters() {
-    let (_, report, spans) = run(CoordinatorMode::Serial, true);
-    assert_report_reconciles(&report, &spans, "serial");
-    // One barrier instant per barrier flush.
-    assert!(report.coord.barrier_flushes > 0);
-    assert_eq!(count(&spans, Phase::Barrier), report.coord.barrier_flushes);
-    // The serial queues attribute a wait to every warehouse-local
-    // transaction (cross-shard ones never queue).
-    let local_txns = TXNS - report.remote.cross_shard_txns;
-    assert_eq!(report.queue_wait().count(), local_txns);
-    // Queued intervals are the nonzero waits of that histogram: at most
-    // one per local transaction, every one strictly positive, and their
-    // durations sum to exactly the histogram's total — zero-wait
-    // transactions contribute zero on both sides.
-    assert!(count(&spans, Phase::Queued) <= local_txns);
-    assert!(count(&spans, Phase::Queued) > 0, "serial queues must wait");
-    let queued: u128 = spans
-        .iter()
-        .filter(|s| s.phase == Phase::Queued)
-        .map(|s| {
-            assert!(s.end > s.start, "a queued interval is never empty");
-            u128::from(s.end - s.start)
-        })
-        .sum();
-    assert_eq!(
-        queued,
-        report.queue_wait().sum(),
-        "queued time vs histogram"
-    );
-    // Serial 2PCs run alone: every TwoPc span sits on wave 0, so the
-    // overlap scan (which ignores wave 0) finds nothing.
-    assert!(spans
-        .iter()
-        .filter(|s| s.phase == Phase::TwoPc)
-        .all(|s| s.wave == 0));
-    assert_eq!(two_pc_overlap_peak(&spans).1, 0);
-    // No wave machinery under the serial oracle.
-    assert_eq!(count(&spans, Phase::WavePrepare), 0);
-    assert_eq!(count(&spans, Phase::WaveDecide), 0);
-}
-
-#[test]
-fn pipelined_trace_reconciles_with_counters() {
-    let (_, report, spans) = run(CoordinatorMode::Pipelined, true);
-    assert_report_reconciles(&report, &spans, "pipelined");
+fn closed_loop_trace_reconciles_with_counters() {
+    let (_, report, spans) = run(true);
+    assert_report_reconciles(&report, &spans, "closed loop");
     // Every scheduled wave shows up: the distinct wave ids on the
-    // phase-interval spans are exactly 1..=waves.
+    // phase-interval spans are exactly 1..=waves (a casualty's retry
+    // runs alone, outside any wave: id 0).
     let wave_ids: BTreeSet<u64> = spans
         .iter()
-        .filter(|s| s.phase == Phase::WavePrepare)
+        .filter(|s| s.phase == Phase::WavePrepare && s.wave > 0)
         .map(|s| s.wave)
         .collect();
     assert_eq!(wave_ids.len() as u64, report.coord.waves);
     assert_eq!(wave_ids.iter().copied().max(), Some(report.coord.waves));
+    // A shard's decision pass over a wave follows its prepare pass over
+    // the same wave (the vote barrier sits between them).
+    let prepared: BTreeMap<(u32, u64), u64> = spans
+        .iter()
+        .filter(|s| s.phase == Phase::WavePrepare && s.wave > 0)
+        .map(|s| ((s.track, s.wave), s.end))
+        .collect();
+    assert!(count(&spans, Phase::WaveDecide) > 0);
+    for s in spans
+        .iter()
+        .filter(|s| s.phase == Phase::WaveDecide && s.wave > 0)
+    {
+        assert!(
+            prepared
+                .get(&(s.track, s.wave))
+                .is_some_and(|&end| end <= s.start),
+            "shard {} decided wave {} before preparing it",
+            s.track,
+            s.wave
+        );
+    }
     // The overlap statistic recomputed from the timeline: a wave with
     // k ≥ 2 distinct cross-shard 2PCs contributes all k.
     let mut per_wave: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
@@ -319,110 +300,130 @@ fn pipelined_trace_reconciles_with_counters() {
     let (wave, peak) = two_pc_overlap_peak(&spans);
     assert!(wave > 0);
     assert!(peak >= 2, "peak concurrent 2PCs {peak} in wave {wave}");
-    // Queues are subsumed by waves.
-    assert_eq!(report.queue_wait().count(), 0);
-    assert_eq!(count(&spans, Phase::Queued), 0);
-    assert_eq!(count(&spans, Phase::Barrier), 0);
+    // The whole batch is offered at once, so every transaction waits
+    // out the earlier waves of its own batch on its home shard: one
+    // queue-wait sample each.
+    assert_eq!(report.queue_wait().count(), TXNS);
+    // Queued intervals are the nonzero waits of that histogram: at most
+    // one per transaction, every one strictly positive, and their
+    // durations sum to exactly the histogram's total — zero-wait
+    // transactions (each shard's first wave) contribute zero on both
+    // sides.
+    assert!(
+        count(&spans, Phase::Queued) < TXNS,
+        "first waves never wait"
+    );
+    assert!(
+        count(&spans, Phase::Queued) > 0,
+        "later waves queue behind earlier ones"
+    );
+    let queued: u128 = spans
+        .iter()
+        .filter(|s| s.phase == Phase::Queued)
+        .map(|s| {
+            assert!(s.end > s.start, "a queued interval is never empty");
+            assert!(s.wave > 1, "wave 1 dispatches at the run's start");
+            u128::from(s.end - s.start)
+        })
+        .sum();
+    assert_eq!(
+        queued,
+        report.queue_wait().sum(),
+        "queued time vs histogram"
+    );
+    // A closed-loop run turns nothing away.
+    assert_eq!(count(&spans, Phase::Rejected), 0);
+    // Every retry instant is a casualty re-entering as a wave of one:
+    // at least one per retried transaction (more if it aborts again).
+    assert!(report.retried_txns() > 0, "squeezed arenas must retry");
+    assert!(count(&spans, Phase::Retry) >= report.retried_txns());
+    let retried: BTreeSet<u64> = spans
+        .iter()
+        .filter(|s| s.phase == Phase::Retry)
+        .map(|s| s.txn)
+        .collect();
+    assert_eq!(retried.len() as u64, report.retried_txns());
 }
 
 #[test]
 fn wal_trace_reconciles_with_durability_counters() {
-    for mode in [CoordinatorMode::Serial, CoordinatorMode::Pipelined] {
-        let label = match mode {
-            CoordinatorMode::Serial => "wal serial",
-            CoordinatorMode::Pipelined => "wal pipelined",
-        };
-        let (walled, wr, spans, handles) = run_wal(mode);
-        // The shared invariants hold with the WAL's force time now a
-        // nonzero term of the critical-path identity.
-        assert_report_reconciles(&wr, &spans, label);
-        assert!(wr.wal_force_time().ps() > 0, "{label}: forces charged");
-        // Every effect-record append left a WalAppend instant, and
-        // every group-commit barrier a GroupCommit interval whose
-        // duration is exactly the force latency it charged.
-        assert!(wr.wal_appends() >= wr.committed(), "{label}: appends");
-        assert_eq!(
-            count(&spans, Phase::WalAppend),
-            wr.wal_appends(),
-            "{label}: append instants"
-        );
-        assert!(wr.wal_forces() > 0, "{label}: forces");
-        assert_eq!(
-            count(&spans, Phase::GroupCommit),
-            wr.wal_forces(),
-            "{label}: force intervals"
-        );
-        let forced: u128 = spans
-            .iter()
-            .filter(|s| s.phase == Phase::GroupCommit)
-            .map(|s| u128::from(s.end - s.start))
-            .sum();
-        assert_eq!(
-            forced,
-            u128::from(wr.wal_force_time().ps()),
-            "{label}: force interval durations vs charged force time"
-        );
-        // The coordinator durably decided every cross-shard commit
-        // (presumed abort: no decision record, no commit), syncing the
-        // decision log at least once but at most once per decision.
-        assert!(wr.coord.decision_appends > 0, "{label}: decisions");
-        assert!(wr.coord.decision_forces > 0, "{label}: decision syncs");
-        assert!(
-            wr.coord.decision_forces <= wr.coord.decision_appends,
-            "{label}: decision syncs amortize, never multiply"
-        );
-        // Logging changes *time* (the barriers are on the critical
-        // path) but never a committed byte: state, commits, aborts all
-        // match the unlogged run, and the logs themselves are nonempty.
-        let (plain, pr, _) = run(mode, false);
-        assert_services_match(&walled, &plain, label);
-        assert_eq!(wr.committed(), pr.committed(), "{label}: commits");
-        assert_eq!(wr.aborts(), pr.aborts(), "{label}: aborts");
-        assert!(
-            wr.makespan() > pr.makespan(),
-            "{label}: force barriers cost simulated time"
-        );
-        let image = handles.harvest();
-        assert!(image.shards.iter().any(|s| !s.is_empty()));
-        assert!(!image.decisions.is_empty());
-    }
+    let label = "wal";
+    let (walled, wr, spans, handles) = run_wal();
+    // The shared invariants hold with the WAL's force time now a
+    // nonzero term of the critical-path identity.
+    assert_report_reconciles(&wr, &spans, label);
+    assert!(wr.wal_force_time().ps() > 0, "{label}: forces charged");
+    // Every effect-record append left a WalAppend instant, and
+    // every group-commit barrier a GroupCommit interval whose
+    // duration is exactly the force latency it charged.
+    assert!(wr.wal_appends() >= wr.committed(), "{label}: appends");
+    assert_eq!(
+        count(&spans, Phase::WalAppend),
+        wr.wal_appends(),
+        "{label}: append instants"
+    );
+    assert!(wr.wal_forces() > 0, "{label}: forces");
+    assert_eq!(
+        count(&spans, Phase::GroupCommit),
+        wr.wal_forces(),
+        "{label}: force intervals"
+    );
+    let forced: u128 = spans
+        .iter()
+        .filter(|s| s.phase == Phase::GroupCommit)
+        .map(|s| u128::from(s.end - s.start))
+        .sum();
+    assert_eq!(
+        forced,
+        u128::from(wr.wal_force_time().ps()),
+        "{label}: force interval durations vs charged force time"
+    );
+    // The coordinator durably decided every cross-shard commit
+    // (presumed abort: no decision record, no commit), syncing the
+    // decision log at least once but at most once per decision.
+    assert!(wr.coord.decision_appends > 0, "{label}: decisions");
+    assert!(wr.coord.decision_forces > 0, "{label}: decision syncs");
+    assert!(
+        wr.coord.decision_forces <= wr.coord.decision_appends,
+        "{label}: decision syncs amortize, never multiply"
+    );
+    // Logging changes *time* (the barriers are on the critical
+    // path) but never a committed byte: state, commits, aborts all
+    // match the unlogged run, and the logs themselves are nonempty.
+    let (plain, pr, _) = run(false);
+    assert_services_match(&walled, &plain, label);
+    assert_eq!(wr.committed(), pr.committed(), "{label}: commits");
+    assert_eq!(wr.aborts(), pr.aborts(), "{label}: aborts");
+    assert!(
+        wr.makespan() > pr.makespan(),
+        "{label}: force barriers cost simulated time"
+    );
+    let image = handles.harvest();
+    assert!(image.shards.iter().any(|s| !s.is_empty()));
+    assert!(!image.decisions.is_empty());
     // Group commit's acceptance number, measured on ample arenas (the
-    // squeezed config's delta-pressure retries pay per-retry barriers
-    // in both modes, drowning the scheduling difference): one barrier
-    // amortized across a whole pipelined wave keeps durable syncs per
-    // committed transaction below one, where the serial coordinator's
-    // bucket-at-a-time cadence pays several.
-    let fsync = |mode: CoordinatorMode| {
-        let mut service =
-            ShardedHtap::new(ShardConfig::small(SHARDS).with_mode(mode)).expect("build shards");
-        let _handles = service.enable_wal();
-        let warehouses = service.map().warehouses();
-        let mut gen = service
-            .global_txn_gen(SEED)
-            .with_remote_mix(RemoteMix::Uniform, warehouses);
-        let report = service.run_txns(&mut gen, TXNS);
-        assert_eq!(report.committed(), TXNS);
-        report.fsync_per_txn()
-    };
-    let serial = fsync(CoordinatorMode::Serial);
-    let pipelined = fsync(CoordinatorMode::Pipelined);
-    assert!(
-        pipelined < 1.0,
-        "pipelined fsync/txn {pipelined:.3} must stay below 1"
-    );
-    assert!(
-        pipelined < serial,
-        "waves must amortize better than serial buckets ({pipelined:.3} vs {serial:.3})"
-    );
+    // squeezed config's delta-pressure retries pay per-retry barriers,
+    // drowning the amortization): one barrier amortized across a whole
+    // wave keeps durable syncs per committed transaction below one.
+    let mut service = ShardedHtap::new(ShardConfig::small(SHARDS)).expect("build shards");
+    let _handles = service.enable_wal();
+    let warehouses = service.map().warehouses();
+    let mut gen = service
+        .global_txn_gen(SEED)
+        .with_remote_mix(RemoteMix::Uniform, warehouses);
+    let report = service.run_txns(&mut gen, TXNS);
+    assert_eq!(report.committed(), TXNS);
+    let fsync = report.fsync_per_txn();
+    assert!(fsync < 1.0, "fsync/txn {fsync:.3} must stay below 1");
 }
 
 #[test]
 fn recovery_spans_land_on_replaying_shards() {
-    // Crash a logged pipelined batch mid-flight, recover with a sink
+    // Crash a logged batch mid-flight, recover with a sink
     // installed, and check the replay shows up on the timeline: one
     // Recovery interval per shard that actually replayed records, on
     // that shard's own track.
-    let cfg = squeezed(CoordinatorMode::Pipelined);
+    let cfg = squeezed();
     let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
     let handles = service.enable_wal();
     service.arm_crash(CrashPoint {
@@ -471,8 +472,7 @@ fn recovery_spans_land_on_replaying_shards() {
 #[test]
 fn open_loop_trace_reconciles_with_queue_counters() {
     let run = |traced: bool| -> (ShardedHtap, OpenLoopReport, Vec<Span>) {
-        let cfg = ShardConfig::small(SHARDS).with_mode(CoordinatorMode::Pipelined);
-        let mut service = ShardedHtap::new(cfg).expect("build shards");
+        let mut service = ShardedHtap::new(ShardConfig::small(SHARDS)).expect("build shards");
         let san = common::maybe_sanitize(&mut service);
         let sink = Arc::new(MemSink::default());
         if traced {
@@ -545,22 +545,20 @@ fn open_loop_trace_reconciles_with_queue_counters() {
 #[test]
 fn tracing_changes_no_committed_byte() {
     // The sink sees every lifecycle event, yet committed state and the
-    // report counters are identical to an untraced run — for both
-    // coordinators, under delta pressure.
-    for mode in [CoordinatorMode::Serial, CoordinatorMode::Pipelined] {
-        let (traced, tr, spans) = run(mode, true);
-        let (untraced, ur, none) = run(mode, false);
-        assert!(!spans.is_empty());
-        assert!(none.is_empty(), "disabled sink must stay empty");
-        assert_services_match(&traced, &untraced, "traced vs untraced");
-        assert_eq!(tr.committed(), ur.committed());
-        assert_eq!(tr.aborts(), ur.aborts());
-        assert_eq!(tr.commit_rounds(), ur.commit_rounds());
-        assert_eq!(tr.makespan(), ur.makespan());
-        assert_eq!(
-            tr.commit_latency().stats(),
-            ur.commit_latency().stats(),
-            "histograms are recorded unconditionally — sink on or off"
-        );
-    }
+    // report counters are identical to an untraced run, under delta
+    // pressure.
+    let (traced, tr, spans) = run(true);
+    let (untraced, ur, none) = run(false);
+    assert!(!spans.is_empty());
+    assert!(none.is_empty(), "disabled sink must stay empty");
+    assert_services_match(&traced, &untraced, "traced vs untraced");
+    assert_eq!(tr.committed(), ur.committed());
+    assert_eq!(tr.aborts(), ur.aborts());
+    assert_eq!(tr.commit_rounds(), ur.commit_rounds());
+    assert_eq!(tr.makespan(), ur.makespan());
+    assert_eq!(
+        tr.commit_latency().stats(),
+        ur.commit_latency().stats(),
+        "histograms are recorded unconditionally — sink on or off"
+    );
 }

@@ -205,6 +205,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -212,6 +213,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Parser<'a> {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -322,10 +324,13 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar (output is ASCII, but be
-                    // tolerant of foreign traces).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("truncated"))?;
+                    // tolerant of foreign traces). The input is already
+                    // a `str`, so this decodes only the scalar at `pos`.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -578,6 +583,40 @@ mod tests {
         let dangling = "{\"traceEvents\":[\
             {\"name\":\"q\",\"ph\":\"b\",\"id\":1,\"pid\":0,\"tid\":3,\"ts\":1.0}]}";
         assert!(validate(dangling).unwrap_err().contains("unclosed"));
+    }
+
+    /// A 50 000-span document validates inside the ordinary test run:
+    /// string parsing decodes one scalar per character, not the rest of
+    /// the document (which made validation quadratic — minutes at this
+    /// size).
+    #[test]
+    fn large_trace_validates_in_linear_time() {
+        let spans: Vec<Span> = (0..50_000u64)
+            .map(|i| {
+                let track = (i % 8) as u32;
+                let at = i * 100;
+                match i % 3 {
+                    0 => Span::instant(track, Phase::Commit, i, at),
+                    1 => Span::new(track, Phase::Prepare, i, at, at + 50),
+                    _ => Span::new(track, Phase::Queued, i, at, at + 50).in_wave(i / 8 + 1),
+                }
+            })
+            .collect();
+        let stats = validate(&render(&spans)).expect("own output must validate");
+        assert_eq!(stats.instants, 16_667);
+        assert_eq!(stats.complete, 16_667);
+        assert_eq!(stats.async_pairs, 16_666);
+    }
+
+    #[test]
+    fn strings_decode_multibyte_scalars_and_unicode_escapes() {
+        let mut p = Parser::new("\"caf\u{e9} \\u00e9 \u{1f980}\" tail");
+        assert_eq!(p.string().as_deref(), Ok("caf\u{e9} \u{e9} \u{1f980}"));
+        assert_eq!(&p.src[p.pos..], " tail", "consumed exactly the string");
+        // And through the validator: a foreign trace with non-ASCII names.
+        let doc = "{\"traceEvents\":[\
+            {\"name\":\"pr\u{e9}parer \\u00e9\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":0,\"ts\":1.0}]}";
+        assert_eq!(validate(doc).expect("valid").instants, 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A [`Span`] is one timestamped interval (or instant) in a routed
 //! transaction's life, stamped with the shard (`track`) it happened on,
 //! the lifecycle [`Phase`], the transaction's pinned commit timestamp,
-//! and — under the pipelined coordinator — the 1-based wave it ran in.
+//! and the 1-based wave it ran in.
 //! Times are raw simulated picoseconds (the engine crates' `Ps` values
 //! via `.ps()`), keeping this crate zero-dependency.
 //!
@@ -27,10 +27,9 @@ pub enum Phase {
     /// Instant: the router stamped the transaction and assigned its
     /// home shard.
     Routed,
-    /// Interval: time spent queued behind earlier work on the home
-    /// shard (serial local queues, behind earlier wave items, or — in
-    /// the open-loop front-end — the real inbox wait from arrival to
-    /// wave dispatch).
+    /// Interval: time spent in the home shard's inbox before the
+    /// transaction's wave dispatched — from its arrival open loop, from
+    /// the run's start (behind the batch's earlier waves) closed loop.
     Queued,
     /// Instant: an open-loop arrival turned away at a full home-shard
     /// inbox (admission control; counted backpressure, never a silent
@@ -43,14 +42,12 @@ pub enum Phase {
     /// Interval: one engine-level prepare attempt that hit `DeltaFull`
     /// and rolled back (this engine voted "no").
     PrepareAbort,
-    /// Interval: a shard's whole prepare pass over one wave
-    /// (pipelined).
+    /// Interval: a shard's whole prepare pass over one wave.
     WavePrepare,
     /// Interval: the home shard's wait for the vote round-trip of one
     /// cross-shard transaction (possibly zero under overlap).
     VoteBarrier,
-    /// Interval: a shard's whole decision pass over one wave
-    /// (pipelined).
+    /// Interval: a shard's whole decision pass over one wave.
     WaveDecide,
     /// Interval: one participant's wait for a decision delivery
     /// (possibly zero under overlap).
@@ -63,11 +60,9 @@ pub enum Phase {
     Commit,
     /// Instant: an abort decision applied (pinned undo replayed).
     Abort,
-    /// Instant: the coordinator re-ran an aborted transaction.
+    /// Instant: an aborted transaction re-entered the coordinator as a
+    /// wave of one.
     Retry,
-    /// Instant: the serial coordinator barrier-flushed the involved
-    /// shards' queues before a 2PC.
-    Barrier,
     /// Interval: a defragmentation pause (OLTP stalled on this shard).
     DefragStall,
     /// Interval: an incremental garbage-collection pass (version-chain
@@ -104,7 +99,6 @@ impl Phase {
             Phase::Commit => "commit",
             Phase::Abort => "abort",
             Phase::Retry => "retry",
-            Phase::Barrier => "barrier",
             Phase::DefragStall => "defrag_stall",
             Phase::GcPass => "gc_pass",
             Phase::WalAppend => "wal_append",
@@ -122,7 +116,6 @@ impl Phase {
                 | Phase::Commit
                 | Phase::Abort
                 | Phase::Retry
-                | Phase::Barrier
                 | Phase::WalAppend
         )
     }
@@ -143,8 +136,7 @@ impl Phase {
             | Phase::TwoPc
             | Phase::Commit
             | Phase::Abort
-            | Phase::Retry
-            | Phase::Barrier => 1,
+            | Phase::Retry => 1,
             Phase::DefragStall | Phase::GcPass => 2,
             Phase::Queued | Phase::Rejected => 3,
             Phase::WalAppend | Phase::GroupCommit | Phase::Recovery => 4,
@@ -162,8 +154,7 @@ pub struct Span {
     /// The transaction's pinned commit timestamp (`Ts.0`); 0 for
     /// events not tied to one transaction (e.g. defrag stalls).
     pub txn: u64,
-    /// 1-based wave the event belonged to under the pipelined
-    /// coordinator; 0 outside wave execution.
+    /// 1-based wave the event belonged to; 0 outside wave execution.
     pub wave: u64,
     /// Start time, simulated picoseconds on the shard's clock.
     pub start: u64,
@@ -378,7 +369,7 @@ mod tests {
             // Wave 2: two disjoint txns — no overlap.
             Span::new(0, Phase::TwoPc, 3, 200, 210).in_wave(2),
             Span::new(1, Phase::TwoPc, 4, 220, 230).in_wave(2),
-            // Serial-mode 2PC (wave 0) is excluded.
+            // A retry's 2PC runs alone (wave 0) and is excluded.
             Span::new(0, Phase::TwoPc, 5, 0, 1_000),
         ];
         assert_eq!(two_pc_overlap_peak(&spans), (1, 2));

@@ -280,14 +280,6 @@ impl Wal {
         true
     }
 
-    /// Drops every pending (never-forced) byte — a transaction attempt
-    /// rolled back before any force barrier, so its records must not
-    /// survive into the next group commit. The appends stay counted in
-    /// [`WalStats`] (the work happened); only durability is withdrawn.
-    pub fn discard_pending(&mut self) {
-        self.pending.clear();
-    }
-
     /// A crash **during** the force: only the first `keep` pending
     /// bytes land on the store (syncing them); the rest of the buffer
     /// is lost. `keep` past the buffer length lands everything.
@@ -329,13 +321,13 @@ impl Wal {
     ///
     /// # Panics
     ///
-    /// Panics if bytes are pending (force or discard them first — a
+    /// Panics if bytes are pending (force them first — a
     /// checkpoint runs on a quiesced log) or the durable image has a
     /// torn tail (checkpoints never run mid-crash).
     pub fn truncate_before(&mut self, mut edit: impl FnMut(&[u8]) -> Option<Vec<u8>>) -> WalTrim {
         assert!(
             !self.has_pending(),
-            "checkpoint with pending bytes — force or discard first"
+            "checkpoint with pending bytes — force them first"
         );
         let image = self.store.durable_image();
         let scanned = record::scan(&image);

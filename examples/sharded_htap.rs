@@ -6,42 +6,47 @@
 //! by global-cut scatter-gather.
 //!
 //! Run with:
-//! `cargo run --release --example sharded_htap [shards] [mix] [mode] [trace.json]`
-//! where `mix` is `uniform` (default), `tpcc`, or `local`, `mode` is
-//! `pipelined` (conflict-aware wave scheduling, the default) or
-//! `serial` (the barrier-flush oracle), and an optional fourth argument
-//! writes the batch's lifecycle spans as a Chrome-trace JSON file
-//! (load it at <https://ui.perfetto.dev> or `chrome://tracing`).
+//! `cargo run --release --example sharded_htap [shards] [mix] [trace.json]`
+//! where `mix` is `uniform` (default), `tpcc`, or `local`, and an
+//! optional third argument writes the batch's lifecycle spans as a
+//! Chrome-trace JSON file (load it at <https://ui.perfetto.dev> or
+//! `chrome://tracing`).
 //!
 //! Or run the crash-recovery demo:
-//! `cargo run --release --example sharded_htap crash [dir]`
+//! `cargo run --release --example sharded_htap crash [dir] [open]`
 //! — logs a routed batch to per-shard effect WALs on disk, kills the
 //! deployment mid-decision-log write, recovers a fresh deployment from
 //! the surviving log files alone, byte-diffs every recovered row
 //! against an unpartitioned reference executing exactly the recovered
-//! commits, and exits nonzero on any divergence.
+//! commits, and exits nonzero on any divergence. With `open` the batch
+//! arrives open-loop (Poisson arrivals through a bounded inbox, some
+//! rejected) instead of all at once — the same driver, the same logs.
 
 use std::sync::Arc;
 
 use pushtap::chbench::RemoteMix;
 use pushtap::olap::{Query, QueryResult};
-use pushtap::shard::{CoordinatorMode, ShardConfig, ShardedHtap};
+use pushtap::shard::{ShardConfig, ShardedHtap};
 use pushtap::trace::{chrome, fmt_ps, two_pc_overlap_peak, MemSink};
 
 /// The crash-recovery demo: write-ahead-log a batch to `dir`, crash
-/// mid-protocol, recover from the files, prove byte identity.
-fn crash_demo(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
+/// mid-protocol, recover from the files, prove byte identity. With
+/// `open_loop` the batch arrives on a Poisson clock through a bounded
+/// inbox instead of all at once.
+fn crash_demo(dir: &std::path::Path, open_loop: bool) -> Result<(), Box<dyn std::error::Error>> {
     use pushtap::chbench::{Partitioning, ALL_TABLES};
     use pushtap::core::Pushtap;
     use pushtap::format::RowSlot;
     use pushtap::oltp::stripe_start;
-    use pushtap::shard::{CrashPoint, CrashSite, WalBytes};
+    use pushtap::shard::{
+        ArrivalConfig, ArrivalGen, CrashPoint, CrashSite, OpenLoopConfig, WalBytes,
+    };
 
     const SHARDS: u32 = 4;
     const TXNS: u64 = 400;
     const SEED: u64 = 42;
     let mix = RemoteMix::Uniform;
-    let cfg = ShardConfig::small(SHARDS).with_mode(CoordinatorMode::Pipelined);
+    let cfg = ShardConfig::small(SHARDS);
 
     // Phase 1: a logged deployment that dies at an armed crash point —
     // here halfway through a decision-log write, the nastiest spot
@@ -57,13 +62,30 @@ fn crash_demo(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
     let mut gen = service
         .global_txn_gen(SEED)
         .with_remote_mix(mix, warehouses);
-    let before = service.run_txns(&mut gen, TXNS);
+    // `admitted[k]` is the stream position of the transaction pinned at
+    // timestamp k+1: the identity closed-loop, the arrivals that got
+    // past admission control open-loop (overload: ~4x what four shards
+    // serve, through 8-deep inboxes).
+    let (before, admitted) = if open_loop {
+        let mut arrivals = ArrivalGen::new(7, ArrivalConfig::poisson(1_200_000.0));
+        let report =
+            service.run_open_loop(&mut gen, &mut arrivals, TXNS, &OpenLoopConfig::new(8, 16));
+        println!(
+            "open loop: {} arrivals admitted and {} rejected at a full inbox before the kill",
+            report.admitted(),
+            report.rejected(),
+        );
+        (report.exec, report.admitted_index)
+    } else {
+        (service.run_txns(&mut gen, TXNS), (0..TXNS).collect())
+    };
     assert!(service.crashed(), "the armed crash point must fire");
     println!(
-        "killed the deployment mid-decision-log write (5th cross-shard decision): \
-         {} of {TXNS} txns had committed; {} effect records ({} bytes) and {} \
+        "killed the deployment mid-decision-log write (5th wave): \
+         {} of {} admitted txns had committed; {} effect records ({} bytes) and {} \
          decisions were durable in {}",
         before.committed(),
+        admitted.len(),
         before.wal_appends(),
         before.wal_bytes(),
         before.coord.decision_appends,
@@ -86,13 +108,13 @@ fn crash_demo(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 3: byte-identity oracle — an unpartitioned reference
     // executing exactly the recovered committed set at the original
-    // pinned timestamps (the i-th stream txn carries timestamp i+1).
+    // pinned timestamps.
     recovered.defragment_all();
     let mut reference = Pushtap::new(cfg.base.clone())?;
     let mut rgen = reference.txn_gen(SEED).with_remote_mix(mix, warehouses);
     let batch = rgen.batch(TXNS as usize);
     for &ts in &rec.committed {
-        reference.execute_txn_at(&batch[ts.0 as usize - 1], ts);
+        reference.execute_txn_at(&batch[admitted[ts.0 as usize - 1] as usize], ts);
     }
     reference.defragment_all();
 
@@ -149,7 +171,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dir = std::env::args()
             .nth(2)
             .unwrap_or_else(|| "pushtap-wal-demo".into());
-        return crash_demo(std::path::Path::new(&dir));
+        let open_loop = std::env::args().nth(3).as_deref() == Some("open");
+        return crash_demo(std::path::Path::new(&dir), open_loop);
     }
     let shards: u32 = std::env::args()
         .nth(1)
@@ -160,28 +183,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("local") => (RemoteMix::LOCAL, "warehouse-local"),
         _ => (RemoteMix::Uniform, "uniform"),
     };
-    let (mode, mode_name) = match std::env::args().nth(3).as_deref() {
-        Some("serial") => (CoordinatorMode::Serial, "serial (barrier-flush)"),
-        _ => (CoordinatorMode::Pipelined, "pipelined (wave-scheduled)"),
-    };
-    let trace_path = std::env::args().nth(4);
-    let mut service = ShardedHtap::new(ShardConfig::small(shards).with_mode(mode))?;
+    let trace_path = std::env::args().nth(3);
+    let mut service = ShardedHtap::new(ShardConfig::small(shards))?;
     let sink = Arc::new(MemSink::default());
     if trace_path.is_some() {
         service.set_trace_sink(sink.clone());
     }
     println!(
-        "built {} shards over {} warehouses ({} warehouses per shard, ITEM replicated), {mix_name} mix, {mode_name} coordinator",
+        "built {} shards over {} warehouses ({} warehouses per shard, ITEM replicated), {mix_name} mix",
         service.shard_count(),
         service.map().warehouses(),
         service.map().warehouses() / service.shard_count() as u64,
     );
 
     // OLTP: a global Payment/NewOrder stream routed by home warehouse.
-    // Under the pipelined coordinator, conflict-free waves execute
-    // concurrently and cross-shard two-phase commits overlap; under the
-    // serial oracle, local transactions queue per shard and every 2PC
-    // runs alone behind a barrier flush.
+    // Conflict-free waves execute concurrently and cross-shard
+    // two-phase commits overlap.
     let warehouses = service.map().warehouses();
     let mut gen = service.global_txn_gen(42).with_remote_mix(mix, warehouses);
     let oltp = service.run_txns(&mut gen, 600);
@@ -220,11 +237,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         oltp.two_pc_time_share() * 100.0,
     );
     println!(
-        "schedule: {} waves (widest {}), {} barrier flushes, {:.1}% of 2PCs overlapped, \
+        "schedule: {} waves (widest {}), {:.1}% of 2PCs overlapped, \
          round latency {} on the critical path vs {} sequential",
         oltp.coord.waves,
         oltp.coord.max_wave,
-        oltp.coord.barrier_flushes,
         oltp.overlap_ratio() * 100.0,
         oltp.critical_path_time(),
         oltp.two_pc_time(),
