@@ -1,7 +1,7 @@
 //! Runs the garbage-collection soak (GC-on vs GC-off under sustained
 //! TPC-C traffic), prints both rows, and writes `BENCH_soak.json`.
-//! `--txns <n>` sets the stream length (default 100 000; CI smokes at
-//! 20 000).
+//! `--txns <n>` sets the stream length (default 100 000, the committed
+//! baseline CI regenerates and diffs).
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let txns: u64 = flag_value(&args, "--txns")

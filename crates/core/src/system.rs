@@ -200,12 +200,12 @@ pub struct OltpReport {
     /// sum.
     pub two_pc_time: Ps,
     /// Two-phase-commit message latency on this engine's *critical
-    /// path*: the clock advance the rounds actually caused. A serial
-    /// coordinator delivers rounds one at a time, so this equals
-    /// [`OltpReport::two_pc_time`]; a pipelined coordinator dispatches a
-    /// whole wave's messages concurrently, and a delivery that arrives
-    /// while the engine is still busy with earlier wave work stalls it
-    /// for less than a full hop (possibly not at all). Time-share
+    /// path*: the clock advance the rounds actually caused. The shard
+    /// coordinator dispatches a whole wave's messages together, and a
+    /// delivery that arrives while the engine is still busy with
+    /// earlier wave work stalls it for less than a full hop (possibly
+    /// not at all), so this is at most [`OltpReport::two_pc_time`]
+    /// unless a laggard vote stretches the barrier. Time-share
     /// metrics must divide by busy time using *this* figure — the
     /// sequential ledger can exceed the clock under overlap.
     pub critical_path_time: Ps,
@@ -235,8 +235,8 @@ pub struct OltpReport {
     pub commit_latency: Histogram,
     /// Time transactions spent parked in a coordinator queue before
     /// execution began (picoseconds). Empty on a single-instance run;
-    /// the serial shard coordinator fills it with conflict-barrier
-    /// queueing delays.
+    /// the shard driver records one sample per transaction: the wait
+    /// between entering its home shard's inbox and its wave's dispatch.
     pub queue_wait: Histogram,
     /// Duration of each defragmentation pause that landed on this
     /// engine's clock (picoseconds), one sample per pass.

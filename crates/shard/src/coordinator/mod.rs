@@ -19,8 +19,9 @@
 //! 1. **Decompose** every wave member at its home engine and split the
 //!    effects by owning shard (read-only; wave members touch disjoint
 //!    rings, so the split is independent of intra-wave order).
-//! 2. **Prepare phase** — all shards concurrently
-//!    (`std::thread::scope`): each shard prepares its wave items in
+//! 2. **Prepare phase** — all shards concurrently *on their simulated
+//!    clocks*, executed one after another in shard order on the
+//!    caller's thread: each shard prepares its wave items in
 //!    timestamp order, holding one prepared undo scope per transaction
 //!    (the multi-scope machinery in `pushtap-mvcc`). Forwarded effect
 //!    sets pay their prepare-hop *delivery*: a wave's messages are all
@@ -32,8 +33,9 @@
 //!    prepared it; any `DeltaFull` vote aborts it everywhere. With a
 //!    WAL, the commit decisions of cross-shard members are logged and
 //!    forced here, before any is delivered.
-//! 4. **Decision phase** — all shards concurrently deliver commit/abort
-//!    decisions in timestamp order (again overlapped deliveries);
+//! 4. **Decision phase** — all shards, again concurrent only on their
+//!    simulated clocks, deliver commit/abort decisions in timestamp
+//!    order (again overlapped deliveries);
 //!    committed scopes resolve, aborted scopes replay their pinned undo
 //!    records in reverse.
 //! 5. **Retries** — each aborted transaction reclaims its no-voting
@@ -70,7 +72,6 @@
 pub mod schedule;
 
 use std::collections::BTreeMap;
-use std::thread;
 
 use pushtap_core::{MaintPause, Pushtap};
 use pushtap_mvcc::Ts;
@@ -84,12 +85,6 @@ use crate::durability::{encode_decision, CrashSite, DurabilityCtx};
 use crate::partition::WarehouseMap;
 use crate::report::ShardLoad;
 use crate::router::RoutedTxn;
-
-/// Joins a scoped shard worker, re-raising any panic on the caller's
-/// thread with its original payload intact.
-pub(crate) fn join_worker<T>(h: thread::ScopedJoinHandle<'_, T>) -> T {
-    h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
-}
 
 /// Appends one prepared effect set to a shard's effect log (volatile
 /// until the next force barrier) and accounts it.
@@ -149,28 +144,6 @@ fn wal_force(wal: &mut Wal, load: &mut ShardLoad, shard: &mut Pushtap, latency: 
             .in_wave(wave),
         );
     }
-}
-
-/// How a wave's prepare-phase force barriers run under an armed crash.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ForceMode {
-    /// No crash at this wave's flush: every involved shard forces.
-    Normal,
-    /// Crash before any force ([`CrashSite::AfterPrepare`]): pending
-    /// records die with the process.
-    Skip,
-    /// Crash mid-flush ([`CrashSite::MidEffectFlush`]): every shard
-    /// forces except the given one, whose force tears halfway through
-    /// its pending bytes.
-    TornAt(usize),
-}
-
-/// Folds one thread's partial load into a shard's batch load.
-fn merge_load(into: &mut ShardLoad, partial: ShardLoad) {
-    into.routed += partial.routed;
-    into.remote_touches += partial.remote_touches;
-    into.remote_time += partial.remote_time;
-    into.report.merge(&partial.report);
 }
 
 /// Charges one *overlapped* 2PC message delivery: the message was
@@ -368,157 +341,123 @@ pub(crate) fn run_wave(
         list.sort_by_key(|it| it.ts);
     }
 
-    // Step 2: the prepare phase — all shards concurrently. Each shard
-    // prepares its items in timestamp order (appending each prepared
-    // record to its effect log) and ends with its group-commit force
-    // barrier — one force for the whole wave, before its votes return;
-    // forwarded sets pay their (overlapped) prepare-hop delivery.
-    let force_latency = dur.as_deref().map_or(Ps::ZERO, |d| d.force_latency);
-    let force_mode = match crash {
-        Some(CrashSite::AfterPrepare) => ForceMode::Skip,
-        Some(CrashSite::MidEffectFlush) => items
-            .iter()
-            .rposition(|list| !list.is_empty())
-            .map_or(ForceMode::Skip, ForceMode::TornAt),
-        _ => ForceMode::Normal,
-    };
-    let mut wals: Vec<Option<&mut Wal>> = match dur.as_deref_mut() {
-        Some(d) => d.logs.iter_mut().map(Some).collect(),
-        None => shards.iter().map(|_| None).collect(),
-    };
-    type PrepareOutcome = (usize, ShardLoad, Vec<Option<TxnResult>>, Vec<Ps>, Vec<Ps>);
-    let results: Vec<PrepareOutcome> = thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter_mut()
-            .zip(items.iter())
-            .zip(wals.iter_mut())
-            .enumerate()
-            .filter(|(_, ((_, list), _))| !list.is_empty())
-            .map(|(i, ((shard, list), wal))| {
-                let mut wal = wal.as_deref_mut();
-                scope.spawn(move || {
-                    let mut load = ShardLoad::default();
-                    // Periodic maintenance between waves — no scope is
-                    // open on this shard here.
-                    charge_maintenance(&mut load, shard.defrag_if_due());
-                    let phase_start = shard.now();
-                    let mut votes: Vec<Option<TxnResult>> = Vec::with_capacity(list.len());
-                    // Per-item prepare-start clocks, threaded to the
-                    // decision phase for commit-latency attribution.
-                    let mut starts: Vec<Ps> = Vec::with_capacity(list.len());
-                    // Per-item prepare-end clocks: the instant this
-                    // shard's vote for the item leaves (laggard model).
-                    let mut ends: Vec<Ps> = Vec::with_capacity(list.len());
-                    for item in list {
-                        let item_start = shard.now();
-                        starts.push(item_start);
-                        if item.role == TxnRole::Participant {
-                            deliver(
-                                &mut load,
-                                shard,
-                                commit.prepare_hop,
-                                phase_start + commit.prepare_hop,
-                            );
-                        }
-                        {
-                            let san = shard.db().sanitizer();
-                            if san.enabled() {
-                                san.begin_execution(i as u32, item.ts.0, shard.now().ps());
-                            }
-                        }
-                        let r = charge_engine(&mut load, shard, |s| {
-                            s.prepare_effects_at(&item.effects, item.ts)
-                        });
-                        match r {
-                            Ok(r) => {
-                                // `prepared_txns` keeps its 2PC-only
-                                // semantics: a warehouse-local wave item
-                                // rides the same prepare machinery but is
-                                // a one-phase commit, not a 2PC prepare.
-                                if item.cross {
-                                    load.report.prepared_txns += 1;
-                                }
-                                if item.role == TxnRole::Participant {
-                                    load.report.forwarded_effects += item.effects.len() as u64;
-                                }
-                                if let Some(w) = wal.as_deref_mut() {
-                                    wal_append(
-                                        w,
-                                        &mut load,
-                                        shard,
-                                        item.ts,
-                                        item.role,
-                                        item.cross,
-                                        &item.effects,
-                                        wave_id,
-                                    );
-                                }
-                                votes.push(Some(r));
-                            }
-                            Err(_full) => {
-                                load.report.aborts += 1;
-                                votes.push(None);
-                            }
-                        }
-                        if item.cross && shard.trace_enabled() {
-                            shard.trace_record(
-                                Span::new(
-                                    shard.trace_track(),
-                                    Phase::TwoPc,
-                                    item.ts.0,
-                                    item_start.ps(),
-                                    shard.now().ps(),
-                                )
-                                .in_wave(wave_id),
-                            );
-                        }
-                        ends.push(shard.now());
+    // Step 2: the prepare phase — every involved shard on its own
+    // simulated clock, executed in shard order. Each shard prepares its
+    // items in timestamp order (appending each prepared record to its
+    // effect log) and ends with its group-commit force barrier — one
+    // force for the whole wave, before its votes return; forwarded sets
+    // pay their (overlapped) prepare-hop delivery.
+    let last_involved = items.iter().rposition(|list| !list.is_empty());
+    let mut votes: Vec<Vec<Option<TxnResult>>> = (0..shards.len()).map(|_| Vec::new()).collect();
+    // Per-item prepare-start clocks, kept for the decision phase's
+    // commit-latency attribution.
+    let mut starts: Vec<Vec<Ps>> = (0..shards.len()).map(|_| Vec::new()).collect();
+    // Per-item prepare-end clocks: the instant the shard's vote for the
+    // item leaves (laggard model).
+    let mut ends: Vec<Vec<Ps>> = (0..shards.len()).map(|_| Vec::new()).collect();
+    for (i, (shard, list)) in shards.iter_mut().zip(&items).enumerate() {
+        if list.is_empty() {
+            continue;
+        }
+        let load = &mut loads[i];
+        let mut wal = dur.as_deref_mut().map(|d| &mut d.logs[i]);
+        // Periodic maintenance between waves — no scope is open on this
+        // shard here.
+        charge_maintenance(load, shard.defrag_if_due());
+        let phase_start = shard.now();
+        for item in list {
+            let item_start = shard.now();
+            starts[i].push(item_start);
+            if item.role == TxnRole::Participant {
+                deliver(
+                    load,
+                    shard,
+                    commit.prepare_hop,
+                    phase_start + commit.prepare_hop,
+                );
+            }
+            {
+                let san = shard.db().sanitizer();
+                if san.enabled() {
+                    san.begin_execution(i as u32, item.ts.0, shard.now().ps());
+                }
+            }
+            let r = charge_engine(load, shard, |s| {
+                s.prepare_effects_at(&item.effects, item.ts)
+            });
+            match r {
+                Ok(r) => {
+                    // `prepared_txns` keeps its 2PC-only semantics: a
+                    // warehouse-local wave item rides the same prepare
+                    // machinery but is a one-phase commit, not a 2PC
+                    // prepare.
+                    if item.cross {
+                        load.report.prepared_txns += 1;
                     }
-                    // The wave's group commit: one force barrier covers every
-                    // record this shard appended for the wave. An armed
-                    // crash skips it (AfterPrepare) or tears the last
-                    // involved shard's force halfway (MidEffectFlush).
-                    if let Some(w) = wal {
-                        match force_mode {
-                            ForceMode::Normal => {
-                                wal_force(w, &mut load, shard, force_latency, wave_id);
-                            }
-                            ForceMode::Skip => {}
-                            ForceMode::TornAt(k) if k == i => {
-                                let half = w.pending_len() / 2;
-                                w.force_torn(half);
-                            }
-                            ForceMode::TornAt(_) => {
-                                wal_force(w, &mut load, shard, force_latency, wave_id);
-                            }
-                        }
+                    if item.role == TxnRole::Participant {
+                        load.report.forwarded_effects += item.effects.len() as u64;
                     }
-                    if shard.trace_enabled() && shard.now() > phase_start {
-                        shard.trace_record(
-                            Span::new(
-                                shard.trace_track(),
-                                Phase::WavePrepare,
-                                0,
-                                phase_start.ps(),
-                                shard.now().ps(),
-                            )
-                            .in_wave(wave_id),
+                    if let Some(w) = wal.as_deref_mut() {
+                        wal_append(
+                            w,
+                            load,
+                            shard,
+                            item.ts,
+                            item.role,
+                            item.cross,
+                            &item.effects,
+                            wave_id,
                         );
                     }
-                    (i, load, votes, starts, ends)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    let mut votes: Vec<Vec<Option<TxnResult>>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    let mut starts: Vec<Vec<Ps>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    let mut ends: Vec<Vec<Ps>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    for (i, partial, v, s, e) in results {
-        merge_load(&mut loads[i], partial);
-        votes[i] = v;
-        starts[i] = s;
-        ends[i] = e;
+                    votes[i].push(Some(r));
+                }
+                Err(_full) => {
+                    load.report.aborts += 1;
+                    votes[i].push(None);
+                }
+            }
+            if item.cross && shard.trace_enabled() {
+                shard.trace_record(
+                    Span::new(
+                        shard.trace_track(),
+                        Phase::TwoPc,
+                        item.ts.0,
+                        item_start.ps(),
+                        shard.now().ps(),
+                    )
+                    .in_wave(wave_id),
+                );
+            }
+            ends[i].push(shard.now());
+        }
+        // The wave's group commit: one force barrier covers every
+        // record this shard appended for the wave. An armed crash skips
+        // it (AfterPrepare: pending records die with the process) or
+        // tears the last involved shard's force halfway through its
+        // pending bytes, every earlier shard forcing in full
+        // (MidEffectFlush).
+        if let Some(w) = wal {
+            match crash {
+                Some(CrashSite::AfterPrepare) => {}
+                Some(CrashSite::MidEffectFlush) if last_involved == Some(i) => {
+                    let half = w.pending_len() / 2;
+                    w.force_torn(half);
+                }
+                _ => wal_force(w, load, shard, commit.force_latency, wave_id),
+            }
+        }
+        if shard.trace_enabled() && shard.now() > phase_start {
+            shard.trace_record(
+                Span::new(
+                    shard.trace_track(),
+                    Phase::WavePrepare,
+                    0,
+                    phase_start.ps(),
+                    shard.now().ps(),
+                )
+                .in_wave(wave_id),
+            );
+        }
     }
 
     // The kill at (or during) the wave's group commit: the prepare
@@ -570,10 +509,10 @@ pub(crate) fn run_wave(
         }
     }
 
-    // Step 4: the decision phase — all shards concurrently, decisions
-    // delivered in timestamp order with overlapped hops. Commits
-    // resolve scopes (metadata-only); aborts replay pinned undo
-    // records.
+    // Step 4: the decision phase — again every involved shard on its
+    // own clock, in shard order: decisions delivered in timestamp order
+    // with overlapped hops. Commits resolve scopes (metadata-only);
+    // aborts replay pinned undo records.
     //
     // Laggard vote clocks: participant `p`'s vote for wave member `t`
     // leaves at `vote_ready[p][t.txn]` — `p`'s clock right after `t`'s
@@ -589,136 +528,98 @@ pub(crate) fn run_wave(
             vote_ready[i][item.txn] = end;
         }
     }
-    let vote_ready_ref = &vote_ready;
-    let committed_ref = &committed;
-    let results: Vec<(usize, ShardLoad)> = thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter_mut()
-            .zip(items.iter().zip(votes.iter().zip(starts.iter())))
-            .enumerate()
-            .filter(|(_, (_, (list, _)))| !list.is_empty())
-            .map(|(i, (shard, (list, (shard_votes, shard_starts))))| {
-                scope.spawn(move || {
-                    let mut load = ShardLoad::default();
-                    let phase_start = shard.now();
-                    for ((item, vote), &prepare_start) in
-                        list.iter().zip(shard_votes).zip(shard_starts)
-                    {
-                        let Some(result) = vote else {
-                            // This shard voted no: nothing is held here
-                            // (the failed prepare already rolled back and
-                            // charged its wasted latency).
-                            continue;
-                        };
-                        let decision = committed_ref[item.txn];
-                        let item_start = shard.now();
-                        match item.role {
-                            TxnRole::Coordinator => {
-                                // The home half pays the decision
-                                // round-trip for a cross-shard
-                                // transaction, gated by the laggard
-                                // vote barrier: the last vote arrives
-                                // from the slowest participant — its
-                                // prepare-pass end plus one prepare-hop
-                                // and its deterministic skew, floored
-                                // by the home's own round-trip — and
-                                // the decision goes out one commit-hop
-                                // later, overlapped with the rest of
-                                // the wave's rounds.
-                                if item.cross {
-                                    let mut vote_at = phase_start + commit.prepare_hop;
-                                    for &p in &wave[item.txn].participants {
-                                        vote_at = vote_at.max(
-                                            vote_ready_ref[p as usize][item.txn]
-                                                + commit.prepare_hop
-                                                + vote_skew(commit.vote_jitter, p, item.ts),
-                                        );
-                                    }
-                                    deliver(&mut load, shard, commit.prepare_hop, vote_at);
-                                    deliver(
-                                        &mut load,
-                                        shard,
-                                        commit.commit_hop,
-                                        vote_at + commit.commit_hop,
-                                    );
-                                    if shard.trace_enabled() {
-                                        shard.trace_record(
-                                            Span::new(
-                                                shard.trace_track(),
-                                                Phase::VoteBarrier,
-                                                item.ts.0,
-                                                item_start.ps(),
-                                                shard.now().ps(),
-                                            )
-                                            .in_wave(wave_id),
-                                        );
-                                    }
-                                }
-                                if decision {
-                                    shard.commit_prepared(item.ts, TxnRole::Coordinator);
-                                    load.routed += 1;
-                                    load.report.committed += 1;
-                                    load.report.breakdown.merge(&result.breakdown);
-                                    load.remote_touches += wave[item.txn].remote;
-                                    load.report
-                                        .commit_latency
-                                        .record(shard.now().saturating_sub(prepare_start).ps());
-                                } else {
-                                    charge_engine(&mut load, shard, |s| s.abort_prepared(item.ts));
-                                    load.report.aborts += 1;
-                                    load.report.participant_aborts += 1;
-                                }
-                            }
-                            TxnRole::Participant => {
-                                deliver(
-                                    &mut load,
-                                    shard,
-                                    commit.commit_hop,
-                                    phase_start + commit.commit_hop,
-                                );
-                                if decision {
-                                    shard.commit_prepared(item.ts, TxnRole::Participant);
-                                    load.report.breakdown.merge(&result.breakdown);
-                                } else {
-                                    charge_engine(&mut load, shard, |s| s.abort_prepared(item.ts));
-                                    load.report.aborts += 1;
-                                    load.report.participant_aborts += 1;
-                                }
-                            }
-                        }
-                        if item.cross && shard.trace_enabled() {
-                            shard.trace_record(
-                                Span::new(
-                                    shard.trace_track(),
-                                    Phase::TwoPc,
-                                    item.ts.0,
-                                    item_start.ps(),
-                                    shard.now().ps(),
-                                )
-                                .in_wave(wave_id),
-                            );
-                        }
+    for (i, (shard, list)) in shards.iter_mut().zip(&items).enumerate() {
+        let load = &mut loads[i];
+        let phase_start = shard.now();
+        for ((item, vote), &prepare_start) in list.iter().zip(&votes[i]).zip(&starts[i]) {
+            let Some(result) = vote else {
+                // This shard voted no: nothing is held here (the failed
+                // prepare already rolled back and charged its wasted
+                // latency).
+                continue;
+            };
+            let item_start = shard.now();
+            match item.role {
+                TxnRole::Participant => deliver(
+                    load,
+                    shard,
+                    commit.commit_hop,
+                    phase_start + commit.commit_hop,
+                ),
+                // The home half pays the decision round-trip for a
+                // cross-shard transaction, gated by the laggard vote
+                // barrier: the last vote arrives from the slowest
+                // participant — its prepare end plus one prepare-hop
+                // and its deterministic skew, floored by the home's own
+                // round-trip — and the decision goes out one commit-hop
+                // later, overlapped with the rest of the wave's rounds.
+                TxnRole::Coordinator if item.cross => {
+                    let mut vote_at = phase_start + commit.prepare_hop;
+                    for &p in &wave[item.txn].participants {
+                        vote_at = vote_at.max(
+                            vote_ready[p as usize][item.txn]
+                                + commit.prepare_hop
+                                + vote_skew(commit.vote_jitter, p, item.ts),
+                        );
                     }
-                    if shard.trace_enabled() && shard.now() > phase_start {
+                    deliver(load, shard, commit.prepare_hop, vote_at);
+                    deliver(load, shard, commit.commit_hop, vote_at + commit.commit_hop);
+                    if shard.trace_enabled() {
                         shard.trace_record(
                             Span::new(
                                 shard.trace_track(),
-                                Phase::WaveDecide,
-                                0,
-                                phase_start.ps(),
+                                Phase::VoteBarrier,
+                                item.ts.0,
+                                item_start.ps(),
                                 shard.now().ps(),
                             )
                             .in_wave(wave_id),
                         );
                     }
-                    (i, load)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    for (i, partial) in results {
-        merge_load(&mut loads[i], partial);
+                }
+                TxnRole::Coordinator => {}
+            }
+            if committed[item.txn] {
+                shard.commit_prepared(item.ts, item.role);
+                load.report.breakdown.merge(&result.breakdown);
+                if item.role == TxnRole::Coordinator {
+                    load.routed += 1;
+                    load.report.committed += 1;
+                    load.remote_touches += wave[item.txn].remote;
+                    load.report
+                        .commit_latency
+                        .record(shard.now().saturating_sub(prepare_start).ps());
+                }
+            } else {
+                charge_engine(load, shard, |s| s.abort_prepared(item.ts));
+                load.report.aborts += 1;
+                load.report.participant_aborts += 1;
+            }
+            if item.cross && shard.trace_enabled() {
+                shard.trace_record(
+                    Span::new(
+                        shard.trace_track(),
+                        Phase::TwoPc,
+                        item.ts.0,
+                        item_start.ps(),
+                        shard.now().ps(),
+                    )
+                    .in_wave(wave_id),
+                );
+            }
+        }
+        if shard.trace_enabled() && shard.now() > phase_start {
+            shard.trace_record(
+                Span::new(
+                    shard.trace_track(),
+                    Phase::WaveDecide,
+                    0,
+                    phase_start.ps(),
+                    shard.now().ps(),
+                )
+                .in_wave(wave_id),
+            );
+        }
     }
 
     // Step 5: retries — each aborted transaction re-enters this

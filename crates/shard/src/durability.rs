@@ -45,7 +45,6 @@ use std::fmt;
 use pushtap_format::LayoutError;
 use pushtap_mvcc::Ts;
 use pushtap_oltp::CodecError;
-use pushtap_pim::Ps;
 use pushtap_wal::{Wal, WalTrim};
 
 /// Where in the commit protocol an armed crash kills the process.
@@ -244,11 +243,12 @@ pub(crate) fn decode_decision(payload: &[u8]) -> Result<Ts, CodecError> {
     }
 }
 
-/// Why log bytes could not be replayed or compacted. Torn and
-/// bit-flipped records never get this far — the scan truncates the log
-/// at the first bad checksum — so these are logs that are intact but
-/// not this deployment's: the wrong shard count, or records another
-/// format version wrote.
+/// Why log bytes could not be replayed or compacted. Replay never
+/// meets a torn or bit-flipped record — the scan truncates the log at
+/// the first bad checksum — so apart from [`RecoverError::TornLog`]
+/// (a checkpoint will not rewrite a log it would have to cut) these
+/// are logs that are intact but not this deployment's: the wrong shard
+/// count, or records another format version wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoverError {
     /// Building the fresh deployment failed.
@@ -270,6 +270,13 @@ pub enum RecoverError {
         record: usize,
         /// What the decoder rejected.
         error: CodecError,
+    },
+    /// A checkpoint met a log whose durable image ends in a torn or
+    /// corrupt frame; no log was rewritten. Recovery cuts such a tail.
+    TornLog {
+        /// The shard whose effect log is torn; `None` for the
+        /// coordinator decision log.
+        shard: Option<usize>,
     },
 }
 
@@ -296,6 +303,14 @@ impl fmt::Display for RecoverError {
             } => write!(
                 f,
                 "record {record} of the decision log is checksummed but undecodable: {error}"
+            ),
+            RecoverError::TornLog { shard: Some(shard) } => write!(
+                f,
+                "checkpoint over a torn log (shard {shard}'s effect log) — recover it first"
+            ),
+            RecoverError::TornLog { shard: None } => write!(
+                f,
+                "checkpoint over a torn log (the decision log) — recover it first"
             ),
         }
     }
@@ -357,8 +372,6 @@ pub(crate) struct DurabilityCtx<'a> {
     pub logs: &'a mut [Wal],
     /// The decision log.
     pub decision_log: &'a mut Wal,
-    /// Group-commit force latency, charged per force barrier.
-    pub force_latency: Ps,
     /// The armed crash point, if any.
     pub armed: Option<CrashPoint>,
 }
@@ -399,7 +412,6 @@ mod tests {
         let ctx = DurabilityCtx {
             logs: std::slice::from_mut(&mut a),
             decision_log: &mut b,
-            force_latency: Ps::ZERO,
             armed: Some(CrashPoint {
                 site: CrashSite::AfterPrepare,
                 event: 3,

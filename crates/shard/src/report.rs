@@ -97,8 +97,8 @@ impl ShardOltpReport {
         self.per_shard.iter().map(|s| s.report.committed).sum()
     }
 
-    /// The batch's wall-clock: the slowest shard (shards run
-    /// concurrently).
+    /// The batch's simulated wall-clock: the slowest shard's elapsed
+    /// clock (shards run concurrently in simulated time only).
     pub fn makespan(&self) -> Ps {
         self.per_shard
             .iter()

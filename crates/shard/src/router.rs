@@ -131,11 +131,11 @@ impl TxnRouter {
     /// remote-touch accounting.
     ///
     /// Stamping must happen here, before execution fans out: once
-    /// transactions interleave across concurrent shard threads, the
-    /// stream order (the only order that matches the single-instance
-    /// reference) is gone. The wave scheduler preserves that order for
-    /// every *conflicting* pair: the later transaction always lands in a
-    /// later wave.
+    /// transactions are spread over the shards' independent simulated
+    /// clocks, the stream order (the only order that matches the
+    /// single-instance reference) is gone. The wave scheduler preserves
+    /// that order for every *conflicting* pair: the later transaction
+    /// always lands in a later wave.
     ///
     /// The service routes and stamps one admission at a time
     /// ([`TxnRouter::route`] plus the oracle); this whole-batch form

@@ -6,7 +6,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
-use std::thread;
 
 use pushtap_chbench::{Table, Txn, TxnGen};
 use pushtap_core::{Pushtap, QueryReport};
@@ -67,8 +66,14 @@ impl WalHandles {
 /// stream order; cross-shard ones commit by a coordinator-driven
 /// two-phase commit that forwards remote-owned effects to their owning
 /// shards ([`crate::coordinator`]). Analytical queries scatter to every
-/// shard (each runs its snapshot + two-phase PIM scan concurrently) and
-/// gather by merging distributive partials.
+/// shard (each runs its snapshot + two-phase PIM scan on its own
+/// simulated clock) and gather by merging distributive partials.
+///
+/// Shard concurrency is *simulated*: every engine advances its own
+/// clock and the coordinator couples them at barriers, while the host
+/// executes the shards of a phase one after another on the caller's
+/// thread. Every run is therefore deterministic down to the order
+/// spans and sanitizer observations are emitted in.
 ///
 /// All shards share one [`TsOracle`]: the coordinator stamps every
 /// routed transaction with a timestamp drawn in global stream order, so
@@ -254,22 +259,14 @@ impl ShardedHtap {
             });
         }
         let dscan = scan(&logs.decisions);
-        let decided = &decided_set(&dscan.records)?;
-        let results = thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(&logs.shards)
-                .enumerate()
-                .map(|(i, (shard, bytes))| {
-                    scope.spawn(move || replay_shard(i, shard, bytes, decided))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(coordinator::join_worker)
-                .collect::<Result<Vec<_>, _>>()
-        })?;
+        let decided = decided_set(&dscan.records)?;
+        let results = self
+            .shards
+            .iter_mut()
+            .zip(&logs.shards)
+            .enumerate()
+            .map(|(i, (shard, bytes))| replay_shard(i, shard, bytes, &decided))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut per_shard = Vec::with_capacity(self.shards.len());
         let mut committed: Vec<Ts> = Vec::new();
         let mut watermark = 0u64;
@@ -387,8 +384,9 @@ impl ShardedHtap {
 
     /// Routes `n` transactions from a global stream and executes them
     /// closed-loop: the whole batch is offered at once, scheduled into
-    /// conflict-free waves, and every wave runs concurrently across the
-    /// shards with cross-shard members committing by two-phase commit
+    /// conflict-free waves, and every wave runs across the shards
+    /// concurrently on their simulated clocks (in shard order on the
+    /// host) with cross-shard members committing by two-phase commit
     /// (effects forwarded to their owning shards — see
     /// [`crate::coordinator`]). Every transaction is stamped with its
     /// stream-order timestamp from the shared oracle at admission, so
@@ -489,7 +487,6 @@ impl ShardedHtap {
         );
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
         let shard_count = self.shards.len();
-        let force_latency = self.cfg.commit.force_latency;
         let mut run = Run {
             map: *self.router.map(),
             commit: self.cfg.commit,
@@ -498,7 +495,6 @@ impl ShardedHtap {
             dur: self.durability.as_mut().map(|d| DurabilityCtx {
                 logs: &mut d.logs,
                 decision_log: &mut d.decision_log,
-                force_latency,
                 armed: d.armed,
             }),
             waiting: vec![0; shard_count],
@@ -642,21 +638,15 @@ impl ShardedHtap {
         }
     }
 
-    /// Defragments every shard concurrently (each pauses its own OLTP,
-    /// §5.3). Returns the deployment-wide pause: the slowest shard's.
+    /// Defragments every shard, each on its own simulated clock (each
+    /// pauses its own OLTP, §5.3). Returns the deployment-wide pause:
+    /// the slowest shard's.
     pub fn defragment_all(&mut self) -> Ps {
-        thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| scope.spawn(move || shard.defragment_all().1))
-                .collect();
-            handles
-                .into_iter()
-                .map(coordinator::join_worker)
-                .max()
-                .unwrap_or(Ps::ZERO)
-        })
+        self.shards
+            .iter_mut()
+            .map(|shard| shard.defragment_all().1)
+            .max()
+            .unwrap_or(Ps::ZERO)
     }
 
     /// Checkpoints the write-ahead logs: compacts every shard's effect
@@ -703,13 +693,17 @@ impl ShardedHtap {
         }
     }
 
-    /// [`ShardedHtap::checkpoint`], reporting an undecodable log record
-    /// as an error instead of panicking. On `Err` the logs still
-    /// recover to the same state: each effect log compacts on its own,
-    /// and the decision log is trimmed only after all of them have.
+    /// [`ShardedHtap::checkpoint`], reporting log bytes it cannot
+    /// compact as an error instead of panicking. On `Err` the logs
+    /// still recover to the same state: each effect log compacts on its
+    /// own, and the decision log is trimmed only after all of them
+    /// have.
     ///
     /// # Errors
     ///
+    /// [`RecoverError::TornLog`] if any log's durable image ends in a
+    /// torn frame (a file-backed log cut mid-write) — checked on every
+    /// log before the first is rewritten — and
     /// [`RecoverError::Undecodable`] if a checksummed record of any log
     /// fails to decode (a file-backed log another format version wrote
     /// into).
@@ -737,12 +731,25 @@ impl ShardedHtap {
         let Some(d) = durability.as_mut() else {
             panic!("checkpoint requires an enabled WAL");
         };
-        let decided = decided_set(&scan(&d.decision_log.durable_image()).records)?;
+        // Scan everything before the first rewrite: a torn tail on any
+        // log fails the checkpoint with every log file untouched.
+        let scans: Vec<_> = d
+            .logs
+            .iter()
+            .map(|log| scan(&log.durable_image()))
+            .collect();
+        let dscan = scan(&d.decision_log.durable_image());
+        let torn_effects = scans.iter().position(|s| s.torn).map(Some);
+        if let Some(shard) = torn_effects.or(dscan.torn.then_some(None)) {
+            return Err(RecoverError::TornLog { shard });
+        }
+        let decided = decided_set(&dscan.records)?;
         let per_shard = shards
             .iter()
             .zip(d.logs.iter_mut())
+            .zip(&scans)
             .enumerate()
-            .map(|(i, (shard, log))| compact_shard_log(i, shard, log, &decided))
+            .map(|(i, ((shard, log), s))| compact_shard_log(i, shard, log, &s.records, &decided))
             .collect::<Result<Vec<_>, _>>()?;
         // Every entry decoded a moment ago, into `decided`.
         let decisions = d.decision_log.truncate_before(|p| {
@@ -760,7 +767,8 @@ impl ShardedHtap {
     /// Answers `query` by global-cut scatter-gather: the coordinator
     /// first agrees on the snapshot cut — the shared oracle's current
     /// watermark — then every shard snapshots *at that cut* and runs its
-    /// partial concurrently (two-phase PIM scan over its slice), and the
+    /// partial on its own simulated clock (two-phase PIM scan over its
+    /// slice; the scatter's latency is the slowest shard's), and the
     /// coordinator merges the distributive partials.
     ///
     /// Because every shard cuts at the same timestamp, the merged answer
@@ -788,21 +796,18 @@ impl ShardedHtap {
         // Pin the cut for the scatter's duration: garbage collection on
         // any shard may reclaim only strictly below it, so every
         // partial reads its exact as-of-cut versions even if GC runs
-        // concurrently. Mirrored to an armed sanitizer, which fires if
-        // a reclaimed version violates the pin.
+        // mid-scatter. Mirrored to an armed sanitizer, which fires if a
+        // reclaimed version violates the pin.
         let _pin = self.oracle.pin_snapshot(cut);
         let san = Arc::clone(self.shards[0].db().sanitizer());
         if san.enabled() {
             san.register_pin(cut.0);
         }
-        let partials: Vec<QueryReport> = thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| scope.spawn(move || shard.run_query_at(query, cut)))
-                .collect();
-            handles.into_iter().map(coordinator::join_worker).collect()
-        });
+        let partials: Vec<QueryReport> = self
+            .shards
+            .iter_mut()
+            .map(|shard| shard.run_query_at(query, cut))
+            .collect();
         let scatter_latency = partials.iter().map(|p| p.total()).max().unwrap_or(Ps::ZERO);
         let gathered: u64 = partials.iter().map(|p| p.result.rows()).sum();
         let merge_time = self.shards[0]
@@ -963,15 +968,17 @@ impl Run<'_> {
 
 /// Compacts one shard's effect log under a checkpoint (see
 /// [`ShardedHtap::checkpoint`] for the invariants): plans per-record
-/// rewrites from the shard's committed state, then rewrites the log in
-/// place via [`Wal::truncate_before`].
+/// rewrites of `scanned` (the log's durable records) from the shard's
+/// committed state, then rewrites the log in place via
+/// [`Wal::truncate_before`].
 fn compact_shard_log(
     index: usize,
     shard: &Pushtap,
     log: &mut Wal,
+    scanned: &[Vec<u8>],
     decided: &BTreeSet<u64>,
 ) -> Result<WalTrim, RecoverError> {
-    let records = decode_effect_log(index, &scan(&log.durable_image()).records)?;
+    let records = decode_effect_log(index, scanned)?;
     // Dedupe by timestamp keep-last, mirroring replay (duplicate
     // appends — a wave casualty and its retry — are byte-identical by
     // retry-stability).

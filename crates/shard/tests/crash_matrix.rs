@@ -516,6 +516,39 @@ fn checkpoint_over_a_foreign_record_is_a_typed_error() {
     assert_eq!(ShardedHtap::recover(cfg, &image).map(|_| ()), Err(err));
 }
 
+/// A file-backed log whose durable image ends mid-frame: `try_checkpoint`
+/// refuses with a typed error *before* rewriting any log — it used to
+/// panic inside `Wal::truncate_before` with the earlier shards' logs
+/// already compacted — and recovery cuts the torn tail as ever.
+#[test]
+fn checkpoint_over_a_torn_log_is_a_typed_error_and_rewrites_nothing() {
+    use std::io::Write as _;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("torn-log-checkpoint");
+    std::fs::create_dir_all(&dir).expect("create log dir");
+    let cfg = ShardConfig::small(2);
+    let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
+    service.enable_wal_files(&dir).expect("open log files");
+    let mut gen = service.global_txn_gen(SEED);
+    assert_eq!(service.run_txns(&mut gen, 16).committed(), 16);
+    let frame = pushtap_wal::frame(b"half of this frame never lands");
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("shard-1.wal"))
+        .and_then(|mut f| f.write_all(&frame[..frame.len() / 2]))
+        .expect("append half a frame");
+    let before = WalBytes::read_dir(&dir, 2).expect("read log files");
+    assert_eq!(
+        service.try_checkpoint().map(|_| ()),
+        Err(RecoverError::TornLog { shard: Some(1) })
+    );
+    let after = WalBytes::read_dir(&dir, 2).expect("read log files");
+    assert_eq!(before.shards, after.shards, "no effect log may change");
+    assert_eq!(before.decisions, after.decisions);
+    let (_, report) = ShardedHtap::recover(cfg, &after).expect("recovery cuts the torn tail");
+    assert!(report.per_shard[1].torn);
+    assert_eq!(report.committed.len(), 16);
+}
+
 /// A crashed service is dead: it refuses further batches, exactly like
 /// the process it simulates.
 #[test]

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_format::RowSlot;
+use pushtap_sanitizer::ShadowSanitizer;
 use pushtap_shard::{
     ArrivalConfig, ArrivalGen, CrashPoint, CrashSite, OpenLoopConfig, OpenLoopReport, ShardConfig,
     ShardOltpReport, ShardedHtap, WalHandles,
@@ -540,6 +541,35 @@ fn open_loop_trace_reconciles_with_queue_counters() {
     assert_eq!(report.committed_ts, ur.committed_ts);
     assert_eq!(report.rejected_per_shard, ur.rejected_per_shard);
     assert_services_match(&service, &untraced, "open loop traced vs untraced");
+}
+
+/// The simulator runs on one host thread, so two runs of one seed emit
+/// the same spans in the same *order* — no sorting — and an armed
+/// shadow tracker observes the same counts. (With a host thread per
+/// shard the shards' emissions interleaved by scheduling luck.)
+#[test]
+fn same_seed_emits_identical_unsorted_sequences() {
+    let (_, _, first, _) = run_wal();
+    let (_, _, second, _) = run_wal();
+    assert!(!first.is_empty());
+    assert_eq!(first, second, "span emission order must repeat exactly");
+
+    let armed = || {
+        let mut service = ShardedHtap::new(squeezed()).expect("build shards");
+        let san = Arc::new(ShadowSanitizer::new());
+        service.set_sanitizer(san.clone());
+        let _handles = service.enable_wal();
+        let warehouses = service.map().warehouses();
+        let mut gen = service
+            .global_txn_gen(SEED)
+            .with_remote_mix(RemoteMix::Uniform, warehouses);
+        assert_eq!(service.run_txns(&mut gen, TXNS).committed(), TXNS);
+        san.assert_clean("armed determinism run");
+        (san.checked_accesses(), san.scopes_tracked())
+    };
+    let observed = armed();
+    assert!(observed.0 > 0 && observed.1 > 0, "tracker saw nothing");
+    assert_eq!(observed, armed(), "sanitizer observation counts");
 }
 
 #[test]

@@ -36,7 +36,7 @@ fn push_ts(out: &mut String, ps: u64) {
 /// One serialisable trace event plus its sort key: `(pid, tid, ts,
 /// longest-first)` so parents precede contained children at equal
 /// start times and the per-track `ts` monotonicity [`validate`] checks
-/// holds by construction, whatever order the shard threads emitted in.
+/// holds by construction, whatever order the spans were emitted in.
 struct Ev {
     pid: u32,
     tid: u32,

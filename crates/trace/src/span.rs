@@ -229,8 +229,9 @@ pub trait TraceSink: fmt::Debug + Send + Sync {
         true
     }
 
-    /// Accepts one span. Called from concurrently-running shard
-    /// threads, so implementations must synchronise internally.
+    /// Accepts one span. The simulator emits from one thread, in a
+    /// deterministic order; a caller may still share one sink across
+    /// its own threads, so implementations must synchronise internally.
     fn record(&self, span: Span);
 }
 
@@ -247,8 +248,9 @@ impl TraceSink for NullSink {
     fn record(&self, _span: Span) {}
 }
 
-/// An in-memory sink for benches and tests: collects every span behind
-/// a mutex (shard threads emit concurrently).
+/// An in-memory sink for benches and tests: collects every span, in
+/// emission order, behind a mutex (the simulator emits from one thread;
+/// the lock lets a caller share the sink across its own).
 #[derive(Debug, Default)]
 pub struct MemSink {
     spans: Mutex<Vec<Span>>,

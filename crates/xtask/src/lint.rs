@@ -14,9 +14,11 @@
 //!    propagated unwinds), never a generic `Option`/`Result` blowup;
 //! 3. **`#![forbid(unsafe_code)]` in every crate root** (vendor shims
 //!    included);
-//! 4. **no bare `thread::spawn`** anywhere — only scoped threads
-//!    (`thread::scope`), so no simulation state can leak past a
-//!    batch's lifetime;
+//! 4. **no host threads in simulation crates** — no `thread::scope` /
+//!    `thread::spawn` / `std::thread` in their non-test code (same
+//!    scope as rule 1, `#[cfg(test)]` blocks exempt): concurrency is
+//!    modelled by per-engine `Ps` clocks, and a run on one host thread
+//!    is deterministic down to its emission order;
 //! 5. **every `Phase` variant referenced in `trace_reconcile.rs`** —
 //!    the trace-reconciliation suite must keep up with the lifecycle
 //!    vocabulary, or new phases ship unverified.
@@ -95,13 +97,17 @@ pub fn run() -> bool {
             }
         }
 
-        for offset in find_token(&cleaned, "thread::spawn") {
-            violations.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_of(&source, offset),
-                rule: "scoped-threads-only",
-                message: "bare `thread::spawn` (use `thread::scope`)".to_string(),
-            });
+        if is_simulation_src(rel) {
+            for line in host_thread_lines(&source, &cleaned) {
+                violations.push(Violation {
+                    file: rel.to_path_buf(),
+                    line,
+                    rule: "no-host-threads",
+                    message: "host thread in a simulation crate (shards are \
+                              concurrent on their `Ps` clocks only)"
+                        .to_string(),
+                });
+            }
         }
     }
 
@@ -221,7 +227,22 @@ fn phase_variants(cleaned: &str) -> Vec<String> {
     variants
 }
 
-/// Whether the file falls under the determinism rule.
+/// Rule 4: the lines of `source` that name a host-thread API outside
+/// `#[cfg(test)]` items (`cleaned` is `source` with non-code blanked).
+fn host_thread_lines(source: &str, cleaned: &str) -> Vec<usize> {
+    let exempt = cfg_test_ranges(cleaned);
+    let mut lines: Vec<usize> = ["thread::scope", "thread::spawn", "std::thread"]
+        .iter()
+        .flat_map(|token| find_token(cleaned, token))
+        .filter(|offset| !exempt.iter().any(|r| r.contains(offset)))
+        .map(|offset| line_of(source, offset))
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines
+}
+
+/// Whether the file falls under the determinism and host-thread rules.
 fn is_simulation_src(rel: &Path) -> bool {
     if rel.starts_with("crates/xtask") || rel.starts_with("vendor") {
         return false;
@@ -527,6 +548,15 @@ let lt: &'static str = "y";
         assert_eq!(offsets.len(), 2);
         assert!(!ranges[0].contains(&offsets[0]));
         assert!(ranges[0].contains(&offsets[1]));
+    }
+
+    #[test]
+    fn host_threads_are_flagged_outside_comments_strings_and_test_modules() {
+        let src = "// thread::scope in a comment\n\
+                   fn a() { let s = \"thread::spawn in a string\"; }\n\
+                   fn b() { std::thread::scope(|_| ()); }\n\
+                   #[cfg(test)]\nmod tests { fn c() { std::thread::scope(|_| ()); } }\n";
+        assert_eq!(host_thread_lines(src, &blank_noncode(src)), vec![3]);
     }
 
     #[test]
