@@ -62,4 +62,4 @@ pub use classic::{
 pub use layout::{ByteSource, Fragment, LayoutError, PartLayout, Slot, TableLayout};
 pub use region::{PartRegion, RegionPlan};
 pub use schema::{paper_example_schema, Column, ColumnKind, TableSchema};
-pub use store::{RowSlot, TableStore};
+pub use store::{ColumnCursor, RowSlot, TableStore};

@@ -4,6 +4,14 @@
 //! This is the value-carrying half of the unified format: the engines read
 //! and write actual row bytes here, while accounting the corresponding
 //! memory traffic against the timing simulator separately.
+//!
+//! The one format is read along two dimensions. The *row* dimension is
+//! the CPU's view (§4.1): [`TableStore::read_row`] and
+//! [`TableStore::write_row`] gather or scatter a row version across every
+//! device it spans. The *column* dimension is a PIM unit's view (§4.2,
+//! §6.2): a [`ColumnCursor`] resolves one column's placement once and
+//! then decodes that column's value of any slot straight from the device
+//! bytes.
 
 use pushtap_pim::DeviceArray;
 
@@ -151,8 +159,10 @@ impl TableStore {
         for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
             let off = self.base_offset(f.part, slot) + f.offset as u64;
-            let bytes = self.mem.device(device).read(off as usize, f.len as usize);
-            out[f.col_byte as usize..(f.col_byte + f.len) as usize].copy_from_slice(&bytes);
+            self.mem.device(device).read_into(
+                off as usize,
+                &mut out[f.col_byte as usize..(f.col_byte + f.len) as usize],
+            );
         }
         out
     }
@@ -181,24 +191,113 @@ impl TableStore {
         }
     }
 
-    /// Raw bytes of key column `col` for data row `row` as stored on its
-    /// device — what the owning PIM unit sees during a scan.
+    /// A cursor over column `col` — the column dimension of the format.
+    /// Everything a value access needs (the column's fragments, their
+    /// parts' strides and region bases, the device count, the circulant
+    /// block size) is resolved here, once per scan.
     ///
     /// # Panics
     ///
-    /// Panics if `col` is not a single-fragment (key) column.
-    pub fn key_bytes_on_device(&self, col: u32, row: u64) -> (u32, Vec<u8>) {
-        let (part, slot) = self
+    /// Panics if `col` is out of range or wider than 8 bytes (the cursor
+    /// decodes integers).
+    pub fn column_cursor(&self, col: u32) -> ColumnCursor<'_> {
+        let width = self.layout.schema().column(col).width;
+        assert!(width <= 8, "column {col} is wider than an integer");
+        let frags = self
             .layout
-            .key_location(col)
-            .expect("column is not device-local");
-        let device = self.placement.device_of(slot, row);
-        let f = self.layout.fragments(col)[0];
-        let off = self.region.data_offset(part, row) + f.offset as u64;
-        (
-            device,
-            self.mem.device(device).read(off as usize, f.len as usize),
-        )
+            .fragments(col)
+            .iter()
+            .map(|f| {
+                let part = self.region.parts()[f.part as usize];
+                CursorFragment {
+                    device: f.device,
+                    stride: part.width as u64,
+                    data_base: part.data_base + f.offset as u64,
+                    delta_base: part.delta_base + f.offset as u64,
+                    len: f.len as usize,
+                    shift: 8 * f.col_byte,
+                }
+            })
+            .collect();
+        ColumnCursor {
+            mem: &self.mem,
+            frags,
+            block_rows: self.placement.block_rows() as u64,
+            n_rows: self.region.n_rows(),
+            arena_rows: self.region.arena_rows(),
+            arenas: self.region.arenas(),
+        }
+    }
+}
+
+/// One fragment of a cursor's column with its part's stride and region
+/// bases folded in: the fragment of region index `i` lies at
+/// `base + i * stride` on device `(device + rotation) mod devices`.
+#[derive(Debug, Clone, Copy)]
+struct CursorFragment {
+    /// Device slot within the part, before rotation.
+    device: u32,
+    stride: u64,
+    data_base: u64,
+    delta_base: u64,
+    len: usize,
+    /// Bit position of the fragment's first byte within the value.
+    shift: u32,
+}
+
+/// One integer column of a [`TableStore`], resolved for reading
+/// ([`TableStore::column_cursor`]): the view of the format a PIM unit
+/// scans. A read decodes in place — no allocation, no per-value schema,
+/// layout or region lookup.
+#[derive(Debug, Clone)]
+pub struct ColumnCursor<'a> {
+    mem: &'a DeviceArray,
+    frags: Vec<CursorFragment>,
+    block_rows: u64,
+    n_rows: u64,
+    arena_rows: u64,
+    /// Rotation arenas, which is also the device count.
+    arenas: u32,
+}
+
+impl ColumnCursor<'_> {
+    /// The slots the cursor covers: data rows, and delta slots over all
+    /// arenas — the region plan's `n_rows` and `arenas × arena_rows`. A
+    /// scan checks its bitmaps' lengths against these once, which makes
+    /// a range check per value redundant.
+    pub fn extents(&self) -> (u64, u64) {
+        (self.n_rows, self.arenas as u64 * self.arena_rows)
+    }
+
+    /// The column's value of `slot`, decoded little-endian like
+    /// `dec_u64` of [`TableStore::read_value`]. Bytes past a device's
+    /// written extent read as zero.
+    ///
+    /// `slot` must lie within [`ColumnCursor::extents`]: checked in debug
+    /// builds only, because a scan establishes it once for all its slots.
+    /// A slot outside them reads bytes of some other slot or zeros.
+    #[inline]
+    pub fn u64_at(&self, slot: RowSlot) -> u64 {
+        let (rotation, index, delta) = match slot {
+            RowSlot::Data { row } => {
+                debug_assert!(row < self.n_rows, "row {row} out of range");
+                let rotation = (row / self.block_rows % self.arenas as u64) as u32;
+                (rotation, row, false)
+            }
+            RowSlot::Delta { rotation, idx } => {
+                debug_assert!(rotation < self.arenas, "rotation {rotation} out of range");
+                debug_assert!(idx < self.arena_rows, "delta index {idx} out of range");
+                (rotation, rotation as u64 * self.arena_rows + idx, true)
+            }
+        };
+        let mut value = 0u64;
+        for f in &self.frags {
+            let device = (f.device + rotation) % self.arenas;
+            let base = if delta { f.delta_base } else { f.data_base };
+            let offset = (base + index * f.stride) as usize;
+            value |= self.mem.device(device).read_le(offset, f.len) << f.shift;
+        }
+        value
     }
 }
 
@@ -282,24 +381,64 @@ mod tests {
         s.copy_back(10, 0, 0); // row 10 has rotation 1
     }
 
+    /// What the owning PIM unit sees: a key column's bytes sit whole on
+    /// the device the placement names, at the region plan's offset.
+    fn key_on_device(s: &TableStore, col: u32, row: u64) -> (u32, u64) {
+        let (part, slot) = s.layout().key_location(col).expect("key column");
+        let device = s.placement().device_of(slot, row);
+        let f = s.layout().fragments(col)[0];
+        let off = s.region().data_offset(part, row) + f.offset as u64;
+        (
+            device,
+            s.mem().device(device).read_le(off as usize, f.len as usize),
+        )
+    }
+
     #[test]
     fn rotation_moves_key_column_across_devices() {
         let mut s = store();
         let id = s.layout().schema().index_of("id").unwrap();
         s.write_row(RowSlot::Data { row: 0 }, &row_values(1));
         s.write_row(RowSlot::Data { row: 8 }, &row_values(2)); // next block
-        let (dev0, _) = s.key_bytes_on_device(id, 0);
-        let (dev8, _) = s.key_bytes_on_device(id, 8);
+        let (dev0, on_dev0) = key_on_device(&s, id, 0);
+        let (dev8, on_dev8) = key_on_device(&s, id, 8);
         assert_ne!(dev0, dev8, "circulant placement must rotate devices");
+        // The cursor follows the rotation to the same device-local bytes.
+        let cursor = s.column_cursor(id);
+        assert_eq!(cursor.u64_at(RowSlot::Data { row: 0 }), on_dev0);
+        assert_eq!(cursor.u64_at(RowSlot::Data { row: 8 }), on_dev8);
+        assert_eq!((on_dev0, on_dev8), (0x0101, 0x0102));
     }
 
     #[test]
-    fn key_bytes_match_written_value() {
+    fn cursor_reads_the_key_bytes_on_the_device() {
         let mut s = store();
         let w_id = s.layout().schema().index_of("w_id").unwrap();
         s.write_row(RowSlot::Data { row: 5 }, &row_values(7));
-        let (_, bytes) = s.key_bytes_on_device(w_id, 5);
-        assert_eq!(bytes, vec![7, 3, 3, 3]);
+        let (_, on_device) = key_on_device(&s, w_id, 5);
+        assert_eq!(on_device, u64::from_le_bytes([7, 3, 3, 3, 0, 0, 0, 0]));
+        assert_eq!(
+            s.column_cursor(w_id).u64_at(RowSlot::Data { row: 5 }),
+            on_device
+        );
+    }
+
+    #[test]
+    fn cursor_extents_are_the_region_plan() {
+        let s = store();
+        let r = s.region();
+        assert_eq!(
+            s.column_cursor(0).extents(),
+            (r.n_rows(), r.arenas() as u64 * r.arena_rows())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than an integer")]
+    fn wide_column_has_no_cursor() {
+        let s = store();
+        let zip = s.layout().schema().index_of("zip").unwrap();
+        let _ = s.column_cursor(zip);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! 3. key columns admitted to a part pass the threshold test;
 //! 4. rows written through the store read back identically, for data rows
 //!    and delta versions alike;
-//! 5. circulant placement is a bijection and balances devices.
+//! 5. circulant placement is a bijection and balances devices;
+//! 6. the column dimension reads what the row dimension wrote: a
+//!    [`ColumnCursor`](pushtap_format::ColumnCursor) decodes, for every
+//!    column and slot, exactly `read_value`'s bytes.
 
 use proptest::prelude::*;
 use pushtap_format::{
@@ -17,9 +20,12 @@ use pushtap_format::{
     TableSchema, TableStore,
 };
 
-fn arb_schema() -> impl Strategy<Value = TableSchema> {
-    // 1..12 columns, widths 1..32, ~half keys.
-    prop::collection::vec((1u32..32, any::<bool>()), 1..12).prop_map(|cols| {
+/// Up to `max_cols - 1` columns of the given widths, ~half keys.
+fn arb_schema_of(
+    widths: std::ops::Range<u32>,
+    max_cols: usize,
+) -> impl Strategy<Value = TableSchema> {
+    prop::collection::vec((widths, any::<bool>()), 1..max_cols).prop_map(|cols| {
         let columns = cols
             .into_iter()
             .enumerate()
@@ -36,7 +42,115 @@ fn arb_schema() -> impl Strategy<Value = TableSchema> {
     })
 }
 
+fn arb_schema() -> impl Strategy<Value = TableSchema> {
+    // 1..12 columns, widths 1..32, ~half keys.
+    arb_schema_of(1..32, 12)
+}
+
+/// Schemas whose every column an integer cursor can decode: 1..10 columns,
+/// widths 1..=8 (normal columns split into several fragments under
+/// compaction).
+fn arb_int_schema() -> impl Strategy<Value = TableSchema> {
+    arb_schema_of(1..9, 10)
+}
+
+/// Little-endian decode of a value's (at most 8) bytes.
+fn dec_u64(bytes: &[u8]) -> u64 {
+    let mut le = [0u8; 8];
+    le[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(le)
+}
+
+/// `column_cursor(col).u64_at(slot) == dec_u64(&read_value(slot, col))`
+/// for every column over every data row and every delta slot.
+fn assert_cursor_equals_read_value(store: &TableStore, stage: &str) -> Result<(), TestCaseError> {
+    let region = store.region();
+    let data = (0..region.n_rows()).map(|row| RowSlot::Data { row });
+    let delta = (0..region.arenas()).flat_map(|rotation| {
+        (0..region.arena_rows()).map(move |idx| RowSlot::Delta { rotation, idx })
+    });
+    let slots: Vec<RowSlot> = data.chain(delta).collect();
+    for col in 0..store.layout().schema().len() as u32 {
+        let cursor = store.column_cursor(col);
+        prop_assert_eq!(cursor.extents(), (region.n_rows(), region.delta_rows()));
+        for &slot in &slots {
+            prop_assert_eq!(
+                cursor.u64_at(slot),
+                dec_u64(&store.read_value(slot, col)),
+                "{}: column {} at {:?}",
+                stage,
+                col,
+                slot
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The column dimension against the row dimension on random layouts:
+    /// multi-fragment normal columns and key columns, rows spanning more
+    /// than `devices + 1` circulant blocks plus a partial block, every
+    /// rotation arena up to its last index, recycled-slot residue, and
+    /// reads past the written extent (zero on both paths).
+    #[test]
+    fn cursor_equals_read_value(
+        schema in arb_int_schema(),
+        devices in 1u32..9,
+        th in 0.0f64..=1.0,
+        block in 2u32..9,
+        seed in any::<u64>(),
+    ) {
+        let layout = compact_layout(&schema, devices, th).unwrap();
+        let n_rows = (devices as u64 + 2) * block as u64 + block as u64 / 2;
+        let mut store = TableStore::new(layout, block, n_rows, 3 * devices as u64);
+        let mut state = seed;
+        let mut row_values = || -> Vec<Vec<u8>> {
+            schema
+                .columns()
+                .iter()
+                .map(|c| {
+                    (0..c.width)
+                        .map(|_| {
+                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            (state >> 33) as u8
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        // Nothing written: every device's extent is empty.
+        assert_cursor_equals_read_value(&store, "empty")?;
+        for col in 0..schema.len() as u32 {
+            prop_assert_eq!(store.column_cursor(col).u64_at(RowSlot::Data { row: n_rows - 1 }), 0);
+        }
+        // The first half of the rows and one delta slot: the rest lies
+        // past, or straddles, some device's written extent.
+        for row in 0..n_rows / 2 {
+            store.write_row(RowSlot::Data { row }, &row_values());
+        }
+        store.write_row(RowSlot::Delta { rotation: 0, idx: 1 }, &row_values());
+        assert_cursor_equals_read_value(&store, "half written")?;
+        // Everything written, then every delta slot overwritten the way a
+        // recycled slot is: the previous version's bytes are residue.
+        for row in n_rows / 2..n_rows {
+            store.write_row(RowSlot::Data { row }, &row_values());
+        }
+        for pass in 0..2 {
+            for rotation in 0..devices {
+                for idx in 0..store.region().arena_rows() {
+                    store.write_row(RowSlot::Delta { rotation, idx }, &row_values());
+                }
+            }
+            assert_cursor_equals_read_value(&store, if pass == 0 { "full" } else { "recycled" })?;
+        }
+        // Copy-back leaves the delta slot's bytes behind and rewrites a
+        // data row in place.
+        let row = n_rows - 1;
+        store.copy_back(row, store.arena_for_row(row), store.region().arena_rows() - 1);
+        assert_cursor_equals_read_value(&store, "after copy-back")?;
+    }
+
     /// Generation always yields a *validated* layout: total coverage, no
     /// duplicates, no split keys (TableLayout::new re-checks all of it).
     #[test]

@@ -69,6 +69,6 @@ mod undo;
 pub use chain::{GcFold, GcOutcome, LogEntry, VersionChains, VersionMeta};
 pub use defrag::{DefragCostModel, DefragStats, DefragStrategy};
 pub use delta::{DeltaAllocator, DeltaFull};
-pub use snapshot::{Bitmap, Snapshot, SnapshotUpdate};
+pub use snapshot::{Bitmap, Ones, Snapshot, SnapshotUpdate};
 pub use timestamp::{SnapshotPin, Ts, TsAllocator, TsOracle};
 pub use undo::{UndoLog, UndoRecord};

@@ -88,6 +88,47 @@ impl Bitmap {
     pub fn bytes(&self) -> u64 {
         self.len.div_ceil(8)
     }
+
+    /// The set bits, ascending, found a word at a time (64 clear bits
+    /// cost one comparison) — how a PIM unit's Filter walks its
+    /// bank-local bitmap copy.
+    ///
+    /// Every yielded index is below [`Bitmap::len`] without a check per
+    /// bit: the words cover exactly `len` bits rounded up, and
+    /// `trim_tail` at construction plus the range assert of
+    /// [`Bitmap::set`] keep the tail word's unused bits clear.
+    pub fn ones(&self) -> Ones<'_> {
+        Ones {
+            words: &self.words,
+            loaded: 0,
+            word: 0,
+        }
+    }
+}
+
+/// Iterator over the set bits of a [`Bitmap`] ([`Bitmap::ones`]).
+#[derive(Debug, Clone)]
+pub struct Ones<'a> {
+    words: &'a [u64],
+    /// Words loaded so far; the current word is `words[loaded - 1]`.
+    loaded: usize,
+    /// Unvisited set bits of the current word.
+    word: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        while self.word == 0 {
+            self.word = *self.words.get(self.loaded)?;
+            self.loaded += 1;
+        }
+        let bit = self.word.trailing_zeros() as u64;
+        self.word &= self.word - 1;
+        Some((self.loaded as u64 - 1) * 64 + bit)
+    }
 }
 
 /// Statistics of one incremental snapshot update, used for timing.
@@ -161,6 +202,27 @@ impl Snapshot {
         } else {
             self.delta.get(i)
         }
+    }
+
+    /// Every snapshot-visible slot: the visible data rows ascending, then
+    /// the visible delta slots in arena order — what a scan under the
+    /// bitmaps reads (§5.2, §6.2: data region, then delta region). No
+    /// version chain is walked and nothing is hashed.
+    pub fn visible_slots(&self) -> impl Iterator<Item = RowSlot> + '_ {
+        let arena_rows = self.arena_rows;
+        let data = self.data.ones().map(|row| RowSlot::Data { row });
+        let delta = self.delta.ones().map(move |i| RowSlot::Delta {
+            rotation: (i / arena_rows) as u32,
+            idx: i % arena_rows,
+        });
+        data.chain(delta)
+    }
+
+    /// The slots the bitmaps cover: data rows, and delta slots over all
+    /// arenas. Every slot [`Snapshot::visible_slots`] yields lies within
+    /// them.
+    pub fn extents(&self) -> (u64, u64) {
+        (self.data.len(), self.delta.len())
     }
 
     /// Folds log entries with `ts ≤ upto` into the bitmaps, advancing the
@@ -279,6 +341,74 @@ mod tests {
         assert_eq!(b.bytes(), 9);
         let full = Bitmap::new(70, true);
         assert_eq!(full.count_ones(), 70);
+    }
+
+    /// Word-at-a-time iteration equals the per-bit scan: lengths that are
+    /// and are not multiples of 64, empty, full, one bit in the last word.
+    #[test]
+    fn ones_equal_the_per_bit_scan() {
+        let per_bit = |b: &Bitmap| (0..b.len()).filter(|&i| b.get(i)).collect::<Vec<u64>>();
+        for len in [0u64, 1, 63, 64, 65, 128, 130, 200] {
+            let empty = Bitmap::new(len, false);
+            assert_eq!(empty.ones().count(), 0, "empty, len {len}");
+            let full = Bitmap::new(len, true);
+            assert_eq!(
+                full.ones().collect::<Vec<_>>(),
+                (0..len).collect::<Vec<_>>(),
+                "full, len {len}"
+            );
+            if len > 0 {
+                let mut last = Bitmap::new(len, false);
+                last.set(len - 1, true);
+                assert_eq!(last.ones().collect::<Vec<_>>(), vec![len - 1]);
+            }
+            let mut sparse = Bitmap::new(len, false);
+            for i in [0u64, 1, 62, 63, 64, 65, 127, 128, 129, 190, 199] {
+                if i < len {
+                    sparse.set(i, true);
+                }
+            }
+            assert_eq!(sparse.ones().collect::<Vec<_>>(), per_bit(&sparse));
+            // Clearing bits of a full bitmap leaves the tail word clean.
+            let mut holes = Bitmap::new(len, true);
+            for i in (0..len).step_by(3) {
+                holes.set(i, false);
+            }
+            assert_eq!(holes.ones().collect::<Vec<_>>(), per_bit(&holes));
+            assert_eq!(holes.ones().count() as u64, holes.count_ones());
+        }
+    }
+
+    /// Visible slots come data region first, then the delta arenas, each
+    /// delta bit decoded to its (rotation, index) pair.
+    #[test]
+    fn visible_slots_walk_data_then_delta() {
+        let mut chains = VersionChains::new();
+        let mut snap = Snapshot::new(5, 3, 4);
+        assert_eq!(snap.extents(), (5, 12));
+        chains.record_update(1, delta(0, 3), Ts(1));
+        chains.record_update(4, delta(2, 3), Ts(2)); // the last delta bit
+        chains.record_update(3, delta(1, 0), Ts(3));
+        chains.record_update(0, delta(2, 0), Ts(9)); // above the snapshot
+        snap.update(chains.log(), Ts(3));
+        assert_eq!(
+            snap.visible_slots().collect::<Vec<_>>(),
+            vec![
+                RowSlot::Data { row: 0 },
+                RowSlot::Data { row: 2 },
+                delta(0, 3),
+                delta(1, 0),
+                delta(2, 3),
+            ]
+        );
+        // Every yielded slot is one `visible` reports, and none other is.
+        assert!(snap.visible_slots().all(|s| snap.visible(s)));
+        assert_eq!(
+            snap.visible_slots().count() as u64,
+            snap.visible_data_rows() + snap.visible_delta_rows()
+        );
+        // A table without a delta region has nothing to decode.
+        assert_eq!(Snapshot::new(2, 4, 0).visible_slots().count(), 2);
     }
 
     /// The paper's Fig. 6(c) walk-through: initial bitmap 111|0000; after

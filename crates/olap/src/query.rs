@@ -3,9 +3,9 @@
 //! with the §6.3 CPU/PIM task division and returning *value-correct*
 //! results from the snapshot.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
-use pushtap_chbench::{dec_u64, Table};
+use pushtap_chbench::Table;
 use pushtap_oltp::{HtapTable, TpccDb};
 use pushtap_pim::{BankAddr, MemSystem, Op, PimOpKind, Ps, Side};
 
@@ -263,6 +263,164 @@ fn cpu_compute(db: &TpccDb, elems: u64, cycles_per_elem: u64) -> Ps {
     db.meter().cpu.cycles(elems * cycles_per_elem)
 }
 
+/// Q6's aggregate over scanned `[ol_delivery_d, ol_quantity, ol_amount]`
+/// tuples. Like every aggregator below it is order-independent (wrapping
+/// sums, keyed groups): a scan delivers versions in region order.
+#[derive(Debug, Default)]
+struct Q6Revenue(u64);
+
+impl Q6Revenue {
+    #[inline]
+    fn add(&mut self, [date, qty, amt]: [u64; 3]) {
+        if date > DELIVERY_CUTOFF && qty <= QUANTITY_MAX {
+            self.0 = self.0.wrapping_add(amt);
+        }
+    }
+
+    fn finish(self) -> QueryResult {
+        QueryResult::Q6 { revenue: self.0 }
+    }
+}
+
+/// Group keys below this index a table; any other key the data holds
+/// goes to an ordered map, so no key range is assumed.
+const DENSE_GROUPS: u64 = 1 << 12;
+
+/// Q1's groups over scanned
+/// `[ol_delivery_d, ol_number, ol_quantity, ol_amount]` tuples.
+/// `ol_number` is a line's position within its order (1..=15), so the
+/// groups are a small table indexed by key, grown to the largest key
+/// seen.
+#[derive(Debug, Default)]
+struct Q1Groups {
+    /// `dense[k]` is group `k`; a group no line fell into has count 0.
+    dense: Vec<Q1Row>,
+    /// Groups of keys at or above [`DENSE_GROUPS`].
+    sparse: BTreeMap<u64, Q1Row>,
+}
+
+impl Q1Groups {
+    #[inline]
+    fn add(&mut self, [date, num, qty, amt]: [u64; 4]) {
+        if date <= DELIVERY_CUTOFF {
+            return;
+        }
+        // A group no line fell into: what `resize` fills the table with
+        // below the largest key seen, and where a new key starts.
+        const EMPTY: Q1Row = Q1Row {
+            ol_number: 0,
+            sum_qty: 0,
+            sum_amount: 0,
+            count: 0,
+        };
+        let e = if num < DENSE_GROUPS {
+            if num as usize >= self.dense.len() {
+                self.dense.resize(num as usize + 1, EMPTY);
+            }
+            &mut self.dense[num as usize]
+        } else {
+            self.sparse.entry(num).or_insert(EMPTY)
+        };
+        e.ol_number = num;
+        e.sum_qty = e.sum_qty.wrapping_add(qty);
+        e.sum_amount = e.sum_amount.wrapping_add(amt);
+        e.count += 1;
+    }
+
+    /// The groups in key order: the table's keys all precede the map's.
+    fn finish(self) -> QueryResult {
+        let dense = self.dense.into_iter().filter(|g| g.count > 0);
+        QueryResult::Q1(dense.chain(self.sparse.into_values()).collect())
+    }
+}
+
+/// Item ids below this are bits of a bitset; any other id the data holds
+/// goes to an ordered set.
+const DENSE_IDS: u64 = 1 << 26;
+
+/// Q9's build side: the ids of the items passing the price predicate,
+/// over scanned `[i_price, i_id]` tuples. Item ids are dense from 1, so
+/// membership is one bit test per probing order line.
+#[derive(Debug)]
+struct ItemSet {
+    /// Bit `id` of the words, grown to the largest id seen.
+    dense: Vec<u64>,
+    /// Ids at or above [`DENSE_IDS`].
+    sparse: BTreeSet<u64>,
+}
+
+impl ItemSet {
+    /// A set whose bitset already covers ids below `ids` (capped at
+    /// [`DENSE_IDS`]), so adding them allocates nothing further.
+    fn with_dense_ids(ids: u64) -> ItemSet {
+        ItemSet {
+            dense: vec![0; ids.min(DENSE_IDS).div_ceil(64) as usize],
+            sparse: BTreeSet::new(),
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, [price, iid]: [u64; 2]) {
+        if !price.is_multiple_of(PRICE_MODULUS) {
+            return;
+        }
+        if iid < DENSE_IDS {
+            let word = (iid / 64) as usize;
+            if word >= self.dense.len() {
+                self.dense.resize(word + 1, 0);
+            }
+            self.dense[word] |= 1 << (iid % 64);
+        } else {
+            self.sparse.insert(iid);
+        }
+    }
+
+    #[inline]
+    fn contains(&self, iid: u64) -> bool {
+        if iid < DENSE_IDS {
+            self.dense
+                .get((iid / 64) as usize)
+                .is_some_and(|word| word >> (iid % 64) & 1 == 1)
+        } else {
+            self.sparse.contains(&iid)
+        }
+    }
+}
+
+/// Q9's probe side: per-"nation" sums over scanned `[ol_i_id, ol_amount]`
+/// tuples whose item is in the build side. The key is a residue modulo
+/// [`Q9_GROUPS`], so a fixed array holds every group.
+#[derive(Debug)]
+struct Q9Groups<'a> {
+    matching: &'a ItemSet,
+    /// `Some(sum)` once a matching line fell into the group.
+    sums: [Option<u64>; Q9_GROUPS as usize],
+}
+
+impl<'a> Q9Groups<'a> {
+    fn new(matching: &'a ItemSet) -> Q9Groups<'a> {
+        Q9Groups {
+            matching,
+            sums: [None; Q9_GROUPS as usize],
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, [iid, amt]: [u64; 2]) {
+        if self.matching.contains(iid) {
+            let g = &mut self.sums[(iid % Q9_GROUPS) as usize];
+            *g = Some(g.unwrap_or(0).wrapping_add(amt));
+        }
+    }
+
+    fn finish(self) -> QueryResult {
+        let rows = (0..Q9_GROUPS)
+            .zip(self.sums)
+            .filter_map(|(group, sum)| sum.map(|sum_amount| Q9Row { group, sum_amount }));
+        QueryResult::Q9(rows.collect())
+    }
+}
+
 fn q6(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryResult, QueryTiming) {
     let ol = db.table(Table::OrderLine);
     let (c_date, c_qty, c_amt) = (
@@ -283,18 +441,9 @@ fn q6(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     t.end = end + reduce;
 
     // Functional result over the snapshot.
-    let mut revenue = 0u64;
-    for row in 0..ol.n_rows() {
-        let date = dec_u64(&ol.snapshot_read_value(row, c_date));
-        if date <= DELIVERY_CUTOFF {
-            continue;
-        }
-        let qty = dec_u64(&ol.snapshot_read_value(row, c_qty));
-        if qty <= QUANTITY_MAX {
-            revenue = revenue.wrapping_add(dec_u64(&ol.snapshot_read_value(row, c_amt)));
-        }
-    }
-    (QueryResult::Q6 { revenue }, t)
+    let mut revenue = Q6Revenue::default();
+    ol.scan_snapshot([c_date, c_qty, c_amt], |line| revenue.add(line));
+    (revenue.finish(), t)
 }
 
 fn q1(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryResult, QueryTiming) {
@@ -326,26 +475,9 @@ fn q1(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     t.end = end + reduce;
 
     // Functional result.
-    let mut groups: BTreeMap<u64, Q1Row> = BTreeMap::new();
-    for row in 0..ol.n_rows() {
-        let date = dec_u64(&ol.snapshot_read_value(row, c_date));
-        if date <= DELIVERY_CUTOFF {
-            continue;
-        }
-        let num = dec_u64(&ol.snapshot_read_value(row, c_num));
-        let qty = dec_u64(&ol.snapshot_read_value(row, c_qty));
-        let amt = dec_u64(&ol.snapshot_read_value(row, c_amt));
-        let e = groups.entry(num).or_insert(Q1Row {
-            ol_number: num,
-            sum_qty: 0,
-            sum_amount: 0,
-            count: 0,
-        });
-        e.sum_qty = e.sum_qty.wrapping_add(qty);
-        e.sum_amount = e.sum_amount.wrapping_add(amt);
-        e.count += 1;
-    }
-    (QueryResult::Q1(groups.into_values().collect()), t)
+    let mut groups = Q1Groups::default();
+    ol.scan_snapshot([c_date, c_num, c_qty, c_amt], |line| groups.add(line));
+    (groups.finish(), t)
 }
 
 fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryResult, QueryTiming) {
@@ -386,31 +518,11 @@ fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     t.end = end + reduce;
 
     // Functional result: semi-join on item ids passing the price filter.
-    let mut matching: HashSet<u64> = HashSet::new();
-    for row in 0..it.n_rows() {
-        let price = dec_u64(&it.snapshot_read_value(row, c_price));
-        if price.is_multiple_of(PRICE_MODULUS) {
-            matching.insert(dec_u64(&it.snapshot_read_value(row, c_iid)));
-        }
-    }
-    let mut groups: BTreeMap<u64, u64> = BTreeMap::new();
-    for row in 0..ol.n_rows() {
-        let iid = dec_u64(&ol.snapshot_read_value(row, c_ol_iid));
-        if matching.contains(&iid) {
-            let amt = dec_u64(&ol.snapshot_read_value(row, c_amt));
-            let g = groups.entry(iid % Q9_GROUPS).or_insert(0);
-            *g = g.wrapping_add(amt);
-        }
-    }
-    (
-        QueryResult::Q9(
-            groups
-                .into_iter()
-                .map(|(group, sum_amount)| Q9Row { group, sum_amount })
-                .collect(),
-        ),
-        t,
-    )
+    let mut matching = ItemSet::with_dense_ids(it.n_rows() + 1);
+    it.scan_snapshot([c_price, c_iid], |item| matching.add(item));
+    let mut groups = Q9Groups::new(&matching);
+    ol.scan_snapshot([c_ol_iid, c_amt], |line| groups.add(line));
+    (groups.finish(), t)
 }
 
 #[cfg(test)]
@@ -472,6 +584,107 @@ mod tests {
         let (a, _) = Query::Q6.execute(&db, &engine, &mut mem, Ps::ZERO);
         let (b, _) = Query::Q6.execute(&db, &engine, &mut mem, Ps::ZERO);
         assert_eq!(a, b);
+    }
+
+    /// Results do not depend on the order a scan delivers versions in
+    /// (wrapping sums, keyed groups): the production aggregators fed the
+    /// scan's tuples in reverse give the executed queries' results.
+    #[test]
+    fn aggregators_are_scan_order_independent() {
+        fn tuples<const N: usize>(t: &HtapTable, cols: [&str; N]) -> Vec<[u64; N]> {
+            let mut out = Vec::new();
+            t.scan_snapshot(cols.map(|c| col(t, c)), |tuple| out.push(tuple));
+            assert_eq!(out.len() as u64, t.n_rows());
+            out.reverse();
+            out
+        }
+        let (db, mut mem, engine) = setup();
+        let (ol, it) = (db.table(Table::OrderLine), db.table(Table::Item));
+
+        let mut q6 = Q6Revenue::default();
+        for line in tuples(ol, ["ol_delivery_d", "ol_quantity", "ol_amount"]) {
+            q6.add(line);
+        }
+        let mut q1 = Q1Groups::default();
+        for line in tuples(
+            ol,
+            ["ol_delivery_d", "ol_number", "ol_quantity", "ol_amount"],
+        ) {
+            q1.add(line);
+        }
+        let mut matching = ItemSet::with_dense_ids(0);
+        for item in tuples(it, ["i_price", "i_id"]) {
+            matching.add(item);
+        }
+        let mut q9 = Q9Groups::new(&matching);
+        for line in tuples(ol, ["ol_i_id", "ol_amount"]) {
+            q9.add(line);
+        }
+        let reversed = [q1.finish(), q6.finish(), q9.finish()];
+        for (q, reversed) in Query::ALL.into_iter().zip(reversed) {
+            let (executed, _) = q.execute(&db, &engine, &mut mem, Ps::ZERO);
+            assert_eq!(executed, reversed, "{} depends on scan order", q.name());
+        }
+    }
+
+    /// Keys outside the dense domains the aggregators are sized for —
+    /// nothing the generator produces, but nothing the column widths
+    /// forbid — still group and join correctly, in key order.
+    #[test]
+    fn aggregators_assume_no_key_range() {
+        let late = DELIVERY_CUTOFF + 1;
+        let mut q1 = Q1Groups::default();
+        for num in [u64::MAX, 3, DENSE_GROUPS, 3, DENSE_GROUPS - 1] {
+            q1.add([late, num, 2, 10]);
+        }
+        q1.add([DELIVERY_CUTOFF, 5, 2, 10]); // filtered out
+        let QueryResult::Q1(rows) = q1.finish() else {
+            panic!("wrong kind")
+        };
+        let keys: Vec<(u64, u64)> = rows.iter().map(|r| (r.ol_number, r.count)).collect();
+        assert_eq!(
+            keys,
+            vec![
+                (3, 2),
+                (DENSE_GROUPS - 1, 1),
+                (DENSE_GROUPS, 1),
+                (u64::MAX, 1)
+            ]
+        );
+
+        let mut items = ItemSet::with_dense_ids(4);
+        for iid in [2, 700, DENSE_IDS, u64::MAX] {
+            items.add([PRICE_MODULUS * 3, iid]);
+        }
+        items.add([PRICE_MODULUS * 3 + 1, 3]); // fails the price predicate
+        for (iid, expect) in [
+            (2, true),
+            (3, false),
+            (700, true),
+            (701, false),
+            (DENSE_IDS, true),
+            (DENSE_IDS + 1, false),
+            (u64::MAX, true),
+        ] {
+            assert_eq!(items.contains(iid), expect, "item {iid}");
+        }
+        let mut q9 = Q9Groups::new(&items);
+        q9.add([700, 5]);
+        q9.add([u64::MAX, 0]);
+        q9.add([701, 9]); // no such item
+        assert_eq!(
+            q9.finish(),
+            QueryResult::Q9(vec![
+                Q9Row {
+                    group: 700 % Q9_GROUPS, // 0
+                    sum_amount: 5
+                },
+                Q9Row {
+                    group: u64::MAX % Q9_GROUPS, // 1: seen, though its sum is 0
+                    sum_amount: 0
+                },
+            ])
+        );
     }
 
     #[test]

@@ -669,6 +669,12 @@ impl HtapTable {
     }
 
     /// The slot of `row` visible in the current snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no version on the row's chain is snapshot-visible: the
+    /// bitmaps always hold exactly one (the invariant
+    /// [`HtapTable::scan_snapshot`] relies on).
     pub fn snapshot_slot(&self, row: u64) -> RowSlot {
         let mut slot = self.chains.newest_slot(row);
         // Walk back until we find the snapshot-visible version.
@@ -678,7 +684,7 @@ impl HtapTable {
             }
             match self.chains.meta(slot).and_then(|m| m.prev) {
                 Some(prev) => slot = prev,
-                None => return RowSlot::Data { row },
+                None => panic!("no version of row {row} is snapshot-visible"),
             }
         }
     }
@@ -689,10 +695,48 @@ impl HtapTable {
         self.store.read_row(self.snapshot_slot(row))
     }
 
-    /// Reads one column of the snapshot-visible version of `row` — the
-    /// per-column access a PIM scan performs.
-    pub fn snapshot_read_value(&self, row: u64, col: u32) -> Vec<u8> {
-        self.store.read_value(self.snapshot_slot(row), col)
+    /// Streams columns `cols` of every snapshot-visible row version to
+    /// `f`, one `[u64; N]` per version — the column dimension of the
+    /// format, read the way a PIM unit's scan reads it (§5.2, §6.2): the
+    /// data region under its bitmap, then the delta region under its
+    /// bitmap, each value decoded in place on its device. No version
+    /// chain is walked and nothing is allocated per row.
+    ///
+    /// Versions arrive in region order, not row order; every row of the
+    /// table contributes exactly one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitmaps' visible versions do not number the table's
+    /// rows, or if a column is out of range or wider than 8 bytes.
+    pub fn scan_snapshot<const N: usize>(&self, cols: [u32; N], mut f: impl FnMut([u64; N])) {
+        // Snapshot updates, GC folds and defragmentation each move a
+        // row's visibility bit from one slot to another, so the bitmaps
+        // always hold one bit per row. The scan trusts them instead of
+        // the version chains, so it checks the sum it relies on.
+        let (data, delta) = (
+            self.snapshot.visible_data_rows(),
+            self.snapshot.visible_delta_rows(),
+        );
+        assert!(
+            data + delta == self.n_rows(),
+            "snapshot bitmaps hold {data} data + {delta} delta visible versions for {} rows",
+            self.n_rows()
+        );
+        let cursors = cols.map(|c| self.store.column_cursor(c));
+        for cursor in &cursors {
+            // Checked once per scan instead of once per value: the
+            // bitmaps cover exactly the slots the cursor can address, and
+            // `visible_slots` never yields a slot outside its bitmaps.
+            assert_eq!(
+                self.snapshot.extents(),
+                cursor.extents(),
+                "snapshot bitmaps and region plan disagree"
+            );
+        }
+        self.snapshot
+            .visible_slots()
+            .for_each(|slot| f(std::array::from_fn(|k| cursors[k].u64_at(slot))));
     }
 
     /// Timed snapshot update (§5.2): folds the commit log into the

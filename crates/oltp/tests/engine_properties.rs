@@ -5,10 +5,10 @@
 
 use proptest::prelude::*;
 use pushtap_chbench::{dec_u64, enc_u64, Table};
-use pushtap_format::RowSlot;
-use pushtap_mvcc::Ts;
-use pushtap_oltp::{DbConfig, TpccDb};
-use pushtap_pim::{MemSystem, Ps};
+use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
+use pushtap_mvcc::{DefragCostModel, DefragStrategy, Ts};
+use pushtap_oltp::{AccessModel, CostModel, DbConfig, HtapTable, Meter, TableConfig, TpccDb};
+use pushtap_pim::{BankAddr, CpuSpec, Geometry, MemSystem, Ps, Side};
 
 /// Scripted operations against the CUSTOMER table.
 #[derive(Debug, Clone)]
@@ -195,6 +195,266 @@ proptest! {
                     "keyset drifted across calls"
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The invariant the bitmap-driven scan rests on
+// ---------------------------------------------------------------------
+
+/// One row write of a scripted transaction scope.
+#[derive(Debug, Clone)]
+struct Write {
+    row: u64,
+    val: u64,
+    /// `timed_insert_at` instead of `timed_update`.
+    insert: bool,
+}
+
+/// Everything that moves a version or a visibility bit.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A scope that commits.
+    Commit(Vec<Write>),
+    /// A scope rolled back while active.
+    Abort(Vec<Write>),
+    /// A scope prepared at its timestamp, then decided.
+    Prepared { writes: Vec<Write>, commit: bool },
+    /// `timed_insert` on the table's own insert ring, committed.
+    RingInsert(u64),
+    /// `timed_snapshot_update` this many timestamps behind the newest
+    /// commit.
+    Snapshot { behind: u64 },
+    /// A GC pass this many timestamps behind the newest commit — at,
+    /// below or above the snapshot's position.
+    Gc { behind: u64 },
+    /// Full defragmentation.
+    Defrag,
+}
+
+const SCAN_ROWS: u64 = 44; // five 8-row blocks and a partial one, over 4 devices
+
+fn arb_writes() -> impl Strategy<Value = Vec<Write>> {
+    prop::collection::vec(
+        (0..SCAN_ROWS, any::<u64>(), 0u8..4).prop_map(|(row, val, kind)| Write {
+            row,
+            val,
+            insert: kind == 0,
+        }),
+        1..5,
+    )
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        prop_oneof![
+            // Listed twice: commits outweigh each other kind of step.
+            arb_writes().prop_map(Step::Commit),
+            arb_writes().prop_map(Step::Commit),
+            arb_writes().prop_map(Step::Abort),
+            (arb_writes(), 0u8..2).prop_map(|(writes, c)| Step::Prepared {
+                writes,
+                commit: c == 1
+            }),
+            any::<u64>().prop_map(Step::RingInsert),
+            (0u64..6).prop_map(|behind| Step::Snapshot { behind }),
+            (0u64..6).prop_map(|behind| Step::Gc { behind }),
+            Just(Step::Defrag),
+        ],
+        1..60,
+    )
+}
+
+/// A small table whose every column a cursor can decode, with delta
+/// arenas of 5 slots so that `DeltaFull` aborts are part of every run.
+fn scan_table() -> HtapTable {
+    let schema = TableSchema::new(
+        "scan",
+        vec![
+            Column::key("k", 4),
+            Column::normal("a", 8),
+            Column::normal("b", 2),
+            Column::key("c", 1),
+            Column::normal("d", 3),
+        ],
+    );
+    let layout = compact_layout(&schema, 4, 0.6).expect("layout");
+    let g = Geometry::dimm();
+    HtapTable::new(
+        layout,
+        TableConfig {
+            n_rows: SCAN_ROWS,
+            delta_rows: 20,
+            block_rows: 8,
+            shards: vec![BankAddr::new(0, 0, 0), BankAddr::new(0, 0, 1)],
+            base_dram_row: 0,
+            model: AccessModel::Unified,
+            side: Side::Pim,
+            granularity: g.granularity,
+            bank_row_bytes: g.row_bytes,
+            rows_per_bank: g.rows_per_bank,
+        },
+    )
+}
+
+const SCAN_WIDTHS: [u32; 5] = [4, 8, 2, 1, 3];
+
+fn row_values(val: u64) -> Vec<Vec<u8>> {
+    SCAN_WIDTHS
+        .iter()
+        .enumerate()
+        .map(|(c, &w)| enc_u64(val.rotate_left(c as u32 * 8), w))
+        .collect()
+}
+
+/// Applies one scope's writes; `Err` when an arena ran out.
+fn apply(
+    t: &mut HtapTable,
+    mem: &mut MemSystem,
+    meter: &Meter,
+    writes: &[Write],
+    ts: Ts,
+) -> Result<(), pushtap_mvcc::DeltaFull> {
+    let mut written = std::collections::HashSet::new();
+    for w in writes {
+        // One version per row and timestamp (MVCC write locking).
+        if !written.insert(w.row) {
+            continue;
+        }
+        if w.insert {
+            t.timed_insert_at(mem, meter, w.row, &row_values(w.val), ts, Ps::ZERO)?;
+        } else {
+            let changes: Vec<(u32, Vec<u8>)> = row_values(w.val)
+                .into_iter()
+                .enumerate()
+                .map(|(c, v)| (c as u32, v))
+                .collect();
+            t.timed_update(mem, meter, w.row, ts, &changes, Ps::ZERO)?;
+        }
+    }
+    Ok(())
+}
+
+/// The three facts `HtapTable::scan_snapshot` relies on, checked against
+/// the version chains and the row path.
+fn check_scan_invariant(t: &HtapTable) -> Result<(), TestCaseError> {
+    let snap = t.snapshot();
+    prop_assert_eq!(
+        snap.visible_data_rows() + snap.visible_delta_rows(),
+        t.n_rows(),
+        "one visibility bit per row"
+    );
+    let cols = [0u32, 1, 2, 3, 4];
+    let mut by_row: Vec<[u64; 5]> = Vec::new();
+    for row in 0..t.n_rows() {
+        // Exactly one slot on the row's chain is snapshot-visible, so
+        // `snapshot_slot` finds it without a fallback.
+        let mut slot = t.chains().newest_slot(row);
+        let mut visible = Vec::new();
+        loop {
+            if snap.visible(slot) {
+                visible.push(slot);
+            }
+            match t.chains().meta(slot).and_then(|m| m.prev) {
+                Some(prev) => slot = prev,
+                None => break,
+            }
+        }
+        prop_assert_eq!(slot, RowSlot::Data { row }, "chain ends at its origin");
+        prop_assert_eq!(
+            visible.len(),
+            1,
+            "row {} has visible slots {:?}",
+            row,
+            visible
+        );
+        prop_assert_eq!(t.snapshot_slot(row), visible[0]);
+        by_row.push(cols.map(|c| dec_u64(&t.store().read_value(visible[0], c))));
+    }
+    let mut scanned: Vec<[u64; 5]> = Vec::new();
+    t.scan_snapshot(cols, |tuple| scanned.push(tuple));
+    by_row.sort_unstable();
+    scanned.sort_unstable();
+    prop_assert_eq!(scanned, by_row, "scan and per-row snapshot reads differ");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Updates, inserts, aborted and prepared-then-decided scopes,
+    /// `DeltaFull` rollbacks, lagging snapshots, GC below and above the
+    /// snapshot position and full defragmentation keep, after every
+    /// step: one visibility bit per row, exactly one visible slot on
+    /// every row's chain, and the scan's tuples equal to the per-row
+    /// `snapshot_slot` + `read_value` reads.
+    #[test]
+    fn bitmaps_hold_one_visible_version_per_row(steps in arb_steps()) {
+        let mut t = scan_table();
+        let mut mem = MemSystem::dimm();
+        let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
+        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
+        for row in 0..SCAN_ROWS {
+            t.load_row(row, &row_values(row));
+        }
+        check_scan_invariant(&t)?;
+        // Newest committed timestamp; aborted scopes burn theirs.
+        let mut committed = 0u64;
+        let mut next = 0u64;
+        for step in &steps {
+            match step {
+                Step::Commit(writes) | Step::Abort(writes) => {
+                    next += 1;
+                    t.begin_txn();
+                    let full = apply(&mut t, &mut mem, &meter, writes, Ts(next)).is_err();
+                    if full || matches!(step, Step::Abort(_)) {
+                        t.abort_txn();
+                    } else {
+                        t.commit_txn();
+                        committed = next;
+                    }
+                }
+                Step::Prepared { writes, commit } => {
+                    next += 1;
+                    t.begin_txn();
+                    if apply(&mut t, &mut mem, &meter, writes, Ts(next)).is_err() {
+                        t.abort_txn();
+                    } else {
+                        t.prepare_txn(Ts(next));
+                        if *commit {
+                            t.commit_prepared_txn(Ts(next));
+                            committed = next;
+                        } else {
+                            t.abort_prepared_txn(Ts(next));
+                        }
+                    }
+                }
+                Step::RingInsert(val) => {
+                    next += 1;
+                    t.begin_txn();
+                    match t.timed_insert(&mut mem, &meter, &row_values(*val), Ts(next), Ps::ZERO) {
+                        Ok(_) => {
+                            t.commit_txn();
+                            committed = next;
+                        }
+                        Err(_) => {
+                            t.abort_txn();
+                        }
+                    }
+                }
+                Step::Snapshot { behind } => {
+                    let upto = Ts(committed.saturating_sub(*behind));
+                    t.timed_snapshot_update(&mut mem, &meter, upto, Ps::ZERO);
+                }
+                Step::Gc { behind } => {
+                    t.gc(&cost, DefragStrategy::Hybrid, Ts(committed.saturating_sub(*behind)));
+                }
+                Step::Defrag => {
+                    t.defragment(&cost, DefragStrategy::Hybrid, Ts(committed));
+                }
+            }
+            check_scan_invariant(&t)?;
         }
     }
 }

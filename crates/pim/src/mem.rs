@@ -56,6 +56,41 @@ impl DeviceMem {
         out
     }
 
+    /// Fills `out` with the bytes at `offset`, without allocating. Bytes
+    /// beyond the written extent read as zero, like [`DeviceMem::read`].
+    #[inline]
+    pub fn read_into(&self, offset: usize, out: &mut [u8]) {
+        let stored = self.bytes.get(offset..).unwrap_or(&[]);
+        let n = out.len().min(stored.len());
+        out[..n].copy_from_slice(&stored[..n]);
+        out[n..].fill(0);
+    }
+
+    /// The little-endian integer held in the `len` (at most 8) bytes at
+    /// `offset`, decoded in place — how a PIM unit loads a scanned column
+    /// value. Bytes beyond the written extent count as zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds 8.
+    #[inline]
+    pub fn read_le(&self, offset: usize, len: usize) -> u64 {
+        assert!(len <= 8, "an integer spans at most 8 bytes, not {len}");
+        // One fixed-width load, masked down to `len` bytes; only within 8
+        // bytes of the extent are the stored bytes copied one by one.
+        let mut le = [0u8; 8];
+        match self.bytes.get(offset..offset + 8) {
+            Some(word) => le.copy_from_slice(word),
+            None => self.read_into(offset, &mut le),
+        }
+        let keep = if len == 8 {
+            !0
+        } else {
+            (1u64 << (8 * len)) - 1
+        };
+        u64::from_le_bytes(le) & keep
+    }
+
     /// Writes `data` at `offset`, growing the store as needed.
     pub fn write(&mut self, offset: usize, data: &[u8]) {
         self.ensure(offset + data.len());
@@ -149,6 +184,50 @@ mod tests {
         // Unwritten bytes are zero, even past the extent.
         assert_eq!(m.read(0, 10), vec![0u8; 10]);
         assert_eq!(m.read(1000, 4), vec![0u8; 4]);
+    }
+
+    /// `read_into` is `read` without the allocation, and overwrites every
+    /// byte of its buffer.
+    #[test]
+    fn read_into_equals_read_at_every_offset_length_and_extent_edge() {
+        let mut m = DeviceMem::new();
+        m.write(3, &[1, 2, 3, 4, 5]);
+        for offset in 0..12 {
+            for len in 0..12 {
+                let mut out = vec![0xEE; len];
+                m.read_into(offset, &mut out);
+                assert_eq!(out, m.read(offset, len), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    /// `read_le` is `read` decoded, at every offset and length around
+    /// the extent: inside, straddling it, at it and far past it.
+    #[test]
+    fn read_le_equals_read_at_every_offset_length_and_extent_edge() {
+        let mut m = DeviceMem::new();
+        m.write(0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        for offset in 0..24 {
+            for len in 0..=8 {
+                let mut le = [0u8; 8];
+                le[..len].copy_from_slice(&m.read(offset, len));
+                assert_eq!(
+                    m.read_le(offset, len),
+                    u64::from_le_bytes(le),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        assert_eq!(m.read_le(1, 2), 0x0302);
+        assert_eq!(m.read_le(9, 4), 0x0b0a, "zeros past the extent");
+        assert_eq!(DeviceMem::new().read_le(0, 8), 0);
+        assert_eq!(m.read_le(1000, 8), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 bytes")]
+    fn read_le_rejects_wide_values() {
+        let _ = DeviceMem::new().read_le(0, 9);
     }
 
     #[test]

@@ -324,6 +324,65 @@ impl From<LayoutError> for RecoverError {
     }
 }
 
+/// Why a checkpoint did not run ([`crate::ShardedHtap::try_checkpoint`]).
+/// Every variant but [`CheckpointError::Log`] is an unmet precondition,
+/// found before any log was rewritten.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// The deployment never enabled its write-ahead log.
+    WalDisabled,
+    /// An armed crash point has fired: the service is dead and must be
+    /// recovered, not checkpointed.
+    Crashed,
+    /// Snapshot pins are registered: compaction would drop the history a
+    /// pinned reader's cut is reconstructed from.
+    SnapshotPinned {
+        /// Live pins.
+        pins: usize,
+    },
+    /// A log holds appended-but-unforced bytes: a checkpoint rewrites
+    /// durable images only, so it runs between forced batches.
+    PendingBytes {
+        /// The shard whose effect log holds them; `None` for the
+        /// coordinator decision log.
+        shard: Option<usize>,
+    },
+    /// A log's durable image is torn, or holds a record this version
+    /// cannot decode.
+    Log(RecoverError),
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointError::WalDisabled => write!(f, "checkpoint requires an enabled WAL"),
+            CheckpointError::Crashed => {
+                write!(f, "checkpoint on a crashed service — recover it instead")
+            }
+            CheckpointError::SnapshotPinned { pins } => {
+                write!(f, "checkpoint under {pins} active snapshot pin(s)")
+            }
+            CheckpointError::PendingBytes { shard: Some(shard) } => write!(
+                f,
+                "checkpoint with pending bytes in shard {shard}'s effect log — force them first"
+            ),
+            CheckpointError::PendingBytes { shard: None } => write!(
+                f,
+                "checkpoint with pending bytes in the decision log — force them first"
+            ),
+            CheckpointError::Log(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl From<RecoverError> for CheckpointError {
+    fn from(e: RecoverError) -> CheckpointError {
+        CheckpointError::Log(e)
+    }
+}
+
 /// Decodes every record of a scanned decision log into the set of
 /// decided timestamps.
 pub(crate) fn decided_set(

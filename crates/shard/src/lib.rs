@@ -126,7 +126,8 @@ mod service;
 pub use arrival::{ArrivalConfig, ArrivalGen};
 pub use config::{CommitConfig, OpenLoopConfig, ShardConfig};
 pub use durability::{
-    CheckpointReport, CrashPoint, CrashSite, RecoverError, RecoveryReport, ShardRecovery, WalBytes,
+    CheckpointError, CheckpointReport, CrashPoint, CrashSite, RecoverError, RecoveryReport,
+    ShardRecovery, WalBytes,
 };
 pub use partition::WarehouseMap;
 pub use report::{

@@ -23,8 +23,8 @@ use crate::config::{CommitConfig, OpenLoopConfig, ShardConfig};
 use crate::coordinator;
 use crate::coordinator::schedule::{Wave, WaveScheduler};
 use crate::durability::{
-    decided_set, decode_decision, CheckpointReport, CrashPoint, Durability, DurabilityCtx,
-    RecoverError, RecoveryReport, ShardRecovery, WalBytes,
+    decided_set, decode_decision, CheckpointError, CheckpointReport, CrashPoint, Durability,
+    DurabilityCtx, RecoverError, RecoveryReport, ShardRecovery, WalBytes,
 };
 use crate::partition::WarehouseMap;
 use crate::report::{
@@ -683,9 +683,10 @@ impl ShardedHtap {
     ///
     /// # Panics
     ///
-    /// As [`ShardedHtap::try_checkpoint`], and additionally if a log
-    /// holds a record this version cannot decode — use `try_checkpoint`
-    /// where the log files may have been written by something else.
+    /// Panics with the [`CheckpointError`] that
+    /// [`ShardedHtap::try_checkpoint`] returns — use that where the
+    /// caller's timing or the log files' contents are not the caller's
+    /// own.
     pub fn checkpoint(&mut self) -> CheckpointReport {
         match self.try_checkpoint() {
             Ok(report) => report,
@@ -693,44 +694,46 @@ impl ShardedHtap {
         }
     }
 
-    /// [`ShardedHtap::checkpoint`], reporting log bytes it cannot
-    /// compact as an error instead of panicking. On `Err` the logs
-    /// still recover to the same state: each effect log compacts on its
-    /// own, and the decision log is trimmed only after all of them
-    /// have.
+    /// [`ShardedHtap::checkpoint`], reporting instead of panicking what
+    /// depends on the caller's timing or on log bytes. Every
+    /// precondition — on the service and on every log — is checked
+    /// before the first log is rewritten, so an unmet one leaves every
+    /// durable image as it was. On [`CheckpointError::Log`] with an
+    /// undecodable record the logs still recover to the same state:
+    /// each effect log compacts on its own, and the decision log is
+    /// trimmed only after all of them have.
     ///
     /// # Errors
     ///
+    /// [`CheckpointError::WalDisabled`]; [`CheckpointError::Crashed`];
+    /// [`CheckpointError::SnapshotPinned`] (a pinned reader's cut must
+    /// stay reconstructible); [`CheckpointError::PendingBytes`] if any
+    /// log holds unforced bytes (a checkpoint runs on a quiesced
+    /// deployment between batches); [`CheckpointError::Log`] with
     /// [`RecoverError::TornLog`] if any log's durable image ends in a
-    /// torn frame (a file-backed log cut mid-write) — checked on every
-    /// log before the first is rewritten — and
+    /// torn frame (a file-backed log cut mid-write), or with
     /// [`RecoverError::Undecodable`] if a checksummed record of any log
     /// fails to decode (a file-backed log another format version wrote
     /// into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the WAL is disabled, the service crashed, a snapshot
-    /// pin is active (a pinned reader's cut must stay reconstructible),
-    /// or any log holds pending (unforced) bytes — a checkpoint runs on
-    /// a quiesced deployment between batches.
-    pub fn try_checkpoint(&mut self) -> Result<CheckpointReport, RecoverError> {
-        assert!(
-            !self.crashed(),
-            "checkpoint on a crashed service — recover it instead"
-        );
-        assert_eq!(
-            self.oracle.active_pins(),
-            0,
-            "checkpoint under an active snapshot pin"
-        );
+    pub fn try_checkpoint(&mut self) -> Result<CheckpointReport, CheckpointError> {
+        if self.crashed() {
+            return Err(CheckpointError::Crashed);
+        }
+        let pins = self.oracle.active_pins();
+        if pins > 0 {
+            return Err(CheckpointError::SnapshotPinned { pins });
+        }
         let cut = self.oracle.watermark();
         let ShardedHtap {
             shards, durability, ..
         } = self;
-        let Some(d) = durability.as_mut() else {
-            panic!("checkpoint requires an enabled WAL");
-        };
+        let d = durability.as_mut().ok_or(CheckpointError::WalDisabled)?;
+        // `Wal::truncate_before` asserts a log has nothing pending; find
+        // out here, on every log, before the first one is rewritten.
+        let pending_effects = d.logs.iter().position(Wal::has_pending).map(Some);
+        if let Some(shard) = pending_effects.or(d.decision_log.has_pending().then_some(None)) {
+            return Err(CheckpointError::PendingBytes { shard });
+        }
         // Scan everything before the first rewrite: a torn tail on any
         // log fails the checkpoint with every log file untouched.
         let scans: Vec<_> = d
@@ -741,7 +744,7 @@ impl ShardedHtap {
         let dscan = scan(&d.decision_log.durable_image());
         let torn_effects = scans.iter().position(|s| s.torn).map(Some);
         if let Some(shard) = torn_effects.or(dscan.torn.then_some(None)) {
-            return Err(RecoverError::TornLog { shard });
+            return Err(RecoverError::TornLog { shard }.into());
         }
         let decided = decided_set(&dscan.records)?;
         let per_shard = shards
@@ -750,7 +753,7 @@ impl ShardedHtap {
             .zip(&scans)
             .enumerate()
             .map(|(i, ((shard, log), s))| compact_shard_log(i, shard, log, &s.records, &decided))
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, RecoverError>>()?;
         // Every entry decoded a moment ago, into `decided`.
         let decisions = d.decision_log.truncate_before(|p| {
             decode_decision(p)
@@ -1173,6 +1176,99 @@ mod tests {
                 "ITEM must be replicated"
             );
         }
+    }
+
+    /// A two-shard deployment with an in-memory WAL and a forced batch
+    /// behind it.
+    fn durable_service() -> ShardedHtap {
+        let mut s = service(2);
+        let _handles = s.enable_wal();
+        let mut gen = s.global_txn_gen(5);
+        assert_eq!(s.run_txns(&mut gen, 24).committed(), 24);
+        s
+    }
+
+    /// The durable image of every effect log, then the decision log's.
+    fn durable_images(s: &ShardedHtap) -> Vec<Vec<u8>> {
+        let d = s.durability.as_ref().expect("wal enabled");
+        d.logs
+            .iter()
+            .chain([&d.decision_log])
+            .map(Wal::durable_image)
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_without_a_wal_is_a_typed_error() {
+        let mut s = service(2);
+        assert_eq!(s.try_checkpoint().err(), Some(CheckpointError::WalDisabled));
+    }
+
+    #[test]
+    fn checkpoint_of_a_crashed_service_is_a_typed_error() {
+        let mut s = service(2);
+        let _handles = s.enable_wal();
+        s.arm_crash(CrashPoint {
+            site: crate::durability::CrashSite::BeforePrepare,
+            event: 1,
+        });
+        let warehouses = s.map().warehouses();
+        let mut gen = s
+            .global_txn_gen(5)
+            .with_remote_mix(pushtap_chbench::RemoteMix::Uniform, warehouses);
+        s.run_txns(&mut gen, 24);
+        assert!(s.crashed());
+        let before = durable_images(&s);
+        assert_eq!(s.try_checkpoint().err(), Some(CheckpointError::Crashed));
+        assert_eq!(durable_images(&s), before);
+    }
+
+    #[test]
+    fn checkpoint_under_a_snapshot_pin_is_a_typed_error() {
+        let mut s = durable_service();
+        let before = durable_images(&s);
+        let pin = s.ts_oracle().pin_snapshot(Ts(10));
+        assert_eq!(
+            s.try_checkpoint().err(),
+            Some(CheckpointError::SnapshotPinned { pins: 1 })
+        );
+        assert_eq!(durable_images(&s), before);
+        // Released, the same deployment checkpoints.
+        drop(pin);
+        assert_eq!(s.try_checkpoint().expect("unpinned").cut, Ts(24));
+    }
+
+    /// Unforced bytes in a *later* log used to trip the assert inside
+    /// `Wal::truncate_before` after the earlier shards' logs had been
+    /// rewritten; now no durable image changes.
+    #[test]
+    fn checkpoint_over_unforced_bytes_is_a_typed_error_and_rewrites_nothing() {
+        let mut s = durable_service();
+        let before = durable_images(&s);
+        let d = s.durability.as_mut().expect("wal enabled");
+        d.decision_log.append(b"unforced");
+        assert_eq!(
+            s.try_checkpoint().err(),
+            Some(CheckpointError::PendingBytes { shard: None })
+        );
+        assert_eq!(durable_images(&s), before);
+        let d = s.durability.as_mut().expect("wal enabled");
+        d.logs[1].append(b"unforced");
+        assert_eq!(
+            s.try_checkpoint().err(),
+            Some(CheckpointError::PendingBytes { shard: Some(1) })
+        );
+        assert_eq!(
+            durable_images(&s),
+            before,
+            "shard 0's log must not be rewritten"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint failed: checkpoint requires an enabled WAL")]
+    fn checkpoint_panics_with_the_typed_message() {
+        service(1).checkpoint();
     }
 
     #[test]

@@ -17,7 +17,8 @@ mod common;
 use proptest::prelude::*;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_shard::{
-    CrashPoint, CrashSite, RecoverError, RecoveryReport, ShardConfig, ShardedHtap, WalBytes,
+    CheckpointError, CrashPoint, CrashSite, RecoverError, RecoveryReport, ShardConfig, ShardedHtap,
+    WalBytes,
 };
 use pushtap_wal::Wal;
 
@@ -507,6 +508,9 @@ fn checkpoint_over_a_foreign_record_is_a_typed_error() {
     let err = service
         .try_checkpoint()
         .expect_err("the foreign record must fail the checkpoint");
+    let CheckpointError::Log(err) = err else {
+        panic!("expected a log error, got {err}")
+    };
     assert!(
         matches!(err, RecoverError::Undecodable { shard: Some(1), .. }),
         "{err}"
@@ -539,7 +543,9 @@ fn checkpoint_over_a_torn_log_is_a_typed_error_and_rewrites_nothing() {
     let before = WalBytes::read_dir(&dir, 2).expect("read log files");
     assert_eq!(
         service.try_checkpoint().map(|_| ()),
-        Err(RecoverError::TornLog { shard: Some(1) })
+        Err(CheckpointError::Log(RecoverError::TornLog {
+            shard: Some(1)
+        }))
     );
     let after = WalBytes::read_dir(&dir, 2).expect("read log files");
     assert_eq!(before.shards, after.shards, "no effect log may change");
