@@ -137,14 +137,6 @@ impl RowGen {
             .map(|c| self.value(row, c))
             .collect()
     }
-
-    /// Generates the primary-key value used by the hash index (the mixed
-    /// identifier columns of the row).
-    pub fn primary_key(&self, row: u64) -> u64 {
-        // Rows are uniquely keyed by their index in this synthetic
-        // population; real key columns are derived from it.
-        row
-    }
 }
 
 #[cfg(test)]

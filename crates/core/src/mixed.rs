@@ -77,16 +77,6 @@ impl MixReport {
         qphh(self.queries, self.elapsed)
     }
 
-    /// Fraction of committed transactions that needed at least one
-    /// delta-pressure retry.
-    pub fn retry_rate(&self) -> f64 {
-        if self.txns == 0 {
-            0.0
-        } else {
-            self.retried_txns as f64 / self.txns as f64
-        }
-    }
-
     /// Share of wall-clock spent on consistency (freshness tax).
     pub fn consistency_share(&self) -> f64 {
         if self.elapsed == Ps::ZERO {

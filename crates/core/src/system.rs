@@ -257,16 +257,6 @@ impl OltpReport {
         self.txn_time + self.defrag_time + self.gc_time
     }
 
-    /// Defragmentation overhead on OLTP (Fig. 11(a)): pause time over
-    /// total time.
-    pub fn defrag_overhead(&self) -> f64 {
-        if self.total_time() == Ps::ZERO {
-            0.0
-        } else {
-            self.defrag_time.ps() as f64 / self.total_time().ps() as f64
-        }
-    }
-
     /// Garbage-collection overhead on OLTP: GC pause time over total
     /// time. Bounded memory should cost well under the defragmentation
     /// barrier it displaces.
@@ -490,11 +480,6 @@ impl Pushtap {
     /// The database.
     pub fn db(&self) -> &TpccDb {
         &self.db
-    }
-
-    /// Mutable database access (for experiment setup).
-    pub fn db_mut(&mut self) -> &mut TpccDb {
-        &mut self.db
     }
 
     /// The memory system.

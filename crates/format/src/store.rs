@@ -37,6 +37,14 @@ pub enum RowSlot {
     },
 }
 
+/// Device-local offset of `slot`'s slice in `part`'s region.
+fn base_offset(region: &RegionPlan, part: u32, slot: RowSlot) -> u64 {
+    match slot {
+        RowSlot::Data { row } => region.data_offset(part, row),
+        RowSlot::Delta { rotation, idx } => region.delta_offset(part, rotation, idx),
+    }
+}
+
 /// A table instance stored in the unified format.
 #[derive(Debug, Clone)]
 pub struct TableStore {
@@ -89,13 +97,6 @@ impl TableStore {
         }
     }
 
-    fn base_offset(&self, part: u32, slot: RowSlot) -> u64 {
-        match slot {
-            RowSlot::Data { row } => self.region.data_offset(part, row),
-            RowSlot::Delta { rotation, idx } => self.region.delta_offset(part, rotation, idx),
-        }
-    }
-
     /// The rotation arena a new version of data row `row` must use.
     pub fn arena_for_row(&self, row: u64) -> u32 {
         self.placement.rotation_of(row)
@@ -138,11 +139,9 @@ impl TableStore {
         assert_eq!(value.len() as u32, width, "width mismatch for column {col}");
         let rotation = self.rotation(slot);
         let devices = self.layout.devices();
-        // Borrow the fragments by value to avoid aliasing `self.mem`.
-        let frags: Vec<_> = self.layout.fragments(col).to_vec();
-        for f in frags {
+        for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
-            let off = self.base_offset(f.part, slot) + f.offset as u64;
+            let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
             self.mem.device_mut(device).write(
                 off as usize,
                 &value[f.col_byte as usize..(f.col_byte + f.len) as usize],
@@ -158,7 +157,7 @@ impl TableStore {
         let mut out = vec![0u8; width];
         for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
-            let off = self.base_offset(f.part, slot) + f.offset as u64;
+            let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
             self.mem.device(device).read_into(
                 off as usize,
                 &mut out[f.col_byte as usize..(f.col_byte + f.len) as usize],
@@ -167,26 +166,26 @@ impl TableStore {
         out
     }
 
-    /// Copies a delta version back over its origin data row (the
-    /// defragmentation data movement, §5.3). The copy is device-local on
-    /// every device because the version shares its origin's rotation.
+    /// Copies the version at `from` over slot `to`: the data movement of
+    /// an update (newest version → fresh delta slot) and of a fold (delta
+    /// version → origin data row, §5.3). Device-local on every device,
+    /// because a version shares its origin row's rotation (§5.1).
     ///
     /// # Panics
     ///
-    /// Panics if the delta slot's rotation differs from the origin row's.
-    pub fn copy_back(&mut self, origin_row: u64, rotation: u32, idx: u64) {
+    /// Panics if the two slots' rotations differ.
+    pub fn copy_version(&mut self, from: RowSlot, to: RowSlot) {
         assert_eq!(
-            self.placement.rotation_of(origin_row),
-            rotation,
-            "delta rotation must match origin row rotation"
+            self.rotation(from),
+            self.rotation(to),
+            "a version moves only within its rotation"
         );
-        for (part, pr) in self.region.parts().to_vec().into_iter().enumerate() {
-            let src = self.region.delta_offset(part as u32, rotation, idx);
-            let dst = self.region.data_offset(part as u32, origin_row);
-            for dev in 0..self.layout.devices() {
-                self.mem
-                    .device_mut(dev)
-                    .copy_within(src as usize, dst as usize, pr.width as usize);
+        for (part, pr) in self.region.parts().iter().enumerate() {
+            let src = base_offset(&self.region, part as u32, from) as usize;
+            let dst = base_offset(&self.region, part as u32, to) as usize;
+            for dev in 0..self.mem.width() {
+                let mem = self.mem.device_mut(dev);
+                mem.copy_within(src, dst, pr.width as usize);
             }
         }
     }
@@ -357,28 +356,6 @@ mod tests {
         let vals = row_values(42);
         s.write_row(slot, &vals);
         assert_eq!(s.read_row(slot), vals);
-    }
-
-    #[test]
-    fn copy_back_applies_new_version() {
-        let mut s = store();
-        let row = 10u64;
-        let rot = s.arena_for_row(row);
-        s.write_row(RowSlot::Data { row }, &row_values(1));
-        let slot = RowSlot::Delta {
-            rotation: rot,
-            idx: 0,
-        };
-        s.write_row(slot, &row_values(2));
-        s.copy_back(row, rot, 0);
-        assert_eq!(s.read_row(RowSlot::Data { row }), row_values(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "rotation must match")]
-    fn copy_back_rejects_wrong_rotation() {
-        let mut s = store();
-        s.copy_back(10, 0, 0); // row 10 has rotation 1
     }
 
     /// What the owning PIM unit sees: a key column's bytes sit whole on

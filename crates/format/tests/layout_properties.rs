@@ -61,15 +61,34 @@ fn dec_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(le)
 }
 
-/// `column_cursor(col).u64_at(slot) == dec_u64(&read_value(slot, col))`
-/// for every column over every data row and every delta slot.
-fn assert_cursor_equals_read_value(store: &TableStore, stage: &str) -> Result<(), TestCaseError> {
+/// One row of pseudo-random column values, advancing the LCG `state`.
+fn random_row(schema: &TableSchema, state: &mut u64) -> Vec<Vec<u8>> {
+    let mut next = || {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (*state >> 33) as u8
+    };
+    schema
+        .columns()
+        .iter()
+        .map(|c| (0..c.width).map(|_| next()).collect())
+        .collect()
+}
+
+/// Every data row, then every delta slot of every rotation arena.
+fn all_slots(store: &TableStore) -> Vec<RowSlot> {
     let region = store.region();
     let data = (0..region.n_rows()).map(|row| RowSlot::Data { row });
     let delta = (0..region.arenas()).flat_map(|rotation| {
         (0..region.arena_rows()).map(move |idx| RowSlot::Delta { rotation, idx })
     });
-    let slots: Vec<RowSlot> = data.chain(delta).collect();
+    data.chain(delta).collect()
+}
+
+/// `column_cursor(col).u64_at(slot) == dec_u64(&read_value(slot, col))`
+/// for every column over every data row and every delta slot.
+fn assert_cursor_equals_read_value(store: &TableStore, stage: &str) -> Result<(), TestCaseError> {
+    let region = store.region();
+    let slots = all_slots(store);
     for col in 0..store.layout().schema().len() as u32 {
         let cursor = store.column_cursor(col);
         prop_assert_eq!(cursor.extents(), (region.n_rows(), region.delta_rows()));
@@ -105,20 +124,7 @@ proptest! {
         let n_rows = (devices as u64 + 2) * block as u64 + block as u64 / 2;
         let mut store = TableStore::new(layout, block, n_rows, 3 * devices as u64);
         let mut state = seed;
-        let mut row_values = || -> Vec<Vec<u8>> {
-            schema
-                .columns()
-                .iter()
-                .map(|c| {
-                    (0..c.width)
-                        .map(|_| {
-                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            (state >> 33) as u8
-                        })
-                        .collect()
-                })
-                .collect()
-        };
+        let mut row_values = || random_row(&schema, &mut state);
         // Nothing written: every device's extent is empty.
         assert_cursor_equals_read_value(&store, "empty")?;
         for col in 0..schema.len() as u32 {
@@ -147,7 +153,11 @@ proptest! {
         // Copy-back leaves the delta slot's bytes behind and rewrites a
         // data row in place.
         let row = n_rows - 1;
-        store.copy_back(row, store.arena_for_row(row), store.region().arena_rows() - 1);
+        let newest = RowSlot::Delta {
+            rotation: store.arena_for_row(row),
+            idx: store.region().arena_rows() - 1,
+        };
+        store.copy_version(newest, RowSlot::Data { row });
         assert_cursor_equals_read_value(&store, "after copy-back")?;
     }
 
@@ -259,15 +269,7 @@ proptest! {
         let layout = compact_layout(&schema, devices, th).unwrap();
         let mut store = TableStore::new(layout, 8, 64, 16);
         let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as u8
-        };
-        let values: Vec<Vec<u8>> = schema
-            .columns()
-            .iter()
-            .map(|c| (0..c.width).map(|_| next()).collect())
-            .collect();
+        let values = random_row(&schema, &mut state);
         store.write_row(RowSlot::Data { row }, &values);
         prop_assert_eq!(store.read_row(RowSlot::Data { row }), values.clone());
 
@@ -275,6 +277,56 @@ proptest! {
         let slot = RowSlot::Delta { rotation, idx: 1 };
         store.write_row(slot, &values);
         prop_assert_eq!(store.read_row(slot), values);
+    }
+
+    /// A version moves slot to slot without leaving its devices (§5.1):
+    /// on any layout, for two slots of one rotation — newest version →
+    /// fresh delta slot (an update), delta → delta, delta → origin data
+    /// row (a fold) — `copy_version` makes the target read as the source
+    /// did, leaves every other slot as it was, and refuses a target of
+    /// another rotation.
+    #[test]
+    fn copy_version_moves_a_row_within_its_rotation(
+        schema in arb_schema(),
+        devices in 1u32..9,
+        th in 0.0f64..=1.0,
+        block in 2u32..9,
+        pick_row in any::<u64>(),
+        pick_idx in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let layout = compact_layout(&schema, devices, th).unwrap();
+        let n_rows = (devices as u64 + 2) * block as u64;
+        let mut store = TableStore::new(layout, block, n_rows, 3 * devices as u64);
+        let arena_rows = store.region().arena_rows();
+        let slots = all_slots(&store);
+        let mut state = seed;
+        for &slot in &slots {
+            store.write_row(slot, &random_row(&schema, &mut state));
+        }
+
+        let row = pick_row % n_rows;
+        let rotation = store.arena_for_row(row);
+        let a = RowSlot::Delta { rotation, idx: pick_idx % arena_rows };
+        let b = RowSlot::Delta { rotation, idx: (pick_idx + 1) % arena_rows };
+        for (from, to) in [(RowSlot::Data { row }, a), (a, b), (b, RowSlot::Data { row })] {
+            let before: Vec<_> = slots.iter().map(|&s| store.read_row(s)).collect();
+            let source = &before[slots.iter().position(|&s| s == from).unwrap()];
+            store.copy_version(from, to);
+            for (&slot, was) in slots.iter().zip(&before) {
+                let expect = if slot == to { source } else { was };
+                prop_assert_eq!(&store.read_row(slot), expect, "{:?} after {:?} -> {:?}", slot, from, to);
+            }
+        }
+
+        if devices > 1 {
+            let elsewhere = RowSlot::Delta { rotation: (rotation + 1) % devices, idx: 0 };
+            let mut scratch = store.clone();
+            let moved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scratch.copy_version(RowSlot::Data { row }, elsewhere)
+            }));
+            prop_assert!(moved.is_err(), "a copy across rotations must panic");
+        }
     }
 
     /// Placement bijection and balance.

@@ -1,7 +1,7 @@
 //! The in-transaction undo log (transaction-atomic delta allocation).
 //!
 //! A transaction executes as a sequence of statements, each of which may
-//! allocate delta slots, write row versions, extend version chains, and
+//! allocate delta slots, extend version chains, insert index keys, and
 //! advance insert-ring cursors. When a statement hits [`DeltaFull`], the
 //! engine defragments and re-executes the *whole* transaction — so the
 //! partial effects of the earlier statements must first be rolled back,
@@ -9,9 +9,11 @@
 //! functional state would depend on *when* the arenas filled up (the
 //! divergence the sharded identity proof cannot tolerate).
 //!
-//! [`UndoLog`] records every mutation of a table's transactional state
-//! while a transaction scope is active; applying the records in reverse
-//! restores the table byte-for-byte. The log is purely CPU-side
+//! [`UndoLog`] records every mutation of a table's transactional
+//! *metadata* while a transaction scope is active; applying the records
+//! in reverse restores every observable of the table — what any read at
+//! any timestamp, any snapshot, the index and the allocator report (row
+//! bytes need no record: see [`UndoRecord`]). The log is purely CPU-side
 //! metadata, like the version chains (§5.1): rollback costs no simulated
 //! memory traffic.
 //!
@@ -29,14 +31,13 @@
 //! [`UndoLog::abort_prepared`] (hand that scope's pinned records back for
 //! reverse replay). Coexisting scopes must touch disjoint rows — the
 //! conflict scheduler guarantees it — or out-of-order rollback could not
-//! be byte-exact.
+//! be exact.
 //!
 //! [`DeltaFull`]: crate::DeltaFull
 //!
 //! # Examples
 //!
 //! ```
-//! use pushtap_format::RowSlot;
 //! use pushtap_mvcc::{Ts, UndoLog, UndoRecord};
 //!
 //! let mut undo = UndoLog::new();
@@ -65,15 +66,20 @@
 
 use std::collections::BTreeMap;
 
-use pushtap_format::RowSlot;
-
 use crate::timestamp::Ts;
 
-/// One reversible effect of an in-flight transaction.
+/// One reversible metadata effect of an in-flight transaction.
 ///
 /// The record stores the *pre-state* needed to reverse the effect; the
 /// owning table interprets it during rollback (the log itself does not
 /// hold references into the table).
+///
+/// No variant carries row bytes, because none need restoring: a version
+/// is written into a freshly allocated delta slot, and slot bytes are
+/// reachable only through a chain link or a snapshot bit. Rollback
+/// removes the link (an uncommitted version never has a bit) and frees
+/// the slot, and whoever allocates it next overwrites all of it before
+/// linking it, so what an aborted version leaves behind is never read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UndoRecord {
     /// A delta slot was allocated in `rotation`'s arena.
@@ -89,18 +95,6 @@ pub enum UndoRecord {
     VersionLink {
         /// The data-region row whose chain grew.
         row: u64,
-    },
-    /// Row bytes were written at `slot`. Reverse: restore `pre_image`.
-    ///
-    /// Versions are written to freshly allocated slots, so the pre-image
-    /// is usually stale garbage — restoring it anyway makes rollback
-    /// byte-exact, which is what the delta-pressure identity tests
-    /// assert.
-    RowWrite {
-        /// The written slot.
-        slot: RowSlot,
-        /// Column values the slot held before the write.
-        pre_image: Vec<Vec<u8>>,
     },
     /// `key` was inserted into (or moved within) the hash index.
     /// Reverse: restore `prev` (remove the key if it was absent).

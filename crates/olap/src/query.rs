@@ -44,15 +44,6 @@ impl Q1Row {
             self.sum_qty as f64 / self.count as f64
         }
     }
-
-    /// `AVG(ol_amount)` recombined from sum/count.
-    pub fn avg_amount(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_amount as f64 / self.count as f64
-        }
-    }
 }
 
 /// One Q9 output row.

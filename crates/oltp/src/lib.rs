@@ -18,8 +18,8 @@
 //!   owning warehouse ([`effects`]), and execution applies them inside a
 //!   prepare/commit scope. [`TpccDb::execute`] is *transaction-atomic*:
 //!   a mid-transaction [`pushtap_mvcc::DeltaFull`] rolls back every
-//!   partial effect (delta slots, chains, row bytes, index entries,
-//!   stripe cursors, the timestamp) before the error reaches the caller,
+//!   partial effect (delta slots, chains, index entries, stripe
+//!   cursors, the timestamp) before the error reaches the caller,
 //!   so the defragment-and-retry loop re-executes on pristine state and
 //!   committed state never depends on *when* arenas filled up. The
 //!   participant API ([`TpccDb::prepare_effects`] /

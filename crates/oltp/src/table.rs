@@ -160,9 +160,9 @@ impl HtapTable {
         );
     }
 
-    /// Opens a transaction scope: every subsequent mutation (delta-slot
-    /// allocation, row-version write, chain growth, index insert,
-    /// insert-ring advance) is recorded in the table's [`UndoLog`] until
+    /// Opens a transaction scope: every subsequent metadata mutation
+    /// (delta-slot allocation, chain growth, index insert, insert-ring
+    /// advance) is recorded in the table's [`UndoLog`] until
     /// [`HtapTable::commit_txn`] or [`HtapTable::abort_txn`] closes the
     /// scope. Outside a scope, mutations are unrecorded (statement-level
     /// atomicity only), which is the pre-existing behaviour.
@@ -286,8 +286,10 @@ impl HtapTable {
     /// Rolls back every effect recorded since [`HtapTable::begin_txn`]
     /// and closes the scope: released delta slots return to their
     /// arenas' free lists, version chains and the commit log shrink back,
-    /// row bytes are restored, index entries and the insert-ring cursor
-    /// revert. Returns the number of records applied.
+    /// index entries and the insert-ring cursor revert. Row bytes stay
+    /// where the aborted versions left them: an unlinked version in a
+    /// free slot is unreachable, and the slot's next owner overwrites all
+    /// of it (see [`UndoRecord`]). Returns the number of records applied.
     ///
     /// Rollback is CPU-side metadata work (like the version chains,
     /// §5.1) and charges no simulated memory traffic; the caller
@@ -304,9 +306,6 @@ impl HtapTable {
             match rec {
                 UndoRecord::VersionLink { row } => {
                     self.chains.undo_update(row);
-                }
-                UndoRecord::RowWrite { slot, pre_image } => {
-                    self.store.write_row(slot, &pre_image);
                 }
                 UndoRecord::SlotAlloc { rotation, idx } => {
                     self.alloc.release(rotation, idx);
@@ -477,16 +476,19 @@ impl HtapTable {
         end
     }
 
-    /// Timed read of the row visible at `ts`. Returns the column values
-    /// and the operation result.
-    pub fn timed_read(
+    /// The timed half of [`HtapTable::timed_read`]: everything a read
+    /// costs and every mark it leaves — index probe, chain walk, the
+    /// version's cache lines, its read timestamp — without gathering the
+    /// values. Returns the slot of the version visible at `ts` and the
+    /// operation result.
+    pub fn timed_read_slot(
         &mut self,
         mem: &mut MemSystem,
         meter: &Meter,
         row: u64,
         ts: Ts,
         at: Ps,
-    ) -> (Vec<Vec<u8>>, OpResult) {
+    ) -> (RowSlot, OpResult) {
         let mut b = Breakdown::default();
         b.indexing += meter.indexing(1);
         self.index.get(row);
@@ -497,15 +499,14 @@ impl HtapTable {
         let issue = meter.line_issue(lines.len() as u64);
         let mem_end = self.issue_lines(mem, &lines, Op::Read, cpu_ready) + issue;
         b.memory += mem_end.saturating_sub(cpu_ready);
-        let values = self.store.read_row(slot);
-        let compute = meter.compute(values.len() as u64);
+        let compute = meter.compute(self.store.layout().schema().len() as u64);
         b.compute += compute;
         self.chains.mark_read(slot, ts);
         if self.san.enabled() {
             self.record_access(AccessKind::Read, row, ts);
         }
         (
-            values,
+            slot,
             OpResult {
                 end: mem_end + compute,
                 breakdown: b,
@@ -513,8 +514,23 @@ impl HtapTable {
         )
     }
 
-    /// Timed MVCC update: reads the newest version, writes a new version
-    /// into the delta region, and chains it.
+    /// Timed read of the row visible at `ts`. Returns the column values
+    /// and the operation result.
+    pub fn timed_read(
+        &mut self,
+        mem: &mut MemSystem,
+        meter: &Meter,
+        row: u64,
+        ts: Ts,
+        at: Ps,
+    ) -> (Vec<Vec<u8>>, OpResult) {
+        let (slot, r) = self.timed_read_slot(mem, meter, row, ts, at);
+        (self.store.read_row(slot), r)
+    }
+
+    /// Timed MVCC update: copies the newest version into a fresh slot of
+    /// the row's rotation arena (device-local on every device, §5.1),
+    /// overwrites the changed columns there, and chains it.
     ///
     /// # Errors
     ///
@@ -526,7 +542,7 @@ impl HtapTable {
         meter: &Meter,
         row: u64,
         ts: Ts,
-        changes: &[(u32, Vec<u8>)],
+        changes: &[(u32, impl AsRef<[u8]>)],
         at: Ps,
     ) -> Result<OpResult, DeltaFull> {
         let mut b = Breakdown::default();
@@ -539,7 +555,6 @@ impl HtapTable {
         let read_end = self.issue_lines(mem, &read_lines, Op::Read, cpu_ready)
             + meter.line_issue(read_lines.len() as u64);
         b.memory += read_end.saturating_sub(cpu_ready);
-        let mut values = self.store.read_row(newest);
 
         // Allocate the new version in the origin row's rotation arena.
         let rotation = self.store.arena_for_row(row);
@@ -547,18 +562,12 @@ impl HtapTable {
         self.undo.record(UndoRecord::SlotAlloc { rotation, idx });
         b.alloc += meter.alloc(1);
 
-        for (col, v) in changes {
-            values[*col as usize] = v.clone();
-        }
         b.compute += meter.compute(changes.len() as u64 * 2);
         let new_slot = RowSlot::Delta { rotation, idx };
-        if self.undo.is_active() {
-            self.undo.record(UndoRecord::RowWrite {
-                slot: new_slot,
-                pre_image: self.store.read_row(new_slot),
-            });
+        self.store.copy_version(newest, new_slot);
+        for (col, v) in changes {
+            self.store.write_value(new_slot, *col, v.as_ref());
         }
-        self.store.write_row(new_slot, &values);
         self.chains.record_update(row, new_slot, ts);
         self.undo.record(UndoRecord::VersionLink { row });
         if self.san.enabled() {
@@ -638,12 +647,6 @@ impl HtapTable {
         let prev = self.index.insert(row, row);
         self.undo.record(UndoRecord::IndexInsert { key: row, prev });
         let new_slot = RowSlot::Delta { rotation, idx };
-        if self.undo.is_active() {
-            self.undo.record(UndoRecord::RowWrite {
-                slot: new_slot,
-                pre_image: self.store.read_row(new_slot),
-            });
-        }
         self.store.write_row(new_slot, values);
         self.chains.record_update(row, new_slot, ts);
         self.undo.record(UndoRecord::VersionLink { row });
@@ -807,8 +810,8 @@ impl HtapTable {
         for row in rows {
             let (slots, steps) = self.chains.chain_slots(row);
             stats.chain_steps += steps as u64;
-            if let Some(&RowSlot::Delta { rotation, idx }) = slots.first() {
-                self.store.copy_back(row, rotation, idx);
+            if let Some(&newest @ RowSlot::Delta { .. }) = slots.first() {
+                self.store.copy_version(newest, RowSlot::Data { row });
                 stats.rows_copied += 1;
                 stats.bytes_copied += padded;
             }
@@ -868,8 +871,9 @@ impl HtapTable {
         }
         let padded = self.store.layout().padded_row_bytes() as u64;
         for fold in &out.folds {
-            if let RowSlot::Delta { rotation, idx } = fold.fold_slot {
-                self.store.copy_back(fold.row, rotation, idx);
+            if let RowSlot::Delta { .. } = fold.fold_slot {
+                self.store
+                    .copy_version(fold.fold_slot, RowSlot::Data { row: fold.row });
                 pass.rows_folded += 1;
                 pass.bytes_copied += padded;
             }
@@ -1190,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn abort_restores_table_byte_for_byte() {
+    fn abort_unwinds_every_observable_and_a_retry_reuses_the_slots() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
         t.load_row(5, &values(1));
@@ -1256,7 +1260,7 @@ mod tests {
         let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
         assert_eq!(vals[0], vec![7, 7]);
 
-        // Prepare-then-abort: the version unwinds byte-for-byte.
+        // Prepare-then-abort: the version unwinds.
         let live = t.live_delta_rows();
         t.begin_txn();
         t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, vec![9, 9])], Ps::ZERO)

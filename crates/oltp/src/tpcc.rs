@@ -20,6 +20,7 @@
 //! is what makes sharded committed bytes equal the unpartitioned
 //! reference's for *every* table, remote-owned rows included.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -123,11 +124,6 @@ impl Partition {
     pub fn of(index: u32, count: u32) -> Partition {
         assert!(index < count, "shard {index} out of {count}");
         Partition { index, count }
-    }
-
-    /// Whether this is the unpartitioned build.
-    pub fn is_single(&self) -> bool {
-        self.count == 1
     }
 
     /// This shard's contiguous slice of `rows` global rows (floor split;
@@ -643,7 +639,7 @@ impl TpccDb {
     pub fn committed_column(&self, table: Table, row: u64, col: u32) -> Vec<u8> {
         let local = self.own_row(table, row);
         let t = &self.tables[&table];
-        t.store().read_row(t.chains().newest_slot(local))[col as usize].clone()
+        t.store().read_value(t.chains().newest_slot(local), col)
     }
 
     /// The cost meter in effect.
@@ -1117,7 +1113,7 @@ impl TpccDb {
             Effect::Read { table, row } => {
                 let local = self.own_row(*table, *row);
                 let t = self.tables.get_mut(table).expect("table not built");
-                let (_, r) = t.timed_read(mem, meter, local, ts, *now);
+                let (_, r) = t.timed_read_slot(mem, meter, local, ts, *now);
                 b.merge(&r.breakdown);
                 *now = r.end;
                 Ok(())
@@ -1125,21 +1121,19 @@ impl TpccDb {
             Effect::Update { table, row, writes } => {
                 let local = self.own_row(*table, *row);
                 let t = self.tables.get_mut(table).expect("table not built");
-                let changes: Vec<(u32, Vec<u8>)> = writes
+                let newest = t.chains().newest_slot(local);
+                let changes: Vec<(u32, Cow<[u8]>)> = writes
                     .iter()
                     .map(|(col, w)| match w {
-                        ColumnWrite::Set(v) => (*col, v.clone()),
+                        ColumnWrite::Set(v) => (*col, Cow::Borrowed(v.as_slice())),
                         // Read-modify-write over the newest committed
                         // version (not the data-region origin), so the
                         // accumulated value is a pure function of the
                         // committed stream, independent of when
                         // defragmentation folded versions back.
                         ColumnWrite::Add { amount, width } => {
-                            let cur = t.store().read_row(t.chains().newest_slot(local));
-                            (
-                                *col,
-                                enc_u64(dec_u64(&cur[*col as usize]).wrapping_add(*amount), *width),
-                            )
+                            let cur = dec_u64(&t.store().read_value(newest, *col));
+                            (*col, Cow::Owned(enc_u64(cur.wrapping_add(*amount), *width)))
                         }
                     })
                     .collect();

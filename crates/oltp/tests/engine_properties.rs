@@ -380,6 +380,150 @@ fn check_scan_invariant(t: &HtapTable) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The timestamps of a scripted run: the newest committed one and the
+/// last one handed out (rolled-back scopes burn theirs).
+#[derive(Default)]
+struct Clock {
+    committed: u64,
+    next: u64,
+}
+
+/// Runs one step of the script. With `skip_rolled_back`, a scope the
+/// plain run rolls back — by script, or because an arena fills up under
+/// it — never starts; it still burns its timestamp, so the two runs'
+/// timestamps stay aligned.
+fn run_step(
+    t: &mut HtapTable,
+    mem: &mut MemSystem,
+    meter: &Meter,
+    step: &Step,
+    clock: &mut Clock,
+    skip_rolled_back: bool,
+) {
+    let cost = DefragCostModel::new(16.0, 1e9, 3e9);
+    match step {
+        Step::Commit(writes) | Step::Abort(writes) => {
+            clock.next += 1;
+            let ts = Ts(clock.next);
+            let scripted = matches!(step, Step::Abort(_));
+            if skip_rolled_back
+                && (scripted || apply(&mut t.clone(), mem, meter, writes, ts).is_err())
+            {
+                return;
+            }
+            t.begin_txn();
+            let full = apply(t, mem, meter, writes, ts).is_err();
+            if full || scripted {
+                t.abort_txn();
+            } else {
+                t.commit_txn();
+                clock.committed = clock.next;
+            }
+        }
+        Step::Prepared { writes, commit } => {
+            clock.next += 1;
+            let ts = Ts(clock.next);
+            if skip_rolled_back
+                && (!commit || apply(&mut t.clone(), mem, meter, writes, ts).is_err())
+            {
+                return;
+            }
+            t.begin_txn();
+            if apply(t, mem, meter, writes, ts).is_err() {
+                t.abort_txn();
+            } else {
+                t.prepare_txn(ts);
+                if *commit {
+                    t.commit_prepared_txn(ts);
+                    clock.committed = clock.next;
+                } else {
+                    t.abort_prepared_txn(ts);
+                }
+            }
+        }
+        Step::RingInsert(val) => {
+            clock.next += 1;
+            let ts = Ts(clock.next);
+            let values = row_values(*val);
+            if skip_rolled_back
+                && t.clone()
+                    .timed_insert(mem, meter, &values, ts, Ps::ZERO)
+                    .is_err()
+            {
+                return;
+            }
+            t.begin_txn();
+            match t.timed_insert(mem, meter, &values, ts, Ps::ZERO) {
+                Ok(_) => {
+                    t.commit_txn();
+                    clock.committed = clock.next;
+                }
+                Err(_) => {
+                    t.abort_txn();
+                }
+            }
+        }
+        Step::Snapshot { behind } => {
+            let upto = Ts(clock.committed.saturating_sub(*behind));
+            t.timed_snapshot_update(mem, meter, upto, Ps::ZERO);
+        }
+        Step::Gc { behind } => {
+            let before = Ts(clock.committed.saturating_sub(*behind));
+            t.gc(&cost, DefragStrategy::Hybrid, before);
+        }
+        Step::Defrag => {
+            t.defragment(&cost, DefragStrategy::Hybrid, Ts(clock.committed));
+        }
+    }
+}
+
+/// A freshly loaded [`scan_table`] with its memory system and meter.
+fn loaded_scan_table() -> (HtapTable, MemSystem, Meter) {
+    let mut t = scan_table();
+    for row in 0..SCAN_ROWS {
+        t.load_row(row, &row_values(row));
+    }
+    let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
+    (t, MemSystem::dimm(), meter)
+}
+
+/// Everything a caller can learn from a table between transactions.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// `timed_read` of every row at every timestamp handed out so far.
+    reads: Vec<Vec<Vec<u8>>>,
+    /// `snapshot_read` of every row.
+    snapshot: Vec<Vec<Vec<u8>>>,
+    /// The hash index's buckets and the insert-ring cursor. The table
+    /// has no accessor for either, so they are cut out of its `Debug`
+    /// rendering.
+    index: String,
+    ring_cursor: String,
+    live_delta_rows: u64,
+    commit_log_len: usize,
+}
+
+fn observe(t: &HtapTable, mem: &mut MemSystem, meter: &Meter, upto: u64) -> Observed {
+    let debug = format!("{t:?}");
+    let cut = |from: &str, to: &str| {
+        let rest = &debug[debug.find(from).expect("field in Debug") + from.len()..];
+        rest[..rest.find(to).expect("field end in Debug")].to_string()
+    };
+    // Reads stamp the versions they touch: take them from a copy.
+    let mut reader = t.clone();
+    Observed {
+        reads: (0..=upto)
+            .flat_map(|ts| (0..SCAN_ROWS).map(move |row| (row, Ts(ts))))
+            .map(|(row, ts)| reader.timed_read(mem, meter, row, ts, Ps::ZERO).0)
+            .collect(),
+        snapshot: (0..SCAN_ROWS).map(|row| t.snapshot_read(row)).collect(),
+        index: cut("index: HashIndex { buckets: ", ", len: "),
+        ring_cursor: cut("insert_cursor: ", ","),
+        live_delta_rows: t.live_delta_rows(),
+        commit_log_len: t.commit_log_len(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -391,70 +535,37 @@ proptest! {
     /// `snapshot_slot` + `read_value` reads.
     #[test]
     fn bitmaps_hold_one_visible_version_per_row(steps in arb_steps()) {
-        let mut t = scan_table();
-        let mut mem = MemSystem::dimm();
-        let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-        for row in 0..SCAN_ROWS {
-            t.load_row(row, &row_values(row));
-        }
+        let (mut t, mut mem, meter) = loaded_scan_table();
         check_scan_invariant(&t)?;
-        // Newest committed timestamp; aborted scopes burn theirs.
-        let mut committed = 0u64;
-        let mut next = 0u64;
+        let mut clock = Clock::default();
         for step in &steps {
-            match step {
-                Step::Commit(writes) | Step::Abort(writes) => {
-                    next += 1;
-                    t.begin_txn();
-                    let full = apply(&mut t, &mut mem, &meter, writes, Ts(next)).is_err();
-                    if full || matches!(step, Step::Abort(_)) {
-                        t.abort_txn();
-                    } else {
-                        t.commit_txn();
-                        committed = next;
-                    }
-                }
-                Step::Prepared { writes, commit } => {
-                    next += 1;
-                    t.begin_txn();
-                    if apply(&mut t, &mut mem, &meter, writes, Ts(next)).is_err() {
-                        t.abort_txn();
-                    } else {
-                        t.prepare_txn(Ts(next));
-                        if *commit {
-                            t.commit_prepared_txn(Ts(next));
-                            committed = next;
-                        } else {
-                            t.abort_prepared_txn(Ts(next));
-                        }
-                    }
-                }
-                Step::RingInsert(val) => {
-                    next += 1;
-                    t.begin_txn();
-                    match t.timed_insert(&mut mem, &meter, &row_values(*val), Ts(next), Ps::ZERO) {
-                        Ok(_) => {
-                            t.commit_txn();
-                            committed = next;
-                        }
-                        Err(_) => {
-                            t.abort_txn();
-                        }
-                    }
-                }
-                Step::Snapshot { behind } => {
-                    let upto = Ts(committed.saturating_sub(*behind));
-                    t.timed_snapshot_update(&mut mem, &meter, upto, Ps::ZERO);
-                }
-                Step::Gc { behind } => {
-                    t.gc(&cost, DefragStrategy::Hybrid, Ts(committed.saturating_sub(*behind)));
-                }
-                Step::Defrag => {
-                    t.defragment(&cost, DefragStrategy::Hybrid, Ts(committed));
-                }
-            }
+            run_step(&mut t, &mut mem, &meter, step, &mut clock, false);
             check_scan_invariant(&t)?;
+        }
+    }
+
+    /// Rollback restores no row bytes, and none need restoring: under
+    /// the same script — released slots re-allocated by later scopes in
+    /// 5-slot arenas, GC passes, snapshots and defragmentation in
+    /// between — a run whose scopes abort (`abort_txn` by script or on
+    /// `DeltaFull`, `abort_prepared_txn`) is, after every step,
+    /// indistinguishable from the run in which those scopes never
+    /// started.
+    #[test]
+    fn a_rolled_back_scope_leaves_nothing_observable(steps in arb_steps()) {
+        let (mut aborting, mut mem_a, meter) = loaded_scan_table();
+        let (mut never_started, mut mem_b, _) = loaded_scan_table();
+        let (mut clock_a, mut clock_b) = (Clock::default(), Clock::default());
+        for step in &steps {
+            run_step(&mut aborting, &mut mem_a, &meter, step, &mut clock_a, false);
+            run_step(&mut never_started, &mut mem_b, &meter, step, &mut clock_b, true);
+            prop_assert_eq!((clock_a.committed, clock_a.next), (clock_b.committed, clock_b.next));
+            prop_assert_eq!(
+                observe(&aborting, &mut mem_a, &meter, clock_a.next),
+                observe(&never_started, &mut mem_b, &meter, clock_b.next),
+                "after {:?}",
+                step
+            );
         }
     }
 }

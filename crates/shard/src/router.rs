@@ -73,11 +73,6 @@ impl TxnRouter {
         &self.map
     }
 
-    /// The home shard of `txn`.
-    pub fn home_shard(&self, txn: &Txn) -> u32 {
-        self.map.shard_of_warehouse(txn.home_warehouse())
-    }
-
     /// Routes one transaction: computes its home shard, participant set,
     /// and remote-touch count. The commit timestamp is left unstamped
     /// ([`Ts::ZERO`]) — stream routing stamps it from the deployment's

@@ -171,11 +171,6 @@ impl ShardedHtap {
         Ok(())
     }
 
-    /// Whether write-ahead logging is enabled.
-    pub fn wal_enabled(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Arms a simulated kill at `point`: the next run — closed loop or
     /// open loop — stops dead when it reaches the site, leaving only
     /// forced bytes behind. The service then refuses further runs
