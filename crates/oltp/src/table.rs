@@ -76,10 +76,62 @@ pub struct LineRef {
     pub useful: u32,
 }
 
+/// What one row version costs in cache lines, as far as it depends only
+/// on the table: resolved once in [`HtapTable::new`] from the layout,
+/// the region plan and the access model, so that
+/// [`HtapTable::for_each_line`] does per access only the arithmetic that
+/// depends on the slot.
+#[derive(Debug, Clone)]
+enum LinePlan {
+    /// The unified format: one strip per part (§4.1.1), each on its own
+    /// channel.
+    Unified(Vec<PartLines>),
+    /// A contiguous row-store row of this many bytes.
+    RowStore { row_width: u64 },
+    /// One array per column.
+    ColumnStore(Vec<ColumnLines>),
+}
+
+/// One part of the unified format, as a row access sees it.
+#[derive(Debug, Clone, Copy)]
+struct PartLines {
+    /// Added to the row's block before the shard modulo: parts live on
+    /// different banks (see [`bank_salt`]).
+    salt: u64,
+    /// Bytes per device per row.
+    width: u64,
+    /// Device-local base of the part's data region.
+    data_base: u64,
+    /// Device-local base of the part's delta region.
+    delta_base: u64,
+    /// Non-padding bytes of the part per row, over all devices.
+    useful: u64,
+}
+
+/// One column array of the column-store timing model.
+#[derive(Debug, Clone, Copy)]
+struct ColumnLines {
+    /// As [`PartLines::salt`], per column.
+    salt: u64,
+    /// Column width in bytes.
+    width: u64,
+    /// Byte offset of the column's array.
+    base: u64,
+}
+
+/// The bank offset of the `salt`-th part (or column array) of a table:
+/// different parts map to different memory channels so the CPU reads
+/// them in parallel (§4.1.1: "The two parts are mapped to different
+/// memory channels"). Salt 0 is the row itself.
+fn bank_salt(salt: u64) -> u64 {
+    salt.wrapping_mul(37)
+}
+
 /// An HTAP table instance.
 #[derive(Debug, Clone)]
 pub struct HtapTable {
     store: TableStore,
+    lines: LinePlan,
     chains: VersionChains,
     alloc: DeltaAllocator,
     snapshot: Snapshot,
@@ -111,7 +163,44 @@ impl HtapTable {
         let devices = layout.devices();
         let store = TableStore::new(layout, cfg.block_rows, cfg.n_rows, cfg.delta_rows);
         let arena_rows = store.region().arena_rows();
+        let schema = store.layout().schema();
+        let lines = match cfg.model {
+            AccessModel::Unified => LinePlan::Unified(
+                store
+                    .region()
+                    .parts()
+                    .iter()
+                    .zip(store.layout().parts())
+                    .enumerate()
+                    .map(|(p, (region, part))| PartLines {
+                        salt: bank_salt(p as u64 + 1),
+                        width: region.width as u64,
+                        data_base: region.data_base,
+                        delta_base: region.delta_base,
+                        useful: part.data_bytes() as u64,
+                    })
+                    .collect(),
+            ),
+            AccessModel::RowStore => LinePlan::RowStore {
+                row_width: schema.row_width() as u64,
+            },
+            AccessModel::ColumnStore => {
+                let mut base = 0u64;
+                let columns = schema.columns().iter().enumerate().map(|(ci, col)| {
+                    let width = col.width as u64;
+                    let lines = ColumnLines {
+                        salt: bank_salt(ci as u64 + 1),
+                        width,
+                        base,
+                    };
+                    base += width * cfg.n_rows;
+                    lines
+                });
+                LinePlan::ColumnStore(columns.collect())
+            }
+        };
         HtapTable {
+            lines,
             alloc: DeltaAllocator::new(devices, arena_rows),
             snapshot: Snapshot::new(cfg.n_rows, devices, arena_rows),
             chains: VersionChains::new(),
@@ -366,17 +455,14 @@ impl HtapTable {
 
     /// The bank holding `row` (blocks round-robin across shards).
     pub fn shard_of(&self, row: u64) -> BankAddr {
-        self.shard_salted(row, 0)
+        self.bank_of(row / self.cfg.block_rows as u64, 0)
     }
 
-    /// The bank holding one part (or column array) of `row`: different
-    /// parts of a table live on different channels so the CPU reads them
-    /// in parallel (§4.1.1: "The two parts are mapped to different memory
-    /// channels").
-    fn shard_salted(&self, row: u64, salt: u64) -> BankAddr {
-        let block = row / self.cfg.block_rows as u64;
+    /// The bank of circulant block `block`, moved on by a part's or
+    /// column array's [`bank_salt`].
+    fn bank_of(&self, block: u64, salt: u64) -> BankAddr {
         let n = self.cfg.shards.len() as u64;
-        self.cfg.shards[((block + salt.wrapping_mul(37)) % n) as usize]
+        self.cfg.shards[((block + salt) % n) as usize]
     }
 
     fn dram_row(&self, dev_offset: u64) -> u32 {
@@ -384,96 +470,110 @@ impl HtapTable {
         (r % self.cfg.rows_per_bank as u64) as u32
     }
 
-    /// Cache lines needed to access a full row version under the current
-    /// access model.
-    pub fn lines_for(&self, slot: RowSlot) -> Vec<LineRef> {
-        let schema = self.store.layout().schema();
+    /// Hands `f` every cache line a full access to the row version at
+    /// `slot` touches under the table's access model, in issue order.
+    /// Nothing is collected: the walk runs over the per-table
+    /// [`LinePlan`].
+    ///
+    /// # Panics
+    ///
+    /// Under [`AccessModel::Unified`], panics if the slot lies outside
+    /// the region plan.
+    pub fn for_each_line(&self, slot: RowSlot, mut f: impl FnMut(LineRef)) {
         let g = self.cfg.granularity as u64;
         let line_bytes = 64u64;
+        let region = self.store.region();
         let row = match slot {
             RowSlot::Data { row } => row,
             // Delta versions shard with their arena (approximation: the
             // arena index spreads like a row index).
-            RowSlot::Delta { rotation, idx } => {
-                rotation as u64 * self.store.region().arena_rows() + idx
-            }
+            RowSlot::Delta { rotation, idx } => rotation as u64 * region.arena_rows() + idx,
         };
-        let shard_row = row % self.cfg.n_rows.max(1);
-        let bank = self.shard_of(shard_row);
-        match self.cfg.model {
-            AccessModel::Unified => {
-                let mut lines = Vec::new();
-                for (p, _) in self.store.layout().parts().iter().enumerate() {
-                    let bank = self.shard_salted(shard_row, p as u64 + 1);
-                    let (start, width) = match slot {
-                        RowSlot::Data { row } => (
-                            self.store.region().data_offset(p as u32, row),
-                            self.store.region().parts()[p].width as u64,
-                        ),
-                        RowSlot::Delta { rotation, idx } => (
-                            self.store.region().delta_offset(p as u32, rotation, idx),
-                            self.store.region().parts()[p].width as u64,
-                        ),
+        let block = row % self.cfg.n_rows.max(1) / self.cfg.block_rows as u64;
+        match &self.lines {
+            LinePlan::Unified(parts) => {
+                let delta = match slot {
+                    RowSlot::Data { row } => {
+                        assert!(row < region.n_rows(), "row {row} out of range");
+                        false
+                    }
+                    RowSlot::Delta { rotation, idx } => {
+                        assert!(
+                            rotation < region.arenas(),
+                            "rotation {rotation} out of range"
+                        );
+                        assert!(idx < region.arena_rows(), "delta index {idx} out of range");
+                        true
+                    }
+                };
+                for part in parts {
+                    let bank = self.bank_of(block, part.salt);
+                    let base = if delta {
+                        part.delta_base
+                    } else {
+                        part.data_base
                     };
+                    let start = base + row * part.width;
                     let c0 = start / g;
-                    let c1 = (start + width - 1) / g + 1;
-                    let chunks = c1 - c0;
-                    let useful_total = self.store.layout().parts()[p].data_bytes() as u64;
+                    let c1 = (start + part.width - 1) / g + 1;
+                    let useful = (part.useful / (c1 - c0)).min(line_bytes) as u32;
                     for c in c0..c1 {
-                        lines.push(LineRef {
+                        f(LineRef {
                             bank,
                             dram_row: self.dram_row(c * g),
-                            useful: (useful_total / chunks).min(line_bytes) as u32,
+                            useful,
                         });
                     }
                 }
-                lines
             }
-            AccessModel::RowStore => {
-                let w = schema.row_width() as u64;
+            LinePlan::RowStore { row_width } => {
+                let bank = self.bank_of(block, 0);
+                let w = *row_width;
                 let offset = row * w;
                 let l0 = offset / line_bytes;
                 let l1 = (offset + w - 1) / line_bytes + 1;
-                (l0..l1)
-                    .map(|l| LineRef {
+                let useful = (w / (l1 - l0)).min(line_bytes) as u32;
+                for l in l0..l1 {
+                    f(LineRef {
                         bank,
                         dram_row: self.dram_row(l * g),
-                        useful: (w / (l1 - l0)).min(line_bytes) as u32,
-                    })
-                    .collect()
+                        useful,
+                    });
+                }
             }
-            AccessModel::ColumnStore => {
-                let mut lines = Vec::new();
-                let mut base = 0u64;
-                for (ci, col) in schema.columns().iter().enumerate() {
-                    let bank = self.shard_salted(shard_row, ci as u64 + 1);
-                    let w = col.width as u64;
-                    let offset = base + row * w;
+            LinePlan::ColumnStore(columns) => {
+                for col in columns {
+                    let bank = self.bank_of(block, col.salt);
+                    let w = col.width;
+                    let offset = col.base + row * w;
                     let l0 = offset / line_bytes;
                     let l1 = (offset + w - 1) / line_bytes + 1;
+                    let useful = (w / (l1 - l0)).min(line_bytes) as u32;
                     for l in l0..l1 {
-                        lines.push(LineRef {
+                        f(LineRef {
                             bank,
                             dram_row: self.dram_row(l * g),
-                            useful: (w / (l1 - l0)).min(line_bytes) as u32,
+                            useful,
                         });
                     }
-                    base += w * self.cfg.n_rows;
                 }
-                lines
             }
         }
     }
 
-    fn issue_lines(&self, mem: &mut MemSystem, lines: &[LineRef], op: Op, at: Ps) -> Ps {
+    /// Issues `op` at `at` on every line of the version at `slot`.
+    /// Returns when the last line completes and how many were issued.
+    fn issue_lines(&self, mem: &mut MemSystem, slot: RowSlot, op: Op, at: Ps) -> (Ps, u64) {
         let mut end = at;
-        for l in lines {
+        let mut lines = 0u64;
+        self.for_each_line(slot, |l| {
             let done = mem
                 .access(self.cfg.side, l.bank, l.dram_row, op, l.useful.min(64), at)
                 .done;
             end = end.max(done);
-        }
-        end
+            lines += 1;
+        });
+        (end, lines)
     }
 
     /// The timed half of [`HtapTable::timed_read`]: everything a read
@@ -495,9 +595,8 @@ impl HtapTable {
         let (slot, hops) = self.chains.visible_at(row, ts);
         b.chain += meter.chain(hops as u64);
         let cpu_ready = at + b.cpu_total();
-        let lines = self.lines_for(slot);
-        let issue = meter.line_issue(lines.len() as u64);
-        let mem_end = self.issue_lines(mem, &lines, Op::Read, cpu_ready) + issue;
+        let (read_end, lines) = self.issue_lines(mem, slot, Op::Read, cpu_ready);
+        let mem_end = read_end + meter.line_issue(lines);
         b.memory += mem_end.saturating_sub(cpu_ready);
         let compute = meter.compute(self.store.layout().schema().len() as u64);
         b.compute += compute;
@@ -550,10 +649,9 @@ impl HtapTable {
         self.index.get(row);
         let newest = self.chains.newest_slot(row);
         // Read the current version (read-modify-write).
-        let read_lines = self.lines_for(newest);
         let cpu_ready = at + b.cpu_total();
-        let read_end = self.issue_lines(mem, &read_lines, Op::Read, cpu_ready)
-            + meter.line_issue(read_lines.len() as u64);
+        let (read_end, lines) = self.issue_lines(mem, newest, Op::Read, cpu_ready);
+        let read_end = read_end + meter.line_issue(lines);
         b.memory += read_end.saturating_sub(cpu_ready);
 
         // Allocate the new version in the origin row's rotation arena.
@@ -576,10 +674,9 @@ impl HtapTable {
         }
 
         // Commit write-back: clflush the new version's lines (§6.3).
-        let write_lines = self.lines_for(new_slot);
         let write_start = read_end + b.alloc + b.compute;
-        let write_end = self.issue_lines(mem, &write_lines, Op::Write, write_start)
-            + meter.line_issue(write_lines.len() as u64);
+        let (write_end, lines) = self.issue_lines(mem, new_slot, Op::Write, write_start);
+        let write_end = write_end + meter.line_issue(lines);
         b.memory += write_end.saturating_sub(write_start);
         b.compute += meter.commit_barrier();
         Ok(OpResult {
@@ -658,9 +755,8 @@ impl HtapTable {
         }
         b.compute += meter.compute(values.len() as u64);
         let cpu_ready = at + b.cpu_total();
-        let lines = self.lines_for(new_slot);
-        let end = self.issue_lines(mem, &lines, Op::Write, cpu_ready)
-            + meter.line_issue(lines.len() as u64);
+        let (end, lines) = self.issue_lines(mem, new_slot, Op::Write, cpu_ready);
+        let end = end + meter.line_issue(lines);
         b.memory += end.saturating_sub(cpu_ready);
         Ok(OpResult { end, breakdown: b })
     }
@@ -954,7 +1050,8 @@ impl TableGcPass {
 mod tests {
     use super::*;
     use crate::cost::{CostModel, Meter};
-    use pushtap_format::{compact_layout, paper_example_schema};
+    use proptest::prelude::*;
+    use pushtap_format::{compact_layout, paper_example_schema, Column, TableSchema};
     use pushtap_pim::{CpuSpec, Geometry};
 
     fn table(model: AccessModel) -> HtapTable {
@@ -1161,15 +1258,154 @@ mod tests {
         assert_eq!(t.live_delta_rows(), t.region().arena_rows());
     }
 
+    /// The collecting `lines_for` that [`HtapTable::for_each_line`]
+    /// replaced, kept as the reference the walk is held against: the
+    /// same lines derived from the layout, the region plan and the
+    /// schema on every call.
+    fn lines_for(t: &HtapTable, slot: RowSlot) -> Vec<LineRef> {
+        let shard_salted = |row: u64, salt: u64| {
+            let block = row / t.cfg.block_rows as u64;
+            let n = t.cfg.shards.len() as u64;
+            t.cfg.shards[((block + salt.wrapping_mul(37)) % n) as usize]
+        };
+        let schema = t.store.layout().schema();
+        let g = t.cfg.granularity as u64;
+        let line_bytes = 64u64;
+        let row = match slot {
+            RowSlot::Data { row } => row,
+            RowSlot::Delta { rotation, idx } => {
+                rotation as u64 * t.store.region().arena_rows() + idx
+            }
+        };
+        let shard_row = row % t.cfg.n_rows.max(1);
+        let bank = shard_salted(shard_row, 0);
+        let mut lines = Vec::new();
+        match t.cfg.model {
+            AccessModel::Unified => {
+                for (p, part) in t.store.layout().parts().iter().enumerate() {
+                    let bank = shard_salted(shard_row, p as u64 + 1);
+                    let start = match slot {
+                        RowSlot::Data { row } => t.store.region().data_offset(p as u32, row),
+                        RowSlot::Delta { rotation, idx } => {
+                            t.store.region().delta_offset(p as u32, rotation, idx)
+                        }
+                    };
+                    let width = t.store.region().parts()[p].width as u64;
+                    let c0 = start / g;
+                    let c1 = (start + width - 1) / g + 1;
+                    let useful_total = part.data_bytes() as u64;
+                    for c in c0..c1 {
+                        lines.push(LineRef {
+                            bank,
+                            dram_row: t.dram_row(c * g),
+                            useful: (useful_total / (c1 - c0)).min(line_bytes) as u32,
+                        });
+                    }
+                }
+            }
+            AccessModel::RowStore => {
+                let w = schema.row_width() as u64;
+                let offset = row * w;
+                let l0 = offset / line_bytes;
+                let l1 = (offset + w - 1) / line_bytes + 1;
+                for l in l0..l1 {
+                    lines.push(LineRef {
+                        bank,
+                        dram_row: t.dram_row(l * g),
+                        useful: (w / (l1 - l0)).min(line_bytes) as u32,
+                    });
+                }
+            }
+            AccessModel::ColumnStore => {
+                let mut base = 0u64;
+                for (ci, col) in schema.columns().iter().enumerate() {
+                    let bank = shard_salted(shard_row, ci as u64 + 1);
+                    let w = col.width as u64;
+                    let offset = base + row * w;
+                    let l0 = offset / line_bytes;
+                    let l1 = (offset + w - 1) / line_bytes + 1;
+                    for l in l0..l1 {
+                        lines.push(LineRef {
+                            bank,
+                            dram_row: t.dram_row(l * g),
+                            useful: (w / (l1 - l0)).min(line_bytes) as u32,
+                        });
+                    }
+                    base += w * t.cfg.n_rows;
+                }
+            }
+        }
+        lines
+    }
+
+    fn walked(t: &HtapTable, slot: RowSlot) -> Vec<LineRef> {
+        let mut lines = Vec::new();
+        t.for_each_line(slot, |l| lines.push(l));
+        lines
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For any schema, device count, table placement and shard
+        /// list, under all three access models, the plan-driven walk
+        /// visits exactly the lines the collecting derivation returns,
+        /// in order — for every data row and every delta slot.
+        #[test]
+        fn the_line_walk_visits_the_collected_lines_in_order(
+            cols in prop::collection::vec((1u32..40, any::<bool>()), 1..10),
+            devices in prop::sample::select(vec![1u32, 2, 4, 8]),
+            sizes in (1u64..70, 1u64..40, 1u32..20),
+            placement in (1u32..6, 0u32..70_000),
+        ) {
+            let (n_rows, delta_rows, block_rows) = sizes;
+            let (n_shards, base_dram_row) = placement;
+            let columns = cols
+                .iter()
+                .enumerate()
+                .map(|(i, &(w, key))| {
+                    if key { Column::key(format!("c{i}"), w) } else { Column::normal(format!("c{i}"), w) }
+                })
+                .collect();
+            let layout = compact_layout(&TableSchema::new("prop", columns), devices, 0.6).unwrap();
+            let g = Geometry::dimm();
+            for model in [AccessModel::Unified, AccessModel::RowStore, AccessModel::ColumnStore] {
+                let t = HtapTable::new(
+                    layout.clone(),
+                    TableConfig {
+                        n_rows,
+                        delta_rows,
+                        block_rows,
+                        shards: (0..n_shards).map(|b| BankAddr::new(b % 2, 0, b)).collect(),
+                        base_dram_row,
+                        model,
+                        side: Side::Pim,
+                        granularity: g.granularity,
+                        bank_row_bytes: g.row_bytes,
+                        rows_per_bank: g.rows_per_bank,
+                    },
+                );
+                let region = t.region();
+                let data = (0..n_rows).map(|row| RowSlot::Data { row });
+                let delta = (0..region.arenas()).flat_map(|rotation| {
+                    (0..region.arena_rows()).map(move |idx| RowSlot::Delta { rotation, idx })
+                });
+                for slot in data.chain(delta) {
+                    prop_assert_eq!(walked(&t, slot), lines_for(&t, slot), "{:?} {:?}", model, slot);
+                }
+            }
+        }
+    }
+
     #[test]
     fn colstore_reads_more_lines_than_rowstore() {
         let rs = table(AccessModel::RowStore);
         let cs = table(AccessModel::ColumnStore);
         let uni = table(AccessModel::Unified);
         let slot = RowSlot::Data { row: 17 };
-        let rs_lines = rs.lines_for(slot).len();
-        let cs_lines = cs.lines_for(slot).len();
-        let uni_lines = uni.lines_for(slot).len();
+        let rs_lines = walked(&rs, slot).len();
+        let cs_lines = walked(&cs, slot).len();
+        let uni_lines = walked(&uni, slot).len();
         assert!(cs_lines > rs_lines, "cs {cs_lines} rs {rs_lines}");
         assert!(uni_lines >= rs_lines);
         assert!(uni_lines <= cs_lines);
