@@ -10,13 +10,19 @@ use pushtap_format::TableSchema;
 
 use crate::schema::Table;
 
+/// Appends `v` little-endian as exactly `width` bytes (dropping high
+/// bytes if `width < 8`, zero-padding past 8).
+pub fn put_u64(out: &mut Vec<u8>, v: u64, width: u32) {
+    let n = (width as usize).min(8);
+    out.extend_from_slice(&v.to_le_bytes()[..n]);
+    out.resize(out.len() + width as usize - n, 0);
+}
+
 /// Encodes `v` little-endian into exactly `width` bytes (truncating high
 /// bytes if `width < 8`).
 pub fn enc_u64(v: u64, width: u32) -> Vec<u8> {
-    let le = v.to_le_bytes();
-    let mut out = vec![0u8; width as usize];
-    let n = (width as usize).min(8);
-    out[..n].copy_from_slice(&le[..n]);
+    let mut out = Vec::with_capacity(width as usize);
+    put_u64(&mut out, v, width);
     out
 }
 
@@ -28,16 +34,22 @@ pub fn dec_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(le)
 }
 
+/// Appends `width` bytes of a printable deterministic pattern from
+/// `seed`.
+pub fn put_text(out: &mut Vec<u8>, seed: u64, width: u32) {
+    out.extend((0..width).map(|i| {
+        let x = seed
+            .wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add((i as u64).wrapping_mul(0xBF58476D1CE4E5B9));
+        b'a' + ((x >> 33) % 26) as u8
+    }));
+}
+
 /// Fills `width` bytes with a printable deterministic pattern from `seed`.
 pub fn enc_text(seed: u64, width: u32) -> Vec<u8> {
-    (0..width)
-        .map(|i| {
-            let x = seed
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add((i as u64).wrapping_mul(0xBF58476D1CE4E5B9));
-            b'a' + ((x >> 33) % 26) as u8
-        })
-        .collect()
+    let mut out = Vec::with_capacity(width as usize);
+    put_text(&mut out, seed, width);
+    out
 }
 
 fn mix(table: Table, row: u64, col: u32) -> u64 {
@@ -84,15 +96,22 @@ impl RowGen {
 
     /// Generates the value of `(row, col)`.
     ///
-    /// Identifier columns (`*_id`, `*key`) carry small dense values so
-    /// joins/filters select realistic fractions; date columns carry a
-    /// monotone timestamp; quantity/amount columns carry small numerics;
-    /// other columns carry text.
-    ///
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of range.
     pub fn value(&self, row: u64, col: u32) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.schema.column(col).width as usize);
+        self.put_value(row, col, &mut out);
+        out
+    }
+
+    /// Appends the value of `(row, col)` to `out`.
+    ///
+    /// Identifier columns (`*_id`, `*key`) carry small dense values so
+    /// joins/filters select realistic fractions; date columns carry a
+    /// monotone timestamp; quantity/amount columns carry small numerics;
+    /// other columns carry text.
+    fn put_value(&self, row: u64, col: u32, out: &mut Vec<u8>) {
         assert!(row < self.rows, "row {row} out of range");
         let c = self.schema.column(col);
         let h = mix(self.table, row, col);
@@ -109,13 +128,13 @@ impl RowGen {
                 "ol_number" => 15,
                 _ => 10_000,
             };
-            enc_u64(h % dom, c.width)
+            put_u64(out, h % dom, c.width)
         } else if name.ends_with("_d") || name.ends_with("date") || name.ends_with("since") {
             // Timestamps: uniform over a 2007–2009 window, so date
             // predicates have scale-independent selectivity.
-            enc_u64(1_167_600_000 + h % 63_072_000, c.width)
+            put_u64(out, 1_167_600_000 + h % 63_072_000, c.width)
         } else if name.contains("quantity") || name.contains("cnt") {
-            enc_u64(1 + h % 50, c.width)
+            put_u64(out, 1 + h % 50, c.width)
         } else if name.contains("amount")
             || name.contains("price")
             || name.contains("bal")
@@ -125,17 +144,27 @@ impl RowGen {
             || name.contains("credit_lim")
         {
             // Money in cents.
-            enc_u64(h % 1_000_000, c.width)
+            put_u64(out, h % 1_000_000, c.width)
         } else {
-            enc_text(h, c.width)
+            put_text(out, h, c.width)
         }
     }
 
-    /// Generates the whole row.
+    /// Generates the whole row, one value per column.
     pub fn row(&self, row: u64) -> Vec<Vec<u8>> {
         (0..self.schema.len() as u32)
             .map(|c| self.value(row, c))
             .collect()
+    }
+
+    /// Replaces `out` with the whole row's image: [`RowGen::row`]'s
+    /// values one after another, in a buffer the caller reuses from row
+    /// to row.
+    pub fn row_image(&self, row: u64, out: &mut Vec<u8>) {
+        out.clear();
+        for c in 0..self.schema.len() as u32 {
+            self.put_value(row, c, out);
+        }
     }
 }
 
@@ -168,6 +197,18 @@ mod tests {
         assert_ne!(g.row(5), g.row(6));
         assert_eq!(g.rows(), 1000);
         assert_eq!(g.table(), Table::OrderLine);
+    }
+
+    #[test]
+    fn a_row_image_is_the_row_concatenated() {
+        let mut image = vec![0xEE; 3];
+        for table in [Table::Warehouse, Table::OrderLine, Table::Nation] {
+            let g = RowGen::new(table, 10);
+            for row in [0, 9] {
+                g.row_image(row, &mut image);
+                assert_eq!(image, g.row(row).concat(), "{} row {row}", table.name());
+            }
+        }
     }
 
     #[test]

@@ -135,133 +135,144 @@ impl Table {
         }
     }
 
+    /// The table's columns in schema order, as (name, width in bytes) —
+    /// the one place the CH-benCHmark column widths are written down.
+    /// [`Table::schema`] is built from it; code that only needs the
+    /// widths (framing a row image column by column) reads it directly.
+    pub fn columns(self) -> &'static [(&'static str, u32)] {
+        match self {
+            Table::Warehouse => &[
+                ("w_id", 4),
+                ("w_name", 10),
+                ("w_street_1", 20),
+                ("w_street_2", 20),
+                ("w_city", 20),
+                ("w_state", 2),
+                ("w_zip", 9),
+                ("w_tax", 4),
+                ("w_ytd", 8),
+            ],
+            Table::District => &[
+                ("d_id", 1),
+                ("d_w_id", 4),
+                ("d_name", 10),
+                ("d_street_1", 20),
+                ("d_street_2", 20),
+                ("d_city", 20),
+                ("d_state", 2),
+                ("d_zip", 9),
+                ("d_tax", 4),
+                ("d_ytd", 8),
+                ("d_next_o_id", 4),
+            ],
+            Table::Customer => &[
+                ("c_id", 4),
+                ("c_d_id", 1),
+                ("c_w_id", 4),
+                ("c_first", 16),
+                ("c_middle", 2),
+                ("c_last", 16),
+                ("c_street_1", 20),
+                ("c_street_2", 20),
+                ("c_city", 20),
+                ("c_state", 2),
+                ("c_zip", 9),
+                ("c_phone", 16),
+                ("c_since", 8),
+                ("c_credit", 2),
+                ("c_credit_lim", 8),
+                ("c_discount", 4),
+                ("c_balance", 8),
+                ("c_ytd_payment", 8),
+                ("c_payment_cnt", 2),
+                ("c_delivery_cnt", 2),
+                ("c_data", 152),
+            ],
+            Table::History => &[
+                ("h_c_id", 4),
+                ("h_c_d_id", 1),
+                ("h_c_w_id", 4),
+                ("h_d_id", 1),
+                ("h_w_id", 4),
+                ("h_date", 8),
+                ("h_amount", 4),
+                ("h_data", 24),
+            ],
+            Table::NewOrder => &[("no_o_id", 4), ("no_d_id", 1), ("no_w_id", 4)],
+            Table::Order => &[
+                ("o_id", 4),
+                ("o_d_id", 1),
+                ("o_w_id", 4),
+                ("o_c_id", 4),
+                ("o_entry_d", 8),
+                ("o_carrier_id", 1),
+                ("o_ol_cnt", 1),
+                ("o_all_local", 1),
+            ],
+            Table::OrderLine => &[
+                ("ol_o_id", 4),
+                ("ol_d_id", 1),
+                ("ol_w_id", 4),
+                ("ol_number", 1),
+                ("ol_i_id", 4),
+                ("ol_supply_w_id", 4),
+                ("ol_delivery_d", 8),
+                ("ol_quantity", 2),
+                ("ol_amount", 8),
+                ("ol_dist_info", 24),
+            ],
+            Table::Item => &[
+                ("i_id", 4),
+                ("i_im_id", 4),
+                ("i_name", 24),
+                ("i_price", 4),
+                ("i_data", 50),
+            ],
+            Table::Stock => &[
+                ("s_i_id", 4),
+                ("s_w_id", 4),
+                ("s_quantity", 2),
+                ("s_dist_01", 24),
+                ("s_dist_02", 24),
+                ("s_dist_03", 24),
+                ("s_dist_04", 24),
+                ("s_dist_05", 24),
+                ("s_dist_06", 24),
+                ("s_dist_07", 24),
+                ("s_dist_08", 24),
+                ("s_dist_09", 24),
+                ("s_dist_10", 24),
+                ("s_ytd", 8),
+                ("s_order_cnt", 2),
+                ("s_remote_cnt", 2),
+                ("s_data", 50),
+            ],
+            Table::Supplier => &[
+                ("su_suppkey", 4),
+                ("su_name", 25),
+                ("su_address", 40),
+                ("su_nationkey", 1),
+                ("su_phone", 15),
+                ("su_acctbal", 8),
+                ("su_comment", 100),
+            ],
+            Table::Nation => &[
+                ("n_nationkey", 1),
+                ("n_name", 25),
+                ("n_regionkey", 1),
+                ("n_comment", 152),
+            ],
+            Table::Region => &[("r_regionkey", 1), ("r_name", 25), ("r_comment", 152)],
+        }
+    }
+
     /// The schema of this table, with every column initially Normal.
     pub fn schema(self) -> TableSchema {
-        let n = |name: &'static str, w: u32| Column::normal(name, w);
-        let cols: Vec<Column> = match self {
-            Table::Warehouse => vec![
-                n("w_id", 4),
-                n("w_name", 10),
-                n("w_street_1", 20),
-                n("w_street_2", 20),
-                n("w_city", 20),
-                n("w_state", 2),
-                n("w_zip", 9),
-                n("w_tax", 4),
-                n("w_ytd", 8),
-            ],
-            Table::District => vec![
-                n("d_id", 1),
-                n("d_w_id", 4),
-                n("d_name", 10),
-                n("d_street_1", 20),
-                n("d_street_2", 20),
-                n("d_city", 20),
-                n("d_state", 2),
-                n("d_zip", 9),
-                n("d_tax", 4),
-                n("d_ytd", 8),
-                n("d_next_o_id", 4),
-            ],
-            Table::Customer => vec![
-                n("c_id", 4),
-                n("c_d_id", 1),
-                n("c_w_id", 4),
-                n("c_first", 16),
-                n("c_middle", 2),
-                n("c_last", 16),
-                n("c_street_1", 20),
-                n("c_street_2", 20),
-                n("c_city", 20),
-                n("c_state", 2),
-                n("c_zip", 9),
-                n("c_phone", 16),
-                n("c_since", 8),
-                n("c_credit", 2),
-                n("c_credit_lim", 8),
-                n("c_discount", 4),
-                n("c_balance", 8),
-                n("c_ytd_payment", 8),
-                n("c_payment_cnt", 2),
-                n("c_delivery_cnt", 2),
-                n("c_data", 152),
-            ],
-            Table::History => vec![
-                n("h_c_id", 4),
-                n("h_c_d_id", 1),
-                n("h_c_w_id", 4),
-                n("h_d_id", 1),
-                n("h_w_id", 4),
-                n("h_date", 8),
-                n("h_amount", 4),
-                n("h_data", 24),
-            ],
-            Table::NewOrder => vec![n("no_o_id", 4), n("no_d_id", 1), n("no_w_id", 4)],
-            Table::Order => vec![
-                n("o_id", 4),
-                n("o_d_id", 1),
-                n("o_w_id", 4),
-                n("o_c_id", 4),
-                n("o_entry_d", 8),
-                n("o_carrier_id", 1),
-                n("o_ol_cnt", 1),
-                n("o_all_local", 1),
-            ],
-            Table::OrderLine => vec![
-                n("ol_o_id", 4),
-                n("ol_d_id", 1),
-                n("ol_w_id", 4),
-                n("ol_number", 1),
-                n("ol_i_id", 4),
-                n("ol_supply_w_id", 4),
-                n("ol_delivery_d", 8),
-                n("ol_quantity", 2),
-                n("ol_amount", 8),
-                n("ol_dist_info", 24),
-            ],
-            Table::Item => vec![
-                n("i_id", 4),
-                n("i_im_id", 4),
-                n("i_name", 24),
-                n("i_price", 4),
-                n("i_data", 50),
-            ],
-            Table::Stock => vec![
-                n("s_i_id", 4),
-                n("s_w_id", 4),
-                n("s_quantity", 2),
-                n("s_dist_01", 24),
-                n("s_dist_02", 24),
-                n("s_dist_03", 24),
-                n("s_dist_04", 24),
-                n("s_dist_05", 24),
-                n("s_dist_06", 24),
-                n("s_dist_07", 24),
-                n("s_dist_08", 24),
-                n("s_dist_09", 24),
-                n("s_dist_10", 24),
-                n("s_ytd", 8),
-                n("s_order_cnt", 2),
-                n("s_remote_cnt", 2),
-                n("s_data", 50),
-            ],
-            Table::Supplier => vec![
-                n("su_suppkey", 4),
-                n("su_name", 25),
-                n("su_address", 40),
-                n("su_nationkey", 1),
-                n("su_phone", 15),
-                n("su_acctbal", 8),
-                n("su_comment", 100),
-            ],
-            Table::Nation => vec![
-                n("n_nationkey", 1),
-                n("n_name", 25),
-                n("n_regionkey", 1),
-                n("n_comment", 152),
-            ],
-            Table::Region => vec![n("r_regionkey", 1), n("r_name", 25), n("r_comment", 152)],
-        };
+        let cols = self
+            .columns()
+            .iter()
+            .map(|&(name, width)| Column::normal(name, width))
+            .collect();
         TableSchema::new(self.name(), cols)
     }
 

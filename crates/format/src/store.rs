@@ -122,6 +122,24 @@ impl TableStore {
         }
     }
 
+    /// Writes a row version from its image: the columns' bytes one after
+    /// another in schema order — what an insert effect carries and what
+    /// population generates, scattered here with no value list between.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `image` is exactly the schema's row width.
+    pub fn write_image(&mut self, slot: RowSlot, image: &[u8]) {
+        let row_width = self.layout.schema().row_width() as usize;
+        assert_eq!(image.len(), row_width, "row image width mismatch");
+        let mut at = 0usize;
+        for col in 0..self.layout.schema().len() as u32 {
+            let width = self.layout.schema().column(col).width as usize;
+            self.write_value(slot, col, &image[at..at + width]);
+            at += width;
+        }
+    }
+
     /// Reads all column values of a row version.
     pub fn read_row(&self, slot: RowSlot) -> Vec<Vec<u8>> {
         (0..self.layout.schema().len() as u32)
@@ -164,6 +182,32 @@ impl TableStore {
             );
         }
         out
+    }
+
+    /// The little-endian integer a column of at most 8 bytes holds in a
+    /// row version — `dec_u64` of [`TableStore::read_value`], decoded in
+    /// place on the column's devices. One-off reads; a scan resolves the
+    /// column once with [`TableStore::column_cursor`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column is wider than 8 bytes.
+    pub fn read_u64(&self, slot: RowSlot, col: u32) -> u64 {
+        let width = self.layout.schema().column(col).width;
+        assert!(width <= 8, "column {col} is wider than an integer");
+        let rotation = self.rotation(slot);
+        let devices = self.layout.devices();
+        let mut value = 0u64;
+        for f in self.layout.fragments(col) {
+            let device = (f.device + rotation) % devices;
+            let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
+            value |= self
+                .mem
+                .device(device)
+                .read_le(off as usize, f.len as usize)
+                << (8 * f.col_byte);
+        }
+        value
     }
 
     /// Copies the version at `from` over slot `to`: the data movement of
@@ -331,6 +375,32 @@ mod tests {
             s.write_row(RowSlot::Data { row }, &vals);
             assert_eq!(s.read_row(RowSlot::Data { row }), vals, "row {row}");
         }
+    }
+
+    #[test]
+    fn an_image_is_the_row_values_end_to_end() {
+        let (mut by_values, mut by_image) = (store(), store());
+        for row in [0u64, 9, 63] {
+            let vals = row_values(row as u8 + 1);
+            let slot = RowSlot::Data { row };
+            by_values.write_row(slot, &vals);
+            by_image.write_image(slot, &vals.concat());
+            assert_eq!(by_image.read_row(slot), vals, "row {row}");
+            for col in [0u32, 2, 5] {
+                let mut le = [0u8; 8];
+                le[..vals[col as usize].len()].copy_from_slice(&vals[col as usize]);
+                assert_eq!(by_image.read_u64(slot, col), u64::from_le_bytes(le));
+            }
+        }
+        for (a, b) in by_values.mem().iter().zip(by_image.mem().iter()) {
+            assert_eq!(a.read(0, a.len()), b.read(0, b.len()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row image width mismatch")]
+    fn short_image_rejected() {
+        store().write_image(RowSlot::Data { row: 0 }, &[0; 20]);
     }
 
     #[test]

@@ -296,7 +296,7 @@ mod tests {
                     &meter,
                     i * 64, // distinct rows in distinct blocks
                     pushtap_mvcc::Ts(i + 1),
-                    &[(0, vec![1, 1])],
+                    &[(0, pushtap_oltp::ColumnWrite::set(0x0101, 2))],
                     Ps::ZERO,
                 )
                 .unwrap();

@@ -25,6 +25,19 @@
 //! write   := 0:u8 len:u32 bytes      (Set)
 //!          | 1:u8 amount:u64 width:u32  (Add)
 //! ```
+//!
+//! In memory an effect holds less than the log spells out, and the codec
+//! supplies the difference from what the table tag already says:
+//!
+//! - an insert is one row image (the columns' bytes one after another,
+//!   [`Effect::Insert`]); on the log it is framed column by column with
+//!   the widths of [`Table::columns`], and decoding checks count and
+//!   widths against the same list while it concatenates the image back;
+//! - a set value is a `u64` and a width ([`ColumnWrite::Set`]); on the
+//!   log it is `len = width` and the value's low `len` bytes.
+//!
+//! So the log's bytes are what they were when both were byte vectors,
+//! and a record that disagrees with the schema is a [`CodecError`].
 
 use std::fmt;
 
@@ -51,6 +64,15 @@ pub enum CodecError {
         /// The offending byte.
         tag: u8,
     },
+    /// A count or length disagrees with what its field can hold: a set
+    /// value or add result wider than 8 bytes, or an inserted row whose
+    /// column count or a column's length is not the table's schema's.
+    BadLength {
+        /// Which field was damaged.
+        what: &'static str,
+        /// The offending count or length.
+        len: u32,
+    },
     /// Decoding consumed the record but bytes remained.
     TrailingBytes,
 }
@@ -60,6 +82,7 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "record payload truncated mid-field"),
             CodecError::BadTag { what, tag } => write!(f, "undefined {what} tag {tag:#04x}"),
+            CodecError::BadLength { what, len } => write!(f, "{what} cannot be {len}"),
             CodecError::TrailingBytes => write!(f, "trailing bytes after record payload"),
         }
     }
@@ -96,7 +119,7 @@ impl EffectRecord {
 /// on its hot path, so logging never clones an effect list.
 #[must_use]
 pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + effects.len() * 24);
+    let mut out = Vec::with_capacity(16 + effects.len() * 64);
     out.extend_from_slice(&ts.0.to_le_bytes());
     out.push(match role {
         TxnRole::Coordinator => 0,
@@ -120,9 +143,9 @@ pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]
                 for (col, w) in writes {
                     out.extend_from_slice(&col.to_le_bytes());
                     match w {
-                        ColumnWrite::Set(bytes) => {
+                        ColumnWrite::Set { value, width } => {
                             out.push(0);
-                            put_bytes(&mut out, bytes);
+                            put_bytes(&mut out, &value.to_le_bytes()[..*width as usize]);
                         }
                         ColumnWrite::Add { amount, width } => {
                             out.push(1);
@@ -132,18 +155,22 @@ pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]
                     }
                 }
             }
-            Effect::Insert {
-                table,
-                w_id,
-                values,
-            } => {
+            Effect::Insert { table, w_id, image } => {
                 out.push(2);
                 out.push(table_tag(*table));
                 out.extend_from_slice(&w_id.to_le_bytes());
-                put_count(&mut out, values.len());
-                for v in values {
-                    put_bytes(&mut out, v);
+                let columns = table.columns();
+                put_count(&mut out, columns.len());
+                let mut rest = image.as_slice();
+                for &(_, width) in columns {
+                    let (column, tail) = rest.split_at(width as usize);
+                    put_bytes(&mut out, column);
+                    rest = tail;
                 }
+                assert!(
+                    rest.is_empty(),
+                    "{table:?} row image longer than its schema"
+                );
             }
         }
     }
@@ -193,10 +220,18 @@ impl EffectRecord {
                     for _ in 0..n {
                         let col = c.u32()?;
                         let write = match c.u8()? {
-                            0 => ColumnWrite::Set(c.bytes()?),
+                            0 => {
+                                let width = int_width("set value length", c.u32()?)?;
+                                let mut le = [0u8; 8];
+                                le[..width as usize].copy_from_slice(c.take(width as usize)?);
+                                ColumnWrite::Set {
+                                    value: u64::from_le_bytes(le),
+                                    width,
+                                }
+                            }
                             1 => ColumnWrite::Add {
                                 amount: c.u64()?,
-                                width: c.u32()?,
+                                width: int_width("add width", c.u32()?)?,
                             },
                             tag => {
                                 return Err(CodecError::BadTag {
@@ -211,16 +246,27 @@ impl EffectRecord {
                 }
                 2 => {
                     let w_id = c.u64()?;
-                    let n = c.u32()? as usize;
-                    let mut values = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        values.push(c.bytes()?);
+                    let columns = table.columns();
+                    let n = c.u32()?;
+                    if n as usize != columns.len() {
+                        return Err(CodecError::BadLength {
+                            what: "inserted column count",
+                            len: n,
+                        });
                     }
-                    Effect::Insert {
-                        table,
-                        w_id,
-                        values,
+                    let row_width: u32 = columns.iter().map(|&(_, width)| width).sum();
+                    let mut image = Vec::with_capacity(row_width as usize);
+                    for &(_, width) in columns {
+                        let len = c.u32()?;
+                        if len != width {
+                            return Err(CodecError::BadLength {
+                                what: "inserted column length",
+                                len,
+                            });
+                        }
+                        image.extend_from_slice(c.take(len as usize)?);
                     }
+                    Effect::Insert { table, w_id, image }
                 }
                 tag => {
                     return Err(CodecError::BadTag {
@@ -253,13 +299,19 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// A table's on-log tag: its position in [`ALL_TABLES`].
+/// The width of an integer column value, which is at most 8 bytes.
+fn int_width(what: &'static str, len: u32) -> Result<u32, CodecError> {
+    if len <= 8 {
+        Ok(len)
+    } else {
+        Err(CodecError::BadLength { what, len })
+    }
+}
+
+/// A table's on-log tag: its discriminant, which is its position in
+/// [`ALL_TABLES`].
 fn table_tag(table: Table) -> u8 {
-    ALL_TABLES
-        .iter()
-        .position(|&t| t == table)
-        .map(|i| i as u8)
-        .expect("every table is in ALL_TABLES")
+    table as u8
 }
 
 fn table_from_tag(tag: u8) -> Result<Table, CodecError> {
@@ -295,11 +347,6 @@ impl Cursor<'_> {
     fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +378,7 @@ mod tests {
                                     width: 8,
                                 },
                             ),
-                            (2, ColumnWrite::Set(vec![0xAA, 0xBB])),
+                            (2, ColumnWrite::set(0xBBAA, 2)),
                         ],
                     },
                     warehouse: 3,
@@ -340,7 +387,8 @@ mod tests {
                     effect: Effect::Insert {
                         table: Table::History,
                         w_id: 5,
-                        values: vec![vec![1, 2, 3], vec![], vec![9]],
+                        // HISTORY's eight columns: 50 bytes.
+                        image: (0..50).collect(),
                     },
                     warehouse: 5,
                 },
@@ -395,6 +443,110 @@ mod tests {
         ];
         assert_eq!(rec.encode(), golden);
         assert_eq!(EffectRecord::decode(golden), Ok(rec));
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The log bytes of one fixed Payment and one fixed ten-line
+    /// NewOrder, as the engine decomposes them, pinned to what the codec
+    /// wrote when an insert was a value per column and a set value a
+    /// byte vector (the literal and the hashes were printed by that
+    /// code): neither in-memory form may move a byte on the log.
+    /// Decoding gives the decomposition back and re-encodes to the same
+    /// bytes.
+    #[test]
+    fn decomposed_transactions_keep_their_log_bytes() {
+        use crate::tpcc::{DbConfig, TpccDb};
+        use pushtap_chbench::{NewOrder, Payment, Txn};
+        let db = TpccDb::build(&DbConfig::small(), &pushtap_pim::MemSystem::dimm()).unwrap();
+        let payment = Txn::Payment(Payment {
+            w_id: 0,
+            d_id: 3,
+            c_row: 17,
+            amount: 0x0102_0304,
+        });
+        let neworder = Txn::NewOrder(NewOrder {
+            w_id: 0,
+            d_id: 7,
+            c_row: 29,
+            items: (0..10).map(|i| 100 + 37 * i).collect(),
+            stock_rows: (0..10).map(|i| 5 + 11 * i).collect(),
+        });
+        #[rustfmt::skip]
+        let payment_golden: &[u8] = &[
+            11, 10, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0,                    // ts 0x0a0b, home, local, 4 effects
+            0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,          // w 0: update WAREHOUSE row 0
+            1, 0, 0, 0, 8, 0, 0, 0, 1, 4, 3, 2, 1, 0, 0, 0, 0, 8, 0, 0, 0, // w_ytd += amount, 8 bytes
+            0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0,          // w 0: update DISTRICT row 3
+            1, 0, 0, 0, 9, 0, 0, 0, 0, 8, 0, 0, 0, 4, 3, 2, 1, 0, 0, 0, 0, // d_ytd = amount
+            0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 17, 0, 0, 0, 0, 0, 0, 0,         // w 0: update CUSTOMER row 17
+            3, 0, 0, 0,
+            16, 0, 0, 0, 0, 8, 0, 0, 0, 4, 3, 2, 1, 0, 0, 0, 0,            // c_balance
+            17, 0, 0, 0, 0, 8, 0, 0, 0, 4, 3, 2, 1, 0, 0, 0, 0,            // c_ytd_payment
+            18, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0,                              // c_payment_cnt
+            0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0,          // w 0: insert HISTORY at w 0
+            8, 0, 0, 0,                                                    // eight columns
+            4, 0, 0, 0, 17, 0, 0, 0,
+            1, 0, 0, 0, 3,
+            4, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 3,
+            4, 0, 0, 0, 0, 0, 0, 0,
+            8, 0, 0, 0, 11, 10, 0, 0, 0, 0, 0, 0,
+            4, 0, 0, 0, 4, 3, 2, 1,
+            24, 0, 0, 0, 99, 118, 110, 103, 119, 112, 105, 97, 114, 106, 99, 117,
+            108, 100, 119, 112, 102, 121, 113, 106, 122, 115, 107, 100,
+        ];
+        let effects = db.decompose(&payment, Ts(0x0a0b));
+        let bytes = encode_parts(Ts(0x0a0b), TxnRole::Coordinator, false, &effects);
+        assert_eq!(bytes, payment_golden);
+        assert_eq!((bytes.len(), fnv(&bytes)), (263, 0x4817_977a_ff09_cf0c));
+        let decoded = EffectRecord::decode(&bytes).expect("own encoding decodes");
+        assert_eq!(decoded.effects, effects);
+        assert_eq!(decoded.encode(), bytes);
+
+        let effects = db.decompose(&neworder, Ts(0x0a0c));
+        let bytes = encode_parts(Ts(0x0a0c), TxnRole::Participant, true, &effects);
+        assert_eq!((bytes.len(), fnv(&bytes)), (2198, 0xc85c_65b8_d8fb_9fb2));
+        let decoded = EffectRecord::decode(&bytes).expect("own encoding decodes");
+        assert_eq!(decoded.effects, effects);
+        assert_eq!(decoded.encode(), bytes);
+    }
+
+    /// A record whose lengths disagree with what an effect can hold is
+    /// damage, not a row: a set value wider than an integer, an insert
+    /// with a column too many or a column of the wrong width.
+    #[test]
+    fn lengths_that_disagree_with_the_schema_are_rejected() {
+        let bytes = sample().encode();
+        // Layout of `sample()`: header 14, read 18, then the update —
+        // warehouse 8, kind 1, table 1, row 8, n 4 = 22 — and its first
+        // write (col 4, tag 1, amount 8, width 4); the second write's
+        // length field follows its col and tag.
+        let add_width = 14 + 18 + 22 + 4 + 1 + 8;
+        let set_len = add_width + 4 + 4 + 1;
+        let insert = set_len + 4 + 2;
+        let column_count = insert + 8 + 1 + 1 + 8;
+        for (at, value, what) in [
+            (add_width, 9u8, "add width"),
+            (set_len, 9, "set value length"),
+            (column_count, 9, "inserted column count"),
+            (column_count + 4, 5, "inserted column length"),
+        ] {
+            let mut damaged = bytes.clone();
+            damaged[at] = value;
+            assert_eq!(
+                EffectRecord::decode(&damaged),
+                Err(CodecError::BadLength {
+                    what,
+                    len: value as u32
+                }),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -26,24 +26,59 @@ use pushtap_chbench::Table;
 
 /// How one column of an updated row changes.
 ///
-/// Most TPC-C column updates in the simulated mix are *blind* writes of
+/// Every column the simulated TPC-C mix updates is a fixed-point number
+/// of at most eight bytes, so a change carries the number itself, not a
+/// byte vector: a whole update effect is plain data with nothing on the
+/// heap but its list of writes. Most changes are *blind* writes of
 /// values the decomposition can compute up front ([`ColumnWrite::Set`]);
 /// the warehouse year-to-date accumulation is a read-modify-write over
 /// the newest committed version and must be resolved by the engine that
 /// owns the row at apply time ([`ColumnWrite::Add`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnWrite {
-    /// Replace the column with these bytes.
-    Set(Vec<u8>),
+    /// Replace the column with the low `width` bytes of `value`,
+    /// little-endian. Build it with [`ColumnWrite::set`], which clears
+    /// the bytes of `value` above `width`: the log stores `width` bytes,
+    /// so only a value that fits them decodes to an equal effect.
+    Set {
+        /// The new value.
+        value: u64,
+        /// Encoded width in bytes, at most 8.
+        width: u32,
+    },
     /// Add `amount` to the column's current u64 value (read from the
     /// newest committed version at apply time), re-encoded at `width`
     /// bytes.
     Add {
         /// The addend.
         amount: u64,
-        /// Encoded width of the result in bytes.
+        /// Encoded width of the result in bytes, at most 8.
         width: u32,
     },
+}
+
+impl ColumnWrite {
+    /// A blind write of `value` truncated to `width` little-endian bytes
+    /// (what `enc_u64(value, width)` holds).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `width` is 1..=8.
+    pub fn set(value: u64, width: u32) -> ColumnWrite {
+        assert!(
+            (1..=8).contains(&width),
+            "a set value spans 1..=8 bytes, not {width}"
+        );
+        let keep = if width == 8 {
+            !0
+        } else {
+            (1u64 << (8 * width)) - 1
+        };
+        ColumnWrite::Set {
+            value: value & keep,
+            width,
+        }
+    }
 }
 
 /// One row-level effect of a transaction, in global row indices.
@@ -77,8 +112,10 @@ pub enum Effect {
         table: Table,
         /// Home warehouse anchoring the stripe ring.
         w_id: u64,
-        /// Column values of the new row.
-        values: Vec<Vec<u8>>,
+        /// The new row: its columns' bytes one after another in schema
+        /// order, `row_width` bytes in all. Column boundaries are the
+        /// table's schema, which every holder of a [`Table`] knows.
+        image: Vec<u8>,
     },
 }
 

@@ -18,6 +18,7 @@ use pushtap_sanitizer::{Access, AccessKind, AccessSink, NullSanitizer};
 use std::sync::Arc;
 
 use crate::cost::{Breakdown, Meter};
+use crate::effects::ColumnWrite;
 use crate::index::HashIndex;
 
 /// Which storage format's traffic pattern the table is timed as.
@@ -281,14 +282,12 @@ impl HtapTable {
     /// });
     /// let mut mem = MemSystem::dimm();
     /// let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
-    /// let values: Vec<Vec<u8>> = vec![
-    ///     vec![1, 1], vec![1, 2], vec![1, 3, 3, 3],
-    ///     vec![1, 4, 4, 4, 4, 4, 4, 4, 4], vec![1, 5], vec![1, 6],
-    /// ];
+    /// // The new row's image: its six columns' 21 bytes, in schema order.
+    /// let image = [1, 1, 1, 2, 1, 3, 3, 3, 1, 4, 4, 4, 4, 4, 4, 4, 4, 1, 5, 1, 6];
     ///
     /// // A transaction inserts a row, then aborts: every effect unwinds.
     /// table.begin_txn();
-    /// table.timed_insert(&mut mem, &meter, &values, Ts(1), Ps::ZERO)?;
+    /// table.timed_insert(&mut mem, &meter, &image, Ts(1), Ps::ZERO)?;
     /// assert_eq!(table.live_delta_rows(), 1);
     /// table.abort_txn();
     /// assert_eq!(table.live_delta_rows(), 0);
@@ -629,7 +628,11 @@ impl HtapTable {
 
     /// Timed MVCC update: copies the newest version into a fresh slot of
     /// the row's rotation arena (device-local on every device, §5.1),
-    /// overwrites the changed columns there, and chains it.
+    /// applies the column changes there, and chains it. An
+    /// [`ColumnWrite::Add`] accumulates over the newest version's value
+    /// (not the data-region origin), so the result is a pure function of
+    /// the committed stream, independent of when defragmentation folded
+    /// versions back.
     ///
     /// # Errors
     ///
@@ -641,7 +644,7 @@ impl HtapTable {
         meter: &Meter,
         row: u64,
         ts: Ts,
-        changes: &[(u32, impl AsRef<[u8]>)],
+        changes: &[(u32, ColumnWrite)],
         at: Ps,
     ) -> Result<OpResult, DeltaFull> {
         let mut b = Breakdown::default();
@@ -663,8 +666,15 @@ impl HtapTable {
         b.compute += meter.compute(changes.len() as u64 * 2);
         let new_slot = RowSlot::Delta { rotation, idx };
         self.store.copy_version(newest, new_slot);
-        for (col, v) in changes {
-            self.store.write_value(new_slot, *col, v.as_ref());
+        for &(col, change) in changes {
+            let (value, width) = match change {
+                ColumnWrite::Set { value, width } => (value, width),
+                ColumnWrite::Add { amount, width } => {
+                    (self.store.read_u64(newest, col).wrapping_add(amount), width)
+                }
+            };
+            self.store
+                .write_value(new_slot, col, &value.to_le_bytes()[..width as usize]);
         }
         self.chains.record_update(row, new_slot, ts);
         self.undo.record(UndoRecord::VersionLink { row });
@@ -686,7 +696,8 @@ impl HtapTable {
     }
 
     /// Timed insert: allocates the next row slot of the (pre-sized)
-    /// population and writes the new row as a delta *version* of it, so
+    /// population and writes the new row — `image`, its columns' bytes in
+    /// schema order — as a delta *version* of it, so
     /// the insert obeys snapshot isolation exactly like an update: OLAP
     /// sees it only after the next snapshot, and defragmentation folds it
     /// into the data region.
@@ -698,14 +709,14 @@ impl HtapTable {
         &mut self,
         mem: &mut MemSystem,
         meter: &Meter,
-        values: &[Vec<u8>],
+        image: &[u8],
         ts: Ts,
         at: Ps,
     ) -> Result<(u64, OpResult), DeltaFull> {
         let row = self.insert_cursor % self.cfg.n_rows;
         // Advance the ring only once the slot allocation succeeded, so a
         // DeltaFull retry (after defragmentation) reuses the same slot.
-        let r = self.timed_insert_at(mem, meter, row, values, ts, at)?;
+        let r = self.timed_insert_at(mem, meter, row, image, ts, at)?;
         self.undo.record(UndoRecord::RingAdvance {
             prev: self.insert_cursor,
         });
@@ -724,13 +735,14 @@ impl HtapTable {
     ///
     /// # Panics
     ///
-    /// Panics if `row` is out of range.
+    /// Panics if `row` is out of range or `image` is not the schema's
+    /// row width.
     pub fn timed_insert_at(
         &mut self,
         mem: &mut MemSystem,
         meter: &Meter,
         row: u64,
-        values: &[Vec<u8>],
+        image: &[u8],
         ts: Ts,
         at: Ps,
     ) -> Result<OpResult, DeltaFull> {
@@ -744,7 +756,7 @@ impl HtapTable {
         let prev = self.index.insert(row, row);
         self.undo.record(UndoRecord::IndexInsert { key: row, prev });
         let new_slot = RowSlot::Delta { rotation, idx };
-        self.store.write_row(new_slot, values);
+        self.store.write_image(new_slot, image);
         self.chains.record_update(row, new_slot, ts);
         self.undo.record(UndoRecord::VersionLink { row });
         if self.san.enabled() {
@@ -753,7 +765,7 @@ impl HtapTable {
             // coverage is vouched for by the declared ring, not a row.
             self.record_access(AccessKind::InsertWrite, row, ts);
         }
-        b.compute += meter.compute(values.len() as u64);
+        b.compute += meter.compute(self.store.layout().schema().len() as u64);
         let cpu_ready = at + b.cpu_total();
         let (end, lines) = self.issue_lines(mem, new_slot, Op::Write, cpu_ready);
         let end = end + meter.line_issue(lines);
@@ -761,9 +773,10 @@ impl HtapTable {
         Ok(OpResult { end, breakdown: b })
     }
 
-    /// Loads a row functionally (no timing) — used for population.
-    pub fn load_row(&mut self, row: u64, values: &[Vec<u8>]) {
-        self.store.write_row(RowSlot::Data { row }, values);
+    /// Loads a row functionally (no timing) from its image — used for
+    /// population.
+    pub fn load_row(&mut self, row: u64, image: &[u8]) {
+        self.store.write_image(RowSlot::Data { row }, image);
         self.index.insert(row, row);
     }
 
@@ -1078,6 +1091,11 @@ mod tests {
         Meter::new(CostModel::default(), CpuSpec::xeon_like())
     }
 
+    /// A blind write of the two bytes `[b, b]`.
+    fn pair(b: u8) -> ColumnWrite {
+        ColumnWrite::set(u64::from(b) * 0x0101, 2)
+    }
+
     fn values(seed: u8) -> Vec<Vec<u8>> {
         vec![
             vec![seed, 1],
@@ -1093,7 +1111,7 @@ mod tests {
     fn read_returns_loaded_values_with_time() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
-        t.load_row(5, &values(9));
+        t.load_row(5, &values(9).concat());
         let (vals, r) = t.timed_read(&mut mem, &meter(), 5, Ts(1), Ps::ZERO);
         assert_eq!(vals, values(9));
         assert!(r.end > Ps::ZERO);
@@ -1105,8 +1123,8 @@ mod tests {
     fn update_creates_visible_version() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
-        t.load_row(5, &values(1));
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, vec![7, 7])], Ps::ZERO)
+        t.load_row(5, &values(1).concat());
+        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
         // Reading at a later ts sees the new value; at an earlier ts the old.
         let (new_vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(3), Ps::ZERO);
@@ -1120,15 +1138,15 @@ mod tests {
     fn snapshot_sees_only_snapshotted_versions() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
-        t.load_row(5, &values(1));
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, vec![7, 7])], Ps::ZERO)
+        t.load_row(5, &values(1).concat());
+        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
         // Before snapshotting, OLAP still sees the origin.
         assert_eq!(t.snapshot_read(5)[0], vec![1, 1]);
         t.timed_snapshot_update(&mut mem, &meter(), Ts(2), Ps::ZERO);
         assert_eq!(t.snapshot_read(5)[0], vec![7, 7]);
         // A later update not yet snapshotted stays invisible.
-        t.timed_update(&mut mem, &meter(), 5, Ts(5), &[(0, vec![8, 8])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(5), &[(0, pair(8))], Ps::ZERO)
             .unwrap();
         assert_eq!(t.snapshot_read(5)[0], vec![7, 7]);
     }
@@ -1138,10 +1156,10 @@ mod tests {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-        t.load_row(5, &values(1));
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, vec![7, 7])], Ps::ZERO)
+        t.load_row(5, &values(1).concat());
+        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, vec![9, 9])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
             .unwrap();
         let (stats, secs) = t.defragment(&cost, DefragStrategy::Hybrid, Ts(3));
         assert_eq!(stats.rows_copied, 1);
@@ -1162,12 +1180,12 @@ mod tests {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-        t.load_row(5, &values(1));
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, vec![7, 7])], Ps::ZERO)
+        t.load_row(5, &values(1).concat());
+        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, vec![9, 9])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
             .unwrap();
-        t.timed_update(&mut mem, &meter(), 5, Ts(8), &[(0, vec![4, 4])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(8), &[(0, pair(4))], Ps::ZERO)
             .unwrap();
         assert_eq!(t.live_delta_rows(), 3);
         let (pass, secs) = t.gc(&cost, DefragStrategy::Hybrid, Ts(5));
@@ -1197,13 +1215,13 @@ mod tests {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-        t.load_row(5, &values(1));
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, vec![7, 7])], Ps::ZERO)
+        t.load_row(5, &values(1).concat());
+        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
         t.timed_snapshot_update(&mut mem, &meter(), Ts(2), Ps::ZERO);
         let pinned = t.snapshot_read(5);
         // Later traffic plus GC at the pinned cut.
-        t.timed_update(&mut mem, &meter(), 5, Ts(6), &[(0, vec![8, 8])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(6), &[(0, pair(8))], Ps::ZERO)
             .unwrap();
         let (pass, _) = t.gc(&cost, DefragStrategy::Hybrid, Ts(2));
         assert_eq!(pass.slots_recycled, 1);
@@ -1224,9 +1242,9 @@ mod tests {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-        t.load_row(5, &values(1));
+        t.load_row(5, &values(1).concat());
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, vec![7, 7])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
         t.prepare_txn(Ts(2));
         let (pass, _) = t.gc(&cost, DefragStrategy::Hybrid, Ts(3));
@@ -1243,11 +1261,11 @@ mod tests {
     fn delta_exhaustion_reports_full() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
-        t.load_row(0, &values(1));
+        t.load_row(0, &values(1).concat());
         let mut ts = 1u64;
         loop {
             ts += 1;
-            match t.timed_update(&mut mem, &meter(), 0, Ts(ts), &[(0, vec![1, 1])], Ps::ZERO) {
+            match t.timed_update(&mut mem, &meter(), 0, Ts(ts), &[(0, pair(1))], Ps::ZERO) {
                 Ok(_) => continue,
                 Err(DeltaFull { rotation }) => {
                     assert_eq!(rotation, 0);
@@ -1416,10 +1434,10 @@ mod tests {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
         let (r0, _) = t
-            .timed_insert(&mut mem, &meter(), &values(1), Ts(1), Ps::ZERO)
+            .timed_insert(&mut mem, &meter(), &values(1).concat(), Ts(1), Ps::ZERO)
             .unwrap();
         let (r1, _) = t
-            .timed_insert(&mut mem, &meter(), &values(2), Ts(2), Ps::ZERO)
+            .timed_insert(&mut mem, &meter(), &values(2).concat(), Ts(2), Ps::ZERO)
             .unwrap();
         assert_eq!((r0, r1), (0, 1));
         // The insert is a delta version: invisible to the snapshot until
@@ -1433,10 +1451,10 @@ mod tests {
     fn abort_unwinds_every_observable_and_a_retry_reuses_the_slots() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
-        t.load_row(5, &values(1));
+        t.load_row(5, &values(1).concat());
         // A committed update from an earlier transaction.
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, vec![7, 7])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
         assert!(t.commit_txn() > 0);
         let live_before = t.live_delta_rows();
@@ -1445,11 +1463,11 @@ mod tests {
 
         // The aborting transaction: an update and two inserts.
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, vec![9, 9])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
             .unwrap();
-        t.timed_insert(&mut mem, &meter(), &values(3), Ts(3), Ps::ZERO)
+        t.timed_insert(&mut mem, &meter(), &values(3).concat(), Ts(3), Ps::ZERO)
             .unwrap();
-        t.timed_insert(&mut mem, &meter(), &values(4), Ts(3), Ps::ZERO)
+        t.timed_insert(&mut mem, &meter(), &values(4).concat(), Ts(3), Ps::ZERO)
             .unwrap();
         assert_eq!(t.live_delta_rows(), live_before + 3);
         assert!(t.abort_txn() > 0);
@@ -1466,10 +1484,10 @@ mod tests {
         // A retry under the same timestamps reuses the released slots and
         // lands on the same ring rows.
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, vec![9, 9])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
             .unwrap();
         let (r0, _) = t
-            .timed_insert(&mut mem, &meter(), &values(3), Ts(3), Ps::ZERO)
+            .timed_insert(&mut mem, &meter(), &values(3).concat(), Ts(3), Ps::ZERO)
             .unwrap();
         assert_eq!(r0, 0, "ring cursor was rolled back");
         t.commit_txn();
@@ -1481,11 +1499,11 @@ mod tests {
     fn prepared_scope_resolves_by_commit_or_abort() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
-        t.load_row(5, &values(1));
+        t.load_row(5, &values(1).concat());
 
         // Prepare-then-commit: the version survives and the marks clear.
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, vec![7, 7])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
         t.prepare_txn(Ts(2));
         assert!(t.in_prepared_txn());
@@ -1499,7 +1517,7 @@ mod tests {
         // Prepare-then-abort: the version unwinds.
         let live = t.live_delta_rows();
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, vec![9, 9])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
             .unwrap();
         t.prepare_txn(Ts(3));
         assert_eq!(t.prepared_versions(), 1);
@@ -1518,16 +1536,16 @@ mod tests {
     fn coexisting_prepared_scopes_abort_and_commit_independently() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
-        t.load_row(3, &values(1));
-        t.load_row(4, &values(2));
+        t.load_row(3, &values(1).concat());
+        t.load_row(4, &values(2).concat());
         let live = t.live_delta_rows();
 
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 3, Ts(10), &[(0, vec![7, 7])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 3, Ts(10), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
         t.prepare_txn(Ts(10));
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 4, Ts(11), &[(0, vec![8, 8])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 4, Ts(11), &[(0, pair(8))], Ps::ZERO)
             .unwrap();
         t.prepare_txn(Ts(11));
         assert_eq!(t.prepared_versions(), 2);
@@ -1546,7 +1564,7 @@ mod tests {
 
         // The aborted transaction retries at its pinned timestamp.
         t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 3, Ts(10), &[(0, vec![7, 7])], Ps::ZERO)
+        t.timed_update(&mut mem, &meter(), 3, Ts(10), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
         t.prepare_txn(Ts(10));
         t.commit_prepared_txn(Ts(10));

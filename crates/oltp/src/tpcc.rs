@@ -20,12 +20,11 @@
 //! is what makes sharded committed bytes equal the unpartitioned
 //! reference's for *every* table, remote-owned rows included.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use pushtap_chbench::{dec_u64, enc_u64, NewOrder, Partitioning, Payment, RowGen, Table, Txn};
+use pushtap_chbench::{put_text, put_u64, NewOrder, Partitioning, Payment, RowGen, Table, Txn};
 use pushtap_format::{
     compact_layout, naive_layout, LayoutError, RowSlot, TableLayout, TableSchema,
 };
@@ -396,8 +395,10 @@ impl TpccDb {
             // Functional population from *global* row indices, so every
             // shard's slice matches the unpartitioned build byte for byte.
             let gen = RowGen::new(table, global);
+            let mut image = Vec::new();
             for row in 0..n_rows {
-                t.load_row(row, &gen.row(row_base + row));
+                gen.row_image(row_base + row, &mut image);
+                t.load_row(row, &image);
             }
             // Advance the placement cursor: tables get disjoint DRAM rows.
             let rows_used = (t.region().bytes_per_device() / geometry.row_bytes as u64) as u32 + 1;
@@ -578,7 +579,7 @@ impl TpccDb {
         &mut self,
         table: Table,
         w_id: u64,
-        values: &[Vec<u8>],
+        image: &[u8],
         ts: Ts,
         mem: &mut MemSystem,
         meter: &Meter,
@@ -588,7 +589,7 @@ impl TpccDb {
         let (_, row_base) = self.table_global[&table];
         let local = global_row - row_base;
         let t = self.tables.get_mut(&table).expect("table not built");
-        let r = t.timed_insert_at(mem, meter, local, values, ts, at)?;
+        let r = t.timed_insert_at(mem, meter, local, image, ts, at)?;
         *self.insert_cursors.entry((table, w)).or_insert(0) += 1;
         self.txn_cursor_log.push((table, w));
         if self.san.enabled() {
@@ -626,20 +627,21 @@ impl TpccDb {
         self.tables.iter()
     }
 
-    /// The newest committed bytes of one column of a *global* row — the
-    /// value the row's last committed writer left behind. A WAL
+    /// The newest committed value of one (integer) column of a *global*
+    /// row — what the row's last committed writer left behind. A WAL
     /// checkpoint folds each surviving [`ColumnWrite::Add`] into a
-    /// [`ColumnWrite::Set`] of exactly these bytes, so the compacted
+    /// [`ColumnWrite::Set`] of exactly this value, so the compacted
     /// record replays to the same committed state the full log would.
     ///
     /// # Panics
     ///
     /// Panics if this engine does not own the row (same ownership
-    /// discipline as effect application) or the table was not built.
-    pub fn committed_column(&self, table: Table, row: u64, col: u32) -> Vec<u8> {
+    /// discipline as effect application), the table was not built, or
+    /// the column is wider than 8 bytes.
+    pub fn committed_column(&self, table: Table, row: u64, col: u32) -> u64 {
         let local = self.own_row(table, row);
         let t = &self.tables[&table];
-        t.store().read_value(t.chains().newest_slot(local), col)
+        t.store().read_u64(t.chains().newest_slot(local), col)
     }
 
     /// The cost meter in effect.
@@ -898,7 +900,21 @@ impl TpccDb {
             .unwrap_or_else(|| panic!("{table:?} has no column {name}"))
     }
 
+    /// An empty row image with room for one row of `table`.
+    fn new_image(&self, table: Table) -> Vec<u8> {
+        Vec::with_capacity(self.tables[&table].layout().schema().row_width() as usize)
+    }
+
     fn decompose_payment(&self, p: &Payment, ts: Ts) -> Vec<TaggedEffect> {
+        let mut history = self.new_image(Table::History);
+        put_u64(&mut history, p.c_row, 4);
+        put_u64(&mut history, p.d_id, 1);
+        put_u64(&mut history, p.w_id, 4);
+        put_u64(&mut history, p.d_id, 1);
+        put_u64(&mut history, p.w_id, 4);
+        put_u64(&mut history, ts.0, 8);
+        put_u64(&mut history, p.amount, 4);
+        put_text(&mut history, ts.0, 24);
         vec![
             // Warehouse YTD: a read-modify-write accumulation over the
             // newest committed version, resolved at apply time by the
@@ -925,7 +941,7 @@ impl TpccDb {
                     row: p.w_id * 10 + p.d_id,
                     writes: vec![(
                         self.col(Table::District, "d_ytd"),
-                        ColumnWrite::Set(enc_u64(p.amount, 8)),
+                        ColumnWrite::set(p.amount, 8),
                     )],
                 },
             },
@@ -940,15 +956,15 @@ impl TpccDb {
                     writes: vec![
                         (
                             self.col(Table::Customer, "c_balance"),
-                            ColumnWrite::Set(enc_u64(p.amount, 8)),
+                            ColumnWrite::set(p.amount, 8),
                         ),
                         (
                             self.col(Table::Customer, "c_ytd_payment"),
-                            ColumnWrite::Set(enc_u64(p.amount, 8)),
+                            ColumnWrite::set(p.amount, 8),
                         ),
                         (
                             self.col(Table::Customer, "c_payment_cnt"),
-                            ColumnWrite::Set(enc_u64(1, 2)),
+                            ColumnWrite::set(1, 2),
                         ),
                     ],
                 },
@@ -959,16 +975,7 @@ impl TpccDb {
                 effect: Effect::Insert {
                     table: Table::History,
                     w_id: p.w_id,
-                    values: vec![
-                        enc_u64(p.c_row, 4),
-                        enc_u64(p.d_id, 1),
-                        enc_u64(p.w_id, 4),
-                        enc_u64(p.d_id, 1),
-                        enc_u64(p.w_id, 4),
-                        enc_u64(ts.0, 8),
-                        enc_u64(p.amount, 4),
-                        pushtap_chbench::enc_text(ts.0, 24),
-                    ],
+                    image: history,
                 },
             },
         ]
@@ -992,7 +999,7 @@ impl TpccDb {
                 row: no.w_id * 10 + no.d_id,
                 writes: vec![(
                     self.col(Table::District, "d_next_o_id"),
-                    ColumnWrite::Set(enc_u64(ts.0, 4)),
+                    ColumnWrite::set(ts.0, 4),
                 )],
             },
         });
@@ -1001,29 +1008,33 @@ impl TpccDb {
         // peeked here without consuming it; applying the insert advances
         // the cursor to exactly this slot.
         let (o_row, _) = self.insert_target(Table::Order, no.w_id);
+        let mut order = self.new_image(Table::Order);
+        put_u64(&mut order, ts.0, 4);
+        put_u64(&mut order, no.d_id, 1);
+        put_u64(&mut order, no.w_id, 4);
+        put_u64(&mut order, no.c_row, 4);
+        put_u64(&mut order, ts.0, 8);
+        put_u64(&mut order, 0, 1);
+        put_u64(&mut order, no.items.len() as u64, 1);
+        put_u64(&mut order, 1, 1);
         effects.push(TaggedEffect {
             warehouse: no.w_id,
             effect: Effect::Insert {
                 table: Table::Order,
                 w_id: no.w_id,
-                values: vec![
-                    enc_u64(ts.0, 4),
-                    enc_u64(no.d_id, 1),
-                    enc_u64(no.w_id, 4),
-                    enc_u64(no.c_row, 4),
-                    enc_u64(ts.0, 8),
-                    enc_u64(0, 1),
-                    enc_u64(no.items.len() as u64, 1),
-                    enc_u64(1, 1),
-                ],
+                image: order,
             },
         });
+        let mut new_order = self.new_image(Table::NewOrder);
+        put_u64(&mut new_order, o_row, 4);
+        put_u64(&mut new_order, no.d_id, 1);
+        put_u64(&mut new_order, no.w_id, 4);
         effects.push(TaggedEffect {
             warehouse: no.w_id,
             effect: Effect::Insert {
                 table: Table::NewOrder,
                 w_id: no.w_id,
-                values: vec![enc_u64(o_row, 4), enc_u64(no.d_id, 1), enc_u64(no.w_id, 4)],
+                image: new_order,
             },
         });
         // Per order line: read item (replicated — always home), update
@@ -1044,11 +1055,7 @@ impl TpccDb {
             // ITEM is read-only after population, so its data region is
             // the newest version everywhere — the price the timed read
             // will observe at apply time.
-            let price = dec_u64(
-                &item_table
-                    .store()
-                    .read_value(RowSlot::Data { row: item }, 3),
-            );
+            let price = item_table.store().read_u64(RowSlot::Data { row: item }, 3);
             if !touched_stock.contains(&stock) {
                 touched_stock.push(stock);
                 effects.push(TaggedEffect {
@@ -1059,37 +1066,34 @@ impl TpccDb {
                         writes: vec![
                             (
                                 self.col(Table::Stock, "s_quantity"),
-                                ColumnWrite::Set(enc_u64(40, 2)),
+                                ColumnWrite::set(40, 2),
                             ),
-                            (
-                                self.col(Table::Stock, "s_ytd"),
-                                ColumnWrite::Set(enc_u64(price, 8)),
-                            ),
+                            (self.col(Table::Stock, "s_ytd"), ColumnWrite::set(price, 8)),
                             (
                                 self.col(Table::Stock, "s_order_cnt"),
-                                ColumnWrite::Set(enc_u64(1, 2)),
+                                ColumnWrite::set(1, 2),
                             ),
                         ],
                     },
                 });
             }
+            let mut line = self.new_image(Table::OrderLine);
+            put_u64(&mut line, o_row, 4);
+            put_u64(&mut line, no.d_id, 1);
+            put_u64(&mut line, no.w_id, 4);
+            put_u64(&mut line, i as u64, 1);
+            put_u64(&mut line, item, 4);
+            put_u64(&mut line, no.w_id, 4);
+            put_u64(&mut line, 1_167_600_000 + ts.0, 8);
+            put_u64(&mut line, 5, 2);
+            put_u64(&mut line, price * 5, 8);
+            put_text(&mut line, ts.0 ^ i as u64, 24);
             effects.push(TaggedEffect {
                 warehouse: no.w_id,
                 effect: Effect::Insert {
                     table: Table::OrderLine,
                     w_id: no.w_id,
-                    values: vec![
-                        enc_u64(o_row, 4),
-                        enc_u64(no.d_id, 1),
-                        enc_u64(no.w_id, 4),
-                        enc_u64(i as u64, 1),
-                        enc_u64(item, 4),
-                        enc_u64(no.w_id, 4),
-                        enc_u64(1_167_600_000 + ts.0, 8),
-                        enc_u64(5, 2),
-                        enc_u64(price * 5, 8),
-                        pushtap_chbench::enc_text(ts.0 ^ i as u64, 24),
-                    ],
+                    image: line,
                 },
             });
         }
@@ -1121,33 +1125,13 @@ impl TpccDb {
             Effect::Update { table, row, writes } => {
                 let local = self.own_row(*table, *row);
                 let t = self.tables.get_mut(table).expect("table not built");
-                let newest = t.chains().newest_slot(local);
-                let changes: Vec<(u32, Cow<[u8]>)> = writes
-                    .iter()
-                    .map(|(col, w)| match w {
-                        ColumnWrite::Set(v) => (*col, Cow::Borrowed(v.as_slice())),
-                        // Read-modify-write over the newest committed
-                        // version (not the data-region origin), so the
-                        // accumulated value is a pure function of the
-                        // committed stream, independent of when
-                        // defragmentation folded versions back.
-                        ColumnWrite::Add { amount, width } => {
-                            let cur = dec_u64(&t.store().read_value(newest, *col));
-                            (*col, Cow::Owned(enc_u64(cur.wrapping_add(*amount), *width)))
-                        }
-                    })
-                    .collect();
-                let r = t.timed_update(mem, meter, local, ts, &changes, *now)?;
+                let r = t.timed_update(mem, meter, local, ts, writes, *now)?;
                 b.merge(&r.breakdown);
                 *now = r.end;
                 Ok(())
             }
-            Effect::Insert {
-                table,
-                w_id,
-                values,
-            } => {
-                let (_, r) = self.timed_insert_for(*table, *w_id, values, ts, mem, meter, *now)?;
+            Effect::Insert { table, w_id, image } => {
+                let (_, r) = self.timed_insert_for(*table, *w_id, image, ts, mem, meter, *now)?;
                 b.merge(&r.breakdown);
                 *now = r.end;
                 Ok(())

@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use pushtap_chbench::{dec_u64, enc_u64, Table};
 use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
 use pushtap_mvcc::{DefragCostModel, DefragStrategy, Ts};
-use pushtap_oltp::{AccessModel, CostModel, DbConfig, HtapTable, Meter, TableConfig, TpccDb};
+use pushtap_oltp::{
+    AccessModel, ColumnWrite, CostModel, DbConfig, HtapTable, Meter, TableConfig, TpccDb,
+};
 use pushtap_pim::{BankAddr, CpuSpec, Geometry, MemSystem, Ps, Side};
 
 /// Scripted operations against the CUSTOMER table.
@@ -60,7 +62,7 @@ proptest! {
                         &meter,
                         *row,
                         Ts(ts),
-                        &[(bal, enc_u64(*amount, 8))],
+                        &[(bal, ColumnWrite::set(*amount, 8))],
                         Ps::ZERO,
                     )
                     .expect("arena headroom");
@@ -106,7 +108,7 @@ proptest! {
                         &meter,
                         *row,
                         Ts(ts),
-                        &[(bal, enc_u64(*amount, 8))],
+                        &[(bal, ColumnWrite::set(*amount, 8))],
                         Ps::ZERO,
                     )
                     .expect("arena headroom");
@@ -147,7 +149,7 @@ proptest! {
                         &meter,
                         *row,
                         Ts(ts),
-                        &[(bal, enc_u64(*amount, 8))],
+                        &[(bal, ColumnWrite::set(*amount, 8))],
                         Ps::ZERO,
                     )
                     .expect("arena headroom");
@@ -300,11 +302,17 @@ fn scan_table() -> HtapTable {
 
 const SCAN_WIDTHS: [u32; 5] = [4, 8, 2, 1, 3];
 
-fn row_values(val: u64) -> Vec<Vec<u8>> {
+/// Column `c` of the row that carries `val`.
+fn column_value(val: u64, c: usize) -> u64 {
+    val.rotate_left(c as u32 * 8)
+}
+
+/// The image of the row that carries `val`.
+fn row_image(val: u64) -> Vec<u8> {
     SCAN_WIDTHS
         .iter()
         .enumerate()
-        .map(|(c, &w)| enc_u64(val.rotate_left(c as u32 * 8), w))
+        .flat_map(|(c, &w)| enc_u64(column_value(val, c), w))
         .collect()
 }
 
@@ -323,12 +331,12 @@ fn apply(
             continue;
         }
         if w.insert {
-            t.timed_insert_at(mem, meter, w.row, &row_values(w.val), ts, Ps::ZERO)?;
+            t.timed_insert_at(mem, meter, w.row, &row_image(w.val), ts, Ps::ZERO)?;
         } else {
-            let changes: Vec<(u32, Vec<u8>)> = row_values(w.val)
-                .into_iter()
+            let changes: Vec<(u32, ColumnWrite)> = SCAN_WIDTHS
+                .iter()
                 .enumerate()
-                .map(|(c, v)| (c as u32, v))
+                .map(|(c, &width)| (c as u32, ColumnWrite::set(column_value(w.val, c), width)))
                 .collect();
             t.timed_update(mem, meter, w.row, ts, &changes, Ps::ZERO)?;
         }
@@ -444,7 +452,7 @@ fn run_step(
         Step::RingInsert(val) => {
             clock.next += 1;
             let ts = Ts(clock.next);
-            let values = row_values(*val);
+            let values = row_image(*val);
             if skip_rolled_back
                 && t.clone()
                     .timed_insert(mem, meter, &values, ts, Ps::ZERO)
@@ -481,7 +489,7 @@ fn run_step(
 fn loaded_scan_table() -> (HtapTable, MemSystem, Meter) {
     let mut t = scan_table();
     for row in 0..SCAN_ROWS {
-        t.load_row(row, &row_values(row));
+        t.load_row(row, &row_image(row));
     }
     let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
     (t, MemSystem::dimm(), meter)

@@ -1013,11 +1013,11 @@ fn compact_shard_log(
                     let kept: Vec<(u32, ColumnWrite)> = writes
                         .iter()
                         .filter(|(col, _)| last_writer[&(*table, *row, *col)] == *ts)
-                        .map(|(col, _)| {
-                            (
-                                *col,
-                                ColumnWrite::Set(db.committed_column(*table, *row, *col)),
-                            )
+                        .map(|(col, write)| {
+                            let (ColumnWrite::Set { width, .. } | ColumnWrite::Add { width, .. }) =
+                                *write;
+                            let committed = db.committed_column(*table, *row, *col);
+                            (*col, ColumnWrite::set(committed, width))
                         })
                         .collect();
                     if !kept.is_empty() {
