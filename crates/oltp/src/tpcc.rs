@@ -75,6 +75,39 @@ struct PreparedScope {
     cursors: Vec<(Table, u64)>,
 }
 
+/// One CH table of the database with the facts the executor needs on
+/// every effect, resolved once in [`TpccDb::build_partitioned`].
+#[derive(Debug)]
+struct DbTable {
+    table: HtapTable,
+    /// Global (pre-partitioning) row count.
+    global_rows: u64,
+    /// This instance's first global row.
+    row_base: u64,
+    /// Bytes of one row image.
+    row_width: usize,
+    /// Insert cursors of the warehouses this instance owns, by distance
+    /// from the first ([`TpccDb::ring_slot`]): inserts cycle inside the
+    /// home warehouse's stripe, deterministically across deployments.
+    insert_cursors: Vec<u64>,
+}
+
+/// The columns the two transactions write or read by name, as schema
+/// indices.
+#[derive(Debug, Clone, Copy)]
+struct Columns {
+    w_ytd: u32,
+    d_ytd: u32,
+    d_next_o_id: u32,
+    c_balance: u32,
+    c_ytd_payment: u32,
+    c_payment_cnt: u32,
+    i_price: u32,
+    s_quantity: u32,
+    s_ytd: u32,
+    s_order_cnt: u32,
+}
+
 /// Which layout the database instance uses (drives both the generated
 /// [`TableLayout`] and the timing [`AccessModel`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,7 +231,9 @@ impl DbConfig {
 /// The transactional database: one HTAP table per CH table.
 #[derive(Debug)]
 pub struct TpccDb {
-    tables: BTreeMap<Table, HtapTable>,
+    /// One entry per CH table, indexed by `Table as usize`.
+    tables: Vec<DbTable>,
+    cols: Columns,
     meter: Meter,
     ts: TsAllocator,
     committed: u64,
@@ -207,11 +242,6 @@ pub struct TpccDb {
     warehouses_global: u64,
     /// The contiguous warehouse range this instance owns.
     wh_range: Range<u64>,
-    /// Per-table global row count and this instance's first global row.
-    table_global: BTreeMap<Table, (u64, u64)>,
-    /// Per-(table, warehouse) insert cursors: inserts cycle inside the
-    /// home warehouse's stripe, deterministically across deployments.
-    insert_cursors: BTreeMap<(Table, u64), u64>,
     /// Stripe cursors bumped by the in-flight transaction, in order —
     /// the executor-level half of the undo log (the table-level half
     /// lives in each [`HtapTable`]'s [`pushtap_mvcc::UndoLog`]).
@@ -352,8 +382,7 @@ impl TpccDb {
         let key_map = pushtap_chbench::key_columns_of(&cfg.key_queries);
         let warehouses_global = global_rows(cfg, Table::Warehouse);
         let wh_range = partition.range(warehouses_global);
-        let mut tables = BTreeMap::new();
-        let mut table_global = BTreeMap::new();
+        let mut tables = Vec::with_capacity(pushtap_chbench::ALL_TABLES.len());
         let mut base_dram_row = 0u32;
         for table in pushtap_chbench::ALL_TABLES {
             let keys: Vec<&str> = key_map.get(&table).cloned().unwrap_or_default();
@@ -375,7 +404,6 @@ impl TpccDb {
                     }
                 }
             };
-            table_global.insert(table, (global, row_base));
             let delta_rows = ((n_rows as f64 * cfg.delta_frac) as u64).max(cfg.min_delta_rows);
             let mut t = HtapTable::new(
                 layout,
@@ -403,9 +431,36 @@ impl TpccDb {
             // Advance the placement cursor: tables get disjoint DRAM rows.
             let rows_used = (t.region().bytes_per_device() / geometry.row_bytes as u64) as u32 + 1;
             base_dram_row = (base_dram_row + rows_used) % geometry.rows_per_bank;
-            tables.insert(table, t);
+            assert_eq!(table as usize, tables.len(), "tables index by discriminant");
+            tables.push(DbTable {
+                row_width: t.layout().schema().row_width() as usize,
+                table: t,
+                global_rows: global,
+                row_base,
+                insert_cursors: vec![0; (wh_range.end - wh_range.start).max(1) as usize],
+            });
         }
+        let col = |table: Table, name: &str| {
+            tables[table as usize]
+                .table
+                .layout()
+                .schema()
+                .index_of(name)
+                .unwrap_or_else(|| panic!("{table:?} has no column {name}"))
+        };
         Ok(TpccDb {
+            cols: Columns {
+                w_ytd: col(Table::Warehouse, "w_ytd"),
+                d_ytd: col(Table::District, "d_ytd"),
+                d_next_o_id: col(Table::District, "d_next_o_id"),
+                c_balance: col(Table::Customer, "c_balance"),
+                c_ytd_payment: col(Table::Customer, "c_ytd_payment"),
+                c_payment_cnt: col(Table::Customer, "c_payment_cnt"),
+                i_price: col(Table::Item, "i_price"),
+                s_quantity: col(Table::Stock, "s_quantity"),
+                s_ytd: col(Table::Stock, "s_ytd"),
+                s_order_cnt: col(Table::Stock, "s_order_cnt"),
+            },
             tables,
             meter: Meter::new(cfg.costs, mem.cfg().cpu),
             ts: TsAllocator::new(),
@@ -413,8 +468,6 @@ impl TpccDb {
             partition,
             warehouses_global,
             wh_range,
-            table_global,
-            insert_cursors: BTreeMap::new(),
             txn_cursor_log: Vec::new(),
             aborts: 0,
             prepared: BTreeMap::new(),
@@ -446,9 +499,9 @@ impl TpccDb {
     /// cost one branch and record nothing. Hooks charge zero simulated
     /// time, so an armed tracker never perturbs byte identity.
     pub fn set_sanitizer(&mut self, san: Arc<dyn AccessSink>, track: u32) {
-        for (table, t) in self.tables.iter_mut() {
-            let (_, row_base) = self.table_global[table];
-            t.set_access_sink(Arc::clone(&san), *table as u32, row_base, track);
+        for (table, t) in self.tables.iter_mut().enumerate() {
+            t.table
+                .set_access_sink(Arc::clone(&san), table as u32, t.row_base, track);
         }
         self.san = san;
         self.san_track = track;
@@ -508,7 +561,7 @@ impl TpccDb {
 
     /// Global (pre-partitioning) row count of `table`.
     pub fn global_rows_of(&self, table: Table) -> u64 {
-        self.table_global[&table].0
+        self.tables[table as usize].global_rows
     }
 
     /// Picks the *global* target row for the next insert into `table`
@@ -519,12 +572,13 @@ impl TpccDb {
     /// A degenerate shard with an empty owned range (more shards than
     /// warehouses) clamps to its single kept row.
     fn insert_target(&self, table: Table, w_id: u64) -> (u64, u64) {
-        let (global, row_base) = self.table_global[&table];
-        let local_rows = self.tables[&table].n_rows();
+        let t = &self.tables[table as usize];
+        let (global, row_base) = (t.global_rows, t.row_base);
+        let local_rows = t.table.n_rows();
         let w = if self.wh_range.contains(&w_id) {
             w_id
         } else if self.wh_range.is_empty() {
-            self.wh_range.start.min(self.warehouses_global - 1)
+            self.clamped_home()
         } else {
             panic!(
                 "insert homed at foreign warehouse {w_id} (this engine owns {:?})",
@@ -533,7 +587,7 @@ impl TpccDb {
         };
         let start = stripe_start(w, global, self.warehouses_global);
         let end = stripe_start(w + 1, global, self.warehouses_global);
-        let c = self.insert_cursors.get(&(table, w)).copied().unwrap_or(0);
+        let c = t.insert_cursors[self.ring_slot(w)];
         let row = if !self.wh_range.is_empty() && end > start {
             start + c % (end - start)
         } else {
@@ -546,6 +600,20 @@ impl TpccDb {
         (row, w)
     }
 
+    /// The warehouse whose rings a degenerate instance with an empty
+    /// owned range (more shards than warehouses) inserts through.
+    fn clamped_home(&self) -> u64 {
+        self.wh_range.start.min(self.warehouses_global - 1)
+    }
+
+    /// Where the insert cursor of warehouse `w` sits in a table's
+    /// [`DbTable::insert_cursors`] — for the `w` [`TpccDb::insert_target`]
+    /// resolved: an owned warehouse, or the one an instance that owns
+    /// none clamps to (slot 0).
+    fn ring_slot(&self, w: u64) -> usize {
+        w.saturating_sub(self.wh_range.start) as usize
+    }
+
     /// The local row of `table` backing *global* row `g`.
     ///
     /// Replicated tables hold the full population, so the translation is
@@ -554,8 +622,9 @@ impl TpccDb {
     /// unowned row here is a routing bug and panics — there is no
     /// fallback addressing of any kind.
     fn own_row(&self, table: Table, g: u64) -> u64 {
-        let (global, row_base) = self.table_global[&table];
-        let n = self.tables[&table].n_rows();
+        let t = &self.tables[table as usize];
+        let (global, row_base) = (t.global_rows, t.row_base);
+        let n = t.table.n_rows();
         assert!(
             g < global,
             "{table:?} row {g} out of the {global} global rows"
@@ -586,11 +655,11 @@ impl TpccDb {
         at: Ps,
     ) -> Result<(u64, crate::table::OpResult), DeltaFull> {
         let (global_row, w) = self.insert_target(table, w_id);
-        let (_, row_base) = self.table_global[&table];
-        let local = global_row - row_base;
-        let t = self.tables.get_mut(&table).expect("table not built");
-        let r = t.timed_insert_at(mem, meter, local, image, ts, at)?;
-        *self.insert_cursors.entry((table, w)).or_insert(0) += 1;
+        let slot = self.ring_slot(w);
+        let t = &mut self.tables[table as usize];
+        let local = global_row - t.row_base;
+        let r = t.table.timed_insert_at(mem, meter, local, image, ts, at)?;
+        t.insert_cursors[slot] += 1;
         self.txn_cursor_log.push((table, w));
         if self.san.enabled() {
             // The cursor advance is the ring-key side of the insert: the
@@ -614,17 +683,19 @@ impl TpccDb {
     ///
     /// Panics if the table was not built.
     pub fn table(&self, table: Table) -> &HtapTable {
-        &self.tables[&table]
+        &self.tables[table as usize].table
     }
 
     /// Mutable access to a table instance.
     pub fn table_mut(&mut self, table: Table) -> &mut HtapTable {
-        self.tables.get_mut(&table).expect("table not built")
+        &mut self.tables[table as usize].table
     }
 
     /// All tables.
     pub fn tables(&self) -> impl Iterator<Item = (&Table, &HtapTable)> {
-        self.tables.iter()
+        pushtap_chbench::ALL_TABLES
+            .iter()
+            .zip(self.tables.iter().map(|t| &t.table))
     }
 
     /// The newest committed value of one (integer) column of a *global*
@@ -640,7 +711,7 @@ impl TpccDb {
     /// the column is wider than 8 bytes.
     pub fn committed_column(&self, table: Table, row: u64, col: u32) -> u64 {
         let local = self.own_row(table, row);
-        let t = &self.tables[&table];
+        let t = self.table(table);
         t.store().read_u64(t.chains().newest_slot(local), col)
     }
 
@@ -667,7 +738,11 @@ impl TpccDb {
     /// cursor untouched, which is the invariant the cross-deployment
     /// identity tests assert.
     pub fn insert_cursor(&self, table: Table, w: u64) -> u64 {
-        self.insert_cursors.get(&(table, w)).copied().unwrap_or(0)
+        if self.wh_range.contains(&w) || (self.wh_range.is_empty() && w == self.clamped_home()) {
+            self.tables[table as usize].insert_cursors[self.ring_slot(w)]
+        } else {
+            0
+        }
     }
 
     /// The most recent commit timestamp. With a shared [`TsOracle`]
@@ -687,7 +762,7 @@ impl TpccDb {
 
     /// Total live delta versions across tables.
     pub fn live_delta_rows(&self) -> u64 {
-        self.tables.values().map(HtapTable::live_delta_rows).sum()
+        self.tables.iter().map(|t| t.table.live_delta_rows()).sum()
     }
 
     /// Total commit-log entries awaiting snapshot consumption across
@@ -695,8 +770,8 @@ impl TpccDb {
     /// collection keeps bounded under sustained traffic.
     pub fn commit_log_entries(&self) -> u64 {
         self.tables
-            .values()
-            .map(|t| t.commit_log_len() as u64)
+            .iter()
+            .map(|t| t.table.commit_log_len() as u64)
             .sum()
     }
 
@@ -734,8 +809,8 @@ impl TpccDb {
     ) -> (TableGcPass, f64) {
         let mut total = TableGcPass::default();
         let mut seconds = 0.0;
-        for table in self.tables.values_mut() {
-            let (pass, secs) = table.gc(model, strategy, before);
+        for t in &mut self.tables {
+            let (pass, secs) = t.table.gc(model, strategy, before);
             total.absorb(pass);
             seconds += secs;
         }
@@ -832,8 +907,8 @@ impl TpccDb {
     /// Opens the transaction scope on every table and the cursor log.
     fn begin_txn(&mut self) {
         debug_assert!(self.txn_cursor_log.is_empty(), "cursor log leaked");
-        for t in self.tables.values_mut() {
-            t.begin_txn();
+        for t in &mut self.tables {
+            t.table.begin_txn();
         }
     }
 
@@ -842,15 +917,12 @@ impl TpccDb {
     /// caller's job ([`TpccDb::execute`] returns the allocation;
     /// [`TpccDb::execute_at`] keeps the pinned timestamp for the retry).
     fn abort_txn(&mut self) {
-        for t in self.tables.values_mut() {
-            t.abort_txn();
+        for t in &mut self.tables {
+            t.table.abort_txn();
         }
         while let Some((table, w)) = self.txn_cursor_log.pop() {
-            let c = self
-                .insert_cursors
-                .get_mut(&(table, w))
-                .expect("cursor bumped by the aborting transaction");
-            *c -= 1;
+            let slot = self.ring_slot(w);
+            self.tables[table as usize].insert_cursors[slot] -= 1;
         }
         self.aborts += 1;
     }
@@ -887,22 +959,13 @@ impl TpccDb {
     /// The warehouse whose stripe owns global `row` of partitioned
     /// `table` — the ownership tag of a forwarded effect.
     fn warehouse_of(&self, table: Table, row: u64) -> u64 {
-        let (global, _) = self.table_global[&table];
+        let global = self.tables[table as usize].global_rows;
         warehouse_of_row(row, global, self.warehouses_global)
-    }
-
-    /// Column index of `name` in `table`'s schema.
-    fn col(&self, table: Table, name: &str) -> u32 {
-        self.tables[&table]
-            .layout()
-            .schema()
-            .index_of(name)
-            .unwrap_or_else(|| panic!("{table:?} has no column {name}"))
     }
 
     /// An empty row image with room for one row of `table`.
     fn new_image(&self, table: Table) -> Vec<u8> {
-        Vec::with_capacity(self.tables[&table].layout().schema().row_width() as usize)
+        Vec::with_capacity(self.tables[table as usize].row_width)
     }
 
     fn decompose_payment(&self, p: &Payment, ts: Ts) -> Vec<TaggedEffect> {
@@ -925,7 +988,7 @@ impl TpccDb {
                     table: Table::Warehouse,
                     row: p.w_id,
                     writes: vec![(
-                        self.col(Table::Warehouse, "w_ytd"),
+                        self.cols.w_ytd,
                         ColumnWrite::Add {
                             amount: p.amount,
                             width: 8,
@@ -939,10 +1002,7 @@ impl TpccDb {
                 effect: Effect::Update {
                     table: Table::District,
                     row: p.w_id * 10 + p.d_id,
-                    writes: vec![(
-                        self.col(Table::District, "d_ytd"),
-                        ColumnWrite::set(p.amount, 8),
-                    )],
+                    writes: vec![(self.cols.d_ytd, ColumnWrite::set(p.amount, 8))],
                 },
             },
             // Customer balance / ytd / payment count — the one Payment
@@ -954,18 +1014,9 @@ impl TpccDb {
                     table: Table::Customer,
                     row: p.c_row,
                     writes: vec![
-                        (
-                            self.col(Table::Customer, "c_balance"),
-                            ColumnWrite::set(p.amount, 8),
-                        ),
-                        (
-                            self.col(Table::Customer, "c_ytd_payment"),
-                            ColumnWrite::set(p.amount, 8),
-                        ),
-                        (
-                            self.col(Table::Customer, "c_payment_cnt"),
-                            ColumnWrite::set(1, 2),
-                        ),
+                        (self.cols.c_balance, ColumnWrite::set(p.amount, 8)),
+                        (self.cols.c_ytd_payment, ColumnWrite::set(p.amount, 8)),
+                        (self.cols.c_payment_cnt, ColumnWrite::set(1, 2)),
                     ],
                 },
             },
@@ -997,10 +1048,7 @@ impl TpccDb {
             effect: Effect::Update {
                 table: Table::District,
                 row: no.w_id * 10 + no.d_id,
-                writes: vec![(
-                    self.col(Table::District, "d_next_o_id"),
-                    ColumnWrite::set(ts.0, 4),
-                )],
+                writes: vec![(self.cols.d_next_o_id, ColumnWrite::set(ts.0, 4))],
             },
         });
         // Insert ORDER + NEWORDER rows (striped by home warehouse). The
@@ -1043,7 +1091,7 @@ impl TpccDb {
         // so), and the dedup below keeps that a hard guarantee — MVCC
         // forbids two same-timestamp updates of one row.
         let mut touched_stock: Vec<u64> = Vec::with_capacity(no.stock_rows.len());
-        let item_table = &self.tables[&Table::Item];
+        let items = self.table(Table::Item).store();
         for (i, (&item, &stock)) in no.items.iter().zip(&no.stock_rows).enumerate() {
             effects.push(TaggedEffect {
                 warehouse: no.w_id,
@@ -1055,7 +1103,7 @@ impl TpccDb {
             // ITEM is read-only after population, so its data region is
             // the newest version everywhere — the price the timed read
             // will observe at apply time.
-            let price = item_table.store().read_u64(RowSlot::Data { row: item }, 3);
+            let price = items.read_u64(RowSlot::Data { row: item }, self.cols.i_price);
             if !touched_stock.contains(&stock) {
                 touched_stock.push(stock);
                 effects.push(TaggedEffect {
@@ -1064,15 +1112,9 @@ impl TpccDb {
                         table: Table::Stock,
                         row: stock,
                         writes: vec![
-                            (
-                                self.col(Table::Stock, "s_quantity"),
-                                ColumnWrite::set(40, 2),
-                            ),
-                            (self.col(Table::Stock, "s_ytd"), ColumnWrite::set(price, 8)),
-                            (
-                                self.col(Table::Stock, "s_order_cnt"),
-                                ColumnWrite::set(1, 2),
-                            ),
+                            (self.cols.s_quantity, ColumnWrite::set(40, 2)),
+                            (self.cols.s_ytd, ColumnWrite::set(price, 8)),
+                            (self.cols.s_order_cnt, ColumnWrite::set(1, 2)),
                         ],
                     },
                 });
@@ -1116,7 +1158,7 @@ impl TpccDb {
         match effect {
             Effect::Read { table, row } => {
                 let local = self.own_row(*table, *row);
-                let t = self.tables.get_mut(table).expect("table not built");
+                let t = self.table_mut(*table);
                 let (_, r) = t.timed_read_slot(mem, meter, local, ts, *now);
                 b.merge(&r.breakdown);
                 *now = r.end;
@@ -1124,7 +1166,7 @@ impl TpccDb {
             }
             Effect::Update { table, row, writes } => {
                 let local = self.own_row(*table, *row);
-                let t = self.tables.get_mut(table).expect("table not built");
+                let t = self.table_mut(*table);
                 let r = t.timed_update(mem, meter, local, ts, writes, *now)?;
                 b.merge(&r.breakdown);
                 *now = r.end;
@@ -1268,8 +1310,8 @@ impl TpccDb {
         // the coordinator's decision is pure metadata.
         now += meter.commit_barrier();
         b.compute += meter.commit_barrier();
-        for t in self.tables.values_mut() {
-            t.prepare_txn(ts);
+        for t in &mut self.tables {
+            t.table.prepare_txn(ts);
         }
         let cursors = std::mem::take(&mut self.txn_cursor_log);
         debug_assert!(
@@ -1328,8 +1370,8 @@ impl TpccDb {
         self.prepared
             .remove(&ts)
             .unwrap_or_else(|| panic!("commit decision for unprepared {ts:?}"));
-        for t in self.tables.values_mut() {
-            t.commit_prepared_txn(ts);
+        for t in &mut self.tables {
+            t.table.commit_prepared_txn(ts);
         }
         if role == TxnRole::Coordinator {
             self.committed += 1;
@@ -1358,15 +1400,12 @@ impl TpccDb {
             .remove(&ts)
             .unwrap_or_else(|| panic!("abort decision for unprepared {ts:?}"));
         self.wasted_retry_time += p.elapsed;
-        for t in self.tables.values_mut() {
-            t.abort_prepared_txn(ts);
+        for t in &mut self.tables {
+            t.table.abort_prepared_txn(ts);
         }
         for (table, w) in p.cursors.into_iter().rev() {
-            let c = self
-                .insert_cursors
-                .get_mut(&(table, w))
-                .expect("cursor bumped by the aborting scope");
-            *c -= 1;
+            let slot = self.ring_slot(w);
+            self.tables[table as usize].insert_cursors[slot] -= 1;
         }
         self.aborts += 1;
         if self.san.enabled() {
@@ -1391,8 +1430,8 @@ impl TpccDb {
     /// participant-abort tests assert).
     pub fn prepared_versions(&self) -> u64 {
         self.tables
-            .values()
-            .map(|t| t.prepared_versions() as u64)
+            .iter()
+            .map(|t| t.table.prepared_versions() as u64)
             .sum()
     }
 }
