@@ -224,12 +224,31 @@ impl TableStore {
             self.rotation(to),
             "a version moves only within its rotation"
         );
-        for (part, pr) in self.region.parts().iter().enumerate() {
-            let src = base_offset(&self.region, part as u32, from) as usize;
-            let dst = base_offset(&self.region, part as u32, to) as usize;
+        let region = &self.region;
+        let span = |part: usize| {
+            let src = base_offset(region, part as u32, from) as usize;
+            let dst = base_offset(region, part as u32, to) as usize;
+            (src, dst, region.parts()[part].width as usize)
+        };
+        // Every device holds the same offsets, so each is sized once, to
+        // the furthest byte any part's copy reads or writes (exactly as
+        // far as copying part by part would have grown it), and the
+        // copies then run inside the extent.
+        let parts = region.parts().len();
+        let end = (0..parts)
+            .map(|part| {
+                let (src, dst, width) = span(part);
+                src.max(dst) + width
+            })
+            .max()
+            .unwrap_or(0);
+        for dev in 0..self.mem.width() {
+            self.mem.device_mut(dev).ensure(end);
+        }
+        for part in 0..parts {
+            let (src, dst, width) = span(part);
             for dev in 0..self.mem.width() {
-                let mem = self.mem.device_mut(dev);
-                mem.copy_within(src, dst, pr.width as usize);
+                self.mem.device_mut(dev).copy_within(src, dst, width);
             }
         }
     }

@@ -6,10 +6,48 @@
 //! lives in the delta region of the unified format.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use pushtap_format::RowSlot;
 
 use crate::timestamp::Ts;
+
+/// A multiply-rotate hasher with a fixed seed for the chains' maps. Their
+/// keys are row numbers and slots the engine itself hands out, so the
+/// standard library's randomly seeded SipHash buys nothing here and
+/// costs twice: every update, insert and read probes these maps several
+/// times, and a seed drawn per process makes the maps' growth — and so
+/// a run's allocation count — differ from run to run. No result depends
+/// on the maps' iteration order (every traversal sorts, see
+/// [`VersionChains::gc`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct FixedHasher(u64);
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_isize(&mut self, word: isize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the entropy in the high bits; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type FixedState = BuildHasherDefault<FixedHasher>;
 
 /// One row folded by a [`VersionChains::gc`] pass: the newest committed
 /// version at or below the cut moves back into the data region, and the
@@ -85,8 +123,8 @@ pub struct LogEntry {
 /// The version chains of one table.
 #[derive(Debug, Clone, Default)]
 pub struct VersionChains {
-    newest: HashMap<u64, RowSlot>,
-    meta: HashMap<RowSlot, VersionMeta>,
+    newest: HashMap<u64, RowSlot, FixedState>,
+    meta: HashMap<RowSlot, VersionMeta, FixedState>,
     log: Vec<LogEntry>,
     traverse_steps: u64,
     /// Versions written by prepared-but-uncommitted two-phase-commit
@@ -97,7 +135,7 @@ pub struct VersionChains {
     /// versions via [`VersionChains::undo_update`]. Several scopes may
     /// be pending at once (a pipelined coordinator overlaps the
     /// two-phase commits of non-conflicting transactions).
-    prepared: HashMap<RowSlot, Ts>,
+    prepared: HashMap<RowSlot, Ts, FixedState>,
 }
 
 impl VersionChains {
@@ -383,8 +421,8 @@ impl VersionChains {
         }
         let mut rows: Vec<u64> = self.newest.keys().copied().collect();
         rows.sort_unstable();
-        let mut freed_slots: HashSet<RowSlot> = HashSet::new();
-        let mut reanchor: HashMap<RowSlot, u64> = HashMap::new();
+        let mut freed_slots: HashSet<RowSlot, FixedState> = HashSet::default();
+        let mut reanchor: HashMap<RowSlot, u64, FixedState> = HashMap::default();
         for row in rows {
             let (chain, steps) = self.chain_slots(row);
             out.traverse_steps += steps;

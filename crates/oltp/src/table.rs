@@ -302,6 +302,13 @@ impl HtapTable {
         self.undo.is_active()
     }
 
+    /// Whether the active scope has recorded no mutation: the
+    /// transaction did not write this table, so there is nothing to
+    /// prepare or roll back on it.
+    pub fn txn_is_empty(&self) -> bool {
+        self.undo.is_empty()
+    }
+
     /// Whether any prepared scopes are parked on this table (two-phase
     /// commit participants awaiting their coordinator decisions — a
     /// pipelined coordinator can hold several at once).

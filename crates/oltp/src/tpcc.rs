@@ -73,6 +73,10 @@ struct PreparedScope {
     /// ring keys are disjoint by conflict scheduling), so out-of-order
     /// resolution is exact.
     cursors: Vec<(Table, u64)>,
+    /// The tables holding a prepared scope for this transaction, as a
+    /// bit per `Table as usize`: the ones its effects left undo records
+    /// on. The decision visits only these.
+    tables: u16,
 }
 
 /// One CH table of the database with the facts the executor needs on
@@ -1310,8 +1314,17 @@ impl TpccDb {
         // the coordinator's decision is pure metadata.
         now += meter.commit_barrier();
         b.compute += meter.commit_barrier();
-        for t in &mut self.tables {
-            t.table.prepare_txn(ts);
+        // A table the transaction never wrote (5 to 8 of the 12) has
+        // nothing to park: its scope closes here, and the decision will
+        // not visit it.
+        let mut prepared_tables = 0u16;
+        for (i, t) in self.tables.iter_mut().enumerate() {
+            if t.table.txn_is_empty() {
+                t.table.commit_txn();
+            } else {
+                t.table.prepare_txn(ts);
+                prepared_tables |= 1 << i;
+            }
         }
         let cursors = std::mem::take(&mut self.txn_cursor_log);
         debug_assert!(
@@ -1330,6 +1343,7 @@ impl TpccDb {
             PreparedScope {
                 elapsed: now.saturating_sub(at),
                 cursors,
+                tables: prepared_tables,
             },
         );
         if self.san.enabled() {
@@ -1367,11 +1381,12 @@ impl TpccDb {
     ///
     /// Panics if no transaction is prepared at `ts`.
     pub fn commit_prepared(&mut self, ts: Ts, role: TxnRole) {
-        self.prepared
+        let p = self
+            .prepared
             .remove(&ts)
             .unwrap_or_else(|| panic!("commit decision for unprepared {ts:?}"));
-        for t in &mut self.tables {
-            t.table.commit_prepared_txn(ts);
+        for t in self.prepared_tables(p.tables) {
+            t.commit_prepared_txn(ts);
         }
         if role == TxnRole::Coordinator {
             self.committed += 1;
@@ -1400,8 +1415,8 @@ impl TpccDb {
             .remove(&ts)
             .unwrap_or_else(|| panic!("abort decision for unprepared {ts:?}"));
         self.wasted_retry_time += p.elapsed;
-        for t in &mut self.tables {
-            t.table.abort_prepared_txn(ts);
+        for t in self.prepared_tables(p.tables) {
+            t.abort_prepared_txn(ts);
         }
         for (table, w) in p.cursors.into_iter().rev() {
             let slot = self.ring_slot(w);
@@ -1411,6 +1426,15 @@ impl TpccDb {
         if self.san.enabled() {
             self.san.abort_scope(self.san_track, ts.0);
         }
+    }
+
+    /// The tables a [`PreparedScope::tables`] mask names.
+    fn prepared_tables(&mut self, mask: u16) -> impl Iterator<Item = &mut HtapTable> {
+        self.tables
+            .iter_mut()
+            .enumerate()
+            .filter(move |(i, _)| mask & (1 << i) != 0)
+            .map(|(_, t)| &mut t.table)
     }
 
     /// Whether any prepared transactions are awaiting their coordinator

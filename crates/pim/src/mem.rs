@@ -110,10 +110,14 @@ impl DeviceMem {
 
     /// Copies `len` bytes from `src` to `dst` within this device (used by
     /// PIM-side defragmentation: the copy never crosses devices because new
-    /// versions share their origin row's rotation, §5.1).
+    /// versions share their origin row's rotation, §5.1). The store does
+    /// not grow here: a caller moving several ranges sizes it once with
+    /// [`DeviceMem::ensure`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range reaches past the allocated length.
     pub fn copy_within(&mut self, src: usize, dst: usize, len: usize) {
-        self.ensure(src + len);
-        self.ensure(dst + len);
         self.bytes.copy_within(src..src + len, dst);
     }
 }
@@ -245,6 +249,18 @@ mod tests {
         m.write(100, &[1, 2, 3, 4]);
         m.copy_within(100, 0, 4);
         assert_eq!(m.read(0, 4), &[1, 2, 3, 4]);
+        // A range past the extent is the caller's to size first.
+        m.ensure(204);
+        m.copy_within(100, 200, 4);
+        assert_eq!(m.read(200, 4), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn copy_within_does_not_grow_the_store() {
+        let mut m = DeviceMem::new();
+        m.write(0, &[1, 2, 3, 4]);
+        m.copy_within(0, 100, 4);
     }
 
     #[test]
