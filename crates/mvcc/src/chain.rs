@@ -424,7 +424,7 @@ impl VersionChains {
         let mut freed_slots: HashSet<RowSlot, FixedState> = HashSet::default();
         let mut reanchor: HashMap<RowSlot, u64, FixedState> = HashMap::default();
         for row in rows {
-            let (chain, steps) = self.chain_slots(row);
+            let (mut chain, steps) = self.chain_slots(row);
             out.traverse_steps += steps;
             // A prepared-but-uncommitted version pins its whole row: the
             // scope may still abort, which restores an older version.
@@ -446,11 +446,6 @@ impl VersionChains {
                 .get(&fold_slot)
                 .expect("fold slot must have metadata")
                 .write_ts;
-            let freed: Vec<RowSlot> = chain[fold_at..].to_vec();
-            for &s in &freed {
-                self.meta.remove(&s);
-                freed_slots.insert(s);
-            }
             if fold_at == 0 {
                 // The whole chain folded: the row is chainless again.
                 self.newest.remove(&row);
@@ -463,6 +458,13 @@ impl VersionChains {
                     .expect("surviving version must have metadata")
                     .prev = Some(RowSlot::Data { row });
                 reanchor.insert(fold_slot, row);
+            }
+            // The chain from the fold point down is what the fold frees.
+            chain.drain(..fold_at);
+            let freed = chain;
+            for &s in &freed {
+                self.meta.remove(&s);
+                freed_slots.insert(s);
             }
             out.folds.push(GcFold {
                 row,

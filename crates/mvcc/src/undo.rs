@@ -176,7 +176,9 @@ impl UndoLog {
     /// prepared at `ts` (timestamps are unique per transaction).
     pub fn prepare(&mut self, ts: Ts) {
         assert!(self.active, "prepare outside an active scope");
-        let records = std::mem::take(&mut self.records);
+        // Pinned at their exact size; the active list keeps its capacity
+        // for the next scope instead of regrowing from nothing.
+        let records: Vec<UndoRecord> = self.records.drain(..).collect();
         self.active = false;
         let clash = self.prepared.insert(ts, records);
         assert!(clash.is_none(), "a scope is already prepared at {ts:?}");

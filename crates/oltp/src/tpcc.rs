@@ -1326,7 +1326,7 @@ impl TpccDb {
                 prepared_tables |= 1 << i;
             }
         }
-        let cursors = std::mem::take(&mut self.txn_cursor_log);
+        let cursors: Vec<(Table, u64)> = self.txn_cursor_log.drain(..).collect();
         debug_assert!(
             {
                 let mut keys: Vec<_> = cursors.clone();
