@@ -6,9 +6,12 @@
 //! memory traffic against the timing simulator separately.
 //!
 //! The one format is read along two dimensions. The *row* dimension is
-//! the CPU's view (§4.1): [`TableStore::read_row`] and
-//! [`TableStore::write_row`] gather or scatter a row version across every
-//! device it spans. The *column* dimension is a PIM unit's view (§4.2,
+//! the CPU's view (§4.1): [`TableStore::read_row`] gathers a row version
+//! from every device it spans, [`TableStore::write_image`] scatters one
+//! from its image (the columns' bytes in schema order;
+//! [`TableStore::write_row`] takes a value per column instead), and
+//! [`TableStore::copy_version`] moves one slot to slot on its own
+//! devices. The *column* dimension is a PIM unit's view (§4.2,
 //! §6.2): a [`ColumnCursor`] resolves one column's placement once and
 //! then decodes that column's value of any slot straight from the device
 //! bytes.

@@ -20,6 +20,15 @@
 //! translates to its local slice and asserts ownership — an effect
 //! handed to a non-owning engine is a routing bug, not a fallback path.
 //!
+//! An effect is flat: a read is two numbers, an update is a list of
+//! `(column, value, width)` with no byte vector per value
+//! ([`ColumnWrite`]), and an insert is **one row image** — the new row's
+//! columns one after another in schema order, in a single allocation
+//! ([`Effect::Insert`]). The image is what the table store scatters
+//! (`TableStore::write_image`) and what the log frames column by column
+//! ([`crate::codec`]); nothing between the decomposition and either of
+//! them builds a value list.
+//!
 //! [`TpccDb::decompose`]: crate::TpccDb::decompose
 
 use pushtap_chbench::Table;

@@ -478,8 +478,9 @@ impl HtapTable {
 
     /// Hands `f` every cache line a full access to the row version at
     /// `slot` touches under the table's access model, in issue order.
-    /// Nothing is collected: the walk runs over the per-table
-    /// [`LinePlan`].
+    /// Nothing is collected: the walk runs over a per-table plan that
+    /// [`HtapTable::new`] resolved from the layout, the region plan and
+    /// the configuration.
     ///
     /// # Panics
     ///

@@ -577,3 +577,207 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Prepared scopes across tables
+// ---------------------------------------------------------------------
+
+/// A transaction prepared on `db` and awaiting its decision.
+struct Pending {
+    ts: Ts,
+    effects: Vec<pushtap_oltp::TaggedEffect>,
+    keys: pushtap_oltp::KeySet,
+    /// The coordinator aborts the prepared scope first; the transaction
+    /// then retries at its pinned timestamp and commits.
+    abort_first: bool,
+}
+
+/// The tables an effect set leaves undo records on: the ones it updates
+/// or inserts into (a read records nothing).
+fn written_tables(effects: &[pushtap_oltp::TaggedEffect]) -> Vec<Table> {
+    let mut tables: Vec<Table> = effects
+        .iter()
+        .filter_map(|e| match &e.effect {
+            pushtap_oltp::Effect::Read { .. } => None,
+            pushtap_oltp::Effect::Update { table, .. }
+            | pushtap_oltp::Effect::Insert { table, .. } => Some(*table),
+        })
+        .collect();
+    tables.sort_unstable();
+    tables.dedup();
+    tables
+}
+
+/// After every decision and every vote: no table is left inside an
+/// active scope, a table holds a prepared scope exactly when a pending
+/// transaction wrote it, and with nothing pending no prepared version
+/// is left anywhere.
+fn check_scopes(db: &TpccDb, pending: &[Pending]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(db.prepared_scopes(), pending.len());
+    for table in pushtap_chbench::ALL_TABLES {
+        let t = db.table(table);
+        prop_assert!(!t.in_txn(), "{:?} left inside an active scope", table);
+        let expected = pending
+            .iter()
+            .any(|p| written_tables(&p.effects).contains(&table));
+        prop_assert_eq!(
+            t.in_prepared_txn(),
+            expected,
+            "{:?} with {} pending",
+            table,
+            pending.len()
+        );
+        if !expected {
+            prop_assert_eq!(t.prepared_versions(), 0, "{:?}", table);
+        }
+    }
+    if pending.is_empty() {
+        prop_assert_eq!(db.prepared_versions(), 0);
+        prop_assert!(!db.in_prepared_txn());
+    }
+    Ok(())
+}
+
+fn defragment_everything(db: &mut TpccDb) {
+    let cost = DefragCostModel::new(16.0, 1e9, 3e9);
+    let upto = db.last_ts();
+    for table in pushtap_chbench::ALL_TABLES {
+        if db.table(table).chains().updated_row_count() > 0 {
+            db.table_mut(table)
+                .defragment(&cost, DefragStrategy::Hybrid, upto);
+        }
+    }
+}
+
+/// Decides every pending transaction, newest first when `reversed`.
+fn decide_all(
+    db: &mut TpccDb,
+    mem: &mut MemSystem,
+    pending: &mut Vec<Pending>,
+    reversed: bool,
+) -> Result<(), TestCaseError> {
+    if reversed {
+        pending.reverse();
+    }
+    let mut retries = Vec::new();
+    while let Some(p) = pending.pop() {
+        if p.abort_first {
+            db.abort_prepared(p.ts);
+            retries.push(p);
+        } else {
+            db.commit_prepared(p.ts, pushtap_oltp::TxnRole::Coordinator);
+        }
+        check_scopes(db, pending)?;
+    }
+    // Every aborted scope retries at its pinned timestamp. Its rows and
+    // rings were disjoint from everything decided beside it, so it finds
+    // them as it left them; only a full arena can turn it away again.
+    for p in retries {
+        if db.prepare_effects(&p.effects, p.ts, mem, Ps::ZERO).is_err() {
+            check_scopes(db, &[])?;
+            defragment_everything(db);
+            db.prepare_effects(&p.effects, p.ts, mem, Ps::ZERO)
+                .expect("room after defragmentation");
+        }
+        db.commit_prepared(p.ts, pushtap_oltp::TxnRole::Coordinator);
+        check_scopes(db, &[])?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Payments (4 tables) and NewOrders (5 of another 7) prepare, hold
+    /// and resolve in every interleaving conflict scheduling allows, in
+    /// arenas of two slots: scopes that commit, scopes the coordinator
+    /// aborts and that retry, and prepares a full arena turns away, on
+    /// different tables at once. A table a transaction never wrote must
+    /// neither keep a scope nor strand one, after every vote and every
+    /// decision; and the committed bytes, ring cursors and commit count
+    /// equal a plain engine's that ran the same stream one transaction
+    /// at a time.
+    #[test]
+    fn prepared_scopes_resolve_on_exactly_the_tables_they_wrote(
+        seed in 0u64..1024,
+        decisions in prop::collection::vec((0u8..3, any::<bool>(), any::<bool>()), 8..40),
+    ) {
+        let mut cfg = DbConfig::small();
+        cfg.min_warehouses = 4;
+        cfg.min_delta_rows = 16; // two slots per rotation arena
+        let mem0 = MemSystem::dimm();
+        let mut db = TpccDb::build(&cfg, &mem0).expect("build");
+        let mut plain = TpccDb::build(&cfg, &mem0).expect("build");
+        let (mut mem, mut plain_mem) = (MemSystem::dimm(), MemSystem::dimm());
+        let mut tg = pushtap_chbench::TxnGen::new(
+            seed,
+            db.warehouses_global(),
+            db.global_rows_of(Table::Customer),
+            db.global_rows_of(Table::Item),
+            db.global_rows_of(Table::Stock),
+        );
+        let mut pending: Vec<Pending> = Vec::new();
+        let mut turned_away = 0u32;
+        for (i, &(abort, hold, reversed)) in decisions.iter().enumerate() {
+            let txn = tg.next_txn();
+            let ts = Ts(i as u64 + 1);
+
+            // The plain engine: one transaction at a time.
+            if plain.execute_at(&txn, ts, &mut plain_mem, Ps::ZERO).is_err() {
+                defragment_everything(&mut plain);
+                plain
+                    .execute_at(&txn, ts, &mut plain_mem, Ps::ZERO)
+                    .expect("room after defragmentation");
+            }
+
+            // Conflict scheduling: a transaction prepares beside the
+            // pending ones only if it shares no row or ring with them.
+            let keys = db.keyset(&txn, ts);
+            if pending.iter().any(|p| p.keys.conflicts(&keys)) {
+                decide_all(&mut db, &mut mem, &mut pending, reversed)?;
+            }
+            let effects = db.decompose(&txn, ts);
+            if db.prepare_effects(&effects, ts, &mut mem, Ps::ZERO).is_err() {
+                // A full arena: the vote is no, nothing is held, and the
+                // scopes prepared earlier are untouched.
+                turned_away += 1;
+                check_scopes(&db, &pending)?;
+                decide_all(&mut db, &mut mem, &mut pending, reversed)?;
+                defragment_everything(&mut db);
+                db.prepare_effects(&effects, ts, &mut mem, Ps::ZERO)
+                    .expect("room after defragmentation");
+            }
+            pending.push(Pending {
+                ts,
+                effects,
+                keys,
+                abort_first: abort == 0,
+            });
+            check_scopes(&db, &pending)?;
+            // A held scope stays prepared while later transactions
+            // prepare theirs, three at most.
+            if !hold || pending.len() >= 3 {
+                decide_all(&mut db, &mut mem, &mut pending, reversed)?;
+            }
+        }
+        decide_all(&mut db, &mut mem, &mut pending, false)?;
+        prop_assert!(turned_away > 0, "two-slot arenas must fill");
+
+        prop_assert_eq!(db.committed(), plain.committed());
+        for table in pushtap_chbench::ALL_TABLES {
+            for w in 0..db.warehouses_global() {
+                prop_assert_eq!(db.insert_cursor(table, w), plain.insert_cursor(table, w));
+            }
+            let (a, b) = (db.table(table), plain.table(table));
+            for row in 0..a.n_rows() {
+                prop_assert_eq!(
+                    a.store().read_row(a.chains().newest_slot(row)),
+                    b.store().read_row(b.chains().newest_slot(row)),
+                    "{:?} row {}",
+                    table,
+                    row
+                );
+            }
+        }
+    }
+}
