@@ -61,20 +61,80 @@ fn mix(table: Table, row: u64, col: u32) -> u64 {
     x ^ (x >> 31)
 }
 
+/// What a column's values look like, decided once per column from its
+/// name.
+#[derive(Debug, Clone, Copy)]
+enum ValueKind {
+    /// A dense identifier below this bound.
+    Id(u64),
+    /// A timestamp in the 2007–2009 window.
+    Date,
+    /// A small count, 1..=50.
+    Quantity,
+    /// Money in cents.
+    Money,
+    /// Printable text.
+    Text,
+}
+
+impl ValueKind {
+    /// Identifier columns (`*_id`, `*key`) carry small dense values so
+    /// joins/filters select realistic fractions; date columns carry a
+    /// monotone timestamp; quantity/amount columns carry small numerics;
+    /// other columns carry text.
+    fn of(name: &str) -> ValueKind {
+        if name.ends_with("_id")
+            || name.ends_with("suppkey")
+            || name.ends_with("nationkey")
+            || name.ends_with("regionkey")
+            || name == "ol_number"
+        {
+            ValueKind::Id(match name {
+                "ol_i_id" | "i_id" | "s_i_id" => 100_000,
+                "ol_number" => 15,
+                _ => 10_000,
+            })
+        } else if name.ends_with("_d") || name.ends_with("date") || name.ends_with("since") {
+            ValueKind::Date
+        } else if name.contains("quantity") || name.contains("cnt") {
+            ValueKind::Quantity
+        } else if name.contains("amount")
+            || name.contains("price")
+            || name.contains("bal")
+            || name.contains("ytd")
+            || name.contains("tax")
+            || name.contains("discount")
+            || name.contains("credit_lim")
+        {
+            ValueKind::Money
+        } else {
+            ValueKind::Text
+        }
+    }
+}
+
 /// A deterministic row generator for one table.
 #[derive(Debug, Clone)]
 pub struct RowGen {
     table: Table,
     schema: TableSchema,
+    /// Per column: what to generate and at which width.
+    kinds: Vec<(ValueKind, u32)>,
     rows: u64,
 }
 
 impl RowGen {
     /// Creates a generator producing `rows` rows of `table`.
     pub fn new(table: Table, rows: u64) -> RowGen {
+        let schema = table.schema();
         RowGen {
             table,
-            schema: table.schema(),
+            kinds: schema
+                .columns()
+                .iter()
+                .map(|c| (ValueKind::of(&c.name), c.width))
+                .collect(),
+            schema,
             rows,
         }
     }
@@ -106,47 +166,18 @@ impl RowGen {
     }
 
     /// Appends the value of `(row, col)` to `out`.
-    ///
-    /// Identifier columns (`*_id`, `*key`) carry small dense values so
-    /// joins/filters select realistic fractions; date columns carry a
-    /// monotone timestamp; quantity/amount columns carry small numerics;
-    /// other columns carry text.
     fn put_value(&self, row: u64, col: u32, out: &mut Vec<u8>) {
         assert!(row < self.rows, "row {row} out of range");
-        let c = self.schema.column(col);
+        let (kind, width) = self.kinds[col as usize];
         let h = mix(self.table, row, col);
-        let name = c.name.as_str();
-        if name.ends_with("_id")
-            || name.ends_with("suppkey")
-            || name.ends_with("nationkey")
-            || name.ends_with("regionkey")
-            || name == "ol_number"
-        {
-            // Dense identifier domain.
-            let dom = match name {
-                "ol_i_id" | "i_id" | "s_i_id" => 100_000,
-                "ol_number" => 15,
-                _ => 10_000,
-            };
-            put_u64(out, h % dom, c.width)
-        } else if name.ends_with("_d") || name.ends_with("date") || name.ends_with("since") {
-            // Timestamps: uniform over a 2007–2009 window, so date
-            // predicates have scale-independent selectivity.
-            put_u64(out, 1_167_600_000 + h % 63_072_000, c.width)
-        } else if name.contains("quantity") || name.contains("cnt") {
-            put_u64(out, 1 + h % 50, c.width)
-        } else if name.contains("amount")
-            || name.contains("price")
-            || name.contains("bal")
-            || name.contains("ytd")
-            || name.contains("tax")
-            || name.contains("discount")
-            || name.contains("credit_lim")
-        {
-            // Money in cents.
-            put_u64(out, h % 1_000_000, c.width)
-        } else {
-            put_text(out, h, c.width)
+        match kind {
+            ValueKind::Id(domain) => put_u64(out, h % domain, width),
+            // Uniform over the window, so date predicates have
+            // scale-independent selectivity.
+            ValueKind::Date => put_u64(out, 1_167_600_000 + h % 63_072_000, width),
+            ValueKind::Quantity => put_u64(out, 1 + h % 50, width),
+            ValueKind::Money => put_u64(out, h % 1_000_000, width),
+            ValueKind::Text => put_text(out, h, width),
         }
     }
 
