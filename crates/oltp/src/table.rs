@@ -87,10 +87,10 @@ enum LinePlan {
     /// The unified format: one strip per part (§4.1.1), each on its own
     /// channel.
     Unified(Vec<PartLines>),
-    /// A contiguous row-store row of this many bytes.
-    RowStore { row_width: u64 },
-    /// One array per column.
-    ColumnStore(Vec<ColumnLines>),
+    /// Contiguous arrays of fixed-width elements, one element per row:
+    /// the row-store model is one array of whole rows, the column-store
+    /// model one array per column.
+    Arrays(Vec<ArrayLines>),
 }
 
 /// One part of the unified format, as a row access sees it.
@@ -109,14 +109,14 @@ struct PartLines {
     useful: u64,
 }
 
-/// One column array of the column-store timing model.
+/// One array of the row-store or column-store timing model.
 #[derive(Debug, Clone, Copy)]
-struct ColumnLines {
-    /// As [`PartLines::salt`], per column.
+struct ArrayLines {
+    /// As [`PartLines::salt`], per column; 0 for the row-store's rows.
     salt: u64,
-    /// Column width in bytes.
+    /// Element width in bytes: a row's or a column's.
     width: u64,
-    /// Byte offset of the column's array.
+    /// Byte offset of the array.
     base: u64,
 }
 
@@ -182,14 +182,16 @@ impl HtapTable {
                     })
                     .collect(),
             ),
-            AccessModel::RowStore => LinePlan::RowStore {
-                row_width: schema.row_width() as u64,
-            },
+            AccessModel::RowStore => LinePlan::Arrays(vec![ArrayLines {
+                salt: bank_salt(0),
+                width: schema.row_width() as u64,
+                base: 0,
+            }]),
             AccessModel::ColumnStore => {
                 let mut base = 0u64;
                 let columns = schema.columns().iter().enumerate().map(|(ci, col)| {
                     let width = col.width as u64;
-                    let lines = ColumnLines {
+                    let lines = ArrayLines {
                         salt: bank_salt(ci as u64 + 1),
                         width,
                         base,
@@ -197,7 +199,7 @@ impl HtapTable {
                     base += width * cfg.n_rows;
                     lines
                 });
-                LinePlan::ColumnStore(columns.collect())
+                LinePlan::Arrays(columns.collect())
             }
         };
         HtapTable {
@@ -533,26 +535,11 @@ impl HtapTable {
                     }
                 }
             }
-            LinePlan::RowStore { row_width } => {
-                let bank = self.bank_of(block, 0);
-                let w = *row_width;
-                let offset = row * w;
-                let l0 = offset / line_bytes;
-                let l1 = (offset + w - 1) / line_bytes + 1;
-                let useful = (w / (l1 - l0)).min(line_bytes) as u32;
-                for l in l0..l1 {
-                    f(LineRef {
-                        bank,
-                        dram_row: self.dram_row(l * g),
-                        useful,
-                    });
-                }
-            }
-            LinePlan::ColumnStore(columns) => {
-                for col in columns {
-                    let bank = self.bank_of(block, col.salt);
-                    let w = col.width;
-                    let offset = col.base + row * w;
+            LinePlan::Arrays(arrays) => {
+                for array in arrays {
+                    let bank = self.bank_of(block, array.salt);
+                    let w = array.width;
+                    let offset = array.base + row * w;
                     let l0 = offset / line_bytes;
                     let l1 = (offset + w - 1) / line_bytes + 1;
                     let useful = (w / (l1 - l0)).min(line_bytes) as u32;
