@@ -4,50 +4,23 @@
 //! pointer to the previous version. Metadata lives in CPU memory ("as
 //! metadata is not required by PIM units", §5.1); the versions' *data*
 //! lives in the delta region of the unified format.
+//!
+//! The keys of that metadata are small dense integers the engine itself
+//! hands out — a data-region row number, a `(rotation, idx)` delta slot —
+//! so it is held in arrays, not maps: `newest[row]` is the row's newest
+//! delta slot, and `slots[rotation][idx]` is that slot's [`VersionMeta`]
+//! together with its prepared mark. Every lookup on the transaction path
+//! (newest slot, a chain hop, a read stamp, a prepared mark) is one
+//! indexed load, and everything that enumerates rows — garbage
+//! collection, defragmentation — meets them in ascending order without
+//! sorting. The arrays grow on demand to the highest row and slot ever
+//! recorded, so [`VersionChains::new`] needs no sizes.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use pushtap_format::RowSlot;
 
 use crate::timestamp::Ts;
-
-/// A multiply-rotate hasher with a fixed seed for the chains' maps. Their
-/// keys are row numbers and slots the engine itself hands out, so the
-/// standard library's randomly seeded SipHash buys nothing here and
-/// costs twice: every update, insert and read probes these maps several
-/// times, and a seed drawn per process makes the maps' growth — and so
-/// a run's allocation count — differ from run to run. No result depends
-/// on the maps' iteration order (every traversal sorts, see
-/// [`VersionChains::gc`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct FixedHasher(u64);
-
-impl Hasher for FixedHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b as u64));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(word as u64);
-    }
-
-    fn write_isize(&mut self, word: isize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the entropy in the high bits; the table
-        // indexes by the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
-type FixedState = BuildHasherDefault<FixedHasher>;
 
 /// One row folded by a [`VersionChains::gc`] pass: the newest committed
 /// version at or below the cut moves back into the data region, and the
@@ -64,9 +37,9 @@ pub struct GcFold {
     /// fold releases (every other freed version is older). The sanitizer
     /// checks it against the registered pins.
     pub fold_ts: Ts,
-    /// Every delta slot this fold releases: `fold_slot` itself plus all
-    /// older versions it supersedes, newest first.
-    pub freed: Vec<RowSlot>,
+    /// Where this fold's released slots lie in [`GcOutcome::freed`]; read
+    /// them with [`GcOutcome::freed_of`].
+    freed: Range<usize>,
 }
 
 /// The outcome of one [`VersionChains::gc`] pass.
@@ -74,6 +47,10 @@ pub struct GcFold {
 pub struct GcOutcome {
     /// Rows folded, in ascending row order (deterministic across runs).
     pub folds: Vec<GcFold>,
+    /// Every delta slot the pass releases, fold after fold: one list for
+    /// the whole pass, of which each fold owns a range
+    /// ([`GcOutcome::freed_of`]).
+    pub freed: Vec<RowSlot>,
     /// Original log indices of the trimmed entries, ascending. The
     /// caller forwards these to `Snapshot::note_log_trimmed` so the
     /// incremental cursor keeps pointing at the same surviving entry.
@@ -84,9 +61,15 @@ pub struct GcOutcome {
 }
 
 impl GcOutcome {
+    /// Every delta slot `fold` releases: its `fold_slot` plus all older
+    /// versions it supersedes, newest first.
+    pub fn freed_of(&self, fold: &GcFold) -> &[RowSlot] {
+        &self.freed[fold.freed.clone()]
+    }
+
     /// Total delta slots released by this pass.
     pub fn slots_recycled(&self) -> usize {
-        self.folds.iter().map(|f| f.freed.len()).sum()
+        self.freed.len()
     }
 
     /// Whether the pass reclaimed nothing.
@@ -120,22 +103,61 @@ pub struct LogEntry {
     pub prev_slot: RowSlot,
 }
 
+/// What the chains keep per delta slot (48 bytes).
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotState {
+    /// The metadata of the version in the slot; `None` while the slot
+    /// holds no version.
+    meta: Option<VersionMeta>,
+    /// The pinned commit timestamp of the two-phase-commit scope that
+    /// wrote the version, while the scope is prepared-but-uncommitted.
+    prepared: Option<Ts>,
+}
+
+/// `slot`'s state, if the arrays reach it (they grow on
+/// [`VersionChains::record_update`], so a slot they do not reach holds no
+/// version). Data-region slots have none.
+fn state_of(slots: &[Vec<SlotState>], slot: RowSlot) -> Option<&SlotState> {
+    match slot {
+        RowSlot::Data { .. } => None,
+        RowSlot::Delta { rotation, idx } => slots.get(rotation as usize)?.get(idx as usize),
+    }
+}
+
+/// [`state_of`], to change it.
+fn state_mut(slots: &mut [Vec<SlotState>], slot: RowSlot) -> Option<&mut SlotState> {
+    match slot {
+        RowSlot::Data { .. } => None,
+        RowSlot::Delta { rotation, idx } => slots.get_mut(rotation as usize)?.get_mut(idx as usize),
+    }
+}
+
 /// The version chains of one table.
 #[derive(Debug, Clone, Default)]
 pub struct VersionChains {
-    newest: HashMap<u64, RowSlot, FixedState>,
-    meta: HashMap<RowSlot, VersionMeta, FixedState>,
+    /// `newest[row]`: the newest delta version of `row`, `None` while the
+    /// row has only its origin version (16 bytes per row, up to the
+    /// highest row ever updated).
+    newest: Vec<Option<RowSlot>>,
+    /// Rows with a delta version: the `Some` entries of `newest`.
+    updated: usize,
+    /// `slots[rotation][idx]`: the state of delta slot `(rotation, idx)`,
+    /// up to the highest index ever recorded in the arena.
+    slots: Vec<Vec<SlotState>>,
+    /// Slots holding a version: the `Some` metadata entries of `slots`.
+    versions: usize,
     log: Vec<LogEntry>,
     traverse_steps: u64,
-    /// Versions written by prepared-but-uncommitted two-phase-commit
-    /// scopes, keyed by the scope's pinned commit timestamp. They sit on
+    /// The slots carrying a prepared mark — versions written by
+    /// prepared-but-uncommitted two-phase-commit scopes. They sit on
     /// the chains (the scope's writes are applied in place) but the
     /// coordinator has not yet decided their fate: the scope's commit
     /// decision clears its marks, its abort decision removes its
     /// versions via [`VersionChains::undo_update`]. Several scopes may
     /// be pending at once (a pipelined coordinator overlaps the
-    /// two-phase commits of non-conflicting transactions).
-    prepared: HashMap<RowSlot, Ts, FixedState>,
+    /// two-phase commits of non-conflicting transactions); the list is
+    /// as short as their write sets together.
+    pending: Vec<RowSlot>,
 }
 
 impl VersionChains {
@@ -159,21 +181,38 @@ impl VersionChains {
     /// # Panics
     ///
     /// Panics if `ts` is not newer than the row's current version (commits
-    /// are timestamp-ordered per row under MVCC write locking).
+    /// are timestamp-ordered per row under MVCC write locking), or if
+    /// `new_slot` is not a delta slot.
     pub fn record_update(&mut self, row: u64, new_slot: RowSlot, ts: Ts) -> RowSlot {
+        let RowSlot::Delta { rotation, idx } = new_slot else {
+            panic!("new version of row {row} outside the delta region");
+        };
         let prev = self.newest_slot(row);
-        if let Some(m) = self.meta.get(&prev) {
+        if let Some(m) = self.meta(prev) {
             assert!(m.write_ts < ts, "non-monotone commit at row {row}");
         }
-        self.meta.insert(
-            new_slot,
-            VersionMeta {
-                write_ts: ts,
-                read_ts: ts,
-                prev: Some(prev),
-            },
-        );
-        self.newest.insert(row, new_slot);
+        let (rotation, idx) = (rotation as usize, idx as usize);
+        if self.slots.len() <= rotation {
+            self.slots.resize(rotation + 1, Vec::new());
+        }
+        let arena = &mut self.slots[rotation];
+        if arena.len() <= idx {
+            arena.resize(idx + 1, SlotState::default());
+        }
+        let meta = VersionMeta {
+            write_ts: ts,
+            read_ts: ts,
+            prev: Some(prev),
+        };
+        if arena[idx].meta.replace(meta).is_none() {
+            self.versions += 1;
+        }
+        if self.newest.len() <= row as usize {
+            self.newest.resize(row as usize + 1, None);
+        }
+        if self.newest[row as usize].replace(new_slot).is_none() {
+            self.updated += 1;
+        }
         let entry = LogEntry {
             ts,
             row,
@@ -190,17 +229,19 @@ impl VersionChains {
         prev
     }
 
+    /// The newest delta version of `row`, if it has one.
+    fn newest_delta(&self, row: u64) -> Option<RowSlot> {
+        self.newest.get(row as usize).copied().flatten()
+    }
+
     /// The newest version slot of `row` (its origin slot if never updated).
     pub fn newest_slot(&self, row: u64) -> RowSlot {
-        self.newest
-            .get(&row)
-            .copied()
-            .unwrap_or(RowSlot::Data { row })
+        self.newest_delta(row).unwrap_or(RowSlot::Data { row })
     }
 
     /// Whether `row` has any delta versions.
     pub fn has_versions(&self, row: u64) -> bool {
-        self.newest.contains_key(&row)
+        self.newest_delta(row).is_some()
     }
 
     /// The version of `row` visible at `ts`, and the number of chain hops
@@ -210,20 +251,22 @@ impl VersionChains {
         let mut slot = self.newest_slot(row);
         let mut steps = 0u32;
         loop {
-            match self.meta.get(&slot) {
+            match self.meta(slot) {
                 Some(m) if m.write_ts > ts => {
                     steps += 1;
-                    self.traverse_steps += 1;
                     slot = m.prev.expect("chain must terminate at an origin version");
                 }
-                _ => return (slot, steps),
+                _ => {
+                    self.traverse_steps += steps as u64;
+                    return (slot, steps);
+                }
             }
         }
     }
 
     /// Updates the read timestamp of the version at `slot`.
     pub fn mark_read(&mut self, slot: RowSlot, ts: Ts) {
-        if let Some(m) = self.meta.get_mut(&slot) {
+        if let Some(m) = state_mut(&mut self.slots, slot).and_then(|s| s.meta.as_mut()) {
             m.read_ts = m.read_ts.max(ts);
         }
     }
@@ -231,17 +274,20 @@ impl VersionChains {
     /// Metadata of a version, if it has any (origin versions without
     /// updates have implicit `write_ts = 0`).
     pub fn meta(&self, slot: RowSlot) -> Option<&VersionMeta> {
-        self.meta.get(&slot)
+        state_of(&self.slots, slot)?.meta.as_ref()
     }
 
-    /// Rows that currently have delta versions.
+    /// Rows that currently have delta versions, ascending.
     pub fn updated_rows(&self) -> impl Iterator<Item = u64> + '_ {
-        self.newest.keys().copied()
+        self.newest
+            .iter()
+            .enumerate()
+            .filter_map(|(row, newest)| newest.map(|_| row as u64))
     }
 
     /// Number of rows with delta versions.
     pub fn updated_row_count(&self) -> usize {
-        self.newest.len()
+        self.updated
     }
 
     /// The committed-update log, in timestamp order.
@@ -253,13 +299,17 @@ impl VersionChains {
     /// written by the two-phase-commit scope pinned at `ts`, whose
     /// coordinator decision is still pending. Called when a participant
     /// parks its scope after applying an effect set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` has no delta version.
     pub fn mark_prepared(&mut self, row: u64, ts: Ts) {
         let slot = self.newest_slot(row);
-        debug_assert!(
-            matches!(slot, RowSlot::Delta { .. }),
-            "prepared mark on an origin version of row {row}"
-        );
-        self.prepared.insert(slot, ts);
+        let state = state_mut(&mut self.slots, slot)
+            .unwrap_or_else(|| panic!("prepared mark on an origin version of row {row}"));
+        if state.prepared.replace(ts).is_none() {
+            self.pending.push(slot);
+        }
     }
 
     /// Resolves the prepared marks of the scope pinned at `ts` as
@@ -267,9 +317,17 @@ impl VersionChains {
     /// other pending scopes stay. Returns the number of versions
     /// promoted.
     pub fn commit_prepared(&mut self, ts: Ts) -> usize {
-        let before = self.prepared.len();
-        self.prepared.retain(|_, scope| *scope != ts);
-        before - self.prepared.len()
+        let before = self.pending.len();
+        let slots = &mut self.slots;
+        self.pending.retain(|&slot| {
+            let state = state_mut(slots, slot).expect("a marked slot holds a version");
+            let theirs = state.prepared == Some(ts);
+            if theirs {
+                state.prepared = None;
+            }
+            !theirs
+        });
+        before - self.pending.len()
     }
 
     /// Number of prepared-but-uncommitted versions currently sitting on
@@ -278,13 +336,13 @@ impl VersionChains {
     /// for snapshotting (a snapshot must never publish an undecided
     /// version).
     pub fn prepared_count(&self) -> usize {
-        self.prepared.len()
+        self.pending.len()
     }
 
     /// Reverses the most recent [`VersionChains::record_update`] of
     /// `row` — the chain half of transaction rollback. Removes the
-    /// newest version of `row` from the chain, the metadata map, and the
-    /// commit log, and returns the removed slot (so the caller can
+    /// newest version of `row` from the chain, the metadata arrays, and
+    /// the commit log, and returns the removed slot (so the caller can
     /// release it back to the delta allocator).
     ///
     /// The entry need not be the log tail: a pipelined coordinator can
@@ -327,27 +385,31 @@ impl VersionChains {
             .expect("undo_update for a row with no log entry");
         let e = self.log.remove(at);
         assert_eq!(
-            self.newest.get(&row),
-            Some(&e.new_slot),
+            self.newest_delta(row),
+            Some(e.new_slot),
             "undo_update of a superseded version at row {row}"
         );
-        let m = self
+        let state =
+            state_mut(&mut self.slots, e.new_slot).expect("undone version must have metadata");
+        let m = state
             .meta
-            .remove(&e.new_slot)
+            .take()
             .expect("undone version must have metadata");
         debug_assert_eq!(m.prev, Some(e.prev_slot), "chain/log disagree");
-        self.prepared.remove(&e.new_slot);
-        match e.prev_slot {
+        if state.prepared.take().is_some() {
+            self.pending.retain(|&slot| slot != e.new_slot);
+        }
+        self.versions -= 1;
+        self.newest[row as usize] = match e.prev_slot {
             // The row had an older delta version: restore it as newest.
-            RowSlot::Delta { .. } => {
-                self.newest.insert(row, e.prev_slot);
-            }
+            RowSlot::Delta { .. } => Some(e.prev_slot),
             // The undone version superseded the origin: the row has no
             // delta versions any more.
             RowSlot::Data { .. } => {
-                self.newest.remove(&row);
+                self.updated -= 1;
+                None
             }
-        }
+        };
         e.new_slot
     }
 
@@ -362,8 +424,7 @@ impl VersionChains {
             out.push(slot);
             steps += 1;
             slot = self
-                .meta
-                .get(&slot)
+                .meta(slot)
                 .and_then(|m| m.prev)
                 .expect("delta version must have a predecessor");
         }
@@ -380,15 +441,15 @@ impl VersionChains {
     /// defragmenting would fold an undecided write into the data region.
     pub fn clear_after_defrag(&mut self) -> usize {
         assert!(
-            self.prepared.is_empty(),
+            self.pending.is_empty(),
             "defragmentation with {} prepared-but-uncommitted versions",
-            self.prepared.len()
+            self.pending.len()
         );
-        let versions = self.meta.len();
         self.newest.clear();
-        self.meta.clear();
+        self.updated = 0;
+        self.slots.iter_mut().for_each(Vec::clear);
         self.log.clear();
-        versions
+        std::mem::take(&mut self.versions)
     }
 
     /// Total chain hops ever traversed (for the Fig. 11(c) breakdown).
@@ -419,58 +480,64 @@ impl VersionChains {
         if before == Ts::ZERO {
             return out;
         }
-        let mut rows: Vec<u64> = self.newest.keys().copied().collect();
-        rows.sort_unstable();
-        let mut freed_slots: HashSet<RowSlot, FixedState> = HashSet::default();
-        let mut reanchor: HashMap<RowSlot, u64, FixedState> = HashMap::default();
-        for row in rows {
-            let (mut chain, steps) = self.chain_slots(row);
-            out.traverse_steps += steps;
-            // A prepared-but-uncommitted version pins its whole row: the
-            // scope may still abort, which restores an older version.
-            if chain.iter().any(|s| self.prepared.contains_key(s)) {
-                continue;
-            }
-            let Some(fold_at) = chain.iter().position(|s| {
-                self.meta
-                    .get(s)
-                    .expect("chain slot must have metadata")
-                    .write_ts
-                    <= before
-            }) else {
+        for at in 0..self.newest.len() {
+            let Some(newest) = self.newest[at] else {
                 continue;
             };
-            let fold_slot = chain[fold_at];
-            let fold_ts = self
-                .meta
-                .get(&fold_slot)
-                .expect("fold slot must have metadata")
-                .write_ts;
-            if fold_at == 0 {
+            let row = at as u64;
+            // One walk down the chain finds everything the fold needs:
+            // the hops, whether a prepared version pins the row, the
+            // fold point (the newest version at or below the cut) with
+            // the survivor just above it, and — listed as they are met —
+            // the slots from the fold point down, which the fold frees.
+            let first_freed = out.freed.len();
+            let (mut fold, mut survivor, mut pinned) = (None, None, false);
+            let mut slot = newest;
+            while let RowSlot::Delta { .. } = slot {
+                let state = state_of(&self.slots, slot).expect("chain slot must have metadata");
+                let m = state.meta.expect("chain slot must have metadata");
+                out.traverse_steps += 1;
+                pinned |= state.prepared.is_some();
+                if fold.is_none() && m.write_ts <= before {
+                    fold = Some((slot, m.write_ts));
+                }
+                match fold {
+                    Some(_) => out.freed.push(slot),
+                    None => survivor = Some(slot),
+                }
+                slot = m.prev.expect("delta version must have a predecessor");
+            }
+            // A prepared-but-uncommitted version pins its whole row: the
+            // scope may still abort, which restores an older version.
+            let Some((fold_slot, fold_ts)) = fold.filter(|_| !pinned) else {
+                out.freed.truncate(first_freed);
+                continue;
+            };
+            match survivor {
                 // The whole chain folded: the row is chainless again.
-                self.newest.remove(&row);
-            } else {
+                None => {
+                    self.newest[at] = None;
+                    self.updated -= 1;
+                }
                 // Re-anchor the oldest survivor on the data region, which
                 // now holds the folded version's bytes.
-                let survivor = chain[fold_at - 1];
-                self.meta
-                    .get_mut(&survivor)
-                    .expect("surviving version must have metadata")
-                    .prev = Some(RowSlot::Data { row });
-                reanchor.insert(fold_slot, row);
+                Some(survivor) => {
+                    state_mut(&mut self.slots, survivor)
+                        .and_then(|s| s.meta.as_mut())
+                        .expect("surviving version must have metadata")
+                        .prev = Some(RowSlot::Data { row });
+                }
             }
-            // The chain from the fold point down is what the fold frees.
-            chain.drain(..fold_at);
-            let freed = chain;
-            for &s in &freed {
-                self.meta.remove(&s);
-                freed_slots.insert(s);
+            for i in first_freed..out.freed.len() {
+                let state = state_mut(&mut self.slots, out.freed[i]);
+                state.expect("chain slot must have metadata").meta = None;
             }
+            self.versions -= out.freed.len() - first_freed;
             out.folds.push(GcFold {
                 row,
                 fold_slot,
                 fold_ts,
-                freed,
+                freed: first_freed..out.freed.len(),
             });
         }
         if out.folds.is_empty() {
@@ -479,27 +546,33 @@ impl VersionChains {
         // Trim the freed versions' log entries (all at or below the cut,
         // so a snapshot whose cursor has passed them simply rewinds) and
         // re-anchor surviving entries whose superseded slot was folded.
-        let mut kept = Vec::with_capacity(self.log.len());
-        for (i, mut e) in self.log.drain(..).enumerate() {
-            if freed_slots.contains(&e.new_slot) {
+        // Between passes every entry's new slot, and its superseded slot
+        // if that is a delta slot, holds a version; the ones that no
+        // longer do are exactly the ones this pass freed.
+        let slots = &self.slots;
+        let holds_version = |slot| state_of(slots, slot).is_some_and(|s| s.meta.is_some());
+        let mut next = 0usize;
+        self.log.retain_mut(|e| {
+            let i = next;
+            next += 1;
+            if !holds_version(e.new_slot) {
                 debug_assert!(e.ts <= before, "trimmed a log entry above the cut");
                 out.log_trimmed.push(i);
-                continue;
+                return false;
             }
-            if let Some(&row) = reanchor.get(&e.prev_slot) {
-                if e.row == row {
-                    e.prev_slot = RowSlot::Data { row };
-                }
+            if matches!(e.prev_slot, RowSlot::Delta { .. }) && !holds_version(e.prev_slot) {
+                e.prev_slot = RowSlot::Data { row: e.row };
             }
-            kept.push(e);
-        }
-        self.log = kept;
+            true
+        });
         out
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn delta(rotation: u32, idx: u64) -> RowSlot {
@@ -705,7 +778,7 @@ mod tests {
         assert_eq!(out.folds.len(), 1);
         let f = &out.folds[0];
         assert_eq!((f.row, f.fold_slot), (5, delta(0, 1)));
-        assert_eq!(f.freed, vec![delta(0, 1), delta(0, 0)]);
+        assert_eq!(out.freed_of(f), [delta(0, 1), delta(0, 0)]);
         assert_eq!(out.log_trimmed, vec![0, 1]);
         assert_eq!(out.slots_recycled(), 2);
         // The row is chainless: reads fall through to the data region,
@@ -730,7 +803,7 @@ mod tests {
         // T6 survivor re-anchors on the data region. Row 8 folds whole.
         assert_eq!(out.folds.len(), 2);
         assert_eq!(out.folds[0].fold_slot, delta(0, 1));
-        assert_eq!(out.folds[0].freed, vec![delta(0, 1), delta(0, 0)]);
+        assert_eq!(out.freed_of(&out.folds[0]), [delta(0, 1), delta(0, 0)]);
         assert_eq!(out.folds[1].fold_slot, delta(0, 3));
         assert_eq!(out.log_trimmed, vec![0, 1, 2]);
         assert_eq!(c.newest_slot(7), delta(0, 2));
@@ -767,7 +840,7 @@ mod tests {
         c.commit_prepared(Ts(3));
         let out = c.gc(Ts(4));
         assert_eq!(out.folds.len(), 1);
-        assert_eq!(out.folds[0].freed, vec![delta(0, 1), delta(0, 0)]);
+        assert_eq!(out.freed_of(&out.folds[0]), [delta(0, 1), delta(0, 0)]);
         assert!(c.log().is_empty());
     }
 
@@ -779,5 +852,463 @@ mod tests {
         assert!(!c.gc(Ts(3)).is_empty());
         assert!(c.gc(Ts(3)).is_empty(), "nothing left below the cut");
         assert_eq!(c.newest_slot(1), delta(0, 1));
+    }
+
+    /// The map-based chains the arrays replaced, kept as the reference
+    /// the model test drives beside them: a map per lookup, the rows
+    /// sorted and a list built per row in every GC pass. Its outcome is
+    /// written in the flat [`GcOutcome`] shape so the two compare whole.
+    mod reference {
+        use std::collections::{HashMap, HashSet};
+
+        use super::super::*;
+
+        #[derive(Debug, Default)]
+        pub struct VersionChains {
+            newest: HashMap<u64, RowSlot>,
+            meta: HashMap<RowSlot, VersionMeta>,
+            log: Vec<LogEntry>,
+            traverse_steps: u64,
+            prepared: HashMap<RowSlot, Ts>,
+        }
+
+        impl VersionChains {
+            pub fn record_update(&mut self, row: u64, new_slot: RowSlot, ts: Ts) -> RowSlot {
+                let prev = self.newest_slot(row);
+                if let Some(m) = self.meta.get(&prev) {
+                    assert!(m.write_ts < ts, "non-monotone commit at row {row}");
+                }
+                self.meta.insert(
+                    new_slot,
+                    VersionMeta {
+                        write_ts: ts,
+                        read_ts: ts,
+                        prev: Some(prev),
+                    },
+                );
+                self.newest.insert(row, new_slot);
+                let entry = LogEntry {
+                    ts,
+                    row,
+                    new_slot,
+                    prev_slot: prev,
+                };
+                let mut at = self.log.len();
+                while at > 0 && self.log[at - 1].ts > ts {
+                    at -= 1;
+                }
+                self.log.insert(at, entry);
+                prev
+            }
+
+            pub fn newest_slot(&self, row: u64) -> RowSlot {
+                self.newest
+                    .get(&row)
+                    .copied()
+                    .unwrap_or(RowSlot::Data { row })
+            }
+
+            pub fn has_versions(&self, row: u64) -> bool {
+                self.newest.contains_key(&row)
+            }
+
+            pub fn visible_at(&mut self, row: u64, ts: Ts) -> (RowSlot, u32) {
+                let mut slot = self.newest_slot(row);
+                let mut steps = 0u32;
+                loop {
+                    match self.meta.get(&slot) {
+                        Some(m) if m.write_ts > ts => {
+                            steps += 1;
+                            self.traverse_steps += 1;
+                            slot = m.prev.expect("chain must terminate at an origin version");
+                        }
+                        _ => return (slot, steps),
+                    }
+                }
+            }
+
+            pub fn mark_read(&mut self, slot: RowSlot, ts: Ts) {
+                if let Some(m) = self.meta.get_mut(&slot) {
+                    m.read_ts = m.read_ts.max(ts);
+                }
+            }
+
+            pub fn meta(&self, slot: RowSlot) -> Option<&VersionMeta> {
+                self.meta.get(&slot)
+            }
+
+            /// Sorted here: the map yields them in no order.
+            pub fn updated_rows(&self) -> Vec<u64> {
+                let mut rows: Vec<u64> = self.newest.keys().copied().collect();
+                rows.sort_unstable();
+                rows
+            }
+
+            pub fn updated_row_count(&self) -> usize {
+                self.newest.len()
+            }
+
+            pub fn log(&self) -> &[LogEntry] {
+                &self.log
+            }
+
+            pub fn mark_prepared(&mut self, row: u64, ts: Ts) {
+                self.prepared.insert(self.newest_slot(row), ts);
+            }
+
+            pub fn commit_prepared(&mut self, ts: Ts) -> usize {
+                let before = self.prepared.len();
+                self.prepared.retain(|_, scope| *scope != ts);
+                before - self.prepared.len()
+            }
+
+            pub fn prepared_count(&self) -> usize {
+                self.prepared.len()
+            }
+
+            pub fn undo_update(&mut self, row: u64) -> RowSlot {
+                let at = self
+                    .log
+                    .iter()
+                    .rposition(|e| e.row == row)
+                    .expect("undo_update for a row with no log entry");
+                let e = self.log.remove(at);
+                assert_eq!(
+                    self.newest.get(&row),
+                    Some(&e.new_slot),
+                    "undo_update of a superseded version at row {row}"
+                );
+                self.meta
+                    .remove(&e.new_slot)
+                    .expect("undone version must have metadata");
+                self.prepared.remove(&e.new_slot);
+                match e.prev_slot {
+                    RowSlot::Delta { .. } => {
+                        self.newest.insert(row, e.prev_slot);
+                    }
+                    RowSlot::Data { .. } => {
+                        self.newest.remove(&row);
+                    }
+                }
+                e.new_slot
+            }
+
+            pub fn chain_slots(&self, row: u64) -> (Vec<RowSlot>, u32) {
+                let mut out = Vec::new();
+                let mut steps = 0;
+                let mut slot = self.newest_slot(row);
+                while let RowSlot::Delta { .. } = slot {
+                    out.push(slot);
+                    steps += 1;
+                    slot = self
+                        .meta
+                        .get(&slot)
+                        .and_then(|m| m.prev)
+                        .expect("delta version must have a predecessor");
+                }
+                (out, steps)
+            }
+
+            pub fn clear_after_defrag(&mut self) -> usize {
+                assert!(self.prepared.is_empty());
+                let versions = self.meta.len();
+                self.newest.clear();
+                self.meta.clear();
+                self.log.clear();
+                versions
+            }
+
+            pub fn traverse_steps(&self) -> u64 {
+                self.traverse_steps
+            }
+
+            pub fn gc(&mut self, before: Ts) -> GcOutcome {
+                let mut out = GcOutcome::default();
+                if before == Ts::ZERO {
+                    return out;
+                }
+                let mut freed_slots: HashSet<RowSlot> = HashSet::new();
+                let mut reanchor: HashMap<RowSlot, u64> = HashMap::new();
+                for row in self.updated_rows() {
+                    let (chain, steps) = self.chain_slots(row);
+                    out.traverse_steps += steps;
+                    if chain.iter().any(|s| self.prepared.contains_key(s)) {
+                        continue;
+                    }
+                    let Some(fold_at) = chain.iter().position(|s| self.meta[s].write_ts <= before)
+                    else {
+                        continue;
+                    };
+                    let fold_slot = chain[fold_at];
+                    let fold_ts = self.meta[&fold_slot].write_ts;
+                    if fold_at == 0 {
+                        self.newest.remove(&row);
+                    } else {
+                        let survivor = chain[fold_at - 1];
+                        self.meta
+                            .get_mut(&survivor)
+                            .expect("surviving version must have metadata")
+                            .prev = Some(RowSlot::Data { row });
+                        reanchor.insert(fold_slot, row);
+                    }
+                    let first_freed = out.freed.len();
+                    for &s in &chain[fold_at..] {
+                        self.meta.remove(&s);
+                        freed_slots.insert(s);
+                        out.freed.push(s);
+                    }
+                    out.folds.push(GcFold {
+                        row,
+                        fold_slot,
+                        fold_ts,
+                        freed: first_freed..out.freed.len(),
+                    });
+                }
+                if out.folds.is_empty() {
+                    return out;
+                }
+                let mut kept = Vec::with_capacity(self.log.len());
+                for (i, mut e) in self.log.drain(..).enumerate() {
+                    if freed_slots.contains(&e.new_slot) {
+                        out.log_trimmed.push(i);
+                        continue;
+                    }
+                    if reanchor.get(&e.prev_slot) == Some(&e.row) {
+                        e.prev_slot = RowSlot::Data { row: e.row };
+                    }
+                    kept.push(e);
+                }
+                self.log = kept;
+                out
+            }
+        }
+    }
+
+    const ROWS: u64 = 10;
+    const ARENAS: u32 = 3;
+    const ARENA_ROWS: u64 = 6;
+
+    /// One step of the model test. Timestamps come from a clock the
+    /// driver advances, rows from `0..ROWS`.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A transaction writes `rows` (each once) and commits, `late`
+        /// timestamps behind the clock — a retried transaction committing
+        /// at its old pin — where its rows' chains allow.
+        Commit { rows: Vec<u64>, late: u64 },
+        /// A transaction writes `rows` and rolls back.
+        Abort { rows: Vec<u64> },
+        /// A transaction writes `rows` and parks prepared.
+        Prepare { rows: Vec<u64> },
+        /// The decision for the `nth` pending scope (modulo their number).
+        Decide { nth: usize, commit: bool },
+        /// A read of `row`, `behind` timestamps below the clock.
+        Read { row: u64, behind: u64 },
+        /// A GC pass at `cut`, anywhere from below every version to above.
+        Gc { cut: u64 },
+        /// Defragmentation, once no scope is pending.
+        Defrag,
+    }
+
+    fn arb_rows() -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::btree_set(0u64..ROWS, 1..4).prop_map(|rows| rows.into_iter().collect())
+    }
+
+    fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec(
+            prop_oneof![
+                (arb_rows(), 0u64..4).prop_map(|(rows, late)| Step::Commit { rows, late }),
+                (arb_rows(), 0u64..4).prop_map(|(rows, late)| Step::Commit { rows, late }),
+                arb_rows().prop_map(|rows| Step::Abort { rows }),
+                arb_rows().prop_map(|rows| Step::Prepare { rows }),
+                (0usize..4, 0u8..2).prop_map(|(nth, c)| Step::Decide {
+                    nth,
+                    commit: c == 1
+                }),
+                (0usize..4, 0u8..2).prop_map(|(nth, c)| Step::Decide {
+                    nth,
+                    commit: c == 1
+                }),
+                (0u64..ROWS, 0u64..8).prop_map(|(row, behind)| Step::Read { row, behind }),
+                (0u64..40).prop_map(|cut| Step::Gc { cut }),
+                Just(Step::Defrag),
+            ],
+            1..80,
+        )
+    }
+
+    /// The arrays and the reference maps, driven in lockstep: every call
+    /// goes to both and must return the same.
+    struct Pair {
+        arrays: VersionChains,
+        maps: reference::VersionChains,
+        alloc: crate::DeltaAllocator,
+        clock: u64,
+        /// Pending prepared scopes: pinned timestamp and rows written.
+        scopes: Vec<(Ts, Vec<u64>)>,
+    }
+
+    impl Pair {
+        /// Writes a new version of every row of `rows` no pending scope
+        /// holds and whose chain is older than `ts`, while the arenas
+        /// last; returns the rows written.
+        fn write(&mut self, rows: &[u64], ts: Ts) -> Vec<u64> {
+            let mut written = Vec::new();
+            for &row in rows {
+                let held = self.scopes.iter().any(|(_, rows)| rows.contains(&row));
+                let newest = self.arrays.newest_slot(row);
+                let stale = self.arrays.meta(newest).is_some_and(|m| m.write_ts >= ts);
+                let rotation = (row % ARENAS as u64) as u32;
+                if held || stale {
+                    continue;
+                }
+                let Ok(idx) = self.alloc.alloc(rotation) else {
+                    continue;
+                };
+                let slot = RowSlot::Delta { rotation, idx };
+                assert_eq!(
+                    self.arrays.record_update(row, slot, ts),
+                    self.maps.record_update(row, slot, ts)
+                );
+                written.push(row);
+            }
+            written
+        }
+
+        fn undo(&mut self, rows: &[u64]) {
+            for &row in rows.iter().rev() {
+                let slot = self.arrays.undo_update(row);
+                assert_eq!(slot, self.maps.undo_update(row));
+                self.release(slot);
+            }
+        }
+
+        fn release(&mut self, slot: RowSlot) {
+            let RowSlot::Delta { rotation, idx } = slot else {
+                panic!("released a data-region slot");
+            };
+            self.alloc.release(rotation, idx);
+        }
+
+        fn step(&mut self, step: &Step) {
+            match step {
+                Step::Commit { rows, late } => {
+                    self.clock += 1;
+                    self.write(rows, Ts(self.clock.saturating_sub(*late).max(1)));
+                }
+                Step::Abort { rows } => {
+                    self.clock += 1;
+                    let written = self.write(rows, Ts(self.clock));
+                    self.undo(&written);
+                }
+                Step::Prepare { rows } => {
+                    self.clock += 1;
+                    let ts = Ts(self.clock);
+                    let written = self.write(rows, ts);
+                    // The last row is marked twice, as a scope that
+                    // recorded two links for it would.
+                    for &row in written.iter().chain(written.last()) {
+                        self.arrays.mark_prepared(row, ts);
+                        self.maps.mark_prepared(row, ts);
+                    }
+                    self.scopes.push((ts, written));
+                }
+                Step::Decide { nth, commit } => {
+                    if self.scopes.is_empty() {
+                        return;
+                    }
+                    let (ts, rows) = self.scopes.remove(nth % self.scopes.len());
+                    if *commit {
+                        assert_eq!(
+                            self.arrays.commit_prepared(ts),
+                            self.maps.commit_prepared(ts)
+                        );
+                    } else {
+                        self.undo(&rows);
+                    }
+                }
+                Step::Read { row, behind } => {
+                    let ts = Ts(self.clock.saturating_sub(*behind));
+                    let seen = self.arrays.visible_at(*row, ts);
+                    assert_eq!(seen, self.maps.visible_at(*row, ts));
+                    self.arrays.mark_read(seen.0, ts);
+                    self.maps.mark_read(seen.0, ts);
+                }
+                Step::Gc { cut } => {
+                    let out = self.arrays.gc(Ts(*cut));
+                    assert_eq!(out, self.maps.gc(Ts(*cut)));
+                    assert_eq!(out.slots_recycled(), out.freed.len());
+                    let per_fold: usize = out.folds.iter().map(|f| out.freed_of(f).len()).sum();
+                    assert_eq!(per_fold, out.freed.len(), "the folds' ranges tile the list");
+                    for &slot in &out.freed {
+                        self.release(slot);
+                    }
+                }
+                Step::Defrag => {
+                    if !self.scopes.is_empty() {
+                        return;
+                    }
+                    let rows: Vec<u64> = self.arrays.updated_rows().collect();
+                    for row in rows {
+                        let chain = self.arrays.chain_slots(row);
+                        assert_eq!(chain, self.maps.chain_slots(row));
+                        for slot in chain.0 {
+                            self.release(slot);
+                        }
+                    }
+                    assert_eq!(
+                        self.arrays.clear_after_defrag(),
+                        self.maps.clear_after_defrag()
+                    );
+                }
+            }
+        }
+
+        /// Everything the chains answer, on both sides.
+        fn check(&self) {
+            let (a, m) = (&self.arrays, &self.maps);
+            for row in 0..ROWS {
+                assert_eq!(a.newest_slot(row), m.newest_slot(row), "row {row}");
+                assert_eq!(a.has_versions(row), m.has_versions(row), "row {row}");
+            }
+            for rotation in 0..ARENAS {
+                for idx in 0..ARENA_ROWS {
+                    let slot = RowSlot::Delta { rotation, idx };
+                    assert_eq!(a.meta(slot), m.meta(slot), "{slot:?}");
+                }
+            }
+            let updated: Vec<u64> = a.updated_rows().collect();
+            assert_eq!(updated, m.updated_rows(), "ascending without a sort");
+            assert_eq!(a.updated_row_count(), m.updated_row_count());
+            assert_eq!(a.log(), m.log());
+            assert_eq!(a.prepared_count(), m.prepared_count());
+            assert_eq!(a.traverse_steps(), m.traverse_steps());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The arrays answer every call exactly as the maps they replaced
+        /// did: commits in and out of timestamp order, rollbacks,
+        /// coexisting prepared scopes decided either way, reads and
+        /// their stamps, GC at cuts below, inside and above the chains
+        /// (whole outcomes: fold order, fold timestamps, freed slots
+        /// newest first, trimmed log indices), defragmentation, and
+        /// slots recycled through all of it.
+        #[test]
+        fn arrays_answer_like_the_maps_they_replaced(steps in arb_steps()) {
+            let mut pair = Pair {
+                arrays: VersionChains::new(),
+                maps: reference::VersionChains::default(),
+                alloc: crate::DeltaAllocator::new(ARENAS, ARENA_ROWS),
+                clock: 0,
+                scopes: Vec::new(),
+            };
+            for step in &steps {
+                pair.step(step);
+                pair.check();
+            }
+        }
     }
 }

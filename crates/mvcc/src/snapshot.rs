@@ -492,7 +492,7 @@ mod tests {
         // GC at cut T2 folds T1's version into the data region.
         let out = chains.gc(Ts(2));
         assert_eq!(out.folds.len(), 1);
-        let flips = snap.note_gc_fold(0, &out.folds[0].freed);
+        let flips = snap.note_gc_fold(0, out.freed_of(&out.folds[0]));
         snap.note_log_trimmed(&out.log_trimmed);
         assert_eq!(flips, 2);
         assert!(!snap.visible(delta(0, 0)));
@@ -517,7 +517,7 @@ mod tests {
         chains.record_update(0, delta(0, 1), Ts(2));
         snap.update(chains.log(), Ts(3));
         let out = chains.gc(Ts(3));
-        let flips = snap.note_gc_fold(0, &out.folds[0].freed);
+        let flips = snap.note_gc_fold(0, out.freed_of(&out.folds[0]));
         snap.note_log_trimmed(&out.log_trimmed);
         // The newest folded version was the visible one → repointed.
         assert_eq!(flips, 2);

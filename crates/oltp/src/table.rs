@@ -133,6 +133,9 @@ fn bank_salt(salt: u64) -> u64 {
 pub struct HtapTable {
     store: TableStore,
     lines: LinePlan,
+    /// The parts' widths (bytes per device per row), as the
+    /// defragmentation cost model takes them.
+    part_widths: Vec<u32>,
     chains: VersionChains,
     alloc: DeltaAllocator,
     snapshot: Snapshot,
@@ -204,6 +207,7 @@ impl HtapTable {
         };
         HtapTable {
             lines,
+            part_widths: store.layout().parts().iter().map(|p| p.width()).collect(),
             alloc: DeltaAllocator::new(devices, arena_rows),
             snapshot: Snapshot::new(cfg.n_rows, devices, arena_rows),
             chains: VersionChains::new(),
@@ -439,6 +443,11 @@ impl HtapTable {
     /// The version chains.
     pub fn chains(&self) -> &VersionChains {
         &self.chains
+    }
+
+    /// The key → row index.
+    pub fn index(&self) -> &HashIndex {
+        &self.index
     }
 
     /// The current snapshot.
@@ -904,14 +913,11 @@ impl HtapTable {
         upto: Ts,
     ) -> (DefragStats, f64) {
         let mut stats = DefragStats::default();
-        // Sorted for determinism: the reclaim order feeds the delta
-        // free-lists, which decides future version placement (and thus
-        // timing); HashMap order would vary per process.
-        let mut rows: Vec<u64> = self.chains.updated_rows().collect();
-        rows.sort_unstable();
         let d = self.store.layout().devices();
         let padded = self.store.layout().padded_row_bytes() as u64;
-        for row in rows {
+        // Ascending rows: the reclaim order feeds the delta free-lists,
+        // which decides future version placement (and thus timing).
+        for row in self.chains.updated_rows() {
             let (slots, steps) = self.chains.chain_slots(row);
             stats.chain_steps += steps as u64;
             if let Some(&newest @ RowSlot::Delta { .. }) = slots.first() {
@@ -931,14 +937,7 @@ impl HtapTable {
         // part (Hybrid picks per part width, §7.4).
         let n = stats.slots_reclaimed.max(1);
         let p = stats.rows_copied as f64 / n as f64;
-        let widths: Vec<u32> = self
-            .store
-            .layout()
-            .parts()
-            .iter()
-            .map(|pt| pt.width())
-            .collect();
-        let seconds = model.comm_parts(strategy, n, p, d, &widths);
+        let seconds = model.comm_parts(strategy, n, p, d, &self.part_widths);
         self.chains.clear_after_defrag();
         self.snapshot.reset_after_defrag(upto);
         (stats, seconds)
@@ -981,7 +980,8 @@ impl HtapTable {
                 pass.rows_folded += 1;
                 pass.bytes_copied += padded;
             }
-            self.snapshot.note_gc_fold(fold.row, &fold.freed);
+            let freed = out.freed_of(fold);
+            self.snapshot.note_gc_fold(fold.row, freed);
             if self.san.enabled() {
                 self.san.reclaim_version(
                     self.san_track,
@@ -990,7 +990,7 @@ impl HtapTable {
                     fold.fold_ts.0,
                 );
             }
-            for &slot in &fold.freed {
+            for &slot in freed {
                 if let RowSlot::Delta { rotation, idx } = slot {
                     self.alloc.release(rotation, idx);
                     pass.slots_recycled += 1;
@@ -1003,14 +1003,7 @@ impl HtapTable {
         let d = self.store.layout().devices();
         let n = pass.slots_recycled.max(1);
         let p = pass.rows_folded as f64 / n as f64;
-        let widths: Vec<u32> = self
-            .store
-            .layout()
-            .parts()
-            .iter()
-            .map(|pt| pt.width())
-            .collect();
-        let seconds = model.comm_parts(strategy, n, p, d, &widths);
+        let seconds = model.comm_parts(strategy, n, p, d, &self.part_widths);
         (pass, seconds)
     }
 

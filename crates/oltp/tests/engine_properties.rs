@@ -502,10 +502,12 @@ struct Observed {
     reads: Vec<Vec<Vec<u8>>>,
     /// `snapshot_read` of every row.
     snapshot: Vec<Vec<Vec<u8>>>,
-    /// The hash index's buckets and the insert-ring cursor. The table
-    /// has no accessor for either, so they are cut out of its `Debug`
-    /// rendering.
-    index: String,
+    /// The hash index's chains: per bucket, the `(key, row)` entries in
+    /// probe order — not where the index keeps them, which an entry
+    /// parked on its free list by a rollback would change.
+    index: Vec<Vec<(u64, u64)>>,
+    /// The insert-ring cursor. The table has no accessor for it, so it
+    /// is cut out of its `Debug` rendering.
     ring_cursor: String,
     live_delta_rows: u64,
     commit_log_len: usize,
@@ -525,7 +527,9 @@ fn observe(t: &HtapTable, mem: &mut MemSystem, meter: &Meter, upto: u64) -> Obse
             .map(|(row, ts)| reader.timed_read(mem, meter, row, ts, Ps::ZERO).0)
             .collect(),
         snapshot: (0..SCAN_ROWS).map(|row| t.snapshot_read(row)).collect(),
-        index: cut("index: HashIndex { buckets: ", ", len: "),
+        index: (0..t.index().bucket_count())
+            .map(|bucket| t.index().chain(bucket).collect())
+            .collect(),
         ring_cursor: cut("insert_cursor: ", ","),
         live_delta_rows: t.live_delta_rows(),
         commit_log_len: t.commit_log_len(),
