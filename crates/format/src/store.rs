@@ -19,8 +19,8 @@
 use pushtap_pim::DeviceArray;
 
 use crate::circulant::Placement;
-use crate::layout::TableLayout;
-use crate::region::RegionPlan;
+use crate::layout::{Fragment, TableLayout};
+use crate::region::{PartRegion, RegionPlan};
 
 /// Identifies a stored row version: the original in the data region or a
 /// version in a delta arena.
@@ -40,12 +40,59 @@ pub enum RowSlot {
     },
 }
 
+/// Where a slot's slices lie in every part: in the data or the delta
+/// region, at which row index of it. A part's slice then starts at
+/// `base + index × width`.
+#[derive(Debug, Clone, Copy)]
+struct SlotIndex {
+    delta: bool,
+    index: u64,
+}
+
+impl SlotIndex {
+    /// Resolves `slot` against the region plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot lies outside the plan, like
+    /// [`RegionPlan::data_offset`] and [`RegionPlan::delta_offset`].
+    fn of(region: &RegionPlan, slot: RowSlot) -> SlotIndex {
+        match slot {
+            RowSlot::Data { row } => {
+                assert!(row < region.n_rows(), "row {row} out of range");
+                SlotIndex {
+                    delta: false,
+                    index: row,
+                }
+            }
+            RowSlot::Delta { rotation, idx } => {
+                assert!(
+                    rotation < region.arenas(),
+                    "rotation {rotation} out of range"
+                );
+                assert!(idx < region.arena_rows(), "delta index {idx} out of range");
+                SlotIndex {
+                    delta: true,
+                    index: rotation as u64 * region.arena_rows() + idx,
+                }
+            }
+        }
+    }
+
+    /// Device-local offset of the slot's slice in `part`.
+    fn offset_in(self, part: &PartRegion) -> usize {
+        let base = if self.delta {
+            part.delta_base
+        } else {
+            part.data_base
+        };
+        (base + self.index * part.width as u64) as usize
+    }
+}
+
 /// Device-local offset of `slot`'s slice in `part`'s region.
 fn base_offset(region: &RegionPlan, part: u32, slot: RowSlot) -> u64 {
-    match slot {
-        RowSlot::Data { row } => region.data_offset(part, row),
-        RowSlot::Delta { rotation, idx } => region.delta_offset(part, rotation, idx),
-    }
+    SlotIndex::of(region, slot).offset_in(&region.parts()[part as usize]) as u64
 }
 
 /// A table instance stored in the unified format.
@@ -54,6 +101,10 @@ pub struct TableStore {
     layout: TableLayout,
     placement: Placement,
     region: RegionPlan,
+    /// Every column's fragments in schema order, each with its column's
+    /// position in a row image: the runs of image bytes that land whole
+    /// on one device, as [`TableStore::write_image`] scatters them.
+    image_fragments: Vec<(u32, Fragment)>,
     mem: DeviceArray,
 }
 
@@ -63,9 +114,17 @@ impl TableStore {
     pub fn new(layout: TableLayout, block_rows: u32, n_rows: u64, delta_rows: u64) -> TableStore {
         let devices = layout.devices();
         let region = RegionPlan::new(&layout, n_rows, delta_rows);
+        let mut column_at = 0;
+        let mut image_fragments = Vec::new();
+        for (col, column) in layout.schema().columns().iter().enumerate() {
+            let fragments = layout.fragments(col as u32).iter();
+            image_fragments.extend(fragments.map(|&f| (column_at, f)));
+            column_at += column.width;
+        }
         TableStore {
             placement: Placement::new(devices, block_rows),
             region,
+            image_fragments,
             mem: DeviceArray::new(devices),
             layout,
         }
@@ -135,11 +194,16 @@ impl TableStore {
     pub fn write_image(&mut self, slot: RowSlot, image: &[u8]) {
         let row_width = self.layout.schema().row_width() as usize;
         assert_eq!(image.len(), row_width, "row image width mismatch");
-        let mut at = 0usize;
-        for col in 0..self.layout.schema().len() as u32 {
-            let width = self.layout.schema().column(col).width as usize;
-            self.write_value(slot, col, &image[at..at + width]);
-            at += width;
+        let rotation = self.rotation(slot);
+        let devices = self.layout.devices();
+        let at = SlotIndex::of(&self.region, slot);
+        for &(column_at, f) in &self.image_fragments {
+            let device = (f.device + rotation) % devices;
+            let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as usize;
+            let from = (column_at + f.col_byte) as usize;
+            self.mem
+                .device_mut(device)
+                .write(off, &image[from..from + f.len as usize]);
         }
     }
 
@@ -227,31 +291,28 @@ impl TableStore {
             self.rotation(to),
             "a version moves only within its rotation"
         );
-        let region = &self.region;
-        let span = |part: usize| {
-            let src = base_offset(region, part as u32, from) as usize;
-            let dst = base_offset(region, part as u32, to) as usize;
-            (src, dst, region.parts()[part].width as usize)
-        };
+        let (from, to) = (
+            SlotIndex::of(&self.region, from),
+            SlotIndex::of(&self.region, to),
+        );
+        let parts = self.region.parts();
         // Every device holds the same offsets, so each is sized once, to
-        // the furthest byte any part's copy reads or writes (exactly as
-        // far as copying part by part would have grown it), and the
-        // copies then run inside the extent.
-        let parts = region.parts().len();
-        let end = (0..parts)
-            .map(|part| {
-                let (src, dst, width) = span(part);
-                src.max(dst) + width
-            })
+        // the furthest byte any part's copy reads or writes, and then
+        // takes all its parts' copies inside that extent.
+        let end = parts
+            .iter()
+            .map(|part| from.offset_in(part).max(to.offset_in(part)) + part.width as usize)
             .max()
             .unwrap_or(0);
         for dev in 0..self.mem.width() {
-            self.mem.device_mut(dev).ensure(end);
-        }
-        for part in 0..parts {
-            let (src, dst, width) = span(part);
-            for dev in 0..self.mem.width() {
-                self.mem.device_mut(dev).copy_within(src, dst, width);
+            let mem = self.mem.device_mut(dev);
+            mem.ensure(end);
+            for part in parts {
+                mem.copy_within(
+                    from.offset_in(part),
+                    to.offset_in(part),
+                    part.width as usize,
+                );
             }
         }
     }
