@@ -57,6 +57,33 @@ fn run_stream(system: &mut Pushtap, seed: u64, txns: u64) -> (u64, u64) {
     (payment_aborts, neworder_aborts)
 }
 
+/// FNV-1a over every table's `newest_slot(row)` sequence: which delta
+/// slot each row's newest version sits in — slot identity, not bytes.
+fn slot_identity(system: &Pushtap) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for table in ALL_TABLES {
+        let t = system.db().table(table);
+        for row in 0..t.n_rows() {
+            match t.chains().newest_slot(row) {
+                RowSlot::Data { row } => {
+                    eat(0);
+                    eat(row);
+                }
+                RowSlot::Delta { rotation, idx } => {
+                    eat(1 + u64::from(rotation));
+                    eat(idx);
+                }
+            }
+        }
+    }
+    h
+}
+
 /// Byte-compare the full functional state of two engines: every row of
 /// every table's data region (both defragmented first, so all committed
 /// versions are folded in) plus the stripe-ring cursors.
@@ -104,6 +131,23 @@ fn pressure_run_is_byte_identical_to_ample_run() {
     // Gapless timestamps: aborted attempts returned their timestamps.
     assert_eq!(squeezed.db().committed(), TXNS);
     assert_eq!(squeezed.db().last_ts(), roomy.db().last_ts());
+
+    // The abort path, pinned: the simulated clock, the abort count, the
+    // time the rolled-back attempts consumed and which slot every row's
+    // newest version ended in. No committed bench file contains an
+    // abort, so these goldens are what holds rollback's simulated cost.
+    // (A single engine reclaims after every abort, which rebuilds the
+    // free lists; the order rollback releases slots in is held by the
+    // sharded goldens in `crates/shard/tests/two_pc.rs`.)
+    assert_eq!(
+        (
+            squeezed.now().ps(),
+            squeezed.db().aborts(),
+            squeezed.db().wasted_retry_time().ps(),
+            slot_identity(&squeezed),
+        ),
+        (2_272_357_837, 119, 42_572_483, 17_415_451_971_021_341_134),
+    );
 
     // Identical analytical answers at the shared final timestamp…
     let ts = roomy.db().last_ts();

@@ -1339,6 +1339,126 @@ mod tests {
         }
     }
 
+    /// One wave through [`coordinator::run_wave`] where the order of a
+    /// shard's items matters: the wave lists a later transaction (homed
+    /// at shard 0) ahead of an earlier one whose forwarded customer
+    /// update also lands on shard 0, so shard 0 must prepare the
+    /// forwarded item first — and that item finds its arena full, so the
+    /// earlier transaction's participant votes no while its home voted
+    /// yes. The clocks, counters and slots are golden values.
+    #[test]
+    fn a_wave_prepares_each_shards_items_in_timestamp_order_and_retries_the_no_vote() {
+        use pushtap_chbench::{Payment, ALL_TABLES};
+        use pushtap_format::RowSlot;
+        use pushtap_oltp::stripe_start;
+        let mut cfg = ShardConfig::small(3);
+        // Two slots per rotation arena, on every table.
+        cfg.base.db.delta_frac = 0.0;
+        cfg.base.db.min_delta_rows = 16;
+        let mut s = ShardedHtap::new(cfg).expect("build");
+        let customers = s.shards[0].db().global_rows_of(Table::Customer);
+        let payment = |w_id, c_row| {
+            Txn::Payment(Payment {
+                w_id,
+                d_id: 1,
+                c_row,
+                amount: 100,
+            })
+        };
+        // Shard 0 owns warehouses 0..2, shard 1 2..5, shard 2 5..8.
+        // Customers 0, 1 and 2 share shard 0's first arena; the last
+        // customer of warehouse 1's stripe uses another.
+        let local = stripe_start(2, customers, 8) - 1;
+        let route = |txn| {
+            let mut routed = s.router.route(txn);
+            routed.ts = s.oracle.allocate();
+            routed
+        };
+        let fill = [route(payment(5, 0)), route(payment(6, 1))];
+        let earlier = route(payment(2, 2));
+        let later = route(payment(0, local));
+        assert_eq!((earlier.shard, &earlier.participants[..]), (1, &[0][..]));
+        assert_eq!((later.shard, later.participants.len()), (0, 0));
+        assert!(earlier.ts < later.ts);
+
+        let map = *s.router.map();
+        let commit = s.cfg.commit;
+        let run = |shards: &mut [Pushtap], wave: &[RoutedTxn]| {
+            let mut loads: Vec<ShardLoad> = (0..3).map(|_| ShardLoad::default()).collect();
+            let crashed =
+                coordinator::run_wave(shards, &map, wave, commit, &mut loads, 1, None, None);
+            assert!(!crashed);
+            loads
+        };
+        // Two payments homed at shard 2 fill the arena on shard 0.
+        let loads = run(&mut s.shards, &fill);
+        assert_eq!(loads[2].report.committed, 2);
+        assert_eq!(loads.iter().map(|l| l.report.aborts).sum::<u64>(), 0);
+
+        let loads = run(&mut s.shards, &[later, earlier]);
+        let per_shard = |f: fn(&ShardLoad) -> u64| loads.iter().map(f).collect::<Vec<u64>>();
+        // The later transaction commits in the wave; the earlier one
+        // after its retry, at home on shard 1.
+        assert_eq!(per_shard(|l| l.report.committed), [1, 1, 0]);
+        // Shard 0 votes no (one abort); shard 1 rolls back the home half
+        // it had prepared (one abort, by the coordinator's decision).
+        assert_eq!(per_shard(|l| l.report.aborts), [1, 1, 0]);
+        assert_eq!(per_shard(|l| l.report.participant_aborts), [0, 1, 0]);
+        assert_eq!(per_shard(|l| l.report.retried_txns), [0, 1, 0]);
+        // Only the no-voter reclaims, and a GC pass is enough.
+        assert_eq!(per_shard(|l| l.report.gc_stall.count()), [1, 0, 0]);
+        assert_eq!(per_shard(|l| l.report.defrag_passes), [0, 0, 0]);
+        assert_eq!(per_shard(|l| l.report.gc_time.ps()), [10_054_223, 0, 0]);
+        assert_eq!(
+            per_shard(|l| l.report.wasted_retry_time.ps()),
+            [0, 1_406_250, 0]
+        );
+        let clocks: Vec<u64> = s.shards.iter().map(|p| p.now().ps()).collect();
+        assert_eq!(clocks, [16_890_075, 17_427_746, 3_805_000]);
+        // Where every version ended up: (table, local row, rotation,
+        // slot) of each row with a delta version, per shard.
+        let slots: Vec<Vec<(Table, u64, u32, u64)>> = s
+            .shards
+            .iter()
+            .map(|p| {
+                let mut out = Vec::new();
+                for table in ALL_TABLES {
+                    let chains = p.db().table(table).chains();
+                    for row in chains.updated_rows() {
+                        if let RowSlot::Delta { rotation, idx } = chains.newest_slot(row) {
+                            out.push((table, row, rotation, idx));
+                        }
+                    }
+                }
+                out
+            })
+            .collect();
+        use Table::{Customer, District, History, Warehouse};
+        assert_eq!(
+            slots,
+            [
+                vec![(Customer, 2, 0, 1)],
+                vec![
+                    (Warehouse, 0, 0, 0),
+                    (District, 1, 0, 0),
+                    (History, 0, 0, 0)
+                ],
+                vec![
+                    (Warehouse, 0, 0, 0),
+                    (Warehouse, 1, 0, 1),
+                    (District, 1, 0, 0),
+                    (District, 11, 0, 1),
+                    (History, 0, 0, 0),
+                    (History, 375, 5, 0),
+                ],
+            ]
+        );
+        for shard in s.shards() {
+            assert_eq!(shard.db().prepared_scopes(), 0);
+            assert_eq!(shard.db().prepared_versions(), 0);
+        }
+    }
+
     #[test]
     fn scatter_gather_merges_all_shards() {
         let mut s = service(2);

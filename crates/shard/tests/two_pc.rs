@@ -11,6 +11,7 @@ mod common;
 use proptest::prelude::*;
 use pushtap_chbench::ALL_TABLES;
 use pushtap_core::Pushtap;
+use pushtap_format::RowSlot;
 use pushtap_pim::Ps;
 use pushtap_shard::{ShardConfig, ShardedHtap};
 
@@ -40,6 +41,37 @@ fn assert_shards_match_reference(service: &ShardedHtap, reference: &Pushtap, lab
             );
         }
     }
+}
+
+/// FNV-1a over every shard's, every table's `newest_slot(row)`
+/// sequence: which delta slot each row's newest version sits in. An
+/// abort decision returns slots to the arenas' free lists, so the order
+/// it releases them in decides where every later version lands.
+fn slot_identity(service: &ShardedHtap) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for shard in service.shards() {
+        for table in ALL_TABLES {
+            let t = shard.db().table(table);
+            for row in 0..t.n_rows() {
+                match t.chains().newest_slot(row) {
+                    RowSlot::Data { row } => {
+                        eat(0);
+                        eat(row);
+                    }
+                    RowSlot::Delta { rotation, idx } => {
+                        eat(1 + u64::from(rotation));
+                        eat(idx);
+                    }
+                }
+            }
+        }
+    }
+    h
 }
 
 /// The deterministic participant-abort scenario: the uniform mix at 4
@@ -78,6 +110,23 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
         report.wasted_retry_time(),
         engine_wasted,
         "per-shard reports must account coordinator-aborted prepare latency"
+    );
+
+    // The coordinator-abort path, pinned: every shard's simulated
+    // clock, the abort counts, the time the rolled-back prepares
+    // consumed and which slot every row's newest version ended in. No
+    // committed bench file contains an abort, so these goldens are what
+    // holds the abort decision's slot-release order and simulated cost.
+    let clocks: Vec<u64> = service.shards().iter().map(|s| s.now().ps()).collect();
+    assert_eq!(clocks, [677_710_750, 722_253_714, 669_673_200, 721_604_737]);
+    assert_eq!(
+        (
+            report.aborts(),
+            report.participant_aborts(),
+            report.wasted_retry_time().ps(),
+            slot_identity(&service),
+        ),
+        (172, 99, 178_823_011, 818_977_218_761_713_068),
     );
 
     // No prepared scope or undecided version survives the batch…
