@@ -16,18 +16,20 @@
 //!   (Fig. 6(b));
 //! * [`DeltaAllocator`] — rotation-arena slot allocation (§5.1), raising
 //!   [`DeltaFull`] when an arena is exhausted;
-//! * [`UndoLog`]/[`UndoRecord`] — the in-transaction undo log that makes
-//!   the whole-transaction retry on [`DeltaFull`] *atomic*: partial
-//!   effects (slot allocations, chain growth, row writes, index and
-//!   insert-ring cursor movements) roll back before re-execution. A
-//!   scope can also be parked *prepared* ([`UndoLog::prepare`], keyed
-//!   by the transaction's pinned commit timestamp) — the participant
-//!   half of the shard layer's simulated two-phase commit pins the
-//!   records until the coordinator's commit/abort decision. **Several
-//!   prepared scopes coexist per table** (a pipelined coordinator
-//!   overlaps non-conflicting transactions' 2PCs) and resolve
-//!   independently, out of preparation order; [`VersionChains`] tracks
-//!   the corresponding prepared-but-uncommitted versions per scope
+//! * [`UndoLog`]/[`UndoRecord`] — the engine's undo log, which makes the
+//!   whole-transaction retry on [`DeltaFull`] *atomic*: one record per
+//!   successful row write (table, row, and for an insert its ring and
+//!   whether the key was new), taken back newest-first before
+//!   re-execution. An engine keeps one log for all its tables, and what
+//!   an undecided transaction holds is a range of it: the scope being
+//!   written is the tail, [`UndoLog::prepare`] parks it under the
+//!   transaction's pinned commit timestamp — the participant half of the
+//!   shard layer's simulated two-phase commit — and the coordinator's
+//!   decision drops the range or hands it back. **Several prepared
+//!   scopes coexist** (a pipelined coordinator overlaps non-conflicting
+//!   transactions' 2PCs) and resolve independently, out of preparation
+//!   order; [`VersionChains`] tracks the corresponding
+//!   prepared-but-uncommitted versions per scope
 //!   ([`VersionChains::prepared_count`]) and supports undoing a
 //!   scope's commit-log entries from the middle of the log;
 //! * [`Snapshot`] — the per-device visibility bitmaps, updated
@@ -71,4 +73,4 @@ pub use defrag::{DefragCostModel, DefragStats, DefragStrategy};
 pub use delta::{DeltaAllocator, DeltaFull};
 pub use snapshot::{Bitmap, Ones, Snapshot, SnapshotUpdate};
 pub use timestamp::{SnapshotPin, Ts, TsAllocator, TsOracle};
-pub use undo::{UndoLog, UndoRecord};
+pub use undo::{InsertUndo, UndoLog, UndoRecord};

@@ -1,37 +1,42 @@
-//! The in-transaction undo log (transaction-atomic delta allocation).
+//! The engine's undo log (transaction-atomic delta allocation).
 //!
-//! A transaction executes as a sequence of statements, each of which may
-//! allocate delta slots, extend version chains, insert index keys, and
-//! advance insert-ring cursors. When a statement hits [`DeltaFull`], the
-//! engine defragments and re-executes the *whole* transaction — so the
-//! partial effects of the earlier statements must first be rolled back,
-//! or the retry would re-apply them at fresh stripe slots and the
+//! A transaction executes as a sequence of row writes, each of which
+//! allocates a delta slot and extends a version chain, and — for an
+//! insert — adds an index key and advances an insert-ring cursor. When
+//! a write hits [`DeltaFull`], the engine reclaims space and re-executes
+//! the *whole* transaction — so the writes before it must first be taken
+//! back, or the retry would re-apply them at fresh stripe slots and the
 //! functional state would depend on *when* the arenas filled up (the
 //! divergence the sharded identity proof cannot tolerate).
 //!
-//! [`UndoLog`] records every mutation of a table's transactional
-//! *metadata* while a transaction scope is active; applying the records
-//! in reverse restores every observable of the table — what any read at
-//! any timestamp, any snapshot, the index and the allocator report (row
-//! bytes need no record: see [`UndoRecord`]). The log is purely CPU-side
+//! An engine keeps **one** [`UndoLog`] for all its tables. A write is
+//! atomic on its own (the slot allocation is its only fallible step and
+//! comes before every mutation), so the log holds one [`UndoRecord`] per
+//! *successful write*: which table, which row, and for an insert which
+//! ring it consumed and whether the key was new. Taking the records back
+//! newest-first restores every observable of every table — what any read
+//! at any timestamp, any snapshot, the indexes and the allocators report.
+//! Row bytes need no record (see [`UndoRecord`]). The log is CPU-side
 //! metadata, like the version chains (§5.1): rollback costs no simulated
 //! memory traffic.
 //!
-//! # Prepared scopes (two-phase commit)
+//! # What an undecided transaction holds
 //!
-//! The active scope can be *parked* in the prepared state
-//! ([`UndoLog::prepare`]): the participant half of a simulated two-phase
-//! commit applies an effect set, then pins the scope's records — keyed by
-//! the transaction's pinned commit timestamp — while the coordinator
-//! collects votes. **Several prepared scopes may coexist** (a pipelined
-//! coordinator overlaps the two-phase commits of non-conflicting
-//! transactions, so one engine can hold many undecided write sets at
-//! once); each resolves independently through
-//! [`UndoLog::commit_prepared`] (keep everything) or
-//! [`UndoLog::abort_prepared`] (hand that scope's pinned records back for
-//! reverse replay). Coexisting scopes must touch disjoint rows — the
-//! conflict scheduler guarantees it — or out-of-order rollback could not
-//! be exact.
+//! A range of `records`. The log is the record list plus a short list of
+//! *scopes* `(ts, range, elapsed)`: the scope being written is the tail
+//! of the list ([`UndoLog::begin`]), [`UndoLog::prepare`] closes the tail
+//! into a scope under the transaction's pinned commit timestamp — the
+//! participant half of a simulated two-phase commit — and the
+//! coordinator's decision drops the scope
+//! ([`UndoLog::commit_prepared`]) or hands its range back newest-first
+//! ([`UndoLog::abort_prepared`]). **Several prepared scopes coexist** (a
+//! pipelined coordinator overlaps the two-phase commits of
+//! non-conflicting transactions) and resolve in any order; they must
+//! touch disjoint rows and rings — the conflict scheduler guarantees it —
+//! or out-of-order rollback could not be exact. A resolved scope's
+//! records stay where they are until the last pending scope resolves,
+//! and then the whole list clears: every wave resolves all its scopes
+//! before the next starts, so in steady state the log allocates nothing.
 //!
 //! [`DeltaFull`]: crate::DeltaFull
 //!
@@ -40,100 +45,113 @@
 //! ```
 //! use pushtap_mvcc::{Ts, UndoLog, UndoRecord};
 //!
+//! let update = |table, row| UndoRecord { table, row, insert: None };
 //! let mut undo = UndoLog::new();
 //! undo.begin();
-//! undo.record(UndoRecord::SlotAlloc { rotation: 0, idx: 7 });
-//! undo.record(UndoRecord::VersionLink { row: 3 });
+//! undo.record(update(0, 7));
+//! undo.record(update(2, 3));
 //!
-//! // Abort: records come back newest-first, ready to apply in reverse.
-//! let records = undo.abort();
-//! assert!(matches!(records[0], UndoRecord::VersionLink { row: 3 }));
-//! assert!(matches!(records[1], UndoRecord::SlotAlloc { rotation: 0, idx: 7 }));
+//! // Abort: records come back newest-first.
+//! let mut back = Vec::new();
+//! undo.abort(|rec| back.push((rec.table, rec.row)));
+//! assert_eq!(back, [(2, 3), (0, 7)]);
 //! assert!(!undo.is_active());
 //!
 //! // Two transactions prepare and resolve independently (out of order).
 //! undo.begin();
-//! undo.record(UndoRecord::VersionLink { row: 1 });
-//! undo.prepare(Ts(10));
+//! undo.record(update(0, 1));
+//! undo.prepare(Ts(10), 500);
 //! undo.begin();
-//! undo.record(UndoRecord::VersionLink { row: 2 });
-//! undo.prepare(Ts(11));
+//! undo.record(update(0, 2));
+//! undo.prepare(Ts(11), 700);
 //! assert_eq!(undo.prepared_scopes(), 2);
-//! assert_eq!(undo.abort_prepared(Ts(10)).len(), 1);
-//! assert_eq!(undo.commit_prepared(Ts(11)), 1);
-//! assert_eq!(undo.prepared_scopes(), 0);
+//! // The abort hands back the scope's records and its prepare's cost.
+//! assert_eq!(undo.abort_prepared(Ts(10), |rec| assert_eq!(rec.row, 1)), 500);
+//! undo.commit_prepared(Ts(11), |rec| assert_eq!(rec.row, 2));
+//! // Nothing is pending: the log is empty again.
+//! assert_eq!((undo.prepared_scopes(), undo.len()), (0, 0));
 //! ```
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::timestamp::Ts;
 
-/// One reversible metadata effect of an in-flight transaction.
+/// One successful row write of an undecided transaction. Reversing it is
+/// the owning engine's job: unlink the row's newest version
+/// ([`VersionChains::undo_update`](crate::VersionChains::undo_update)),
+/// release its slot, and for an insert restore the index and step the
+/// ring's cursor back.
 ///
-/// The record stores the *pre-state* needed to reverse the effect; the
-/// owning table interprets it during rollback (the log itself does not
-/// hold references into the table).
-///
-/// No variant carries row bytes, because none need restoring: a version
-/// is written into a freshly allocated delta slot, and slot bytes are
-/// reachable only through a chain link or a snapshot bit. Rollback
+/// The record carries no row bytes, because none need restoring: a
+/// version is written into a freshly allocated delta slot, and slot bytes
+/// are reachable only through a chain link or a snapshot bit. Rollback
 /// removes the link (an uncommitted version never has a bit) and frees
 /// the slot, and whoever allocates it next overwrites all of it before
 /// linking it, so what an aborted version leaves behind is never read.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UndoRecord {
-    /// A delta slot was allocated in `rotation`'s arena.
-    /// Reverse: release the slot back to the arena's free list.
-    SlotAlloc {
-        /// The rotation arena the slot came from.
-        rotation: u32,
-        /// The allocated slot index.
-        idx: u64,
-    },
-    /// A version was appended to `row`'s chain (and the commit log).
-    /// Reverse: [`VersionChains::undo_update`](crate::VersionChains::undo_update).
-    VersionLink {
-        /// The data-region row whose chain grew.
-        row: u64,
-    },
-    /// `key` was inserted into (or moved within) the hash index.
-    /// Reverse: restore `prev` (remove the key if it was absent).
-    IndexInsert {
-        /// The inserted key.
-        key: u64,
-        /// The row the key previously mapped to, if any.
-        prev: Option<u64>,
-    },
-    /// An insert-ring cursor advanced. Reverse: restore `prev`.
-    RingAdvance {
-        /// The cursor value before the advance.
-        prev: u64,
-    },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UndoRecord {
+    /// The written table, as the engine numbers its tables.
+    pub table: u32,
+    /// The written row, local to the table instance.
+    pub row: u64,
+    /// Set when the write was an insert.
+    pub insert: Option<InsertUndo>,
 }
 
-/// The undo log of one table: records mutations while a transaction
-/// scope is active, hands them back newest-first on abort, and holds any
-/// number of *prepared* scopes (pinned records keyed by the
-/// transaction's commit timestamp) awaiting their coordinator decisions.
-///
-/// Inactive by default — tables driven outside a transaction scope (data
-/// loading, single-statement callers) record nothing and pay nothing.
+/// What an insert did besides writing a version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InsertUndo {
+    /// The warehouse whose insert ring of the table advanced.
+    pub warehouse: u64,
+    /// Whether the index held the row's key before the insert (the ring
+    /// came around to a row inserted earlier): if not, rollback removes
+    /// the key.
+    pub key_existed: bool,
+}
+
+/// A prepared scope: a transaction's writes, parked until its
+/// coordinator decides.
+#[derive(Debug, Clone)]
+struct Scope {
+    /// The transaction's pinned commit timestamp.
+    ts: Ts,
+    /// Its records in [`UndoLog::records`].
+    range: Range<usize>,
+    /// What the prepare cost, in the caller's unit (simulated
+    /// picoseconds); handed back with an abort decision.
+    elapsed: u64,
+}
+
+/// The insert rings `records` advanced, as (table, warehouse).
+fn rings(records: &[UndoRecord]) -> impl Iterator<Item = (u32, u64)> + '_ {
+    records
+        .iter()
+        .filter_map(|rec| Some((rec.table, rec.insert?.warehouse)))
+}
+
+/// The undo log of one engine: records the writes of the transaction
+/// being applied, hands them back newest-first on abort, and holds any
+/// number of *prepared* scopes awaiting their coordinator decisions.
 #[derive(Debug, Clone, Default)]
 pub struct UndoLog {
+    /// Every record since the log was last empty: the ranges of the
+    /// pending scopes, of scopes already resolved beside them, and the
+    /// active scope as the tail.
     records: Vec<UndoRecord>,
-    active: bool,
-    prepared: BTreeMap<Ts, Vec<UndoRecord>>,
+    /// The prepared scopes, in preparation order.
+    scopes: Vec<Scope>,
+    /// Where the active scope starts in `records`, while one is open.
+    active: Option<usize>,
 }
 
 impl UndoLog {
-    /// Creates an inactive, empty log.
+    /// Creates an empty log with no scope open.
     pub fn new() -> UndoLog {
         UndoLog::default()
     }
 
-    /// Opens a transaction scope. Recording starts; any records from a
-    /// previous *active* scope must have been consumed. Prepared scopes
-    /// may coexist — they belong to other transactions whose coordinator
+    /// Opens a transaction scope: recording starts. Prepared scopes may
+    /// coexist — they belong to other transactions whose coordinator
     /// decisions are still pending.
     ///
     /// # Panics
@@ -141,64 +159,42 @@ impl UndoLog {
     /// Panics if an active scope is already open (nested transactions
     /// are not modeled).
     pub fn begin(&mut self) {
-        assert!(!self.active, "nested transaction scope");
-        debug_assert!(
-            self.records.is_empty(),
-            "records leaked from previous scope"
-        );
-        self.active = true;
+        assert!(self.active.is_none(), "nested transaction scope");
+        self.active = Some(self.records.len());
     }
 
     /// Whether an active (recording) scope is open. Prepared scopes do
     /// not count: they accept no further records.
     pub fn is_active(&self) -> bool {
-        self.active
+        self.active.is_some()
     }
 
     /// Number of prepared scopes awaiting their coordinator decisions.
     pub fn prepared_scopes(&self) -> usize {
-        self.prepared.len()
+        self.scopes.len()
     }
 
     /// Whether a scope prepared at `ts` is pending.
     pub fn is_prepared(&self, ts: Ts) -> bool {
-        self.prepared.contains_key(&ts)
+        self.scopes.iter().any(|s| s.ts == ts)
     }
 
-    /// Parks the active scope in the prepared state under the
-    /// transaction's pinned commit timestamp `ts`: the records so far are
-    /// pinned for the coordinator's decision and the log is free to open
-    /// the next transaction's scope.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless a scope is active, or if a scope is already
-    /// prepared at `ts` (timestamps are unique per transaction).
-    pub fn prepare(&mut self, ts: Ts) {
-        assert!(self.active, "prepare outside an active scope");
-        // Pinned at their exact size; the active list keeps its capacity
-        // for the next scope instead of regrowing from nothing.
-        let records: Vec<UndoRecord> = self.records.drain(..).collect();
-        self.active = false;
-        let clash = self.prepared.insert(ts, records);
-        assert!(clash.is_none(), "a scope is already prepared at {ts:?}");
-    }
-
-    /// Number of records in the active scope.
+    /// Number of records held. Zero whenever no scope is active or
+    /// pending.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// The records of the active scope, oldest first. Used by the
-    /// prepare step to find the versions the scope wrote (so they can be
-    /// marked prepared on the version chains) without closing the scope.
-    pub fn records(&self) -> &[UndoRecord] {
-        &self.records
-    }
-
-    /// Whether the active scope has no records.
+    /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// The records of the active scope, oldest first. The prepare step
+    /// reads them to mark the versions the scope wrote as prepared on
+    /// the version chains, before closing the scope.
+    pub fn active_records(&self) -> &[UndoRecord] {
+        &self.records[self.active.unwrap_or(self.records.len())..]
     }
 
     /// Appends a record if an active scope is open; drops it otherwise.
@@ -210,62 +206,102 @@ impl UndoLog {
     /// decides, so an unrecorded mutation alongside pending scopes is a
     /// protocol violation.
     pub fn record(&mut self, rec: UndoRecord) {
-        if self.active {
+        if self.active.is_some() {
             self.records.push(rec);
         } else {
             assert!(
-                self.prepared.is_empty(),
+                self.scopes.is_empty(),
                 "unrecorded mutation while prepared scopes are pending"
             );
         }
     }
 
-    /// Closes the active scope keeping all effects. Returns the number
-    /// of records discarded.
-    pub fn commit(&mut self) -> usize {
-        self.active = false;
-        let n = self.records.len();
-        self.records.clear();
+    /// Parks the active scope in the prepared state under the
+    /// transaction's pinned commit timestamp `ts`: its records are pinned
+    /// for the coordinator's decision and the log is free to open the
+    /// next transaction's scope. `elapsed` is what the prepare cost;
+    /// [`UndoLog::abort_prepared`] hands it back.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a scope is active, or if a scope is already
+    /// prepared at `ts` (timestamps are unique per transaction).
+    pub fn prepare(&mut self, ts: Ts, elapsed: u64) {
+        let start = self.active.take().expect("prepare outside an active scope");
+        assert!(
+            !self.is_prepared(ts),
+            "a scope is already prepared at {ts:?}"
+        );
+        let range = start..self.records.len();
+        debug_assert!(
+            self.scopes.iter().all(|s| {
+                rings(&self.records[s.range.clone()])
+                    .all(|held| rings(&self.records[range.clone()]).all(|ring| ring != held))
+            }),
+            "coexisting prepared scopes share an insert ring — a conflict-scheduling bug"
+        );
+        self.scopes.push(Scope { ts, range, elapsed });
+    }
+
+    /// Closes the active scope for rollback: hands `undo` its records
+    /// newest-first (the order they must be taken back in). Returns the
+    /// number of records handed back.
+    pub fn abort(&mut self, mut undo: impl FnMut(&UndoRecord)) -> usize {
+        let Some(start) = self.active.take() else {
+            return 0;
+        };
+        self.records[start..].iter().rev().for_each(&mut undo);
+        let n = self.records.len() - start;
+        self.records.truncate(start);
         n
     }
 
-    /// Closes the active scope for rollback: returns the records
-    /// newest-first (the order they must be applied in) and deactivates
-    /// the log.
-    pub fn abort(&mut self) -> Vec<UndoRecord> {
-        self.active = false;
-        let mut records = std::mem::take(&mut self.records);
-        records.reverse();
-        records
+    /// Removes the scope prepared at `ts`.
+    fn take_scope(&mut self, ts: Ts) -> Option<Scope> {
+        let at = self.scopes.iter().position(|s| s.ts == ts)?;
+        Some(self.scopes.remove(at))
+    }
+
+    /// Clears the record list once nothing refers into it any more.
+    fn clear_if_idle(&mut self) {
+        if self.scopes.is_empty() && self.active.is_none() {
+            self.records.clear();
+        }
     }
 
     /// The coordinator's commit decision for the scope prepared at `ts`:
-    /// its pinned records are discarded (the effects stay). Returns the
-    /// number of records discarded.
+    /// the effects stay and the scope is dropped. `kept` sees its
+    /// records, oldest first (the engine resolves the prepared marks of
+    /// the tables they name). Returns the number of records.
     ///
     /// # Panics
     ///
     /// Panics if no scope is prepared at `ts`.
-    pub fn commit_prepared(&mut self, ts: Ts) -> usize {
-        self.prepared
-            .remove(&ts)
-            .unwrap_or_else(|| panic!("commit decision for unprepared {ts:?}"))
-            .len()
+    pub fn commit_prepared(&mut self, ts: Ts, kept: impl FnMut(&UndoRecord)) -> usize {
+        let scope = self
+            .take_scope(ts)
+            .unwrap_or_else(|| panic!("commit decision for unprepared {ts:?}"));
+        let n = scope.range.len();
+        self.records[scope.range].iter().for_each(kept);
+        self.clear_if_idle();
+        n
     }
 
     /// The coordinator's abort decision for the scope prepared at `ts`:
-    /// returns that scope's records newest-first for reverse replay.
+    /// hands `undo` that scope's records newest-first and drops the
+    /// scope; other pending scopes keep their ranges. Returns the
+    /// `elapsed` the scope was prepared with.
     ///
     /// # Panics
     ///
     /// Panics if no scope is prepared at `ts`.
-    pub fn abort_prepared(&mut self, ts: Ts) -> Vec<UndoRecord> {
-        let mut records = self
-            .prepared
-            .remove(&ts)
+    pub fn abort_prepared(&mut self, ts: Ts, undo: impl FnMut(&UndoRecord)) -> u64 {
+        let scope = self
+            .take_scope(ts)
             .unwrap_or_else(|| panic!("abort decision for unprepared {ts:?}"));
-        records.reverse();
-        records
+        self.records[scope.range].iter().rev().for_each(undo);
+        self.clear_if_idle();
+        scope.elapsed
     }
 }
 
@@ -273,10 +309,25 @@ impl UndoLog {
 mod tests {
     use super::*;
 
+    fn update(row: u64) -> UndoRecord {
+        UndoRecord {
+            table: 0,
+            row,
+            insert: None,
+        }
+    }
+
+    /// The rows `f` is handed, in order.
+    fn rows(f: impl FnOnce(&mut dyn FnMut(&UndoRecord))) -> Vec<u64> {
+        let mut rows = Vec::new();
+        f(&mut |rec| rows.push(rec.row));
+        rows
+    }
+
     #[test]
     fn inactive_log_records_nothing() {
         let mut u = UndoLog::new();
-        u.record(UndoRecord::VersionLink { row: 1 });
+        u.record(update(1));
         assert!(u.is_empty());
         assert!(!u.is_active());
     }
@@ -286,13 +337,19 @@ mod tests {
         let mut u = UndoLog::new();
         u.begin();
         assert!(u.is_active());
-        u.record(UndoRecord::SlotAlloc {
-            rotation: 1,
-            idx: 2,
+        u.record(update(2));
+        u.record(UndoRecord {
+            table: 3,
+            row: 9,
+            insert: Some(InsertUndo {
+                warehouse: 1,
+                key_existed: false,
+            }),
         });
-        u.record(UndoRecord::RingAdvance { prev: 9 });
         assert_eq!(u.len(), 2);
-        assert_eq!(u.commit(), 2);
+        assert_eq!(u.active_records().len(), 2);
+        u.prepare(Ts(1), 0);
+        assert_eq!(u.commit_prepared(Ts(1), |_| {}), 2);
         assert!(u.is_empty());
         assert!(!u.is_active());
     }
@@ -301,16 +358,9 @@ mod tests {
     fn abort_returns_newest_first() {
         let mut u = UndoLog::new();
         u.begin();
-        u.record(UndoRecord::VersionLink { row: 1 });
-        u.record(UndoRecord::VersionLink { row: 2 });
-        let r = u.abort();
-        assert_eq!(
-            r,
-            vec![
-                UndoRecord::VersionLink { row: 2 },
-                UndoRecord::VersionLink { row: 1 }
-            ]
-        );
+        u.record(update(1));
+        u.record(update(2));
+        assert_eq!(rows(|f| assert_eq!(u.abort(f), 2)), [2, 1]);
         assert!(!u.is_active());
         // The log is reusable for the next scope.
         u.begin();
@@ -329,43 +379,58 @@ mod tests {
     fn prepared_scope_pins_records_until_the_decision() {
         let mut u = UndoLog::new();
         u.begin();
-        u.record(UndoRecord::VersionLink { row: 4 });
-        u.prepare(Ts(1));
+        u.record(update(4));
+        u.prepare(Ts(1), 11);
         assert!(!u.is_active());
         assert!(u.is_prepared(Ts(1)));
         assert_eq!(u.prepared_scopes(), 1);
         // Commit decision: records discarded, scope closed.
-        assert_eq!(u.commit_prepared(Ts(1)), 1);
+        assert_eq!(rows(|f| assert_eq!(u.commit_prepared(Ts(1), f), 1)), [4]);
         assert_eq!(u.prepared_scopes(), 0);
 
-        // Abort decision: records come back newest-first.
+        // Abort decision: records come back newest-first, with what the
+        // prepare cost.
         u.begin();
-        u.record(UndoRecord::VersionLink { row: 1 });
-        u.record(UndoRecord::VersionLink { row: 2 });
-        u.prepare(Ts(2));
-        let r = u.abort_prepared(Ts(2));
-        assert_eq!(r.len(), 2);
-        assert!(matches!(r[0], UndoRecord::VersionLink { row: 2 }));
+        u.record(update(1));
+        u.record(update(2));
+        u.prepare(Ts(2), 22);
+        assert_eq!(rows(|f| assert_eq!(u.abort_prepared(Ts(2), f), 22)), [2, 1]);
         assert_eq!(u.prepared_scopes(), 0);
     }
 
     /// The pipelined-coordinator shape: several scopes prepared on one
-    /// table, resolved independently and out of preparation order.
+    /// engine, resolved independently and out of preparation order.
     #[test]
     fn coexisting_prepared_scopes_resolve_independently() {
         let mut u = UndoLog::new();
         for (ts, row) in [(10u64, 1u64), (11, 2), (12, 3)] {
             u.begin();
-            u.record(UndoRecord::VersionLink { row });
-            u.prepare(Ts(ts));
+            u.record(update(row));
+            u.record(update(row + 10));
+            u.prepare(Ts(ts), ts);
         }
         assert_eq!(u.prepared_scopes(), 3);
-        // The middle scope aborts first; the others commit after.
-        let r = u.abort_prepared(Ts(11));
-        assert_eq!(r, vec![UndoRecord::VersionLink { row: 2 }]);
-        assert_eq!(u.commit_prepared(Ts(12)), 1);
-        assert_eq!(u.commit_prepared(Ts(10)), 1);
+        // The middle scope aborts first…
+        assert_eq!(
+            rows(|f| assert_eq!(u.abort_prepared(Ts(11), f), 11)),
+            [12, 2]
+        );
+        // …which leaves the other two their ranges, even while a fourth
+        // scope is written behind them and rolled back on the spot.
+        u.begin();
+        u.record(update(4));
+        assert_eq!(rows(|f| assert_eq!(u.abort(f), 1)), [4]);
+        assert_eq!(u.len(), 6, "nothing moves while scopes are pending");
+        assert_eq!(
+            rows(|f| assert_eq!(u.commit_prepared(Ts(12), f), 2)),
+            [3, 13]
+        );
+        assert_eq!(
+            rows(|f| assert_eq!(u.abort_prepared(Ts(10), f), 10)),
+            [11, 1]
+        );
         assert_eq!(u.prepared_scopes(), 0);
+        assert!(u.is_empty(), "the last decision clears the log");
     }
 
     #[test]
@@ -373,15 +438,15 @@ mod tests {
     fn recording_outside_a_scope_with_pending_prepares_panics() {
         let mut u = UndoLog::new();
         u.begin();
-        u.prepare(Ts(1));
-        u.record(UndoRecord::VersionLink { row: 1 });
+        u.prepare(Ts(1), 0);
+        u.record(update(1));
     }
 
     #[test]
     #[should_panic(expected = "prepare outside an active scope")]
     fn prepare_without_scope_panics() {
         let mut u = UndoLog::new();
-        u.prepare(Ts(1));
+        u.prepare(Ts(1), 0);
     }
 
     #[test]
@@ -389,15 +454,15 @@ mod tests {
     fn duplicate_prepare_timestamp_panics() {
         let mut u = UndoLog::new();
         u.begin();
-        u.prepare(Ts(1));
+        u.prepare(Ts(1), 0);
         u.begin();
-        u.prepare(Ts(1));
+        u.prepare(Ts(1), 0);
     }
 
     #[test]
     #[should_panic(expected = "commit decision for unprepared")]
     fn commit_of_unprepared_scope_panics() {
         let mut u = UndoLog::new();
-        u.commit_prepared(Ts(3));
+        u.commit_prepared(Ts(3), |_| {});
     }
 }

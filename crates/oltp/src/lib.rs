@@ -8,17 +8,19 @@
 //! * [`HtapTable`] — one table: functional unified-format storage + MVCC +
 //!   snapshot + timing glue, with [`AccessModel`] selecting whether the
 //!   traffic is timed as the unified format, a row-store, or a
-//!   column-store (the Fig. 9(a) comparison), plus the
-//!   begin/commit/abort transaction scope
-//!   ([`HtapTable::begin_txn`]/[`HtapTable::abort_txn`]) backing atomic
-//!   retry;
+//!   column-store (the Fig. 9(a) comparison). A write is atomic on its
+//!   own, and [`HtapTable::undo_write`] takes one back; which writes make
+//!   a transaction is the executor's knowledge, not the table's;
 //! * [`TpccDb`] — the Payment/NewOrder executor over the CH schema,
 //!   built as a *statement-effect pipeline*: [`TpccDb::decompose`] turns
 //!   a transaction into ordered row-level effects tagged with their
 //!   owning warehouse ([`effects`]), and execution applies them inside a
-//!   prepare/commit scope. [`TpccDb::execute`] is *transaction-atomic*:
-//!   a mid-transaction [`pushtap_mvcc::DeltaFull`] rolls back every
-//!   partial effect (delta slots, chains, index entries, stripe
+//!   prepare/commit scope. The engine keeps one
+//!   [`pushtap_mvcc::UndoLog`] for all twelve tables — one record per
+//!   successful write — and what an undecided transaction holds is a
+//!   range of it. [`TpccDb::execute`] is *transaction-atomic*:
+//!   a mid-transaction [`pushtap_mvcc::DeltaFull`] takes back every
+//!   write so far (delta slots, chains, index entries, stripe
 //!   cursors, the timestamp) before the error reaches the caller,
 //!   so the defragment-and-retry loop re-executes on pristine state and
 //!   committed state never depends on *when* arenas filled up. The

@@ -11,7 +11,7 @@
 use pushtap_format::{RegionPlan, RowSlot, TableLayout, TableStore};
 use pushtap_mvcc::{
     DefragCostModel, DefragStats, DefragStrategy, DeltaAllocator, DeltaFull, Snapshot,
-    SnapshotUpdate, Ts, UndoLog, UndoRecord, VersionChains,
+    SnapshotUpdate, Ts, VersionChains,
 };
 use pushtap_pim::{BankAddr, MemSystem, Op, Ps, Side};
 use pushtap_sanitizer::{Access, AccessKind, AccessSink, NullSanitizer};
@@ -141,8 +141,6 @@ pub struct HtapTable {
     snapshot: Snapshot,
     index: HashIndex,
     cfg: TableConfig,
-    insert_cursor: u64,
-    undo: UndoLog,
     /// Shadow access tracker ([`NullSanitizer`] by default — one
     /// disabled-branch per timed operation, nothing recorded). Armed
     /// via [`HtapTable::set_access_sink`] with the table's identity so
@@ -214,8 +212,6 @@ impl HtapTable {
             index: HashIndex::with_capacity(cfg.n_rows),
             store,
             cfg,
-            insert_cursor: 0,
-            undo: UndoLog::new(),
             san: Arc::new(NullSanitizer),
             san_table: 0,
             san_base: 0,
@@ -256,16 +252,23 @@ impl HtapTable {
         );
     }
 
-    /// Opens a transaction scope: every subsequent metadata mutation
-    /// (delta-slot allocation, chain growth, index insert, insert-ring
-    /// advance) is recorded in the table's [`UndoLog`] until
-    /// [`HtapTable::commit_txn`] or [`HtapTable::abort_txn`] closes the
-    /// scope. Outside a scope, mutations are unrecorded (statement-level
-    /// atomicity only), which is the pre-existing behaviour.
+    /// Takes back the newest write of `row` — the table's share of
+    /// transaction rollback: the version leaves the row's chain and the
+    /// commit log, its delta slot returns to its arena's free list, and
+    /// with `drop_key` (the write was an insert of a key the index did
+    /// not hold) the key leaves the index. Row bytes stay where the
+    /// version left them: an unlinked version in a free slot is
+    /// unreachable, and the slot's next owner overwrites all of it.
+    ///
+    /// A transaction's writes must be taken back newest-first. Rollback
+    /// is CPU-side metadata work (like the version chains, §5.1) and
+    /// charges no simulated memory traffic; the caller accounts the
+    /// retry's cost by re-executing the transaction.
     ///
     /// # Panics
     ///
-    /// Panics on nested scopes.
+    /// Panics if `row` has no version to take back, or a later writer
+    /// superseded it (see [`VersionChains::undo_update`]).
     ///
     /// # Examples
     ///
@@ -291,138 +294,42 @@ impl HtapTable {
     /// // The new row's image: its six columns' 21 bytes, in schema order.
     /// let image = [1, 1, 1, 2, 1, 3, 3, 3, 1, 4, 4, 4, 4, 4, 4, 4, 4, 1, 5, 1, 6];
     ///
-    /// // A transaction inserts a row, then aborts: every effect unwinds.
-    /// table.begin_txn();
-    /// table.timed_insert(&mut mem, &meter, &image, Ts(1), Ps::ZERO)?;
+    /// // A transaction inserts a row, then aborts: the insert unwinds.
+    /// let (key_existed, _) = table.timed_insert_at(&mut mem, &meter, 0, &image, Ts(1), Ps::ZERO)?;
     /// assert_eq!(table.live_delta_rows(), 1);
-    /// table.abort_txn();
+    /// table.undo_write(0, !key_existed);
     /// assert_eq!(table.live_delta_rows(), 0);
+    /// assert!(table.index().is_empty());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn begin_txn(&mut self) {
-        self.undo.begin();
-    }
-
-    /// Whether an active (recording) transaction scope is open.
-    pub fn in_txn(&self) -> bool {
-        self.undo.is_active()
-    }
-
-    /// Whether the active scope has recorded no mutation: the
-    /// transaction did not write this table, so there is nothing to
-    /// prepare or roll back on it.
-    pub fn txn_is_empty(&self) -> bool {
-        self.undo.is_empty()
-    }
-
-    /// Whether any prepared scopes are parked on this table (two-phase
-    /// commit participants awaiting their coordinator decisions — a
-    /// pipelined coordinator can hold several at once).
-    pub fn in_prepared_txn(&self) -> bool {
-        self.undo.prepared_scopes() > 0
-    }
-
-    /// Parks the active transaction scope in the *prepared* state under
-    /// the transaction's pinned commit timestamp `ts`: the undo records
-    /// are pinned for the coordinator's decision and every version the
-    /// scope wrote is marked prepared-but-uncommitted on the version
-    /// chains. The scope resolves through
-    /// [`HtapTable::commit_prepared_txn`] or
-    /// [`HtapTable::abort_prepared_txn`]; further transactions may open
-    /// and even prepare their own scopes meanwhile, as long as they
-    /// touch disjoint rows (the coordinator's conflict scheduler
-    /// guarantees it).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless a scope is active, or if `ts` already has a
-    /// prepared scope.
-    pub fn prepare_txn(&mut self, ts: Ts) {
-        for rec in self.undo.records() {
-            if let UndoRecord::VersionLink { row } = rec {
-                self.chains.mark_prepared(*row, ts);
-            }
+    pub fn undo_write(&mut self, row: u64, drop_key: bool) {
+        let RowSlot::Delta { rotation, idx } = self.chains.undo_update(row) else {
+            unreachable!("versions live in the delta region");
+        };
+        self.alloc.release(rotation, idx);
+        if drop_key {
+            self.index.remove(row);
         }
-        self.undo.prepare(ts);
     }
 
-    /// Versions written by prepared-but-uncommitted scopes (zero when no
-    /// two-phase commit is in flight on this table).
+    /// Marks the newest version of `row` as written by the transaction
+    /// prepared at `ts`, whose coordinator has not decided yet (see
+    /// [`VersionChains::mark_prepared`]).
+    pub fn mark_prepared(&mut self, row: u64, ts: Ts) {
+        self.chains.mark_prepared(row, ts);
+    }
+
+    /// The coordinator's commit decision for the transaction prepared at
+    /// `ts`: its versions' prepared marks resolve as committed; marks of
+    /// other pending transactions stay.
+    pub fn commit_prepared(&mut self, ts: Ts) {
+        self.chains.commit_prepared(ts);
+    }
+
+    /// Versions written by prepared-but-undecided transactions (zero
+    /// when no two-phase commit is in flight on this table).
     pub fn prepared_versions(&self) -> usize {
         self.chains.prepared_count()
-    }
-
-    /// Closes the active transaction scope keeping all effects. Returns
-    /// the number of undo records discarded.
-    pub fn commit_txn(&mut self) -> usize {
-        self.undo.commit()
-    }
-
-    /// The coordinator's commit decision for the scope prepared at `ts`:
-    /// its effects stay, its prepared version marks resolve as
-    /// committed; other pending scopes are untouched. Returns the number
-    /// of undo records discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no scope is prepared at `ts`.
-    pub fn commit_prepared_txn(&mut self, ts: Ts) -> usize {
-        self.chains.commit_prepared(ts);
-        self.undo.commit_prepared(ts)
-    }
-
-    /// The coordinator's abort decision for the scope prepared at `ts`:
-    /// that scope's records replay in reverse (other pending scopes are
-    /// untouched — their rows are disjoint by conflict scheduling).
-    /// Returns the number of records applied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no scope is prepared at `ts`.
-    pub fn abort_prepared_txn(&mut self, ts: Ts) -> usize {
-        let records = self.undo.abort_prepared(ts);
-        self.apply_undo(records)
-    }
-
-    /// Rolls back every effect recorded since [`HtapTable::begin_txn`]
-    /// and closes the scope: released delta slots return to their
-    /// arenas' free lists, version chains and the commit log shrink back,
-    /// index entries and the insert-ring cursor revert. Row bytes stay
-    /// where the aborted versions left them: an unlinked version in a
-    /// free slot is unreachable, and the slot's next owner overwrites all
-    /// of it (see [`UndoRecord`]). Returns the number of records applied.
-    ///
-    /// Rollback is CPU-side metadata work (like the version chains,
-    /// §5.1) and charges no simulated memory traffic; the caller
-    /// accounts the retry's cost by re-executing the transaction.
-    pub fn abort_txn(&mut self) -> usize {
-        let records = self.undo.abort();
-        self.apply_undo(records)
-    }
-
-    /// Applies rollback records (newest-first) to the table's state.
-    fn apply_undo(&mut self, records: Vec<UndoRecord>) -> usize {
-        let n = records.len();
-        for rec in records {
-            match rec {
-                UndoRecord::VersionLink { row } => {
-                    self.chains.undo_update(row);
-                }
-                UndoRecord::SlotAlloc { rotation, idx } => {
-                    self.alloc.release(rotation, idx);
-                }
-                UndoRecord::IndexInsert { key, prev } => match prev {
-                    Some(row) => {
-                        self.index.insert(key, row);
-                    }
-                    None => {
-                        self.index.remove(key);
-                    }
-                },
-                UndoRecord::RingAdvance { prev } => self.insert_cursor = prev,
-            }
-        }
-        n
     }
 
     /// The table's layout.
@@ -664,7 +571,6 @@ impl HtapTable {
         // Allocate the new version in the origin row's rotation arena.
         let rotation = self.store.arena_for_row(row);
         let idx = self.alloc.alloc(rotation)?;
-        self.undo.record(UndoRecord::SlotAlloc { rotation, idx });
         b.alloc += meter.alloc(1);
 
         b.compute += meter.compute(changes.len() as u64 * 2);
@@ -681,7 +587,6 @@ impl HtapTable {
                 .write_value(new_slot, col, &value.to_le_bytes()[..width as usize]);
         }
         self.chains.record_update(row, new_slot, ts);
-        self.undo.record(UndoRecord::VersionLink { row });
         if self.san.enabled() {
             self.record_access(AccessKind::Write, row, ts);
             self.record_access(AccessKind::ChainGrow, row, ts);
@@ -699,39 +604,19 @@ impl HtapTable {
         })
     }
 
-    /// Timed insert: allocates the next row slot of the (pre-sized)
-    /// population and writes the new row — `image`, its columns' bytes in
-    /// schema order — as a delta *version* of it, so
-    /// the insert obeys snapshot isolation exactly like an update: OLAP
-    /// sees it only after the next snapshot, and defragmentation folds it
-    /// into the data region.
+    /// Timed insert at `row`: writes the new row — `image`, its columns'
+    /// bytes in schema order — as a delta *version* of that row of the
+    /// (pre-sized) population, so the insert obeys snapshot isolation
+    /// exactly like an update: OLAP sees it only after the next
+    /// snapshot, and defragmentation folds it into the data region. The
+    /// executor picks `row` from an insert ring it stripes
+    /// deterministically (by home warehouse), so partitioned shards land
+    /// each insert on the same global row an unpartitioned instance
+    /// would. Returns whether the index already held the row's key (the
+    /// ring came around), and the operation result.
     ///
-    /// # Errors
-    ///
-    /// Returns [`DeltaFull`] when the target rotation arena is exhausted.
-    pub fn timed_insert(
-        &mut self,
-        mem: &mut MemSystem,
-        meter: &Meter,
-        image: &[u8],
-        ts: Ts,
-        at: Ps,
-    ) -> Result<(u64, OpResult), DeltaFull> {
-        let row = self.insert_cursor % self.cfg.n_rows;
-        // Advance the ring only once the slot allocation succeeded, so a
-        // DeltaFull retry (after defragmentation) reuses the same slot.
-        let r = self.timed_insert_at(mem, meter, row, image, ts, at)?;
-        self.undo.record(UndoRecord::RingAdvance {
-            prev: self.insert_cursor,
-        });
-        self.insert_cursor += 1;
-        Ok((row, r))
-    }
-
-    /// [`HtapTable::timed_insert`] with an explicitly chosen target row —
-    /// used by executors that stripe the insert ring deterministically
-    /// (e.g. by home warehouse) so partitioned shards land each insert on
-    /// the same global row an unpartitioned instance would.
+    /// The slot allocation is the only step that can fail and comes
+    /// first, so a failed insert leaves the table untouched.
     ///
     /// # Errors
     ///
@@ -749,20 +634,17 @@ impl HtapTable {
         image: &[u8],
         ts: Ts,
         at: Ps,
-    ) -> Result<OpResult, DeltaFull> {
+    ) -> Result<(bool, OpResult), DeltaFull> {
         assert!(row < self.cfg.n_rows, "insert row {row} out of range");
         let mut b = Breakdown::default();
         let rotation = self.store.arena_for_row(row);
         let idx = self.alloc.alloc(rotation)?;
-        self.undo.record(UndoRecord::SlotAlloc { rotation, idx });
         b.alloc += meter.alloc(1);
         b.indexing += meter.indexing(1);
-        let prev = self.index.insert(row, row);
-        self.undo.record(UndoRecord::IndexInsert { key: row, prev });
+        let key_existed = self.index.insert(row, row).is_some();
         let new_slot = RowSlot::Delta { rotation, idx };
         self.store.write_image(new_slot, image);
         self.chains.record_update(row, new_slot, ts);
-        self.undo.record(UndoRecord::VersionLink { row });
         if self.san.enabled() {
             // One InsertWrite covers the row version *and* its chain
             // growth: the physical row is the ring cursor's pick, so
@@ -774,7 +656,7 @@ impl HtapTable {
         let (end, lines) = self.issue_lines(mem, new_slot, Op::Write, cpu_ready);
         let end = end + meter.line_issue(lines);
         b.memory += end.saturating_sub(cpu_ready);
-        Ok(OpResult { end, breakdown: b })
+        Ok((key_existed, OpResult { end, breakdown: b }))
     }
 
     /// Loads a row functionally (no timing) from its image — used for
@@ -1053,6 +935,7 @@ mod tests {
     use crate::cost::{CostModel, Meter};
     use proptest::prelude::*;
     use pushtap_format::{compact_layout, paper_example_schema, Column, TableSchema};
+    use pushtap_mvcc::{InsertUndo, UndoLog, UndoRecord};
     use pushtap_pim::{CpuSpec, Geometry};
 
     fn table(model: AccessModel) -> HtapTable {
@@ -1231,15 +1114,14 @@ mod tests {
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
-        t.begin_txn();
         t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
             .unwrap();
-        t.prepare_txn(Ts(2));
+        t.mark_prepared(5, Ts(2));
         let (pass, _) = t.gc(&cost, DefragStrategy::Hybrid, Ts(3));
         assert!(!pass.reclaimed_any());
         assert_eq!(t.live_delta_rows(), 1);
         // The scope aborts cleanly afterwards — GC never touched it.
-        t.abort_prepared_txn(Ts(2));
+        t.undo_write(5, false);
         assert_eq!(t.live_delta_rows(), 0);
         let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
         assert_eq!(vals[0], vec![1, 1]);
@@ -1418,16 +1300,16 @@ mod tests {
     }
 
     #[test]
-    fn inserts_advance_cursor_and_are_versioned() {
+    fn inserts_are_versioned() {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
-        let (r0, _) = t
-            .timed_insert(&mut mem, &meter(), &values(1).concat(), Ts(1), Ps::ZERO)
-            .unwrap();
-        let (r1, _) = t
-            .timed_insert(&mut mem, &meter(), &values(2).concat(), Ts(2), Ps::ZERO)
-            .unwrap();
-        assert_eq!((r0, r1), (0, 1));
+        for (row, ts) in [(0, 1), (1, 2)] {
+            let image = values(row as u8 + 1).concat();
+            let (key_existed, _) = t
+                .timed_insert_at(&mut mem, &meter(), row, &image, Ts(ts), Ps::ZERO)
+                .unwrap();
+            assert!(!key_existed);
+        }
         // The insert is a delta version: invisible to the snapshot until
         // the next snapshot update (insert isolation).
         assert_ne!(t.snapshot_read(1), values(2));
@@ -1435,85 +1317,175 @@ mod tests {
         assert_eq!(t.snapshot_read(1), values(2));
     }
 
+    /// One table written the way the engine writes its twelve: every
+    /// successful write leaves one record in the engine's [`UndoLog`],
+    /// an insert goes to the row a ring cursor picks, and an abort takes
+    /// the records back through [`HtapTable::undo_write`].
+    struct Scoped {
+        t: HtapTable,
+        mem: MemSystem,
+        undo: UndoLog,
+        ring: u64,
+    }
+
+    impl Scoped {
+        fn new() -> Scoped {
+            Scoped {
+                t: table(AccessModel::Unified),
+                mem: MemSystem::dimm(),
+                undo: UndoLog::new(),
+                ring: 0,
+            }
+        }
+
+        fn update(&mut self, row: u64, ts: u64, col: u32, b: u8) {
+            self.t
+                .timed_update(
+                    &mut self.mem,
+                    &meter(),
+                    row,
+                    Ts(ts),
+                    &[(col, pair(b))],
+                    Ps::ZERO,
+                )
+                .unwrap();
+            self.undo.record(UndoRecord {
+                table: 0,
+                row,
+                insert: None,
+            });
+        }
+
+        /// Inserts at the ring's next row, which it returns.
+        fn insert(&mut self, seed: u8, ts: u64) -> u64 {
+            let row = self.ring % self.t.n_rows();
+            let image = values(seed).concat();
+            let (key_existed, _) = self
+                .t
+                .timed_insert_at(&mut self.mem, &meter(), row, &image, Ts(ts), Ps::ZERO)
+                .unwrap();
+            self.ring += 1;
+            self.undo.record(UndoRecord {
+                table: 0,
+                row,
+                insert: Some(InsertUndo {
+                    warehouse: 0,
+                    key_existed,
+                }),
+            });
+            row
+        }
+
+        fn prepare(&mut self, ts: u64) {
+            for rec in self.undo.active_records() {
+                self.t.mark_prepared(rec.row, Ts(ts));
+            }
+            self.undo.prepare(Ts(ts), 0);
+        }
+
+        fn commit_prepared(&mut self, ts: u64) {
+            self.undo.commit_prepared(Ts(ts), |_| {});
+            self.t.commit_prepared(Ts(ts));
+        }
+
+        /// Takes one record back, as the engine does.
+        fn take_back(t: &mut HtapTable, ring: &mut u64, rec: &UndoRecord) {
+            t.undo_write(rec.row, rec.insert.is_some_and(|i| !i.key_existed));
+            if rec.insert.is_some() {
+                *ring -= 1;
+            }
+        }
+
+        fn abort(&mut self) -> usize {
+            let (t, ring) = (&mut self.t, &mut self.ring);
+            self.undo.abort(|rec| Scoped::take_back(t, ring, rec))
+        }
+
+        fn abort_prepared(&mut self, ts: u64) {
+            let (t, ring) = (&mut self.t, &mut self.ring);
+            self.undo
+                .abort_prepared(Ts(ts), |rec| Scoped::take_back(t, ring, rec));
+        }
+
+        fn read(&mut self, row: u64, ts: u64) -> Vec<Vec<u8>> {
+            self.t
+                .timed_read(&mut self.mem, &meter(), row, Ts(ts), Ps::ZERO)
+                .0
+        }
+    }
+
     #[test]
     fn abort_unwinds_every_observable_and_a_retry_reuses_the_slots() {
-        let mut t = table(AccessModel::Unified);
-        let mut mem = MemSystem::dimm();
-        t.load_row(5, &values(1).concat());
+        let mut s = Scoped::new();
+        s.t.load_row(5, &values(1).concat());
         // A committed update from an earlier transaction.
-        t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
-        assert!(t.commit_txn() > 0);
-        let live_before = t.live_delta_rows();
-        let snap_before = t.snapshot_read(5);
-        let log_before = t.chains().log().len();
+        s.undo.begin();
+        s.update(5, 2, 0, 7);
+        s.prepare(2);
+        s.commit_prepared(2);
+        let live_before = s.t.live_delta_rows();
+        let snap_before = s.t.snapshot_read(5);
+        let log_before = s.t.chains().log().len();
 
         // The aborting transaction: an update and two inserts.
-        t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
-            .unwrap();
-        t.timed_insert(&mut mem, &meter(), &values(3).concat(), Ts(3), Ps::ZERO)
-            .unwrap();
-        t.timed_insert(&mut mem, &meter(), &values(4).concat(), Ts(3), Ps::ZERO)
-            .unwrap();
-        assert_eq!(t.live_delta_rows(), live_before + 3);
-        assert!(t.abort_txn() > 0);
+        s.undo.begin();
+        s.update(5, 3, 1, 9);
+        s.insert(3, 3);
+        s.insert(4, 3);
+        assert_eq!(s.t.live_delta_rows(), live_before + 3);
+        assert_eq!(s.abort(), 3);
 
         // Every effect is unwound.
-        assert!(!t.in_txn());
-        assert_eq!(t.live_delta_rows(), live_before);
-        assert_eq!(t.chains().log().len(), log_before);
-        assert_eq!(t.snapshot_read(5), snap_before);
-        let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
+        assert!(!s.undo.is_active());
+        assert!(s.undo.is_empty());
+        assert_eq!(s.t.live_delta_rows(), live_before);
+        assert_eq!(s.t.chains().log().len(), log_before);
+        assert_eq!(s.t.snapshot_read(5), snap_before);
+        assert_eq!(s.t.index().len(), 1, "the inserted keys left the index");
+        let vals = s.read(5, 9);
         assert_eq!(vals[0], vec![7, 7], "committed update survives");
         assert_ne!(vals[1], vec![9, 9], "aborted update is gone");
 
         // A retry under the same timestamps reuses the released slots and
         // lands on the same ring rows.
-        t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
-            .unwrap();
-        let (r0, _) = t
-            .timed_insert(&mut mem, &meter(), &values(3).concat(), Ts(3), Ps::ZERO)
-            .unwrap();
-        assert_eq!(r0, 0, "ring cursor was rolled back");
-        t.commit_txn();
-        let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
-        assert_eq!(vals[1], vec![9, 9]);
+        s.undo.begin();
+        s.update(5, 3, 1, 9);
+        assert_eq!(s.insert(3, 3), 0, "ring cursor was rolled back");
+        s.prepare(3);
+        s.commit_prepared(3);
+        assert_eq!(s.read(5, 9)[1], vec![9, 9]);
     }
 
     #[test]
     fn prepared_scope_resolves_by_commit_or_abort() {
-        let mut t = table(AccessModel::Unified);
-        let mut mem = MemSystem::dimm();
-        t.load_row(5, &values(1).concat());
+        let mut s = Scoped::new();
+        s.t.load_row(5, &values(1).concat());
 
         // Prepare-then-commit: the version survives and the marks clear.
-        t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
-        t.prepare_txn(Ts(2));
-        assert!(t.in_prepared_txn());
-        assert_eq!(t.prepared_versions(), 1);
-        t.commit_prepared_txn(Ts(2));
-        assert!(!t.in_txn());
-        assert_eq!(t.prepared_versions(), 0);
-        let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
-        assert_eq!(vals[0], vec![7, 7]);
+        s.undo.begin();
+        s.update(5, 2, 0, 7);
+        s.prepare(2);
+        assert_eq!(s.undo.prepared_scopes(), 1);
+        assert_eq!(s.t.prepared_versions(), 1);
+        s.commit_prepared(2);
+        assert!(!s.undo.is_active());
+        assert_eq!(s.t.prepared_versions(), 0);
+        assert_eq!(s.read(5, 9)[0], vec![7, 7]);
 
         // Prepare-then-abort: the version unwinds.
-        let live = t.live_delta_rows();
-        t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
-            .unwrap();
-        t.prepare_txn(Ts(3));
-        assert_eq!(t.prepared_versions(), 1);
-        t.abort_prepared_txn(Ts(3));
-        assert_eq!(t.prepared_versions(), 0);
-        assert_eq!(t.live_delta_rows(), live);
-        let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
-        assert_ne!(vals[1], vec![9, 9], "aborted prepared write is gone");
+        let live = s.t.live_delta_rows();
+        s.undo.begin();
+        s.update(5, 3, 1, 9);
+        s.prepare(3);
+        assert_eq!(s.t.prepared_versions(), 1);
+        s.abort_prepared(3);
+        assert_eq!(s.t.prepared_versions(), 0);
+        assert_eq!(s.t.live_delta_rows(), live);
+        assert_ne!(
+            s.read(5, 9)[1],
+            vec![9, 9],
+            "aborted prepared write is gone"
+        );
     }
 
     /// Two prepared scopes on disjoint rows coexist; the earlier one
@@ -1522,42 +1494,35 @@ mod tests {
     /// table-level contract.
     #[test]
     fn coexisting_prepared_scopes_abort_and_commit_independently() {
-        let mut t = table(AccessModel::Unified);
-        let mut mem = MemSystem::dimm();
-        t.load_row(3, &values(1).concat());
-        t.load_row(4, &values(2).concat());
-        let live = t.live_delta_rows();
+        let mut s = Scoped::new();
+        s.t.load_row(3, &values(1).concat());
+        s.t.load_row(4, &values(2).concat());
+        let live = s.t.live_delta_rows();
 
-        t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 3, Ts(10), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
-        t.prepare_txn(Ts(10));
-        t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 4, Ts(11), &[(0, pair(8))], Ps::ZERO)
-            .unwrap();
-        t.prepare_txn(Ts(11));
-        assert_eq!(t.prepared_versions(), 2);
+        s.undo.begin();
+        s.update(3, 10, 0, 7);
+        s.prepare(10);
+        s.undo.begin();
+        s.update(4, 11, 0, 8);
+        s.prepare(11);
+        assert_eq!(s.t.prepared_versions(), 2);
 
         // Abort the earlier scope (its entry is mid-log), commit the
         // later one.
-        t.abort_prepared_txn(Ts(10));
-        assert_eq!(t.prepared_versions(), 1);
-        t.commit_prepared_txn(Ts(11));
-        assert_eq!(t.prepared_versions(), 0);
-        assert_eq!(t.live_delta_rows(), live + 1);
-        let (vals, _) = t.timed_read(&mut mem, &meter(), 3, Ts(20), Ps::ZERO);
-        assert_eq!(vals[0], vec![1, 1], "aborted scope left no trace");
-        let (vals, _) = t.timed_read(&mut mem, &meter(), 4, Ts(20), Ps::ZERO);
-        assert_eq!(vals[0], vec![8, 8], "committed scope survives");
+        s.abort_prepared(10);
+        assert_eq!(s.t.prepared_versions(), 1);
+        s.commit_prepared(11);
+        assert_eq!(s.t.prepared_versions(), 0);
+        assert_eq!(s.t.live_delta_rows(), live + 1);
+        assert_eq!(s.read(3, 20)[0], vec![1, 1], "aborted scope left no trace");
+        assert_eq!(s.read(4, 20)[0], vec![8, 8], "committed scope survives");
 
         // The aborted transaction retries at its pinned timestamp.
-        t.begin_txn();
-        t.timed_update(&mut mem, &meter(), 3, Ts(10), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
-        t.prepare_txn(Ts(10));
-        t.commit_prepared_txn(Ts(10));
-        let (vals, _) = t.timed_read(&mut mem, &meter(), 3, Ts(20), Ps::ZERO);
-        assert_eq!(vals[0], vec![7, 7]);
+        s.undo.begin();
+        s.update(3, 10, 0, 7);
+        s.prepare(10);
+        s.commit_prepared(10);
+        assert_eq!(s.read(3, 20)[0], vec![7, 7]);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! is what makes sharded committed bytes equal the unpartitioned
 //! reference's for *every* table, remote-owned rows included.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -28,7 +27,10 @@ use pushtap_chbench::{put_text, put_u64, NewOrder, Partitioning, Payment, RowGen
 use pushtap_format::{
     compact_layout, naive_layout, LayoutError, RowSlot, TableLayout, TableSchema,
 };
-use pushtap_mvcc::{DefragCostModel, DefragStrategy, DeltaFull, Ts, TsAllocator, TsOracle};
+use pushtap_mvcc::{
+    DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, TsAllocator, TsOracle, UndoLog,
+    UndoRecord,
+};
 use pushtap_pim::{BankAddr, Geometry, MemSystem, Ps, Side};
 use pushtap_sanitizer::{Access, AccessKind, AccessSink, NullSanitizer, SanKey};
 use pushtap_trace::{NullSink, Phase, Span, TraceSink};
@@ -59,26 +61,6 @@ pub enum TxnRole {
     Participant,
 }
 
-/// A prepared-but-undecided transaction scope held by the engine,
-/// keyed by its pinned commit timestamp. Several scopes coexist under a
-/// pipelined coordinator — one per in-flight non-conflicting
-/// transaction.
-#[derive(Debug, Clone)]
-struct PreparedScope {
-    /// Simulated time the prepare consumed (charged to
-    /// `wasted_retry_time` if the coordinator aborts).
-    elapsed: Ps,
-    /// Stripe cursors this scope advanced, in order — undone in reverse
-    /// if the coordinator aborts. Scopes never share a cursor (their
-    /// ring keys are disjoint by conflict scheduling), so out-of-order
-    /// resolution is exact.
-    cursors: Vec<(Table, u64)>,
-    /// The tables holding a prepared scope for this transaction, as a
-    /// bit per `Table as usize`: the ones its effects left undo records
-    /// on. The decision visits only these.
-    tables: u16,
-}
-
 /// One CH table of the database with the facts the executor needs on
 /// every effect, resolved once in [`TpccDb::build_partitioned`].
 #[derive(Debug)]
@@ -91,9 +73,30 @@ struct DbTable {
     /// Bytes of one row image.
     row_width: usize,
     /// Insert cursors of the warehouses this instance owns, by distance
-    /// from the first ([`TpccDb::ring_slot`]): inserts cycle inside the
+    /// from the first ([`ring_slot`]): inserts cycle inside the
     /// home warehouse's stripe, deterministically across deployments.
     insert_cursors: Vec<u64>,
+}
+
+/// Where the insert cursor of warehouse `w` sits in a table's
+/// [`DbTable::insert_cursors`], on the instance whose first owned
+/// warehouse is `first` — for the `w` [`TpccDb::insert_target`]
+/// resolved: an owned warehouse, or the one an instance that owns none
+/// clamps to (slot 0).
+fn ring_slot(first: u64, w: u64) -> usize {
+    w.saturating_sub(first) as usize
+}
+
+/// Takes one recorded write back on the table it names (newest first
+/// within a transaction): the version and its slot, and for an insert
+/// the index key, if it was new, and the ring's cursor.
+fn undo_record(tables: &mut [DbTable], first_warehouse: u64, rec: &UndoRecord) {
+    let t = &mut tables[rec.table as usize];
+    t.table
+        .undo_write(rec.row, rec.insert.is_some_and(|i| !i.key_existed));
+    if let Some(insert) = rec.insert {
+        t.insert_cursors[ring_slot(first_warehouse, insert.warehouse)] -= 1;
+    }
 }
 
 /// The columns the two transactions write or read by name, as schema
@@ -246,18 +249,16 @@ pub struct TpccDb {
     warehouses_global: u64,
     /// The contiguous warehouse range this instance owns.
     wh_range: Range<u64>,
-    /// Stripe cursors bumped by the in-flight transaction, in order —
-    /// the executor-level half of the undo log (the table-level half
-    /// lives in each [`HtapTable`]'s [`pushtap_mvcc::UndoLog`]).
-    txn_cursor_log: Vec<(Table, u64)>,
+    /// What the undecided transactions hold: one record per successful
+    /// row write of the transaction being applied and of every
+    /// prepared-but-undecided one — the two-phase commits in flight on
+    /// this engine. A serial coordinator holds at most one prepared
+    /// scope; a pipelined coordinator one per overlapped
+    /// non-conflicting transaction.
+    undo: UndoLog,
     /// Transactions rolled back on [`DeltaFull`] (each is retried by the
     /// caller after defragmentation, so this is also the retry count).
     aborts: u64,
-    /// Prepared-but-undecided scopes keyed by pinned commit timestamp —
-    /// the two-phase commits in flight on this engine. A serial
-    /// coordinator holds at most one; a pipelined coordinator holds one
-    /// per overlapped non-conflicting transaction.
-    prepared: BTreeMap<Ts, PreparedScope>,
     /// Cumulative simulated time consumed by rolled-back attempts: the
     /// statements a transaction executed before hitting [`DeltaFull`].
     /// The memory traffic of those statements is charged to the simulated
@@ -472,9 +473,8 @@ impl TpccDb {
             partition,
             warehouses_global,
             wh_range,
-            txn_cursor_log: Vec::new(),
+            undo: UndoLog::new(),
             aborts: 0,
-            prepared: BTreeMap::new(),
             wasted_retry_time: Ps::ZERO,
             sink: Arc::new(NullSink),
             track: 0,
@@ -591,7 +591,7 @@ impl TpccDb {
         };
         let start = stripe_start(w, global, self.warehouses_global);
         let end = stripe_start(w + 1, global, self.warehouses_global);
-        let c = t.insert_cursors[self.ring_slot(w)];
+        let c = t.insert_cursors[ring_slot(self.wh_range.start, w)];
         let row = if !self.wh_range.is_empty() && end > start {
             start + c % (end - start)
         } else {
@@ -608,14 +608,6 @@ impl TpccDb {
     /// owned range (more shards than warehouses) inserts through.
     fn clamped_home(&self) -> u64 {
         self.wh_range.start.min(self.warehouses_global - 1)
-    }
-
-    /// Where the insert cursor of warehouse `w` sits in a table's
-    /// [`DbTable::insert_cursors`] — for the `w` [`TpccDb::insert_target`]
-    /// resolved: an owned warehouse, or the one an instance that owns
-    /// none clamps to (slot 0).
-    fn ring_slot(&self, w: u64) -> usize {
-        w.saturating_sub(self.wh_range.start) as usize
     }
 
     /// The local row of `table` backing *global* row `g`.
@@ -659,12 +651,19 @@ impl TpccDb {
         at: Ps,
     ) -> Result<(u64, crate::table::OpResult), DeltaFull> {
         let (global_row, w) = self.insert_target(table, w_id);
-        let slot = self.ring_slot(w);
+        let slot = ring_slot(self.wh_range.start, w);
         let t = &mut self.tables[table as usize];
         let local = global_row - t.row_base;
-        let r = t.table.timed_insert_at(mem, meter, local, image, ts, at)?;
+        let (key_existed, r) = t.table.timed_insert_at(mem, meter, local, image, ts, at)?;
         t.insert_cursors[slot] += 1;
-        self.txn_cursor_log.push((table, w));
+        self.undo.record(UndoRecord {
+            table: table as u32,
+            row: local,
+            insert: Some(InsertUndo {
+                warehouse: w,
+                key_existed,
+            }),
+        });
         if self.san.enabled() {
             // The cursor advance is the ring-key side of the insert: the
             // physical row write was already mirrored by the table hook.
@@ -743,7 +742,7 @@ impl TpccDb {
     /// identity tests assert.
     pub fn insert_cursor(&self, table: Table, w: u64) -> u64 {
         if self.wh_range.contains(&w) || (self.wh_range.is_empty() && w == self.clamped_home()) {
-            self.tables[table as usize].insert_cursors[self.ring_slot(w)]
+            self.tables[table as usize].insert_cursors[ring_slot(self.wh_range.start, w)]
         } else {
             0
         }
@@ -825,7 +824,7 @@ impl TpccDb {
     /// own operations (commit at the end, §6.3).
     ///
     /// The transaction runs inside a begin/commit/abort scope: every
-    /// statement records its effects in the tables' undo logs, and a
+    /// successful write leaves a record in the engine's undo log, and a
     /// mid-transaction [`DeltaFull`] rolls the whole transaction back —
     /// delta slots, version chains, row bytes, index entries, stripe
     /// cursors, and the allocated timestamp all revert — before the
@@ -908,26 +907,13 @@ impl TpccDb {
         Ok(r)
     }
 
-    /// Opens the transaction scope on every table and the cursor log.
-    fn begin_txn(&mut self) {
-        debug_assert!(self.txn_cursor_log.is_empty(), "cursor log leaked");
-        for t in &mut self.tables {
-            t.table.begin_txn();
-        }
-    }
-
-    /// Rolls back the in-flight transaction: every table unwinds its
-    /// undo log and stripe cursors step back. Timestamp rollback is the
-    /// caller's job ([`TpccDb::execute`] returns the allocation;
+    /// Rolls back the transaction being applied: its recorded writes
+    /// are taken back newest-first. Timestamp rollback is the caller's
+    /// job ([`TpccDb::execute`] returns the allocation;
     /// [`TpccDb::execute_at`] keeps the pinned timestamp for the retry).
     fn abort_txn(&mut self) {
-        for t in &mut self.tables {
-            t.table.abort_txn();
-        }
-        while let Some((table, w)) = self.txn_cursor_log.pop() {
-            let slot = self.ring_slot(w);
-            self.tables[table as usize].insert_cursors[slot] -= 1;
-        }
+        let (tables, first) = (&mut self.tables, self.wh_range.start);
+        self.undo.abort(|rec| undo_record(tables, first, rec));
         self.aborts += 1;
     }
 
@@ -1172,6 +1158,11 @@ impl TpccDb {
                 let local = self.own_row(*table, *row);
                 let t = self.table_mut(*table);
                 let r = t.timed_update(mem, meter, local, ts, writes, *now)?;
+                self.undo.record(UndoRecord {
+                    table: *table as u32,
+                    row: local,
+                    insert: None,
+                });
                 b.merge(&r.breakdown);
                 *now = r.end;
                 Ok(())
@@ -1271,10 +1262,10 @@ impl TpccDb {
         at: Ps,
     ) -> Result<TxnResult, DeltaFull> {
         assert!(
-            !self.prepared.contains_key(&ts),
+            !self.undo.is_prepared(ts),
             "a scope is already prepared at {ts:?}"
         );
-        self.begin_txn();
+        self.undo.begin();
         if self.san.enabled() {
             // Declare the scope's keyset before any access lands: every
             // mirrored access must then fall under these keys, or the
@@ -1314,38 +1305,12 @@ impl TpccDb {
         // the coordinator's decision is pure metadata.
         now += meter.commit_barrier();
         b.compute += meter.commit_barrier();
-        // A table the transaction never wrote (5 to 8 of the 12) has
-        // nothing to park: its scope closes here, and the decision will
-        // not visit it.
-        let mut prepared_tables = 0u16;
-        for (i, t) in self.tables.iter_mut().enumerate() {
-            if t.table.txn_is_empty() {
-                t.table.commit_txn();
-            } else {
-                t.table.prepare_txn(ts);
-                prepared_tables |= 1 << i;
-            }
+        for rec in self.undo.active_records() {
+            self.tables[rec.table as usize]
+                .table
+                .mark_prepared(rec.row, ts);
         }
-        let cursors: Vec<(Table, u64)> = self.txn_cursor_log.drain(..).collect();
-        debug_assert!(
-            {
-                let mut keys: Vec<_> = cursors.clone();
-                keys.sort_unstable();
-                keys.dedup();
-                self.prepared
-                    .values()
-                    .all(|s| s.cursors.iter().all(|c| keys.binary_search(c).is_err()))
-            },
-            "coexisting prepared scopes share an insert ring — a conflict-scheduling bug"
-        );
-        self.prepared.insert(
-            ts,
-            PreparedScope {
-                elapsed: now.saturating_sub(at),
-                cursors,
-                tables: prepared_tables,
-            },
-        );
+        self.undo.prepare(ts, now.saturating_sub(at).ps());
         if self.san.enabled() {
             self.san.prepare_scope(self.san_track, ts.0);
         }
@@ -1381,13 +1346,14 @@ impl TpccDb {
     ///
     /// Panics if no transaction is prepared at `ts`.
     pub fn commit_prepared(&mut self, ts: Ts, role: TxnRole) {
-        let p = self
-            .prepared
-            .remove(&ts)
-            .unwrap_or_else(|| panic!("commit decision for unprepared {ts:?}"));
-        for t in self.prepared_tables(p.tables) {
-            t.commit_prepared_txn(ts);
-        }
+        // The scope's marks resolve on each table it wrote, once.
+        let (tables, mut resolved) = (&mut self.tables, 0u32);
+        self.undo.commit_prepared(ts, |rec| {
+            if resolved & (1 << rec.table) == 0 {
+                resolved |= 1 << rec.table;
+                tables[rec.table as usize].table.commit_prepared(ts);
+            }
+        });
         if role == TxnRole::Coordinator {
             self.committed += 1;
         }
@@ -1410,43 +1376,34 @@ impl TpccDb {
     ///
     /// Panics if no transaction is prepared at `ts`.
     pub fn abort_prepared(&mut self, ts: Ts) {
-        let p = self
-            .prepared
-            .remove(&ts)
-            .unwrap_or_else(|| panic!("abort decision for unprepared {ts:?}"));
-        self.wasted_retry_time += p.elapsed;
-        for t in self.prepared_tables(p.tables) {
-            t.abort_prepared_txn(ts);
-        }
-        for (table, w) in p.cursors.into_iter().rev() {
-            let slot = self.ring_slot(w);
-            self.tables[table as usize].insert_cursors[slot] -= 1;
-        }
+        let (tables, first) = (&mut self.tables, self.wh_range.start);
+        let elapsed = self
+            .undo
+            .abort_prepared(ts, |rec| undo_record(tables, first, rec));
+        self.wasted_retry_time += Ps::new(elapsed);
         self.aborts += 1;
         if self.san.enabled() {
             self.san.abort_scope(self.san_track, ts.0);
         }
     }
 
-    /// The tables a [`PreparedScope::tables`] mask names.
-    fn prepared_tables(&mut self, mask: u16) -> impl Iterator<Item = &mut HtapTable> {
-        self.tables
-            .iter_mut()
-            .enumerate()
-            .filter(move |(i, _)| mask & (1 << i) != 0)
-            .map(|(_, t)| &mut t.table)
-    }
-
     /// Whether any prepared transactions are awaiting their coordinator
     /// decisions on this engine.
     pub fn in_prepared_txn(&self) -> bool {
-        !self.prepared.is_empty()
+        self.undo.prepared_scopes() > 0
     }
 
     /// Number of prepared transactions awaiting their coordinator
     /// decisions on this engine.
     pub fn prepared_scopes(&self) -> usize {
-        self.prepared.len()
+        self.undo.prepared_scopes()
+    }
+
+    /// Row writes held in the engine's undo log: those of the
+    /// prepared-but-undecided transactions. Zero whenever none is
+    /// pending.
+    pub fn pending_writes(&self) -> usize {
+        self.undo.len()
     }
 
     /// Prepared-but-uncommitted versions across all tables — zero

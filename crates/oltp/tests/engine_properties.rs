@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use pushtap_chbench::{dec_u64, enc_u64, Table};
 use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
-use pushtap_mvcc::{DefragCostModel, DefragStrategy, Ts};
+use pushtap_mvcc::{DefragCostModel, DefragStrategy, InsertUndo, Ts, UndoLog, UndoRecord};
 use pushtap_oltp::{
     AccessModel, ColumnWrite, CostModel, DbConfig, HtapTable, Meter, TableConfig, TpccDb,
 };
@@ -223,7 +223,7 @@ enum Step {
     Abort(Vec<Write>),
     /// A scope prepared at its timestamp, then decided.
     Prepared { writes: Vec<Write>, commit: bool },
-    /// `timed_insert` on the table's own insert ring, committed.
+    /// An insert at the row the ring cursor picks, committed.
     RingInsert(u64),
     /// `timed_snapshot_update` this many timestamps behind the newest
     /// commit.
@@ -316,32 +316,119 @@ fn row_image(val: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Applies one scope's writes; `Err` when an arena ran out.
-fn apply(
-    t: &mut HtapTable,
-    mem: &mut MemSystem,
-    meter: &Meter,
-    writes: &[Write],
-    ts: Ts,
-) -> Result<(), pushtap_mvcc::DeltaFull> {
-    let mut written = std::collections::HashSet::new();
-    for w in writes {
-        // One version per row and timestamp (MVCC write locking).
-        if !written.insert(w.row) {
-            continue;
-        }
-        if w.insert {
-            t.timed_insert_at(mem, meter, w.row, &row_image(w.val), ts, Ps::ZERO)?;
-        } else {
-            let changes: Vec<(u32, ColumnWrite)> = SCAN_WIDTHS
-                .iter()
-                .enumerate()
-                .map(|(c, &width)| (c as u32, ColumnWrite::set(column_value(w.val, c), width)))
-                .collect();
-            t.timed_update(mem, meter, w.row, ts, &changes, Ps::ZERO)?;
-        }
+/// One table written the way the engine writes its twelve: every
+/// successful write leaves one record in the engine's [`UndoLog`], a
+/// ring insert goes to the row a cursor picks, and a rollback takes the
+/// records back through `HtapTable::undo_write`.
+#[derive(Clone)]
+struct Scoped {
+    t: HtapTable,
+    undo: UndoLog,
+    ring: u64,
+}
+
+impl Scoped {
+    /// One insert at `row`, recorded.
+    fn insert(
+        &mut self,
+        mem: &mut MemSystem,
+        meter: &Meter,
+        row: u64,
+        val: u64,
+        ts: Ts,
+    ) -> Result<(), pushtap_mvcc::DeltaFull> {
+        let (key_existed, _) =
+            self.t
+                .timed_insert_at(mem, meter, row, &row_image(val), ts, Ps::ZERO)?;
+        self.undo.record(UndoRecord {
+            table: 0,
+            row,
+            insert: Some(InsertUndo {
+                warehouse: 0,
+                key_existed,
+            }),
+        });
+        Ok(())
     }
-    Ok(())
+
+    /// Applies one scope's writes; `Err` when an arena ran out.
+    fn apply(
+        &mut self,
+        mem: &mut MemSystem,
+        meter: &Meter,
+        writes: &[Write],
+        ts: Ts,
+    ) -> Result<(), pushtap_mvcc::DeltaFull> {
+        let mut written = std::collections::HashSet::new();
+        for w in writes {
+            // One version per row and timestamp (MVCC write locking).
+            if !written.insert(w.row) {
+                continue;
+            }
+            if w.insert {
+                self.insert(mem, meter, w.row, w.val, ts)?;
+            } else {
+                let changes: Vec<(u32, ColumnWrite)> = SCAN_WIDTHS
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &width)| (c as u32, ColumnWrite::set(column_value(w.val, c), width)))
+                    .collect();
+                self.t
+                    .timed_update(mem, meter, w.row, ts, &changes, Ps::ZERO)?;
+                self.undo.record(UndoRecord {
+                    table: 0,
+                    row: w.row,
+                    insert: None,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// An insert at the row the ring cursor picks; the cursor advances
+    /// only once the slot allocation succeeded.
+    fn ring_insert(
+        &mut self,
+        mem: &mut MemSystem,
+        meter: &Meter,
+        val: u64,
+        ts: Ts,
+    ) -> Result<(), pushtap_mvcc::DeltaFull> {
+        self.insert(mem, meter, self.ring % SCAN_ROWS, val, ts)?;
+        self.ring += 1;
+        Ok(())
+    }
+
+    /// Parks the active scope prepared at `ts`, its versions marked.
+    fn prepare(&mut self, ts: Ts) {
+        for rec in self.undo.active_records() {
+            self.t.mark_prepared(rec.row, ts);
+        }
+        self.undo.prepare(ts, 0);
+    }
+
+    fn commit_prepared(&mut self, ts: Ts) {
+        self.undo.commit_prepared(ts, |_| {});
+        self.t.commit_prepared(ts);
+    }
+
+    /// Takes one record back. (A ring insert is a scope of its own that
+    /// commits once the insert succeeded, so the cursor never steps
+    /// back here.)
+    fn take_back(t: &mut HtapTable, rec: &UndoRecord) {
+        t.undo_write(rec.row, rec.insert.is_some_and(|i| !i.key_existed));
+    }
+
+    fn abort(&mut self) {
+        let t = &mut self.t;
+        self.undo.abort(|rec| Scoped::take_back(t, rec));
+    }
+
+    fn abort_prepared(&mut self, ts: Ts) {
+        let t = &mut self.t;
+        self.undo
+            .abort_prepared(ts, |rec| Scoped::take_back(t, rec));
+    }
 }
 
 /// The three facts `HtapTable::scan_snapshot` relies on, checked against
@@ -401,7 +488,7 @@ struct Clock {
 /// it — never starts; it still burns its timestamp, so the two runs'
 /// timestamps stay aligned.
 fn run_step(
-    t: &mut HtapTable,
+    s: &mut Scoped,
     mem: &mut MemSystem,
     meter: &Meter,
     step: &Step,
@@ -414,85 +501,82 @@ fn run_step(
             clock.next += 1;
             let ts = Ts(clock.next);
             let scripted = matches!(step, Step::Abort(_));
-            if skip_rolled_back
-                && (scripted || apply(&mut t.clone(), mem, meter, writes, ts).is_err())
-            {
+            if skip_rolled_back && (scripted || s.clone().apply(mem, meter, writes, ts).is_err()) {
                 return;
             }
-            t.begin_txn();
-            let full = apply(t, mem, meter, writes, ts).is_err();
+            s.undo.begin();
+            let full = s.apply(mem, meter, writes, ts).is_err();
             if full || scripted {
-                t.abort_txn();
+                s.abort();
             } else {
-                t.commit_txn();
+                s.prepare(ts);
+                s.commit_prepared(ts);
                 clock.committed = clock.next;
             }
         }
         Step::Prepared { writes, commit } => {
             clock.next += 1;
             let ts = Ts(clock.next);
-            if skip_rolled_back
-                && (!commit || apply(&mut t.clone(), mem, meter, writes, ts).is_err())
-            {
+            if skip_rolled_back && (!commit || s.clone().apply(mem, meter, writes, ts).is_err()) {
                 return;
             }
-            t.begin_txn();
-            if apply(t, mem, meter, writes, ts).is_err() {
-                t.abort_txn();
+            s.undo.begin();
+            if s.apply(mem, meter, writes, ts).is_err() {
+                s.abort();
             } else {
-                t.prepare_txn(ts);
+                s.prepare(ts);
                 if *commit {
-                    t.commit_prepared_txn(ts);
+                    s.commit_prepared(ts);
                     clock.committed = clock.next;
                 } else {
-                    t.abort_prepared_txn(ts);
+                    s.abort_prepared(ts);
                 }
             }
         }
         Step::RingInsert(val) => {
             clock.next += 1;
             let ts = Ts(clock.next);
-            let values = row_image(*val);
-            if skip_rolled_back
-                && t.clone()
-                    .timed_insert(mem, meter, &values, ts, Ps::ZERO)
-                    .is_err()
-            {
+            if skip_rolled_back && s.clone().ring_insert(mem, meter, *val, ts).is_err() {
                 return;
             }
-            t.begin_txn();
-            match t.timed_insert(mem, meter, &values, ts, Ps::ZERO) {
-                Ok(_) => {
-                    t.commit_txn();
+            s.undo.begin();
+            match s.ring_insert(mem, meter, *val, ts) {
+                Ok(()) => {
+                    s.prepare(ts);
+                    s.commit_prepared(ts);
                     clock.committed = clock.next;
                 }
-                Err(_) => {
-                    t.abort_txn();
-                }
+                Err(_) => s.abort(),
             }
         }
         Step::Snapshot { behind } => {
             let upto = Ts(clock.committed.saturating_sub(*behind));
-            t.timed_snapshot_update(mem, meter, upto, Ps::ZERO);
+            s.t.timed_snapshot_update(mem, meter, upto, Ps::ZERO);
         }
         Step::Gc { behind } => {
             let before = Ts(clock.committed.saturating_sub(*behind));
-            t.gc(&cost, DefragStrategy::Hybrid, before);
+            s.t.gc(&cost, DefragStrategy::Hybrid, before);
         }
         Step::Defrag => {
-            t.defragment(&cost, DefragStrategy::Hybrid, Ts(clock.committed));
+            s.t.defragment(&cost, DefragStrategy::Hybrid, Ts(clock.committed));
         }
     }
+    assert!(s.undo.is_empty(), "every scope of a step is decided in it");
 }
 
 /// A freshly loaded [`scan_table`] with its memory system and meter.
-fn loaded_scan_table() -> (HtapTable, MemSystem, Meter) {
+fn loaded_scan_table() -> (Scoped, MemSystem, Meter) {
     let mut t = scan_table();
     for row in 0..SCAN_ROWS {
         t.load_row(row, &row_image(row));
     }
     let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
-    (t, MemSystem::dimm(), meter)
+    let scoped = Scoped {
+        t,
+        undo: UndoLog::new(),
+        ring: 0,
+    };
+    (scoped, MemSystem::dimm(), meter)
 }
 
 /// Everything a caller can learn from a table between transactions.
@@ -506,19 +590,14 @@ struct Observed {
     /// probe order — not where the index keeps them, which an entry
     /// parked on its free list by a rollback would change.
     index: Vec<Vec<(u64, u64)>>,
-    /// The insert-ring cursor. The table has no accessor for it, so it
-    /// is cut out of its `Debug` rendering.
-    ring_cursor: String,
+    /// The insert-ring cursor.
+    ring_cursor: u64,
     live_delta_rows: u64,
     commit_log_len: usize,
 }
 
-fn observe(t: &HtapTable, mem: &mut MemSystem, meter: &Meter, upto: u64) -> Observed {
-    let debug = format!("{t:?}");
-    let cut = |from: &str, to: &str| {
-        let rest = &debug[debug.find(from).expect("field in Debug") + from.len()..];
-        rest[..rest.find(to).expect("field end in Debug")].to_string()
-    };
+fn observe(s: &Scoped, mem: &mut MemSystem, meter: &Meter, upto: u64) -> Observed {
+    let t = &s.t;
     // Reads stamp the versions they touch: take them from a copy.
     let mut reader = t.clone();
     Observed {
@@ -530,7 +609,7 @@ fn observe(t: &HtapTable, mem: &mut MemSystem, meter: &Meter, upto: u64) -> Obse
         index: (0..t.index().bucket_count())
             .map(|bucket| t.index().chain(bucket).collect())
             .collect(),
-        ring_cursor: cut("insert_cursor: ", ","),
+        ring_cursor: s.ring,
         live_delta_rows: t.live_delta_rows(),
         commit_log_len: t.commit_log_len(),
     }
@@ -547,20 +626,20 @@ proptest! {
     /// `snapshot_slot` + `read_value` reads.
     #[test]
     fn bitmaps_hold_one_visible_version_per_row(steps in arb_steps()) {
-        let (mut t, mut mem, meter) = loaded_scan_table();
-        check_scan_invariant(&t)?;
+        let (mut s, mut mem, meter) = loaded_scan_table();
+        check_scan_invariant(&s.t)?;
         let mut clock = Clock::default();
         for step in &steps {
-            run_step(&mut t, &mut mem, &meter, step, &mut clock, false);
-            check_scan_invariant(&t)?;
+            run_step(&mut s, &mut mem, &meter, step, &mut clock, false);
+            check_scan_invariant(&s.t)?;
         }
     }
 
     /// Rollback restores no row bytes, and none need restoring: under
     /// the same script — released slots re-allocated by later scopes in
     /// 5-slot arenas, GC passes, snapshots and defragmentation in
-    /// between — a run whose scopes abort (`abort_txn` by script or on
-    /// `DeltaFull`, `abort_prepared_txn`) is, after every step,
+    /// between — a run whose scopes abort (`UndoLog::abort` by script or
+    /// on `DeltaFull`, `UndoLog::abort_prepared`) is, after every step,
     /// indistinguishable from the run in which those scopes never
     /// started.
     #[test]
@@ -596,8 +675,8 @@ struct Pending {
     abort_first: bool,
 }
 
-/// The tables an effect set leaves undo records on: the ones it updates
-/// or inserts into (a read records nothing).
+/// The tables an effect set writes: the ones it updates or inserts into
+/// (a read records nothing).
 fn written_tables(effects: &[pushtap_oltp::TaggedEffect]) -> Vec<Table> {
     let mut tables: Vec<Table> = effects
         .iter()
@@ -612,32 +691,38 @@ fn written_tables(effects: &[pushtap_oltp::TaggedEffect]) -> Vec<Table> {
     tables
 }
 
-/// After every decision and every vote: no table is left inside an
-/// active scope, a table holds a prepared scope exactly when a pending
-/// transaction wrote it, and with nothing pending no prepared version
-/// is left anywhere.
+/// After every decision and every vote: a table holds prepared
+/// versions exactly when a pending transaction wrote it, the log holds
+/// exactly the pending transactions' writes, and with nothing pending
+/// no prepared version and no record is left anywhere.
 fn check_scopes(db: &TpccDb, pending: &[Pending]) -> Result<(), TestCaseError> {
     prop_assert_eq!(db.prepared_scopes(), pending.len());
     for table in pushtap_chbench::ALL_TABLES {
-        let t = db.table(table);
-        prop_assert!(!t.in_txn(), "{:?} left inside an active scope", table);
         let expected = pending
             .iter()
             .any(|p| written_tables(&p.effects).contains(&table));
         prop_assert_eq!(
-            t.in_prepared_txn(),
+            db.table(table).prepared_versions() > 0,
             expected,
             "{:?} with {} pending",
             table,
             pending.len()
         );
-        if !expected {
-            prop_assert_eq!(t.prepared_versions(), 0, "{:?}", table);
-        }
     }
+    // One version, and one record, per write of a pending transaction.
+    let writes: usize = pending
+        .iter()
+        .flat_map(|p| &p.effects)
+        .filter(|e| !matches!(e.effect, pushtap_oltp::Effect::Read { .. }))
+        .count();
+    prop_assert_eq!(db.prepared_versions(), writes as u64);
     if pending.is_empty() {
-        prop_assert_eq!(db.prepared_versions(), 0);
         prop_assert!(!db.in_prepared_txn());
+        prop_assert_eq!(db.pending_writes(), 0, "the log clears with the last scope");
+    } else {
+        // Scopes resolved beside the pending ones keep their place until
+        // the log clears, so it holds at least the pending writes.
+        prop_assert!(db.pending_writes() >= writes);
     }
     Ok(())
 }
