@@ -16,28 +16,32 @@
 //! across waves, so per-row commit order (and therefore every committed
 //! byte) matches the unpartitioned reference. One wave executes as:
 //!
-//! 1. **Decompose** every wave member at its home engine and split the
-//!    effects by owning shard (read-only; wave members touch disjoint
-//!    rings, so the split is independent of intra-wave order).
-//! 2. **Prepare phase** — all shards concurrently *on their simulated
+//! 1. **One item list** — every wave member is decomposed at its home
+//!    engine into one effect list, ordered home-first then by owning
+//!    shard (read-only; wave members touch disjoint rings, so the
+//!    result is independent of intra-wave order). Each `(transaction,
+//!    involved shard)` pair becomes one item holding a range of that
+//!    list, and the wave is the items sorted by `(shard, timestamp)`:
+//!    a shard's share is one contiguous run, and an item carries its
+//!    own vote and prepare clocks.
+//! 2. **Prepare pass** — all shards concurrently *on their simulated
 //!    clocks*, executed one after another in shard order on the
 //!    caller's thread: each shard prepares its wave items in
-//!    timestamp order, holding one prepared undo scope per transaction
-//!    (the multi-scope machinery in `pushtap-mvcc`). Forwarded effect
-//!    sets pay their prepare-hop *delivery*: a wave's messages are all
-//!    in flight together, so a delivery only stalls the engine until
-//!    its arrival time — overlapped, not summed. With a WAL, every
-//!    prepared record is appended and the shard ends its pass with one
-//!    group-commit force.
-//! 3. **Vote barrier** — a transaction commits iff every involved shard
-//!    prepared it; any `DeltaFull` vote aborts it everywhere. With a
-//!    WAL, the commit decisions of cross-shard members are logged and
-//!    forced here, before any is delivered.
-//! 4. **Decision phase** — all shards, again concurrent only on their
+//!    timestamp order, holding one prepared scope per transaction (a
+//!    range of the engine's undo log in `pushtap-mvcc`). Forwarded
+//!    effect sets pay their prepare-hop *delivery*: a wave's messages
+//!    are all in flight together, so a delivery only stalls the engine
+//!    until its arrival time — overlapped, not summed. With a WAL,
+//!    every prepared record is appended and the shard ends its pass
+//!    with one group-commit force.
+//! 3. **Vote barrier and decision log** — a transaction commits iff
+//!    every involved shard prepared it; any `DeltaFull` vote aborts it
+//!    everywhere. With a WAL, the commit decisions of cross-shard
+//!    members are logged and forced here, before any is delivered.
+//! 4. **Decide pass** — all shards, again concurrent only on their
 //!    simulated clocks, deliver commit/abort decisions in timestamp
-//!    order (again overlapped deliveries);
-//!    committed scopes resolve, aborted scopes replay their pinned undo
-//!    records in reverse.
+//!    order (again overlapped deliveries); committed scopes resolve,
+//!    aborted scopes take their writes back newest-first.
 //! 5. **Retries** — each aborted transaction reclaims its no-voting
 //!    shards' arenas and re-enters `run_wave` alone, at the *same*
 //!    pinned timestamp, until it commits, before the next wave starts.
@@ -71,7 +75,7 @@
 
 pub mod schedule;
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use pushtap_core::{MaintPause, Pushtap};
 use pushtap_mvcc::Ts;
@@ -86,20 +90,18 @@ use crate::partition::WarehouseMap;
 use crate::report::ShardLoad;
 use crate::router::RoutedTxn;
 
-/// Appends one prepared effect set to a shard's effect log (volatile
-/// until the next force barrier) and accounts it.
-#[allow(clippy::too_many_arguments)]
+/// Appends one prepared item's effect set to a shard's effect log
+/// (volatile until the next force barrier) and accounts it.
 fn wal_append(
     wal: &mut Wal,
     load: &mut ShardLoad,
     shard: &Pushtap,
-    ts: Ts,
-    role: TxnRole,
-    cross: bool,
+    item: &WaveItem,
     effects: &[TaggedEffect],
     wave: u64,
 ) {
-    let payload = codec::encode_parts(ts, role, cross, effects);
+    let ts = item.ts;
+    let payload = codec::encode_parts(ts, item.role, item.cross, effects);
     wal.append(&payload);
     load.report.wal_appends += 1;
     load.report.wal_bytes += (payload.len() + HEADER_LEN) as u64;
@@ -221,39 +223,12 @@ fn charge_engine<T>(
     r
 }
 
-/// Decomposes `routed` at its home engine and splits the effect set by
-/// owning shard: the home's own effects plus one forwarded subset per
-/// participant. Decomposition is read-only (cursors and chains
-/// untouched), so retries reuse the identical effect set.
-fn decompose_split(
-    shards: &[Pushtap],
-    map: &WarehouseMap,
-    routed: &RoutedTxn,
-) -> (Vec<TaggedEffect>, BTreeMap<usize, Vec<TaggedEffect>>) {
-    let home = routed.shard as usize;
-    let effects = shards[home].db().decompose(&routed.txn, routed.ts);
-    let mut local: Vec<TaggedEffect> = Vec::new();
-    let mut forwarded: BTreeMap<usize, Vec<TaggedEffect>> = BTreeMap::new();
-    for e in effects {
-        let owner = map.shard_of_warehouse(e.warehouse) as usize;
-        if owner == home {
-            local.push(e);
-        } else {
-            forwarded.entry(owner).or_default().push(e);
-        }
-    }
-    debug_assert_eq!(
-        forwarded.keys().map(|&s| s as u32).collect::<Vec<_>>(),
-        routed.participants,
-        "router participant set must match effect ownership"
-    );
-    (local, forwarded)
-}
-
-/// One shard's share of a wave: an effect set to prepare at a pinned
-/// timestamp, as the transaction's home half or a forwarded
-/// participant.
+/// One shard's share of one wave member: a range of the wave's effects
+/// to prepare at a pinned timestamp, as the transaction's home half or
+/// a forwarded participant — and, once prepared, how it went.
 struct WaveItem {
+    /// The shard that owns the effects.
+    shard: usize,
     /// Index of the owning transaction within the wave.
     txn: usize,
     /// The pinned commit timestamp.
@@ -263,238 +238,291 @@ struct WaveItem {
     /// Whether the owning transaction crosses shards (its home pays the
     /// decision round-trip).
     cross: bool,
-    /// The effects this shard owns.
-    effects: Vec<TaggedEffect>,
+    /// The effects this shard owns, in the wave's effect list.
+    effects: Range<usize>,
+    /// The shard's clock when the item's turn came — the start of the
+    /// commit latency the decide pass attributes.
+    start: Ps,
+    /// The shard's clock right after the prepare: the instant its vote
+    /// for the item leaves (laggard model).
+    end: Ps,
+    /// The prepare's result; `None` until prepared, and for a no vote.
+    vote: Option<TxnResult>,
 }
 
-/// Executes one conflict-free wave (see the module docs for the five
-/// steps). With a durability context, every shard appends its prepared
-/// records during the prepare phase and forces once — the wave's group
-/// commit — before returning its votes; committed cross-shard
-/// transactions land in the decision log (forced) between the vote
-/// barrier and the decision phase.
-///
-/// `wave_id` is the wave's 1-based number within the run — or 0 for a
-/// casualty's retry, which runs alone: its spans carry wave 0 like
-/// everything outside wave execution, so overlap analysis never counts
-/// it. `crash` is the armed crash site this wave dies at, resolved by
-/// the caller from the wave's number; a retry has no number of its own,
-/// so it neither consumes a crash-point event nor fires one. Returns
-/// `true` if the crash fired (the caller must stop the stream dead).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_wave(
-    shards: &mut [Pushtap],
-    map: &WarehouseMap,
-    wave: &[RoutedTxn],
-    commit: CommitConfig,
-    loads: &mut [ShardLoad],
-    wave_id: u64,
-    mut dur: Option<&mut DurabilityCtx>,
-    crash: Option<CrashSite>,
-) -> bool {
-    if crash == Some(CrashSite::BeforePrepare) {
-        // The kill lands before the wave starts: nothing of it was
-        // logged or applied.
-        return true;
-    }
-    // Report the wave's membership to the shadow tracker (every engine
-    // shares one sanitizer): members of the same wave overlap, so the
-    // tracker can lockset-check that the scheduler really kept their
-    // key footprints disjoint. A retry stays a member of the wave that
-    // scheduled it.
-    if wave_id > 0 {
-        let san = shards[0].db().sanitizer();
-        if san.enabled() {
-            for routed in wave {
-                san.assign_wave(routed.ts.0, wave_id);
+/// What every wave of a run executes on and accounts to: the engines,
+/// the partitioning, the commit protocol's costs, the logs and the
+/// per-shard loads.
+pub(crate) struct Engines<'a> {
+    pub shards: &'a mut [Pushtap],
+    pub map: WarehouseMap,
+    pub commit: CommitConfig,
+    pub dur: Option<DurabilityCtx<'a>>,
+    pub loads: Vec<ShardLoad>,
+}
+
+impl Engines<'_> {
+    /// Executes one conflict-free wave (see the module docs for the
+    /// steps). With a durability context, every shard appends its
+    /// prepared records during the prepare pass and forces once — the
+    /// wave's group commit — before returning its votes; committed
+    /// cross-shard transactions land in the decision log (forced)
+    /// between the vote barrier and the decide pass.
+    ///
+    /// `wave_id` is the wave's 1-based number within the run — or 0 for
+    /// a casualty's retry, which runs alone: its spans carry wave 0 like
+    /// everything outside wave execution, so overlap analysis never
+    /// counts it. `crash` is the armed crash site this wave dies at,
+    /// resolved by the caller from the wave's number; a retry has no
+    /// number of its own, so it neither consumes a crash-point event
+    /// nor fires one. Returns `true` if the crash fired (the caller
+    /// must stop the stream dead).
+    pub(crate) fn run_wave(
+        &mut self,
+        wave: &[RoutedTxn],
+        wave_id: u64,
+        crash: Option<CrashSite>,
+    ) -> bool {
+        if crash == Some(CrashSite::BeforePrepare) {
+            // The kill lands before the wave starts: nothing of it was
+            // logged or applied.
+            return true;
+        }
+        // Report the wave's membership to the shadow tracker (every
+        // engine shares one sanitizer): members of the same wave
+        // overlap, so the tracker can lockset-check that the scheduler
+        // really kept their key footprints disjoint. A retry stays a
+        // member of the wave that scheduled it.
+        if wave_id > 0 {
+            let san = self.shards[0].db().sanitizer();
+            if san.enabled() {
+                for routed in wave {
+                    san.assign_wave(routed.ts.0, wave_id);
+                }
             }
         }
-    }
-    // Step 1: decompose every member at its home engine and build each
-    // shard's timestamp-ordered item list. Wave members touch disjoint
-    // rows and rings, so decomposition order is irrelevant.
-    let mut items: Vec<Vec<WaveItem>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    for (i, routed) in wave.iter().enumerate() {
-        let (local, forwarded) = decompose_split(shards, map, routed);
-        let cross = !routed.participants.is_empty();
-        items[routed.shard as usize].push(WaveItem {
-            txn: i,
-            ts: routed.ts,
-            role: TxnRole::Coordinator,
-            cross,
-            effects: local,
-        });
-        for (p, effects) in forwarded {
-            items[p].push(WaveItem {
-                txn: i,
-                ts: routed.ts,
-                role: TxnRole::Participant,
-                cross,
-                effects,
-            });
+        let (effects, mut items) = self.wave_items(wave);
+        self.prepare_pass(&effects, &mut items, wave_id, crash);
+        // The kill at (or during) the wave's group commit: the prepare
+        // pass ran, but the wave's records are lost (AfterPrepare) or
+        // durable only up to one shard's torn force (MidEffectFlush).
+        if matches!(
+            crash,
+            Some(CrashSite::AfterPrepare | CrashSite::MidEffectFlush)
+        ) {
+            return true;
         }
-    }
-    // Wave members arrive in stream order, but a forwarded subset can
-    // land behind a later transaction's home item: restore timestamp
-    // order per shard (prepares must apply in pinned-timestamp order).
-    for list in &mut items {
-        list.sort_by_key(|it| it.ts);
+        // The vote barrier: a transaction commits iff every involved
+        // shard prepared it.
+        let mut committed = vec![true; wave.len()];
+        for item in &items {
+            committed[item.txn] &= item.vote.is_some();
+        }
+        if self.log_decisions(wave, &committed, crash) {
+            return true;
+        }
+        self.decide_pass(wave, &items, &committed, wave_id);
+        self.retry_aborted(wave, &items, &committed, wave_id);
+        false
     }
 
-    // Step 2: the prepare phase — every involved shard on its own
-    // simulated clock, executed in shard order. Each shard prepares its
-    // items in timestamp order (appending each prepared record to its
-    // effect log) and ends with its group-commit force barrier — one
-    // force for the whole wave, before its votes return; forwarded sets
-    // pay their (overlapped) prepare-hop delivery.
-    let last_involved = items.iter().rposition(|list| !list.is_empty());
-    let mut votes: Vec<Vec<Option<TxnResult>>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    // Per-item prepare-start clocks, kept for the decision phase's
-    // commit-latency attribution.
-    let mut starts: Vec<Vec<Ps>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    // Per-item prepare-end clocks: the instant the shard's vote for the
-    // item leaves (laggard model).
-    let mut ends: Vec<Vec<Ps>> = (0..shards.len()).map(|_| Vec::new()).collect();
-    for (i, (shard, list)) in shards.iter_mut().zip(&items).enumerate() {
-        if list.is_empty() {
-            continue;
+    /// Step 1: the wave as one effect list and one item list, the items
+    /// sorted by `(shard, timestamp)`. Wave members touch disjoint rows
+    /// and rings, so the order they are decomposed in is irrelevant.
+    fn wave_items(&self, wave: &[RoutedTxn]) -> (Vec<TaggedEffect>, Vec<WaveItem>) {
+        let mut effects: Vec<TaggedEffect> = Vec::new();
+        let mut items: Vec<WaveItem> = Vec::with_capacity(wave.len());
+        for (txn, routed) in wave.iter().enumerate() {
+            self.decompose_split(txn, routed, &mut effects, &mut items);
         }
-        let load = &mut loads[i];
-        let mut wal = dur.as_deref_mut().map(|d| &mut d.logs[i]);
-        // Periodic maintenance between waves — no scope is open on this
-        // shard here.
-        charge_maintenance(load, shard.defrag_if_due());
-        let phase_start = shard.now();
-        for item in list {
-            let item_start = shard.now();
-            starts[i].push(item_start);
-            if item.role == TxnRole::Participant {
-                deliver(
-                    load,
-                    shard,
-                    commit.prepare_hop,
-                    phase_start + commit.prepare_hop,
-                );
-            }
-            {
-                let san = shard.db().sanitizer();
-                if san.enabled() {
-                    san.begin_execution(i as u32, item.ts.0, shard.now().ps());
-                }
-            }
-            let r = charge_engine(load, shard, |s| {
-                s.prepare_effects_at(&item.effects, item.ts)
+        // A shard's share becomes one contiguous run, in the timestamp
+        // order its prepares must apply in: a forwarded item can land
+        // behind a later transaction's home item.
+        items.sort_unstable_by_key(|it| (it.shard, it.ts));
+        (effects, items)
+    }
+
+    /// Decomposes `routed` at its home engine onto the end of `effects`
+    /// — the home's own effects first, then each participant's — and
+    /// cuts one item per involved shard, each a range of the list.
+    /// Decomposition is read-only (cursors and chains untouched), so a
+    /// retry builds the identical list.
+    fn decompose_split(
+        &self,
+        txn: usize,
+        routed: &RoutedTxn,
+        effects: &mut Vec<TaggedEffect>,
+        items: &mut Vec<WaveItem>,
+    ) {
+        let owner = |e: &TaggedEffect| self.map.shard_of_warehouse(e.warehouse) as usize;
+        let home = routed.shard as usize;
+        let mut own = self.shards[home].db().decompose(&routed.txn, routed.ts);
+        let cross = !routed.participants.is_empty();
+        if cross {
+            // Stable, so every shard keeps its effects in statement
+            // order.
+            own.sort_by_key(|e| (owner(e) != home, owner(e)));
+        }
+        let first = items.len();
+        let mut start = effects.len();
+        effects.append(&mut own);
+        while start < effects.len() {
+            let shard = owner(&effects[start]);
+            let run = effects[start..]
+                .iter()
+                .take_while(|e| owner(e) == shard)
+                .count();
+            items.push(WaveItem {
+                shard,
+                txn,
+                ts: routed.ts,
+                role: if shard == home {
+                    TxnRole::Coordinator
+                } else {
+                    TxnRole::Participant
+                },
+                cross,
+                effects: start..start + run,
+                start: Ps::ZERO,
+                end: Ps::ZERO,
+                vote: None,
             });
-            match r {
-                Ok(r) => {
-                    // `prepared_txns` keeps its 2PC-only semantics: a
-                    // warehouse-local wave item rides the same prepare
-                    // machinery but is a one-phase commit, not a 2PC
-                    // prepare.
-                    if item.cross {
-                        load.report.prepared_txns += 1;
-                    }
-                    if item.role == TxnRole::Participant {
-                        load.report.forwarded_effects += item.effects.len() as u64;
-                    }
-                    if let Some(w) = wal.as_deref_mut() {
-                        wal_append(
-                            w,
-                            load,
-                            shard,
-                            item.ts,
-                            item.role,
-                            item.cross,
-                            &item.effects,
-                            wave_id,
-                        );
-                    }
-                    votes[i].push(Some(r));
+            start += run;
+        }
+        debug_assert!(
+            items[first].shard == home
+                && items[first + 1..]
+                    .iter()
+                    .map(|it| it.shard as u32)
+                    .eq(routed.participants.iter().copied()),
+            "router participant set must match effect ownership"
+        );
+    }
+
+    /// Step 2: the prepare pass — every involved shard on its own
+    /// simulated clock, executed in shard order. Each shard prepares
+    /// its items in timestamp order (appending each prepared record to
+    /// its effect log) and ends with its group-commit force barrier —
+    /// one force for the whole wave, before its votes return; forwarded
+    /// sets pay their (overlapped) prepare-hop delivery.
+    fn prepare_pass(
+        &mut self,
+        effects: &[TaggedEffect],
+        items: &mut [WaveItem],
+        wave_id: u64,
+        crash: Option<CrashSite>,
+    ) {
+        let commit = self.commit;
+        let last_involved = items.last().map(|it| it.shard);
+        for list in items.chunk_by_mut(|a, b| a.shard == b.shard) {
+            let i = list[0].shard;
+            let (shard, load) = (&mut self.shards[i], &mut self.loads[i]);
+            let mut wal = self.dur.as_mut().map(|d| &mut d.logs[i]);
+            // Periodic maintenance between waves — no scope is open on
+            // this shard here.
+            charge_maintenance(load, shard.defrag_if_due());
+            let phase_start = shard.now();
+            for item in list {
+                item.start = shard.now();
+                if item.role == TxnRole::Participant {
+                    deliver(
+                        load,
+                        shard,
+                        commit.prepare_hop,
+                        phase_start + commit.prepare_hop,
+                    );
                 }
-                Err(_full) => {
-                    load.report.aborts += 1;
-                    votes[i].push(None);
+                {
+                    let san = shard.db().sanitizer();
+                    if san.enabled() {
+                        san.begin_execution(i as u32, item.ts.0, shard.now().ps());
+                    }
+                }
+                let own = &effects[item.effects.clone()];
+                match charge_engine(load, shard, |s| s.prepare_effects_at(own, item.ts)) {
+                    Ok(r) => {
+                        // `prepared_txns` keeps its 2PC-only semantics:
+                        // a warehouse-local wave item rides the same
+                        // prepare machinery but is a one-phase commit,
+                        // not a 2PC prepare.
+                        if item.cross {
+                            load.report.prepared_txns += 1;
+                        }
+                        if item.role == TxnRole::Participant {
+                            load.report.forwarded_effects += own.len() as u64;
+                        }
+                        if let Some(w) = wal.as_deref_mut() {
+                            wal_append(w, load, shard, item, own, wave_id);
+                        }
+                        item.vote = Some(r);
+                    }
+                    Err(_full) => load.report.aborts += 1,
+                }
+                if item.cross && shard.trace_enabled() {
+                    shard.trace_record(
+                        Span::new(
+                            shard.trace_track(),
+                            Phase::TwoPc,
+                            item.ts.0,
+                            item.start.ps(),
+                            shard.now().ps(),
+                        )
+                        .in_wave(wave_id),
+                    );
+                }
+                item.end = shard.now();
+            }
+            // The wave's group commit: one force barrier covers every
+            // record this shard appended for the wave. An armed crash
+            // skips it (AfterPrepare: pending records die with the
+            // process) or tears the last involved shard's force halfway
+            // through its pending bytes, every earlier shard forcing in
+            // full (MidEffectFlush).
+            if let Some(w) = wal {
+                match crash {
+                    Some(CrashSite::AfterPrepare) => {}
+                    Some(CrashSite::MidEffectFlush) if last_involved == Some(i) => {
+                        let half = w.pending_len() / 2;
+                        w.force_torn(half);
+                    }
+                    _ => wal_force(w, load, shard, commit.force_latency, wave_id),
                 }
             }
-            if item.cross && shard.trace_enabled() {
+            if shard.trace_enabled() && shard.now() > phase_start {
                 shard.trace_record(
                     Span::new(
                         shard.trace_track(),
-                        Phase::TwoPc,
-                        item.ts.0,
-                        item_start.ps(),
+                        Phase::WavePrepare,
+                        0,
+                        phase_start.ps(),
                         shard.now().ps(),
                     )
                     .in_wave(wave_id),
                 );
             }
-            ends[i].push(shard.now());
-        }
-        // The wave's group commit: one force barrier covers every
-        // record this shard appended for the wave. An armed crash skips
-        // it (AfterPrepare: pending records die with the process) or
-        // tears the last involved shard's force halfway through its
-        // pending bytes, every earlier shard forcing in full
-        // (MidEffectFlush).
-        if let Some(w) = wal {
-            match crash {
-                Some(CrashSite::AfterPrepare) => {}
-                Some(CrashSite::MidEffectFlush) if last_involved == Some(i) => {
-                    let half = w.pending_len() / 2;
-                    w.force_torn(half);
-                }
-                _ => wal_force(w, load, shard, commit.force_latency, wave_id),
-            }
-        }
-        if shard.trace_enabled() && shard.now() > phase_start {
-            shard.trace_record(
-                Span::new(
-                    shard.trace_track(),
-                    Phase::WavePrepare,
-                    0,
-                    phase_start.ps(),
-                    shard.now().ps(),
-                )
-                .in_wave(wave_id),
-            );
         }
     }
 
-    // The kill at (or during) the wave's group commit: the prepare
-    // phase ran, but the wave's records are lost (AfterPrepare) or
-    // durable only up to one shard's torn force (MidEffectFlush).
-    if matches!(
-        crash,
-        Some(CrashSite::AfterPrepare | CrashSite::MidEffectFlush)
-    ) {
-        return true;
-    }
-
-    // Step 3: the vote barrier — a transaction commits iff every
-    // involved shard prepared it; record who voted no for the retry
-    // pass's defragmentation.
-    let mut committed = vec![true; wave.len()];
-    let mut no_voters: Vec<Vec<usize>> = vec![Vec::new(); wave.len()];
-    for (i, shard_votes) in votes.iter().enumerate() {
-        for (item, vote) in items[i].iter().zip(shard_votes) {
-            if vote.is_none() {
-                committed[item.txn] = false;
-                no_voters[item.txn].push(i);
-            }
-        }
-    }
-
-    // Between the vote barrier and the decision phase, the commit
-    // decisions become durable: one `Commit(ts)` entry per committed
-    // cross-shard transaction, forced before any decision is delivered.
-    // Recovery presumes abort for cross-shard scopes the decision log
-    // does not vouch for.
-    if let Some(d) = dur.as_deref_mut() {
+    /// Step 3: between the vote barrier and the decide pass, the commit
+    /// decisions become durable: one `Commit(ts)` entry per committed
+    /// cross-shard transaction, forced before any decision is
+    /// delivered. Recovery presumes abort for cross-shard scopes the
+    /// decision log does not vouch for. Returns `true` if an armed
+    /// crash fired.
+    fn log_decisions(
+        &mut self,
+        wave: &[RoutedTxn],
+        committed: &[bool],
+        crash: Option<CrashSite>,
+    ) -> bool {
+        let Some(d) = self.dur.as_mut() else {
+            return false;
+        };
         if crash == Some(CrashSite::BetweenVoteAndDecision) {
             return true;
         }
-        for (i, routed) in wave.iter().enumerate() {
-            if committed[i] && !routed.participants.is_empty() {
+        for (routed, &committed) in wave.iter().zip(committed) {
+            if committed && !routed.participants.is_empty() {
                 d.decision_log.append(&encode_decision(routed.ts));
             }
         }
@@ -504,167 +532,172 @@ pub(crate) fn run_wave(
             return true;
         }
         d.decision_log.force();
-        if crash == Some(CrashSite::AfterDecision) {
-            return true;
-        }
+        crash == Some(CrashSite::AfterDecision)
     }
 
-    // Step 4: the decision phase — again every involved shard on its
-    // own clock, in shard order: decisions delivered in timestamp order
-    // with overlapped hops. Commits resolve scopes (metadata-only);
-    // aborts replay pinned undo records.
-    //
-    // Laggard vote clocks: participant `p`'s vote for wave member `t`
-    // leaves at `vote_ready[p][t.txn]` — `p`'s clock right after `t`'s
-    // prepare applied (early vote; the group-commit force overlaps the
-    // decision round, and the decision *apply* on `p` still lands after
-    // the force because `p`'s clock crossed it at the phase barrier).
-    // A shard with no item for `t` (never happens for a real
-    // participant) falls back to its prepare-pass end.
-    let prepare_done: Vec<Ps> = shards.iter().map(Pushtap::now).collect();
-    let mut vote_ready: Vec<Vec<Ps>> = prepare_done.iter().map(|&d| vec![d; wave.len()]).collect();
-    for (i, (list, shard_ends)) in items.iter().zip(&ends).enumerate() {
-        for (item, &end) in list.iter().zip(shard_ends) {
-            vote_ready[i][item.txn] = end;
-        }
-    }
-    for (i, (shard, list)) in shards.iter_mut().zip(&items).enumerate() {
-        let load = &mut loads[i];
-        let phase_start = shard.now();
-        for ((item, vote), &prepare_start) in list.iter().zip(&votes[i]).zip(&starts[i]) {
-            let Some(result) = vote else {
-                // This shard voted no: nothing is held here (the failed
-                // prepare already rolled back and charged its wasted
-                // latency).
-                continue;
-            };
-            let item_start = shard.now();
-            match item.role {
-                TxnRole::Participant => deliver(
-                    load,
-                    shard,
-                    commit.commit_hop,
-                    phase_start + commit.commit_hop,
-                ),
-                // The home half pays the decision round-trip for a
-                // cross-shard transaction, gated by the laggard vote
-                // barrier: the last vote arrives from the slowest
-                // participant — its prepare end plus one prepare-hop
-                // and its deterministic skew, floored by the home's own
-                // round-trip — and the decision goes out one commit-hop
-                // later, overlapped with the rest of the wave's rounds.
-                TxnRole::Coordinator if item.cross => {
-                    let mut vote_at = phase_start + commit.prepare_hop;
-                    for &p in &wave[item.txn].participants {
-                        vote_at = vote_at.max(
-                            vote_ready[p as usize][item.txn]
-                                + commit.prepare_hop
-                                + vote_skew(commit.vote_jitter, p, item.ts),
-                        );
+    /// Step 4: the decide pass — again every involved shard on its own
+    /// clock, in shard order: decisions delivered in timestamp order
+    /// with overlapped hops. Commits resolve scopes (metadata-only);
+    /// aborts take the scope's writes back.
+    ///
+    /// Laggard vote clocks: participant `p`'s vote for a wave member
+    /// leaves at the `end` of `p`'s item for it — `p`'s clock right
+    /// after the member's prepare applied (early vote; the group-commit
+    /// force overlaps the decision round, and the decision *apply* on
+    /// `p` still lands after the force because `p`'s clock crossed it
+    /// at the phase barrier).
+    fn decide_pass(
+        &mut self,
+        wave: &[RoutedTxn],
+        items: &[WaveItem],
+        committed: &[bool],
+        wave_id: u64,
+    ) {
+        let commit = self.commit;
+        for list in items.chunk_by(|a, b| a.shard == b.shard) {
+            let i = list[0].shard;
+            let (shard, load) = (&mut self.shards[i], &mut self.loads[i]);
+            let phase_start = shard.now();
+            for item in list {
+                let Some(result) = &item.vote else {
+                    // This shard voted no: nothing is held here (the
+                    // failed prepare already rolled back and charged
+                    // its wasted latency).
+                    continue;
+                };
+                let item_start = shard.now();
+                match item.role {
+                    TxnRole::Participant => deliver(
+                        load,
+                        shard,
+                        commit.commit_hop,
+                        phase_start + commit.commit_hop,
+                    ),
+                    // The home half pays the decision round-trip for a
+                    // cross-shard transaction, gated by the laggard vote
+                    // barrier: the last vote arrives from the slowest
+                    // participant — its prepare end plus one prepare-hop
+                    // and its deterministic skew, floored by the home's
+                    // own round-trip — and the decision goes out one
+                    // commit-hop later, overlapped with the rest of the
+                    // wave's rounds.
+                    TxnRole::Coordinator if item.cross => {
+                        let mut vote_at = phase_start + commit.prepare_hop;
+                        for &p in &wave[item.txn].participants {
+                            let key = (p as usize, item.ts);
+                            let Ok(at) = items.binary_search_by_key(&key, |it| (it.shard, it.ts))
+                            else {
+                                panic!("participant {p} holds no item of {:?}", item.ts);
+                            };
+                            vote_at = vote_at.max(
+                                items[at].end
+                                    + commit.prepare_hop
+                                    + vote_skew(commit.vote_jitter, p, item.ts),
+                            );
+                        }
+                        deliver(load, shard, commit.prepare_hop, vote_at);
+                        deliver(load, shard, commit.commit_hop, vote_at + commit.commit_hop);
+                        if shard.trace_enabled() {
+                            shard.trace_record(
+                                Span::new(
+                                    shard.trace_track(),
+                                    Phase::VoteBarrier,
+                                    item.ts.0,
+                                    item_start.ps(),
+                                    shard.now().ps(),
+                                )
+                                .in_wave(wave_id),
+                            );
+                        }
                     }
-                    deliver(load, shard, commit.prepare_hop, vote_at);
-                    deliver(load, shard, commit.commit_hop, vote_at + commit.commit_hop);
-                    if shard.trace_enabled() {
-                        shard.trace_record(
-                            Span::new(
-                                shard.trace_track(),
-                                Phase::VoteBarrier,
-                                item.ts.0,
-                                item_start.ps(),
-                                shard.now().ps(),
-                            )
-                            .in_wave(wave_id),
-                        );
+                    TxnRole::Coordinator => {}
+                }
+                if committed[item.txn] {
+                    shard.commit_prepared(item.ts, item.role);
+                    load.report.breakdown.merge(&result.breakdown);
+                    if item.role == TxnRole::Coordinator {
+                        load.routed += 1;
+                        load.report.committed += 1;
+                        load.remote_touches += wave[item.txn].remote;
+                        load.report
+                            .commit_latency
+                            .record(shard.now().saturating_sub(item.start).ps());
                     }
+                } else {
+                    charge_engine(load, shard, |s| s.abort_prepared(item.ts));
+                    load.report.aborts += 1;
+                    load.report.participant_aborts += 1;
                 }
-                TxnRole::Coordinator => {}
-            }
-            if committed[item.txn] {
-                shard.commit_prepared(item.ts, item.role);
-                load.report.breakdown.merge(&result.breakdown);
-                if item.role == TxnRole::Coordinator {
-                    load.routed += 1;
-                    load.report.committed += 1;
-                    load.remote_touches += wave[item.txn].remote;
-                    load.report
-                        .commit_latency
-                        .record(shard.now().saturating_sub(prepare_start).ps());
+                if item.cross && shard.trace_enabled() {
+                    shard.trace_record(
+                        Span::new(
+                            shard.trace_track(),
+                            Phase::TwoPc,
+                            item.ts.0,
+                            item_start.ps(),
+                            shard.now().ps(),
+                        )
+                        .in_wave(wave_id),
+                    );
                 }
-            } else {
-                charge_engine(load, shard, |s| s.abort_prepared(item.ts));
-                load.report.aborts += 1;
-                load.report.participant_aborts += 1;
             }
-            if item.cross && shard.trace_enabled() {
+            if shard.trace_enabled() && shard.now() > phase_start {
                 shard.trace_record(
                     Span::new(
                         shard.trace_track(),
-                        Phase::TwoPc,
-                        item.ts.0,
-                        item_start.ps(),
+                        Phase::WaveDecide,
+                        0,
+                        phase_start.ps(),
                         shard.now().ps(),
                     )
                     .in_wave(wave_id),
                 );
             }
         }
-        if shard.trace_enabled() && shard.now() > phase_start {
-            shard.trace_record(
-                Span::new(
-                    shard.trace_track(),
-                    Phase::WaveDecide,
-                    0,
-                    phase_start.ps(),
-                    shard.now().ps(),
-                )
-                .in_wave(wave_id),
-            );
-        }
     }
 
-    // Step 5: retries — each aborted transaction re-enters this
-    // function as a wave of one, at its pinned timestamp, before the
-    // next wave starts. Every scope of this wave is resolved by now, so
-    // reclaiming the no-voting shards' arenas (GC first,
-    // defragmentation as the fallback) is safe; the retry conflicts
-    // with nothing still in flight (its wave was conflict-free and
-    // later waves have not started). A retry that aborts again recurses
-    // the same way, so the loop ends when the transaction commits. Its
-    // records force alone — there is no wave to amortize the barrier
-    // over — and replay dedupes the casualty's duplicate appends
-    // keep-last (decomposition is retry-stable, so they are
-    // byte-identical).
-    for (i, routed) in wave.iter().enumerate() {
-        if committed[i] {
-            continue;
+    /// Step 5: retries — each aborted transaction re-enters
+    /// [`Engines::run_wave`] as a wave of one, at its pinned timestamp,
+    /// before the next wave starts. Every scope of this wave is
+    /// resolved by now, so reclaiming the no-voting shards' arenas (GC
+    /// first, defragmentation as the fallback) is safe; the retry
+    /// conflicts with nothing still in flight (its wave was
+    /// conflict-free and later waves have not started). A retry that
+    /// aborts again recurses the same way, so the loop ends when the
+    /// transaction commits. Its records force alone — there is no wave
+    /// to amortize the barrier over — and replay dedupes the casualty's
+    /// duplicate appends keep-last (decomposition is retry-stable, so
+    /// they are byte-identical).
+    fn retry_aborted(
+        &mut self,
+        wave: &[RoutedTxn],
+        items: &[WaveItem],
+        committed: &[bool],
+        wave_id: u64,
+    ) {
+        for (txn, routed) in wave.iter().enumerate() {
+            if committed[txn] {
+                continue;
+            }
+            let no_voters = items.iter().filter(|it| it.txn == txn && it.vote.is_none());
+            for v in no_voters.map(|it| it.shard) {
+                charge_maintenance(&mut self.loads[v], self.shards[v].reclaim_now());
+            }
+            let home = routed.shard as usize;
+            if wave_id > 0 {
+                self.loads[home].report.retried_txns += 1;
+            }
+            let s = &self.shards[home];
+            if s.trace_enabled() {
+                s.trace_record(Span::instant(
+                    s.trace_track(),
+                    Phase::Retry,
+                    routed.ts.0,
+                    s.now().ps(),
+                ));
+            }
+            let crashed = self.run_wave(std::slice::from_ref(routed), 0, None);
+            debug_assert!(!crashed, "an unarmed wave cannot crash");
         }
-        for &v in &no_voters[i] {
-            charge_maintenance(&mut loads[v], shards[v].reclaim_now());
-        }
-        let home = routed.shard as usize;
-        if wave_id > 0 {
-            loads[home].report.retried_txns += 1;
-        }
-        if shards[home].trace_enabled() {
-            let s = &shards[home];
-            s.trace_record(Span::instant(
-                s.trace_track(),
-                Phase::Retry,
-                routed.ts.0,
-                s.now().ps(),
-            ));
-        }
-        let crashed = run_wave(
-            shards,
-            map,
-            std::slice::from_ref(routed),
-            commit,
-            loads,
-            0,
-            dur.as_deref_mut(),
-            None,
-        );
-        debug_assert!(!crashed, "an unarmed wave cannot crash");
     }
-    false
 }

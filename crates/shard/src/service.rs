@@ -19,9 +19,9 @@ use pushtap_trace::{Histogram, Phase, Span, TraceSink};
 use pushtap_wal::{scan, MemLog, Wal, WalTrim};
 
 use crate::arrival::ArrivalGen;
-use crate::config::{CommitConfig, OpenLoopConfig, ShardConfig};
-use crate::coordinator;
+use crate::config::{OpenLoopConfig, ShardConfig};
 use crate::coordinator::schedule::{Wave, WaveScheduler};
+use crate::coordinator::Engines;
 use crate::durability::{
     decided_set, decode_decision, CheckpointError, CheckpointReport, CrashPoint, Durability,
     DurabilityCtx, RecoverError, RecoveryReport, ShardRecovery, WalBytes,
@@ -458,7 +458,7 @@ impl ShardedHtap {
     /// routed, stamped with the next oracle timestamp and its conflict
     /// keyset, and admitted to the [`WaveScheduler`]. The frontier wave
     /// dispatches — clock-gated to its members' arrivals, then through
-    /// [`coordinator::run_wave`] — while the window is full, while every
+    /// [`Engines::run_wave`] — while the window is full, while every
     /// engine would otherwise idle before the next arrival, and once
     /// the source is exhausted. A closed-loop batch is this loop with
     /// every arrival at time zero and no bound on inbox or window
@@ -483,23 +483,25 @@ impl ShardedHtap {
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
         let shard_count = self.shards.len();
         let mut run = Run {
-            map: *self.router.map(),
-            commit: self.cfg.commit,
             starts: self.shards.iter().map(Pushtap::now).collect(),
-            shards: &mut self.shards,
-            dur: self.durability.as_mut().map(|d| DurabilityCtx {
-                logs: &mut d.logs,
-                decision_log: &mut d.decision_log,
-                armed: d.armed,
-            }),
+            eng: Engines {
+                shards: &mut self.shards,
+                map: *self.router.map(),
+                commit: self.cfg.commit,
+                dur: self.durability.as_mut().map(|d| DurabilityCtx {
+                    logs: &mut d.logs,
+                    decision_log: &mut d.decision_log,
+                    armed: d.armed,
+                }),
+                loads: (0..shard_count).map(|_| ShardLoad::default()).collect(),
+            },
             waiting: vec![0; shard_count],
             in_flight: vec![VecDeque::new(); shard_count],
-            loads: (0..shard_count).map(|_| ShardLoad::default()).collect(),
             stats: CoordStats::default(),
             sojourn: Histogram::default(),
         };
         let mut sched = WaveScheduler::new(open.window);
-        let decisions_before = run.dur.as_ref().map(|d| d.decision_log.stats());
+        let decisions_before = run.eng.dur.as_ref().map(|d| d.decision_log.stats());
         let mut remote = RemoteTouches::default();
         let mut rejected: Vec<u64> = vec![0; shard_count];
         let mut inbox_depth = Histogram::default();
@@ -531,14 +533,14 @@ impl ShardedHtap {
                 // the admitted stream's timestamps contiguous. The
                 // rejection is counted and traced, never silent.
                 rejected[home] += 1;
-                let s = &run.shards[home];
+                let s = &run.eng.shards[home];
                 if s.trace_enabled() {
                     s.trace_record(Span::instant(s.trace_track(), Phase::Rejected, 0, at.ps()));
                 }
                 continue;
             }
             routed.ts = self.oracle.allocate();
-            routed.keys = run.shards[home].db().keyset(&routed.txn, routed.ts);
+            routed.keys = run.eng.shards[home].db().keyset(&routed.txn, routed.ts);
             routed.arrival = at;
             remote.routed += 1;
             if routed.remote > 0 {
@@ -547,7 +549,7 @@ impl ShardedHtap {
             }
             run.waiting[home] += 1;
             inbox_depth.record(depth + 1);
-            let s = &run.shards[home];
+            let s = &run.eng.shards[home];
             let san = s.db().sanitizer();
             if san.enabled() {
                 san.note_arrival(routed.ts.0, at.ps());
@@ -577,10 +579,9 @@ impl ShardedHtap {
         }
 
         let Run {
-            dur,
+            eng: Engines { dur, mut loads, .. },
             starts,
             waiting,
-            mut loads,
             mut stats,
             sojourn,
             ..
@@ -839,10 +840,8 @@ const CLOSED_LOOP: OpenLoopConfig = OpenLoopConfig {
 /// The state of one [`ShardedHtap::drive`] run that dispatching a wave
 /// touches.
 struct Run<'a> {
-    shards: &'a mut [Pushtap],
-    map: WarehouseMap,
-    commit: CommitConfig,
-    dur: Option<DurabilityCtx<'a>>,
+    /// The engines, logs and loads the waves execute on.
+    eng: Engines<'a>,
     /// Each shard's clock when the run began.
     starts: Vec<Ps>,
     /// Inbox occupancy per shard = `waiting` (admitted, not yet
@@ -853,7 +852,6 @@ struct Run<'a> {
     /// customers.
     waiting: Vec<u64>,
     in_flight: Vec<VecDeque<Ps>>,
-    loads: Vec<ShardLoad>,
     stats: CoordStats,
     sojourn: Histogram,
 }
@@ -861,7 +859,8 @@ struct Run<'a> {
 impl Run<'_> {
     /// The instant every engine has gone idle.
     fn busy_until(&self) -> Ps {
-        self.shards
+        self.eng
+            .shards
             .iter()
             .map(Pushtap::now)
             .max()
@@ -895,10 +894,12 @@ impl Run<'_> {
     /// is first gated to the wave's latest member arrival — a wave
     /// cannot close before all its members exist, and gating *all*
     /// engines keeps participants and retries on the same timeline (the
-    /// sanitizer's no-execution-before-arrival invariant). Each member's inbox wait lands in its home shard's
-    /// queue-wait histogram and, when positive, a [`Phase::Queued`]
-    /// span; after the wave, its sojourn is recorded and its inbox slot
-    /// is held until the wave's completion on the home clock.
+    /// sanitizer's no-execution-before-arrival invariant).
+    ///
+    /// Each member's inbox wait lands in its home shard's queue-wait
+    /// histogram and, when positive, a [`Phase::Queued`] span; after
+    /// the wave, its sojourn is recorded and its inbox slot is held
+    /// until the wave's completion on the home clock.
     fn dispatch(&mut self, wave: Wave) {
         self.stats.waves += 1;
         self.stats.max_wave = self.stats.max_wave.max(wave.len() as u64);
@@ -912,7 +913,7 @@ impl Run<'_> {
         // points' event numbers.
         let wave_id = self.stats.waves;
         let gate = wave.iter().map(|t| t.arrival).max().unwrap_or(Ps::ZERO);
-        for shard in self.shards.iter_mut() {
+        for shard in self.eng.shards.iter_mut() {
             let wait = gate.saturating_sub(shard.now());
             if wait > Ps::ZERO {
                 shard.advance(wait);
@@ -922,9 +923,9 @@ impl Run<'_> {
             let home = routed.shard as usize;
             self.waiting[home] -= 1;
             let entered = self.entered(routed);
-            let s = &self.shards[home];
+            let s = &self.eng.shards[home];
             let wait = s.now().saturating_sub(entered);
-            self.loads[home].report.queue_wait.record(wait.ps());
+            self.eng.loads[home].report.queue_wait.record(wait.ps());
             if wait > Ps::ZERO && s.trace_enabled() {
                 s.trace_record(
                     Span::new(
@@ -938,17 +939,8 @@ impl Run<'_> {
                 );
             }
         }
-        let crash = self.dur.as_ref().and_then(|d| d.armed_at(wave_id));
-        self.stats.crashed = coordinator::run_wave(
-            self.shards,
-            &self.map,
-            &wave,
-            self.commit,
-            &mut self.loads,
-            wave_id,
-            self.dur.as_mut(),
-            crash,
-        );
+        let crash = self.eng.dur.as_ref().and_then(|d| d.armed_at(wave_id));
+        self.stats.crashed = self.eng.run_wave(&wave, wave_id, crash);
         if self.stats.crashed {
             return;
         }
@@ -956,7 +948,7 @@ impl Run<'_> {
             let home = routed.shard as usize;
             // Shard clocks are monotone and waves execute in dispatch
             // order, so each in-flight queue stays sorted.
-            let done = self.shards[home].now();
+            let done = self.eng.shards[home].now();
             self.sojourn
                 .record(done.saturating_sub(self.entered(routed)).ps());
             self.in_flight[home].push_back(done);
@@ -1339,7 +1331,7 @@ mod tests {
         }
     }
 
-    /// One wave through [`coordinator::run_wave`] where the order of a
+    /// One wave through [`Engines::run_wave`] where the order of a
     /// shard's items matters: the wave lists a later transaction (homed
     /// at shard 0) ahead of an earlier one whose forwarded customer
     /// update also lands on shard 0, so shard 0 must prepare the
@@ -1384,11 +1376,15 @@ mod tests {
         let map = *s.router.map();
         let commit = s.cfg.commit;
         let run = |shards: &mut [Pushtap], wave: &[RoutedTxn]| {
-            let mut loads: Vec<ShardLoad> = (0..3).map(|_| ShardLoad::default()).collect();
-            let crashed =
-                coordinator::run_wave(shards, &map, wave, commit, &mut loads, 1, None, None);
-            assert!(!crashed);
-            loads
+            let mut eng = Engines {
+                shards,
+                map,
+                commit,
+                dur: None,
+                loads: (0..3).map(|_| ShardLoad::default()).collect(),
+            };
+            assert!(!eng.run_wave(wave, 1, None));
+            eng.loads
         };
         // Two payments homed at shard 2 fill the arena on shard 0.
         let loads = run(&mut s.shards, &fill);
