@@ -565,9 +565,9 @@ impl Pushtap {
     /// or pinned) falls back to the full defragmentation barrier.
     /// Returns the pause split (zero when the period has not elapsed).
     /// [`Pushtap::execute_txn`] runs this automatically; the shard
-    /// coordinator calls it explicitly before starting a
-    /// two-phase-commit transaction, because reclamation must never run
-    /// while a transaction scope is open.
+    /// coordinator calls it explicitly, once per involved shard at the
+    /// start of each wave's prepare pass, because reclamation must never
+    /// run while a transaction scope is open.
     ///
     /// Under a **standing snapshot pin** the defragmentation fallback is
     /// suppressed: defragmentation folds each row's *newest* version and

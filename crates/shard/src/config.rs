@@ -36,8 +36,9 @@ pub struct CommitConfig {
     /// `prepare_hop`, and is additionally delayed by a deterministic
     /// per-(participant, transaction) skew drawn uniformly from
     /// `[0, vote_jitter]` — so the coordinator's decision stall
-    /// reflects the *slowest* participant, not a free round-trip. [`Ps::ZERO`] disables the jitter term but not the
-    /// laggard coupling itself.
+    /// reflects the *slowest* participant, not a free round-trip.
+    /// [`Ps::ZERO`] disables the jitter term but not the laggard
+    /// coupling itself.
     pub vote_jitter: Ps,
 }
 

@@ -72,12 +72,12 @@
 //! [`ref_q9`](pushtap_olap::ref_q9) at 1, 2, and 4 shards.
 //!
 //! The identity holds under *delta pressure* too: each engine's
-//! transactions are atomic (the `pushtap_mvcc::UndoLog` rolls back
-//! partial effects when a delta arena fills mid-statement), so insert
-//! rings stay aligned across deployments however often shards abort
-//! and retry — `tests/delta_pressure.rs` squeezes every arena until
-//! all transaction classes abort and re-asserts the equality, and the
-//! shard reports surface the retry/abort counts
+//! transactions are atomic (the engine's `pushtap_mvcc::UndoLog` takes
+//! back the writes so far when a delta arena fills mid-transaction), so
+//! insert rings stay aligned across deployments however often shards
+//! abort and retry — `tests/delta_pressure.rs` squeezes every arena
+//! until all transaction classes abort and re-asserts the equality, and
+//! the shard reports surface the retry/abort counts
 //! ([`ShardOltpReport::aborts`]).
 //!
 //! The shared timestamp oracle lifts the invariant from values to raw
