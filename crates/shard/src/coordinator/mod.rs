@@ -17,13 +17,13 @@
 //! byte) matches the unpartitioned reference. One wave executes as:
 //!
 //! 1. **One item list** — every wave member is decomposed at its home
-//!    engine into one effect list, ordered home-first then by owning
-//!    shard (read-only; wave members touch disjoint rings, so the
-//!    result is independent of intra-wave order). Each `(transaction,
-//!    involved shard)` pair becomes one item holding a range of that
-//!    list, and the wave is the items sorted by `(shard, timestamp)`:
-//!    a shard's share is one contiguous run, and an item carries its
-//!    own vote and prepare clocks.
+//!    engine into its one effect list, ordered home-first then by
+//!    owning shard (read-only; wave members touch disjoint rings, so
+//!    the result is independent of intra-wave order). Each
+//!    `(transaction, involved shard)` pair becomes one item holding a
+//!    range of that list, and the wave is the items sorted by `(shard,
+//!    timestamp)`: a shard's share is one contiguous run, and an item
+//!    carries its own vote and prepare clocks.
 //! 2. **Prepare pass** — all shards concurrently *on their simulated
 //!    clocks*, executed one after another in shard order on the
 //!    caller's thread: each shard prepares its wave items in
@@ -223,9 +223,18 @@ fn charge_engine<T>(
     r
 }
 
-/// One shard's share of one wave member: a range of the wave's effects
-/// to prepare at a pinned timestamp, as the transaction's home half or
-/// a forwarded participant — and, once prepared, how it went.
+/// One wave member: what it does and how the wave decided it.
+struct Member {
+    /// Its decomposition: the home shard's effects first, then each
+    /// participant's.
+    effects: Vec<TaggedEffect>,
+    /// The vote barrier's verdict: every involved shard prepared it.
+    committed: bool,
+}
+
+/// One shard's share of one wave member: a range of the member's
+/// effects to prepare at a pinned timestamp, as the transaction's home
+/// half or a forwarded participant — and, once prepared, how it went.
 struct WaveItem {
     /// The shard that owns the effects.
     shard: usize,
@@ -238,7 +247,7 @@ struct WaveItem {
     /// Whether the owning transaction crosses shards (its home pays the
     /// decision round-trip).
     cross: bool,
-    /// The effects this shard owns, in the wave's effect list.
+    /// The effects this shard owns, in the member's list.
     effects: Range<usize>,
     /// The shard's clock when the item's turn came — the start of the
     /// commit latency the decide pass attributes.
@@ -301,8 +310,8 @@ impl Engines<'_> {
                 }
             }
         }
-        let (effects, mut items) = self.wave_items(wave);
-        self.prepare_pass(&effects, &mut items, wave_id, crash);
+        let (mut members, mut items) = self.wave_items(wave);
+        self.prepare_pass(&members, &mut items, wave_id, crash);
         // The kill at (or during) the wave's group commit: the prepare
         // pass ran, but the wave's records are lost (AfterPrepare) or
         // durable only up to one shard's torn force (MidEffectFlush).
@@ -314,58 +323,59 @@ impl Engines<'_> {
         }
         // The vote barrier: a transaction commits iff every involved
         // shard prepared it.
-        let mut committed = vec![true; wave.len()];
         for item in &items {
-            committed[item.txn] &= item.vote.is_some();
+            members[item.txn].committed &= item.vote.is_some();
         }
-        if self.log_decisions(wave, &committed, crash) {
+        if self.log_decisions(wave, &members, crash) {
             return true;
         }
-        self.decide_pass(wave, &items, &committed, wave_id);
-        self.retry_aborted(wave, &items, &committed, wave_id);
+        self.decide_pass(wave, &members, &items, wave_id);
+        self.retry_aborted(wave, &members, &items, wave_id);
         false
     }
 
-    /// Step 1: the wave as one effect list and one item list, the items
-    /// sorted by `(shard, timestamp)`. Wave members touch disjoint rows
-    /// and rings, so the order they are decomposed in is irrelevant.
-    fn wave_items(&self, wave: &[RoutedTxn]) -> (Vec<TaggedEffect>, Vec<WaveItem>) {
-        let mut effects: Vec<TaggedEffect> = Vec::new();
+    /// Step 1: the wave's members and its one item list, sorted by
+    /// `(shard, timestamp)`. Wave members touch disjoint rows and rings,
+    /// so the order they are decomposed in is irrelevant.
+    fn wave_items(&self, wave: &[RoutedTxn]) -> (Vec<Member>, Vec<WaveItem>) {
+        let mut members: Vec<Member> = Vec::with_capacity(wave.len());
         let mut items: Vec<WaveItem> = Vec::with_capacity(wave.len());
-        for (txn, routed) in wave.iter().enumerate() {
-            self.decompose_split(txn, routed, &mut effects, &mut items);
+        for routed in wave {
+            let effects = self.decompose_split(members.len(), routed, &mut items);
+            members.push(Member {
+                effects,
+                committed: true,
+            });
         }
         // A shard's share becomes one contiguous run, in the timestamp
         // order its prepares must apply in: a forwarded item can land
         // behind a later transaction's home item.
         items.sort_unstable_by_key(|it| (it.shard, it.ts));
-        (effects, items)
+        (members, items)
     }
 
-    /// Decomposes `routed` at its home engine onto the end of `effects`
-    /// — the home's own effects first, then each participant's — and
-    /// cuts one item per involved shard, each a range of the list.
-    /// Decomposition is read-only (cursors and chains untouched), so a
-    /// retry builds the identical list.
+    /// Decomposes `routed`, wave member `txn`, at its home engine into
+    /// one effect list — the home's own effects first, then each
+    /// participant's — and cuts one item per involved shard, each a
+    /// range of the list. Decomposition is read-only (cursors and chains
+    /// untouched), so a retry builds the identical list.
     fn decompose_split(
         &self,
         txn: usize,
         routed: &RoutedTxn,
-        effects: &mut Vec<TaggedEffect>,
         items: &mut Vec<WaveItem>,
-    ) {
+    ) -> Vec<TaggedEffect> {
         let owner = |e: &TaggedEffect| self.map.shard_of_warehouse(e.warehouse) as usize;
         let home = routed.shard as usize;
-        let mut own = self.shards[home].db().decompose(&routed.txn, routed.ts);
+        let mut effects = self.shards[home].db().decompose(&routed.txn, routed.ts);
         let cross = !routed.participants.is_empty();
         if cross {
             // Stable, so every shard keeps its effects in statement
             // order.
-            own.sort_by_key(|e| (owner(e) != home, owner(e)));
+            effects.sort_by_key(|e| (owner(e) != home, owner(e)));
         }
         let first = items.len();
-        let mut start = effects.len();
-        effects.append(&mut own);
+        let mut start = 0;
         while start < effects.len() {
             let shard = owner(&effects[start]);
             let run = effects[start..]
@@ -397,6 +407,7 @@ impl Engines<'_> {
                     .eq(routed.participants.iter().copied()),
             "router participant set must match effect ownership"
         );
+        effects
     }
 
     /// Step 2: the prepare pass — every involved shard on its own
@@ -407,7 +418,7 @@ impl Engines<'_> {
     /// sets pay their (overlapped) prepare-hop delivery.
     fn prepare_pass(
         &mut self,
-        effects: &[TaggedEffect],
+        members: &[Member],
         items: &mut [WaveItem],
         wave_id: u64,
         crash: Option<CrashSite>,
@@ -438,7 +449,7 @@ impl Engines<'_> {
                         san.begin_execution(i as u32, item.ts.0, shard.now().ps());
                     }
                 }
-                let own = &effects[item.effects.clone()];
+                let own = &members[item.txn].effects[item.effects.clone()];
                 match charge_engine(load, shard, |s| s.prepare_effects_at(own, item.ts)) {
                     Ok(r) => {
                         // `prepared_txns` keeps its 2PC-only semantics:
@@ -512,7 +523,7 @@ impl Engines<'_> {
     fn log_decisions(
         &mut self,
         wave: &[RoutedTxn],
-        committed: &[bool],
+        members: &[Member],
         crash: Option<CrashSite>,
     ) -> bool {
         let Some(d) = self.dur.as_mut() else {
@@ -521,8 +532,8 @@ impl Engines<'_> {
         if crash == Some(CrashSite::BetweenVoteAndDecision) {
             return true;
         }
-        for (routed, &committed) in wave.iter().zip(committed) {
-            if committed && !routed.participants.is_empty() {
+        for (routed, member) in wave.iter().zip(members) {
+            if member.committed && !routed.participants.is_empty() {
                 d.decision_log.append(&encode_decision(routed.ts));
             }
         }
@@ -549,8 +560,8 @@ impl Engines<'_> {
     fn decide_pass(
         &mut self,
         wave: &[RoutedTxn],
+        members: &[Member],
         items: &[WaveItem],
-        committed: &[bool],
         wave_id: u64,
     ) {
         let commit = self.commit;
@@ -612,7 +623,7 @@ impl Engines<'_> {
                     }
                     TxnRole::Coordinator => {}
                 }
-                if committed[item.txn] {
+                if members[item.txn].committed {
                     shard.commit_prepared(item.ts, item.role);
                     load.report.breakdown.merge(&result.breakdown);
                     if item.role == TxnRole::Coordinator {
@@ -671,12 +682,12 @@ impl Engines<'_> {
     fn retry_aborted(
         &mut self,
         wave: &[RoutedTxn],
+        members: &[Member],
         items: &[WaveItem],
-        committed: &[bool],
         wave_id: u64,
     ) {
         for (txn, routed) in wave.iter().enumerate() {
-            if committed[txn] {
+            if members[txn].committed {
                 continue;
             }
             let no_voters = items.iter().filter(|it| it.txn == txn && it.vote.is_none());
