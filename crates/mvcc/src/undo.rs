@@ -46,7 +46,7 @@
 //! use pushtap_mvcc::{Ts, UndoLog, UndoRecord};
 //!
 //! let update = |table, row| UndoRecord { table, row, insert: None };
-//! let mut undo = UndoLog::new();
+//! let mut undo = UndoLog::default();
 //! undo.begin();
 //! undo.record(update(0, 7));
 //! undo.record(update(2, 3));
@@ -55,7 +55,6 @@
 //! let mut back = Vec::new();
 //! undo.abort(|rec| back.push((rec.table, rec.row)));
 //! assert_eq!(back, [(2, 3), (0, 7)]);
-//! assert!(!undo.is_active());
 //!
 //! // Two transactions prepare and resolve independently (out of order).
 //! undo.begin();
@@ -122,13 +121,6 @@ struct Scope {
     elapsed: u64,
 }
 
-/// The insert rings `records` advanced, as (table, warehouse).
-fn rings(records: &[UndoRecord]) -> impl Iterator<Item = (u32, u64)> + '_ {
-    records
-        .iter()
-        .filter_map(|rec| Some((rec.table, rec.insert?.warehouse)))
-}
-
 /// The undo log of one engine: records the writes of the transaction
 /// being applied, hands them back newest-first on abort, and holds any
 /// number of *prepared* scopes awaiting their coordinator decisions.
@@ -145,11 +137,6 @@ pub struct UndoLog {
 }
 
 impl UndoLog {
-    /// Creates an empty log with no scope open.
-    pub fn new() -> UndoLog {
-        UndoLog::default()
-    }
-
     /// Opens a transaction scope: recording starts. Prepared scopes may
     /// coexist — they belong to other transactions whose coordinator
     /// decisions are still pending.
@@ -161,12 +148,6 @@ impl UndoLog {
     pub fn begin(&mut self) {
         assert!(self.active.is_none(), "nested transaction scope");
         self.active = Some(self.records.len());
-    }
-
-    /// Whether an active (recording) scope is open. Prepared scopes do
-    /// not count: they accept no further records.
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
     }
 
     /// Number of prepared scopes awaiting their coordinator decisions.
@@ -233,33 +214,24 @@ impl UndoLog {
             "a scope is already prepared at {ts:?}"
         );
         let range = start..self.records.len();
-        debug_assert!(
-            self.scopes.iter().all(|s| {
-                rings(&self.records[s.range.clone()])
-                    .all(|held| rings(&self.records[range.clone()]).all(|ring| ring != held))
-            }),
-            "coexisting prepared scopes share an insert ring — a conflict-scheduling bug"
-        );
         self.scopes.push(Scope { ts, range, elapsed });
     }
 
     /// Closes the active scope for rollback: hands `undo` its records
-    /// newest-first (the order they must be taken back in). Returns the
-    /// number of records handed back.
-    pub fn abort(&mut self, mut undo: impl FnMut(&UndoRecord)) -> usize {
-        let Some(start) = self.active.take() else {
-            return 0;
-        };
-        self.records[start..].iter().rev().for_each(&mut undo);
-        let n = self.records.len() - start;
+    /// newest-first (the order they must be taken back in).
+    pub fn abort(&mut self, undo: impl FnMut(&UndoRecord)) {
+        let start = self.active.take().unwrap_or(self.records.len());
+        self.records[start..].iter().rev().for_each(undo);
         self.records.truncate(start);
-        n
     }
 
-    /// Removes the scope prepared at `ts`.
-    fn take_scope(&mut self, ts: Ts) -> Option<Scope> {
-        let at = self.scopes.iter().position(|s| s.ts == ts)?;
-        Some(self.scopes.remove(at))
+    /// Removes the scope prepared at `ts`, for the coordinator's
+    /// `decision`.
+    fn take_scope(&mut self, ts: Ts, decision: &str) -> Scope {
+        match self.scopes.iter().position(|s| s.ts == ts) {
+            Some(at) => self.scopes.remove(at),
+            None => panic!("{decision} decision for unprepared {ts:?}"),
+        }
     }
 
     /// Clears the record list once nothing refers into it any more.
@@ -272,19 +244,15 @@ impl UndoLog {
     /// The coordinator's commit decision for the scope prepared at `ts`:
     /// the effects stay and the scope is dropped. `kept` sees its
     /// records, oldest first (the engine resolves the prepared marks of
-    /// the tables they name). Returns the number of records.
+    /// the tables they name).
     ///
     /// # Panics
     ///
     /// Panics if no scope is prepared at `ts`.
-    pub fn commit_prepared(&mut self, ts: Ts, kept: impl FnMut(&UndoRecord)) -> usize {
-        let scope = self
-            .take_scope(ts)
-            .unwrap_or_else(|| panic!("commit decision for unprepared {ts:?}"));
-        let n = scope.range.len();
+    pub fn commit_prepared(&mut self, ts: Ts, kept: impl FnMut(&UndoRecord)) {
+        let scope = self.take_scope(ts, "commit");
         self.records[scope.range].iter().for_each(kept);
         self.clear_if_idle();
-        n
     }
 
     /// The coordinator's abort decision for the scope prepared at `ts`:
@@ -296,9 +264,7 @@ impl UndoLog {
     ///
     /// Panics if no scope is prepared at `ts`.
     pub fn abort_prepared(&mut self, ts: Ts, undo: impl FnMut(&UndoRecord)) -> u64 {
-        let scope = self
-            .take_scope(ts)
-            .unwrap_or_else(|| panic!("abort decision for unprepared {ts:?}"));
+        let scope = self.take_scope(ts, "abort");
         self.records[scope.range].iter().rev().for_each(undo);
         self.clear_if_idle();
         scope.elapsed
@@ -326,17 +292,15 @@ mod tests {
 
     #[test]
     fn inactive_log_records_nothing() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.record(update(1));
         assert!(u.is_empty());
-        assert!(!u.is_active());
     }
 
     #[test]
     fn active_log_records_and_commit_clears() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.begin();
-        assert!(u.is_active());
         u.record(update(2));
         u.record(UndoRecord {
             table: 3,
@@ -349,20 +313,18 @@ mod tests {
         assert_eq!(u.len(), 2);
         assert_eq!(u.active_records().len(), 2);
         u.prepare(Ts(1), 0);
-        assert_eq!(u.commit_prepared(Ts(1), |_| {}), 2);
+        assert_eq!(rows(|f| u.commit_prepared(Ts(1), f)), [2, 9]);
         assert!(u.is_empty());
-        assert!(!u.is_active());
     }
 
     #[test]
     fn abort_returns_newest_first() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.begin();
         u.record(update(1));
         u.record(update(2));
-        assert_eq!(rows(|f| assert_eq!(u.abort(f), 2)), [2, 1]);
-        assert!(!u.is_active());
-        // The log is reusable for the next scope.
+        assert_eq!(rows(|f| u.abort(f)), [2, 1]);
+        // The scope is closed: the log is reusable for the next one.
         u.begin();
         assert!(u.is_empty());
     }
@@ -370,22 +332,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "nested transaction scope")]
     fn nested_begin_panics() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.begin();
         u.begin();
     }
 
     #[test]
     fn prepared_scope_pins_records_until_the_decision() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.begin();
         u.record(update(4));
         u.prepare(Ts(1), 11);
-        assert!(!u.is_active());
+        assert!(u.active_records().is_empty(), "the scope is parked");
         assert!(u.is_prepared(Ts(1)));
         assert_eq!(u.prepared_scopes(), 1);
         // Commit decision: records discarded, scope closed.
-        assert_eq!(rows(|f| assert_eq!(u.commit_prepared(Ts(1), f), 1)), [4]);
+        assert_eq!(rows(|f| u.commit_prepared(Ts(1), f)), [4]);
         assert_eq!(u.prepared_scopes(), 0);
 
         // Abort decision: records come back newest-first, with what the
@@ -402,7 +364,7 @@ mod tests {
     /// engine, resolved independently and out of preparation order.
     #[test]
     fn coexisting_prepared_scopes_resolve_independently() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         for (ts, row) in [(10u64, 1u64), (11, 2), (12, 3)] {
             u.begin();
             u.record(update(row));
@@ -419,12 +381,9 @@ mod tests {
         // scope is written behind them and rolled back on the spot.
         u.begin();
         u.record(update(4));
-        assert_eq!(rows(|f| assert_eq!(u.abort(f), 1)), [4]);
+        assert_eq!(rows(|f| u.abort(f)), [4]);
         assert_eq!(u.len(), 6, "nothing moves while scopes are pending");
-        assert_eq!(
-            rows(|f| assert_eq!(u.commit_prepared(Ts(12), f), 2)),
-            [3, 13]
-        );
+        assert_eq!(rows(|f| u.commit_prepared(Ts(12), f)), [3, 13]);
         assert_eq!(
             rows(|f| assert_eq!(u.abort_prepared(Ts(10), f), 10)),
             [11, 1]
@@ -436,7 +395,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unrecorded mutation while prepared scopes are pending")]
     fn recording_outside_a_scope_with_pending_prepares_panics() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.begin();
         u.prepare(Ts(1), 0);
         u.record(update(1));
@@ -445,14 +404,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "prepare outside an active scope")]
     fn prepare_without_scope_panics() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.prepare(Ts(1), 0);
     }
 
     #[test]
     #[should_panic(expected = "already prepared at")]
     fn duplicate_prepare_timestamp_panics() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.begin();
         u.prepare(Ts(1), 0);
         u.begin();
@@ -462,7 +421,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "commit decision for unprepared")]
     fn commit_of_unprepared_scope_panics() {
-        let mut u = UndoLog::new();
+        let mut u = UndoLog::default();
         u.commit_prepared(Ts(3), |_| {});
     }
 }

@@ -1333,7 +1333,7 @@ mod tests {
             Scoped {
                 t: table(AccessModel::Unified),
                 mem: MemSystem::dimm(),
-                undo: UndoLog::new(),
+                undo: UndoLog::default(),
                 ring: 0,
             }
         }
@@ -1396,9 +1396,9 @@ mod tests {
             }
         }
 
-        fn abort(&mut self) -> usize {
+        fn abort(&mut self) {
             let (t, ring) = (&mut self.t, &mut self.ring);
-            self.undo.abort(|rec| Scoped::take_back(t, ring, rec))
+            self.undo.abort(|rec| Scoped::take_back(t, ring, rec));
         }
 
         fn abort_prepared(&mut self, ts: u64) {
@@ -1433,10 +1433,10 @@ mod tests {
         s.insert(3, 3);
         s.insert(4, 3);
         assert_eq!(s.t.live_delta_rows(), live_before + 3);
-        assert_eq!(s.abort(), 3);
+        assert_eq!(s.undo.active_records().len(), 3);
+        s.abort();
 
         // Every effect is unwound.
-        assert!(!s.undo.is_active());
         assert!(s.undo.is_empty());
         assert_eq!(s.t.live_delta_rows(), live_before);
         assert_eq!(s.t.chains().log().len(), log_before);
@@ -1468,7 +1468,7 @@ mod tests {
         assert_eq!(s.undo.prepared_scopes(), 1);
         assert_eq!(s.t.prepared_versions(), 1);
         s.commit_prepared(2);
-        assert!(!s.undo.is_active());
+        assert!(s.undo.is_empty());
         assert_eq!(s.t.prepared_versions(), 0);
         assert_eq!(s.read(5, 9)[0], vec![7, 7]);
 

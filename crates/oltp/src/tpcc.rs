@@ -473,7 +473,7 @@ impl TpccDb {
             partition,
             warehouses_global,
             wh_range,
-            undo: UndoLog::new(),
+            undo: UndoLog::default(),
             aborts: 0,
             wasted_retry_time: Ps::ZERO,
             sink: Arc::new(NullSink),

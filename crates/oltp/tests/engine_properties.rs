@@ -573,7 +573,7 @@ fn loaded_scan_table() -> (Scoped, MemSystem, Meter) {
     let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
     let scoped = Scoped {
         t,
-        undo: UndoLog::new(),
+        undo: UndoLog::default(),
         ring: 0,
     };
     (scoped, MemSystem::dimm(), meter)

@@ -118,6 +118,15 @@ fn wal_append(
     }
 }
 
+/// Records the span of `phase` for `txn` (0: the shard's own) that began
+/// at `start` and ends at the shard's clock now, if the shard is traced.
+fn trace_span(shard: &Pushtap, phase: Phase, txn: u64, start: Ps, wave: u64) {
+    if shard.trace_enabled() {
+        let (track, now) = (shard.trace_track(), shard.now());
+        shard.trace_record(Span::new(track, phase, txn, start.ps(), now.ps()).in_wave(wave));
+    }
+}
+
 /// The group-commit force barrier: pushes a shard's pending records to
 /// durable media, charging the configured force latency to the shard's
 /// clock and critical path once for everything pending. A no-op (free)
@@ -134,18 +143,7 @@ fn wal_force(wal: &mut Wal, load: &mut ShardLoad, shard: &mut Pushtap, latency: 
     load.report.wal_forces += 1;
     load.report.wal_force_time += latency;
     load.report.critical_path_time += latency;
-    if shard.trace_enabled() {
-        shard.trace_record(
-            Span::new(
-                shard.trace_track(),
-                Phase::GroupCommit,
-                0,
-                start.ps(),
-                shard.now().ps(),
-            )
-            .in_wave(wave),
-        );
-    }
+    trace_span(shard, Phase::GroupCommit, 0, start, wave);
 }
 
 /// Charges one *overlapped* 2PC message delivery: the message was
@@ -469,17 +467,8 @@ impl Engines<'_> {
                     }
                     Err(_full) => load.report.aborts += 1,
                 }
-                if item.cross && shard.trace_enabled() {
-                    shard.trace_record(
-                        Span::new(
-                            shard.trace_track(),
-                            Phase::TwoPc,
-                            item.ts.0,
-                            item.start.ps(),
-                            shard.now().ps(),
-                        )
-                        .in_wave(wave_id),
-                    );
+                if item.cross {
+                    trace_span(shard, Phase::TwoPc, item.ts.0, item.start, wave_id);
                 }
                 item.end = shard.now();
             }
@@ -499,17 +488,8 @@ impl Engines<'_> {
                     _ => wal_force(w, load, shard, commit.force_latency, wave_id),
                 }
             }
-            if shard.trace_enabled() && shard.now() > phase_start {
-                shard.trace_record(
-                    Span::new(
-                        shard.trace_track(),
-                        Phase::WavePrepare,
-                        0,
-                        phase_start.ps(),
-                        shard.now().ps(),
-                    )
-                    .in_wave(wave_id),
-                );
+            if shard.now() > phase_start {
+                trace_span(shard, Phase::WavePrepare, 0, phase_start, wave_id);
             }
         }
     }
@@ -608,18 +588,7 @@ impl Engines<'_> {
                         }
                         deliver(load, shard, commit.prepare_hop, vote_at);
                         deliver(load, shard, commit.commit_hop, vote_at + commit.commit_hop);
-                        if shard.trace_enabled() {
-                            shard.trace_record(
-                                Span::new(
-                                    shard.trace_track(),
-                                    Phase::VoteBarrier,
-                                    item.ts.0,
-                                    item_start.ps(),
-                                    shard.now().ps(),
-                                )
-                                .in_wave(wave_id),
-                            );
-                        }
+                        trace_span(shard, Phase::VoteBarrier, item.ts.0, item_start, wave_id);
                     }
                     TxnRole::Coordinator => {}
                 }
@@ -639,30 +608,12 @@ impl Engines<'_> {
                     load.report.aborts += 1;
                     load.report.participant_aborts += 1;
                 }
-                if item.cross && shard.trace_enabled() {
-                    shard.trace_record(
-                        Span::new(
-                            shard.trace_track(),
-                            Phase::TwoPc,
-                            item.ts.0,
-                            item_start.ps(),
-                            shard.now().ps(),
-                        )
-                        .in_wave(wave_id),
-                    );
+                if item.cross {
+                    trace_span(shard, Phase::TwoPc, item.ts.0, item_start, wave_id);
                 }
             }
-            if shard.trace_enabled() && shard.now() > phase_start {
-                shard.trace_record(
-                    Span::new(
-                        shard.trace_track(),
-                        Phase::WaveDecide,
-                        0,
-                        phase_start.ps(),
-                        shard.now().ps(),
-                    )
-                    .in_wave(wave_id),
-                );
+            if shard.now() > phase_start {
+                trace_span(shard, Phase::WaveDecide, 0, phase_start, wave_id);
             }
         }
     }
