@@ -100,8 +100,7 @@ fn wal_append(
     effects: &[TaggedEffect],
     wave: u64,
 ) {
-    let ts = item.ts;
-    let payload = codec::encode_parts(ts, item.role, item.cross, effects);
+    let payload = codec::encode_parts(item.ts, item.role, item.cross, effects);
     wal.append(&payload);
     load.report.wal_appends += 1;
     load.report.wal_bytes += (payload.len() + HEADER_LEN) as u64;
@@ -110,7 +109,7 @@ fn wal_append(
             Span::instant(
                 shard.trace_track(),
                 Phase::WalAppend,
-                ts.0,
+                item.ts.0,
                 shard.now().ps(),
             )
             .in_wave(wave),
@@ -222,7 +221,9 @@ fn charge_engine<T>(
 }
 
 /// One wave member: what it does and how the wave decided it.
-struct Member {
+struct Member<'a> {
+    /// The transaction, as routed and stamped.
+    routed: &'a RoutedTxn,
     /// Its decomposition: the home shard's effects first, then each
     /// participant's.
     effects: Vec<TaggedEffect>,
@@ -324,23 +325,24 @@ impl Engines<'_> {
         for item in &items {
             members[item.txn].committed &= item.vote.is_some();
         }
-        if self.log_decisions(wave, &members, crash) {
+        if self.log_decisions(&members, crash) {
             return true;
         }
-        self.decide_pass(wave, &members, &items, wave_id);
-        self.retry_aborted(wave, &members, &items, wave_id);
+        self.decide_pass(&members, &items, wave_id);
+        self.retry_aborted(&members, &items, wave_id);
         false
     }
 
     /// Step 1: the wave's members and its one item list, sorted by
     /// `(shard, timestamp)`. Wave members touch disjoint rows and rings,
     /// so the order they are decomposed in is irrelevant.
-    fn wave_items(&self, wave: &[RoutedTxn]) -> (Vec<Member>, Vec<WaveItem>) {
+    fn wave_items<'a>(&self, wave: &'a [RoutedTxn]) -> (Vec<Member<'a>>, Vec<WaveItem>) {
         let mut members: Vec<Member> = Vec::with_capacity(wave.len());
         let mut items: Vec<WaveItem> = Vec::with_capacity(wave.len());
         for routed in wave {
             let effects = self.decompose_split(members.len(), routed, &mut items);
             members.push(Member {
+                routed,
                 effects,
                 committed: true,
             });
@@ -370,7 +372,10 @@ impl Engines<'_> {
         if cross {
             // Stable, so every shard keeps its effects in statement
             // order.
-            effects.sort_by_key(|e| (owner(e) != home, owner(e)));
+            effects.sort_by_key(|e| {
+                let shard = owner(e);
+                (shard != home, shard)
+            });
         }
         let first = items.len();
         let mut start = 0;
@@ -500,21 +505,16 @@ impl Engines<'_> {
     /// delivered. Recovery presumes abort for cross-shard scopes the
     /// decision log does not vouch for. Returns `true` if an armed
     /// crash fired.
-    fn log_decisions(
-        &mut self,
-        wave: &[RoutedTxn],
-        members: &[Member],
-        crash: Option<CrashSite>,
-    ) -> bool {
+    fn log_decisions(&mut self, members: &[Member], crash: Option<CrashSite>) -> bool {
         let Some(d) = self.dur.as_mut() else {
             return false;
         };
         if crash == Some(CrashSite::BetweenVoteAndDecision) {
             return true;
         }
-        for (routed, member) in wave.iter().zip(members) {
-            if member.committed && !routed.participants.is_empty() {
-                d.decision_log.append(&encode_decision(routed.ts));
+        for m in members {
+            if m.committed && !m.routed.participants.is_empty() {
+                d.decision_log.append(&encode_decision(m.routed.ts));
             }
         }
         if crash == Some(CrashSite::MidDecisionLogWrite) {
@@ -537,13 +537,7 @@ impl Engines<'_> {
     /// force overlaps the decision round, and the decision *apply* on
     /// `p` still lands after the force because `p`'s clock crossed it
     /// at the phase barrier).
-    fn decide_pass(
-        &mut self,
-        wave: &[RoutedTxn],
-        members: &[Member],
-        items: &[WaveItem],
-        wave_id: u64,
-    ) {
+    fn decide_pass(&mut self, members: &[Member], items: &[WaveItem], wave_id: u64) {
         let commit = self.commit;
         for list in items.chunk_by(|a, b| a.shard == b.shard) {
             let i = list[0].shard;
@@ -556,6 +550,7 @@ impl Engines<'_> {
                     // its wasted latency).
                     continue;
                 };
+                let member = &members[item.txn];
                 let item_start = shard.now();
                 match item.role {
                     TxnRole::Participant => deliver(
@@ -574,7 +569,7 @@ impl Engines<'_> {
                     // wave's rounds.
                     TxnRole::Coordinator if item.cross => {
                         let mut vote_at = phase_start + commit.prepare_hop;
-                        for &p in &wave[item.txn].participants {
+                        for &p in &member.routed.participants {
                             let key = (p as usize, item.ts);
                             let Ok(at) = items.binary_search_by_key(&key, |it| (it.shard, it.ts))
                             else {
@@ -592,13 +587,13 @@ impl Engines<'_> {
                     }
                     TxnRole::Coordinator => {}
                 }
-                if members[item.txn].committed {
+                if member.committed {
                     shard.commit_prepared(item.ts, item.role);
                     load.report.breakdown.merge(&result.breakdown);
                     if item.role == TxnRole::Coordinator {
                         load.routed += 1;
                         load.report.committed += 1;
-                        load.remote_touches += wave[item.txn].remote;
+                        load.remote_touches += member.routed.remote;
                         load.report
                             .commit_latency
                             .record(shard.now().saturating_sub(item.start).ps());
@@ -630,17 +625,12 @@ impl Engines<'_> {
     /// to amortize the barrier over — and replay dedupes the casualty's
     /// duplicate appends keep-last (decomposition is retry-stable, so
     /// they are byte-identical).
-    fn retry_aborted(
-        &mut self,
-        wave: &[RoutedTxn],
-        members: &[Member],
-        items: &[WaveItem],
-        wave_id: u64,
-    ) {
-        for (txn, routed) in wave.iter().enumerate() {
-            if members[txn].committed {
+    fn retry_aborted(&mut self, members: &[Member], items: &[WaveItem], wave_id: u64) {
+        for (txn, member) in members.iter().enumerate() {
+            if member.committed {
                 continue;
             }
+            let routed = member.routed;
             let no_voters = items.iter().filter(|it| it.txn == txn && it.vote.is_none());
             for v in no_voters.map(|it| it.shard) {
                 charge_maintenance(&mut self.loads[v], self.shards[v].reclaim_now());
