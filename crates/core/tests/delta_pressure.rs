@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use pushtap_chbench::{Table, Txn, ALL_TABLES};
 use pushtap_core::{Pushtap, PushtapConfig};
 use pushtap_format::RowSlot;
-use pushtap_olap::{ref_q1, ref_q6, ref_q9};
+use pushtap_olap::{ref_q1, ref_q6, ref_q9, Query};
 
 const SEED: u64 = 77;
 const TXNS: u64 = 120;
@@ -147,6 +147,31 @@ fn pressure_run_is_byte_identical_to_ample_run() {
             slot_identity(&squeezed),
         ),
         (2_272_357_837, 119, 42_572_483, 17_415_451_971_021_341_134),
+    );
+    // What reclamation did under that pressure, and what queries run on
+    // the squeezed engine afterwards observe and cost: the cut every
+    // reclaim took (below the failed attempt's timestamp or at it) must
+    // fold the same versions and leave the same snapshots behind.
+    let gc = squeezed.take_gc_stats();
+    assert_eq!(
+        (
+            gc.passes,
+            gc.versions_reclaimed,
+            gc.slots_recycled,
+            gc.log_trimmed
+        ),
+        (119, 1_552, 1_552, 1_552),
+    );
+    let queries: Vec<(u64, u64)> = [Query::Q1, Query::Q6, Query::Q9]
+        .into_iter()
+        .map(|query| {
+            let r = squeezed.run_query(query);
+            (r.cut.0, r.total().ps())
+        })
+        .collect();
+    assert_eq!(
+        queries,
+        [(120, 35_524_063), (120, 5_750_250), (120, 139_614_750)]
     );
 
     // Identical analytical answers at the shared final timestamp…
