@@ -190,9 +190,20 @@ impl ShardedHtap {
     }
 
     /// Whether an armed crash has fired. A crashed service is dead: it
-    /// refuses further batches, exactly like the process it simulates.
+    /// refuses further batches, queries and defragmentation, exactly like
+    /// the process it simulates.
     pub fn crashed(&self) -> bool {
         self.durability.as_ref().is_some_and(|d| d.crashed)
+    }
+
+    /// Refuses to touch a crashed service: its engines are left as the
+    /// kill found them, prepared scopes included.
+    fn assert_alive(&self) {
+        assert!(
+            !self.crashed(),
+            "service crashed at its armed crash point; harvest the logs and \
+             recover into a fresh deployment"
+        );
     }
 
     /// Rebuilds a deployment from the durable log bytes a crash left
@@ -475,11 +486,7 @@ impl ShardedHtap {
         mut next: impl FnMut() -> (Txn, Ps),
         open: &OpenLoopConfig,
     ) -> OpenLoopReport {
-        assert!(
-            !self.crashed(),
-            "service crashed at its armed crash point; harvest the logs and \
-             recover into a fresh deployment"
-        );
+        self.assert_alive();
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
         let shard_count = self.shards.len();
         let mut run = Run {
@@ -637,7 +644,12 @@ impl ShardedHtap {
     /// Defragments every shard, each on its own simulated clock (each
     /// pauses its own OLTP, §5.3). Returns the deployment-wide pause:
     /// the slowest shard's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service crashed at an armed crash point.
     pub fn defragment_all(&mut self) -> Ps {
+        self.assert_alive();
         self.shards
             .iter_mut()
             .map(|shard| shard.defragment_all().1)
@@ -777,6 +789,10 @@ impl ShardedHtap {
     /// a single unpartitioned instance that executed the same committed
     /// transaction stream up to the cut. The agreed cut is recorded in
     /// [`ShardQueryReport::cut`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service crashed at an armed crash point.
     pub fn run_query(&mut self, query: Query) -> ShardQueryReport {
         // Agree on the cut before scattering: the oracle's watermark
         // bounds every committed timestamp on every shard.
@@ -791,7 +807,12 @@ impl ShardedHtap {
     /// historical cut must be kept readable with a standing
     /// [`TsOracle::pin_snapshot`] taken while the cut was still at or
     /// above the floor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service crashed at an armed crash point.
     pub fn run_query_at(&mut self, query: Query, cut: Ts) -> ShardQueryReport {
+        self.assert_alive();
         // Pin the cut for the scatter's duration: garbage collection on
         // any shard may reclaim only strictly below it, so every
         // partial reads its exact as-of-cut versions even if GC runs
@@ -1210,6 +1231,37 @@ mod tests {
         assert_eq!(durable_images(&s), before);
     }
 
+    /// A two-shard deployment killed just after a participant prepared:
+    /// its engines still hold prepared scopes.
+    fn crashed_after_prepare() -> ShardedHtap {
+        let mut s = service(2);
+        let _handles = s.enable_wal();
+        s.arm_crash(CrashPoint {
+            site: crate::durability::CrashSite::AfterPrepare,
+            event: 2,
+        });
+        let warehouses = s.map().warehouses();
+        let mut gen = s
+            .global_txn_gen(5)
+            .with_remote_mix(pushtap_chbench::RemoteMix::Uniform, warehouses);
+        s.run_txns(&mut gen, 60);
+        assert!(s.crashed());
+        assert!(s.shards().iter().any(|sh| sh.db().prepared_scopes() > 0));
+        s
+    }
+
+    #[test]
+    #[should_panic(expected = "service crashed")]
+    fn a_crashed_service_refuses_queries() {
+        crashed_after_prepare().run_query(Query::Q6);
+    }
+
+    #[test]
+    #[should_panic(expected = "service crashed")]
+    fn a_crashed_service_refuses_defragmentation() {
+        crashed_after_prepare().defragment_all();
+    }
+
     #[test]
     fn checkpoint_under_a_snapshot_pin_is_a_typed_error() {
         let mut s = durable_service();
@@ -1326,7 +1378,7 @@ mod tests {
         assert!(report.two_pc_time() > Ps::ZERO);
         // No prepared scope survives the batch.
         for shard in s.shards() {
-            assert!(!shard.db().in_prepared_txn());
+            assert_eq!(shard.db().prepared_scopes(), 0);
             assert_eq!(shard.db().prepared_versions(), 0);
         }
     }
