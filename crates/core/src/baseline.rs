@@ -191,24 +191,25 @@ impl MultiInstance {
         // The row instance periodically garbage-collects its own chains;
         // model by clearing when arenas fill. GC-ed versions are still
         // owed to the column instance, so their bytes stay pending.
-        match self.row_db.execute(txn, &mut self.mem, self.now) {
+        let ts = self.row_db.ts_oracle().allocate();
+        match self.row_db.execute_at(txn, ts, &mut self.mem, self.now) {
             Ok(r) => {
                 self.now = r.end;
             }
             Err(_) => {
                 self.pending_bytes += self.live_version_bytes();
-                let ts = self.row_db.last_ts();
+                let upto = self.row_db.last_ts();
                 for t in pushtap_chbench::ALL_TABLES {
                     let model = pushtap_mvcc::DefragCostModel::new(16.0, 1e9, 3e9);
                     self.row_db.table_mut(t).defragment(
                         &model,
                         pushtap_mvcc::DefragStrategy::Cpu,
-                        ts,
+                        upto,
                     );
                 }
                 let r = self
                     .row_db
-                    .execute(txn, &mut self.mem, self.now)
+                    .execute_at(txn, ts, &mut self.mem, self.now)
                     .expect("retry after GC");
                 self.now = r.end;
             }

@@ -464,7 +464,7 @@ impl Pushtap {
         self.db.partition()
     }
 
-    /// Swaps the instance's private timestamp counter for a shared
+    /// Swaps the instance's own timestamp oracle for a shared
     /// deployment-wide [`TsOracle`] (see
     /// [`TpccDb::share_timestamps`](pushtap_oltp::TpccDb::share_timestamps)).
     /// Must be called before any transaction executes; `ShardedHtap::new`
@@ -531,31 +531,50 @@ impl Pushtap {
         )
     }
 
-    /// Executes one transaction; reclaims (GC first, defragmentation as
-    /// the fallback) and retries on a full delta arena. Returns the
-    /// result plus the maintenance pauses incurred, split by mechanism.
-    ///
-    /// The retry is *atomic*: [`TpccDb::execute`] rolls back all partial
-    /// effects of the failed attempt (including the timestamp) before
-    /// returning the error, so the post-reclamation re-execution
-    /// commits exactly what a pressure-free run would have committed.
-    /// Abort counts are tracked on the database
-    /// ([`TpccDb::aborts`](pushtap_oltp::TpccDb::aborts)) and surfaced
-    /// per batch in [`OltpReport`].
+    /// Executes one transaction under the next timestamp of this
+    /// instance's oracle, drawn once: see [`Pushtap::execute_txn_at`].
     pub fn execute_txn(&mut self, txn: &Txn) -> (TxnResult, MaintPause) {
-        self.execute_with(txn, None)
+        let ts = self.db.ts_oracle().allocate();
+        self.execute_txn_at(txn, ts)
     }
 
-    /// Executes one transaction under a caller-assigned (pinned) commit
-    /// timestamp (see [`TpccDb::execute_at`](pushtap_oltp::TpccDb::execute_at)),
-    /// with the same defragment-and-retry loop as
-    /// [`Pushtap::execute_txn`]. The retry re-runs under the *same*
-    /// pinned timestamp. This is how a sharded coordinator drives each
-    /// shard: timestamps are drawn from the shared [`TsOracle`] in global
-    /// stream order, so concurrent shards commit exactly the timestamps a
-    /// single-instance reference would.
+    /// Executes one transaction under its commit timestamp `ts` (see
+    /// [`TpccDb::execute_at`](pushtap_oltp::TpccDb::execute_at)); reclaims
+    /// (GC first, defragmentation as the fallback) and retries on a full
+    /// delta arena. Returns the result plus the maintenance pauses
+    /// incurred, split by mechanism.
+    ///
+    /// The retry is *atomic*: the engine rolls back all partial effects
+    /// of the failed attempt before returning the error, and the
+    /// post-reclamation re-execution runs under the *same* timestamp, so
+    /// it commits exactly what a pressure-free run would have committed.
+    /// This is also how a sharded coordinator drives each shard:
+    /// timestamps are drawn from the shared [`TsOracle`] in global stream
+    /// order, so concurrent shards commit exactly the timestamps a
+    /// single-instance reference would. Abort counts are tracked on the
+    /// database ([`TpccDb::aborts`](pushtap_oltp::TpccDb::aborts)) and
+    /// surfaced per batch in [`OltpReport`].
     pub fn execute_txn_at(&mut self, txn: &Txn, ts: Ts) -> (TxnResult, MaintPause) {
-        self.execute_with(txn, Some(ts))
+        let mut pauses = self.defrag_if_due();
+        loop {
+            let wasted_before = self.db.wasted_retry_time();
+            match self.db.execute_at(txn, ts, &mut self.mem, self.now) {
+                Ok(r) => {
+                    self.now = r.end;
+                    self.txns_since_defrag += 1;
+                    return (r, pauses);
+                }
+                // The failed attempt was rolled back, but its statements
+                // consumed real time (their memory traffic is charged to
+                // the simulated memory system): advance the clock by the
+                // attempt's latency, then reclaim the delta regions and
+                // re-execute.
+                Err(_full) => {
+                    self.now += self.db.wasted_retry_time().saturating_sub(wasted_before);
+                    pauses.absorb(self.reclaim_now());
+                }
+            }
+        }
     }
 
     /// Runs the periodic maintenance check: if the configured period has
@@ -624,9 +643,9 @@ impl Pushtap {
     }
 
     /// Runs one incremental garbage-collection pass at this engine's
-    /// eligible cut ([`TpccDb::gc_eligible_before`]: the shared oracle's
-    /// pin-floored watermark in a deployment, the local watermark
-    /// standalone). Returns the pause charged (zero for an empty pass).
+    /// eligible cut ([`TpccDb::gc_eligible_before`]: the oracle's
+    /// pin-floored watermark). Returns the pause charged (zero for an
+    /// empty pass).
     pub fn gc_pass(&mut self) -> Ps {
         self.gc_at(self.db.gc_eligible_before())
     }
@@ -638,7 +657,13 @@ impl Pushtap {
     /// [`TpccDb::gc`]). Charges the copy-back and traverse time to the
     /// clock and emits a [`Phase::GcPass`] span. An empty pass (nothing
     /// eligible) costs nothing, is not counted, and emits no span.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a prepared transaction scope awaits its
+    /// coordinator's decision: its writes may still be taken back.
     pub fn gc_at(&mut self, before: Ts) -> Ps {
+        self.assert_decided("garbage collection");
         let model = self.defrag_cost;
         let strategy = self.cfg.defrag_strategy;
         let (pass, seconds) = self.db.gc(&model, strategy, before);
@@ -745,33 +770,6 @@ impl Pushtap {
         }
     }
 
-    fn execute_with(&mut self, txn: &Txn, pinned: Option<Ts>) -> (TxnResult, MaintPause) {
-        let mut pauses = self.defrag_if_due();
-        loop {
-            let wasted_before = self.db.wasted_retry_time();
-            let r = match pinned {
-                Some(ts) => self.db.execute_at(txn, ts, &mut self.mem, self.now),
-                None => self.db.execute(txn, &mut self.mem, self.now),
-            };
-            match r {
-                Ok(r) => {
-                    self.now = r.end;
-                    self.txns_since_defrag += 1;
-                    return (r, pauses);
-                }
-                // The failed attempt was rolled back, but its statements
-                // consumed real time (their memory traffic is charged to
-                // the simulated memory system): advance the clock by the
-                // attempt's latency, then reclaim the delta regions and
-                // re-execute.
-                Err(_full) => {
-                    self.now += self.db.wasted_retry_time().saturating_sub(wasted_before);
-                    pauses.absorb(self.reclaim_now());
-                }
-            }
-        }
-    }
-
     /// Runs `n` transactions from `gen`, defragmenting per the configured
     /// period.
     pub fn run_txns(&mut self, gen: &mut TxnGen, n: u64) -> OltpReport {
@@ -817,7 +815,13 @@ impl Pushtap {
 
     /// Defragments every table (OLTP paused). Returns the aggregate stats
     /// and the pause duration, and advances the clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a prepared transaction scope awaits its
+    /// coordinator's decision: its writes may still be taken back.
     pub fn defragment_all(&mut self) -> (DefragStats, Ps) {
+        self.assert_decided("defragmentation");
         let upto = self.db.last_ts();
         let strategy = self.cfg.defrag_strategy;
         let model = self.defrag_cost;
@@ -908,7 +912,13 @@ impl Pushtap {
     /// calls — snapshots advance monotonically (§5.2), so a cut below a
     /// previous one leaves the fresher snapshot in place. Returns the
     /// snapshotting duration.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a prepared transaction scope awaits its
+    /// coordinator's decision: its writes may still be taken back.
     pub fn snapshot_for_at(&mut self, query: Query, upto: Ts) -> Ps {
+        self.assert_decided("a snapshot");
         let start = self.now;
         let meter = *self.db.meter();
         for &t in Self::query_tables(query) {
@@ -919,6 +929,19 @@ impl Pushtap {
             self.now = self.now.max(end);
         }
         self.now - start
+    }
+
+    /// Reclamation and snapshots run only while no transaction scope is
+    /// open: a prepared scope's writes sit on the chains undecided, and
+    /// only the undo log knows them. Garbage collection or
+    /// defragmentation would fold them into the data region, and a
+    /// snapshot would publish them, before the coordinator decides.
+    fn assert_decided(&self, what: &str) {
+        let scopes = self.db.prepared_scopes();
+        assert!(
+            scopes == 0,
+            "{what} with {scopes} prepared-but-uncommitted transaction scope(s)"
+        );
     }
 
     /// The tables `query` scans (and therefore snapshots).
@@ -1105,6 +1128,41 @@ mod tests {
         p.defragment_all();
         let after = p.run_query(Query::Q6);
         assert_eq!(before.result, after.result);
+    }
+
+    /// An engine holding one prepared transaction whose coordinator has
+    /// not decided, on top of committed versions reclamation could fold.
+    fn with_a_prepared_scope() -> (Pushtap, Ts) {
+        let mut p = small();
+        let mut gen = p.txn_gen(4);
+        p.run_txns(&mut gen, 10);
+        let txn = gen.next_txn();
+        let ts = p.db().ts_oracle().allocate();
+        let effects = p.db().decompose(&txn, ts);
+        p.prepare_effects_at(&effects, ts).expect("room");
+        assert_eq!(p.db().prepared_scopes(), 1);
+        (p, ts)
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared-but-uncommitted")]
+    fn gc_refuses_rows_with_prepared_versions() {
+        let (mut p, _) = with_a_prepared_scope();
+        p.gc_at(Ts(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared-but-uncommitted")]
+    fn defrag_with_prepared_versions_panics() {
+        let (mut p, _) = with_a_prepared_scope();
+        p.defragment_all();
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared-but-uncommitted")]
+    fn snapshot_with_prepared_versions_panics() {
+        let (mut p, ts) = with_a_prepared_scope();
+        p.snapshot_for_at(Query::Q6, ts);
     }
 
     #[test]

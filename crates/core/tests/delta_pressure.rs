@@ -128,7 +128,8 @@ fn pressure_run_is_byte_identical_to_ample_run() {
     assert!(no_aborts > 0, "NewOrder class must hit DeltaFull");
     assert_eq!(ample_pay + ample_no, 0, "ample arenas must not abort");
 
-    // Gapless timestamps: aborted attempts returned their timestamps.
+    // Gapless timestamps: a retry re-runs under the timestamp its
+    // transaction drew once.
     assert_eq!(squeezed.db().committed(), TXNS);
     assert_eq!(squeezed.db().last_ts(), roomy.db().last_ts());
 
@@ -149,9 +150,10 @@ fn pressure_run_is_byte_identical_to_ample_run() {
         (2_272_357_837, 119, 42_572_483, 17_415_451_971_021_341_134),
     );
     // What reclamation did under that pressure, and what queries run on
-    // the squeezed engine afterwards observe and cost: the cut every
-    // reclaim took (below the failed attempt's timestamp or at it) must
-    // fold the same versions and leave the same snapshots behind.
+    // the squeezed engine afterwards observe and cost: the cut each
+    // reclaim between a failed attempt and its retry takes may sit at the
+    // attempt's timestamp or just below it — no version exists there, so
+    // either folds the same versions and leaves the same snapshots.
     let gc = squeezed.take_gc_stats();
     assert_eq!(
         (

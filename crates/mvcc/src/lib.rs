@@ -6,12 +6,13 @@
 //! unified format, rotation-aligned with the origin rows so PIM units can
 //! copy versions back locally during defragmentation.
 //!
-//! * [`Ts`]/[`TsAllocator`]/[`TsOracle`] — transaction timestamps; the
-//!   oracle is the shared (`Arc`) deployment-wide source a sharded
-//!   topology uses so every engine commits under one global timestamp
-//!   sequence (timestamps are encoded in stored bytes, so a shared
-//!   sequence is what makes sharded state byte-identical to a
-//!   single-instance reference);
+//! * [`Ts`]/[`TsOracle`] — transaction timestamps and the one source
+//!   they come from. A standalone engine owns an oracle; a sharded
+//!   topology shares one (`Arc`) among its engines so every engine
+//!   commits under one global timestamp sequence (timestamps are encoded
+//!   in stored bytes, so a shared sequence is what makes sharded state
+//!   byte-identical to a single-instance reference). A transaction draws
+//!   once, and a retry re-runs under its draw;
 //! * [`VersionChains`] — per-row version chains plus the commit log
 //!   (Fig. 6(b));
 //! * [`DeltaAllocator`] — rotation-arena slot allocation (§5.1), raising
@@ -28,10 +29,11 @@
 //!   decision drops the range or hands it back. **Several prepared
 //!   scopes coexist** (a pipelined coordinator overlaps non-conflicting
 //!   transactions' 2PCs) and resolve independently, out of preparation
-//!   order; [`VersionChains`] tracks the corresponding
-//!   prepared-but-uncommitted versions per scope
-//!   ([`VersionChains::prepared_count`]) and supports undoing a
-//!   scope's commit-log entries from the middle of the log;
+//!   order. The log is the only record of an undecided write: the
+//!   chains hold its version like any other, and the engine keeps
+//!   reclamation and snapshots away until every scope is decided.
+//!   [`VersionChains::undo_update`] takes a scope's commit-log entries
+//!   back from the middle of the log;
 //! * [`Snapshot`] — the per-device visibility bitmaps, updated
 //!   incrementally from the log (§5.2, Fig. 6(c));
 //! * [`DefragCostModel`] — Equations 1–3 and the CPU/PIM/Hybrid strategy
@@ -41,9 +43,9 @@
 //!
 //! ```
 //! use pushtap_format::RowSlot;
-//! use pushtap_mvcc::{Snapshot, Ts, TsAllocator, VersionChains};
+//! use pushtap_mvcc::{Snapshot, TsOracle, VersionChains};
 //!
-//! let mut ts = TsAllocator::new();
+//! let ts = TsOracle::new();
 //! let mut chains = VersionChains::new();
 //! let mut snap = Snapshot::new(16, 4, 8);
 //!
@@ -72,5 +74,5 @@ pub use chain::{GcFold, GcOutcome, LogEntry, VersionChains, VersionMeta};
 pub use defrag::{DefragCostModel, DefragStats, DefragStrategy};
 pub use delta::{DeltaAllocator, DeltaFull};
 pub use snapshot::{Bitmap, Ones, Snapshot, SnapshotUpdate};
-pub use timestamp::{SnapshotPin, Ts, TsAllocator, TsOracle};
+pub use timestamp::{SnapshotPin, Ts, TsOracle};
 pub use undo::{InsertUndo, UndoLog, UndoRecord};

@@ -25,18 +25,20 @@ impl fmt::Display for Ts {
     }
 }
 
-/// A deployment-wide timestamp oracle: one monotonic source shared (via
-/// `Arc`) by every engine of a multi-shard deployment.
+/// The timestamp oracle: the one monotonic source every timestamp comes
+/// from. A standalone engine owns one; a multi-shard deployment shares
+/// one (via `Arc`) among all its engines.
 ///
 /// Timestamps leak into stored bytes (commit timestamps are encoded
 /// directly in the unified format's row and delta regions, §4–§5), so two
 /// deployments that commit the same transaction stream hold byte-identical
 /// state *only* if every transaction commits under the same timestamp in
-/// both. A per-engine [`TsAllocator`] cannot provide that across shards;
-/// the oracle can: the coordinator draws timestamps from it in global
-/// stream order and pins each transaction to its draw (see
-/// `pushtap-shard`), and its [`watermark`](TsOracle::watermark) is the
-/// global snapshot cut analytical queries agree on.
+/// both. A shared oracle provides that across shards: the coordinator
+/// draws timestamps from it in global stream order and pins each
+/// transaction to its draw (see `pushtap-shard`), and its
+/// [`watermark`](TsOracle::watermark) is the global snapshot cut
+/// analytical queries agree on. A timestamp is drawn once per
+/// transaction and never handed back: a retry re-runs under its draw.
 ///
 /// # Examples
 ///
@@ -180,32 +182,6 @@ impl TsOracle {
         Ts(self.next.load(Ordering::SeqCst).saturating_sub(1))
     }
 
-    /// Returns `ts` — which must still be the most recent allocation — to
-    /// the oracle, so the next [`TsOracle::allocate`] hands it out again.
-    /// The single-engine retry path uses this to keep the committed
-    /// timestamp sequence gapless (see [`TsAllocator::rollback`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ts` is the most recent allocation (a concurrent
-    /// allocator may have moved past it; pinned execution never rolls the
-    /// oracle back — a pinned retry simply reuses its timestamp).
-    pub fn rollback(&self, ts: Ts) {
-        // Validate before mutating: a failed compare_exchange must not
-        // have touched the shared counter (Ts(0) is the reserved
-        // load-time timestamp — "returning" it would rewind the oracle
-        // to re-issue already-allocated timestamps).
-        assert!(ts.0 != 0, "rollback of the reserved {ts}");
-        let r = self
-            .next
-            .compare_exchange(ts.0 + 1, ts.0, Ordering::SeqCst, Ordering::SeqCst);
-        assert!(
-            r.is_ok(),
-            "rollback of {ts} but the oracle has moved to T{}",
-            self.next.load(Ordering::SeqCst).saturating_sub(1)
-        );
-    }
-
     /// Raises the watermark to at least `ts` (no-op if already past it).
     /// Used when an engine commits a *pinned* timestamp that was drawn
     /// from another source, keeping `watermark()` an upper bound of every
@@ -215,152 +191,23 @@ impl TsOracle {
     }
 }
 
-/// Which source a [`TsAllocator`] draws from.
-#[derive(Debug, Clone)]
-enum TsSource {
-    /// A private per-engine counter (the single-instance default).
-    Local { next: u64 },
-    /// A shared deployment-wide [`TsOracle`].
-    Shared(Arc<TsOracle>),
-}
-
-/// Monotonic timestamp allocator (one per database instance).
-///
-/// By default each instance owns a private counter; a sharded deployment
-/// swaps it for a shared [`TsOracle`] with [`TsAllocator::shared`], which
-/// preserves the whole API (allocate / last / rollback) while making
-/// every engine draw from one global sequence.
-#[derive(Debug, Clone)]
-pub struct TsAllocator {
-    source: TsSource,
-}
-
-impl Default for TsAllocator {
-    fn default() -> TsAllocator {
-        TsAllocator::new()
-    }
-}
-
-impl TsAllocator {
-    /// Creates an allocator starting at `T1` with a private counter.
-    pub fn new() -> TsAllocator {
-        TsAllocator {
-            source: TsSource::Local { next: 1 },
-        }
-    }
-
-    /// Creates an allocator that delegates to a shared [`TsOracle`].
-    pub fn shared(oracle: Arc<TsOracle>) -> TsAllocator {
-        TsAllocator {
-            source: TsSource::Shared(oracle),
-        }
-    }
-
-    /// Whether this allocator draws from a shared [`TsOracle`].
-    pub fn is_shared(&self) -> bool {
-        matches!(self.source, TsSource::Shared(_))
-    }
-
-    /// The shared oracle, if any.
-    pub fn oracle(&self) -> Option<&Arc<TsOracle>> {
-        match &self.source {
-            TsSource::Local { .. } => None,
-            TsSource::Shared(o) => Some(o),
-        }
-    }
-
-    /// Allocates the next timestamp.
-    pub fn allocate(&mut self) -> Ts {
-        match &mut self.source {
-            TsSource::Local { next } => {
-                let ts = Ts(*next);
-                *next += 1;
-                ts
-            }
-            TsSource::Shared(oracle) => oracle.allocate(),
-        }
-    }
-
-    /// The most recently allocated timestamp (`Ts::ZERO` if none). With a
-    /// shared source this is the deployment-wide watermark — every
-    /// timestamp at or below it has been handed out *somewhere*.
-    pub fn last(&self) -> Ts {
-        match &self.source {
-            TsSource::Local { next } => Ts(next.saturating_sub(1)),
-            TsSource::Shared(oracle) => oracle.watermark(),
-        }
-    }
-
-    /// Returns `ts` — which must be the most recently allocated
-    /// timestamp — to the allocator, so the next [`TsAllocator::allocate`]
-    /// hands it out again.
-    ///
-    /// Used by transaction abort: a transaction rolled back on
-    /// [`DeltaFull`](crate::DeltaFull) re-executes under the *same*
-    /// timestamp, keeping the committed timestamp sequence gapless and
-    /// identical to a run that never hit delta pressure (timestamps leak
-    /// into stored values, so gaps would break cross-deployment value
-    /// identity).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ts` is the most recent allocation.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pushtap_mvcc::TsAllocator;
-    ///
-    /// let mut a = TsAllocator::new();
-    /// let t1 = a.allocate();
-    /// a.rollback(t1); // the transaction aborted
-    /// assert_eq!(a.allocate(), t1); // the retry reuses T1
-    /// ```
-    pub fn rollback(&mut self, ts: Ts) {
-        match &mut self.source {
-            TsSource::Local { next } => {
-                assert!(
-                    ts.0 != 0 && ts.0 + 1 == *next,
-                    "rollback of {ts} but last allocation was T{}",
-                    next.saturating_sub(1)
-                );
-                *next -= 1;
-            }
-            TsSource::Shared(oracle) => oracle.rollback(ts),
-        }
-    }
-
-    /// Raises [`TsAllocator::last`] to at least `ts` without handing out
-    /// the intermediate timestamps. Used when the engine commits a
-    /// *pinned* timestamp assigned by an external coordinator (see
-    /// `TpccDb::execute_at` in `pushtap-oltp`), so the engine's watermark
-    /// keeps bounding every timestamp it has committed.
-    pub fn advance_to(&mut self, ts: Ts) {
-        match &mut self.source {
-            TsSource::Local { next } => *next = (*next).max(ts.0 + 1),
-            TsSource::Shared(oracle) => oracle.advance_to(ts),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn allocation_is_monotone() {
-        let mut a = TsAllocator::new();
-        let t1 = a.allocate();
-        let t2 = a.allocate();
+        let oracle = TsOracle::new();
+        let t1 = oracle.allocate();
+        let t2 = oracle.allocate();
         assert!(t2 > t1);
         assert!(t1 > Ts::ZERO);
-        assert_eq!(a.last(), t2);
+        assert_eq!(oracle.watermark(), t2);
     }
 
     #[test]
     fn fresh_allocator_has_no_last() {
-        let a = TsAllocator::default();
-        assert_eq!(a.last(), Ts::ZERO);
+        assert_eq!(TsOracle::default().watermark(), Ts::ZERO);
     }
 
     #[test]
@@ -369,76 +216,27 @@ mod tests {
     }
 
     #[test]
-    fn rollback_reuses_the_timestamp() {
-        let mut a = TsAllocator::new();
-        let t1 = a.allocate();
-        let t2 = a.allocate();
-        a.rollback(t2);
-        assert_eq!(a.last(), t1);
-        assert_eq!(a.allocate(), t2);
-    }
-
-    #[test]
-    #[should_panic(expected = "rollback of T1")]
-    fn rollback_of_stale_ts_panics() {
-        let mut a = TsAllocator::new();
-        let t1 = a.allocate();
-        a.allocate();
-        a.rollback(t1);
-    }
-
-    #[test]
     fn advance_to_raises_local_watermark() {
-        let mut a = TsAllocator::new();
-        a.advance_to(Ts(7));
-        assert_eq!(a.last(), Ts(7));
-        assert_eq!(a.allocate(), Ts(8));
+        let oracle = TsOracle::new();
+        oracle.advance_to(Ts(7));
+        assert_eq!(oracle.watermark(), Ts(7));
+        assert_eq!(oracle.allocate(), Ts(8));
         // Never moves backwards.
-        a.advance_to(Ts(3));
-        assert_eq!(a.last(), Ts(8));
+        oracle.advance_to(Ts(3));
+        assert_eq!(oracle.watermark(), Ts(8));
     }
 
     #[test]
     fn shared_allocators_draw_one_sequence() {
         let oracle = Arc::new(TsOracle::new());
-        let mut a = TsAllocator::shared(oracle.clone());
-        let mut b = TsAllocator::shared(oracle.clone());
-        assert!(a.is_shared() && b.is_shared());
+        let (a, b) = (Arc::clone(&oracle), Arc::clone(&oracle));
         assert_eq!(a.allocate(), Ts(1));
         assert_eq!(b.allocate(), Ts(2));
         assert_eq!(a.allocate(), Ts(3));
         // Both see the same global watermark.
-        assert_eq!(a.last(), Ts(3));
-        assert_eq!(b.last(), Ts(3));
+        assert_eq!(a.watermark(), Ts(3));
+        assert_eq!(b.watermark(), Ts(3));
         assert_eq!(oracle.watermark(), Ts(3));
-    }
-
-    #[test]
-    fn shared_rollback_keeps_sequence_gapless() {
-        let oracle = Arc::new(TsOracle::new());
-        let mut a = TsAllocator::shared(oracle);
-        let t1 = a.allocate();
-        a.rollback(t1);
-        assert_eq!(a.allocate(), t1);
-    }
-
-    #[test]
-    #[should_panic(expected = "rollback of the reserved T0")]
-    fn oracle_rollback_of_zero_panics_without_corrupting() {
-        let oracle = TsOracle::new();
-        // Must panic *before* the CAS: a fresh oracle has next == 1, so
-        // an unchecked compare_exchange(1, 0) would "succeed" and rewind
-        // the shared sequence to re-issue Ts(0).
-        oracle.rollback(Ts::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "the oracle has moved")]
-    fn shared_rollback_of_stale_ts_panics() {
-        let oracle = Arc::new(TsOracle::new());
-        let t1 = oracle.allocate();
-        oracle.allocate();
-        oracle.rollback(t1);
     }
 
     #[test]

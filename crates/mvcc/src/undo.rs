@@ -22,7 +22,8 @@
 //!
 //! # What an undecided transaction holds
 //!
-//! A range of `records`. The log is the record list plus a short list of
+//! A range of `records`, and nothing else: the log is the one place an
+//! undecided write is known. The log is the record list plus a short list of
 //! *scopes* `(ts, range, elapsed)`: the scope being written is the tail
 //! of the list ([`UndoLog::begin`]), [`UndoLog::prepare`] closes the tail
 //! into a scope under the transaction's pinned commit timestamp — the
@@ -66,7 +67,8 @@
 //! assert_eq!(undo.prepared_scopes(), 2);
 //! // The abort hands back the scope's records and its prepare's cost.
 //! assert_eq!(undo.abort_prepared(Ts(10), |rec| assert_eq!(rec.row, 1)), 500);
-//! undo.commit_prepared(Ts(11), |rec| assert_eq!(rec.row, 2));
+//! assert_eq!(undo.prepared_records(), 1);
+//! undo.commit_prepared(Ts(11));
 //! // Nothing is pending: the log is empty again.
 //! assert_eq!((undo.prepared_scopes(), undo.len()), (0, 0));
 //! ```
@@ -155,6 +157,12 @@ impl UndoLog {
         self.scopes.len()
     }
 
+    /// Number of records the prepared scopes hold: the row writes whose
+    /// coordinator decisions are still pending.
+    pub fn prepared_records(&self) -> usize {
+        self.scopes.iter().map(|s| s.range.len()).sum()
+    }
+
     /// Whether a scope prepared at `ts` is pending.
     pub fn is_prepared(&self, ts: Ts) -> bool {
         self.scopes.iter().any(|s| s.ts == ts)
@@ -169,13 +177,6 @@ impl UndoLog {
     /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// The records of the active scope, oldest first. The prepare step
-    /// reads them to mark the versions the scope wrote as prepared on
-    /// the version chains, before closing the scope.
-    pub fn active_records(&self) -> &[UndoRecord] {
-        &self.records[self.active.unwrap_or(self.records.len())..]
     }
 
     /// Appends a record if an active scope is open; drops it otherwise.
@@ -242,16 +243,13 @@ impl UndoLog {
     }
 
     /// The coordinator's commit decision for the scope prepared at `ts`:
-    /// the effects stay and the scope is dropped. `kept` sees its
-    /// records, oldest first (the engine resolves the prepared marks of
-    /// the tables they name).
+    /// the effects stay and the scope is dropped.
     ///
     /// # Panics
     ///
     /// Panics if no scope is prepared at `ts`.
-    pub fn commit_prepared(&mut self, ts: Ts, kept: impl FnMut(&UndoRecord)) {
-        let scope = self.take_scope(ts, "commit");
-        self.records[scope.range].iter().for_each(kept);
+    pub fn commit_prepared(&mut self, ts: Ts) {
+        self.take_scope(ts, "commit");
         self.clear_if_idle();
     }
 
@@ -311,9 +309,10 @@ mod tests {
             }),
         });
         assert_eq!(u.len(), 2);
-        assert_eq!(u.active_records().len(), 2);
+        assert_eq!(u.prepared_records(), 0, "the scope is still active");
         u.prepare(Ts(1), 0);
-        assert_eq!(rows(|f| u.commit_prepared(Ts(1), f)), [2, 9]);
+        assert_eq!(u.prepared_records(), 2);
+        u.commit_prepared(Ts(1));
         assert!(u.is_empty());
     }
 
@@ -343,12 +342,11 @@ mod tests {
         u.begin();
         u.record(update(4));
         u.prepare(Ts(1), 11);
-        assert!(u.active_records().is_empty(), "the scope is parked");
         assert!(u.is_prepared(Ts(1)));
-        assert_eq!(u.prepared_scopes(), 1);
+        assert_eq!((u.prepared_scopes(), u.prepared_records()), (1, 1));
         // Commit decision: records discarded, scope closed.
-        assert_eq!(rows(|f| u.commit_prepared(Ts(1), f)), [4]);
-        assert_eq!(u.prepared_scopes(), 0);
+        u.commit_prepared(Ts(1));
+        assert_eq!((u.prepared_scopes(), u.prepared_records()), (0, 0));
 
         // Abort decision: records come back newest-first, with what the
         // prepare cost.
@@ -383,7 +381,9 @@ mod tests {
         u.record(update(4));
         assert_eq!(rows(|f| u.abort(f)), [4]);
         assert_eq!(u.len(), 6, "nothing moves while scopes are pending");
-        assert_eq!(rows(|f| u.commit_prepared(Ts(12), f)), [3, 13]);
+        assert_eq!(u.prepared_records(), 4, "only the pending scopes count");
+        u.commit_prepared(Ts(12));
+        assert_eq!(u.prepared_records(), 2);
         assert_eq!(
             rows(|f| assert_eq!(u.abort_prepared(Ts(10), f), 10)),
             [11, 1]
@@ -422,6 +422,6 @@ mod tests {
     #[should_panic(expected = "commit decision for unprepared")]
     fn commit_of_unprepared_scope_panics() {
         let mut u = UndoLog::default();
-        u.commit_prepared(Ts(3), |_| {});
+        u.commit_prepared(Ts(3));
     }
 }

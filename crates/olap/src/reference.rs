@@ -124,8 +124,11 @@ mod tests {
             db.table(Table::Stock).n_rows(),
         );
         let mut now = Ps::ZERO;
-        for txn in tg.batch(120) {
-            now = db.execute(&txn, &mut mem, now).expect("commit").end;
+        for (i, txn) in (1..).zip(tg.batch(120)) {
+            now = db
+                .execute_at(&txn, Ts(i), &mut mem, now)
+                .expect("commit")
+                .end;
         }
         let ts = db.last_ts();
         // Snapshot every table the queries touch.
@@ -162,8 +165,11 @@ mod tests {
             db.table(Table::Stock).n_rows(),
         );
         let mut now = Ps::ZERO;
-        for txn in tg.batch(60) {
-            now = db.execute(&txn, &mut mem, now).expect("commit").end;
+        for (i, txn) in (1..).zip(tg.batch(60)) {
+            now = db
+                .execute_at(&txn, Ts(i), &mut mem, now)
+                .expect("commit")
+                .end;
         }
         let (after_no_snap, _) = Query::Q6.execute(&db, &engine, &mut mem, now);
         assert_eq!(before, after_no_snap, "snapshot isolation violated");
@@ -192,8 +198,11 @@ mod tests {
             db.table(Table::Stock).n_rows(),
         );
         let mut now = Ps::ZERO;
-        for txn in tg.batch(60) {
-            now = db.execute(&txn, &mut mem, now).expect("commit").end;
+        for (i, txn) in (1..).zip(tg.batch(60)) {
+            now = db
+                .execute_at(&txn, Ts(i), &mut mem, now)
+                .expect("commit")
+                .end;
         }
         // The answer at t0 is stable even after more commits.
         assert_eq!(ref_q6(&db, t0), q_at_t0);

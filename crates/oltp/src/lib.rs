@@ -18,12 +18,15 @@
 //!   prepare/commit scope. The engine keeps one
 //!   [`pushtap_mvcc::UndoLog`] for all twelve tables — one record per
 //!   successful write — and what an undecided transaction holds is a
-//!   range of it. [`TpccDb::execute`] is *transaction-atomic*:
+//!   range of it, known nowhere else. Every timestamp comes from one
+//!   [`pushtap_mvcc::TsOracle`] ([`TpccDb::ts_oracle`]), drawn once per
+//!   transaction. [`TpccDb::execute_at`] is *transaction-atomic*:
 //!   a mid-transaction [`pushtap_mvcc::DeltaFull`] takes back every
 //!   write so far (delta slots, chains, index entries, stripe
-//!   cursors, the timestamp) before the error reaches the caller,
-//!   so the defragment-and-retry loop re-executes on pristine state and
-//!   committed state never depends on *when* arenas filled up. The
+//!   cursors) before the error reaches the caller, so the
+//!   reclaim-and-retry loop re-executes under the same timestamp on
+//!   pristine state and committed state never depends on *when* arenas
+//!   filled up. The
 //!   participant API ([`TpccDb::prepare_effects`] /
 //!   [`TpccDb::commit_prepared`] / [`TpccDb::abort_prepared`]) lets a
 //!   sharded coordinator apply, hold, and roll back *forwarded* effect
@@ -40,8 +43,10 @@
 //! let mut db = TpccDb::build(&DbConfig::small(), &mem)?;
 //! let mut gen = TxnGen::new(1, 1, 3000, 10000, 10000);
 //! let txn = gen.next_txn();
-//! let result = db.execute(&txn, &mut mem, Ps::ZERO).expect("commit");
+//! let ts = db.ts_oracle().allocate();
+//! let result = db.execute_at(&txn, ts, &mut mem, Ps::ZERO).expect("commit");
 //! assert!(result.end > Ps::ZERO);
+//! assert_eq!(db.last_ts(), ts);
 //! # Ok::<(), pushtap_format::LayoutError>(())
 //! ```
 

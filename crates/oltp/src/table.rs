@@ -312,26 +312,6 @@ impl HtapTable {
         }
     }
 
-    /// Marks the newest version of `row` as written by the transaction
-    /// prepared at `ts`, whose coordinator has not decided yet (see
-    /// [`VersionChains::mark_prepared`]).
-    pub fn mark_prepared(&mut self, row: u64, ts: Ts) {
-        self.chains.mark_prepared(row, ts);
-    }
-
-    /// The coordinator's commit decision for the transaction prepared at
-    /// `ts`: its versions' prepared marks resolve as committed; marks of
-    /// other pending transactions stay.
-    pub fn commit_prepared(&mut self, ts: Ts) {
-        self.chains.commit_prepared(ts);
-    }
-
-    /// Versions written by prepared-but-undecided transactions (zero
-    /// when no two-phase commit is in flight on this table).
-    pub fn prepared_versions(&self) -> usize {
-        self.chains.prepared_count()
-    }
-
     /// The table's layout.
     pub fn layout(&self) -> &TableLayout {
         self.store.layout()
@@ -747,14 +727,6 @@ impl HtapTable {
         upto: Ts,
         at: Ps,
     ) -> (SnapshotUpdate, Ps) {
-        // A snapshot must never publish a version whose two-phase-commit
-        // decision is still pending; coordinators resolve every prepared
-        // scope before letting queries in.
-        assert_eq!(
-            self.chains.prepared_count(),
-            0,
-            "snapshot with prepared-but-uncommitted versions"
-        );
         let stats = self.snapshot.update(self.chains.log(), upto);
         // Metadata reads: 16 B per entry from host DRAM, 4 entries/line.
         let meta_lines = stats.entries_applied.div_ceil(4);
@@ -830,9 +802,8 @@ impl HtapTable {
     /// into the data region, it and every older version return to the
     /// delta free-lists, and their commit-log entries are trimmed —
     /// without the stop-the-world reset a full
-    /// [`HtapTable::defragment`] pays. Versions above the cut, rows with
-    /// prepared-but-uncommitted versions, and the snapshot's visible
-    /// bytes are untouched (freed slots a snapshot still held visible
+    /// [`HtapTable::defragment`] pays. Versions above the cut and the
+    /// snapshot's visible bytes are untouched (freed slots a snapshot still held visible
     /// are repointed at the data region, which now carries exactly
     /// their bytes).
     ///
@@ -1107,26 +1078,6 @@ mod tests {
         assert_eq!(t.snapshot_read(5)[0], vec![8, 8]);
     }
 
-    /// GC skips rows with prepared-but-uncommitted versions entirely.
-    #[test]
-    fn gc_skips_prepared_rows() {
-        let mut t = table(AccessModel::Unified);
-        let mut mem = MemSystem::dimm();
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-        t.load_row(5, &values(1).concat());
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
-        t.mark_prepared(5, Ts(2));
-        let (pass, _) = t.gc(&cost, DefragStrategy::Hybrid, Ts(3));
-        assert!(!pass.reclaimed_any());
-        assert_eq!(t.live_delta_rows(), 1);
-        // The scope aborts cleanly afterwards — GC never touched it.
-        t.undo_write(5, false);
-        assert_eq!(t.live_delta_rows(), 0);
-        let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
-        assert_eq!(vals[0], vec![1, 1]);
-    }
-
     #[test]
     fn delta_exhaustion_reports_full() {
         let mut t = table(AccessModel::Unified);
@@ -1377,15 +1328,11 @@ mod tests {
         }
 
         fn prepare(&mut self, ts: u64) {
-            for rec in self.undo.active_records() {
-                self.t.mark_prepared(rec.row, Ts(ts));
-            }
             self.undo.prepare(Ts(ts), 0);
         }
 
         fn commit_prepared(&mut self, ts: u64) {
-            self.undo.commit_prepared(Ts(ts), |_| {});
-            self.t.commit_prepared(Ts(ts));
+            self.undo.commit_prepared(Ts(ts));
         }
 
         /// Takes one record back, as the engine does.
@@ -1433,7 +1380,7 @@ mod tests {
         s.insert(3, 3);
         s.insert(4, 3);
         assert_eq!(s.t.live_delta_rows(), live_before + 3);
-        assert_eq!(s.undo.active_records().len(), 3);
+        assert_eq!(s.undo.len(), 3);
         s.abort();
 
         // Every effect is unwound.
@@ -1461,15 +1408,15 @@ mod tests {
         let mut s = Scoped::new();
         s.t.load_row(5, &values(1).concat());
 
-        // Prepare-then-commit: the version survives and the marks clear.
+        // Prepare-then-commit: the version survives and the scope clears.
         s.undo.begin();
         s.update(5, 2, 0, 7);
         s.prepare(2);
         assert_eq!(s.undo.prepared_scopes(), 1);
-        assert_eq!(s.t.prepared_versions(), 1);
+        assert_eq!(s.undo.prepared_records(), 1);
         s.commit_prepared(2);
         assert!(s.undo.is_empty());
-        assert_eq!(s.t.prepared_versions(), 0);
+        assert_eq!(s.undo.prepared_records(), 0);
         assert_eq!(s.read(5, 9)[0], vec![7, 7]);
 
         // Prepare-then-abort: the version unwinds.
@@ -1477,9 +1424,9 @@ mod tests {
         s.undo.begin();
         s.update(5, 3, 1, 9);
         s.prepare(3);
-        assert_eq!(s.t.prepared_versions(), 1);
+        assert_eq!(s.undo.prepared_records(), 1);
         s.abort_prepared(3);
-        assert_eq!(s.t.prepared_versions(), 0);
+        assert_eq!(s.undo.prepared_records(), 0);
         assert_eq!(s.t.live_delta_rows(), live);
         assert_ne!(
             s.read(5, 9)[1],
@@ -1505,14 +1452,14 @@ mod tests {
         s.undo.begin();
         s.update(4, 11, 0, 8);
         s.prepare(11);
-        assert_eq!(s.t.prepared_versions(), 2);
+        assert_eq!(s.undo.prepared_records(), 2);
 
         // Abort the earlier scope (its entry is mid-log), commit the
         // later one.
         s.abort_prepared(10);
-        assert_eq!(s.t.prepared_versions(), 1);
+        assert_eq!(s.undo.prepared_records(), 1);
         s.commit_prepared(11);
-        assert_eq!(s.t.prepared_versions(), 0);
+        assert_eq!(s.undo.prepared_records(), 0);
         assert_eq!(s.t.live_delta_rows(), live + 1);
         assert_eq!(s.read(3, 20)[0], vec![1, 1], "aborted scope left no trace");
         assert_eq!(s.read(4, 20)[0], vec![8, 8], "committed scope survives");

@@ -10,7 +10,7 @@
 //! turns a transaction into its ordered row-level effects (each tagged
 //! with the owning warehouse — see [`crate::effects`]), and the engine
 //! applies them inside a prepare/commit scope. The single-instance path
-//! ([`TpccDb::execute`]) is a one-phase specialisation — prepare the
+//! ([`TpccDb::execute_at`]) is a one-phase specialisation — prepare the
 //! whole effect set locally, commit immediately — while a sharded
 //! deployment splits the same effect set across owning engines through
 //! the participant API ([`TpccDb::prepare_effects`] /
@@ -28,8 +28,7 @@ use pushtap_format::{
     compact_layout, naive_layout, LayoutError, RowSlot, TableLayout, TableSchema,
 };
 use pushtap_mvcc::{
-    DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, TsAllocator, TsOracle, UndoLog,
-    UndoRecord,
+    DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, TsOracle, UndoLog, UndoRecord,
 };
 use pushtap_pim::{BankAddr, Geometry, MemSystem, Ps, Side};
 use pushtap_sanitizer::{Access, AccessKind, AccessSink, NullSanitizer, SanKey};
@@ -242,19 +241,21 @@ pub struct TpccDb {
     tables: Vec<DbTable>,
     cols: Columns,
     meter: Meter,
-    ts: TsAllocator,
+    /// Where this engine's timestamps come from: its own oracle, or the
+    /// deployment's ([`TpccDb::share_timestamps`]).
+    ts: Arc<TsOracle>,
     committed: u64,
     partition: Partition,
     /// Global warehouse population (before partitioning).
     warehouses_global: u64,
     /// The contiguous warehouse range this instance owns.
     wh_range: Range<u64>,
-    /// What the undecided transactions hold: one record per successful
-    /// row write of the transaction being applied and of every
-    /// prepared-but-undecided one — the two-phase commits in flight on
-    /// this engine. A serial coordinator holds at most one prepared
-    /// scope; a pipelined coordinator one per overlapped
-    /// non-conflicting transaction.
+    /// What the undecided transactions hold, and the only record of it:
+    /// one record per successful row write of the transaction being
+    /// applied and of every prepared-but-undecided one — the two-phase
+    /// commits in flight on this engine. A serial coordinator holds at
+    /// most one prepared scope; a pipelined coordinator one per
+    /// overlapped non-conflicting transaction.
     undo: UndoLog,
     /// Transactions rolled back on [`DeltaFull`] (each is retried by the
     /// caller after defragmentation, so this is also the retry count).
@@ -468,7 +469,7 @@ impl TpccDb {
             },
             tables,
             meter: Meter::new(cfg.costs, mem.cfg().cpu),
-            ts: TsAllocator::new(),
+            ts: Arc::new(TsOracle::new()),
             committed: 0,
             partition,
             warehouses_global,
@@ -517,8 +518,8 @@ impl TpccDb {
         &self.san
     }
 
-    /// Swaps the instance's private timestamp counter for a shared
-    /// deployment-wide [`TsOracle`].
+    /// Swaps the instance's own timestamp oracle for a shared
+    /// deployment-wide one.
     ///
     /// Every engine of a sharded deployment is handed the *same* oracle,
     /// so all of them draw from one global timestamp sequence. Commit
@@ -538,13 +539,13 @@ impl TpccDb {
             "cannot share timestamps after transactions have committed"
         );
         assert_eq!(self.aborts, 0, "cannot share timestamps mid-retry");
-        self.ts = TsAllocator::shared(oracle);
+        self.ts = oracle;
     }
 
-    /// The shared timestamp oracle, if [`TpccDb::share_timestamps`] was
-    /// called.
-    pub fn ts_oracle(&self) -> Option<&Arc<TsOracle>> {
-        self.ts.oracle()
+    /// The timestamp oracle this instance draws from: its own, or the
+    /// one [`TpccDb::share_timestamps`] installed.
+    pub fn ts_oracle(&self) -> &Arc<TsOracle> {
+        &self.ts
     }
 
     /// Which slice of the global population this instance holds.
@@ -748,12 +749,12 @@ impl TpccDb {
         }
     }
 
-    /// The most recent commit timestamp. With a shared [`TsOracle`]
-    /// ([`TpccDb::share_timestamps`]) this is the deployment-wide
-    /// watermark — an upper bound on every timestamp committed anywhere,
-    /// including on this instance.
+    /// The oracle's watermark: the highest timestamp drawn or committed
+    /// so far. With a shared oracle ([`TpccDb::share_timestamps`]) this
+    /// is deployment-wide — an upper bound on every timestamp committed
+    /// anywhere, including on this instance.
     pub fn last_ts(&self) -> Ts {
-        self.ts.last()
+        self.ts.watermark()
     }
 
     /// Cumulative time consumed by attempts that were rolled back on
@@ -778,24 +779,19 @@ impl TpccDb {
             .sum()
     }
 
-    /// Whether any snapshot pin is standing on the shared oracle
-    /// (always false standalone — a private allocator has no pinning
-    /// readers). Proactive defragmentation must hold off while this is
-    /// true: it folds newest versions and frees whole chains, which a
-    /// pinned historical reader cannot survive.
+    /// Whether any snapshot pin is standing on the oracle. Proactive
+    /// defragmentation must hold off while this is true: it folds newest
+    /// versions and frees whole chains, which a pinned historical reader
+    /// cannot survive.
     pub fn snapshot_pinned(&self) -> bool {
-        self.ts.oracle().is_some_and(|o| o.active_pins() > 0)
+        self.ts.active_pins() > 0
     }
 
     /// The garbage-collection cut this engine may reclaim below: the
-    /// shared oracle's pin-floored eligible cut
-    /// ([`TsOracle::gc_eligible_before`]) in a deployment, or the local
-    /// watermark stand-alone (nothing pins a private allocator).
+    /// oracle's pin-floored eligible cut
+    /// ([`TsOracle::gc_eligible_before`]).
     pub fn gc_eligible_before(&self) -> Ts {
-        match self.ts.oracle() {
-            Some(oracle) => oracle.gc_eligible_before(),
-            None => self.ts.last(),
-        }
+        self.ts.gc_eligible_before()
     }
 
     /// One incremental garbage-collection pass over every table (see
@@ -820,77 +816,39 @@ impl TpccDb {
         (total, seconds)
     }
 
-    /// Executes one transaction *atomically*, serially dependent on its
-    /// own operations (commit at the end, §6.3).
+    /// Executes one transaction *atomically* under its commit timestamp
+    /// `ts`, serially dependent on its own operations (commit at the end,
+    /// §6.3) — the one-phase specialisation of the effect pipeline:
+    /// decompose, prepare the whole effect set locally, commit
+    /// immediately.
+    ///
+    /// The caller draws `ts` once per transaction: from this instance's
+    /// oracle ([`TpccDb::ts_oracle`]) standalone, or — the sharded path —
+    /// from the shared oracle in *global stream order* (the order a
+    /// single-instance reference would draw them in), so concurrent
+    /// shards commit the exact timestamps the reference commits. On
+    /// commit the oracle's watermark advances to cover `ts`.
     ///
     /// The transaction runs inside a begin/commit/abort scope: every
     /// successful write leaves a record in the engine's undo log, and a
     /// mid-transaction [`DeltaFull`] rolls the whole transaction back —
-    /// delta slots, version chains, row bytes, index entries, stripe
-    /// cursors, and the allocated timestamp all revert — before the
-    /// error is surfaced. The caller defragments and re-executes; the
-    /// retry re-runs under the *same* timestamp on the *same* stripe
-    /// slots, so committed state is a pure function of the committed
-    /// transaction stream, independent of when delta arenas filled up.
+    /// delta slots, version chains, row bytes, index entries and stripe
+    /// cursors all revert — before the error is surfaced. The caller
+    /// reclaims and re-executes under the *same* timestamp, which lands
+    /// on the *same* stripe slots, so committed state is a pure function
+    /// of the committed transaction stream, independent of when delta
+    /// arenas filled up.
+    ///
+    /// Timestamps must arrive in increasing order per instance (MVCC
+    /// version chains require per-row monotone timestamps), which
+    /// stream-order drawing guarantees.
     ///
     /// # Errors
     ///
     /// Returns [`DeltaFull`] if a delta arena filled up mid-transaction
     /// (all partial effects already rolled back); the caller should
-    /// defragment and retry.
-    pub fn execute(
-        &mut self,
-        txn: &Txn,
-        mem: &mut MemSystem,
-        at: Ps,
-    ) -> Result<TxnResult, DeltaFull> {
-        let ts = self.ts.allocate();
-        let r = self.run_txn(txn, ts, mem, at);
-        if r.is_err() {
-            // Keep the committed sequence gapless: the retry re-allocates
-            // the same timestamp.
-            self.ts.rollback(ts);
-        }
-        r
-    }
-
-    /// Executes one transaction under a caller-assigned (*pinned*) commit
-    /// timestamp, with the same atomic begin/commit/abort scope as
-    /// [`TpccDb::execute`].
-    ///
-    /// This is the sharded execution path: a coordinator draws timestamps
-    /// from the shared [`TsOracle`] in *global stream order* (the order a
-    /// single-instance reference would allocate them in) and pins each
-    /// routed transaction to its draw, so concurrent shards commit the
-    /// exact timestamps the reference commits. A pinned abort does *not*
-    /// return the timestamp to any allocator — the retry simply re-runs
-    /// under the same pinned timestamp; on commit the engine's watermark
-    /// advances to cover it.
-    ///
-    /// Pinned timestamps must arrive in increasing order per instance
-    /// (MVCC version chains require per-row monotone timestamps), which
-    /// stream-order assignment guarantees.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeltaFull`] if a delta arena filled up mid-transaction
-    /// (all partial effects already rolled back); the caller should
-    /// defragment and retry under the same timestamp.
+    /// reclaim and retry under the same timestamp.
     pub fn execute_at(
-        &mut self,
-        txn: &Txn,
-        ts: Ts,
-        mem: &mut MemSystem,
-        at: Ps,
-    ) -> Result<TxnResult, DeltaFull> {
-        self.run_txn(txn, ts, mem, at)
-    }
-
-    /// The shared transaction body — the one-phase specialisation of the
-    /// effect pipeline: decompose, prepare the whole effect set locally,
-    /// commit immediately. Timestamp bookkeeping (allocation, rollback)
-    /// is the caller's job; the commit advances the watermark to `ts`.
-    fn run_txn(
         &mut self,
         txn: &Txn,
         ts: Ts,
@@ -908,9 +866,8 @@ impl TpccDb {
     }
 
     /// Rolls back the transaction being applied: its recorded writes
-    /// are taken back newest-first. Timestamp rollback is the caller's
-    /// job ([`TpccDb::execute`] returns the allocation;
-    /// [`TpccDb::execute_at`] keeps the pinned timestamp for the retry).
+    /// are taken back newest-first. The timestamp stays drawn; the retry
+    /// re-runs under it.
     fn abort_txn(&mut self) {
         let (tables, first) = (&mut self.tables, self.wh_range.start);
         self.undo.abort(|rec| undo_record(tables, first, rec));
@@ -1305,11 +1262,6 @@ impl TpccDb {
         // the coordinator's decision is pure metadata.
         now += meter.commit_barrier();
         b.compute += meter.commit_barrier();
-        for rec in self.undo.active_records() {
-            self.tables[rec.table as usize]
-                .table
-                .mark_prepared(rec.row, ts);
-        }
         self.undo.prepare(ts, now.saturating_sub(at).ps());
         if self.san.enabled() {
             self.san.prepare_scope(self.san_track, ts.0);
@@ -1331,9 +1283,9 @@ impl TpccDb {
     }
 
     /// The coordinator's commit decision for the scope prepared at `ts`:
-    /// every table keeps that scope's effects, its prepared version
-    /// marks resolve, and the engine's watermark advances to cover the
-    /// pinned `ts`. Other pending scopes are untouched and resolve
+    /// every table keeps that scope's effects, the undo log drops its
+    /// records, and the oracle's watermark advances to cover the pinned
+    /// `ts`. Other pending scopes are untouched and resolve
     /// independently — decisions may arrive out of preparation order
     /// under a pipelined coordinator.
     ///
@@ -1346,14 +1298,7 @@ impl TpccDb {
     ///
     /// Panics if no transaction is prepared at `ts`.
     pub fn commit_prepared(&mut self, ts: Ts, role: TxnRole) {
-        // The scope's marks resolve on each table it wrote, once.
-        let (tables, mut resolved) = (&mut self.tables, 0u32);
-        self.undo.commit_prepared(ts, |rec| {
-            if resolved & (1 << rec.table) == 0 {
-                resolved |= 1 << rec.table;
-                tables[rec.table as usize].table.commit_prepared(ts);
-            }
-        });
+        self.undo.commit_prepared(ts);
         if role == TxnRole::Coordinator {
             self.committed += 1;
         }
@@ -1387,33 +1332,18 @@ impl TpccDb {
         }
     }
 
-    /// Whether any prepared transactions are awaiting their coordinator
-    /// decisions on this engine.
-    pub fn in_prepared_txn(&self) -> bool {
-        self.undo.prepared_scopes() > 0
-    }
-
     /// Number of prepared transactions awaiting their coordinator
     /// decisions on this engine.
     pub fn prepared_scopes(&self) -> usize {
         self.undo.prepared_scopes()
     }
 
-    /// Row writes held in the engine's undo log: those of the
-    /// prepared-but-undecided transactions. Zero whenever none is
-    /// pending.
-    pub fn pending_writes(&self) -> usize {
-        self.undo.len()
-    }
-
-    /// Prepared-but-uncommitted versions across all tables — zero
-    /// whenever no two-phase commit is in flight (the invariant the
+    /// Prepared-but-uncommitted versions across all tables: the row
+    /// writes the undo log's pending scopes hold. Zero whenever no
+    /// two-phase commit is in flight (the invariant the
     /// participant-abort tests assert).
     pub fn prepared_versions(&self) -> u64 {
-        self.tables
-            .iter()
-            .map(|t| t.table.prepared_versions() as u64)
-            .sum()
+        self.undo.prepared_records() as u64
     }
 }
 
@@ -1440,8 +1370,8 @@ mod tests {
     fn transactions_commit_and_advance_time() {
         let (mut db, mut mem, mut tg) = setup();
         let mut now = Ps::ZERO;
-        for txn in tg.batch(20) {
-            let r = db.execute(&txn, &mut mem, now).expect("commit");
+        for (i, txn) in (1..).zip(tg.batch(20)) {
+            let r = db.execute_at(&txn, Ts(i), &mut mem, now).expect("commit");
             assert!(r.end > now);
             now = r.end;
         }
@@ -1457,8 +1387,8 @@ mod tests {
         let (mut db, mut mem, mut tg) = setup();
         let mut total = Breakdown::default();
         let mut now = Ps::ZERO;
-        for txn in tg.batch(200) {
-            let r = db.execute(&txn, &mut mem, now).expect("commit");
+        for (i, txn) in (1..).zip(tg.batch(200)) {
+            let r = db.execute_at(&txn, Ts(i), &mut mem, now).expect("commit");
             total.merge(&r.breakdown);
             now = r.end;
         }
@@ -1491,8 +1421,11 @@ mod tests {
                 db.table(Table::Stock).n_rows(),
             );
             let mut now = Ps::ZERO;
-            for txn in tg.batch(150) {
-                now = db.execute(&txn, &mut mem, now).expect("commit").end;
+            for (i, txn) in (1..).zip(tg.batch(150)) {
+                now = db
+                    .execute_at(&txn, Ts(i), &mut mem, now)
+                    .expect("commit")
+                    .end;
             }
             times.push(now);
         }
@@ -1506,9 +1439,9 @@ mod tests {
     }
 
     /// With delta arenas undersized to a handful of slots, transactions
-    /// hit `DeltaFull` mid-execution; the abort must leave no trace and
-    /// the post-defragmentation retry must commit under the same
-    /// timestamp.
+    /// hit `DeltaFull` mid-execution; the abort must leave no trace — the
+    /// watermark included — and the post-defragmentation retry must
+    /// commit under the same timestamp.
     #[test]
     fn delta_full_abort_is_atomic_and_retry_commits() {
         use pushtap_mvcc::{DefragCostModel, DefragStrategy};
@@ -1529,18 +1462,19 @@ mod tests {
         for _ in 0..40 {
             let txn = tg.next_txn();
             let live = db.live_delta_rows();
-            let ts = db.last_ts();
+            let last = db.last_ts();
+            let ts = Ts(last.0 + 1);
             let committed = db.committed();
             let cursors: Vec<u64> = (0..db.warehouses_global())
                 .map(|w| db.insert_cursor(Table::OrderLine, w))
                 .collect();
-            match db.execute(&txn, &mut mem, Ps::ZERO) {
-                Ok(r) => assert_eq!(r.commit_ts.0, ts.0 + 1, "gapless commit timestamps"),
+            match db.execute_at(&txn, ts, &mut mem, Ps::ZERO) {
+                Ok(r) => assert_eq!(r.commit_ts, ts),
                 Err(_full) => {
                     saw_abort = true;
                     // The abort left no trace.
                     assert_eq!(db.live_delta_rows(), live, "leaked delta slots");
-                    assert_eq!(db.last_ts(), ts, "timestamp not rolled back");
+                    assert_eq!(db.last_ts(), last, "an abort advanced the watermark");
                     assert_eq!(db.committed(), committed);
                     let after: Vec<u64> = (0..db.warehouses_global())
                         .map(|w| db.insert_cursor(Table::OrderLine, w))
@@ -1555,9 +1489,9 @@ mod tests {
                         }
                     }
                     let r = db
-                        .execute(&txn, &mut mem, Ps::ZERO)
+                        .execute_at(&txn, ts, &mut mem, Ps::ZERO)
                         .expect("retry after defrag");
-                    assert_eq!(r.commit_ts.0, ts.0 + 1, "retry reuses the timestamp");
+                    assert_eq!(r.commit_ts, ts);
                 }
             }
         }
@@ -1595,6 +1529,7 @@ mod tests {
         let mut b = TpccDb::build(&cfg, &mem0).unwrap();
         a.share_timestamps(oracle.clone());
         b.share_timestamps(oracle.clone());
+        assert!(Arc::ptr_eq(a.ts_oracle(), &oracle) && Arc::ptr_eq(b.ts_oracle(), &oracle));
         let mut mem = MemSystem::dimm();
         let mut tg = TxnGen::new(
             1,
@@ -1604,10 +1539,10 @@ mod tests {
             a.table(Table::Stock).n_rows(),
         );
         let t1 = a
-            .execute(&tg.next_txn(), &mut mem, Ps::ZERO)
+            .execute_at(&tg.next_txn(), oracle.allocate(), &mut mem, Ps::ZERO)
             .expect("commit");
         let t2 = b
-            .execute(&tg.next_txn(), &mut mem, Ps::ZERO)
+            .execute_at(&tg.next_txn(), oracle.allocate(), &mut mem, Ps::ZERO)
             .expect("commit");
         assert_eq!((t1.commit_ts, t2.commit_ts), (Ts(1), Ts(2)));
         assert_eq!(a.last_ts(), Ts(2), "both see the global watermark");
@@ -1637,9 +1572,9 @@ mod tests {
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         let mut last_wasted = Ps::ZERO;
         let mut saw_abort = false;
-        for _ in 0..40 {
+        for ts in (1..=40).map(Ts) {
             let txn = tg.next_txn();
-            match db.execute(&txn, &mut mem, Ps::ZERO) {
+            match db.execute_at(&txn, ts, &mut mem, Ps::ZERO) {
                 Ok(_) => assert_eq!(
                     db.wasted_retry_time(),
                     last_wasted,
@@ -1659,7 +1594,7 @@ mod tests {
                                 .defragment(&cost, DefragStrategy::Hybrid, upto);
                         }
                     }
-                    db.execute(&txn, &mut mem, Ps::ZERO)
+                    db.execute_at(&txn, ts, &mut mem, Ps::ZERO)
                         .expect("retry after defrag");
                 }
             }
@@ -1681,7 +1616,8 @@ mod tests {
             amount: 777,
         };
         let before = db.table(Table::Customer).snapshot_read(3);
-        db.execute(&Txn::Payment(p), &mut mem, Ps::ZERO).unwrap();
+        db.execute_at(&Txn::Payment(p), Ts(1), &mut mem, Ps::ZERO)
+            .unwrap();
         // Not yet snapshotted: OLAP still sees the old balance.
         assert_eq!(db.table(Table::Customer).snapshot_read(3), before);
         let ts = db.last_ts();

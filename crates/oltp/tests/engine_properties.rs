@@ -399,17 +399,13 @@ impl Scoped {
         Ok(())
     }
 
-    /// Parks the active scope prepared at `ts`, its versions marked.
+    /// Parks the active scope prepared at `ts`.
     fn prepare(&mut self, ts: Ts) {
-        for rec in self.undo.active_records() {
-            self.t.mark_prepared(rec.row, ts);
-        }
         self.undo.prepare(ts, 0);
     }
 
     fn commit_prepared(&mut self, ts: Ts) {
-        self.undo.commit_prepared(ts, |_| {});
-        self.t.commit_prepared(ts);
+        self.undo.commit_prepared(ts);
     }
 
     /// Takes one record back. (A ring insert is a scope of its own that
@@ -675,54 +671,28 @@ struct Pending {
     abort_first: bool,
 }
 
-/// The tables an effect set writes: the ones it updates or inserts into
-/// (a read records nothing).
-fn written_tables(effects: &[pushtap_oltp::TaggedEffect]) -> Vec<Table> {
-    let mut tables: Vec<Table> = effects
-        .iter()
-        .filter_map(|e| match &e.effect {
-            pushtap_oltp::Effect::Read { .. } => None,
-            pushtap_oltp::Effect::Update { table, .. }
-            | pushtap_oltp::Effect::Insert { table, .. } => Some(*table),
-        })
-        .collect();
-    tables.sort_unstable();
-    tables.dedup();
-    tables
-}
-
-/// After every decision and every vote: a table holds prepared
-/// versions exactly when a pending transaction wrote it, the log holds
-/// exactly the pending transactions' writes, and with nothing pending
-/// no prepared version and no record is left anywhere.
+/// After every decision and every vote: the engine holds exactly the
+/// pending transactions' scopes, its undo log holds exactly their writes
+/// as undecided, and each row a pending transaction updated carries its
+/// version as the newest on that table's chain; with nothing pending,
+/// nothing is held.
 fn check_scopes(db: &TpccDb, pending: &[Pending]) -> Result<(), TestCaseError> {
     prop_assert_eq!(db.prepared_scopes(), pending.len());
-    for table in pushtap_chbench::ALL_TABLES {
-        let expected = pending
-            .iter()
-            .any(|p| written_tables(&p.effects).contains(&table));
-        prop_assert_eq!(
-            db.table(table).prepared_versions() > 0,
-            expected,
-            "{:?} with {} pending",
-            table,
-            pending.len()
-        );
-    }
-    // One version, and one record, per write of a pending transaction.
+    // One record per write of a pending transaction.
     let writes: usize = pending
         .iter()
         .flat_map(|p| &p.effects)
         .filter(|e| !matches!(e.effect, pushtap_oltp::Effect::Read { .. }))
         .count();
     prop_assert_eq!(db.prepared_versions(), writes as u64);
-    if pending.is_empty() {
-        prop_assert!(!db.in_prepared_txn());
-        prop_assert_eq!(db.pending_writes(), 0, "the log clears with the last scope");
-    } else {
-        // Scopes resolved beside the pending ones keep their place until
-        // the log clears, so it holds at least the pending writes.
-        prop_assert!(db.pending_writes() >= writes);
+    for p in pending {
+        for e in &p.effects {
+            if let pushtap_oltp::Effect::Update { table, row, .. } = e.effect {
+                let chains = db.table(table).chains();
+                let newest = chains.meta(chains.newest_slot(row)).map(|m| m.write_ts);
+                prop_assert_eq!(newest, Some(p.ts), "{:?} row {}", table, row);
+            }
+        }
     }
     Ok(())
 }
@@ -781,9 +751,10 @@ proptest! {
     /// and resolve in every interleaving conflict scheduling allows, in
     /// arenas of two slots: scopes that commit, scopes the coordinator
     /// aborts and that retry, and prepares a full arena turns away, on
-    /// different tables at once. A table a transaction never wrote must
-    /// neither keep a scope nor strand one, after every vote and every
-    /// decision; and the committed bytes, ring cursors and commit count
+    /// different tables at once. The engine must hold exactly the
+    /// pending transactions' writes, on the tables they wrote, after
+    /// every vote and every decision; and the committed bytes, ring
+    /// cursors and commit count
     /// equal a plain engine's that ran the same stream one transaction
     /// at a time.
     #[test]

@@ -101,8 +101,9 @@ fn crash_and_recover(
         );
     }
     for (i, shard) in recovered.shards().iter().enumerate() {
-        assert!(
-            !shard.db().in_prepared_txn(),
+        assert_eq!(
+            shard.db().prepared_scopes(),
+            0,
             "{label}: shard {i} holds a scope after recovery"
         );
         assert_eq!(

@@ -169,7 +169,7 @@ fn scenario(shards: u32, arrivals: Arrivals, crash: Option<CrashPoint>, label: &
         assert_eq!(rec.skipped(), 0, "{label}: everything was decided");
     }
     for (i, shard) in recovered.shards().iter().enumerate() {
-        assert!(!shard.db().in_prepared_txn(), "{label}: shard {i} scope");
+        assert_eq!(shard.db().prepared_scopes(), 0, "{label}: shard {i} scope");
         assert_eq!(shard.db().prepared_versions(), 0, "{label}: shard {i}");
     }
     recovered.defragment_all();

@@ -59,7 +59,7 @@ fn run_batch(
     assert_eq!(report.committed(), txns);
     common::assert_sanitized_clean(&san, "wave-scheduled batch");
     for (i, shard) in service.shards().iter().enumerate() {
-        assert!(!shard.db().in_prepared_txn(), "shard {i} holds a scope");
+        assert_eq!(shard.db().prepared_scopes(), 0, "shard {i} holds a scope");
         assert_eq!(shard.db().prepared_versions(), 0, "shard {i} prepared");
     }
     service.defragment_all();

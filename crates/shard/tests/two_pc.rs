@@ -131,7 +131,7 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
 
     // No prepared scope or undecided version survives the batch…
     for (i, shard) in service.shards().iter().enumerate() {
-        assert!(!shard.db().in_prepared_txn(), "shard {i} holds a scope");
+        assert_eq!(shard.db().prepared_scopes(), 0, "shard {i} holds a scope");
         assert_eq!(shard.db().prepared_versions(), 0, "shard {i} prepared");
     }
     // …defragmentation reclaims every slot (aborted prepares leaked
@@ -174,7 +174,7 @@ proptest! {
         prop_assert!(report.aborts() > 0, "arenas this small must abort");
 
         for (i, shard) in service.shards().iter().enumerate() {
-            prop_assert!(!shard.db().in_prepared_txn(), "shard {} holds a scope", i);
+            prop_assert_eq!(shard.db().prepared_scopes(), 0, "shard {} holds a scope", i);
             prop_assert_eq!(shard.db().prepared_versions(), 0, "shard {} prepared", i);
         }
         service.defragment_all();
