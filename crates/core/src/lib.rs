@@ -35,13 +35,11 @@
 mod baseline;
 mod frontier;
 mod metrics;
-mod mixed;
 mod system;
 
 pub use baseline::{IdealModel, MultiInstance};
 pub use frontier::{FrontierParams, FrontierPoint};
 pub use metrics::{qphh, tpmc};
-pub use mixed::{run_mixed, MixConfig, MixReport};
 pub use system::{
     GcStats, MaintPause, OltpReport, Pushtap, PushtapConfig, QueryReport, DEFRAG_FIXED_OVERHEAD,
     GC_FIXED_OVERHEAD,
