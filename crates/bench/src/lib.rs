@@ -3,8 +3,9 @@
 //!
 //! Each module owns one figure and exposes both structured data (for the
 //! Criterion benches and tests) and a `print_all` routine (for the
-//! `fig*` binaries). The mapping to the paper is indexed in `DESIGN.md`;
-//! measured-vs-paper values are recorded in `EXPERIMENTS.md`.
+//! `fig*` binaries). The mapping to the paper is indexed in
+//! `ARCHITECTURE.md`; how to run the figures and the benches is in
+//! `README.md`.
 //!
 //! Scales: the binaries default to small populations (the simulator is
 //! value-correct at any scale and the reported quantities are ratios);
