@@ -99,7 +99,8 @@ pub struct ShardPoint {
     pub cross_shard_fraction: f64,
     /// Effects applied on non-home shards during the routed batch.
     pub forwarded_effects: u64,
-    /// Two-phase-commit message rounds charged during the routed batch.
+    /// Two-phase-commit message rounds charged during the routed batch
+    /// (the merged `two_pc_stall` count).
     pub commit_rounds: u64,
     /// The routed batch's outcome (the `"pipelined"` object of the JSON
     /// report — a key kept so the file stays diffable across PRs).
@@ -123,21 +124,22 @@ fn run_routed(
     let warehouses = service.map().warehouses();
     let mut gen = service.global_txn_gen(42).with_remote_mix(mix, warehouses);
     let routed = service.run_txns(&mut gen, txns);
+    let total = routed.merged();
     let point = RoutedPoint {
         routed_tpmc: routed.tpmc(cores),
         two_pc_time_share: routed.two_pc_time_share(),
-        two_pc_time: routed.two_pc_time(),
-        critical_path_time: routed.critical_path_time(),
+        two_pc_time: total.two_pc_time,
+        critical_path_time: total.critical_path_time,
         waves: routed.coord.waves,
         max_wave: routed.coord.max_wave,
         overlap_ratio: routed.overlap_ratio(),
-        participant_aborts: routed.participant_aborts(),
+        participant_aborts: total.participant_aborts,
         parallel_efficiency: routed.parallel_efficiency(),
-        commit_latency: routed.commit_latency().stats(),
-        wal_appends: routed.wal_appends(),
-        wal_forces: routed.wal_forces(),
-        wal_bytes: routed.wal_bytes(),
-        wal_force_time: routed.wal_force_time(),
+        commit_latency: total.commit_latency.stats(),
+        wal_appends: total.wal_appends,
+        wal_forces: total.wal_forces,
+        wal_bytes: total.wal_bytes,
+        wal_force_time: total.wal_force_time,
         decision_appends: routed.coord.decision_appends,
         decision_forces: routed.coord.decision_forces,
         fsync_per_txn: routed.fsync_per_txn(),
@@ -157,13 +159,14 @@ pub fn sweep(shard_counts: &[u32], txns: u64, cores: u32, mix: RemoteMix) -> Vec
             let q1 = service.run_query(Query::Q1);
             let q6 = service.run_query(Query::Q6);
             let q9 = service.run_query(Query::Q9);
+            let total = report.merged();
             ShardPoint {
                 shards,
                 committed: report.committed() + local.committed(),
                 local_tpmc: local.tpmc(cores),
                 cross_shard_fraction: report.remote.cross_shard_fraction(),
-                forwarded_effects: report.forwarded_effects(),
-                commit_rounds: report.commit_rounds(),
+                forwarded_effects: total.forwarded_effects,
+                commit_rounds: total.two_pc_stall.count(),
                 routed,
                 q1_latency: q1.total(),
                 q6_latency: q6.total(),

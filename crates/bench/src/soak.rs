@@ -144,11 +144,12 @@ pub fn run_soak(total_txns: u64, gc: bool) -> SoakRun {
             .iter()
             .map(|s| s.report.total_time())
             .sum::<Ps>();
-        gc_time += report.gc_time();
-        latency.merge(&report.commit_latency());
-        stats.merge(&report.gc());
-        aborts += report.aborts();
-        let g = report.gc();
+        let total = report.merged();
+        gc_time += total.gc_time;
+        latency.merge(&total.commit_latency);
+        stats.merge(&total.gc);
+        aborts += total.aborts;
+        let g = total.gc;
         samples.push(SoakSample {
             txns: committed,
             live_versions: g.live_versions,

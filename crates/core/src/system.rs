@@ -152,8 +152,6 @@ pub struct OltpReport {
     pub txn_time: Ps,
     /// Time spent in defragmentation pauses (OLTP is paused, §5.3).
     pub defrag_time: Ps,
-    /// Number of defragmentation passes.
-    pub defrag_passes: u64,
     /// Time spent in incremental garbage-collection pauses (far cheaper
     /// than defragmentation — no stop-the-world barrier).
     pub gc_time: Ps,
@@ -186,13 +184,12 @@ pub struct OltpReport {
     /// Effects this engine applied on behalf of transactions *homed on
     /// other shards* (forwarded remote-owned writes and reads).
     pub forwarded_effects: u64,
-    /// Two-phase-commit message rounds charged to this engine's clock
-    /// (prepare deliveries, commit/abort deliveries, and — on the
-    /// coordinator — the decision round-trip).
-    pub commit_rounds: u64,
-    /// Latency those message rounds cost this engine under *sequential*
+    /// Latency of the two-phase-commit message rounds charged to this
+    /// engine's clock (prepare deliveries, commit/abort deliveries, and
+    /// — on the coordinator — the decision round-trip; one round per
+    /// [`OltpReport::two_pc_stall`] sample) under *sequential*
     /// delivery — the ledger sum of every hop's latency, one entry per
-    /// counted round (not included in [`OltpReport::txn_time`],
+    /// round (not included in [`OltpReport::txn_time`],
     /// mirroring how the shard layer separates coordination time from
     /// engine time). Under a pipelined coordinator, deliveries of one
     /// wave overlap in flight, so the latency that actually lands on
@@ -239,15 +236,18 @@ pub struct OltpReport {
     /// between entering its home shard's inbox and its wave's dispatch.
     pub queue_wait: Histogram,
     /// Duration of each defragmentation pause that landed on this
-    /// engine's clock (picoseconds), one sample per pass.
+    /// engine's clock (picoseconds), one sample per pass: its count is
+    /// the number of defragmentation passes.
     pub defrag_stall: Histogram,
     /// Duration of each garbage-collection pause that landed on this
     /// engine's clock (picoseconds), one sample per execute call that
     /// paid one; the sample sum equals [`OltpReport::gc_time`].
     pub gc_stall: Histogram,
-    /// Latency of each two-phase-commit message round charged to this
-    /// engine (picoseconds): `two_pc_stall.stats().count == commit_rounds`
-    /// and the sample sum equals [`OltpReport::critical_path_time`].
+    /// Stall of each two-phase-commit message round charged to this
+    /// engine (picoseconds), one sample per round: its count is the
+    /// number of message rounds, and the sample sum plus
+    /// [`OltpReport::wal_force_time`] equals
+    /// [`OltpReport::critical_path_time`].
     pub two_pc_stall: Histogram,
 }
 
@@ -255,17 +255,6 @@ impl OltpReport {
     /// Wall-clock time including maintenance pauses.
     pub fn total_time(&self) -> Ps {
         self.txn_time + self.defrag_time + self.gc_time
-    }
-
-    /// Garbage-collection overhead on OLTP: GC pause time over total
-    /// time. Bounded memory should cost well under the defragmentation
-    /// barrier it displaces.
-    pub fn gc_overhead(&self) -> f64 {
-        if self.total_time() == Ps::ZERO {
-            0.0
-        } else {
-            self.gc_time.ps() as f64 / self.total_time().ps() as f64
-        }
     }
 
     /// Share of this engine's wall-clock (transactions + pauses + 2PC
@@ -296,7 +285,6 @@ impl OltpReport {
         self.committed += other.committed;
         self.txn_time += other.txn_time;
         self.defrag_time += other.defrag_time;
-        self.defrag_passes += other.defrag_passes;
         self.gc_time += other.gc_time;
         self.gc.merge(&other.gc);
         self.aborts += other.aborts;
@@ -305,7 +293,6 @@ impl OltpReport {
         self.prepared_txns += other.prepared_txns;
         self.participant_aborts += other.participant_aborts;
         self.forwarded_effects += other.forwarded_effects;
-        self.commit_rounds += other.commit_rounds;
         self.two_pc_time += other.two_pc_time;
         self.critical_path_time += other.critical_path_time;
         self.wal_appends += other.wal_appends;
@@ -781,9 +768,6 @@ impl Pushtap {
             let wasted_before = self.db.wasted_retry_time();
             let (r, pauses) = self.execute_txn(&txn);
             report.committed += 1;
-            if pauses.defrag > Ps::ZERO {
-                report.defrag_passes += 1;
-            }
             let aborted = self.db.aborts() - aborts_before;
             report.aborts += aborted;
             if aborted > 0 {
@@ -1040,7 +1024,8 @@ mod tests {
         assert!(report.gc.slots_recycled > 0);
         assert!(report.gc.log_trimmed > 0);
         assert_eq!(
-            report.defrag_passes, 0,
+            report.defrag_stall.count(),
+            0,
             "GC reclaimed, so defrag must not fire"
         );
         assert_eq!(
@@ -1050,11 +1035,8 @@ mod tests {
         );
         // Incremental GC costs OLTP even less than the Fig. 11(a)
         // defragmentation budget.
-        assert!(
-            report.gc_overhead() < 0.25,
-            "gc overhead {}",
-            report.gc_overhead()
-        );
+        let overhead = report.gc_time.ps() as f64 / report.total_time().ps() as f64;
+        assert!(overhead < 0.25, "gc overhead {overhead}");
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //! # Timing
 //!
 //! Message rounds are charged per [`CommitConfig`]. The *ledger*
-//! (`two_pc_time`, `commit_rounds`) counts one full hop per delivered
-//! message; the clock advance the overlapped deliveries actually cause
+//! (`two_pc_time` and the `two_pc_stall` count) counts one full hop per
+//! delivered message; the clock advance the overlapped deliveries actually cause
 //! is recorded as `critical_path_time` (see [`OltpReport`]).
 //!
 //! Decision latency uses the **laggard vote-barrier model**: the
@@ -148,18 +148,16 @@ fn wal_force(wal: &mut Wal, load: &mut ShardLoad, shard: &mut Pushtap, latency: 
 /// Charges one *overlapped* 2PC message delivery: the message was
 /// dispatched together with the rest of its wave, so the engine stalls
 /// only until the arrival time (zero if it is still busy with earlier
-/// wave work). The ledger (`two_pc_time`, `commit_rounds`) counts the
-/// full hop; the clock and `critical_path_time` record only the stall
-/// actually caused.
+/// wave work). The ledger (`two_pc_time` and the `two_pc_stall` count)
+/// counts the full hop; the clock, `critical_path_time` and the
+/// `two_pc_stall` sample record only the stall actually caused.
 fn deliver(load: &mut ShardLoad, shard: &mut Pushtap, hop: Ps, arrive_at: Ps) {
     let wait = arrive_at.saturating_sub(shard.now());
     if wait > Ps::ZERO {
         shard.advance(wait);
     }
-    load.remote_time += wait;
     load.report.two_pc_time += hop;
     load.report.critical_path_time += wait;
-    load.report.commit_rounds += 1;
     load.report.two_pc_stall.record(wait.ps());
 }
 
@@ -183,16 +181,15 @@ fn vote_skew(bound: Ps, participant: u32, ts: Ts) -> Ps {
 /// Records a defragmentation pause in a shard's load accounting.
 fn charge_defrag(load: &mut ShardLoad, pause: Ps) {
     if pause > Ps::ZERO {
-        load.report.defrag_passes += 1;
         load.report.defrag_time += pause;
         load.report.defrag_stall.record(pause.ps());
     }
 }
 
 /// Records an execute call's maintenance pauses in a shard's load
-/// accounting, split by mechanism: the defragmentation share keeps its
-/// historical counters, the GC share lands in `gc_time`/`gc_stall`
-/// (pass counts come from the engine's drained
+/// accounting, split by mechanism: the defragmentation share lands in
+/// `defrag_time`/`defrag_stall` (one sample per pass), the GC share in
+/// `gc_time`/`gc_stall` (pass counts come from the engine's drained
 /// [`pushtap_core::GcStats`] tally at batch end).
 fn charge_maintenance(load: &mut ShardLoad, pauses: MaintPause) {
     charge_defrag(load, pauses.defrag);
@@ -591,9 +588,7 @@ impl Engines<'_> {
                     shard.commit_prepared(item.ts, item.role);
                     load.report.breakdown.merge(&result.breakdown);
                     if item.role == TxnRole::Coordinator {
-                        load.routed += 1;
                         load.report.committed += 1;
-                        load.remote_touches += member.routed.remote;
                         load.report
                             .commit_latency
                             .record(shard.now().saturating_sub(item.start).ps());

@@ -78,7 +78,7 @@
 //! abort and retry — `tests/delta_pressure.rs` squeezes every arena
 //! until all transaction classes abort and re-asserts the equality, and
 //! the shard reports surface the retry/abort counts
-//! ([`ShardOltpReport::aborts`]).
+//! (`aborts` in [`ShardOltpReport::merged`]).
 //!
 //! The shared timestamp oracle lifts the invariant from values to raw
 //! bytes, and write forwarding extends it to **every table**: commit

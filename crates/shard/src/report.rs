@@ -6,6 +6,8 @@ use pushtap_olap::QueryResult;
 use pushtap_pim::Ps;
 use pushtap_trace::Histogram;
 
+use crate::router::RoutedTxn;
+
 /// Aggregate cross-shard accounting of one routed batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RemoteTouches {
@@ -19,6 +21,15 @@ pub struct RemoteTouches {
 }
 
 impl RemoteTouches {
+    /// Counts one routed transaction.
+    pub(crate) fn add(&mut self, routed: &RoutedTxn) {
+        self.routed += 1;
+        if routed.remote > 0 {
+            self.cross_shard_txns += 1;
+            self.remote_touches += routed.remote;
+        }
+    }
+
     /// Fraction of transactions that crossed a shard boundary.
     pub fn cross_shard_fraction(&self) -> f64 {
         if self.routed == 0 {
@@ -32,21 +43,13 @@ impl RemoteTouches {
 /// One shard's outcome for one batch.
 #[derive(Debug, Clone, Default)]
 pub struct ShardLoad {
-    /// The engine-level OLTP report (txn time excludes 2PC message
-    /// rounds, which are tracked in [`OltpReport::two_pc_time`] and
-    /// [`ShardLoad::remote_time`]).
-    pub report: OltpReport,
-    /// Transactions *homed* at this shard (participant work for
+    /// The engine-level OLTP report. Its `committed` counts the
+    /// transactions *homed* at this shard (participant work for
     /// transactions homed elsewhere shows up in
-    /// [`OltpReport::forwarded_effects`], not here).
-    pub routed: u64,
-    /// Remote row touches of transactions homed at this shard (their
-    /// effects were forwarded to the owning shards under 2PC).
-    pub remote_touches: u64,
-    /// Time this shard's clock spent on 2PC message rounds (prepare and
-    /// commit/abort deliveries; the decision round-trip on the home
-    /// side).
-    pub remote_time: Ps,
+    /// [`OltpReport::forwarded_effects`]); its txn time excludes the 2PC
+    /// message rounds, whose clock stalls are the
+    /// [`OltpReport::two_pc_stall`] samples.
+    pub report: OltpReport,
     /// This shard's wall-clock for the batch (txns + defrag + hops).
     pub elapsed: Ps,
 }
@@ -92,7 +95,20 @@ pub struct ShardOltpReport {
 }
 
 impl ShardOltpReport {
-    /// Transactions committed across all shards.
+    /// Every shard's report folded into one by [`OltpReport::merge`],
+    /// in shard order: the deployment-wide counters, times and
+    /// histograms of the batch. Bind it once and read its fields; each
+    /// fact lives in one place, on the shard that produced it.
+    pub fn merged(&self) -> OltpReport {
+        let mut total = OltpReport::default();
+        for s in &self.per_shard {
+            total.merge(&s.report);
+        }
+        total
+    }
+
+    /// Transactions committed across all shards (`merged().committed`;
+    /// kept because the benchmark calls it, to go with its next change).
     pub fn committed(&self) -> u64 {
         self.per_shard.iter().map(|s| s.report.committed).sum()
     }
@@ -128,21 +144,12 @@ impl ShardOltpReport {
         busy as f64 / makespan.ps() as f64
     }
 
-    /// Total time spent in defragmentation pauses across shards.
-    pub fn defrag_time(&self) -> Ps {
-        self.per_shard.iter().map(|s| s.report.defrag_time).sum()
-    }
-
-    /// Time shard engines spent in incremental garbage-collection
-    /// pauses across all shards.
-    pub fn gc_time(&self) -> Ps {
-        self.per_shard.iter().map(|s| s.report.gc_time).sum()
-    }
-
     /// Deployment-wide garbage-collection stats: pass counters sum over
     /// every shard's passes; the `live_versions` / `commit_log_len`
     /// gauges sum each shard's end-of-batch sample — the figures the
-    /// soak benchmark proves plateau under sustained traffic.
+    /// soak benchmark proves plateau under sustained traffic
+    /// (`merged().gc`; kept because the benchmark calls it, to go with
+    /// its next change).
     pub fn gc(&self) -> pushtap_core::GcStats {
         let mut total = pushtap_core::GcStats::default();
         for s in &self.per_shard {
@@ -151,133 +158,30 @@ impl ShardOltpReport {
         total
     }
 
-    /// Delta-pressure aborts (rolled-back attempts, each retried
-    /// atomically) across all shards.
-    pub fn aborts(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.report.aborts).sum()
-    }
-
-    /// Distinct transactions across all shards that needed at least one
-    /// retry before committing.
-    pub fn retried_txns(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.report.retried_txns).sum()
-    }
-
-    /// Total cross-shard coordination time across shards.
-    pub fn remote_time(&self) -> Ps {
-        self.per_shard.iter().map(|s| s.remote_time).sum()
-    }
-
-    /// Latency consumed by rolled-back attempts across all shards —
-    /// already included in each shard's transaction time (a retry
-    /// charges its failed attempt to the transaction's completion
-    /// latency).
-    pub fn wasted_retry_time(&self) -> Ps {
-        self.per_shard
-            .iter()
-            .map(|s| s.report.wasted_retry_time)
-            .sum()
-    }
-
-    /// Two-phase-commit prepare phases completed across all shards
-    /// (home halves and forwarded participants; retried attempts count
-    /// each time the work was done).
-    pub fn prepared_txns(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.report.prepared_txns).sum()
-    }
-
-    /// Prepared scopes rolled back on a coordinator abort decision
-    /// across all shards (a participant's `DeltaFull` aborted the whole
-    /// transaction everywhere before its retry).
-    pub fn participant_aborts(&self) -> u64 {
-        self.per_shard
-            .iter()
-            .map(|s| s.report.participant_aborts)
-            .sum()
-    }
-
-    /// Effects applied on non-home shards on behalf of forwarded
-    /// transactions.
-    pub fn forwarded_effects(&self) -> u64 {
-        self.per_shard
-            .iter()
-            .map(|s| s.report.forwarded_effects)
-            .sum()
-    }
-
-    /// Two-phase-commit message rounds charged across all shards.
-    pub fn commit_rounds(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.report.commit_rounds).sum()
-    }
-
-    /// Total 2PC message-round latency charged across all shards under
-    /// *sequential* delivery — the ledger sum of every hop (one entry
-    /// per counted round). The latency that actually landed on the
-    /// clocks is [`ShardOltpReport::critical_path_time`]: smaller when
-    /// a wave's deliveries overlap in flight, larger when the laggard
-    /// vote barrier ([`crate::CommitConfig::vote_jitter`] and slow
-    /// participants) stalls a decision past its own hop budget — the
-    /// ledger counts hops, not waits.
-    pub fn two_pc_time(&self) -> Ps {
-        self.per_shard.iter().map(|s| s.report.two_pc_time).sum()
-    }
-
-    /// 2PC message latency on the shards' critical paths — the clock
-    /// advance the rounds and vote-barrier stalls actually caused,
-    /// summed across shards. Below [`ShardOltpReport::two_pc_time`]
-    /// when waves overlap deliveries; above it when laggard votes
-    /// (a slow participant's prepare pass, or its vote-processing
-    /// skew) hold a decision longer than the hop ledger accounts for.
-    pub fn critical_path_time(&self) -> Ps {
-        self.per_shard
-            .iter()
-            .map(|s| s.report.critical_path_time)
-            .sum()
-    }
-
     /// Share of the deployment's summed busy time spent on 2PC message
     /// rounds — the commit-round time share of the batch. Computed from
-    /// [`ShardOltpReport::critical_path_time`] (what actually landed on
-    /// the clocks) minus the group-commit force time it includes —
-    /// forces are durability, not messaging, so a logged but fully
-    /// warehouse-local batch reports zero here. The share can never
-    /// exceed 1.0 even when the coordinator overlaps many
+    /// each shard's [`OltpReport::critical_path_time`] (what actually
+    /// landed on the clocks) minus the group-commit force time it
+    /// includes — forces are durability, not messaging, so a logged but
+    /// fully warehouse-local batch reports zero here. The share can
+    /// never exceed 1.0 even when the coordinator overlaps many
     /// 2PCs — dividing the sequential ledger by busy time could.
     pub fn two_pc_time_share(&self) -> f64 {
         let busy: u64 = self.per_shard.iter().map(|s| s.elapsed.ps()).sum();
-        let rounds = self
-            .critical_path_time()
-            .saturating_sub(self.wal_force_time());
+        let rounds: Ps = self
+            .per_shard
+            .iter()
+            .map(|s| {
+                s.report
+                    .critical_path_time
+                    .saturating_sub(s.report.wal_force_time)
+            })
+            .sum();
         if busy == 0 {
             0.0
         } else {
             rounds.ps() as f64 / busy as f64
         }
-    }
-
-    /// Effect records appended to the per-shard WALs (zero with the WAL
-    /// off): one per successful prepare, home halves and forwarded
-    /// participants alike.
-    pub fn wal_appends(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.report.wal_appends).sum()
-    }
-
-    /// Group-commit force barriers across the per-shard effect logs
-    /// (the decision log's forces are counted separately in
-    /// [`CoordStats::decision_forces`]).
-    pub fn wal_forces(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.report.wal_forces).sum()
-    }
-
-    /// Framed bytes appended to the per-shard effect logs.
-    pub fn wal_bytes(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.report.wal_bytes).sum()
-    }
-
-    /// Force-barrier latency charged to shard clocks (and their
-    /// critical paths) by group commit.
-    pub fn wal_force_time(&self) -> Ps {
-        self.per_shard.iter().map(|s| s.report.wal_force_time).sum()
     }
 
     /// Durable syncs per committed transaction: every effect-log force
@@ -287,10 +191,11 @@ impl ShardOltpReport {
     /// would pay ≥ 1.
     pub fn fsync_per_txn(&self) -> f64 {
         let committed = self.committed();
+        let forces: u64 = self.per_shard.iter().map(|s| s.report.wal_forces).sum();
         if committed == 0 {
             0.0
         } else {
-            (self.wal_forces() + self.coord.decision_forces) as f64 / committed as f64
+            (forces + self.coord.decision_forces) as f64 / committed as f64
         }
     }
 
@@ -305,49 +210,18 @@ impl ShardOltpReport {
         }
     }
 
-    /// End-to-end commit latency merged across all shards: one sample
-    /// per committed transaction (retries, defragmentation pauses, and
-    /// 2PC rounds included), so
-    /// `commit_latency().stats().count == committed()`.
-    pub fn commit_latency(&self) -> Histogram {
-        self.merged(|r| &r.commit_latency)
-    }
-
     /// Coordinator-queue wait merged across all shards, one sample per
     /// admitted transaction: how long it sat in its home inbox before
     /// its wave dispatched. Open loop, that is arrival → dispatch;
     /// closed loop, where the whole batch is offered at once, it is the
     /// wait behind the earlier waves of the same batch on the home
     /// shard (measured from the run's start, not the deployment's age).
+    /// `merged().queue_wait`; kept because the benchmark calls it, to
+    /// go with its next change.
     pub fn queue_wait(&self) -> Histogram {
-        self.merged(|r| &r.queue_wait)
-    }
-
-    /// Defragmentation pause durations merged across all shards, one
-    /// sample per pass.
-    pub fn defrag_stall(&self) -> Histogram {
-        self.merged(|r| &r.defrag_stall)
-    }
-
-    /// Per-pause garbage-collection stall merged across all shards; the
-    /// sample sum equals [`ShardOltpReport::gc_time`].
-    pub fn gc_stall(&self) -> Histogram {
-        self.merged(|r| &r.gc_stall)
-    }
-
-    /// Per-round 2PC message stall merged across all shards:
-    /// `two_pc_stall().stats().count == commit_rounds()` and the sample
-    /// sum plus [`ShardOltpReport::wal_force_time`] equals
-    /// [`ShardOltpReport::critical_path_time`] — each sample is the
-    /// residual stall after overlap, not the full hop.
-    pub fn two_pc_stall(&self) -> Histogram {
-        self.merged(|r| &r.two_pc_stall)
-    }
-
-    fn merged(&self, pick: impl Fn(&OltpReport) -> &Histogram) -> Histogram {
         let mut h = Histogram::default();
         for s in &self.per_shard {
-            h.merge(pick(&s.report));
+            h.merge(&s.report.queue_wait);
         }
         h
     }
@@ -427,26 +301,27 @@ pub struct OpenLoopReport {
     /// Inbox depth sampled after every admission (merged over shards);
     /// its max is the deepest backlog any inbox held.
     pub inbox_depth: Histogram,
-    /// The admitted commit timestamps in admission order — contiguous
-    /// from `Ts(1)` because rejected arrivals never draw one, which is
+    /// The commit timestamp of the first admitted transaction: the
+    /// `k`-th admitted one holds `first_ts + k`. Admitted timestamps are
+    /// contiguous because rejected arrivals never draw one, which is
     /// what lets a closed-loop reference re-execute exactly the
     /// admitted stream for byte-identity checks.
-    pub committed_ts: Vec<Ts>,
+    pub first_ts: Ts,
     /// Arrival index (position in the generated arrival stream,
     /// rejected arrivals included) of each admitted transaction, in
     /// admission order. Rejected arrivals still consume a generator
-    /// draw, so a byte-identity reference must replay `batch[index]`
-    /// at `committed_ts[k]` — not `batch[ts - 1]`.
+    /// draw, so a byte-identity reference must replay
+    /// `batch[admitted_index[k]]` at `first_ts + k` — not
+    /// `batch[ts - 1]`.
     pub admitted_index: Vec<u64>,
     /// The last arrival's timestamp: the offered-load horizon.
     pub horizon: Ps,
 }
 
 impl OpenLoopReport {
-    /// Arrivals admitted past the inbox bound (equals
-    /// `committed_ts.len()`).
+    /// Arrivals admitted past the inbox bound.
     pub fn admitted(&self) -> u64 {
-        self.committed_ts.len() as u64
+        self.admitted_index.len() as u64
     }
 
     /// Arrivals rejected across all shards.
@@ -536,10 +411,11 @@ mod tests {
         let mut b = ShardLoad::default();
         b.report.commit_latency.record(300);
         let r = report_with(vec![a, b]);
-        let commit = r.commit_latency().stats();
+        let total = r.merged();
+        let commit = total.commit_latency.stats();
         assert_eq!(commit.count, 2);
         assert!(commit.max >= 300);
-        assert_eq!(r.two_pc_stall().stats().count, 1);
-        assert_eq!(r.queue_wait().stats().count, 0);
+        assert_eq!(total.two_pc_stall.count(), 1);
+        assert_eq!(r.queue_wait().count(), 0);
     }
 }

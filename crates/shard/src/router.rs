@@ -146,11 +146,7 @@ impl TxnRouter {
             .map(|txn| {
                 let mut routed = self.route(txn);
                 routed.ts = oracle.allocate();
-                touches.routed += 1;
-                if routed.remote > 0 {
-                    touches.cross_shard_txns += 1;
-                    touches.remote_touches += routed.remote;
-                }
+                touches.add(&routed);
                 routed
             })
             .collect();

@@ -97,11 +97,12 @@ fn pressured_shards_match_pressured_reference_at_1_2_4_shards() {
         let oltp = service.run_txns(&mut gen, TXNS);
         assert_eq!(oltp.committed(), TXNS, "{shards} shards");
         common::assert_sanitized_clean(&san, "pressured uniform mix");
+        let total = oltp.merged();
         assert!(
-            oltp.aborts() > 0,
+            total.aborts > 0,
             "{shards} shards: undersized arenas must force retries"
         );
-        assert!(oltp.retried_txns() > 0 && oltp.retried_txns() <= oltp.aborts());
+        assert!(total.retried_txns > 0 && total.retried_txns <= total.aborts);
 
         // Merged analytical answers equal the unpartitioned reference.
         for (q, expect) in &expected {
@@ -172,10 +173,11 @@ fn committed_state_is_byte_identical_shard_vs_reference() {
         let mut gen = service.global_txn_gen(SEED);
         let oltp = service.run_txns(&mut gen, TXNS);
         common::assert_sanitized_clean(&san, "pressured forwarding mix");
-        assert!(oltp.aborts() > 0, "{shards} shards: pressure expected");
+        let total = oltp.merged();
+        assert!(total.aborts > 0, "{shards} shards: pressure expected");
         if shards > 1 {
             assert!(
-                oltp.forwarded_effects() > 0,
+                total.forwarded_effects > 0,
                 "{shards} shards: the uniform mix must forward effects"
             );
         }
@@ -237,8 +239,9 @@ fn all_tables_byte_identical_under_tpcc_mix() {
             let oltp = service.run_txns(&mut gen, TXNS);
             assert_eq!(oltp.committed(), TXNS, "{label} at {shards} shards");
             common::assert_sanitized_clean(&san, label);
+            let total = oltp.merged();
             assert_eq!(
-                oltp.aborts() > 0,
+                total.aborts > 0,
                 pressured,
                 "{label} at {shards} shards: aborts"
             );
@@ -248,7 +251,7 @@ fn all_tables_byte_identical_under_tpcc_mix() {
                     "{label}: the TPC-C mix must cross shards"
                 );
                 assert!(
-                    oltp.forwarded_effects() >= oltp.remote.remote_touches,
+                    total.forwarded_effects >= oltp.remote.remote_touches,
                     "{label}: every remote touch is a forwarded effect"
                 );
             }
@@ -292,7 +295,10 @@ fn all_tables_byte_identical_under_local_tpcc_mix() {
             .with_remote_mix(RemoteMix::LOCAL, warehouses);
         let oltp = service.run_txns(&mut gen, TXNS);
         common::assert_sanitized_clean(&san, "pressured local mix");
-        assert!(oltp.aborts() > 0, "{shards} shards: pressure expected");
+        assert!(
+            oltp.merged().aborts > 0,
+            "{shards} shards: pressure expected"
+        );
         assert_eq!(
             oltp.remote.remote_touches, 0,
             "a local mix must never cross shards"
@@ -379,8 +385,12 @@ fn pressure_leaves_ring_contents_byte_identical_per_topology() {
         let b = roomy.run_txns(&mut gen_b, TXNS);
         common::assert_sanitized_clean(&san_a, "squeezed ring topology");
         common::assert_sanitized_clean(&san_b, "roomy ring topology");
-        assert!(a.aborts() > 0, "{shards} shards: pressure expected");
-        assert_eq!(b.aborts(), 0, "{shards} shards: ample arenas abort-free");
+        assert!(a.merged().aborts > 0, "{shards} shards: pressure expected");
+        assert_eq!(
+            b.merged().aborts,
+            0,
+            "{shards} shards: ample arenas abort-free"
+        );
 
         squeezed.defragment_all();
         roomy.defragment_all();

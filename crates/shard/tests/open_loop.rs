@@ -24,6 +24,7 @@ mod common;
 use proptest::prelude::*;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_format::RowSlot;
+use pushtap_mvcc::Ts;
 use pushtap_pim::Ps;
 use pushtap_shard::{
     ArrivalConfig, ArrivalGen, OpenLoopConfig, OpenLoopReport, ShardConfig, ShardedHtap,
@@ -42,6 +43,14 @@ fn mix_name(mix: RemoteMix) -> &'static str {
         RemoteMix::TPCC => "tpcc",
         _ => "uniform",
     }
+}
+
+/// The admitted transactions' timestamps, in admission order (every
+/// one committed).
+fn admitted_ts(report: &OpenLoopReport) -> Vec<Ts> {
+    (0..report.admitted())
+        .map(|k| Ts(report.first_ts.0 + k))
+        .collect()
 }
 
 /// Runs `txns` Poisson arrivals open-loop on a fresh deployment and
@@ -70,9 +79,12 @@ fn run_open(
     );
     // Rejected arrivals draw no timestamp: the admitted stream's
     // timestamps are contiguous from Ts(1) in admission order.
-    for (k, ts) in report.committed_ts.iter().enumerate() {
-        assert_eq!(ts.0, k as u64 + 1, "{label}: admitted ts not contiguous");
-    }
+    assert_eq!(report.first_ts, Ts(1), "{label}: first admitted ts");
+    assert_eq!(
+        service.ts_oracle().watermark(),
+        Ts(report.admitted()),
+        "{label}: admitted ts not contiguous"
+    );
     assert_eq!(
         report.exec.committed(),
         report.admitted(),
@@ -205,7 +217,7 @@ fn bounded_inbox_rejects_and_admitted_stream_stays_identical() {
         RemoteMix::TPCC,
         SEED,
         &report.admitted_index,
-        &report.committed_ts,
+        &admitted_ts(&report),
     );
     for (i, shard) in service.shards().iter().enumerate() {
         for table in ALL_TABLES {
@@ -237,7 +249,7 @@ fn open_loop_is_deterministic_per_seed() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a.committed_ts, b.committed_ts);
+    assert_eq!(a.first_ts, b.first_ts);
     assert_eq!(a.admitted_index, b.admitted_index);
     assert_eq!(a.rejected_per_shard, b.rejected_per_shard);
     assert_eq!(a.horizon, b.horizon);
@@ -266,12 +278,13 @@ fn laggard_votes_only_add_stall() {
     let (free_service, free) = run(Ps::ZERO);
     let (lag_service, lag) = run(Ps::from_ns(500.0));
     assert_eq!(free.committed(), lag.committed());
-    assert_eq!(free.two_pc_time(), lag.two_pc_time(), "hop ledger moved");
+    let (free, lag) = (free.merged(), lag.merged());
+    assert_eq!(free.two_pc_time, lag.two_pc_time, "hop ledger moved");
     assert!(
-        lag.critical_path_time() >= free.critical_path_time(),
+        lag.critical_path_time >= free.critical_path_time,
         "laggard votes made the barrier cheaper ({} < {})",
-        lag.critical_path_time(),
-        free.critical_path_time()
+        lag.critical_path_time,
+        free.critical_path_time
     );
     assert_services_match(&lag_service, &free_service, "laggard vs free votes");
 }
@@ -319,7 +332,7 @@ proptest! {
             RemoteMix::TPCC,
             seed,
             &report.admitted_index,
-            &report.committed_ts,
+            &admitted_ts(&report),
         );
         for (i, shard) in service.shards().iter().enumerate() {
             for table in ALL_TABLES {

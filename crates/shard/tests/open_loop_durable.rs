@@ -110,7 +110,7 @@ fn scenario(shards: u32, arrivals: Arrivals, crash: Option<CrashPoint>, label: &
         "{label}: run 1 commits everything it admits"
     );
     assert!(
-        first.exec.wal_appends() >= first.admitted(),
+        first.exec.merged().wal_appends >= first.admitted(),
         "{label}: run 1 logs"
     );
     assert!(
@@ -297,7 +297,11 @@ fn closed_loop_and_open_loop_commit_identical_bytes_and_records() {
                 service.run_txns(&mut gen, n)
             };
             assert_eq!(report.committed(), n, "{label}");
-            assert_eq!(report.aborts(), 0, "{label}: ample arenas, no duplicates");
+            assert_eq!(
+                report.merged().aborts,
+                0,
+                "{label}: ample arenas, no duplicates"
+            );
             common::assert_sanitized_clean(&san, &label);
             service.defragment_all();
             (service, handles.harvest(), report)

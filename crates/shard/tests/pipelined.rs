@@ -115,16 +115,17 @@ fn waves_match_reference_under_pressure() {
         for shards in [2u32, 4, 8] {
             let label = format!("{} mix at {shards} shards", mix_name(mix));
             let (service, report) = run_batch(squeezed(shards), mix, SEED, TXNS);
-            assert!(report.aborts() > 0, "{label}: must feel the pressure");
+            let total = report.merged();
+            assert!(total.aborts > 0, "{label}: must feel the pressure");
             assert!(
-                report.retried_txns() > 0 && report.retried_txns() <= report.aborts(),
+                total.retried_txns > 0 && total.retried_txns <= total.aborts,
                 "{label}: every casualty is retried, and counted once"
             );
             // The uniform mix at several shards forwards constantly:
             // participants must have aborted prepared scopes mid-wave.
             if mix == RemoteMix::Uniform {
                 assert!(
-                    report.participant_aborts() > 0,
+                    total.participant_aborts > 0,
                     "{label}: squeezed uniform waves must abort participants"
                 );
             }
@@ -143,8 +144,9 @@ fn waves_match_reference_ample() {
         for shards in [4u32, 8] {
             let label = format!("ample {} mix at {shards} shards", mix_name(mix));
             let (service, report) = run_batch(ShardConfig::small(shards), mix, SEED, TXNS);
-            assert_eq!(report.aborts(), 0, "{label}: ample arenas abort-free");
-            assert_eq!(report.retried_txns(), 0, "{label}: nothing to retry");
+            let total = report.merged();
+            assert_eq!(total.aborts, 0, "{label}: ample arenas abort-free");
+            assert_eq!(total.retried_txns, 0, "{label}: nothing to retry");
             assert_matches_reference(&service, &reference, &label);
         }
     }
@@ -168,7 +170,7 @@ fn waves_overlap_two_pcs() {
             );
             assert!(r.coord.max_wave > 1, "{label}: no wave held >1 txn");
             assert!(r.overlap_ratio() > 0.0, "{label}: zero 2PC overlap");
-            assert!(r.commit_rounds() > 0, "{label}");
+            assert!(r.merged().two_pc_stall.count() > 0, "{label}");
             assert!(r.two_pc_time_share() > 0.0 && r.two_pc_time_share() <= 1.0);
         }
     }
@@ -215,7 +217,7 @@ proptest! {
         reference.defragment_all();
 
         let (service, report) = run_batch(cfg, mix, seed, txns);
-        prop_assert!(report.aborts() > 0, "arenas this small must abort");
+        prop_assert!(report.merged().aborts > 0, "arenas this small must abort");
         assert_matches_reference(&service, &reference, "proptest");
     }
 }

@@ -14,8 +14,9 @@ use std::sync::Arc;
 
 use pushtap_chbench::{RemoteMix, TxnGen};
 use pushtap_mvcc::{SnapshotPin, Ts};
+use pushtap_pim::Ps;
 use pushtap_shard::{
-    ArrivalConfig, ArrivalGen, OpenLoopConfig, ShardConfig, ShardLoad, ShardedHtap,
+    ArrivalConfig, ArrivalGen, OpenLoopConfig, ShardConfig, ShardLoad, ShardOltpReport, ShardedHtap,
 };
 
 const SEED: u64 = 2025;
@@ -89,6 +90,26 @@ fn stalls(load: &ShardLoad) -> Stalls {
 
 fn facts(per_shard: &[ShardLoad]) -> Vec<(Counters, Stalls)> {
     per_shard.iter().map(|l| (counters(l), stalls(l))).collect()
+}
+
+/// [`ShardOltpReport::merged`] folds the pinned per-shard facts: each
+/// of its counters, times and histogram `(count, sum)` pairs is their
+/// sum (`elapsed`, the shard's clock, is no report field).
+fn assert_merged_sums(report: &ShardOltpReport, golden: &[(Counters, Stalls)]) {
+    let merged = ShardLoad {
+        report: report.merged(),
+        elapsed: Ps::ZERO,
+    };
+    let mut want: (Counters, Stalls) = ([0; 16], [(0, 0); 5]);
+    for (counters, stalls) in golden {
+        for (w, c) in want.0.iter_mut().zip(&counters[..15]) {
+            *w += c;
+        }
+        for (w, s) in want.1.iter_mut().zip(stalls) {
+            *w = (w.0 + s.0, w.1 + s.1);
+        }
+    }
+    assert_eq!((counters(&merged), stalls(&merged)), want);
 }
 
 /// The closed-loop batch, per shard.
@@ -166,6 +187,7 @@ fn closed_loop_batch_reports_pinned_per_shard_facts() {
     let (mut service, mut gen, _pin) = deployment();
     let report = service.run_txns(&mut gen, TXNS);
     assert_eq!(facts(&report.per_shard), CLOSED_LOOP);
+    assert_merged_sums(&report, &CLOSED_LOOP);
 }
 
 #[test]
@@ -179,4 +201,5 @@ fn open_loop_rung_reports_pinned_per_shard_facts() {
     let report = service.run_open_loop(&mut gen, &mut clock, TXNS, &open);
     assert_eq!((report.admitted(), report.rejected()), (55, 65));
     assert_eq!(facts(&report.exec.per_shard), OPEN_LOOP);
+    assert_merged_sums(&report.exec, &OPEN_LOOP);
 }

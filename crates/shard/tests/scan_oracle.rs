@@ -88,9 +88,10 @@ fn scans_match_the_oracle(shards: u32) {
             BURST_TXNS,
             "{shards} shards, burst {burst}"
         );
-        aborts += report.aborts();
-        participant_aborts += report.participant_aborts();
-        gc_passes += report.gc().passes;
+        let total = report.merged();
+        aborts += total.aborts;
+        participant_aborts += total.participant_aborts;
+        gc_passes += total.gc.passes;
         check_all(
             &mut service,
             &format!("{shards} shards after burst {burst}"),

@@ -101,37 +101,21 @@ fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
 /// The histogram/counter invariants of a closed-loop batch, WAL on or
 /// off.
 fn assert_report_reconciles(report: &ShardOltpReport, spans: &[Span], label: &str) {
+    let total = report.merged();
     // One commit-latency sample per committed transaction.
     assert_eq!(
-        report.commit_latency().count(),
+        total.commit_latency.count(),
         report.committed(),
         "{label}: commit-latency samples"
     );
-    // One 2PC-stall sample per counted message round. Message rounds
-    // and group-commit force barriers are the *only* two charges to the
-    // critical path, so the stall sum plus the force time reproduce it
-    // exactly (the force term is zero whenever the WAL is off).
-    let stall = report.two_pc_stall();
+    // Message rounds (one 2PC-stall sample each) and group-commit force
+    // barriers are the *only* two charges to the critical path, so the
+    // stall sum plus the force time reproduce it exactly (the force
+    // term is zero whenever the WAL is off).
     assert_eq!(
-        stall.count(),
-        report.commit_rounds(),
-        "{label}: stall samples"
-    );
-    assert_eq!(
-        stall.sum() + u128::from(report.wal_force_time().ps()),
-        u128::from(report.critical_path_time().ps()),
+        total.two_pc_stall.sum() + u128::from(total.wal_force_time.ps()),
+        u128::from(total.critical_path_time.ps()),
         "{label}: stall sum + force time vs critical path"
-    );
-    // One defrag-stall sample per counted pass.
-    let passes: u64 = report
-        .per_shard
-        .iter()
-        .map(|s| s.report.defrag_passes)
-        .sum();
-    assert_eq!(
-        report.defrag_stall().count(),
-        passes,
-        "{label}: defrag samples"
     );
     // Garbage collection reconciles on both axes. One GcPass interval
     // per *reclaiming* pass (empty passes cost nothing and emit
@@ -139,7 +123,7 @@ fn assert_report_reconciles(report: &ShardOltpReport, spans: &[Span], label: &st
     // time the reports charged — a sample covers every pass one
     // execute call absorbed, so its count bounds the pass count from
     // below without ever exceeding it.
-    let gc = report.gc();
+    let gc = total.gc;
     assert!(
         gc.passes > 0,
         "{label}: squeezed arenas must garbage-collect"
@@ -149,11 +133,11 @@ fn assert_report_reconciles(report: &ShardOltpReport, spans: &[Span], label: &st
         gc.passes,
         "{label}: gc pass intervals"
     );
-    let gc_stall = report.gc_stall();
+    let gc_stall = &total.gc_stall;
     assert!(gc_stall.count() > 0 && gc_stall.count() <= gc.passes);
     assert_eq!(
         gc_stall.sum(),
-        u128::from(report.gc_time().ps()),
+        u128::from(total.gc_time.ps()),
         "{label}: gc stall sum vs charged gc time"
     );
     for s in spans.iter().filter(|s| s.phase == Phase::GcPass) {
@@ -164,10 +148,10 @@ fn assert_report_reconciles(report: &ShardOltpReport, spans: &[Span], label: &st
     // Every abort the report counts appears on the timeline: a failed
     // prepare (PrepareAbort span) or a coordinator abort decision
     // (Abort instant).
-    assert!(report.aborts() > 0, "{label}: squeezed arenas must abort");
+    assert!(total.aborts > 0, "{label}: squeezed arenas must abort");
     assert_eq!(
         count(spans, Phase::PrepareAbort) + count(spans, Phase::Abort),
-        report.aborts(),
+        total.aborts,
         "{label}: abort events"
     );
     // Every routed transaction was marked at ingestion, and every
@@ -230,17 +214,12 @@ fn assert_report_reconciles(report: &ShardOltpReport, spans: &[Span], label: &st
     // barrier, so no `Decide` interval may appear. (Adding the span
     // must come with its reconciliation here.)
     assert_eq!(count(spans, Phase::Decide), 0, "{label}: decide spans");
-    // One defrag-stall interval per counted mid-batch pass, plus the
-    // one pass per shard the harness runs after the batch to make
-    // committed bytes comparable.
-    let passes: u64 = report
-        .per_shard
-        .iter()
-        .map(|s| s.report.defrag_passes)
-        .sum();
+    // One defrag-stall interval per mid-batch pass (one defrag-stall
+    // sample each), plus the one pass per shard the harness runs after
+    // the batch to make committed bytes comparable.
     assert_eq!(
         count(spans, Phase::DefragStall),
-        passes + u64::from(SHARDS),
+        total.defrag_stall.count() + u64::from(SHARDS),
         "{label}: defrag stall intervals"
     );
 }
@@ -304,7 +283,8 @@ fn closed_loop_trace_reconciles_with_counters() {
     // The whole batch is offered at once, so every transaction waits
     // out the earlier waves of its own batch on its home shard: one
     // queue-wait sample each.
-    assert_eq!(report.queue_wait().count(), TXNS);
+    let total = report.merged();
+    assert_eq!(total.queue_wait.count(), TXNS);
     // Queued intervals are the nonzero waits of that histogram: at most
     // one per transaction, every one strictly positive, and their
     // durations sum to exactly the histogram's total — zero-wait
@@ -327,23 +307,19 @@ fn closed_loop_trace_reconciles_with_counters() {
             u128::from(s.end - s.start)
         })
         .sum();
-    assert_eq!(
-        queued,
-        report.queue_wait().sum(),
-        "queued time vs histogram"
-    );
+    assert_eq!(queued, total.queue_wait.sum(), "queued time vs histogram");
     // A closed-loop run turns nothing away.
     assert_eq!(count(&spans, Phase::Rejected), 0);
     // Every retry instant is a casualty re-entering as a wave of one:
     // at least one per retried transaction (more if it aborts again).
-    assert!(report.retried_txns() > 0, "squeezed arenas must retry");
-    assert!(count(&spans, Phase::Retry) >= report.retried_txns());
+    assert!(total.retried_txns > 0, "squeezed arenas must retry");
+    assert!(count(&spans, Phase::Retry) >= total.retried_txns);
     let retried: BTreeSet<u64> = spans
         .iter()
         .filter(|s| s.phase == Phase::Retry)
         .map(|s| s.txn)
         .collect();
-    assert_eq!(retried.len() as u64, report.retried_txns());
+    assert_eq!(retried.len() as u64, total.retried_txns);
 }
 
 #[test]
@@ -353,20 +329,21 @@ fn wal_trace_reconciles_with_durability_counters() {
     // The shared invariants hold with the WAL's force time now a
     // nonzero term of the critical-path identity.
     assert_report_reconciles(&wr, &spans, label);
-    assert!(wr.wal_force_time().ps() > 0, "{label}: forces charged");
+    let total = wr.merged();
+    assert!(total.wal_force_time.ps() > 0, "{label}: forces charged");
     // Every effect-record append left a WalAppend instant, and
     // every group-commit barrier a GroupCommit interval whose
     // duration is exactly the force latency it charged.
-    assert!(wr.wal_appends() >= wr.committed(), "{label}: appends");
+    assert!(total.wal_appends >= wr.committed(), "{label}: appends");
     assert_eq!(
         count(&spans, Phase::WalAppend),
-        wr.wal_appends(),
+        total.wal_appends,
         "{label}: append instants"
     );
-    assert!(wr.wal_forces() > 0, "{label}: forces");
+    assert!(total.wal_forces > 0, "{label}: forces");
     assert_eq!(
         count(&spans, Phase::GroupCommit),
-        wr.wal_forces(),
+        total.wal_forces,
         "{label}: force intervals"
     );
     let forced: u128 = spans
@@ -376,7 +353,7 @@ fn wal_trace_reconciles_with_durability_counters() {
         .sum();
     assert_eq!(
         forced,
-        u128::from(wr.wal_force_time().ps()),
+        u128::from(total.wal_force_time.ps()),
         "{label}: force interval durations vs charged force time"
     );
     // The coordinator durably decided every cross-shard commit
@@ -394,7 +371,7 @@ fn wal_trace_reconciles_with_durability_counters() {
     let (plain, pr, _) = run(false);
     assert_services_match(&walled, &plain, label);
     assert_eq!(wr.committed(), pr.committed(), "{label}: commits");
-    assert_eq!(wr.aborts(), pr.aborts(), "{label}: aborts");
+    assert_eq!(total.aborts, pr.merged().aborts, "{label}: aborts");
     assert!(
         wr.makespan() > pr.makespan(),
         "{label}: force barriers cost simulated time"
@@ -524,21 +501,20 @@ fn open_loop_trace_reconciles_with_queue_counters() {
     // queueing component.
     assert_eq!(report.sojourn.count(), report.admitted());
     assert!(report.sojourn.sum() >= qw.sum());
-    // The critical-path identities survive the laggard vote-barrier
-    // model: one stall sample per counted message round, and stalls
-    // plus force barriers (zero here — no WAL) reproduce the critical
-    // path exactly.
-    let stall = report.exec.two_pc_stall();
-    assert_eq!(stall.count(), report.exec.commit_rounds(), "stall samples");
+    // The critical-path identity survives the laggard vote-barrier
+    // model: stalls plus force barriers (zero here — no WAL) reproduce
+    // the critical path exactly.
+    let total = report.exec.merged();
     assert_eq!(
-        stall.sum() + u128::from(report.exec.wal_force_time().ps()),
-        u128::from(report.exec.critical_path_time().ps()),
+        total.two_pc_stall.sum() + u128::from(total.wal_force_time.ps()),
+        u128::from(total.critical_path_time.ps()),
         "stall sum + force time vs critical path"
     );
     // Tracing stays a read-only lens on the open loop too.
     let (untraced, ur, none) = run(false);
     assert!(none.is_empty(), "disabled sink must stay empty");
-    assert_eq!(report.committed_ts, ur.committed_ts);
+    assert_eq!(report.first_ts, ur.first_ts);
+    assert_eq!(report.admitted_index, ur.admitted_index);
     assert_eq!(report.rejected_per_shard, ur.rejected_per_shard);
     assert_services_match(&service, &untraced, "open loop traced vs untraced");
 }
@@ -582,13 +558,14 @@ fn tracing_changes_no_committed_byte() {
     assert!(!spans.is_empty());
     assert!(none.is_empty(), "disabled sink must stay empty");
     assert_services_match(&traced, &untraced, "traced vs untraced");
+    let (t, u) = (tr.merged(), ur.merged());
     assert_eq!(tr.committed(), ur.committed());
-    assert_eq!(tr.aborts(), ur.aborts());
-    assert_eq!(tr.commit_rounds(), ur.commit_rounds());
+    assert_eq!(t.aborts, u.aborts);
+    assert_eq!(t.two_pc_stall.count(), u.two_pc_stall.count());
     assert_eq!(tr.makespan(), ur.makespan());
     assert_eq!(
-        tr.commit_latency().stats(),
-        ur.commit_latency().stats(),
+        t.commit_latency.stats(),
+        u.commit_latency.stats(),
         "histograms are recorded unconditionally — sink on or off"
     );
 }

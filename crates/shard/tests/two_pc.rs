@@ -92,12 +92,13 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
     let mut gen = service.global_txn_gen(SEED);
     let report = service.run_txns(&mut gen, TXNS);
     assert_eq!(report.committed(), TXNS);
+    let total = report.merged();
     assert!(
-        report.participant_aborts() > 0,
+        total.participant_aborts > 0,
         "squeezed arenas under the uniform mix must abort prepared scopes"
     );
-    assert!(report.aborts() > report.participant_aborts());
-    assert!(report.wasted_retry_time() > Ps::ZERO);
+    assert!(total.aborts > total.participant_aborts);
+    assert!(total.wasted_retry_time > Ps::ZERO);
     // The report captures every wasted attempt — including the latency
     // of prepared scopes the coordinator aborted — so it reconciles
     // exactly with the engines' own counters.
@@ -107,8 +108,7 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
         .map(|s| s.db().wasted_retry_time())
         .sum();
     assert_eq!(
-        report.wasted_retry_time(),
-        engine_wasted,
+        total.wasted_retry_time, engine_wasted,
         "per-shard reports must account coordinator-aborted prepare latency"
     );
 
@@ -121,9 +121,9 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
     assert_eq!(clocks, [677_710_750, 722_253_714, 669_673_200, 721_604_737]);
     assert_eq!(
         (
-            report.aborts(),
-            report.participant_aborts(),
-            report.wasted_retry_time().ps(),
+            total.aborts,
+            total.participant_aborts,
+            total.wasted_retry_time.ps(),
             slot_identity(&service),
         ),
         (172, 99, 178_823_011, 818_977_218_761_713_068),
@@ -171,7 +171,7 @@ proptest! {
         let mut gen = service.global_txn_gen(seed);
         let report = service.run_txns(&mut gen, txns);
         prop_assert_eq!(report.committed(), txns);
-        prop_assert!(report.aborts() > 0, "arenas this small must abort");
+        prop_assert!(report.merged().aborts > 0, "arenas this small must abort");
 
         for (i, shard) in service.shards().iter().enumerate() {
             prop_assert_eq!(shard.db().prepared_scopes(), 0, "shard {} holds a scope", i);

@@ -23,7 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let oltp = system.run_txns(&mut txns, 500);
     println!(
         "\ncommitted {} transactions in {} ({} defrag passes costing {})",
-        oltp.committed, oltp.txn_time, oltp.defrag_passes, oltp.defrag_time,
+        oltp.committed,
+        oltp.txn_time,
+        oltp.defrag_stall.count(),
+        oltp.defrag_time,
     );
     let (compute, alloc, index, chain) = oltp.breakdown.cpu_fractions();
     println!(

@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use pushtap::chbench::RemoteMix;
 use pushtap::olap::{Query, QueryResult};
+use pushtap::pim::Ps;
 use pushtap::shard::{ShardConfig, ShardedHtap};
 use pushtap::trace::{chrome, fmt_ps, two_pc_overlap_peak, MemSink};
 
@@ -80,14 +81,15 @@ fn crash_demo(dir: &std::path::Path, open_loop: bool) -> Result<(), Box<dyn std:
         (service.run_txns(&mut gen, TXNS), (0..TXNS).collect())
     };
     assert!(service.crashed(), "the armed crash point must fire");
+    let total = before.merged();
     println!(
         "killed the deployment mid-decision-log write (5th wave): \
          {} of {} admitted txns had committed; {} effect records ({} bytes) and {} \
          decisions were durable in {}",
         before.committed(),
         admitted.len(),
-        before.wal_appends(),
-        before.wal_bytes(),
+        total.wal_appends,
+        total.wal_bytes,
         before.coord.decision_appends,
         dir.display(),
     );
@@ -202,6 +204,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let warehouses = service.map().warehouses();
     let mut gen = service.global_txn_gen(42).with_remote_mix(mix, warehouses);
     let oltp = service.run_txns(&mut gen, 600);
+    let total = oltp.merged();
     println!(
         "\nrouted {} txns: makespan {}, aggregate tpmC {:.0}, parallel speedup {:.2}x",
         oltp.committed(),
@@ -212,10 +215,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "global timestamp oracle at {} ({} delta-pressure retries, {} wasted attempt time)",
         service.ts_oracle().watermark(),
-        oltp.aborts(),
-        oltp.wasted_retry_time(),
+        total.aborts,
+        total.wasted_retry_time,
     );
-    let lat = oltp.commit_latency().stats();
+    let lat = total.commit_latency.stats();
     println!(
         "commit latency: p50 {} / p90 {} / p99 {} / p99.9 {} / max {} (mean {})",
         fmt_ps(lat.p50),
@@ -230,10 +233,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {} prepares, {} participant aborts, {} commit rounds, {:.2}% of busy time)",
         oltp.remote.cross_shard_fraction() * 100.0,
         oltp.remote.remote_touches,
-        oltp.forwarded_effects(),
-        oltp.prepared_txns(),
-        oltp.participant_aborts(),
-        oltp.commit_rounds(),
+        total.forwarded_effects,
+        total.prepared_txns,
+        total.participant_aborts,
+        total.two_pc_stall.count(),
         oltp.two_pc_time_share() * 100.0,
     );
     println!(
@@ -242,16 +245,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         oltp.coord.waves,
         oltp.coord.max_wave,
         oltp.overlap_ratio() * 100.0,
-        oltp.critical_path_time(),
-        oltp.two_pc_time(),
+        total.critical_path_time,
+        total.two_pc_time,
     );
     for (i, load) in oltp.per_shard.iter().enumerate() {
         println!(
             "  shard {i}: {:>4} txns in {} ({} forwarded effects applied, {} 2PC round time = {:.2}% of this engine's time)",
-            load.routed,
+            load.report.committed,
             load.elapsed,
             load.report.forwarded_effects,
-            load.remote_time,
+            Ps::new(u64::try_from(load.report.two_pc_stall.sum()).expect("stall fits in u64 ps")),
             load.report.two_pc_time_share() * 100.0,
         );
     }

@@ -39,7 +39,7 @@ fn facade_routing_conserves_transactions() {
     let mut service = ShardedHtap::new(ShardConfig::small(4)).expect("build");
     let mut gen = service.global_txn_gen(5);
     let report = service.run_txns(&mut gen, 200);
-    let per_shard: u64 = report.per_shard.iter().map(|l| l.routed).sum();
+    let per_shard: u64 = report.per_shard.iter().map(|l| l.report.committed).sum();
     assert_eq!(per_shard, 200);
     assert_eq!(report.committed(), 200);
     assert_eq!(report.remote.routed, 200);
