@@ -12,8 +12,8 @@ use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_format::RowSlot;
 use pushtap_sanitizer::ShadowSanitizer;
 use pushtap_shard::{
-    ArrivalConfig, ArrivalGen, CrashPoint, CrashSite, OpenLoopConfig, OpenLoopReport, ShardConfig,
-    ShardOltpReport, ShardedHtap, WalHandles,
+    ArrivalConfig, ArrivalGen, CrashPoint, CrashSite, OpenLoopConfig, OpenLoopReport,
+    RecoveryReport, ShardConfig, ShardOltpReport, ShardedHtap, WalHandles,
 };
 use pushtap_trace::{two_pc_overlap_peak, MemSink, Phase, Span};
 
@@ -71,6 +71,82 @@ fn run_wal() -> (ShardedHtap, ShardOltpReport, Vec<Span>, WalHandles) {
     service.defragment_all();
     (service, report, sink.take(), handles)
 }
+
+/// One overloaded open-loop rung: arrivals far outpace service through a
+/// shallow inbox, so both the rejection and the queue-wait paths fire.
+fn open_loop_run(traced: bool) -> (ShardedHtap, OpenLoopReport, Vec<Span>) {
+    let mut service = ShardedHtap::new(ShardConfig::small(SHARDS)).expect("build shards");
+    let san = common::maybe_sanitize(&mut service);
+    let sink = Arc::new(MemSink::default());
+    if traced {
+        service.set_trace_sink(sink.clone());
+    }
+    let warehouses = service.map().warehouses();
+    let mut gen = service
+        .global_txn_gen(SEED)
+        .with_remote_mix(RemoteMix::TPCC, warehouses);
+    let mut arr = ArrivalGen::new(7, ArrivalConfig::poisson(160_000_000.0));
+    let report = service.run_open_loop(&mut gen, &mut arr, TXNS, &OpenLoopConfig::new(4, 8));
+    common::assert_sanitized_clean(&san, "open loop");
+    service.defragment_all();
+    (service, report, sink.take())
+}
+
+/// Crashes a logged batch after wave 3's decision and recovers it with
+/// a sink installed: the replay's spans.
+fn recovered() -> (ShardedHtap, RecoveryReport, Vec<Span>) {
+    let cfg = squeezed();
+    let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
+    let handles = service.enable_wal();
+    service.arm_crash(CrashPoint {
+        site: CrashSite::AfterDecision,
+        event: 3,
+    });
+    let warehouses = service.map().warehouses();
+    let mut gen = service
+        .global_txn_gen(SEED)
+        .with_remote_mix(RemoteMix::Uniform, warehouses);
+    let _ = service.run_txns(&mut gen, TXNS);
+    assert!(service.crashed(), "the armed crash must fire mid-batch");
+    let image = handles.harvest();
+    drop(service);
+    let sink = Arc::new(MemSink::default());
+    let (recovered, rec) = ShardedHtap::recover_traced(cfg, &image, sink.clone()).expect("recover");
+    (recovered, rec, sink.take())
+}
+
+/// The length of a span sequence and an FNV-1a hash over every field of
+/// every span, in emission order.
+fn fingerprint(spans: &[Span]) -> (usize, u64) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for s in spans {
+        for word in [
+            u64::from(s.track),
+            s.phase as u64,
+            s.txn,
+            s.wave,
+            s.start,
+            s.end,
+        ] {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (spans.len(), hash)
+}
+
+/// Goldens for the span sequences of [`run_wal`], [`open_loop_run`] and
+/// [`recovered`], and for what an armed tracker counts over the walled
+/// batch (checked accesses, scopes). They were captured before spans
+/// and sanitizer hooks went through one probe per engine, and pin that
+/// every hook still fires where and when it did: these numbers never
+/// change unless the model does.
+const WAL_SPANS: (usize, u64) = (4622, 9_401_909_615_431_411_355);
+const OPEN_LOOP_SPANS: (usize, u64) = (211, 17_125_449_459_840_766_090);
+const RECOVERY_SPANS: (usize, u64) = (206, 8_110_242_496_060_892_545);
+const ARMED_COUNTS: (u64, u64) = (5150, 662);
 
 fn count(spans: &[Span], phase: Phase) -> u64 {
     spans.iter().filter(|s| s.phase == phase).count() as u64
@@ -401,25 +477,8 @@ fn recovery_spans_land_on_replaying_shards() {
     // installed, and check the replay shows up on the timeline: one
     // Recovery interval per shard that actually replayed records, on
     // that shard's own track.
-    let cfg = squeezed();
-    let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
-    let handles = service.enable_wal();
-    service.arm_crash(CrashPoint {
-        site: CrashSite::AfterDecision,
-        event: 3,
-    });
-    let warehouses = service.map().warehouses();
-    let mut gen = service
-        .global_txn_gen(SEED)
-        .with_remote_mix(RemoteMix::Uniform, warehouses);
-    let _ = service.run_txns(&mut gen, TXNS);
-    assert!(service.crashed(), "the armed crash must fire mid-batch");
-    let image = handles.harvest();
-    drop(service);
-
-    let sink = Arc::new(MemSink::default());
-    let (recovered, rec) = ShardedHtap::recover_traced(cfg, &image, sink.clone()).expect("recover");
-    let spans = sink.take();
+    let (_, rec, spans) = recovered();
+    assert_eq!(fingerprint(&spans), RECOVERY_SPANS, "recovery span golden");
     let replaying = rec.per_shard.iter().filter(|s| s.replayed > 0).count() as u64;
     assert!(replaying > 0, "a crash after 3 waves leaves work to replay");
     assert_eq!(
@@ -439,7 +498,6 @@ fn recovery_spans_land_on_replaying_shards() {
         assert_eq!(s.txn, 0, "recovery spans are not tied to one txn");
         assert_eq!(s.wave, 0, "recovery runs outside wave execution");
     }
-    drop(recovered);
 }
 
 /// The open-loop front-end's timeline reconciles with its queueing
@@ -449,26 +507,12 @@ fn recovery_spans_land_on_replaying_shards() {
 /// vote-barrier stall identities survive the laggard decision model.
 #[test]
 fn open_loop_trace_reconciles_with_queue_counters() {
-    let run = |traced: bool| -> (ShardedHtap, OpenLoopReport, Vec<Span>) {
-        let mut service = ShardedHtap::new(ShardConfig::small(SHARDS)).expect("build shards");
-        let san = common::maybe_sanitize(&mut service);
-        let sink = Arc::new(MemSink::default());
-        if traced {
-            service.set_trace_sink(sink.clone());
-        }
-        let warehouses = service.map().warehouses();
-        let mut gen = service
-            .global_txn_gen(SEED)
-            .with_remote_mix(RemoteMix::TPCC, warehouses);
-        // Overload: arrivals far outpace service through a shallow
-        // inbox, so both the rejection and the queue-wait paths fire.
-        let mut arr = ArrivalGen::new(7, ArrivalConfig::poisson(160_000_000.0));
-        let report = service.run_open_loop(&mut gen, &mut arr, TXNS, &OpenLoopConfig::new(4, 8));
-        common::assert_sanitized_clean(&san, "open loop");
-        service.defragment_all();
-        (service, report, sink.take())
-    };
-    let (service, report, spans) = run(true);
+    let (service, report, spans) = open_loop_run(true);
+    assert_eq!(
+        fingerprint(&spans),
+        OPEN_LOOP_SPANS,
+        "open-loop span golden"
+    );
     assert!(report.rejected() > 0, "overload must reject");
     assert!(report.admitted() > 0, "overload must still admit");
     // Every rejection left a counted instant on its home shard's track;
@@ -511,7 +555,7 @@ fn open_loop_trace_reconciles_with_queue_counters() {
         "stall sum + force time vs critical path"
     );
     // Tracing stays a read-only lens on the open loop too.
-    let (untraced, ur, none) = run(false);
+    let (untraced, ur, none) = open_loop_run(false);
     assert!(none.is_empty(), "disabled sink must stay empty");
     assert_eq!(report.first_ts, ur.first_ts);
     assert_eq!(report.admitted_index, ur.admitted_index);
@@ -529,6 +573,31 @@ fn same_seed_emits_identical_unsorted_sequences() {
     let (_, _, second, _) = run_wal();
     assert!(!first.is_empty());
     assert_eq!(first, second, "span emission order must repeat exactly");
+    assert_eq!(fingerprint(&first), WAL_SPANS, "walled batch span golden");
+    // Together the pinned sequences hold every hook the committed
+    // 8-shard trace never shows: aborts, retries, reclamation, the WAL,
+    // the open-loop front-end and recovery.
+    let (_, _, open) = open_loop_run(true);
+    let (_, _, replay) = recovered();
+    let seen: BTreeSet<Phase> = first
+        .iter()
+        .chain(&open)
+        .chain(&replay)
+        .map(|s| s.phase)
+        .collect();
+    for phase in [
+        Phase::PrepareAbort,
+        Phase::Abort,
+        Phase::Retry,
+        Phase::WalAppend,
+        Phase::GroupCommit,
+        Phase::Queued,
+        Phase::Rejected,
+        Phase::Recovery,
+    ] {
+        assert!(seen.contains(&phase), "no {phase:?} span is pinned");
+    }
+    assert!(seen.contains(&Phase::GcPass) || seen.contains(&Phase::DefragStall));
 
     let armed = || {
         let mut service = ShardedHtap::new(squeezed()).expect("build shards");
@@ -546,6 +615,7 @@ fn same_seed_emits_identical_unsorted_sequences() {
     let observed = armed();
     assert!(observed.0 > 0 && observed.1 > 0, "tracker saw nothing");
     assert_eq!(observed, armed(), "sanitizer observation counts");
+    assert_eq!(observed, ARMED_COUNTS, "armed tracker golden");
 }
 
 #[test]
