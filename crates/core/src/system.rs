@@ -10,9 +10,11 @@ use pushtap_chbench::{Table, Txn, TxnGen};
 use pushtap_format::LayoutError;
 use pushtap_mvcc::{DefragCostModel, DefragStats, DefragStrategy, DeltaFull, Ts, TsOracle};
 use pushtap_olap::{Query, QueryResult, QueryTiming, ScanEngine};
-use pushtap_oltp::{Breakdown, DbConfig, Partition, TaggedEffect, TpccDb, TxnResult, TxnRole};
+use pushtap_oltp::{
+    Breakdown, DbConfig, Partition, Probe, TaggedEffect, TpccDb, TxnResult, TxnRole,
+};
 use pushtap_pim::{ControlArch, MemSystem, Ps, SystemConfig};
-use pushtap_trace::{Histogram, NullSink, Phase, Span, TraceSink};
+use pushtap_trace::{Histogram, Phase, TraceSink};
 
 /// Fixed overhead of one defragmentation pass: worker-thread creation and
 /// PIM-unit activation (§7.4: "the fixed overhead, including thread
@@ -344,8 +346,6 @@ pub struct Pushtap {
     now: Ps,
     txns_since_defrag: u64,
     gc_tally: GcStats,
-    sink: Arc<dyn TraceSink>,
-    track: u32,
 }
 
 impl Pushtap {
@@ -390,48 +390,24 @@ impl Pushtap {
             now: Ps::ZERO,
             txns_since_defrag: 0,
             gc_tally: GcStats::default(),
-            sink: Arc::new(NullSink),
-            track: 0,
         })
     }
 
-    /// Routes lifecycle spans from this instance (and its embedded
-    /// [`TpccDb`]) to `sink`, tagging every span with `track` — the
-    /// shard layer assigns one track per shard so a merged trace keeps
-    /// the shards on separate rows. The default [`NullSink`] reports
-    /// `enabled() == false`, so untraced runs skip span construction
-    /// entirely.
+    /// Routes lifecycle spans from this instance to `sink`, tagging
+    /// every span with `track` — the shard layer assigns one track per
+    /// shard so a merged trace keeps the shards on separate rows. See
+    /// [`Pushtap::probe_mut`] for the sanitizer.
     pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>, track: u32) {
-        self.db.set_trace_sink(Arc::clone(&sink), track);
-        self.sink = sink;
-        self.track = track;
+        self.db.probe_mut().set_trace_sink(sink, track);
     }
 
-    /// Installs a keyset-soundness shadow tracker on the embedded
-    /// [`TpccDb`], tagging every mirrored access and scope with `track`
-    /// (the shard index). See [`pushtap_oltp::TpccDb::set_sanitizer`];
-    /// the default `NullSanitizer` keeps untracked runs at one branch
-    /// per hook.
-    pub fn set_sanitizer(&mut self, san: Arc<dyn pushtap_sanitizer::AccessSink>, track: u32) {
-        self.db.set_sanitizer(san, track);
-    }
-
-    /// Whether the configured sink wants spans (`false` for the default
-    /// [`NullSink`]) — check before building coordinator-level spans.
-    pub fn trace_enabled(&self) -> bool {
-        self.sink.enabled()
-    }
-
-    /// The track tag spans about this instance carry (the shard index in
-    /// a sharded deployment).
-    pub fn trace_track(&self) -> u32 {
-        self.track
-    }
-
-    /// Forwards a caller-authored span (e.g. a shard coordinator's
-    /// protocol phase) to the configured sink.
-    pub fn trace_record(&self, span: Span) {
-        self.sink.record(span);
+    /// The engine's one instrumentation seam
+    /// ([`TpccDb::probe`](pushtap_oltp::TpccDb::probe)), to arm a
+    /// sanitizer on. The instance's own spans (maintenance pauses,
+    /// commit and abort decisions) and a caller's (a shard
+    /// coordinator's protocol phases) go through it too.
+    pub fn probe_mut(&mut self) -> &mut Probe {
+        self.db.probe_mut()
     }
 
     /// The simulated clock.
@@ -666,15 +642,9 @@ impl Pushtap {
         let start = self.now;
         self.now += pause;
         self.gc_tally.absorb_pass(&pass);
-        if self.sink.enabled() {
-            self.sink.record(Span::new(
-                self.track,
-                Phase::GcPass,
-                before.0,
-                start.ps(),
-                self.now.ps(),
-            ));
-        }
+        self.db
+            .probe()
+            .span(Phase::GcPass, before.0, 0, start, self.now);
         pause
     }
 
@@ -734,14 +704,9 @@ impl Pushtap {
         if role == TxnRole::Coordinator {
             self.txns_since_defrag += 1;
         }
-        if self.sink.enabled() {
-            self.sink.record(Span::instant(
-                self.track,
-                Phase::Commit,
-                ts.0,
-                self.now.ps(),
-            ));
-        }
+        self.db
+            .probe()
+            .span(Phase::Commit, ts.0, 0, self.now, self.now);
     }
 
     /// Delivers the coordinator's abort decision for the scope prepared
@@ -751,10 +716,9 @@ impl Pushtap {
     /// scopes prepared on this engine are untouched.
     pub fn abort_prepared(&mut self, ts: Ts) {
         self.db.abort_prepared(ts);
-        if self.sink.enabled() {
-            self.sink
-                .record(Span::instant(self.track, Phase::Abort, ts.0, self.now.ps()));
-        }
+        self.db
+            .probe()
+            .span(Phase::Abort, ts.0, 0, self.now, self.now);
     }
 
     /// Runs `n` transactions from `gen`, defragmenting per the configured
@@ -833,15 +797,9 @@ impl Pushtap {
         let start = self.now;
         self.now += pause;
         self.txns_since_defrag = 0;
-        if self.sink.enabled() {
-            self.sink.record(Span::new(
-                self.track,
-                Phase::DefragStall,
-                self.db.last_ts().0,
-                start.ps(),
-                self.now.ps(),
-            ));
-        }
+        self.db
+            .probe()
+            .span(Phase::DefragStall, upto.0, 0, start, self.now);
         (total, pause)
     }
 
@@ -1079,6 +1037,32 @@ mod tests {
         assert_eq!(p.gc_pass(), Ps::ZERO, "nothing left below the cut");
         assert_eq!(p.now(), now, "an empty pass must not advance the clock");
         assert_eq!(p.take_gc_stats().passes, 1, "empty passes are not counted");
+    }
+
+    /// The sanitizer reads snapshot pins off the engine's oracle,
+    /// whoever took them: under a reader pinned at T20 the eligible pass
+    /// folds below the pin and stays clean, while a pass forced up to
+    /// the pin frees T20's versions and is flagged.
+    #[test]
+    fn gc_at_a_pinned_cut_is_flagged_whoever_pinned_it() {
+        use pushtap_sanitizer::{ShadowSanitizer, ViolationKind};
+        let mut p = small();
+        let san = Arc::new(ShadowSanitizer::new());
+        p.probe_mut().set_sanitizer(san.clone());
+        let mut gen = p.txn_gen(5);
+        p.run_txns(&mut gen, 40);
+        let pin = p.db().ts_oracle().pin_snapshot(Ts(20));
+        assert!(p.gc_pass() > Ps::ZERO, "the eligible pass reclaims");
+        san.assert_clean("eligible pass under a pin");
+        assert!(p.gc_at(Ts(20)) > Ps::ZERO, "T20 wrote versions");
+        let violations = san.take_violations();
+        assert!(!violations.is_empty());
+        for v in &violations {
+            assert_eq!((v.kind, v.ts), (ViolationKind::ReclaimedPinnedVersion, 20));
+        }
+        drop(pin);
+        assert!(p.gc_pass() > Ps::ZERO, "the floor lifts with the pin");
+        san.assert_clean("after the pin drops");
     }
 
     #[test]

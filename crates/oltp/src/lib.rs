@@ -30,7 +30,16 @@
 //!   participant API ([`TpccDb::prepare_effects`] /
 //!   [`TpccDb::commit_prepared`] / [`TpccDb::abort_prepared`]) lets a
 //!   sharded coordinator apply, hold, and roll back *forwarded* effect
-//!   sets under a simulated two-phase commit.
+//!   sets under a simulated two-phase commit;
+//! * [`Probe`] — the engine's one instrumentation seam, owned by
+//!   [`TpccDb`] ([`TpccDb::probe`]): its track, its lifecycle-span sink
+//!   and its keyset-soundness sanitizer. Every span of the engine, its
+//!   `Pushtap` wrapper and the shard coordinator goes through
+//!   [`Probe::span`], and every sanitizer hook through
+//!   [`Probe::sanitizer`], which hands the sink out only while it is
+//!   armed. The table layer records nothing: the executor reports each
+//!   access at its global row, and each version garbage collection
+//!   frees with the oracle's oldest snapshot pin.
 //!
 //! # Examples
 //!
@@ -58,6 +67,7 @@ pub mod codec;
 mod cost;
 pub mod effects;
 mod index;
+mod probe;
 mod table;
 mod tpcc;
 
@@ -65,6 +75,7 @@ pub use codec::{CodecError, EffectRecord};
 pub use cost::{Breakdown, CostModel, Meter};
 pub use effects::{ColumnWrite, Effect, Key, KeySet, TaggedEffect};
 pub use index::HashIndex;
+pub use probe::Probe;
 pub use table::{AccessModel, HtapTable, LineRef, OpResult, TableConfig, TableGcPass};
 pub use tpcc::{
     global_rows, stripe_start, warehouse_of_row, DbConfig, DbFormat, Partition, TpccDb, TxnResult,

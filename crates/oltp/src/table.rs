@@ -14,8 +14,6 @@ use pushtap_mvcc::{
     SnapshotUpdate, Ts, VersionChains,
 };
 use pushtap_pim::{BankAddr, MemSystem, Op, Ps, Side};
-use pushtap_sanitizer::{Access, AccessKind, AccessSink, NullSanitizer};
-use std::sync::Arc;
 
 use crate::cost::{Breakdown, Meter};
 use crate::effects::ColumnWrite;
@@ -141,17 +139,6 @@ pub struct HtapTable {
     snapshot: Snapshot,
     index: HashIndex,
     cfg: TableConfig,
-    /// Shadow access tracker ([`NullSanitizer`] by default — one
-    /// disabled-branch per timed operation, nothing recorded). Armed
-    /// via [`HtapTable::set_access_sink`] with the table's identity so
-    /// recorded accesses carry (table discriminant, *global* row).
-    san: Arc<dyn AccessSink>,
-    /// The executor's table discriminant stamped on recorded accesses.
-    san_table: u32,
-    /// This instance's first global row (local + base = global).
-    san_base: u64,
-    /// The engine (shard index) stamped on recorded accesses.
-    san_track: u32,
 }
 
 impl HtapTable {
@@ -212,44 +199,7 @@ impl HtapTable {
             index: HashIndex::with_capacity(cfg.n_rows),
             store,
             cfg,
-            san: Arc::new(NullSanitizer),
-            san_table: 0,
-            san_base: 0,
-            san_track: 0,
         }
-    }
-
-    /// Installs a shadow access tracker: every timed read, update
-    /// (write + chain growth), and insert records into it, stamped
-    /// with the engine's `track`, this `table` discriminant, and the
-    /// *global* row (`row_base` + local row). The default
-    /// [`NullSanitizer`] reports itself disabled, so instrumented
-    /// paths cost exactly one branch.
-    pub fn set_access_sink(
-        &mut self,
-        san: Arc<dyn AccessSink>,
-        table: u32,
-        row_base: u64,
-        track: u32,
-    ) {
-        self.san = san;
-        self.san_table = table;
-        self.san_base = row_base;
-        self.san_track = track;
-    }
-
-    /// Records one physical access into the armed sink (callers check
-    /// [`AccessSink::enabled`] first).
-    fn record_access(&self, kind: AccessKind, local_row: u64, ts: Ts) {
-        self.san.record_access(
-            self.san_track,
-            ts.0,
-            Access {
-                kind,
-                table: self.san_table,
-                key: self.san_base + local_row,
-            },
-        );
     }
 
     /// Takes back the newest write of `row` — the table's share of
@@ -491,9 +441,6 @@ impl HtapTable {
         let compute = meter.compute(self.store.layout().schema().len() as u64);
         b.compute += compute;
         self.chains.mark_read(slot, ts);
-        if self.san.enabled() {
-            self.record_access(AccessKind::Read, row, ts);
-        }
         (
             slot,
             OpResult {
@@ -567,10 +514,6 @@ impl HtapTable {
                 .write_value(new_slot, col, &value.to_le_bytes()[..width as usize]);
         }
         self.chains.record_update(row, new_slot, ts);
-        if self.san.enabled() {
-            self.record_access(AccessKind::Write, row, ts);
-            self.record_access(AccessKind::ChainGrow, row, ts);
-        }
 
         // Commit write-back: clflush the new version's lines (§6.3).
         let write_start = read_end + b.alloc + b.compute;
@@ -625,12 +568,6 @@ impl HtapTable {
         let new_slot = RowSlot::Delta { rotation, idx };
         self.store.write_image(new_slot, image);
         self.chains.record_update(row, new_slot, ts);
-        if self.san.enabled() {
-            // One InsertWrite covers the row version *and* its chain
-            // growth: the physical row is the ring cursor's pick, so
-            // coverage is vouched for by the declared ring, not a row.
-            self.record_access(AccessKind::InsertWrite, row, ts);
-        }
         b.compute += meter.compute(self.store.layout().schema().len() as u64);
         let cpu_ready = at + b.cpu_total();
         let (end, lines) = self.issue_lines(mem, new_slot, Op::Write, cpu_ready);
@@ -807,6 +744,9 @@ impl HtapTable {
     /// are repointed at the data region, which now carries exactly
     /// their bytes).
     ///
+    /// Each fold is handed to `on_fold` as the folded row and the newest
+    /// timestamp the fold frees (every other freed version is older).
+    ///
     /// Returns per-pass stats and the communication seconds of the
     /// copy-back traffic under the same strategy/cost model as
     /// defragmentation.
@@ -815,6 +755,7 @@ impl HtapTable {
         model: &DefragCostModel,
         strategy: DefragStrategy,
         before: Ts,
+        mut on_fold: impl FnMut(u64, Ts),
     ) -> (TableGcPass, f64) {
         let out = self.chains.gc(before);
         let mut pass = TableGcPass {
@@ -835,14 +776,7 @@ impl HtapTable {
             }
             let freed = out.freed_of(fold);
             self.snapshot.note_gc_fold(fold.row, freed);
-            if self.san.enabled() {
-                self.san.reclaim_version(
-                    self.san_track,
-                    self.san_table,
-                    self.san_base + fold.row,
-                    fold.fold_ts.0,
-                );
-            }
+            on_fold(fold.row, fold.fold_ts);
             for &slot in freed {
                 if let RowSlot::Delta { rotation, idx } = slot {
                     self.alloc.release(rotation, idx);
@@ -1030,7 +964,7 @@ mod tests {
         t.timed_update(&mut mem, &meter(), 5, Ts(8), &[(0, pair(4))], Ps::ZERO)
             .unwrap();
         assert_eq!(t.live_delta_rows(), 3);
-        let (pass, secs) = t.gc(&cost, DefragStrategy::Hybrid, Ts(5));
+        let (pass, secs) = t.gc(&cost, DefragStrategy::Hybrid, Ts(5), |_, _| {});
         assert!(pass.reclaimed_any());
         assert_eq!(pass.rows_folded, 1);
         assert_eq!(pass.slots_recycled, 2, "T3 and T2 fold, T8 survives");
@@ -1045,7 +979,7 @@ mod tests {
         let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
         assert_eq!(vals[0], vec![4, 4]);
         // A second pass at the same cut reclaims nothing.
-        let (pass, secs) = t.gc(&cost, DefragStrategy::Hybrid, Ts(5));
+        let (pass, secs) = t.gc(&cost, DefragStrategy::Hybrid, Ts(5), |_, _| {});
         assert!(!pass.reclaimed_any());
         assert_eq!(secs, 0.0);
     }
@@ -1065,7 +999,7 @@ mod tests {
         // Later traffic plus GC at the pinned cut.
         t.timed_update(&mut mem, &meter(), 5, Ts(6), &[(0, pair(8))], Ps::ZERO)
             .unwrap();
-        let (pass, _) = t.gc(&cost, DefragStrategy::Hybrid, Ts(2));
+        let (pass, _) = t.gc(&cost, DefragStrategy::Hybrid, Ts(2), |_, _| {});
         assert_eq!(pass.slots_recycled, 1);
         assert_eq!(
             t.snapshot_read(5),

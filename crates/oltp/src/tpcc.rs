@@ -31,11 +31,12 @@ use pushtap_mvcc::{
     DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, TsOracle, UndoLog, UndoRecord,
 };
 use pushtap_pim::{BankAddr, Geometry, MemSystem, Ps, Side};
-use pushtap_sanitizer::{Access, AccessKind, AccessSink, NullSanitizer, SanKey};
-use pushtap_trace::{NullSink, Phase, Span, TraceSink};
+use pushtap_sanitizer::{Access, AccessKind, SanKey};
+use pushtap_trace::Phase;
 
 use crate::cost::{Breakdown, CostModel, Meter};
 use crate::effects::{ColumnWrite, Effect, Key, KeySet, TaggedEffect};
+use crate::probe::Probe;
 use crate::table::{AccessModel, HtapTable, TableConfig, TableGcPass};
 
 /// The outcome of one committed transaction.
@@ -266,17 +267,9 @@ pub struct TpccDb {
     /// memory system, so their latency belongs in the transaction's
     /// completion time too (see `Pushtap::execute_txn`).
     wasted_retry_time: Ps,
-    /// Lifecycle-span sink ([`pushtap_trace::NullSink`] by default —
-    /// one disabled-branch per emission site, nothing recorded).
-    sink: Arc<dyn TraceSink>,
-    /// The shard index stamped on emitted spans (0 standalone).
-    track: u32,
-    /// Keyset-soundness shadow tracker
-    /// ([`pushtap_sanitizer::NullSanitizer`] by default — one
-    /// disabled-branch per hook, nothing recorded).
-    san: Arc<dyn AccessSink>,
-    /// The shard index stamped on sanitizer scopes (0 standalone).
-    san_track: u32,
+    /// Where the engine's spans and sanitizer hooks go, stamped with its
+    /// partition index.
+    probe: Probe,
 }
 
 /// Lowers a scheduler [`Key`] to the sanitizer's engine-agnostic
@@ -477,45 +470,35 @@ impl TpccDb {
             undo: UndoLog::default(),
             aborts: 0,
             wasted_retry_time: Ps::ZERO,
-            sink: Arc::new(NullSink),
-            track: 0,
-            san: Arc::new(NullSanitizer),
-            san_track: 0,
+            probe: Probe::new(partition.index),
         })
     }
 
-    /// Installs a lifecycle-span sink; every engine-level prepare
+    /// Where the engine's spans and sanitizer hooks go. Every prepare
     /// attempt (success or `DeltaFull` rollback) and one-phase commit
-    /// emits a span stamped with `track` (the shard index). The default
-    /// [`NullSink`] reports itself disabled, so instrumented paths skip
-    /// span construction entirely.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>, track: u32) {
-        self.sink = sink;
-        self.track = track;
+    /// emits a span. An armed sanitizer sees each scope open, prepare
+    /// and resolve, every row read and write, chain growth and ring
+    /// advance at its *global* row, and every version garbage
+    /// collection frees.
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
-    /// Installs a keyset-soundness shadow tracker
-    /// ([`pushtap_sanitizer::AccessSink`]); every row read/write, chain
-    /// growth and insert-ring cursor advance is mirrored to it, stamped
-    /// with `track` (the shard index) and the owning transaction's
-    /// pinned timestamp, and each prepare/commit/abort opens, seals or
-    /// discards the matching shadow scope. The default
-    /// [`NullSanitizer`] reports itself disabled, so instrumented paths
-    /// cost one branch and record nothing. Hooks charge zero simulated
-    /// time, so an armed tracker never perturbs byte identity.
-    pub fn set_sanitizer(&mut self, san: Arc<dyn AccessSink>, track: u32) {
-        for (table, t) in self.tables.iter_mut().enumerate() {
-            t.table
-                .set_access_sink(Arc::clone(&san), table as u32, t.row_base, track);
+    /// Installs sinks on [`TpccDb::probe`].
+    pub fn probe_mut(&mut self) -> &mut Probe {
+        &mut self.probe
+    }
+
+    /// Records accesses of `kinds` to `key` of `table` (a global row, or
+    /// a warehouse for [`AccessKind::RingAdvance`]) by the scope at `ts`,
+    /// if the sanitizer is armed.
+    fn record_accesses(&self, ts: Ts, table: Table, key: u64, kinds: &[AccessKind]) {
+        if let Some((san, track)) = self.probe.sanitizer() {
+            let table = table as u32;
+            for &kind in kinds {
+                san.record_access(track, ts.0, Access { kind, table, key });
+            }
         }
-        self.san = san;
-        self.san_track = track;
-    }
-
-    /// The installed keyset-soundness tracker (the [`NullSanitizer`]
-    /// unless [`TpccDb::set_sanitizer`] swapped it).
-    pub fn sanitizer(&self) -> &Arc<dyn AccessSink> {
-        &self.san
     }
 
     /// Swaps the instance's own timestamp oracle for a shared
@@ -665,19 +648,11 @@ impl TpccDb {
                 key_existed,
             }),
         });
-        if self.san.enabled() {
-            // The cursor advance is the ring-key side of the insert: the
-            // physical row write was already mirrored by the table hook.
-            self.san.record_access(
-                self.san_track,
-                ts.0,
-                Access {
-                    kind: AccessKind::RingAdvance,
-                    table: table as u32,
-                    key: w,
-                },
-            );
-        }
+        // One InsertWrite covers the row version *and* its chain growth:
+        // the physical row is the ring cursor's pick, so the declared
+        // ring vouches for it. The cursor advance is the ring-key side.
+        self.record_accesses(ts, table, global_row, &[AccessKind::InsertWrite]);
+        self.record_accesses(ts, table, w, &[AccessKind::RingAdvance]);
         Ok((global_row, r))
     }
 
@@ -800,6 +775,9 @@ impl TpccDb {
     /// slots, and trims the consumed commit-log entries. Returns the
     /// merged per-table stats and the total copy-back communication
     /// seconds.
+    ///
+    /// An armed sanitizer checks every freed version against the
+    /// oracle's oldest snapshot pin, whoever took it.
     pub fn gc(
         &mut self,
         model: &DefragCostModel,
@@ -808,8 +786,17 @@ impl TpccDb {
     ) -> (TableGcPass, f64) {
         let mut total = TableGcPass::default();
         let mut seconds = 0.0;
-        for t in &mut self.tables {
-            let (pass, secs) = t.table.gc(model, strategy, before);
+        let armed = self
+            .probe
+            .sanitizer()
+            .map(|san| (san, self.ts.oldest_pin().map(|p| p.0)));
+        for (table, t) in self.tables.iter_mut().enumerate() {
+            let row_base = t.row_base;
+            let (pass, secs) = t.table.gc(model, strategy, before, |row, version| {
+                if let Some(((san, track), pin)) = armed {
+                    san.reclaim_version(track, table as u32, row_base + row, version.0, pin);
+                }
+            });
             total.absorb(pass);
             seconds += secs;
         }
@@ -858,10 +845,7 @@ impl TpccDb {
         let effects = self.decompose(txn, ts);
         let r = self.prepare_effects(&effects, ts, mem, at)?;
         self.commit_prepared(ts, TxnRole::Coordinator);
-        if self.sink.enabled() {
-            self.sink
-                .record(Span::instant(self.track, Phase::Commit, ts.0, r.end.ps()));
-        }
+        self.probe.span(Phase::Commit, ts.0, 0, r.end, r.end);
         Ok(r)
     }
 
@@ -1107,6 +1091,7 @@ impl TpccDb {
                 let local = self.own_row(*table, *row);
                 let t = self.table_mut(*table);
                 let (_, r) = t.timed_read_slot(mem, meter, local, ts, *now);
+                self.record_accesses(ts, *table, *row, &[AccessKind::Read]);
                 b.merge(&r.breakdown);
                 *now = r.end;
                 Ok(())
@@ -1115,6 +1100,8 @@ impl TpccDb {
                 let local = self.own_row(*table, *row);
                 let t = self.table_mut(*table);
                 let r = t.timed_update(mem, meter, local, ts, writes, *now)?;
+                let kinds = [AccessKind::Write, AccessKind::ChainGrow];
+                self.record_accesses(ts, *table, *row, &kinds);
                 self.undo.record(UndoRecord {
                     table: *table as u32,
                     row: local,
@@ -1223,14 +1210,14 @@ impl TpccDb {
             "a scope is already prepared at {ts:?}"
         );
         self.undo.begin();
-        if self.san.enabled() {
+        if let Some((san, track)) = self.probe.sanitizer() {
             // Declare the scope's keyset before any access lands: every
-            // mirrored access must then fall under these keys, or the
+            // recorded access must then fall under these keys, or the
             // tracker reports the scheduler unsound.
             let keys = KeySet::from_effects(effects);
             let reads: Vec<SanKey> = keys.reads().iter().map(san_key).collect();
             let writes: Vec<SanKey> = keys.writes().iter().map(san_key).collect();
-            self.san.begin_scope(self.san_track, ts.0, &reads, &writes);
+            san.begin_scope(track, ts.0, &reads, &writes);
         }
         let meter = self.meter;
         let mut b = Breakdown::default();
@@ -1243,18 +1230,10 @@ impl TpccDb {
                 // into completion latency.
                 self.wasted_retry_time += now.saturating_sub(at);
                 self.abort_txn();
-                if self.san.enabled() {
-                    self.san.abort_active(self.san_track, ts.0);
+                if let Some((san, track)) = self.probe.sanitizer() {
+                    san.abort_active(track, ts.0);
                 }
-                if self.sink.enabled() {
-                    self.sink.record(Span::new(
-                        self.track,
-                        Phase::PrepareAbort,
-                        ts.0,
-                        at.ps(),
-                        now.ps(),
-                    ));
-                }
+                self.probe.span(Phase::PrepareAbort, ts.0, 0, at, now);
                 return Err(full);
             }
         }
@@ -1263,18 +1242,10 @@ impl TpccDb {
         now += meter.commit_barrier();
         b.compute += meter.commit_barrier();
         self.undo.prepare(ts, now.saturating_sub(at).ps());
-        if self.san.enabled() {
-            self.san.prepare_scope(self.san_track, ts.0);
+        if let Some((san, track)) = self.probe.sanitizer() {
+            san.prepare_scope(track, ts.0);
         }
-        if self.sink.enabled() {
-            self.sink.record(Span::new(
-                self.track,
-                Phase::Prepare,
-                ts.0,
-                at.ps(),
-                now.ps(),
-            ));
-        }
+        self.probe.span(Phase::Prepare, ts.0, 0, at, now);
         Ok(TxnResult {
             commit_ts: ts,
             end: now,
@@ -1303,8 +1274,8 @@ impl TpccDb {
             self.committed += 1;
         }
         self.ts.advance_to(ts);
-        if self.san.enabled() {
-            self.san.commit_scope(self.san_track, ts.0);
+        if let Some((san, track)) = self.probe.sanitizer() {
+            san.commit_scope(track, ts.0);
         }
     }
 
@@ -1327,8 +1298,8 @@ impl TpccDb {
             .abort_prepared(ts, |rec| undo_record(tables, first, rec));
         self.wasted_retry_time += Ps::new(elapsed);
         self.aborts += 1;
-        if self.san.enabled() {
-            self.san.abort_scope(self.san_track, ts.0);
+        if let Some((san, track)) = self.probe.sanitizer() {
+            san.abort_scope(track, ts.0);
         }
     }
 

@@ -551,7 +551,7 @@ fn run_step(
         }
         Step::Gc { behind } => {
             let before = Ts(clock.committed.saturating_sub(*behind));
-            s.t.gc(&cost, DefragStrategy::Hybrid, before);
+            s.t.gc(&cost, DefragStrategy::Hybrid, before, |_, _| {});
         }
         Step::Defrag => {
             s.t.defragment(&cost, DefragStrategy::Hybrid, Ts(clock.committed));

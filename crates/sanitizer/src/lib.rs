@@ -13,7 +13,7 @@
 //! shadow tracker ([`AccessSink`]) that the engine feeds with every
 //! physical row read, row write, chain growth, and insert-ring cursor
 //! advance — each stamped with its owning transaction timestamp — and
-//! that checks four families of invariants:
+//! that checks five families of invariants:
 //!
 //! * **declared-footprint soundness** — every physical access of a
 //!   prepared scope must be covered by the keyset it declared
@@ -32,13 +32,21 @@
 //!   transaction begins execution before its stamped arrival time, and
 //!   no home-shard inbox ever exceeds its configured admission bound
 //!   ([`ViolationKind::ExecutedBeforeArrival`],
-//!   [`ViolationKind::InboxOverflow`]).
+//!   [`ViolationKind::InboxOverflow`]);
+//! * **pinned reclamation** — garbage collection never frees a version
+//!   the engine oracle's oldest snapshot pin could still read, whoever
+//!   took the pin ([`ViolationKind::ReclaimedPinnedVersion`]). The
+//!   engine passes the oracle's pin with each reclaim; the tracker
+//!   keeps no copy of the pin registry.
 //!
 //! The crate is dependency-free (like `pushtap-trace` and
 //! `pushtap-wal`) and mirrors the trace sink's cost model: the default
 //! [`NullSanitizer`] reports itself disabled, so every instrumented
 //! hot path pays exactly one predictable branch and constructs
-//! nothing. Arming means installing a [`ShadowSanitizer`] — see
+//! nothing. Each engine reaches its sink through its one
+//! instrumentation seam, `pushtap_oltp::Probe`, which hands the sink
+//! out only while it is armed. Arming means installing a
+//! [`ShadowSanitizer`] there — see
 //! `pushtap_shard::ShardedHtap::set_sanitizer`. The shadow state is
 //! pure observer: it charges no simulated time and touches no engine
 //! state, so an armed run is byte-identical to an unarmed one by
@@ -172,11 +180,11 @@ pub enum ViolationKind {
     /// the engine itself.
     PreparedAtBatchEnd,
     /// Garbage collection freed a delta slot holding a version at or
-    /// above a registered snapshot pin — a pinned reader could still
-    /// visit that version, so its reclamation is a use-after-free in
-    /// the making. The GC cut must stay strictly below every pin
-    /// (`TsOracle::gc_eligible_before` guarantees it; this check
-    /// catches an engine bypassing the oracle).
+    /// above the engine oracle's oldest snapshot pin — a pinned reader
+    /// could still visit that version, so its reclamation is a
+    /// use-after-free in the making. The GC cut must stay strictly
+    /// below every pin (`TsOracle::gc_eligible_before` guarantees it;
+    /// this check catches an engine bypassing the oracle).
     ReclaimedPinnedVersion,
     /// A transaction began execution before its stamped open-loop
     /// arrival time — the front-end dispatched work that had not
@@ -271,22 +279,21 @@ pub trait AccessSink: fmt::Debug + Send + Sync {
     /// versions (must be zero). Resets wave bookkeeping.
     fn batch_end(&self, prepared_versions: u64);
 
-    /// A snapshot pin registered at `cut` (mirrors
-    /// `TsOracle::pin_snapshot`): from now until the matching
-    /// [`AccessSink::release_pin`], garbage collection must not free
-    /// any version at or above `cut`. Default: ignored.
-    fn register_pin(&self, _cut: u64) {}
-
-    /// The pin at `cut` was dropped. Pins are a multiset — each
-    /// release undoes exactly one registration. Default: ignored.
-    fn release_pin(&self, _cut: u64) {}
-
     /// Garbage collection on engine `track` folded `row` of `table`
     /// and freed its version at `version_ts` (the newest timestamp the
-    /// fold releases — every other freed version is older). Fires
-    /// [`ViolationKind::ReclaimedPinnedVersion`] if a registered pin
-    /// could still read it. Default: ignored.
-    fn reclaim_version(&self, _track: u32, _table: u32, _row: u64, _version_ts: u64) {}
+    /// fold releases — every other freed version is older), while the
+    /// engine oracle's oldest snapshot pin stood at `oldest_pin`. Fires
+    /// [`ViolationKind::ReclaimedPinnedVersion`] if that pinned reader
+    /// could still read the version. Default: ignored.
+    fn reclaim_version(
+        &self,
+        _track: u32,
+        _table: u32,
+        _row: u64,
+        _version_ts: u64,
+        _oldest_pin: Option<u64>,
+    ) {
+    }
 
     /// The open-loop front-end admitted transaction `ts` with stamped
     /// arrival time `arrival_ps` (simulated picoseconds). Arms the
@@ -383,10 +390,6 @@ struct Shadow {
     /// Lockset-style wave occupancy: which transactions touched which
     /// conflict key inside which wave, and whether as a writer.
     wave_keys: BTreeMap<(u64, SanKey), Vec<(u64, bool)>>,
-    /// Registered snapshot pins: cut → live registrations. Mirrors the
-    /// oracle's pin registry; pins outlive batch boundaries (a
-    /// long-pinned snapshot spans batches by design).
-    pins: BTreeMap<u64, usize>,
     /// Open-loop arrival stamps by ts: no execution of the transaction
     /// may start before its arrival. Cleared at batch boundaries.
     arrivals: BTreeMap<u64, u64>,
@@ -713,34 +716,16 @@ impl AccessSink for ShadowSanitizer {
         s.arrivals.clear();
     }
 
-    fn register_pin(&self, cut: u64) {
-        *self.state().pins.entry(cut).or_insert(0) += 1;
-    }
-
-    fn release_pin(&self, cut: u64) {
-        let mut s = self.state();
-        match s.pins.get_mut(&cut) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                s.pins.remove(&cut);
-            }
-            None => s.violate(
-                ViolationKind::UnbalancedPrepare,
-                0,
-                0,
-                None,
-                format!("pin release at cut {cut} with no matching registration"),
-            ),
-        }
-    }
-
-    fn reclaim_version(&self, track: u32, table: u32, row: u64, version_ts: u64) {
-        let mut s = self.state();
-        let Some(&oldest) = s.pins.keys().next() else {
-            return;
-        };
-        if version_ts >= oldest {
-            s.violate(
+    fn reclaim_version(
+        &self,
+        track: u32,
+        table: u32,
+        row: u64,
+        version_ts: u64,
+        oldest_pin: Option<u64>,
+    ) {
+        if let Some(oldest) = oldest_pin.filter(|&pin| version_ts >= pin) {
+            self.state().violate(
                 ViolationKind::ReclaimedPinnedVersion,
                 track,
                 version_ts,
@@ -1018,15 +1003,14 @@ mod tests {
         san.assert_clean("retry at pinned ts");
     }
 
-    /// GC reclamation strictly below every registered pin stays
-    /// silent; at or above any pin it fires `ReclaimedPinnedVersion`.
+    /// GC reclamation strictly below the oldest pin stays silent; at or
+    /// above it fires `ReclaimedPinnedVersion`.
     #[test]
     fn reclaimed_pinned_version_fires() {
         let san = ShadowSanitizer::new();
-        san.register_pin(10);
-        san.reclaim_version(0, 1, 7, 9); // below the pin: fine
+        san.reclaim_version(0, 1, 7, 9, Some(10)); // below the pin: fine
         assert!(san.is_clean());
-        san.reclaim_version(2, 1, 7, 10); // at the pin: a pinned reader could see it
+        san.reclaim_version(2, 1, 7, 10, Some(10)); // at the pin: a pinned reader could see it
         let v = san.take_violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].kind, ViolationKind::ReclaimedPinnedVersion);
@@ -1037,38 +1021,9 @@ mod tests {
             "{}",
             v[0].context
         );
-        // Releasing the pin lifts the floor.
-        san.release_pin(10);
-        san.reclaim_version(0, 1, 7, 10);
+        // No pin, no floor.
+        san.reclaim_version(0, 1, 7, 10, None);
         san.assert_clean("after release");
-    }
-
-    /// Pins are a multiset: a duplicate registration keeps the floor
-    /// until the last release; pins survive batch boundaries.
-    #[test]
-    fn pins_are_refcounted_and_survive_batches() {
-        let san = ShadowSanitizer::new();
-        san.register_pin(5);
-        san.register_pin(5);
-        san.release_pin(5);
-        san.batch_end(0);
-        san.reclaim_version(0, 0, 0, 6);
-        assert_eq!(
-            san.violations()[0].kind,
-            ViolationKind::ReclaimedPinnedVersion
-        );
-    }
-
-    /// Releasing a pin that was never registered is itself a lifecycle
-    /// violation.
-    #[test]
-    fn unmatched_pin_release_fires() {
-        let san = ShadowSanitizer::new();
-        san.release_pin(3);
-        let v = san.violations();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, ViolationKind::UnbalancedPrepare);
-        assert!(v[0].context.contains("no matching registration"));
     }
 
     /// `NullSanitizer` is disabled — the hot path's single branch.

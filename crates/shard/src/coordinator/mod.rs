@@ -81,11 +81,11 @@ use pushtap_core::{MaintPause, Pushtap};
 use pushtap_mvcc::Ts;
 use pushtap_oltp::{codec, TaggedEffect, TxnResult, TxnRole};
 use pushtap_pim::Ps;
-use pushtap_trace::{Phase, Span};
+use pushtap_trace::Phase;
 use pushtap_wal::{Wal, HEADER_LEN};
 
 use crate::config::CommitConfig;
-use crate::durability::{encode_decision, CrashSite, DurabilityCtx};
+use crate::durability::{encode_decision, CrashSite, Durability};
 use crate::partition::WarehouseMap;
 use crate::report::ShardLoad;
 use crate::router::RoutedTxn;
@@ -104,26 +104,16 @@ fn wal_append(
     wal.append(&payload);
     load.report.wal_appends += 1;
     load.report.wal_bytes += (payload.len() + HEADER_LEN) as u64;
-    if shard.trace_enabled() {
-        shard.trace_record(
-            Span::instant(
-                shard.trace_track(),
-                Phase::WalAppend,
-                item.ts.0,
-                shard.now().ps(),
-            )
-            .in_wave(wave),
-        );
-    }
+    trace_span(shard, Phase::WalAppend, item.ts.0, shard.now(), wave);
 }
 
 /// Records the span of `phase` for `txn` (0: the shard's own) that began
 /// at `start` and ends at the shard's clock now, if the shard is traced.
 fn trace_span(shard: &Pushtap, phase: Phase, txn: u64, start: Ps, wave: u64) {
-    if shard.trace_enabled() {
-        let (track, now) = (shard.trace_track(), shard.now());
-        shard.trace_record(Span::new(track, phase, txn, start.ps(), now.ps()).in_wave(wave));
-    }
+    shard
+        .db()
+        .probe()
+        .span(phase, txn, wave, start, shard.now());
 }
 
 /// The group-commit force barrier: pushes a shard's pending records to
@@ -262,7 +252,7 @@ pub(crate) struct Engines<'a> {
     pub shards: &'a mut [Pushtap],
     pub map: WarehouseMap,
     pub commit: CommitConfig,
-    pub dur: Option<DurabilityCtx<'a>>,
+    pub dur: Option<&'a mut Durability>,
     pub loads: Vec<ShardLoad>,
 }
 
@@ -299,8 +289,7 @@ impl Engines<'_> {
         // really kept their key footprints disjoint. A retry stays a
         // member of the wave that scheduled it.
         if wave_id > 0 {
-            let san = self.shards[0].db().sanitizer();
-            if san.enabled() {
+            if let Some((san, _)) = self.shards[0].db().probe().sanitizer() {
                 for routed in wave {
                     san.assign_wave(routed.ts.0, wave_id);
                 }
@@ -443,11 +432,8 @@ impl Engines<'_> {
                         phase_start + commit.prepare_hop,
                     );
                 }
-                {
-                    let san = shard.db().sanitizer();
-                    if san.enabled() {
-                        san.begin_execution(i as u32, item.ts.0, shard.now().ps());
-                    }
+                if let Some((san, track)) = shard.db().probe().sanitizer() {
+                    san.begin_execution(track, item.ts.0, shard.now().ps());
                 }
                 let own = &members[item.txn].effects[item.effects.clone()];
                 match charge_engine(load, shard, |s| s.prepare_effects_at(own, item.ts)) {
@@ -635,14 +621,7 @@ impl Engines<'_> {
                 self.loads[home].report.retried_txns += 1;
             }
             let s = &self.shards[home];
-            if s.trace_enabled() {
-                s.trace_record(Span::instant(
-                    s.trace_track(),
-                    Phase::Retry,
-                    routed.ts.0,
-                    s.now().ps(),
-                ));
-            }
+            trace_span(s, Phase::Retry, routed.ts.0, s.now(), 0);
             let crashed = self.run_wave(std::slice::from_ref(routed), 0, None);
             debug_assert!(!crashed, "an unarmed wave cannot crash");
         }

@@ -425,17 +425,7 @@ impl std::fmt::Debug for Durability {
     }
 }
 
-/// The coordinator's borrowed view of a batch's durability state.
-pub(crate) struct DurabilityCtx<'a> {
-    /// Per-shard effect logs.
-    pub logs: &'a mut [Wal],
-    /// The decision log.
-    pub decision_log: &'a mut Wal,
-    /// The armed crash point, if any.
-    pub armed: Option<CrashPoint>,
-}
-
-impl DurabilityCtx<'_> {
+impl Durability {
     /// The armed crash site if it targets the run's `event`-th wave
     /// (1-based). The driver stops dispatching once a crash fires, so
     /// a fired crash is never asked about again.
@@ -466,17 +456,18 @@ mod tests {
 
     #[test]
     fn armed_ctx_matches_only_its_event() {
-        let (mut a, _) = Wal::in_memory();
-        let (mut b, _) = Wal::in_memory();
-        let ctx = DurabilityCtx {
-            logs: std::slice::from_mut(&mut a),
-            decision_log: &mut b,
+        let (log, _) = Wal::in_memory();
+        let (decision_log, _) = Wal::in_memory();
+        let durability = Durability {
+            logs: vec![log],
+            decision_log,
             armed: Some(CrashPoint {
                 site: CrashSite::AfterPrepare,
                 event: 3,
             }),
+            crashed: false,
         };
-        assert_eq!(ctx.armed_at(2), None);
-        assert_eq!(ctx.armed_at(3), Some(CrashSite::AfterPrepare));
+        assert_eq!(durability.armed_at(2), None);
+        assert_eq!(durability.armed_at(3), Some(CrashSite::AfterPrepare));
     }
 }

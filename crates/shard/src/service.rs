@@ -15,7 +15,7 @@ use pushtap_olap::{merge_partials, Query};
 use pushtap_oltp::{codec, ColumnWrite, Effect, EffectRecord, Partition, TaggedEffect, TxnRole};
 use pushtap_pim::Ps;
 use pushtap_sanitizer::AccessSink;
-use pushtap_trace::{Histogram, Phase, Span, TraceSink};
+use pushtap_trace::{Histogram, Phase, TraceSink};
 use pushtap_wal::{scan, MemLog, Wal, WalTrim};
 
 use crate::arrival::ArrivalGen;
@@ -24,7 +24,7 @@ use crate::coordinator::schedule::{Wave, WaveScheduler};
 use crate::coordinator::Engines;
 use crate::durability::{
     decided_set, decode_decision, CheckpointError, CheckpointReport, CrashPoint, Durability,
-    DurabilityCtx, RecoverError, RecoveryReport, ShardRecovery, WalBytes,
+    RecoverError, RecoveryReport, ShardRecovery, WalBytes,
 };
 use crate::partition::WarehouseMap;
 use crate::report::{
@@ -342,8 +342,9 @@ impl ShardedHtap {
         }
     }
 
-    /// Arms a keyset-soundness shadow tracker on every engine. Shard
-    /// `i`'s mirrored accesses and scopes carry track `i`; the wave
+    /// Arms a keyset-soundness shadow tracker on every engine's
+    /// [`pushtap_oltp::Probe`]. Shard `i`'s recorded accesses and scopes
+    /// carry track `i`, its partition index; the wave
     /// coordinator additionally reports each wave's membership, so the
     /// tracker can cross-check declared keysets, wave isolation and
     /// prepared-scope discipline across the whole deployment. Install a
@@ -353,8 +354,8 @@ impl ShardedHtap {
     /// branch per hook. Hooks charge zero simulated time, so arming
     /// never perturbs committed bytes.
     pub fn set_sanitizer(&mut self, san: Arc<dyn AccessSink>) {
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.set_sanitizer(Arc::clone(&san), i as u32);
+        for shard in &mut self.shards {
+            shard.probe_mut().set_sanitizer(Arc::clone(&san));
         }
     }
 
@@ -476,10 +477,10 @@ impl ShardedHtap {
     /// ([`CLOSED_LOOP`]): nothing dispatches until the whole batch is
     /// admitted, so it is scheduled with the full stream in view.
     ///
-    /// With the WAL enabled the run logs through one [`DurabilityCtx`];
-    /// an armed crash that fires stops the loop dead (admitted work not
-    /// yet dispatched dies with the process) and marks the service
-    /// crashed.
+    /// With the WAL enabled the run logs through the deployment's
+    /// [`Durability`]; an armed crash that fires stops the loop dead
+    /// (admitted work not yet dispatched dies with the process) and
+    /// marks the service crashed.
     fn drive(
         &mut self,
         n: u64,
@@ -495,11 +496,7 @@ impl ShardedHtap {
                 shards: &mut self.shards,
                 map: *self.router.map(),
                 commit: self.cfg.commit,
-                dur: self.durability.as_mut().map(|d| DurabilityCtx {
-                    logs: &mut d.logs,
-                    decision_log: &mut d.decision_log,
-                    armed: d.armed,
-                }),
+                dur: self.durability.as_mut(),
                 loads: (0..shard_count).map(|_| ShardLoad::default()).collect(),
             },
             waiting: vec![0; shard_count],
@@ -540,10 +537,8 @@ impl ShardedHtap {
                 // the admitted stream's timestamps contiguous. The
                 // rejection is counted and traced, never silent.
                 rejected[home] += 1;
-                let s = &run.eng.shards[home];
-                if s.trace_enabled() {
-                    s.trace_record(Span::instant(s.trace_track(), Phase::Rejected, 0, at.ps()));
-                }
+                let probe = run.eng.shards[home].db().probe();
+                probe.span(Phase::Rejected, 0, 0, at, at);
                 continue;
             }
             routed.ts = self.oracle.allocate();
@@ -553,22 +548,15 @@ impl ShardedHtap {
             remote.add(&routed);
             run.waiting[home] += 1;
             inbox_depth.record(depth + 1);
-            let s = &run.eng.shards[home];
-            let san = s.db().sanitizer();
-            if san.enabled() {
+            let probe = run.eng.shards[home].db().probe();
+            if let Some((san, track)) = probe.sanitizer() {
                 san.note_arrival(routed.ts.0, at.ps());
-                san.inbox_admit(routed.shard, depth + 1, open.inbox_depth as u64);
+                san.inbox_admit(track, depth + 1, open.inbox_depth as u64);
             }
-            if s.trace_enabled() {
-                // Ingestion marker: the instant this transaction
-                // entered its home shard's pipeline.
-                s.trace_record(Span::instant(
-                    s.trace_track(),
-                    Phase::Routed,
-                    routed.ts.0,
-                    run.entered(&routed).ps(),
-                ));
-            }
+            // Ingestion marker: the instant this transaction entered its
+            // home shard's pipeline.
+            let entered = run.entered(&routed);
+            probe.span(Phase::Routed, routed.ts.0, 0, entered, entered);
             admitted_index.push(arrival_idx);
             sched.admit(routed);
             run.dispatch_while(&mut sched, |_, s| s.window_full());
@@ -609,8 +597,7 @@ impl ShardedHtap {
             );
             // Batch boundary for the shadow tracker: every scope must
             // be decided and zero prepared versions may linger.
-            let san = self.shards[0].db().sanitizer();
-            if san.enabled() {
+            if let Some((san, _)) = self.shards[0].db().probe().sanitizer() {
                 let pending: u64 = self.shards.iter().map(|s| s.db().prepared_versions()).sum();
                 san.batch_end(pending);
             }
@@ -812,13 +799,9 @@ impl ShardedHtap {
         // Pin the cut for the scatter's duration: garbage collection on
         // any shard may reclaim only strictly below it, so every
         // partial reads its exact as-of-cut versions even if GC runs
-        // mid-scatter. Mirrored to an armed sanitizer, which fires if a
-        // reclaimed version violates the pin.
+        // mid-scatter. An armed sanitizer reads the pin off the oracle
+        // and fires if a reclaimed version violates it.
         let _pin = self.oracle.pin_snapshot(cut);
-        let san = Arc::clone(self.shards[0].db().sanitizer());
-        if san.enabled() {
-            san.register_pin(cut.0);
-        }
         let partials: Vec<QueryReport> = self
             .shards
             .iter_mut()
@@ -833,9 +816,6 @@ impl ShardedHtap {
             .cycles(gathered * self.cfg.merge_cycles_per_row);
         let result = merge_partials(partials.iter().map(|p| p.result.clone()))
             .unwrap_or_else(|| panic!("scatter-gather over zero shards"));
-        if san.enabled() {
-            san.release_pin(cut.0);
-        }
         ShardQueryReport {
             result,
             per_shard: partials,
@@ -943,17 +923,9 @@ impl Run<'_> {
             let s = &self.eng.shards[home];
             let wait = s.now().saturating_sub(entered);
             self.eng.loads[home].report.queue_wait.record(wait.ps());
-            if wait > Ps::ZERO && s.trace_enabled() {
-                s.trace_record(
-                    Span::new(
-                        s.trace_track(),
-                        Phase::Queued,
-                        routed.ts.0,
-                        entered.ps(),
-                        s.now().ps(),
-                    )
-                    .in_wave(wave_id),
-                );
+            if wait > Ps::ZERO {
+                let probe = s.db().probe();
+                probe.span(Phase::Queued, routed.ts.0, wave_id, entered, s.now());
             }
         }
         let crash = self.eng.dur.as_ref().and_then(|d| d.armed_at(wave_id));
@@ -1139,14 +1111,11 @@ fn replay_shard(
             committed.push(Ts(ts));
         }
     }
-    if rec.replayed > 0 && shard.trace_enabled() {
-        shard.trace_record(Span::new(
-            shard.trace_track(),
-            Phase::Recovery,
-            0,
-            start.ps(),
-            shard.now().ps(),
-        ));
+    if rec.replayed > 0 {
+        shard
+            .db()
+            .probe()
+            .span(Phase::Recovery, 0, 0, start, shard.now());
     }
     Ok((rec, committed, max_ts))
 }

@@ -102,7 +102,7 @@ fn default_deployment_stays_unarmed() {
     let service = ShardedHtap::new(squeezed()).expect("build shards");
     for shard in service.shards() {
         assert!(
-            !shard.db().sanitizer().enabled(),
+            shard.db().probe().sanitizer().is_none(),
             "the NullSanitizer must report itself disabled"
         );
     }
@@ -204,20 +204,23 @@ fn injected_wave_conflict_fires_end_to_end() {
     );
 }
 
-/// The GC-vs-reader race, broken by hand: a snapshot pin is registered
-/// (as [`ShardedHtap::run_query`](pushtap_shard::ShardedHtap) does for
-/// the scatter's duration) and a version at the pinned cut is reclaimed
-/// anyway — the keyset-soundness tracker must flag it, and must go
-/// silent again once the pin is released.
+/// The GC-vs-reader race, broken by hand: a reader pins a cut through
+/// the deployment's oracle (as [`ShardedHtap::run_query`] does for the
+/// scatter's duration) and a version at the pinned cut is reclaimed
+/// anyway. Handed the oracle's oldest pin, as every engine's garbage
+/// collection hands it, the tracker must flag the reclaim, and must go
+/// silent again once the pin is dropped.
 #[test]
 fn injected_reclaim_under_pin_fires_end_to_end() {
-    let (_service, san) = run(true);
+    let (service, san) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
-    let cut = 4_000_000;
-    san.register_pin(cut);
-    san.reclaim_version(0, 2, 11, cut - 1); // strictly below: legal
-    san.reclaim_version(1, 2, 11, cut); // at the pin: a pinned reader's version
+    let oracle = service.ts_oracle();
+    let oldest_pin = || oracle.oldest_pin().map(|pin| pin.0);
+    let cut = oracle.watermark();
+    let pin = oracle.pin_snapshot(cut);
+    san.reclaim_version(0, 2, 11, cut.0 - 1, oldest_pin()); // strictly below: legal
+    san.reclaim_version(1, 2, 11, cut.0, oldest_pin()); // at the pin: a pinned reader's version
     san.batch_end(0);
     let violations = san.take_violations();
     assert!(
@@ -226,9 +229,9 @@ fn injected_reclaim_under_pin_fires_end_to_end() {
             .any(|v| v.kind == ViolationKind::ReclaimedPinnedVersion),
         "reclaiming a pinned version must be flagged, got {violations:?}"
     );
-    // Released pin: the same reclaim is clean.
-    san.release_pin(cut);
-    san.reclaim_version(1, 2, 11, cut);
+    // Dropped pin: the same reclaim is clean.
+    drop(pin);
+    san.reclaim_version(1, 2, 11, cut.0, oldest_pin());
     san.batch_end(0);
     san.assert_clean("after release");
 }
