@@ -11,11 +11,12 @@ use pushtap_format::TableSchema;
 use crate::schema::Table;
 
 /// Appends `v` little-endian as exactly `width` bytes (dropping high
-/// bytes if `width < 8`, zero-padding past 8).
-pub fn put_u64(out: &mut Vec<u8>, v: u64, width: u32) {
+/// bytes if `width < 8`, zero-padding past 8) to any byte sink: a
+/// `Vec<u8>`, or an inline row image.
+pub fn put_u64<E: Extend<u8>>(out: &mut E, v: u64, width: u32) {
     let n = (width as usize).min(8);
-    out.extend_from_slice(&v.to_le_bytes()[..n]);
-    out.resize(out.len() + width as usize - n, 0);
+    out.extend(v.to_le_bytes()[..n].iter().copied());
+    out.extend(std::iter::repeat_n(0, width as usize - n));
 }
 
 /// Encodes `v` little-endian into exactly `width` bytes (truncating high
@@ -35,8 +36,8 @@ pub fn dec_u64(bytes: &[u8]) -> u64 {
 }
 
 /// Appends `width` bytes of a printable deterministic pattern from
-/// `seed`.
-pub fn put_text(out: &mut Vec<u8>, seed: u64, width: u32) {
+/// `seed` to any byte sink.
+pub fn put_text<E: Extend<u8>>(out: &mut E, seed: u64, width: u32) {
     out.extend((0..width).map(|i| {
         let x = seed
             .wrapping_mul(0x9E3779B97F4A7C15)

@@ -1,6 +1,8 @@
 //! TPC-C transaction mix generation (Payment + NewOrder, ~90 % of the
 //! standard mix — the two types the paper simulates, §7.1).
 
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,7 +22,13 @@ pub struct Payment {
 
 /// Parameters of one NewOrder transaction: insert an order with `ol_cnt`
 /// order lines, updating STOCK rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The lines are held inline, at most [`NewOrder::MAX_LINES`] of them
+/// (TPC-C's `ol_cnt` is 5..=15), so a transaction owns no heap memory;
+/// read them through [`NewOrder::items`] and [`NewOrder::stock_rows`].
+/// The slots past the line count stay zero, so the derived equality is
+/// equality of the lines.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct NewOrder {
     /// Warehouse.
     pub w_id: u64,
@@ -28,13 +36,73 @@ pub struct NewOrder {
     pub d_id: u64,
     /// Customer row index.
     pub c_row: u64,
+    /// Order lines in use.
+    lines: u8,
     /// Item row index per order line.
-    pub items: Vec<u64>,
+    items: [u64; NewOrder::MAX_LINES],
     /// Stock row index per order line.
-    pub stock_rows: Vec<u64>,
+    stock_rows: [u64; NewOrder::MAX_LINES],
+}
+
+impl NewOrder {
+    /// The most order lines one NewOrder holds (TPC-C's largest
+    /// `ol_cnt`).
+    pub const MAX_LINES: usize = 15;
+
+    /// A NewOrder with one line per `(items[i], stock_rows[i])` pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two lists differ in length or hold more than
+    /// [`NewOrder::MAX_LINES`] lines.
+    pub fn new(w_id: u64, d_id: u64, c_row: u64, items: &[u64], stock_rows: &[u64]) -> NewOrder {
+        assert_eq!(items.len(), stock_rows.len(), "one stock row per item");
+        assert!(
+            items.len() <= NewOrder::MAX_LINES,
+            "{} order lines exceed {}",
+            items.len(),
+            NewOrder::MAX_LINES
+        );
+        let mut no = NewOrder {
+            w_id,
+            d_id,
+            c_row,
+            lines: items.len() as u8,
+            items: [0; NewOrder::MAX_LINES],
+            stock_rows: [0; NewOrder::MAX_LINES],
+        };
+        no.items[..items.len()].copy_from_slice(items);
+        no.stock_rows[..items.len()].copy_from_slice(stock_rows);
+        no
+    }
+
+    /// Item row index per order line.
+    pub fn items(&self) -> &[u64] {
+        &self.items[..self.lines as usize]
+    }
+
+    /// Stock row index per order line.
+    pub fn stock_rows(&self) -> &[u64] {
+        &self.stock_rows[..self.lines as usize]
+    }
+}
+
+impl fmt::Debug for NewOrder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NewOrder")
+            .field("w_id", &self.w_id)
+            .field("d_id", &self.d_id)
+            .field("c_row", &self.c_row)
+            .field("items", &self.items())
+            .field("stock_rows", &self.stock_rows())
+            .finish()
+    }
 }
 
 /// One transaction of the mix.
+// A NewOrder keeps its lines inline so that a transaction owns no heap
+// memory; boxing it would put one allocation back per NewOrder.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Txn {
     /// A Payment transaction.
@@ -282,25 +350,12 @@ impl TxnGen {
             match self.mix {
                 RemoteMix::Uniform => {
                     let ol_cnt = (self.rng.random_range(5..=15) as u64).min(self.stocks) as usize;
-                    // Stock rows must be distinct within one order (TPC-C
-                    // orders distinct items): a repeated row would be
-                    // updated twice at one timestamp.
-                    let mut stock_rows = Vec::with_capacity(ol_cnt);
-                    while stock_rows.len() < ol_cnt {
-                        let s = self.rng.random_range(0..self.stocks);
-                        if !stock_rows.contains(&s) {
-                            stock_rows.push(s);
-                        }
-                    }
-                    Txn::NewOrder(NewOrder {
-                        w_id: self.wh_start + self.rng.random_range(0..self.warehouses),
-                        d_id: self.rng.random_range(0..10),
-                        c_row: self.rng.random_range(0..self.customers),
-                        items: (0..ol_cnt)
-                            .map(|_| self.rng.random_range(0..self.items))
-                            .collect(),
-                        stock_rows,
-                    })
+                    let stock_rows =
+                        self.distinct_stock_rows(ol_cnt, |g| g.rng.random_range(0..g.stocks));
+                    let w_id = self.wh_start + self.rng.random_range(0..self.warehouses);
+                    let d_id = self.rng.random_range(0..10);
+                    let c_row = self.rng.random_range(0..self.customers);
+                    self.neworder(w_id, d_id, c_row, ol_cnt, stock_rows)
                 }
                 RemoteMix::Tpcc { neworder, .. } => {
                     let w_id = self.wh_start + self.rng.random_range(0..self.warehouses);
@@ -328,25 +383,57 @@ impl TxnGen {
                     };
                     let ol_cnt =
                         (self.rng.random_range(5..=15) as u64).min(reachable.max(1)) as usize;
-                    let mut stock_rows = Vec::with_capacity(ol_cnt);
-                    while stock_rows.len() < ol_cnt {
-                        let s = self.striped_row(w_id, self.stocks, neworder);
-                        if !stock_rows.contains(&s) {
-                            stock_rows.push(s);
-                        }
-                    }
-                    Txn::NewOrder(NewOrder {
-                        w_id,
-                        d_id,
-                        c_row,
-                        items: (0..ol_cnt)
-                            .map(|_| self.rng.random_range(0..self.items))
-                            .collect(),
-                        stock_rows,
-                    })
+                    let stock_rows = self
+                        .distinct_stock_rows(ol_cnt, |g| g.striped_row(w_id, g.stocks, neworder));
+                    self.neworder(w_id, d_id, c_row, ol_cnt, stock_rows)
                 }
             }
         }
+    }
+
+    /// Draws `ol_cnt` stock rows with `draw`, redrawing repeats: stock
+    /// rows must be distinct within one order (TPC-C orders distinct
+    /// items), since a repeated row would be updated twice at one
+    /// timestamp.
+    fn distinct_stock_rows(
+        &mut self,
+        ol_cnt: usize,
+        mut draw: impl FnMut(&mut TxnGen) -> u64,
+    ) -> [u64; NewOrder::MAX_LINES] {
+        let mut rows = [0; NewOrder::MAX_LINES];
+        let mut n = 0;
+        while n < ol_cnt {
+            let s = draw(self);
+            if !rows[..n].contains(&s) {
+                rows[n] = s;
+                n += 1;
+            }
+        }
+        rows
+    }
+
+    /// The NewOrder over `stock_rows`' first `ol_cnt` lines, drawing
+    /// one item per line — the last draws of a NewOrder.
+    fn neworder(
+        &mut self,
+        w_id: u64,
+        d_id: u64,
+        c_row: u64,
+        ol_cnt: usize,
+        stock_rows: [u64; NewOrder::MAX_LINES],
+    ) -> Txn {
+        let mut items = [0; NewOrder::MAX_LINES];
+        for item in &mut items[..ol_cnt] {
+            *item = self.rng.random_range(0..self.items);
+        }
+        Txn::NewOrder(NewOrder {
+            w_id,
+            d_id,
+            c_row,
+            lines: ol_cnt as u8,
+            items,
+            stock_rows,
+        })
     }
 
     /// Generates a batch of `n` transactions.
@@ -370,6 +457,56 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The streams of both mixes, pinned by length and FNV-1a of their
+    /// `Debug` text as printed when a NewOrder held its lines in two
+    /// `Vec`s: holding them inline moved no draw.
+    #[test]
+    fn streams_are_pinned_per_seed() {
+        let uniform = format!("{:?}", gen().batch(500));
+        let tpcc = format!(
+            "{:?}",
+            TxnGen::new(7, 8, 4000, 5000, 10_000)
+                .with_remote_mix(RemoteMix::TPCC, 8)
+                .batch(500)
+        );
+        assert_eq!(
+            (uniform.len(), fnv(uniform.as_bytes())),
+            (66067, 0x5b0b_e0cb_b6ce_5d35)
+        );
+        assert_eq!(
+            (tpcc.len(), fnv(tpcc.as_bytes())),
+            (67298, 0x26d9_3496_a393_ac5b)
+        );
+    }
+
+    #[test]
+    fn neworder_new_holds_the_lines_it_is_given() {
+        let no = NewOrder::new(1, 2, 3, &[10, 11, 12], &[20, 21, 22]);
+        assert_eq!(
+            (no.items(), no.stock_rows()),
+            (&[10, 11, 12][..], &[20, 21, 22][..])
+        );
+        assert_eq!(no, NewOrder::new(1, 2, 3, &[10, 11, 12], &[20, 21, 22]));
+        assert_ne!(no, NewOrder::new(1, 2, 3, &[10, 11], &[20, 21]));
+        assert_eq!(
+            format!("{no:?}"),
+            "NewOrder { w_id: 1, d_id: 2, c_row: 3, items: [10, 11, 12], stock_rows: [20, 21, 22] }"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed")]
+    fn neworder_new_rejects_more_lines_than_it_holds() {
+        let rows: Vec<u64> = (0..=NewOrder::MAX_LINES as u64).collect();
+        let _ = NewOrder::new(0, 0, 0, &rows, &rows);
+    }
+
     #[test]
     fn mix_is_roughly_half_payment() {
         let batch = gen().batch(10_000);
@@ -385,8 +522,8 @@ mod tests {
     fn neworder_has_5_to_15_lines() {
         for t in gen().batch(500) {
             if let Txn::NewOrder(no) = t {
-                assert!((5..=15).contains(&no.items.len()));
-                assert_eq!(no.items.len(), no.stock_rows.len());
+                assert!((5..=15).contains(&no.items().len()));
+                assert_eq!(no.items().len(), no.stock_rows().len());
             }
         }
     }
@@ -401,8 +538,8 @@ mod tests {
                     assert!(p.c_row < 1000);
                 }
                 Txn::NewOrder(no) => {
-                    assert!(no.items.iter().all(|&i| i < 5000));
-                    assert!(no.stock_rows.iter().all(|&s| s < 5000));
+                    assert!(no.items().iter().all(|&i| i < 5000));
+                    assert!(no.stock_rows().iter().all(|&s| s < 5000));
                 }
             }
         }
@@ -460,7 +597,7 @@ mod tests {
                     }
                 }
                 Txn::NewOrder(no) => {
-                    for s in &no.stock_rows {
+                    for s in no.stock_rows() {
                         lines += 1;
                         if !stripe(no.w_id, 10_000, 8).contains(s) {
                             line_remote += 1;
@@ -490,7 +627,7 @@ mod tests {
                 }
                 Txn::NewOrder(no) => {
                     assert!(stripe(no.w_id, 4000, 8).contains(&no.c_row));
-                    for s in &no.stock_rows {
+                    for s in no.stock_rows() {
                         assert!(stripe(no.w_id, 10_000, 8).contains(s));
                     }
                 }
@@ -542,8 +679,8 @@ mod tests {
             if let Txn::NewOrder(no) = t {
                 // Warehouse 1's stripe of 3 stocks is [1, 3): the remote
                 // pool of a warehouse-1 order is the single row 0.
-                assert!(!no.stock_rows.is_empty());
-                for s in &no.stock_rows {
+                assert!(!no.stock_rows().is_empty());
+                for s in no.stock_rows() {
                     assert!(
                         !stripe(no.w_id, 3, 2).contains(s),
                         "p=1 must draw only remote stock"

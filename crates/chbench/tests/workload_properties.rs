@@ -80,14 +80,14 @@ proptest! {
                     prop_assert!(p.c_row < 500);
                 }
                 pushtap_chbench::Txn::NewOrder(no) => {
-                    prop_assert!(no.items.iter().all(|&i| i < 700));
-                    prop_assert!(no.stock_rows.iter().all(|&s| s < 900));
+                    prop_assert!(no.items().iter().all(|&i| i < 700));
+                    prop_assert!(no.stock_rows().iter().all(|&s| s < 900));
                     // Distinct stock rows (MVCC requires one version per
                     // row per timestamp).
-                    let mut sr = no.stock_rows.clone();
+                    let mut sr = no.stock_rows().to_vec();
                     sr.sort_unstable();
                     sr.dedup();
-                    prop_assert_eq!(sr.len(), no.stock_rows.len());
+                    prop_assert_eq!(sr.len(), no.stock_rows().len());
                 }
             }
         }

@@ -44,7 +44,7 @@ use std::fmt;
 use pushtap_chbench::{Table, ALL_TABLES};
 use pushtap_mvcc::Ts;
 
-use crate::effects::{ColumnWrite, Effect, TaggedEffect};
+use crate::effects::{ColumnWrite, Effect, RowImage, TaggedEffect, Writes};
 use crate::tpcc::TxnRole;
 
 /// A structurally damaged record payload.
@@ -65,8 +65,10 @@ pub enum CodecError {
         tag: u8,
     },
     /// A count or length disagrees with what its field can hold: a set
-    /// value or add result wider than 8 bytes, or an inserted row whose
-    /// column count or a column's length is not the table's schema's.
+    /// value or add result wider than 8 bytes, an update with more
+    /// writes than [`Writes::CAPACITY`], an insert into a table whose
+    /// rows overflow a [`RowImage`], or an inserted row whose column
+    /// count or a column's length is not the table's schema's.
     BadLength {
         /// Which field was damaged.
         what: &'static str,
@@ -140,7 +142,7 @@ pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]
                 out.push(table_tag(*table));
                 out.extend_from_slice(&row.to_le_bytes());
                 put_count(&mut out, writes.len());
-                for (col, w) in writes {
+                for (col, w) in writes.iter() {
                     out.extend_from_slice(&col.to_le_bytes());
                     match w {
                         ColumnWrite::Set { value, width } => {
@@ -161,7 +163,7 @@ pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]
                 out.extend_from_slice(&w_id.to_le_bytes());
                 let columns = table.columns();
                 put_count(&mut out, columns.len());
-                let mut rest = image.as_slice();
+                let mut rest: &[u8] = image;
                 for &(_, width) in columns {
                     let (column, tail) = rest.split_at(width as usize);
                     put_bytes(&mut out, column);
@@ -215,8 +217,14 @@ impl EffectRecord {
                 },
                 1 => {
                     let row = c.u64()?;
-                    let n = c.u32()? as usize;
-                    let mut writes = Vec::with_capacity(n.min(1024));
+                    let n = c.u32()?;
+                    if n as usize > Writes::CAPACITY {
+                        return Err(CodecError::BadLength {
+                            what: "update write count",
+                            len: n,
+                        });
+                    }
+                    let mut writes = Writes::new();
                     for _ in 0..n {
                         let col = c.u32()?;
                         let write = match c.u8()? {
@@ -240,13 +248,20 @@ impl EffectRecord {
                                 })
                             }
                         };
-                        writes.push((col, write));
+                        writes.push(col, write);
                     }
                     Effect::Update { table, row, writes }
                 }
                 2 => {
                     let w_id = c.u64()?;
                     let columns = table.columns();
+                    let row_width: u32 = columns.iter().map(|&(_, width)| width).sum();
+                    if row_width as usize > RowImage::CAPACITY {
+                        return Err(CodecError::BadLength {
+                            what: "inserted row width",
+                            len: row_width,
+                        });
+                    }
                     let n = c.u32()?;
                     if n as usize != columns.len() {
                         return Err(CodecError::BadLength {
@@ -254,8 +269,7 @@ impl EffectRecord {
                             len: n,
                         });
                     }
-                    let row_width: u32 = columns.iter().map(|&(_, width)| width).sum();
-                    let mut image = Vec::with_capacity(row_width as usize);
+                    let mut image = RowImage::new();
                     for &(_, width) in columns {
                         let len = c.u32()?;
                         if len != width {
@@ -264,7 +278,7 @@ impl EffectRecord {
                                 len,
                             });
                         }
-                        image.extend_from_slice(c.take(len as usize)?);
+                        image.extend(c.take(len as usize)?.iter().copied());
                     }
                     Effect::Insert { table, w_id, image }
                 }
@@ -370,7 +384,7 @@ mod tests {
                     effect: Effect::Update {
                         table: Table::Warehouse,
                         row: 3,
-                        writes: vec![
+                        writes: [
                             (
                                 8,
                                 ColumnWrite::Add {
@@ -379,7 +393,8 @@ mod tests {
                                 },
                             ),
                             (2, ColumnWrite::set(0xBBAA, 2)),
-                        ],
+                        ]
+                        .into(),
                     },
                     warehouse: 3,
                 },
@@ -469,13 +484,9 @@ mod tests {
             c_row: 17,
             amount: 0x0102_0304,
         });
-        let neworder = Txn::NewOrder(NewOrder {
-            w_id: 0,
-            d_id: 7,
-            c_row: 29,
-            items: (0..10).map(|i| 100 + 37 * i).collect(),
-            stock_rows: (0..10).map(|i| 5 + 11 * i).collect(),
-        });
+        let items: Vec<u64> = (0..10).map(|i| 100 + 37 * i).collect();
+        let stock_rows: Vec<u64> = (0..10).map(|i| 5 + 11 * i).collect();
+        let neworder = Txn::NewOrder(NewOrder::new(0, 7, 29, &items, &stock_rows));
         #[rustfmt::skip]
         let payment_golden: &[u8] = &[
             11, 10, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0,                    // ts 0x0a0b, home, local, 4 effects
@@ -547,6 +558,64 @@ mod tests {
                 "{what}"
             );
         }
+    }
+
+    /// The record header of a hand-built payload: ts 7, home, local,
+    /// one effect.
+    fn one_effect_header() -> Vec<u8> {
+        let mut bytes = 7u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0, 0]);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes
+    }
+
+    /// An update can hold at most `Writes::CAPACITY` writes inline: a
+    /// record that claims more is damage, reported before any write is
+    /// read.
+    #[test]
+    fn an_update_wider_than_the_inline_list_is_rejected() {
+        let mut bytes = one_effect_header();
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // warehouse 0
+        bytes.extend_from_slice(&[1, table_tag(Table::Stock)]); // update STOCK
+        bytes.extend_from_slice(&5u64.to_le_bytes()); // row 5
+        bytes.extend_from_slice(&4u32.to_le_bytes()); // four writes
+        for col in 0..4u32 {
+            bytes.extend_from_slice(&col.to_le_bytes());
+            bytes.push(0);
+            put_bytes(&mut bytes, &[1]);
+        }
+        assert_eq!(
+            EffectRecord::decode(&bytes),
+            Err(CodecError::BadLength {
+                what: "update write count",
+                len: 4
+            })
+        );
+    }
+
+    /// An insert whose table tag names a table the executor never
+    /// inserts into and whose rows overflow an inline image (CUSTOMER,
+    /// 324 bytes) is damage, reported before any column is read.
+    #[test]
+    fn an_insert_wider_than_the_inline_image_is_rejected() {
+        let mut bytes = one_effect_header();
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // warehouse 0
+        bytes.extend_from_slice(&[2, table_tag(Table::Customer)]); // insert CUSTOMER
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // home warehouse 0
+        let columns = Table::Customer.columns();
+        put_count(&mut bytes, columns.len());
+        for &(_, width) in columns {
+            put_bytes(&mut bytes, &vec![b'x'; width as usize]);
+        }
+        let width: u32 = columns.iter().map(|&(_, w)| w).sum();
+        assert!(width as usize > RowImage::CAPACITY);
+        assert_eq!(
+            EffectRecord::decode(&bytes),
+            Err(CodecError::BadLength {
+                what: "inserted row width",
+                len: width
+            })
+        );
     }
 
     #[test]

@@ -20,16 +20,23 @@
 //! translates to its local slice and asserts ownership — an effect
 //! handed to a non-owning engine is a routing bug, not a fallback path.
 //!
-//! An effect is flat: a read is two numbers, an update is a list of
-//! `(column, value, width)` with no byte vector per value
-//! ([`ColumnWrite`]), and an insert is **one row image** — the new row's
-//! columns one after another in schema order, in a single allocation
-//! ([`Effect::Insert`]). The image is what the table store scatters
-//! (`TableStore::write_image`) and what the log frames column by column
-//! ([`crate::codec`]); nothing between the decomposition and either of
-//! them builds a value list.
+//! An effect is plain `Copy` data that owns no heap memory: a read is
+//! two numbers, an update is an inline list of at most three
+//! `(column, value, width)` writes with no byte vector per value
+//! ([`Writes`], [`ColumnWrite`]), and an insert is **one row image** —
+//! the new row's columns one after another in schema order, inline in
+//! at most 64 bytes ([`RowImage`]). The image is what the table store
+//! scatters (`TableStore::write_image`) and what the log frames column
+//! by column ([`crate::codec`]); nothing between the decomposition and
+//! either of them builds a value list. So a transaction is described
+//! without touching the allocator: the engine decomposes it into one
+//! effect list it reuses ([`TpccDb::decompose_into`]).
 //!
 //! [`TpccDb::decompose`]: crate::TpccDb::decompose
+//! [`TpccDb::decompose_into`]: crate::TpccDb::decompose_into
+
+use std::fmt;
+use std::ops::Deref;
 
 use pushtap_chbench::Table;
 
@@ -38,7 +45,7 @@ use pushtap_chbench::Table;
 /// Every column the simulated TPC-C mix updates is a fixed-point number
 /// of at most eight bytes, so a change carries the number itself, not a
 /// byte vector: a whole update effect is plain data with nothing on the
-/// heap but its list of writes. Most changes are *blind* writes of
+/// heap ([`Writes`]). Most changes are *blind* writes of
 /// values the decomposition can compute up front ([`ColumnWrite::Set`]);
 /// the warehouse year-to-date accumulation is a read-modify-write over
 /// the newest committed version and must be resolved by the engine that
@@ -90,8 +97,179 @@ impl ColumnWrite {
     }
 }
 
+/// The column writes of one update, held inline: at most
+/// [`Writes::CAPACITY`], the widest TPC-C update (CUSTOMER's balance,
+/// year-to-date and payment count; STOCK's quantity, year-to-date and
+/// order count). Reads as a slice of `(column, write)`.
+#[derive(Clone, Copy)]
+pub struct Writes {
+    len: u8,
+    slots: [(u32, ColumnWrite); Writes::CAPACITY],
+}
+
+impl Writes {
+    /// The most writes one update holds.
+    pub const CAPACITY: usize = 3;
+
+    /// No writes.
+    pub const fn new() -> Writes {
+        Writes {
+            len: 0,
+            slots: [(0, ColumnWrite::Set { value: 0, width: 0 }); Writes::CAPACITY],
+        }
+    }
+
+    /// Appends one column write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`Writes::CAPACITY`] writes.
+    pub fn push(&mut self, col: u32, write: ColumnWrite) {
+        let at = self.len as usize;
+        assert!(
+            at < Writes::CAPACITY,
+            "an update holds at most {} writes",
+            Writes::CAPACITY
+        );
+        self.slots[at] = (col, write);
+        self.len += 1;
+    }
+}
+
+impl Default for Writes {
+    fn default() -> Writes {
+        Writes::new()
+    }
+}
+
+impl Deref for Writes {
+    type Target = [(u32, ColumnWrite)];
+
+    fn deref(&self) -> &[(u32, ColumnWrite)] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl<const N: usize> From<[(u32, ColumnWrite); N]> for Writes {
+    /// # Panics
+    ///
+    /// Panics if `N` exceeds [`Writes::CAPACITY`].
+    fn from(writes: [(u32, ColumnWrite); N]) -> Writes {
+        writes.into_iter().collect()
+    }
+}
+
+impl FromIterator<(u32, ColumnWrite)> for Writes {
+    /// # Panics
+    ///
+    /// Panics past [`Writes::CAPACITY`] writes.
+    fn from_iter<I: IntoIterator<Item = (u32, ColumnWrite)>>(iter: I) -> Writes {
+        let mut writes = Writes::new();
+        for (col, write) in iter {
+            writes.push(col, write);
+        }
+        writes
+    }
+}
+
+impl PartialEq for Writes {
+    fn eq(&self, other: &Writes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Writes {}
+
+impl fmt::Debug for Writes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The bytes of one inserted row, held inline: at most
+/// [`RowImage::CAPACITY`] bytes, which covers every table the executor
+/// inserts into (the widest, ORDERLINE, is 60 bytes;
+/// `TpccDb::build_partitioned` asserts the fit). Reads as a byte slice;
+/// fill it through [`Extend`] (`pushtap_chbench::put_u64` and
+/// `put_text` write into it directly).
+#[derive(Clone, Copy)]
+pub struct RowImage {
+    len: u8,
+    bytes: [u8; RowImage::CAPACITY],
+}
+
+impl RowImage {
+    /// The most bytes one row image holds.
+    pub const CAPACITY: usize = 64;
+
+    /// An empty image.
+    pub const fn new() -> RowImage {
+        RowImage {
+            len: 0,
+            bytes: [0; RowImage::CAPACITY],
+        }
+    }
+}
+
+impl Default for RowImage {
+    fn default() -> RowImage {
+        RowImage::new()
+    }
+}
+
+impl Deref for RowImage {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl Extend<u8> for RowImage {
+    /// # Panics
+    ///
+    /// Panics past [`RowImage::CAPACITY`] bytes.
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
+        for b in iter {
+            let at = self.len as usize;
+            assert!(
+                at < RowImage::CAPACITY,
+                "a row image holds at most {} bytes",
+                RowImage::CAPACITY
+            );
+            self.bytes[at] = b;
+            self.len += 1;
+        }
+    }
+}
+
+impl FromIterator<u8> for RowImage {
+    /// # Panics
+    ///
+    /// Panics past [`RowImage::CAPACITY`] bytes.
+    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> RowImage {
+        let mut image = RowImage::new();
+        image.extend(iter);
+        image
+    }
+}
+
+impl PartialEq for RowImage {
+    fn eq(&self, other: &RowImage) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for RowImage {}
+
+impl fmt::Debug for RowImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One row-level effect of a transaction, in global row indices.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
     /// A timed read of the version visible at the transaction timestamp
     /// (no bytes change; it costs memory traffic and advances the
@@ -110,7 +288,7 @@ pub enum Effect {
         /// Global row index.
         row: u64,
         /// Per-column changes.
-        writes: Vec<(u32, ColumnWrite)>,
+        writes: Writes,
     },
     /// A stripe-ring insert homed at warehouse `w_id`: the applying
     /// engine picks the warehouse's current stripe slot (identical on a
@@ -124,7 +302,7 @@ pub enum Effect {
         /// The new row: its columns' bytes one after another in schema
         /// order, `row_width` bytes in all. Column boundaries are the
         /// table's schema, which every holder of a [`Table`] knows.
-        image: Vec<u8>,
+        image: RowImage,
     },
 }
 
@@ -133,7 +311,7 @@ pub enum Effect {
 /// replicated tables (ITEM) are tagged with the transaction's home
 /// warehouse: every shard holds the full replica, so they execute at
 /// home.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaggedEffect {
     /// The effect itself.
     pub effect: Effect,
@@ -285,6 +463,34 @@ mod tests {
 
     fn row(t: Table, r: u64) -> Key {
         Key::Row(t, r)
+    }
+
+    #[test]
+    fn inline_lists_read_as_the_slices_they_hold() {
+        let pairs = [(1, ColumnWrite::set(5, 2)), (4, ColumnWrite::set(6, 8))];
+        let writes = Writes::from(pairs);
+        assert_eq!(&writes[..], &pairs[..]);
+        assert_eq!(format!("{writes:?}"), format!("{:?}", pairs.to_vec()));
+        assert_ne!(writes, Writes::from([pairs[0]]));
+        let bytes: Vec<u8> = (0..60).collect();
+        let image: RowImage = bytes.iter().copied().collect();
+        assert_eq!(&image[..], &bytes[..]);
+        assert_eq!(format!("{image:?}"), format!("{bytes:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 writes")]
+    fn a_fourth_write_overflows_the_list() {
+        let mut writes = Writes::new();
+        for col in 0..4 {
+            writes.push(col, ColumnWrite::set(1, 1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 bytes")]
+    fn a_65th_byte_overflows_the_image() {
+        let _: RowImage = (0..65).collect();
     }
 
     #[test]

@@ -73,7 +73,7 @@ mod tpcc;
 
 pub use codec::{CodecError, EffectRecord};
 pub use cost::{Breakdown, CostModel, Meter};
-pub use effects::{ColumnWrite, Effect, Key, KeySet, TaggedEffect};
+pub use effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect, Writes};
 pub use index::HashIndex;
 pub use probe::Probe;
 pub use table::{AccessModel, HtapTable, LineRef, OpResult, TableConfig, TableGcPass};

@@ -35,7 +35,7 @@ use pushtap_sanitizer::{Access, AccessKind, SanKey};
 use pushtap_trace::Phase;
 
 use crate::cost::{Breakdown, CostModel, Meter};
-use crate::effects::{ColumnWrite, Effect, Key, KeySet, TaggedEffect};
+use crate::effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect};
 use crate::probe::Probe;
 use crate::table::{AccessModel, HtapTable, TableConfig, TableGcPass};
 
@@ -70,8 +70,6 @@ struct DbTable {
     global_rows: u64,
     /// This instance's first global row.
     row_base: u64,
-    /// Bytes of one row image.
-    row_width: usize,
     /// Insert cursors of the warehouses this instance owns, by distance
     /// from the first ([`ring_slot`]): inserts cycle inside the
     /// home warehouse's stripe, deterministically across deployments.
@@ -98,6 +96,15 @@ fn undo_record(tables: &mut [DbTable], first_warehouse: u64, rec: &UndoRecord) {
         t.insert_cursors[ring_slot(first_warehouse, insert.warehouse)] -= 1;
     }
 }
+
+/// The tables the executor inserts into. Each one's rows must fit an
+/// inline [`RowImage`]; [`TpccDb::build_partitioned`] asserts it.
+const INSERTED_TABLES: [Table; 4] = [
+    Table::History,
+    Table::Order,
+    Table::NewOrder,
+    Table::OrderLine,
+];
 
 /// The columns the two transactions write or read by name, as schema
 /// indices.
@@ -270,6 +277,10 @@ pub struct TpccDb {
     /// Where the engine's spans and sanitizer hooks go, stamped with its
     /// partition index.
     probe: Probe,
+    /// The effect list [`TpccDb::execute_at`] decomposes into. It keeps
+    /// its capacity from one transaction to the next, so a transaction
+    /// allocates nothing to describe itself.
+    effects: Vec<TaggedEffect>,
 }
 
 /// Lowers a scheduler [`Key`] to the sanitizer's engine-agnostic
@@ -427,12 +438,16 @@ impl TpccDb {
                 gen.row_image(row_base + row, &mut image);
                 t.load_row(row, &image);
             }
+            let row_width = t.layout().schema().row_width() as usize;
+            assert!(
+                !INSERTED_TABLES.contains(&table) || row_width <= RowImage::CAPACITY,
+                "{table:?} rows of {row_width} bytes overflow an inline row image"
+            );
             // Advance the placement cursor: tables get disjoint DRAM rows.
             let rows_used = (t.region().bytes_per_device() / geometry.row_bytes as u64) as u32 + 1;
             base_dram_row = (base_dram_row + rows_used) % geometry.rows_per_bank;
             assert_eq!(table as usize, tables.len(), "tables index by discriminant");
             tables.push(DbTable {
-                row_width: t.layout().schema().row_width() as usize,
                 table: t,
                 global_rows: global,
                 row_base,
@@ -471,6 +486,7 @@ impl TpccDb {
             aborts: 0,
             wasted_retry_time: Ps::ZERO,
             probe: Probe::new(partition.index),
+            effects: Vec::new(),
         })
     }
 
@@ -806,8 +822,8 @@ impl TpccDb {
     /// Executes one transaction *atomically* under its commit timestamp
     /// `ts`, serially dependent on its own operations (commit at the end,
     /// §6.3) — the one-phase specialisation of the effect pipeline:
-    /// decompose, prepare the whole effect set locally, commit
-    /// immediately.
+    /// decompose (into the effect list the engine reuses), prepare the
+    /// whole effect set locally, commit immediately.
     ///
     /// The caller draws `ts` once per transaction: from this instance's
     /// oracle ([`TpccDb::ts_oracle`]) standalone, or — the sharded path —
@@ -842,8 +858,11 @@ impl TpccDb {
         mem: &mut MemSystem,
         at: Ps,
     ) -> Result<TxnResult, DeltaFull> {
-        let effects = self.decompose(txn, ts);
-        let r = self.prepare_effects(&effects, ts, mem, at)?;
+        let mut effects = std::mem::take(&mut self.effects);
+        self.decompose_into(txn, ts, &mut effects);
+        let prepared = self.prepare_effects(&effects, ts, mem, at);
+        self.effects = effects;
+        let r = prepared?;
         self.commit_prepared(ts, TxnRole::Coordinator);
         self.probe.span(Phase::Commit, ts.0, 0, r.end, r.end);
         Ok(r)
@@ -859,18 +878,30 @@ impl TpccDb {
     }
 
     /// Decomposes `txn` into its ordered row-level effects, each tagged
-    /// with the owning warehouse (see [`crate::effects`]). The effect
-    /// order is exactly the statement order the executor applies, so
-    /// applying the decomposition reproduces monolithic execution —
-    /// values, timing, and bytes.
+    /// with the owning warehouse (see [`crate::effects`]) — the owned
+    /// form of [`TpccDb::decompose_into`].
+    pub fn decompose(&self, txn: &Txn, ts: Ts) -> Vec<TaggedEffect> {
+        let mut effects = Vec::new();
+        self.decompose_into(txn, ts, &mut effects);
+        effects
+    }
+
+    /// Clears `effects` and refills it with `txn`'s ordered row-level
+    /// effects, each tagged with the owning warehouse (see
+    /// [`crate::effects`]). The effect order is exactly the statement
+    /// order the executor applies, so applying the decomposition
+    /// reproduces monolithic execution — values, timing, and bytes.
+    /// Effects hold no heap memory, so a list that kept its capacity
+    /// from an earlier transaction is refilled without allocating.
     ///
     /// Decomposition is read-only: stripe cursors and version chains are
     /// untouched, so a transaction retried after a [`DeltaFull`] abort
     /// decomposes to the identical effect set.
-    pub fn decompose(&self, txn: &Txn, ts: Ts) -> Vec<TaggedEffect> {
+    pub fn decompose_into(&self, txn: &Txn, ts: Ts, effects: &mut Vec<TaggedEffect>) {
+        effects.clear();
         match txn {
-            Txn::Payment(p) => self.decompose_payment(p, ts),
-            Txn::NewOrder(no) => self.decompose_neworder(no, ts),
+            Txn::Payment(p) => self.decompose_payment(p, ts, effects),
+            Txn::NewOrder(no) => self.decompose_neworder(no, ts, effects),
         }
     }
 
@@ -894,13 +925,8 @@ impl TpccDb {
         warehouse_of_row(row, global, self.warehouses_global)
     }
 
-    /// An empty row image with room for one row of `table`.
-    fn new_image(&self, table: Table) -> Vec<u8> {
-        Vec::with_capacity(self.tables[table as usize].row_width)
-    }
-
-    fn decompose_payment(&self, p: &Payment, ts: Ts) -> Vec<TaggedEffect> {
-        let mut history = self.new_image(Table::History);
+    fn decompose_payment(&self, p: &Payment, ts: Ts, effects: &mut Vec<TaggedEffect>) {
+        let mut history = RowImage::new();
         put_u64(&mut history, p.c_row, 4);
         put_u64(&mut history, p.d_id, 1);
         put_u64(&mut history, p.w_id, 4);
@@ -909,7 +935,7 @@ impl TpccDb {
         put_u64(&mut history, ts.0, 8);
         put_u64(&mut history, p.amount, 4);
         put_text(&mut history, ts.0, 24);
-        vec![
+        effects.extend([
             // Warehouse YTD: a read-modify-write accumulation over the
             // newest committed version, resolved at apply time by the
             // owning engine (always the home shard).
@@ -918,13 +944,14 @@ impl TpccDb {
                 effect: Effect::Update {
                     table: Table::Warehouse,
                     row: p.w_id,
-                    writes: vec![(
+                    writes: [(
                         self.cols.w_ytd,
                         ColumnWrite::Add {
                             amount: p.amount,
                             width: 8,
                         },
-                    )],
+                    )]
+                    .into(),
                 },
             },
             // District YTD.
@@ -933,7 +960,7 @@ impl TpccDb {
                 effect: Effect::Update {
                     table: Table::District,
                     row: p.w_id * 10 + p.d_id,
-                    writes: vec![(self.cols.d_ytd, ColumnWrite::set(p.amount, 8))],
+                    writes: [(self.cols.d_ytd, ColumnWrite::set(p.amount, 8))].into(),
                 },
             },
             // Customer balance / ytd / payment count — the one Payment
@@ -944,11 +971,12 @@ impl TpccDb {
                 effect: Effect::Update {
                     table: Table::Customer,
                     row: p.c_row,
-                    writes: vec![
+                    writes: [
                         (self.cols.c_balance, ColumnWrite::set(p.amount, 8)),
                         (self.cols.c_ytd_payment, ColumnWrite::set(p.amount, 8)),
                         (self.cols.c_payment_cnt, ColumnWrite::set(1, 2)),
-                    ],
+                    ]
+                    .into(),
                 },
             },
             // History append (striped by home warehouse).
@@ -960,11 +988,12 @@ impl TpccDb {
                     image: history,
                 },
             },
-        ]
+        ]);
     }
 
-    fn decompose_neworder(&self, no: &NewOrder, ts: Ts) -> Vec<TaggedEffect> {
-        let mut effects = Vec::with_capacity(4 + 3 * no.items.len());
+    fn decompose_neworder(&self, no: &NewOrder, ts: Ts, effects: &mut Vec<TaggedEffect>) {
+        let (items, stock_rows) = (no.items(), no.stock_rows());
+        effects.reserve(4 + 3 * items.len());
         // Read customer (discount, credit) at its owning warehouse.
         effects.push(TaggedEffect {
             warehouse: self.warehouse_of(Table::Customer, no.c_row),
@@ -979,7 +1008,7 @@ impl TpccDb {
             effect: Effect::Update {
                 table: Table::District,
                 row: no.w_id * 10 + no.d_id,
-                writes: vec![(self.cols.d_next_o_id, ColumnWrite::set(ts.0, 4))],
+                writes: [(self.cols.d_next_o_id, ColumnWrite::set(ts.0, 4))].into(),
             },
         });
         // Insert ORDER + NEWORDER rows (striped by home warehouse). The
@@ -987,14 +1016,14 @@ impl TpccDb {
         // peeked here without consuming it; applying the insert advances
         // the cursor to exactly this slot.
         let (o_row, _) = self.insert_target(Table::Order, no.w_id);
-        let mut order = self.new_image(Table::Order);
+        let mut order = RowImage::new();
         put_u64(&mut order, ts.0, 4);
         put_u64(&mut order, no.d_id, 1);
         put_u64(&mut order, no.w_id, 4);
         put_u64(&mut order, no.c_row, 4);
         put_u64(&mut order, ts.0, 8);
         put_u64(&mut order, 0, 1);
-        put_u64(&mut order, no.items.len() as u64, 1);
+        put_u64(&mut order, items.len() as u64, 1);
         put_u64(&mut order, 1, 1);
         effects.push(TaggedEffect {
             warehouse: no.w_id,
@@ -1004,7 +1033,7 @@ impl TpccDb {
                 image: order,
             },
         });
-        let mut new_order = self.new_image(Table::NewOrder);
+        let mut new_order = RowImage::new();
         put_u64(&mut new_order, o_row, 4);
         put_u64(&mut new_order, no.d_id, 1);
         put_u64(&mut new_order, no.w_id, 4);
@@ -1019,11 +1048,11 @@ impl TpccDb {
         // Per order line: read item (replicated — always home), update
         // stock at its owning warehouse, insert the order line at home.
         // Stock rows are distinct within one order (TxnGen draws them
-        // so), and the dedup below keeps that a hard guarantee — MVCC
-        // forbids two same-timestamp updates of one row.
-        let mut touched_stock: Vec<u64> = Vec::with_capacity(no.stock_rows.len());
-        let items = self.table(Table::Item).store();
-        for (i, (&item, &stock)) in no.items.iter().zip(&no.stock_rows).enumerate() {
+        // so), and skipping a row an earlier line already updated keeps
+        // that a hard guarantee — MVCC forbids two same-timestamp
+        // updates of one row.
+        let item_rows = self.table(Table::Item).store();
+        for (i, (&item, &stock)) in items.iter().zip(stock_rows).enumerate() {
             effects.push(TaggedEffect {
                 warehouse: no.w_id,
                 effect: Effect::Read {
@@ -1034,23 +1063,23 @@ impl TpccDb {
             // ITEM is read-only after population, so its data region is
             // the newest version everywhere — the price the timed read
             // will observe at apply time.
-            let price = items.read_u64(RowSlot::Data { row: item }, self.cols.i_price);
-            if !touched_stock.contains(&stock) {
-                touched_stock.push(stock);
+            let price = item_rows.read_u64(RowSlot::Data { row: item }, self.cols.i_price);
+            if !stock_rows[..i].contains(&stock) {
                 effects.push(TaggedEffect {
                     warehouse: self.warehouse_of(Table::Stock, stock),
                     effect: Effect::Update {
                         table: Table::Stock,
                         row: stock,
-                        writes: vec![
+                        writes: [
                             (self.cols.s_quantity, ColumnWrite::set(40, 2)),
                             (self.cols.s_ytd, ColumnWrite::set(price, 8)),
                             (self.cols.s_order_cnt, ColumnWrite::set(1, 2)),
-                        ],
+                        ]
+                        .into(),
                     },
                 });
             }
-            let mut line = self.new_image(Table::OrderLine);
+            let mut line = RowImage::new();
             put_u64(&mut line, o_row, 4);
             put_u64(&mut line, no.d_id, 1);
             put_u64(&mut line, no.w_id, 4);
@@ -1070,7 +1099,6 @@ impl TpccDb {
                 },
             });
         }
-        effects
     }
 
     /// Applies one effect at pinned timestamp `ts`, charging its memory

@@ -17,13 +17,13 @@
 //! byte) matches the unpartitioned reference. One wave executes as:
 //!
 //! 1. **One item list** — every wave member is decomposed at its home
-//!    engine into its one effect list, ordered home-first then by
-//!    owning shard (read-only; wave members touch disjoint rings, so
-//!    the result is independent of intra-wave order). Each
-//!    `(transaction, involved shard)` pair becomes one item holding a
-//!    range of that list, and the wave is the items sorted by `(shard,
-//!    timestamp)`: a shard's share is one contiguous run, and an item
-//!    carries its own vote and prepare clocks.
+//!    engine onto the wave's one effect list, each member's effects
+//!    ordered home-first then by owning shard (read-only; wave members
+//!    touch disjoint rings, so the result is independent of intra-wave
+//!    order). Each `(transaction, involved shard)` pair becomes one item
+//!    holding a range of that list, and the wave is the items sorted by
+//!    `(shard, timestamp)`: a shard's share is one contiguous run, and
+//!    an item carries its own vote and prepare clocks.
 //! 2. **Prepare pass** — all shards concurrently *on their simulated
 //!    clocks*, executed one after another in shard order on the
 //!    caller's thread: each shard prepares its wave items in
@@ -209,17 +209,15 @@ fn charge_engine<T>(
 
 /// One wave member: what it does and how the wave decided it.
 struct Member<'a> {
-    /// The transaction, as routed and stamped.
+    /// The transaction, as routed and stamped. Its effects are the
+    /// ranges its items hold of the wave's effect list.
     routed: &'a RoutedTxn,
-    /// Its decomposition: the home shard's effects first, then each
-    /// participant's.
-    effects: Vec<TaggedEffect>,
     /// The vote barrier's verdict: every involved shard prepared it.
     committed: bool,
 }
 
-/// One shard's share of one wave member: a range of the member's
-/// effects to prepare at a pinned timestamp, as the transaction's home
+/// One shard's share of one wave member: a range of the wave's effect
+/// list to prepare at a pinned timestamp, as the transaction's home
 /// half or a forwarded participant — and, once prepared, how it went.
 struct WaveItem {
     /// The shard that owns the effects.
@@ -233,7 +231,7 @@ struct WaveItem {
     /// Whether the owning transaction crosses shards (its home pays the
     /// decision round-trip).
     cross: bool,
-    /// The effects this shard owns, in the member's list.
+    /// The effects this shard owns, in the wave's effect list.
     effects: Range<usize>,
     /// The shard's clock when the item's turn came — the start of the
     /// commit latency the decide pass attributes.
@@ -295,8 +293,8 @@ impl Engines<'_> {
                 }
             }
         }
-        let (mut members, mut items) = self.wave_items(wave);
-        self.prepare_pass(&members, &mut items, wave_id, crash);
+        let (mut members, mut items, effects) = self.wave_items(wave);
+        self.prepare_pass(&effects, &mut items, wave_id, crash);
         // The kill at (or during) the wave's group commit: the prepare
         // pass ran, but the wave's records are lost (AfterPrepare) or
         // durable only up to one shard's torn force (MidEffectFlush).
@@ -319,17 +317,23 @@ impl Engines<'_> {
         false
     }
 
-    /// Step 1: the wave's members and its one item list, sorted by
-    /// `(shard, timestamp)`. Wave members touch disjoint rows and rings,
+    /// Step 1: the wave's members, its one item list, sorted by
+    /// `(shard, timestamp)`, and its one effect list, which the items
+    /// hold ranges of. Wave members touch disjoint rows and rings,
     /// so the order they are decomposed in is irrelevant.
-    fn wave_items<'a>(&self, wave: &'a [RoutedTxn]) -> (Vec<Member<'a>>, Vec<WaveItem>) {
+    fn wave_items<'a>(
+        &self,
+        wave: &'a [RoutedTxn],
+    ) -> (Vec<Member<'a>>, Vec<WaveItem>, Vec<TaggedEffect>) {
         let mut members: Vec<Member> = Vec::with_capacity(wave.len());
         let mut items: Vec<WaveItem> = Vec::with_capacity(wave.len());
+        let mut effects: Vec<TaggedEffect> = Vec::new();
+        // One member's decomposition, reused across the wave.
+        let mut one: Vec<TaggedEffect> = Vec::new();
         for routed in wave {
-            let effects = self.decompose_split(members.len(), routed, &mut items);
+            self.decompose_split(members.len(), routed, &mut one, &mut effects, &mut items);
             members.push(Member {
                 routed,
-                effects,
                 committed: true,
             });
         }
@@ -337,34 +341,40 @@ impl Engines<'_> {
         // order its prepares must apply in: a forwarded item can land
         // behind a later transaction's home item.
         items.sort_unstable_by_key(|it| (it.shard, it.ts));
-        (members, items)
+        (members, items, effects)
     }
 
-    /// Decomposes `routed`, wave member `txn`, at its home engine into
-    /// one effect list — the home's own effects first, then each
-    /// participant's — and cuts one item per involved shard, each a
-    /// range of the list. Decomposition is read-only (cursors and chains
-    /// untouched), so a retry builds the identical list.
+    /// Decomposes `routed`, wave member `txn`, at its home engine (into
+    /// `one`, which keeps its capacity), moves the effects to the end of
+    /// the wave's list `effects` — the home's own effects first, then
+    /// each participant's — and cuts one item per involved shard, each a
+    /// range of the wave's list. Decomposition is read-only (cursors and
+    /// chains untouched), so a retry builds the identical effects.
     fn decompose_split(
         &self,
         txn: usize,
         routed: &RoutedTxn,
+        one: &mut Vec<TaggedEffect>,
+        effects: &mut Vec<TaggedEffect>,
         items: &mut Vec<WaveItem>,
-    ) -> Vec<TaggedEffect> {
+    ) {
         let owner = |e: &TaggedEffect| self.map.shard_of_warehouse(e.warehouse) as usize;
         let home = routed.shard as usize;
-        let mut effects = self.shards[home].db().decompose(&routed.txn, routed.ts);
+        self.shards[home]
+            .db()
+            .decompose_into(&routed.txn, routed.ts, one);
         let cross = !routed.participants.is_empty();
         if cross {
             // Stable, so every shard keeps its effects in statement
             // order.
-            effects.sort_by_key(|e| {
+            one.sort_by_key(|e| {
                 let shard = owner(e);
                 (shard != home, shard)
             });
         }
         let first = items.len();
-        let mut start = 0;
+        let mut start = effects.len();
+        effects.append(one);
         while start < effects.len() {
             let shard = owner(&effects[start]);
             let run = effects[start..]
@@ -396,7 +406,6 @@ impl Engines<'_> {
                     .eq(routed.participants.iter().copied()),
             "router participant set must match effect ownership"
         );
-        effects
     }
 
     /// Step 2: the prepare pass — every involved shard on its own
@@ -407,7 +416,7 @@ impl Engines<'_> {
     /// sets pay their (overlapped) prepare-hop delivery.
     fn prepare_pass(
         &mut self,
-        members: &[Member],
+        effects: &[TaggedEffect],
         items: &mut [WaveItem],
         wave_id: u64,
         crash: Option<CrashSite>,
@@ -435,7 +444,7 @@ impl Engines<'_> {
                 if let Some((san, track)) = shard.db().probe().sanitizer() {
                     san.begin_execution(track, item.ts.0, shard.now().ps());
                 }
-                let own = &members[item.txn].effects[item.effects.clone()];
+                let own = &effects[item.effects.clone()];
                 match charge_engine(load, shard, |s| s.prepare_effects_at(own, item.ts)) {
                     Ok(r) => {
                         // `prepared_txns` keeps its 2PC-only semantics:

@@ -90,7 +90,7 @@ impl TxnRouter {
             }
             Txn::NewOrder(no) => {
                 let mut remote = 0;
-                for &s in &no.stock_rows {
+                for &s in no.stock_rows() {
                     let owner = self.map.shard_of_stock(s);
                     if owner != shard {
                         participants.push(owner);
@@ -222,7 +222,7 @@ mod tests {
                 Txn::Payment(p) => vec![r.map().shard_of_customer(p.c_row)],
                 Txn::NewOrder(no) => {
                     let mut v: Vec<u32> = no
-                        .stock_rows
+                        .stock_rows()
                         .iter()
                         .map(|&s| r.map().shard_of_stock(s))
                         .collect();

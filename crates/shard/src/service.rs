@@ -12,7 +12,9 @@ use pushtap_core::{Pushtap, QueryReport};
 use pushtap_format::LayoutError;
 use pushtap_mvcc::{Ts, TsOracle};
 use pushtap_olap::{merge_partials, Query};
-use pushtap_oltp::{codec, ColumnWrite, Effect, EffectRecord, Partition, TaggedEffect, TxnRole};
+use pushtap_oltp::{
+    codec, ColumnWrite, Effect, EffectRecord, Partition, TaggedEffect, TxnRole, Writes,
+};
 use pushtap_pim::Ps;
 use pushtap_sanitizer::AccessSink;
 use pushtap_trace::{Histogram, Phase, TraceSink};
@@ -972,7 +974,7 @@ fn compact_shard_log(
         }
         for te in &r.effects {
             if let Effect::Update { table, row, writes } = &te.effect {
-                for (col, _) in writes {
+                for (col, _) in writes.iter() {
                     last_writer.insert((*table, *row, *col), *ts);
                 }
             }
@@ -989,9 +991,9 @@ fn compact_shard_log(
         for te in &r.effects {
             match &te.effect {
                 Effect::Read { .. } => {} // moves no bytes
-                Effect::Insert { .. } => effects.push(te.clone()),
+                Effect::Insert { .. } => effects.push(*te),
                 Effect::Update { table, row, writes } => {
-                    let kept: Vec<(u32, ColumnWrite)> = writes
+                    let kept: Writes = writes
                         .iter()
                         .filter(|(col, _)| last_writer[&(*table, *row, *col)] == *ts)
                         .map(|(col, write)| {

@@ -245,13 +245,13 @@ impl Wal {
         Ok(Self::with_store(Box::new(FileStore::create(path)?)))
     }
 
-    /// Frames `payload` and appends it to the pending buffer. The
-    /// record is **not** durable until the next [`force`](Self::force).
+    /// Frames `payload` straight into the pending buffer. The record is
+    /// **not** durable until the next [`force`](Self::force).
     pub fn append(&mut self, payload: &[u8]) {
-        let framed = record::frame(payload);
+        let before = self.pending.len();
+        record::frame_into(&mut self.pending, payload);
         self.stats.appends += 1;
-        self.stats.bytes += framed.len() as u64;
-        self.pending.extend_from_slice(&framed);
+        self.stats.bytes += (self.pending.len() - before) as u64;
     }
 
     /// Bytes appended but not yet forced.
@@ -343,7 +343,7 @@ impl Wal {
         for payload in &scanned.records {
             match edit(payload) {
                 Some(kept) => {
-                    out.extend_from_slice(&record::frame(&kept));
+                    record::frame_into(&mut out, &kept);
                     trim.records_kept += 1;
                 }
                 None => trim.records_dropped += 1,

@@ -36,12 +36,19 @@ pub fn checksum(payload: &[u8]) -> u32 {
 /// Frames a payload as one on-log record: header plus payload bytes.
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame_into(&mut out, payload);
+    out
+}
+
+/// Appends the frame of `payload` — header plus payload bytes — to
+/// `out` in place.
+pub(crate) fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     let len = u32::try_from(payload.len()).expect("WAL payload exceeds u32::MAX bytes");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.reserve(HEADER_LEN + payload.len());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// What [`scan`] recovered from a log image.
