@@ -5,7 +5,7 @@
 //! then the closed-form frontier of [`pushtap_core::FrontierParams`] is
 //! swept.
 
-use pushtap_core::{FrontierParams, FrontierPoint, MultiInstance, Pushtap, PushtapConfig};
+use pushtap_core::{FrontierParams, MultiInstance, Pushtap, PushtapConfig};
 use pushtap_olap::Query;
 use pushtap_oltp::{DbConfig, DbFormat};
 use pushtap_pim::{Ps, SystemConfig};
@@ -36,7 +36,6 @@ pub fn measure(scale: f64) -> MeasuredParams {
         system,
         arch: pushtap_pim::ControlArch::Pushtap,
         defrag_period: 10_000, // the paper's period
-        defrag_strategy: pushtap_mvcc::DefragStrategy::Hybrid,
     };
     let mut p = Pushtap::new(cfg).expect("build");
     let mut gen = p.txn_gen(17);
@@ -123,12 +122,6 @@ pub fn measure(scale: f64) -> MeasuredParams {
     }
 }
 
-/// Sweeps both frontiers with `n` points each.
-pub fn frontiers(scale: f64, n: usize) -> (Vec<FrontierPoint>, Vec<FrontierPoint>) {
-    let m = measure(scale);
-    (m.pushtap.sweep(n), m.mi.sweep(n))
-}
-
 /// Prints the figure.
 pub fn print_all(scale: f64) {
     let m = measure(scale);
@@ -185,7 +178,8 @@ mod tests {
     /// retention and a larger frontier area.
     #[test]
     fn pushtap_frontier_dominates() {
-        let (push, mi) = frontiers(0.0005, 8);
+        let m = measure(0.0005);
+        let (push, mi) = (m.pushtap.sweep(8), m.mi.sweep(8));
         assert_eq!(push.len(), 8);
         // Peak OLAP with OLTP idle is comparable (both scan compact-ish
         // columns)…

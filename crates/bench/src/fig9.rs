@@ -56,7 +56,6 @@ pub fn oltp_formats(scale: f64, checkpoints: &[u64]) -> Vec<OltpPoint> {
             system,
             arch: ControlArch::Pushtap,
             defrag_period: 10_000,
-            defrag_strategy: pushtap_mvcc::DefragStrategy::Hybrid,
         };
         let mut p = Pushtap::new(cfg).expect("build");
         let mut gen = p.txn_gen(99);
@@ -130,7 +129,6 @@ pub fn olap_consistency(scale: f64, checkpoints: &[u64], query: Query) -> Vec<Ol
             system,
             arch: ControlArch::Pushtap,
             defrag_period: 0,
-            defrag_strategy: pushtap_mvcc::DefragStrategy::Hybrid,
         };
         let mut p = Pushtap::new(cfg).expect("build");
         let mut gen = p.txn_gen(99);

@@ -402,13 +402,6 @@ fn render_json(all: &[(&'static str, &'static str, Vec<ShardPoint>)]) -> String 
     out
 }
 
-/// Runs the sweep at the given scale and renders it as JSON — the
-/// machine-readable form `BENCH_shard_scale.json` holds (throughput,
-/// 2PC time share, wave/overlap stats per mix × shard count).
-pub fn json_report(shard_counts: &[u32], txns: u64, cores: u32) -> String {
-    render_json(&sweep_all(shard_counts, txns, cores))
-}
-
 /// Collects one traced run (uniform remote mix — the
 /// 2PC-heaviest load) and renders it as a Chrome-trace JSON document:
 /// one process per shard, lanes for engine work, coordinator protocol
@@ -533,7 +526,7 @@ mod tests {
     /// numbers.
     #[test]
     fn json_report_lists_every_point() {
-        let json = json_report(&[1, 2], 60, 16);
+        let json = render_json(&sweep_all(&[1, 2], 60, 16));
         assert!(json.contains("\"bench\": \"shard_scale\""));
         for mix in ["local", "tpcc", "uniform"] {
             assert!(
@@ -623,5 +616,24 @@ mod tests {
             peak >= 2,
             "uniform mix at 4 shards must overlap 2PCs (peak {peak})"
         );
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The 8-shard uniform-mix timeline `shard_scale -- --trace <path>`
+    /// writes, pinned by its byte length and FNV-1a hash: any change to
+    /// a span, its timestamps or the renderer moves one of them.
+    #[test]
+    fn eight_shard_trace_is_pinned() {
+        let (doc, wave, peak) = render_trace(8, 240);
+        assert_eq!(
+            (doc.len(), fnv(doc.as_bytes())),
+            (633_945, 0xd82f_e842_94f0_6357)
+        );
+        assert_eq!((wave, peak), (2, 15));
     }
 }

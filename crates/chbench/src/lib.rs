@@ -38,11 +38,9 @@ mod queries;
 mod schema;
 mod txgen;
 
-pub use gen::{dec_u64, enc_text, enc_u64, put_text, put_u64, RowGen};
+pub use gen::{dec_u64, enc_u64, put_text, put_u64, RowGen};
 pub use queries::{
     key_columns_of, key_columns_upto, query_footprints, scan_weight, QueryFootprint,
 };
-pub use schema::{
-    database_bytes, schema_with_keys, Partitioning, Table, ALL_TABLES, MAX_KEY_WIDTH,
-};
+pub use schema::{schema_with_keys, Partitioning, Table, ALL_TABLES, MAX_KEY_WIDTH};
 pub use txgen::{NewOrder, Payment, RemoteMix, Txn, TxnGen};

@@ -284,15 +284,6 @@ impl Table {
     }
 }
 
-/// Total bytes of the database at `scale` (data only, row-store lower
-/// bound). The paper's full-scale population occupies ~20 GB (§7.1).
-pub fn database_bytes(scale: f64) -> u64 {
-    ALL_TABLES
-        .into_iter()
-        .map(|t| t.rows_at_scale(scale) * t.schema().row_width() as u64)
-        .sum()
-}
-
 /// Widest column the layout generator promotes to a key. Wider columns
 /// are long (variable-width) text — the paper stores those "using
 /// traditional storage methods, such as length-prefixed encoding or
@@ -348,7 +339,12 @@ mod tests {
     /// magnitude.
     #[test]
     fn full_scale_is_about_20gb() {
-        let gb = database_bytes(1.0) as f64 / (1u64 << 30) as f64;
+        // Data only: the row-store lower bound.
+        let bytes: u64 = ALL_TABLES
+            .into_iter()
+            .map(|t| t.rows_at_scale(1.0) * t.schema().row_width() as u64)
+            .sum();
+        let gb = bytes as f64 / (1u64 << 30) as f64;
         assert!((10.0..30.0).contains(&gb), "database is {gb:.1} GiB");
     }
 

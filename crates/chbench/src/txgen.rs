@@ -281,11 +281,6 @@ impl TxnGen {
         self
     }
 
-    /// The remote-warehouse mix in effect.
-    pub fn remote_mix(&self) -> RemoteMix {
-        self.mix
-    }
-
     /// The half-open home-warehouse range this generator draws from.
     pub fn warehouse_range(&self) -> std::ops::Range<u64> {
         self.wh_start..self.wh_start + self.warehouses
@@ -644,10 +639,7 @@ mod tests {
             .with_remote_mix(RemoteMix::Uniform, 4)
             .batch(100);
         assert_eq!(a, b);
-        assert_eq!(
-            TxnGen::new(9, 4, 1000, 5000, 5000).remote_mix(),
-            RemoteMix::Uniform
-        );
+        assert_eq!(TxnGen::new(9, 4, 1000, 5000, 5000).mix, RemoteMix::Uniform);
     }
 
     #[test]

@@ -130,8 +130,6 @@ pub struct MultiInstance {
     scale: f64,
     /// Transactions committed since the last rebuild.
     staleness: u64,
-    /// Synthetic staleness injected by analytic sweeps (no real rows).
-    synthetic: u64,
     /// Version bytes whose chains were garbage-collected internally since
     /// the last rebuild (still owed to the column instance).
     pending_bytes: f64,
@@ -164,7 +162,6 @@ impl MultiInstance {
             row_db,
             mem,
             staleness: 0,
-            synthetic: 0,
             pending_bytes: 0.0,
             now: Ps::ZERO,
             rebuild_speedup,
@@ -226,10 +223,7 @@ impl MultiInstance {
     /// instance's actual delta state.
     pub fn rebuild_time(&self) -> Ps {
         let cfg = self.mem.cfg();
-        let mut bytes = self.pending_bytes + self.live_version_bytes();
-        // Analytic sweeps inject staleness without executing rows: use the
-        // measured mix average (≈15 versions × ≈150 B each per txn).
-        bytes += self.synthetic as f64 * 15.0 * 150.0;
+        let bytes = self.pending_bytes + self.live_version_bytes();
         // Log shipping plus row writes are scattered-row transfers; same
         // effective-bandwidth derating as defragmentation.
         let bus = cfg.cpu_peak_bw() * 0.35;
@@ -245,7 +239,6 @@ impl MultiInstance {
     pub fn run_query(&mut self, query: Query) -> (Ps, Ps) {
         let rebuild = self.rebuild_time();
         self.staleness = 0;
-        self.synthetic = 0;
         self.pending_bytes = 0.0;
         let ts = self.row_db.last_ts();
         let gc = pushtap_mvcc::DefragCostModel::new(16.0, 1e9, 3e9);
@@ -266,13 +259,7 @@ impl MultiInstance {
 
     /// Transactions committed since the last rebuild.
     pub fn staleness(&self) -> u64 {
-        self.staleness + self.synthetic
-    }
-
-    /// Marks `n` transactions of staleness without executing them (used
-    /// by analytic sweeps).
-    pub fn add_staleness(&mut self, n: u64) {
-        self.synthetic += n;
+        self.staleness
     }
 }
 
@@ -296,25 +283,32 @@ mod tests {
         assert!(q9 > q6_small);
     }
 
+    /// Version bytes `txns` transactions leave owed to the column
+    /// instance, at the mix average (≈15 versions × ≈150 B each).
+    fn owed_bytes(txns: u64) -> f64 {
+        txns as f64 * 15.0 * 150.0
+    }
+
     #[test]
     fn rebuild_grows_with_staleness() {
         let mut mi = MultiInstance::new(DbConfig::small(), SystemConfig::dimm(), 1.0).unwrap();
         let r0 = mi.rebuild_time();
-        mi.add_staleness(100_000);
+        mi.pending_bytes += owed_bytes(100_000);
         let r1 = mi.rebuild_time();
         assert!(r1 > r0 * 10);
-        // Rebuild resets staleness.
+        // Rebuild settles what was owed.
         let (_, rebuild) = mi.run_query(Query::Q6);
         assert_eq!(rebuild, r1);
         assert_eq!(mi.staleness(), 0);
+        assert_eq!(mi.rebuild_time(), r0);
     }
 
     #[test]
     fn hbm_accelerator_cuts_rebuild() {
         let mut slow = MultiInstance::new(DbConfig::small(), SystemConfig::dimm(), 1.0).unwrap();
         let mut fast = MultiInstance::new(DbConfig::small(), SystemConfig::hbm(), 4.1).unwrap();
-        slow.add_staleness(1_000_000);
-        fast.add_staleness(1_000_000);
+        slow.pending_bytes += owed_bytes(1_000_000);
+        fast.pending_bytes += owed_bytes(1_000_000);
         assert!(fast.rebuild_time() < slow.rebuild_time());
     }
 

@@ -117,7 +117,7 @@ impl GcStats {
 /// Configuration of a complete PUSHtap instance.
 #[derive(Debug, Clone)]
 pub struct PushtapConfig {
-    /// Database build parameters (scale, format, key queries, costs).
+    /// Database build parameters (scale, format, delta sizing).
     pub db: DbConfig,
     /// Hardware configuration (DIMM or HBM system).
     pub system: SystemConfig,
@@ -126,9 +126,11 @@ pub struct PushtapConfig {
     /// Transactions between defragmentation passes (0 = only on demand).
     /// The paper settles on 10 k (§7.4).
     pub defrag_period: u64,
-    /// Defragmentation strategy (§5.3); Hybrid is the paper's choice.
-    pub defrag_strategy: DefragStrategy,
 }
+
+/// The defragmentation strategy every pass runs (§5.3): Hybrid is the
+/// paper's choice. [`Pushtap::estimate_defrag_pause`] prices the others.
+const DEFRAG_STRATEGY: DefragStrategy = DefragStrategy::Hybrid;
 
 impl PushtapConfig {
     /// A small DIMM-based instance for tests and examples.
@@ -138,7 +140,6 @@ impl PushtapConfig {
             system: SystemConfig::dimm(),
             arch: ControlArch::Pushtap,
             defrag_period: 10_000,
-            defrag_strategy: DefragStrategy::Hybrid,
         }
     }
 }
@@ -160,8 +161,9 @@ pub struct OltpReport {
     /// Garbage-collection pass counters and end-of-batch gauges.
     pub gc: GcStats,
     /// Transaction attempts rolled back on a full delta arena (each is
-    /// re-executed after an on-demand defragmentation, so this is also
-    /// the number of retries).
+    /// re-executed after an on-demand reclamation — a GC pass, or the
+    /// defragmentation barrier if GC freed nothing — so this is also the
+    /// number of retries).
     pub aborts: u64,
     /// Distinct transactions that needed at least one retry before
     /// committing.
@@ -563,45 +565,37 @@ impl Pushtap {
         if self.cfg.defrag_period == 0 || self.txns_since_defrag < self.cfg.defrag_period {
             return MaintPause::ZERO;
         }
-        let gc = self.gc_pass();
-        if gc > Ps::ZERO {
-            self.txns_since_defrag = 0;
-            return MaintPause {
-                gc,
-                defrag: Ps::ZERO,
-            };
-        }
-        if self.db.snapshot_pinned() {
-            self.txns_since_defrag = 0;
-            return MaintPause::ZERO;
-        }
-        MaintPause {
-            gc: Ps::ZERO,
-            defrag: self.defragment_all().1,
-        }
+        let may_defragment = !self.db.snapshot_pinned();
+        self.reclaim(may_defragment)
     }
 
     /// On-demand reclamation (the pressure policy): an incremental GC
     /// pass first — recycling committed versions below the eligible cut
     /// without a barrier — then, only if GC freed nothing, the full
-    /// defragmentation barrier. Used both by the periodic check and by
-    /// the `DeltaFull` retry loop; after one GC pass drained everything
+    /// defragmentation barrier, pinned snapshot or not. Used by the
+    /// `DeltaFull` retry loop; after one GC pass drained everything
     /// below the cut, a retry that still overflows finds the next GC
     /// pass empty and lands on the defragmentation fallback, so the
     /// loop terminates exactly as it did before GC existed.
     pub fn reclaim_now(&mut self) -> MaintPause {
+        self.reclaim(true)
+    }
+
+    /// The GC-first policy both reclamation paths share: a GC pass, and
+    /// only if it freed nothing the defragmentation barrier — when
+    /// `may_defragment`; otherwise the period simply re-arms.
+    fn reclaim(&mut self, may_defragment: bool) -> MaintPause {
         let gc = self.gc_pass();
-        if gc > Ps::ZERO {
-            self.txns_since_defrag = 0;
-            MaintPause {
+        if gc == Ps::ZERO && may_defragment {
+            return MaintPause {
                 gc,
-                defrag: Ps::ZERO,
-            }
-        } else {
-            MaintPause {
-                gc: Ps::ZERO,
                 defrag: self.defragment_all().1,
-            }
+            };
+        }
+        self.txns_since_defrag = 0;
+        MaintPause {
+            gc,
+            defrag: Ps::ZERO,
         }
     }
 
@@ -628,17 +622,11 @@ impl Pushtap {
     pub fn gc_at(&mut self, before: Ts) -> Ps {
         self.assert_decided("garbage collection");
         let model = self.defrag_cost;
-        let strategy = self.cfg.defrag_strategy;
-        let (pass, seconds) = self.db.gc(&model, strategy, before);
+        let (pass, seconds) = self.db.gc(&model, DEFRAG_STRATEGY, before);
         if !pass.reclaimed_any() {
             return Ps::ZERO;
         }
-        let traverse = self
-            .db
-            .meter()
-            .cpu
-            .cycles(pass.chain_steps * self.db.meter().costs.chain_step_cycles);
-        let pause = GC_FIXED_OVERHEAD + Ps::new((seconds * 1e12).round() as u64) + traverse;
+        let pause = self.pause(GC_FIXED_OVERHEAD, seconds, pass.chain_steps);
         let start = self.now;
         self.now += pause;
         self.gc_tally.absorb_pass(&pass);
@@ -771,7 +759,6 @@ impl Pushtap {
     pub fn defragment_all(&mut self) -> (DefragStats, Ps) {
         self.assert_decided("defragmentation");
         let upto = self.db.last_ts();
-        let strategy = self.cfg.defrag_strategy;
         let model = self.defrag_cost;
         let mut total = DefragStats::default();
         let mut seconds = 0.0;
@@ -780,7 +767,7 @@ impl Pushtap {
             if t.chains().updated_row_count() == 0 {
                 continue;
             }
-            let (stats, secs) = t.defragment(&model, strategy, upto);
+            let (stats, secs) = t.defragment(&model, DEFRAG_STRATEGY, upto);
             seconds += secs;
             total.rows_copied += stats.rows_copied;
             total.slots_reclaimed += stats.slots_reclaimed;
@@ -788,12 +775,7 @@ impl Pushtap {
             total.bytes_copied += stats.bytes_copied;
             total.meta_bytes += stats.meta_bytes;
         }
-        let traverse = self
-            .db
-            .meter()
-            .cpu
-            .cycles(total.chain_steps * self.db.meter().costs.chain_step_cycles);
-        let pause = DEFRAG_FIXED_OVERHEAD + Ps::new((seconds * 1e12).round() as u64) + traverse;
+        let pause = self.pause(DEFRAG_FIXED_OVERHEAD, seconds, total.chain_steps);
         let start = self.now;
         self.now += pause;
         self.txns_since_defrag = 0;
@@ -830,12 +812,18 @@ impl Pushtap {
         if !any {
             return DEFRAG_FIXED_OVERHEAD;
         }
-        let traverse = self
-            .db
-            .meter()
+        self.pause(DEFRAG_FIXED_OVERHEAD, seconds, chain_steps)
+    }
+
+    /// The pause of one reclamation pass: its `fixed` overhead, the
+    /// modelled copy time (`seconds`), and the CPU's walk over
+    /// `chain_steps` version-chain hops.
+    fn pause(&self, fixed: Ps, seconds: f64, chain_steps: u64) -> Ps {
+        let meter = self.db.meter();
+        let traverse = meter
             .cpu
-            .cycles(chain_steps * self.db.meter().costs.chain_step_cycles);
-        DEFRAG_FIXED_OVERHEAD + Ps::new((seconds * 1e12).round() as u64) + traverse
+            .cycles(chain_steps * meter.costs.chain_step_cycles);
+        fixed + Ps::new((seconds * 1e12).round() as u64) + traverse
     }
 
     /// Snapshots the tables a query touches (the §5.2 consistency step)

@@ -8,10 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The paper's default block size: large enough to cover a DRAM row buffer
-/// and keep row hits high (§4.2).
-pub const DEFAULT_BLOCK_ROWS: u32 = 1024;
-
 /// Block-circulant slot→device mapping.
 ///
 /// # Examples
@@ -45,11 +41,6 @@ impl Placement {
             devices,
             block_rows,
         }
-    }
-
-    /// Placement with the paper's default block size.
-    pub fn with_default_block(devices: u32) -> Placement {
-        Placement::new(devices, DEFAULT_BLOCK_ROWS)
     }
 
     /// Number of devices.
@@ -91,31 +82,6 @@ impl Placement {
     pub fn slot_of(&self, device: u32, row: u64) -> u32 {
         assert!(device < self.devices, "device {device} out of range");
         (device + self.devices - self.rotation_of(row)) % self.devices
-    }
-
-    /// Rows of the half-open row range `[start, end)` whose slot `slot`
-    /// maps to `device` — the shard a single PIM unit scans. Returned as
-    /// block-aligned sub-ranges.
-    pub fn ranges_on_device(
-        &self,
-        slot: u32,
-        device: u32,
-        start: u64,
-        end: u64,
-    ) -> Vec<(u64, u64)> {
-        let b = self.block_rows as u64;
-        let mut out = Vec::new();
-        let mut block = start / b;
-        while block * b < end {
-            let rot = (block % self.devices as u64) as u32;
-            if (slot + rot) % self.devices == device {
-                let lo = (block * b).max(start);
-                let hi = ((block + 1) * b).min(end);
-                out.push((lo, hi));
-            }
-            block += 1;
-        }
-        out
     }
 }
 
@@ -163,35 +129,5 @@ mod tests {
             devices.sort_unstable();
             assert_eq!(devices, vec![0, 1, 2, 3]);
         }
-    }
-
-    #[test]
-    fn ranges_on_device_cover_the_shard() {
-        let p = Placement::new(4, 8);
-        // Slot 0 on device 1 ⇒ blocks with rotation 1: blocks 1, 5, 9, ...
-        let r = p.ranges_on_device(0, 1, 0, 64);
-        assert_eq!(r, vec![(8, 16), (40, 48)]);
-        // Shards over all devices partition the range.
-        let total: u64 = (0..4)
-            .flat_map(|dev| p.ranges_on_device(0, dev, 0, 64))
-            .map(|(lo, hi)| hi - lo)
-            .sum();
-        assert_eq!(total, 64);
-    }
-
-    #[test]
-    fn ranges_respect_partial_blocks() {
-        let p = Placement::new(4, 8);
-        let r = p.ranges_on_device(0, 0, 3, 7);
-        assert_eq!(r, vec![(3, 7)]);
-        let r = p.ranges_on_device(0, 1, 3, 7);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn default_block_is_1024() {
-        assert_eq!(DEFAULT_BLOCK_ROWS, 1024);
-        let p = Placement::with_default_block(8);
-        assert_eq!(p.block_rows(), 1024);
     }
 }

@@ -44,7 +44,6 @@
 mod bandwidth;
 mod binpack;
 mod circulant;
-mod classic;
 mod layout;
 mod region;
 mod schema;
@@ -55,10 +54,7 @@ pub use bandwidth::{
     StorageBreakdown,
 };
 pub use binpack::{compact_layout, naive_layout};
-pub use circulant::{Placement, DEFAULT_BLOCK_ROWS};
-pub use classic::{
-    colstore_cpu_effective, colstore_lines_per_row, rowstore_cpu_effective, rowstore_lines_per_row,
-};
+pub use circulant::Placement;
 pub use layout::{ByteSource, Fragment, LayoutError, PartLayout, Slot, TableLayout};
 pub use region::{PartRegion, RegionPlan};
 pub use schema::{paper_example_schema, Column, ColumnKind, TableSchema};

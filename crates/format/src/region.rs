@@ -126,27 +126,9 @@ impl RegionPlan {
         self.bitmap_base
     }
 
-    /// Bytes of bitmap per device (data bitmap + delta bitmap).
-    pub fn bitmap_bytes(&self) -> u64 {
-        self.n_rows.div_ceil(8) + self.delta_rows().div_ceil(8)
-    }
-
     /// Total bytes consumed per device.
     pub fn bytes_per_device(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// The half-open range of `granularity`-aligned chunk indices covering
-    /// `row`'s slice of `part`'s data region — the bursts a CPU access to
-    /// this part of the row must fetch.
-    pub fn data_chunks(&self, part: u32, row: u64, granularity: u32) -> (u64, u64) {
-        let p = &self.parts[part as usize];
-        let start = self.data_offset(part, row);
-        let end = start + p.width as u64;
-        (
-            start / granularity as u64,
-            (end - 1) / granularity as u64 + 1,
-        )
     }
 }
 
@@ -174,7 +156,6 @@ mod tests {
         assert_eq!(p1.data_base, 400 + 40 * 4);
         assert_eq!(p1.delta_base, p1.data_base + 100 * 2);
         assert_eq!(r.bitmap_base(), p1.delta_base + 40 * 2);
-        assert_eq!(r.bytes_per_device(), r.bitmap_base() + r.bitmap_bytes());
     }
 
     #[test]
@@ -200,20 +181,15 @@ mod tests {
         assert_eq!(a1 - d0, r.arena_rows() * 4);
     }
 
+    /// The bitmap region closes the device: one data bit per row and
+    /// one delta bit per slot.
     #[test]
     fn bitmap_sizing() {
         let (_, r) = plan();
-        assert_eq!(r.bitmap_bytes(), 100u64.div_ceil(8) + 40u64.div_ceil(8));
-    }
-
-    #[test]
-    fn chunk_ranges_cover_width() {
-        let (_, r) = plan();
-        // Part 0, width 4, g=8: row 0 → chunk [0,1); row 1 (bytes 4..8) →
-        // chunk [0,1); row 2 (bytes 8..12) → [1,2).
-        assert_eq!(r.data_chunks(0, 0, 8), (0, 1));
-        assert_eq!(r.data_chunks(0, 1, 8), (0, 1));
-        assert_eq!(r.data_chunks(0, 2, 8), (1, 2));
+        assert_eq!(
+            r.bytes_per_device() - r.bitmap_base(),
+            100u64.div_ceil(8) + 40u64.div_ceil(8)
+        );
     }
 
     #[test]

@@ -221,11 +221,6 @@ impl VersionChains {
         self.newest_delta(row).unwrap_or(RowSlot::Data { row })
     }
 
-    /// Whether `row` has any delta versions.
-    pub fn has_versions(&self, row: u64) -> bool {
-        self.newest_delta(row).is_some()
-    }
-
     /// The version of `row` visible at `ts`, and the number of chain hops
     /// traversed to find it. Original versions (write_ts 0) are visible to
     /// everyone.
@@ -495,6 +490,13 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    impl VersionChains {
+        /// Whether `row` has any delta versions.
+        fn has_versions(&self, row: u64) -> bool {
+            self.newest_delta(row).is_some()
+        }
+    }
 
     fn delta(rotation: u32, idx: u64) -> RowSlot {
         RowSlot::Delta { rotation, idx }

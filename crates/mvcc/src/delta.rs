@@ -84,11 +84,6 @@ impl DeltaAllocator {
     pub fn live_total(&self) -> u64 {
         (0..self.next.len() as u32).map(|r| self.live(r)).sum()
     }
-
-    /// Fraction of total capacity in use.
-    pub fn occupancy(&self) -> f64 {
-        self.live_total() as f64 / (self.arena_rows * self.next.len() as u64) as f64
-    }
 }
 
 #[cfg(test)]
@@ -114,14 +109,6 @@ mod tests {
         a.release(1, x);
         assert_eq!(a.live(1), 0);
         assert_eq!(a.alloc(1), Ok(x));
-    }
-
-    #[test]
-    fn occupancy_fraction() {
-        let mut a = DeltaAllocator::new(2, 4);
-        a.alloc(0).unwrap();
-        a.alloc(1).unwrap();
-        assert!((a.occupancy() - 0.25).abs() < 1e-12);
     }
 
     #[test]

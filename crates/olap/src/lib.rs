@@ -7,9 +7,10 @@
 //! multi-column operators (group-index shuffles, hash-join bucket
 //! partitioning, §6.3).
 //!
-//! * [`LaunchRequest`] — byte-exact Fig. 7(b) launch-request encodings;
 //! * [`ScanEngine`] — two-phase scans under PUSHtap's scheduler or the
 //!   original per-unit control architecture (the Fig. 12(b) comparison);
+//!   a launch (Fig. 7(b)'s disguised 64-byte write) is charged by its
+//!   cost, `ControlModel::launch`, and its payload is not modelled;
 //! * [`Query`] — Q1 / Q6 / Q9 with value-correct results;
 //! * [`ref_q1`]/[`ref_q6`]/[`ref_q9`] — the naive reference executor used
 //!   to validate the PIM path.
@@ -36,13 +37,11 @@
 
 mod exec;
 mod footprint;
-mod ops;
 mod query;
 mod reference;
 
 pub use exec::{ScanEngine, ScanOutcome};
 pub use footprint::{run_all_queries, run_footprint_query, FootprintReport};
-pub use ops::{DecodeError, LaunchRequest};
 pub use query::{
     merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryTiming, DELIVERY_CUTOFF, PRICE_MODULUS,
     Q9_GROUPS, QUANTITY_MAX,

@@ -34,18 +34,6 @@ pub struct Q1Row {
     pub count: u64,
 }
 
-impl Q1Row {
-    /// `AVG(ol_quantity)` recombined from the distributable sum/count
-    /// pair (the reason Q1 partials carry sums, never averages).
-    pub fn avg_qty(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_qty as f64 / self.count as f64
-        }
-    }
-}
-
 /// One Q9 output row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Q9Row {
@@ -61,9 +49,9 @@ pub struct Q9Row {
 /// distributive (sums, counts, per-group sums), so the result computed
 /// over any partition of the fact rows combines with [`QueryResult::merge`]
 /// into exactly the result over the union. Averages are recombined from
-/// sum/count at the edge ([`Q1Row::avg_qty`]); grouped results merge per
-/// group key. This is what makes scatter-gather execution across shards
-/// value-identical to a single-instance scan.
+/// sum/count at the edge (`AVG(ol_quantity)` is `sum_qty / count`);
+/// grouped results merge per group key. This is what makes scatter-gather
+/// execution across shards value-identical to a single-instance scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryResult {
     /// Q1's grouped pricing summary.
@@ -747,7 +735,6 @@ mod tests {
                 },
             ]
         );
-        assert!((rows[1].avg_qty() - 7.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -205,19 +205,16 @@ pub struct DbConfig {
     pub format: DbFormat,
     /// Which memory the instance lives in.
     pub side: Side,
-    /// OLAP query subset defining the key columns (e.g. `1..=22`).
-    pub key_queries: Vec<u8>,
     /// Delta capacity as a fraction of each table's rows.
     pub delta_frac: f64,
     /// Minimum delta capacity in rows (hot small tables — WAREHOUSE,
     /// DISTRICT — receive a version per transaction and need headroom
     /// between defragmentation passes).
     pub min_delta_rows: u64,
-    /// Block-circulant block size.
-    pub block_rows: u32,
-    /// CPU cost model.
-    pub costs: CostModel,
 }
+
+/// Block-circulant block size of every table, in rows (§4.2).
+const BLOCK_ROWS: u32 = 64;
 
 impl DbConfig {
     /// A small default configuration for tests and examples.
@@ -227,11 +224,8 @@ impl DbConfig {
             min_warehouses: 1,
             format: DbFormat::Unified { th: 0.6 },
             side: Side::Pim,
-            key_queries: (1..=22).collect(),
             delta_frac: 0.5,
             min_delta_rows: 4096,
-            block_rows: 64,
-            costs: CostModel::default(),
         }
     }
 
@@ -266,7 +260,8 @@ pub struct TpccDb {
     /// overlapped non-conflicting transaction.
     undo: UndoLog,
     /// Transactions rolled back on [`DeltaFull`] (each is retried by the
-    /// caller after defragmentation, so this is also the retry count).
+    /// caller after it reclaims delta slots, so this is also the retry
+    /// count).
     aborts: u64,
     /// Cumulative simulated time consumed by rolled-back attempts: the
     /// statements a transaction executed before hitting [`DeltaFull`].
@@ -389,7 +384,8 @@ impl TpccDb {
             Side::Host => mem.cfg().cpu_geometry,
         };
         let shards: Vec<BankAddr> = geometry.bank_addrs().collect();
-        let key_map = pushtap_chbench::key_columns_of(&cfg.key_queries);
+        // Key columns: every column CH-benCHmark's Q1–Q22 scan.
+        let key_map = pushtap_chbench::key_columns_upto(22);
         let warehouses_global = global_rows(cfg, Table::Warehouse);
         let wh_range = partition.range(warehouses_global);
         let mut tables = Vec::with_capacity(pushtap_chbench::ALL_TABLES.len());
@@ -420,7 +416,7 @@ impl TpccDb {
                 TableConfig {
                     n_rows,
                     delta_rows,
-                    block_rows: cfg.block_rows,
+                    block_rows: BLOCK_ROWS,
                     shards: shards.clone(),
                     base_dram_row,
                     model: access_model(cfg.format),
@@ -476,7 +472,7 @@ impl TpccDb {
                 s_order_cnt: col(Table::Stock, "s_order_cnt"),
             },
             tables,
-            meter: Meter::new(cfg.costs, mem.cfg().cpu),
+            meter: Meter::new(CostModel::default(), mem.cfg().cpu),
             ts: Arc::new(TsOracle::new()),
             committed: 0,
             partition,
@@ -638,7 +634,7 @@ impl TpccDb {
     /// returning the *global* row index (identical on a partitioned
     /// shard and an unpartitioned instance for the same logical stream).
     /// The stripe cursor advances only on success, so a `DeltaFull`
-    /// retry after defragmentation reuses the same slot.
+    /// retry after reclamation reuses the same slot.
     #[allow(clippy::too_many_arguments)]
     fn timed_insert_for(
         &mut self,
@@ -721,8 +717,8 @@ impl TpccDb {
     }
 
     /// Transactions rolled back on [`DeltaFull`] so far. Every abort is
-    /// followed by a caller-driven defragmentation and a retry of the
-    /// whole transaction, so this doubles as the retry count.
+    /// followed by a caller-driven reclamation and a retry of the whole
+    /// transaction, so this doubles as the retry count.
     pub fn aborts(&self) -> u64 {
         self.aborts
     }

@@ -116,11 +116,6 @@ impl Geometry {
         self.devices_per_rank * self.banks_per_device
     }
 
-    /// CPU-visible lockstep bank sets in the whole system.
-    pub fn cpu_banks(&self) -> u32 {
-        self.channels * self.ranks_per_channel * self.banks_per_device
-    }
-
     /// Bytes per bank per device.
     pub fn bank_bytes(&self) -> u64 {
         self.rows_per_bank as u64 * self.row_bytes as u64
@@ -147,23 +142,6 @@ impl Geometry {
         (0..c).flat_map(move |ch| {
             (0..r).flat_map(move |rk| (0..b).map(move |ba| BankAddr::new(ch, rk, ba)))
         })
-    }
-
-    /// Maps a device-local byte offset within a bank to `(row, column byte)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the offset lies beyond the bank.
-    pub fn locate(&self, dev_offset: u64) -> (u32, u32) {
-        assert!(
-            dev_offset < self.bank_bytes(),
-            "offset {dev_offset} beyond bank ({} bytes)",
-            self.bank_bytes()
-        );
-        (
-            (dev_offset / self.row_bytes as u64) as u32,
-            (dev_offset % self.row_bytes as u64) as u32,
-        )
     }
 }
 
@@ -202,27 +180,13 @@ mod tests {
     fn bank_addr_iteration_covers_all() {
         let g = Geometry::dimm();
         let addrs: Vec<_> = g.bank_addrs().collect();
-        assert_eq!(addrs.len(), g.cpu_banks() as usize);
+        // One lockstep bank set per channel × rank × bank.
+        let banks = g.channels * g.ranks_per_channel * g.banks_per_device;
+        assert_eq!(addrs.len(), banks as usize);
         // All distinct.
         let mut sorted = addrs.clone();
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), addrs.len());
-    }
-
-    #[test]
-    fn locate_splits_rows() {
-        let g = Geometry::dimm();
-        assert_eq!(g.locate(0), (0, 0));
-        assert_eq!(g.locate(1023), (0, 1023));
-        assert_eq!(g.locate(1024), (1, 0));
-        assert_eq!(g.locate(5000), (4, 904));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond bank")]
-    fn locate_out_of_range_panics() {
-        let g = Geometry::dimm();
-        let _ = g.locate(g.bank_bytes());
     }
 }

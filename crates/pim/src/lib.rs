@@ -61,10 +61,7 @@ pub use energy::{EnergyStats, CPU_PJ_PER_BYTE, PIM_PJ_PER_BYTE};
 pub use geometry::{BankAddr, Geometry};
 pub use mem::{DeviceArray, DeviceMem};
 pub use pim_unit::{PimOpKind, PimUnit, PIPELINE_SATURATION_TASKLETS};
-pub use scheduler::{
-    ControlArch, ControlModel, LaunchPayload, AREA_MEMCTRL_MM2, AREA_POLLING_MM2,
-    AREA_SCHEDULER_MM2, AREA_TOTAL_MM2, PER_UNIT_MESSAGE, POLL_RETURN, SCHED_DECODE,
-};
+pub use scheduler::{ControlArch, ControlModel, PER_UNIT_MESSAGE, POLL_RETURN, SCHED_DECODE};
 pub use system::{MemSystem, Side, SysStats};
 pub use time::Ps;
 pub use timing::TimingParams;

@@ -102,12 +102,6 @@ impl DeviceMem {
         self.bytes.get(offset).copied().unwrap_or(0)
     }
 
-    /// Writes a single byte, growing the store as needed.
-    pub fn set_byte(&mut self, offset: usize, value: u8) {
-        self.ensure(offset + 1);
-        self.bytes[offset] = value;
-    }
-
     /// Copies `len` bytes from `src` to `dst` within this device (used by
     /// PIM-side defragmentation: the copy never crosses devices because new
     /// versions share their origin row's rotation, §5.1). The store does
@@ -186,11 +180,6 @@ impl DeviceArray {
     pub fn iter(&self) -> impl Iterator<Item = &DeviceMem> {
         self.devices.iter()
     }
-
-    /// Largest allocated length across devices.
-    pub fn max_len(&self) -> usize {
-        self.devices.iter().map(DeviceMem::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -255,8 +244,9 @@ mod tests {
     #[test]
     fn byte_accessors() {
         let mut m = DeviceMem::new();
-        m.set_byte(5, 0xAB);
+        m.write(5, &[0xAB]);
         assert_eq!(m.byte(5), 0xAB);
+        assert_eq!(m.byte(6), 0, "zero beyond the written extent");
         assert!(!m.is_empty());
     }
 
@@ -308,7 +298,7 @@ mod tests {
         assert_eq!(a.device(3).byte(0), 8);
         assert_eq!(a.device(1).len(), 0);
         assert_eq!(a.width(), 4);
-        assert_eq!(a.max_len(), 1);
+        assert_eq!(a.device(0).len(), 1);
     }
 
     #[test]

@@ -105,12 +105,6 @@ impl PimUnit {
         self.spec.dma_time(bytes)
     }
 
-    /// Number of 8-byte elements that fit in the load-phase data buffer
-    /// (half of WRAM, §6.2).
-    pub fn buffer_elems(&self) -> u64 {
-        (self.spec.data_buffer_bytes() / self.spec.wire_bytes) as u64
-    }
-
     /// Rounds a byte count up to the unit's minimum access granularity
     /// (the 8 B wire width): bytes the DMA actually moves.
     pub fn round_to_wire(&self, bytes: u64) -> u64 {
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn buffer_holds_half_wram() {
         let u = unit();
-        assert_eq!(u.buffer_elems(), 4096); // 32 kB / 8 B
+        assert_eq!(u.spec.data_buffer_bytes(), 32 * 1024); // of 64 kB WRAM
     }
 
     #[test]

@@ -13,22 +13,15 @@
 //! Under the original architecture the CPU instead messages every PIM unit
 //! individually over the memory bus, which costs tens of microseconds per
 //! offload for a server-scale unit count (§2.1).
+//!
+//! A launch is modelled by its cost alone ([`ControlModel::launch`]); no
+//! simulated unit reads the 64-byte request of Fig. 7(b).
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::SystemConfig;
 use crate::pim_unit::PimOpKind;
 use crate::time::Ps;
-
-/// Area of the added scheduler module (§7.6, Synopsys DC @ TSMC 90 nm),
-/// in mm² for an 8-channel memory controller.
-pub const AREA_SCHEDULER_MM2: f64 = 0.112;
-/// Area of the added polling module, mm².
-pub const AREA_POLLING_MM2: f64 = 0.003;
-/// Total added area, mm².
-pub const AREA_TOTAL_MM2: f64 = AREA_SCHEDULER_MM2 + AREA_POLLING_MM2;
-/// Reference total memory-controller area (Sapphire Rapids class), mm².
-pub const AREA_MEMCTRL_MM2: f64 = 13.0;
 
 /// Cost of one CPU→PIM-unit control message on the original architecture
 /// (one small bus transaction per unit, serialised per channel).
@@ -49,44 +42,6 @@ pub enum ControlArch {
     Pushtap,
     /// The unmodified commercial architecture: CPU messages each unit.
     Original,
-}
-
-/// A 64-byte launch-request payload: 1 type byte + 63 parameter bytes
-/// (Fig. 7(b)). The encoding of the parameter fields is owned by the OLAP
-/// crate; the scheduler transports the payload opaquely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchPayload {
-    bytes: [u8; 64],
-}
-
-impl LaunchPayload {
-    /// Builds a payload from a type byte and up to 63 parameter bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` exceeds 63 bytes.
-    pub fn new(op_type: u8, params: &[u8]) -> LaunchPayload {
-        assert!(params.len() <= 63, "launch parameters exceed 63 bytes");
-        let mut bytes = [0u8; 64];
-        bytes[0] = op_type;
-        bytes[1..1 + params.len()].copy_from_slice(params);
-        LaunchPayload { bytes }
-    }
-
-    /// The operation type byte.
-    pub fn op_type(&self) -> u8 {
-        self.bytes[0]
-    }
-
-    /// The 63 parameter bytes.
-    pub fn params(&self) -> &[u8] {
-        &self.bytes[1..]
-    }
-
-    /// The raw 64-byte wire image.
-    pub fn as_bytes(&self) -> &[u8; 64] {
-        &self.bytes
-    }
 }
 
 /// Control-path cost model.
@@ -190,15 +145,6 @@ mod tests {
         )
     }
 
-    /// §7.6: 0.115 mm² total, scheduler 0.112, polling 0.003; negligible vs
-    /// a ~13 mm² memory controller.
-    #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn area_constants() {
-        assert!((AREA_TOTAL_MM2 - 0.115).abs() < 1e-12);
-        assert!(AREA_TOTAL_MM2 / AREA_MEMCTRL_MM2 < 0.01);
-    }
-
     /// §2.1: invoking and polling thousands of units takes tens of µs on
     /// the original architecture; PUSHtap reduces it to sub-µs (+0.2 µs
     /// handover when the op needs the bank).
@@ -228,20 +174,5 @@ mod tests {
         assert!(orig.blocks_cpu(PimOpKind::Ls));
         assert!(!push.blocks_cpu(PimOpKind::Filter));
         assert!(push.blocks_cpu(PimOpKind::Ls));
-    }
-
-    #[test]
-    fn payload_layout() {
-        let p = LaunchPayload::new(3, &[1, 2, 3]);
-        assert_eq!(p.op_type(), 3);
-        assert_eq!(p.params()[..3], [1, 2, 3]);
-        assert_eq!(p.params().len(), 63);
-        assert_eq!(p.as_bytes().len(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed 63")]
-    fn oversized_payload_panics() {
-        let _ = LaunchPayload::new(0, &[0u8; 64]);
     }
 }

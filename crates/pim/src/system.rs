@@ -118,11 +118,6 @@ impl MemSystem {
         &self.stats
     }
 
-    /// Clears accumulated statistics (controllers keep their timing state).
-    pub fn reset_stats(&mut self) {
-        self.stats = SysStats::default();
-    }
-
     /// Cache-line bytes delivered per CPU access on `side`.
     pub fn line_bytes(&self, side: Side) -> u32 {
         match side {
@@ -367,14 +362,6 @@ mod tests {
             Ps::ZERO,
         );
         assert!(h.issue < Ps::from_us(1.0));
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let mut m = MemSystem::dimm();
-        m.access(Side::Pim, BankAddr::new(0, 0, 0), 0, Op::Read, 64, Ps::ZERO);
-        m.reset_stats();
-        assert_eq!(m.stats().cpu_fetched, 0);
     }
 
     #[test]

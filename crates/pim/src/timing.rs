@@ -91,11 +91,6 @@ impl TimingParams {
         self.t_ras + self.t_rp
     }
 
-    /// Latency of an isolated row-buffer hit read (CAS + burst).
-    pub fn hit_latency(&self) -> Ps {
-        self.t_cl + self.t_burst
-    }
-
     /// Latency of an isolated read to a closed bank (ACT + CAS + burst).
     pub fn miss_latency(&self) -> Ps {
         self.t_rcd + self.t_cl + self.t_burst
@@ -144,10 +139,8 @@ mod tests {
     fn derived_latencies() {
         let t = TimingParams::ddr5_3200();
         assert_eq!(t.t_rc(), Ps::from_ns(16.3) + Ps::from_ns(7.5));
-        assert_eq!(t.hit_latency(), Ps::from_ns(10.0));
         assert_eq!(t.miss_latency(), Ps::from_ns(17.5));
         assert_eq!(t.conflict_latency(), Ps::from_ns(25.0));
-        assert!(t.hit_latency() < t.miss_latency());
         assert!(t.miss_latency() < t.conflict_latency());
     }
 

@@ -539,11 +539,6 @@ impl ShadowSanitizer {
         std::mem::take(&mut self.state().violations)
     }
 
-    /// Whether nothing has been detected.
-    pub fn is_clean(&self) -> bool {
-        self.state().violations.is_empty()
-    }
-
     /// Physical accesses put through the declared-footprint check.
     pub fn checked_accesses(&self) -> u64 {
         self.state().checked
@@ -887,7 +882,7 @@ mod tests {
         san.record_access(0, 1, read(0, 5));
         san.prepare_scope(0, 1);
         san.commit_scope(0, 1);
-        assert!(san.is_clean());
+        assert!(san.violations().is_empty());
 
         san.begin_scope(0, 2, &[SanKey::Row(0, 6)], &[]);
         san.record_access(0, 2, write(0, 6));
@@ -1009,7 +1004,7 @@ mod tests {
     fn reclaimed_pinned_version_fires() {
         let san = ShadowSanitizer::new();
         san.reclaim_version(0, 1, 7, 9, Some(10)); // below the pin: fine
-        assert!(san.is_clean());
+        assert!(san.violations().is_empty());
         san.reclaim_version(2, 1, 7, 10, Some(10)); // at the pin: a pinned reader could see it
         let v = san.take_violations();
         assert_eq!(v.len(), 1, "{v:?}");

@@ -67,17 +67,13 @@ pub struct ShardConfig {
     /// rows are *forwarded* to their owning shard and committed there
     /// under the coordinator's pinned timestamp).
     pub commit: CommitConfig,
-    /// CPU cycles per gathered partial row spent merging scatter-gather
-    /// results on the coordinator.
-    pub merge_cycles_per_row: u64,
 }
 
 impl ShardConfig {
     /// A small test/example deployment: the engine's small instance with
     /// the warehouse floor raised to 8, so shard counts 1–8 all partition
     /// the *same* global population (results stay comparable across
-    /// shard counts), 500 ns prepare/commit hops, and an 8-cycle-per-row
-    /// merge.
+    /// shard counts), and 500 ns prepare/commit hops.
     ///
     /// # Panics
     ///
@@ -98,7 +94,6 @@ impl ShardConfig {
                 force_latency: Ps::from_us(2.0),
                 vote_jitter: Ps::from_ns(200.0),
             },
-            merge_cycles_per_row: 8,
         }
     }
 }

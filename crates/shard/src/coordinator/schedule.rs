@@ -132,12 +132,6 @@ impl WaveScheduler {
         self.pending_txns >= self.window
     }
 
-    /// Key-map entries currently tracked — bounded by the keys of
-    /// pending transactions (the bounded-memory test pins this).
-    pub fn tracked_keys(&self) -> usize {
-        self.last_writer.len() + self.last_reader.len()
-    }
-
     /// Dispatches the frontier: removes and returns the lowest pending
     /// wave (admission order — i.e. timestamp order), advances the
     /// floor past it, and drops the map entries it owned. `None` when
@@ -212,6 +206,14 @@ mod tests {
     use pushtap_mvcc::Ts;
     use pushtap_oltp::KeySet;
     use pushtap_pim::Ps;
+
+    impl WaveScheduler {
+        /// Key-map entries currently tracked — bounded by the keys of
+        /// pending transactions.
+        fn tracked_keys(&self) -> usize {
+            self.last_writer.len() + self.last_reader.len()
+        }
+    }
 
     /// A hand-built routed Payment with an explicit keyset: writes its
     /// warehouse row, its customer row, and HISTORY's ring at `w`.

@@ -150,8 +150,8 @@ pub struct ShardRecovery {
     pub truncated_bytes: u64,
     /// Whether the log had a torn tail.
     pub torn: bool,
-    /// `DeltaFull` retries during replay (replay reclaims arenas with
-    /// the same defragment-and-retry loop as live execution; byte
+    /// `DeltaFull` retries during replay (replay reclaims arenas by
+    /// defragmenting, where live execution tries a GC pass first; byte
     /// identity is unaffected — that is the invariant the crash-point
     /// suite proves).
     pub defrag_retries: u64,

@@ -351,7 +351,7 @@ impl ShardedHtap {
     /// tracker can cross-check declared keysets, wave isolation and
     /// prepared-scope discipline across the whole deployment. Install a
     /// [`pushtap_sanitizer::ShadowSanitizer`] before a batch and assert
-    /// [`ShadowSanitizer::is_clean`](pushtap_sanitizer::ShadowSanitizer::is_clean)
+    /// [`ShadowSanitizer::assert_clean`](pushtap_sanitizer::ShadowSanitizer::assert_clean)
     /// after; the default `NullSanitizer` keeps unarmed runs at one
     /// branch per hook. Hooks charge zero simulated time, so arming
     /// never perturbs committed bytes.
@@ -815,7 +815,7 @@ impl ShardedHtap {
             .db()
             .meter()
             .cpu
-            .cycles(gathered * self.cfg.merge_cycles_per_row);
+            .cycles(gathered * MERGE_CYCLES_PER_ROW);
         let result = merge_partials(partials.iter().map(|p| p.result.clone()))
             .unwrap_or_else(|| panic!("scatter-gather over zero shards"));
         ShardQueryReport {
@@ -827,6 +827,10 @@ impl ShardedHtap {
         }
     }
 }
+
+/// CPU cycles per gathered partial row spent merging scatter-gather
+/// results on the coordinator.
+const MERGE_CYCLES_PER_ROW: u64 = 8;
 
 /// A closed-loop batch, expressed as front-end bounds: no inbox bound
 /// (nothing is ever rejected) and no window bound (nothing dispatches
@@ -1098,9 +1102,12 @@ fn replay_shard(
             match shard.prepare_effects_at(&r.effects, Ts(ts)) {
                 Ok(_) => break,
                 Err(_full) => {
-                    // Same defragment-and-retry loop as live execution;
-                    // retry-stability keeps the committed bytes identical
-                    // however often replay has to reclaim arenas.
+                    // Reclaim and retry, as live execution does. Live
+                    // execution reclaims GC-first; replay defragments,
+                    // which the recovery span golden in
+                    // `trace_reconcile.rs` pins. Retry-stability keeps
+                    // the committed bytes identical either way, however
+                    // often replay has to reclaim arenas.
                     rec.defrag_retries += 1;
                     shard.defragment_all();
                 }

@@ -245,9 +245,8 @@ fn every_site_recovers_byte_identically() {
 }
 
 /// A mid-flush kill at every shard count under delta pressure: the torn
-/// log truncates to whole records, replay re-runs the same
-/// defragment-and-retry loop live execution used, and the bytes still
-/// match. Retried casualties of wave 1 consume no event number, so the
+/// log truncates to whole records, replay reclaims and retries on a
+/// full arena as live execution did, and the bytes still match. Retried casualties of wave 1 consume no event number, so the
 /// kill still lands in wave 2.
 #[test]
 fn mid_flush_recovers_at_every_shard_count_under_pressure() {

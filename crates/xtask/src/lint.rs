@@ -260,7 +260,7 @@ fn is_simulation_src(rel: &Path) -> bool {
 
 /// Byte ranges covered by `#[cfg(test)]`-gated items (the attribute's
 /// following brace block).
-fn cfg_test_ranges(cleaned: &str) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn cfg_test_ranges(cleaned: &str) -> Vec<std::ops::Range<usize>> {
     let mut ranges = Vec::new();
     for offset in find_token(cleaned, "#[cfg(test)]") {
         let Some(open) = cleaned[offset..].find('{').map(|i| offset + i) else {
@@ -304,12 +304,12 @@ fn find_token(text: &str, token: &str) -> Vec<usize> {
 }
 
 /// 1-based line number of byte `offset` in `source`.
-fn line_of(source: &str, offset: usize) -> usize {
+pub(crate) fn line_of(source: &str, offset: usize) -> usize {
     source[..offset].bytes().filter(|&b| b == b'\n').count() + 1
 }
 
 /// The workspace root (xtask lives at `<root>/crates/xtask`).
-fn workspace_root() -> PathBuf {
+pub(crate) fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -318,7 +318,7 @@ fn workspace_root() -> PathBuf {
 }
 
 /// Immediate subdirectories of `dir` (the member crates).
-fn crate_dirs(dir: &Path) -> Vec<PathBuf> {
+pub(crate) fn crate_dirs(dir: &Path) -> Vec<PathBuf> {
     let mut dirs: Vec<PathBuf> = fs::read_dir(dir)
         .into_iter()
         .flatten()
@@ -332,7 +332,7 @@ fn crate_dirs(dir: &Path) -> Vec<PathBuf> {
 
 /// Every `.rs` file under `base/<sub>` for each listed subdirectory,
 /// recursively, sorted for deterministic output.
-fn rust_files_under(base: &Path, subs: &[&str]) -> Vec<PathBuf> {
+pub(crate) fn rust_files_under(base: &Path, subs: &[&str]) -> Vec<PathBuf> {
     let mut files = Vec::new();
     for sub in subs {
         collect_rs(&base.join(sub), &mut files);
@@ -354,7 +354,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Blanks comments and string/char literals with spaces (newlines and
 /// offsets preserved), so token scans only see real code.
-fn blank_noncode(source: &str) -> String {
+pub(crate) fn blank_noncode(source: &str) -> String {
     let bytes = source.as_bytes();
     let mut out = bytes.to_vec();
     let mut i = 0;

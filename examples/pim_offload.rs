@@ -1,44 +1,28 @@
 //! PIM offload anatomy: drive the two-phase execution model directly and
 //! compare PUSHtap's memory-controller extension against the original
 //! general-purpose PIM architecture across WRAM sizes — the mechanism
-//! behind Figure 12(b).
+//! behind Figure 12(b). A launch (Fig. 7(b)'s disguised 64-byte write) is
+//! modelled by its cost, `ControlModel::launch`.
 //!
 //! Run with: `cargo run --release --example pim_offload`
 
-use pushtap::olap::{LaunchRequest, ScanEngine};
+use pushtap::olap::ScanEngine;
 use pushtap::pim::{ControlArch, ControlModel, MemSystem, PimOpKind, Ps, SystemConfig};
 
 fn main() {
-    // 1. What actually goes over the wire: a launch request is a 64-byte
-    //    write to a reserved address (Fig. 7(b)).
-    let req = LaunchRequest::Filter {
-        bitmap_offset: 0x0000,
-        data_offset: 0x0400,
-        result_offset: 0x7C00,
-        data_width: 8,
-        condition: 0x0000_0001_2345_6789,
-    };
-    let payload = req.encode();
-    println!("Filter launch payload (type byte {}):", payload.op_type());
-    for chunk in payload.as_bytes().chunks(16) {
-        let hex: Vec<String> = chunk.iter().map(|b| format!("{b:02x}")).collect();
-        println!("  {}", hex.join(" "));
-    }
-    assert_eq!(LaunchRequest::decode(&payload).unwrap(), req);
-
-    // 2. Control-path cost: one disguised access vs per-unit messaging.
+    // 1. Control-path cost: one disguised access vs per-unit messaging.
     let cfg = SystemConfig::dimm();
     for arch in [ControlArch::Pushtap, ControlArch::Original] {
         let m = ControlModel::new(arch, &cfg);
         println!(
-            "\n{arch:?}: launch(LS) {}, launch(Filter) {}, poll {}",
+            "{arch:?}: launch(LS) {}, launch(Filter) {}, poll {}",
             m.launch(PimOpKind::Ls),
             m.launch(PimOpKind::Filter),
             m.poll()
         );
     }
 
-    // 3. Whole-scan effect across WRAM sizes (Fig. 12(b) mechanism):
+    // 2. Whole-scan effect across WRAM sizes (Fig. 12(b) mechanism):
     //    8 B-wide column over 6 M rows.
     println!("\nWRAM(kB)  PUSHtap       Original      speedup");
     for wram_kb in [16u32, 32, 64, 128, 256] {
