@@ -129,12 +129,12 @@ pub fn defrag_breakdown(scale: f64, txns: u64) -> (f64, f64) {
     let mut p = Pushtap::new(config(scale, 0, 4 * txns)).expect("build");
     let mut gen = p.txn_gen(7);
     p.run_txns(&mut gen, txns);
-    let (stats, pause) = p.defragment_all();
+    let (pass, pause) = p.defragment_all();
     let traverse = p
         .db()
         .meter()
         .cpu
-        .cycles(stats.chain_steps * p.db().meter().costs.chain_step_cycles);
+        .cycles(pass.chain_steps * p.db().meter().costs.chain_step_cycles);
     let variable = pause.saturating_sub(DEFRAG_FIXED_OVERHEAD);
     let copy = variable.saturating_sub(traverse);
     let t = variable.ps().max(1) as f64;

@@ -195,15 +195,7 @@ impl MultiInstance {
             }
             Err(_) => {
                 self.pending_bytes += self.live_version_bytes();
-                let upto = self.row_db.last_ts();
-                for t in pushtap_chbench::ALL_TABLES {
-                    let model = pushtap_mvcc::DefragCostModel::new(16.0, 1e9, 3e9);
-                    self.row_db.table_mut(t).defragment(
-                        &model,
-                        pushtap_mvcc::DefragStrategy::Cpu,
-                        upto,
-                    );
-                }
+                self.fold_row_chains();
                 let r = self
                     .row_db
                     .execute_at(txn, ts, &mut self.mem, self.now)
@@ -240,21 +232,21 @@ impl MultiInstance {
         let rebuild = self.rebuild_time();
         self.staleness = 0;
         self.pending_bytes = 0.0;
-        let ts = self.row_db.last_ts();
-        let gc = pushtap_mvcc::DefragCostModel::new(16.0, 1e9, 3e9);
-        for t in pushtap_chbench::ALL_TABLES {
-            if self.row_db.table(t).chains().updated_row_count() > 0 {
-                self.row_db
-                    .table_mut(t)
-                    .defragment(&gc, pushtap_mvcc::DefragStrategy::Cpu, ts);
-            }
-        }
+        self.fold_row_chains();
         let start = self.now + rebuild;
         let end = self
             .ideal
             .query_time(query, self.scale, &mut self.mem, start);
         self.now = end;
         (end.saturating_sub(start) + rebuild, rebuild)
+    }
+
+    /// Folds the row instance's version chains into its main storage
+    /// (their cost is not charged: the rebuild prices the column side).
+    fn fold_row_chains(&mut self) {
+        let model = pushtap_mvcc::DefragCostModel::new(16.0, 1e9, 3e9);
+        self.row_db
+            .defragment(&model, pushtap_mvcc::DefragStrategy::Cpu);
     }
 
     /// Transactions committed since the last rebuild.

@@ -8,10 +8,10 @@ use std::sync::Arc;
 
 use pushtap_chbench::{Table, Txn, TxnGen};
 use pushtap_format::LayoutError;
-use pushtap_mvcc::{DefragCostModel, DefragStats, DefragStrategy, DeltaFull, Ts, TsOracle};
+use pushtap_mvcc::{DefragCostModel, DefragStrategy, DeltaFull, Ts, TsOracle};
 use pushtap_olap::{Query, QueryResult, QueryTiming, ScanEngine};
 use pushtap_oltp::{
-    Breakdown, DbConfig, Partition, Probe, TaggedEffect, TpccDb, TxnResult, TxnRole,
+    Breakdown, DbConfig, Partition, Probe, TableGcPass, TaggedEffect, TpccDb, TxnResult, TxnRole,
 };
 use pushtap_pim::{ControlArch, MemSystem, Ps, SystemConfig};
 use pushtap_trace::{Histogram, Phase, TraceSink};
@@ -91,7 +91,7 @@ pub struct GcStats {
 
 impl GcStats {
     /// Folds one engine pass into the tally.
-    pub fn absorb_pass(&mut self, pass: &pushtap_oltp::TableGcPass) {
+    pub fn absorb_pass(&mut self, pass: &TableGcPass) {
         self.passes += 1;
         self.versions_reclaimed += pass.rows_folded;
         self.slots_recycled += pass.slots_recycled;
@@ -749,68 +749,51 @@ impl Pushtap {
         report
     }
 
-    /// Defragments every table (OLTP paused). Returns the aggregate stats
-    /// and the pause duration, and advances the clock.
+    /// Defragments every table (OLTP paused): the garbage-collection fold
+    /// at the watermark ([`TpccDb::defragment`]) behind the stop-the-world
+    /// barrier. Returns the pass's stats and the pause duration, and
+    /// advances the clock.
     ///
     /// # Panics
     ///
     /// Panics while a prepared transaction scope awaits its
     /// coordinator's decision: its writes may still be taken back.
-    pub fn defragment_all(&mut self) -> (DefragStats, Ps) {
+    pub fn defragment_all(&mut self) -> (TableGcPass, Ps) {
         self.assert_decided("defragmentation");
         let upto = self.db.last_ts();
-        let model = self.defrag_cost;
-        let mut total = DefragStats::default();
-        let mut seconds = 0.0;
-        for table in pushtap_chbench::ALL_TABLES {
-            let t = self.db.table_mut(table);
-            if t.chains().updated_row_count() == 0 {
-                continue;
-            }
-            let (stats, secs) = t.defragment(&model, DEFRAG_STRATEGY, upto);
-            seconds += secs;
-            total.rows_copied += stats.rows_copied;
-            total.slots_reclaimed += stats.slots_reclaimed;
-            total.chain_steps += stats.chain_steps;
-            total.bytes_copied += stats.bytes_copied;
-            total.meta_bytes += stats.meta_bytes;
-        }
-        let pause = self.pause(DEFRAG_FIXED_OVERHEAD, seconds, total.chain_steps);
+        let (pass, seconds) = self.db.defragment(&self.defrag_cost, DEFRAG_STRATEGY);
+        let pause = self.pause(DEFRAG_FIXED_OVERHEAD, seconds, pass.chain_steps);
         let start = self.now;
         self.now += pause;
         self.txns_since_defrag = 0;
         self.db
             .probe()
             .span(Phase::DefragStall, upto.0, 0, start, self.now);
-        (total, pause)
+        (pass, pause)
     }
 
     /// Estimates the pause one defragmentation pass would cost *right
-    /// now* under `strategy`, without executing it. Mirrors
-    /// [`Pushtap::defragment_all`]'s accounting; used by the Fig. 11(b)
-    /// and Fig. 12(a) sweeps, which compare strategies on identical
-    /// delta-region states.
+    /// now* under `strategy`, without executing it: each table holding
+    /// a delta version is priced by the copy-back function its fold
+    /// charges ([`HtapTable::copy_back_seconds`]), over all its versions
+    /// and rows, so under Hybrid (the strategy every pass runs) this is
+    /// the pause the next [`Pushtap::defragment_all`] charges. Used by
+    /// the Fig. 11(b) and Fig. 12(a) sweeps, which compare strategies on
+    /// identical delta-region states.
+    ///
+    /// [`HtapTable::copy_back_seconds`]: pushtap_oltp::HtapTable::copy_back_seconds
     pub fn estimate_defrag_pause(&self, strategy: DefragStrategy) -> Ps {
-        let model = self.defrag_cost;
         let mut seconds = 0.0;
         let mut chain_steps = 0u64;
-        let mut any = false;
         for table in pushtap_chbench::ALL_TABLES {
             let t = self.db.table(table);
             let rows = t.chains().updated_row_count() as u64;
             if rows == 0 {
                 continue;
             }
-            any = true;
             let slots = t.live_delta_rows();
             chain_steps += slots;
-            let p = rows as f64 / slots.max(1) as f64;
-            let d = t.layout().devices();
-            let widths: Vec<u32> = t.layout().parts().iter().map(|pt| pt.width()).collect();
-            seconds += model.comm_parts(strategy, slots.max(1), p, d, &widths);
-        }
-        if !any {
-            return DEFRAG_FIXED_OVERHEAD;
+            seconds += t.copy_back_seconds(&self.defrag_cost, strategy, rows, slots);
         }
         self.pause(DEFRAG_FIXED_OVERHEAD, seconds, chain_steps)
     }
@@ -1053,14 +1036,40 @@ mod tests {
         san.assert_clean("after the pin drops");
     }
 
+    /// Defragmentation is the GC fold at the watermark, and the
+    /// sanitizer sees its folds the same way: under a reader pinned at
+    /// T20 it frees versions at and above the pin and is flagged;
+    /// without a pin it stays clean.
+    #[test]
+    fn defragmentation_across_a_pin_is_flagged() {
+        use pushtap_sanitizer::{ShadowSanitizer, ViolationKind};
+        let mut p = small();
+        let san = Arc::new(ShadowSanitizer::new());
+        p.probe_mut().set_sanitizer(san.clone());
+        let mut gen = p.txn_gen(5);
+        p.run_txns(&mut gen, 40);
+        let pin = p.db().ts_oracle().pin_snapshot(Ts(20));
+        assert!(p.defragment_all().0.rows_folded > 0);
+        let violations = san.take_violations();
+        assert!(!violations.is_empty(), "a fold across the pin is flagged");
+        for v in &violations {
+            assert_eq!(v.kind, ViolationKind::ReclaimedPinnedVersion);
+            assert!(v.ts >= 20, "T{} is below the pin", v.ts);
+        }
+        drop(pin);
+        p.run_txns(&mut gen, 40);
+        assert!(p.defragment_all().0.rows_folded > 0);
+        san.assert_clean("defragmentation without a pin");
+    }
+
     #[test]
     fn defragment_all_clears_versions() {
         let mut p = small();
         let mut gen = p.txn_gen(5);
         p.run_txns(&mut gen, 60);
         assert!(p.db().live_delta_rows() > 0);
-        let (stats, pause) = p.defragment_all();
-        assert!(stats.rows_copied > 0);
+        let (pass, pause) = p.defragment_all();
+        assert!(pass.rows_folded > 0);
         assert!(pause >= DEFRAG_FIXED_OVERHEAD);
         assert_eq!(p.db().live_delta_rows(), 0);
         // Queries still answer correctly after defragmentation.
@@ -1069,6 +1078,62 @@ mod tests {
             panic!("wrong result kind")
         };
         assert!(!rows.is_empty());
+    }
+
+    /// Golden: the counts and pause of a full defragmentation, and the
+    /// estimates Fig. 11(b) and Fig. 12(a) are built from, at a fixed
+    /// seed — on a fresh engine, after a GC pass at a low cut left
+    /// re-anchored chains behind, and with no delta version at all. On
+    /// every state the Hybrid estimate is the pause the next pass
+    /// charges.
+    #[test]
+    fn defragmentation_golden() {
+        let mut p = small();
+        let mut gen = p.txn_gen(13);
+        // Per state: [rows copied back, slots reclaimed, chain steps,
+        // bytes copied], the pause, and the Cpu/Pim/Hybrid estimates.
+        let golden: [([u64; 4], u64, [u64; 3]); 3] = [
+            (
+                [934, 1054, 1054, 186_688],
+                108_932_366,
+                [114_182_143, 109_514_071, 108_932_366],
+            ),
+            (
+                [516, 587, 587, 102_496],
+                104_935_045,
+                [107_816_071, 105_287_107, 104_935_045],
+            ),
+            ([0; 4], 100_000_000, [100_000_000; 3]),
+        ];
+        for (round, want) in golden.iter().enumerate() {
+            match round {
+                0 => {
+                    p.run_txns(&mut gen, 80);
+                }
+                1 => {
+                    p.run_txns(&mut gen, 60);
+                    let cut = Ts(p.db().last_ts().0 - 30);
+                    assert!(p.gc_at(cut) > Ps::ZERO);
+                    p.run_txns(&mut gen, 20);
+                }
+                _ => {}
+            }
+            let estimates = [
+                DefragStrategy::Cpu,
+                DefragStrategy::Pim,
+                DefragStrategy::Hybrid,
+            ]
+            .map(|s| p.estimate_defrag_pause(s).ps());
+            let (pass, pause) = p.defragment_all();
+            assert_eq!(estimates[2], pause.ps(), "round {round}: estimate vs pause");
+            let counts = [
+                pass.rows_folded,
+                pass.slots_recycled,
+                pass.chain_steps,
+                pass.bytes_copied,
+            ];
+            assert_eq!(&(counts, pause.ps(), estimates), want, "round {round}");
+        }
     }
 
     #[test]

@@ -340,38 +340,6 @@ impl VersionChains {
         e.new_slot
     }
 
-    /// Walks `row`'s chain collecting every delta slot (newest first), and
-    /// the hop count — the traverse component of defragmentation
-    /// (Fig. 11(d)).
-    pub fn chain_slots(&self, row: u64) -> (Vec<RowSlot>, u32) {
-        let mut out = Vec::new();
-        let mut steps = 0;
-        let mut slot = self.newest_slot(row);
-        while let RowSlot::Delta { .. } = slot {
-            out.push(slot);
-            steps += 1;
-            slot = self
-                .meta(slot)
-                .and_then(|m| m.prev)
-                .expect("delta version must have a predecessor");
-        }
-        (out, steps)
-    }
-
-    /// Clears all chains and the log after defragmentation moved every
-    /// newest version back to the data region. Returns the number of
-    /// versions discarded. No version may be undecided: defragmenting
-    /// would fold a write its transaction may still take back into the
-    /// data region (the engine refuses to defragment while a prepared
-    /// scope is pending).
-    pub fn clear_after_defrag(&mut self) -> usize {
-        self.newest.clear();
-        self.updated = 0;
-        self.slots.iter_mut().for_each(Vec::clear);
-        self.log.clear();
-        std::mem::take(&mut self.versions)
-    }
-
     /// Total chain hops ever traversed (for the Fig. 11(c) breakdown).
     pub fn traverse_steps(&self) -> u64 {
         self.traverse_steps
@@ -385,17 +353,19 @@ impl VersionChains {
     /// the surviving chain is re-anchored on the data region, and the
     /// trimmed versions' commit-log entries are removed.
     ///
-    /// Unlike [`VersionChains::clear_after_defrag`] this touches only
-    /// the reclaimable tail of each chain — versions and log entries
-    /// above the cut are left exactly as they were, so the pass needs no
-    /// stop-the-world barrier: concurrent readers at or above the cut see
-    /// the same bytes before and after.
+    /// The pass touches only the reclaimable tail of each chain —
+    /// versions and log entries above the cut are left exactly as they
+    /// were, so it needs no stop-the-world barrier: concurrent readers at
+    /// or above the cut see the same bytes before and after. A cut at or
+    /// above every version folds every chain and empties the log: that
+    /// is defragmentation (§5.3).
     ///
-    /// The caller chooses `before` from the oracle
+    /// Garbage collection chooses `before` from the oracle
     /// (`TsOracle::gc_eligible_before`), which keeps it strictly below
-    /// every registered snapshot pin, and runs no pass while a prepared
-    /// scope is pending (its versions are not yet committed, and an
-    /// abort must find each row's chain as the scope left it).
+    /// every registered snapshot pin; defragmentation passes the
+    /// watermark. Neither runs while a prepared scope is pending (its
+    /// versions are not yet committed, and an abort must find each row's
+    /// chain as the scope left it).
     pub fn gc(&mut self, before: Ts) -> GcOutcome {
         let mut out = GcOutcome::default();
         if before == Ts::ZERO {
@@ -538,29 +508,6 @@ mod tests {
         let ts: Vec<u64> = c.log().iter().map(|e| e.ts.0).collect();
         assert_eq!(ts, vec![1, 2, 4]);
         assert_eq!(c.log()[2].prev_slot, delta(0, 0));
-    }
-
-    #[test]
-    fn chain_slots_lists_all_versions() {
-        let mut c = VersionChains::new();
-        c.record_update(9, delta(2, 0), Ts(1));
-        c.record_update(9, delta(2, 5), Ts(2));
-        let (slots, steps) = c.chain_slots(9);
-        assert_eq!(slots, vec![delta(2, 5), delta(2, 0)]);
-        assert_eq!(steps, 2);
-        // A row with no versions has an empty chain.
-        assert_eq!(c.chain_slots(1).0.len(), 0);
-    }
-
-    #[test]
-    fn clear_after_defrag_resets() {
-        let mut c = VersionChains::new();
-        c.record_update(1, delta(0, 0), Ts(1));
-        c.record_update(2, delta(1, 0), Ts(2));
-        assert_eq!(c.clear_after_defrag(), 2);
-        assert_eq!(c.updated_row_count(), 0);
-        assert!(c.log().is_empty());
-        assert_eq!(c.newest_slot(1), RowSlot::Data { row: 1 });
     }
 
     #[test]
@@ -835,30 +782,6 @@ mod tests {
                 e.new_slot
             }
 
-            pub fn chain_slots(&self, row: u64) -> (Vec<RowSlot>, u32) {
-                let mut out = Vec::new();
-                let mut steps = 0;
-                let mut slot = self.newest_slot(row);
-                while let RowSlot::Delta { .. } = slot {
-                    out.push(slot);
-                    steps += 1;
-                    slot = self
-                        .meta
-                        .get(&slot)
-                        .and_then(|m| m.prev)
-                        .expect("delta version must have a predecessor");
-                }
-                (out, steps)
-            }
-
-            pub fn clear_after_defrag(&mut self) -> usize {
-                let versions = self.meta.len();
-                self.newest.clear();
-                self.meta.clear();
-                self.log.clear();
-                versions
-            }
-
             pub fn traverse_steps(&self) -> u64 {
                 self.traverse_steps
             }
@@ -871,8 +794,13 @@ mod tests {
                 let mut freed_slots: HashSet<RowSlot> = HashSet::new();
                 let mut reanchor: HashMap<RowSlot, u64> = HashMap::new();
                 for row in self.updated_rows() {
-                    let (chain, steps) = self.chain_slots(row);
-                    out.traverse_steps += steps;
+                    // The row's delta versions, newest first.
+                    let chain: Vec<RowSlot> = std::iter::successors(Some(self.newest[&row]), |s| {
+                        self.meta.get(s).and_then(|m| m.prev)
+                    })
+                    .take_while(|s| matches!(s, RowSlot::Delta { .. }))
+                    .collect();
+                    out.traverse_steps += chain.len() as u32;
                     let Some(fold_at) = chain.iter().position(|s| self.meta[s].write_ts <= before)
                     else {
                         continue;
@@ -1076,22 +1004,16 @@ mod tests {
                         self.release(slot);
                     }
                 }
+                // Defragmentation is a pass at a cut covering every
+                // version: it empties the chains and the log.
                 Step::Defrag => {
                     if !self.scopes.is_empty() {
                         return;
                     }
-                    let rows: Vec<u64> = self.arrays.updated_rows().collect();
-                    for row in rows {
-                        let chain = self.arrays.chain_slots(row);
-                        assert_eq!(chain, self.maps.chain_slots(row));
-                        for slot in chain.0 {
-                            self.release(slot);
-                        }
-                    }
-                    assert_eq!(
-                        self.arrays.clear_after_defrag(),
-                        self.maps.clear_after_defrag()
-                    );
+                    self.step(&Step::Gc { cut: self.clock });
+                    assert_eq!(self.arrays.updated_row_count(), 0);
+                    assert!(self.arrays.log().is_empty());
+                    assert_eq!(self.alloc.live_total(), 0, "every slot recycled");
                 }
             }
         }

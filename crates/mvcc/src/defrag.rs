@@ -135,22 +135,6 @@ impl DefragCostModel {
     }
 }
 
-/// Execution statistics of one defragmentation pass (drives the
-/// Fig. 11(d) breakdown).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DefragStats {
-    /// Rows whose newest version was copied back.
-    pub rows_copied: u64,
-    /// Delta slots reclaimed (chain length total).
-    pub slots_reclaimed: u64,
-    /// Version-chain hops traversed.
-    pub chain_steps: u64,
-    /// Bytes copied (data movement, all devices).
-    pub bytes_copied: u64,
-    /// Metadata bytes read/broadcast.
-    pub meta_bytes: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,9 @@
 //!   byte-identical to a single-instance reference). A transaction draws
 //!   once, and a retry re-runs under its draw;
 //! * [`VersionChains`] — per-row version chains plus the commit log
-//!   (Fig. 6(b));
+//!   (Fig. 6(b)). [`VersionChains::gc`] folds them at a cut: below the
+//!   oldest pin it is incremental garbage collection, at the watermark
+//!   it is defragmentation (§5.3);
 //! * [`DeltaAllocator`] — rotation-arena slot allocation (§5.1), raising
 //!   [`DeltaFull`] when an arena is exhausted;
 //! * [`UndoLog`]/[`UndoRecord`] — the engine's undo log, which makes the
@@ -71,7 +73,7 @@ mod timestamp;
 mod undo;
 
 pub use chain::{GcFold, GcOutcome, LogEntry, VersionChains, VersionMeta};
-pub use defrag::{DefragCostModel, DefragStats, DefragStrategy};
+pub use defrag::{DefragCostModel, DefragStrategy};
 pub use delta::{DeltaAllocator, DeltaFull};
 pub use snapshot::{Bitmap, Ones, Snapshot, SnapshotUpdate};
 pub use timestamp::{SnapshotPin, Ts, TsOracle};

@@ -231,13 +231,11 @@ impl Snapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the log shrank below the cursor (the engine must only
-    /// clear the log together with [`Snapshot::reset_after_defrag`]).
+    /// Panics if the log shrank below the cursor (garbage collection
+    /// reports every trimmed entry through
+    /// [`Snapshot::note_log_trimmed`]).
     pub fn update(&mut self, log: &[LogEntry], upto: Ts) -> SnapshotUpdate {
-        assert!(
-            log.len() >= self.cursor,
-            "log shrank without a snapshot reset"
-        );
+        assert!(log.len() >= self.cursor, "log shrank without a trim note");
         let mut stats = SnapshotUpdate::default();
         while self.cursor < log.len() && log[self.cursor].ts <= upto {
             let e = log[self.cursor];
@@ -293,15 +291,6 @@ impl Snapshot {
     pub fn note_log_trimmed(&mut self, trimmed: &[usize]) {
         let consumed = trimmed.partition_point(|&i| i < self.cursor);
         self.cursor -= consumed;
-    }
-
-    /// Resets visibility after defragmentation: every data row visible
-    /// again, all delta versions gone, cursor rewound for the cleared log.
-    pub fn reset_after_defrag(&mut self, upto: Ts) {
-        self.data = Bitmap::new(self.data.len(), true);
-        self.delta = Bitmap::new(self.delta.len(), false);
-        self.cursor = 0;
-        self.ts = self.ts.max(upto);
     }
 
     /// Visible data-region rows.
@@ -461,19 +450,32 @@ mod tests {
         assert_eq!(snap.bytes_per_device(), 13 + 13);
     }
 
+    /// Defragmentation is a GC fold at a cut above every version, then
+    /// an update over the emptied log: every data row is visible again,
+    /// no delta version is, and the cursor is back at the log's start.
     #[test]
-    fn reset_after_defrag_restores_data_visibility() {
+    fn a_full_fold_restores_data_visibility() {
         let mut chains = VersionChains::new();
         let mut snap = Snapshot::new(4, 1, 4);
         chains.record_update(0, delta(0, 0), Ts(1));
+        chains.record_update(1, delta(0, 1), Ts(2));
+        chains.record_update(0, delta(0, 2), Ts(3));
         snap.update(chains.log(), Ts(2));
         assert!(!snap.visible(RowSlot::Data { row: 0 }));
-        chains.clear_after_defrag();
-        snap.reset_after_defrag(Ts(2));
-        assert!(snap.visible(RowSlot::Data { row: 0 }));
-        assert_eq!(snap.visible_delta_rows(), 0);
-        // Cursor rewound: an empty log is acceptable again.
+        let out = chains.gc(Ts(3));
+        for fold in &out.folds {
+            snap.note_gc_fold(fold.row, out.freed_of(fold));
+        }
+        snap.note_log_trimmed(&out.log_trimmed);
+        assert!(chains.log().is_empty());
         snap.update(chains.log(), Ts(3));
+        assert_eq!(snap.visible_data_rows(), 4);
+        assert_eq!(snap.visible_delta_rows(), 0);
+        assert_eq!(snap.ts(), Ts(3));
+        // Cursor rewound: the next entry is folded in.
+        chains.record_update(2, delta(0, 0), Ts(4));
+        assert_eq!(snap.update(chains.log(), Ts(4)).entries_applied, 1);
+        assert!(snap.visible(delta(0, 0)));
     }
 
     /// A pinned snapshot survives a GC fold byte-for-byte: the version
@@ -545,13 +547,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "log shrank")]
-    fn shrunken_log_without_reset_panics() {
+    fn shrunken_log_without_a_trim_note_panics() {
         let mut chains = VersionChains::new();
         let mut snap = Snapshot::new(4, 1, 4);
         chains.record_update(0, delta(0, 0), Ts(1));
         snap.update(chains.log(), Ts(1));
-        chains.clear_after_defrag();
-        // Forgot reset_after_defrag:
+        chains.gc(Ts(1));
+        // Forgot note_log_trimmed:
         snap.update(chains.log(), Ts(2));
     }
 }

@@ -102,7 +102,7 @@ proptest! {
     /// every chain returns the allocator to empty.
     #[test]
     fn allocator_reclaims_fully(history in arb_history()) {
-        let (chains, mut alloc, committed) = apply(&history);
+        let (mut chains, mut alloc, committed) = apply(&history);
         // Live slots are exactly the committed versions.
         prop_assert_eq!(alloc.live_total(), committed.len() as u64);
         // All slots distinct.
@@ -110,13 +110,12 @@ proptest! {
         for (_, _, slot) in &committed {
             prop_assert!(seen.insert(*slot), "slot {:?} allocated twice", slot);
         }
-        // Defrag walk: release every chain slot once.
-        for row in 0..ROWS {
-            let (slots, _) = chains.chain_slots(row);
-            for slot in slots {
-                if let RowSlot::Delta { rotation, idx } = slot {
-                    alloc.release(rotation, idx);
-                }
+        // Defragmentation: a fold at a cut above every version releases
+        // every chain slot once.
+        let out = chains.gc(Ts(history.len() as u64));
+        for &slot in &out.freed {
+            if let RowSlot::Delta { rotation, idx } = slot {
+                alloc.release(rotation, idx);
             }
         }
         prop_assert_eq!(alloc.live_total(), 0);
@@ -129,15 +128,20 @@ proptest! {
         let (chains, _, committed) = apply(&history);
         for row in 0..ROWS {
             let count = history.iter().filter(|&&r| r == row).count();
-            let (slots, steps) = chains.chain_slots(row);
-            prop_assert_eq!(slots.len(), count);
-            prop_assert_eq!(steps as usize, count);
+            let slots = std::iter::successors(Some(chains.newest_slot(row)), |&s| {
+                chains.meta(s).and_then(|m| m.prev)
+            })
+            .filter(|s| matches!(s, RowSlot::Delta { .. }));
+            prop_assert_eq!(slots.count(), count);
             if let Some((_, _, last)) = committed.iter().rev().find(|(_, r, _)| *r == row) {
                 prop_assert_eq!(chains.newest_slot(row), *last);
             } else {
                 prop_assert_eq!(chains.newest_slot(row), RowSlot::Data { row });
             }
         }
+        // A fold above every version walks each chain hop once.
+        let out = chains.clone().gc(Ts(history.len() as u64));
+        prop_assert_eq!(out.traverse_steps as usize, history.len());
     }
 
     /// Equation 3 is exact: for any positive parameters with pim > cpu,

@@ -73,10 +73,7 @@ pub fn run_footprint_query(
             };
             if t.layout().key_location(c).is_some() {
                 let out = engine.scan_column(t, c, op, mem, now);
-                timing.pim_load += out.load_time;
-                timing.pim_compute += out.compute_time;
-                timing.control += out.control_time;
-                timing.cpu_blocked += out.cpu_blocked;
+                timing.absorb(&out);
                 now = out.end;
                 pim_columns += 1;
             } else {
@@ -128,9 +125,7 @@ pub fn run_footprint_query(
             mem,
             now,
         );
-        timing.pim_load += join.load_time;
-        timing.pim_compute += join.compute_time;
-        timing.control += join.control_time;
+        timing.absorb(&join);
         now = join.end;
     }
 
@@ -209,6 +204,19 @@ mod tests {
         let pim: u32 = reports.iter().map(|r| r.pim_columns).sum();
         let cpu: u32 = reports.iter().map(|r| r.cpu_columns).sum();
         assert!(pim > cpu * 5, "pim {pim} vs cpu {cpu}");
+    }
+
+    /// On the original architecture every PIM phase holds the banks, so
+    /// a query's blocked CPU time is all of its PIM time — the join
+    /// edges' load and compute phases included.
+    #[test]
+    fn join_phases_block_the_cpu() {
+        let (db, mut mem, _) = setup();
+        let engine = ScanEngine::new(ControlArch::Original, &SystemConfig::dimm());
+        let q5 = run_footprint_query(&db, &engine, &mut mem, 5, Ps::ZERO);
+        assert!(q5.tables >= 2, "Q5 joins");
+        let t = q5.timing;
+        assert_eq!(t.cpu_blocked, t.pim_load + t.pim_compute + t.control);
     }
 
     #[test]

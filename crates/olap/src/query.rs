@@ -145,7 +145,9 @@ pub struct QueryTiming {
 }
 
 impl QueryTiming {
-    fn absorb(&mut self, o: &ScanOutcome) {
+    /// Adds one PIM operation's phases: load, compute, control, and the
+    /// time the CPU was blocked from the banks.
+    pub(crate) fn absorb(&mut self, o: &ScanOutcome) {
         self.pim_load += o.load_time;
         self.pim_compute += o.compute_time;
         self.control += o.control_time;

@@ -10,8 +10,8 @@
 
 use pushtap_format::{RegionPlan, RowSlot, TableLayout, TableStore};
 use pushtap_mvcc::{
-    DefragCostModel, DefragStats, DefragStrategy, DeltaAllocator, DeltaFull, Snapshot,
-    SnapshotUpdate, Ts, VersionChains,
+    DefragCostModel, DefragStrategy, DeltaAllocator, DeltaFull, Snapshot, SnapshotUpdate, Ts,
+    VersionChains,
 };
 use pushtap_pim::{BankAddr, MemSystem, Op, Ps, Side};
 
@@ -693,63 +693,49 @@ impl HtapTable {
         (stats, end)
     }
 
-    /// Defragments the table (§5.3): copies every row's newest version
-    /// back to the data region, reclaims delta slots, clears chains and
-    /// log, and resets the snapshot. Returns execution stats and the
-    /// communication time per the chosen strategy and cost model.
+    /// Defragments the table (§5.3): the [`HtapTable::gc`] fold at `upto`,
+    /// a cut at or above every version, then the snapshot published at
+    /// `upto` over the emptied log (the fold already left one data-region
+    /// bit per row, no delta bit and the cursor at the log's start).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a version above `upto` survives the fold.
     pub fn defragment(
         &mut self,
         model: &DefragCostModel,
         strategy: DefragStrategy,
         upto: Ts,
-    ) -> (DefragStats, f64) {
-        let mut stats = DefragStats::default();
-        let d = self.store.layout().devices();
-        let padded = self.store.layout().padded_row_bytes() as u64;
-        // Ascending rows: the reclaim order feeds the delta free-lists,
-        // which decides future version placement (and thus timing).
-        for row in self.chains.updated_rows() {
-            let (slots, steps) = self.chains.chain_slots(row);
-            stats.chain_steps += steps as u64;
-            if let Some(&newest @ RowSlot::Delta { .. }) = slots.first() {
-                self.store.copy_version(newest, RowSlot::Data { row });
-                stats.rows_copied += 1;
-                stats.bytes_copied += padded;
-            }
-            for slot in &slots {
-                if let RowSlot::Delta { rotation, idx } = slot {
-                    self.alloc.release(*rotation, *idx);
-                    stats.slots_reclaimed += 1;
-                }
-            }
-        }
-        stats.meta_bytes = stats.slots_reclaimed * model.meta_bytes as u64;
-        // Communication time: metadata once per table, data movement per
-        // part (Hybrid picks per part width, §7.4).
-        let n = stats.slots_reclaimed.max(1);
-        let p = stats.rows_copied as f64 / n as f64;
-        let seconds = model.comm_parts(strategy, n, p, d, &self.part_widths);
-        self.chains.clear_after_defrag();
-        self.snapshot.reset_after_defrag(upto);
-        (stats, seconds)
+        on_fold: impl FnMut(u64, Ts),
+    ) -> (TableGcPass, f64) {
+        let folded = self.gc(model, strategy, upto, on_fold);
+        assert!(
+            self.chains.log().is_empty(),
+            "a version above the defragmentation cut {upto:?} survived"
+        );
+        debug_assert_eq!(
+            self.snapshot.visible_data_rows(),
+            self.n_rows(),
+            "a full fold leaves every row visible in the data region"
+        );
+        self.snapshot.update(self.chains.log(), upto);
+        folded
     }
 
     /// Incremental garbage collection below `before` (inclusive): each
     /// row's newest committed version at or below the cut is copied back
     /// into the data region, it and every older version return to the
-    /// delta free-lists, and their commit-log entries are trimmed —
-    /// without the stop-the-world reset a full
-    /// [`HtapTable::defragment`] pays. Versions above the cut and the
-    /// snapshot's visible bytes are untouched (freed slots a snapshot still held visible
-    /// are repointed at the data region, which now carries exactly
-    /// their bytes).
+    /// delta free-lists, and their commit-log entries are trimmed.
+    /// Versions above the cut and the snapshot's visible bytes are
+    /// untouched (freed slots a snapshot still held visible are
+    /// repointed at the data region, which now carries exactly their
+    /// bytes).
     ///
     /// Each fold is handed to `on_fold` as the folded row and the newest
     /// timestamp the fold frees (every other freed version is older).
     ///
-    /// Returns per-pass stats and the communication seconds of the
-    /// copy-back traffic under the same strategy/cost model as
-    /// defragmentation.
+    /// Returns per-pass stats and the pass's
+    /// [`HtapTable::copy_back_seconds`].
     pub fn gc(
         &mut self,
         model: &DefragCostModel,
@@ -785,13 +771,23 @@ impl HtapTable {
             }
         }
         self.snapshot.note_log_trimmed(&out.log_trimmed);
-        // Copy-back communication: same per-part model as defragmentation,
-        // over only the slots this pass actually reclaimed.
-        let d = self.store.layout().devices();
-        let n = pass.slots_recycled.max(1);
-        let p = pass.rows_folded as f64 / n as f64;
-        let seconds = model.comm_parts(strategy, n, p, d, &self.part_widths);
+        let seconds =
+            self.copy_back_seconds(model, strategy, pass.rows_folded, pass.slots_recycled);
         (pass, seconds)
+    }
+
+    /// The communication seconds of folding `slots` delta versions, the
+    /// newest of `rows` rows among them, into the data region (§5.3,
+    /// Equations 1–3 over this table's parts).
+    pub fn copy_back_seconds(
+        &self,
+        model: &DefragCostModel,
+        strategy: DefragStrategy,
+        rows: u64,
+        slots: u64,
+    ) -> f64 {
+        let (n, d) = (slots.max(1), self.store.layout().devices());
+        model.comm_parts(strategy, n, rows as f64 / n as f64, d, &self.part_widths)
     }
 
     /// Length of the commit log awaiting snapshot consumption — the
@@ -937,20 +933,38 @@ mod tests {
             .unwrap();
         t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
             .unwrap();
-        let (stats, secs) = t.defragment(&cost, DefragStrategy::Hybrid, Ts(3));
-        assert_eq!(stats.rows_copied, 1);
-        assert_eq!(stats.slots_reclaimed, 2);
-        assert!(stats.chain_steps >= 2);
+        let mut folds = Vec::new();
+        let (pass, secs) = t.defragment(&cost, DefragStrategy::Hybrid, Ts(3), |row, ts| {
+            folds.push((row, ts))
+        });
+        assert_eq!(folds, vec![(5, Ts(3))], "the newest version folds");
+        assert_eq!(pass.rows_folded, 1);
+        assert_eq!(pass.slots_recycled, 2);
+        assert_eq!(pass.chain_steps, 2);
         assert!(secs > 0.0);
         assert_eq!(t.live_delta_rows(), 0);
+        assert_eq!(t.snapshot().ts(), Ts(3), "the cut is published");
         // Data region now holds the newest version, visible to OLAP.
         assert_eq!(t.snapshot_read(5)[0], vec![7, 7]);
         assert_eq!(t.snapshot_read(5)[1], vec![9, 9]);
     }
 
-    /// GC folds the reclaimable tail back to the data region without the
-    /// stop-the-world snapshot reset a full defragmentation pays —
-    /// versions above the cut stay on the chain and readable.
+    /// Defragmentation folds every version, so a cut below one is a bug
+    /// in the caller.
+    #[test]
+    #[should_panic(expected = "above the defragmentation cut")]
+    fn defragment_below_a_version_panics() {
+        let mut t = table(AccessModel::Unified);
+        let mut mem = MemSystem::dimm();
+        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
+        t.load_row(5, &values(1).concat());
+        t.timed_update(&mut mem, &meter(), 5, Ts(4), &[(0, pair(7))], Ps::ZERO)
+            .unwrap();
+        t.defragment(&cost, DefragStrategy::Hybrid, Ts(3), |_, _| {});
+    }
+
+    /// GC folds the reclaimable tail back to the data region — versions
+    /// above the cut stay on the chain and readable.
     #[test]
     fn gc_folds_below_the_cut_and_keeps_newer_versions() {
         let mut t = table(AccessModel::Unified);

@@ -796,6 +796,28 @@ impl TpccDb {
         strategy: DefragStrategy,
         before: Ts,
     ) -> (TableGcPass, f64) {
+        self.fold_tables(|t, on_fold| t.gc(model, strategy, before, on_fold))
+    }
+
+    /// Defragments every table: the [`TpccDb::gc`] fold at the watermark,
+    /// publishing it to each folded table's snapshot
+    /// ([`HtapTable::defragment`]).
+    pub fn defragment(
+        &mut self,
+        model: &DefragCostModel,
+        strategy: DefragStrategy,
+    ) -> (TableGcPass, f64) {
+        let upto = self.last_ts();
+        self.fold_tables(|t, on_fold| t.defragment(model, strategy, upto, on_fold))
+    }
+
+    /// The loop [`TpccDb::gc`] and [`TpccDb::defragment`] share: `fold`
+    /// runs on every table holding a delta version, with a hook that
+    /// reports each fold to an armed sanitizer.
+    fn fold_tables(
+        &mut self,
+        fold: impl Fn(&mut HtapTable, &mut dyn FnMut(u64, Ts)) -> (TableGcPass, f64),
+    ) -> (TableGcPass, f64) {
         let mut total = TableGcPass::default();
         let mut seconds = 0.0;
         let armed = self
@@ -803,8 +825,11 @@ impl TpccDb {
             .sanitizer()
             .map(|san| (san, self.ts.oldest_pin().map(|p| p.0)));
         for (table, t) in self.tables.iter_mut().enumerate() {
+            if t.table.chains().updated_row_count() == 0 {
+                continue;
+            }
             let row_base = t.row_base;
-            let (pass, secs) = t.table.gc(model, strategy, before, |row, version| {
+            let (pass, secs) = fold(&mut t.table, &mut |row, version| {
                 if let Some(((san, track), pin)) = armed {
                     san.reclaim_version(track, table as u32, row_base + row, version.0, pin);
                 }
@@ -1476,13 +1501,7 @@ mod tests {
                         .collect();
                     assert_eq!(after, cursors, "stripe cursors moved");
                     // Defragment and retry: same txn, same timestamp.
-                    let upto = db.last_ts();
-                    for table in pushtap_chbench::ALL_TABLES {
-                        if db.table(table).chains().updated_row_count() > 0 {
-                            db.table_mut(table)
-                                .defragment(&cost, DefragStrategy::Hybrid, upto);
-                        }
-                    }
+                    db.defragment(&cost, DefragStrategy::Hybrid);
                     let r = db
                         .execute_at(&txn, ts, &mut mem, Ps::ZERO)
                         .expect("retry after defrag");
@@ -1582,13 +1601,7 @@ mod tests {
                     // full arena before any time is charged).
                     assert!(db.wasted_retry_time() >= last_wasted);
                     last_wasted = db.wasted_retry_time();
-                    let upto = db.last_ts();
-                    for table in pushtap_chbench::ALL_TABLES {
-                        if db.table(table).chains().updated_row_count() > 0 {
-                            db.table_mut(table)
-                                .defragment(&cost, DefragStrategy::Hybrid, upto);
-                        }
-                    }
+                    db.defragment(&cost, DefragStrategy::Hybrid);
                     db.execute_at(&txn, ts, &mut mem, Ps::ZERO)
                         .expect("retry after defrag");
                 }

@@ -119,9 +119,10 @@ proptest! {
         let t = db.table_mut(Table::Customer);
         prop_assert_eq!(t.live_delta_rows(), updates);
         let model = pushtap_mvcc::DefragCostModel::new(16.0, 1e9, 3e9);
-        let (stats, _) = t.defragment(&model, pushtap_mvcc::DefragStrategy::Hybrid, Ts(ts));
-        prop_assert_eq!(stats.slots_reclaimed, updates);
-        prop_assert_eq!(stats.rows_copied as usize, newest.len());
+        let (pass, _) =
+            t.defragment(&model, pushtap_mvcc::DefragStrategy::Hybrid, Ts(ts), |_, _| {});
+        prop_assert_eq!(pass.slots_recycled, updates);
+        prop_assert_eq!(pass.rows_folded as usize, newest.len());
         prop_assert_eq!(t.live_delta_rows(), 0);
         for (row, amount) in newest {
             let values = t.store().read_row(RowSlot::Data { row });
@@ -554,7 +555,12 @@ fn run_step(
             s.t.gc(&cost, DefragStrategy::Hybrid, before, |_, _| {});
         }
         Step::Defrag => {
-            s.t.defragment(&cost, DefragStrategy::Hybrid, Ts(clock.committed));
+            s.t.defragment(
+                &cost,
+                DefragStrategy::Hybrid,
+                Ts(clock.committed),
+                |_, _| {},
+            );
         }
     }
     assert!(s.undo.is_empty(), "every scope of a step is decided in it");
@@ -698,14 +704,10 @@ fn check_scopes(db: &TpccDb, pending: &[Pending]) -> Result<(), TestCaseError> {
 }
 
 fn defragment_everything(db: &mut TpccDb) {
-    let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-    let upto = db.last_ts();
-    for table in pushtap_chbench::ALL_TABLES {
-        if db.table(table).chains().updated_row_count() > 0 {
-            db.table_mut(table)
-                .defragment(&cost, DefragStrategy::Hybrid, upto);
-        }
-    }
+    db.defragment(
+        &DefragCostModel::new(16.0, 1e9, 3e9),
+        DefragStrategy::Hybrid,
+    );
 }
 
 /// Decides every pending transaction, newest first when `reversed`.

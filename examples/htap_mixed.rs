@@ -63,10 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(c) = model.crossover_width(0.8) {
         println!("  crossover width at p=0.8: {c:.1} B");
     }
-    let (stats, pause) = pushtap.defragment_all();
+    let (pass, pause) = pushtap.defragment_all();
     println!(
         "\nran hybrid defragmentation: {} rows copied, {} slots reclaimed, pause {pause}",
-        stats.rows_copied, stats.slots_reclaimed
+        pass.rows_folded, pass.slots_recycled
     );
     Ok(())
 }
