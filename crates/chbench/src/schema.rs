@@ -276,11 +276,14 @@ impl Table {
         TableSchema::new(self.name(), cols)
     }
 
-    /// Finds the table owning a column by its TPC-C prefix convention.
+    /// Finds the table owning a column: the first table whose
+    /// [`Table::columns`] list names it (column names are unique across
+    /// the schema). Reads the static column lists, so it builds no
+    /// [`TableSchema`].
     pub fn of_column(column: &str) -> Option<Table> {
         ALL_TABLES
             .into_iter()
-            .find(|t| t.schema().index_of(column).is_some())
+            .find(|t| t.columns().iter().any(|&(name, _)| name == column))
     }
 }
 
@@ -384,6 +387,12 @@ mod tests {
         assert_eq!(Table::of_column("ol_amount"), Some(Table::OrderLine));
         assert_eq!(Table::of_column("c_state"), Some(Table::Customer));
         assert_eq!(Table::of_column("nope"), None);
+        // Every column names its own table: no name is shared.
+        for t in ALL_TABLES {
+            for &(name, _) in t.columns() {
+                assert_eq!(Table::of_column(name), Some(t), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! and a record that disagrees with the schema is a [`CodecError`].
 
 use std::fmt;
+use std::ops::Range;
 
 use pushtap_chbench::{Table, ALL_TABLES};
 use pushtap_mvcc::Ts;
@@ -117,18 +118,33 @@ impl EffectRecord {
     }
 }
 
-/// Serializes a record from borrowed parts — what the coordinator calls
-/// on its hot path, so logging never clones an effect list.
+/// Serializes a record from borrowed parts into a fresh buffer
+/// ([`encode_parts_into`]).
 #[must_use]
 pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + effects.len() * 64);
+    encode_parts_into(&mut out, ts, role, cross, effects);
+    out
+}
+
+/// Appends the serialization of a record, given as borrowed parts, to
+/// `out` — what the coordinator and the checkpoint call, so logging
+/// neither clones an effect list nor builds a payload of its own: the
+/// bytes land in the log's buffer directly.
+pub fn encode_parts_into(
+    out: &mut Vec<u8>,
+    ts: Ts,
+    role: TxnRole,
+    cross: bool,
+    effects: &[TaggedEffect],
+) {
     out.extend_from_slice(&ts.0.to_le_bytes());
     out.push(match role {
         TxnRole::Coordinator => 0,
         TxnRole::Participant => 1,
     });
     out.push(u8::from(cross));
-    put_count(&mut out, effects.len());
+    put_count(out, effects.len());
     for e in effects {
         out.extend_from_slice(&e.warehouse.to_le_bytes());
         match &e.effect {
@@ -141,13 +157,13 @@ pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]
                 out.push(1);
                 out.push(table_tag(*table));
                 out.extend_from_slice(&row.to_le_bytes());
-                put_count(&mut out, writes.len());
+                put_count(out, writes.len());
                 for (col, w) in writes.iter() {
                     out.extend_from_slice(&col.to_le_bytes());
                     match w {
                         ColumnWrite::Set { value, width } => {
                             out.push(0);
-                            put_bytes(&mut out, &value.to_le_bytes()[..*width as usize]);
+                            put_bytes(out, &value.to_le_bytes()[..*width as usize]);
                         }
                         ColumnWrite::Add { amount, width } => {
                             out.push(1);
@@ -162,11 +178,11 @@ pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]
                 out.push(table_tag(*table));
                 out.extend_from_slice(&w_id.to_le_bytes());
                 let columns = table.columns();
-                put_count(&mut out, columns.len());
+                put_count(out, columns.len());
                 let mut rest: &[u8] = image;
                 for &(_, width) in columns {
                     let (column, tail) = rest.split_at(width as usize);
-                    put_bytes(&mut out, column);
+                    put_bytes(out, column);
                     rest = tail;
                 }
                 assert!(
@@ -176,7 +192,23 @@ pub fn encode_parts(ts: Ts, role: TxnRole, cross: bool, effects: &[TaggedEffect]
             }
         }
     }
-    out
+}
+
+/// A record decoded into a caller's effect list
+/// ([`EffectRecord::decode_into`]): its header, and the range of the
+/// list its effects occupy. A log decodes into one list, not a list per
+/// record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodedRecord {
+    /// The transaction's pinned timestamp.
+    pub ts: Ts,
+    /// The logging engine's commit role.
+    pub role: TxnRole,
+    /// Whether the transaction spanned shards.
+    pub cross: bool,
+    /// Where the record's effects sit in the list, in application
+    /// order.
+    pub effects: Range<usize>,
 }
 
 impl EffectRecord {
@@ -187,120 +219,155 @@ impl EffectRecord {
     /// Returns a [`CodecError`] if the payload is structurally damaged
     /// (truncated field, undefined tag, trailing bytes).
     pub fn decode(bytes: &[u8]) -> Result<EffectRecord, CodecError> {
-        let mut c = Cursor { bytes, at: 0 };
-        let ts = Ts(c.u64()?);
-        let role = match c.u8()? {
-            0 => TxnRole::Coordinator,
-            1 => TxnRole::Participant,
-            tag => return Err(CodecError::BadTag { what: "role", tag }),
-        };
-        let cross = match c.u8()? {
-            0 => false,
-            1 => true,
+        let mut effects = Vec::new();
+        let record = EffectRecord::decode_into(bytes, &mut effects)?;
+        Ok(EffectRecord {
+            ts: record.ts,
+            role: record.role,
+            cross: record.cross,
+            effects,
+        })
+    }
+
+    /// Deserializes a record payload, appending its effects to
+    /// `effects`. On error `effects` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`EffectRecord::decode`].
+    pub fn decode_into(
+        bytes: &[u8],
+        effects: &mut Vec<TaggedEffect>,
+    ) -> Result<DecodedRecord, CodecError> {
+        let start = effects.len();
+        let decoded = decode_record(bytes, effects);
+        if decoded.is_err() {
+            effects.truncate(start);
+        }
+        decoded
+    }
+}
+
+/// [`EffectRecord::decode_into`], leaving whatever it decoded before an
+/// error in `effects`.
+fn decode_record(
+    bytes: &[u8],
+    effects: &mut Vec<TaggedEffect>,
+) -> Result<DecodedRecord, CodecError> {
+    let mut c = Cursor { bytes, at: 0 };
+    let ts = Ts(c.u64()?);
+    let role = match c.u8()? {
+        0 => TxnRole::Coordinator,
+        1 => TxnRole::Participant,
+        tag => return Err(CodecError::BadTag { what: "role", tag }),
+    };
+    let cross = match c.u8()? {
+        0 => false,
+        1 => true,
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "cross flag",
+                tag,
+            })
+        }
+    };
+    let count = c.u32()? as usize;
+    effects.reserve(count.min(1024));
+    let start = effects.len();
+    for _ in 0..count {
+        let warehouse = c.u64()?;
+        let kind = c.u8()?;
+        let table = table_from_tag(c.u8()?)?;
+        let effect = match kind {
+            0 => Effect::Read {
+                table,
+                row: c.u64()?,
+            },
+            1 => {
+                let row = c.u64()?;
+                let n = c.u32()?;
+                if n as usize > Writes::CAPACITY {
+                    return Err(CodecError::BadLength {
+                        what: "update write count",
+                        len: n,
+                    });
+                }
+                let mut writes = Writes::new();
+                for _ in 0..n {
+                    let col = c.u32()?;
+                    let write = match c.u8()? {
+                        0 => {
+                            let width = int_width("set value length", c.u32()?)?;
+                            let mut le = [0u8; 8];
+                            le[..width as usize].copy_from_slice(c.take(width as usize)?);
+                            ColumnWrite::Set {
+                                value: u64::from_le_bytes(le),
+                                width,
+                            }
+                        }
+                        1 => ColumnWrite::Add {
+                            amount: c.u64()?,
+                            width: int_width("add width", c.u32()?)?,
+                        },
+                        tag => {
+                            return Err(CodecError::BadTag {
+                                what: "column write",
+                                tag,
+                            })
+                        }
+                    };
+                    writes.push(col, write);
+                }
+                Effect::Update { table, row, writes }
+            }
+            2 => {
+                let w_id = c.u64()?;
+                let columns = table.columns();
+                let row_width: u32 = columns.iter().map(|&(_, width)| width).sum();
+                if row_width as usize > RowImage::CAPACITY {
+                    return Err(CodecError::BadLength {
+                        what: "inserted row width",
+                        len: row_width,
+                    });
+                }
+                let n = c.u32()?;
+                if n as usize != columns.len() {
+                    return Err(CodecError::BadLength {
+                        what: "inserted column count",
+                        len: n,
+                    });
+                }
+                let mut image = RowImage::new();
+                for &(_, width) in columns {
+                    let len = c.u32()?;
+                    if len != width {
+                        return Err(CodecError::BadLength {
+                            what: "inserted column length",
+                            len,
+                        });
+                    }
+                    image.extend(c.take(len as usize)?.iter().copied());
+                }
+                Effect::Insert { table, w_id, image }
+            }
             tag => {
                 return Err(CodecError::BadTag {
-                    what: "cross flag",
+                    what: "effect kind",
                     tag,
                 })
             }
         };
-        let count = c.u32()? as usize;
-        let mut effects = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let warehouse = c.u64()?;
-            let kind = c.u8()?;
-            let table = table_from_tag(c.u8()?)?;
-            let effect = match kind {
-                0 => Effect::Read {
-                    table,
-                    row: c.u64()?,
-                },
-                1 => {
-                    let row = c.u64()?;
-                    let n = c.u32()?;
-                    if n as usize > Writes::CAPACITY {
-                        return Err(CodecError::BadLength {
-                            what: "update write count",
-                            len: n,
-                        });
-                    }
-                    let mut writes = Writes::new();
-                    for _ in 0..n {
-                        let col = c.u32()?;
-                        let write = match c.u8()? {
-                            0 => {
-                                let width = int_width("set value length", c.u32()?)?;
-                                let mut le = [0u8; 8];
-                                le[..width as usize].copy_from_slice(c.take(width as usize)?);
-                                ColumnWrite::Set {
-                                    value: u64::from_le_bytes(le),
-                                    width,
-                                }
-                            }
-                            1 => ColumnWrite::Add {
-                                amount: c.u64()?,
-                                width: int_width("add width", c.u32()?)?,
-                            },
-                            tag => {
-                                return Err(CodecError::BadTag {
-                                    what: "column write",
-                                    tag,
-                                })
-                            }
-                        };
-                        writes.push(col, write);
-                    }
-                    Effect::Update { table, row, writes }
-                }
-                2 => {
-                    let w_id = c.u64()?;
-                    let columns = table.columns();
-                    let row_width: u32 = columns.iter().map(|&(_, width)| width).sum();
-                    if row_width as usize > RowImage::CAPACITY {
-                        return Err(CodecError::BadLength {
-                            what: "inserted row width",
-                            len: row_width,
-                        });
-                    }
-                    let n = c.u32()?;
-                    if n as usize != columns.len() {
-                        return Err(CodecError::BadLength {
-                            what: "inserted column count",
-                            len: n,
-                        });
-                    }
-                    let mut image = RowImage::new();
-                    for &(_, width) in columns {
-                        let len = c.u32()?;
-                        if len != width {
-                            return Err(CodecError::BadLength {
-                                what: "inserted column length",
-                                len,
-                            });
-                        }
-                        image.extend(c.take(len as usize)?.iter().copied());
-                    }
-                    Effect::Insert { table, w_id, image }
-                }
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "effect kind",
-                        tag,
-                    })
-                }
-            };
-            effects.push(TaggedEffect { effect, warehouse });
-        }
-        if c.at != bytes.len() {
-            return Err(CodecError::TrailingBytes);
-        }
-        Ok(EffectRecord {
-            ts,
-            role,
-            cross,
-            effects,
-        })
+        effects.push(TaggedEffect { effect, warehouse });
     }
+    if c.at != bytes.len() {
+        return Err(CodecError::TrailingBytes);
+    }
+    Ok(DecodedRecord {
+        ts,
+        role,
+        cross,
+        effects: start..effects.len(),
+    })
 }
 
 fn put_count(out: &mut Vec<u8>, n: usize) {
@@ -426,6 +493,50 @@ mod tests {
             effects: vec![],
         };
         assert_eq!(EffectRecord::decode(&rec.encode()), Ok(rec));
+    }
+
+    #[test]
+    fn encode_parts_into_appends_exactly_encode_parts_bytes() {
+        let rec = sample();
+        let mut out = b"earlier bytes".to_vec();
+        encode_parts_into(&mut out, rec.ts, rec.role, rec.cross, &rec.effects);
+        let (earlier, appended) = out.split_at(13);
+        assert_eq!(earlier, b"earlier bytes");
+        assert_eq!(
+            appended,
+            encode_parts(rec.ts, rec.role, rec.cross, &rec.effects)
+        );
+    }
+
+    /// Records decode one after another into one list, each into its
+    /// own range of it; a damaged record leaves the list as it was.
+    #[test]
+    fn decode_into_shares_one_effect_list() {
+        let first = sample();
+        let second = EffectRecord {
+            ts: Ts(43),
+            role: TxnRole::Participant,
+            cross: false,
+            effects: first.effects[1..].to_vec(),
+        };
+        let mut effects = Vec::new();
+        let a = EffectRecord::decode_into(&first.encode(), &mut effects).expect("decodes");
+        let b = EffectRecord::decode_into(&second.encode(), &mut effects).expect("decodes");
+        assert_eq!((a.effects.clone(), b.effects.clone()), (0..3, 3..5));
+        assert_eq!(effects[a.effects], first.effects[..]);
+        assert_eq!(effects[b.effects], second.effects[..]);
+        assert_eq!(
+            (b.ts, b.role, b.cross),
+            (Ts(43), TxnRole::Participant, false)
+        );
+
+        let encoded = first.encode();
+        let damaged = &encoded[..encoded.len() - 1];
+        assert_eq!(
+            EffectRecord::decode_into(damaged, &mut effects),
+            Err(CodecError::Truncated)
+        );
+        assert_eq!(effects.len(), 5);
     }
 
     /// The golden byte image of a known record: any change to the wire

@@ -71,7 +71,7 @@ mod probe;
 mod table;
 mod tpcc;
 
-pub use codec::{CodecError, EffectRecord};
+pub use codec::{CodecError, DecodedRecord, EffectRecord};
 pub use cost::{Breakdown, CostModel, Meter};
 pub use effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect, Writes};
 pub use index::HashIndex;

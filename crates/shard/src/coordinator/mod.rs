@@ -82,7 +82,7 @@ use pushtap_mvcc::Ts;
 use pushtap_oltp::{codec, TaggedEffect, TxnResult, TxnRole};
 use pushtap_pim::Ps;
 use pushtap_trace::Phase;
-use pushtap_wal::{Wal, HEADER_LEN};
+use pushtap_wal::Wal;
 
 use crate::config::CommitConfig;
 use crate::durability::{encode_decision, CrashSite, Durability};
@@ -100,10 +100,10 @@ fn wal_append(
     effects: &[TaggedEffect],
     wave: u64,
 ) {
-    let payload = codec::encode_parts(item.ts, item.role, item.cross, effects);
-    wal.append(&payload);
+    let framed = wal
+        .append_with(|out| codec::encode_parts_into(out, item.ts, item.role, item.cross, effects));
     load.report.wal_appends += 1;
-    load.report.wal_bytes += (payload.len() + HEADER_LEN) as u64;
+    load.report.wal_bytes += framed as u64;
     trace_span(shard, Phase::WalAppend, item.ts.0, shard.now(), wave);
 }
 

@@ -383,23 +383,34 @@ impl From<RecoverError> for CheckpointError {
     }
 }
 
-/// Decodes every record of a scanned decision log into the set of
-/// decided timestamps.
-pub(crate) fn decided_set(
-    records: &[Vec<u8>],
-) -> Result<std::collections::BTreeSet<u64>, RecoverError> {
-    records
-        .iter()
-        .enumerate()
-        .map(|(record, payload)| match decode_decision(payload) {
-            Ok(ts) => Ok(ts.0),
-            Err(error) => Err(RecoverError::Undecodable {
-                shard: None,
-                record,
-                error,
-            }),
-        })
-        .collect()
+/// The timestamps a decision log vouches for: ascending, each once.
+#[derive(Debug)]
+pub(crate) struct Decided(Vec<u64>);
+
+impl Decided {
+    /// Decodes every record of a scanned decision log.
+    pub fn of(records: &[&[u8]]) -> Result<Decided, RecoverError> {
+        let mut decided = records
+            .iter()
+            .enumerate()
+            .map(|(record, payload)| match decode_decision(payload) {
+                Ok(ts) => Ok(ts.0),
+                Err(error) => Err(RecoverError::Undecodable {
+                    shard: None,
+                    record,
+                    error,
+                }),
+            })
+            .collect::<Result<Vec<u64>, RecoverError>>()?;
+        decided.sort_unstable();
+        decided.dedup();
+        Ok(Decided(decided))
+    }
+
+    /// Whether the log holds a `Commit(ts)` entry.
+    pub fn contains(&self, ts: Ts) -> bool {
+        self.0.binary_search(&ts.0).is_ok()
+    }
 }
 
 /// The durability state a deployment owns once its WAL is enabled.
@@ -445,6 +456,29 @@ mod tests {
         }
         assert_eq!(decode_decision(&[1, 2, 3]), Err(CodecError::Truncated));
         assert_eq!(decode_decision(&[0; 9]), Err(CodecError::TrailingBytes));
+    }
+
+    #[test]
+    fn decided_timestamps_are_looked_up_in_a_sorted_list() {
+        let entries = [
+            encode_decision(Ts(9)),
+            encode_decision(Ts(3)),
+            encode_decision(Ts(9)),
+        ];
+        let records: Vec<&[u8]> = entries.iter().map(|e| e.as_slice()).collect();
+        let decided = Decided::of(&records).expect("every entry decodes");
+        assert_eq!(decided.0, [3, 9]);
+        assert!(decided.contains(Ts(3)) && decided.contains(Ts(9)));
+        assert!(!decided.contains(Ts(4)));
+        let damaged: [&[u8]; 2] = [&entries[0], &[1, 2, 3]];
+        assert_eq!(
+            Decided::of(&damaged).map(|_| ()),
+            Err(RecoverError::Undecodable {
+                shard: None,
+                record: 1,
+                error: CodecError::Truncated
+            })
+        );
     }
 
     #[test]

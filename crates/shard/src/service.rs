@@ -3,7 +3,7 @@
 //! [`crate::coordinator`] — wave execution with two-phase commit for
 //! cross-shard writes), and one scatter-gather query coordinator.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -13,19 +13,20 @@ use pushtap_format::LayoutError;
 use pushtap_mvcc::{Ts, TsOracle};
 use pushtap_olap::{merge_partials, Query};
 use pushtap_oltp::{
-    codec, ColumnWrite, Effect, EffectRecord, Partition, TaggedEffect, TxnRole, Writes,
+    codec, ColumnWrite, DecodedRecord, Effect, EffectRecord, Partition, TaggedEffect, TxnRole,
+    Writes,
 };
 use pushtap_pim::Ps;
 use pushtap_sanitizer::AccessSink;
 use pushtap_trace::{Histogram, Phase, TraceSink};
-use pushtap_wal::{scan, MemLog, Wal, WalTrim};
+use pushtap_wal::{scan, MemLog, ScanOutcome, Wal, WalTrim};
 
 use crate::arrival::ArrivalGen;
 use crate::config::{OpenLoopConfig, ShardConfig};
 use crate::coordinator::schedule::{Wave, WaveScheduler};
 use crate::coordinator::Engines;
 use crate::durability::{
-    decided_set, decode_decision, CheckpointError, CheckpointReport, CrashPoint, Durability,
+    decode_decision, CheckpointError, CheckpointReport, CrashPoint, Decided, Durability,
     RecoverError, RecoveryReport, ShardRecovery, WalBytes,
 };
 use crate::partition::WarehouseMap;
@@ -267,7 +268,7 @@ impl ShardedHtap {
             });
         }
         let dscan = scan(&logs.decisions);
-        let decided = decided_set(&dscan.records)?;
+        let decided = Decided::of(&dscan.records)?;
         let results = self
             .shards
             .iter_mut()
@@ -727,31 +728,30 @@ impl ShardedHtap {
         if let Some(shard) = pending_effects.or(d.decision_log.has_pending().then_some(None)) {
             return Err(CheckpointError::PendingBytes { shard });
         }
-        // Scan everything before the first rewrite: a torn tail on any
-        // log fails the checkpoint with every log file untouched.
-        let scans: Vec<_> = d
-            .logs
-            .iter()
-            .map(|log| scan(&log.durable_image()))
-            .collect();
-        let dscan = scan(&d.decision_log.durable_image());
+        // Scan every log once, before the first rewrite: a torn tail on
+        // any log fails the checkpoint with every log file untouched.
+        let images = WalBytes {
+            shards: d.logs.iter().map(Wal::durable_image).collect(),
+            decisions: d.decision_log.durable_image(),
+        };
+        let scans: Vec<ScanOutcome<'_>> = images.shards.iter().map(|image| scan(image)).collect();
+        let dscan = scan(&images.decisions);
         let torn_effects = scans.iter().position(|s| s.torn).map(Some);
         if let Some(shard) = torn_effects.or(dscan.torn.then_some(None)) {
             return Err(RecoverError::TornLog { shard }.into());
         }
-        let decided = decided_set(&dscan.records)?;
+        let decided = Decided::of(&dscan.records)?;
         let per_shard = shards
             .iter()
             .zip(d.logs.iter_mut())
             .zip(&scans)
             .enumerate()
-            .map(|(i, ((shard, log), s))| compact_shard_log(i, shard, log, &s.records, &decided))
+            .map(|(i, ((shard, log), scanned))| compact_shard_log(i, shard, log, scanned, &decided))
             .collect::<Result<Vec<_>, RecoverError>>()?;
         // Every entry decoded a moment ago, into `decided`.
-        let decisions = d.decision_log.truncate_before(|p| {
-            decode_decision(p)
-                .is_ok_and(|ts| ts.0 > cut.0)
-                .then(|| p.to_vec())
+        let decisions = d.decision_log.rewrite(&dscan, |i, out| {
+            out.extend_from_slice(dscan.records[i]);
+            decode_decision(dscan.records[i]).is_ok_and(|ts| ts.0 > cut.0)
         });
         Ok(CheckpointReport {
             cut,
@@ -951,55 +951,132 @@ impl Run<'_> {
     }
 }
 
+/// A shard effect log's records, decoded into one effect list.
+struct DecodedLog {
+    /// Every record's effects, one record after another.
+    effects: Vec<TaggedEffect>,
+    /// The records in log order, each with its range of `effects`.
+    records: Vec<DecodedRecord>,
+}
+
+/// Where the appends of one timestamp sit in a [`DecodedLog`]: a wave
+/// casualty's forced record and its retry's share a timestamp.
+struct Appends {
+    /// The position of the timestamp's first append.
+    first: usize,
+    /// The position of its last append — the one replay keeps.
+    last: usize,
+}
+
+impl DecodedLog {
+    /// Decodes the scanned records of shard `shard`'s effect log. The
+    /// scan already truncated any torn or bit-flipped tail; a record
+    /// whose checksum holds but whose payload does not decode is an
+    /// error — the bytes are intact, they are just not ours.
+    fn decode(shard: usize, scanned: &[&[u8]]) -> Result<DecodedLog, RecoverError> {
+        let mut log = DecodedLog {
+            effects: Vec::new(),
+            records: Vec::with_capacity(scanned.len()),
+        };
+        for (record, payload) in scanned.iter().enumerate() {
+            let decoded =
+                EffectRecord::decode_into(payload, &mut log.effects).map_err(|error| {
+                    RecoverError::Undecodable {
+                        shard: Some(shard),
+                        record,
+                        error,
+                    }
+                })?;
+            log.records.push(decoded);
+        }
+        Ok(log)
+    }
+
+    /// The effects of `record`, in application order.
+    fn effects_of(&self, record: &DecodedRecord) -> &[TaggedEffect] {
+        &self.effects[record.effects.clone()]
+    }
+
+    /// Every timestamp of the log once, ascending, with the positions of
+    /// its first and last append. Duplicate appends — a wave casualty
+    /// and its retry — are byte-identical by retry-stability, so keeping
+    /// the last is harmless.
+    fn appends_by_ts(&self) -> Vec<Appends> {
+        let mut order: Vec<usize> = (0..self.records.len()).collect();
+        order.sort_unstable_by_key(|&i| (self.records[i].ts, i));
+        let mut appends: Vec<Appends> = Vec::with_capacity(order.len());
+        for i in order {
+            match appends.last_mut() {
+                Some(a) if self.records[a.last].ts == self.records[i].ts => a.last = i,
+                _ => appends.push(Appends { first: i, last: i }),
+            }
+        }
+        appends
+    }
+}
+
 /// Compacts one shard's effect log under a checkpoint (see
-/// [`ShardedHtap::checkpoint`] for the invariants): plans per-record
-/// rewrites of `scanned` (the log's durable records) from the shard's
-/// committed state, then rewrites the log in place via
-/// [`Wal::truncate_before`].
+/// [`ShardedHtap::checkpoint`] for the invariants) from `scanned`, the
+/// checkpoint's one scan of the log's durable image: decodes it, finds
+/// each row+column's last committed writer, and rewrites the log
+/// ([`Wal::rewrite`]) with each surviving record encoded straight into
+/// the output buffer.
 fn compact_shard_log(
     index: usize,
     shard: &Pushtap,
     log: &mut Wal,
-    scanned: &[Vec<u8>],
-    decided: &BTreeSet<u64>,
+    scanned: &ScanOutcome<'_>,
+    decided: &Decided,
 ) -> Result<WalTrim, RecoverError> {
-    let records = decode_effect_log(index, scanned)?;
-    // Dedupe by timestamp keep-last, mirroring replay (duplicate
-    // appends — a wave casualty and its retry — are byte-identical by
-    // retry-stability).
-    let by_ts: BTreeMap<u64, &EffectRecord> = records.iter().map(|r| (r.ts.0, r)).collect();
-    let committed = |ts: &u64, r: &EffectRecord| !r.cross || decided.contains(ts);
-    // Last committed writer per (table, row, column), in ascending
-    // timestamp order — the only update writes worth replaying.
-    let mut last_writer: BTreeMap<(Table, u64, u32), u64> = BTreeMap::new();
-    for (ts, r) in &by_ts {
-        if !committed(ts, r) {
+    let decoded = DecodedLog::decode(index, &scanned.records)?;
+    let mut appends = decoded.appends_by_ts();
+    let committed = |r: &DecodedRecord| !r.cross || decided.contains(r.ts);
+    // Last committed writer per (table, row, column): every committed
+    // update write, sorted by key and newest first, then one per key —
+    // the only update writes worth replaying.
+    let mut last_writer: Vec<((Table, u64, u32), Ts)> = Vec::new();
+    for a in &appends {
+        let r = &decoded.records[a.last];
+        if !committed(r) {
             continue;
         }
-        for te in &r.effects {
+        for te in decoded.effects_of(r) {
             if let Effect::Update { table, row, writes } = &te.effect {
-                for (col, _) in writes.iter() {
-                    last_writer.insert((*table, *row, *col), *ts);
-                }
+                last_writer.extend(writes.iter().map(|(col, _)| ((*table, *row, *col), r.ts)));
             }
         }
     }
+    last_writer.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    last_writer.dedup_by_key(|w| w.0);
+    let last_writes = |key: (Table, u64, u32), ts: Ts| {
+        last_writer
+            .binary_search_by(|w| w.0.cmp(&key))
+            .is_ok_and(|i| last_writer[i].1 == ts)
+    };
+    // Emit each surviving timestamp once, at its first append, with its
+    // last append's effects (duplicates are byte-identical, so
+    // first-vs-last is immaterial). The rewrite walks the log in order.
+    appends.sort_unstable_by_key(|a| a.first);
+    let mut emit = appends.iter().peekable();
     let db = shard.db();
-    let mut plan: BTreeMap<u64, Option<Vec<u8>>> = BTreeMap::new();
-    for (ts, r) in &by_ts {
-        if !committed(ts, r) {
-            plan.insert(*ts, None); // presumed abort, now permanent
-            continue;
+    let mut kept: Vec<TaggedEffect> = Vec::new();
+    Ok(log.rewrite(scanned, |i, out| {
+        let Some(a) = emit.next_if(|a| a.first == i) else {
+            return false; // a later append of an emitted timestamp
+        };
+        let r = &decoded.records[a.last];
+        if !committed(r) {
+            return false; // presumed abort, now permanent
         }
-        let mut effects: Vec<TaggedEffect> = Vec::new();
-        for te in &r.effects {
+        kept.clear();
+        for te in decoded.effects_of(r) {
             match &te.effect {
                 Effect::Read { .. } => {} // moves no bytes
-                Effect::Insert { .. } => effects.push(*te),
+                Effect::Insert { .. } => kept.push(*te),
                 Effect::Update { table, row, writes } => {
-                    let kept: Writes = writes
+                    let writes: Writes = writes
                         .iter()
-                        .filter(|(col, _)| last_writer[&(*table, *row, *col)] == *ts)
+                        .filter(|(col, _)| last_writes((*table, *row, *col), r.ts))
                         .map(|(col, write)| {
                             let (ColumnWrite::Set { width, .. } | ColumnWrite::Add { width, .. }) =
                                 *write;
@@ -1007,12 +1084,12 @@ fn compact_shard_log(
                             (*col, ColumnWrite::set(committed, width))
                         })
                         .collect();
-                    if !kept.is_empty() {
-                        effects.push(TaggedEffect {
+                    if !writes.is_empty() {
+                        kept.push(TaggedEffect {
                             effect: Effect::Update {
                                 table: *table,
                                 row: *row,
-                                writes: kept,
+                                writes,
                             },
                             warehouse: te.warehouse,
                         });
@@ -1023,39 +1100,12 @@ fn compact_shard_log(
         // A participant record with nothing left to apply is pure
         // noise; a coordinator record must survive even empty — the
         // committed-stream reconstruction reads home-side roles.
-        plan.insert(
-            *ts,
-            if effects.is_empty() && r.role == TxnRole::Participant {
-                None
-            } else {
-                Some(codec::encode_parts(Ts(*ts), r.role, false, &effects))
-            },
-        );
-    }
-    // Emit each surviving timestamp once, at its first occurrence
-    // (duplicates are byte-identical, so first-vs-last is immaterial).
-    // The rewrite walks the same durable image in the same order, so
-    // the plan is handed out positionally.
-    let mut rewrites = records.iter().map(|r| plan.remove(&r.ts.0).flatten());
-    Ok(log.truncate_before(|_| rewrites.next().flatten()))
-}
-
-/// Decodes the scanned records of shard `shard`'s effect log. The scan
-/// already truncated any torn or bit-flipped tail; a record whose
-/// checksum holds but whose payload does not decode is an error — the
-/// bytes are intact, they are just not ours.
-fn decode_effect_log(shard: usize, records: &[Vec<u8>]) -> Result<Vec<EffectRecord>, RecoverError> {
-    records
-        .iter()
-        .enumerate()
-        .map(|(record, payload)| {
-            EffectRecord::decode(payload).map_err(|error| RecoverError::Undecodable {
-                shard: Some(shard),
-                record,
-                error,
-            })
-        })
-        .collect()
+        if kept.is_empty() && r.role == TxnRole::Participant {
+            return false;
+        }
+        codec::encode_parts_into(out, r.ts, r.role, false, &kept);
+        true
+    }))
 }
 
 /// Replays shard `index`'s log image: scans the longest valid record
@@ -1071,35 +1121,38 @@ fn replay_shard(
     index: usize,
     shard: &mut Pushtap,
     bytes: &[u8],
-    decided: &BTreeSet<u64>,
+    decided: &Decided,
 ) -> Result<(ShardRecovery, Vec<Ts>, u64), RecoverError> {
     let log = scan(bytes);
-    let records = decode_effect_log(index, &log.records)?;
+    let decoded = DecodedLog::decode(index, &log.records)?;
+    let appends = decoded.appends_by_ts();
     let mut rec = ShardRecovery {
         records: log.records.len() as u64,
+        duplicates: (log.records.len() - appends.len()) as u64,
         truncated_bytes: log.truncated_bytes,
         torn: log.torn,
         ..ShardRecovery::default()
     };
-    let by_ts: BTreeMap<u64, EffectRecord> = records.into_iter().map(|r| (r.ts.0, r)).collect();
-    rec.duplicates = rec.records - by_ts.len() as u64;
     let mut committed: Vec<Ts> = Vec::new();
     let mut max_ts = 0u64;
     let start = shard.now();
     // Ascending timestamp order: per-row commit timestamps must land
     // monotonically, exactly as the live coordinator applied them.
-    for (ts, r) in by_ts {
-        max_ts = max_ts.max(ts);
+    for a in &appends {
+        let r = &decoded.records[a.last];
+        let ts = r.ts;
+        max_ts = max_ts.max(ts.0);
         // Presumed abort: a cross-shard record commits only if the
         // decision log vouches for its timestamp. (The force ordering —
         // effect logs before the decision log — guarantees the converse:
         // a durable decision implies durable effect records everywhere.)
-        if r.cross && !decided.contains(&ts) {
+        if r.cross && !decided.contains(ts) {
             rec.skipped += 1;
             continue;
         }
+        let effects = decoded.effects_of(r);
         loop {
-            match shard.prepare_effects_at(&r.effects, Ts(ts)) {
+            match shard.prepare_effects_at(effects, ts) {
                 Ok(_) => break,
                 Err(_full) => {
                     // Reclaim and retry, as live execution does. Live
@@ -1113,11 +1166,11 @@ fn replay_shard(
                 }
             }
         }
-        shard.commit_prepared(Ts(ts), r.role);
+        shard.commit_prepared(ts, r.role);
         rec.replayed += 1;
-        rec.effects += r.effects.len() as u64;
+        rec.effects += effects.len() as u64;
         if r.role == TxnRole::Coordinator {
-            committed.push(Ts(ts));
+            committed.push(ts);
         }
     }
     if rec.replayed > 0 {

@@ -1,0 +1,126 @@
+//! The allocation budget of the durability path: a checkpoint, a
+//! recovery's replay and a deployment's build cost a bounded number of
+//! heap allocations per log, not per record. A checkpoint scans each
+//! durable image once, decodes every record into one effect list and
+//! writes the survivors into one buffer; replay shares the scan and the
+//! list; building an engine resolves each table's schema once.
+//!
+//! The counts are exact: a counting global allocator tallies every
+//! `alloc` and `realloc` call the process makes. This binary holds one
+//! test, so nothing else runs while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use pushtap_shard::{ShardConfig, ShardedHtap};
+
+/// Forwards to the system allocator and counts calls.
+struct Counting;
+
+// Statistics only: the counter publishes no other data, so `Relaxed`.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller guarantees `layout` is valid for `alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller guarantees `layout` is valid for `alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // with `layout`, and this allocator only ever hands out
+        // `System` blocks.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc` — `ptr` is a `System` block of `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const SHARDS: u32 = 2;
+const BATCHES: u64 = 10;
+const BATCH_TXNS: u64 = 250;
+
+/// The `shard_durable` deployment: 2 shards, maintenance every 200
+/// transactions.
+fn config() -> ShardConfig {
+    let mut cfg = ShardConfig::small(SHARDS);
+    cfg.base.defrag_period = 200;
+    cfg
+}
+
+/// Allocations `f` makes, and what it returns.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    (CALLS.load(Ordering::Relaxed) - before, out)
+}
+
+#[test]
+fn checkpoint_replay_and_build_allocate_per_log() {
+    let (build, service) = counted(|| ShardedHtap::new(ShardConfig::small(SHARDS)));
+    drop(service.expect("the small config lays out"));
+
+    let mut service = ShardedHtap::new(config()).expect("the small config lays out");
+    let handles = service.enable_wal();
+    let mut gen = service.global_txn_gen(42);
+    for _ in 0..BATCHES {
+        service.run_txns(&mut gen, BATCH_TXNS);
+    }
+    let logs = handles.harvest();
+    let records = logs
+        .shards
+        .iter()
+        .map(|image| pushtap_wal::scan(image).records.len())
+        .min()
+        .unwrap_or(0);
+    let (checkpoint, report) = counted(|| service.checkpoint());
+    // Every shard's effect log plus the decision log.
+    let log_count = report.per_shard.len() as u64 + 1;
+
+    let logs = handles.harvest();
+    let (rebuild, fresh) = counted(|| ShardedHtap::new(config()));
+    drop(fresh.expect("the small config lays out"));
+    let (recover, recovered) = counted(|| ShardedHtap::recover(config(), &logs));
+    let (_, recovery) = recovered.expect("the logs recover");
+    let replay = recover.saturating_sub(rebuild);
+    let replayed = recovery.replayed();
+
+    println!("build: {build} allocations for {SHARDS} shards");
+    println!(
+        "checkpoint: {checkpoint} allocations over {log_count} logs \
+         (at least {records} records per effect log)"
+    );
+    println!("replay: {replay} allocations over {replayed} replayed records");
+    assert!(records >= 2_000, "only {records} records per log");
+    assert!(
+        checkpoint <= 100 * log_count,
+        "{checkpoint} allocations over {log_count} logs: {:.1} per log, budget 100",
+        checkpoint as f64 / log_count as f64
+    );
+    assert!(
+        2 * replay <= replayed,
+        "{replay} allocations over {replayed} replayed records: {:.3} per record, budget 0.5",
+        replay as f64 / replayed as f64
+    );
+    assert!(
+        build <= 5_000,
+        "{build} allocations to build {SHARDS} shards, budget 5000"
+    );
+}

@@ -259,7 +259,7 @@ fn bursty_arrivals_recover_from_every_site_at_4_shards() {
 fn record_set(image: &[u8]) -> BTreeSet<Vec<u8>> {
     let scanned = pushtap_wal::scan(image);
     assert!(!scanned.torn, "an uncrashed log has no torn tail");
-    scanned.records.into_iter().collect()
+    scanned.records.into_iter().map(<[u8]>::to_vec).collect()
 }
 
 fn record_sets(image: &WalBytes) -> (Vec<BTreeSet<Vec<u8>>>, BTreeSet<Vec<u8>>) {

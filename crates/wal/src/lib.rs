@@ -13,6 +13,12 @@
 //! codec that gives records meaning lives in `pushtap-oltp`; log
 //! ownership, group commit, and crash points live in `pushtap-shard`.
 //!
+//! The log costs allocations per log, not per record: [`scan`] lends
+//! payload slices of the image it is given, [`Wal::append_with`] lets an
+//! encoder write a payload straight into the pending buffer behind its
+//! frame header, and [`Wal::rewrite`] frames a checkpoint's survivors
+//! into one buffer over the caller's own scan.
+//!
 //! # Examples
 //!
 //! Append two records, force once, and recover them from the durable
@@ -23,15 +29,18 @@
 //!
 //! let (mut wal, durable) = Wal::in_memory();
 //! wal.append(b"first");
-//! wal.append(b"second");
+//! // An encoder writes its payload into the pending buffer directly.
+//! wal.append_with(|out| out.extend_from_slice(b"second"));
 //! assert!(durable.is_empty()); // appended, not yet forced
 //! wal.force();
 //!
 //! wal.append(b"third");
 //! wal.force_torn(3); // crash mid-force: only 3 bytes of the frame land
 //!
-//! let scan = record::scan(&durable.bytes());
-//! assert_eq!(scan.records, vec![b"first".to_vec(), b"second".to_vec()]);
+//! let image = durable.bytes();
+//! let scan = record::scan(&image);
+//! // The payloads are slices of the image the scan was given.
+//! assert_eq!(scan.records, [b"first".as_slice(), b"second"]);
 //! assert!(scan.torn);
 //! assert_eq!(scan.truncated_bytes, 3);
 //! ```

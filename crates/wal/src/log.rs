@@ -1,13 +1,15 @@
 //! The write-ahead log object: pending-vs-durable buffering, the
 //! group-commit force barrier, and the two backing stores.
 //!
-//! [`Wal::append`] frames a payload into a **pending** buffer — bytes a
-//! crash simply loses, exactly like a page cache. [`Wal::force`] pushes
+//! [`Wal::append`] (or [`Wal::append_with`], whose writer encodes the
+//! payload in place) frames a payload into a **pending** buffer — bytes
+//! a crash simply loses, exactly like a page cache. [`Wal::force`] pushes
 //! the whole pending buffer to the backing [`WalStore`] and syncs it;
 //! only then are the records durable. A crash *during* a force is
 //! modelled by [`Wal::force_torn`], which lands a prefix of the pending
 //! bytes and drops the rest — [`crate::record::scan`] then recovers the
-//! longest valid record prefix.
+//! longest valid record prefix. A checkpoint replaces the durable image
+//! with [`Wal::rewrite`], over the scan it planned from.
 //!
 //! Two stores cover the workspace's needs: [`MemStore`] shares its
 //! durable image through an [`Arc`] so a test can harvest the bytes
@@ -33,7 +35,7 @@ pub trait WalStore: Send {
     fn append(&mut self, bytes: &[u8]);
     /// Ensures every appended byte has reached durable media.
     fn sync(&mut self);
-    /// Snapshot of the current durable image — a checkpoint re-scans it
+    /// Snapshot of the current durable image — a checkpoint scans it
     /// before rewriting.
     fn durable_image(&self) -> Vec<u8>;
     /// Replaces the whole durable image with `bytes` and syncs: the
@@ -248,10 +250,19 @@ impl Wal {
     /// Frames `payload` straight into the pending buffer. The record is
     /// **not** durable until the next [`force`](Self::force).
     pub fn append(&mut self, payload: &[u8]) {
-        let before = self.pending.len();
-        record::frame_into(&mut self.pending, payload);
+        self.append_with(|out| out.extend_from_slice(payload));
+    }
+
+    /// [`Wal::append`] of the payload `write` appends to the buffer it
+    /// is handed: an encoder writes the record straight into the
+    /// pending buffer, behind the frame header, and no payload is built
+    /// on its own. `write` must only append. Returns the framed bytes
+    /// (header + payload).
+    pub fn append_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let framed = record::frame_with(&mut self.pending, write);
         self.stats.appends += 1;
-        self.stats.bytes += (self.pending.len() - before) as u64;
+        self.stats.bytes += framed as u64;
+        framed
     }
 
     /// Bytes appended but not yet forced.
@@ -301,7 +312,7 @@ impl Wal {
 
     /// A snapshot of the backing store's durable bytes — what a crash at
     /// this instant would leave behind. Checkpoint planning scans this
-    /// image to decide which records [`Wal::truncate_before`] keeps.
+    /// image to decide which records [`Wal::rewrite`] keeps.
     #[must_use]
     pub fn durable_image(&self) -> Vec<u8> {
         self.store.durable_image()
@@ -310,43 +321,72 @@ impl Wal {
     /// Checkpoint truncation: re-scans the durable image and hands each
     /// record payload, in log order, to `edit` — `Some(payload)` keeps
     /// the record (rewritten in place when the payload differs),
-    /// `None` drops it — then atomically replaces the image with the
-    /// survivors, re-framed and synced. The log stays opaque to its own
-    /// payloads: the *caller* decides what "below the watermark" means
-    /// for its record format (the shard layer drops decision entries
-    /// below the GC cut and compacts covered effect records).
+    /// `None` drops it — then replaces the image with the survivors
+    /// ([`Wal::rewrite`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Wal::rewrite`].
+    pub fn truncate_before(&mut self, mut edit: impl FnMut(&[u8]) -> Option<Vec<u8>>) -> WalTrim {
+        let image = self.store.durable_image();
+        let scanned = record::scan(&image);
+        self.rewrite(&scanned, |i, out| match edit(scanned.records[i]) {
+            Some(kept) => {
+                out.extend_from_slice(&kept);
+                true
+            }
+            None => false,
+        })
+    }
+
+    /// Checkpoint rewrite over `scanned`, the caller's scan of this
+    /// log's current durable image ([`Wal::durable_image`]): for each
+    /// record, in log order, `edit(i, out)` either appends to `out` the
+    /// payload that replaces record `i` and returns `true` (kept,
+    /// rewritten where the payload differs), or returns `false`
+    /// (dropped; anything it appended is discarded). The survivors are
+    /// framed into one buffer that atomically replaces the image,
+    /// synced; the caller's scan is the only one. The log stays opaque
+    /// to its own payloads: the *caller* decides what "below the
+    /// watermark" means for its record format (the shard layer drops
+    /// decision entries below the GC cut and compacts covered effect
+    /// records).
     ///
     /// Traffic counters ([`WalStats`]) are untouched: they ledger the
     /// append traffic that happened, not the image size.
     ///
     /// # Panics
     ///
-    /// Panics if bytes are pending (force them first — a
-    /// checkpoint runs on a quiesced log) or the durable image has a
-    /// torn tail (checkpoints never run mid-crash).
-    pub fn truncate_before(&mut self, mut edit: impl FnMut(&[u8]) -> Option<Vec<u8>>) -> WalTrim {
+    /// Panics if bytes are pending (force them first — a checkpoint
+    /// runs on a quiesced log) or `scanned` found a torn tail
+    /// (checkpoints never run mid-crash).
+    pub fn rewrite(
+        &mut self,
+        scanned: &record::ScanOutcome<'_>,
+        mut edit: impl FnMut(usize, &mut Vec<u8>) -> bool,
+    ) -> WalTrim {
         assert!(
             !self.has_pending(),
             "checkpoint with pending bytes — force them first"
         );
-        let image = self.store.durable_image();
-        let scanned = record::scan(&image);
         assert!(
             !scanned.torn,
             "checkpoint over a torn log — recover it first"
         );
         let mut trim = WalTrim {
-            bytes_before: image.len() as u64,
+            bytes_before: scanned.valid_len as u64,
             ..WalTrim::default()
         };
-        let mut out = Vec::with_capacity(image.len());
-        for payload in &scanned.records {
-            match edit(payload) {
-                Some(kept) => {
-                    record::frame_into(&mut out, &kept);
-                    trim.records_kept += 1;
-                }
-                None => trim.records_dropped += 1,
+        let mut out = Vec::with_capacity(scanned.valid_len);
+        for i in 0..scanned.records.len() {
+            let start = out.len();
+            let mut kept = false;
+            record::frame_with(&mut out, |out| kept = edit(i, out));
+            if kept {
+                trim.records_kept += 1;
+            } else {
+                out.truncate(start);
+                trim.records_dropped += 1;
             }
         }
         trim.bytes_after = out.len() as u64;
@@ -379,8 +419,9 @@ mod tests {
         assert!(wal.has_pending());
         assert!(wal.force());
         assert!(!wal.has_pending());
-        let scan = record::scan(&durable.bytes());
-        assert_eq!(scan.records, vec![b"one".to_vec(), b"two".to_vec()]);
+        let image = durable.bytes();
+        let scan = record::scan(&image);
+        assert_eq!(scan.records, [b"one", b"two"]);
         assert!(!scan.torn);
     }
 
@@ -399,8 +440,9 @@ mod tests {
         wal.force();
         wal.append(b"lost");
         drop(wal); // the kill: pending buffer evaporates
-        let scan = record::scan(&durable.bytes());
-        assert_eq!(scan.records, vec![b"durable".to_vec()]);
+        let image = durable.bytes();
+        let scan = record::scan(&image);
+        assert_eq!(scan.records, [b"durable"]);
         assert!(!scan.torn);
     }
 
@@ -411,8 +453,9 @@ mod tests {
         wal.append(b"second");
         let first = record::frame(b"first").len();
         wal.force_torn(first + 4); // tear lands 4 bytes into record two
-        let scan = record::scan(&durable.bytes());
-        assert_eq!(scan.records, vec![b"first".to_vec()]);
+        let image = durable.bytes();
+        let scan = record::scan(&image);
+        assert_eq!(scan.records, [b"first"]);
         assert!(scan.torn);
         assert_eq!(scan.truncated_bytes, 4);
     }
@@ -451,22 +494,64 @@ mod tests {
         assert!(trim.bytes_reclaimed() > 0);
         // The harvest handle sees the truncated image, and the log is
         // still appendable afterwards.
-        let scan = record::scan(&durable.bytes());
-        assert_eq!(
-            scan.records,
-            vec![b"rewritten".to_vec(), b"keep-me".to_vec()]
-        );
+        let image = durable.bytes();
+        let scan = record::scan(&image);
+        assert_eq!(scan.records, [b"rewritten".as_slice(), b"keep-me"]);
         assert!(!scan.torn);
         wal.append(b"post-checkpoint");
         wal.force();
-        let scan = record::scan(&durable.bytes());
+        let image = durable.bytes();
+        let scan = record::scan(&image);
         assert_eq!(
             scan.records,
-            vec![
-                b"rewritten".to_vec(),
-                b"keep-me".to_vec(),
-                b"post-checkpoint".to_vec()
-            ]
+            [b"rewritten".as_slice(), b"keep-me", b"post-checkpoint"]
+        );
+    }
+
+    #[test]
+    fn append_with_frames_what_the_writer_appends() {
+        let (mut wal, durable) = Wal::in_memory();
+        wal.append(b"plain");
+        let framed = wal.append_with(|out| {
+            out.extend_from_slice(b"writ");
+            out.push(b'-');
+            out.extend_from_slice(b"ten");
+        });
+        assert_eq!(framed, record::HEADER_LEN + 8);
+        assert_eq!(wal.stats().bytes, (2 * record::HEADER_LEN + 5 + 8) as u64);
+        wal.force();
+        // The same bytes as appending the whole payload at once.
+        let mut expected = record::frame(b"plain");
+        expected.extend_from_slice(&record::frame(b"writ-ten"));
+        assert_eq!(durable.bytes(), expected);
+    }
+
+    #[test]
+    fn rewrite_edits_the_callers_scan_by_position() {
+        let (mut wal, durable) = Wal::in_memory();
+        for payload in [b"a".as_slice(), b"bb", b"ccc"] {
+            wal.append(payload);
+        }
+        wal.force();
+        let image = wal.durable_image();
+        let scanned = record::scan(&image);
+        let trim = wal.rewrite(&scanned, |i, out| {
+            out.extend_from_slice(scanned.records[i]);
+            match i {
+                0 => false, // dropped: what it appended is discarded
+                1 => {
+                    out.push(b'!');
+                    true
+                }
+                _ => true,
+            }
+        });
+        assert_eq!((trim.records_kept, trim.records_dropped), (2, 1));
+        assert_eq!(trim.bytes_before, image.len() as u64);
+        assert_eq!(trim.bytes_after, durable.len() as u64);
+        assert_eq!(
+            record::scan(&durable.bytes()).records,
+            [b"bb!".as_slice(), b"ccc"]
         );
     }
 
@@ -491,8 +576,9 @@ mod tests {
         wal.append(b"later");
         wal.force();
         drop(wal);
-        let scan = record::scan(&std::fs::read(&path).expect("read log"));
-        assert_eq!(scan.records, vec![b"fresh".to_vec(), b"later".to_vec()]);
+        let image = std::fs::read(&path).expect("read log");
+        let scan = record::scan(&image);
+        assert_eq!(scan.records, [b"fresh", b"later"]);
         assert!(!scan.torn);
         let _ = std::fs::remove_file(&path);
     }
@@ -504,8 +590,9 @@ mod tests {
         wal.append(b"on-disk record");
         wal.force();
         drop(wal);
-        let scan = record::scan(&std::fs::read(&path).expect("read log"));
-        assert_eq!(scan.records, vec![b"on-disk record".to_vec()]);
+        let image = std::fs::read(&path).expect("read log");
+        let scan = record::scan(&image);
+        assert_eq!(scan.records, [b"on-disk record"]);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -36,27 +36,34 @@ pub fn checksum(payload: &[u8]) -> u32 {
 /// Frames a payload as one on-log record: header plus payload bytes.
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    frame_into(&mut out, payload);
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame_with(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
-/// Appends the frame of `payload` — header plus payload bytes — to
-/// `out` in place.
-pub(crate) fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+/// Appends one frame to `out` in place: reserves the header, lets
+/// `write` append the payload after it, then fills in the payload's
+/// length and checksum. Returns the framed bytes (header + payload).
+pub(crate) fn frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    write(out);
+    let payload = &out[start + HEADER_LEN..];
     let len = u32::try_from(payload.len()).expect("WAL payload exceeds u32::MAX bytes");
-    out.reserve(HEADER_LEN + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let sum = checksum(payload);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    out.len() - start
 }
 
-/// What [`scan`] recovered from a log image.
+/// What [`scan`] recovered from a log image: the payloads are lent
+/// slices of that image, so a scan allocates one list per log, not a
+/// buffer per record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanOutcome {
+pub struct ScanOutcome<'a> {
     /// The payloads of every record in the longest valid prefix, in
     /// append order.
-    pub records: Vec<Vec<u8>>,
+    pub records: Vec<&'a [u8]>,
     /// Bytes of the valid prefix (where an append after recovery would
     /// resume).
     pub valid_len: usize,
@@ -75,7 +82,7 @@ pub struct ScanOutcome {
 /// truncated. A clean log scans with `torn == false` and
 /// `valid_len == bytes.len()`.
 #[must_use]
-pub fn scan(bytes: &[u8]) -> ScanOutcome {
+pub fn scan(bytes: &[u8]) -> ScanOutcome<'_> {
     let mut records = Vec::new();
     let mut at = 0usize;
     // Ends on the first incomplete header (or the clean end, at == len).
@@ -88,7 +95,7 @@ pub fn scan(bytes: &[u8]) -> ScanOutcome {
         if checksum(payload) != sum {
             break; // tear inside the payload, or media corruption
         }
-        records.push(payload.to_vec());
+        records.push(payload);
         at += HEADER_LEN + len;
     }
     ScanOutcome {
@@ -113,15 +120,19 @@ mod tests {
         let scan = scan(&log);
         assert_eq!(
             scan.records,
-            vec![
-                b"alpha".to_vec(),
-                Vec::new(),
-                b"a longer third record".to_vec()
-            ]
+            [b"alpha".as_slice(), b"", b"a longer third record"]
         );
         assert_eq!(scan.valid_len, log.len());
         assert_eq!(scan.truncated_bytes, 0);
         assert!(!scan.torn);
+    }
+
+    #[test]
+    fn scan_lends_slices_of_the_image() {
+        let log = log_of(&[b"one", b"two"]);
+        let scan = scan(&log);
+        assert_eq!(scan.records[0].as_ptr(), log[HEADER_LEN..].as_ptr());
+        assert_eq!(scan.records[1].as_ptr(), log[2 * HEADER_LEN + 3..].as_ptr());
     }
 
     #[test]
@@ -137,7 +148,7 @@ mod tests {
         let keep = log.len();
         log.extend_from_slice(&frame(b"lost")[..HEADER_LEN - 3]);
         let scan = scan(&log);
-        assert_eq!(scan.records, vec![b"keep".to_vec()]);
+        assert_eq!(scan.records, [b"keep"]);
         assert_eq!(scan.valid_len, keep);
         assert_eq!(scan.truncated_bytes, (HEADER_LEN - 3) as u64);
         assert!(scan.torn);
@@ -150,7 +161,7 @@ mod tests {
         let tail = frame(b"torn-away");
         log.extend_from_slice(&tail[..tail.len() - 1]);
         let scan = scan(&log);
-        assert_eq!(scan.records, vec![b"keep".to_vec(), b"keep2".to_vec()]);
+        assert_eq!(scan.records, [b"keep".as_slice(), b"keep2"]);
         assert_eq!(scan.valid_len, keep);
         assert!(scan.torn);
     }
@@ -164,7 +175,7 @@ mod tests {
         let first = frame(b"first").len();
         log[first + HEADER_LEN] ^= 0x01;
         let scan = scan(&log);
-        assert_eq!(scan.records, vec![b"first".to_vec()]);
+        assert_eq!(scan.records, [b"first"]);
         assert_eq!(scan.valid_len, first);
         assert_eq!(scan.truncated_bytes, (log.len() - first) as u64);
     }
@@ -176,10 +187,8 @@ mod tests {
         let log = log_of(&[b"r1", b"record-two", b"r3!"]);
         for cut in 0..=log.len() {
             let scan = scan(&log[..cut]);
-            for (i, rec) in scan.records.iter().enumerate() {
-                let want: &[u8] = [b"r1".as_slice(), b"record-two", b"r3!"][i];
-                assert_eq!(rec, want, "cut at {cut}");
-            }
+            let want = [b"r1".as_slice(), b"record-two", b"r3!"];
+            assert_eq!(scan.records, want[..scan.records.len()], "cut at {cut}");
         }
     }
 
