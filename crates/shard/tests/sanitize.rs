@@ -13,7 +13,7 @@ use std::sync::Arc;
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_format::RowSlot;
 use pushtap_sanitizer::{Access, AccessKind, AccessSink, ShadowSanitizer, ViolationKind};
-use pushtap_shard::{ShardConfig, ShardedHtap};
+use pushtap_shard::{ShardConfig, ShardOltpReport, ShardedHtap};
 
 mod common;
 
@@ -32,8 +32,9 @@ fn squeezed() -> ShardConfig {
 }
 
 /// Runs one uniform-mix batch, optionally armed, and returns the
-/// service plus the tracker (present only when armed).
-fn run(armed: bool) -> (ShardedHtap, Option<Arc<ShadowSanitizer>>) {
+/// service, the tracker (present only when armed) and the batch's
+/// report.
+fn run(armed: bool) -> (ShardedHtap, Option<Arc<ShadowSanitizer>>, ShardOltpReport) {
     let mut service = ShardedHtap::new(squeezed()).expect("build shards");
     let san = armed.then(|| {
         let san = Arc::new(ShadowSanitizer::new());
@@ -47,7 +48,7 @@ fn run(armed: bool) -> (ShardedHtap, Option<Arc<ShadowSanitizer>>) {
     let report = service.run_txns(&mut gen, TXNS);
     assert_eq!(report.committed(), TXNS);
     service.defragment_all();
-    (service, san)
+    (service, san, report)
 }
 
 /// Byte-compares every table of every shard between two deployments.
@@ -75,7 +76,7 @@ fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
 #[test]
 fn armed_batches_are_violation_free_and_byte_neutral() {
     let label = "squeezed uniform batch";
-    let (armed, san) = run(true);
+    let (armed, san, armed_report) = run(true);
     let san = san.expect("armed run returns its tracker");
     // The tracker genuinely watched the batch: every transaction
     // opened at least one scope, and row traffic was checked.
@@ -90,11 +91,29 @@ fn armed_batches_are_violation_free_and_byte_neutral() {
         san.checked_accesses()
     );
     san.assert_clean(label);
-    // And arming changed nothing a byte can see: the hooks charge
-    // zero simulated time, so the armed deployment commits the
-    // exact state an unarmed twin does.
-    let (unarmed, _) = run(false);
+    // And arming changed nothing a byte or a clock can see: the hooks
+    // charge zero simulated time, so the armed deployment commits the
+    // exact state an unarmed twin does, on the exact same clocks.
+    let (unarmed, _, unarmed_report) = run(false);
     assert_services_match(&armed, &unarmed, label);
+    for (i, (a, u)) in armed_report
+        .per_shard
+        .iter()
+        .zip(&unarmed_report.per_shard)
+        .enumerate()
+    {
+        assert_eq!(a.elapsed, u.elapsed, "{label}: shard {i} elapsed moved");
+    }
+    assert_eq!(
+        armed_report.makespan(),
+        unarmed_report.makespan(),
+        "{label}: makespan moved"
+    );
+    assert_eq!(
+        armed_report.merged().commit_latency.stats(),
+        unarmed_report.merged().commit_latency.stats(),
+        "{label}: commit latency moved"
+    );
 }
 
 #[test]
@@ -103,7 +122,7 @@ fn default_deployment_stays_unarmed() {
     for shard in service.shards() {
         assert!(
             shard.db().probe().sanitizer().is_none(),
-            "the NullSanitizer must report itself disabled"
+            "a fresh deployment must hold no sanitizer"
         );
     }
 }
@@ -115,7 +134,7 @@ fn default_deployment_stays_unarmed() {
 /// breach correctly.
 #[test]
 fn injected_stray_access_fires_end_to_end() {
-    let (_service, san) = run(true);
+    let (_service, san, _) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     san.record_access(
@@ -143,7 +162,7 @@ fn injected_stray_access_fires_end_to_end() {
 /// installed tracker a real deployment holds.
 #[test]
 fn injected_undeclared_access_fires_end_to_end() {
-    let (_service, san) = run(true);
+    let (_service, san, _) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     let next_ts = 1_000_000;
@@ -173,7 +192,7 @@ fn injected_undeclared_access_fires_end_to_end() {
 /// core promise broken by hand, caught by the lockset check.
 #[test]
 fn injected_wave_conflict_fires_end_to_end() {
-    let (_service, san) = run(true);
+    let (_service, san, _) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     let (a, b) = (2_000_000, 2_000_001);
@@ -212,7 +231,7 @@ fn injected_wave_conflict_fires_end_to_end() {
 /// silent again once the pin is dropped.
 #[test]
 fn injected_reclaim_under_pin_fires_end_to_end() {
-    let (service, san) = run(true);
+    let (service, san, _) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     let oracle = service.ts_oracle();
@@ -241,7 +260,7 @@ fn injected_reclaim_under_pin_fires_end_to_end() {
 /// coordinator bug would leave behind.
 #[test]
 fn injected_unbalanced_prepare_fires_end_to_end() {
-    let (_service, san) = run(true);
+    let (_service, san, _) = run(true);
     let san = san.expect("armed");
     san.assert_clean("before injection");
     let ts = 3_000_000;
