@@ -1,6 +1,8 @@
 //! Regenerates every figure in sequence (the full evaluation pass).
-//! Optional arguments: population scale (default 0.001), `--json`
-//! (write `BENCH_shard_scale.json` alongside the printed tables), and
+//! Optional arguments: population scale (default 0.001), which applies
+//! to Figs. 9–12 (Table 1 prints the configuration and Fig. 8 is
+//! computed from the layouts alone), `--json` (write
+//! `BENCH_shard_scale.json` alongside the printed tables), and
 //! `--trace <path>` (write a Chrome-trace timeline of one traced
 //! 8-shard uniform-mix batch).
 fn main() {

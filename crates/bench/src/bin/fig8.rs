@@ -1,10 +1,6 @@
-//! Regenerates Figure 8 of the paper. Optional argument: population
-//! scale (default chosen for a quick run; 1.0 = the paper's 20 GB).
+//! Regenerates Figure 8 of the paper. Takes no arguments: Fig. 8 is
+//! computed from the table layouts alone, not from a populated
+//! database, so it has no population scale.
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.001);
-    let _ = scale;
     pushtap_bench::fig8::print_all();
 }

@@ -32,7 +32,6 @@ use std::sync::Arc;
 use pushtap_chbench::RemoteMix;
 use pushtap_olap::Query;
 use pushtap_pim::Ps;
-use pushtap_sanitizer::ShadowSanitizer;
 use pushtap_shard::{ShardConfig, ShardedHtap};
 use pushtap_trace::{chrome, fmt_ps, two_pc_overlap_peak, LatencyStats, MemSink};
 
@@ -244,77 +243,12 @@ fn print_header() {
     println!("(small population, 8 warehouses, 400 routed txns per point)");
 }
 
-/// The sanitizer-overhead outcome of one armed-vs-unarmed pair.
-#[derive(Debug, Clone, Copy)]
-pub struct SanitizerOverhead {
-    /// Routed tpmC with the default [`pushtap_sanitizer::NullSanitizer`].
-    pub baseline_tpmc: f64,
-    /// Routed tpmC with an armed [`ShadowSanitizer`] watching every
-    /// access and scope.
-    pub armed_tpmc: f64,
-    /// Accesses the armed tracker checked against declared keysets.
-    pub checked_accesses: u64,
-    /// Scopes (prepare/commit pairs) the armed tracker followed.
-    pub scopes_tracked: u64,
-}
-
-impl SanitizerOverhead {
-    /// Simulated-throughput overhead of arming, in percent. The hooks
-    /// charge zero simulated time, so this is 0.0 by construction —
-    /// the row exists so a future hook that *does* perturb the clock
-    /// is caught as a regression, not discovered in a paper figure.
-    pub fn overhead_pct(&self) -> f64 {
-        (self.baseline_tpmc - self.armed_tpmc) / self.baseline_tpmc * 100.0
-    }
-}
-
-/// Runs the same uniform-mix point twice — NullSanitizer vs
-/// an armed [`ShadowSanitizer`] — and reports the simulated-throughput
-/// delta plus what the tracker checked. Panics if the armed run is not
-/// violation-free: the scaling harness doubles as a soundness gate.
-pub fn sanitizer_overhead(shards: u32, txns: u64, cores: u32) -> SanitizerOverhead {
-    let mix = RemoteMix::Uniform;
-    let (_, baseline, _) = run_routed(shards, txns, cores, mix);
-    let mut service = ShardedHtap::new(ShardConfig::small(shards)).expect("build shards");
-    let san = Arc::new(ShadowSanitizer::new());
-    service.set_sanitizer(san.clone());
-    let _wal = service.enable_wal();
-    let warehouses = service.map().warehouses();
-    let mut gen = service.global_txn_gen(42).with_remote_mix(mix, warehouses);
-    let armed = service.run_txns(&mut gen, txns);
-    san.assert_clean("shard_scale armed sweep");
-    SanitizerOverhead {
-        baseline_tpmc: baseline.tpmc(cores),
-        armed_tpmc: armed.tpmc(cores),
-        checked_accesses: san.checked_accesses(),
-        scopes_tracked: san.scopes_tracked(),
-    }
-}
-
-fn print_sanitizer_overhead() {
-    let o = sanitizer_overhead(4, 400, 16);
-    println!("-- sanitizer overhead (uniform mix, 4 shards) --");
-    println!(
-        "{:>12} {:>12} {:>9} {:>10} {:>8}",
-        "base tpmC", "armed tpmC", "overhead", "accesses", "scopes"
-    );
-    println!(
-        "{:>12.0} {:>12.0} {:>8.1}% {:>10} {:>8}",
-        o.baseline_tpmc,
-        o.armed_tpmc,
-        o.overhead_pct(),
-        o.checked_accesses,
-        o.scopes_tracked
-    );
-}
-
 /// Prints the shard-scaling tables, one per remote-warehouse mix.
 pub fn print_all() {
     print_header();
     for (_, label, points) in sweep_all(&[1, 2, 4, 8], 400, 16) {
         print_table(label, &points);
     }
-    print_sanitizer_overhead();
 }
 
 /// Prints the shard-scaling tables *and* writes `BENCH_shard_scale.json`
@@ -326,7 +260,6 @@ pub fn print_and_write_json() -> std::io::Result<()> {
     for (_, label, points) in &all {
         print_table(label, points);
     }
-    print_sanitizer_overhead();
     let path = "BENCH_shard_scale.json";
     std::fs::write(path, render_json(&all))?;
     println!("wrote {path}");
@@ -587,21 +520,6 @@ mod tests {
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999);
         assert!(s.p999 <= s.max);
         assert!(s.mean > 0);
-    }
-
-    /// Arming the sanitizer costs zero *simulated* time: the armed
-    /// deployment reports the exact tpmC the unarmed one does, while
-    /// the tracker demonstrably checked the batch's row traffic.
-    #[test]
-    fn sanitizer_overhead_is_zero_simulated() {
-        let o = sanitizer_overhead(2, 120, 16);
-        assert_eq!(
-            o.baseline_tpmc, o.armed_tpmc,
-            "hooks must not perturb the simulated clock"
-        );
-        assert_eq!(o.overhead_pct(), 0.0);
-        assert!(o.scopes_tracked >= 120, "every txn opens a scope");
-        assert!(o.checked_accesses > o.scopes_tracked);
     }
 
     /// The rendered Chrome trace validates and shows genuinely

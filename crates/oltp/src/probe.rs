@@ -4,14 +4,14 @@
 use std::sync::Arc;
 
 use pushtap_pim::Ps;
-use pushtap_sanitizer::{AccessSink, NullSanitizer};
+use pushtap_sanitizer::ShadowSanitizer;
 use pushtap_trace::{NullSink, Phase, Span, TraceSink};
 
 /// One engine's observers: the track it stamps (its shard index), a
-/// lifecycle-span sink and a keyset-soundness sanitizer. Both sinks
-/// start disabled ([`NullSink`], [`NullSanitizer`]), so an emission
-/// site costs one branch and builds nothing. Observers charge no
-/// simulated time, so an armed probe never moves a committed byte.
+/// lifecycle-span sink and a keyset-soundness sanitizer. A probe starts
+/// with both off (a [`NullSink`], no [`ShadowSanitizer`]), so an
+/// emission site costs one branch and builds nothing. Observers charge
+/// no simulated time, so an armed probe never moves a committed byte.
 ///
 /// # Examples
 ///
@@ -33,16 +33,16 @@ use pushtap_trace::{NullSink, Phase, Span, TraceSink};
 pub struct Probe {
     track: u32,
     spans: Arc<dyn TraceSink>,
-    san: Arc<dyn AccessSink>,
+    san: Option<Arc<ShadowSanitizer>>,
 }
 
 impl Probe {
-    /// A probe stamping `track`, with both sinks disabled.
+    /// A probe stamping `track`, with both observers off.
     pub fn new(track: u32) -> Probe {
         Probe {
             track,
             spans: Arc::new(NullSink),
-            san: Arc::new(NullSanitizer),
+            san: None,
         }
     }
 
@@ -54,8 +54,8 @@ impl Probe {
     }
 
     /// Arms `san`: every sanitizer hook of the engine reaches it.
-    pub fn set_sanitizer(&mut self, san: Arc<dyn AccessSink>) {
-        self.san = san;
+    pub fn set_sanitizer(&mut self, san: Arc<ShadowSanitizer>) {
+        self.san = Some(san);
     }
 
     /// Records `phase` over `start..=end` (equal for an instant) for
@@ -70,7 +70,7 @@ impl Probe {
 
     /// The sanitizer and the track to stamp its hooks with — only when
     /// it is armed.
-    pub fn sanitizer(&self) -> Option<(&dyn AccessSink, u32)> {
-        self.san.enabled().then_some((&*self.san, self.track))
+    pub fn sanitizer(&self) -> Option<(&ShadowSanitizer, u32)> {
+        self.san.as_deref().map(|san| (san, self.track))
     }
 }

@@ -10,7 +10,7 @@
 //! only symptom is a byte divergence far downstream.
 //!
 //! This crate closes that gap in the style of ThreadSanitizer: a
-//! shadow tracker ([`AccessSink`]) that the engine feeds with every
+//! shadow tracker ([`ShadowSanitizer`]) that the engine feeds with every
 //! physical row read, row write, chain growth, and insert-ring cursor
 //! advance — each stamped with its owning transaction timestamp — and
 //! that checks five families of invariants:
@@ -40,16 +40,15 @@
 //!   keeps no copy of the pin registry.
 //!
 //! The crate is dependency-free (like `pushtap-trace` and
-//! `pushtap-wal`) and mirrors the trace sink's cost model: the default
-//! [`NullSanitizer`] reports itself disabled, so every instrumented
-//! hot path pays exactly one predictable branch and constructs
-//! nothing. Each engine reaches its sink through its one
-//! instrumentation seam, `pushtap_oltp::Probe`, which hands the sink
-//! out only while it is armed. Arming means installing a
-//! [`ShadowSanitizer`] there — see
-//! `pushtap_shard::ShardedHtap::set_sanitizer`. The shadow state is
-//! pure observer: it charges no simulated time and touches no engine
-//! state, so an armed run is byte-identical to an unarmed one by
+//! `pushtap-wal`). Each engine reaches the tracker through its one
+//! instrumentation seam, `pushtap_oltp::Probe`, which holds an
+//! optional shared [`ShadowSanitizer`]: an unarmed engine holds none,
+//! so every instrumented path pays one `Option` check and constructs
+//! nothing. Arming means installing a tracker there — see
+//! `pushtap_shard::ShardedHtap::set_sanitizer`; the shard test suites
+//! arm every batch they run. The shadow state is pure observer: it
+//! charges no simulated time and touches no engine state, so an armed
+//! run is byte-identical to an unarmed one on the same clocks by
 //! construction (and the shard suite asserts it).
 //!
 //! The engine's own key model (`pushtap_oltp::Key`) cannot be imported
@@ -230,108 +229,6 @@ impl fmt::Display for ViolationReport {
     }
 }
 
-/// The shadow-tracker interface the engine records into. Mirrors
-/// `pushtap_trace::TraceSink`: implementations are shared behind an
-/// `Arc`, and the default [`NullSanitizer`] reports itself disabled so
-/// instrumented paths skip everything after one branch.
-///
-/// Scopes are identified by `(track, ts)` — a cross-shard transaction
-/// prepares one scope per participating engine, all at the same pinned
-/// timestamp. Wave assignment is per-transaction (by ts alone): the
-/// coordinator announces it once, before the wave's prepares fan out.
-pub trait AccessSink: fmt::Debug + Send + Sync {
-    /// Whether the sink wants records at all. Instrumented paths check
-    /// this before constructing anything.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// A transaction scope opened on engine `track` at pinned `ts`,
-    /// declaring the keyset the scheduler ordered it by.
-    fn begin_scope(&self, track: u32, ts: u64, reads: &[SanKey], writes: &[SanKey]);
-
-    /// A physical access inside (what should be) the scope at
-    /// `(track, ts)`.
-    fn record_access(&self, track: u32, ts: u64, access: Access);
-
-    /// The scope's effects are fully applied and the engine parked it
-    /// prepared (two-phase-commit vote "yes"). Declared-footprint and
-    /// wave-isolation checks run here.
-    fn prepare_scope(&self, track: u32, ts: u64);
-
-    /// Coordinator commit decision for the prepared scope.
-    fn commit_scope(&self, track: u32, ts: u64);
-
-    /// Coordinator abort decision for the prepared scope.
-    fn abort_scope(&self, track: u32, ts: u64);
-
-    /// Mid-apply rollback of a scope that never reached prepare (a
-    /// `DeltaFull` strike). The declared-footprint check still runs —
-    /// the partial attempt's accesses must have been declared too.
-    fn abort_active(&self, track: u32, ts: u64);
-
-    /// The coordinator assigned transaction `ts` to overlapped `wave`
-    /// (1-based; transactions never announced stay wave 0 = solo).
-    fn assign_wave(&self, ts: u64, wave: u64);
-
-    /// A batch boundary: no scope may still be open anywhere, and the
-    /// engines report `prepared_versions` prepared-but-undecided
-    /// versions (must be zero). Resets wave bookkeeping.
-    fn batch_end(&self, prepared_versions: u64);
-
-    /// Garbage collection on engine `track` folded `row` of `table`
-    /// and freed its version at `version_ts` (the newest timestamp the
-    /// fold releases — every other freed version is older), while the
-    /// engine oracle's oldest snapshot pin stood at `oldest_pin`. Fires
-    /// [`ViolationKind::ReclaimedPinnedVersion`] if that pinned reader
-    /// could still read the version. Default: ignored.
-    fn reclaim_version(
-        &self,
-        _track: u32,
-        _table: u32,
-        _row: u64,
-        _version_ts: u64,
-        _oldest_pin: Option<u64>,
-    ) {
-    }
-
-    /// The open-loop front-end admitted transaction `ts` with stamped
-    /// arrival time `arrival_ps` (simulated picoseconds). Arms the
-    /// no-execution-before-arrival check for this transaction until
-    /// the next batch boundary. Default: ignored.
-    fn note_arrival(&self, _ts: u64, _arrival_ps: u64) {}
-
-    /// Engine `track` is about to start executing transaction `ts`
-    /// with its clock at `now_ps`. Fires
-    /// [`ViolationKind::ExecutedBeforeArrival`] if the transaction has
-    /// a noted arrival later than `now_ps`. Default: ignored.
-    fn begin_execution(&self, _track: u32, _ts: u64, _now_ps: u64) {}
-
-    /// Shard `track`'s inbox holds `depth` admitted-but-undispatched
-    /// transactions against configured `bound`. Fires
-    /// [`ViolationKind::InboxOverflow`] when `depth > bound`.
-    /// Default: ignored.
-    fn inbox_admit(&self, _track: u32, _depth: u64, _bound: u64) {}
-}
-
-/// The default sink: disabled, records nothing, costs one branch.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSanitizer;
-
-impl AccessSink for NullSanitizer {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn begin_scope(&self, _: u32, _: u64, _: &[SanKey], _: &[SanKey]) {}
-    fn record_access(&self, _: u32, _: u64, _: Access) {}
-    fn prepare_scope(&self, _: u32, _: u64) {}
-    fn commit_scope(&self, _: u32, _: u64) {}
-    fn abort_scope(&self, _: u32, _: u64) {}
-    fn abort_active(&self, _: u32, _: u64) {}
-    fn assign_wave(&self, _: u64, _: u64) {}
-    fn batch_end(&self, _: u64) {}
-}
-
 /// One open scope's shadow state.
 #[derive(Debug, Clone)]
 struct Scope {
@@ -380,7 +277,7 @@ impl Scope {
     }
 }
 
-/// The armed tracker's interior state (behind the sink's mutex).
+/// The armed tracker's interior state (behind its mutex).
 #[derive(Debug, Default)]
 struct Shadow {
     /// Open scopes by (track, ts).
@@ -511,6 +408,11 @@ impl Shadow {
 /// instance across all engines of a deployment
 /// (`ShardedHtap::set_sanitizer`) so cross-shard scopes of one
 /// transaction and wave occupancy land in one place.
+///
+/// Scopes are identified by `(track, ts)` — a cross-shard transaction
+/// prepares one scope per participating engine, all at the same pinned
+/// timestamp. Wave assignment is per transaction (by ts alone): the
+/// coordinator announces it once, before the wave's prepares fan out.
 #[derive(Debug, Default)]
 pub struct ShadowSanitizer {
     state: Mutex<Shadow>,
@@ -570,10 +472,10 @@ impl ShadowSanitizer {
         }
         panic!("{msg}");
     }
-}
 
-impl AccessSink for ShadowSanitizer {
-    fn begin_scope(&self, track: u32, ts: u64, reads: &[SanKey], writes: &[SanKey]) {
+    /// A transaction scope opened on engine `track` at pinned `ts`,
+    /// declaring the keyset the scheduler ordered it by.
+    pub fn begin_scope(&self, track: u32, ts: u64, reads: &[SanKey], writes: &[SanKey]) {
         let mut s = self.state();
         s.scopes_seen += 1;
         let mut reads = reads.to_vec();
@@ -600,7 +502,9 @@ impl AccessSink for ShadowSanitizer {
         }
     }
 
-    fn record_access(&self, track: u32, ts: u64, access: Access) {
+    /// A physical access inside (what should be) the scope at
+    /// `(track, ts)`.
+    pub fn record_access(&self, track: u32, ts: u64, access: Access) {
         let mut s = self.state();
         match s.scopes.get_mut(&(track, ts)) {
             Some(scope) => scope.accesses.push(access),
@@ -614,7 +518,10 @@ impl AccessSink for ShadowSanitizer {
         }
     }
 
-    fn prepare_scope(&self, track: u32, ts: u64) {
+    /// The scope's effects are fully applied and the engine parked it
+    /// prepared (two-phase-commit vote "yes"). Declared-footprint and
+    /// wave-isolation checks run here.
+    pub fn prepare_scope(&self, track: u32, ts: u64) {
         let mut s = self.state();
         let Some(mut scope) = s.scopes.remove(&(track, ts)) else {
             s.violate(
@@ -641,15 +548,20 @@ impl AccessSink for ShadowSanitizer {
         s.scopes.insert((track, ts), scope);
     }
 
-    fn commit_scope(&self, track: u32, ts: u64) {
+    /// Coordinator commit decision for the prepared scope.
+    pub fn commit_scope(&self, track: u32, ts: u64) {
         self.state().close_scope(track, ts, "commit");
     }
 
-    fn abort_scope(&self, track: u32, ts: u64) {
+    /// Coordinator abort decision for the prepared scope.
+    pub fn abort_scope(&self, track: u32, ts: u64) {
         self.state().close_scope(track, ts, "abort");
     }
 
-    fn abort_active(&self, track: u32, ts: u64) {
+    /// Mid-apply rollback of a scope that never reached prepare (a
+    /// `DeltaFull` strike). The declared-footprint check still runs —
+    /// the partial attempt's accesses must have been declared too.
+    pub fn abort_active(&self, track: u32, ts: u64) {
         let mut s = self.state();
         match s.scopes.remove(&(track, ts)) {
             // A mid-apply rollback never prepared; its partial accesses
@@ -672,11 +584,16 @@ impl AccessSink for ShadowSanitizer {
         }
     }
 
-    fn assign_wave(&self, ts: u64, wave: u64) {
+    /// The coordinator assigned transaction `ts` to overlapped `wave`
+    /// (1-based; transactions never announced stay wave 0 = solo).
+    pub fn assign_wave(&self, ts: u64, wave: u64) {
         self.state().waves.insert(ts, wave);
     }
 
-    fn batch_end(&self, prepared_versions: u64) {
+    /// A batch boundary: no scope may still be open anywhere, and the
+    /// engines report `prepared_versions` prepared-but-undecided
+    /// versions (must be zero). Resets wave bookkeeping.
+    pub fn batch_end(&self, prepared_versions: u64) {
         let mut s = self.state();
         let open: Vec<(u32, u64)> = s.scopes.keys().copied().collect();
         for (track, ts) in open {
@@ -711,7 +628,13 @@ impl AccessSink for ShadowSanitizer {
         s.arrivals.clear();
     }
 
-    fn reclaim_version(
+    /// Garbage collection on engine `track` folded `row` of `table`
+    /// and freed its version at `version_ts` (the newest timestamp the
+    /// fold releases — every other freed version is older), while the
+    /// engine oracle's oldest snapshot pin stood at `oldest_pin`. Fires
+    /// [`ViolationKind::ReclaimedPinnedVersion`] if that pinned reader
+    /// could still read the version.
+    pub fn reclaim_version(
         &self,
         track: u32,
         table: u32,
@@ -738,11 +661,19 @@ impl AccessSink for ShadowSanitizer {
         }
     }
 
-    fn note_arrival(&self, ts: u64, arrival_ps: u64) {
+    /// The open-loop front-end admitted transaction `ts` with stamped
+    /// arrival time `arrival_ps` (simulated picoseconds). Arms the
+    /// no-execution-before-arrival check for this transaction until
+    /// the next batch boundary.
+    pub fn note_arrival(&self, ts: u64, arrival_ps: u64) {
         self.state().arrivals.insert(ts, arrival_ps);
     }
 
-    fn begin_execution(&self, track: u32, ts: u64, now_ps: u64) {
+    /// Engine `track` is about to start executing transaction `ts`
+    /// with its clock at `now_ps`. Fires
+    /// [`ViolationKind::ExecutedBeforeArrival`] if the transaction has
+    /// a noted arrival later than `now_ps`.
+    pub fn begin_execution(&self, track: u32, ts: u64, now_ps: u64) {
         let mut s = self.state();
         let Some(&arrival) = s.arrivals.get(&ts) else {
             // No stamped arrival (a closed-loop batch): nothing to hold
@@ -764,7 +695,10 @@ impl AccessSink for ShadowSanitizer {
         }
     }
 
-    fn inbox_admit(&self, track: u32, depth: u64, bound: u64) {
+    /// Shard `track`'s inbox holds `depth` admitted-but-undispatched
+    /// transactions against configured `bound`. Fires
+    /// [`ViolationKind::InboxOverflow`] when `depth > bound`.
+    pub fn inbox_admit(&self, track: u32, depth: u64, bound: u64) {
         if depth > bound {
             self.state().violate(
                 ViolationKind::InboxOverflow,
@@ -1019,14 +953,6 @@ mod tests {
         // No pin, no floor.
         san.reclaim_version(0, 1, 7, 10, None);
         san.assert_clean("after release");
-    }
-
-    /// `NullSanitizer` is disabled — the hot path's single branch.
-    #[test]
-    fn null_sanitizer_is_disabled() {
-        assert!(!NullSanitizer.enabled());
-        let shadow = ShadowSanitizer::new();
-        assert!(AccessSink::enabled(&shadow));
     }
 
     /// Violation reports render their context for humans.

@@ -17,7 +17,7 @@ use pushtap_oltp::{
     Writes,
 };
 use pushtap_pim::Ps;
-use pushtap_sanitizer::AccessSink;
+use pushtap_sanitizer::ShadowSanitizer;
 use pushtap_trace::{Histogram, Phase, TraceSink};
 use pushtap_wal::{scan, MemLog, ScanOutcome, Wal, WalTrim};
 
@@ -351,12 +351,11 @@ impl ShardedHtap {
     /// coordinator additionally reports each wave's membership, so the
     /// tracker can cross-check declared keysets, wave isolation and
     /// prepared-scope discipline across the whole deployment. Install a
-    /// [`pushtap_sanitizer::ShadowSanitizer`] before a batch and assert
-    /// [`ShadowSanitizer::assert_clean`](pushtap_sanitizer::ShadowSanitizer::assert_clean)
-    /// after; the default `NullSanitizer` keeps unarmed runs at one
-    /// branch per hook. Hooks charge zero simulated time, so arming
-    /// never perturbs committed bytes.
-    pub fn set_sanitizer(&mut self, san: Arc<dyn AccessSink>) {
+    /// [`ShadowSanitizer`] before a batch and assert
+    /// [`ShadowSanitizer::assert_clean`] after; an unarmed deployment
+    /// holds none and pays one `Option` check per hook. Hooks charge
+    /// zero simulated time, so arming never perturbs committed bytes.
+    pub fn set_sanitizer(&mut self, san: Arc<ShadowSanitizer>) {
         for shard in &mut self.shards {
             shard.probe_mut().set_sanitizer(Arc::clone(&san));
         }

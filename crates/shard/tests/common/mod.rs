@@ -8,34 +8,26 @@ use pushtap_format::RowSlot;
 use pushtap_oltp::stripe_start;
 use pushtap_sanitizer::ShadowSanitizer;
 
-/// Arms a keyset-soundness shadow tracker on `service` when the suite
-/// runs under `PUSHTAP_SANITIZE=1` (the CI sanitized job); unset, the
-/// service keeps its [`pushtap_sanitizer::NullSanitizer`] and the test
-/// behaves exactly as before. Pair with [`assert_sanitized_clean`]
-/// once the batch under test has run.
+/// Arms a keyset-soundness shadow tracker on `service` and returns it.
+/// Pair with [`assert_sanitized_clean`] once the batch under test has
+/// run.
 #[allow(dead_code)]
-pub fn maybe_sanitize(service: &mut pushtap_shard::ShardedHtap) -> Option<Arc<ShadowSanitizer>> {
-    if std::env::var("PUSHTAP_SANITIZE").as_deref() != Ok("1") {
-        return None;
-    }
+pub fn sanitize(service: &mut pushtap_shard::ShardedHtap) -> Arc<ShadowSanitizer> {
     let san = Arc::new(ShadowSanitizer::new());
     service.set_sanitizer(san.clone());
-    Some(san)
+    san
 }
 
-/// Panics (listing every violation) if an armed tracker saw the
-/// scheduler break keyset soundness, wave isolation or prepared-scope
-/// discipline; also asserts the tracker genuinely watched the run.
-/// A `None` tracker (unarmed run) passes silently.
+/// Panics (listing every violation) if the tracker saw the scheduler
+/// break keyset soundness, wave isolation or prepared-scope discipline;
+/// also asserts the tracker genuinely watched the run.
 #[allow(dead_code)]
-pub fn assert_sanitized_clean(san: &Option<Arc<ShadowSanitizer>>, label: &str) {
-    if let Some(s) = san {
-        assert!(
-            s.scopes_tracked() > 0,
-            "{label}: armed tracker saw no scopes — hooks disconnected?"
-        );
-        s.assert_clean(label);
-    }
+pub fn assert_sanitized_clean(san: &ShadowSanitizer, label: &str) {
+    assert!(
+        san.scopes_tracked() > 0,
+        "{label}: armed tracker saw no scopes — hooks disconnected?"
+    );
+    san.assert_clean(label);
 }
 
 /// Builds an unpartitioned reference holding *exactly* the `committed`

@@ -58,7 +58,7 @@ fn crash_and_recover(
     // A crashed batch legitimately leaves prepared scopes behind (the
     // batch-end check is skipped), so an armed tracker must still be
     // violation-free across every kill point.
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let handles = service.enable_wal();
     service.arm_crash(point);
     let warehouses = service.map().warehouses();
@@ -143,7 +143,7 @@ fn crash_and_recover(
 
     // Liveness: the recovered deployment accepts fresh batches with
     // fresh timestamps (the advanced watermark makes the pins unique).
-    let post_san = common::maybe_sanitize(&mut recovered);
+    let post_san = common::sanitize(&mut recovered);
     let mut gen = recovered
         .global_txn_gen(seed ^ 0x5eed)
         .with_remote_mix(mix, warehouses);
@@ -299,7 +299,7 @@ fn checkpoint_then_crash_recovers_byte_identically() {
         let label = format!("checkpoint at {shards} shards");
         let cfg = ShardConfig::small(shards);
         let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
-        let san = common::maybe_sanitize(&mut service);
+        let san = common::sanitize(&mut service);
         let handles = service.enable_wal();
         let warehouses = service.map().warehouses();
         let mut gen = service

@@ -92,7 +92,7 @@ fn pressured_shards_match_pressured_reference_at_1_2_4_shards() {
     let (reference, expected) = reference(SEED, TXNS);
     for shards in [1u32, 2, 4] {
         let mut service = ShardedHtap::new(squeezed_cfg(shards)).expect("build shards");
-        let san = common::maybe_sanitize(&mut service);
+        let san = common::sanitize(&mut service);
         let mut gen = service.global_txn_gen(SEED);
         let oltp = service.run_txns(&mut gen, TXNS);
         assert_eq!(oltp.committed(), TXNS, "{shards} shards");
@@ -169,7 +169,7 @@ fn committed_state_is_byte_identical_shard_vs_reference() {
 
     for shards in [1u32, 2, 4] {
         let mut service = ShardedHtap::new(squeezed_cfg(shards)).expect("build shards");
-        let san = common::maybe_sanitize(&mut service);
+        let san = common::sanitize(&mut service);
         let mut gen = service.global_txn_gen(SEED);
         let oltp = service.run_txns(&mut gen, TXNS);
         common::assert_sanitized_clean(&san, "pressured forwarding mix");
@@ -232,7 +232,7 @@ fn all_tables_byte_identical_under_tpcc_mix() {
 
         for shards in [1u32, 2, 4] {
             let mut service = ShardedHtap::new(cfg(shards)).expect("build shards");
-            let san = common::maybe_sanitize(&mut service);
+            let san = common::sanitize(&mut service);
             let mut gen = service
                 .global_txn_gen(SEED)
                 .with_remote_mix(RemoteMix::TPCC, warehouses);
@@ -289,7 +289,7 @@ fn all_tables_byte_identical_under_local_tpcc_mix() {
 
     for shards in [1u32, 2, 4] {
         let mut service = ShardedHtap::new(squeezed_cfg(shards)).expect("build shards");
-        let san = common::maybe_sanitize(&mut service);
+        let san = common::sanitize(&mut service);
         let mut gen = service
             .global_txn_gen(SEED)
             .with_remote_mix(RemoteMix::LOCAL, warehouses);
@@ -333,7 +333,7 @@ fn scattered_query_reflects_one_global_cut() {
 
     for shards in [2u32, 4] {
         let mut service = ShardedHtap::new(ShardConfig::small(shards)).expect("build shards");
-        let san = common::maybe_sanitize(&mut service);
+        let san = common::sanitize(&mut service);
         let mut gen = service.global_txn_gen(SEED);
         service.run_txns(&mut gen, MID);
         common::assert_sanitized_clean(&san, "mid-stream cut batch");
@@ -377,8 +377,8 @@ fn pressure_leaves_ring_contents_byte_identical_per_topology() {
     for shards in [1u32, 2, 4] {
         let mut squeezed = ShardedHtap::new(squeezed_cfg(shards)).expect("build");
         let mut roomy = ShardedHtap::new(ShardConfig::small(shards)).expect("build");
-        let san_a = common::maybe_sanitize(&mut squeezed);
-        let san_b = common::maybe_sanitize(&mut roomy);
+        let san_a = common::sanitize(&mut squeezed);
+        let san_b = common::sanitize(&mut roomy);
         let mut gen_a = squeezed.global_txn_gen(SEED);
         let mut gen_b = roomy.global_txn_gen(SEED);
         let a = squeezed.run_txns(&mut gen_a, TXNS);

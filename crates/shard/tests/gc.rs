@@ -41,7 +41,7 @@ fn collect_and_compare(
     label: &str,
 ) {
     let mut service = ShardedHtap::new(cfg).expect("build shards");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let warehouses = service.map().warehouses();
     let mut gen = service
         .global_txn_gen(seed)
@@ -91,7 +91,7 @@ fn collected_batches_stay_byte_identical() {
 #[test]
 fn pinned_snapshot_reads_its_exact_cut_across_gc() {
     let mut service = ShardedHtap::new(collecting(2)).expect("build");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let warehouses = service.map().warehouses();
     let mut gen = service
         .global_txn_gen(SEED)

@@ -65,7 +65,7 @@ fn run_open(
     label: &str,
 ) -> (ShardedHtap, OpenLoopReport) {
     let mut service = ShardedHtap::new(cfg).expect("build shards");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let warehouses = service.map().warehouses();
     let mut gen = service
         .global_txn_gen(seed)

@@ -94,7 +94,7 @@ struct Outcome {
 fn scenario(shards: u32, arrivals: Arrivals, crash: Option<CrashPoint>, label: &str) -> Outcome {
     let cfg = config(shards);
     let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let handles = service.enable_wal();
     let warehouses = service.map().warehouses();
     let mut gen = service
@@ -190,7 +190,7 @@ fn scenario(shards: u32, arrivals: Arrivals, crash: Option<CrashPoint>, label: &
     }
 
     // Liveness: the recovered deployment takes open-loop traffic again.
-    let post_san = common::maybe_sanitize(&mut recovered);
+    let post_san = common::sanitize(&mut recovered);
     let mut gen = recovered
         .global_txn_gen(SEED ^ 0x5eed)
         .with_remote_mix(MIX, warehouses);
@@ -281,7 +281,7 @@ fn closed_loop_and_open_loop_commit_identical_bytes_and_records() {
         let n = arrivals_per_run(shards);
         let run = |open_loop: bool| {
             let mut service = ShardedHtap::new(config(shards)).expect("build shards");
-            let san = common::maybe_sanitize(&mut service);
+            let san = common::sanitize(&mut service);
             let handles = service.enable_wal();
             let warehouses = service.map().warehouses();
             let mut gen = service

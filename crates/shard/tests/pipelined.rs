@@ -50,7 +50,7 @@ fn run_batch(
     txns: u64,
 ) -> (ShardedHtap, pushtap_shard::ShardOltpReport) {
     let mut service = ShardedHtap::new(cfg).expect("build shards");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let warehouses = service.map().warehouses();
     let mut gen = service
         .global_txn_gen(seed)

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_format::RowSlot;
-use pushtap_sanitizer::{Access, AccessKind, AccessSink, ShadowSanitizer, ViolationKind};
+use pushtap_sanitizer::{Access, AccessKind, ShadowSanitizer, ViolationKind};
 use pushtap_shard::{ShardConfig, ShardOltpReport, ShardedHtap};
 
 mod common;
@@ -36,11 +36,7 @@ fn squeezed() -> ShardConfig {
 /// report.
 fn run(armed: bool) -> (ShardedHtap, Option<Arc<ShadowSanitizer>>, ShardOltpReport) {
     let mut service = ShardedHtap::new(squeezed()).expect("build shards");
-    let san = armed.then(|| {
-        let san = Arc::new(ShadowSanitizer::new());
-        service.set_sanitizer(san.clone());
-        san
-    });
+    let san = armed.then(|| common::sanitize(&mut service));
     let warehouses = service.map().warehouses();
     let mut gen = service
         .global_txn_gen(SEED)

@@ -73,7 +73,7 @@ fn check_all(service: &mut ShardedHtap, label: &str) {
 
 fn scans_match_the_oracle(shards: u32) {
     let mut service = ShardedHtap::new(pressured_and_collecting(shards)).expect("build shards");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let warehouses = service.map().warehouses();
     let mut gen = service
         .global_txn_gen(SEED)

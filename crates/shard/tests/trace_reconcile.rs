@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use pushtap_chbench::{RemoteMix, ALL_TABLES};
 use pushtap_format::RowSlot;
-use pushtap_sanitizer::ShadowSanitizer;
 use pushtap_shard::{
     ArrivalConfig, ArrivalGen, CrashPoint, CrashSite, OpenLoopConfig, OpenLoopReport,
     RecoveryReport, ShardConfig, ShardOltpReport, ShardedHtap, WalHandles,
@@ -36,7 +35,7 @@ fn squeezed() -> ShardConfig {
 /// committed bytes are comparable.
 fn run(traced: bool) -> (ShardedHtap, ShardOltpReport, Vec<Span>) {
     let mut service = ShardedHtap::new(squeezed()).expect("build shards");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let sink = Arc::new(MemSink::default());
     if traced {
         service.set_trace_sink(sink.clone());
@@ -57,7 +56,7 @@ fn run(traced: bool) -> (ShardedHtap, ShardOltpReport, Vec<Span>) {
 /// barrier, charged at `ShardConfig::small`'s force latency.
 fn run_wal() -> (ShardedHtap, ShardOltpReport, Vec<Span>, WalHandles) {
     let mut service = ShardedHtap::new(squeezed()).expect("build shards");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let handles = service.enable_wal();
     let sink = Arc::new(MemSink::default());
     service.set_trace_sink(sink.clone());
@@ -76,7 +75,7 @@ fn run_wal() -> (ShardedHtap, ShardOltpReport, Vec<Span>, WalHandles) {
 /// shallow inbox, so both the rejection and the queue-wait paths fire.
 fn open_loop_run(traced: bool) -> (ShardedHtap, OpenLoopReport, Vec<Span>) {
     let mut service = ShardedHtap::new(ShardConfig::small(SHARDS)).expect("build shards");
-    let san = common::maybe_sanitize(&mut service);
+    let san = common::sanitize(&mut service);
     let sink = Arc::new(MemSink::default());
     if traced {
         service.set_trace_sink(sink.clone());
@@ -601,8 +600,7 @@ fn same_seed_emits_identical_unsorted_sequences() {
 
     let armed = || {
         let mut service = ShardedHtap::new(squeezed()).expect("build shards");
-        let san = Arc::new(ShadowSanitizer::new());
-        service.set_sanitizer(san.clone());
+        let san = common::sanitize(&mut service);
         let _handles = service.enable_wal();
         let warehouses = service.map().warehouses();
         let mut gen = service

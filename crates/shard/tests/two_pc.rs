@@ -89,9 +89,11 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
     reference.defragment_all();
 
     let mut service = ShardedHtap::new(squeezed_cfg(4, 0.02, 16)).expect("build shards");
+    let san = common::sanitize(&mut service);
     let mut gen = service.global_txn_gen(SEED);
     let report = service.run_txns(&mut gen, TXNS);
     assert_eq!(report.committed(), TXNS);
+    common::assert_sanitized_clean(&san, "participant aborts");
     let total = report.merged();
     assert!(
         total.participant_aborts > 0,
@@ -168,9 +170,11 @@ proptest! {
         reference.defragment_all();
 
         let mut service = ShardedHtap::new(squeezed_cfg(2, frac, min_rows)).expect("build");
+        let san = common::sanitize(&mut service);
         let mut gen = service.global_txn_gen(seed);
         let report = service.run_txns(&mut gen, txns);
         prop_assert_eq!(report.committed(), txns);
+        common::assert_sanitized_clean(&san, "retry proptest");
         prop_assert!(report.merged().aborts > 0, "arenas this small must abort");
 
         for (i, shard) in service.shards().iter().enumerate() {
