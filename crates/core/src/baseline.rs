@@ -11,7 +11,7 @@
 //! PIM units merge them (§7.3's adaptation of [6] to the DIMM system).
 
 use pushtap_chbench::Table;
-use pushtap_olap::{Query, ScanEngine};
+use pushtap_olap::{Query, ScanEngine, Q1_GROUPS, Q9_GROUPS};
 use pushtap_oltp::{DbConfig, DbFormat, TpccDb};
 use pushtap_pim::{MemSystem, PimOpKind, Ps, Side, SystemConfig};
 
@@ -32,34 +32,6 @@ impl IdealModel {
             engine: ScanEngine::new(arch, cfg),
             cpu: cfg.cpu,
         }
-    }
-
-    /// CPU-mediated inter-bank transfer of `bytes` (read + write streams).
-    fn transfer(&self, mem: &mut MemSystem, bytes: u64, at: Ps) -> Ps {
-        if bytes == 0 {
-            return at;
-        }
-        let bursts = bytes.div_ceil(64);
-        let mid = mem.stream_sampled(
-            Side::Pim,
-            pushtap_pim::BankAddr::new(0, 0, 0),
-            0,
-            bursts,
-            16,
-            pushtap_pim::Op::Read,
-            64,
-            at,
-        );
-        mem.stream_sampled(
-            Side::Pim,
-            pushtap_pim::BankAddr::new(1, 0, 1),
-            0,
-            bursts,
-            16,
-            pushtap_pim::Op::Write,
-            64,
-            mid,
-        )
     }
 
     /// The underlying scan engine.
@@ -95,26 +67,26 @@ impl IdealModel {
                 let mut t = self.column_scan(ol, 8, PimOpKind::Filter, mem, at);
                 t = self.column_scan(ol, 2, PimOpKind::Filter, mem, t);
                 t = self.column_scan(ol, 8, PimOpKind::Aggregate, mem, t);
-                self.transfer(mem, units * 8, t) + self.cpu.cycles(units * 4)
+                mem.pim_transfer(units * 8, t) + self.cpu.cycles(units * 4)
             }
             Query::Q1 => {
                 let mut t = self.column_scan(ol, 8, PimOpKind::Filter, mem, at);
                 t = self.column_scan(ol, 1, PimOpKind::Group, mem, t);
                 // Group-index shuffle: one index byte per row (§6.3).
-                t = self.transfer(mem, ol, t);
+                t = mem.pim_transfer(ol, t);
                 t = self.column_scan(ol, 2, PimOpKind::Aggregate, mem, t);
                 t = self.column_scan(ol, 8, PimOpKind::Aggregate, mem, t);
-                self.transfer(mem, units * 16 * 3, t) + self.cpu.cycles(units * 16 * 4)
+                mem.pim_transfer(units * Q1_GROUPS * 3, t) + self.cpu.cycles(units * Q1_GROUPS * 4)
             }
             Query::Q9 => {
                 let mut t = self.column_scan(it, 4, PimOpKind::Hash, mem, at);
                 t = self.column_scan(ol, 4, PimOpKind::Hash, mem, t);
                 // Hash fetch + bucket partition + transfer back (§6.3).
-                t = self.transfer(mem, 2 * (it + ol) * 4, t);
+                t = mem.pim_transfer(2 * (it + ol) * 4, t);
                 t += self.cpu.cycles((it + ol) * 6);
                 t = self.column_scan(it + ol, 4, PimOpKind::Join, mem, t);
                 t = self.column_scan(ol, 8, PimOpKind::Aggregate, mem, t);
-                self.transfer(mem, units * 7 * 8, t) + self.cpu.cycles(units * 7 * 4)
+                mem.pim_transfer(units * Q9_GROUPS * 8, t) + self.cpu.cycles(units * Q9_GROUPS * 4)
             }
         }
     }

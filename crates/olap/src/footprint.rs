@@ -92,28 +92,9 @@ pub fn run_footprint_query(
     for w in tables.windows(2) {
         let small = db.table(*w[0]).n_rows().min(db.table(*w[1]).n_rows());
         let bytes = small * 4 * 2;
-        let bursts = bytes.div_ceil(64).max(1);
-        let mid = mem.stream_sampled(
-            pushtap_pim::Side::Pim,
-            pushtap_pim::BankAddr::new(0, 0, 0),
-            0,
-            bursts,
-            16,
-            pushtap_pim::Op::Read,
-            64,
-            now,
-        );
-        now = mem.stream_sampled(
-            pushtap_pim::Side::Pim,
-            pushtap_pim::BankAddr::new(1, 0, 1),
-            0,
-            bursts,
-            16,
-            pushtap_pim::Op::Write,
-            64,
-            mid,
-        );
-        timing.cpu_compute += now.saturating_sub(mid);
+        let moved = mem.pim_transfer(bytes, now);
+        timing.cpu_compute += moved - now;
+        now = moved;
         let probe = engine
             .unit()
             .round_to_wire(small * 4 / engine.units().max(1));

@@ -44,6 +44,6 @@ pub use exec::{ScanEngine, ScanOutcome};
 pub use footprint::{run_all_queries, run_footprint_query, FootprintReport};
 pub use query::{
     merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryTiming, DELIVERY_CUTOFF, PRICE_MODULUS,
-    Q9_GROUPS, QUANTITY_MAX,
+    Q1_GROUPS, Q9_GROUPS, QUANTITY_MAX,
 };
 pub use reference::{ref_q1, ref_q6, ref_q9};

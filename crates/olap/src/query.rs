@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pushtap_chbench::Table;
 use pushtap_oltp::{HtapTable, TpccDb};
-use pushtap_pim::{BankAddr, MemSystem, Op, PimOpKind, Ps, Side};
+use pushtap_pim::{MemSystem, PimOpKind, Ps};
 
 use crate::exec::{ScanEngine, ScanOutcome};
 
@@ -18,6 +18,9 @@ pub const DELIVERY_CUTOFF: u64 = 1_167_600_000 + 31_536_000;
 pub const QUANTITY_MAX: u64 = 25;
 /// Q9 item predicate: prices ending in a 0/5 cent (≈ 20 %).
 pub const PRICE_MODULUS: u64 = 5;
+/// Q1 grouping fan-out: `ol_number` is a line's position within its
+/// order, 1..=15, so sixteen group slots per PIM unit cover every key.
+pub const Q1_GROUPS: u64 = 16;
 /// Q9 grouping fan-out ("nations").
 pub const Q9_GROUPS: u64 = 7;
 
@@ -226,20 +229,6 @@ fn scan(
     }
 }
 
-/// CPU-mediated transfer of `bytes` between banks (indices, hash values,
-/// bucket partitions — §6.3): a read stream plus a write stream.
-fn cpu_transfer(mem: &mut MemSystem, bytes: u64, at: Ps) -> Ps {
-    if bytes == 0 {
-        return at;
-    }
-    let bursts = bytes.div_ceil(64);
-    // Valid on every configured geometry (HBM has a single rank).
-    let bank_r = BankAddr::new(0, 0, 0);
-    let bank_w = BankAddr::new(1, 0, 1);
-    let mid = mem.stream_sampled(Side::Pim, bank_r, 0, bursts, 16, Op::Read, 64, at);
-    mem.stream_sampled(Side::Pim, bank_w, 0, bursts, 16, Op::Write, 64, mid)
-}
-
 fn cpu_compute(db: &TpccDb, elems: u64, cycles_per_elem: u64) -> Ps {
     db.meter().cpu.cycles(elems * cycles_per_elem)
 }
@@ -416,7 +405,7 @@ fn q6(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     now = scan(engine, ol, c_amt, PimOpKind::Aggregate, mem, now, &mut t);
     // Collect one partial sum per PIM unit and reduce on the CPU.
     let partials = engine.units() * 8;
-    let end = cpu_transfer(mem, partials, now);
+    let end = mem.pim_transfer(partials, now);
     let reduce = cpu_compute(db, engine.units(), 4);
     t.cpu_compute += (end - now) + reduce;
     t.end = end + reduce;
@@ -442,16 +431,16 @@ fn q1(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     // CPU moves group indices to the banks holding the aggregated columns
     // (§6.3): one index byte per row.
     let idx_bytes = ol.n_rows() + ol.live_delta_rows();
-    let moved = cpu_transfer(mem, idx_bytes, now);
+    let moved = mem.pim_transfer(idx_bytes, now);
     t.cpu_compute += moved - now;
     now = moved;
     // Aggregate quantity and amount.
     now = scan(engine, ol, c_qty, PimOpKind::Aggregate, mem, now, &mut t);
     now = scan(engine, ol, c_amt, PimOpKind::Aggregate, mem, now, &mut t);
     // Collect per-unit per-group partials.
-    let partials = engine.units() * 16 * 3;
-    let end = cpu_transfer(mem, partials, now);
-    let reduce = cpu_compute(db, engine.units() * 16, 4);
+    let partials = engine.units() * Q1_GROUPS * 3;
+    let end = mem.pim_transfer(partials, now);
+    let reduce = cpu_compute(db, engine.units() * Q1_GROUPS, 4);
     t.cpu_compute += (end - now) + reduce;
     t.end = end + reduce;
 
@@ -472,7 +461,7 @@ fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     now = scan(engine, ol, c_ol_iid, PimOpKind::Hash, mem, now, &mut t);
     // CPU fetches hash values, partitions into buckets, transfers back.
     let hash_bytes = (it.n_rows() + ol.n_rows()) * 4;
-    let moved = cpu_transfer(mem, 2 * hash_bytes, now);
+    let moved = mem.pim_transfer(2 * hash_bytes, now);
     let partition = cpu_compute(db, it.n_rows() + ol.n_rows(), 6);
     t.cpu_compute += (moved - now) + partition;
     now = moved + partition;
@@ -493,7 +482,7 @@ fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     // Aggregate the amounts of matching lines.
     now = scan(engine, ol, c_amt, PimOpKind::Aggregate, mem, now, &mut t);
     let partials = engine.units() * Q9_GROUPS * 8;
-    let end = cpu_transfer(mem, partials, now);
+    let end = mem.pim_transfer(partials, now);
     let reduce = cpu_compute(db, engine.units() * Q9_GROUPS, 4);
     t.cpu_compute += (end - now) + reduce;
     t.end = end + reduce;

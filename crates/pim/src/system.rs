@@ -253,6 +253,35 @@ impl MemSystem {
         measured + rate * remaining
     }
 
+    /// Moves `bytes` from PIM memory to PIM memory through the CPU (§6.3:
+    /// PIM units cannot talk to each other, so the CPU carries group
+    /// indices, hash values, bucket partitions and partial results between
+    /// them).
+    ///
+    /// The CPU reaches PIM memory through its interleaved address map, so
+    /// the `bytes.div_ceil(64)` bursts are split as evenly as possible over
+    /// every PIM channel. Starting at `at`, each channel streams its share
+    /// out of one bank and then into another bank of the same channel
+    /// (16 bursts per row, 64 useful bytes per burst). Returns the slowest
+    /// channel's end, or `at` when `bytes` is zero.
+    pub fn pim_transfer(&mut self, bytes: u64, at: Ps) -> Ps {
+        let bursts = bytes.div_ceil(64);
+        let channels = self.cfg.pim_geometry.channels;
+        let (share, extra) = (bursts / channels as u64, bursts % channels as u64);
+        let mut end = at;
+        for ch in 0..channels {
+            let n = share + u64::from((ch as u64) < extra);
+            if n == 0 {
+                break;
+            }
+            let (from, to) = (BankAddr::new(ch, 0, 0), BankAddr::new(ch, 0, 1));
+            let mid = self.stream_sampled(Side::Pim, from, 0, n, 16, Op::Read, 64, at);
+            let done = self.stream_sampled(Side::Pim, to, 0, n, 16, Op::Write, 64, mid);
+            end = end.max(done);
+        }
+        end
+    }
+
     /// Records a PIM-side DMA of `loaded` bytes (of which `useful` carry
     /// live data) without timing it — the caller owns the phase timing via
     /// [`crate::PimUnit`].
@@ -362,6 +391,74 @@ mod tests {
             Ps::ZERO,
         );
         assert!(h.issue < Ps::from_us(1.0));
+    }
+
+    /// The single-bank transfer every caller used before: a read stream
+    /// on one bank, then a write stream on another bank.
+    fn one_bank_transfer(m: &mut MemSystem, to: BankAddr, bytes: u64, at: Ps) -> Ps {
+        let bursts = bytes.div_ceil(64);
+        let from = BankAddr::new(0, 0, 0);
+        let mid = m.stream_sampled(Side::Pim, from, 0, bursts, 16, Op::Read, 64, at);
+        m.stream_sampled(Side::Pim, to, 0, bursts, 16, Op::Write, 64, mid)
+    }
+
+    fn one_channel() -> SystemConfig {
+        let mut cfg = SystemConfig::dimm();
+        cfg.pim_geometry.channels = 1;
+        cfg
+    }
+
+    #[test]
+    fn empty_transfer_takes_no_time() {
+        let mut m = MemSystem::dimm();
+        let at = Ps::from_us(2.0);
+        assert_eq!(m.pim_transfer(0, at), at);
+        assert_eq!(m.stats(), &SysStats::default());
+    }
+
+    #[test]
+    fn transfer_moves_every_burst_twice() {
+        // 4 channels on DIMM, 32 on HBM: 1 MiB divides evenly, the others
+        // leave a remainder, and a one-burst transfer idles all but one
+        // channel.
+        for cfg in [SystemConfig::dimm(), SystemConfig::hbm(), one_channel()] {
+            for bytes in [1, 64, 65, 5 * 64 + 3, 1 << 20, 37 * 4096 + 1] {
+                let mut m = MemSystem::new(cfg);
+                m.pim_transfer(bytes, Ps::ZERO);
+                let moved = 2 * bytes.div_ceil(64) * 64;
+                let s = m.stats();
+                assert_eq!((s.cpu_fetched, s.cpu_useful), (moved, moved), "{bytes} B");
+                assert_eq!(
+                    s.energy.cpu_pj,
+                    moved as f64 * crate::energy::CPU_PJ_PER_BYTE
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_channel_transfer_is_the_one_bank_transfer() {
+        let at = Ps::from_us(1.0);
+        for bytes in [64, 1000, 1 << 20, 40 << 20] {
+            let mut striped = MemSystem::new(one_channel());
+            let mut single = MemSystem::new(one_channel());
+            let end = striped.pim_transfer(bytes, at);
+            assert_eq!(
+                end,
+                one_bank_transfer(&mut single, BankAddr::new(0, 0, 1), bytes, at)
+            );
+            assert_eq!(striped.stats(), single.stats());
+        }
+    }
+
+    #[test]
+    fn striped_transfer_beats_one_bank() {
+        let mut striped = MemSystem::dimm();
+        let mut single = MemSystem::dimm();
+        let end = striped.pim_transfer(1 << 20, Ps::ZERO);
+        let before = one_bank_transfer(&mut single, BankAddr::new(1, 0, 1), 1 << 20, Ps::ZERO);
+        assert!(end < before, "striped {end:?} vs one bank {before:?}");
+        assert_eq!(striped.stats(), single.stats());
     }
 
     #[test]
