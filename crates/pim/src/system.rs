@@ -393,8 +393,8 @@ mod tests {
         assert!(h.issue < Ps::from_us(1.0));
     }
 
-    /// The single-bank transfer every caller used before: a read stream
-    /// on one bank, then a write stream on another bank.
+    /// A transfer through one bank pair: a read stream on channel 0's
+    /// bank 0, then a write stream on `to`.
     fn one_bank_transfer(m: &mut MemSystem, to: BankAddr, bytes: u64, at: Ps) -> Ps {
         let bursts = bytes.div_ceil(64);
         let from = BankAddr::new(0, 0, 0);
@@ -418,9 +418,9 @@ mod tests {
 
     #[test]
     fn transfer_moves_every_burst_twice() {
-        // 4 channels on DIMM, 32 on HBM: 1 MiB divides evenly, the others
-        // leave a remainder, and a one-burst transfer idles all but one
-        // channel.
+        // 4 channels on DIMM, 32 on HBM: burst counts that divide
+        // evenly over them (1 MiB), that leave a remainder, and that are
+        // fewer than the channels.
         for cfg in [SystemConfig::dimm(), SystemConfig::hbm(), one_channel()] {
             for bytes in [1, 64, 65, 5 * 64 + 3, 1 << 20, 37 * 4096 + 1] {
                 let mut m = MemSystem::new(cfg);
