@@ -11,7 +11,7 @@
 //! PIM units merge them (§7.3's adaptation of [6] to the DIMM system).
 
 use pushtap_chbench::Table;
-use pushtap_olap::{Query, ScanEngine, Q1_GROUPS, Q9_GROUPS};
+use pushtap_olap::{hash_partition_time, Query, ScanEngine, Q1_GROUPS, Q9_GROUPS};
 use pushtap_oltp::{DbConfig, DbFormat, TpccDb};
 use pushtap_pim::{MemSystem, PimOpKind, Ps, Side, SystemConfig};
 
@@ -83,7 +83,7 @@ impl IdealModel {
                 t = self.column_scan(ol, 4, PimOpKind::Hash, mem, t);
                 // Hash fetch + bucket partition + transfer back (§6.3).
                 t = mem.pim_transfer(2 * (it + ol) * 4, t);
-                t += self.cpu.cycles((it + ol) * 6);
+                t += hash_partition_time(&self.cpu, it + ol, units);
                 t = self.column_scan(it + ol, 4, PimOpKind::Join, mem, t);
                 t = self.column_scan(ol, 8, PimOpKind::Aggregate, mem, t);
                 mem.pim_transfer(units * Q9_GROUPS * 8, t) + self.cpu.cycles(units * Q9_GROUPS * 4)

@@ -15,7 +15,7 @@ use pushtap_oltp::TpccDb;
 use pushtap_pim::{MemSystem, PimOpKind, Ps};
 
 use crate::exec::ScanEngine;
-use crate::query::QueryTiming;
+use crate::query::{hash_partition_time, QueryTiming};
 
 /// Timing report for one footprint-executed query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,15 +86,17 @@ pub fn run_footprint_query(
     }
 
     // Join coordination: per join edge, hash values of the smaller side
-    // cross the bus twice (fetch + bucket transfer, §6.3) and the PIM
+    // cross the bus twice (fetch + bucket transfer, §6.3), the CPU
+    // partitions them into per-unit buckets in between, and the PIM
     // units probe.
     let tables: Vec<&Table> = by_table.keys().collect();
     for w in tables.windows(2) {
         let small = db.table(*w[0]).n_rows().min(db.table(*w[1]).n_rows());
         let bytes = small * 4 * 2;
         let moved = mem.pim_transfer(bytes, now);
-        timing.cpu_compute += moved - now;
-        now = moved;
+        let partition = hash_partition_time(&db.meter().cpu, small, engine.units());
+        timing.cpu_compute += (moved - now) + partition;
+        now = moved + partition;
         let probe = engine
             .unit()
             .round_to_wire(small * 4 / engine.units().max(1));

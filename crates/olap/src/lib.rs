@@ -43,7 +43,7 @@ mod reference;
 pub use exec::{ScanEngine, ScanOutcome};
 pub use footprint::{run_all_queries, run_footprint_query, FootprintReport};
 pub use query::{
-    merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryTiming, DELIVERY_CUTOFF, PRICE_MODULUS,
-    Q1_GROUPS, Q9_GROUPS, QUANTITY_MAX,
+    hash_partition_time, merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryTiming,
+    DELIVERY_CUTOFF, PRICE_MODULUS, Q1_GROUPS, Q9_GROUPS, QUANTITY_MAX,
 };
 pub use reference::{ref_q1, ref_q6, ref_q9};

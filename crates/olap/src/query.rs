@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pushtap_chbench::Table;
 use pushtap_oltp::{HtapTable, TpccDb};
-use pushtap_pim::{MemSystem, PimOpKind, Ps};
+use pushtap_pim::{CpuSpec, MemSystem, PimOpKind, Ps};
 
 use crate::exec::{ScanEngine, ScanOutcome};
 
@@ -23,6 +23,26 @@ pub const PRICE_MODULUS: u64 = 5;
 pub const Q1_GROUPS: u64 = 16;
 /// Q9 grouping fan-out ("nations").
 pub const Q9_GROUPS: u64 = 7;
+
+/// CPU cycles to route one hash value into its bucket: read it, pick the
+/// bucket, bump the bucket's cursor and write the value there.
+const PARTITION_CYCLES_PER_TUPLE: u64 = 6;
+
+/// Time for the host CPU to partition `tuples` hash values into `buckets`
+/// per-unit buckets (§6.3's join coordination).
+///
+/// The tuples are split evenly over `cpu.cores`. Each core builds a bucket
+/// histogram of its share, then takes its share of the prefix sum over
+/// the per-core histograms (one cycle per bucket) to learn where its
+/// values go, then scatters them. The span is the slowest core's share
+/// plus that histogram pass. The work is `tuples × 6` core-cycles however
+/// many cores share it: spreading the loop shortens the query, not the
+/// core time it takes from transactions. ROADMAP item 4 charges that work
+/// to OLTP once queries share the simulated clock with it.
+pub fn hash_partition_time(cpu: &CpuSpec, tuples: u64, buckets: u64) -> Ps {
+    let cores = u64::from(cpu.cores.max(1));
+    cpu.cycles(tuples.div_ceil(cores) * PARTITION_CYCLES_PER_TUPLE + buckets)
+}
 
 /// One Q1 output row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -462,7 +482,7 @@ fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     // CPU fetches hash values, partitions into buckets, transfers back.
     let hash_bytes = (it.n_rows() + ol.n_rows()) * 4;
     let moved = mem.pim_transfer(2 * hash_bytes, now);
-    let partition = cpu_compute(db, it.n_rows() + ol.n_rows(), 6);
+    let partition = hash_partition_time(&db.meter().cpu, it.n_rows() + ol.n_rows(), engine.units());
     t.cpu_compute += (moved - now) + partition;
     now = moved + partition;
     // Bucket-local joins on the PIM units.
@@ -534,6 +554,52 @@ mod tests {
         for row in &rows {
             assert!(row.count > 0);
             assert!(row.sum_qty >= row.count); // quantities ≥ 1
+        }
+    }
+
+    /// The host of Table 1 with all but one core taken away.
+    fn one_core() -> CpuSpec {
+        CpuSpec {
+            cores: 1,
+            ..CpuSpec::xeon_like()
+        }
+    }
+
+    #[test]
+    fn one_core_partitions_serially() {
+        let cpu = one_core();
+        for (tuples, buckets) in [(0, 1024), (1, 1), (160_000, 1024), (12_345, 7)] {
+            assert_eq!(
+                hash_partition_time(&cpu, tuples, buckets),
+                cpu.cycles(6 * tuples + buckets),
+                "{tuples} tuples, {buckets} buckets"
+            );
+        }
+    }
+
+    #[test]
+    fn sixteen_cores_split_the_work_not_shrink_it() {
+        let cpu = CpuSpec::xeon_like();
+        let cores = u64::from(cpu.cores);
+        assert_eq!(cores, 16);
+        for tuples in [16, 17, 1_000, 160_000, 160_001] {
+            let span = hash_partition_time(&cpu, tuples, 1024);
+            assert!(
+                span * cores >= cpu.cycles(6 * tuples),
+                "{tuples} tuples: {cores} × {span:?} is less than the work"
+            );
+            assert!(
+                span < hash_partition_time(&one_core(), tuples, 1024),
+                "{tuples} tuples: no faster than one core"
+            );
+        }
+    }
+
+    #[test]
+    fn no_tuples_cost_only_the_histogram_pass() {
+        for cpu in [CpuSpec::xeon_like(), one_core()] {
+            assert_eq!(hash_partition_time(&cpu, 0, 1024), cpu.cycles(1024));
+            assert_eq!(hash_partition_time(&cpu, 0, 0), Ps::ZERO);
         }
     }
 

@@ -46,3 +46,29 @@ fn footprint_query_parts_sum_to_its_end() {
         }
     }
 }
+
+/// Spreading §6.3's bucket partition over the host cores changes only
+/// its span: on one core Q9's CPU time is the one-core loop it was
+/// before the split (96 631 650 ps on DIMM at the small scale, captured
+/// before the partition learnt about cores) plus the histogram pass, and
+/// with every core the query ends strictly sooner.
+#[test]
+fn q9_partition_splits_over_the_cores_and_nothing_else() {
+    let mut one_core = SystemConfig::dimm();
+    one_core.cpu.cores = 1;
+    let q9 = |system: SystemConfig| {
+        let (db, mut mem, engine) = build(system);
+        let (_, t) = Query::Q9.execute(&db, &engine, &mut mem, Ps::ZERO);
+        (t, engine.units())
+    };
+    let (serial, units) = q9(one_core);
+    let histogram = one_core.cpu.cycles(units);
+    assert_eq!(serial.cpu_compute - histogram, Ps::new(96_631_650));
+    let (parallel, _) = q9(SystemConfig::dimm());
+    assert!(
+        parallel.end < serial.end,
+        "16 cores {:?} vs 1 core {:?}",
+        parallel.end,
+        serial.end
+    );
+}
