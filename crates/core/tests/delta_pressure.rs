@@ -173,7 +173,7 @@ fn pressure_run_is_byte_identical_to_ample_run() {
         .collect();
     assert_eq!(
         queries,
-        [(120, 27_425_313), (120, 4_947_750), (120, 101_462_750)]
+        [(120, 27_425_313), (120, 4_947_750), (120, 31_470_250)]
     );
 
     // Identical analytical answers at the shared final timestamp…
