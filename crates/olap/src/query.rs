@@ -24,8 +24,7 @@ pub const Q1_GROUPS: u64 = 16;
 /// Q9 grouping fan-out ("nations").
 pub const Q9_GROUPS: u64 = 7;
 
-/// CPU cycles to route one hash value into its bucket: read it, pick the
-/// bucket, bump the bucket's cursor and write the value there.
+/// CPU cycles to route one hash value into its bucket.
 const PARTITION_CYCLES_PER_TUPLE: u64 = 6;
 
 /// Time for the host CPU to partition `tuples` hash values into `buckets`
@@ -37,11 +36,12 @@ const PARTITION_CYCLES_PER_TUPLE: u64 = 6;
 /// values go, then scatters them. The span is the slowest core's share
 /// plus that histogram pass. The work is `tuples × 6` core-cycles however
 /// many cores share it: spreading the loop shortens the query, not the
-/// core time it takes from transactions. ROADMAP item 4 charges that work
-/// to OLTP once queries share the simulated clock with it.
+/// core time it takes from transactions. Once queries share the simulated
+/// clock with transactions (ROADMAP item 4, "One HTAP driver"), that work
+/// is what the partition charges to OLTP.
 pub fn hash_partition_time(cpu: &CpuSpec, tuples: u64, buckets: u64) -> Ps {
-    let cores = u64::from(cpu.cores.max(1));
-    cpu.cycles(tuples.div_ceil(cores) * PARTITION_CYCLES_PER_TUPLE + buckets)
+    let share = tuples.div_ceil(u64::from(cpu.cores));
+    cpu.cycles(share * PARTITION_CYCLES_PER_TUPLE + buckets)
 }
 
 /// One Q1 output row.
