@@ -18,9 +18,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::lint::{
-    blank_noncode, cfg_test_ranges, crate_dirs, line_of, rust_files_under, workspace_root,
-};
+use crate::lint::{blank_noncode, cfg_test_ranges, crate_dirs, line_of, rust_files_under};
 
 /// One scanned source file.
 struct Source {
@@ -39,19 +37,19 @@ struct Unused {
     name: String,
 }
 
-/// Prints every unused public item; returns whether there were none.
-pub fn run() -> bool {
-    let root = workspace_root();
+/// Prints every unused public item under `root`; returns whether there
+/// were none.
+pub fn run(root: &Path) -> bool {
     let mut sources = Vec::new();
     for dir in crate_dirs(&root.join("crates")) {
-        push_sources(&root, &rust_files_under(&dir, &["src"]), true, &mut sources);
+        push_sources(root, &rust_files_under(&dir, &["src"]), true, &mut sources);
         let uses = rust_files_under(&dir, &["tests", "examples", "benches"]);
-        push_sources(&root, &uses, false, &mut sources);
+        push_sources(root, &uses, false, &mut sources);
     }
-    let facade = rust_files_under(&root, &["src", "tests", "examples"]);
-    push_sources(&root, &facade, false, &mut sources);
+    let facade = rust_files_under(root, &["src", "tests", "examples"]);
+    push_sources(root, &facade, false, &mut sources);
     let benchmark = rust_files_under(&root.join("benchmark"), &["src"]);
-    push_sources(&root, &benchmark, false, &mut sources);
+    push_sources(root, &benchmark, false, &mut sources);
     let unused = unused_items(&sources);
     for item in &unused {
         println!(
@@ -251,6 +249,7 @@ mod tests {
 
     #[test]
     fn the_workspace_has_no_unused_public_items() {
-        assert!(run(), "`cargo run -p xtask -- api` must list nothing");
+        let root = crate::lint::workspace_root();
+        assert!(run(&root), "`cargo run -p xtask -- api` must list nothing");
     }
 }
