@@ -1036,9 +1036,7 @@ mod tests {
         assert_eq!(names.len(), ROWS.len());
     }
 
-    #[test]
-    fn blanking_strips_strings_and_chars_and_optionally_comments() {
-        let src = r##"
+    const BLANKING_SRC: &str = r##"
 let a = x.unwrap(); // .expect( in a comment
 let s = "Instant::now inside a string";
 let r = r#"thread::spawn raw"#;
@@ -1046,6 +1044,10 @@ let c = 'x';
 let esc = '\n';
 let lt: &'static str = "y";
 "##;
+
+    #[test]
+    fn blanking_strips_comments_strings_chars_but_keeps_code() {
+        let src = BLANKING_SRC;
         let cleaned = blank_noncode(src);
         assert_eq!(cleaned.len(), src.len());
         assert!(cleaned.contains(".unwrap()"));
@@ -1053,10 +1055,40 @@ let lt: &'static str = "y";
         assert!(!cleaned.contains("thread::spawn"));
         assert!(!cleaned.contains(".expect("));
         assert!(cleaned.contains("&'static str"));
+    }
+
+    #[test]
+    fn literal_blanking_keeps_comments() {
+        let src = BLANKING_SRC;
         let literals = blank(src, false);
         assert_eq!(literals.len(), src.len());
+        assert!(literals.contains(".unwrap()"));
         assert!(literals.contains(".expect( in a comment"));
         assert!(!literals.contains("Instant::now"));
+        assert!(!literals.contains("thread::spawn"));
+        assert!(literals.contains("&'static str"));
+    }
+
+    #[test]
+    fn host_threads_are_flagged_outside_strings_and_test_modules() {
+        let src = "// thread::scope in a comment\n\
+                   fn a() { let s = \"thread::spawn in a string\"; }\n\
+                   fn b() { std::thread::scope(|_| ()); }\n\
+                   #[cfg(test)]\nmod tests { fn c() { std::thread::scope(|_| ()); } }\n";
+        let row = ROWS
+            .iter()
+            .find(|row| row.name == "no-host-threads")
+            .unwrap();
+        let tree = Tree::new("host-threads");
+        let path = sample_path(row);
+        tree.plant(&path, src);
+        let lines: Vec<usize> = check(&tree.0, row)
+            .iter()
+            .filter(|v| v.file == path)
+            .map(|v| v.line)
+            .collect();
+        // Comments count, as they do for `grep`.
+        assert_eq!(lines, [1, 3]);
     }
 
     #[test]
