@@ -198,6 +198,12 @@ impl UndoLog {
         }
     }
 
+    /// The active scope's records, oldest first: the write set of the
+    /// transaction being applied. Empty when no scope is open.
+    pub fn open_records(&self) -> &[UndoRecord] {
+        self.active.map_or(&[], |start| &self.records[start..])
+    }
+
     /// Parks the active scope in the prepared state under the
     /// transaction's pinned commit timestamp `ts`: its records are pinned
     /// for the coordinator's decision and the log is free to open the
@@ -310,8 +316,11 @@ mod tests {
         });
         assert_eq!(u.len(), 2);
         assert_eq!(u.prepared_records(), 0, "the scope is still active");
+        let open: Vec<(u32, u64)> = u.open_records().iter().map(|r| (r.table, r.row)).collect();
+        assert_eq!(open, [(0, 2), (3, 9)]);
         u.prepare(Ts(1), 0);
         assert_eq!(u.prepared_records(), 2);
+        assert!(u.open_records().is_empty(), "no scope is open");
         u.commit_prepared(Ts(1));
         assert!(u.is_empty());
     }

@@ -245,7 +245,7 @@ impl HtapTable {
     /// let image = [1, 1, 1, 2, 1, 3, 3, 3, 1, 4, 4, 4, 4, 4, 4, 4, 4, 1, 5, 1, 6];
     ///
     /// // A transaction inserts a row, then aborts: the insert unwinds.
-    /// let (key_existed, _) = table.timed_insert_at(&mut mem, &meter, 0, &image, Ts(1), Ps::ZERO)?;
+    /// let (key_existed, _) = table.timed_insert_at(&meter, 0, &image, Ts(1), Ps::ZERO)?;
     /// assert_eq!(table.live_delta_rows(), 1);
     /// table.undo_write(0, !key_existed);
     /// assert_eq!(table.live_delta_rows(), 0);
@@ -472,6 +472,12 @@ impl HtapTable {
     /// the committed stream, independent of when defragmentation folded
     /// versions back.
     ///
+    /// The update reads the newest version's lines and waits for them;
+    /// it writes the new version's bytes functionally but issues none of
+    /// its lines. The version leaves the CPU at the transaction's force
+    /// phase, in one clflush train with the rest of the write set
+    /// ([`HtapTable::flush_newest`]).
+    ///
     /// # Errors
     ///
     /// Returns [`DeltaFull`] when the row's rotation arena is exhausted —
@@ -514,15 +520,8 @@ impl HtapTable {
                 .write_value(new_slot, col, &value.to_le_bytes()[..width as usize]);
         }
         self.chains.record_update(row, new_slot, ts);
-
-        // Commit write-back: clflush the new version's lines (§6.3).
-        let write_start = read_end + b.alloc + b.compute;
-        let (write_end, lines) = self.issue_lines(mem, new_slot, Op::Write, write_start);
-        let write_end = write_end + meter.line_issue(lines);
-        b.memory += write_end.saturating_sub(write_start);
-        b.compute += meter.commit_barrier();
         Ok(OpResult {
-            end: write_end + meter.commit_barrier(),
+            end: read_end + b.alloc + b.compute,
             breakdown: b,
         })
     }
@@ -538,6 +537,10 @@ impl HtapTable {
     /// would. Returns whether the index already held the row's key (the
     /// ring came around), and the operation result.
     ///
+    /// The insert is CPU work only: allocation, the index insert and the
+    /// row's computation. Its lines leave the CPU at the transaction's
+    /// force phase, like an update's ([`HtapTable::flush_newest`]).
+    ///
     /// The slot allocation is the only step that can fail and comes
     /// first, so a failed insert leaves the table untouched.
     ///
@@ -551,7 +554,6 @@ impl HtapTable {
     /// row width.
     pub fn timed_insert_at(
         &mut self,
-        mem: &mut MemSystem,
         meter: &Meter,
         row: u64,
         image: &[u8],
@@ -569,11 +571,16 @@ impl HtapTable {
         self.store.write_image(new_slot, image);
         self.chains.record_update(row, new_slot, ts);
         b.compute += meter.compute(self.store.layout().schema().len() as u64);
-        let cpu_ready = at + b.cpu_total();
-        let (end, lines) = self.issue_lines(mem, new_slot, Op::Write, cpu_ready);
-        let end = end + meter.line_issue(lines);
-        b.memory += end.saturating_sub(cpu_ready);
+        let end = at + b.cpu_total();
         Ok((key_existed, OpResult { end, breakdown: b }))
+    }
+
+    /// Issues the write-back of `row`'s newest version: its cache lines,
+    /// all at `at` — the row's share of a transaction's clflush train
+    /// (§6.3). Returns when the last line completes and how many lines
+    /// were issued.
+    pub fn flush_newest(&self, mem: &mut MemSystem, row: u64, at: Ps) -> (Ps, u64) {
+        self.issue_lines(mem, self.chains.newest_slot(row), Op::Write, at)
     }
 
     /// Loads a row functionally (no timing) from its image — used for
@@ -1205,7 +1212,7 @@ mod tests {
         for (row, ts) in [(0, 1), (1, 2)] {
             let image = values(row as u8 + 1).concat();
             let (key_existed, _) = t
-                .timed_insert_at(&mut mem, &meter(), row, &image, Ts(ts), Ps::ZERO)
+                .timed_insert_at(&meter(), row, &image, Ts(ts), Ps::ZERO)
                 .unwrap();
             assert!(!key_existed);
         }
@@ -1261,7 +1268,7 @@ mod tests {
             let image = values(seed).concat();
             let (key_existed, _) = self
                 .t
-                .timed_insert_at(&mut self.mem, &meter(), row, &image, Ts(ts), Ps::ZERO)
+                .timed_insert_at(&meter(), row, &image, Ts(ts), Ps::ZERO)
                 .unwrap();
             self.ring += 1;
             self.undo.record(UndoRecord {

@@ -635,14 +635,12 @@ impl TpccDb {
     /// shard and an unpartitioned instance for the same logical stream).
     /// The stripe cursor advances only on success, so a `DeltaFull`
     /// retry after reclamation reuses the same slot.
-    #[allow(clippy::too_many_arguments)]
     fn timed_insert_for(
         &mut self,
         table: Table,
         w_id: u64,
         image: &[u8],
         ts: Ts,
-        mem: &mut MemSystem,
         meter: &Meter,
         at: Ps,
     ) -> Result<(u64, crate::table::OpResult), DeltaFull> {
@@ -650,7 +648,7 @@ impl TpccDb {
         let slot = ring_slot(self.wh_range.start, w);
         let t = &mut self.tables[table as usize];
         let local = global_row - t.row_base;
-        let (key_existed, r) = t.table.timed_insert_at(mem, meter, local, image, ts, at)?;
+        let (key_existed, r) = t.table.timed_insert_at(meter, local, image, ts, at)?;
         t.insert_cursors[slot] += 1;
         self.undo.record(UndoRecord {
             table: table as u32,
@@ -1161,7 +1159,7 @@ impl TpccDb {
                 Ok(())
             }
             Effect::Insert { table, w_id, image } => {
-                let (_, r) = self.timed_insert_for(*table, *w_id, image, ts, mem, meter, *now)?;
+                let (_, r) = self.timed_insert_for(*table, *w_id, image, ts, meter, *now)?;
                 b.merge(&r.breakdown);
                 *now = r.end;
                 Ok(())
@@ -1177,9 +1175,12 @@ impl TpccDb {
     /// [`TpccDb::abort_prepared`].
     ///
     /// The returned [`TxnResult`] carries the prepare's completion time
-    /// and component breakdown; its end includes the §6.3 commit barrier
-    /// (prepare is the force phase — the write set is flushed so the
-    /// commit decision is pure metadata).
+    /// and component breakdown. Prepare ends with the force phase
+    /// (§6.3): the effects issue no write lines of their own; the lines
+    /// of every version the scope wrote leave the CPU together, as one
+    /// clflush train, and the transaction's one commit barrier follows
+    /// it, so the commit decision is pure metadata. The train's time is
+    /// memory time, the barrier's is computation.
     ///
     /// Several transactions may be prepared at once (one scope per
     /// pinned timestamp): a pipelined coordinator overlaps the
@@ -1286,9 +1287,20 @@ impl TpccDb {
                 return Err(full);
             }
         }
-        // The force phase: flush the write set (§6.3 commit barrier) so
-        // the coordinator's decision is pure metadata.
-        now += meter.commit_barrier();
+        // The force phase (§6.3): every version the scope wrote leaves
+        // the CPU in one clflush train — all its lines issued at once, so
+        // they overlap across banks and channels — and one barrier
+        // follows, so the coordinator's decision is pure metadata.
+        let (mut train_end, mut lines) = (now, 0);
+        for rec in self.undo.open_records() {
+            let t = &self.tables[rec.table as usize].table;
+            let (end, n) = t.flush_newest(mem, rec.row, now);
+            train_end = train_end.max(end);
+            lines += n;
+        }
+        let train_end = train_end + meter.line_issue(lines);
+        b.memory += train_end - now;
+        now = train_end + meter.commit_barrier();
         b.compute += meter.commit_barrier();
         self.undo.prepare(ts, now.saturating_sub(at).ps());
         if let Some((san, track)) = self.probe.sanitizer() {
@@ -1417,6 +1429,65 @@ mod tests {
         assert!((0.30..0.60).contains(&alloc), "alloc {alloc}");
         assert!((0.08..0.32).contains(&index), "index {index}");
         assert!(chain < 0.01, "chain {chain}");
+    }
+
+    /// §6.3: a transaction pays one commit barrier, after its force
+    /// phase's clflush train, however many rows it writes. The rest of
+    /// its computation is each effect's own charge.
+    #[test]
+    fn a_transaction_pays_one_commit_barrier() {
+        let (mut db, mut mem, mut tg) = setup();
+        let meter = *db.meter();
+        let batch = tg.batch(20);
+        let payment = batch.iter().find(|t| matches!(t, Txn::Payment(_)));
+        let new_order = batch.iter().find(|t| matches!(t, Txn::NewOrder(_)));
+        for (i, txn) in (1..).zip([payment, new_order]) {
+            let txn = txn.expect("the batch mixes both kinds");
+            let effects = db.decompose(txn, Ts(i));
+            let per_effect: Ps = effects
+                .iter()
+                .map(|e| match &e.effect {
+                    Effect::Read { table, .. } | Effect::Insert { table, .. } => {
+                        meter.compute(db.table(*table).layout().schema().len() as u64)
+                    }
+                    Effect::Update { writes, .. } => meter.compute(writes.len() as u64 * 2),
+                })
+                .sum();
+            let r = db
+                .execute_at(txn, Ts(i), &mut mem, Ps::ZERO)
+                .expect("commit");
+            assert_eq!(
+                r.breakdown.compute,
+                per_effect + meter.commit_barrier(),
+                "{txn:?}"
+            );
+        }
+    }
+
+    /// The force phase moves every version's write-back into one train
+    /// and drops none: a fixed batch puts the same CPU line traffic on
+    /// the memory system as the per-write write-back it replaced.
+    #[test]
+    fn the_train_moves_writes_and_drops_none() {
+        let (mut db, mut mem, mut tg) = setup();
+        let mut now = Ps::ZERO;
+        for (i, txn) in (1..).zip(tg.batch(200)) {
+            now = db
+                .execute_at(&txn, Ts(i), &mut mem, now)
+                .expect("commit")
+                .end;
+        }
+        let s = mem.stats();
+        // Captured with the per-write write-back.
+        assert_eq!((s.cpu_fetched, s.cpu_useful), (1_700_736, 922_168));
+        assert_eq!(pim_write_bursts(&mem), 13_203);
+    }
+
+    /// Write bursts the PIM-side channels have served.
+    fn pim_write_bursts(mem: &MemSystem) -> u64 {
+        (0..mem.cfg().pim_geometry.channels)
+            .map(|c| mem.pim_channel_stats(c).writes)
+            .sum()
     }
 
     /// Fig. 9(a): RS is the OLTP ideal; CS costs ~28 % more; the unified
@@ -1612,6 +1683,45 @@ mod tests {
             db.wasted_retry_time() > Ps::ZERO,
             "mid-transaction aborts must have consumed time"
         );
+    }
+
+    /// Writes leave the CPU only at the force phase, so an attempt that
+    /// hits `DeltaFull` before it issues no write lines; its retry
+    /// flushes the whole write set.
+    #[test]
+    fn a_delta_full_attempt_issues_no_write_lines() {
+        use pushtap_mvcc::{DefragCostModel, DefragStrategy};
+        let mem = MemSystem::dimm();
+        let mut cfg = DbConfig::small();
+        cfg.min_delta_rows = 16;
+        let mut db = TpccDb::build(&cfg, &mem).unwrap();
+        let mut mem = MemSystem::dimm();
+        let mut tg = TxnGen::new(
+            1,
+            db.table(Table::Warehouse).n_rows(),
+            db.table(Table::Customer).n_rows(),
+            db.table(Table::Item).n_rows(),
+            db.table(Table::Stock).n_rows(),
+        );
+        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
+        let mut saw_abort = false;
+        for ts in (1..=40).map(Ts) {
+            let txn = tg.next_txn();
+            let before = pim_write_bursts(&mem);
+            if db.execute_at(&txn, ts, &mut mem, Ps::ZERO).is_err() {
+                saw_abort = true;
+                assert_eq!(
+                    pim_write_bursts(&mem),
+                    before,
+                    "{txn:?} wrote before aborting"
+                );
+                db.defragment(&cost, DefragStrategy::Hybrid);
+                db.execute_at(&txn, ts, &mut mem, Ps::ZERO)
+                    .expect("retry after defrag");
+                assert!(pim_write_bursts(&mem) > before);
+            }
+        }
+        assert!(saw_abort, "arenas this small must trigger DeltaFull");
     }
 
     #[test]

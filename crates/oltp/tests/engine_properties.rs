@@ -332,15 +332,14 @@ impl Scoped {
     /// One insert at `row`, recorded.
     fn insert(
         &mut self,
-        mem: &mut MemSystem,
         meter: &Meter,
         row: u64,
         val: u64,
         ts: Ts,
     ) -> Result<(), pushtap_mvcc::DeltaFull> {
-        let (key_existed, _) =
-            self.t
-                .timed_insert_at(mem, meter, row, &row_image(val), ts, Ps::ZERO)?;
+        let (key_existed, _) = self
+            .t
+            .timed_insert_at(meter, row, &row_image(val), ts, Ps::ZERO)?;
         self.undo.record(UndoRecord {
             table: 0,
             row,
@@ -367,7 +366,7 @@ impl Scoped {
                 continue;
             }
             if w.insert {
-                self.insert(mem, meter, w.row, w.val, ts)?;
+                self.insert(meter, w.row, w.val, ts)?;
             } else {
                 let changes: Vec<(u32, ColumnWrite)> = SCAN_WIDTHS
                     .iter()
@@ -390,12 +389,11 @@ impl Scoped {
     /// only once the slot allocation succeeded.
     fn ring_insert(
         &mut self,
-        mem: &mut MemSystem,
         meter: &Meter,
         val: u64,
         ts: Ts,
     ) -> Result<(), pushtap_mvcc::DeltaFull> {
-        self.insert(mem, meter, self.ring % SCAN_ROWS, val, ts)?;
+        self.insert(meter, self.ring % SCAN_ROWS, val, ts)?;
         self.ring += 1;
         Ok(())
     }
@@ -533,11 +531,11 @@ fn run_step(
         Step::RingInsert(val) => {
             clock.next += 1;
             let ts = Ts(clock.next);
-            if skip_rolled_back && s.clone().ring_insert(mem, meter, *val, ts).is_err() {
+            if skip_rolled_back && s.clone().ring_insert(meter, *val, ts).is_err() {
                 return;
             }
             s.undo.begin();
-            match s.ring_insert(mem, meter, *val, ts) {
+            match s.ring_insert(meter, *val, ts) {
                 Ok(()) => {
                     s.prepare(ts);
                     s.commit_prepared(ts);
