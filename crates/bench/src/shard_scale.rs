@@ -550,7 +550,7 @@ mod tests {
         let (doc, wave, peak) = render_trace(8, 240);
         assert_eq!(
             (doc.len(), fnv(doc.as_bytes())),
-            (633_945, 0xd82f_e842_94f0_6357)
+            (633_887, 0x367d_69ed_7277_5082)
         );
         assert_eq!((wave, peak), (2, 15));
     }

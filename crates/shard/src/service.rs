@@ -1485,10 +1485,10 @@ mod tests {
         assert_eq!(per_shard(|l| l.report.gc_time.ps()), [10_054_223, 0, 0]);
         assert_eq!(
             per_shard(|l| l.report.wasted_retry_time.ps()),
-            [0, 1_406_250, 0]
+            [0, 1_416_250, 0]
         );
         let clocks: Vec<u64> = s.shards.iter().map(|p| p.now().ps()).collect();
-        assert_eq!(clocks, [16_890_075, 17_427_746, 3_805_000]);
+        assert_eq!(clocks, [16_862_575, 17_400_246, 3_825_000]);
         // Where every version ended up: (table, local row, rotation,
         // slot) of each row with a delta version, per shard.
         let slots: Vec<Vec<(Table, u64, u32, u64)>> = s

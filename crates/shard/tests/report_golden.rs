@@ -118,14 +118,14 @@ const CLOSED_LOOP: [(Counters, Stalls); 2] = [
     (
         [
             60, 105, 59, 44,
-            139, 353, 139_000_000, 1_555_605_749,
+            139, 353, 139_000_000, 1_555_471_649,
             149, 114, 88_519, 228_000_000,
-            4_205_179_996, 192_115_501, 126_323_307, 6_614_510_960,
+            4_205_179_996, 192_115_501, 120_654_592, 6_594_704_968,
         ],
         [
-            (60, 1_835_858_366),
-            (60, 149_715_726_554),
-            (278, 1_327_605_749),
+            (60, 1_825_579_282),
+            (60, 149_174_717_299),
+            (278, 1_327_471_649),
             (42, 4_205_179_996),
             (19, 192_115_501),
         ],
@@ -133,51 +133,51 @@ const CLOSED_LOOP: [(Counters, Stalls); 2] = [
     (
         [
             60, 112, 59, 51,
-            146, 386, 146_000_000, 1_339_290_388,
+            146, 386, 146_000_000, 1_338_638_090,
             161, 124, 92_033, 248_000_000,
-            3_704_388_550, 243_244_144, 134_179_567, 5_976_640_025,
+            3_704_388_550, 243_244_144, 127_936_886, 5_956_102_525,
         ],
         [
-            (60, 1_588_971_055),
-            (60, 117_134_877_588),
-            (292, 1_091_290_388),
+            (60, 1_579_542_596),
+            (60, 116_679_505_686),
+            (292, 1_090_638_090),
             (37, 3_704_388_550),
             (24, 243_244_144),
         ],
     ),
 ];
 
-/// The open-loop rung, per shard: 55 of 120 arrivals admitted.
+/// The open-loop rung, per shard: 53 of 120 arrivals admitted.
 #[rustfmt::skip]
 const OPEN_LOOP: [(Counters, Stalls); 2] = [
     (
         [
-            27, 47, 26, 21,
-            66, 177, 66_000_000, 730_820_826,
-            70, 57, 34_805, 114_000_000,
-            700_793_877, 192_006_876, 60_708_341, 1_906_245_961,
+            26, 45, 25, 20,
+            64, 165, 64_000_000, 614_268_273,
+            67, 56, 37_525, 112_000_000,
+            600_910_491, 192_103_181, 54_908_679, 1_696_892_800,
         ],
         [
-            (27, 794_532_435),
-            (27, 7_295_534_988),
-            (132, 616_820_826),
-            (7, 700_793_877),
-            (19, 192_006_876),
+            (26, 696_681_787),
+            (26, 6_285_600_068),
+            (128, 502_268_273),
+            (6, 600_910_491),
+            (19, 192_103_181),
         ],
     ),
     (
         [
-            28, 49, 27, 22,
-            67, 129, 67_000_000, 254_010_018,
-            73, 60, 43_662, 120_000_000,
-            700_919_580, 202_657_581, 46_522_574, 1_491_879_162,
+            27, 48, 26, 22,
+            66, 145, 66_000_000, 337_451_143,
+            72, 59, 44_296, 118_000_000,
+            600_597_278, 202_811_431, 50_506_730, 1_475_857_675,
         ],
         [
-            (28, 388_348_766),
-            (28, 5_965_540_816),
-            (134, 134_010_018),
-            (7, 700_919_580),
-            (20, 202_657_581),
+            (27, 465_623_004),
+            (27, 6_197_500_254),
+            (132, 219_451_143),
+            (6, 600_597_278),
+            (20, 202_811_431),
         ],
     ),
 ];
@@ -199,7 +199,7 @@ fn open_loop_rung_reports_pinned_per_shard_facts() {
         window: 8,
     };
     let report = service.run_open_loop(&mut gen, &mut clock, TXNS, &open);
-    assert_eq!((report.admitted(), report.rejected()), (55, 65));
+    assert_eq!((report.admitted(), report.rejected()), (53, 67));
     assert_eq!(facts(&report.exec.per_shard), OPEN_LOOP);
     assert_merged_sums(&report.exec, &OPEN_LOOP);
 }

@@ -142,9 +142,9 @@ fn fingerprint(spans: &[Span]) -> (usize, u64) {
 /// and sanitizer hooks went through one probe per engine, and pin that
 /// every hook still fires where and when it did: these numbers never
 /// change unless the model does.
-const WAL_SPANS: (usize, u64) = (4622, 9_401_909_615_431_411_355);
-const OPEN_LOOP_SPANS: (usize, u64) = (211, 17_125_449_459_840_766_090);
-const RECOVERY_SPANS: (usize, u64) = (206, 8_110_242_496_060_892_545);
+const WAL_SPANS: (usize, u64) = (4622, 11_499_369_646_381_611_834);
+const OPEN_LOOP_SPANS: (usize, u64) = (211, 4_366_579_792_109_920_617);
+const RECOVERY_SPANS: (usize, u64) = (206, 17_508_117_011_537_710_617);
 const ARMED_COUNTS: (u64, u64) = (5150, 662);
 
 fn count(spans: &[Span], phase: Phase) -> u64 {
