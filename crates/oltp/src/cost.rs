@@ -6,7 +6,10 @@
 //! version-chain traversal. The cycle constants below are calibrated so
 //! the Payment/NewOrder mix reproduces the paper's measured shares
 //! (computation 36.65 %, allocation 44.10 %, indexing 19.25 %, chain
-//! traversal < 0.1 %).
+//! traversal < 0.1 %); `fig11` prints 36.63 / 44.20 / 19.18 %. The
+//! computation share counts one commit barrier per transaction: its
+//! writes leave the CPU in one clflush train at the force phase, and one
+//! barrier follows the train (§6.3).
 
 use serde::{Deserialize, Serialize};
 
@@ -29,7 +32,8 @@ pub struct CostModel {
     pub per_value_cycles: u64,
     /// One version-chain hop.
     pub chain_step_cycles: u64,
-    /// Commit-time memory barrier after the clflush train (§6.3).
+    /// The commit-time memory barrier after the clflush train (§6.3):
+    /// one per transaction, charged at its force phase.
     pub commit_barrier_cycles: u64,
     /// Issue/reform overhead per cache line touched (load issue, line-fill
     /// stall shadow, and byte re-layout into the row buffer). Charged to
@@ -59,7 +63,7 @@ pub struct Breakdown {
     pub indexing: Ps,
     /// Delta-slot / insert-row allocation.
     pub alloc: Ps,
-    /// Computation (validation, arithmetic, commit barriers).
+    /// Computation (validation, arithmetic, the commit barrier).
     pub compute: Ps,
     /// Version-chain traversal.
     pub chain: Ps,

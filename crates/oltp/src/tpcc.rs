@@ -1411,9 +1411,9 @@ mod tests {
         assert!(db.live_delta_rows() > 0, "updates must create versions");
     }
 
-    /// Fig. 11(c): the CPU-side breakdown lands near the paper's shares
-    /// (computation 36.65 %, allocation 44.10 %, indexing 19.25 %, chain
-    /// < 0.1 %). We accept generous bands — the shape, not the digit.
+    /// Fig. 11(c): the CPU-side breakdown lands within one point of the
+    /// paper's shares (computation 36.65 %, allocation 44.10 %, indexing
+    /// 19.25 %, chain < 0.1 %).
     #[test]
     fn breakdown_matches_paper_shape() {
         let (mut db, mut mem, mut tg) = setup();
@@ -1425,10 +1425,14 @@ mod tests {
             now = r.end;
         }
         let (compute, alloc, index, chain) = total.cpu_fractions();
-        assert!((0.25..0.50).contains(&compute), "compute {compute}");
-        assert!((0.30..0.60).contains(&alloc), "alloc {alloc}");
-        assert!((0.08..0.32).contains(&index), "index {index}");
-        assert!(chain < 0.01, "chain {chain}");
+        for (name, share, paper) in [
+            ("compute", compute, 0.3665),
+            ("alloc", alloc, 0.4410),
+            ("index", index, 0.1925),
+        ] {
+            assert!((share - paper).abs() <= 0.01, "{name} {share} vs {paper}");
+        }
+        assert!(chain < 0.001, "chain {chain}");
     }
 
     /// §6.3: a transaction pays one commit barrier, after its force
@@ -1490,8 +1494,10 @@ mod tests {
             .sum()
     }
 
-    /// Fig. 9(a): RS is the OLTP ideal; CS costs ~28 % more; the unified
-    /// format only a few percent more than RS.
+    /// Fig. 9(a): RS is the OLTP ideal, the unified format costs a few
+    /// percent more and CS much more. The paper measures +3.5 % and
+    /// +28.1 %; the model's CS overhead is about twice that, so the
+    /// bounds hold the ordering, not the paper's values.
     #[test]
     fn format_ordering_on_oltp_time() {
         let mem0 = MemSystem::dimm();

@@ -390,6 +390,16 @@ const ROWS: &[Row] = &[
         why: "The CPU's PIM-to-PIM traffic (§6.3) is one shuffle striped over \
               every channel, `MemSystem::pim_transfer`: no code names a fixed bank.",
     },
+    Row {
+        name: "one-commit-barrier",
+        paths: &["crates/oltp/src/table.rs"],
+        non_test: true,
+        check: Any(&["commit_barrier("]),
+        sample: "b.compute += meter.commit_barrier();",
+        why: "A transaction's writes leave the CPU in one clflush train at its \
+              force phase, behind one commit barrier (§6.3): a table operation \
+              charges no barrier of its own.",
+    },
 ];
 
 /// `read_row` inside `timed_read` or `snapshot_read`: the nearest line at
