@@ -1537,7 +1537,8 @@ mod tests {
 
     /// With delta arenas undersized to a handful of slots, transactions
     /// hit `DeltaFull` mid-execution; the abort must leave no trace — the
-    /// watermark included — and the post-defragmentation retry must
+    /// watermark included, and no write line, since writes leave the CPU
+    /// only at the force phase — and the post-defragmentation retry must
     /// commit under the same timestamp.
     #[test]
     fn delta_full_abort_is_atomic_and_retry_commits() {
@@ -1565,11 +1566,13 @@ mod tests {
             let cursors: Vec<u64> = (0..db.warehouses_global())
                 .map(|w| db.insert_cursor(Table::OrderLine, w))
                 .collect();
+            let writes = pim_write_bursts(&mem);
             match db.execute_at(&txn, ts, &mut mem, Ps::ZERO) {
                 Ok(r) => assert_eq!(r.commit_ts, ts),
                 Err(_full) => {
                     saw_abort = true;
                     // The abort left no trace.
+                    assert_eq!(pim_write_bursts(&mem), writes, "the attempt wrote");
                     assert_eq!(db.live_delta_rows(), live, "leaked delta slots");
                     assert_eq!(db.last_ts(), last, "an abort advanced the watermark");
                     assert_eq!(db.committed(), committed);
@@ -1689,45 +1692,6 @@ mod tests {
             db.wasted_retry_time() > Ps::ZERO,
             "mid-transaction aborts must have consumed time"
         );
-    }
-
-    /// Writes leave the CPU only at the force phase, so an attempt that
-    /// hits `DeltaFull` before it issues no write lines; its retry
-    /// flushes the whole write set.
-    #[test]
-    fn a_delta_full_attempt_issues_no_write_lines() {
-        use pushtap_mvcc::{DefragCostModel, DefragStrategy};
-        let mem = MemSystem::dimm();
-        let mut cfg = DbConfig::small();
-        cfg.min_delta_rows = 16;
-        let mut db = TpccDb::build(&cfg, &mem).unwrap();
-        let mut mem = MemSystem::dimm();
-        let mut tg = TxnGen::new(
-            1,
-            db.table(Table::Warehouse).n_rows(),
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        );
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-        let mut saw_abort = false;
-        for ts in (1..=40).map(Ts) {
-            let txn = tg.next_txn();
-            let before = pim_write_bursts(&mem);
-            if db.execute_at(&txn, ts, &mut mem, Ps::ZERO).is_err() {
-                saw_abort = true;
-                assert_eq!(
-                    pim_write_bursts(&mem),
-                    before,
-                    "{txn:?} wrote before aborting"
-                );
-                db.defragment(&cost, DefragStrategy::Hybrid);
-                db.execute_at(&txn, ts, &mut mem, Ps::ZERO)
-                    .expect("retry after defrag");
-                assert!(pim_write_bursts(&mem) > before);
-            }
-        }
-        assert!(saw_abort, "arenas this small must trigger DeltaFull");
     }
 
     #[test]
