@@ -247,6 +247,42 @@ mod tests {
         assert!(q9 > q6_small);
     }
 
+    /// Ideal Q1/Q6/Q9 end times, back to back from zero, on DIMM and
+    /// HBM at two scales, pinned to the picosecond: captured when the
+    /// model priced the §6.3 steps with its own copy of them.
+    #[test]
+    fn ideal_query_times_are_pinned() {
+        let mut ends = Vec::new();
+        for cfg in [SystemConfig::dimm(), SystemConfig::hbm()] {
+            let ideal = IdealModel::new(ControlArch::Pushtap, &cfg);
+            for scale in [0.001, 0.01] {
+                let mut mem = MemSystem::new(cfg);
+                let mut at = Ps::ZERO;
+                for q in Query::ALL {
+                    at = ideal.query_time(q, scale, &mut mem, at);
+                    ends.push(at);
+                }
+            }
+        }
+        let pinned: [u64; 12] = [
+            // DIMM, scale 0.001 then 0.01: Q1, Q6, Q9.
+            29_894_450,
+            36_149_200,
+            85_066_650,
+            73_369_650,
+            103_372_400,
+            466_334_400,
+            // HBM.
+            26_368_000,
+            32_406_000,
+            59_813_000,
+            53_271_000,
+            83_057_000,
+            247_164_000,
+        ];
+        assert_eq!(ends, pinned.map(Ps::new));
+    }
+
     /// Version bytes `txns` transactions leave owed to the column
     /// instance, at the mix average (≈15 versions × ≈150 B each).
     fn owed_bytes(txns: u64) -> f64 {

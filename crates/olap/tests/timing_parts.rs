@@ -1,7 +1,7 @@
 //! A query's timing decomposes exactly: every picosecond between its
 //! start and its end is charged to one of PIM load, PIM compute, control
 //! or CPU compute. `cpu_blocked` is not a part — it overlaps the PIM
-//! phases.
+//! phases. The last test pins every timing to the picosecond.
 
 use pushtap_olap::{run_all_queries, Query, QueryTiming, ScanEngine};
 use pushtap_oltp::{DbConfig, TpccDb};
@@ -70,5 +70,51 @@ fn q9_partition_splits_over_the_cores_and_nothing_else() {
         "16 cores {:?} vs 1 core {:?}",
         parallel.end,
         serial.end
+    );
+}
+
+/// 64-bit FNV-1a.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every priced step of every query, pinned: on DIMM and HBM, under both
+/// control architectures, the `Debug` text of each Q1/Q6/Q9 timing, each
+/// of the 22 footprint reports and the memory system's traffic after
+/// them, as `(entries, FNV-1a)`. Values captured when Q1/Q6/Q9, the
+/// footprint queries and the ideal model each priced the §6.3 steps with
+/// their own copy; running them on one step sequence moved none.
+#[test]
+fn query_timings_are_pinned() {
+    let mut pinned = Vec::new();
+    for system in [SystemConfig::dimm(), SystemConfig::hbm()] {
+        for arch in [ControlArch::Pushtap, ControlArch::Original] {
+            let mut mem = MemSystem::new(system);
+            let db = TpccDb::build(&DbConfig::small(), &mem).expect("build");
+            let engine = ScanEngine::new(arch, &system);
+            let mut text = Vec::new();
+            let mut at = Ps::from_us(1.0);
+            for q in Query::ALL {
+                let (_, t) = q.execute(&db, &engine, &mut mem, at);
+                text.push(format!("{t:?}"));
+                at = t.end;
+            }
+            for r in run_all_queries(&db, &engine, &mut mem, at) {
+                text.push(format!("{r:?}"));
+            }
+            text.push(format!("{:?}", mem.stats()));
+            pinned.push((text.len(), fnv(text.concat().as_bytes())));
+        }
+    }
+    assert_eq!(
+        pinned,
+        [
+            (26, 0x7d2a_04e4_e55a_8554),
+            (26, 0xfe11_4b38_5850_8942),
+            (26, 0x3e82_d909_107b_a709),
+            (26, 0x027e_e981_3923_b692),
+        ]
     );
 }
