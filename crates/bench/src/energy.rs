@@ -43,9 +43,7 @@ fn table(rows: u64) -> HtapTable {
             base_dram_row: 0,
             model: AccessModel::Unified,
             side: Side::Pim,
-            granularity: g.granularity,
-            bank_row_bytes: g.row_bytes,
-            rows_per_bank: g.rows_per_bank,
+            geometry: g,
         },
     )
 }

@@ -11,7 +11,7 @@
 //! PIM units merge them (§7.3's adaptation of [6] to the DIMM system).
 
 use pushtap_chbench::Table;
-use pushtap_olap::{hash_partition_time, Query, ScanEngine, Q1_GROUPS, Q9_GROUPS};
+use pushtap_olap::{Query, QuerySteps, ScanEngine, Q1_GROUPS, Q9_GROUPS};
 use pushtap_oltp::{DbConfig, DbFormat, TpccDb};
 use pushtap_pim::{MemSystem, PimOpKind, Ps, Side, SystemConfig};
 
@@ -39,20 +39,10 @@ impl IdealModel {
         &self.engine
     }
 
-    /// Time to scan a perfectly-compact column of `rows` × `width` bytes.
-    pub fn column_scan(
-        &self,
-        rows: u64,
-        width: u32,
-        op: PimOpKind,
-        mem: &mut MemSystem,
-        at: Ps,
-    ) -> Ps {
+    /// Scans a perfectly-compact column of `rows` × `width` bytes.
+    fn column_scan(&self, steps: &mut QuerySteps, rows: u64, width: u32, op: PimOpKind) {
         let total = self.engine.unit().round_to_wire(rows * width as u64);
-        let per_unit = total.div_ceil(self.engine.units());
-        self.engine
-            .timed_phases(op, per_unit.max(8), total.max(8), 1.0, mem, at)
-            .end
+        steps.phases(op, total.div_ceil(self.engine.units()), total);
     }
 
     /// Ideal execution time of one of the three evaluation queries over a
@@ -62,33 +52,35 @@ impl IdealModel {
         let ol = Table::OrderLine.rows_at_scale(scale);
         let it = Table::Item.rows_at_scale(scale);
         let units = self.engine.units();
-        match query {
+        let mut s = QuerySteps::new(&self.engine, mem, self.cpu, at);
+        let timing = match query {
             Query::Q6 => {
-                let mut t = self.column_scan(ol, 8, PimOpKind::Filter, mem, at);
-                t = self.column_scan(ol, 2, PimOpKind::Filter, mem, t);
-                t = self.column_scan(ol, 8, PimOpKind::Aggregate, mem, t);
-                mem.pim_transfer(units * 8, t) + self.cpu.cycles(units * 4)
+                self.column_scan(&mut s, ol, 8, PimOpKind::Filter);
+                self.column_scan(&mut s, ol, 2, PimOpKind::Filter);
+                self.column_scan(&mut s, ol, 8, PimOpKind::Aggregate);
+                s.gather(units * 8, units)
             }
             Query::Q1 => {
-                let mut t = self.column_scan(ol, 8, PimOpKind::Filter, mem, at);
-                t = self.column_scan(ol, 1, PimOpKind::Group, mem, t);
+                self.column_scan(&mut s, ol, 8, PimOpKind::Filter);
+                self.column_scan(&mut s, ol, 1, PimOpKind::Group);
                 // Group-index shuffle: one index byte per row (§6.3).
-                t = mem.pim_transfer(ol, t);
-                t = self.column_scan(ol, 2, PimOpKind::Aggregate, mem, t);
-                t = self.column_scan(ol, 8, PimOpKind::Aggregate, mem, t);
-                mem.pim_transfer(units * Q1_GROUPS * 3, t) + self.cpu.cycles(units * Q1_GROUPS * 4)
+                s.shuffle(ol);
+                self.column_scan(&mut s, ol, 2, PimOpKind::Aggregate);
+                self.column_scan(&mut s, ol, 8, PimOpKind::Aggregate);
+                s.gather(units * Q1_GROUPS * 3, units * Q1_GROUPS)
             }
             Query::Q9 => {
-                let mut t = self.column_scan(it, 4, PimOpKind::Hash, mem, at);
-                t = self.column_scan(ol, 4, PimOpKind::Hash, mem, t);
-                // Hash fetch + bucket partition + transfer back (§6.3).
-                t = mem.pim_transfer(2 * (it + ol) * 4, t);
-                t += hash_partition_time(&self.cpu, it + ol, units);
-                t = self.column_scan(it + ol, 4, PimOpKind::Join, mem, t);
-                t = self.column_scan(ol, 8, PimOpKind::Aggregate, mem, t);
-                mem.pim_transfer(units * Q9_GROUPS * 8, t) + self.cpu.cycles(units * Q9_GROUPS * 4)
+                self.column_scan(&mut s, it, 4, PimOpKind::Hash);
+                self.column_scan(&mut s, ol, 4, PimOpKind::Hash);
+                // Hash fetch + bucket partition + transfer back (§6.3),
+                // then the join over both compact hash columns.
+                s.partition(it + ol);
+                self.column_scan(&mut s, it + ol, 4, PimOpKind::Join);
+                self.column_scan(&mut s, ol, 8, PimOpKind::Aggregate);
+                s.gather(units * Q9_GROUPS * 8, units * Q9_GROUPS)
             }
-        }
+        };
+        timing.end
     }
 }
 

@@ -170,7 +170,8 @@ impl ScanEngine {
         let mut parts: Vec<u32> = layout.fragments(col).iter().map(|f| f.part).collect();
         parts.sort_unstable();
         parts.dedup();
-        let g = table.config().granularity;
+        let geometry = &table.config().geometry;
+        let g = geometry.granularity;
         let rows = table.n_rows();
         let mut end = at;
         for p in parts {
@@ -184,7 +185,7 @@ impl ScanEngine {
                 bank,
                 0,
                 bursts,
-                (table.config().bank_row_bytes / g).max(1),
+                (geometry.row_bytes / g).max(1),
                 pushtap_pim::Op::Read,
                 useful.min(64),
                 at,
@@ -216,9 +217,7 @@ mod tests {
                 base_dram_row: 0,
                 model: AccessModel::Unified,
                 side: Side::Pim,
-                granularity: g.granularity,
-                bank_row_bytes: g.row_bytes,
-                rows_per_bank: g.rows_per_bank,
+                geometry: g,
             },
         )
     }

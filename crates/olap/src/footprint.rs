@@ -15,7 +15,7 @@ use pushtap_oltp::TpccDb;
 use pushtap_pim::{MemSystem, PimOpKind, Ps};
 
 use crate::exec::ScanEngine;
-use crate::query::{hash_partition_time, QueryTiming};
+use crate::query::{QuerySteps, QueryTiming};
 
 /// Timing report for one footprint-executed query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +47,7 @@ pub fn run_footprint_query(
 ) -> FootprintReport {
     assert!((1..=22).contains(&q), "query Q{q} out of range");
     let fp = &query_footprints()[(q - 1) as usize];
-    let mut timing = QueryTiming::default();
-    let mut now = at;
+    let mut steps = QuerySteps::new(engine, mem, db.meter().cpu, at);
     let mut pim_columns = 0u32;
     let mut cpu_columns = 0u32;
 
@@ -71,48 +70,26 @@ pub fn run_footprint_query(
             } else {
                 PimOpKind::Aggregate
             };
-            if t.layout().key_location(c).is_some() {
-                let out = engine.scan_column(t, c, op, mem, now);
-                timing.absorb(&out);
-                now = out.end;
+            if steps.scan(t, c, op) {
                 pim_columns += 1;
             } else {
-                let end = engine.cpu_scan_column(t, c, mem, now);
-                timing.cpu_compute += end.saturating_sub(now);
-                now = end;
                 cpu_columns += 1;
             }
         }
     }
 
-    // Join coordination: per join edge, hash values of the smaller side
-    // cross the bus twice (fetch + bucket transfer, §6.3), the CPU
-    // partitions them into per-unit buckets in between, and the PIM
-    // units probe.
+    // Join coordination: per join edge, the hash values of the smaller
+    // side are partitioned into per-unit buckets (§6.3) and the PIM units
+    // probe.
     let tables: Vec<&Table> = by_table.keys().collect();
     for w in tables.windows(2) {
         let small = db.table(*w[0]).n_rows().min(db.table(*w[1]).n_rows());
-        let bytes = small * 4 * 2;
-        let moved = mem.pim_transfer(bytes, now);
-        let partition = hash_partition_time(&db.meter().cpu, small, engine.units());
-        timing.cpu_compute += (moved - now) + partition;
-        now = moved + partition;
-        let probe = engine
-            .unit()
-            .round_to_wire(small * 4 / engine.units().max(1));
-        let join = engine.timed_phases(
-            PimOpKind::Join,
-            probe.max(8),
-            probe.max(8) * engine.units(),
-            1.0,
-            mem,
-            now,
-        );
-        timing.absorb(&join);
-        now = join.end;
+        steps.partition(small);
+        steps.bucket_join(small);
     }
 
-    timing.end = now.saturating_sub(at);
+    let mut timing = steps.finish();
+    timing.end = timing.end.saturating_sub(at);
     FootprintReport {
         query: q,
         pim_columns,

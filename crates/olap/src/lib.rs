@@ -11,7 +11,12 @@
 //!   original per-unit control architecture (the Fig. 12(b) comparison);
 //!   a launch (Fig. 7(b)'s disguised 64-byte write) is charged by its
 //!   cost, `ControlModel::launch`, and its payload is not modelled;
+//! * [`QuerySteps`] — the §6.3 steps (scans, shuffles, the join's
+//!   bucket partition, the partials' gather), each priced once; every
+//!   query below and the ideal model of `pushtap-core` run on it;
 //! * [`Query`] — Q1 / Q6 / Q9 with value-correct results;
+//! * [`run_footprint_query`] — the other CH-benCHmark queries as their
+//!   column-footprint step sequences;
 //! * [`ref_q1`]/[`ref_q6`]/[`ref_q9`] — the naive reference executor used
 //!   to validate the PIM path.
 //!
@@ -43,7 +48,7 @@ mod reference;
 pub use exec::{ScanEngine, ScanOutcome};
 pub use footprint::{run_all_queries, run_footprint_query, FootprintReport};
 pub use query::{
-    hash_partition_time, merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryTiming,
-    DELIVERY_CUTOFF, PRICE_MODULUS, Q1_GROUPS, Q9_GROUPS, QUANTITY_MAX,
+    merge_partials, Q1Row, Q9Row, Query, QueryResult, QuerySteps, QueryTiming, DELIVERY_CUTOFF,
+    PRICE_MODULUS, Q1_GROUPS, Q9_GROUPS, QUANTITY_MAX,
 };
 pub use reference::{ref_q1, ref_q6, ref_q9};

@@ -28,7 +28,7 @@ pub const Q9_GROUPS: u64 = 7;
 const PARTITION_CYCLES_PER_TUPLE: u64 = 6;
 
 /// Time for the host CPU to partition `tuples` hash values into `buckets`
-/// per-unit buckets (§6.3's join coordination).
+/// per-unit buckets (§6.3's join coordination, [`QuerySteps::partition`]).
 ///
 /// The tuples are split evenly over `cpu.cores`. Each core builds a bucket
 /// histogram of its share, then takes its share of the prefix sum over
@@ -39,7 +39,7 @@ const PARTITION_CYCLES_PER_TUPLE: u64 = 6;
 /// core time it takes from transactions. Once queries share the simulated
 /// clock with transactions (ROADMAP item 4, "One HTAP driver"), that work
 /// is what the partition charges to OLTP.
-pub fn hash_partition_time(cpu: &CpuSpec, tuples: u64, buckets: u64) -> Ps {
+fn hash_partition_time(cpu: &CpuSpec, tuples: u64, buckets: u64) -> Ps {
     let share = tuples.div_ceil(u64::from(cpu.cores));
     cpu.cycles(share * PARTITION_CYCLES_PER_TUPLE + buckets)
 }
@@ -167,14 +167,111 @@ pub struct QueryTiming {
     pub cpu_blocked: Ps,
 }
 
-impl QueryTiming {
-    /// Adds one PIM operation's phases: load, compute, control, and the
-    /// time the CPU was blocked from the banks.
-    pub(crate) fn absorb(&mut self, o: &ScanOutcome) {
-        self.pim_load += o.load_time;
-        self.pim_compute += o.compute_time;
-        self.control += o.control_time;
-        self.cpu_blocked += o.cpu_blocked;
+/// The §6.3 steps every priced query is made of, each priced once: PIM
+/// column scans, the CPU's shuffles between them, its hash-bucket
+/// partition before a PIM join, and the final gather of the units'
+/// partials. The steps run back to back from the start time; each charges
+/// its span to one part of the [`QueryTiming`] (`cpu_blocked` aside, which
+/// overlaps the PIM phases), so the parts sum to the span of the whole
+/// sequence.
+#[derive(Debug)]
+pub struct QuerySteps<'a> {
+    engine: &'a ScanEngine,
+    mem: &'a mut MemSystem,
+    /// The host CPU that coordinates the PIM units.
+    cpu: CpuSpec,
+    now: Ps,
+    timing: QueryTiming,
+}
+
+impl<'a> QuerySteps<'a> {
+    /// Starts a step sequence at `at`, coordinated by `cpu`.
+    pub fn new(engine: &'a ScanEngine, mem: &'a mut MemSystem, cpu: CpuSpec, at: Ps) -> Self {
+        QuerySteps {
+            engine,
+            mem,
+            cpu,
+            now: at,
+            timing: QueryTiming::default(),
+        }
+    }
+
+    /// Scans column `col` of `table`: with the PIM units when the column
+    /// is device-local, otherwise through the CPU fallback (§4.1.2's
+    /// normal-column discussion), whose span is CPU compute. Returns
+    /// whether the PIM units ran it.
+    pub(crate) fn scan(&mut self, table: &HtapTable, col: u32, op: PimOpKind) -> bool {
+        let on_pim = table.layout().key_location(col).is_some();
+        if on_pim {
+            let out = self.engine.scan_column(table, col, op, self.mem, self.now);
+            self.absorb(&out);
+        } else {
+            let end = self.engine.cpu_scan_column(table, col, self.mem, self.now);
+            self.cpu_work(end.saturating_sub(self.now));
+        }
+        on_pim
+    }
+
+    /// Runs `op` as raw two-phase PIM work: `per_unit` bytes on each unit,
+    /// `total` over all of them, each at least one wire word.
+    pub fn phases(&mut self, op: PimOpKind, per_unit: u64, total: u64) {
+        let (engine, now) = (self.engine, self.now);
+        let out = engine.timed_phases(op, per_unit.max(8), total.max(8), 1.0, self.mem, now);
+        self.absorb(&out);
+    }
+
+    /// The CPU moves `bytes` between PIM banks (§6.3's shuffles): one
+    /// striped transfer, charged to CPU compute.
+    pub fn shuffle(&mut self, bytes: u64) {
+        let end = self.mem.pim_transfer(bytes, self.now);
+        self.cpu_work(end - self.now);
+    }
+
+    /// Join coordination for `tuples` hash values (§6.3): the CPU fetches
+    /// their 4-byte hashes and transfers them back, bucketed, partitioning
+    /// them into one bucket per PIM unit in between.
+    pub fn partition(&mut self, tuples: u64) {
+        self.shuffle(2 * tuples * 4);
+        self.cpu_work(hash_partition_time(&self.cpu, tuples, self.engine.units()));
+    }
+
+    /// The bucket-local PIM join over `tuples` partitioned hash values:
+    /// each unit probes its bucket's share.
+    pub(crate) fn bucket_join(&mut self, tuples: u64) {
+        let units = self.engine.units();
+        let probe = self.engine.unit().round_to_wire(tuples * 4 / units.max(1));
+        self.phases(PimOpKind::Join, probe, probe.max(8) * units);
+    }
+
+    /// Collects `bytes` of per-unit partials on the CPU and reduces their
+    /// `values` at four cycles each, ending the sequence.
+    pub fn gather(mut self, bytes: u64, values: u64) -> QueryTiming {
+        self.shuffle(bytes);
+        self.cpu_work(self.cpu.cycles(values * 4));
+        self.finish()
+    }
+
+    /// Ends the sequence: the timing, with `end` the absolute time the
+    /// last step finished.
+    pub(crate) fn finish(mut self) -> QueryTiming {
+        self.timing.end = self.now;
+        self.timing
+    }
+
+    /// Adds one PIM operation's phases, load, compute, control and the
+    /// time the CPU was blocked from the banks, and moves to its end.
+    fn absorb(&mut self, o: &ScanOutcome) {
+        self.timing.pim_load += o.load_time;
+        self.timing.pim_compute += o.compute_time;
+        self.timing.control += o.control_time;
+        self.timing.cpu_blocked += o.cpu_blocked;
+        self.now = o.end;
+    }
+
+    /// Charges `span` of CPU work to CPU compute and moves past it.
+    fn cpu_work(&mut self, span: Ps) {
+        self.timing.cpu_compute += span;
+        self.now += span;
     }
 }
 
@@ -225,32 +322,6 @@ fn col(t: &HtapTable, name: &str) -> u32 {
         .schema()
         .index_of(name)
         .unwrap_or_else(|| panic!("missing column {name}"))
-}
-
-/// Scans with the PIM units when the column is device-local, otherwise
-/// falls back to the CPU path (§4.1.2's normal-column discussion).
-fn scan(
-    engine: &ScanEngine,
-    table: &HtapTable,
-    c: u32,
-    op: PimOpKind,
-    mem: &mut MemSystem,
-    at: Ps,
-    timing: &mut QueryTiming,
-) -> Ps {
-    if table.layout().key_location(c).is_some() {
-        let out = engine.scan_column(table, c, op, mem, at);
-        timing.absorb(&out);
-        out.end
-    } else {
-        let end = engine.cpu_scan_column(table, c, mem, at);
-        timing.cpu_compute += end.saturating_sub(at);
-        end
-    }
-}
-
-fn cpu_compute(db: &TpccDb, elems: u64, cycles_per_elem: u64) -> Ps {
-    db.meter().cpu.cycles(elems * cycles_per_elem)
 }
 
 /// Q6's aggregate over scanned `[ol_delivery_d, ol_quantity, ol_amount]`
@@ -418,17 +489,13 @@ fn q6(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
         col(ol, "ol_quantity"),
         col(ol, "ol_amount"),
     );
-    let mut t = QueryTiming::default();
+    let mut s = QuerySteps::new(engine, mem, db.meter().cpu, at);
     // Serial column scans (§6.3): filter date, filter qty, aggregate amount.
-    let mut now = scan(engine, ol, c_date, PimOpKind::Filter, mem, at, &mut t);
-    now = scan(engine, ol, c_qty, PimOpKind::Filter, mem, now, &mut t);
-    now = scan(engine, ol, c_amt, PimOpKind::Aggregate, mem, now, &mut t);
+    s.scan(ol, c_date, PimOpKind::Filter);
+    s.scan(ol, c_qty, PimOpKind::Filter);
+    s.scan(ol, c_amt, PimOpKind::Aggregate);
     // Collect one partial sum per PIM unit and reduce on the CPU.
-    let partials = engine.units() * 8;
-    let end = mem.pim_transfer(partials, now);
-    let reduce = cpu_compute(db, engine.units(), 4);
-    t.cpu_compute += (end - now) + reduce;
-    t.end = end + reduce;
+    let t = s.gather(engine.units() * 8, engine.units());
 
     // Functional result over the snapshot.
     let mut revenue = Q6Revenue::default();
@@ -444,25 +511,19 @@ fn q1(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
         col(ol, "ol_quantity"),
         col(ol, "ol_amount"),
     );
-    let mut t = QueryTiming::default();
+    let mut s = QuerySteps::new(engine, mem, db.meter().cpu, at);
     // Filter on the date, then Group on ol_number.
-    let mut now = scan(engine, ol, c_date, PimOpKind::Filter, mem, at, &mut t);
-    now = scan(engine, ol, c_num, PimOpKind::Group, mem, now, &mut t);
+    s.scan(ol, c_date, PimOpKind::Filter);
+    s.scan(ol, c_num, PimOpKind::Group);
     // CPU moves group indices to the banks holding the aggregated columns
     // (§6.3): one index byte per row.
-    let idx_bytes = ol.n_rows() + ol.live_delta_rows();
-    let moved = mem.pim_transfer(idx_bytes, now);
-    t.cpu_compute += moved - now;
-    now = moved;
+    s.shuffle(ol.n_rows() + ol.live_delta_rows());
     // Aggregate quantity and amount.
-    now = scan(engine, ol, c_qty, PimOpKind::Aggregate, mem, now, &mut t);
-    now = scan(engine, ol, c_amt, PimOpKind::Aggregate, mem, now, &mut t);
+    s.scan(ol, c_qty, PimOpKind::Aggregate);
+    s.scan(ol, c_amt, PimOpKind::Aggregate);
     // Collect per-unit per-group partials.
-    let partials = engine.units() * Q1_GROUPS * 3;
-    let end = mem.pim_transfer(partials, now);
-    let reduce = cpu_compute(db, engine.units() * Q1_GROUPS, 4);
-    t.cpu_compute += (end - now) + reduce;
-    t.end = end + reduce;
+    let partials = engine.units() * Q1_GROUPS;
+    let t = s.gather(partials * 3, partials);
 
     // Functional result.
     let mut groups = Q1Groups::default();
@@ -475,37 +536,19 @@ fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     let it = db.table(Table::Item);
     let (c_ol_iid, c_amt) = (col(ol, "ol_i_id"), col(ol, "ol_amount"));
     let (c_iid, c_price) = (col(it, "i_id"), col(it, "i_price"));
-    let mut t = QueryTiming::default();
+    let mut s = QuerySteps::new(engine, mem, db.meter().cpu, at);
     // Hash both join columns with the PIM units ([38]'s task division).
-    let mut now = scan(engine, it, c_iid, PimOpKind::Hash, mem, at, &mut t);
-    now = scan(engine, ol, c_ol_iid, PimOpKind::Hash, mem, now, &mut t);
-    // CPU fetches hash values, partitions into buckets, transfers back.
-    let hash_bytes = (it.n_rows() + ol.n_rows()) * 4;
-    let moved = mem.pim_transfer(2 * hash_bytes, now);
-    let partition = hash_partition_time(&db.meter().cpu, it.n_rows() + ol.n_rows(), engine.units());
-    t.cpu_compute += (moved - now) + partition;
-    now = moved + partition;
-    // Bucket-local joins on the PIM units.
-    let probe_bytes = engine
-        .unit()
-        .round_to_wire((it.n_rows() + ol.n_rows()) * 4 / engine.units().max(1));
-    let join = engine.timed_phases(
-        PimOpKind::Join,
-        probe_bytes.max(8),
-        probe_bytes.max(8) * engine.units(),
-        1.0,
-        mem,
-        now,
-    );
-    t.absorb(&join);
-    now = join.end;
+    s.scan(it, c_iid, PimOpKind::Hash);
+    s.scan(ol, c_ol_iid, PimOpKind::Hash);
+    // CPU fetches hash values, partitions into buckets, transfers back;
+    // then bucket-local joins on the PIM units.
+    let tuples = it.n_rows() + ol.n_rows();
+    s.partition(tuples);
+    s.bucket_join(tuples);
     // Aggregate the amounts of matching lines.
-    now = scan(engine, ol, c_amt, PimOpKind::Aggregate, mem, now, &mut t);
-    let partials = engine.units() * Q9_GROUPS * 8;
-    let end = mem.pim_transfer(partials, now);
-    let reduce = cpu_compute(db, engine.units() * Q9_GROUPS, 4);
-    t.cpu_compute += (end - now) + reduce;
-    t.end = end + reduce;
+    s.scan(ol, c_amt, PimOpKind::Aggregate);
+    let partials = engine.units() * Q9_GROUPS;
+    let t = s.gather(partials * 8, partials);
 
     // Functional result: semi-join on item ids passing the price filter.
     let mut matching = ItemSet::with_dense_ids(it.n_rows() + 1);

@@ -13,7 +13,7 @@ use pushtap_mvcc::{
     DefragCostModel, DefragStrategy, DeltaAllocator, DeltaFull, Snapshot, SnapshotUpdate, Ts,
     VersionChains,
 };
-use pushtap_pim::{BankAddr, MemSystem, Op, Ps, Side};
+use pushtap_pim::{BankAddr, Geometry, MemSystem, Op, Ps, Side};
 
 use crate::cost::{Breakdown, Meter};
 use crate::effects::ColumnWrite;
@@ -47,12 +47,10 @@ pub struct TableConfig {
     pub model: AccessModel,
     /// Which memory the instance lives in.
     pub side: Side,
-    /// Interleave granularity (bytes per device per burst).
-    pub granularity: u32,
-    /// Device row-buffer bytes (for chunk → DRAM-row mapping).
-    pub bank_row_bytes: u32,
-    /// Rows per bank (DRAM rows wrap modulo this).
-    pub rows_per_bank: u32,
+    /// That memory's geometry: its interleave granularity, row-buffer
+    /// bytes (chunk → DRAM-row mapping) and rows per bank (DRAM rows wrap
+    /// modulo this).
+    pub geometry: Geometry,
 }
 
 /// One timed operation's outcome.
@@ -231,13 +229,10 @@ impl HtapTable {
     /// use pushtap_mvcc::Ts;
     ///
     /// let layout = compact_layout(&paper_example_schema(), 8, 0.6)?;
-    /// let g = Geometry::dimm();
     /// let mut table = HtapTable::new(layout, TableConfig {
     ///     n_rows: 64, delta_rows: 16, block_rows: 16,
     ///     shards: vec![BankAddr::new(0, 0, 0)], base_dram_row: 0,
-    ///     model: AccessModel::Unified, side: Side::Pim,
-    ///     granularity: g.granularity, bank_row_bytes: g.row_bytes,
-    ///     rows_per_bank: g.rows_per_bank,
+    ///     model: AccessModel::Unified, side: Side::Pim, geometry: Geometry::dimm(),
     /// });
     /// let mut mem = MemSystem::dimm();
     /// let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
@@ -320,8 +315,9 @@ impl HtapTable {
     }
 
     fn dram_row(&self, dev_offset: u64) -> u32 {
-        let r = self.cfg.base_dram_row as u64 + dev_offset / self.cfg.bank_row_bytes as u64;
-        (r % self.cfg.rows_per_bank as u64) as u32
+        let g = &self.cfg.geometry;
+        let r = self.cfg.base_dram_row as u64 + dev_offset / g.row_bytes as u64;
+        (r % g.rows_per_bank as u64) as u32
     }
 
     /// Hands `f` every cache line a full access to the row version at
@@ -335,7 +331,7 @@ impl HtapTable {
     /// Under [`AccessModel::Unified`], panics if the slot lies outside
     /// the region plan.
     pub fn for_each_line(&self, slot: RowSlot, mut f: impl FnMut(LineRef)) {
-        let g = self.cfg.granularity as u64;
+        let g = self.cfg.geometry.granularity as u64;
         let line_bytes = 64u64;
         let region = self.store.region();
         let row = match slot {
@@ -848,7 +844,6 @@ mod tests {
 
     fn table(model: AccessModel) -> HtapTable {
         let layout = compact_layout(&paper_example_schema(), 8, 0.6).unwrap();
-        let g = Geometry::dimm();
         HtapTable::new(
             layout,
             TableConfig {
@@ -859,9 +854,7 @@ mod tests {
                 base_dram_row: 0,
                 model,
                 side: Side::Pim,
-                granularity: g.granularity,
-                bank_row_bytes: g.row_bytes,
-                rows_per_bank: g.rows_per_bank,
+                geometry: Geometry::dimm(),
             },
         )
     }
@@ -1063,7 +1056,7 @@ mod tests {
             t.cfg.shards[((block + salt.wrapping_mul(37)) % n) as usize]
         };
         let schema = t.store.layout().schema();
-        let g = t.cfg.granularity as u64;
+        let g = t.cfg.geometry.granularity as u64;
         let line_bytes = 64u64;
         let row = match slot {
             RowSlot::Data { row } => row,
@@ -1162,7 +1155,6 @@ mod tests {
                 })
                 .collect();
             let layout = compact_layout(&TableSchema::new("prop", columns), devices, 0.6).unwrap();
-            let g = Geometry::dimm();
             for model in [AccessModel::Unified, AccessModel::RowStore, AccessModel::ColumnStore] {
                 let t = HtapTable::new(
                     layout.clone(),
@@ -1174,9 +1166,7 @@ mod tests {
                         base_dram_row,
                         model,
                         side: Side::Pim,
-                        granularity: g.granularity,
-                        bank_row_bytes: g.row_bytes,
-                        rows_per_bank: g.rows_per_bank,
+                        geometry: Geometry::dimm(),
                     },
                 );
                 let region = t.region();

@@ -421,9 +421,7 @@ impl TpccDb {
                     base_dram_row,
                     model: access_model(cfg.format),
                     side: cfg.side,
-                    granularity: geometry.granularity,
-                    bank_row_bytes: geometry.row_bytes,
-                    rows_per_bank: geometry.rows_per_bank,
+                    geometry,
                 },
             );
             // Functional population from *global* row indices, so every

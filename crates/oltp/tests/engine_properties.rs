@@ -294,9 +294,7 @@ fn scan_table() -> HtapTable {
             base_dram_row: 0,
             model: AccessModel::Unified,
             side: Side::Pim,
-            granularity: g.granularity,
-            bank_row_bytes: g.row_bytes,
-            rows_per_bank: g.rows_per_bank,
+            geometry: g,
         },
     )
 }

@@ -400,6 +400,16 @@ const ROWS: &[Row] = &[
               force phase, behind one commit barrier (§6.3): a table operation \
               charges no barrier of its own.",
     },
+    Row {
+        name: "one-query-price",
+        paths: &["crates/olap/src", "crates/core/src", "!crates/olap/src/query.rs"],
+        non_test: true,
+        check: Any(&["pim_transfer(", "hash_partition_time("]),
+        sample: "let end = mem.pim_transfer(bytes, now);",
+        why: "Every query runs on one step sequence, `QuerySteps` in \
+              `olap/src/query.rs`: its shuffles, bucket partitions and gathers \
+              (§6.3) are priced there once, and nowhere else.",
+    },
 ];
 
 /// `read_row` inside `timed_read` or `snapshot_read`: the nearest line at
