@@ -164,7 +164,10 @@ impl ScanEngine {
     /// CPU-side fallback scan of a normal (device-split) column: the CPU
     /// streams every part containing fragments of the column (§4.1.2's
     /// "we can still perform analytical queries on normal columns ...
-    /// through the CPU, albeit with a performance loss").
+    /// through the CPU, albeit with a performance loss"). A part's
+    /// bursts are split as evenly as possible over the table's shards,
+    /// as the interleaved address map spreads them, and every stream
+    /// starts at `at`.
     pub fn cpu_scan_column(&self, table: &HtapTable, col: u32, mem: &mut MemSystem, at: Ps) -> Ps {
         let layout = table.layout();
         let mut parts: Vec<u32> = layout.fragments(col).iter().map(|f| f.part).collect();
@@ -173,24 +176,32 @@ impl ScanEngine {
         let geometry = &table.config().geometry;
         let g = geometry.granularity;
         let rows = table.n_rows();
+        let shards = &table.config().shards;
         let mut end = at;
         for p in parts {
             let w = layout.parts()[p as usize].width() as u64;
             let bursts = (rows * w).div_ceil(g as u64);
-            let bank = table.shard_of(0);
             let useful = ((layout.schema().column(col).width as u64 * rows) / bursts.max(1))
                 .min(g as u64 * 8) as u32;
-            let done = mem.stream_sampled(
-                table.config().side,
-                bank,
-                0,
-                bursts,
-                (geometry.row_bytes / g).max(1),
-                pushtap_pim::Op::Read,
-                useful.min(64),
-                at,
-            );
-            end = end.max(done);
+            let n = shards.len() as u64;
+            let (share, extra) = (bursts / n, bursts % n);
+            for (i, &bank) in (0..).zip(shards) {
+                let bursts = share + u64::from(i < extra);
+                if bursts == 0 {
+                    break;
+                }
+                let done = mem.stream_sampled(
+                    table.config().side,
+                    bank,
+                    0,
+                    bursts,
+                    (geometry.row_bytes / g).max(1),
+                    pushtap_pim::Op::Read,
+                    useful.min(64),
+                    at,
+                );
+                end = end.max(done);
+            }
         }
         end
     }
@@ -289,14 +300,17 @@ mod tests {
             pushtap_pim::CpuSpec::xeon_like(),
         );
         for i in 0..100u64 {
+            let row = i * 64; // distinct rows in distinct blocks
+            let (mut b, mut now) = (pushtap_oltp::Breakdown::default(), Ps::ZERO);
+            let fetch = fragged.fetch(&mut mem, &meter, row, None, &mut b, &mut now);
             fragged
                 .timed_update(
-                    &mut mem,
                     &meter,
-                    i * 64, // distinct rows in distinct blocks
+                    row,
+                    fetch,
                     pushtap_mvcc::Ts(i + 1),
                     &[(0, pushtap_oltp::ColumnWrite::set(0x0101, 2))],
-                    Ps::ZERO,
+                    now,
                 )
                 .unwrap();
         }

@@ -76,7 +76,7 @@ pub use cost::{Breakdown, CostModel, Meter};
 pub use effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect, Writes};
 pub use index::HashIndex;
 pub use probe::Probe;
-pub use table::{AccessModel, HtapTable, LineRef, OpResult, TableConfig, TableGcPass};
+pub use table::{AccessModel, Fetch, HtapTable, LineRef, OpResult, TableConfig, TableGcPass};
 pub use tpcc::{
     global_rows, stripe_start, warehouse_of_row, DbConfig, DbFormat, Partition, TpccDb, TxnResult,
     TxnRole,

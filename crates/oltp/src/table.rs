@@ -124,6 +124,27 @@ fn bank_salt(salt: u64) -> u64 {
     salt.wrapping_mul(37)
 }
 
+/// A row version whose lines [`HtapTable::fetch`] issued ahead of the
+/// operation that uses them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fetch {
+    /// The version fetched.
+    pub slot: RowSlot,
+    /// When its last line completes.
+    pub arrives: Ps,
+    /// How many lines were issued.
+    pub lines: u64,
+}
+
+impl Fetch {
+    /// When an operation starting at `at` has the version: its lines
+    /// have arrived and each has been issued and re-laid out
+    /// ([`Meter::line_issue`]).
+    fn ready(&self, meter: &Meter, at: Ps) -> Ps {
+        at.max(self.arrives) + meter.line_issue(self.lines)
+    }
+}
+
 /// An HTAP table instance.
 #[derive(Debug, Clone)]
 pub struct HtapTable {
@@ -223,7 +244,7 @@ impl HtapTable {
     /// ```
     /// use pushtap_format::{compact_layout, paper_example_schema};
     /// use pushtap_oltp::{AccessModel, HtapTable, TableConfig};
-    /// use pushtap_pim::{BankAddr, Geometry, MemSystem, Ps, Side};
+    /// use pushtap_pim::{Geometry, MemSystem, Ps, Side};
     /// use pushtap_oltp::{CostModel, Meter};
     /// use pushtap_pim::CpuSpec;
     /// use pushtap_mvcc::Ts;
@@ -231,7 +252,7 @@ impl HtapTable {
     /// let layout = compact_layout(&paper_example_schema(), 8, 0.6)?;
     /// let mut table = HtapTable::new(layout, TableConfig {
     ///     n_rows: 64, delta_rows: 16, block_rows: 16,
-    ///     shards: vec![BankAddr::new(0, 0, 0)], base_dram_row: 0,
+    ///     shards: Geometry::dimm().bank_addrs().collect(), base_dram_row: 0,
     ///     model: AccessModel::Unified, side: Side::Pim, geometry: Geometry::dimm(),
     /// });
     /// let mut mem = MemSystem::dimm();
@@ -302,13 +323,8 @@ impl HtapTable {
         self.alloc.live_total()
     }
 
-    /// The bank holding `row` (blocks round-robin across shards).
-    pub fn shard_of(&self, row: u64) -> BankAddr {
-        self.bank_of(row / self.cfg.block_rows as u64, 0)
-    }
-
-    /// The bank of circulant block `block`, moved on by a part's or
-    /// column array's [`bank_salt`].
+    /// The bank of circulant block `block` (blocks round-robin across
+    /// shards), moved on by a part's or column array's [`bank_salt`].
     fn bank_of(&self, block: u64, salt: u64) -> BankAddr {
         let n = self.cfg.shards.len() as u64;
         self.cfg.shards[((block + salt) % n) as usize]
@@ -412,42 +428,60 @@ impl HtapTable {
         (end, lines)
     }
 
-    /// The timed half of [`HtapTable::timed_read`]: everything a read
-    /// costs and every mark it leaves — index probe, chain walk, the
-    /// version's cache lines, its read timestamp — without gathering the
-    /// values. Returns the slot of the version visible at `ts` and the
-    /// operation result.
-    pub fn timed_read_slot(
+    /// The fetch step of a read or an update: charges the index probe
+    /// (and, for a read, the chain hops) to `b` and moves `now` past
+    /// them, resolves the version — the one visible at `read_at` for a
+    /// read, the newest for an update's read-modify-write (`None`) — and
+    /// issues its lines at `now` without waiting for them.
+    /// [`HtapTable::timed_read_slot`] and [`HtapTable::timed_update`]
+    /// wait for the lines when they need them.
+    pub fn fetch(
         &mut self,
         mem: &mut MemSystem,
         meter: &Meter,
         row: u64,
-        ts: Ts,
-        at: Ps,
-    ) -> (RowSlot, OpResult) {
-        let mut b = Breakdown::default();
-        b.indexing += meter.indexing(1);
+        read_at: Option<Ts>,
+        b: &mut Breakdown,
+        now: &mut Ps,
+    ) -> Fetch {
+        let probe = meter.indexing(1);
         self.index.get(row);
-        let (slot, hops) = self.chains.visible_at(row, ts);
-        b.chain += meter.chain(hops as u64);
-        let cpu_ready = at + b.cpu_total();
-        let (read_end, lines) = self.issue_lines(mem, slot, Op::Read, cpu_ready);
-        let mem_end = read_end + meter.line_issue(lines);
-        b.memory += mem_end.saturating_sub(cpu_ready);
-        let compute = meter.compute(self.store.layout().schema().len() as u64);
-        b.compute += compute;
-        self.chains.mark_read(slot, ts);
-        (
+        let (slot, hops) = match read_at {
+            Some(ts) => {
+                let (slot, hops) = self.chains.visible_at(row, ts);
+                (slot, meter.chain(hops as u64))
+            }
+            None => (self.chains.newest_slot(row), Ps::ZERO),
+        };
+        b.indexing += probe;
+        b.chain += hops;
+        *now += probe + hops;
+        let (arrives, lines) = self.issue_lines(mem, slot, Op::Read, *now);
+        Fetch {
             slot,
-            OpResult {
-                end: mem_end + compute,
-                breakdown: b,
-            },
-        )
+            arrives,
+            lines,
+        }
     }
 
-    /// Timed read of the row visible at `ts`. Returns the column values
-    /// and the operation result.
+    /// The timed half of [`HtapTable::timed_read`], given its fetch:
+    /// waits for the version's lines, computes over the row and leaves
+    /// the read timestamp, without gathering the values.
+    pub fn timed_read_slot(&mut self, meter: &Meter, fetch: Fetch, ts: Ts, at: Ps) -> OpResult {
+        let mut b = Breakdown::default();
+        let ready = fetch.ready(meter, at);
+        b.memory += ready - at;
+        let compute = meter.compute(self.store.layout().schema().len() as u64);
+        b.compute += compute;
+        self.chains.mark_read(fetch.slot, ts);
+        OpResult {
+            end: ready + compute,
+            breakdown: b,
+        }
+    }
+
+    /// Timed read of the row visible at `ts`: its fetch, then its timed
+    /// half. Returns the column values and the operation result.
     pub fn timed_read(
         &mut self,
         mem: &mut MemSystem,
@@ -456,8 +490,11 @@ impl HtapTable {
         ts: Ts,
         at: Ps,
     ) -> (Vec<Vec<u8>>, OpResult) {
-        let (slot, r) = self.timed_read_slot(mem, meter, row, ts, at);
-        (self.store.read_row(slot), r)
+        let (mut b, mut now) = (Breakdown::default(), at);
+        let fetch = self.fetch(mem, meter, row, Some(ts), &mut b, &mut now);
+        let mut r = self.timed_read_slot(meter, fetch, ts, now);
+        r.breakdown.merge(&b);
+        (self.store.read_row(fetch.slot), r)
     }
 
     /// Timed MVCC update: copies the newest version into a fresh slot of
@@ -468,11 +505,12 @@ impl HtapTable {
     /// the committed stream, independent of when defragmentation folded
     /// versions back.
     ///
-    /// The update reads the newest version's lines and waits for them;
-    /// it writes the new version's bytes functionally but issues none of
-    /// its lines. The version leaves the CPU at the transaction's force
-    /// phase, in one clflush train with the rest of the write set
-    /// ([`HtapTable::flush_newest`]).
+    /// `fetch` is the row's newest version, fetched by
+    /// [`HtapTable::fetch`]; the update waits for its lines (the
+    /// read-modify-write's read). It writes the new version's bytes
+    /// functionally but issues none of its lines. The version leaves the
+    /// CPU at the transaction's force phase, in one clflush train with
+    /// the rest of the write set ([`HtapTable::flush_newest`]).
     ///
     /// # Errors
     ///
@@ -480,22 +518,17 @@ impl HtapTable {
     /// the engine must defragment.
     pub fn timed_update(
         &mut self,
-        mem: &mut MemSystem,
         meter: &Meter,
         row: u64,
+        fetch: Fetch,
         ts: Ts,
         changes: &[(u32, ColumnWrite)],
         at: Ps,
     ) -> Result<OpResult, DeltaFull> {
         let mut b = Breakdown::default();
-        b.indexing += meter.indexing(1);
-        self.index.get(row);
-        let newest = self.chains.newest_slot(row);
-        // Read the current version (read-modify-write).
-        let cpu_ready = at + b.cpu_total();
-        let (read_end, lines) = self.issue_lines(mem, newest, Op::Read, cpu_ready);
-        let read_end = read_end + meter.line_issue(lines);
-        b.memory += read_end.saturating_sub(cpu_ready);
+        let newest = fetch.slot;
+        let read_end = fetch.ready(meter, at);
+        b.memory += read_end - at;
 
         // Allocate the new version in the origin row's rotation arena.
         let rotation = self.store.arena_for_row(row);
@@ -668,16 +701,10 @@ impl HtapTable {
         at: Ps,
     ) -> (SnapshotUpdate, Ps) {
         let stats = self.snapshot.update(self.chains.log(), upto);
-        // Metadata reads: 16 B per entry from host DRAM, 4 entries/line.
+        // Metadata reads: 16 B per entry from host DRAM, 4 entries/line,
+        // striped over the host channels by the interleaved map.
         let meta_lines = stats.entries_applied.div_ceil(4);
-        let host_bank = BankAddr::new(0, 0, 0);
-        let mut end = at;
-        for i in 0..meta_lines {
-            let done = mem
-                .access(Side::Host, host_bank, (i / 16) as u32, Op::Read, 64, at)
-                .done;
-            end = end.max(done);
-        }
+        let mut end = mem.stream_striped(Side::Host, meta_lines, Op::Read, 64, at);
         // Bitmap writes on the PIM side: data-region flips scatter (one
         // aligned write each, updating every device at once); delta-region
         // flips cluster because delta slots allocate sequentially.
@@ -863,6 +890,20 @@ mod tests {
         Meter::new(CostModel::default(), CpuSpec::xeon_like())
     }
 
+    /// An update as the executor runs it: the fetch of the row's newest
+    /// version, then the update, both from `Ps::ZERO`.
+    fn update(
+        t: &mut HtapTable,
+        mem: &mut MemSystem,
+        row: u64,
+        ts: Ts,
+        changes: &[(u32, ColumnWrite)],
+    ) -> Result<OpResult, DeltaFull> {
+        let (mut b, mut now) = (Breakdown::default(), Ps::ZERO);
+        let fetch = t.fetch(mem, &meter(), row, None, &mut b, &mut now);
+        t.timed_update(&meter(), row, fetch, ts, changes, now)
+    }
+
     /// A blind write of the two bytes `[b, b]`.
     fn pair(b: u8) -> ColumnWrite {
         ColumnWrite::set(u64::from(b) * 0x0101, 2)
@@ -896,8 +937,7 @@ mod tests {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
         t.load_row(5, &values(1).concat());
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
+        update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
         // Reading at a later ts sees the new value; at an earlier ts the old.
         let (new_vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(3), Ps::ZERO);
         assert_eq!(new_vals[0], vec![7, 7]);
@@ -911,15 +951,13 @@ mod tests {
         let mut t = table(AccessModel::Unified);
         let mut mem = MemSystem::dimm();
         t.load_row(5, &values(1).concat());
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
+        update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
         // Before snapshotting, OLAP still sees the origin.
         assert_eq!(t.snapshot_read(5)[0], vec![1, 1]);
         t.timed_snapshot_update(&mut mem, &meter(), Ts(2), Ps::ZERO);
         assert_eq!(t.snapshot_read(5)[0], vec![7, 7]);
         // A later update not yet snapshotted stays invisible.
-        t.timed_update(&mut mem, &meter(), 5, Ts(5), &[(0, pair(8))], Ps::ZERO)
-            .unwrap();
+        update(&mut t, &mut mem, 5, Ts(5), &[(0, pair(8))]).unwrap();
         assert_eq!(t.snapshot_read(5)[0], vec![7, 7]);
     }
 
@@ -929,10 +967,8 @@ mod tests {
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
-            .unwrap();
+        update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
+        update(&mut t, &mut mem, 5, Ts(3), &[(1, pair(9))]).unwrap();
         let mut folds = Vec::new();
         let (pass, secs) = t.defragment(&cost, DefragStrategy::Hybrid, Ts(3), |row, ts| {
             folds.push((row, ts))
@@ -958,8 +994,7 @@ mod tests {
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
-        t.timed_update(&mut mem, &meter(), 5, Ts(4), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
+        update(&mut t, &mut mem, 5, Ts(4), &[(0, pair(7))]).unwrap();
         t.defragment(&cost, DefragStrategy::Hybrid, Ts(3), |_, _| {});
     }
 
@@ -971,12 +1006,9 @@ mod tests {
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
-        t.timed_update(&mut mem, &meter(), 5, Ts(3), &[(1, pair(9))], Ps::ZERO)
-            .unwrap();
-        t.timed_update(&mut mem, &meter(), 5, Ts(8), &[(0, pair(4))], Ps::ZERO)
-            .unwrap();
+        update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
+        update(&mut t, &mut mem, 5, Ts(3), &[(1, pair(9))]).unwrap();
+        update(&mut t, &mut mem, 5, Ts(8), &[(0, pair(4))]).unwrap();
         assert_eq!(t.live_delta_rows(), 3);
         let (pass, secs) = t.gc(&cost, DefragStrategy::Hybrid, Ts(5), |_, _| {});
         assert!(pass.reclaimed_any());
@@ -1006,13 +1038,11 @@ mod tests {
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
-        t.timed_update(&mut mem, &meter(), 5, Ts(2), &[(0, pair(7))], Ps::ZERO)
-            .unwrap();
+        update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
         t.timed_snapshot_update(&mut mem, &meter(), Ts(2), Ps::ZERO);
         let pinned = t.snapshot_read(5);
         // Later traffic plus GC at the pinned cut.
-        t.timed_update(&mut mem, &meter(), 5, Ts(6), &[(0, pair(8))], Ps::ZERO)
-            .unwrap();
+        update(&mut t, &mut mem, 5, Ts(6), &[(0, pair(8))]).unwrap();
         let (pass, _) = t.gc(&cost, DefragStrategy::Hybrid, Ts(2), |_, _| {});
         assert_eq!(pass.slots_recycled, 1);
         assert_eq!(
@@ -1034,7 +1064,7 @@ mod tests {
         let mut ts = 1u64;
         loop {
             ts += 1;
-            match t.timed_update(&mut mem, &meter(), 0, Ts(ts), &[(0, pair(1))], Ps::ZERO) {
+            match update(&mut t, &mut mem, 0, Ts(ts), &[(0, pair(1))]) {
                 Ok(_) => continue,
                 Err(DeltaFull { rotation }) => {
                     assert_eq!(rotation, 0);
@@ -1235,16 +1265,7 @@ mod tests {
         }
 
         fn update(&mut self, row: u64, ts: u64, col: u32, b: u8) {
-            self.t
-                .timed_update(
-                    &mut self.mem,
-                    &meter(),
-                    row,
-                    Ts(ts),
-                    &[(col, pair(b))],
-                    Ps::ZERO,
-                )
-                .unwrap();
+            update(&mut self.t, &mut self.mem, row, Ts(ts), &[(col, pair(b))]).unwrap();
             self.undo.record(UndoRecord {
                 table: 0,
                 row,
@@ -1420,9 +1441,9 @@ mod tests {
     #[test]
     fn shards_rotate_by_block() {
         let t = table(AccessModel::Unified);
-        let s0 = t.shard_of(0);
-        let s1 = t.shard_of(16); // next block
-        let s2 = t.shard_of(32);
+        let s0 = t.bank_of(0, 0);
+        let s1 = t.bank_of(1, 0); // next block
+        let s2 = t.bank_of(2, 0);
         assert_ne!(s0, s1);
         assert_eq!(s0, s2); // two shards → period 2
     }

@@ -37,7 +37,7 @@ use pushtap_trace::Phase;
 use crate::cost::{Breakdown, CostModel, Meter};
 use crate::effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect};
 use crate::probe::Probe;
-use crate::table::{AccessModel, HtapTable, TableConfig, TableGcPass};
+use crate::table::{AccessModel, Fetch, HtapTable, TableConfig, TableGcPass};
 
 /// The outcome of one committed transaction.
 #[derive(Debug, Clone, Copy)]
@@ -276,6 +276,23 @@ pub struct TpccDb {
     /// its capacity from one transaction to the next, so a transaction
     /// allocates nothing to describe itself.
     effects: Vec<TaggedEffect>,
+    /// The fetch pass's output in [`TpccDb::prepare_effects`]: one
+    /// [`Fetch`] per read or update of the effect set, in effect order.
+    /// It keeps its capacity like `effects`.
+    fetches: Vec<Fetch>,
+}
+
+/// Whether `effect` writes row `row` of `table` — an update of the row,
+/// or an insert into the table, whose row the ring picks only at apply
+/// time.
+fn writes_row(effect: &Effect, table: Table, row: u64) -> bool {
+    match *effect {
+        Effect::Read { .. } => false,
+        Effect::Update {
+            table: t, row: r, ..
+        } => (t, r) == (table, row),
+        Effect::Insert { table: t, .. } => t == table,
+    }
 }
 
 /// Lowers a scheduler [`Key`] to the sanitizer's engine-agnostic
@@ -481,6 +498,11 @@ impl TpccDb {
             wasted_retry_time: Ps::ZERO,
             probe: Probe::new(partition.index),
             effects: Vec::new(),
+            // Sized for the largest effect set, a NewOrder of
+            // `MAX_LINES` lines (a customer read, a district update and
+            // an item read and a stock update per line), so no
+            // transaction grows it.
+            fetches: Vec::with_capacity(2 + 2 * NewOrder::MAX_LINES),
         })
     }
 
@@ -1118,24 +1140,65 @@ impl TpccDb {
         }
     }
 
-    /// Applies one effect at pinned timestamp `ts`, charging its memory
-    /// traffic and CPU components. Global rows translate through
-    /// ownership-asserting addressing — this engine must own (or
-    /// replicate) every row it is handed.
+    /// The fetch pass of [`TpccDb::prepare_effects`]: every key of the
+    /// set is known before its first effect runs, so each read and update,
+    /// in effect order, probes its row, resolves its version and issues
+    /// the version's lines at once ([`HtapTable::fetch`]), starting at
+    /// `now`. The probes and chain hops are charged to `b` as the pass
+    /// runs; the apply loop waits only for lines that have not arrived by
+    /// the time it needs them.
+    ///
+    /// Fetching ahead is sound because no effect of a set touches a row
+    /// an earlier effect of the set wrote: the version fetched is the
+    /// version applied.
+    fn fetch_versions(
+        &mut self,
+        effects: &[TaggedEffect],
+        ts: Ts,
+        mem: &mut MemSystem,
+        b: &mut Breakdown,
+        now: &mut Ps,
+        fetches: &mut Vec<Fetch>,
+    ) {
+        let meter = self.meter;
+        fetches.clear();
+        for (i, e) in effects.iter().enumerate() {
+            let (table, row, read_at) = match e.effect {
+                Effect::Read { table, row } => (table, row, Some(ts)),
+                Effect::Update { table, row, .. } => (table, row, None),
+                Effect::Insert { .. } => continue,
+            };
+            debug_assert!(
+                !effects[..i]
+                    .iter()
+                    .any(|w| writes_row(&w.effect, table, row)),
+                "{table:?} row {row} is fetched after an earlier effect of its set wrote it"
+            );
+            let local = self.own_row(table, row);
+            let t = self.table_mut(table);
+            fetches.push(t.fetch(mem, &meter, local, read_at, b, now));
+        }
+    }
+
+    /// Applies one effect at pinned timestamp `ts`, charging its CPU
+    /// components and its wait for the lines the fetch pass issued; a
+    /// read or an update takes its [`Fetch`] from `fetched`. Global rows
+    /// translate through ownership-asserting addressing — this engine
+    /// must own (or replicate) every row it is handed.
     fn apply_effect(
         &mut self,
         effect: &Effect,
+        fetched: &mut std::slice::Iter<'_, Fetch>,
         ts: Ts,
-        mem: &mut MemSystem,
         meter: &Meter,
         b: &mut Breakdown,
         now: &mut Ps,
     ) -> Result<(), DeltaFull> {
+        let mut fetch = || *fetched.next().expect("one fetch per read or update");
         match effect {
             Effect::Read { table, row } => {
-                let local = self.own_row(*table, *row);
                 let t = self.table_mut(*table);
-                let (_, r) = t.timed_read_slot(mem, meter, local, ts, *now);
+                let r = t.timed_read_slot(meter, fetch(), ts, *now);
                 self.record_accesses(ts, *table, *row, &[AccessKind::Read]);
                 b.merge(&r.breakdown);
                 *now = r.end;
@@ -1144,7 +1207,7 @@ impl TpccDb {
             Effect::Update { table, row, writes } => {
                 let local = self.own_row(*table, *row);
                 let t = self.table_mut(*table);
-                let r = t.timed_update(mem, meter, local, ts, writes, *now)?;
+                let r = t.timed_update(meter, local, fetch(), ts, writes, *now)?;
                 let kinds = [AccessKind::Write, AccessKind::ChainGrow];
                 self.record_accesses(ts, *table, *row, &kinds);
                 self.undo.record(UndoRecord {
@@ -1270,20 +1333,25 @@ impl TpccDb {
         let meter = self.meter;
         let mut b = Breakdown::default();
         let mut now = at;
-        for e in effects {
-            if let Err(full) = self.apply_effect(&e.effect, ts, mem, &meter, &mut b, &mut now) {
-                // The statements up to the failure consumed real
-                // simulated time (their memory traffic is already
-                // charged to `mem`); account it so callers can fold it
-                // into completion latency.
-                self.wasted_retry_time += now.saturating_sub(at);
-                self.abort_txn();
-                if let Some((san, track)) = self.probe.sanitizer() {
-                    san.abort_active(track, ts.0);
-                }
-                self.probe.span(Phase::PrepareAbort, ts.0, 0, at, now);
-                return Err(full);
+        let mut fetches = std::mem::take(&mut self.fetches);
+        self.fetch_versions(effects, ts, mem, &mut b, &mut now, &mut fetches);
+        let mut fetched = fetches.iter();
+        let applied = effects.iter().try_for_each(|e| {
+            self.apply_effect(&e.effect, &mut fetched, ts, &meter, &mut b, &mut now)
+        });
+        self.fetches = fetches;
+        if let Err(full) = applied {
+            // The fetch pass and the statements up to the failure
+            // consumed real simulated time (their memory traffic is
+            // already charged to `mem`); account it so callers can fold
+            // it into completion latency.
+            self.wasted_retry_time += now.saturating_sub(at);
+            self.abort_txn();
+            if let Some((san, track)) = self.probe.sanitizer() {
+                san.abort_active(track, ts.0);
             }
+            self.probe.span(Phase::PrepareAbort, ts.0, 0, at, now);
+            return Err(full);
         }
         // The force phase (§6.3): every version the scope wrote leaves
         // the CPU in one clflush train — all its lines issued at once, so
@@ -1483,6 +1551,61 @@ mod tests {
         // Captured with the per-write write-back.
         assert_eq!((s.cpu_fetched, s.cpu_useful), (1_700_736, 922_168));
         assert_eq!(pim_write_bursts(&mem), 13_203);
+    }
+
+    /// A transaction fetches its read set up front, so its row reads
+    /// overlap its CPU work: the fetch pass moves no CPU time, every line
+    /// read or flushed is still issued, and a NewOrder's reads are waited
+    /// for in less than one line's round trip, where waiting for each in
+    /// turn took one round trip per read.
+    #[test]
+    fn reads_overlap_the_cpu_work() {
+        let (mut db, mut mem, mut tg) = setup();
+        let meter = *db.meter();
+        let mut total = Breakdown::default();
+        let mut now = Ps::ZERO;
+        let batch = tg.batch(200);
+        for (i, txn) in (1..).zip(&batch) {
+            let r = db.execute_at(txn, Ts(i), &mut mem, now).expect("commit");
+            total.merge(&r.breakdown);
+            now = r.end;
+        }
+        // Captured before the fetch pass.
+        assert_eq!(total.cpu_total(), Ps::new(1_231_718_156));
+        let lines = mem.stats().cpu_fetched / 64;
+        assert!(total.memory >= meter.line_issue(lines), "{total:?}");
+
+        // A NewOrder's read set alone: its customer and item reads, with
+        // no write and so no train.
+        let new_order = batch.iter().find(|t| matches!(t, Txn::NewOrder(_)));
+        let ts = Ts(batch.len() as u64 + 1);
+        let effects = db.decompose(new_order.expect("the batch mixes both kinds"), ts);
+        let reads: Vec<TaggedEffect> = effects
+            .into_iter()
+            .filter(|e| matches!(e.effect, Effect::Read { .. }))
+            .collect();
+        let before = mem.stats().cpu_fetched / 64;
+        let r = db
+            .prepare_effects(&reads, ts, &mut mem, now)
+            .expect("prepare");
+        db.commit_prepared(ts, TxnRole::Coordinator);
+        let read_lines = mem.stats().cpu_fetched / 64 - before;
+        let wait = r.breakdown.memory - meter.line_issue(read_lines);
+        let round_trip = MemSystem::dimm()
+            .access(
+                Side::Pim,
+                BankAddr::new(0, 0, 0),
+                0,
+                pushtap_pim::Op::Read,
+                64,
+                Ps::ZERO,
+            )
+            .done;
+        assert!(
+            reads.len() > 1 && wait < round_trip,
+            "{wait} over {} reads",
+            reads.len()
+        );
     }
 
     /// Write bursts the PIM-side channels have served.

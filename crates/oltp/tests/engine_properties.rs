@@ -4,11 +4,14 @@
 //! read-your-writes.
 
 use proptest::prelude::*;
-use pushtap_chbench::{dec_u64, enc_u64, Table};
+use pushtap_chbench::{dec_u64, enc_u64, RemoteMix, Table, TxnGen};
 use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
-use pushtap_mvcc::{DefragCostModel, DefragStrategy, InsertUndo, Ts, UndoLog, UndoRecord};
+use pushtap_mvcc::{
+    DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, UndoLog, UndoRecord,
+};
 use pushtap_oltp::{
-    AccessModel, ColumnWrite, CostModel, DbConfig, HtapTable, Meter, TableConfig, TpccDb,
+    AccessModel, Breakdown, ColumnWrite, CostModel, DbConfig, Effect, HtapTable, Meter, OpResult,
+    TableConfig, TaggedEffect, TpccDb,
 };
 use pushtap_pim::{BankAddr, CpuSpec, Geometry, MemSystem, Ps, Side};
 
@@ -27,6 +30,21 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
         ],
         1..80,
     )
+}
+
+/// An update as the executor runs it: the fetch of the row's newest
+/// version, then the update, both from `Ps::ZERO`.
+fn update(
+    t: &mut HtapTable,
+    mem: &mut MemSystem,
+    meter: &Meter,
+    row: u64,
+    ts: Ts,
+    changes: &[(u32, ColumnWrite)],
+) -> Result<OpResult, DeltaFull> {
+    let (mut b, mut now) = (Breakdown::default(), Ps::ZERO);
+    let fetch = t.fetch(mem, meter, row, None, &mut b, &mut now);
+    t.timed_update(meter, row, fetch, ts, changes, now)
 }
 
 fn build() -> (TpccDb, MemSystem) {
@@ -57,14 +75,7 @@ proptest! {
                 Op::UpdateBalance { row, amount } => {
                     ts += 1;
                     let t = db.table_mut(Table::Customer);
-                    t.timed_update(
-                        &mut mem,
-                        &meter,
-                        *row,
-                        Ts(ts),
-                        &[(bal, ColumnWrite::set(*amount, 8))],
-                        Ps::ZERO,
-                    )
+                    update(t, &mut mem, &meter, *row, Ts(ts), &[(bal, ColumnWrite::set(*amount, 8))])
                     .expect("arena headroom");
                     shadow.entry(*row).or_default().push((ts, *amount));
                 }
@@ -102,15 +113,8 @@ proptest! {
         for op in &ops {
             if let Op::UpdateBalance { row, amount } = op {
                 ts += 1;
-                db.table_mut(Table::Customer)
-                    .timed_update(
-                        &mut mem,
-                        &meter,
-                        *row,
-                        Ts(ts),
-                        &[(bal, ColumnWrite::set(*amount, 8))],
-                        Ps::ZERO,
-                    )
+                update(
+db.table_mut(Table::Customer), &mut mem, &meter, *row, Ts(ts), &[(bal, ColumnWrite::set(*amount, 8))])
                     .expect("arena headroom");
                 updates += 1;
                 newest.insert(*row, *amount);
@@ -144,15 +148,8 @@ proptest! {
         for op in &ops {
             if let Op::UpdateBalance { row, amount } = op {
                 ts += 1;
-                db.table_mut(Table::Customer)
-                    .timed_update(
-                        &mut mem,
-                        &meter,
-                        *row,
-                        Ts(ts),
-                        &[(bal, ColumnWrite::set(*amount, 8))],
-                        Ps::ZERO,
-                    )
+                update(
+db.table_mut(Table::Customer), &mut mem, &meter, *row, Ts(ts), &[(bal, ColumnWrite::set(*amount, 8))])
                     .expect("arena headroom");
             }
             // Without snapshotting, OLAP-visible values never change.
@@ -198,6 +195,74 @@ proptest! {
                     "keyset drifted across calls"
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The invariant the fetch pass rests on
+// ---------------------------------------------------------------------
+
+/// Fails if an effect of `effects` reads or updates a row an earlier
+/// effect of the set updated, or a table an earlier effect inserted into
+/// (an insert's row is picked only at apply time).
+fn no_effect_follows_a_write_of_its_row(effects: &[TaggedEffect]) -> Result<(), TestCaseError> {
+    for (i, e) in effects.iter().enumerate() {
+        let (table, row) = match e.effect {
+            Effect::Read { table, row } | Effect::Update { table, row, .. } => (table, row),
+            Effect::Insert { .. } => continue,
+        };
+        for earlier in &effects[..i] {
+            let wrote = match earlier.effect {
+                Effect::Read { .. } => false,
+                Effect::Update {
+                    table: t, row: r, ..
+                } => (t, r) == (table, row),
+                Effect::Insert { table: t, .. } => t == table,
+            };
+            prop_assert!(!wrote, "{:?} follows {:?}", e.effect, earlier.effect);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The fetch pass of `TpccDb::prepare_effects` resolves every read's
+    /// and update's version before the first effect applies. That is
+    /// sound only if no effect of a set touches a row an earlier effect
+    /// of the same set wrote, so that the slot fetched is the slot
+    /// applied: checked over generated batches under every remote mix,
+    /// for the whole set, its home half (the effects the home warehouse
+    /// owns) and its forwarded half (the rest).
+    #[test]
+    fn no_effect_touches_a_row_its_set_already_wrote(
+        seed in 0u64..1024,
+        n in 1usize..24,
+        mix in prop::sample::select(vec![RemoteMix::LOCAL, RemoteMix::TPCC, RemoteMix::Uniform]),
+    ) {
+        let mem = MemSystem::dimm();
+        let mut cfg = DbConfig::small();
+        cfg.min_warehouses = 4;
+        let db = TpccDb::build(&cfg, &mem).expect("build");
+        let warehouses = db.table(Table::Warehouse).n_rows();
+        let mut tg = TxnGen::new(
+            seed,
+            warehouses,
+            db.table(Table::Customer).n_rows(),
+            db.table(Table::Item).n_rows(),
+            db.table(Table::Stock).n_rows(),
+        )
+        .with_remote_mix(mix, warehouses);
+        for (ts, txn) in (1..).zip(tg.batch(n)) {
+            let effects = db.decompose(&txn, Ts(ts));
+            let home = txn.home_warehouse();
+            let (local, forwarded): (Vec<_>, Vec<_>) =
+                effects.iter().copied().partition(|e| e.warehouse == home);
+            no_effect_follows_a_write_of_its_row(&effects)?;
+            no_effect_follows_a_write_of_its_row(&local)?;
+            no_effect_follows_a_write_of_its_row(&forwarded)?;
         }
     }
 }
@@ -371,8 +436,7 @@ impl Scoped {
                     .enumerate()
                     .map(|(c, &width)| (c as u32, ColumnWrite::set(column_value(w.val, c), width)))
                     .collect();
-                self.t
-                    .timed_update(mem, meter, w.row, ts, &changes, Ps::ZERO)?;
+                update(&mut self.t, mem, meter, w.row, ts, &changes)?;
                 self.undo.record(UndoRecord {
                     table: 0,
                     row: w.row,

@@ -253,6 +253,30 @@ impl MemSystem {
         measured + rate * remaining
     }
 
+    /// Streams `lines` cache lines through `side`'s interleaved address
+    /// map: consecutive lines go to consecutive channels, so each channel
+    /// streams its share (split as evenly as possible) out of bank 0 of
+    /// rank 0, 16 lines to a DRAM row, all issued at `at` as in
+    /// [`MemSystem::stream_sampled`]. Returns the slowest channel's end,
+    /// or `at` when `lines` is zero.
+    pub fn stream_striped(&mut self, side: Side, lines: u64, op: Op, useful: u32, at: Ps) -> Ps {
+        let channels = match side {
+            Side::Pim => self.cfg.pim_geometry.channels,
+            Side::Host => self.cfg.cpu_geometry.channels,
+        };
+        let (share, extra) = (lines / channels as u64, lines % channels as u64);
+        let mut end = at;
+        for ch in 0..channels {
+            let n = share + u64::from((ch as u64) < extra);
+            if n == 0 {
+                break;
+            }
+            let bank = BankAddr::new(ch, 0, 0);
+            end = end.max(self.stream_sampled(side, bank, 0, n, 16, op, useful, at));
+        }
+        end
+    }
+
     /// Moves `bytes` from PIM memory to PIM memory through the CPU (§6.3:
     /// PIM units cannot talk to each other, so the CPU carries group
     /// indices, hash values, bucket partitions and partial results between

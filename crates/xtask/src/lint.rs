@@ -383,12 +383,19 @@ const ROWS: &[Row] = &[
     },
     Row {
         name: "one-striped-shuffle",
-        paths: &["crates/olap/src", "crates/core/src", "crates/shard/src"],
+        paths: &[
+            "crates/olap/src",
+            "crates/core/src",
+            "crates/shard/src",
+            "crates/oltp/src",
+        ],
         non_test: true,
-        check: Any(&["BankAddr::new("]),
+        check: Any(&["BankAddr::new(", "shard_of(0)"]),
         sample: "let bank = BankAddr::new(0, 0);",
-        why: "The CPU's PIM-to-PIM traffic (§6.3) is one shuffle striped over \
-              every channel, `MemSystem::pim_transfer`: no code names a fixed bank.",
+        why: "The CPU reaches memory through its interleaved address map: its \
+              PIM-to-PIM traffic (§6.3) is one shuffle striped over every \
+              channel, `MemSystem::pim_transfer`, and its other streams are \
+              striped too, so no code names a fixed bank.",
     },
     Row {
         name: "one-commit-barrier",
@@ -399,6 +406,16 @@ const ROWS: &[Row] = &[
         why: "A transaction's writes leave the CPU in one clflush train at its \
               force phase, behind one commit barrier (§6.3): a table operation \
               charges no barrier of its own.",
+    },
+    Row {
+        name: "one-read-fetch",
+        paths: &["crates/oltp/src/table.rs"],
+        non_test: true,
+        check: AnyUnless(&["Op::Read"], in_a_read_stream),
+        sample: "let (end, n) = self.issue_lines(mem, slot, Op::Read, at);",
+        why: "A transaction fetches its read set up front: a row version's \
+              lines are read only by `HtapTable::fetch`, and the snapshot \
+              update's metadata stream is the table's one other read.",
     },
     Row {
         name: "one-query-price",
@@ -415,12 +432,25 @@ const ROWS: &[Row] = &[
 /// `read_row` inside `timed_read` or `snapshot_read`: the nearest line at
 /// or above the hit that declares a function names one of them.
 fn in_a_value_read(file: &Scanned, offset: usize, _: &str) -> bool {
+    in_fn(file, offset, &["fn timed_read(", "fn snapshot_read("])
+}
+
+/// A read issued by `HtapTable::fetch` or by the snapshot update's
+/// metadata stream: the nearest line at or above the hit that declares a
+/// function names one of them.
+fn in_a_read_stream(file: &Scanned, offset: usize, _: &str) -> bool {
+    in_fn(file, offset, &["fn fetch(", "fn timed_snapshot_update("])
+}
+
+/// Whether the nearest line at or above `offset` that declares a
+/// function holds one of `heads`.
+fn in_fn(file: &Scanned, offset: usize, heads: &[&str]) -> bool {
     let end = line_span(&file.text, offset).end;
     file.text[..end]
         .lines()
         .rev()
         .find(|line| declares_fn(line))
-        .is_some_and(|line| line.contains("fn timed_read(") || line.contains("fn snapshot_read("))
+        .is_some_and(|line| heads.iter().any(|head| line.contains(head)))
 }
 
 /// Whether `line` holds `fn`, a space, a name of lowercase letters,
