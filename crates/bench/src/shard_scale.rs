@@ -550,7 +550,7 @@ mod tests {
         let (doc, wave, peak) = render_trace(8, 240);
         assert_eq!(
             (doc.len(), fnv(doc.as_bytes())),
-            (633_887, 0x367d_69ed_7277_5082)
+            (633_842, 0xea8b_d972_d36d_dca4)
         );
         assert_eq!((wave, peak), (2, 15));
     }

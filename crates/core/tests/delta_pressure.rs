@@ -147,7 +147,7 @@ fn pressure_run_is_byte_identical_to_ample_run() {
             squeezed.db().wasted_retry_time().ps(),
             slot_identity(&squeezed),
         ),
-        (2_251_696_071, 119, 40_383_759, 17_415_451_971_021_341_134),
+        (2_291_653_200, 119, 122_799_031, 17_415_451_971_021_341_134),
     );
     // What reclamation did under that pressure, and what queries run on
     // the squeezed engine afterwards observe and cost: the cut each
@@ -173,7 +173,7 @@ fn pressure_run_is_byte_identical_to_ample_run() {
         .collect();
     assert_eq!(
         queries,
-        [(120, 27_653_329), (120, 4_947_750), (120, 31_501_050)]
+        [(120, 27_514_950), (120, 4_947_750), (120, 31_507_750)]
     );
 
     // Identical analytical answers at the shared final timestamp…

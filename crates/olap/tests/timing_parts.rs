@@ -111,10 +111,10 @@ fn query_timings_are_pinned() {
     assert_eq!(
         pinned,
         [
-            (26, 0x7d2a_04e4_e55a_8554),
-            (26, 0xfe11_4b38_5850_8942),
-            (26, 0x3e82_d909_107b_a709),
-            (26, 0x027e_e981_3923_b692),
+            (26, 0xde8a_7843_2fef_e533),
+            (26, 0x5728_6ed7_a4f6_0685),
+            (26, 0x0050_0d11_0be9_43e6),
+            (26, 0x00d6_03e4_b58d_4d47),
         ]
     );
 }

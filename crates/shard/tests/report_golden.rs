@@ -118,14 +118,14 @@ const CLOSED_LOOP: [(Counters, Stalls); 2] = [
     (
         [
             60, 105, 59, 44,
-            139, 353, 139_000_000, 1_555_471_649,
+            139, 353, 139_000_000, 1_555_242_948,
             149, 114, 88_519, 228_000_000,
-            4_205_179_996, 192_115_501, 120_654_592, 6_594_704_968,
+            4_205_179_996, 192_115_501, 149_178_968, 6_602_718_253,
         ],
         [
-            (60, 1_825_579_282),
-            (60, 149_174_717_299),
-            (278, 1_327_471_649),
+            (60, 1_812_139_650),
+            (60, 149_318_741_972),
+            (278, 1_327_242_948),
             (42, 4_205_179_996),
             (19, 192_115_501),
         ],
@@ -133,14 +133,14 @@ const CLOSED_LOOP: [(Counters, Stalls); 2] = [
     (
         [
             60, 112, 59, 51,
-            146, 386, 146_000_000, 1_338_638_090,
+            146, 386, 146_000_000, 1_335_152_531,
             161, 124, 92_033, 248_000_000,
-            3_704_388_550, 243_244_144, 127_936_886, 5_956_102_525,
+            3_704_388_550, 243_244_144, 156_397_519, 5_958_521_900,
         ],
         [
-            (60, 1_579_542_596),
-            (60, 116_679_505_686),
-            (292, 1_090_638_090),
+            (60, 1_563_439_652),
+            (60, 116_795_525_433),
+            (292, 1_087_152_531),
             (37, 3_704_388_550),
             (24, 243_244_144),
         ],
@@ -153,30 +153,30 @@ const OPEN_LOOP: [(Counters, Stalls); 2] = [
     (
         [
             26, 45, 25, 20,
-            64, 165, 64_000_000, 614_268_273,
-            67, 56, 37_525, 112_000_000,
-            600_910_491, 192_103_181, 54_908_679, 1_696_892_800,
+            64, 153, 64_000_000, 617_868_625,
+            67, 56, 36_184, 112_000_000,
+            600_850_134, 192_047_198, 60_772_282, 1_689_004_600,
         ],
         [
-            (26, 696_681_787),
-            (26, 6_285_600_068),
-            (128, 502_268_273),
-            (6, 600_910_491),
-            (19, 192_103_181),
+            (26, 689_353_765),
+            (26, 6_554_495_823),
+            (128, 505_868_625),
+            (6, 600_850_134),
+            (19, 192_047_198),
         ],
     ),
     (
         [
             27, 48, 26, 22,
-            66, 145, 66_000_000, 337_451_143,
-            72, 59, 44_296, 118_000_000,
-            600_597_278, 202_811_431, 50_506_730, 1_475_857_675,
+            66, 147, 66_000_000, 233_487_798,
+            72, 59, 41_953, 118_000_000,
+            600_556_957, 202_811_431, 63_543_810, 1_360_390_075,
         ],
         [
-            (27, 465_623_004),
-            (27, 6_197_500_254),
-            (132, 219_451_143),
-            (6, 600_597_278),
+            (27, 340_387_870),
+            (27, 5_434_699_776),
+            (132, 115_487_798),
+            (6, 600_556_957),
             (20, 202_811_431),
         ],
     ),

@@ -142,9 +142,9 @@ fn fingerprint(spans: &[Span]) -> (usize, u64) {
 /// and sanitizer hooks went through one probe per engine, and pin that
 /// every hook still fires where and when it did: these numbers never
 /// change unless the model does.
-const WAL_SPANS: (usize, u64) = (4622, 11_499_369_646_381_611_834);
-const OPEN_LOOP_SPANS: (usize, u64) = (211, 4_366_579_792_109_920_617);
-const RECOVERY_SPANS: (usize, u64) = (206, 17_508_117_011_537_710_617);
+const WAL_SPANS: (usize, u64) = (4622, 12_435_508_784_024_421_492);
+const OPEN_LOOP_SPANS: (usize, u64) = (211, 6_365_753_603_888_089_113);
+const RECOVERY_SPANS: (usize, u64) = (206, 1_477_399_566_232_176_069);
 const ARMED_COUNTS: (u64, u64) = (5150, 662);
 
 fn count(spans: &[Span], phase: Phase) -> u64 {

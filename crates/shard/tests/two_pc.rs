@@ -120,7 +120,7 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
     // committed bench file contains an abort, so these goldens are what
     // holds the abort decision's slot-release order and simulated cost.
     let clocks: Vec<u64> = service.shards().iter().map(|s| s.now().ps()).collect();
-    assert_eq!(clocks, [670_432_000, 714_416_209, 663_296_325, 713_767_232]);
+    assert_eq!(clocks, [660_326_275, 704_571_747, 653_393_453, 703_922_770]);
     assert_eq!(
         (
             total.aborts,
@@ -128,7 +128,7 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
             total.wasted_retry_time.ps(),
             slot_identity(&service),
         ),
-        (172, 99, 170_825_837, 818_977_218_761_713_068),
+        (172, 99, 186_321_112, 818_977_218_761_713_068),
     );
 
     // No prepared scope or undecided version survives the batch…
