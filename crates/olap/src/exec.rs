@@ -177,13 +177,13 @@ impl ScanEngine {
         let g = geometry.granularity;
         let rows = table.n_rows();
         let shards = &table.config().shards;
+        let n = shards.len() as u64;
         let mut end = at;
         for p in parts {
             let w = layout.parts()[p as usize].width() as u64;
             let bursts = (rows * w).div_ceil(g as u64);
             let useful = ((layout.schema().column(col).width as u64 * rows) / bursts.max(1))
                 .min(g as u64 * 8) as u32;
-            let n = shards.len() as u64;
             let (share, extra) = (bursts / n, bursts % n);
             for (i, &bank) in (0..).zip(shards) {
                 let bursts = share + u64::from(i < extra);
