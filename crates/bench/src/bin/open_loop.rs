@@ -2,6 +2,8 @@
 //! prints the table, and writes `BENCH_open_loop.json`. `--txns <n>`
 //! sets the arrivals per point (default 4000), `--shards <list>` the
 //! comma-separated shard counts (default `2,4,8`).
+use pushtap_bench::flag_value;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let txns: u64 = flag_value(&args, "--txns")
@@ -16,12 +18,4 @@ fn main() {
         .unwrap_or_else(|| vec![2, 4, 8]);
     pushtap_bench::open_loop::print_and_write_json(&shards, txns)
         .expect("write BENCH_open_loop.json");
-}
-
-/// The operand following `flag`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

@@ -5,6 +5,8 @@
 //! of one traced uniform-mix batch (load it in Perfetto or
 //! `chrome://tracing`); `--trace-shards <n>` sets its shard count
 //! (default 8).
+use pushtap_bench::flag_value;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--json") {
@@ -18,12 +20,4 @@ fn main() {
             .unwrap_or(8);
         pushtap_bench::shard_scale::write_trace(&path, shards, 240).expect("write trace");
     }
-}
-
-/// The operand following `flag`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

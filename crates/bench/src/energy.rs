@@ -7,7 +7,7 @@
 use pushtap_chbench::{key_columns_upto, schema_with_keys, Table};
 use pushtap_format::compact_layout;
 use pushtap_olap::ScanEngine;
-use pushtap_oltp::{AccessModel, HtapTable, TableConfig};
+use pushtap_oltp::{DbFormat, HtapTable, TableConfig};
 use pushtap_pim::{ControlArch, Geometry, MemSystem, PimOpKind, Ps, Side, SystemConfig};
 
 /// Energy for one full-column scan, joules, via both paths.
@@ -41,7 +41,7 @@ fn table(rows: u64) -> HtapTable {
             block_rows: 1024,
             shards: g.bank_addrs().collect(),
             base_dram_row: 0,
-            model: AccessModel::Unified,
+            model: DbFormat::Unified,
             side: Side::Pim,
             geometry: g,
         },

@@ -77,7 +77,6 @@ pub fn measure(scale: f64) -> MeasuredParams {
             ..DbConfig::small()
         },
         system,
-        1.0,
     )
     .expect("build");
     let mut gen = pushtap_chbench::TxnGen::new(

@@ -6,9 +6,10 @@
 //! (c) transaction time breakdown;
 //! (d) defragmentation time breakdown.
 
-use pushtap_core::{Pushtap, PushtapConfig, DEFRAG_FIXED_OVERHEAD};
+use pushtap_core::{Pushtap, PushtapConfig};
 use pushtap_mvcc::DefragStrategy;
 use pushtap_olap::Query;
+use pushtap_pim::calib::DEFRAG_FIXED_OVERHEAD;
 use pushtap_pim::Ps;
 
 fn config(scale: f64, defrag_period: u64, min_delta: u64) -> PushtapConfig {
@@ -130,11 +131,7 @@ pub fn defrag_breakdown(scale: f64, txns: u64) -> (f64, f64) {
     let mut gen = p.txn_gen(7);
     p.run_txns(&mut gen, txns);
     let (pass, pause) = p.defragment_all();
-    let traverse = p
-        .db()
-        .meter()
-        .cpu
-        .cycles(pass.chain_steps * p.db().meter().costs.chain_step_cycles);
+    let traverse = p.db().meter().chain(pass.chain_steps);
     let variable = pause.saturating_sub(DEFRAG_FIXED_OVERHEAD);
     let copy = variable.saturating_sub(traverse);
     let t = variable.ps().max(1) as f64;

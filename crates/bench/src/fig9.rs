@@ -39,15 +39,11 @@ pub fn oltp_formats(scale: f64, checkpoints: &[u64]) -> Vec<OltpPoint> {
             DbFormat::RowStore,
         ),
         ("CS".into(), SystemConfig::dimm(), DbFormat::ColumnStore),
-        (
-            "PUSHtap".into(),
-            SystemConfig::dimm(),
-            DbFormat::Unified { th: 0.6 },
-        ),
+        ("PUSHtap".into(), SystemConfig::dimm(), DbFormat::Unified),
         (
             "PUSHtap (HBM)".into(),
             SystemConfig::hbm(),
-            DbFormat::Unified { th: 0.6 },
+            DbFormat::Unified,
         ),
     ];
     for (label, system, format) in systems {
@@ -122,7 +118,7 @@ pub fn olap_consistency(scale: f64, checkpoints: &[u64], query: Query) -> Vec<Ol
         ("PUSHtap".to_string(), SystemConfig::dimm()),
         ("PUSHtap (HBM)".to_string(), SystemConfig::hbm()),
     ] {
-        let mut db = db_config(scale, DbFormat::Unified { th: 0.6 });
+        let mut db = db_config(scale, DbFormat::Unified);
         db.min_delta_rows = 2 * max + 4096;
         let cfg = PushtapConfig {
             db,
@@ -148,14 +144,14 @@ pub fn olap_consistency(scale: f64, checkpoints: &[u64], query: Query) -> Vec<Ol
     }
 
     // MI on DIMM and HBM (the HBM variant carries the dedicated rebuild
-    // accelerator, estimated at 4.1× per §7.3).
-    for (label, system, speedup) in [
-        ("MI".to_string(), SystemConfig::dimm(), 1.0),
-        ("MI (HBM)".to_string(), SystemConfig::hbm(), 4.1),
+    // accelerator, `calib::MI_HBM_REBUILD_SPEEDUP`).
+    for (label, system) in [
+        ("MI".to_string(), SystemConfig::dimm()),
+        ("MI (HBM)".to_string(), SystemConfig::hbm()),
     ] {
         let mut db = db_config(scale, DbFormat::RowStore);
         db.min_delta_rows = 2 * max + 4096;
-        let mut mi = MultiInstance::new(db, system, speedup).expect("build");
+        let mut mi = MultiInstance::new(db, system).expect("build");
         let mut gen = pushtap_chbench::TxnGen::new(
             99,
             mi.row_db.table(pushtap_chbench::Table::Warehouse).n_rows(),

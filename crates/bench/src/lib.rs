@@ -22,3 +22,11 @@ pub mod open_loop;
 pub mod shard_scale;
 pub mod soak;
 pub mod table1;
+
+/// The operand following `flag` in a binary's arguments, if present.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}

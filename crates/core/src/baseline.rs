@@ -13,7 +13,10 @@
 use pushtap_chbench::Table;
 use pushtap_olap::{Query, QuerySteps, ScanEngine, Q1_GROUPS, Q9_GROUPS};
 use pushtap_oltp::{DbConfig, DbFormat, TpccDb};
-use pushtap_pim::{MemSystem, PimOpKind, Ps, Side, SystemConfig};
+use pushtap_pim::calib::{MI_HBM_REBUILD_SPEEDUP, MI_REBUILD_FIXED_OVERHEAD, VERSION_META_BYTES};
+use pushtap_pim::{MemKind, MemSystem, PimOpKind, Ps, Side, SystemConfig};
+
+use crate::system::scattered_copy_model;
 
 /// Ideal query-time model: compact columns, no consistency work, but the
 /// same §6.3 CPU coordination (group-index shuffles, hash partitioning,
@@ -98,10 +101,6 @@ pub struct MultiInstance {
     /// the last rebuild (still owed to the column instance).
     pending_bytes: f64,
     now: Ps,
-    /// Rebuild throughput modifier: 1.0 for the DIMM software path; the
-    /// HBM variant's dedicated rebuild accelerator divides the rebuild
-    /// cost (estimated from [6]'s relative numbers, §7.3).
-    rebuild_speedup: f64,
 }
 
 impl MultiInstance {
@@ -114,7 +113,6 @@ impl MultiInstance {
     pub fn new(
         mut db_cfg: DbConfig,
         system: SystemConfig,
-        rebuild_speedup: f64,
     ) -> Result<MultiInstance, pushtap_format::LayoutError> {
         db_cfg.side = Side::Host;
         db_cfg.format = DbFormat::RowStore;
@@ -128,7 +126,6 @@ impl MultiInstance {
             staleness: 0,
             pending_bytes: 0.0,
             now: Ps::ZERO,
-            rebuild_speedup,
         })
     }
 
@@ -142,7 +139,8 @@ impl MultiInstance {
             .into_iter()
             .map(|t| {
                 let table = self.row_db.table(t);
-                table.live_delta_rows() as f64 * (table.layout().schema().row_width() as f64 + 16.0)
+                let version = table.layout().schema().row_width() as f64 + VERSION_META_BYTES;
+                table.live_delta_rows() as f64 * version
             })
             .sum()
     }
@@ -176,16 +174,20 @@ impl MultiInstance {
     /// (§7.3: "CPUs transfer all the new-versioned rows and corresponding
     /// metadata to DRAM banks, after which PIM units merge the metadata
     /// and copy the new-versioned data"). Computed from the row
-    /// instance's actual delta state.
+    /// instance's actual delta state. The HBM system's dedicated rebuild
+    /// accelerator divides the cost by [`MI_HBM_REBUILD_SPEEDUP`].
     pub fn rebuild_time(&self) -> Ps {
         let cfg = self.mem.cfg();
         let bytes = self.pending_bytes + self.live_version_bytes();
-        // Log shipping plus row writes are scattered-row transfers; same
-        // effective-bandwidth derating as defragmentation.
-        let bus = cfg.cpu_peak_bw() * 0.35;
-        let pim = cfg.pim_peak_bw() * 0.25;
-        let seconds = 2.0 * bytes / bus + bytes / pim;
-        Ps::new((seconds * 1e12 / self.rebuild_speedup).round() as u64) + Ps::from_us(30.0)
+        // Log shipping plus row writes are scattered-row transfers, priced
+        // at defragmentation's derated bandwidths.
+        let copy = scattered_copy_model(cfg);
+        let seconds = 2.0 * bytes / copy.cpu_bw + bytes / copy.pim_bw;
+        let speedup = match cfg.kind {
+            MemKind::Dimm => 1.0,
+            MemKind::Hbm => MI_HBM_REBUILD_SPEEDUP,
+        };
+        Ps::new((seconds * 1e12 / speedup).round() as u64) + MI_REBUILD_FIXED_OVERHEAD
     }
 
     /// Runs a query: rebuild first (data freshness), then ideal scans on
@@ -208,7 +210,7 @@ impl MultiInstance {
     /// Folds the row instance's version chains into its main storage
     /// (their cost is not charged: the rebuild prices the column side).
     fn fold_row_chains(&mut self) {
-        let model = pushtap_mvcc::DefragCostModel::new(16.0, 1e9, 3e9);
+        let model = scattered_copy_model(self.mem.cfg());
         self.row_db
             .defragment(&model, pushtap_mvcc::DefragStrategy::Cpu);
     }
@@ -283,7 +285,7 @@ mod tests {
 
     #[test]
     fn rebuild_grows_with_staleness() {
-        let mut mi = MultiInstance::new(DbConfig::small(), SystemConfig::dimm(), 1.0).unwrap();
+        let mut mi = MultiInstance::new(DbConfig::small(), SystemConfig::dimm()).unwrap();
         let r0 = mi.rebuild_time();
         mi.pending_bytes += owed_bytes(100_000);
         let r1 = mi.rebuild_time();
@@ -297,8 +299,8 @@ mod tests {
 
     #[test]
     fn hbm_accelerator_cuts_rebuild() {
-        let mut slow = MultiInstance::new(DbConfig::small(), SystemConfig::dimm(), 1.0).unwrap();
-        let mut fast = MultiInstance::new(DbConfig::small(), SystemConfig::hbm(), 4.1).unwrap();
+        let mut slow = MultiInstance::new(DbConfig::small(), SystemConfig::dimm()).unwrap();
+        let mut fast = MultiInstance::new(DbConfig::small(), SystemConfig::hbm()).unwrap();
         slow.pending_bytes += owed_bytes(1_000_000);
         fast.pending_bytes += owed_bytes(1_000_000);
         assert!(fast.rebuild_time() < slow.rebuild_time());
@@ -306,7 +308,7 @@ mod tests {
 
     #[test]
     fn mi_transactions_run_on_host_side() {
-        let mut mi = MultiInstance::new(DbConfig::small(), SystemConfig::dimm(), 1.0).unwrap();
+        let mut mi = MultiInstance::new(DbConfig::small(), SystemConfig::dimm()).unwrap();
         let mut gen = pushtap_chbench::TxnGen::new(
             2,
             mi.row_db.table(Table::Warehouse).n_rows(),

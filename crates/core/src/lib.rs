@@ -40,7 +40,4 @@ mod system;
 pub use baseline::{IdealModel, MultiInstance};
 pub use frontier::{FrontierParams, FrontierPoint};
 pub use metrics::{qphh, tpmc};
-pub use system::{
-    GcStats, MaintPause, OltpReport, Pushtap, PushtapConfig, QueryReport, DEFRAG_FIXED_OVERHEAD,
-    GC_FIXED_OVERHEAD,
-};
+pub use system::{GcStats, MaintPause, OltpReport, Pushtap, PushtapConfig, QueryReport};

@@ -13,20 +13,24 @@ use pushtap_olap::{Query, QueryResult, QueryTiming, ScanEngine};
 use pushtap_oltp::{
     Breakdown, DbConfig, Partition, Probe, TableGcPass, TaggedEffect, TpccDb, TxnResult, TxnRole,
 };
+use pushtap_pim::calib::{
+    DEFRAG_CPU_BW_DERATING, DEFRAG_FIXED_OVERHEAD, DEFRAG_PIM_BW_DERATING, GC_FIXED_OVERHEAD,
+    VERSION_META_BYTES,
+};
 use pushtap_pim::{ControlArch, MemSystem, Ps, SystemConfig};
 use pushtap_trace::{Histogram, Phase, TraceSink};
 
-/// Fixed overhead of one defragmentation pass: worker-thread creation and
-/// PIM-unit activation (§7.4: "the fixed overhead, including thread
-/// creation and PIM units activation, is amortized when the number of
-/// transactions is large").
-pub const DEFRAG_FIXED_OVERHEAD: Ps = Ps::new(100_000_000); // 100 µs
-
-/// Fixed overhead of one incremental garbage-collection pass. GC walks
-/// only the chains below the eligible cut and recycles slots in place —
-/// no worker-thread fan-out, no PIM-unit activation barrier — so the
-/// fixed cost is an order of magnitude below a defragmentation pass.
-pub const GC_FIXED_OVERHEAD: Ps = Ps::new(10_000_000); // 10 µs
+/// The §5.3 cost model of copying scattered row versions on `system`: its
+/// peak bandwidths derated to what short, per-row transfers achieve (short
+/// bursts on the bus, DMA setup per row on the PIM side). It prices
+/// PUSHtap's reclamation and the multi-instance baseline's rebuild alike.
+pub(crate) fn scattered_copy_model(system: &SystemConfig) -> DefragCostModel {
+    DefragCostModel::new(
+        VERSION_META_BYTES,
+        system.cpu_peak_bw() * DEFRAG_CPU_BW_DERATING,
+        system.pim_peak_bw() * DEFRAG_PIM_BW_DERATING,
+    )
+}
 
 /// The maintenance pause one execute call charged to the engine clock,
 /// split by mechanism: incremental garbage collection (no barrier)
@@ -375,14 +379,7 @@ impl Pushtap {
         let mem = MemSystem::new(cfg.system);
         let db = TpccDb::build_partitioned(&cfg.db, &mem, partition)?;
         let engine = ScanEngine::new(cfg.arch, &cfg.system);
-        // Defragmentation moves scattered row-granule versions, which
-        // achieves a fraction of peak bandwidth on either path (short
-        // transfers on the bus; DMA setup per row on the PIM side).
-        let defrag_cost = DefragCostModel::new(
-            16.0,
-            cfg.system.cpu_peak_bw() * 0.35,
-            cfg.system.pim_peak_bw() * 0.25,
-        );
+        let defrag_cost = scattered_copy_model(&cfg.system);
         Ok(Pushtap {
             cfg,
             mem,
@@ -802,10 +799,7 @@ impl Pushtap {
     /// modelled copy time (`seconds`), and the CPU's walk over
     /// `chain_steps` version-chain hops.
     fn pause(&self, fixed: Ps, seconds: f64, chain_steps: u64) -> Ps {
-        let meter = self.db.meter();
-        let traverse = meter
-            .cpu
-            .cycles(chain_steps * meter.costs.chain_step_cycles);
+        let traverse = self.db.meter().chain(chain_steps);
         fixed + Ps::new((seconds * 1e12).round() as u64) + traverse
     }
 

@@ -211,7 +211,7 @@ impl ScanEngine {
 mod tests {
     use super::*;
     use pushtap_format::compact_layout;
-    use pushtap_oltp::{AccessModel, TableConfig};
+    use pushtap_oltp::{DbFormat, TableConfig};
     use pushtap_pim::{BankAddr, Geometry, Side};
 
     fn test_table(n_rows: u64) -> HtapTable {
@@ -226,7 +226,7 @@ mod tests {
                 block_rows: 64,
                 shards: g.bank_addrs().collect(),
                 base_dram_row: 0,
-                model: AccessModel::Unified,
+                model: DbFormat::Unified,
                 side: Side::Pim,
                 geometry: g,
             },
@@ -295,10 +295,7 @@ mod tests {
         let clean = test_table(500_000);
         let mut fragged = test_table(500_000);
         let mut mem = MemSystem::dimm();
-        let meter = pushtap_oltp::Meter::new(
-            pushtap_oltp::CostModel::default(),
-            pushtap_pim::CpuSpec::xeon_like(),
-        );
+        let meter = pushtap_oltp::Meter::new(pushtap_pim::CpuSpec::xeon_like());
         for i in 0..100u64 {
             let row = i * 64; // distinct rows in distinct blocks
             let (mut b, mut now) = (pushtap_oltp::Breakdown::default(), Ps::ZERO);

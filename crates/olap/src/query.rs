@@ -7,6 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pushtap_chbench::Table;
 use pushtap_oltp::{HtapTable, TpccDb};
+use pushtap_pim::calib::{GATHER_CYCLES_PER_VALUE, PARTITION_CYCLES_PER_TUPLE};
 use pushtap_pim::{CpuSpec, MemSystem, PimOpKind, Ps};
 
 use crate::exec::{ScanEngine, ScanOutcome};
@@ -24,9 +25,6 @@ pub const Q1_GROUPS: u64 = 16;
 /// Q9 grouping fan-out ("nations").
 pub const Q9_GROUPS: u64 = 7;
 
-/// CPU cycles to route one hash value into its bucket.
-const PARTITION_CYCLES_PER_TUPLE: u64 = 6;
-
 /// Time for the host CPU to partition `tuples` hash values into `buckets`
 /// per-unit buckets (§6.3's join coordination, [`QuerySteps::partition`]).
 ///
@@ -34,11 +32,12 @@ const PARTITION_CYCLES_PER_TUPLE: u64 = 6;
 /// histogram of its share, then takes its share of the prefix sum over
 /// the per-core histograms (one cycle per bucket) to learn where its
 /// values go, then scatters them. The span is the slowest core's share
-/// plus that histogram pass. The work is `tuples × 6` core-cycles however
-/// many cores share it: spreading the loop shortens the query, not the
-/// core time it takes from transactions. Once queries share the simulated
-/// clock with transactions (ROADMAP item 4, "One HTAP driver"), that work
-/// is what the partition charges to OLTP.
+/// plus that histogram pass. The work is `tuples ×`
+/// [`PARTITION_CYCLES_PER_TUPLE`] core-cycles however many cores share
+/// it: spreading the loop shortens the query, not the core time it takes
+/// from transactions. Once queries share the simulated clock with
+/// transactions (ROADMAP item 4, "One HTAP driver"), that work is what
+/// the partition charges to OLTP.
 fn hash_partition_time(cpu: &CpuSpec, tuples: u64, buckets: u64) -> Ps {
     let share = tuples.div_ceil(u64::from(cpu.cores));
     cpu.cycles(share * PARTITION_CYCLES_PER_TUPLE + buckets)
@@ -244,10 +243,10 @@ impl<'a> QuerySteps<'a> {
     }
 
     /// Collects `bytes` of per-unit partials on the CPU and reduces their
-    /// `values` at four cycles each, ending the sequence.
+    /// `values` at [`GATHER_CYCLES_PER_VALUE`] each, ending the sequence.
     pub fn gather(mut self, bytes: u64, values: u64) -> QueryTiming {
         self.shuffle(bytes);
-        self.cpu_work(self.cpu.cycles(values * 4));
+        self.cpu_work(self.cpu.cycles(values * GATHER_CYCLES_PER_VALUE));
         self.finish()
     }
 
@@ -614,7 +613,7 @@ mod tests {
         for (tuples, buckets) in [(0, 1024), (1, 1), (160_000, 1024), (12_345, 7)] {
             assert_eq!(
                 hash_partition_time(&cpu, tuples, buckets),
-                cpu.cycles(6 * tuples + buckets),
+                cpu.cycles(PARTITION_CYCLES_PER_TUPLE * tuples + buckets),
                 "{tuples} tuples, {buckets} buckets"
             );
         }
@@ -628,7 +627,7 @@ mod tests {
         for tuples in [16, 17, 1_000, 160_000, 160_001] {
             let span = hash_partition_time(&cpu, tuples, 1024);
             assert!(
-                span * cores >= cpu.cycles(6 * tuples),
+                span * cores >= cpu.cycles(PARTITION_CYCLES_PER_TUPLE * tuples),
                 "{tuples} tuples: {cores} × {span:?} is less than the work"
             );
             assert!(

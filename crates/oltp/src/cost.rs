@@ -3,10 +3,11 @@
 //! The paper's DBx1000-based executor spends transaction time on four
 //! components besides raw memory access: computation, memory allocation
 //! (MVCC allocates a delta slot per updated row), hash indexing, and
-//! version-chain traversal. The cycle constants below are calibrated so
-//! the Payment/NewOrder mix reproduces the paper's measured shares
-//! (computation 36.65 %, allocation 44.10 %, indexing 19.25 %, chain
-//! traversal < 0.1 %); `fig11` prints 36.63 / 44.20 / 19.18 %. The
+//! version-chain traversal. The cycle constants of [`pushtap_pim::calib`]
+//! are calibrated so the Payment/NewOrder mix reproduces the paper's
+//! measured shares (computation 36.65 %, allocation 44.10 %, indexing
+//! 19.25 %, chain traversal < 0.1 %); `fig11` prints 36.63 / 44.20 /
+//! 19.18 %. The
 //! computation share counts one commit barrier per transaction: its
 //! writes leave the CPU in one clflush train at the force phase, and one
 //! barrier follows the train (§6.3).
@@ -23,50 +24,11 @@
 //! picosecond as no cap, and a cap of 1 added 7.5 ns to the batch's
 //! 4.3 ms.
 
-use serde::{Deserialize, Serialize};
-
+use pushtap_pim::calib::{
+    ALLOC_CYCLES, CHAIN_STEP_CYCLES, COMMIT_BARRIER_CYCLES, INDEX_CYCLES, OP_BASE_CYCLES,
+    PER_LINE_CYCLES, PER_VALUE_CYCLES,
+};
 use pushtap_pim::{CpuSpec, Ps};
-
-/// Per-operation CPU cycle costs.
-///
-/// Defaults are calibrated so the Payment/NewOrder mix (≈21 index ops,
-/// ≈15 allocations, ≈37 row operations per average transaction)
-/// reproduces the paper's component shares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Hash-index probe or insert.
-    pub index_cycles: u64,
-    /// Allocating (and version-chaining) one delta slot or insert row.
-    pub alloc_cycles: u64,
-    /// Fixed computation per row operation (validation, dispatch).
-    pub op_base_cycles: u64,
-    /// Computation per column value read or written.
-    pub per_value_cycles: u64,
-    /// One version-chain hop.
-    pub chain_step_cycles: u64,
-    /// The commit-time memory barrier after the clflush train (§6.3):
-    /// one per transaction, charged at its force phase.
-    pub commit_barrier_cycles: u64,
-    /// Issue/reform overhead per cache line touched (load issue, line-fill
-    /// stall shadow, and byte re-layout into the row buffer). Charged to
-    /// the *memory* component, so formats needing more lines per row pay
-    /// proportionally (Fig. 9(a)) without skewing the Fig. 11(c) CPU pie.
-    pub per_line_cycles: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            index_cycles: 200,
-            alloc_cycles: 650,
-            op_base_cycles: 150,
-            per_value_cycles: 33,
-            chain_step_cycles: 10,
-            commit_barrier_cycles: 80,
-            per_line_cycles: 40,
-        }
-    }
-}
 
 /// Where a transaction's CPU time went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -121,50 +83,48 @@ impl Breakdown {
     }
 }
 
-/// Charges cycle costs into a breakdown using a CPU spec.
+/// Charges the per-operation cycle counts of [`pushtap_pim::calib`] into a
+/// breakdown using a CPU spec.
 #[derive(Debug, Clone, Copy)]
 pub struct Meter {
-    /// The cost model in effect.
-    pub costs: CostModel,
     /// The CPU converting cycles to time.
     pub cpu: CpuSpec,
 }
 
 impl Meter {
     /// Creates a meter.
-    pub fn new(costs: CostModel, cpu: CpuSpec) -> Meter {
-        Meter { costs, cpu }
+    pub fn new(cpu: CpuSpec) -> Meter {
+        Meter { cpu }
     }
 
     /// Time of `n` index operations.
     pub fn indexing(&self, n: u64) -> Ps {
-        self.cpu.cycles(self.costs.index_cycles * n)
+        self.cpu.cycles(INDEX_CYCLES * n)
     }
 
     /// Time of `n` allocations.
     pub fn alloc(&self, n: u64) -> Ps {
-        self.cpu.cycles(self.costs.alloc_cycles * n)
+        self.cpu.cycles(ALLOC_CYCLES * n)
     }
 
     /// Base computation plus `values` column-value operations.
     pub fn compute(&self, values: u64) -> Ps {
-        self.cpu
-            .cycles(self.costs.op_base_cycles + self.costs.per_value_cycles * values)
+        self.cpu.cycles(OP_BASE_CYCLES + PER_VALUE_CYCLES * values)
     }
 
     /// Time of `hops` version-chain hops.
     pub fn chain(&self, hops: u64) -> Ps {
-        self.cpu.cycles(self.costs.chain_step_cycles * hops)
+        self.cpu.cycles(CHAIN_STEP_CYCLES * hops)
     }
 
     /// Commit barrier time.
     pub fn commit_barrier(&self) -> Ps {
-        self.cpu.cycles(self.costs.commit_barrier_cycles)
+        self.cpu.cycles(COMMIT_BARRIER_CYCLES)
     }
 
     /// Issue/reform time for touching `lines` cache lines.
     pub fn line_issue(&self, lines: u64) -> Ps {
-        self.cpu.cycles(self.costs.per_line_cycles * lines)
+        self.cpu.cycles(PER_LINE_CYCLES * lines)
     }
 }
 
@@ -173,7 +133,7 @@ mod tests {
     use super::*;
 
     fn meter() -> Meter {
-        Meter::new(CostModel::default(), CpuSpec::xeon_like())
+        Meter::new(CpuSpec::xeon_like())
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! the unified data format (§7.1 of the paper).
 //!
 //! * [`HashIndex`] — chained hash index;
-//! * [`CostModel`]/[`Meter`]/[`Breakdown`] — the CPU cost components of a
+//! * [`Meter`]/[`Breakdown`] — the CPU cost components of a
 //!   transaction (Fig. 11(c): computation / allocation / indexing /
 //!   version-chain traversal) plus DRAM time;
 //! * [`HtapTable`] — one table: functional unified-format storage + MVCC +
-//!   snapshot + timing glue, with [`AccessModel`] selecting whether the
+//!   snapshot + timing glue, with [`DbFormat`] selecting whether the
 //!   traffic is timed as the unified format, a row-store, or a
 //!   column-store (the Fig. 9(a) comparison). A write is atomic on its
 //!   own, and [`HtapTable::undo_write`] takes one back; which writes make
@@ -72,12 +72,11 @@ mod table;
 mod tpcc;
 
 pub use codec::{CodecError, DecodedRecord, EffectRecord};
-pub use cost::{Breakdown, CostModel, Meter};
+pub use cost::{Breakdown, Meter};
 pub use effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect, Writes};
 pub use index::HashIndex;
 pub use probe::Probe;
-pub use table::{AccessModel, Fetch, HtapTable, LineRef, OpResult, TableConfig, TableGcPass};
+pub use table::{DbFormat, Fetch, HtapTable, LineRef, OpResult, TableConfig, TableGcPass};
 pub use tpcc::{
-    global_rows, stripe_start, warehouse_of_row, DbConfig, DbFormat, Partition, TpccDb, TxnResult,
-    TxnRole,
+    global_rows, stripe_start, warehouse_of_row, DbConfig, Partition, TpccDb, TxnResult, TxnRole,
 };

@@ -3,7 +3,7 @@
 //! charges every operation's memory traffic to the simulator.
 //!
 //! The same functional substrate serves three *timing* models
-//! ([`AccessModel`]): the unified format (PUSHtap), a traditional
+//! ([`DbFormat`]): the unified format (PUSHtap), a traditional
 //! row-store, and a traditional column-store — the byte values are
 //! identical, only the cache-line traffic differs, which is exactly the
 //! comparison Fig. 9(a) makes.
@@ -13,16 +13,19 @@ use pushtap_mvcc::{
     DefragCostModel, DefragStrategy, DeltaAllocator, DeltaFull, Snapshot, SnapshotUpdate, Ts,
     VersionChains,
 };
+use pushtap_pim::calib::{SNAPSHOT_ENTRY_CYCLES, VERSION_META_BYTES};
 use pushtap_pim::{BankAddr, Geometry, MemSystem, Op, Ps, Side};
 
 use crate::cost::{Breakdown, Meter};
 use crate::effects::ColumnWrite;
 use crate::index::HashIndex;
 
-/// Which storage format's traffic pattern the table is timed as.
+/// Which storage format a database instance uses: it picks each table's
+/// generated [`TableLayout`] and the traffic pattern the table is timed as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessModel {
-    /// PUSHtap's unified aligned format (parts × devices).
+pub enum DbFormat {
+    /// PUSHtap's compact aligned format (parts × devices), bin-packed at
+    /// [`UNIFIED_TH`](pushtap_pim::calib::UNIFIED_TH).
     Unified,
     /// Traditional contiguous row-store (the RS baseline; OLTP-ideal).
     RowStore,
@@ -44,7 +47,7 @@ pub struct TableConfig {
     /// First DRAM row used in each bank (table placement).
     pub base_dram_row: u32,
     /// Timing model.
-    pub model: AccessModel,
+    pub model: DbFormat,
     /// Which memory the instance lives in.
     pub side: Side,
     /// That memory's geometry: its interleave granularity, row-buffer
@@ -173,7 +176,7 @@ impl HtapTable {
         let arena_rows = store.region().arena_rows();
         let schema = store.layout().schema();
         let lines = match cfg.model {
-            AccessModel::Unified => LinePlan::Unified(
+            DbFormat::Unified => LinePlan::Unified(
                 store
                     .region()
                     .parts()
@@ -189,12 +192,12 @@ impl HtapTable {
                     })
                     .collect(),
             ),
-            AccessModel::RowStore => LinePlan::Arrays(vec![ArrayLines {
+            DbFormat::RowStore => LinePlan::Arrays(vec![ArrayLines {
                 salt: bank_salt(0),
                 width: schema.row_width() as u64,
                 base: 0,
             }]),
-            AccessModel::ColumnStore => {
+            DbFormat::ColumnStore => {
                 let mut base = 0u64;
                 let columns = schema.columns().iter().enumerate().map(|(ci, col)| {
                     let width = col.width as u64;
@@ -243,9 +246,9 @@ impl HtapTable {
     ///
     /// ```
     /// use pushtap_format::{compact_layout, paper_example_schema};
-    /// use pushtap_oltp::{AccessModel, HtapTable, TableConfig};
+    /// use pushtap_oltp::{DbFormat, HtapTable, TableConfig};
     /// use pushtap_pim::{Geometry, MemSystem, Ps, Side};
-    /// use pushtap_oltp::{CostModel, Meter};
+    /// use pushtap_oltp::Meter;
     /// use pushtap_pim::CpuSpec;
     /// use pushtap_mvcc::Ts;
     ///
@@ -253,10 +256,10 @@ impl HtapTable {
     /// let mut table = HtapTable::new(layout, TableConfig {
     ///     n_rows: 64, delta_rows: 16, block_rows: 16,
     ///     shards: Geometry::dimm().bank_addrs().collect(), base_dram_row: 0,
-    ///     model: AccessModel::Unified, side: Side::Pim, geometry: Geometry::dimm(),
+    ///     model: DbFormat::Unified, side: Side::Pim, geometry: Geometry::dimm(),
     /// });
     /// let mut mem = MemSystem::dimm();
-    /// let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
+    /// let meter = Meter::new(CpuSpec::xeon_like());
     /// // The new row's image: its six columns' 21 bytes, in schema order.
     /// let image = [1, 1, 1, 2, 1, 3, 3, 3, 1, 4, 4, 4, 4, 4, 4, 4, 4, 1, 5, 1, 6];
     ///
@@ -344,7 +347,7 @@ impl HtapTable {
     ///
     /// # Panics
     ///
-    /// Under [`AccessModel::Unified`], panics if the slot lies outside
+    /// Under [`DbFormat::Unified`], panics if the slot lies outside
     /// the region plan.
     pub fn for_each_line(&self, slot: RowSlot, mut f: impl FnMut(LineRef)) {
         let g = self.cfg.geometry.granularity as u64;
@@ -701,9 +704,10 @@ impl HtapTable {
         at: Ps,
     ) -> (SnapshotUpdate, Ps) {
         let stats = self.snapshot.update(self.chains.log(), upto);
-        // Metadata reads: 16 B per entry from host DRAM, 4 entries/line,
+        // Metadata reads: one version's metadata per entry from host DRAM,
         // striped over the host channels by the interleaved map.
-        let meta_lines = stats.entries_applied.div_ceil(4);
+        let entries_per_line = (64.0 / VERSION_META_BYTES) as u64;
+        let meta_lines = stats.entries_applied.div_ceil(entries_per_line);
         let mut end = mem.stream_striped(Side::Host, meta_lines, Op::Read, 64, at);
         // Bitmap writes on the PIM side: data-region flips scatter (one
         // aligned write each, updating every device at once); delta-region
@@ -717,9 +721,10 @@ impl HtapTable {
                 .done;
             end = end.max(done);
         }
-        // Per-entry processing: read the metadata fields and flip two
-        // bits (~12 cycles in a tight scan loop).
-        end += meter.cpu.cycles(stats.entries_applied * 12);
+        // Per-entry processing: read the metadata fields and flip two bits.
+        end += meter
+            .cpu
+            .cycles(stats.entries_applied * SNAPSHOT_ENTRY_CYCLES);
         (stats, end)
     }
 
@@ -863,13 +868,13 @@ impl TableGcPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CostModel, Meter};
+    use crate::cost::Meter;
     use proptest::prelude::*;
     use pushtap_format::{compact_layout, paper_example_schema, Column, TableSchema};
     use pushtap_mvcc::{InsertUndo, UndoLog, UndoRecord};
     use pushtap_pim::{CpuSpec, Geometry};
 
-    fn table(model: AccessModel) -> HtapTable {
+    fn table(model: DbFormat) -> HtapTable {
         let layout = compact_layout(&paper_example_schema(), 8, 0.6).unwrap();
         HtapTable::new(
             layout,
@@ -887,7 +892,7 @@ mod tests {
     }
 
     fn meter() -> Meter {
-        Meter::new(CostModel::default(), CpuSpec::xeon_like())
+        Meter::new(CpuSpec::xeon_like())
     }
 
     /// An update as the executor runs it: the fetch of the row's newest
@@ -922,7 +927,7 @@ mod tests {
 
     #[test]
     fn read_returns_loaded_values_with_time() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         t.load_row(5, &values(9).concat());
         let (vals, r) = t.timed_read(&mut mem, &meter(), 5, Ts(1), Ps::ZERO);
@@ -934,7 +939,7 @@ mod tests {
 
     #[test]
     fn update_creates_visible_version() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         t.load_row(5, &values(1).concat());
         update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
@@ -948,7 +953,7 @@ mod tests {
 
     #[test]
     fn snapshot_sees_only_snapshotted_versions() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         t.load_row(5, &values(1).concat());
         update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
@@ -963,7 +968,7 @@ mod tests {
 
     #[test]
     fn defragment_restores_data_region() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
@@ -990,7 +995,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "above the defragmentation cut")]
     fn defragment_below_a_version_panics() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
@@ -1002,7 +1007,7 @@ mod tests {
     /// above the cut stay on the chain and readable.
     #[test]
     fn gc_folds_below_the_cut_and_keeps_newer_versions() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
@@ -1034,7 +1039,7 @@ mod tests {
     /// after GC folds its visible version into the data region.
     #[test]
     fn gc_preserves_pinned_snapshot_reads() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
@@ -1058,7 +1063,7 @@ mod tests {
 
     #[test]
     fn delta_exhaustion_reports_full() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         t.load_row(0, &values(1).concat());
         let mut ts = 1u64;
@@ -1098,7 +1103,7 @@ mod tests {
         let bank = shard_salted(shard_row, 0);
         let mut lines = Vec::new();
         match t.cfg.model {
-            AccessModel::Unified => {
+            DbFormat::Unified => {
                 for (p, part) in t.store.layout().parts().iter().enumerate() {
                     let bank = shard_salted(shard_row, p as u64 + 1);
                     let start = match slot {
@@ -1120,7 +1125,7 @@ mod tests {
                     }
                 }
             }
-            AccessModel::RowStore => {
+            DbFormat::RowStore => {
                 let w = schema.row_width() as u64;
                 let offset = row * w;
                 let l0 = offset / line_bytes;
@@ -1133,7 +1138,7 @@ mod tests {
                     });
                 }
             }
-            AccessModel::ColumnStore => {
+            DbFormat::ColumnStore => {
                 let mut base = 0u64;
                 for (ci, col) in schema.columns().iter().enumerate() {
                     let bank = shard_salted(shard_row, ci as u64 + 1);
@@ -1185,7 +1190,7 @@ mod tests {
                 })
                 .collect();
             let layout = compact_layout(&TableSchema::new("prop", columns), devices, 0.6).unwrap();
-            for model in [AccessModel::Unified, AccessModel::RowStore, AccessModel::ColumnStore] {
+            for model in [DbFormat::Unified, DbFormat::RowStore, DbFormat::ColumnStore] {
                 let t = HtapTable::new(
                     layout.clone(),
                     TableConfig {
@@ -1213,9 +1218,9 @@ mod tests {
 
     #[test]
     fn colstore_reads_more_lines_than_rowstore() {
-        let rs = table(AccessModel::RowStore);
-        let cs = table(AccessModel::ColumnStore);
-        let uni = table(AccessModel::Unified);
+        let rs = table(DbFormat::RowStore);
+        let cs = table(DbFormat::ColumnStore);
+        let uni = table(DbFormat::Unified);
         let slot = RowSlot::Data { row: 17 };
         let rs_lines = walked(&rs, slot).len();
         let cs_lines = walked(&cs, slot).len();
@@ -1227,7 +1232,7 @@ mod tests {
 
     #[test]
     fn inserts_are_versioned() {
-        let mut t = table(AccessModel::Unified);
+        let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
         for (row, ts) in [(0, 1), (1, 2)] {
             let image = values(row as u8 + 1).concat();
@@ -1257,7 +1262,7 @@ mod tests {
     impl Scoped {
         fn new() -> Scoped {
             Scoped {
-                t: table(AccessModel::Unified),
+                t: table(DbFormat::Unified),
                 mem: MemSystem::dimm(),
                 undo: UndoLog::default(),
                 ring: 0,
@@ -1440,7 +1445,7 @@ mod tests {
 
     #[test]
     fn shards_rotate_by_block() {
-        let t = table(AccessModel::Unified);
+        let t = table(DbFormat::Unified);
         let s0 = t.bank_of(0, 0);
         let s1 = t.bank_of(1, 0); // next block
         let s2 = t.bank_of(2, 0);

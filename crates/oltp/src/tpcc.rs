@@ -30,14 +30,15 @@ use pushtap_format::{
 use pushtap_mvcc::{
     DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, TsOracle, UndoLog, UndoRecord,
 };
+use pushtap_pim::calib::UNIFIED_TH;
 use pushtap_pim::{BankAddr, Geometry, MemSystem, Ps, Side};
 use pushtap_sanitizer::{Access, AccessKind, SanKey};
 use pushtap_trace::Phase;
 
-use crate::cost::{Breakdown, CostModel, Meter};
+use crate::cost::{Breakdown, Meter};
 use crate::effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect};
 use crate::probe::Probe;
-use crate::table::{AccessModel, Fetch, HtapTable, TableConfig, TableGcPass};
+use crate::table::{DbFormat, Fetch, HtapTable, TableConfig, TableGcPass};
 
 /// The outcome of one committed transaction.
 #[derive(Debug, Clone, Copy)]
@@ -120,23 +121,6 @@ struct Columns {
     s_quantity: u32,
     s_ytd: u32,
     s_order_cnt: u32,
-}
-
-/// Which layout the database instance uses (drives both the generated
-/// [`TableLayout`] and the timing [`AccessModel`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DbFormat {
-    /// PUSHtap's compact aligned format with threshold `th`.
-    Unified {
-        /// Bin-packing threshold.
-        th: f64,
-    },
-    /// The naïve aligned format of §4.1.1 (ablation).
-    NaiveAligned,
-    /// Traditional row-store (the RS baseline).
-    RowStore,
-    /// Traditional column-store (the CS baseline).
-    ColumnStore,
 }
 
 /// One shard's slice of a partitioned deployment: shard `index` of
@@ -222,7 +206,7 @@ impl DbConfig {
         DbConfig {
             scale: 0.0005,
             min_warehouses: 1,
-            format: DbFormat::Unified { th: 0.6 },
+            format: DbFormat::Unified,
             side: Side::Pim,
             delta_frac: 0.5,
             min_delta_rows: 4096,
@@ -349,20 +333,12 @@ fn layout_for(
     devices: u32,
 ) -> Result<TableLayout, LayoutError> {
     match format {
-        DbFormat::Unified { th } => compact_layout(schema, devices, th),
+        DbFormat::Unified => compact_layout(schema, devices, UNIFIED_TH),
         // The classic baselines keep a validated (naïve) layout for
-        // functional storage; their *timing* uses the RS/CS access models.
-        DbFormat::NaiveAligned | DbFormat::RowStore | DbFormat::ColumnStore => {
+        // functional storage; their *timing* is the RS/CS traffic pattern.
+        DbFormat::RowStore | DbFormat::ColumnStore => {
             naive_layout(&schema.with_all_keys(), devices)
         }
-    }
-}
-
-fn access_model(format: DbFormat) -> AccessModel {
-    match format {
-        DbFormat::Unified { .. } | DbFormat::NaiveAligned => AccessModel::Unified,
-        DbFormat::RowStore => AccessModel::RowStore,
-        DbFormat::ColumnStore => AccessModel::ColumnStore,
     }
 }
 
@@ -436,7 +412,7 @@ impl TpccDb {
                     block_rows: BLOCK_ROWS,
                     shards: shards.clone(),
                     base_dram_row,
-                    model: access_model(cfg.format),
+                    model: cfg.format,
                     side: cfg.side,
                     geometry,
                 },
@@ -487,7 +463,7 @@ impl TpccDb {
                 s_order_cnt: col(Table::Stock, "s_order_cnt"),
             },
             tables,
-            meter: Meter::new(CostModel::default(), mem.cfg().cpu),
+            meter: Meter::new(mem.cfg().cpu),
             ts: Arc::new(TsOracle::new()),
             committed: 0,
             partition,
@@ -1623,11 +1599,7 @@ mod tests {
     fn format_ordering_on_oltp_time() {
         let mem0 = MemSystem::dimm();
         let mut times = Vec::new();
-        for format in [
-            DbFormat::RowStore,
-            DbFormat::Unified { th: 0.6 },
-            DbFormat::ColumnStore,
-        ] {
+        for format in [DbFormat::RowStore, DbFormat::Unified, DbFormat::ColumnStore] {
             let cfg = DbConfig::small().with_format(format);
             let mut db = TpccDb::build(&cfg, &mem0).unwrap();
             let mut mem = MemSystem::dimm();

@@ -10,8 +10,8 @@ use pushtap_mvcc::{
     DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, UndoLog, UndoRecord,
 };
 use pushtap_oltp::{
-    AccessModel, Breakdown, ColumnWrite, CostModel, DbConfig, Effect, HtapTable, Meter, OpResult,
-    TableConfig, TaggedEffect, TpccDb,
+    Breakdown, ColumnWrite, DbConfig, DbFormat, Effect, HtapTable, Meter, OpResult, TableConfig,
+    TaggedEffect, TpccDb,
 };
 use pushtap_pim::{BankAddr, CpuSpec, Geometry, MemSystem, Ps, Side};
 
@@ -357,7 +357,7 @@ fn scan_table() -> HtapTable {
             block_rows: 8,
             shards: vec![BankAddr::new(0, 0, 0), BankAddr::new(0, 0, 1)],
             base_dram_row: 0,
-            model: AccessModel::Unified,
+            model: DbFormat::Unified,
             side: Side::Pim,
             geometry: g,
         },
@@ -632,7 +632,7 @@ fn loaded_scan_table() -> (Scoped, MemSystem, Meter) {
     for row in 0..SCAN_ROWS {
         t.load_row(row, &row_image(row));
     }
-    let meter = Meter::new(CostModel::default(), CpuSpec::xeon_like());
+    let meter = Meter::new(CpuSpec::xeon_like());
     let scoped = Scoped {
         t,
         undo: UndoLog::default(),

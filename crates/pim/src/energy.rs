@@ -2,15 +2,13 @@
 //!
 //! The commercial PIM architecture claims roughly 10× lower access energy
 //! for PIM-local accesses than CPU accesses over the memory bus (\[11\],
-//! §1). We carry that ratio as per-byte constants so experiments can report
-//! an energy column alongside time.
+//! §1). We carry that ratio as per-byte constants
+//! ([`crate::calib::CPU_PJ_PER_BYTE`], [`crate::calib::PIM_PJ_PER_BYTE`]) so
+//! experiments can report an energy column alongside time.
 
 use serde::{Deserialize, Serialize};
 
-/// Energy per byte moved over the CPU memory bus (I/O + DRAM core), pJ.
-pub const CPU_PJ_PER_BYTE: f64 = 120.0;
-/// Energy per byte moved over the PIM-internal wire (10× reduction, \[11\]).
-pub const PIM_PJ_PER_BYTE: f64 = 12.0;
+use crate::calib::{CPU_PJ_PER_BYTE, PIM_PJ_PER_BYTE};
 
 /// Accumulated energy, split by access path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]

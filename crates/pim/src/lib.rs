@@ -16,7 +16,9 @@
 //! * [`MemSystem`] — the facade the database engine drives, with
 //!   effective-bandwidth and energy accounting;
 //! * [`DeviceMem`]/[`DeviceArray`] — functional byte storage so the
-//!   database on top is value-correct, not just timed.
+//!   database on top is value-correct, not just timed;
+//! * [`calib`] — every hand-set model constant that Table 1 does not give,
+//!   each with its unit and source.
 //!
 //! # Examples
 //!
@@ -43,6 +45,7 @@
 #![warn(missing_debug_implementations)]
 
 mod bank;
+pub mod calib;
 mod config;
 mod controller;
 mod energy;
@@ -57,11 +60,11 @@ mod timing;
 pub use bank::{BankState, RowOutcome};
 pub use config::{CpuSpec, MemKind, PimUnitSpec, SystemConfig};
 pub use controller::{ChannelController, Completion, CtrlStats, Op};
-pub use energy::{EnergyStats, CPU_PJ_PER_BYTE, PIM_PJ_PER_BYTE};
+pub use energy::EnergyStats;
 pub use geometry::{BankAddr, Geometry};
 pub use mem::{DeviceArray, DeviceMem};
 pub use pim_unit::{PimOpKind, PimUnit, PIPELINE_SATURATION_TASKLETS};
-pub use scheduler::{ControlArch, ControlModel, PER_UNIT_MESSAGE, POLL_RETURN, SCHED_DECODE};
+pub use scheduler::{ControlArch, ControlModel};
 pub use system::{MemSystem, Side, SysStats};
 pub use time::Ps;
 pub use timing::TimingParams;

@@ -19,21 +19,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::calib::{PER_UNIT_MESSAGE, POLL_RETURN, SCHED_DECODE};
 use crate::config::SystemConfig;
 use crate::pim_unit::PimOpKind;
 use crate::time::Ps;
-
-/// Cost of one CPU→PIM-unit control message on the original architecture
-/// (one small bus transaction per unit, serialised per channel).
-pub const PER_UNIT_MESSAGE: Ps = Ps::new(60_000); // 60 ns
-
-/// Fixed decode latency of the scheduler when it recognises a disguised
-/// launch/poll request.
-pub const SCHED_DECODE: Ps = Ps::new(50_000); // 50 ns
-
-/// Latency for the polling module to forward the aggregated finish signal
-/// back to the CPU through the DRAM read protocol.
-pub const POLL_RETURN: Ps = Ps::new(100_000); // 100 ns
 
 /// Which control architecture drives the PIM units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

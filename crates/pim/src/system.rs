@@ -264,13 +264,8 @@ impl MemSystem {
             Side::Pim => self.cfg.pim_geometry.channels,
             Side::Host => self.cfg.cpu_geometry.channels,
         };
-        let (share, extra) = (lines / channels as u64, lines % channels as u64);
         let mut end = at;
-        for ch in 0..channels {
-            let n = share + u64::from((ch as u64) < extra);
-            if n == 0 {
-                break;
-            }
+        for (ch, n) in channel_shares(lines, channels) {
             let bank = BankAddr::new(ch, 0, 0);
             end = end.max(self.stream_sampled(side, bank, 0, n, 16, op, useful, at));
         }
@@ -290,14 +285,8 @@ impl MemSystem {
     /// channel's end, or `at` when `bytes` is zero.
     pub fn pim_transfer(&mut self, bytes: u64, at: Ps) -> Ps {
         let bursts = bytes.div_ceil(64);
-        let channels = self.cfg.pim_geometry.channels;
-        let (share, extra) = (bursts / channels as u64, bursts % channels as u64);
         let mut end = at;
-        for ch in 0..channels {
-            let n = share + u64::from((ch as u64) < extra);
-            if n == 0 {
-                break;
-            }
+        for (ch, n) in channel_shares(bursts, self.cfg.pim_geometry.channels) {
             let (from, to) = (BankAddr::new(ch, 0, 0), BankAddr::new(ch, 0, 1));
             let mid = self.stream_sampled(Side::Pim, from, 0, n, 16, Op::Read, 64, at);
             let done = self.stream_sampled(Side::Pim, to, 0, n, 16, Op::Write, 64, mid);
@@ -341,6 +330,17 @@ impl MemSystem {
     pub fn pim_channel_stats(&self, channel: u32) -> &crate::controller::CtrlStats {
         self.pim_ctrl[channel as usize].stats()
     }
+}
+
+/// How the interleaved address map splits `n` consecutive lines over
+/// `channels` channels: as evenly as possible, the first `n % channels`
+/// channels taking one more. Yields each channel that gets a line, with
+/// its share.
+fn channel_shares(n: u64, channels: u32) -> impl Iterator<Item = (u32, u64)> {
+    let (share, extra) = (n / u64::from(channels), n % u64::from(channels));
+    (0..channels)
+        .map(move |ch| (ch, share + u64::from(u64::from(ch) < extra)))
+        .take_while(|&(_, n)| n > 0)
 }
 
 #[cfg(test)]
@@ -454,7 +454,7 @@ mod tests {
                 assert_eq!((s.cpu_fetched, s.cpu_useful), (moved, moved), "{bytes} B");
                 assert_eq!(
                     s.energy.cpu_pj,
-                    moved as f64 * crate::energy::CPU_PJ_PER_BYTE
+                    moved as f64 * crate::calib::CPU_PJ_PER_BYTE
                 );
             }
         }

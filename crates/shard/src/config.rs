@@ -1,6 +1,7 @@
 //! Configuration of the sharded service.
 
 use pushtap_core::PushtapConfig;
+use pushtap_pim::calib::{TWO_PC_HOP, VOTE_JITTER, WAL_FORCE_LATENCY};
 use pushtap_pim::Ps;
 
 /// Message-round latencies of the simulated two-phase commit.
@@ -73,7 +74,8 @@ impl ShardConfig {
     /// A small test/example deployment: the engine's small instance with
     /// the warehouse floor raised to 8, so shard counts 1–8 all partition
     /// the *same* global population (results stay comparable across
-    /// shard counts), and 500 ns prepare/commit hops.
+    /// shard counts), with the message, log-force and vote-skew latencies
+    /// of [`pushtap_pim::calib`].
     ///
     /// # Panics
     ///
@@ -89,10 +91,10 @@ impl ShardConfig {
             shards,
             base,
             commit: CommitConfig {
-                prepare_hop: Ps::from_ns(500.0),
-                commit_hop: Ps::from_ns(500.0),
-                force_latency: Ps::from_us(2.0),
-                vote_jitter: Ps::from_ns(200.0),
+                prepare_hop: TWO_PC_HOP,
+                commit_hop: TWO_PC_HOP,
+                force_latency: WAL_FORCE_LATENCY,
+                vote_jitter: VOTE_JITTER,
             },
         }
     }

@@ -16,6 +16,7 @@ use pushtap_oltp::{
     codec, ColumnWrite, DecodedRecord, Effect, EffectRecord, Partition, TaggedEffect, TxnRole,
     Writes,
 };
+use pushtap_pim::calib::MERGE_CYCLES_PER_ROW;
 use pushtap_pim::Ps;
 use pushtap_sanitizer::ShadowSanitizer;
 use pushtap_trace::{Histogram, Phase, TraceSink};
@@ -826,10 +827,6 @@ impl ShardedHtap {
         }
     }
 }
-
-/// CPU cycles per gathered partial row spent merging scatter-gather
-/// results on the coordinator.
-const MERGE_CYCLES_PER_ROW: u64 = 8;
 
 /// A closed-loop batch, expressed as front-end bounds: no inbox bound
 /// (nothing is ever rejected) and no window bound (nothing dispatches

@@ -427,6 +427,42 @@ const ROWS: &[Row] = &[
               `olap/src/query.rs`: its shuffles, bucket partitions and gathers \
               (§6.3) are priced there once, and nowhere else.",
     },
+    Row {
+        name: "one-calibration-table",
+        paths: &[
+            "crates/core/src",
+            "crates/format/src",
+            "crates/mvcc/src",
+            "crates/olap/src",
+            "crates/oltp/src",
+            "crates/pim/src",
+            "crates/shard/src",
+            "crates/wal/src",
+            "!crates/pim/src/calib.rs",
+            "!crates/pim/src/config.rs",
+            "!crates/pim/src/geometry.rs",
+            "!crates/pim/src/timing.rs",
+        ],
+        non_test: true,
+        check: AnyUnless(
+            &[
+                "Ps::new(",
+                "Ps::from_ns(",
+                "Ps::from_us(",
+                "Ps::from_ms(",
+                ".cycles(",
+            ],
+            not_a_hand_set_constant,
+        ),
+        sample: "let pause = Ps::from_us(30.0);",
+        why: "Every hand-set model constant is written once, with its unit and \
+              source, in `pim/src/calib.rs`, and Table 1 stays in `timing.rs`, \
+              `geometry.rs` and `config.rs`: no other model code passes a \
+              number to a `Ps` constructor or a literal count to `.cycles(`. \
+              Exempt are doc examples (comment lines) and unit conversions (a \
+              `Ps` of computed picoseconds, or of whole seconds as a rate \
+              window).",
+    },
 ];
 
 /// `read_row` inside `timed_read` or `snapshot_read`: the nearest line at
@@ -463,6 +499,60 @@ fn declares_fn(line: &str) -> bool {
             .take_while(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || **b == b'_')
             .count();
         name > 0 && matches!(rest.get(name), Some(b'(' | b'<'))
+    })
+}
+
+/// A `Ps` constructor or `.cycles(` call that sets no model constant: on
+/// a comment line (a doc example), a `.cycles(` whose argument holds no
+/// number, or a `Ps` whose argument is not one number (a conversion of
+/// computed picoseconds) or is a whole number of seconds (a rate window).
+fn not_a_hand_set_constant(file: &Scanned, offset: usize, literal: &str) -> bool {
+    let line = &file.text[line_span(&file.text, offset)];
+    if line.trim_start().starts_with("//") {
+        return true;
+    }
+    let arg = call_argument(&file.text, offset + literal.len()).trim();
+    if literal == ".cycles(" {
+        return !holds_a_number(arg);
+    }
+    let ps_per_unit = match literal {
+        "Ps::from_ns(" => 1e3,
+        "Ps::from_us(" => 1e6,
+        "Ps::from_ms(" => 1e9,
+        _ => 1.0,
+    };
+    match arg.replace('_', "").parse::<f64>() {
+        Ok(value) => {
+            let seconds = value * ps_per_unit / 1e12;
+            seconds >= 1.0 && seconds.fract() == 0.0
+        }
+        Err(_) => !arg.starts_with(|c: char| c.is_ascii_digit()),
+    }
+}
+
+/// The text from `start` up to the `)` that closes the call whose `(`
+/// precedes it.
+fn call_argument(text: &str, start: usize) -> &str {
+    let mut depth = 0usize;
+    for (i, b) in text.bytes().enumerate().skip(start) {
+        match b {
+            b'(' => depth += 1,
+            b')' if depth == 0 => return &text[start..i],
+            b')' => depth -= 1,
+            _ => {}
+        }
+    }
+    &text[start..]
+}
+
+/// Whether `code` holds a number literal: a digit that does not continue
+/// an identifier or follow a `.` (a tuple field).
+fn holds_a_number(code: &str) -> bool {
+    let bytes = code.as_bytes();
+    bytes.iter().enumerate().any(|(i, b)| {
+        b.is_ascii_digit()
+            && (i == 0
+                || !(bytes[i - 1].is_ascii_alphanumeric() || matches!(bytes[i - 1], b'_' | b'.')))
     })
 }
 
@@ -1139,6 +1229,40 @@ let lt: &'static str = "y";
             .collect();
         // Comments count, as they do for `grep`.
         assert_eq!(lines, [1, 3]);
+    }
+
+    #[test]
+    fn calibration_literals_fire_outside_the_calibration_table_only() {
+        let src = "/// let t = Ps::from_us(2.0);\n\
+                   fn a() -> Ps { Ps::new(100_000_000) }\n\
+                   fn b(cpu: &CpuSpec, n: u64) -> Ps { cpu.cycles(n * 12) }\n\
+                   fn c(s: f64) -> Ps { Ps::new((s * 1e12).round() as u64) }\n\
+                   fn d(cpu: &CpuSpec, n: u64) -> Ps { cpu.cycles(n * ENTRY_CYCLES) }\n\
+                   fn e() -> Ps { Ps::from_ms(60_000.0) }\n";
+        let row = ROWS
+            .iter()
+            .find(|row| row.name == "one-calibration-table")
+            .unwrap();
+        let tree = Tree::new("calibration");
+        let (model, table) = (
+            PathBuf::from("crates/oltp/src/table.rs"),
+            PathBuf::from("crates/pim/src/calib.rs"),
+        );
+        tree.plant(&model, src);
+        tree.plant(&table, src);
+        let violations = check(&tree.0, row);
+        let lines = |path: &PathBuf| -> Vec<usize> {
+            violations
+                .iter()
+                .filter(|v| &v.file == path)
+                .map(|v| v.line)
+                .collect()
+        };
+        // The numeric `Ps` literal and the literal cycle multiplier fire;
+        // the doc example, the conversions, the named count and the same
+        // lines in the table itself do not.
+        assert_eq!(lines(&model), [2, 3]);
+        assert_eq!(lines(&table), [0usize; 0]);
     }
 
     #[test]

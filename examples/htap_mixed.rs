@@ -11,7 +11,7 @@ use pushtap::pim::{Ps, SystemConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pushtap = Pushtap::new(PushtapConfig::small())?;
-    let mut mi = MultiInstance::new(DbConfig::small(), SystemConfig::dimm(), 1.0)?;
+    let mut mi = MultiInstance::new(DbConfig::small(), SystemConfig::dimm())?;
 
     let mut gen_p = pushtap.txn_gen(123);
     let mut gen_m = pushtap.txn_gen(123); // same stream for both systems

@@ -106,7 +106,6 @@ fn performance_isolation_vs_multi_instance() {
     let mut mi = MultiInstance::new(
         DbConfig::small().with_format(DbFormat::RowStore),
         SystemConfig::dimm(),
-        1.0,
     )
     .expect("build");
     let mut gen = pushtap::chbench::TxnGen::new(
