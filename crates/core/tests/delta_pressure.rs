@@ -204,6 +204,35 @@ fn oltp_report_carries_retry_counters() {
     assert_eq!((report.aborts, report.retried_txns), (0, 0));
 }
 
+/// The single-engine twin of `trace_reconcile`'s shard assertions: under
+/// delta pressure a batch's report accounts for every picosecond the
+/// clock advanced, its stall samples sum to its pause times, and its
+/// retry counters agree with the database's.
+#[test]
+fn run_txns_reconciles_with_the_clock() {
+    let mut squeezed = Pushtap::new(pressured(0.012, 8)).expect("build");
+    let mut gen = squeezed.txn_gen(SEED);
+    squeezed.run_txns(&mut gen, 40);
+    let (start, aborts, wasted) = (
+        squeezed.now(),
+        squeezed.db().aborts(),
+        squeezed.db().wasted_retry_time(),
+    );
+    let report = squeezed.run_txns(&mut gen, 80);
+    assert!(report.retried_txns > 0, "undersized arenas must retry");
+    assert_eq!(report.total_time(), squeezed.now() - start);
+    assert_eq!(report.gc_stall.sum(), u128::from(report.gc_time.ps()));
+    assert_eq!(
+        report.defrag_stall.sum(),
+        u128::from(report.defrag_time.ps())
+    );
+    assert_eq!(report.aborts, squeezed.db().aborts() - aborts);
+    assert_eq!(
+        report.wasted_retry_time,
+        squeezed.db().wasted_retry_time() - wasted
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
