@@ -40,4 +40,4 @@ mod system;
 pub use baseline::{IdealModel, MultiInstance};
 pub use frontier::{FrontierParams, FrontierPoint};
 pub use metrics::{qphh, tpmc};
-pub use system::{GcStats, MaintPause, OltpReport, Pushtap, PushtapConfig, QueryReport};
+pub use system::{GcStats, OltpReport, Pushtap, PushtapConfig, QueryReport};

@@ -32,38 +32,6 @@ pub(crate) fn scattered_copy_model(system: &SystemConfig) -> DefragCostModel {
     )
 }
 
-/// The maintenance pause one execute call charged to the engine clock,
-/// split by mechanism: incremental garbage collection (no barrier)
-/// versus a full defragmentation barrier. The shard coordinator charges
-/// each share to its own report counter and histogram.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintPause {
-    /// Pause spent in garbage-collection passes.
-    pub gc: Ps,
-    /// Pause spent in defragmentation barriers.
-    pub defrag: Ps,
-}
-
-impl MaintPause {
-    /// No pause at all.
-    pub const ZERO: MaintPause = MaintPause {
-        gc: Ps::ZERO,
-        defrag: Ps::ZERO,
-    };
-
-    /// The combined clock advance.
-    pub fn total(&self) -> Ps {
-        self.gc + self.defrag
-    }
-
-    /// Accumulates another pause (an execute call can pay several
-    /// reclamation rounds across its retries).
-    pub fn absorb(&mut self, other: MaintPause) {
-        self.gc += other.gc;
-        self.defrag += other.defrag;
-    }
-}
-
 /// Aggregate garbage-collection statistics of a run. Counters sum over
 /// every pass (and, in a deployment, over every shard); the two gauges
 /// are sampled when the tally is drained at batch end and sum across
@@ -248,8 +216,8 @@ pub struct OltpReport {
     /// the number of defragmentation passes.
     pub defrag_stall: Histogram,
     /// Duration of each garbage-collection pause that landed on this
-    /// engine's clock (picoseconds), one sample per execute call that
-    /// paid one; the sample sum equals [`OltpReport::gc_time`].
+    /// engine's clock (picoseconds), one sample per GC pause; the sample
+    /// sum equals [`OltpReport::gc_time`].
     pub gc_stall: Histogram,
     /// Stall of each two-phase-commit message round charged to this
     /// engine (picoseconds), one sample per round: its count is the
@@ -351,7 +319,10 @@ pub struct Pushtap {
     defrag_cost: DefragCostModel,
     now: Ps,
     txns_since_defrag: u64,
-    gc_tally: GcStats,
+    /// What only the engine knows of its own work since the last
+    /// [`Pushtap::take_report`]: transaction and wasted time, aborts,
+    /// maintenance pauses and GC passes.
+    tally: OltpReport,
 }
 
 impl Pushtap {
@@ -388,7 +359,7 @@ impl Pushtap {
             defrag_cost,
             now: Ps::ZERO,
             txns_since_defrag: 0,
-            gc_tally: GcStats::default(),
+            tally: OltpReport::default(),
         })
     }
 
@@ -495,7 +466,7 @@ impl Pushtap {
 
     /// Executes one transaction under the next timestamp of this
     /// instance's oracle, drawn once: see [`Pushtap::execute_txn_at`].
-    pub fn execute_txn(&mut self, txn: &Txn) -> (TxnResult, MaintPause) {
+    pub fn execute_txn(&mut self, txn: &Txn) -> TxnResult {
         let ts = self.db.ts_oracle().allocate();
         self.execute_txn_at(txn, ts)
     }
@@ -503,8 +474,8 @@ impl Pushtap {
     /// Executes one transaction under its commit timestamp `ts` (see
     /// [`TpccDb::execute_at`](pushtap_oltp::TpccDb::execute_at)); reclaims
     /// (GC first, defragmentation as the fallback) and retries on a full
-    /// delta arena. Returns the result plus the maintenance pauses
-    /// incurred, split by mechanism.
+    /// delta arena. The attempts' time, the aborts and the maintenance
+    /// pauses go to the engine's tally ([`Pushtap::take_report`]).
     ///
     /// The retry is *atomic*: the engine rolls back all partial effects
     /// of the failed attempt before returning the error, and the
@@ -513,38 +484,51 @@ impl Pushtap {
     /// This is also how a sharded coordinator drives each shard:
     /// timestamps are drawn from the shared [`TsOracle`] in global stream
     /// order, so concurrent shards commit exactly the timestamps a
-    /// single-instance reference would. Abort counts are tracked on the
-    /// database ([`TpccDb::aborts`](pushtap_oltp::TpccDb::aborts)) and
-    /// surfaced per batch in [`OltpReport`].
-    pub fn execute_txn_at(&mut self, txn: &Txn, ts: Ts) -> (TxnResult, MaintPause) {
-        let mut pauses = self.defrag_if_due();
+    /// single-instance reference would.
+    pub fn execute_txn_at(&mut self, txn: &Txn, ts: Ts) -> TxnResult {
+        self.defrag_if_due();
         loop {
-            let wasted_before = self.db.wasted_retry_time();
-            match self.db.execute_at(txn, ts, &mut self.mem, self.now) {
+            match self.attempt(|db, mem, at| db.execute_at(txn, ts, mem, at)) {
                 Ok(r) => {
-                    self.now = r.end;
                     self.txns_since_defrag += 1;
-                    return (r, pauses);
+                    return r;
                 }
-                // The failed attempt was rolled back, but its statements
-                // consumed real time (their memory traffic is charged to
-                // the simulated memory system): advance the clock by the
-                // attempt's latency, then reclaim the delta regions and
-                // re-execute.
-                Err(_full) => {
-                    self.now += self.db.wasted_retry_time().saturating_sub(wasted_before);
-                    pauses.absorb(self.reclaim_now());
-                }
+                Err(_full) => self.reclaim_now(),
             }
         }
+    }
+
+    /// Runs one transaction attempt at the clock and tallies it. A
+    /// successful attempt moves the clock to its end. A failed one was
+    /// rolled back, but its statements consumed real time (their memory
+    /// traffic is charged to the simulated memory system): the clock
+    /// advances by the latency it wasted, and the attempt counts as an
+    /// abort. Either way the advance is transaction time.
+    fn attempt(
+        &mut self,
+        apply: impl FnOnce(&mut TpccDb, &mut MemSystem, Ps) -> Result<TxnResult, DeltaFull>,
+    ) -> Result<TxnResult, DeltaFull> {
+        let (start, wasted) = (self.now, self.db.wasted_retry_time());
+        let r = apply(&mut self.db, &mut self.mem, start);
+        match &r {
+            Ok(r) => self.now = r.end,
+            Err(_) => {
+                let lost = self.db.wasted_retry_time().saturating_sub(wasted);
+                self.now += lost;
+                self.tally.wasted_retry_time += lost;
+                self.tally.aborts += 1;
+            }
+        }
+        self.tally.txn_time += self.now.saturating_sub(start);
+        r
     }
 
     /// Runs the periodic maintenance check: if the configured period has
     /// elapsed since the last reclamation, runs an incremental
     /// garbage-collection pass below the eligible cut — and only if that
     /// pass reclaims nothing (every surviving version is above the cut
-    /// or pinned) falls back to the full defragmentation barrier.
-    /// Returns the pause split (zero when the period has not elapsed).
+    /// or pinned) falls back to the full defragmentation barrier. Does
+    /// nothing when the period has not elapsed.
     /// [`Pushtap::execute_txn`] runs this automatically; the shard
     /// coordinator calls it explicitly, once per involved shard at the
     /// start of each wave's prepare pass, because reclamation must never
@@ -558,12 +542,12 @@ impl Pushtap {
     /// pressure ([`Pushtap::reclaim_now`] from the `DeltaFull` retry
     /// loop) may still defragment, trading the pinned cut for forward
     /// progress.
-    pub fn defrag_if_due(&mut self) -> MaintPause {
+    pub fn defrag_if_due(&mut self) {
         if self.cfg.defrag_period == 0 || self.txns_since_defrag < self.cfg.defrag_period {
-            return MaintPause::ZERO;
+            return;
         }
         let may_defragment = !self.db.snapshot_pinned();
-        self.reclaim(may_defragment)
+        self.reclaim(may_defragment);
     }
 
     /// On-demand reclamation (the pressure policy): an incremental GC
@@ -574,25 +558,24 @@ impl Pushtap {
     /// below the cut, a retry that still overflows finds the next GC
     /// pass empty and lands on the defragmentation fallback, so the
     /// loop terminates exactly as it did before GC existed.
-    pub fn reclaim_now(&mut self) -> MaintPause {
-        self.reclaim(true)
+    pub fn reclaim_now(&mut self) {
+        self.reclaim(true);
     }
 
     /// The GC-first policy both reclamation paths share: a GC pass, and
     /// only if it freed nothing the defragmentation barrier — when
-    /// `may_defragment`; otherwise the period simply re-arms.
-    fn reclaim(&mut self, may_defragment: bool) -> MaintPause {
-        let gc = self.gc_pass();
-        if gc == Ps::ZERO && may_defragment {
-            return MaintPause {
-                gc,
-                defrag: self.defragment_all().1,
-            };
-        }
+    /// `may_defragment`; otherwise the period simply re-arms. Each pause
+    /// is one stall sample in the tally: the only pause time it records.
+    fn reclaim(&mut self, may_defragment: bool) {
         self.txns_since_defrag = 0;
-        MaintPause {
-            gc,
-            defrag: Ps::ZERO,
+        let gc = self.gc_pass();
+        if gc > Ps::ZERO {
+            self.tally.gc_time += gc;
+            self.tally.gc_stall.record(gc.ps());
+        } else if may_defragment {
+            let (_, defrag) = self.defragment_all();
+            self.tally.defrag_time += defrag;
+            self.tally.defrag_stall.record(defrag.ps());
         }
     }
 
@@ -609,8 +592,9 @@ impl Pushtap {
     /// below the cut into the data region, recycles the superseded
     /// delta slots, and trims the consumed commit-log entries (see
     /// [`TpccDb::gc`]). Charges the copy-back and traverse time to the
-    /// clock and emits a [`Phase::GcPass`] span. An empty pass (nothing
-    /// eligible) costs nothing, is not counted, and emits no span.
+    /// clock, counts the pass in the tally's [`OltpReport::gc`] and emits
+    /// a [`Phase::GcPass`] span. An empty pass (nothing eligible) costs
+    /// nothing, is not counted, and emits no span.
     ///
     /// # Panics
     ///
@@ -626,23 +610,30 @@ impl Pushtap {
         let pause = self.pause(GC_FIXED_OVERHEAD, seconds, pass.chain_steps);
         let start = self.now;
         self.now += pause;
-        self.gc_tally.absorb_pass(&pass);
+        self.tally.gc.absorb_pass(&pass);
         self.db
             .probe()
             .span(Phase::GcPass, before.0, 0, start, self.now);
         pause
     }
 
-    /// Drains the GC tally accumulated since the last drain, stamping
-    /// the end-of-batch gauges (live delta versions, commit-log
-    /// entries). [`Pushtap::run_txns`] drains into its report; the shard
+    /// Drains the engine's tally accumulated since the last drain,
+    /// stamping the end-of-batch gauges (live delta versions, commit-log
+    /// entries). It holds what only the engine knows: the clock advance
+    /// of its transaction attempts, prepares and aborts (failed attempts
+    /// included), the aborts and the time they wasted, every GC pass,
+    /// and the pause of each reclamation a transaction path ran. Explicit
+    /// [`Pushtap::gc_pass`] / [`Pushtap::gc_at`] calls add their pass
+    /// counters but no pause time. The driver's fields (commits, retried
+    /// transactions, breakdown, latencies, 2PC and WAL) stay zero.
+    /// [`Pushtap::run_txns`] drains into its report; the shard
     /// coordinator drains each shard into its per-shard load after a
     /// batch.
-    pub fn take_gc_stats(&mut self) -> GcStats {
-        let mut stats = std::mem::take(&mut self.gc_tally);
-        stats.live_versions = self.db.live_delta_rows();
-        stats.commit_log_len = self.db.commit_log_entries();
-        stats
+    pub fn take_report(&mut self) -> OltpReport {
+        let mut report = std::mem::take(&mut self.tally);
+        report.gc.live_versions = self.db.live_delta_rows();
+        report.gc.commit_log_len = self.db.commit_log_entries();
+        report
     }
 
     /// Applies an effect set at pinned timestamp `ts` and parks the
@@ -651,8 +642,9 @@ impl Pushtap {
     /// advancing this engine's clock by the prepare's latency. On
     /// [`DeltaFull`] the partial effects are already rolled back and the
     /// clock advances by the failed attempt's latency (its memory
-    /// traffic hit the simulated memory system); the caller — the shard
-    /// coordinator — decides where to defragment and when to retry.
+    /// traffic hit the simulated memory system), tallied as an abort;
+    /// the caller — the shard coordinator — decides where to defragment
+    /// and when to retry.
     ///
     /// # Errors
     ///
@@ -663,20 +655,7 @@ impl Pushtap {
         effects: &[TaggedEffect],
         ts: Ts,
     ) -> Result<TxnResult, DeltaFull> {
-        let wasted_before = self.db.wasted_retry_time();
-        match self
-            .db
-            .prepare_effects(effects, ts, &mut self.mem, self.now)
-        {
-            Ok(r) => {
-                self.now = r.end;
-                Ok(r)
-            }
-            Err(full) => {
-                self.now += self.db.wasted_retry_time().saturating_sub(wasted_before);
-                Err(full)
-            }
-        }
+        self.attempt(|db, mem, at| db.prepare_effects(effects, ts, mem, at))
     }
 
     /// Delivers the coordinator's commit decision for the prepared scope
@@ -697,53 +676,43 @@ impl Pushtap {
     /// Delivers the coordinator's abort decision for the scope prepared
     /// at `ts`: its pinned effects roll back and the prepare's latency
     /// is charged to wasted retry time (the clock already covered it —
-    /// the work really happened before it was thrown away). Other
-    /// scopes prepared on this engine are untouched.
+    /// the work really happened before it was thrown away), tallied as
+    /// an abort. Other scopes prepared on this engine are untouched.
     pub fn abort_prepared(&mut self, ts: Ts) {
+        let wasted = self.db.wasted_retry_time();
         self.db.abort_prepared(ts);
+        self.tally.wasted_retry_time += self.db.wasted_retry_time().saturating_sub(wasted);
+        self.tally.aborts += 1;
         self.db
             .probe()
             .span(Phase::Abort, ts.0, 0, self.now, self.now);
     }
 
     /// Runs `n` transactions from `gen`, defragmenting per the configured
-    /// period.
+    /// period. The report is the engine's drained tally
+    /// ([`Pushtap::take_report`]) plus the commits, retried transactions,
+    /// breakdown and commit latencies of the run.
     pub fn run_txns(&mut self, gen: &mut TxnGen, n: u64) -> OltpReport {
-        let mut report = OltpReport::default();
+        let mut breakdown = Breakdown::default();
+        let mut commit_latency = Histogram::default();
+        let mut retried_txns = 0;
         for _ in 0..n {
             let txn = gen.next_txn();
-            let before = self.now;
-            let aborts_before = self.db.aborts();
-            let wasted_before = self.db.wasted_retry_time();
-            let (r, pauses) = self.execute_txn(&txn);
-            report.committed += 1;
-            let aborted = self.db.aborts() - aborts_before;
-            report.aborts += aborted;
-            if aborted > 0 {
-                report.retried_txns += 1;
-            }
-            report.defrag_time += pauses.defrag;
-            report.gc_time += pauses.gc;
-            report.wasted_retry_time += self.db.wasted_retry_time().saturating_sub(wasted_before);
-            report.txn_time += self
-                .now
-                .saturating_sub(before)
-                .saturating_sub(pauses.total());
-            report.breakdown.merge(&r.breakdown);
+            let (start, aborts) = (self.now, self.tally.aborts);
+            let r = self.execute_txn(&txn);
+            retried_txns += u64::from(self.tally.aborts > aborts);
+            breakdown.merge(&r.breakdown);
             // Submitter-perceived latency: retries and folded-in
             // maintenance pauses included, one sample per commit.
-            report
-                .commit_latency
-                .record(self.now.saturating_sub(before).ps());
-            if pauses.defrag > Ps::ZERO {
-                report.defrag_stall.record(pauses.defrag.ps());
-            }
-            if pauses.gc > Ps::ZERO {
-                report.gc_stall.record(pauses.gc.ps());
-            }
+            commit_latency.record(self.now.saturating_sub(start).ps());
         }
-        report.gc.merge(&self.take_gc_stats());
-        report
+        OltpReport {
+            committed: n,
+            retried_txns,
+            breakdown,
+            commit_latency,
+            ..self.take_report()
+        }
     }
 
     /// Defragments every table (OLTP paused): the garbage-collection fold
@@ -983,13 +952,13 @@ mod tests {
         );
         let after = p.run_query(Query::Q6);
         assert_eq!(before.result, after.result, "GC must not change answers");
-        let stats = p.take_gc_stats();
+        let stats = p.take_report().gc;
         assert_eq!(stats.passes, 1);
         assert!(stats.versions_reclaimed > 0);
         assert_eq!(stats.live_versions, p.db().live_delta_rows());
         assert_eq!(stats.commit_log_len, p.db().commit_log_entries());
         // The tally drains: a second take reports only fresh gauges.
-        assert_eq!(p.take_gc_stats().passes, 0);
+        assert_eq!(p.take_report().gc.passes, 0);
     }
 
     #[test]
@@ -1001,7 +970,7 @@ mod tests {
         let now = p.now();
         assert_eq!(p.gc_pass(), Ps::ZERO, "nothing left below the cut");
         assert_eq!(p.now(), now, "an empty pass must not advance the clock");
-        assert_eq!(p.take_gc_stats().passes, 1, "empty passes are not counted");
+        assert_eq!(p.take_report().gc.passes, 1, "empty passes are not counted");
     }
 
     /// The sanitizer reads snapshot pins off the engine's oracle,

@@ -154,7 +154,7 @@ fn pressure_run_is_byte_identical_to_ample_run() {
     // reclaim between a failed attempt and its retry takes may sit at the
     // attempt's timestamp or just below it — no version exists there, so
     // either folds the same versions and leaves the same snapshots.
-    let gc = squeezed.take_gc_stats();
+    let gc = squeezed.take_report().gc;
     assert_eq!(
         (
             gc.passes,
@@ -222,6 +222,8 @@ fn run_txns_reconciles_with_the_clock() {
     assert!(report.retried_txns > 0, "undersized arenas must retry");
     assert_eq!(report.total_time(), squeezed.now() - start);
     assert_eq!(report.gc_stall.sum(), u128::from(report.gc_time.ps()));
+    // One sample per GC pause, as the shard driver records them.
+    assert_eq!(report.gc_stall.count(), report.gc.passes);
     assert_eq!(
         report.defrag_stall.sum(),
         u128::from(report.defrag_time.ps())

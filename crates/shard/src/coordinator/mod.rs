@@ -77,7 +77,7 @@ pub mod schedule;
 
 use std::ops::Range;
 
-use pushtap_core::{MaintPause, Pushtap};
+use pushtap_core::Pushtap;
 use pushtap_mvcc::Ts;
 use pushtap_oltp::{codec, TaggedEffect, TxnResult, TxnRole};
 use pushtap_pim::Ps;
@@ -166,45 +166,6 @@ fn vote_skew(bound: Ps, participant: u32, ts: Ts) -> Ps {
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     Ps::new(x % (bound.ps() + 1))
-}
-
-/// Records a defragmentation pause in a shard's load accounting.
-fn charge_defrag(load: &mut ShardLoad, pause: Ps) {
-    if pause > Ps::ZERO {
-        load.report.defrag_time += pause;
-        load.report.defrag_stall.record(pause.ps());
-    }
-}
-
-/// Records an execute call's maintenance pauses in a shard's load
-/// accounting, split by mechanism: the defragmentation share lands in
-/// `defrag_time`/`defrag_stall` (one sample per pass), the GC share in
-/// `gc_time`/`gc_stall` (pass counts come from the engine's drained
-/// [`pushtap_core::GcStats`] tally at batch end).
-fn charge_maintenance(load: &mut ShardLoad, pauses: MaintPause) {
-    charge_defrag(load, pauses.defrag);
-    if pauses.gc > Ps::ZERO {
-        load.report.gc_time += pauses.gc;
-        load.report.gc_stall.record(pauses.gc.ps());
-    }
-}
-
-/// Runs one engine call under delta-capture accounting: any clock
-/// movement lands in the shard's transaction time, and any wasted-time
-/// accrual (a failed prepare, a coordinator-aborted prepared scope) in
-/// its wasted-retry counter — keeping the report reconciled with the
-/// engine's own counters at every call site.
-fn charge_engine<T>(
-    load: &mut ShardLoad,
-    shard: &mut Pushtap,
-    f: impl FnOnce(&mut Pushtap) -> T,
-) -> T {
-    let before = shard.now();
-    let wasted_before = shard.db().wasted_retry_time();
-    let r = f(shard);
-    load.report.txn_time += shard.now().saturating_sub(before);
-    load.report.wasted_retry_time += shard.db().wasted_retry_time().saturating_sub(wasted_before);
-    r
 }
 
 /// One wave member: what it does and how the wave decided it.
@@ -429,7 +390,7 @@ impl Engines<'_> {
             let mut wal = self.dur.as_mut().map(|d| &mut d.logs[i]);
             // Periodic maintenance between waves — no scope is open on
             // this shard here.
-            charge_maintenance(load, shard.defrag_if_due());
+            shard.defrag_if_due();
             let phase_start = shard.now();
             for item in list {
                 item.start = shard.now();
@@ -445,24 +406,21 @@ impl Engines<'_> {
                     san.begin_execution(track, item.ts.0, shard.now().ps());
                 }
                 let own = &effects[item.effects.clone()];
-                match charge_engine(load, shard, |s| s.prepare_effects_at(own, item.ts)) {
-                    Ok(r) => {
-                        // `prepared_txns` keeps its 2PC-only semantics:
-                        // a warehouse-local wave item rides the same
-                        // prepare machinery but is a one-phase commit,
-                        // not a 2PC prepare.
-                        if item.cross {
-                            load.report.prepared_txns += 1;
-                        }
-                        if item.role == TxnRole::Participant {
-                            load.report.forwarded_effects += own.len() as u64;
-                        }
-                        if let Some(w) = wal.as_deref_mut() {
-                            wal_append(w, load, shard, item, own, wave_id);
-                        }
-                        item.vote = Some(r);
+                if let Ok(r) = shard.prepare_effects_at(own, item.ts) {
+                    // `prepared_txns` keeps its 2PC-only semantics:
+                    // a warehouse-local wave item rides the same
+                    // prepare machinery but is a one-phase commit,
+                    // not a 2PC prepare.
+                    if item.cross {
+                        load.report.prepared_txns += 1;
                     }
-                    Err(_full) => load.report.aborts += 1,
+                    if item.role == TxnRole::Participant {
+                        load.report.forwarded_effects += own.len() as u64;
+                    }
+                    if let Some(w) = wal.as_deref_mut() {
+                        wal_append(w, load, shard, item, own, wave_id);
+                    }
+                    item.vote = Some(r);
                 }
                 if item.cross {
                     trace_span(shard, Phase::TwoPc, item.ts.0, item.start, wave_id);
@@ -589,8 +547,7 @@ impl Engines<'_> {
                             .record(shard.now().saturating_sub(item.start).ps());
                     }
                 } else {
-                    charge_engine(load, shard, |s| s.abort_prepared(item.ts));
-                    load.report.aborts += 1;
+                    shard.abort_prepared(item.ts);
                     load.report.participant_aborts += 1;
                 }
                 if item.cross {
@@ -621,9 +578,8 @@ impl Engines<'_> {
                 continue;
             }
             let routed = member.routed;
-            let no_voters = items.iter().filter(|it| it.txn == txn && it.vote.is_none());
-            for v in no_voters.map(|it| it.shard) {
-                charge_maintenance(&mut self.loads[v], self.shards[v].reclaim_now());
+            for it in items.iter().filter(|it| it.txn == txn && it.vote.is_none()) {
+                self.shards[it.shard].reclaim_now();
             }
             let home = routed.shard as usize;
             if wave_id > 0 {

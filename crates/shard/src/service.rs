@@ -607,9 +607,10 @@ impl ShardedHtap {
         }
         for (i, load) in loads.iter_mut().enumerate() {
             load.elapsed = self.shards[i].now().saturating_sub(starts[i]);
-            // Drain the engine's GC tally (pass counters plus end-of-run
-            // live-version / commit-log gauges) into this run's report.
-            load.report.gc.merge(&self.shards[i].take_gc_stats());
+            // Drain the engine's own tally (its transaction time, aborts,
+            // pauses and GC passes, plus end-of-run live-version /
+            // commit-log gauges) into this run's report.
+            load.report.merge(&self.shards[i].take_report());
         }
         OpenLoopReport {
             exec: ShardOltpReport {
@@ -1175,6 +1176,9 @@ fn replay_shard(
             .probe()
             .span(Phase::Recovery, 0, 0, start, shard.now());
     }
+    // Replay is not a batch: the recovered deployment's first batch
+    // reports only itself.
+    shard.take_report();
     Ok((rec, committed, max_ts))
 }
 
@@ -1459,6 +1463,9 @@ mod tests {
                 loads: (0..3).map(|_| ShardLoad::default()).collect(),
             };
             assert!(!eng.run_wave(wave, 1, None));
+            for (load, shard) in eng.loads.iter_mut().zip(eng.shards.iter_mut()) {
+                load.report.merge(&shard.take_report());
+            }
             eng.loads
         };
         // Two payments homed at shard 2 fill the arena on shard 0.
