@@ -261,6 +261,17 @@ const ROWS: &[Row] = &[
               `report` and `elapsed`.",
     },
     Row {
+        name: "engine-counts-itself",
+        paths: &["crates/shard/src"],
+        non_test: true,
+        check: Any(&["wasted_retry_time()", ".aborts()", "MaintPause"]),
+        sample: "let before = shard.db().wasted_retry_time();",
+        why: "Each report fact is kept once: an engine tallies its own \
+              transaction time, aborts, wasted time and pauses, and the \
+              shard layer drains them with `Pushtap::take_report` instead \
+              of taking before/after deltas of the engine's counters.",
+    },
+    Row {
         name: "no-counter-restating-a-histogram",
         paths: &["crates/core/src", "crates/shard/src"],
         non_test: true,
