@@ -100,15 +100,6 @@ impl DefragCostModel {
         }
     }
 
-    /// Communication time under `strategy` for one part.
-    pub fn comm(&self, strategy: DefragStrategy, n: u64, p: f64, d: u32, w: u32) -> f64 {
-        match strategy {
-            DefragStrategy::Cpu => self.comm_cpu(n, p, d, w),
-            DefragStrategy::Pim => self.comm_pim(n, p, d, w),
-            DefragStrategy::Hybrid => self.comm(self.pick(p, w), n, p, d, w),
-        }
-    }
-
     /// Communication time for a whole *table* whose layout has several
     /// parts: the per-device row width is the sum of the part widths, the
     /// metadata is read (and, for the PIM strategy, broadcast) once, and
@@ -169,9 +160,9 @@ mod tests {
     fn hybrid_is_never_worse() {
         let m = DefragCostModel::new(16.0, 1e9, 10e9);
         for w in [2u32, 4, 8, 16, 20, 32, 64, 152] {
-            let h = m.comm(DefragStrategy::Hybrid, 5_000, 0.8, 8, w);
-            let c = m.comm(DefragStrategy::Cpu, 5_000, 0.8, 8, w);
-            let p = m.comm(DefragStrategy::Pim, 5_000, 0.8, 8, w);
+            let h = m.comm_parts(DefragStrategy::Hybrid, 5_000, 0.8, 8, &[w]);
+            let c = m.comm_parts(DefragStrategy::Cpu, 5_000, 0.8, 8, &[w]);
+            let p = m.comm_parts(DefragStrategy::Pim, 5_000, 0.8, 8, &[w]);
             assert!(h <= c + 1e-12 && h <= p + 1e-12, "w={w}");
         }
     }
