@@ -8,6 +8,7 @@
 use pushtap_core::{FrontierParams, MultiInstance, Pushtap, PushtapConfig};
 use pushtap_olap::Query;
 use pushtap_oltp::{DbConfig, DbFormat};
+use pushtap_pim::calib::FRONTIER_BUS_SHARE;
 use pushtap_pim::{Ps, SystemConfig};
 
 /// Measured frontier inputs for both systems.
@@ -23,7 +24,7 @@ pub struct MeasuredParams {
 pub fn measure(scale: f64) -> MeasuredParams {
     let system = SystemConfig::dimm();
     let cores = system.cpu.cores;
-    let bus = system.cpu_peak_bw() * 0.6;
+    let bus = system.cpu_peak_bw() * FRONTIER_BUS_SHARE;
 
     // --- PUSHtap ---
     let mut db = DbConfig::small();

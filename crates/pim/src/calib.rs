@@ -142,6 +142,13 @@ pub const PIM_PJ_PER_BYTE: f64 = 12.0;
 /// §7.2, the paper's operating point.
 pub const UNIFIED_TH: f64 = 0.6;
 
+// ---- Fig. 10's throughput frontier ----
+
+/// Share of the CPU's peak bus bandwidth that Fig. 10's frontier grants
+/// as the memory-bus budget transactions and queries share (both
+/// systems), a ratio. Source: assumed.
+pub const FRONTIER_BUS_SHARE: f64 = 0.6;
+
 // ---- The small sharded deployment (`ShardConfig::small`) ----
 
 /// One two-phase-commit message hop between shards, prepare or decision,
