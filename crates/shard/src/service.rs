@@ -609,8 +609,13 @@ impl ShardedHtap {
             load.elapsed = self.shards[i].now().saturating_sub(starts[i]);
             // Drain the engine's own tally (its transaction time, aborts,
             // pauses and GC passes, plus end-of-run live-version /
-            // commit-log gauges) into this run's report.
-            load.report.merge(&self.shards[i].take_report());
+            // commit-log gauges) into this run's report. Its stall
+            // histograms move in rather than merge, so a batch does not
+            // allocate their buckets twice.
+            let mut engine = self.shards[i].take_report();
+            std::mem::swap(&mut load.report.gc_stall, &mut engine.gc_stall);
+            std::mem::swap(&mut load.report.defrag_stall, &mut engine.defrag_stall);
+            load.report.merge(&engine);
         }
         OpenLoopReport {
             exec: ShardOltpReport {
