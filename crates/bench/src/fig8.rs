@@ -46,19 +46,34 @@ pub fn database_effectiveness(
     th: f64,
     devices: u32,
 ) -> (f64, f64) {
+    let tables = schemas
+        .iter()
+        .map(|(table, schema)| (schema, table.rows_full_scale() as f64));
+    weighted_effectiveness(tables, |col| scan_weight(col, queries), th, devices)
+}
+
+/// CPU and PIM effectiveness of `tables` — each a schema and its row
+/// count — laid out at `th`: CPU effectiveness weighted by each table's
+/// bytes, PIM effectiveness by each key column's scanned bytes times its
+/// `scan_weight` (1.0 when nothing is scanned).
+fn weighted_effectiveness<'a>(
+    tables: impl IntoIterator<Item = (&'a TableSchema, f64)>,
+    scan_weight: impl Fn(&str) -> f64,
+    th: f64,
+    devices: u32,
+) -> (f64, f64) {
     let mut cpu_num = 0.0;
     let mut cpu_den = 0.0;
     let mut pim_num = 0.0;
     let mut pim_den = 0.0;
-    for (table, schema) in schemas {
+    for (schema, rows) in tables {
         let layout = compact_layout(schema, devices, th).expect("layout");
-        let rows = table.rows_full_scale() as f64;
         let weight = rows * schema.row_width() as f64;
         cpu_num += cpu_effective(&layout, 8) * weight;
         cpu_den += weight;
         for c in schema.key_indices() {
             let col = schema.column(c);
-            let w = scan_weight(&col.name, queries) * rows * col.width as f64;
+            let w = scan_weight(&col.name) * rows * col.width as f64;
             if w > 0.0 {
                 if let Some(eff) = layout.pim_scan_effectiveness(c) {
                     pim_num += eff * w;
@@ -194,44 +209,22 @@ pub fn subset_sweep() -> Vec<SubsetPoint> {
 /// CPU/PIM at th = 0.55). Returns (cpu_eff, pim_eff).
 pub fn htapbench_effectiveness(th: f64) -> (f64, f64) {
     use pushtap_chbench::htapbench;
-    let tables = htapbench::tables();
-    // Storage weights: sales is the fact table.
-    let weights = [10_000_000.0, 100_000.0, 1_000_000.0, 1_000.0];
-    let mut cpu_num = 0.0;
-    let mut cpu_den = 0.0;
-    let mut pim_num = 0.0;
-    let mut pim_den = 0.0;
+    // Row counts: sales is the fact table.
+    let rows = [10_000_000.0, 100_000.0, 1_000_000.0, 1_000.0];
     let key_map = htapbench::key_columns();
-    for (ti, schema) in tables.iter().enumerate() {
-        let keys: Vec<&str> = key_map
-            .iter()
-            .find(|(i, _)| *i == ti)
-            .map(|(_, k)| k.clone())
-            .unwrap_or_default();
-        let schema = schema.with_keys(&keys);
-        let layout = compact_layout(&schema, 8, th).expect("layout");
-        let w = weights[ti] * schema.row_width() as f64;
-        cpu_num += cpu_effective(&layout, 8) * w;
-        cpu_den += w;
-        for c in schema.key_indices() {
-            let col = schema.column(c);
-            let sw = htapbench::scan_weight(&col.name) * weights[ti] * col.width as f64;
-            if sw > 0.0 {
-                if let Some(eff) = layout.pim_scan_effectiveness(c) {
-                    pim_num += eff * sw;
-                    pim_den += sw;
-                }
-            }
-        }
-    }
-    (
-        cpu_num / cpu_den,
-        if pim_den == 0.0 {
-            1.0
-        } else {
-            pim_num / pim_den
-        },
-    )
+    let schemas: Vec<TableSchema> = htapbench::tables()
+        .iter()
+        .enumerate()
+        .map(|(ti, schema)| {
+            let keys: Vec<&str> = key_map
+                .iter()
+                .find(|(i, _)| *i == ti)
+                .map(|(_, k)| k.clone())
+                .unwrap_or_default();
+            schema.with_keys(&keys)
+        })
+        .collect();
+    weighted_effectiveness(schemas.iter().zip(rows), htapbench::scan_weight, th, 8)
 }
 
 /// Prints the whole Figure 8 family.

@@ -208,11 +208,9 @@ impl MultiInstance {
     }
 
     /// Folds the row instance's version chains into its main storage
-    /// (their cost is not charged: the rebuild prices the column side).
+    /// (unpriced: the rebuild prices the column side).
     fn fold_row_chains(&mut self) {
-        let model = scattered_copy_model(self.mem.cfg());
-        self.row_db
-            .defragment(&model, pushtap_mvcc::DefragStrategy::Cpu);
+        self.row_db.defragment();
     }
 
     /// Transactions committed since the last rebuild.

@@ -447,17 +447,9 @@ impl Pushtap {
     /// this is the whole population; on a shard it is the shard's own
     /// load (foreign home warehouses never appear).
     pub fn txn_gen(&self, seed: u64) -> TxnGen {
-        let wh = self.db.warehouse_range();
-        let wh = if wh.is_empty() {
-            // Degenerate shard owning no warehouse (more shards than
-            // warehouses): fall back to its single clamped row.
-            0..self.db.table(Table::Warehouse).n_rows()
-        } else {
-            wh
-        };
         TxnGen::with_warehouse_range(
             seed,
-            wh,
+            self.db.warehouse_range(),
             self.db.global_rows_of(Table::Customer),
             self.db.global_rows_of(Table::Item),
             self.db.global_rows_of(Table::Stock),
@@ -498,29 +490,29 @@ impl Pushtap {
         }
     }
 
-    /// Runs one transaction attempt at the clock and tallies it. A
-    /// successful attempt moves the clock to its end. A failed one was
-    /// rolled back, but its statements consumed real time (their memory
-    /// traffic is charged to the simulated memory system): the clock
-    /// advances by the latency it wasted, and the attempt counts as an
-    /// abort. Either way the advance is transaction time.
+    /// Runs one transaction attempt at the clock and tallies it. The
+    /// clock moves to the attempt's end whichever way it ends, and the
+    /// advance is transaction time. A failed attempt was rolled back,
+    /// but its statements consumed real time up to the rollback's end
+    /// (their memory traffic is charged to the simulated memory system):
+    /// that latency is wasted, and the attempt counts as an abort.
     fn attempt(
         &mut self,
-        apply: impl FnOnce(&mut TpccDb, &mut MemSystem, Ps) -> Result<TxnResult, DeltaFull>,
+        apply: impl FnOnce(&mut TpccDb, &mut MemSystem, Ps) -> Result<TxnResult, (DeltaFull, Ps)>,
     ) -> Result<TxnResult, DeltaFull> {
-        let (start, wasted) = (self.now, self.db.wasted_retry_time());
+        let start = self.now;
         let r = apply(&mut self.db, &mut self.mem, start);
-        match &r {
-            Ok(r) => self.now = r.end,
-            Err(_) => {
-                let lost = self.db.wasted_retry_time().saturating_sub(wasted);
-                self.now += lost;
-                self.tally.wasted_retry_time += lost;
-                self.tally.aborts += 1;
-            }
-        }
-        self.tally.txn_time += self.now.saturating_sub(start);
-        r
+        self.now = match &r {
+            Ok(r) => r.end,
+            Err((_, end)) => *end,
+        };
+        let spent = self.now.saturating_sub(start);
+        self.tally.txn_time += spent;
+        r.map_err(|(full, _)| {
+            self.tally.wasted_retry_time += spent;
+            self.tally.aborts += 1;
+            full
+        })
     }
 
     /// Runs the periodic maintenance check: if the configured period has
@@ -674,14 +666,13 @@ impl Pushtap {
     }
 
     /// Delivers the coordinator's abort decision for the scope prepared
-    /// at `ts`: its pinned effects roll back and the prepare's latency
-    /// is charged to wasted retry time (the clock already covered it —
-    /// the work really happened before it was thrown away), tallied as
-    /// an abort. Other scopes prepared on this engine are untouched.
+    /// at `ts`: its pinned effects roll back and the prepare's latency,
+    /// which the engine returns, is charged to wasted retry time (the
+    /// clock already covered it — the work really happened before it was
+    /// thrown away), tallied as an abort. Other scopes prepared on this
+    /// engine are untouched.
     pub fn abort_prepared(&mut self, ts: Ts) {
-        let wasted = self.db.wasted_retry_time();
-        self.db.abort_prepared(ts);
-        self.tally.wasted_retry_time += self.db.wasted_retry_time().saturating_sub(wasted);
+        self.tally.wasted_retry_time += self.db.abort_prepared(ts);
         self.tally.aborts += 1;
         self.db
             .probe()
@@ -717,7 +708,8 @@ impl Pushtap {
 
     /// Defragments every table (OLTP paused): the garbage-collection fold
     /// at the watermark ([`TpccDb::defragment`]) behind the stop-the-world
-    /// barrier. Returns the pass's stats and the pause duration, and
+    /// barrier, priced by [`Pushtap::estimate_defrag_pause`] taken just
+    /// before it. Returns the pass's stats and the pause duration, and
     /// advances the clock.
     ///
     /// # Panics
@@ -727,8 +719,8 @@ impl Pushtap {
     pub fn defragment_all(&mut self) -> (TableGcPass, Ps) {
         self.assert_decided("defragmentation");
         let upto = self.db.last_ts();
-        let (pass, seconds) = self.db.defragment(&self.defrag_cost, DEFRAG_STRATEGY);
-        let pause = self.pause(DEFRAG_FIXED_OVERHEAD, seconds, pass.chain_steps);
+        let pause = self.estimate_defrag_pause(DEFRAG_STRATEGY);
+        let pass = self.db.defragment();
         let start = self.now;
         self.now += pause;
         self.txns_since_defrag = 0;
@@ -740,11 +732,12 @@ impl Pushtap {
 
     /// Estimates the pause one defragmentation pass would cost *right
     /// now* under `strategy`, without executing it: each table holding
-    /// a delta version is priced by the copy-back function its fold
-    /// charges ([`HtapTable::copy_back_seconds`]), over all its versions
-    /// and rows, so under Hybrid (the strategy every pass runs) this is
-    /// the pause the next [`Pushtap::defragment_all`] charges. Used by
-    /// the Fig. 11(b) and Fig. 12(a) sweeps, which compare strategies on
+    /// a delta version is priced by the copy-back function GC charges
+    /// ([`HtapTable::copy_back_seconds`]), over all its versions and
+    /// rows — exactly the counts a full fold folds, frees and walks. The
+    /// fold itself is unpriced, so under Hybrid (the strategy every pass
+    /// runs) this is the one price of [`Pushtap::defragment_all`]. The
+    /// Fig. 11(b) and Fig. 12(a) sweeps use it to compare strategies on
     /// identical delta-region states.
     ///
     /// [`HtapTable::copy_back_seconds`]: pushtap_oltp::HtapTable::copy_back_seconds

@@ -9,11 +9,15 @@
 //! transaction re-applied its earlier inserts at fresh stripe slots and
 //! the final state depended on *when* the arenas filled up.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use pushtap_chbench::{Table, Txn, ALL_TABLES};
-use pushtap_core::{Pushtap, PushtapConfig};
+use pushtap_core::{OltpReport, Pushtap, PushtapConfig};
 use pushtap_format::RowSlot;
 use pushtap_olap::{ref_q1, ref_q6, ref_q9, Query};
+use pushtap_trace::{MemSink, Phase, Span};
 
 const SEED: u64 = 77;
 const TXNS: u64 = 120;
@@ -40,21 +44,44 @@ fn pressured(delta_frac: f64, min_delta_rows: u64) -> PushtapConfig {
 }
 
 /// Runs `txns` transactions from the shared stream, returning per-class
-/// abort counts (payment, neworder).
-fn run_stream(system: &mut Pushtap, seed: u64, txns: u64) -> (u64, u64) {
+/// abort counts (payment, neworder) and the engine's reports of the
+/// transactions, merged (their counters sum; the gauges mean nothing).
+fn run_stream(system: &mut Pushtap, seed: u64, txns: u64) -> ((u64, u64), OltpReport) {
     let mut gen = system.txn_gen(seed);
-    let (mut payment_aborts, mut neworder_aborts) = (0, 0);
+    let (mut aborts, mut total) = ((0, 0), OltpReport::default());
     for _ in 0..txns {
         let txn = gen.next_txn();
-        let before = system.db().aborts();
         system.execute_txn(&txn);
-        let aborted = system.db().aborts() - before;
+        let report = system.take_report();
         match txn {
-            Txn::Payment(_) => payment_aborts += aborted,
-            Txn::NewOrder(_) => neworder_aborts += aborted,
+            Txn::Payment(_) => aborts.0 += report.aborts,
+            Txn::NewOrder(_) => aborts.1 += report.aborts,
+        }
+        total.merge(&report);
+    }
+    (aborts, total)
+}
+
+/// The latency the timeline shows rolled back: every failed prepare's
+/// `PrepareAbort` span, plus each `Prepare` span whose scope a later
+/// `Abort` instant of the same transaction on the same track took back.
+fn rolled_back_time(spans: &[Span]) -> u128 {
+    let mut prepared: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+    let mut total = 0u128;
+    for s in spans {
+        match s.phase {
+            Phase::PrepareAbort => total += u128::from(s.dur()),
+            Phase::Prepare => {
+                prepared.insert((s.track, s.txn), s.dur());
+            }
+            Phase::Abort => {
+                let taken_back = prepared.remove(&(s.track, s.txn));
+                total += u128::from(taken_back.expect("an abort takes back a prepare"));
+            }
+            _ => {}
         }
     }
-    (payment_aborts, neworder_aborts)
+    total
 }
 
 /// FNV-1a over every table's `newest_slot(row)` sequence: which delta
@@ -121,8 +148,8 @@ fn pressure_run_is_byte_identical_to_ample_run() {
     let mut squeezed = Pushtap::new(pressured(0.012, 8)).expect("build");
     let mut roomy = Pushtap::new(ample()).expect("build");
 
-    let (pay_aborts, no_aborts) = run_stream(&mut squeezed, SEED, TXNS);
-    let (ample_pay, ample_no) = run_stream(&mut roomy, SEED, TXNS);
+    let ((pay_aborts, no_aborts), report) = run_stream(&mut squeezed, SEED, TXNS);
+    let ((ample_pay, ample_no), _) = run_stream(&mut roomy, SEED, TXNS);
 
     assert!(pay_aborts > 0, "Payment class must hit DeltaFull");
     assert!(no_aborts > 0, "NewOrder class must hit DeltaFull");
@@ -143,8 +170,8 @@ fn pressure_run_is_byte_identical_to_ample_run() {
     assert_eq!(
         (
             squeezed.now().ps(),
-            squeezed.db().aborts(),
-            squeezed.db().wasted_retry_time().ps(),
+            report.aborts,
+            report.wasted_retry_time.ps(),
             slot_identity(&squeezed),
         ),
         (2_291_653_200, 119, 122_799_031, 17_415_451_971_021_341_134),
@@ -154,7 +181,7 @@ fn pressure_run_is_byte_identical_to_ample_run() {
     // reclaim between a failed attempt and its retry takes may sit at the
     // attempt's timestamp or just below it — no version exists there, so
     // either folds the same versions and leaves the same snapshots.
-    let gc = squeezed.take_report().gc;
+    let gc = report.gc;
     assert_eq!(
         (
             gc.passes,
@@ -196,7 +223,6 @@ fn oltp_report_carries_retry_counters() {
     assert!(report.aborts > 0, "undersized arenas must abort");
     assert!(report.retried_txns > 0);
     assert!(report.retried_txns <= report.aborts);
-    assert_eq!(report.aborts, squeezed.db().aborts());
 
     let mut roomy = Pushtap::new(ample()).expect("build");
     let mut gen = roomy.txn_gen(SEED);
@@ -207,18 +233,18 @@ fn oltp_report_carries_retry_counters() {
 /// The single-engine twin of `trace_reconcile`'s shard assertions: under
 /// delta pressure a batch's report accounts for every picosecond the
 /// clock advanced, its stall samples sum to its pause times, and its
-/// retry counters agree with the database's.
+/// aborts and wasted time are the ones its timeline shows.
 #[test]
 fn run_txns_reconciles_with_the_clock() {
     let mut squeezed = Pushtap::new(pressured(0.012, 8)).expect("build");
+    let sink = Arc::new(MemSink::new());
+    squeezed.set_trace_sink(sink.clone(), 0);
     let mut gen = squeezed.txn_gen(SEED);
     squeezed.run_txns(&mut gen, 40);
-    let (start, aborts, wasted) = (
-        squeezed.now(),
-        squeezed.db().aborts(),
-        squeezed.db().wasted_retry_time(),
-    );
+    sink.take();
+    let start = squeezed.now();
     let report = squeezed.run_txns(&mut gen, 80);
+    let spans = sink.take();
     assert!(report.retried_txns > 0, "undersized arenas must retry");
     assert_eq!(report.total_time(), squeezed.now() - start);
     assert_eq!(report.gc_stall.sum(), u128::from(report.gc_time.ps()));
@@ -228,10 +254,14 @@ fn run_txns_reconciles_with_the_clock() {
         report.defrag_stall.sum(),
         u128::from(report.defrag_time.ps())
     );
-    assert_eq!(report.aborts, squeezed.db().aborts() - aborts);
+    let aborted = |phase| spans.iter().filter(|s| s.phase == phase).count() as u64;
     assert_eq!(
-        report.wasted_retry_time,
-        squeezed.db().wasted_retry_time() - wasted
+        report.aborts,
+        aborted(Phase::PrepareAbort) + aborted(Phase::Abort)
+    );
+    assert_eq!(
+        u128::from(report.wasted_retry_time.ps()),
+        rolled_back_time(&spans)
     );
 }
 

@@ -731,19 +731,16 @@ impl HtapTable {
     /// Defragments the table (§5.3): the [`HtapTable::gc`] fold at `upto`,
     /// a cut at or above every version, then the snapshot published at
     /// `upto` over the emptied log (the fold already left one data-region
-    /// bit per row, no delta bit and the cursor at the log's start).
+    /// bit per row, no delta bit and the cursor at the log's start). It
+    /// folds every row with a delta version and frees all its versions,
+    /// so [`HtapTable::copy_back_seconds`] over the table's counts
+    /// beforehand is its price.
     ///
     /// # Panics
     ///
     /// Panics if a version above `upto` survives the fold.
-    pub fn defragment(
-        &mut self,
-        model: &DefragCostModel,
-        strategy: DefragStrategy,
-        upto: Ts,
-        on_fold: impl FnMut(u64, Ts),
-    ) -> (TableGcPass, f64) {
-        let folded = self.gc(model, strategy, upto, on_fold);
+    pub fn defragment(&mut self, upto: Ts, on_fold: impl FnMut(u64, Ts)) -> TableGcPass {
+        let folded = self.gc(upto, on_fold);
         assert!(
             self.chains.log().is_empty(),
             "a version above the defragmentation cut {upto:?} survived"
@@ -769,15 +766,9 @@ impl HtapTable {
     /// Each fold is handed to `on_fold` as the folded row and the newest
     /// timestamp the fold frees (every other freed version is older).
     ///
-    /// Returns per-pass stats and the pass's
-    /// [`HtapTable::copy_back_seconds`].
-    pub fn gc(
-        &mut self,
-        model: &DefragCostModel,
-        strategy: DefragStrategy,
-        before: Ts,
-        mut on_fold: impl FnMut(u64, Ts),
-    ) -> (TableGcPass, f64) {
+    /// Returns the pass's stats; the fold is unpriced, and
+    /// [`HtapTable::copy_back_seconds`] over its counts is its price.
+    pub fn gc(&mut self, before: Ts, mut on_fold: impl FnMut(u64, Ts)) -> TableGcPass {
         let out = self.chains.gc(before);
         let mut pass = TableGcPass {
             chain_steps: out.traverse_steps as u64,
@@ -785,7 +776,7 @@ impl HtapTable {
             ..TableGcPass::default()
         };
         if out.folds.is_empty() {
-            return (pass, 0.0);
+            return pass;
         }
         let padded = self.store.layout().padded_row_bytes() as u64;
         for fold in &out.folds {
@@ -806,9 +797,7 @@ impl HtapTable {
             }
         }
         self.snapshot.note_log_trimmed(&out.log_trimmed);
-        let seconds =
-            self.copy_back_seconds(model, strategy, pass.rows_folded, pass.slots_recycled);
-        (pass, seconds)
+        pass
     }
 
     /// The communication seconds of folding `slots` delta versions, the
@@ -970,19 +959,16 @@ mod tests {
     fn defragment_restores_data_region() {
         let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
         update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
         update(&mut t, &mut mem, 5, Ts(3), &[(1, pair(9))]).unwrap();
         let mut folds = Vec::new();
-        let (pass, secs) = t.defragment(&cost, DefragStrategy::Hybrid, Ts(3), |row, ts| {
-            folds.push((row, ts))
-        });
+        let pass = t.defragment(Ts(3), |row, ts| folds.push((row, ts)));
         assert_eq!(folds, vec![(5, Ts(3))], "the newest version folds");
+        // A full fold: every updated row, every live version.
         assert_eq!(pass.rows_folded, 1);
         assert_eq!(pass.slots_recycled, 2);
         assert_eq!(pass.chain_steps, 2);
-        assert!(secs > 0.0);
         assert_eq!(t.live_delta_rows(), 0);
         assert_eq!(t.snapshot().ts(), Ts(3), "the cut is published");
         // Data region now holds the newest version, visible to OLAP.
@@ -997,10 +983,9 @@ mod tests {
     fn defragment_below_a_version_panics() {
         let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
         update(&mut t, &mut mem, 5, Ts(4), &[(0, pair(7))]).unwrap();
-        t.defragment(&cost, DefragStrategy::Hybrid, Ts(3), |_, _| {});
+        t.defragment(Ts(3), |_, _| {});
     }
 
     /// GC folds the reclaimable tail back to the data region — versions
@@ -1009,18 +994,16 @@ mod tests {
     fn gc_folds_below_the_cut_and_keeps_newer_versions() {
         let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
         update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
         update(&mut t, &mut mem, 5, Ts(3), &[(1, pair(9))]).unwrap();
         update(&mut t, &mut mem, 5, Ts(8), &[(0, pair(4))]).unwrap();
         assert_eq!(t.live_delta_rows(), 3);
-        let (pass, secs) = t.gc(&cost, DefragStrategy::Hybrid, Ts(5), |_, _| {});
+        let pass = t.gc(Ts(5), |_, _| {});
         assert!(pass.reclaimed_any());
         assert_eq!(pass.rows_folded, 1);
         assert_eq!(pass.slots_recycled, 2, "T3 and T2 fold, T8 survives");
         assert_eq!(pass.log_trimmed, 2);
-        assert!(secs > 0.0);
         assert_eq!(t.live_delta_rows(), 1);
         assert_eq!(t.commit_log_len(), 1);
         // The data region holds the folded T3 version; the T8 version
@@ -1030,9 +1013,13 @@ mod tests {
         let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
         assert_eq!(vals[0], vec![4, 4]);
         // A second pass at the same cut reclaims nothing.
-        let (pass, secs) = t.gc(&cost, DefragStrategy::Hybrid, Ts(5), |_, _| {});
+        let pass = t.gc(Ts(5), |_, _| {});
         assert!(!pass.reclaimed_any());
-        assert_eq!(secs, 0.0);
+        assert_eq!(
+            (pass.rows_folded, pass.bytes_copied),
+            (0, 0),
+            "nothing copied back"
+        );
     }
 
     /// A snapshot pinned at an old cut reads the same bytes before and
@@ -1041,14 +1028,13 @@ mod tests {
     fn gc_preserves_pinned_snapshot_reads() {
         let mut t = table(DbFormat::Unified);
         let mut mem = MemSystem::dimm();
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         t.load_row(5, &values(1).concat());
         update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
         t.timed_snapshot_update(&mut mem, &meter(), Ts(2), Ps::ZERO);
         let pinned = t.snapshot_read(5);
         // Later traffic plus GC at the pinned cut.
         update(&mut t, &mut mem, 5, Ts(6), &[(0, pair(8))]).unwrap();
-        let (pass, _) = t.gc(&cost, DefragStrategy::Hybrid, Ts(2), |_, _| {});
+        let pass = t.gc(Ts(2), |_, _| {});
         assert_eq!(pass.slots_recycled, 1);
         assert_eq!(
             t.snapshot_read(5),

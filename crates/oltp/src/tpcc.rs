@@ -77,13 +77,11 @@ struct DbTable {
     insert_cursors: Vec<u64>,
 }
 
-/// Where the insert cursor of warehouse `w` sits in a table's
+/// Where the insert cursor of owned warehouse `w` sits in a table's
 /// [`DbTable::insert_cursors`], on the instance whose first owned
-/// warehouse is `first` — for the `w` [`TpccDb::insert_target`]
-/// resolved: an owned warehouse, or the one an instance that owns none
-/// clamps to (slot 0).
+/// warehouse is `first`.
 fn ring_slot(first: u64, w: u64) -> usize {
-    w.saturating_sub(first) as usize
+    (w - first) as usize
 }
 
 /// Takes one recorded write back on the table it names (newest first
@@ -243,16 +241,6 @@ pub struct TpccDb {
     /// most one prepared scope; a pipelined coordinator one per
     /// overlapped non-conflicting transaction.
     undo: UndoLog,
-    /// Transactions rolled back on [`DeltaFull`] (each is retried by the
-    /// caller after it reclaims delta slots, so this is also the retry
-    /// count).
-    aborts: u64,
-    /// Cumulative simulated time consumed by rolled-back attempts: the
-    /// statements a transaction executed before hitting [`DeltaFull`].
-    /// The memory traffic of those statements is charged to the simulated
-    /// memory system, so their latency belongs in the transaction's
-    /// completion time too (see `Pushtap::execute_txn`).
-    wasted_retry_time: Ps,
     /// Where the engine's spans and sanitizer hooks go, stamped with its
     /// partition index.
     probe: Probe,
@@ -358,15 +346,15 @@ impl TpccDb {
     /// (byte-identical to the corresponding rows of the unpartitioned
     /// build), dimension tables are replicated in full.
     ///
-    /// A shard whose slice of a fact table would be empty (fewer global
-    /// rows than shards — only ever the tiny warehouse-anchored tables)
-    /// keeps one clamped row so modular row addressing stays defined;
-    /// such tables are too small to partition meaningfully and are never
-    /// scanned by the analytical queries.
-    ///
     /// # Errors
     ///
     /// Propagates [`LayoutError`] from layout generation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` owns no warehouse (fewer warehouses than
+    /// shards), or if a warehouse-partitioned table has fewer rows than
+    /// there are warehouses.
     pub fn build_partitioned(
         cfg: &DbConfig,
         mem: &MemSystem,
@@ -381,6 +369,12 @@ impl TpccDb {
         let key_map = pushtap_chbench::key_columns_upto(22);
         let warehouses_global = global_rows(cfg, Table::Warehouse);
         let wh_range = partition.range(warehouses_global);
+        assert!(
+            !wh_range.is_empty(),
+            "shard {} of {} owns none of the {warehouses_global} warehouses",
+            partition.index,
+            partition.count
+        );
         let mut tables = Vec::with_capacity(pushtap_chbench::ALL_TABLES.len());
         let mut base_dram_row = 0u32;
         for table in pushtap_chbench::ALL_TABLES {
@@ -394,13 +388,13 @@ impl TpccDb {
                     // Split along warehouse-stripe boundaries so each
                     // warehouse's rows (and insert stripe) live wholly on
                     // the shard that owns the warehouse.
+                    assert!(
+                        global >= warehouses_global,
+                        "{table:?}'s {global} rows cannot cover {warehouses_global} warehouses"
+                    );
                     let start = stripe_start(wh_range.start, global, warehouses_global);
                     let end = stripe_start(wh_range.end, global, warehouses_global);
-                    if start == end {
-                        (start.min(global - 1), 1)
-                    } else {
-                        (start, end - start)
-                    }
+                    (start, end - start)
                 }
             };
             let delta_rows = ((n_rows as f64 * cfg.delta_frac) as u64).max(cfg.min_delta_rows);
@@ -438,7 +432,7 @@ impl TpccDb {
                 table: t,
                 global_rows: global,
                 row_base,
-                insert_cursors: vec![0; (wh_range.end - wh_range.start).max(1) as usize],
+                insert_cursors: vec![0; (wh_range.end - wh_range.start) as usize],
             });
         }
         let col = |table: Table, name: &str| {
@@ -470,8 +464,6 @@ impl TpccDb {
             warehouses_global,
             wh_range,
             undo: UndoLog::default(),
-            aborts: 0,
-            wasted_retry_time: Ps::ZERO,
             probe: Probe::new(partition.index),
             effects: Vec::new(),
             // Sized for the largest effect set, a NewOrder of
@@ -522,14 +514,20 @@ impl TpccDb {
     ///
     /// # Panics
     ///
-    /// Panics if the instance has already executed transactions (the two
-    /// sequences could no longer be reconciled).
+    /// Panics if the instance has already executed transactions, or
+    /// drawn a timestamp from its own oracle (the two sequences could no
+    /// longer be reconciled).
     pub fn share_timestamps(&mut self, oracle: Arc<TsOracle>) {
         assert_eq!(
             self.committed, 0,
             "cannot share timestamps after transactions have committed"
         );
-        assert_eq!(self.aborts, 0, "cannot share timestamps mid-retry");
+        // A transaction mid-retry already drew its timestamp here.
+        assert_eq!(
+            self.ts.watermark(),
+            Ts::ZERO,
+            "cannot share timestamps after drawing one"
+        );
         self.ts = oracle;
     }
 
@@ -561,45 +559,21 @@ impl TpccDb {
     }
 
     /// Picks the *global* target row for the next insert into `table`
-    /// homed at warehouse `w_id` — the current slot of the warehouse's
+    /// homed at warehouse `w` — the current slot of the warehouse's
     /// stripe ring — without consuming it. Inserts are always anchored to
     /// the transaction's home warehouse, which this engine must own (the
     /// router guarantees it; a foreign warehouse here is a routing bug).
-    /// A degenerate shard with an empty owned range (more shards than
-    /// warehouses) clamps to its single kept row.
-    fn insert_target(&self, table: Table, w_id: u64) -> (u64, u64) {
+    fn insert_target(&self, table: Table, w: u64) -> u64 {
+        assert!(
+            self.wh_range.contains(&w),
+            "insert homed at foreign warehouse {w} (this engine owns {:?})",
+            self.wh_range
+        );
         let t = &self.tables[table as usize];
-        let (global, row_base) = (t.global_rows, t.row_base);
-        let local_rows = t.table.n_rows();
-        let w = if self.wh_range.contains(&w_id) {
-            w_id
-        } else if self.wh_range.is_empty() {
-            self.clamped_home()
-        } else {
-            panic!(
-                "insert homed at foreign warehouse {w_id} (this engine owns {:?})",
-                self.wh_range
-            );
-        };
-        let start = stripe_start(w, global, self.warehouses_global);
-        let end = stripe_start(w + 1, global, self.warehouses_global);
+        let start = stripe_start(w, t.global_rows, self.warehouses_global);
+        let end = stripe_start(w + 1, t.global_rows, self.warehouses_global);
         let c = t.insert_cursors[ring_slot(self.wh_range.start, w)];
-        let row = if !self.wh_range.is_empty() && end > start {
-            start + c % (end - start)
-        } else {
-            // Degenerate cases (fewer rows than warehouses, or a shard
-            // owning no warehouse at all): fall back to a local ring;
-            // cross-deployment row identity is moot for configurations
-            // this small.
-            row_base + c % local_rows
-        };
-        (row, w)
-    }
-
-    /// The warehouse whose rings a degenerate instance with an empty
-    /// owned range (more shards than warehouses) inserts through.
-    fn clamped_home(&self) -> u64 {
-        self.wh_range.start.min(self.warehouses_global - 1)
+        start + c % (end - start)
     }
 
     /// The local row of `table` backing *global* row `g`.
@@ -640,8 +614,8 @@ impl TpccDb {
         meter: &Meter,
         at: Ps,
     ) -> Result<(u64, crate::table::OpResult), DeltaFull> {
-        let (global_row, w) = self.insert_target(table, w_id);
-        let slot = ring_slot(self.wh_range.start, w);
+        let global_row = self.insert_target(table, w_id);
+        let slot = ring_slot(self.wh_range.start, w_id);
         let t = &mut self.tables[table as usize];
         let local = global_row - t.row_base;
         let (key_existed, r) = t.table.timed_insert_at(meter, local, image, ts, at)?;
@@ -650,7 +624,7 @@ impl TpccDb {
             table: table as u32,
             row: local,
             insert: Some(InsertUndo {
-                warehouse: w,
+                warehouse: w_id,
                 key_existed,
             }),
         });
@@ -658,7 +632,7 @@ impl TpccDb {
         // the physical row is the ring cursor's pick, so the declared
         // ring vouches for it. The cursor advance is the ring-key side.
         self.record_accesses(ts, table, global_row, &[AccessKind::InsertWrite]);
-        self.record_accesses(ts, table, w, &[AccessKind::RingAdvance]);
+        self.record_accesses(ts, table, w_id, &[AccessKind::RingAdvance]);
         Ok((global_row, r))
     }
 
@@ -710,20 +684,13 @@ impl TpccDb {
         self.committed
     }
 
-    /// Transactions rolled back on [`DeltaFull`] so far. Every abort is
-    /// followed by a caller-driven reclamation and a retry of the whole
-    /// transaction, so this doubles as the retry count.
-    pub fn aborts(&self) -> u64 {
-        self.aborts
-    }
-
     /// The current stripe-ring cursor of `table` for home warehouse `w`
     /// (the number of inserts this warehouse has committed into its
     /// stripe). Transaction-atomic: an aborted transaction leaves every
     /// cursor untouched, which is the invariant the cross-deployment
     /// identity tests assert.
     pub fn insert_cursor(&self, table: Table, w: u64) -> u64 {
-        if self.wh_range.contains(&w) || (self.wh_range.is_empty() && w == self.clamped_home()) {
+        if self.wh_range.contains(&w) {
             self.tables[table as usize].insert_cursors[ring_slot(self.wh_range.start, w)]
         } else {
             0
@@ -736,13 +703,6 @@ impl TpccDb {
     /// anywhere, including on this instance.
     pub fn last_ts(&self) -> Ts {
         self.ts.watermark()
-    }
-
-    /// Cumulative time consumed by attempts that were rolled back on
-    /// [`DeltaFull`] (statements executed before the abort). Callers fold
-    /// the per-attempt delta into the transaction's completion latency.
-    pub fn wasted_retry_time(&self) -> Ps {
-        self.wasted_retry_time
     }
 
     /// Total live delta versions across tables.
@@ -780,7 +740,8 @@ impl TpccDb {
     /// or below `before` into the data region, recycles the freed delta
     /// slots, and trims the consumed commit-log entries. Returns the
     /// merged per-table stats and the total copy-back communication
-    /// seconds.
+    /// seconds, each table's pass priced by
+    /// [`HtapTable::copy_back_seconds`].
     ///
     /// An armed sanitizer checks every freed version against the
     /// oracle's oldest snapshot pin, whoever took it.
@@ -790,19 +751,25 @@ impl TpccDb {
         strategy: DefragStrategy,
         before: Ts,
     ) -> (TableGcPass, f64) {
-        self.fold_tables(|t, on_fold| t.gc(model, strategy, before, on_fold))
+        let mut seconds = 0.0;
+        let pass = self.fold_tables(|t, on_fold| {
+            let pass = t.gc(before, on_fold);
+            if pass.slots_recycled > 0 {
+                seconds +=
+                    t.copy_back_seconds(model, strategy, pass.rows_folded, pass.slots_recycled);
+            }
+            pass
+        });
+        (pass, seconds)
     }
 
     /// Defragments every table: the [`TpccDb::gc`] fold at the watermark,
     /// publishing it to each folded table's snapshot
-    /// ([`HtapTable::defragment`]).
-    pub fn defragment(
-        &mut self,
-        model: &DefragCostModel,
-        strategy: DefragStrategy,
-    ) -> (TableGcPass, f64) {
+    /// ([`HtapTable::defragment`]). The fold is unpriced: its pause is
+    /// the caller's to model.
+    pub fn defragment(&mut self) -> TableGcPass {
         let upto = self.last_ts();
-        self.fold_tables(|t, on_fold| t.defragment(model, strategy, upto, on_fold))
+        self.fold_tables(|t, on_fold| t.defragment(upto, on_fold))
     }
 
     /// The loop [`TpccDb::gc`] and [`TpccDb::defragment`] share: `fold`
@@ -810,10 +777,9 @@ impl TpccDb {
     /// reports each fold to an armed sanitizer.
     fn fold_tables(
         &mut self,
-        fold: impl Fn(&mut HtapTable, &mut dyn FnMut(u64, Ts)) -> (TableGcPass, f64),
-    ) -> (TableGcPass, f64) {
+        mut fold: impl FnMut(&mut HtapTable, &mut dyn FnMut(u64, Ts)) -> TableGcPass,
+    ) -> TableGcPass {
         let mut total = TableGcPass::default();
-        let mut seconds = 0.0;
         let armed = self
             .probe
             .sanitizer()
@@ -823,15 +789,14 @@ impl TpccDb {
                 continue;
             }
             let row_base = t.row_base;
-            let (pass, secs) = fold(&mut t.table, &mut |row, version| {
+            let pass = fold(&mut t.table, &mut |row, version| {
                 if let Some(((san, track), pin)) = armed {
                     san.reclaim_version(track, table as u32, row_base + row, version.0, pin);
                 }
             });
             total.absorb(pass);
-            seconds += secs;
         }
-        (total, seconds)
+        total
     }
 
     /// Executes one transaction *atomically* under its commit timestamp
@@ -864,15 +829,16 @@ impl TpccDb {
     /// # Errors
     ///
     /// Returns [`DeltaFull`] if a delta arena filled up mid-transaction
-    /// (all partial effects already rolled back); the caller should
-    /// reclaim and retry under the same timestamp.
+    /// (all partial effects already rolled back), with the instant the
+    /// rollback ended — the attempt's statements consumed real time up to
+    /// it; the caller should reclaim and retry under the same timestamp.
     pub fn execute_at(
         &mut self,
         txn: &Txn,
         ts: Ts,
         mem: &mut MemSystem,
         at: Ps,
-    ) -> Result<TxnResult, DeltaFull> {
+    ) -> Result<TxnResult, (DeltaFull, Ps)> {
         let mut effects = std::mem::take(&mut self.effects);
         self.decompose_into(txn, ts, &mut effects);
         let prepared = self.prepare_effects(&effects, ts, mem, at);
@@ -889,7 +855,6 @@ impl TpccDb {
     fn abort_txn(&mut self) {
         let (tables, first) = (&mut self.tables, self.wh_range.start);
         self.undo.abort(|rec| undo_record(tables, first, rec));
-        self.aborts += 1;
     }
 
     /// Decomposes `txn` into its ordered row-level effects, each tagged
@@ -1030,7 +995,7 @@ impl TpccDb {
         // order's global row is the warehouse's current stripe slot —
         // peeked here without consuming it; applying the insert advances
         // the cursor to exactly this slot.
-        let (o_row, _) = self.insert_target(Table::Order, no.w_id);
+        let o_row = self.insert_target(Table::Order, no.w_id);
         let mut order = RowImage::new();
         put_u64(&mut order, ts.0, 4);
         put_u64(&mut order, no.d_id, 1);
@@ -1230,10 +1195,11 @@ impl TpccDb {
     ///
     /// # Errors
     ///
-    /// Returns [`DeltaFull`] if a delta arena filled mid-prepare. All
-    /// partial effects are already rolled back (this engine votes "no"
-    /// with no state held) and the attempt's latency is accounted to
-    /// [`TpccDb::wasted_retry_time`].
+    /// Returns [`DeltaFull`] if a delta arena filled mid-prepare, with the
+    /// instant the rollback ended: the fetch pass and the statements up
+    /// to the failure consumed real simulated time (their memory traffic
+    /// is already charged to `mem`). All partial effects are already
+    /// rolled back: this engine votes "no" with no state held.
     ///
     /// # Panics
     ///
@@ -1274,8 +1240,8 @@ impl TpccDb {
     /// assert_eq!(forwarded.len(), 1, "the remote customer update");
     ///
     /// // Phase 1: both participants prepare and vote yes.
-    /// home.prepare_effects(&local, ts, &mut mem, Ps::ZERO)?;
-    /// owner.prepare_effects(&forwarded, ts, &mut mem, Ps::ZERO)?;
+    /// home.prepare_effects(&local, ts, &mut mem, Ps::ZERO).expect("room");
+    /// owner.prepare_effects(&forwarded, ts, &mut mem, Ps::ZERO).expect("room");
     ///
     /// // Phase 2: the coordinator commits everywhere at the pinned ts.
     /// home.commit_prepared(ts, TxnRole::Coordinator);
@@ -1291,7 +1257,7 @@ impl TpccDb {
         ts: Ts,
         mem: &mut MemSystem,
         at: Ps,
-    ) -> Result<TxnResult, DeltaFull> {
+    ) -> Result<TxnResult, (DeltaFull, Ps)> {
         assert!(
             !self.undo.is_prepared(ts),
             "a scope is already prepared at {ts:?}"
@@ -1317,17 +1283,12 @@ impl TpccDb {
         });
         self.fetches = fetches;
         if let Err(full) = applied {
-            // The fetch pass and the statements up to the failure
-            // consumed real simulated time (their memory traffic is
-            // already charged to `mem`); account it so callers can fold
-            // it into completion latency.
-            self.wasted_retry_time += now.saturating_sub(at);
             self.abort_txn();
             if let Some((san, track)) = self.probe.sanitizer() {
                 san.abort_active(track, ts.0);
             }
             self.probe.span(Phase::PrepareAbort, ts.0, 0, at, now);
-            return Err(full);
+            return Err((full, now));
         }
         // The force phase (§6.3): every version the scope wrote leaves
         // the CPU in one clflush train — all its lines issued at once, so
@@ -1384,9 +1345,8 @@ impl TpccDb {
 
     /// The coordinator's abort decision for the scope prepared at `ts`:
     /// that scope's pinned undo records replay in reverse (delta slots,
-    /// chains, row bytes, index entries, stripe cursors all revert) and
-    /// the prepare's latency is charged to
-    /// [`TpccDb::wasted_retry_time`] — the work was done and rolled
+    /// chains, row bytes, index entries, stripe cursors all revert).
+    /// Returns the prepare's latency — the work was done and rolled
     /// back, exactly like a local [`DeltaFull`] abort. Other pending
     /// scopes are untouched (their rows and rings are disjoint by
     /// conflict scheduling).
@@ -1394,16 +1354,15 @@ impl TpccDb {
     /// # Panics
     ///
     /// Panics if no transaction is prepared at `ts`.
-    pub fn abort_prepared(&mut self, ts: Ts) {
+    pub fn abort_prepared(&mut self, ts: Ts) -> Ps {
         let (tables, first) = (&mut self.tables, self.wh_range.start);
         let elapsed = self
             .undo
             .abort_prepared(ts, |rec| undo_record(tables, first, rec));
-        self.wasted_retry_time += Ps::new(elapsed);
-        self.aborts += 1;
         if let Some((san, track)) = self.probe.sanitizer() {
             san.abort_scope(track, ts.0);
         }
+        Ps::new(elapsed)
     }
 
     /// Number of prepared transactions awaiting their coordinator
@@ -1438,6 +1397,19 @@ mod tests {
             db.table(Table::Stock).n_rows(),
         );
         (db, mem, tg)
+    }
+
+    /// One warehouse over two shards: the floor split gives it to shard
+    /// 1 (`Partition::of(1, 2)` builds and owns `0..1`) and leaves shard
+    /// 0 with none, which the build refuses as `WarehouseMap::new`
+    /// refuses fewer warehouses than shards.
+    #[test]
+    #[should_panic(expected = "owns none of the 1 warehouses")]
+    fn a_partition_owning_no_warehouse_is_refused() {
+        let (cfg, mem) = (DbConfig::small(), MemSystem::dimm());
+        let owner = TpccDb::build_partitioned(&cfg, &mem, Partition::of(1, 2)).unwrap();
+        assert_eq!(owner.warehouse_range(), 0..1);
+        let _ = TpccDb::build_partitioned(&cfg, &mem, Partition::of(0, 2));
     }
 
     #[test]
@@ -1635,7 +1607,6 @@ mod tests {
     /// commit under the same timestamp.
     #[test]
     fn delta_full_abort_is_atomic_and_retry_commits() {
-        use pushtap_mvcc::{DefragCostModel, DefragStrategy};
         let mem = MemSystem::dimm();
         let mut cfg = DbConfig::small();
         cfg.min_delta_rows = 16; // two slots per rotation arena
@@ -1648,7 +1619,6 @@ mod tests {
             db.table(Table::Item).n_rows(),
             db.table(Table::Stock).n_rows(),
         );
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
         let mut saw_abort = false;
         for _ in 0..40 {
             let txn = tg.next_txn();
@@ -1674,7 +1644,7 @@ mod tests {
                         .collect();
                     assert_eq!(after, cursors, "stripe cursors moved");
                     // Defragment and retry: same txn, same timestamp.
-                    db.defragment(&cost, DefragStrategy::Hybrid);
+                    db.defragment();
                     let r = db
                         .execute_at(&txn, ts, &mut mem, Ps::ZERO)
                         .expect("retry after defrag");
@@ -1683,7 +1653,6 @@ mod tests {
             }
         }
         assert!(saw_abort, "arenas this small must trigger DeltaFull");
-        assert!(db.aborts() > 0);
     }
 
     #[test]
@@ -1737,12 +1706,11 @@ mod tests {
         assert_eq!(oracle.watermark(), Ts(2));
     }
 
-    /// The latency a failed attempt consumed is tracked so callers can
-    /// charge it to the transaction's completion time (its memory traffic
-    /// already hit the simulated memory system).
+    /// A failed attempt reports when its rollback ended, so callers can
+    /// charge the latency it consumed to the transaction's completion
+    /// time (its memory traffic already hit the simulated memory system).
     #[test]
     fn failed_attempts_accumulate_wasted_time() {
-        use pushtap_mvcc::{DefragCostModel, DefragStrategy};
         let mem = MemSystem::dimm();
         let mut cfg = DbConfig::small();
         cfg.min_delta_rows = 16;
@@ -1755,34 +1723,25 @@ mod tests {
             db.table(Table::Item).n_rows(),
             db.table(Table::Stock).n_rows(),
         );
-        assert_eq!(db.wasted_retry_time(), Ps::ZERO);
-        let cost = DefragCostModel::new(16.0, 1e9, 3e9);
-        let mut last_wasted = Ps::ZERO;
+        let at = Ps::new(1_000);
+        let mut wasted = Ps::ZERO;
         let mut saw_abort = false;
         for ts in (1..=40).map(Ts) {
             let txn = tg.next_txn();
-            match db.execute_at(&txn, ts, &mut mem, Ps::ZERO) {
-                Ok(_) => assert_eq!(
-                    db.wasted_retry_time(),
-                    last_wasted,
-                    "a clean commit must not add wasted time"
-                ),
-                Err(_full) => {
-                    saw_abort = true;
-                    // Monotone: aborts only ever add wasted time (zero is
-                    // possible when the very first statement hits the
-                    // full arena before any time is charged).
-                    assert!(db.wasted_retry_time() >= last_wasted);
-                    last_wasted = db.wasted_retry_time();
-                    db.defragment(&cost, DefragStrategy::Hybrid);
-                    db.execute_at(&txn, ts, &mut mem, Ps::ZERO)
-                        .expect("retry after defrag");
-                }
+            if let Err((_, end)) = db.execute_at(&txn, ts, &mut mem, at) {
+                saw_abort = true;
+                // Zero is possible when the very first statement hits
+                // the full arena before any time is charged.
+                assert!(end >= at, "a rollback ended before its attempt began");
+                wasted += end - at;
+                db.defragment();
+                db.execute_at(&txn, ts, &mut mem, at)
+                    .expect("retry after defrag");
             }
         }
         assert!(saw_abort, "arenas this small must trigger DeltaFull");
         assert!(
-            db.wasted_retry_time() > Ps::ZERO,
+            wasted > Ps::ZERO,
             "mid-transaction aborts must have consumed time"
         );
     }

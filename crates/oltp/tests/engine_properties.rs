@@ -6,9 +6,7 @@
 use proptest::prelude::*;
 use pushtap_chbench::{dec_u64, enc_u64, RemoteMix, Table, TxnGen};
 use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
-use pushtap_mvcc::{
-    DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, UndoLog, UndoRecord,
-};
+use pushtap_mvcc::{DeltaFull, InsertUndo, Ts, UndoLog, UndoRecord};
 use pushtap_oltp::{
     Breakdown, ColumnWrite, DbConfig, DbFormat, Effect, HtapTable, Meter, OpResult, TableConfig,
     TaggedEffect, TpccDb,
@@ -122,9 +120,7 @@ db.table_mut(Table::Customer), &mut mem, &meter, *row, Ts(ts), &[(bal, ColumnWri
         }
         let t = db.table_mut(Table::Customer);
         prop_assert_eq!(t.live_delta_rows(), updates);
-        let model = pushtap_mvcc::DefragCostModel::new(16.0, 1e9, 3e9);
-        let (pass, _) =
-            t.defragment(&model, pushtap_mvcc::DefragStrategy::Hybrid, Ts(ts), |_, _| {});
+        let pass = t.defragment(Ts(ts), |_, _| {});
         prop_assert_eq!(pass.slots_recycled, updates);
         prop_assert_eq!(pass.rows_folded as usize, newest.len());
         prop_assert_eq!(t.live_delta_rows(), 0);
@@ -552,7 +548,6 @@ fn run_step(
     clock: &mut Clock,
     skip_rolled_back: bool,
 ) {
-    let cost = DefragCostModel::new(16.0, 1e9, 3e9);
     match step {
         Step::Commit(writes) | Step::Abort(writes) => {
             clock.next += 1;
@@ -612,15 +607,10 @@ fn run_step(
         }
         Step::Gc { behind } => {
             let before = Ts(clock.committed.saturating_sub(*behind));
-            s.t.gc(&cost, DefragStrategy::Hybrid, before, |_, _| {});
+            s.t.gc(before, |_, _| {});
         }
         Step::Defrag => {
-            s.t.defragment(
-                &cost,
-                DefragStrategy::Hybrid,
-                Ts(clock.committed),
-                |_, _| {},
-            );
+            s.t.defragment(Ts(clock.committed), |_, _| {});
         }
     }
     assert!(s.undo.is_empty(), "every scope of a step is decided in it");
@@ -763,13 +753,6 @@ fn check_scopes(db: &TpccDb, pending: &[Pending]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn defragment_everything(db: &mut TpccDb) {
-    db.defragment(
-        &DefragCostModel::new(16.0, 1e9, 3e9),
-        DefragStrategy::Hybrid,
-    );
-}
-
 /// Decides every pending transaction, newest first when `reversed`.
 fn decide_all(
     db: &mut TpccDb,
@@ -796,7 +779,7 @@ fn decide_all(
     for p in retries {
         if db.prepare_effects(&p.effects, p.ts, mem, Ps::ZERO).is_err() {
             check_scopes(db, &[])?;
-            defragment_everything(db);
+            db.defragment();
             db.prepare_effects(&p.effects, p.ts, mem, Ps::ZERO)
                 .expect("room after defragmentation");
         }
@@ -846,7 +829,7 @@ proptest! {
 
             // The plain engine: one transaction at a time.
             if plain.execute_at(&txn, ts, &mut plain_mem, Ps::ZERO).is_err() {
-                defragment_everything(&mut plain);
+                plain.defragment();
                 plain
                     .execute_at(&txn, ts, &mut plain_mem, Ps::ZERO)
                     .expect("room after defragmentation");
@@ -865,7 +848,7 @@ proptest! {
                 turned_away += 1;
                 check_scopes(&db, &pending)?;
                 decide_all(&mut db, &mut mem, &mut pending, reversed)?;
-                defragment_everything(&mut db);
+                db.defragment();
                 db.prepare_effects(&effects, ts, &mut mem, Ps::ZERO)
                     .expect("room after defragmentation");
             }

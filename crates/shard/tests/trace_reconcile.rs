@@ -151,6 +151,28 @@ fn count(spans: &[Span], phase: Phase) -> u64 {
     spans.iter().filter(|s| s.phase == phase).count() as u64
 }
 
+/// The latency the timeline shows rolled back: every failed prepare's
+/// `PrepareAbort` span, plus each `Prepare` span whose scope a later
+/// `Abort` instant of the same transaction on the same track took back.
+fn rolled_back_time(spans: &[Span]) -> u128 {
+    let mut prepared: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+    let mut total = 0u128;
+    for s in spans {
+        match s.phase {
+            Phase::PrepareAbort => total += u128::from(s.dur()),
+            Phase::Prepare => {
+                prepared.insert((s.track, s.txn), s.dur());
+            }
+            Phase::Abort => {
+                let taken_back = prepared.remove(&(s.track, s.txn));
+                total += u128::from(taken_back.expect("an abort takes back a prepare"));
+            }
+            _ => {}
+        }
+    }
+    total
+}
+
 /// Byte-compares every table of every shard between two deployments.
 fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
     assert_eq!(a.shard_count(), b.shard_count());
@@ -228,6 +250,19 @@ fn assert_report_reconciles(report: &ShardOltpReport, spans: &[Span], label: &st
         count(spans, Phase::PrepareAbort) + count(spans, Phase::Abort),
         total.aborts,
         "{label}: abort events"
+    );
+    // And the time they wasted is the time the timeline rolled back: a
+    // failed prepare's whole span, and each prepare a coordinator abort
+    // took back — the `Prepare` span of the same transaction on the
+    // same shard just before its `Abort` instant.
+    assert!(
+        count(spans, Phase::Abort) > 0,
+        "{label}: coordinator aborts"
+    );
+    assert_eq!(
+        rolled_back_time(spans),
+        u128::from(total.wasted_retry_time.ps()),
+        "{label}: wasted retry time vs rolled-back spans"
     );
     // Every routed transaction was marked at ingestion, and every
     // commit decision (home and participant halves) left an instant.

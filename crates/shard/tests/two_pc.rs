@@ -100,19 +100,10 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
         "squeezed arenas under the uniform mix must abort prepared scopes"
     );
     assert!(total.aborts > total.participant_aborts);
+    // The report captures every wasted attempt, the latency of the
+    // prepared scopes the coordinator aborted included; that it is the
+    // time the timeline shows rolled back is `trace_reconcile`'s check.
     assert!(total.wasted_retry_time > Ps::ZERO);
-    // The report captures every wasted attempt — including the latency
-    // of prepared scopes the coordinator aborted — so it reconciles
-    // exactly with the engines' own counters.
-    let engine_wasted: Ps = service
-        .shards()
-        .iter()
-        .map(|s| s.db().wasted_retry_time())
-        .sum();
-    assert_eq!(
-        total.wasted_retry_time, engine_wasted,
-        "per-shard reports must account coordinator-aborted prepare latency"
-    );
 
     // The coordinator-abort path, pinned: every shard's simulated
     // clock, the abort counts, the time the rolled-back prepares

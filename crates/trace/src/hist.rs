@@ -55,7 +55,7 @@ fn bucket_value(i: usize) -> u64 {
 /// bucket touched, so an empty or low-valued histogram stays tiny.
 /// `min`/`max` are tracked exactly and quantiles clamp to them, so the
 /// tails never report a value outside what was actually observed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     counts: Vec<u64>,
     count: u64,
@@ -217,6 +217,13 @@ impl Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Default for Histogram {
+    /// An empty histogram, the same as [`Histogram::new`].
+    fn default() -> Histogram {
+        Histogram::new()
     }
 }
 
@@ -402,6 +409,23 @@ mod tests {
         let before = m.clone();
         m.merge(&h);
         assert_eq!(m, before);
+    }
+
+    /// `Default` and `new` build the same empty histogram: the same
+    /// samples then give equal histograms with the same minimum and the
+    /// same percentiles. (259 falls in the bucket 256..=259, whose
+    /// midpoint 258 only the exact minimum clamps back up to 259.)
+    #[test]
+    fn default_is_new() {
+        let (mut a, mut b) = (Histogram::default(), Histogram::new());
+        for v in [259, 1000] {
+            a.record(v);
+            b.record(v);
+        }
+        assert_eq!(a, b);
+        assert_eq!((a.min(), b.min()), (259, 259));
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.stats().p50, 259);
     }
 
     #[test]

@@ -262,14 +262,15 @@ const ROWS: &[Row] = &[
     },
     Row {
         name: "engine-counts-itself",
-        paths: &["crates/shard/src"],
+        paths: &["crates/core/src", "crates/shard/src"],
         non_test: true,
         check: Any(&["wasted_retry_time()", ".aborts()", "MaintPause"]),
         sample: "let before = shard.db().wasted_retry_time();",
-        why: "Each report fact is kept once: an engine tallies its own \
+        why: "Each report fact is kept once: the executor reports what an \
+              attempt or a rollback took, `Pushtap` tallies its own \
               transaction time, aborts, wasted time and pauses, and the \
-              shard layer drains them with `Pushtap::take_report` instead \
-              of taking before/after deltas of the engine's counters.",
+              shard layer drains them with `Pushtap::take_report`; no layer \
+              takes before/after deltas of a lower layer's counters.",
     },
     Row {
         name: "no-counter-restating-a-histogram",
