@@ -368,8 +368,20 @@ impl VersionChains {
     /// chain as the scope left it).
     pub fn gc(&mut self, before: Ts) -> GcOutcome {
         let mut out = GcOutcome::default();
+        self.gc_into(before, &mut out);
+        out
+    }
+
+    /// [`VersionChains::gc`] into an outcome the caller keeps: `out` is
+    /// cleared and refilled, so once its lists have grown to a pass's
+    /// size a pass allocates nothing.
+    pub fn gc_into(&mut self, before: Ts, out: &mut GcOutcome) {
+        out.folds.clear();
+        out.freed.clear();
+        out.log_trimmed.clear();
+        out.traverse_steps = 0;
         if before == Ts::ZERO {
-            return out;
+            return;
         }
         for at in 0..self.newest.len() {
             let Some(newest) = self.newest[at] else {
@@ -427,7 +439,7 @@ impl VersionChains {
             });
         }
         if out.folds.is_empty() {
-            return out;
+            return;
         }
         // Trim the freed versions' log entries (all at or below the cut,
         // so a snapshot whose cursor has passed them simply rewinds) and
@@ -451,7 +463,6 @@ impl VersionChains {
             }
             true
         });
-        out
     }
 }
 
@@ -647,6 +658,29 @@ mod tests {
         assert_eq!(c.log().len(), 1);
         assert_eq!(c.log()[0].ts, Ts(6));
         assert_eq!(c.log()[0].prev_slot, RowSlot::Data { row: 7 });
+    }
+
+    /// A sequence of passes through one outcome: each refill equals the
+    /// fresh outcome of the same pass, freed-slot order included, and a
+    /// pass no larger than an earlier one reuses its lists' storage.
+    #[test]
+    fn gc_into_refills_one_outcome_pass_after_pass() {
+        let mut c = VersionChains::new();
+        for (row, ts) in [(3, 1), (1, 2), (3, 3), (2, 4), (1, 5), (3, 6), (2, 7)] {
+            let idx = ts - 1;
+            c.record_update(row, delta(0, idx), Ts(ts));
+        }
+        let mut out = GcOutcome::default();
+        out.freed.reserve(8);
+        let storage = out.freed.as_ptr();
+        for cut in [2, 5, 5, 7, 9] {
+            let fresh = c.clone().gc(Ts(cut));
+            c.gc_into(Ts(cut), &mut out);
+            assert_eq!(out, fresh, "cut {cut}");
+            assert_eq!(out.freed.as_ptr(), storage, "cut {cut} kept the list");
+        }
+        // The last cut found nothing left to fold.
+        assert!(out.is_empty() && c.log().is_empty());
     }
 
     #[test]
@@ -913,6 +947,8 @@ mod tests {
         clock: u64,
         /// The rows each pending prepared scope wrote.
         scopes: Vec<Vec<u64>>,
+        /// The one outcome every GC pass of the arrays refills.
+        outcome: GcOutcome,
     }
 
     impl Pair {
@@ -995,7 +1031,15 @@ mod tests {
                     if !self.scopes.is_empty() {
                         return;
                     }
-                    let out = self.arrays.gc(Ts(*cut));
+                    // The pass runs through the outcome every earlier
+                    // pass filled, and must hold exactly what a fresh
+                    // pass over the same chains returns, freed-slot
+                    // order included — the order the allocator gets
+                    // the slots back in.
+                    let fresh = self.arrays.clone().gc(Ts(*cut));
+                    let mut out = std::mem::take(&mut self.outcome);
+                    self.arrays.gc_into(Ts(*cut), &mut out);
+                    assert_eq!(out, fresh, "a reused outcome answers like a fresh one");
                     assert_eq!(out, self.maps.gc(Ts(*cut)));
                     assert_eq!(out.slots_recycled(), out.freed.len());
                     let per_fold: usize = out.folds.iter().map(|f| out.freed_of(f).len()).sum();
@@ -1003,6 +1047,7 @@ mod tests {
                     for &slot in &out.freed {
                         self.release(slot);
                     }
+                    self.outcome = out;
                 }
                 // Defragmentation is a pass at a cut covering every
                 // version: it empties the chains and the log.
@@ -1048,7 +1093,9 @@ mod tests {
         /// their stamps, GC at cuts below, inside and above the chains
         /// (whole outcomes: fold order, fold timestamps, freed slots
         /// newest first, trimmed log indices), defragmentation, and
-        /// slots recycled through all of it.
+        /// slots recycled through all of it. Every pass of the arrays
+        /// refills one reused [`GcOutcome`], which must also equal a
+        /// fresh pass's.
         #[test]
         fn arrays_answer_like_the_maps_they_replaced(steps in arb_steps()) {
             let mut pair = Pair {
@@ -1057,6 +1104,7 @@ mod tests {
                 alloc: crate::DeltaAllocator::new(ARENAS, ARENA_ROWS),
                 clock: 0,
                 scopes: Vec::new(),
+                outcome: GcOutcome::default(),
             };
             for step in &steps {
                 pair.step(step);

@@ -321,7 +321,7 @@ pub struct TaggedEffect {
 
 /// The conflict key of one row-level effect: the unit at which two
 /// transactions can collide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Key {
     /// A data row, by table and *global* row index.
     Row(Table, u64),
@@ -343,6 +343,11 @@ pub enum Key {
 /// conflict exactly when one's writes intersect the other's reads or
 /// writes — read/read sharing (e.g. the replicated, read-only ITEM
 /// table) never orders anything.
+///
+/// The keys are held inline, at most [`KeySet::CAPACITY`] of them, the
+/// way [`Writes`] and [`RowImage`] hold theirs: a keyset is plain `Copy`
+/// data, so stamping one on every admitted transaction never touches
+/// the allocator.
 ///
 /// [`TpccDb::decompose`]: crate::TpccDb::decompose
 ///
@@ -384,63 +389,140 @@ pub enum Key {
 /// assert!(!ring.conflicts(&row_w) && !row_w.conflicts(&ring));
 /// assert!(!ring.conflicts(&row_r) && !row_r.conflicts(&ring));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, Copy)]
 pub struct KeySet {
-    /// Rows the transaction reads (sorted, deduplicated).
-    reads: Vec<Key>,
-    /// Rows it writes and rings it consumes (sorted, deduplicated).
-    writes: Vec<Key>,
+    /// How many of `keys` are reads: `keys[..reads]` are the read keys
+    /// and `keys[reads..len]` the write keys, each run sorted and
+    /// deduplicated.
+    reads: u8,
+    len: u8,
+    keys: [Key; KeySet::CAPACITY],
 }
 
 impl KeySet {
+    /// The most keys one keyset holds: a 15-line NewOrder reads its
+    /// customer and 15 items and writes its district, 15 stock rows and
+    /// three insert rings (ORDER, NEWORDER, ORDERLINE).
+    pub const CAPACITY: usize = 35;
+
+    /// No keys (an unstamped placeholder).
+    const EMPTY: KeySet = KeySet {
+        reads: 0,
+        len: 0,
+        keys: [Key::Row(Table::Warehouse, 0); KeySet::CAPACITY],
+    };
+
     /// A keyset from explicit read and write keys (sorted and
     /// deduplicated internally).
-    pub fn new(mut reads: Vec<Key>, mut writes: Vec<Key>) -> KeySet {
-        reads.sort_unstable();
-        reads.dedup();
-        writes.sort_unstable();
-        writes.dedup();
-        KeySet { reads, writes }
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`KeySet::CAPACITY`] distinct keys.
+    pub fn new(
+        reads: impl IntoIterator<Item = Key>,
+        writes: impl IntoIterator<Item = Key>,
+    ) -> KeySet {
+        let mut set = KeySet::EMPTY;
+        for key in reads {
+            set.insert_read(key);
+        }
+        for key in writes {
+            set.insert_write(key);
+        }
+        set
     }
 
     /// Derives the keyset of a decomposed transaction: one [`Key::Row`]
     /// per read or updated row, one [`Key::Ring`] per insert's
-    /// (table, home-warehouse) stripe ring.
+    /// (table, home-warehouse) stripe ring. Touches no heap memory.
     pub fn from_effects(effects: &[TaggedEffect]) -> KeySet {
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
+        let mut set = KeySet::EMPTY;
         for e in effects {
-            match &e.effect {
-                Effect::Read { table, row } => reads.push(Key::Row(*table, *row)),
-                Effect::Update { table, row, .. } => writes.push(Key::Row(*table, *row)),
-                Effect::Insert { table, w_id, .. } => writes.push(Key::Ring(*table, *w_id)),
+            match e.effect {
+                Effect::Read { table, row } => set.insert_read(Key::Row(table, row)),
+                Effect::Update { table, row, .. } => set.insert_write(Key::Row(table, row)),
+                Effect::Insert { table, w_id, .. } => set.insert_write(Key::Ring(table, w_id)),
             }
         }
-        KeySet::new(reads, writes)
+        set
+    }
+
+    /// Adds a read key, keeping the reads sorted and deduplicated.
+    fn insert_read(&mut self, key: Key) {
+        if self.insert(0, self.reads as usize, key) {
+            self.reads += 1;
+        }
+    }
+
+    /// Adds a write key, keeping the writes sorted and deduplicated.
+    fn insert_write(&mut self, key: Key) {
+        self.insert(self.reads as usize, self.len as usize, key);
+    }
+
+    /// Inserts `key` into the sorted run `keys[from..to]` unless it is
+    /// there already, shifting everything after it up one slot; returns
+    /// whether it was inserted.
+    fn insert(&mut self, from: usize, to: usize, key: Key) -> bool {
+        let Err(at) = self.keys[from..to].binary_search(&key) else {
+            return false;
+        };
+        let (at, len) = (from + at, self.len as usize);
+        assert!(
+            len < KeySet::CAPACITY,
+            "a keyset holds at most {} keys",
+            KeySet::CAPACITY
+        );
+        self.keys.copy_within(at..len, at + 1);
+        self.keys[at] = key;
+        self.len += 1;
+        true
     }
 
     /// The read keys, sorted.
     pub fn reads(&self) -> &[Key] {
-        &self.reads
+        &self.keys[..self.reads as usize]
     }
 
     /// The write keys (rows and rings), sorted.
     pub fn writes(&self) -> &[Key] {
-        &self.writes
+        &self.keys[self.reads as usize..self.len as usize]
     }
 
     /// Whether the keyset touches nothing (an unstamped placeholder).
     pub fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty()
+        self.len == 0
     }
 
     /// Whether two transactions must execute in timestamp order: one's
     /// writes intersect the other's reads or writes (write/write,
     /// write/read, or read/write on any key). Symmetric.
     pub fn conflicts(&self, other: &KeySet) -> bool {
-        sorted_intersect(&self.writes, &other.writes)
-            || sorted_intersect(&self.writes, &other.reads)
-            || sorted_intersect(&self.reads, &other.writes)
+        sorted_intersect(self.writes(), other.writes())
+            || sorted_intersect(self.writes(), other.reads())
+            || sorted_intersect(self.reads(), other.writes())
+    }
+}
+
+impl Default for KeySet {
+    fn default() -> KeySet {
+        KeySet::EMPTY
+    }
+}
+
+impl PartialEq for KeySet {
+    fn eq(&self, other: &KeySet) -> bool {
+        self.reads() == other.reads() && self.writes() == other.writes()
+    }
+}
+
+impl Eq for KeySet {}
+
+impl fmt::Debug for KeySet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeySet")
+            .field("reads", &self.reads())
+            .field("writes", &self.writes())
+            .finish()
     }
 }
 
@@ -504,6 +586,49 @@ mod tests {
             vec![],
         );
         assert_eq!(k.reads(), &[row(Table::Stock, 2), row(Table::Stock, 9)]);
+    }
+
+    /// Reads and writes arrive interleaved and each lands in its own
+    /// sorted, deduplicated run; the set equals the one built from
+    /// sorted lists.
+    #[test]
+    fn keyset_keeps_interleaved_reads_and_writes_apart() {
+        let mut k = KeySet::default();
+        k.insert_write(Key::Ring(Table::Order, 2));
+        k.insert_read(row(Table::Stock, 9));
+        k.insert_write(row(Table::Stock, 9));
+        k.insert_read(row(Table::Item, 1));
+        k.insert_write(Key::Ring(Table::Order, 2));
+        k.insert_read(row(Table::Stock, 9));
+        k.insert_write(row(Table::District, 3));
+        let mut reads = [row(Table::Stock, 9), row(Table::Item, 1)];
+        let mut writes = [
+            Key::Ring(Table::Order, 2),
+            row(Table::Stock, 9),
+            row(Table::District, 3),
+        ];
+        reads.sort_unstable();
+        writes.sort_unstable();
+        assert_eq!((k.reads(), k.writes()), (&reads[..], &writes[..]));
+        let sorted = KeySet::new(
+            [row(Table::Item, 1), row(Table::Stock, 9)],
+            [
+                row(Table::Stock, 9),
+                row(Table::District, 3),
+                Key::Ring(Table::Order, 2),
+            ],
+        );
+        assert_eq!(k, sorted);
+        assert!(!k.is_empty() && KeySet::default().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 35 keys")]
+    fn a_36th_key_overflows_the_keyset() {
+        let _ = KeySet::new(
+            (0..16).map(|r| row(Table::Item, r)),
+            (0..20).map(|r| row(Table::Stock, r)),
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use pushtap_format::{RegionPlan, RowSlot, TableLayout, TableStore};
 use pushtap_mvcc::{
-    DefragCostModel, DefragStrategy, DeltaAllocator, DeltaFull, Snapshot, SnapshotUpdate, Ts,
-    VersionChains,
+    DefragCostModel, DefragStrategy, DeltaAllocator, DeltaFull, GcOutcome, Snapshot,
+    SnapshotUpdate, Ts, VersionChains,
 };
 use pushtap_pim::calib::{SNAPSHOT_ENTRY_CYCLES, VERSION_META_BYTES};
 use pushtap_pim::{BankAddr, Geometry, MemSystem, Op, Ps, Side};
@@ -157,6 +157,9 @@ pub struct HtapTable {
     /// defragmentation cost model takes them.
     part_widths: Vec<u32>,
     chains: VersionChains,
+    /// The outcome every GC pass refills, so a pass allocates nothing
+    /// once its lists have grown to a pass's size.
+    gc_outcome: GcOutcome,
     alloc: DeltaAllocator,
     snapshot: Snapshot,
     index: HashIndex,
@@ -218,6 +221,7 @@ impl HtapTable {
             alloc: DeltaAllocator::new(devices, arena_rows),
             snapshot: Snapshot::new(cfg.n_rows, devices, arena_rows),
             chains: VersionChains::new(),
+            gc_outcome: GcOutcome::default(),
             index: HashIndex::with_capacity(cfg.n_rows),
             store,
             cfg,
@@ -769,7 +773,8 @@ impl HtapTable {
     /// Returns the pass's stats; the fold is unpriced, and
     /// [`HtapTable::copy_back_seconds`] over its counts is its price.
     pub fn gc(&mut self, before: Ts, mut on_fold: impl FnMut(u64, Ts)) -> TableGcPass {
-        let out = self.chains.gc(before);
+        let out = &mut self.gc_outcome;
+        self.chains.gc_into(before, out);
         let mut pass = TableGcPass {
             chain_steps: out.traverse_steps as u64,
             log_trimmed: out.log_trimmed.len() as u64,

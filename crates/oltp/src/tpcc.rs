@@ -893,7 +893,9 @@ impl TpccDb {
     /// occupancy, only on the transaction's parameters. A scheduler uses
     /// [`KeySet::conflicts`](crate::effects::KeySet::conflicts) to order
     /// conflicting transactions by timestamp and run the rest
-    /// concurrently.
+    /// concurrently. This owned form decomposes into a fresh list; a
+    /// caller on the transaction path decomposes into a list it keeps
+    /// ([`TpccDb::decompose_into`]) and calls [`KeySet::from_effects`].
     pub fn keyset(&self, txn: &Txn, ts: Ts) -> crate::effects::KeySet {
         crate::effects::KeySet::from_effects(&self.decompose(txn, ts))
     }
@@ -1410,6 +1412,21 @@ mod tests {
         let owner = TpccDb::build_partitioned(&cfg, &mem, Partition::of(1, 2)).unwrap();
         assert_eq!(owner.warehouse_range(), 0..1);
         let _ = TpccDb::build_partitioned(&cfg, &mem, Partition::of(0, 2));
+    }
+
+    /// The widest transaction fills the inline keyset exactly: a
+    /// 15-line NewOrder with distinct items and stock rows reads its
+    /// customer and 15 items and writes its district, 15 stock rows and
+    /// three insert rings.
+    #[test]
+    fn a_full_neworder_keyset_fits_inline() {
+        let (db, _, _) = setup();
+        let lines: Vec<u64> = (0..NewOrder::MAX_LINES as u64).collect();
+        let txn = Txn::NewOrder(NewOrder::new(0, 1, 2, &lines, &lines));
+        let keys = db.keyset(&txn, Ts(1));
+        assert_eq!((keys.reads().len(), keys.writes().len()), (16, 19));
+        assert_eq!(keys.reads().len() + keys.writes().len(), KeySet::CAPACITY);
+        assert_eq!(keys, KeySet::from_effects(&db.decompose(&txn, Ts(1))));
     }
 
     #[test]

@@ -168,18 +168,10 @@ fn vote_skew(bound: Ps, participant: u32, ts: Ts) -> Ps {
     Ps::new(x % (bound.ps() + 1))
 }
 
-/// One wave member: what it does and how the wave decided it.
-struct Member<'a> {
-    /// The transaction, as routed and stamped. Its effects are the
-    /// ranges its items hold of the wave's effect list.
-    routed: &'a RoutedTxn,
-    /// The vote barrier's verdict: every involved shard prepared it.
-    committed: bool,
-}
-
 /// One shard's share of one wave member: a range of the wave's effect
 /// list to prepare at a pinned timestamp, as the transaction's home
 /// half or a forwarded participant — and, once prepared, how it went.
+#[derive(Debug)]
 struct WaveItem {
     /// The shard that owns the effects.
     shard: usize,
@@ -204,15 +196,34 @@ struct WaveItem {
     vote: Option<TxnResult>,
 }
 
+/// The lists a wave executes from, kept from one wave to the next (and
+/// by the service from one run to the next), so a warm run builds every
+/// wave without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct WaveLists {
+    /// Each wave member's verdict at the vote barrier: every involved
+    /// shard prepared it.
+    committed: Vec<bool>,
+    /// The wave's items, sorted by `(shard, timestamp)`.
+    items: Vec<WaveItem>,
+    /// The wave's one effect list, which the items hold ranges of.
+    effects: Vec<TaggedEffect>,
+    /// One member's decomposition, before it joins `effects`.
+    one: Vec<TaggedEffect>,
+}
+
 /// What every wave of a run executes on and accounts to: the engines,
-/// the partitioning, the commit protocol's costs, the logs and the
-/// per-shard loads.
+/// the partitioning, the commit protocol's costs, the logs, the
+/// per-shard loads and the wave lists.
 pub(crate) struct Engines<'a> {
     pub shards: &'a mut [Pushtap],
     pub map: WarehouseMap,
     pub commit: CommitConfig,
     pub dur: Option<&'a mut Durability>,
     pub loads: Vec<ShardLoad>,
+    /// Idle wave lists: a wave takes one and hands it back, and a retry,
+    /// which runs while its wave's lists are in use, takes another.
+    pub lists: Vec<WaveLists>,
 }
 
 impl Engines<'_> {
@@ -254,8 +265,22 @@ impl Engines<'_> {
                 }
             }
         }
-        let (mut members, mut items, effects) = self.wave_items(wave);
-        self.prepare_pass(&effects, &mut items, wave_id, crash);
+        let mut lists = self.lists.pop().unwrap_or_default();
+        let crashed = self.execute_wave(wave, wave_id, crash, &mut lists);
+        self.lists.push(lists);
+        crashed
+    }
+
+    /// Steps 1 to 5 of [`Engines::run_wave`], on `lists`.
+    fn execute_wave(
+        &mut self,
+        wave: &[RoutedTxn],
+        wave_id: u64,
+        crash: Option<CrashSite>,
+        lists: &mut WaveLists,
+    ) -> bool {
+        self.wave_items(wave, lists);
+        self.prepare_pass(&lists.effects, &mut lists.items, wave_id, crash);
         // The kill at (or during) the wave's group commit: the prepare
         // pass ran, but the wave's records are lost (AfterPrepare) or
         // durable only up to one shard's torn force (MidEffectFlush).
@@ -267,81 +292,67 @@ impl Engines<'_> {
         }
         // The vote barrier: a transaction commits iff every involved
         // shard prepared it.
-        for item in &items {
-            members[item.txn].committed &= item.vote.is_some();
+        for item in &lists.items {
+            lists.committed[item.txn] &= item.vote.is_some();
         }
-        if self.log_decisions(&members, crash) {
+        if self.log_decisions(wave, &lists.committed, crash) {
             return true;
         }
-        self.decide_pass(&members, &items, wave_id);
-        self.retry_aborted(&members, &items, wave_id);
+        self.decide_pass(wave, &lists.committed, &lists.items, wave_id);
+        self.retry_aborted(wave, &lists.committed, &lists.items, wave_id);
         false
     }
 
-    /// Step 1: the wave's members, its one item list, sorted by
-    /// `(shard, timestamp)`, and its one effect list, which the items
-    /// hold ranges of. Wave members touch disjoint rows and rings,
-    /// so the order they are decomposed in is irrelevant.
-    fn wave_items<'a>(
-        &self,
-        wave: &'a [RoutedTxn],
-    ) -> (Vec<Member<'a>>, Vec<WaveItem>, Vec<TaggedEffect>) {
-        let mut members: Vec<Member> = Vec::with_capacity(wave.len());
-        let mut items: Vec<WaveItem> = Vec::with_capacity(wave.len());
-        let mut effects: Vec<TaggedEffect> = Vec::new();
-        // One member's decomposition, reused across the wave.
-        let mut one: Vec<TaggedEffect> = Vec::new();
-        for routed in wave {
-            self.decompose_split(members.len(), routed, &mut one, &mut effects, &mut items);
-            members.push(Member {
-                routed,
-                committed: true,
-            });
+    /// Step 1: refills `lists` with the wave's verdicts (all yes until
+    /// the vote barrier), its one item list, sorted by `(shard,
+    /// timestamp)`, and its one effect list, which the items hold
+    /// ranges of. Wave members touch disjoint rows and rings, so the
+    /// order they are decomposed in is irrelevant.
+    fn wave_items(&self, wave: &[RoutedTxn], lists: &mut WaveLists) {
+        lists.committed.clear();
+        lists.committed.resize(wave.len(), true);
+        lists.items.clear();
+        lists.effects.clear();
+        for (txn, routed) in wave.iter().enumerate() {
+            self.decompose_split(txn, routed, lists);
         }
         // A shard's share becomes one contiguous run, in the timestamp
         // order its prepares must apply in: a forwarded item can land
         // behind a later transaction's home item.
-        items.sort_unstable_by_key(|it| (it.shard, it.ts));
-        (members, items, effects)
+        lists.items.sort_unstable_by_key(|it| (it.shard, it.ts));
     }
 
     /// Decomposes `routed`, wave member `txn`, at its home engine (into
-    /// `one`, which keeps its capacity), moves the effects to the end of
-    /// the wave's list `effects` — the home's own effects first, then
-    /// each participant's — and cuts one item per involved shard, each a
+    /// `lists.one`), copies the effects to the end of the wave's list
+    /// `lists.effects` — the home's own effects first, then each
+    /// participant's — and cuts one item per involved shard, each a
     /// range of the wave's list. Decomposition is read-only (cursors and
     /// chains untouched), so a retry builds the identical effects.
-    fn decompose_split(
-        &self,
-        txn: usize,
-        routed: &RoutedTxn,
-        one: &mut Vec<TaggedEffect>,
-        effects: &mut Vec<TaggedEffect>,
-        items: &mut Vec<WaveItem>,
-    ) {
+    fn decompose_split(&self, txn: usize, routed: &RoutedTxn, lists: &mut WaveLists) {
+        let WaveLists {
+            one,
+            effects,
+            items,
+            ..
+        } = lists;
         let owner = |e: &TaggedEffect| self.map.shard_of_warehouse(e.warehouse) as usize;
         let home = routed.shard as usize;
         self.shards[home]
             .db()
             .decompose_into(&routed.txn, routed.ts, one);
-        let cross = !routed.participants.is_empty();
-        if cross {
-            // Stable, so every shard keeps its effects in statement
-            // order.
-            one.sort_by_key(|e| {
-                let shard = owner(e);
-                (shard != home, shard)
-            });
-        }
         let first = items.len();
-        let mut start = effects.len();
-        effects.append(one);
-        while start < effects.len() {
-            let shard = owner(&effects[start]);
-            let run = effects[start..]
-                .iter()
-                .take_while(|e| owner(e) == shard)
-                .count();
+        let cross = !routed.participants.is_empty();
+        // The home's effects first, then each participant's in shard
+        // order, every shard's in statement order.
+        let involved = routed.participants.iter().map(|&p| p as usize);
+        for shard in std::iter::once(home).chain(involved) {
+            let start = effects.len();
+            effects.extend(one.iter().filter(|e| owner(e) == shard));
+            debug_assert!(
+                effects.len() > start,
+                "participant {shard} of {:?} owns no effect",
+                routed.ts
+            );
             items.push(WaveItem {
                 shard,
                 txn,
@@ -352,19 +363,18 @@ impl Engines<'_> {
                     TxnRole::Participant
                 },
                 cross,
-                effects: start..start + run,
+                effects: start..effects.len(),
                 start: Ps::ZERO,
                 end: Ps::ZERO,
                 vote: None,
             });
-            start += run;
         }
-        debug_assert!(
-            items[first].shard == home
-                && items[first + 1..]
-                    .iter()
-                    .map(|it| it.shard as u32)
-                    .eq(routed.participants.iter().copied()),
+        debug_assert_eq!(
+            items[first..]
+                .iter()
+                .map(|it| it.effects.len())
+                .sum::<usize>(),
+            one.len(),
             "router participant set must match effect ownership"
         );
     }
@@ -455,16 +465,21 @@ impl Engines<'_> {
     /// delivered. Recovery presumes abort for cross-shard scopes the
     /// decision log does not vouch for. Returns `true` if an armed
     /// crash fired.
-    fn log_decisions(&mut self, members: &[Member], crash: Option<CrashSite>) -> bool {
+    fn log_decisions(
+        &mut self,
+        wave: &[RoutedTxn],
+        committed: &[bool],
+        crash: Option<CrashSite>,
+    ) -> bool {
         let Some(d) = self.dur.as_mut() else {
             return false;
         };
         if crash == Some(CrashSite::BetweenVoteAndDecision) {
             return true;
         }
-        for m in members {
-            if m.committed && !m.routed.participants.is_empty() {
-                d.decision_log.append(&encode_decision(m.routed.ts));
+        for (routed, &committed) in wave.iter().zip(committed) {
+            if committed && !routed.participants.is_empty() {
+                d.decision_log.append(&encode_decision(routed.ts));
             }
         }
         if crash == Some(CrashSite::MidDecisionLogWrite) {
@@ -487,7 +502,13 @@ impl Engines<'_> {
     /// force overlaps the decision round, and the decision *apply* on
     /// `p` still lands after the force because `p`'s clock crossed it
     /// at the phase barrier).
-    fn decide_pass(&mut self, members: &[Member], items: &[WaveItem], wave_id: u64) {
+    fn decide_pass(
+        &mut self,
+        wave: &[RoutedTxn],
+        committed: &[bool],
+        items: &[WaveItem],
+        wave_id: u64,
+    ) {
         let commit = self.commit;
         for list in items.chunk_by(|a, b| a.shard == b.shard) {
             let i = list[0].shard;
@@ -500,7 +521,7 @@ impl Engines<'_> {
                     // its wasted latency).
                     continue;
                 };
-                let member = &members[item.txn];
+                let routed = &wave[item.txn];
                 let item_start = shard.now();
                 match item.role {
                     TxnRole::Participant => deliver(
@@ -519,7 +540,7 @@ impl Engines<'_> {
                     // wave's rounds.
                     TxnRole::Coordinator if item.cross => {
                         let mut vote_at = phase_start + commit.prepare_hop;
-                        for &p in &member.routed.participants {
+                        for &p in routed.participants.iter() {
                             let key = (p as usize, item.ts);
                             let Ok(at) = items.binary_search_by_key(&key, |it| (it.shard, it.ts))
                             else {
@@ -537,7 +558,7 @@ impl Engines<'_> {
                     }
                     TxnRole::Coordinator => {}
                 }
-                if member.committed {
+                if committed[item.txn] {
                     shard.commit_prepared(item.ts, item.role);
                     load.report.breakdown.merge(&result.breakdown);
                     if item.role == TxnRole::Coordinator {
@@ -572,12 +593,17 @@ impl Engines<'_> {
     /// to amortize the barrier over — and replay dedupes the casualty's
     /// duplicate appends keep-last (decomposition is retry-stable, so
     /// they are byte-identical).
-    fn retry_aborted(&mut self, members: &[Member], items: &[WaveItem], wave_id: u64) {
-        for (txn, member) in members.iter().enumerate() {
-            if member.committed {
+    fn retry_aborted(
+        &mut self,
+        wave: &[RoutedTxn],
+        committed: &[bool],
+        items: &[WaveItem],
+        wave_id: u64,
+    ) {
+        for (txn, routed) in wave.iter().enumerate() {
+            if committed[txn] {
                 continue;
             }
-            let routed = member.routed;
             for it in items.iter().filter(|it| it.txn == txn && it.vote.is_none()) {
                 self.shards[it.shard].reclaim_now();
             }

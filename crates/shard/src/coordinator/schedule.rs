@@ -15,8 +15,8 @@
 //! a closed-loop batch is the same scheduler with an unbounded window,
 //! admitted whole and then drained ([`build_waves`]).
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use pushtap_oltp::Key;
 
@@ -25,6 +25,43 @@ use crate::router::RoutedTxn;
 /// One wave: transactions that may execute (and two-phase-commit)
 /// concurrently, in stream order.
 pub type Wave = Vec<RoutedTxn>;
+
+/// A fixed multiplicative hash of the small integers a [`Key`] is made
+/// of (the step of rustc's FxHash): a run hashes the same way every
+/// time, and a key costs three multiplies. The keys are row and ring
+/// numbers the engine resolves, bounded by the tables' sizes, so no
+/// caller can craft them to collide.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The latest wave touching each key.
+type KeyMap = HashMap<Key, u64, BuildHasherDefault<KeyHasher>>;
 
 /// Greedy earliest-wave assignment over a sliding window of admitted
 /// transactions.
@@ -45,17 +82,24 @@ pub type Wave = Vec<RoutedTxn>;
 ///
 /// Memory stays bounded by the window: a dispatched wave takes its own
 /// key-map entries with it, so only keys of still-pending transactions
-/// are tracked.
+/// are tracked. A scheduler is meant to be kept: its key maps keep
+/// their capacity, and a wave handed back through
+/// [`recycle`](WaveScheduler::recycle) lends its storage to a later
+/// wave, so a warm scheduler admits and dispatches without allocating.
 #[derive(Debug, Clone)]
 pub struct WaveScheduler {
     window: usize,
     floor: u64,
-    last_writer: BTreeMap<Key, u64>,
-    last_reader: BTreeMap<Key, u64>,
-    /// Admitted-but-undispatched transactions bucketed by assigned wave
-    /// index, each bucket in admission order.
-    pending: BTreeMap<u64, Wave>,
+    last_writer: KeyMap,
+    last_reader: KeyMap,
+    /// Admitted-but-undispatched transactions by wave: `pending[i]`
+    /// holds wave `floor + i`, in admission order. The pending waves
+    /// are contiguous from the floor: an admission lands on the floor
+    /// or one past a pending wave it conflicts with.
+    pending: VecDeque<Wave>,
     pending_txns: usize,
+    /// Dispatched waves handed back, emptied, for later waves to fill.
+    spare: Vec<Wave>,
 }
 
 impl WaveScheduler {
@@ -65,15 +109,31 @@ impl WaveScheduler {
     /// # Panics
     /// Panics if `window` is zero.
     pub fn new(window: usize) -> WaveScheduler {
-        assert!(window > 0, "scheduling window must be positive");
-        WaveScheduler {
-            window,
+        let mut sched = WaveScheduler {
+            window: 1,
             floor: 0,
-            last_writer: BTreeMap::new(),
-            last_reader: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            last_writer: KeyMap::default(),
+            last_reader: KeyMap::default(),
+            pending: VecDeque::new(),
             pending_txns: 0,
-        }
+            spare: Vec::new(),
+        };
+        sched.reset(window);
+        sched
+    }
+
+    /// Starts a new stream, scheduled with window `window`, on the
+    /// storage of the last one, which must have been drained.
+    ///
+    /// # Panics
+    /// Panics if `window` is zero.
+    pub fn reset(&mut self, window: usize) {
+        assert!(window > 0, "scheduling window must be positive");
+        debug_assert!(
+            self.is_empty() && self.last_writer.is_empty() && self.last_reader.is_empty(),
+            "a new stream starts on a drained, closed scheduler"
+        );
+        self.window = window;
     }
 
     /// Admits one transaction: assigns its wave by the greedy
@@ -112,7 +172,16 @@ impl WaveScheduler {
         for k in routed.keys.writes() {
             self.last_writer.insert(*k, wave);
         }
-        self.pending.entry(wave).or_default().push(routed);
+        let at = (wave - self.floor) as usize;
+        debug_assert!(
+            at <= self.pending.len(),
+            "pending waves must stay contiguous"
+        );
+        if at == self.pending.len() {
+            let fresh = self.spare.pop().unwrap_or_default();
+            self.pending.push_back(fresh);
+        }
+        self.pending[at].push(routed);
         self.pending_txns += 1;
     }
 
@@ -137,39 +206,49 @@ impl WaveScheduler {
     /// floor past it, and drops the map entries it owned. `None` when
     /// nothing is pending.
     pub fn pop_wave(&mut self) -> Option<Wave> {
-        let (index, wave) = self.pending.pop_first()?;
+        let wave = self.pending.pop_front()?;
+        let index = self.floor;
         self.pending_txns -= wave.len();
         self.floor = index + 1;
         // A key's entry names the latest wave touching it. Entries that
         // still name this wave constrain nothing the floor doesn't
         // already; entries a later admission raised stay with that
         // admission's wave. Only this wave's own keys can name it, so
-        // the prune costs its members' keysets, not the whole map.
-        let prune = |map: &mut BTreeMap<Key, u64>, k: &Key| {
-            if let Entry::Occupied(e) = map.entry(*k) {
-                if *e.get() == index {
-                    e.remove();
-                }
+        // the prune costs its members' keysets, not the whole map — and
+        // nothing once admission has closed.
+        let prune = |map: &mut KeyMap, k: &Key| {
+            if map.get(k) == Some(&index) {
+                map.remove(k);
             }
         };
-        for routed in &wave {
-            for k in routed.keys.reads() {
-                prune(&mut self.last_reader, k);
-            }
-            for k in routed.keys.writes() {
-                prune(&mut self.last_writer, k);
+        if !self.last_writer.is_empty() || !self.last_reader.is_empty() {
+            for routed in &wave {
+                for k in routed.keys.reads() {
+                    prune(&mut self.last_reader, k);
+                }
+                for k in routed.keys.writes() {
+                    prune(&mut self.last_writer, k);
+                }
             }
         }
         Some(wave)
     }
 
-    /// Ends admission and yields the remaining waves in dispatch order.
-    /// A scheduler that will admit nothing more needs no key maps, so
-    /// they are dropped whole instead of pruned wave by wave — a
-    /// closed-loop batch, which dispatches only here, pays nothing
-    /// between its waves.
-    pub fn drain(self) -> impl Iterator<Item = Wave> {
-        self.pending.into_values()
+    /// Hands a dispatched wave back: emptied, its storage holds a later
+    /// wave.
+    pub fn recycle(&mut self, mut wave: Wave) {
+        wave.clear();
+        self.spare.push(wave);
+    }
+
+    /// Ends admission: a scheduler that admits nothing more until its
+    /// pending waves are popped needs no key maps, so they are emptied
+    /// whole (keeping their capacity) instead of pruned wave by wave —
+    /// a closed-loop batch, which dispatches only after this, pays
+    /// nothing between its waves.
+    pub fn close(&mut self) {
+        self.last_writer.clear();
+        self.last_reader.clear();
     }
 }
 
@@ -187,7 +266,8 @@ pub fn incremental_waves(stream: Vec<RoutedTxn>, window: usize) -> Vec<Wave> {
             }
         }
     }
-    waves.extend(sched.drain());
+    sched.close();
+    waves.extend(std::iter::from_fn(|| sched.pop_wave()));
     waves
 }
 
@@ -226,7 +306,7 @@ mod tests {
                 amount: 1,
             }),
             shard: 0,
-            participants: vec![],
+            participants: Default::default(),
             remote: 0,
             ts: Ts(ts),
             keys: KeySet::new(
@@ -416,6 +496,35 @@ mod tests {
             high_water <= 16,
             "tracked keys must stay window-bounded, saw {high_water}"
         );
+    }
+
+    /// A scheduler kept across streams — drained, closed, its waves
+    /// recycled, then reset to another window — schedules the next
+    /// stream exactly as a fresh one does.
+    #[test]
+    fn a_kept_scheduler_schedules_like_a_fresh_one() {
+        let mut sched = WaveScheduler::new(3);
+        for window in [3, usize::MAX, 1, 5] {
+            sched.reset(window);
+            let mut waves: Vec<Vec<u64>> = Vec::new();
+            let mut take = |sched: &mut WaveScheduler| {
+                let wave = sched.pop_wave().unwrap();
+                waves.push(wave.iter().map(|t| t.ts.0).collect());
+                sched.recycle(wave);
+            };
+            for routed in mixed_stream() {
+                sched.admit(routed);
+                while sched.window_full() {
+                    take(&mut sched);
+                }
+            }
+            sched.close();
+            while !sched.is_empty() {
+                take(&mut sched);
+            }
+            assert_eq!(waves, ts_of(&incremental_waves(mixed_stream(), window)));
+            assert_eq!(sched.tracked_keys(), 0);
+        }
     }
 
     /// The scheduler is work-conserving about its frontier: popping

@@ -133,5 +133,5 @@ pub use partition::WarehouseMap;
 pub use report::{
     CoordStats, OpenLoopReport, RemoteTouches, ShardLoad, ShardOltpReport, ShardQueryReport,
 };
-pub use router::{RoutedTxn, TxnRouter};
+pub use router::{Participants, RoutedTxn, TxnRouter};
 pub use service::{ShardedHtap, WalHandles};

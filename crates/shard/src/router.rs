@@ -1,6 +1,9 @@
 //! Transaction routing: home-shard selection, participant-set
 //! computation, and remote-touch accounting.
 
+use std::fmt;
+use std::ops::Deref;
+
 use pushtap_chbench::Txn;
 use pushtap_mvcc::{Ts, TsOracle};
 use pushtap_oltp::KeySet;
@@ -23,7 +26,7 @@ pub struct RoutedTxn {
     /// warehouse-local transaction; non-empty means the coordinator runs
     /// a two-phase commit across `{shard} ∪ participants` — the home
     /// shard executes its owned effects and forwards the rest.
-    pub participants: Vec<u32>,
+    pub participants: Participants,
     /// Touches owned by other shards (individual rows, not shards).
     pub remote: u64,
     /// The commit timestamp every participant executes this transaction
@@ -49,6 +52,58 @@ pub struct RoutedTxn {
     /// and the sanitizer's front-end invariant holds that no
     /// transaction begins execution before it.
     pub arrival: Ps,
+}
+
+/// The participant shards of one routed transaction, held inline:
+/// sorted, deduplicated, at most [`Participants::CAPACITY`] — the owners
+/// of a NewOrder's up to 15 stock rows plus its customer's owner. Reads
+/// as a slice of shard ids, so routing a transaction never touches the
+/// allocator.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Participants {
+    len: u8,
+    /// The shards, ascending; the slots past `len` stay zero, so the
+    /// derived equality is the slices' equality.
+    shards: [u32; Participants::CAPACITY],
+}
+
+impl Participants {
+    /// The most participants one transaction has.
+    pub const CAPACITY: usize = 16;
+
+    /// Adds `shard` unless it is already a participant.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`Participants::CAPACITY`] distinct shards.
+    fn insert(&mut self, shard: u32) {
+        let len = self.len as usize;
+        let Err(at) = self.shards[..len].binary_search(&shard) else {
+            return;
+        };
+        assert!(
+            len < Participants::CAPACITY,
+            "a transaction has at most {} participants",
+            Participants::CAPACITY
+        );
+        self.shards.copy_within(at..len, at + 1);
+        self.shards[at] = shard;
+        self.len += 1;
+    }
+}
+
+impl Deref for Participants {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.shards[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for Participants {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Routes transactions by home warehouse and computes each transaction's
@@ -79,12 +134,12 @@ impl TxnRouter {
     /// oracle in stream order.
     pub fn route(&self, txn: Txn) -> RoutedTxn {
         let shard = self.map.shard_of_warehouse(txn.home_warehouse());
-        let mut participants: Vec<u32> = Vec::new();
+        let mut participants = Participants::default();
         let remote = match &txn {
             Txn::Payment(p) => {
                 let owner = self.map.shard_of_customer(p.c_row);
                 if owner != shard {
-                    participants.push(owner);
+                    participants.insert(owner);
                 }
                 u64::from(owner != shard)
             }
@@ -93,20 +148,18 @@ impl TxnRouter {
                 for &s in no.stock_rows() {
                     let owner = self.map.shard_of_stock(s);
                     if owner != shard {
-                        participants.push(owner);
+                        participants.insert(owner);
                         remote += 1;
                     }
                 }
                 let owner = self.map.shard_of_customer(no.c_row);
                 if owner != shard {
-                    participants.push(owner);
+                    participants.insert(owner);
                     remote += 1;
                 }
                 remote
             }
         };
-        participants.sort_unstable();
-        participants.dedup();
         RoutedTxn {
             txn,
             shard,
@@ -233,8 +286,36 @@ mod tests {
             expect.retain(|&s| s != routed.shard);
             expect.sort_unstable();
             expect.dedup();
-            assert_eq!(routed.participants, expect);
+            assert_eq!(&routed.participants[..], &expect[..]);
             assert_eq!(routed.participants.is_empty(), routed.remote == 0);
+        }
+    }
+
+    /// The inline set sorts and deduplicates whatever order the owners
+    /// arrive in, and holds at most one slot per possible participant.
+    #[test]
+    fn participants_sort_dedup_and_fill_inline() {
+        let mut p = Participants::default();
+        for shard in [5, 1, 5, 3, 1] {
+            p.insert(shard);
+        }
+        assert_eq!(
+            (&p[..], format!("{p:?}")),
+            (&[1, 3, 5][..], "[1, 3, 5]".into())
+        );
+        let mut full = Participants::default();
+        for shard in (0..Participants::CAPACITY as u32).rev() {
+            full.insert(shard);
+        }
+        assert!(full.iter().copied().eq(0..Participants::CAPACITY as u32));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 participants")]
+    fn a_17th_participant_overflows_the_set() {
+        let mut p = Participants::default();
+        for shard in 0..=Participants::CAPACITY as u32 {
+            p.insert(shard);
         }
     }
 

@@ -13,8 +13,8 @@ use pushtap_format::LayoutError;
 use pushtap_mvcc::{Ts, TsOracle};
 use pushtap_olap::{merge_partials, Query};
 use pushtap_oltp::{
-    codec, ColumnWrite, DecodedRecord, Effect, EffectRecord, Partition, TaggedEffect, TxnRole,
-    Writes,
+    codec, ColumnWrite, DecodedRecord, Effect, EffectRecord, KeySet, Partition, TaggedEffect,
+    TxnRole, Writes,
 };
 use pushtap_pim::calib::MERGE_CYCLES_PER_ROW;
 use pushtap_pim::Ps;
@@ -24,8 +24,8 @@ use pushtap_wal::{scan, MemLog, ScanOutcome, Wal, WalTrim};
 
 use crate::arrival::ArrivalGen;
 use crate::config::{OpenLoopConfig, ShardConfig};
-use crate::coordinator::schedule::{Wave, WaveScheduler};
-use crate::coordinator::Engines;
+use crate::coordinator::schedule::WaveScheduler;
+use crate::coordinator::{Engines, WaveLists};
 use crate::durability::{
     decode_decision, CheckpointError, CheckpointReport, CrashPoint, Decided, Durability,
     RecoverError, RecoveryReport, ShardRecovery, WalBytes,
@@ -94,6 +94,12 @@ pub struct ShardedHtap {
     shards: Vec<Pushtap>,
     oracle: Arc<TsOracle>,
     durability: Option<Durability>,
+    /// The wave scheduler, kept from run to run with its storage.
+    sched: WaveScheduler,
+    /// The admission keyset's decomposition, refilled per admission.
+    admission: Vec<TaggedEffect>,
+    /// The lists waves execute from, kept from run to run.
+    wave_lists: Vec<WaveLists>,
 }
 
 impl ShardedHtap {
@@ -128,6 +134,9 @@ impl ShardedHtap {
             shards,
             oracle,
             durability: None,
+            sched: WaveScheduler::new(usize::MAX),
+            admission: Vec::new(),
+            wave_lists: Vec::new(),
         })
     }
 
@@ -501,19 +510,21 @@ impl ShardedHtap {
                 commit: self.cfg.commit,
                 dur: self.durability.as_mut(),
                 loads: (0..shard_count).map(|_| ShardLoad::default()).collect(),
+                lists: std::mem::take(&mut self.wave_lists),
             },
             waiting: vec![0; shard_count],
             in_flight: vec![VecDeque::new(); shard_count],
             stats: CoordStats::default(),
             sojourn: Histogram::default(),
         };
-        let mut sched = WaveScheduler::new(open.window);
+        let sched = &mut self.sched;
+        sched.reset(open.window);
         let decisions_before = run.eng.dur.as_ref().map(|d| d.decision_log.stats());
         let mut remote = RemoteTouches::default();
         let mut rejected: Vec<u64> = vec![0; shard_count];
         let mut inbox_depth = Histogram::default();
         let first_ts = Ts(self.oracle.watermark().0 + 1);
-        let mut admitted_index: Vec<u64> = Vec::new();
+        let mut admitted_index: Vec<u64> = Vec::with_capacity(n as usize);
         let mut horizon = Ps::ZERO;
         for arrival_idx in 0..n {
             let (txn, at) = next();
@@ -522,7 +533,7 @@ impl ShardedHtap {
             // before this arrival lands, flush pending frontier waves
             // into the gap instead of holding admitted work hostage to
             // a window that may never fill.
-            run.dispatch_while(&mut sched, |r, _| r.busy_until() < at);
+            run.dispatch_while(sched, |r, _| r.busy_until() < at);
             if run.stats.crashed {
                 break;
             }
@@ -545,7 +556,9 @@ impl ShardedHtap {
                 continue;
             }
             routed.ts = self.oracle.allocate();
-            routed.keys = run.eng.shards[home].db().keyset(&routed.txn, routed.ts);
+            let db = run.eng.shards[home].db();
+            db.decompose_into(&routed.txn, routed.ts, &mut self.admission);
+            routed.keys = KeySet::from_effects(&self.admission);
             routed.arrival = at;
             debug_assert_eq!(routed.ts.0, first_ts.0 + admitted_index.len() as u64);
             remote.add(&routed);
@@ -562,24 +575,27 @@ impl ShardedHtap {
             probe.span(Phase::Routed, routed.ts.0, 0, entered, entered);
             admitted_index.push(arrival_idx);
             sched.admit(routed);
-            run.dispatch_while(&mut sched, |_, s| s.window_full());
+            run.dispatch_while(sched, |_, s| s.window_full());
         }
         // The source is exhausted; drain everything still queued.
-        for wave in sched.drain() {
-            if run.stats.crashed {
-                break;
-            }
-            run.dispatch(wave);
-        }
+        sched.close();
+        run.dispatch_while(sched, |_, _| true);
 
         let Run {
-            eng: Engines { dur, mut loads, .. },
+            eng:
+                Engines {
+                    dur,
+                    mut loads,
+                    lists,
+                    ..
+                },
             starts,
             waiting,
             mut stats,
             sojourn,
             ..
         } = run;
+        self.wave_lists = lists;
         if let (Some(d), Some(before)) = (dur, decisions_before) {
             let after = d.decision_log.stats();
             stats.decision_appends = after.appends - before.appends;
@@ -891,7 +907,8 @@ impl Run<'_> {
     ) {
         while !self.stats.crashed && more(self, sched) {
             let Some(wave) = sched.pop_wave() else { break };
-            self.dispatch(wave);
+            self.dispatch(&wave);
+            sched.recycle(wave);
         }
     }
 
@@ -905,7 +922,7 @@ impl Run<'_> {
     /// histogram and, when positive, a [`Phase::Queued`] span; after
     /// the wave, its sojourn is recorded and its inbox slot is held
     /// until the wave's completion on the home clock.
-    fn dispatch(&mut self, wave: Wave) {
+    fn dispatch(&mut self, wave: &[RoutedTxn]) {
         self.stats.waves += 1;
         self.stats.max_wave = self.stats.max_wave.max(wave.len() as u64);
         // Every cross-shard 2PC of a wave with at least two of them
@@ -924,7 +941,7 @@ impl Run<'_> {
                 shard.advance(wait);
             }
         }
-        for routed in &wave {
+        for routed in wave {
             let home = routed.shard as usize;
             self.waiting[home] -= 1;
             let entered = self.entered(routed);
@@ -937,11 +954,11 @@ impl Run<'_> {
             }
         }
         let crash = self.eng.dur.as_ref().and_then(|d| d.armed_at(wave_id));
-        self.stats.crashed = self.eng.run_wave(&wave, wave_id, crash);
+        self.stats.crashed = self.eng.run_wave(wave, wave_id, crash);
         if self.stats.crashed {
             return;
         }
-        for routed in &wave {
+        for routed in wave {
             let home = routed.shard as usize;
             // Shard clocks are monotone and waves execute in dispatch
             // order, so each in-flight queue stays sorted.
@@ -1466,6 +1483,7 @@ mod tests {
                 commit,
                 dur: None,
                 loads: (0..3).map(|_| ShardLoad::default()).collect(),
+                lists: Vec::new(),
             };
             assert!(!eng.run_wave(wave, 1, None));
             for (load, shard) in eng.loads.iter_mut().zip(eng.shards.iter_mut()) {

@@ -394,6 +394,18 @@ const ROWS: &[Row] = &[
               (`encode_parts_into`).",
     },
     Row {
+        name: "service-decomposes-in-place",
+        paths: &["crates/shard/src", "crates/core/src"],
+        non_test: true,
+        check: Any(&[".decompose(", ".keyset("]),
+        sample: "routed.keys = db.keyset(&routed.txn, routed.ts);",
+        why: "The sharded transaction path allocates at most once per \
+              transaction: the service decomposes each admission into the \
+              effect list it keeps (`decompose_into`) and derives the keyset \
+              from it, never through the owned `TpccDb::decompose` or \
+              `TpccDb::keyset`.",
+    },
+    Row {
         name: "one-striped-shuffle",
         paths: &[
             "crates/olap/src",
