@@ -30,7 +30,8 @@ impl std::error::Error for DeltaFull {}
 
 impl DeltaAllocator {
     /// Creates an allocator with `arenas` rotation arenas of `arena_rows`
-    /// slots each.
+    /// slots each. Each arena's free list holds room for all its slots
+    /// from the start, so releasing a slot never grows it.
     ///
     /// # Panics
     ///
@@ -40,7 +41,9 @@ impl DeltaAllocator {
         DeltaAllocator {
             arena_rows,
             next: vec![0; arenas as usize],
-            free: vec![Vec::new(); arenas as usize],
+            free: (0..arenas)
+                .map(|_| Vec::with_capacity(arena_rows as usize))
+                .collect(),
         }
     }
 

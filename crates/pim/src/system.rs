@@ -309,12 +309,6 @@ impl MemSystem {
         self.stats.energy.add_pim_bytes(loaded);
     }
 
-    /// Locks one PIM-side bank against CPU access until `until`.
-    pub fn lock_bank(&mut self, bank: BankAddr, until: Ps) {
-        self.ctrl_mut(Side::Pim, bank.channel)
-            .lock_bank(bank.rank, bank.bank, until);
-    }
-
     /// Locks every bank of every PIM-side rank until `until` (whole-memory
     /// handover, as in the original architecture's offload).
     pub fn lock_all_pim(&mut self, until: Ps) {

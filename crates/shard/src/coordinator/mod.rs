@@ -72,6 +72,8 @@
 //! the ledger under a slow participant.
 //!
 //! [`OltpReport`]: pushtap_core::OltpReport
+//! [`CommitConfig`]: crate::CommitConfig
+//! [`CommitConfig::vote_jitter`]: crate::CommitConfig::vote_jitter
 
 pub mod schedule;
 
@@ -84,11 +86,10 @@ use pushtap_pim::Ps;
 use pushtap_trace::Phase;
 use pushtap_wal::Wal;
 
-use crate::config::CommitConfig;
-use crate::durability::{encode_decision, CrashSite, Durability};
-use crate::partition::WarehouseMap;
+use crate::durability::{encode_decision, CrashSite};
 use crate::report::ShardLoad;
 use crate::router::RoutedTxn;
+use crate::ShardedHtap;
 
 /// Appends one prepared item's effect set to a shard's effect log
 /// (volatile until the next force barrier) and accounts it.
@@ -212,21 +213,7 @@ pub(crate) struct WaveLists {
     one: Vec<TaggedEffect>,
 }
 
-/// What every wave of a run executes on and accounts to: the engines,
-/// the partitioning, the commit protocol's costs, the logs, the
-/// per-shard loads and the wave lists.
-pub(crate) struct Engines<'a> {
-    pub shards: &'a mut [Pushtap],
-    pub map: WarehouseMap,
-    pub commit: CommitConfig,
-    pub dur: Option<&'a mut Durability>,
-    pub loads: Vec<ShardLoad>,
-    /// Idle wave lists: a wave takes one and hands it back, and a retry,
-    /// which runs while its wave's lists are in use, takes another.
-    pub lists: Vec<WaveLists>,
-}
-
-impl Engines<'_> {
+impl ShardedHtap {
     /// Executes one conflict-free wave (see the module docs for the
     /// steps). With a durability context, every shard appends its
     /// prepared records during the prepare pass and forces once — the
@@ -265,13 +252,13 @@ impl Engines<'_> {
                 }
             }
         }
-        let mut lists = self.lists.pop().unwrap_or_default();
+        let mut lists = self.wave_lists.pop().unwrap_or_default();
         let crashed = self.execute_wave(wave, wave_id, crash, &mut lists);
-        self.lists.push(lists);
+        self.wave_lists.push(lists);
         crashed
     }
 
-    /// Steps 1 to 5 of [`Engines::run_wave`], on `lists`.
+    /// Steps 1 to 5 of [`ShardedHtap::run_wave`], on `lists`.
     fn execute_wave(
         &mut self,
         wave: &[RoutedTxn],
@@ -335,7 +322,8 @@ impl Engines<'_> {
             items,
             ..
         } = lists;
-        let owner = |e: &TaggedEffect| self.map.shard_of_warehouse(e.warehouse) as usize;
+        let map = self.router.map();
+        let owner = |e: &TaggedEffect| map.shard_of_warehouse(e.warehouse) as usize;
         let home = routed.shard as usize;
         self.shards[home]
             .db()
@@ -392,12 +380,12 @@ impl Engines<'_> {
         wave_id: u64,
         crash: Option<CrashSite>,
     ) {
-        let commit = self.commit;
+        let commit = self.cfg.commit;
         let last_involved = items.last().map(|it| it.shard);
         for list in items.chunk_by_mut(|a, b| a.shard == b.shard) {
             let i = list[0].shard;
             let (shard, load) = (&mut self.shards[i], &mut self.loads[i]);
-            let mut wal = self.dur.as_mut().map(|d| &mut d.logs[i]);
+            let mut wal = self.durability.as_mut().map(|d| &mut d.logs[i]);
             // Periodic maintenance between waves — no scope is open on
             // this shard here.
             shard.defrag_if_due();
@@ -471,7 +459,7 @@ impl Engines<'_> {
         committed: &[bool],
         crash: Option<CrashSite>,
     ) -> bool {
-        let Some(d) = self.dur.as_mut() else {
+        let Some(d) = self.durability.as_mut() else {
             return false;
         };
         if crash == Some(CrashSite::BetweenVoteAndDecision) {
@@ -509,7 +497,7 @@ impl Engines<'_> {
         items: &[WaveItem],
         wave_id: u64,
     ) {
-        let commit = self.commit;
+        let commit = self.cfg.commit;
         for list in items.chunk_by(|a, b| a.shard == b.shard) {
             let i = list[0].shard;
             let (shard, load) = (&mut self.shards[i], &mut self.loads[i]);
@@ -582,7 +570,7 @@ impl Engines<'_> {
     }
 
     /// Step 5: retries — each aborted transaction re-enters
-    /// [`Engines::run_wave`] as a wave of one, at its pinned timestamp,
+    /// [`ShardedHtap::run_wave`] as a wave of one, at its pinned timestamp,
     /// before the next wave starts. Every scope of this wave is
     /// resolved by now, so reclaiming the no-voting shards' arenas (GC
     /// first, defragmentation as the fallback) is safe; the retry

@@ -25,7 +25,7 @@ use pushtap_wal::{scan, MemLog, ScanOutcome, Wal, WalTrim};
 use crate::arrival::ArrivalGen;
 use crate::config::{OpenLoopConfig, ShardConfig};
 use crate::coordinator::schedule::WaveScheduler;
-use crate::coordinator::{Engines, WaveLists};
+use crate::coordinator::WaveLists;
 use crate::durability::{
     decode_decision, CheckpointError, CheckpointReport, CrashPoint, Decided, Durability,
     RecoverError, RecoveryReport, ShardRecovery, WalBytes,
@@ -89,17 +89,35 @@ impl WalHandles {
 /// rather than per-shard clocks.
 #[derive(Debug)]
 pub struct ShardedHtap {
-    cfg: ShardConfig,
-    router: TxnRouter,
-    shards: Vec<Pushtap>,
+    pub(crate) cfg: ShardConfig,
+    pub(crate) router: TxnRouter,
+    pub(crate) shards: Vec<Pushtap>,
     oracle: Arc<TsOracle>,
-    durability: Option<Durability>,
+    pub(crate) durability: Option<Durability>,
     /// The wave scheduler, kept from run to run with its storage.
     sched: WaveScheduler,
     /// The admission keyset's decomposition, refilled per admission.
     admission: Vec<TaggedEffect>,
-    /// The lists waves execute from, kept from run to run.
-    wave_lists: Vec<WaveLists>,
+    /// Idle wave lists, kept from run to run: a wave takes one and hands
+    /// it back, and a retry, which runs while its wave's lists are in
+    /// use, takes another.
+    pub(crate) wave_lists: Vec<WaveLists>,
+    // The state of the current (or last) run of `drive`, reset when the
+    // next one starts.
+    /// Each shard's clock when the run began.
+    starts: Vec<Ps>,
+    /// Inbox occupancy per shard = `waiting` (admitted, not yet
+    /// dispatched) + `in_flight` (dispatched; the completion clocks of
+    /// the home transactions, sorted, drained lazily as later arrivals
+    /// pass them). A slot stays occupied until its wave *completes* on
+    /// the home clock, the way a bounded queue counts its in-service
+    /// customers.
+    waiting: Vec<u64>,
+    in_flight: Vec<VecDeque<Ps>>,
+    /// What the run's waves account to, per shard.
+    pub(crate) loads: Vec<ShardLoad>,
+    stats: CoordStats,
+    sojourn: Histogram,
 }
 
 impl ShardedHtap {
@@ -131,12 +149,18 @@ impl ShardedHtap {
         Ok(ShardedHtap {
             router: TxnRouter::new(map),
             cfg,
+            starts: vec![Ps::ZERO; shards.len()],
+            waiting: vec![0; shards.len()],
+            in_flight: vec![VecDeque::new(); shards.len()],
+            loads: Vec::new(),
             shards,
             oracle,
             durability: None,
             sched: WaveScheduler::new(usize::MAX),
             admission: Vec::new(),
             wave_lists: Vec::new(),
+            stats: CoordStats::default(),
+            sojourn: Histogram::default(),
         })
     }
 
@@ -482,7 +506,7 @@ impl ShardedHtap {
     /// routed, stamped with the next oracle timestamp and its conflict
     /// keyset, and admitted to the [`WaveScheduler`]. The frontier wave
     /// dispatches — clock-gated to its members' arrivals, then through
-    /// [`Engines::run_wave`] — while the window is full, while every
+    /// [`ShardedHtap::run_wave`] — while the window is full, while every
     /// engine would otherwise idle before the next arrival, and once
     /// the source is exhausted. A closed-loop batch is this loop with
     /// every arrival at time zero and no bound on inbox or window
@@ -501,27 +525,10 @@ impl ShardedHtap {
     ) -> OpenLoopReport {
         self.assert_alive();
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
-        let shard_count = self.shards.len();
-        let mut run = Run {
-            starts: self.shards.iter().map(Pushtap::now).collect(),
-            eng: Engines {
-                shards: &mut self.shards,
-                map: *self.router.map(),
-                commit: self.cfg.commit,
-                dur: self.durability.as_mut(),
-                loads: (0..shard_count).map(|_| ShardLoad::default()).collect(),
-                lists: std::mem::take(&mut self.wave_lists),
-            },
-            waiting: vec![0; shard_count],
-            in_flight: vec![VecDeque::new(); shard_count],
-            stats: CoordStats::default(),
-            sojourn: Histogram::default(),
-        };
-        let sched = &mut self.sched;
-        sched.reset(open.window);
-        let decisions_before = run.eng.dur.as_ref().map(|d| d.decision_log.stats());
+        self.start_run(open.window);
+        let decisions_before = self.durability.as_ref().map(|d| d.decision_log.stats());
         let mut remote = RemoteTouches::default();
-        let mut rejected: Vec<u64> = vec![0; shard_count];
+        let mut rejected: Vec<u64> = vec![0; self.shards.len()];
         let mut inbox_depth = Histogram::default();
         let first_ts = Ts(self.oracle.watermark().0 + 1);
         let mut admitted_index: Vec<u64> = Vec::with_capacity(n as usize);
@@ -533,119 +540,213 @@ impl ShardedHtap {
             // before this arrival lands, flush pending frontier waves
             // into the gap instead of holding admitted work hostage to
             // a window that may never fill.
-            run.dispatch_while(sched, |r, _| r.busy_until() < at);
-            if run.stats.crashed {
+            self.dispatch_while(|s| s.busy_until() < at);
+            if self.stats.crashed {
                 break;
             }
             let mut routed = self.router.route(txn);
             let home = routed.shard as usize;
             // Free the slots of home transactions whose waves completed
             // before this arrival landed.
-            while run.in_flight[home].front().is_some_and(|&done| done <= at) {
-                run.in_flight[home].pop_front();
+            let in_flight = &mut self.in_flight[home];
+            while in_flight.front().is_some_and(|&done| done <= at) {
+                in_flight.pop_front();
             }
-            let depth = run.waiting[home] + run.in_flight[home].len() as u64;
+            let depth = self.waiting[home] + in_flight.len() as u64;
             if depth >= open.inbox_depth as u64 {
                 // Admission control: a full home inbox turns the
                 // arrival away *before* it draws a timestamp, keeping
                 // the admitted stream's timestamps contiguous. The
                 // rejection is counted and traced, never silent.
                 rejected[home] += 1;
-                let probe = run.eng.shards[home].db().probe();
+                let probe = self.shards[home].db().probe();
                 probe.span(Phase::Rejected, 0, 0, at, at);
                 continue;
             }
             routed.ts = self.oracle.allocate();
-            let db = run.eng.shards[home].db();
+            let db = self.shards[home].db();
             db.decompose_into(&routed.txn, routed.ts, &mut self.admission);
             routed.keys = KeySet::from_effects(&self.admission);
             routed.arrival = at;
             debug_assert_eq!(routed.ts.0, first_ts.0 + admitted_index.len() as u64);
             remote.add(&routed);
-            run.waiting[home] += 1;
+            self.waiting[home] += 1;
             inbox_depth.record(depth + 1);
-            let probe = run.eng.shards[home].db().probe();
+            let probe = self.shards[home].db().probe();
             if let Some((san, track)) = probe.sanitizer() {
                 san.note_arrival(routed.ts.0, at.ps());
                 san.inbox_admit(track, depth + 1, open.inbox_depth as u64);
             }
             // Ingestion marker: the instant this transaction entered its
             // home shard's pipeline.
-            let entered = run.entered(&routed);
+            let entered = self.entered(&routed);
             probe.span(Phase::Routed, routed.ts.0, 0, entered, entered);
             admitted_index.push(arrival_idx);
-            sched.admit(routed);
-            run.dispatch_while(sched, |_, s| s.window_full());
+            self.sched.admit(routed);
+            self.dispatch_while(|s| s.sched.window_full());
         }
         // The source is exhausted; drain everything still queued.
-        sched.close();
-        run.dispatch_while(sched, |_, _| true);
+        self.sched.close();
+        self.dispatch_while(|_| true);
 
-        let Run {
-            eng:
-                Engines {
-                    dur,
-                    mut loads,
-                    lists,
-                    ..
-                },
-            starts,
-            waiting,
-            mut stats,
-            sojourn,
-            ..
-        } = run;
-        self.wave_lists = lists;
-        if let (Some(d), Some(before)) = (dur, decisions_before) {
+        let mut stats = self.stats;
+        if let (Some(d), Some(before)) = (self.durability.as_mut(), decisions_before) {
             let after = d.decision_log.stats();
             stats.decision_appends = after.appends - before.appends;
             stats.decision_forces = after.forces - before.forces;
-        }
-        if stats.crashed {
             // Only an enabled WAL can arm a crash; the service is dead
-            // from here on. A crashed run legitimately leaves prepared
-            // scopes behind (recovery resolves them by presumed abort),
-            // so the shadow tracker's boundary check is skipped.
-            if let Some(d) = self.durability.as_mut() {
-                d.crashed = true;
-            }
-        } else {
+            // from here on.
+            d.crashed = stats.crashed;
+        }
+        if !stats.crashed {
             debug_assert!(
-                waiting.iter().all(|&d| d == 0),
+                self.waiting.iter().all(|&d| d == 0),
                 "drained inboxes must be empty"
             );
             // Batch boundary for the shadow tracker: every scope must
-            // be decided and zero prepared versions may linger.
+            // be decided and zero prepared versions may linger. (A
+            // crashed run legitimately leaves prepared scopes behind —
+            // recovery resolves them by presumed abort — so it skips
+            // the check.)
             if let Some((san, _)) = self.shards[0].db().probe().sanitizer() {
                 let pending: u64 = self.shards.iter().map(|s| s.db().prepared_versions()).sum();
                 san.batch_end(pending);
             }
         }
-        for (i, load) in loads.iter_mut().enumerate() {
-            load.elapsed = self.shards[i].now().saturating_sub(starts[i]);
-            // Drain the engine's own tally (its transaction time, aborts,
-            // pauses and GC passes, plus end-of-run live-version /
-            // commit-log gauges) into this run's report. Its stall
-            // histograms move in rather than merge, so a batch does not
-            // allocate their buckets twice.
-            let mut engine = self.shards[i].take_report();
-            std::mem::swap(&mut load.report.gc_stall, &mut engine.gc_stall);
-            std::mem::swap(&mut load.report.defrag_stall, &mut engine.defrag_stall);
-            load.report.merge(&engine);
-        }
         OpenLoopReport {
             exec: ShardOltpReport {
-                per_shard: loads,
+                per_shard: self.take_loads(),
                 remote,
                 coord: stats,
             },
             arrivals: n,
             rejected_per_shard: rejected,
-            sojourn,
+            sojourn: std::mem::take(&mut self.sojourn),
             inbox_depth,
             first_ts,
             admitted_index,
             horizon,
+        }
+    }
+
+    /// Readies the per-run state for a new run of
+    /// [`ShardedHtap::drive`] with a scheduling window of `window`: each
+    /// shard's start clock, empty inboxes, and fresh loads, counters and
+    /// sojourns.
+    fn start_run(&mut self, window: usize) {
+        self.sched.reset(window);
+        for (start, shard) in self.starts.iter_mut().zip(&self.shards) {
+            *start = shard.now();
+        }
+        self.waiting.fill(0);
+        self.in_flight.iter_mut().for_each(VecDeque::clear);
+        self.loads = self.shards.iter().map(|_| ShardLoad::default()).collect();
+        self.stats = CoordStats::default();
+        self.sojourn = Histogram::default();
+    }
+
+    /// The run's per-shard loads, each with its elapsed time and its
+    /// engine's own tally (transaction time, aborts, pauses and GC
+    /// passes, plus end-of-run live-version / commit-log gauges) drained
+    /// into it. The engine's stall histograms move in rather than merge,
+    /// so a batch does not allocate their buckets twice.
+    fn take_loads(&mut self) -> Vec<ShardLoad> {
+        let mut loads = std::mem::take(&mut self.loads);
+        for ((load, shard), start) in loads.iter_mut().zip(&mut self.shards).zip(&self.starts) {
+            load.elapsed = shard.now().saturating_sub(*start);
+            let mut engine = shard.take_report();
+            std::mem::swap(&mut load.report.gc_stall, &mut engine.gc_stall);
+            std::mem::swap(&mut load.report.defrag_stall, &mut engine.defrag_stall);
+            load.report.merge(&engine);
+        }
+        loads
+    }
+
+    /// The instant every engine has gone idle.
+    fn busy_until(&self) -> Ps {
+        self.shards
+            .iter()
+            .map(Pushtap::now)
+            .max()
+            .unwrap_or(Ps::ZERO)
+    }
+
+    /// When `routed` entered the system for latency accounting: its
+    /// arrival, or the run's start on its home clock if that is later.
+    /// A closed-loop batch on a warm deployment thus reports the wait
+    /// behind its own earlier waves, not the deployment's age. (The
+    /// dispatch gate uses the raw arrival, so time-zero arrivals never
+    /// couple shard clocks.)
+    fn entered(&self, routed: &RoutedTxn) -> Ps {
+        routed.arrival.max(self.starts[routed.shard as usize])
+    }
+
+    /// Dispatches the scheduler's frontier waves while `more` holds,
+    /// work is pending and no armed crash has fired.
+    fn dispatch_while(&mut self, more: impl Fn(&Self) -> bool) {
+        while !self.stats.crashed && more(self) {
+            let Some(wave) = self.sched.pop_wave() else {
+                break;
+            };
+            self.dispatch(&wave);
+            self.sched.recycle(wave);
+        }
+    }
+
+    /// Executes one wave the scheduler released. Every shard's clock
+    /// is first gated to the wave's latest member arrival — a wave
+    /// cannot close before all its members exist, and gating *all*
+    /// engines keeps participants and retries on the same timeline (the
+    /// sanitizer's no-execution-before-arrival invariant).
+    ///
+    /// Each member's inbox wait lands in its home shard's queue-wait
+    /// histogram and, when positive, a [`Phase::Queued`] span; after
+    /// the wave, its sojourn is recorded and its inbox slot is held
+    /// until the wave's completion on the home clock.
+    fn dispatch(&mut self, wave: &[RoutedTxn]) {
+        self.stats.waves += 1;
+        self.stats.max_wave = self.stats.max_wave.max(wave.len() as u64);
+        // Every cross-shard 2PC of a wave with at least two of them
+        // runs concurrently with another.
+        let cross = wave.iter().filter(|t| !t.participants.is_empty()).count() as u64;
+        if cross >= 2 {
+            self.stats.overlapped_two_pcs += cross;
+        }
+        // Wave ids are 1-based within the run; they are also the crash
+        // points' event numbers.
+        let wave_id = self.stats.waves;
+        let gate = wave.iter().map(|t| t.arrival).max().unwrap_or(Ps::ZERO);
+        for shard in &mut self.shards {
+            let wait = gate.saturating_sub(shard.now());
+            if wait > Ps::ZERO {
+                shard.advance(wait);
+            }
+        }
+        for routed in wave {
+            let home = routed.shard as usize;
+            self.waiting[home] -= 1;
+            let entered = self.entered(routed);
+            let s = &self.shards[home];
+            let wait = s.now().saturating_sub(entered);
+            self.loads[home].report.queue_wait.record(wait.ps());
+            if wait > Ps::ZERO {
+                let probe = s.db().probe();
+                probe.span(Phase::Queued, routed.ts.0, wave_id, entered, s.now());
+            }
+        }
+        let crash = self.durability.as_ref().and_then(|d| d.armed_at(wave_id));
+        self.stats.crashed = self.run_wave(wave, wave_id, crash);
+        if self.stats.crashed {
+            return;
+        }
+        for routed in wave {
+            let home = routed.shard as usize;
+            // Shard clocks are monotone and waves execute in dispatch
+            // order, so each in-flight queue stays sorted.
+            let done = self.shards[home].now();
+            self.sojourn
+                .record(done.saturating_sub(self.entered(routed)).ps());
+            self.in_flight[home].push_back(done);
         }
     }
 
@@ -857,118 +958,6 @@ const CLOSED_LOOP: OpenLoopConfig = OpenLoopConfig {
     inbox_depth: usize::MAX,
     window: usize::MAX,
 };
-
-/// The state of one [`ShardedHtap::drive`] run that dispatching a wave
-/// touches.
-struct Run<'a> {
-    /// The engines, logs and loads the waves execute on.
-    eng: Engines<'a>,
-    /// Each shard's clock when the run began.
-    starts: Vec<Ps>,
-    /// Inbox occupancy per shard = `waiting` (admitted, not yet
-    /// dispatched) + `in_flight` (dispatched; the completion clocks of
-    /// the home transactions, sorted, drained lazily as later arrivals
-    /// pass them). A slot stays occupied until its wave *completes* on
-    /// the home clock, the way a bounded queue counts its in-service
-    /// customers.
-    waiting: Vec<u64>,
-    in_flight: Vec<VecDeque<Ps>>,
-    stats: CoordStats,
-    sojourn: Histogram,
-}
-
-impl Run<'_> {
-    /// The instant every engine has gone idle.
-    fn busy_until(&self) -> Ps {
-        self.eng
-            .shards
-            .iter()
-            .map(Pushtap::now)
-            .max()
-            .unwrap_or(Ps::ZERO)
-    }
-
-    /// When `routed` entered the system for latency accounting: its
-    /// arrival, or the run's start on its home clock if that is later.
-    /// A closed-loop batch on a warm deployment thus reports the wait
-    /// behind its own earlier waves, not the deployment's age. (The
-    /// dispatch gate uses the raw arrival, so time-zero arrivals never
-    /// couple shard clocks.)
-    fn entered(&self, routed: &RoutedTxn) -> Ps {
-        routed.arrival.max(self.starts[routed.shard as usize])
-    }
-
-    /// Dispatches `sched`'s frontier waves while `more` holds, work is
-    /// pending and no armed crash has fired.
-    fn dispatch_while(
-        &mut self,
-        sched: &mut WaveScheduler,
-        more: impl Fn(&Self, &WaveScheduler) -> bool,
-    ) {
-        while !self.stats.crashed && more(self, sched) {
-            let Some(wave) = sched.pop_wave() else { break };
-            self.dispatch(&wave);
-            sched.recycle(wave);
-        }
-    }
-
-    /// Executes one wave the scheduler released. Every shard's clock
-    /// is first gated to the wave's latest member arrival — a wave
-    /// cannot close before all its members exist, and gating *all*
-    /// engines keeps participants and retries on the same timeline (the
-    /// sanitizer's no-execution-before-arrival invariant).
-    ///
-    /// Each member's inbox wait lands in its home shard's queue-wait
-    /// histogram and, when positive, a [`Phase::Queued`] span; after
-    /// the wave, its sojourn is recorded and its inbox slot is held
-    /// until the wave's completion on the home clock.
-    fn dispatch(&mut self, wave: &[RoutedTxn]) {
-        self.stats.waves += 1;
-        self.stats.max_wave = self.stats.max_wave.max(wave.len() as u64);
-        // Every cross-shard 2PC of a wave with at least two of them
-        // runs concurrently with another.
-        let cross = wave.iter().filter(|t| !t.participants.is_empty()).count() as u64;
-        if cross >= 2 {
-            self.stats.overlapped_two_pcs += cross;
-        }
-        // Wave ids are 1-based within the run; they are also the crash
-        // points' event numbers.
-        let wave_id = self.stats.waves;
-        let gate = wave.iter().map(|t| t.arrival).max().unwrap_or(Ps::ZERO);
-        for shard in self.eng.shards.iter_mut() {
-            let wait = gate.saturating_sub(shard.now());
-            if wait > Ps::ZERO {
-                shard.advance(wait);
-            }
-        }
-        for routed in wave {
-            let home = routed.shard as usize;
-            self.waiting[home] -= 1;
-            let entered = self.entered(routed);
-            let s = &self.eng.shards[home];
-            let wait = s.now().saturating_sub(entered);
-            self.eng.loads[home].report.queue_wait.record(wait.ps());
-            if wait > Ps::ZERO {
-                let probe = s.db().probe();
-                probe.span(Phase::Queued, routed.ts.0, wave_id, entered, s.now());
-            }
-        }
-        let crash = self.eng.dur.as_ref().and_then(|d| d.armed_at(wave_id));
-        self.stats.crashed = self.eng.run_wave(wave, wave_id, crash);
-        if self.stats.crashed {
-            return;
-        }
-        for routed in wave {
-            let home = routed.shard as usize;
-            // Shard clocks are monotone and waves execute in dispatch
-            // order, so each in-flight queue stays sorted.
-            let done = self.eng.shards[home].now();
-            self.sojourn
-                .record(done.saturating_sub(self.entered(routed)).ps());
-            self.in_flight[home].push_back(done);
-        }
-    }
-}
 
 /// A shard effect log's records, decoded into one effect list.
 struct DecodedLog {
@@ -1432,7 +1421,7 @@ mod tests {
         }
     }
 
-    /// One wave through [`Engines::run_wave`] where the order of a
+    /// One wave through [`ShardedHtap::run_wave`] where the order of a
     /// shard's items matters: the wave lists a later transaction (homed
     /// at shard 0) ahead of an earlier one whose forwarded customer
     /// update also lands on shard 0, so shard 0 must prepare the
@@ -1474,29 +1463,17 @@ mod tests {
         assert_eq!((later.shard, later.participants.len()), (0, 0));
         assert!(earlier.ts < later.ts);
 
-        let map = *s.router.map();
-        let commit = s.cfg.commit;
-        let run = |shards: &mut [Pushtap], wave: &[RoutedTxn]| {
-            let mut eng = Engines {
-                shards,
-                map,
-                commit,
-                dur: None,
-                loads: (0..3).map(|_| ShardLoad::default()).collect(),
-                lists: Vec::new(),
-            };
-            assert!(!eng.run_wave(wave, 1, None));
-            for (load, shard) in eng.loads.iter_mut().zip(eng.shards.iter_mut()) {
-                load.report.merge(&shard.take_report());
-            }
-            eng.loads
+        let run = |s: &mut ShardedHtap, wave: &[RoutedTxn]| {
+            s.start_run(usize::MAX);
+            assert!(!s.run_wave(wave, 1, None));
+            s.take_loads()
         };
         // Two payments homed at shard 2 fill the arena on shard 0.
-        let loads = run(&mut s.shards, &fill);
+        let loads = run(&mut s, &fill);
         assert_eq!(loads[2].report.committed, 2);
         assert_eq!(loads.iter().map(|l| l.report.aborts).sum::<u64>(), 0);
 
-        let loads = run(&mut s.shards, &[later, earlier]);
+        let loads = run(&mut s, &[later, earlier]);
         let per_shard = |f: fn(&ShardLoad) -> u64| loads.iter().map(f).collect::<Vec<u64>>();
         // The later transaction commits in the wave; the earlier one
         // after its retry, at home on shard 1.

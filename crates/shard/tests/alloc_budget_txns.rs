@@ -1,12 +1,17 @@
 //! The allocation budget of the sharded transaction path: once its
 //! buffers have grown to their working size, the service's one driver
 //! (behind `ShardedHtap::run_txns` and `ShardedHtap::run_open_loop`)
-//! makes at most one heap allocation per committed transaction. The
+//! makes well under one heap allocation per committed transaction. The
 //! admission keyset, the routed participant set, the wave scheduler's
-//! key maps and waves, each wave's member, item and effect lists and
-//! every garbage-collection pass reuse storage they already hold, so
-//! what is left is per call, not per transaction (the report's
-//! histograms and per-shard lists).
+//! key maps and waves, each wave's member, item and effect lists, the
+//! run's inbox counts and in-flight deques, the delta arenas' free
+//! lists and every garbage-collection pass reuse storage they already
+//! hold, so what is left is per call, not per transaction (the
+//! report's per-shard loads, lists and histograms among it).
+//!
+//! The budgets are the measured counts plus one allocation: a
+//! histogram grows its buckets lazily as it records, so a change that
+//! moves one simulated value may cost one more.
 //!
 //! The counts are exact: a counting global allocator tallies every
 //! `alloc` and `realloc` call the process makes. This binary holds one
@@ -67,6 +72,12 @@ const INBOX: usize = 128;
 const WINDOW: usize = 32;
 const RATE_TPS: f64 = 120_000.0;
 const ARRIVALS: u64 = 1_000;
+/// Allocations allowed over the closed-loop batches: 880 measured
+/// (0.352 per transaction), plus one.
+const CLOSED_BUDGET: u64 = 881;
+/// Allocations allowed over the open-loop run: 30 measured (0.030 per
+/// admitted transaction), plus one.
+const OPEN_BUDGET: u64 = 31;
 
 /// The `shard_durable` deployment: 2 shards, maintenance every 200
 /// transactions.
@@ -121,19 +132,16 @@ fn the_sharded_transaction_path_allocates_at_most_once_per_transaction() {
         opened as f64 / admitted as f64
     );
     assert!(
-        closed <= committed,
-        "closed loop: {closed} allocations over {committed} transactions: {:.2} per \
-         transaction, budget 1",
-        closed as f64 / committed as f64
+        closed <= CLOSED_BUDGET,
+        "closed loop: {closed} allocations over {committed} transactions, budget \
+         {CLOSED_BUDGET}"
     );
     assert!(
         admitted >= ARRIVALS / 2,
         "only {admitted} of {ARRIVALS} arrivals admitted"
     );
     assert!(
-        opened <= admitted,
-        "open loop: {opened} allocations over {admitted} transactions: {:.2} per \
-         transaction, budget 1",
-        opened as f64 / admitted as f64
+        opened <= OPEN_BUDGET,
+        "open loop: {opened} allocations over {admitted} transactions, budget {OPEN_BUDGET}"
     );
 }

@@ -2,17 +2,18 @@
 
 use std::sync::Arc;
 
-use pushtap_chbench::{Partitioning, Table};
+use pushtap_chbench::{Partitioning, Table, ALL_TABLES};
 use pushtap_core::Pushtap;
 use pushtap_format::RowSlot;
 use pushtap_oltp::stripe_start;
 use pushtap_sanitizer::ShadowSanitizer;
+use pushtap_shard::ShardedHtap;
 
 /// Arms a keyset-soundness shadow tracker on `service` and returns it.
 /// Pair with [`assert_sanitized_clean`] once the batch under test has
 /// run.
 #[allow(dead_code)]
-pub fn sanitize(service: &mut pushtap_shard::ShardedHtap) -> Arc<ShadowSanitizer> {
+pub fn sanitize(service: &mut ShardedHtap) -> Arc<ShadowSanitizer> {
     let san = Arc::new(ShadowSanitizer::new());
     service.set_sanitizer(san.clone());
     san
@@ -100,5 +101,41 @@ pub fn assert_table_bytes_match(shard: &Pushtap, reference: &Pushtap, table: Tab
             "{label}: {table:?} local row {row} (global {}) diverged from the reference",
             row_base + row
         );
+    }
+}
+
+/// Byte-compares every table of every shard of `service` against the
+/// rows of the unpartitioned `reference` that the shard holds (both
+/// sides defragmented by the caller).
+#[allow(dead_code)]
+pub fn assert_shards_match_reference(service: &ShardedHtap, reference: &Pushtap, label: &str) {
+    for (i, shard) in service.shards().iter().enumerate() {
+        for table in ALL_TABLES {
+            assert_table_bytes_match(shard, reference, table, &format!("{label}: shard {i}"));
+        }
+    }
+}
+
+/// Byte-compares two deployments of the same shard count: every
+/// shard's watermark and every table's data region, row by row.
+#[allow(dead_code)]
+pub fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
+    assert_eq!(a.shard_count(), b.shard_count());
+    for i in 0..a.shard_count() {
+        let da = a.shard(i).db();
+        let db = b.shard(i).db();
+        assert_eq!(da.last_ts(), db.last_ts(), "{label}: shard {i} watermark");
+        for table in ALL_TABLES {
+            let ta = da.table(table);
+            let tb = db.table(table);
+            assert_eq!(ta.n_rows(), tb.n_rows());
+            for row in 0..ta.n_rows() {
+                assert_eq!(
+                    ta.store().read_row(RowSlot::Data { row }),
+                    tb.store().read_row(RowSlot::Data { row }),
+                    "{label}: shard {i} {table:?} row {row} diverged"
+                );
+            }
+        }
     }
 }

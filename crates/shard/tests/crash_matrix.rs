@@ -15,7 +15,7 @@
 mod common;
 
 use proptest::prelude::*;
-use pushtap_chbench::{RemoteMix, ALL_TABLES};
+use pushtap_chbench::RemoteMix;
 use pushtap_shard::{
     CheckpointError, CrashPoint, CrashSite, RecoverError, RecoveryReport, ShardConfig, ShardedHtap,
     WalBytes,
@@ -130,16 +130,7 @@ fn crash_and_recover(
     // The identity: the recovered bytes equal an untouched reference
     // executing exactly the recovered committed stream.
     let reference = common::reference_holding(recovered.cfg(), mix, seed, txns, &rec.committed);
-    for (i, shard) in recovered.shards().iter().enumerate() {
-        for table in ALL_TABLES {
-            common::assert_table_bytes_match(
-                shard,
-                &reference,
-                table,
-                &format!("{label}: shard {i}"),
-            );
-        }
-    }
+    common::assert_shards_match_reference(&recovered, &reference, label);
 
     // Liveness: the recovered deployment accepts fresh batches with
     // fresh timestamps (the advanced watermark makes the pins unique).
@@ -345,16 +336,7 @@ fn checkpoint_then_crash_recovers_byte_identically() {
         ck.defragment_all();
         let reference =
             common::reference_holding(ck.cfg(), RemoteMix::Uniform, SEED, TXNS, &ckrec.committed);
-        for (i, shard) in ck.shards().iter().enumerate() {
-            for table in ALL_TABLES {
-                common::assert_table_bytes_match(
-                    shard,
-                    &reference,
-                    table,
-                    &format!("{label}: compacted-only shard {i}"),
-                );
-            }
-        }
+        common::assert_shards_match_reference(&ck, &reference, &format!("{label}: compacted-only"));
         drop(ck);
 
         // Obligation (3): crash mid-batch-2 and recover from the
@@ -399,16 +381,7 @@ fn checkpoint_then_crash_recovers_byte_identically() {
             2 * TXNS,
             &rec.committed,
         );
-        for (i, shard) in recovered.shards().iter().enumerate() {
-            for table in ALL_TABLES {
-                common::assert_table_bytes_match(
-                    shard,
-                    &reference,
-                    table,
-                    &format!("{label}: shard {i}"),
-                );
-            }
-        }
+        common::assert_shards_match_reference(&recovered, &reference, &label);
         // Liveness after the full cycle.
         let mut gen = recovered
             .global_txn_gen(SEED ^ 0x5eed)

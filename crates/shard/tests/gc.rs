@@ -14,7 +14,7 @@
 mod common;
 
 use proptest::prelude::*;
-use pushtap_chbench::{RemoteMix, ALL_TABLES};
+use pushtap_chbench::RemoteMix;
 use pushtap_mvcc::Ts;
 use pushtap_olap::Query;
 use pushtap_shard::{ShardConfig, ShardedHtap};
@@ -62,16 +62,7 @@ fn collect_and_compare(
     // garbage-collects (default period, one batch, no pressure).
     let committed: Vec<Ts> = (1..=txns).map(Ts).collect();
     let reference = common::reference_holding(service.cfg(), mix, seed, txns, &committed);
-    for (i, shard) in service.shards().iter().enumerate() {
-        for table in ALL_TABLES {
-            common::assert_table_bytes_match(
-                shard,
-                &reference,
-                table,
-                &format!("{label}: shard {i}"),
-            );
-        }
-    }
+    common::assert_shards_match_reference(&service, &reference, label);
 }
 
 #[test]

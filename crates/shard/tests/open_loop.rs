@@ -22,8 +22,7 @@
 mod common;
 
 use proptest::prelude::*;
-use pushtap_chbench::{RemoteMix, ALL_TABLES};
-use pushtap_format::RowSlot;
+use pushtap_chbench::RemoteMix;
 use pushtap_mvcc::Ts;
 use pushtap_pim::Ps;
 use pushtap_shard::{
@@ -100,29 +99,6 @@ fn run_open(
     (service, report)
 }
 
-/// Byte-compares every table of every shard between two deployments of
-/// the same shard count (both defragmented by the caller).
-fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
-    assert_eq!(a.shard_count(), b.shard_count());
-    for i in 0..a.shard_count() {
-        let da = a.shard(i).db();
-        let db = b.shard(i).db();
-        assert_eq!(da.last_ts(), db.last_ts(), "{label}: shard {i} watermark");
-        for table in ALL_TABLES {
-            let ta = da.table(table);
-            let tb = db.table(table);
-            assert_eq!(ta.n_rows(), tb.n_rows());
-            for row in 0..ta.n_rows() {
-                assert_eq!(
-                    ta.store().read_row(RowSlot::Data { row }),
-                    tb.store().read_row(RowSlot::Data { row }),
-                    "{label}: shard {i} {table:?} row {row} diverged"
-                );
-            }
-        }
-    }
-}
-
 /// The headline identity: with an unbounded inbox every arrival is
 /// admitted, so the open-loop run must commit byte-identical state to
 /// a closed-loop run over the same stream — and to the unpartitioned
@@ -162,17 +138,12 @@ fn incremental_waves_match_batch_and_reference() {
                 );
                 assert_eq!(report.rejected(), 0, "{label}: unbounded inbox rejected");
                 assert_eq!(report.admitted(), TXNS);
-                assert_services_match(&open_service, &batch_service, &label);
-                for (i, shard) in open_service.shards().iter().enumerate() {
-                    for table in ALL_TABLES {
-                        common::assert_table_bytes_match(
-                            shard,
-                            &reference,
-                            table,
-                            &format!("{label} shard {i} vs reference"),
-                        );
-                    }
-                }
+                common::assert_services_match(&open_service, &batch_service, &label);
+                common::assert_shards_match_reference(
+                    &open_service,
+                    &reference,
+                    &format!("{label} vs reference"),
+                );
             }
         }
     }
@@ -219,16 +190,7 @@ fn bounded_inbox_rejects_and_admitted_stream_stays_identical() {
         &report.admitted_index,
         &admitted_ts(&report),
     );
-    for (i, shard) in service.shards().iter().enumerate() {
-        for table in ALL_TABLES {
-            common::assert_table_bytes_match(
-                shard,
-                &reference,
-                table,
-                &format!("bounded inbox shard {i}"),
-            );
-        }
-    }
+    common::assert_shards_match_reference(&service, &reference, "bounded inbox");
 }
 
 /// The same seeds replay the same run, bit for bit: admissions,
@@ -286,7 +248,7 @@ fn laggard_votes_only_add_stall() {
         lag.critical_path_time,
         free.critical_path_time
     );
-    assert_services_match(&lag_service, &free_service, "laggard vs free votes");
+    common::assert_services_match(&lag_service, &free_service, "laggard vs free votes");
 }
 
 proptest! {
@@ -334,15 +296,6 @@ proptest! {
             &report.admitted_index,
             &admitted_ts(&report),
         );
-        for (i, shard) in service.shards().iter().enumerate() {
-            for table in ALL_TABLES {
-                common::assert_table_bytes_match(
-                    shard,
-                    &reference,
-                    table,
-                    &format!("{label} shard {i}"),
-                );
-            }
-        }
+        common::assert_shards_match_reference(&service, &reference, &label);
     }
 }

@@ -178,16 +178,7 @@ fn scenario(shards: u32, arrivals: Arrivals, crash: Option<CrashPoint>, label: &
     }
     let reference =
         common::reference_holding_admitted(recovered.cfg(), MIX, SEED, &admitted, &rec.committed);
-    for (i, shard) in recovered.shards().iter().enumerate() {
-        for table in ALL_TABLES {
-            common::assert_table_bytes_match(
-                shard,
-                &reference,
-                table,
-                &format!("{label}: shard {i}"),
-            );
-        }
-    }
+    common::assert_shards_match_reference(&recovered, &reference, label);
 
     // Liveness: the recovered deployment takes open-loop traffic again.
     let post_san = common::sanitize(&mut recovered);

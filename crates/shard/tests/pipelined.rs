@@ -15,7 +15,7 @@
 mod common;
 
 use proptest::prelude::*;
-use pushtap_chbench::{RemoteMix, ALL_TABLES};
+use pushtap_chbench::RemoteMix;
 use pushtap_core::Pushtap;
 use pushtap_shard::{ShardConfig, ShardedHtap};
 
@@ -89,20 +89,6 @@ fn reference(pressured: bool, mix: RemoteMix, seed: u64, txns: u64) -> Pushtap {
     reference
 }
 
-/// Byte-compares every table of every shard against the reference.
-fn assert_matches_reference(service: &ShardedHtap, reference: &Pushtap, label: &str) {
-    for (i, shard) in service.shards().iter().enumerate() {
-        for table in ALL_TABLES {
-            common::assert_table_bytes_match(
-                shard,
-                reference,
-                table,
-                &format!("{label}: shard {i}"),
-            );
-        }
-    }
-}
-
 /// The tentpole invariant under delta pressure: at 2, 4, and 8 shards,
 /// under all three remote mixes, the committed bytes equal the
 /// unpartitioned reference's — with undersized arenas forcing aborts
@@ -129,7 +115,7 @@ fn waves_match_reference_under_pressure() {
                     "{label}: squeezed uniform waves must abort participants"
                 );
             }
-            assert_matches_reference(&service, &reference, &label);
+            common::assert_shards_match_reference(&service, &reference, &label);
         }
     }
 }
@@ -147,7 +133,7 @@ fn waves_match_reference_ample() {
             let total = report.merged();
             assert_eq!(total.aborts, 0, "{label}: ample arenas abort-free");
             assert_eq!(total.retried_txns, 0, "{label}: nothing to retry");
-            assert_matches_reference(&service, &reference, &label);
+            common::assert_shards_match_reference(&service, &reference, &label);
         }
     }
 }
@@ -218,6 +204,6 @@ proptest! {
 
         let (service, report) = run_batch(cfg, mix, seed, txns);
         prop_assert!(report.merged().aborts > 0, "arenas this small must abort");
-        assert_matches_reference(&service, &reference, "proptest");
+        common::assert_shards_match_reference(&service, &reference, "proptest");
     }
 }

@@ -10,8 +10,7 @@
 
 use std::sync::Arc;
 
-use pushtap_chbench::{RemoteMix, ALL_TABLES};
-use pushtap_format::RowSlot;
+use pushtap_chbench::RemoteMix;
 use pushtap_sanitizer::{Access, AccessKind, ShadowSanitizer, ViolationKind};
 use pushtap_shard::{ShardConfig, ShardOltpReport, ShardedHtap};
 
@@ -47,28 +46,6 @@ fn run(armed: bool) -> (ShardedHtap, Option<Arc<ShadowSanitizer>>, ShardOltpRepo
     (service, san, report)
 }
 
-/// Byte-compares every table of every shard between two deployments.
-fn assert_services_match(a: &ShardedHtap, b: &ShardedHtap, label: &str) {
-    assert_eq!(a.shard_count(), b.shard_count());
-    for i in 0..a.shard_count() {
-        let da = a.shard(i).db();
-        let db = b.shard(i).db();
-        assert_eq!(da.last_ts(), db.last_ts(), "{label}: shard {i} watermark");
-        for table in ALL_TABLES {
-            let ta = da.table(table);
-            let tb = db.table(table);
-            assert_eq!(ta.n_rows(), tb.n_rows());
-            for row in 0..ta.n_rows() {
-                assert_eq!(
-                    ta.store().read_row(RowSlot::Data { row }),
-                    tb.store().read_row(RowSlot::Data { row }),
-                    "{label}: shard {i} {table:?} row {row} diverged under the sanitizer"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn armed_batches_are_violation_free_and_byte_neutral() {
     let label = "squeezed uniform batch";
@@ -91,7 +68,7 @@ fn armed_batches_are_violation_free_and_byte_neutral() {
     // charge zero simulated time, so the armed deployment commits the
     // exact state an unarmed twin does, on the exact same clocks.
     let (unarmed, _, unarmed_report) = run(false);
-    assert_services_match(&armed, &unarmed, label);
+    common::assert_services_match(&armed, &unarmed, &format!("{label} under the sanitizer"));
     for (i, (a, u)) in armed_report
         .per_shard
         .iter()

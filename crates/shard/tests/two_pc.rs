@@ -27,22 +27,6 @@ fn squeezed_cfg(shards: u32, delta_frac: f64, min_delta_rows: u64) -> ShardConfi
     cfg
 }
 
-/// Byte-compares every table of every shard against the rows of the
-/// unpartitioned reference that the shard holds (both sides
-/// defragmented by the caller).
-fn assert_shards_match_reference(service: &ShardedHtap, reference: &Pushtap, label: &str) {
-    for (i, shard) in service.shards().iter().enumerate() {
-        for table in ALL_TABLES {
-            common::assert_table_bytes_match(
-                shard,
-                reference,
-                table,
-                &format!("{label}: shard {i}"),
-            );
-        }
-    }
-}
-
 /// FNV-1a over every shard's, every table's `newest_slot(row)`
 /// sequence: which delta slot each row's newest version sits in. An
 /// abort decision returns slots to the arenas' free lists, so the order
@@ -134,7 +118,7 @@ fn participant_delta_full_aborts_globally_and_retries_clean() {
         assert_eq!(shard.db().live_delta_rows(), 0, "shard {i} leaked slots");
     }
     // …and the committed bytes equal the unpartitioned reference's.
-    assert_shards_match_reference(&service, &reference, "deterministic");
+    common::assert_shards_match_reference(&service, &reference, "deterministic");
 }
 
 proptest! {
@@ -176,6 +160,6 @@ proptest! {
         for (i, shard) in service.shards().iter().enumerate() {
             prop_assert_eq!(shard.db().live_delta_rows(), 0, "shard {} leaked", i);
         }
-        assert_shards_match_reference(&service, &reference, "proptest");
+        common::assert_shards_match_reference(&service, &reference, "proptest");
     }
 }

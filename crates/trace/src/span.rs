@@ -49,13 +49,14 @@ pub enum Phase {
     VoteBarrier,
     /// Interval: a shard's whole decision pass over one wave.
     WaveDecide,
-    /// Interval: one participant's wait for a decision delivery
-    /// (possibly zero under overlap).
-    Decide,
     /// Interval: one transaction's two-phase-commit participation on
     /// one shard (home or participant side; covers the prepare
-    /// attempt).
-    TwoPc,
+    /// attempt). A participant's wait for its decision delivery falls
+    /// inside its decide-pass span; it has no span of its own.
+    ///
+    /// The discriminants from here on are pinned: span fingerprints
+    /// hash `phase as u64`, and 8 is unassigned.
+    TwoPc = 9,
     /// Instant: a commit decision applied (scope resolved).
     Commit,
     /// Instant: an abort decision applied (pinned undo replayed).
@@ -94,7 +95,6 @@ impl Phase {
             Phase::WavePrepare => "wave_prepare",
             Phase::VoteBarrier => "vote_barrier",
             Phase::WaveDecide => "wave_decide",
-            Phase::Decide => "decide",
             Phase::TwoPc => "2pc",
             Phase::Commit => "commit",
             Phase::Abort => "abort",
@@ -132,7 +132,6 @@ impl Phase {
             | Phase::WavePrepare
             | Phase::VoteBarrier
             | Phase::WaveDecide
-            | Phase::Decide
             | Phase::TwoPc
             | Phase::Commit
             | Phase::Abort

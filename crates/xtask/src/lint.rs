@@ -487,6 +487,17 @@ const ROWS: &[Row] = &[
               `Ps` of computed picoseconds, or of whole seconds as a rate \
               window).",
     },
+    Row {
+        name: "dev-profile-keeps-checks",
+        paths: &["Cargo.toml"],
+        non_test: false,
+        check: File(dev_checks_off),
+        sample: "[profile.dev]\ndebug-assertions = false",
+        why: "The test binaries build at `opt-level = 1` for speed, and only \
+              for speed: the dev and test profiles keep debug assertions and \
+              overflow checks on, so the suite checks what it checked \
+              unoptimised.",
+    },
 ];
 
 /// `read_row` inside `timed_read` or `snapshot_read`: the nearest line at
@@ -616,6 +627,32 @@ fn lacks_forbid_unsafe(_: &Path, file: &Scanned) -> Vec<usize> {
     } else {
         Vec::new()
     }
+}
+
+/// Each `debug-assertions = false` or `overflow-checks = false` line
+/// under a `[profile.dev]` or `[profile.test]` header.
+fn dev_checks_off(_: &Path, file: &Scanned) -> Vec<usize> {
+    let mut in_dev = false;
+    let mut offsets = Vec::new();
+    let mut at = 0;
+    for line in file.source.split_inclusive('\n') {
+        let setting: String = line
+            .split('#')
+            .next()
+            .unwrap_or_default()
+            .chars()
+            .filter(|c| !c.is_whitespace())
+            .collect();
+        if setting.starts_with('[') {
+            in_dev = setting == "[profile.dev]" || setting == "[profile.test]";
+        } else if in_dev
+            && (setting == "debug-assertions=false" || setting == "overflow-checks=false")
+        {
+            offsets.push(at);
+        }
+        at += line.len();
+    }
+    offsets
 }
 
 /// Every `Phase` variant the reconciliation suite never names, or the
