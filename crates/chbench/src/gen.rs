@@ -10,6 +10,10 @@ use pushtap_format::TableSchema;
 
 use crate::schema::Table;
 
+/// Item ids (`i_id`, and the `ol_i_id` and `s_i_id` that reference an
+/// item) lie below this at every scale.
+pub const ITEM_IDS: u64 = 100_000;
+
 /// Appends `v` little-endian as exactly `width` bytes (dropping high
 /// bytes if `width < 8`, zero-padding past 8) to any byte sink: a
 /// `Vec<u8>`, or an inline row image.
@@ -84,7 +88,7 @@ impl ValueKind {
             || name == "ol_number"
         {
             ValueKind::Id(match name {
-                "ol_i_id" | "i_id" | "s_i_id" => 100_000,
+                "ol_i_id" | "i_id" | "s_i_id" => ITEM_IDS,
                 "ol_number" => 15,
                 _ => 10_000,
             })

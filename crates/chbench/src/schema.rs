@@ -9,8 +9,9 @@
 //! narrowest 1 B, matching the paper's "column width varies from 2 bytes
 //! to 152 bytes" (§8) at byte resolution.
 //!
-//! All columns start as [`ColumnKind::Normal`]; the key set is derived
-//! from an OLAP query subset via [`crate::queries`].
+//! All columns start as
+//! [`ColumnKind::Normal`](pushtap_format::ColumnKind::Normal); the key
+//! set is derived from an OLAP query subset via [`crate::queries`].
 
 use pushtap_format::{Column, TableSchema};
 

@@ -8,7 +8,7 @@
 //! column-store instance in PIM memory for OLAP. Before a query it must
 //! *rebuild* the column instance from the transaction log: all
 //! new-versioned rows plus their metadata cross the memory bus, then the
-//! PIM units merge them (§7.3's adaptation of [6] to the DIMM system).
+//! PIM units merge them (§7.3's adaptation of \[6\] to the DIMM system).
 
 use pushtap_chbench::Table;
 use pushtap_olap::{Query, QuerySteps, ScanEngine, Q1_GROUPS, Q9_GROUPS};

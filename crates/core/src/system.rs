@@ -141,7 +141,7 @@ pub struct OltpReport {
     /// committing.
     pub retried_txns: u64,
     /// Latency consumed by rolled-back attempts (statements executed
-    /// before a mid-transaction [`DeltaFull`](pushtap_mvcc::DeltaFull),
+    /// before a mid-transaction [`DeltaFull`],
     /// plus prepared work a two-phase-commit coordinator aborted).
     /// Their memory traffic hits the simulated memory system, so their
     /// time is charged to the transaction's completion latency too: this
@@ -154,7 +154,7 @@ pub struct OltpReport {
     pub prepared_txns: u64,
     /// Prepared scopes this engine rolled back on a coordinator's abort
     /// decision (some participant of the transaction hit
-    /// [`DeltaFull`](pushtap_mvcc::DeltaFull) and the whole transaction
+    /// [`DeltaFull`] and the whole transaction
     /// aborted everywhere before its retry).
     pub participant_aborts: u64,
     /// Effects this engine applied on behalf of transactions *homed on

@@ -1,9 +1,9 @@
-//! The allocation budget of the transaction path: once its buffers have
-//! grown to their working size, `Pushtap::run_txns` makes at most one
-//! heap allocation per transaction. A transaction is described by
-//! plain `Copy` effects decomposed into one list the engine reuses, so
-//! what is left is per call, not per transaction (the report's
-//! histograms).
+//! The allocation budget of the transaction path: after a warm-up,
+//! `Pushtap::run_txns` allocates only its report's histograms — a
+//! handful per call, not per transaction. A transaction is described by
+//! plain `Copy` effects decomposed into one list the engine reuses, and
+//! every table's storage is sized when the engine is built
+//! (`alloc_budget_cold.rs` holds the same from a cold start).
 //!
 //! The count is exact: a counting global allocator tallies every
 //! `alloc` and `realloc` call the process makes. This binary holds one
@@ -55,6 +55,11 @@ static ALLOCATOR: Counting = Counting;
 
 const WARM_TXNS: u64 = 2_000;
 const TXNS: u64 = 2_000;
+/// Allocations allowed over the measured run: 2 measured (one growth
+/// each of the report's commit-latency and GC-stall histograms), plus
+/// one per histogram that a change moving a simulated latency may grow a
+/// second time.
+const BUDGET: u64 = 4;
 
 #[test]
 fn run_txns_allocates_at_most_once_per_transaction() {
@@ -67,8 +72,7 @@ fn run_txns_allocates_at_most_once_per_transaction() {
     assert_eq!(report.committed, TXNS);
     println!("{calls} allocations over {TXNS} transactions");
     assert!(
-        calls <= TXNS,
-        "{calls} allocations over {TXNS} transactions: {:.2} per transaction, budget 1",
-        calls as f64 / TXNS as f64
+        calls <= BUDGET,
+        "{calls} allocations over {TXNS} transactions, budget {BUDGET}"
     );
 }

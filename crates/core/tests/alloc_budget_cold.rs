@@ -1,0 +1,113 @@
+//! The allocation budget of a freshly built engine: with no warm-up,
+//! rounds of [a burst of transactions, then one query cycling Q1 → Q6 →
+//! Q9] allocate only what they return. Every table's storage — its
+//! device bytes, version chains and GC outcome — and the engine's
+//! per-transaction lists are sized when the engine is built, and a query
+//! resolves its column cursors inline. What is left is the reports'
+//! histograms and the query results (a Q9 also builds its item bitset).
+//!
+//! The counts are exact: a counting global allocator tallies every
+//! `alloc` and `realloc` call the process makes. This binary holds one
+//! test, so nothing else runs while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use pushtap_core::{Pushtap, PushtapConfig};
+use pushtap_olap::Query;
+
+/// Forwards to the system allocator and counts calls.
+struct Counting;
+
+// Statistics only: the counter publishes no other data, so `Relaxed`.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller guarantees `layout` is valid for `alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller guarantees `layout` is valid for `alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // with `layout`, and this allocator only ever hands out
+        // `System` blocks.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc` — `ptr` is a `System` block of `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The `engine_htap` shape: rounds of a 50-transaction burst and one
+/// query, at four times the small population.
+const ROUNDS: u64 = 30;
+const BURST_TXNS: u64 = 50;
+const SCALE: f64 = 0.002;
+
+/// Allocations `f` makes, and what it returns.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    (CALLS.load(Ordering::Relaxed) - before, out)
+}
+
+#[test]
+fn a_fresh_engine_allocates_only_what_it_returns() {
+    let mut config = PushtapConfig::small();
+    config.db.scale = SCALE;
+    let mut engine = Pushtap::new(config).expect("the configuration lays out");
+    let mut gen = engine.txn_gen(42);
+    let (mut txns, mut histograms) = (0, 0);
+    let mut queries = [0u64; 3];
+    for k in 0..ROUNDS {
+        let (calls, report) = counted(|| engine.run_txns(&mut gen, BURST_TXNS));
+        assert_eq!(report.committed, BURST_TXNS);
+        txns += calls;
+        histograms += [
+            &report.commit_latency,
+            &report.queue_wait,
+            &report.defrag_stall,
+            &report.gc_stall,
+            &report.two_pc_stall,
+        ]
+        .iter()
+        .filter(|h| !h.is_empty())
+        .count() as u64;
+        let q = (k % 3) as usize;
+        let (calls, _) = counted(|| engine.run_query(Query::ALL[q]));
+        queries[q] = queries[q].max(calls);
+    }
+    println!(
+        "{txns} allocations over {} transactions ({histograms} report histograms recorded); \
+         at most {queries:?} per Q1, Q6, Q9",
+        ROUNDS * BURST_TXNS
+    );
+    assert_eq!(queries, [1, 0, 2], "a query allocates its result only");
+    // Measured: one growth per report histogram that recorded (32 of 32
+    // at this shape). Slack: one more per such histogram, which a change
+    // that moves a simulated latency may grow a second time.
+    let budget = 2 * histograms;
+    assert!(
+        txns <= budget,
+        "{txns} allocations over {} transactions, budget {budget}: two per report \
+         histogram that recorded",
+        ROUNDS * BURST_TXNS
+    );
+}

@@ -121,11 +121,15 @@ impl TableStore {
             image_fragments.extend(fragments.map(|&f| (column_at, f)));
             column_at += column.width;
         }
+        // Every byte the store writes lies in the plan's regions, so each
+        // device's store reaches at most `bytes_per_device` and never
+        // reallocates: reserved here, written only as rows arrive.
+        let reserved = region.bytes_per_device() as usize;
         TableStore {
             placement: Placement::new(devices, block_rows),
             region,
             image_fragments,
-            mem: DeviceArray::new(devices),
+            mem: DeviceArray::with_capacity(devices, reserved),
             layout,
         }
     }
@@ -329,25 +333,26 @@ impl TableStore {
     pub fn column_cursor(&self, col: u32) -> ColumnCursor<'_> {
         let width = self.layout.schema().column(col).width;
         assert!(width <= 8, "column {col} is wider than an integer");
-        let frags = self
-            .layout
-            .fragments(col)
-            .iter()
-            .map(|f| {
-                let part = self.region.parts()[f.part as usize];
-                CursorFragment {
-                    device: f.device,
-                    stride: part.width as u64,
-                    data_base: part.data_base + f.offset as u64,
-                    delta_base: part.delta_base + f.offset as u64,
-                    len: f.len as usize,
-                    shift: 8 * f.col_byte,
-                }
-            })
-            .collect();
+        // Every fragment holds at least one of the column's bytes, so the
+        // width bound also bounds the fragments the cursor holds inline.
+        let fragments = self.layout.fragments(col);
+        debug_assert!(fragments.len() <= MAX_FRAGMENTS);
+        let mut frags = [CursorFragment::default(); MAX_FRAGMENTS];
+        for (to, f) in frags.iter_mut().zip(fragments) {
+            let part = self.region.parts()[f.part as usize];
+            *to = CursorFragment {
+                device: f.device,
+                stride: part.width as u64,
+                data_base: part.data_base + f.offset as u64,
+                delta_base: part.delta_base + f.offset as u64,
+                len: f.len as usize,
+                shift: 8 * f.col_byte,
+            };
+        }
         ColumnCursor {
             mem: &self.mem,
             frags,
+            n_frags: fragments.len(),
             block_rows: self.placement.block_rows() as u64,
             n_rows: self.region.n_rows(),
             arena_rows: self.region.arena_rows(),
@@ -356,10 +361,14 @@ impl TableStore {
     }
 }
 
+/// The most fragments a cursor's column can have: one per byte of an
+/// integer column.
+const MAX_FRAGMENTS: usize = 8;
+
 /// One fragment of a cursor's column with its part's stride and region
 /// bases folded in: the fragment of region index `i` lies at
 /// `base + i * stride` on device `(device + rotation) mod devices`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CursorFragment {
     /// Device slot within the part, before rotation.
     device: u32,
@@ -373,12 +382,14 @@ struct CursorFragment {
 
 /// One integer column of a [`TableStore`], resolved for reading
 /// ([`TableStore::column_cursor`]): the view of the format a PIM unit
-/// scans. A read decodes in place — no allocation, no per-value schema,
-/// layout or region lookup.
+/// scans. Building one allocates nothing, and a read decodes in place —
+/// no allocation, no per-value schema, layout or region lookup.
 #[derive(Debug, Clone)]
 pub struct ColumnCursor<'a> {
     mem: &'a DeviceArray,
-    frags: Vec<CursorFragment>,
+    /// The column's fragments, held inline: the first `n_frags` are set.
+    frags: [CursorFragment; MAX_FRAGMENTS],
+    n_frags: usize,
     block_rows: u64,
     n_rows: u64,
     arena_rows: u64,
@@ -417,7 +428,7 @@ impl ColumnCursor<'_> {
             }
         };
         let mut value = 0u64;
-        for f in &self.frags {
+        for f in &self.frags[..self.n_frags] {
             let device = (f.device + rotation) % self.arenas;
             let base = if delta { f.delta_base } else { f.data_base };
             let offset = (base + index * f.stride) as usize;
@@ -561,6 +572,50 @@ mod tests {
             s.column_cursor(0).extents(),
             (r.n_rows(), r.arenas() as u64 * r.arena_rows())
         );
+    }
+
+    /// The most fragments an integer column can have: 8 bytes, each on a
+    /// device of its own (scrambled, so the value's bytes are out of
+    /// device order). The cursor holds all of them inline and decodes
+    /// every data and delta slot like `read_row`, across rotations.
+    #[test]
+    fn cursor_over_eight_one_byte_fragments_decodes_like_read_row() {
+        use crate::layout::{ByteSource, PartLayout};
+        use crate::schema::{Column, TableSchema};
+
+        let schema = TableSchema::new("split", vec![Column::normal("v", 8)]);
+        let mut part = PartLayout::empty(1, 8);
+        for byte in 0..8 {
+            *part.slot_mut((byte * 3) % 8, 0) = Some(ByteSource { col: 0, byte });
+        }
+        let layout = TableLayout::new(schema, 8, vec![part]).unwrap();
+        assert_eq!(layout.fragments(0).len(), 8);
+        let mut s = TableStore::new(layout, 4, 32, 16);
+        let slots = [
+            RowSlot::Data { row: 0 },
+            RowSlot::Data { row: 5 },
+            RowSlot::Data { row: 31 },
+            RowSlot::Delta {
+                rotation: 1,
+                idx: 1,
+            },
+            RowSlot::Delta {
+                rotation: 7,
+                idx: 0,
+            },
+        ];
+        for (k, &slot) in slots.iter().enumerate() {
+            let value = 0x0102_0304_0506_0708u64.wrapping_mul(k as u64 + 3);
+            s.write_row(slot, &[value.to_le_bytes().to_vec()]);
+        }
+        let cursor = s.column_cursor(0);
+        for &slot in &slots {
+            let row = s.read_row(slot);
+            let bytes: [u8; 8] = row[0].as_slice().try_into().unwrap();
+            assert_eq!(cursor.u64_at(slot), u64::from_le_bytes(bytes), "{slot:?}");
+        }
+        // A slot nothing was written to reads as zero.
+        assert_eq!(cursor.u64_at(RowSlot::Data { row: 9 }), 0);
     }
 
     #[test]

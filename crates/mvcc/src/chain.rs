@@ -13,7 +13,9 @@
 //! stamp) is one indexed load, and everything that enumerates rows — garbage
 //! collection, defragmentation — meets them in ascending order without
 //! sorting. The arrays grow on demand to the highest row and slot ever
-//! recorded, so [`VersionChains::new`] needs no sizes.
+//! recorded, so [`VersionChains::new`] needs no sizes;
+//! [`VersionChains::with_capacity`] reserves them once from the table's
+//! region plan, so that recording never reallocates.
 
 use std::ops::Range;
 
@@ -60,6 +62,19 @@ pub struct GcOutcome {
 }
 
 impl GcOutcome {
+    /// An empty outcome whose lists hold a pass over `slots` delta slots
+    /// without reallocating. A pass frees, folds and trims at most one
+    /// entry per version, and versions occupy distinct slots, so `slots`
+    /// (the table's `arenas × arena_rows`) bounds all three.
+    pub fn with_capacity(slots: usize) -> GcOutcome {
+        GcOutcome {
+            folds: Vec::with_capacity(slots),
+            freed: Vec::with_capacity(slots),
+            log_trimmed: Vec::with_capacity(slots),
+            traverse_steps: 0,
+        }
+    }
+
     /// Every delta slot `fold` releases: its `fold_slot` plus all older
     /// versions it supersedes, newest first.
     pub fn freed_of(&self, fold: &GcFold) -> &[RowSlot] {
@@ -148,6 +163,26 @@ impl VersionChains {
         VersionChains::default()
     }
 
+    /// Creates empty chains for a table of `rows` data rows and `arenas`
+    /// rotation arenas of `arena_rows` delta slots each, with every
+    /// array reserved to its bound so that recording never reallocates:
+    /// `newest` to the rows; each arena's slot states to its slots; and
+    /// the commit log to all the slots, because an entry lives exactly
+    /// as long as the version in its new slot (a GC pass trims the two
+    /// together, an undo removes both). The chains answer exactly as
+    /// [`VersionChains::new`]'s do.
+    pub fn with_capacity(rows: u64, arenas: u32, arena_rows: u64) -> VersionChains {
+        let slots = arenas as usize * arena_rows as usize;
+        VersionChains {
+            newest: Vec::with_capacity(rows as usize),
+            slots: (0..arenas)
+                .map(|_| Vec::with_capacity(arena_rows as usize))
+                .collect(),
+            log: Vec::with_capacity(slots),
+            ..VersionChains::default()
+        }
+    }
+
     /// Records a committed update of `row`, whose new version was written
     /// to `new_slot` at timestamp `ts`. Returns the superseded slot.
     ///
@@ -208,6 +243,7 @@ impl VersionChains {
             at -= 1;
         }
         self.log.insert(at, entry);
+        debug_assert_eq!(self.log.len(), self.versions, "one log entry per version");
         prev
     }
 
@@ -476,6 +512,25 @@ mod tests {
         /// Whether `row` has any delta versions.
         fn has_versions(&self, row: u64) -> bool {
             self.newest_delta(row).is_some()
+        }
+
+        /// Where the arrays' storage lies: unchanged while none of them
+        /// reallocates.
+        fn storage(&self) -> Vec<*const u8> {
+            let mut at = vec![self.newest.as_ptr().cast(), self.log.as_ptr().cast()];
+            at.extend(self.slots.iter().map(|arena| arena.as_ptr().cast()));
+            at
+        }
+    }
+
+    impl GcOutcome {
+        /// As [`VersionChains::storage`], for the outcome's lists.
+        fn storage(&self) -> [*const u8; 3] {
+            [
+                self.folds.as_ptr().cast(),
+                self.freed.as_ptr().cast(),
+                self.log_trimmed.as_ptr().cast(),
+            ]
         }
     }
 
@@ -939,9 +994,12 @@ mod tests {
     }
 
     /// The arrays and the reference maps, driven in lockstep: every call
-    /// goes to both and must return the same.
+    /// goes to both and must return the same. A second set of arrays,
+    /// built sized ([`VersionChains::with_capacity`]), takes every call
+    /// too: it must answer like the unsized arrays and never reallocate.
     struct Pair {
         arrays: VersionChains,
+        sized: VersionChains,
         maps: reference::VersionChains,
         alloc: crate::DeltaAllocator,
         clock: u64,
@@ -949,6 +1007,11 @@ mod tests {
         scopes: Vec<Vec<u64>>,
         /// The one outcome every GC pass of the arrays refills.
         outcome: GcOutcome,
+        /// The sized arrays' outcome, built sized like the engine's.
+        sized_outcome: GcOutcome,
+        /// Where the sized arrays' and their outcome's storage lay when
+        /// built.
+        sized_storage: (Vec<*const u8>, [*const u8; 3]),
     }
 
     impl Pair {
@@ -969,10 +1032,9 @@ mod tests {
                     continue;
                 };
                 let slot = RowSlot::Delta { rotation, idx };
-                assert_eq!(
-                    self.arrays.record_update(row, slot, ts),
-                    self.maps.record_update(row, slot, ts)
-                );
+                let prev = self.arrays.record_update(row, slot, ts);
+                assert_eq!(prev, self.sized.record_update(row, slot, ts));
+                assert_eq!(prev, self.maps.record_update(row, slot, ts));
                 written.push(row);
             }
             written
@@ -981,6 +1043,7 @@ mod tests {
         fn undo(&mut self, rows: &[u64]) {
             for &row in rows.iter().rev() {
                 let slot = self.arrays.undo_update(row);
+                assert_eq!(slot, self.sized.undo_update(row));
                 assert_eq!(slot, self.maps.undo_update(row));
                 self.release(slot);
             }
@@ -1022,8 +1085,10 @@ mod tests {
                 Step::Read { row, behind } => {
                     let ts = Ts(self.clock.saturating_sub(*behind));
                     let seen = self.arrays.visible_at(*row, ts);
+                    assert_eq!(seen, self.sized.visible_at(*row, ts));
                     assert_eq!(seen, self.maps.visible_at(*row, ts));
                     self.arrays.mark_read(seen.0, ts);
+                    self.sized.mark_read(seen.0, ts);
                     self.maps.mark_read(seen.0, ts);
                 }
                 // The engine reclaims nothing while a scope is pending.
@@ -1040,6 +1105,8 @@ mod tests {
                     let mut out = std::mem::take(&mut self.outcome);
                     self.arrays.gc_into(Ts(*cut), &mut out);
                     assert_eq!(out, fresh, "a reused outcome answers like a fresh one");
+                    self.sized.gc_into(Ts(*cut), &mut self.sized_outcome);
+                    assert_eq!(out, self.sized_outcome, "sized arrays answer alike");
                     assert_eq!(out, self.maps.gc(Ts(*cut)));
                     assert_eq!(out.slots_recycled(), out.freed.len());
                     let per_fold: usize = out.folds.iter().map(|f| out.freed_of(f).len()).sum();
@@ -1063,24 +1130,34 @@ mod tests {
             }
         }
 
-        /// Everything the chains answer, on both sides.
+        /// Everything the chains answer, on every side, and the sized
+        /// arrays' storage where it was built.
         fn check(&self) {
-            let (a, m) = (&self.arrays, &self.maps);
+            let (a, s, m) = (&self.arrays, &self.sized, &self.maps);
             for row in 0..ROWS {
                 assert_eq!(a.newest_slot(row), m.newest_slot(row), "row {row}");
+                assert_eq!(a.newest_slot(row), s.newest_slot(row), "row {row}");
                 assert_eq!(a.has_versions(row), m.has_versions(row), "row {row}");
+                assert_eq!(a.has_versions(row), s.has_versions(row), "row {row}");
             }
             for rotation in 0..ARENAS {
                 for idx in 0..ARENA_ROWS {
                     let slot = RowSlot::Delta { rotation, idx };
                     assert_eq!(a.meta(slot), m.meta(slot), "{slot:?}");
+                    assert_eq!(a.meta(slot), s.meta(slot), "{slot:?}");
                 }
             }
             let updated: Vec<u64> = a.updated_rows().collect();
             assert_eq!(updated, m.updated_rows(), "ascending without a sort");
+            assert!(updated.iter().copied().eq(s.updated_rows()));
             assert_eq!(a.updated_row_count(), m.updated_row_count());
+            assert_eq!(a.updated_row_count(), s.updated_row_count());
             assert_eq!(a.log(), m.log());
+            assert_eq!(a.log(), s.log());
             assert_eq!(a.traverse_steps(), m.traverse_steps());
+            assert_eq!(a.traverse_steps(), s.traverse_steps());
+            let storage = (s.storage(), self.sized_outcome.storage());
+            assert_eq!(storage, self.sized_storage, "the sized arrays reallocated");
         }
     }
 
@@ -1095,16 +1172,23 @@ mod tests {
         /// newest first, trimmed log indices), defragmentation, and
         /// slots recycled through all of it. Every pass of the arrays
         /// refills one reused [`GcOutcome`], which must also equal a
-        /// fresh pass's.
+        /// fresh pass's. Arrays sized from the arenas answer every call
+        /// like unsized ones, and neither they nor their outcome ever
+        /// reallocate.
         #[test]
         fn arrays_answer_like_the_maps_they_replaced(steps in arb_steps()) {
+            let sized = VersionChains::with_capacity(ROWS, ARENAS, ARENA_ROWS);
+            let sized_outcome = GcOutcome::with_capacity((ARENAS as u64 * ARENA_ROWS) as usize);
             let mut pair = Pair {
                 arrays: VersionChains::new(),
+                sized_storage: (sized.storage(), sized_outcome.storage()),
+                sized,
                 maps: reference::VersionChains::default(),
                 alloc: crate::DeltaAllocator::new(ARENAS, ARENA_ROWS),
                 clock: 0,
                 scopes: Vec::new(),
                 outcome: GcOutcome::default(),
+                sized_outcome,
             };
             for step in &steps {
                 pair.step(step);

@@ -139,6 +139,16 @@ pub struct UndoLog {
 }
 
 impl UndoLog {
+    /// An empty log that holds `records` records and `scopes` prepared
+    /// scopes before it reallocates.
+    pub fn with_capacity(records: usize, scopes: usize) -> UndoLog {
+        UndoLog {
+            records: Vec::with_capacity(records),
+            scopes: Vec::with_capacity(scopes),
+            active: None,
+        }
+    }
+
     /// Opens a transaction scope: recording starts. Prepared scopes may
     /// coexist — they belong to other transactions whose coordinator
     /// decisions are still pending.

@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use pushtap_chbench::Table;
+use pushtap_chbench::{Table, ITEM_IDS};
 use pushtap_oltp::{HtapTable, TpccDb};
 use pushtap_pim::calib::{GATHER_CYCLES_PER_VALUE, PARTITION_CYCLES_PER_TUPLE};
 use pushtap_pim::{CpuSpec, MemSystem, PimOpKind, Ps};
@@ -346,12 +346,22 @@ impl Q6Revenue {
 /// goes to an ordered map, so no key range is assumed.
 const DENSE_GROUPS: u64 = 1 << 12;
 
+/// A Q1 group no line fell into: what the group table starts as and is
+/// grown with, and where a new key starts.
+const EMPTY_Q1_ROW: Q1Row = Q1Row {
+    ol_number: 0,
+    sum_qty: 0,
+    sum_amount: 0,
+    count: 0,
+};
+
 /// Q1's groups over scanned
 /// `[ol_delivery_d, ol_number, ol_quantity, ol_amount]` tuples.
 /// `ol_number` is a line's position within its order (1..=15), so the
-/// groups are a small table indexed by key, grown to the largest key
-/// seen.
-#[derive(Debug, Default)]
+/// groups are a small table indexed by key: [`Q1_GROUPS`] rows cover
+/// every key the generator writes, and the table grows past them only for
+/// a larger key. Its storage becomes the result.
+#[derive(Debug)]
 struct Q1Groups {
     /// `dense[k]` is group `k`; a group no line fell into has count 0.
     dense: Vec<Q1Row>,
@@ -360,26 +370,25 @@ struct Q1Groups {
 }
 
 impl Q1Groups {
+    fn new() -> Q1Groups {
+        Q1Groups {
+            dense: vec![EMPTY_Q1_ROW; Q1_GROUPS as usize],
+            sparse: BTreeMap::new(),
+        }
+    }
+
     #[inline]
     fn add(&mut self, [date, num, qty, amt]: [u64; 4]) {
         if date <= DELIVERY_CUTOFF {
             return;
         }
-        // A group no line fell into: what `resize` fills the table with
-        // below the largest key seen, and where a new key starts.
-        const EMPTY: Q1Row = Q1Row {
-            ol_number: 0,
-            sum_qty: 0,
-            sum_amount: 0,
-            count: 0,
-        };
         let e = if num < DENSE_GROUPS {
             if num as usize >= self.dense.len() {
-                self.dense.resize(num as usize + 1, EMPTY);
+                self.dense.resize(num as usize + 1, EMPTY_Q1_ROW);
             }
             &mut self.dense[num as usize]
         } else {
-            self.sparse.entry(num).or_insert(EMPTY)
+            self.sparse.entry(num).or_insert(EMPTY_Q1_ROW)
         };
         e.ol_number = num;
         e.sum_qty = e.sum_qty.wrapping_add(qty);
@@ -388,9 +397,12 @@ impl Q1Groups {
     }
 
     /// The groups in key order: the table's keys all precede the map's.
+    /// The table is filtered in place into the result.
     fn finish(self) -> QueryResult {
-        let dense = self.dense.into_iter().filter(|g| g.count > 0);
-        QueryResult::Q1(dense.chain(self.sparse.into_values()).collect())
+        let mut rows = self.dense;
+        rows.retain(|g| g.count > 0);
+        rows.extend(self.sparse.into_values());
+        QueryResult::Q1(rows)
     }
 }
 
@@ -399,7 +411,8 @@ impl Q1Groups {
 const DENSE_IDS: u64 = 1 << 26;
 
 /// Q9's build side: the ids of the items passing the price predicate,
-/// over scanned `[i_price, i_id]` tuples. Item ids are dense from 1, so
+/// over scanned `[i_price, i_id]` tuples. Item ids are dense below
+/// [`ITEM_IDS`], so a bitset sized to them holds every item and
 /// membership is one bit test per probing order line.
 #[derive(Debug)]
 struct ItemSet {
@@ -410,6 +423,11 @@ struct ItemSet {
 }
 
 impl ItemSet {
+    /// The set Q9 builds: its bitset covers every item id.
+    fn new() -> ItemSet {
+        ItemSet::with_dense_ids(ITEM_IDS)
+    }
+
     /// A set whose bitset already covers ids below `ids` (capped at
     /// [`DENSE_IDS`]), so adding them allocates nothing further.
     fn with_dense_ids(ids: u64) -> ItemSet {
@@ -473,11 +491,16 @@ impl<'a> Q9Groups<'a> {
         }
     }
 
+    /// The groups a matching line fell into, in group order, in a list of
+    /// exactly their number.
     fn finish(self) -> QueryResult {
-        let rows = (0..Q9_GROUPS)
-            .zip(self.sums)
-            .filter_map(|(group, sum)| sum.map(|sum_amount| Q9Row { group, sum_amount }));
-        QueryResult::Q9(rows.collect())
+        let mut rows = Vec::with_capacity(self.sums.iter().flatten().count());
+        rows.extend(
+            (0..Q9_GROUPS)
+                .zip(self.sums)
+                .filter_map(|(group, sum)| sum.map(|sum_amount| Q9Row { group, sum_amount })),
+        );
+        QueryResult::Q9(rows)
     }
 }
 
@@ -525,7 +548,7 @@ fn q1(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     let t = s.gather(partials * 3, partials);
 
     // Functional result.
-    let mut groups = Q1Groups::default();
+    let mut groups = Q1Groups::new();
     ol.scan_snapshot([c_date, c_num, c_qty, c_amt], |line| groups.add(line));
     (groups.finish(), t)
 }
@@ -550,7 +573,7 @@ fn q9(db: &TpccDb, engine: &ScanEngine, mem: &mut MemSystem, at: Ps) -> (QueryRe
     let t = s.gather(partials * 8, partials);
 
     // Functional result: semi-join on item ids passing the price filter.
-    let mut matching = ItemSet::with_dense_ids(it.n_rows() + 1);
+    let mut matching = ItemSet::new();
     it.scan_snapshot([c_price, c_iid], |item| matching.add(item));
     let mut groups = Q9Groups::new(&matching);
     ol.scan_snapshot([c_ol_iid, c_amt], |line| groups.add(line));
@@ -645,6 +668,25 @@ mod tests {
         }
     }
 
+    /// Q9's build side is sized from the item-id domain, not from the
+    /// item table's rows, which the ids run far past: adding every item
+    /// of a real item table leaves the bitset where it was built.
+    #[test]
+    fn item_set_over_the_item_table_never_grows() {
+        let (db, _, _) = setup();
+        let it = db.table(Table::Item);
+        let mut matching = ItemSet::new();
+        let built = (matching.dense.as_ptr(), matching.dense.len());
+        let mut top = 0;
+        it.scan_snapshot([col(it, "i_price"), col(it, "i_id")], |item| {
+            top = top.max(item[1]);
+            matching.add(item);
+        });
+        assert!(top > it.n_rows(), "id {top} within {} rows", it.n_rows());
+        assert_eq!((matching.dense.as_ptr(), matching.dense.len()), built);
+        assert!(matching.sparse.is_empty());
+    }
+
     #[test]
     fn q9_produces_all_groups() {
         let (db, mut mem, engine) = setup();
@@ -683,7 +725,7 @@ mod tests {
         for line in tuples(ol, ["ol_delivery_d", "ol_quantity", "ol_amount"]) {
             q6.add(line);
         }
-        let mut q1 = Q1Groups::default();
+        let mut q1 = Q1Groups::new();
         for line in tuples(
             ol,
             ["ol_delivery_d", "ol_number", "ol_quantity", "ol_amount"],
@@ -711,7 +753,7 @@ mod tests {
     #[test]
     fn aggregators_assume_no_key_range() {
         let late = DELIVERY_CUTOFF + 1;
-        let mut q1 = Q1Groups::default();
+        let mut q1 = Q1Groups::new();
         for num in [u64::MAX, 3, DENSE_GROUPS, 3, DENSE_GROUPS - 1] {
             q1.add([late, num, 2, 10]);
         }

@@ -157,8 +157,8 @@ pub struct HtapTable {
     /// defragmentation cost model takes them.
     part_widths: Vec<u32>,
     chains: VersionChains,
-    /// The outcome every GC pass refills, so a pass allocates nothing
-    /// once its lists have grown to a pass's size.
+    /// The outcome every GC pass refills, reserved to the table's delta
+    /// slots, so a pass allocates nothing.
     gc_outcome: GcOutcome,
     alloc: DeltaAllocator,
     snapshot: Snapshot,
@@ -167,7 +167,11 @@ pub struct HtapTable {
 }
 
 impl HtapTable {
-    /// Creates a table with the given layout and configuration.
+    /// Creates a table with the given layout and configuration. The
+    /// host structures that mirror the region plan — each device's bytes,
+    /// the version chains and the GC outcome — are reserved here to the
+    /// plan's extent, so writes, commits and GC passes never reallocate
+    /// them; the reserve is capacity, not memory written.
     ///
     /// # Panics
     ///
@@ -220,8 +224,8 @@ impl HtapTable {
             part_widths: store.layout().parts().iter().map(|p| p.width()).collect(),
             alloc: DeltaAllocator::new(devices, arena_rows),
             snapshot: Snapshot::new(cfg.n_rows, devices, arena_rows),
-            chains: VersionChains::new(),
-            gc_outcome: GcOutcome::default(),
+            chains: VersionChains::with_capacity(cfg.n_rows, devices, arena_rows),
+            gc_outcome: GcOutcome::with_capacity(devices as usize * arena_rows as usize),
             index: HashIndex::with_capacity(cfg.n_rows),
             store,
             cfg,

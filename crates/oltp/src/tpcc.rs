@@ -198,6 +198,11 @@ pub struct DbConfig {
 /// Block-circulant block size of every table, in rows (§4.2).
 const BLOCK_ROWS: u32 = 64;
 
+/// Effects of the largest transaction, a NewOrder of `MAX_LINES` lines:
+/// a customer read, a district update, the order and new-order inserts,
+/// and per line an item read, a stock update and an order-line insert.
+const MAX_EFFECTS: usize = 4 + 3 * NewOrder::MAX_LINES;
+
 impl DbConfig {
     /// A small default configuration for tests and examples.
     pub fn small() -> DbConfig {
@@ -463,9 +468,12 @@ impl TpccDb {
             partition,
             warehouses_global,
             wh_range,
-            undo: UndoLog::default(),
+            // One record per row an effect writes, and a serial
+            // coordinator parks one scope at a time: sized so, no
+            // transaction on an unpartitioned engine grows the log.
+            undo: UndoLog::with_capacity(MAX_EFFECTS, 1),
             probe: Probe::new(partition.index),
-            effects: Vec::new(),
+            effects: Vec::with_capacity(MAX_EFFECTS),
             // Sized for the largest effect set, a NewOrder of
             // `MAX_LINES` lines (a customer read, a district update and
             // an item read and a stock update per line), so no

@@ -28,6 +28,16 @@ impl DeviceMem {
         DeviceMem::default()
     }
 
+    /// Creates an empty device memory that holds `bytes` bytes before it
+    /// reallocates. The capacity is reserved, not written: the store's
+    /// length, and the memory it touches, still grow only as bytes are
+    /// written.
+    pub fn with_capacity(bytes: usize) -> DeviceMem {
+        DeviceMem {
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Current allocated length in bytes.
     pub fn len(&self) -> usize {
         self.bytes.len()
@@ -141,15 +151,16 @@ pub struct DeviceArray {
 }
 
 impl DeviceArray {
-    /// Creates an array of `n` empty devices.
+    /// Creates an array of `n` empty devices, each holding `bytes` bytes
+    /// before it reallocates ([`DeviceMem::with_capacity`]).
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn new(n: u32) -> DeviceArray {
+    pub fn with_capacity(n: u32, bytes: usize) -> DeviceArray {
         assert!(n > 0, "device array needs at least one device");
         DeviceArray {
-            devices: (0..n).map(|_| DeviceMem::new()).collect(),
+            devices: (0..n).map(|_| DeviceMem::with_capacity(bytes)).collect(),
         }
     }
 
@@ -291,7 +302,7 @@ mod tests {
 
     #[test]
     fn device_array_is_independent() {
-        let mut a = DeviceArray::new(4);
+        let mut a = DeviceArray::with_capacity(4, 0);
         a.device_mut(0).write(0, &[7]);
         a.device_mut(3).write(0, &[8]);
         assert_eq!(a.device(0).byte(0), 7);
@@ -301,9 +312,24 @@ mod tests {
         assert_eq!(a.device(0).len(), 1);
     }
 
+    /// A reserved store reads and grows like an unreserved one, and
+    /// writing within its capacity moves nothing.
+    #[test]
+    fn reserved_capacity_is_not_written() {
+        let mut a = DeviceArray::with_capacity(2, 64);
+        assert_eq!(a.device(1).len(), 0, "reserved, not written");
+        assert_eq!(a.device(1).read(0, 64), vec![0u8; 64]);
+        let before = a.device(1).bytes.as_ptr();
+        a.device_mut(1).write(60, &[1, 2, 3, 4]);
+        a.device_mut(1).ensure(64);
+        assert_eq!(a.device(1).bytes.as_ptr(), before, "grew within capacity");
+        assert_eq!(a.device(1).len(), 64);
+        assert_eq!(a.device(1).read_le(60, 4), 0x0403_0201);
+    }
+
     #[test]
     #[should_panic(expected = "at least one device")]
     fn empty_array_panics() {
-        let _ = DeviceArray::new(0);
+        let _ = DeviceArray::with_capacity(0, 0);
     }
 }

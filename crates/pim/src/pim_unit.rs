@@ -4,7 +4,7 @@
 //! between the bank and its WRAM scratchpad over a 64-bit internal wire
 //! (DMA, 1 GB/s) and executes a simple in-order pipeline at 500 MHz that
 //! dispatches one instruction per cycle when at least ~11 of its 16
-//! tasklets are runnable (the UPMEM pipeline model from [11]).
+//! tasklets are runnable (the UPMEM pipeline model from \[11\]).
 
 use serde::{Deserialize, Serialize};
 

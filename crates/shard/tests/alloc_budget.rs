@@ -3,7 +3,8 @@
 //! heap allocations per log, not per record. A checkpoint scans each
 //! durable image once, decodes every record into one effect list and
 //! writes the survivors into one buffer; replay shares the scan and the
-//! list; building an engine resolves each table's schema once.
+//! list, and applies the records to tables whose storage was sized when
+//! they were built; building an engine resolves each table's schema once.
 //!
 //! The counts are exact: a counting global allocator tallies every
 //! `alloc` and `realloc` call the process makes. This binary holds one
@@ -56,6 +57,16 @@ static ALLOCATOR: Counting = Counting;
 const SHARDS: u32 = 2;
 const BATCHES: u64 = 10;
 const BATCH_TXNS: u64 = 250;
+/// Allocations allowed to build the 2 shards: 3 700 measured, plus 50
+/// for allocator-internal differences between toolchains (the count
+/// depends on no simulated value).
+const BUILD_BUDGET: u64 = 3_750;
+/// Replayed records per allocation allowed in recovery's replay: 76
+/// measured over 4 148 records (one per 54.6) — the scan's, the
+/// decoder's and the replay's lists growing to a log's size — budget
+/// one per 50 (82 allocations): six of slack for a log that grows one of
+/// them once more.
+const RECORDS_PER_REPLAY_ALLOC: u64 = 50;
 
 /// The `shard_durable` deployment: 2 shards, maintenance every 200
 /// transactions.
@@ -115,12 +126,13 @@ fn checkpoint_replay_and_build_allocate_per_log() {
         checkpoint as f64 / log_count as f64
     );
     assert!(
-        2 * replay <= replayed,
-        "{replay} allocations over {replayed} replayed records: {:.3} per record, budget 0.5",
-        replay as f64 / replayed as f64
+        RECORDS_PER_REPLAY_ALLOC * replay <= replayed,
+        "{replay} allocations over {replayed} replayed records: {:.3} per record, budget {:.3}",
+        replay as f64 / replayed as f64,
+        1.0 / RECORDS_PER_REPLAY_ALLOC as f64
     );
     assert!(
-        build <= 5_000,
-        "{build} allocations to build {SHARDS} shards, budget 5000"
+        build <= BUILD_BUDGET,
+        "{build} allocations to build {SHARDS} shards, budget {BUILD_BUDGET}"
     );
 }

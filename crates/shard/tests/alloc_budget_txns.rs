@@ -6,8 +6,9 @@
 //! key maps and waves, each wave's member, item and effect lists, the
 //! run's inbox counts and in-flight deques, the delta arenas' free
 //! lists and every garbage-collection pass reuse storage they already
-//! hold, so what is left is per call, not per transaction (the
-//! report's per-shard loads, lists and histograms among it).
+//! hold, and every table's storage is sized when its engine is built, so
+//! what is left is per call, not per transaction (the report's per-shard
+//! loads, lists and histograms among it).
 //!
 //! The budgets are the measured counts plus one allocation: a
 //! histogram grows its buckets lazily as it records, so a change that
@@ -72,12 +73,12 @@ const INBOX: usize = 128;
 const WINDOW: usize = 32;
 const RATE_TPS: f64 = 120_000.0;
 const ARRIVALS: u64 = 1_000;
-/// Allocations allowed over the closed-loop batches: 880 measured
-/// (0.352 per transaction), plus one.
-const CLOSED_BUDGET: u64 = 881;
-/// Allocations allowed over the open-loop run: 30 measured (0.030 per
+/// Allocations allowed over the closed-loop batches: 286 measured
+/// (0.114 per transaction), plus one.
+const CLOSED_BUDGET: u64 = 287;
+/// Allocations allowed over the open-loop run: 18 measured (0.018 per
 /// admitted transaction), plus one.
-const OPEN_BUDGET: u64 = 31;
+const OPEN_BUDGET: u64 = 19;
 
 /// The `shard_durable` deployment: 2 shards, maintenance every 200
 /// transactions.

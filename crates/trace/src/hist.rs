@@ -122,6 +122,14 @@ impl Histogram {
     pub fn record(&mut self, v: u64) {
         let i = bucket_index(v);
         if i >= self.counts.len() {
+            // The first growth reserves twice the buckets it needs, the
+            // headroom every later growth gets from `Vec`'s doubling: an
+            // exact first fit would reallocate at the next new maximum.
+            // Trailing empty buckets change no answer: `eq` trims them
+            // and `merge` resizes.
+            if self.counts.capacity() == 0 {
+                self.counts.reserve_exact(2 * (i + 1));
+            }
             self.counts.resize(i + 1, 0);
         }
         self.counts[i] += 1;
@@ -415,6 +423,19 @@ mod tests {
     /// samples then give equal histograms with the same minimum and the
     /// same percentiles. (259 falls in the bucket 256..=259, whose
     /// midpoint 258 only the exact minimum clamps back up to 259.)
+    /// Latencies of one magnitude grow the buckets once: the next new
+    /// maximum, an octave above the first sample, fits the headroom.
+    #[test]
+    fn the_first_growth_leaves_headroom() {
+        let mut h = Histogram::new();
+        h.record(8_000_000);
+        let first = h.counts.as_ptr();
+        h.record(16_000_000);
+        h.record(20_000_000);
+        assert_eq!(h.counts.as_ptr(), first, "grew a second time");
+        assert_eq!(h.counts.len(), bucket_index(20_000_000) + 1);
+    }
+
     #[test]
     fn default_is_new() {
         let (mut a, mut b) = (Histogram::default(), Histogram::new());
