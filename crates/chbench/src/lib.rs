@@ -10,6 +10,8 @@
 //!   classification of the unified format (Fig. 8);
 //! * [`RowGen`] — deterministic, random-access data generation;
 //! * [`TxnGen`] — the Payment/NewOrder transaction mix (~90 % of TPC-C);
+//! * [`stripe`]/[`stripe_of`] — the floor split of warehouse-anchored
+//!   rows into warehouse stripes, and its inverse;
 //! * [`htapbench`] — a second, HTAPBench-style workload for the format
 //!   generality experiment.
 //!
@@ -36,6 +38,7 @@ pub mod htapbench;
 mod gen;
 mod queries;
 mod schema;
+mod split;
 mod txgen;
 
 pub use gen::{dec_u64, enc_u64, put_text, put_u64, RowGen, ITEM_IDS};
@@ -43,4 +46,5 @@ pub use queries::{
     key_columns_of, key_columns_upto, query_footprints, scan_weight, QueryFootprint,
 };
 pub use schema::{schema_with_keys, Partitioning, Table, ALL_TABLES, MAX_KEY_WIDTH};
+pub use split::{stripe, stripe_of};
 pub use txgen::{NewOrder, Payment, RemoteMix, Txn, TxnGen};

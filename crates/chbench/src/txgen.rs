@@ -6,6 +6,8 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::split::stripe;
+
 /// Parameters of one Payment transaction: update a customer's balance and
 /// the warehouse/district year-to-date totals, append a HISTORY row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,16 +288,6 @@ impl TxnGen {
         self.wh_start..self.wh_start + self.warehouses
     }
 
-    /// Warehouse `w`'s stripe of an `n`-row population under the floor
-    /// split into `wh_global` stripes (the split `build_partitioned`
-    /// uses, so "the home warehouse's rows" means the same rows on every
-    /// deployment).
-    fn stripe(&self, w: u64, n: u64) -> std::ops::Range<u64> {
-        let start = (w * n) / self.wh_global;
-        let end = ((w + 1) * n) / self.wh_global;
-        start..end
-    }
-
     /// A row of `n`-row population anchored at warehouse `home`, remote
     /// with probability `p` (drawn from a uniformly-chosen *other*
     /// warehouse's stripe). Stripes are non-empty by the
@@ -309,9 +301,9 @@ impl TxnGen {
         } else {
             home
         };
-        let stripe = self.stripe(w, n);
-        debug_assert!(!stripe.is_empty(), "population below warehouse count");
-        stripe.start + self.rng.random_range(0..stripe.end - stripe.start)
+        let rows = stripe(w, n, self.wh_global);
+        debug_assert!(!rows.is_empty(), "population below warehouse count");
+        rows.start + self.rng.random_range(0..rows.end - rows.start)
     }
 
     /// Generates the next transaction of the mix.
@@ -366,7 +358,7 @@ impl TxnGen {
                     // between (stripes are non-empty by the
                     // `with_remote_mix` population assertion).
                     let home_stocks = {
-                        let s = self.stripe(w_id, self.stocks);
+                        let s = stripe(w_id, self.stocks, self.wh_global);
                         s.end - s.start
                     };
                     let reachable = if self.wh_global <= 1 || neworder <= 0.0 {
@@ -560,12 +552,6 @@ mod tests {
         let a = TxnGen::new(9, 4, 1000, 5000, 5000).batch(100);
         let b = TxnGen::with_warehouse_range(9, 0..4, 1000, 5000, 5000).batch(100);
         assert_eq!(a, b);
-    }
-
-    /// The stripe of a warehouse under the floor split, for asserting
-    /// where TPC-C-mix rows land.
-    fn stripe(w: u64, n: u64, wh: u64) -> std::ops::Range<u64> {
-        (w * n) / wh..((w + 1) * n) / wh
     }
 
     #[test]

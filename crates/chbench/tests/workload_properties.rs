@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use pushtap_chbench::{
-    dec_u64, key_columns_of, query_footprints, scan_weight, schema_with_keys, RowGen, Table,
-    TxnGen, ALL_TABLES,
+    dec_u64, key_columns_of, query_footprints, scan_weight, schema_with_keys, stripe, stripe_of,
+    RowGen, Table, TxnGen, ALL_TABLES,
 };
 
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -13,6 +13,27 @@ fn arb_table() -> impl Strategy<Value = Table> {
 }
 
 proptest! {
+    /// The floor split tiles any population: for `1 ≤ k ≤ n` the `k`
+    /// stripes of `0..n` follow each other without a gap, none is
+    /// empty, they end at `n`, and the inverse maps every row of stripe
+    /// `i` back to `i` — at one split, at the coarsest and at the finest.
+    #[test]
+    fn floor_split_tiles_and_inverts(n in 1u64..=5_000, pick in any::<u64>()) {
+        for k in [1, 1 + pick % n, n] {
+            let mut next = 0;
+            for i in 0..k {
+                let rows = stripe(i, n, k);
+                prop_assert_eq!(rows.start, next, "gap before stripe {} of {} over {}", i, k, n);
+                prop_assert!(!rows.is_empty(), "stripe {} of {} over {} is empty", i, k, n);
+                for row in rows.clone() {
+                    prop_assert_eq!(stripe_of(row, n, k), i, "row {} of {} split {} ways", row, n, k);
+                }
+                next = rows.end;
+            }
+            prop_assert_eq!(next, n, "{} stripes end at {}, not {}", k, next, n);
+        }
+    }
+
     /// Any (table, row) regenerates identically and matches the schema's
     /// widths — random access without materialisation.
     #[test]
@@ -92,4 +113,10 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "row 10 out of 10")]
+fn the_inverse_refuses_a_row_past_the_population() {
+    stripe_of(10, 10, 3);
 }

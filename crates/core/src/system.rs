@@ -193,7 +193,7 @@ pub struct OltpReport {
     /// Framed bytes appended to this engine's effect log.
     pub wal_bytes: u64,
     /// Clock time the force barriers cost this engine (`wal_forces ×`
-    /// the configured force latency). Charged to
+    /// `calib::WAL_FORCE_LATENCY`). Charged to
     /// [`OltpReport::critical_path_time`] as well — durability is a
     /// commit-path cost — so trace reconciliation with durability on is
     /// `two_pc_stall sum + wal_force_time == critical_path_time`.

@@ -5,50 +5,17 @@
 //! every table's storage is sized when the engine is built
 //! (`alloc_budget_cold.rs` holds the same from a cold start).
 //!
-//! The count is exact: a counting global allocator tallies every
-//! `alloc` and `realloc` call the process makes. This binary holds one
-//! test, so nothing else runs while it counts.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The count is exact: the counting global allocator of
+//! `support/counting.rs` tallies every `alloc` and `realloc` call the
+//! process makes. This binary holds one test, so nothing else runs while
+//! it counts.
 
 use pushtap_core::{Pushtap, PushtapConfig};
 
-/// Forwards to the system allocator and counts calls.
-struct Counting;
+#[path = "support/counting.rs"]
+mod counting;
 
-// Statistics only: the counter publishes no other data, so `Relaxed`.
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `layout` is valid for `alloc`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `layout` is valid for `alloc_zeroed`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `ptr` came from this allocator
-        // with `layout`, and this allocator only ever hands out
-        // `System` blocks.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `realloc` — `ptr` is a `System` block of `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use counting::{counted, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -66,9 +33,7 @@ fn run_txns_allocates_at_most_once_per_transaction() {
     let mut engine = Pushtap::new(PushtapConfig::small()).expect("the small config lays out");
     let mut gen = engine.txn_gen(42);
     engine.run_txns(&mut gen, WARM_TXNS);
-    let before = CALLS.load(Ordering::Relaxed);
-    let report = engine.run_txns(&mut gen, TXNS);
-    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let (calls, report) = counted(|| engine.run_txns(&mut gen, TXNS));
     assert_eq!(report.committed, TXNS);
     println!("{calls} allocations over {TXNS} transactions");
     assert!(

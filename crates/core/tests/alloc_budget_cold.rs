@@ -6,51 +6,18 @@
 //! resolves its column cursors inline. What is left is the reports'
 //! histograms and the query results (a Q9 also builds its item bitset).
 //!
-//! The counts are exact: a counting global allocator tallies every
-//! `alloc` and `realloc` call the process makes. This binary holds one
-//! test, so nothing else runs while it counts.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The counts are exact: the counting global allocator of
+//! `support/counting.rs` tallies every `alloc` and `realloc` call the
+//! process makes. This binary holds one test, so nothing else runs while
+//! it counts.
 
 use pushtap_core::{Pushtap, PushtapConfig};
 use pushtap_olap::Query;
 
-/// Forwards to the system allocator and counts calls.
-struct Counting;
+#[path = "support/counting.rs"]
+mod counting;
 
-// Statistics only: the counter publishes no other data, so `Relaxed`.
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `layout` is valid for `alloc`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `layout` is valid for `alloc_zeroed`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `ptr` came from this allocator
-        // with `layout`, and this allocator only ever hands out
-        // `System` blocks.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `realloc` — `ptr` is a `System` block of `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use counting::{counted, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -60,13 +27,6 @@ static ALLOCATOR: Counting = Counting;
 const ROUNDS: u64 = 30;
 const BURST_TXNS: u64 = 50;
 const SCALE: f64 = 0.002;
-
-/// Allocations `f` makes, and what it returns.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = CALLS.load(Ordering::Relaxed);
-    let out = f();
-    (CALLS.load(Ordering::Relaxed) - before, out)
-}
 
 #[test]
 fn a_fresh_engine_allocates_only_what_it_returns() {

@@ -9,8 +9,6 @@
 //! what fraction of the bytes its DMA moves belong to the column? A key
 //! column of width `c` in a part of width `w` yields `c / w`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layout::TableLayout;
 
 /// Average number of aligned `granularity`-byte chunks that a `w`-byte
@@ -94,7 +92,7 @@ pub fn pim_effective<F: Fn(u32) -> f64>(layout: &TableLayout, weight: F) -> f64 
 }
 
 /// Storage-space breakdown of a table instance (Fig. 8(b)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageBreakdown {
     /// Fraction of storage holding live data.
     pub data: f64,

@@ -6,8 +6,6 @@
 //! slot→device assignment by one device per block, so every column is
 //! spread evenly over all devices (and thus all PIM units).
 
-use serde::{Deserialize, Serialize};
-
 /// Block-circulant slot→device mapping.
 ///
 /// # Examples
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.device_of(0, 1024), 1);
 /// assert_eq!(p.device_of(3, 1024), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     devices: u32,
     block_rows: u32,

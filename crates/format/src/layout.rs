@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::schema::TableSchema;
 
 /// Identifies one source byte of one column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ByteSource {
     /// Column index in the schema.
     pub col: u32,
@@ -25,7 +23,7 @@ pub struct ByteSource {
 pub type Slot = Option<ByteSource>;
 
 /// A contiguous run of one column's bytes within one device of one part.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fragment {
     /// Part index.
     pub part: u32,
@@ -40,7 +38,7 @@ pub struct Fragment {
 }
 
 /// One part of a table layout: `devices × width` byte slots per row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartLayout {
     width: u32,
     slots: Vec<Vec<Slot>>, // [device][width]
@@ -161,7 +159,7 @@ impl fmt::Display for LayoutError {
 impl std::error::Error for LayoutError {}
 
 /// A complete aligned layout of a table across the ADE dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableLayout {
     schema: TableSchema,
     devices: u32,

@@ -8,12 +8,10 @@
 //! matches its origin row and PIM units can copy versions back locally
 //! during defragmentation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layout::TableLayout;
 
 /// Per-part region bases in device-local byte offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartRegion {
     /// Part row width (bytes per device per row).
     pub width: u32,
@@ -24,7 +22,7 @@ pub struct PartRegion {
 }
 
 /// The device-local address plan of one table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionPlan {
     n_rows: u64,
     arena_rows: u64,

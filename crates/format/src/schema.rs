@@ -4,10 +4,8 @@
 //! whole within one device so its PIM unit can scan it locally (§4.1.2).
 //! *Normal columns* may be split byte-wise across devices.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a column is scanned by frequent analytical queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnKind {
     /// Scanned by OLAP; must be mapped whole to a single device.
     Key,
@@ -16,7 +14,7 @@ pub enum ColumnKind {
 }
 
 /// A fixed-width column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Column {
     /// Column name.
     pub name: String,
@@ -83,7 +81,7 @@ impl Column {
 /// assert_eq!(schema.row_width(), 21);
 /// assert_eq!(schema.key_indices().len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     name: String,
     columns: Vec<Column>,

@@ -8,10 +8,8 @@
 //! bandwidth). Equation 3 gives the row-width crossover above which the
 //! PIM strategy wins; the *hybrid* strategy picks per part.
 
-use serde::{Deserialize, Serialize};
-
 /// Who moves the data during defragmentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefragStrategy {
     /// CPU reads metadata and copies rows over the memory bus.
     Cpu,
@@ -36,7 +34,7 @@ impl DefragStrategy {
 ///
 /// All bandwidths in bytes/second; `meta_bytes` is the per-row metadata
 /// size `m` (16 B in the paper's example).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefragCostModel {
     /// Per-row metadata bytes (`m`).
     pub meta_bytes: f64,

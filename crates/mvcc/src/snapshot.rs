@@ -7,15 +7,13 @@
 //! Updates are incremental: entries newer than the snapshot timestamp are
 //! left for the next snapshot (transaction T5 in the paper's example).
 
-use serde::{Deserialize, Serialize};
-
 use pushtap_format::RowSlot;
 
 use crate::chain::LogEntry;
 use crate::timestamp::Ts;
 
 /// A dense bitset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: u64,

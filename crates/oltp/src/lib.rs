@@ -77,6 +77,4 @@ pub use effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect, Writ
 pub use index::HashIndex;
 pub use probe::Probe;
 pub use table::{DbFormat, Fetch, HtapTable, LineRef, OpResult, TableConfig, TableGcPass};
-pub use tpcc::{
-    global_rows, stripe_start, warehouse_of_row, DbConfig, Partition, TpccDb, TxnResult, TxnRole,
-};
+pub use tpcc::{global_rows, DbConfig, Partition, TpccDb, TxnResult, TxnRole};

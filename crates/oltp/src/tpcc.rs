@@ -23,7 +23,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use pushtap_chbench::{put_text, put_u64, NewOrder, Partitioning, Payment, RowGen, Table, Txn};
+use pushtap_chbench::{
+    put_text, put_u64, stripe, stripe_of, NewOrder, Partitioning, Payment, RowGen, Table, Txn,
+};
 use pushtap_format::{
     compact_layout, naive_layout, LayoutError, RowSlot, TableLayout, TableSchema,
 };
@@ -124,12 +126,13 @@ struct Columns {
 /// One shard's slice of a partitioned deployment: shard `index` of
 /// `count`. The single-instance case is `Partition::single()`.
 ///
-/// Warehouse-anchored tables are split into contiguous row ranges
-/// ([`Partition::range`], the floor split `[⌊i·n/k⌋, ⌊(i+1)·n/k⌋)`);
-/// replicated dimension tables are built in full on every shard. Row
-/// *content* is generated from the global row index, so the union of the
-/// shards' partitioned tables is byte-identical to the unpartitioned
-/// build — the property scatter-gather analytics relies on.
+/// Warehouse-anchored tables are split into contiguous row ranges along
+/// warehouse-stripe boundaries (the floor split of
+/// [`pushtap_chbench::stripe`]); replicated dimension tables are built
+/// in full on every shard. Row *content* is generated from the global
+/// row index, so the union of the shards' partitioned tables is
+/// byte-identical to the unpartitioned build — the property
+/// scatter-gather analytics relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partition {
     /// This shard's index, `0 <= index < count`.
@@ -152,25 +155,6 @@ impl Partition {
     pub fn of(index: u32, count: u32) -> Partition {
         assert!(index < count, "shard {index} out of {count}");
         Partition { index, count }
-    }
-
-    /// This shard's contiguous slice of `rows` global rows (floor split;
-    /// possibly empty when `rows < count`).
-    pub fn range(&self, rows: u64) -> Range<u64> {
-        let start = (self.index as u64 * rows) / self.count as u64;
-        let end = ((self.index as u64 + 1) * rows) / self.count as u64;
-        start..end
-    }
-
-    /// The shard owning global row `row` of a `rows`-row table under the
-    /// floor split (the inverse of [`Partition::range`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= rows`.
-    pub fn owner_of(row: u64, rows: u64, count: u32) -> u32 {
-        assert!(row < rows, "row {row} out of {rows}");
-        (((row + 1) * count as u64 - 1) / rows) as u32
     }
 }
 
@@ -300,26 +284,6 @@ pub fn global_rows(cfg: &DbConfig, table: Table) -> u64 {
     }
 }
 
-/// First global row of warehouse `w`'s stripe of a `rows`-row fact table
-/// (floor split into `warehouses` stripes). Inserts anchored to a home
-/// warehouse cycle inside its stripe, so a partitioned shard and an
-/// unpartitioned instance land the same logical insert on the same
-/// global row.
-pub fn stripe_start(w: u64, rows: u64, warehouses: u64) -> u64 {
-    (w * rows) / warehouses
-}
-
-/// The warehouse whose stripe holds global fact row `row` — the inverse
-/// of [`stripe_start`].
-///
-/// # Panics
-///
-/// Panics if `row >= rows`.
-pub fn warehouse_of_row(row: u64, rows: u64, warehouses: u64) -> u64 {
-    assert!(row < rows, "row {row} out of {rows}");
-    ((row + 1) * warehouses - 1) / rows
-}
-
 fn layout_for(
     schema: &TableSchema,
     format: DbFormat,
@@ -373,7 +337,11 @@ impl TpccDb {
         // Key columns: every column CH-benCHmark's Q1–Q22 scan.
         let key_map = pushtap_chbench::key_columns_upto(22);
         let warehouses_global = global_rows(cfg, Table::Warehouse);
-        let wh_range = partition.range(warehouses_global);
+        let wh_range = stripe(
+            u64::from(partition.index),
+            warehouses_global,
+            u64::from(partition.count),
+        );
         assert!(
             !wh_range.is_empty(),
             "shard {} of {} owns none of the {warehouses_global} warehouses",
@@ -397,8 +365,8 @@ impl TpccDb {
                         global >= warehouses_global,
                         "{table:?}'s {global} rows cannot cover {warehouses_global} warehouses"
                     );
-                    let start = stripe_start(wh_range.start, global, warehouses_global);
-                    let end = stripe_start(wh_range.end, global, warehouses_global);
+                    let start = stripe(wh_range.start, global, warehouses_global).start;
+                    let end = stripe(wh_range.end - 1, global, warehouses_global).end;
                     (start, end - start)
                 }
             };
@@ -566,6 +534,13 @@ impl TpccDb {
         self.tables[table as usize].global_rows
     }
 
+    /// The global row this instance's local row 0 of `table` holds: 0 for
+    /// a replicated table, the first row of the owned warehouses' stripes
+    /// for a partitioned one.
+    pub fn row_base(&self, table: Table) -> u64 {
+        self.tables[table as usize].row_base
+    }
+
     /// Picks the *global* target row for the next insert into `table`
     /// homed at warehouse `w` — the current slot of the warehouse's
     /// stripe ring — without consuming it. Inserts are always anchored to
@@ -578,10 +553,9 @@ impl TpccDb {
             self.wh_range
         );
         let t = &self.tables[table as usize];
-        let start = stripe_start(w, t.global_rows, self.warehouses_global);
-        let end = stripe_start(w + 1, t.global_rows, self.warehouses_global);
+        let ring = stripe(w, t.global_rows, self.warehouses_global);
         let c = t.insert_cursors[ring_slot(self.wh_range.start, w)];
-        start + c % (end - start)
+        ring.start + c % (ring.end - ring.start)
     }
 
     /// The local row of `table` backing *global* row `g`.
@@ -912,7 +886,7 @@ impl TpccDb {
     /// `table` — the ownership tag of a forwarded effect.
     fn warehouse_of(&self, table: Table, row: u64) -> u64 {
         let global = self.tables[table as usize].global_rows;
-        warehouse_of_row(row, global, self.warehouses_global)
+        stripe_of(row, global, self.warehouses_global)
     }
 
     fn decompose_payment(&self, p: &Payment, ts: Ts, effects: &mut Vec<TaggedEffect>) {

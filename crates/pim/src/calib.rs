@@ -149,7 +149,7 @@ pub const UNIFIED_TH: f64 = 0.6;
 /// systems), a ratio. Source: assumed.
 pub const FRONTIER_BUS_SHARE: f64 = 0.6;
 
-// ---- The small sharded deployment (`ShardConfig::small`) ----
+// ---- The sharded deployment's two-phase commit and log (`pushtap-shard`) ----
 
 /// One two-phase-commit message hop between shards, prepare or decision,
 /// 500 ns. Source: assumed.

@@ -1,13 +1,11 @@
 //! Whole-system configuration (Table 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::Geometry;
 use crate::time::Ps;
 use crate::timing::TimingParams;
 
 /// Which memory technology backs the PIM side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemKind {
     /// DDR5 DIMM-based PIM (the paper's default system).
     Dimm,
@@ -26,7 +24,7 @@ impl MemKind {
 }
 
 /// UPMEM-like PIM unit parameters (Table 1, "PIM Units").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PimUnitSpec {
     /// Core frequency in Hz (500 MHz).
     pub freq_hz: u64,
@@ -81,7 +79,7 @@ impl PimUnitSpec {
 }
 
 /// Host CPU parameters (Table 1, "Host CPU").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuSpec {
     /// Out-of-order cores.
     pub cores: u32,
@@ -110,7 +108,7 @@ impl CpuSpec {
 /// Complete system configuration: host CPU, PIM memory, and the CPU-side
 /// conventional memory (Table 1 "System Configuration": 4 channels × 4 ranks
 /// normal DRAM + 4 channels × 4 ranks with PIM units).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Memory technology of the PIM side.
     pub kind: MemKind,

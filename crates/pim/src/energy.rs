@@ -6,12 +6,10 @@
 //! ([`crate::calib::CPU_PJ_PER_BYTE`], [`crate::calib::PIM_PJ_PER_BYTE`]) so
 //! experiments can report an energy column alongside time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::calib::{CPU_PJ_PER_BYTE, PIM_PJ_PER_BYTE};
 
 /// Accumulated energy, split by access path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyStats {
     /// Energy spent on CPU bus transfers, picojoules.
     pub cpu_pj: f64,

@@ -5,15 +5,13 @@
 //! one device contributes to each bus burst (8 B on DIMMs, 64 B on HBM —
 //! paper §8 "PIM Technique Selection").
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one physical bank set as seen by the CPU.
 ///
 /// On a DIMM, the devices (chips) of a rank operate in lockstep: one
 /// activate opens the same row in every device of the rank, so CPU-visible
 /// bank state is per `(channel, rank, bank)`. PIM units, in contrast, live
 /// per `(channel, rank, device, bank)` — see [`Geometry::pim_units`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BankAddr {
     /// Channel index.
     pub channel: u32,
@@ -46,7 +44,7 @@ impl BankAddr {
 /// assert_eq!(g.cpu_line_bytes(), 64);
 /// assert_eq!(g.pim_units(), 1024);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Number of memory channels.
     pub channels: u32,

@@ -6,8 +6,6 @@
 //! dispatches one instruction per cycle when at least ~11 of its 16
 //! tasklets are runnable (the UPMEM pipeline model from \[11\]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::PimUnitSpec;
 use crate::time::Ps;
 
@@ -17,7 +15,7 @@ use crate::time::Ps;
 pub const PIPELINE_SATURATION_TASKLETS: u32 = 11;
 
 /// The single-column operations a PIM unit executes (Fig. 7(b)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PimOpKind {
     /// Load/store phase: DMA between DRAM bank and WRAM (no compute).
     Ls,

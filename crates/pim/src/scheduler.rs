@@ -17,15 +17,13 @@
 //! A launch is modelled by its cost alone ([`ControlModel::launch`]); no
 //! simulated unit reads the 64-byte request of Fig. 7(b).
 
-use serde::{Deserialize, Serialize};
-
 use crate::calib::{PER_UNIT_MESSAGE, POLL_RETURN, SCHED_DECODE};
 use crate::config::SystemConfig;
 use crate::pim_unit::PimOpKind;
 use crate::time::Ps;
 
 /// Which control architecture drives the PIM units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControlArch {
     /// PUSHtap's extended memory controller (scheduler + polling module).
     Pushtap,

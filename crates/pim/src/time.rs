@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A duration or point in simulated time, in picoseconds.
 ///
 /// # Examples
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t, Ps::new(202_500));
 /// assert!((t.as_us() - 0.2025).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ps(u64);
 
 impl Ps {

@@ -1,7 +1,5 @@
 //! DRAM timing parameters (Table 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Ps;
 
 /// The set of DRAM timing constraints used by the bank/controller model.
@@ -17,7 +15,7 @@ use crate::time::Ps;
 /// let t = TimingParams::ddr5_3200();
 /// assert_eq!(t.t_burst, pushtap_pim::Ps::from_ns(2.5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
     /// Data burst duration on the bus for one access.
     pub t_burst: Ps,

@@ -50,7 +50,12 @@
 //!
 //! # Timing
 //!
-//! Message rounds are charged per [`CommitConfig`]. The *ledger*
+//! A cross-shard transaction pays one prepare round (the home forwards
+//! each participant its owned effect set) and one decision round
+//! (commit or abort), each message one [`TWO_PC_HOP`] charged to the
+//! clock of the engine receiving it; a shard's group-commit force
+//! charges one [`WAL_FORCE_LATENCY`] per force, not per transaction.
+//! Both are constants of [`pushtap_pim::calib`]. The *ledger*
 //! (`two_pc_time` and the `two_pc_stall` count) counts one full hop per
 //! delivered message; the clock advance the overlapped deliveries actually cause
 //! is recorded as `critical_path_time` (see [`OltpReport`]).
@@ -61,19 +66,16 @@
 //! *transaction's* prepare finished on its clock (early vote — the
 //! wave's group-commit force overlaps the decision round; the decision
 //! *apply* still lands after the force because the participant's clock
-//! crossed it at the phase barrier), travels one `prepare_hop`, and is
-//! delayed by a deterministic per-(participant, transaction) skew drawn
-//! from `[0, vote_jitter]` ([`CommitConfig::vote_jitter`]). The home's
-//! own `phase clock + prepare_hop` floors the wait, so coupling clocks
-//! never makes a decision *cheaper* than an uncoupled round-trip; the
-//! extra stall lands on `critical_path_time` (and the vote-barrier
-//! stall histogram) while the `two_pc_time` hop ledger — one hop per
-//! delivered message — is unchanged, which is why the stall can exceed
-//! the ledger under a slow participant.
+//! crossed it at the phase barrier), travels one hop, and is delayed by
+//! a deterministic per-(participant, transaction) skew of at most
+//! [`VOTE_JITTER`]. The home's own `phase clock + hop` floors the wait,
+//! so coupling clocks never makes a decision *cheaper* than an
+//! uncoupled round-trip; the extra stall lands on `critical_path_time`
+//! (and the vote-barrier stall histogram) while the `two_pc_time` hop
+//! ledger — one hop per delivered message — is unchanged, which is why
+//! the stall can exceed the ledger under a slow participant.
 //!
 //! [`OltpReport`]: pushtap_core::OltpReport
-//! [`CommitConfig`]: crate::CommitConfig
-//! [`CommitConfig::vote_jitter`]: crate::CommitConfig::vote_jitter
 
 pub mod schedule;
 
@@ -82,6 +84,7 @@ use std::ops::Range;
 use pushtap_core::Pushtap;
 use pushtap_mvcc::Ts;
 use pushtap_oltp::{codec, TaggedEffect, TxnResult, TxnRole};
+use pushtap_pim::calib::{TWO_PC_HOP, VOTE_JITTER, WAL_FORCE_LATENCY};
 use pushtap_pim::Ps;
 use pushtap_trace::Phase;
 use pushtap_wal::Wal;
@@ -118,21 +121,19 @@ fn trace_span(shard: &Pushtap, phase: Phase, txn: u64, start: Ps, wave: u64) {
 }
 
 /// The group-commit force barrier: pushes a shard's pending records to
-/// durable media, charging the configured force latency to the shard's
-/// clock and critical path once for everything pending. A no-op (free)
-/// when nothing is pending.
-fn wal_force(wal: &mut Wal, load: &mut ShardLoad, shard: &mut Pushtap, latency: Ps, wave: u64) {
+/// durable media, charging [`WAL_FORCE_LATENCY`] to the shard's clock
+/// and critical path once for everything pending. A no-op (free) when
+/// nothing is pending.
+fn wal_force(wal: &mut Wal, load: &mut ShardLoad, shard: &mut Pushtap, wave: u64) {
     if !wal.has_pending() {
         return;
     }
     let start = shard.now();
-    if latency > Ps::ZERO {
-        shard.advance(latency);
-    }
+    shard.advance(WAL_FORCE_LATENCY);
     wal.force();
     load.report.wal_forces += 1;
-    load.report.wal_force_time += latency;
-    load.report.critical_path_time += latency;
+    load.report.wal_force_time += WAL_FORCE_LATENCY;
+    load.report.critical_path_time += WAL_FORCE_LATENCY;
     trace_span(shard, Phase::GroupCommit, 0, start, wave);
 }
 
@@ -140,33 +141,30 @@ fn wal_force(wal: &mut Wal, load: &mut ShardLoad, shard: &mut Pushtap, latency: 
 /// dispatched together with the rest of its wave, so the engine stalls
 /// only until the arrival time (zero if it is still busy with earlier
 /// wave work). The ledger (`two_pc_time` and the `two_pc_stall` count)
-/// counts the full hop; the clock, `critical_path_time` and the
-/// `two_pc_stall` sample record only the stall actually caused.
-fn deliver(load: &mut ShardLoad, shard: &mut Pushtap, hop: Ps, arrive_at: Ps) {
+/// counts the full [`TWO_PC_HOP`]; the clock, `critical_path_time` and
+/// the `two_pc_stall` sample record only the stall actually caused.
+fn deliver(load: &mut ShardLoad, shard: &mut Pushtap, arrive_at: Ps) {
     let wait = arrive_at.saturating_sub(shard.now());
     if wait > Ps::ZERO {
         shard.advance(wait);
     }
-    load.report.two_pc_time += hop;
+    load.report.two_pc_time += TWO_PC_HOP;
     load.report.critical_path_time += wait;
     load.report.two_pc_stall.record(wait.ps());
 }
 
 /// The deterministic per-(participant, transaction) vote-processing
-/// skew of the laggard vote-barrier model: uniform over `[0, bound]`,
-/// derived by a splitmix64-style bit mix of the timestamp and the
-/// participant id so every replay of the stream sees the same laggard.
-/// [`Ps::ZERO`] bound short-circuits to zero skew.
-fn vote_skew(bound: Ps, participant: u32, ts: Ts) -> Ps {
-    if bound == Ps::ZERO {
-        return Ps::ZERO;
-    }
+/// skew of the laggard vote-barrier model: uniform over
+/// `[0, VOTE_JITTER]`, derived by a splitmix64-style bit mix of the
+/// timestamp and the participant id so every replay of the stream sees
+/// the same laggard.
+fn vote_skew(participant: u32, ts: Ts) -> Ps {
     let mut x = ts.0 ^ ((u64::from(participant) + 1) << 32);
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
-    Ps::new(x % (bound.ps() + 1))
+    Ps::new(x % (VOTE_JITTER.ps() + 1))
 }
 
 /// One shard's share of one wave member: a range of the wave's effect
@@ -380,7 +378,6 @@ impl ShardedHtap {
         wave_id: u64,
         crash: Option<CrashSite>,
     ) {
-        let commit = self.cfg.commit;
         let last_involved = items.last().map(|it| it.shard);
         for list in items.chunk_by_mut(|a, b| a.shard == b.shard) {
             let i = list[0].shard;
@@ -393,12 +390,7 @@ impl ShardedHtap {
             for item in list {
                 item.start = shard.now();
                 if item.role == TxnRole::Participant {
-                    deliver(
-                        load,
-                        shard,
-                        commit.prepare_hop,
-                        phase_start + commit.prepare_hop,
-                    );
+                    deliver(load, shard, phase_start + TWO_PC_HOP);
                 }
                 if let Some((san, track)) = shard.db().probe().sanitizer() {
                     san.begin_execution(track, item.ts.0, shard.now().ps());
@@ -438,7 +430,7 @@ impl ShardedHtap {
                         let half = w.pending_len() / 2;
                         w.force_torn(half);
                     }
-                    _ => wal_force(w, load, shard, commit.force_latency, wave_id),
+                    _ => wal_force(w, load, shard, wave_id),
                 }
             }
             if shard.now() > phase_start {
@@ -497,7 +489,6 @@ impl ShardedHtap {
         items: &[WaveItem],
         wave_id: u64,
     ) {
-        let commit = self.cfg.commit;
         for list in items.chunk_by(|a, b| a.shard == b.shard) {
             let i = list[0].shard;
             let (shard, load) = (&mut self.shards[i], &mut self.loads[i]);
@@ -512,12 +503,7 @@ impl ShardedHtap {
                 let routed = &wave[item.txn];
                 let item_start = shard.now();
                 match item.role {
-                    TxnRole::Participant => deliver(
-                        load,
-                        shard,
-                        commit.commit_hop,
-                        phase_start + commit.commit_hop,
-                    ),
+                    TxnRole::Participant => deliver(load, shard, phase_start + TWO_PC_HOP),
                     // The home half pays the decision round-trip for a
                     // cross-shard transaction, gated by the laggard vote
                     // barrier: the last vote arrives from the slowest
@@ -527,21 +513,18 @@ impl ShardedHtap {
                     // commit-hop later, overlapped with the rest of the
                     // wave's rounds.
                     TxnRole::Coordinator if item.cross => {
-                        let mut vote_at = phase_start + commit.prepare_hop;
+                        let mut vote_at = phase_start + TWO_PC_HOP;
                         for &p in routed.participants.iter() {
                             let key = (p as usize, item.ts);
                             let Ok(at) = items.binary_search_by_key(&key, |it| (it.shard, it.ts))
                             else {
                                 panic!("participant {p} holds no item of {:?}", item.ts);
                             };
-                            vote_at = vote_at.max(
-                                items[at].end
-                                    + commit.prepare_hop
-                                    + vote_skew(commit.vote_jitter, p, item.ts),
-                            );
+                            vote_at =
+                                vote_at.max(items[at].end + TWO_PC_HOP + vote_skew(p, item.ts));
                         }
-                        deliver(load, shard, commit.prepare_hop, vote_at);
-                        deliver(load, shard, commit.commit_hop, vote_at + commit.commit_hop);
+                        deliver(load, shard, vote_at);
+                        deliver(load, shard, vote_at + TWO_PC_HOP);
                         trace_span(shard, Phase::VoteBarrier, item.ts.0, item_start, wave_id);
                     }
                     TxnRole::Coordinator => {}
@@ -604,5 +587,28 @@ impl ShardedHtap {
             let crashed = self.run_wave(std::slice::from_ref(routed), 0, None);
             debug_assert!(!crashed, "an unarmed wave cannot crash");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The laggard model's skew repeats exactly per (participant,
+    /// transaction), stays inside `[0, VOTE_JITTER]`, and spreads over
+    /// that range, so which participant lags varies.
+    #[test]
+    fn vote_skew_is_deterministic_and_inside_the_jitter() {
+        let mut highest = Ps::ZERO;
+        for ts in (1..=500).map(Ts) {
+            for participant in 0..8 {
+                let skew = vote_skew(participant, ts);
+                assert_eq!(skew, vote_skew(participant, ts), "{participant} at {ts:?}");
+                assert!(skew <= VOTE_JITTER, "{skew} over the jitter bound");
+                highest = highest.max(skew);
+            }
+        }
+        assert!(highest.ps() > VOTE_JITTER.ps() / 2, "skews never spread");
+        assert_ne!(vote_skew(0, Ts(1)), vote_skew(1, Ts(1)));
     }
 }

@@ -11,12 +11,13 @@
 //!
 //! The pieces:
 //!
-//! * [`ShardConfig`] — shard count + the per-shard PUSHtap configuration
-//!   plus the scale-out cost knobs (two-phase-commit message-round
-//!   latencies in [`CommitConfig`], gather merge cost);
+//! * [`ShardConfig`] — shard count + the per-shard PUSHtap
+//!   configuration; the two-phase commit's message hop, log force and
+//!   vote skew are constants of [`pushtap_pim::calib`];
 //! * [`WarehouseMap`] — the contiguous warehouse-range partitioning and
 //!   its ownership queries (home shard of a warehouse, of a customer
-//!   row, of a stock row);
+//!   row, of a stock row), all through the one floor split
+//!   [`pushtap_chbench::stripe`] and its inverse;
 //! * [`TxnRouter`] — routes CH-benCHmark transactions to their home
 //!   shard, computes each transaction's *participant set* (the shards
 //!   owning its remote-touched rows — NewOrder stock lines and Payment
@@ -124,7 +125,7 @@ mod router;
 mod service;
 
 pub use arrival::{ArrivalConfig, ArrivalGen};
-pub use config::{CommitConfig, OpenLoopConfig, ShardConfig};
+pub use config::{OpenLoopConfig, ShardConfig};
 pub use durability::{
     CheckpointError, CheckpointReport, CrashPoint, CrashSite, RecoverError, RecoveryReport,
     ShardRecovery, WalBytes,

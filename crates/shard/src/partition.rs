@@ -2,8 +2,8 @@
 
 use std::ops::Range;
 
-use pushtap_chbench::Table;
-use pushtap_oltp::{global_rows, warehouse_of_row, DbConfig, Partition};
+use pushtap_chbench::{stripe, stripe_of, Table};
+use pushtap_oltp::{global_rows, DbConfig};
 
 /// The global partitioning picture of a deployment: which shard owns
 /// which contiguous warehouse range, and — because the other fact tables
@@ -66,7 +66,7 @@ impl WarehouseMap {
 
     /// The contiguous warehouse range shard `shard` owns.
     pub fn warehouse_range(&self, shard: u32) -> Range<u64> {
-        Partition::of(shard, self.shards).range(self.warehouses)
+        stripe(u64::from(shard), self.warehouses, u64::from(self.shards))
     }
 
     /// The home shard of warehouse `w_id`.
@@ -75,21 +75,28 @@ impl WarehouseMap {
     ///
     /// Panics if `w_id` is out of the global population.
     pub fn shard_of_warehouse(&self, w_id: u64) -> u32 {
-        Partition::owner_of(w_id, self.warehouses, self.shards)
+        // Below `shards` by the split's inverse, so the narrowing is exact.
+        stripe_of(w_id, self.warehouses, u64::from(self.shards)) as u32
     }
 
     /// The shard owning global customer row `c_row` (via the customer's
-    /// home-warehouse stripe — the same split `build_partitioned` uses).
+    /// home-warehouse stripe).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c_row` is out of the global population.
     pub fn shard_of_customer(&self, c_row: u64) -> u32 {
-        let w = warehouse_of_row(c_row % self.customers, self.customers, self.warehouses);
-        self.shard_of_warehouse(w)
+        self.shard_of_warehouse(stripe_of(c_row, self.customers, self.warehouses))
     }
 
     /// The shard owning global stock row `s_row` (via its warehouse
     /// stripe).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s_row` is out of the global population.
     pub fn shard_of_stock(&self, s_row: u64) -> u32 {
-        let w = warehouse_of_row(s_row % self.stocks, self.stocks, self.warehouses);
-        self.shard_of_warehouse(w)
+        self.shard_of_warehouse(stripe_of(s_row, self.stocks, self.warehouses))
     }
 }
 
@@ -124,16 +131,22 @@ mod tests {
     fn ownership_matches_build_partitioning() {
         // shard_of_* must agree with the warehouse-stripe row ranges
         // build_partitioned hands each shard.
-        use pushtap_oltp::stripe_start;
         let m = map(4);
         for s in 0..4 {
             let wr = m.warehouse_range(s);
-            let start = stripe_start(wr.start, m.customers(), m.warehouses());
-            let end = stripe_start(wr.end, m.customers(), m.warehouses());
+            let start = stripe(wr.start, m.customers(), m.warehouses()).start;
+            let end = stripe(wr.end - 1, m.customers(), m.warehouses()).end;
             for c in [start, (start + end) / 2, end - 1] {
                 assert_eq!(m.shard_of_customer(c), s, "customer {c}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn a_customer_past_the_population_panics() {
+        let m = map(2);
+        let _ = m.shard_of_customer(m.customers());
     }
 
     #[test]

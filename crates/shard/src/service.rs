@@ -168,7 +168,7 @@ impl ShardedHtap {
     /// log per shard plus the coordinator decision log. Returns harvest
     /// handles that outlive the service, so a crash-point test can kill
     /// the deployment and still read the durable bytes. Forces charge
-    /// [`crate::CommitConfig::force_latency`] to the forcing shard's
+    /// [`pushtap_pim::calib::WAL_FORCE_LATENCY`] to the forcing shard's
     /// clock (group commit amortizes one force across a wave).
     pub fn enable_wal(&mut self) -> WalHandles {
         let (logs, handles): (Vec<Wal>, Vec<MemLog>) =
@@ -1368,33 +1368,22 @@ mod tests {
         assert!(report.parallel_efficiency() > 2.0);
     }
 
+    /// A uniform stream pays the two-phase commit's hops at the
+    /// calibrated latencies; a warehouse-local batch sends no message.
     #[test]
     fn two_pc_rounds_cost_time() {
-        use crate::config::CommitConfig;
-        let mut cheap = ShardConfig::small(4);
-        cheap.commit = CommitConfig::FREE;
-        let mut dear = ShardConfig::small(4);
-        dear.commit = CommitConfig {
-            prepare_hop: Ps::from_us(5.0),
-            commit_hop: Ps::from_us(5.0),
-            ..CommitConfig::FREE
-        };
-        let mut a = ShardedHtap::new(cheap).expect("build");
-        let mut b = ShardedHtap::new(dear).expect("build");
-        let mut ga = a.global_txn_gen(7);
-        let mut gb = b.global_txn_gen(7);
-        let ra = a.run_txns(&mut ga, 100);
-        let rb = b.run_txns(&mut gb, 100);
-        let (ta, tb) = (ra.merged(), rb.merged());
-        // Same stream, same routing: identical remote-touch accounting
-        // and identical commit rounds — only the hop latency differs.
-        assert_eq!(ra.remote.remote_touches, rb.remote.remote_touches);
-        assert_eq!(ta.two_pc_stall.count(), tb.two_pc_stall.count());
-        assert_eq!(ta.two_pc_time, Ps::ZERO, "free hops cost nothing");
-        assert!(tb.two_pc_time > Ps::ZERO);
-        assert!(tb.two_pc_stall.sum() > ta.two_pc_stall.sum());
-        assert!(rb.makespan() > ra.makespan());
-        assert!(rb.two_pc_time_share() > 0.0);
+        let mut s = service(4);
+        let mut gen = s.global_txn_gen(7);
+        let routed = s.run_txns(&mut gen, 100);
+        let local = s.run_local_txns(9, 25);
+        let (routed_total, local_total) = (routed.merged(), local.merged());
+        assert!(routed.remote.remote_touches > 0);
+        assert!(routed_total.two_pc_time > Ps::ZERO);
+        assert!(routed_total.two_pc_stall.count() > 0);
+        assert!(routed.two_pc_time_share() > 0.0);
+        assert_eq!(local_total.two_pc_time, Ps::ZERO, "local batch paid hops");
+        assert_eq!(local_total.two_pc_stall.count(), 0);
+        assert_eq!(local.two_pc_time_share(), 0.0);
     }
 
     /// Cross-shard transactions go through the full 2PC pipeline: the
@@ -1432,7 +1421,6 @@ mod tests {
     fn a_wave_prepares_each_shards_items_in_timestamp_order_and_retries_the_no_vote() {
         use pushtap_chbench::{Payment, ALL_TABLES};
         use pushtap_format::RowSlot;
-        use pushtap_oltp::stripe_start;
         let mut cfg = ShardConfig::small(3);
         // Two slots per rotation arena, on every table.
         cfg.base.db.delta_frac = 0.0;
@@ -1450,7 +1438,7 @@ mod tests {
         // Shard 0 owns warehouses 0..2, shard 1 2..5, shard 2 5..8.
         // Customers 0, 1 and 2 share shard 0's first arena; the last
         // customer of warehouse 1's stripe uses another.
-        let local = stripe_start(2, customers, 8) - 1;
+        let local = pushtap_chbench::stripe(1, customers, 8).end - 1;
         let route = |txn| {
             let mut routed = s.router.route(txn);
             routed.ts = s.oracle.allocate();

@@ -6,50 +6,17 @@
 //! list, and applies the records to tables whose storage was sized when
 //! they were built; building an engine resolves each table's schema once.
 //!
-//! The counts are exact: a counting global allocator tallies every
-//! `alloc` and `realloc` call the process makes. This binary holds one
-//! test, so nothing else runs while it counts.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The counts are exact: the counting global allocator of
+//! `crates/core/tests/support/counting.rs` tallies every `alloc` and
+//! `realloc` call the process makes. This binary holds one test, so
+//! nothing else runs while it counts.
 
 use pushtap_shard::{ShardConfig, ShardedHtap};
 
-/// Forwards to the system allocator and counts calls.
-struct Counting;
+#[path = "../../core/tests/support/counting.rs"]
+mod counting;
 
-// Statistics only: the counter publishes no other data, so `Relaxed`.
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `layout` is valid for `alloc`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `layout` is valid for `alloc_zeroed`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `ptr` came from this allocator
-        // with `layout`, and this allocator only ever hands out
-        // `System` blocks.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `realloc` — `ptr` is a `System` block of `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use counting::{counted, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -74,13 +41,6 @@ fn config() -> ShardConfig {
     let mut cfg = ShardConfig::small(SHARDS);
     cfg.base.defrag_period = 200;
     cfg
-}
-
-/// Allocations `f` makes, and what it returns.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = CALLS.load(Ordering::Relaxed);
-    let out = f();
-    (CALLS.load(Ordering::Relaxed) - before, out)
 }
 
 #[test]

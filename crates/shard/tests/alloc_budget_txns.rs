@@ -14,52 +14,19 @@
 //! histogram grows its buckets lazily as it records, so a change that
 //! moves one simulated value may cost one more.
 //!
-//! The counts are exact: a counting global allocator tallies every
-//! `alloc` and `realloc` call the process makes. This binary holds one
-//! test, so nothing else runs while it counts.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The counts are exact: the counting global allocator of
+//! `crates/core/tests/support/counting.rs` tallies every `alloc` and
+//! `realloc` call the process makes. This binary holds one test, so
+//! nothing else runs while it counts.
 
 use pushtap_chbench::RemoteMix;
 use pushtap_core::Pushtap;
 use pushtap_shard::{ArrivalConfig, ArrivalGen, OpenLoopConfig, ShardConfig, ShardedHtap};
 
-/// Forwards to the system allocator and counts calls.
-struct Counting;
+#[path = "../../core/tests/support/counting.rs"]
+mod counting;
 
-// Statistics only: the counter publishes no other data, so `Relaxed`.
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `layout` is valid for `alloc`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `layout` is valid for `alloc_zeroed`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `ptr` came from this allocator
-        // with `layout`, and this allocator only ever hands out
-        // `System` blocks.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `realloc` — `ptr` is a `System` block of `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use counting::{counted, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -73,12 +40,12 @@ const INBOX: usize = 128;
 const WINDOW: usize = 32;
 const RATE_TPS: f64 = 120_000.0;
 const ARRIVALS: u64 = 1_000;
-/// Allocations allowed over the closed-loop batches: 286 measured
-/// (0.114 per transaction), plus one.
-const CLOSED_BUDGET: u64 = 287;
-/// Allocations allowed over the open-loop run: 18 measured (0.018 per
+/// Allocations allowed over the closed-loop batches: 184 measured
+/// (0.074 per transaction), plus one.
+const CLOSED_BUDGET: u64 = 185;
+/// Allocations allowed over the open-loop run: 14 measured (0.014 per
 /// admitted transaction), plus one.
-const OPEN_BUDGET: u64 = 19;
+const OPEN_BUDGET: u64 = 15;
 
 /// The `shard_durable` deployment: 2 shards, maintenance every 200
 /// transactions.
@@ -86,13 +53,6 @@ fn config() -> ShardConfig {
     let mut cfg = ShardConfig::small(SHARDS);
     cfg.base.defrag_period = 200;
     cfg
-}
-
-/// Allocations `f` makes, and what it returns.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = CALLS.load(Ordering::Relaxed);
-    let out = f();
-    (CALLS.load(Ordering::Relaxed) - before, out)
 }
 
 #[test]

@@ -2,12 +2,38 @@
 
 use std::sync::Arc;
 
-use pushtap_chbench::{Partitioning, Table, ALL_TABLES};
+use pushtap_chbench::{RemoteMix, Table, ALL_TABLES};
 use pushtap_core::Pushtap;
 use pushtap_format::RowSlot;
-use pushtap_oltp::stripe_start;
 use pushtap_sanitizer::ShadowSanitizer;
-use pushtap_shard::ShardedHtap;
+use pushtap_shard::{ShardConfig, ShardedHtap};
+
+/// The small deployment of `shards` shards with its delta arenas
+/// squeezed proportionally: the single-row hot tables (WAREHOUSE,
+/// DISTRICT) get one-slot arenas — the second transaction of any class
+/// since the last defragmentation aborts — while the burst tables keep
+/// just enough room that one transaction always fits after
+/// defragmentation. The fraction is calibrated to the *smallest*
+/// partitioned slice (STOCK at 4 shards is 2500 rows → 18-slot arenas ≥
+/// the 15 worst-case stock updates of one NewOrder); any tighter and a
+/// single transaction could exceed an empty arena and retry forever.
+#[allow(dead_code)]
+pub fn squeezed(shards: u32) -> ShardConfig {
+    let mut cfg = ShardConfig::small(shards);
+    cfg.base.db.delta_frac = 0.06;
+    cfg.base.db.min_delta_rows = 8;
+    cfg
+}
+
+/// A remote mix's name in test labels.
+#[allow(dead_code)]
+pub fn mix_name(mix: RemoteMix) -> &'static str {
+    match mix {
+        RemoteMix::LOCAL => "local",
+        RemoteMix::TPCC => "tpcc",
+        _ => "uniform",
+    }
+}
 
 /// Arms a keyset-soundness shadow tracker on `service` and returns it.
 /// Pair with [`assert_sanitized_clean`] once the batch under test has
@@ -83,13 +109,7 @@ pub fn reference_holding(
 pub fn assert_table_bytes_match(shard: &Pushtap, reference: &Pushtap, table: Table, label: &str) {
     let db = shard.db();
     let rdb = reference.db();
-    let global = rdb.global_rows_of(table);
-    let row_base = match table.partitioning() {
-        Partitioning::Replicated => 0,
-        Partitioning::ByWarehouse => {
-            stripe_start(db.warehouse_range().start, global, db.warehouses_global())
-        }
-    };
+    let row_base = db.row_base(table);
     let t = db.table(table);
     let rt = rdb.table(table);
     for row in 0..t.n_rows() {

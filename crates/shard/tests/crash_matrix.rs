@@ -25,15 +25,6 @@ use pushtap_wal::Wal;
 const SEED: u64 = 2025;
 const TXNS: u64 = 64;
 
-/// Arena knobs from `tests/delta_pressure.rs`: every transaction class
-/// aborts at least once, so crash points land amid `DeltaFull` retries.
-fn squeezed(shards: u32) -> ShardConfig {
-    let mut cfg = ShardConfig::small(shards);
-    cfg.base.db.delta_frac = 0.06;
-    cfg.base.db.min_delta_rows = 8;
-    cfg
-}
-
 /// Runs one armed batch to its crash (or completion), kills the
 /// service, recovers a fresh deployment from the harvested bytes, and
 /// proves the full obligation set: scan hygiene (every valid record
@@ -235,8 +226,9 @@ fn every_site_recovers_byte_identically() {
     }
 }
 
-/// A mid-flush kill at every shard count under delta pressure: the torn
-/// log truncates to whole records, replay reclaims and retries on a
+/// A mid-flush kill at every shard count under delta pressure
+/// ([`common::squeezed`]: every transaction class aborts at least once,
+/// so the kill lands amid `DeltaFull` retries): the torn log truncates to whole records, replay reclaims and retries on a
 /// full arena as live execution did, and the bytes still match. Retried casualties of wave 1 consume no event number, so the
 /// kill still lands in wave 2.
 #[test]
@@ -247,8 +239,14 @@ fn mid_flush_recovers_at_every_shard_count_under_pressure() {
             site: CrashSite::MidEffectFlush,
             event: 2,
         };
-        let (_, crashed) =
-            crash_and_recover(squeezed(shards), RemoteMix::TPCC, SEED, TXNS, point, &label);
+        let (_, crashed) = crash_and_recover(
+            common::squeezed(shards),
+            RemoteMix::TPCC,
+            SEED,
+            TXNS,
+            point,
+            &label,
+        );
         assert!(crashed, "{label}: a {TXNS}-txn batch has a second wave");
     }
 }
@@ -575,7 +573,7 @@ proptest! {
             _ => RemoteMix::Uniform,
         };
         let cfg = if pressured == 1 {
-            squeezed(shards)
+            common::squeezed(shards)
         } else {
             ShardConfig::small(shards)
         };

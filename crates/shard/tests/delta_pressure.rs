@@ -46,26 +46,10 @@ const RING_TABLES: [Table; 4] = [
     Table::OrderLine,
 ];
 
-/// The shard configuration with delta arenas squeezed proportionally:
-/// the single-row hot tables (WAREHOUSE, DISTRICT) get one-slot arenas —
-/// the second transaction of any class since the last defragmentation
-/// aborts — while the burst tables keep just enough room that one
-/// transaction always fits after defragmentation. The fraction is
-/// calibrated to the *smallest* partitioned slice (STOCK at 4 shards is
-/// 2500 rows → 18-slot arenas ≥ the 15 worst-case stock updates of one
-/// NewOrder); any tighter and a single transaction could exceed an
-/// empty arena and retry forever.
-fn squeezed_cfg(shards: u32) -> ShardConfig {
-    let mut cfg = ShardConfig::small(shards);
-    cfg.base.db.delta_frac = 0.06;
-    cfg.base.db.min_delta_rows = 8;
-    cfg
-}
-
 /// Reference answers from an unpartitioned engine under the *same*
 /// delta pressure, plus its per-warehouse stripe cursors.
 fn reference(seed: u64, txns: u64) -> (Pushtap, Vec<(Query, QueryResult)>) {
-    let mut reference = Pushtap::new(squeezed_cfg(1).base).expect("build reference");
+    let mut reference = Pushtap::new(common::squeezed(1).base).expect("build reference");
     let mut gen = reference.txn_gen(seed);
     let report = reference.run_txns(&mut gen, txns);
     assert!(
@@ -91,7 +75,7 @@ fn reference(seed: u64, txns: u64) -> (Pushtap, Vec<(Query, QueryResult)>) {
 fn pressured_shards_match_pressured_reference_at_1_2_4_shards() {
     let (reference, expected) = reference(SEED, TXNS);
     for shards in [1u32, 2, 4] {
-        let mut service = ShardedHtap::new(squeezed_cfg(shards)).expect("build shards");
+        let mut service = ShardedHtap::new(common::squeezed(shards)).expect("build shards");
         let san = common::sanitize(&mut service);
         let mut gen = service.global_txn_gen(SEED);
         let oltp = service.run_txns(&mut gen, TXNS);
@@ -160,7 +144,7 @@ fn pressured_shards_match_pressured_reference_at_1_2_4_shards() {
 /// undersized arenas fill mid-prepare.
 #[test]
 fn committed_state_is_byte_identical_shard_vs_reference() {
-    let mut reference = Pushtap::new(squeezed_cfg(1).base).expect("build reference");
+    let mut reference = Pushtap::new(common::squeezed(1).base).expect("build reference");
     let mut rgen = reference.txn_gen(SEED);
     let r = reference.run_txns(&mut rgen, TXNS);
     assert!(r.aborts > 0, "the reference must feel the pressure");
@@ -168,7 +152,7 @@ fn committed_state_is_byte_identical_shard_vs_reference() {
     assert_eq!(reference.db().last_ts(), Ts(TXNS));
 
     for shards in [1u32, 2, 4] {
-        let mut service = ShardedHtap::new(squeezed_cfg(shards)).expect("build shards");
+        let mut service = ShardedHtap::new(common::squeezed(shards)).expect("build shards");
         let san = common::sanitize(&mut service);
         let mut gen = service.global_txn_gen(SEED);
         let oltp = service.run_txns(&mut gen, TXNS);
@@ -211,7 +195,7 @@ fn all_tables_byte_identical_under_tpcc_mix() {
     for pressured in [false, true] {
         let cfg = |shards: u32| {
             if pressured {
-                squeezed_cfg(shards)
+                common::squeezed(shards)
             } else {
                 ShardConfig::small(shards)
             }
@@ -278,7 +262,7 @@ fn all_tables_byte_identical_under_tpcc_mix() {
 /// pressure.
 #[test]
 fn all_tables_byte_identical_under_local_tpcc_mix() {
-    let mut reference = Pushtap::new(squeezed_cfg(1).base).expect("build reference");
+    let mut reference = Pushtap::new(common::squeezed(1).base).expect("build reference");
     let warehouses = reference.db().warehouses_global();
     let mut rgen = reference
         .txn_gen(SEED)
@@ -288,7 +272,7 @@ fn all_tables_byte_identical_under_local_tpcc_mix() {
     reference.defragment_all();
 
     for shards in [1u32, 2, 4] {
-        let mut service = ShardedHtap::new(squeezed_cfg(shards)).expect("build shards");
+        let mut service = ShardedHtap::new(common::squeezed(shards)).expect("build shards");
         let san = common::sanitize(&mut service);
         let mut gen = service
             .global_txn_gen(SEED)
@@ -375,7 +359,7 @@ fn scattered_query_reflects_one_global_cut() {
 #[test]
 fn pressure_leaves_ring_contents_byte_identical_per_topology() {
     for shards in [1u32, 2, 4] {
-        let mut squeezed = ShardedHtap::new(squeezed_cfg(shards)).expect("build");
+        let mut squeezed = ShardedHtap::new(common::squeezed(shards)).expect("build");
         let mut roomy = ShardedHtap::new(ShardConfig::small(shards)).expect("build");
         let san_a = common::sanitize(&mut squeezed);
         let san_b = common::sanitize(&mut roomy);

@@ -13,8 +13,6 @@
 //!   silently dropped) exactly when occupancy is at the bound; the
 //!   admitted substream commits byte-identically to a reference
 //!   replaying only the admitted arrivals at their pinned timestamps.
-//! * **Laggard votes**: turning on `vote_jitter` changes *when* —
-//!   never *what* — the deployment commits.
 //!
 //! [`WaveScheduler`]: pushtap_shard::ShardedHtap
 //! [`ShardedHtap::run_open_loop`]: pushtap_shard::ShardedHtap::run_open_loop
@@ -35,14 +33,6 @@ const TXNS: u64 = 120;
 /// Fast enough that inboxes back up under a bounded depth, slow enough
 /// that the generator's simulated horizon stays sane.
 const RATE_TPS: f64 = 40_000_000.0;
-
-fn mix_name(mix: RemoteMix) -> &'static str {
-    match mix {
-        RemoteMix::LOCAL => "local",
-        RemoteMix::TPCC => "tpcc",
-        _ => "uniform",
-    }
-}
 
 /// The admitted transactions' timestamps, in admission order (every
 /// one committed).
@@ -126,7 +116,7 @@ fn incremental_waves_match_batch_and_reference() {
                 &(1..=TXNS).map(pushtap_mvcc::Ts).collect::<Vec<_>>(),
             );
             for window in [1usize, 4, 32] {
-                let label = format!("{} {shards} shards window {window}", mix_name(mix));
+                let label = format!("{} {shards} shards window {window}", common::mix_name(mix));
                 let (open_service, report) = run_open(
                     cfg.clone(),
                     mix,
@@ -217,38 +207,6 @@ fn open_loop_is_deterministic_per_seed() {
     assert_eq!(a.horizon, b.horizon);
     assert_eq!(a.sojourn.sum(), b.sojourn.sum());
     assert_eq!(a.inbox_depth.max(), b.inbox_depth.max());
-}
-
-/// Laggard vote clocks change when the deployment commits, never what:
-/// byte-identical state, identical commit counts, and a critical path
-/// at least as long as with free votes (coupling clocks is never
-/// cheaper).
-#[test]
-fn laggard_votes_only_add_stall() {
-    let run = |jitter: Ps| {
-        let mut cfg = ShardConfig::small(4);
-        cfg.commit.vote_jitter = jitter;
-        let mut service = ShardedHtap::new(cfg).expect("build shards");
-        let warehouses = service.map().warehouses();
-        let mut gen = service
-            .global_txn_gen(SEED)
-            .with_remote_mix(RemoteMix::Uniform, warehouses);
-        let report = service.run_txns(&mut gen, TXNS);
-        service.defragment_all();
-        (service, report)
-    };
-    let (free_service, free) = run(Ps::ZERO);
-    let (lag_service, lag) = run(Ps::from_ns(500.0));
-    assert_eq!(free.committed(), lag.committed());
-    let (free, lag) = (free.merged(), lag.merged());
-    assert_eq!(free.two_pc_time, lag.two_pc_time, "hop ledger moved");
-    assert!(
-        lag.critical_path_time >= free.critical_path_time,
-        "laggard votes made the barrier cheaper ({} < {})",
-        lag.critical_path_time,
-        free.critical_path_time
-    );
-    common::assert_services_match(&lag_service, &free_service, "laggard vs free votes");
 }
 
 proptest! {

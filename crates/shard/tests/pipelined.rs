@@ -22,25 +22,6 @@ use pushtap_shard::{ShardConfig, ShardedHtap};
 const SEED: u64 = 2025;
 const TXNS: u64 = 120;
 
-/// Arenas squeezed as in `tests/delta_pressure.rs`: hot single-row
-/// tables get one-slot arenas so every transaction class aborts, while
-/// the smallest partitioned STOCK slice still fits one worst-case
-/// NewOrder after defragmentation.
-fn squeezed(shards: u32) -> ShardConfig {
-    let mut cfg = ShardConfig::small(shards);
-    cfg.base.db.delta_frac = 0.06;
-    cfg.base.db.min_delta_rows = 8;
-    cfg
-}
-
-fn mix_name(mix: RemoteMix) -> &'static str {
-    match mix {
-        RemoteMix::LOCAL => "local",
-        RemoteMix::TPCC => "tpcc",
-        _ => "uniform",
-    }
-}
-
 /// Runs one batch on a fresh deployment and returns the service with
 /// all arenas defragmented (committed state folded into data regions).
 fn run_batch(
@@ -71,7 +52,7 @@ fn run_batch(
 
 fn reference(pressured: bool, mix: RemoteMix, seed: u64, txns: u64) -> Pushtap {
     let cfg = if pressured {
-        squeezed(1)
+        common::squeezed(1)
     } else {
         ShardConfig::small(1)
     };
@@ -83,7 +64,7 @@ fn reference(pressured: bool, mix: RemoteMix, seed: u64, txns: u64) -> Pushtap {
         r.aborts > 0,
         pressured,
         "reference pressure mismatch ({} mix)",
-        mix_name(mix)
+        common::mix_name(mix)
     );
     reference.defragment_all();
     reference
@@ -99,8 +80,8 @@ fn waves_match_reference_under_pressure() {
     for mix in [RemoteMix::LOCAL, RemoteMix::TPCC, RemoteMix::Uniform] {
         let reference = reference(true, mix, SEED, TXNS);
         for shards in [2u32, 4, 8] {
-            let label = format!("{} mix at {shards} shards", mix_name(mix));
-            let (service, report) = run_batch(squeezed(shards), mix, SEED, TXNS);
+            let label = format!("{} mix at {shards} shards", common::mix_name(mix));
+            let (service, report) = run_batch(common::squeezed(shards), mix, SEED, TXNS);
             let total = report.merged();
             assert!(total.aborts > 0, "{label}: must feel the pressure");
             assert!(
@@ -128,7 +109,7 @@ fn waves_match_reference_ample() {
     for mix in [RemoteMix::TPCC, RemoteMix::Uniform] {
         let reference = reference(false, mix, SEED, TXNS);
         for shards in [4u32, 8] {
-            let label = format!("ample {} mix at {shards} shards", mix_name(mix));
+            let label = format!("ample {} mix at {shards} shards", common::mix_name(mix));
             let (service, report) = run_batch(ShardConfig::small(shards), mix, SEED, TXNS);
             let total = report.merged();
             assert_eq!(total.aborts, 0, "{label}: ample arenas abort-free");
@@ -146,7 +127,7 @@ fn waves_match_reference_ample() {
 fn waves_overlap_two_pcs() {
     for mix in [RemoteMix::TPCC, RemoteMix::Uniform] {
         for shards in [4u32, 8] {
-            let label = format!("{} mix at {shards} shards", mix_name(mix));
+            let label = format!("{} mix at {shards} shards", common::mix_name(mix));
             let (_, r) = run_batch(ShardConfig::small(shards), mix, SEED, TXNS);
             assert!(r.remote.cross_shard_txns > 0, "{label}: stream must cross");
             assert!(r.coord.waves > 0, "{label}: no waves scheduled");

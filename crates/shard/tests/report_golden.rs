@@ -10,13 +10,15 @@
 //! what each shard's report says, so a change to how the report layer
 //! stores or folds a fact cannot move a number unnoticed.
 
+mod common;
+
 use std::sync::Arc;
 
 use pushtap_chbench::{RemoteMix, TxnGen};
 use pushtap_mvcc::{SnapshotPin, Ts};
 use pushtap_pim::Ps;
 use pushtap_shard::{
-    ArrivalConfig, ArrivalGen, OpenLoopConfig, ShardConfig, ShardLoad, ShardOltpReport, ShardedHtap,
+    ArrivalConfig, ArrivalGen, OpenLoopConfig, ShardLoad, ShardOltpReport, ShardedHtap,
 };
 
 const SEED: u64 = 2025;
@@ -28,9 +30,7 @@ const PIN: Ts = Ts(40);
 /// The deployment, its Uniform stream and the reader's pin (held for
 /// the run).
 fn deployment() -> (ShardedHtap, TxnGen, SnapshotPin) {
-    let mut cfg = ShardConfig::small(2);
-    cfg.base.db.delta_frac = 0.06;
-    cfg.base.db.min_delta_rows = 8;
+    let mut cfg = common::squeezed(2);
     cfg.base.defrag_period = 25;
     let mut service = ShardedHtap::new(cfg).expect("build shards");
     service.enable_wal();

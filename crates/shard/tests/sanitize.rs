@@ -12,29 +12,23 @@ use std::sync::Arc;
 
 use pushtap_chbench::RemoteMix;
 use pushtap_sanitizer::{Access, AccessKind, ShadowSanitizer, ViolationKind};
-use pushtap_shard::{ShardConfig, ShardOltpReport, ShardedHtap};
+use pushtap_shard::{ShardOltpReport, ShardedHtap};
 
 mod common;
 
 const SEED: u64 = 7_341;
 const TXNS: u64 = 120;
+/// Shards of every deployment here, built with squeezed arenas
+/// ([`common::squeezed`]) so the tracker also watches `DeltaFull`
+/// aborts, pinned-timestamp retries and wave casualties — the paths
+/// where scope discipline is easiest to break.
 const SHARDS: u32 = 4;
-
-/// Arenas squeezed as in `tests/delta_pressure.rs`, so the tracker
-/// also watches `DeltaFull` aborts, pinned-timestamp retries and wave
-/// casualties — the paths where scope discipline is easiest to break.
-fn squeezed() -> ShardConfig {
-    let mut cfg = ShardConfig::small(SHARDS);
-    cfg.base.db.delta_frac = 0.06;
-    cfg.base.db.min_delta_rows = 8;
-    cfg
-}
 
 /// Runs one uniform-mix batch, optionally armed, and returns the
 /// service, the tracker (present only when armed) and the batch's
 /// report.
 fn run(armed: bool) -> (ShardedHtap, Option<Arc<ShadowSanitizer>>, ShardOltpReport) {
-    let mut service = ShardedHtap::new(squeezed()).expect("build shards");
+    let mut service = ShardedHtap::new(common::squeezed(SHARDS)).expect("build shards");
     let san = armed.then(|| common::sanitize(&mut service));
     let warehouses = service.map().warehouses();
     let mut gen = service
@@ -91,7 +85,7 @@ fn armed_batches_are_violation_free_and_byte_neutral() {
 
 #[test]
 fn default_deployment_stays_unarmed() {
-    let service = ShardedHtap::new(squeezed()).expect("build shards");
+    let service = ShardedHtap::new(common::squeezed(SHARDS)).expect("build shards");
     for shard in service.shards() {
         assert!(
             shard.db().probe().sanitizer().is_none(),

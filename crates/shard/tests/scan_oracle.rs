@@ -23,13 +23,11 @@ const SEED: u64 = 2025;
 const BURSTS: u64 = 4;
 const BURST_TXNS: u64 = 60;
 
-/// Squeezed delta arenas (see `delta_pressure.rs`) and a maintenance
+/// Squeezed delta arenas ([`common::squeezed`]) and a maintenance
 /// period short enough that the GC-first policy fires within every
 /// burst.
 fn pressured_and_collecting(shards: u32) -> ShardConfig {
-    let mut cfg = ShardConfig::small(shards);
-    cfg.base.db.delta_frac = 0.06;
-    cfg.base.db.min_delta_rows = 8;
+    let mut cfg = common::squeezed(shards);
     cfg.base.defrag_period = 25;
     cfg
 }

@@ -19,21 +19,15 @@ mod common;
 
 const SEED: u64 = 2025;
 const TXNS: u64 = 120;
+/// Shards of every deployment here, built with squeezed arenas
+/// ([`common::squeezed`]) so the abort and retry span paths are
+/// exercised, not just the happy path.
 const SHARDS: u32 = 4;
-
-/// Arenas squeezed as in `tests/delta_pressure.rs`, so the abort and
-/// retry span paths are exercised, not just the happy path.
-fn squeezed() -> ShardConfig {
-    let mut cfg = ShardConfig::small(SHARDS);
-    cfg.base.db.delta_frac = 0.06;
-    cfg.base.db.min_delta_rows = 8;
-    cfg
-}
 
 /// Runs one uniform-mix batch, optionally traced, and defragments so
 /// committed bytes are comparable.
 fn run(traced: bool) -> (ShardedHtap, ShardOltpReport, Vec<Span>) {
-    let mut service = ShardedHtap::new(squeezed()).expect("build shards");
+    let mut service = ShardedHtap::new(common::squeezed(SHARDS)).expect("build shards");
     let san = common::sanitize(&mut service);
     let sink = Arc::new(MemSink::default());
     if traced {
@@ -52,9 +46,9 @@ fn run(traced: bool) -> (ShardedHtap, ShardOltpReport, Vec<Span>) {
 
 /// [`run`] with the effect WAL enabled (always traced): every prepare
 /// appends a record and every wave ends in one group-commit force
-/// barrier, charged at `ShardConfig::small`'s force latency.
+/// barrier, charged at `calib::WAL_FORCE_LATENCY`.
 fn run_wal() -> (ShardedHtap, ShardOltpReport, Vec<Span>, WalHandles) {
-    let mut service = ShardedHtap::new(squeezed()).expect("build shards");
+    let mut service = ShardedHtap::new(common::squeezed(SHARDS)).expect("build shards");
     let san = common::sanitize(&mut service);
     let handles = service.enable_wal();
     let sink = Arc::new(MemSink::default());
@@ -93,7 +87,7 @@ fn open_loop_run(traced: bool) -> (ShardedHtap, OpenLoopReport, Vec<Span>) {
 /// Crashes a logged batch after wave 3's decision and recovers it with
 /// a sink installed: the replay's spans.
 fn recovered() -> (ShardedHtap, RecoveryReport, Vec<Span>) {
-    let cfg = squeezed();
+    let cfg = common::squeezed(SHARDS);
     let mut service = ShardedHtap::new(cfg.clone()).expect("build shards");
     let handles = service.enable_wal();
     service.arm_crash(CrashPoint {
@@ -606,7 +600,7 @@ fn same_seed_emits_identical_unsorted_sequences() {
     assert!(seen.contains(&Phase::GcPass) || seen.contains(&Phase::DefragStall));
 
     let armed = || {
-        let mut service = ShardedHtap::new(squeezed()).expect("build shards");
+        let mut service = ShardedHtap::new(common::squeezed(SHARDS)).expect("build shards");
         let san = common::sanitize(&mut service);
         let _handles = service.enable_wal();
         let warehouses = service.map().warehouses();

@@ -21,6 +21,12 @@ const LINEAR_MAX: u64 = 128;
 /// 1/64 of the value ⇒ midpoint error ≤ ~0.8 %.
 const SUB_BUCKETS: u64 = 64;
 
+/// The first growth reserves the buckets up to at least this value,
+/// 2^30 ≈ 1.07 ms in picoseconds: above the commit latencies, 2PC stalls
+/// and queue waits the reports record, so a histogram whose first sample
+/// lands low (a count, a zero wait) still grows once.
+const FIRST_RESERVE_UPTO: u64 = 1 << 30;
+
 /// Bucket index of `v` (total order, contiguous across octaves).
 fn bucket_index(v: u64) -> usize {
     if v < LINEAR_MAX {
@@ -52,7 +58,7 @@ fn bucket_value(i: usize) -> u64 {
 /// picoseconds in this workspace), with ~1 % relative quantile error.
 ///
 /// Recording is O(1); the bucket vector grows lazily to the highest
-/// bucket touched, so an empty or low-valued histogram stays tiny.
+/// bucket touched, so an empty histogram allocates nothing.
 /// `min`/`max` are tracked exactly and quantiles clamp to them, so the
 /// tails never report a value outside what was actually observed.
 #[derive(Debug, Clone)]
@@ -122,13 +128,16 @@ impl Histogram {
     pub fn record(&mut self, v: u64) {
         let i = bucket_index(v);
         if i >= self.counts.len() {
-            // The first growth reserves twice the buckets it needs, the
+            // The first growth reserves up to a typical latency's
+            // bucket, and at least twice the buckets it needs, the
             // headroom every later growth gets from `Vec`'s doubling: an
             // exact first fit would reallocate at the next new maximum.
-            // Trailing empty buckets change no answer: `eq` trims them
-            // and `merge` resizes.
+            // Reserved capacity is not written, and trailing empty
+            // buckets change no answer: `eq` trims them and `merge`
+            // resizes.
             if self.counts.capacity() == 0 {
-                self.counts.reserve_exact(2 * (i + 1));
+                let typical = bucket_index(FIRST_RESERVE_UPTO) + 1;
+                self.counts.reserve_exact(typical.max(2 * (i + 1)));
             }
             self.counts.resize(i + 1, 0);
         }
@@ -434,6 +443,19 @@ mod tests {
         h.record(20_000_000);
         assert_eq!(h.counts.as_ptr(), first, "grew a second time");
         assert_eq!(h.counts.len(), bucket_index(20_000_000) + 1);
+    }
+
+    #[test]
+    fn a_low_first_sample_still_grows_once() {
+        let mut h = Histogram::new();
+        h.record(0);
+        let (first, capacity) = (h.counts.as_ptr(), h.counts.capacity());
+        for us in 1..=1000u64 {
+            h.record(us * 1_000_000);
+        }
+        assert_eq!(h.counts.capacity(), capacity, "grew a second time");
+        assert_eq!(h.counts.as_ptr(), first, "moved");
+        assert_eq!(h.counts.len(), bucket_index(1_000_000_000) + 1);
     }
 
     #[test]

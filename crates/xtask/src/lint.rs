@@ -361,6 +361,16 @@ const ROWS: &[Row] = &[
               keeps its lines inline.",
     },
     Row {
+        name: "one-floor-split",
+        paths: &["crates", "src", "examples", "tests", "!crates/chbench/src"],
+        non_test: false,
+        check: Any(&["stripe_start(", "warehouse_of_row(", "Partition::owner_of"]),
+        sample: "let start = stripe_start(w, rows, warehouses);",
+        why: "Warehouse-anchored rows split into stripes by one floor rule, \
+              written once: `pushtap_chbench::stripe` and its inverse \
+              `stripe_of`. No layer keeps its own copy of either.",
+    },
+    Row {
         name: "one-gc-fold",
         paths: &["crates/*/src", "src", "examples"],
         non_test: true,
@@ -1227,6 +1237,24 @@ mod tests {
         // The two rows about which file sits there: this file is no
         // `Phase` enum, and no file may be `crates/core/src/mixed.rs`.
         assert_eq!(fired, ["phase-coverage", "one-htap-driver"]);
+    }
+
+    #[test]
+    fn the_floor_split_may_live_in_chbench_only() {
+        let row = ROWS
+            .iter()
+            .find(|row| row.name == "one-floor-split")
+            .expect("the row exists");
+        let tree = Tree::new("floor-split-home");
+        let sample = format!("{}\n", row.sample);
+        tree.plant(Path::new("crates/chbench/src/split.rs"), &sample);
+        tree.plant(Path::new("crates/oltp/src/tpcc.rs"), &sample);
+        let fired: Vec<PathBuf> = check(&tree.0, row)
+            .into_iter()
+            .filter(|v| v.line > 0)
+            .map(|v| v.file)
+            .collect();
+        assert_eq!(fired, [PathBuf::from("crates/oltp/src/tpcc.rs")]);
     }
 
     #[test]

@@ -35,10 +35,9 @@ use pushtap::trace::{chrome, fmt_ps, two_pc_overlap_peak, MemSink};
 /// `open_loop` the batch arrives on a Poisson clock through a bounded
 /// inbox instead of all at once.
 fn crash_demo(dir: &std::path::Path, open_loop: bool) -> Result<(), Box<dyn std::error::Error>> {
-    use pushtap::chbench::{Partitioning, ALL_TABLES};
+    use pushtap::chbench::ALL_TABLES;
     use pushtap::core::Pushtap;
     use pushtap::format::RowSlot;
-    use pushtap::oltp::stripe_start;
     use pushtap::shard::{
         ArrivalConfig, ArrivalGen, CrashPoint, CrashSite, OpenLoopConfig, WalBytes,
     };
@@ -126,13 +125,7 @@ fn crash_demo(dir: &std::path::Path, open_loop: bool) -> Result<(), Box<dyn std:
         let db = recovered.shard(i).db();
         let rdb = reference.db();
         for table in ALL_TABLES {
-            let global = rdb.global_rows_of(table);
-            let row_base = match table.partitioning() {
-                Partitioning::Replicated => 0,
-                Partitioning::ByWarehouse => {
-                    stripe_start(db.warehouse_range().start, global, db.warehouses_global())
-                }
-            };
+            let row_base = db.row_base(table);
             let t = db.table(table);
             let rt = rdb.table(table);
             for row in 0..t.n_rows() {
