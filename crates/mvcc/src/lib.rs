@@ -77,4 +77,4 @@ pub use defrag::{DefragCostModel, DefragStrategy};
 pub use delta::{DeltaAllocator, DeltaFull};
 pub use snapshot::{Bitmap, Ones, Snapshot, SnapshotUpdate};
 pub use timestamp::{SnapshotPin, Ts, TsOracle};
-pub use undo::{InsertUndo, UndoLog, UndoRecord};
+pub use undo::{UndoLog, UndoRecord};

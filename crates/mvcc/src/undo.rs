@@ -2,10 +2,10 @@
 //!
 //! A transaction executes as a sequence of row writes, each of which
 //! allocates a delta slot and extends a version chain, and — for an
-//! insert — adds an index key and advances an insert-ring cursor. When
-//! a write hits [`DeltaFull`], the engine reclaims space and re-executes
-//! the *whole* transaction — so the writes before it must first be taken
-//! back, or the retry would re-apply them at fresh stripe slots and the
+//! insert — advances an insert-ring cursor. When a write hits
+//! [`DeltaFull`], the engine reclaims space and re-executes the *whole*
+//! transaction — so the writes before it must first be taken back, or
+//! the retry would re-apply them at fresh stripe slots and the
 //! functional state would depend on *when* the arenas filled up (the
 //! divergence the sharded identity proof cannot tolerate).
 //!
@@ -13,9 +13,9 @@
 //! atomic on its own (the slot allocation is its only fallible step and
 //! comes before every mutation), so the log holds one [`UndoRecord`] per
 //! *successful write*: which table, which row, and for an insert which
-//! ring it consumed and whether the key was new. Taking the records back
-//! newest-first restores every observable of every table — what any read
-//! at any timestamp, any snapshot, the indexes and the allocators report.
+//! ring it consumed. Taking the records back newest-first restores every
+//! observable of every table — what any read at any timestamp, any
+//! snapshot and the allocators report.
 //! Row bytes need no record (see [`UndoRecord`]). The log is CPU-side
 //! metadata, like the version chains (§5.1): rollback costs no simulated
 //! memory traffic.
@@ -80,8 +80,7 @@ use crate::timestamp::Ts;
 /// One successful row write of an undecided transaction. Reversing it is
 /// the owning engine's job: unlink the row's newest version
 /// ([`VersionChains::undo_update`](crate::VersionChains::undo_update)),
-/// release its slot, and for an insert restore the index and step the
-/// ring's cursor back.
+/// release its slot, and for an insert step the ring's cursor back.
 ///
 /// The record carries no row bytes, because none need restoring: a
 /// version is written into a freshly allocated delta slot, and slot bytes
@@ -95,19 +94,9 @@ pub struct UndoRecord {
     pub table: u32,
     /// The written row, local to the table instance.
     pub row: u64,
-    /// Set when the write was an insert.
-    pub insert: Option<InsertUndo>,
-}
-
-/// What an insert did besides writing a version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InsertUndo {
-    /// The warehouse whose insert ring of the table advanced.
-    pub warehouse: u64,
-    /// Whether the index held the row's key before the insert (the ring
-    /// came around to a row inserted earlier): if not, rollback removes
-    /// the key.
-    pub key_existed: bool,
+    /// For an insert, the warehouse whose insert ring of the table
+    /// advanced; `None` for an update.
+    pub insert: Option<u64>,
 }
 
 /// A prepared scope: a transaction's writes, parked until its
@@ -319,10 +308,7 @@ mod tests {
         u.record(UndoRecord {
             table: 3,
             row: 9,
-            insert: Some(InsertUndo {
-                warehouse: 1,
-                key_existed: false,
-            }),
+            insert: Some(1),
         });
         assert_eq!(u.len(), 2);
         assert_eq!(u.prepared_records(), 0, "the scope is still active");

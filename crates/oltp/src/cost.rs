@@ -33,7 +33,8 @@ use pushtap_pim::{CpuSpec, Ps};
 /// Where a transaction's CPU time went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Breakdown {
-    /// Hash-index probes and inserts.
+    /// Hash-index probes and inserts, priced only: rows are keyed by
+    /// position, so no index is kept (see [`INDEX_CYCLES`]).
     pub indexing: Ps,
     /// Delta-slot / insert-row allocation.
     pub alloc: Ps,

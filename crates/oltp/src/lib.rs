@@ -1,7 +1,6 @@
 //! The OLTP engine of PUSHtap: a DBx1000-style transaction executor over
 //! the unified data format (§7.1 of the paper).
 //!
-//! * [`HashIndex`] — chained hash index;
 //! * [`Meter`]/[`Breakdown`] — the CPU cost components of a
 //!   transaction (Fig. 11(c): computation / allocation / indexing /
 //!   version-chain traversal) plus DRAM time;
@@ -22,11 +21,10 @@
 //!   [`pushtap_mvcc::TsOracle`] ([`TpccDb::ts_oracle`]), drawn once per
 //!   transaction. [`TpccDb::execute_at`] is *transaction-atomic*:
 //!   a mid-transaction [`pushtap_mvcc::DeltaFull`] takes back every
-//!   write so far (delta slots, chains, index entries, stripe
-//!   cursors) before the error reaches the caller, so the
-//!   reclaim-and-retry loop re-executes under the same timestamp on
-//!   pristine state and committed state never depends on *when* arenas
-//!   filled up. The
+//!   write so far (delta slots, chains, stripe cursors) before the
+//!   error reaches the caller, so the reclaim-and-retry loop
+//!   re-executes under the same timestamp on pristine state and
+//!   committed state never depends on *when* arenas filled up. The
 //!   participant API ([`TpccDb::prepare_effects`] /
 //!   [`TpccDb::commit_prepared`] / [`TpccDb::abort_prepared`]) lets a
 //!   sharded coordinator apply, hold, and roll back *forwarded* effect
@@ -66,7 +64,6 @@
 pub mod codec;
 mod cost;
 pub mod effects;
-mod index;
 mod probe;
 mod table;
 mod tpcc;
@@ -74,7 +71,6 @@ mod tpcc;
 pub use codec::{CodecError, DecodedRecord, EffectRecord};
 pub use cost::{Breakdown, Meter};
 pub use effects::{ColumnWrite, Effect, Key, KeySet, RowImage, TaggedEffect, Writes};
-pub use index::HashIndex;
 pub use probe::Probe;
 pub use table::{DbFormat, Fetch, HtapTable, LineRef, OpResult, TableConfig, TableGcPass};
 pub use tpcc::{global_rows, DbConfig, Partition, TpccDb, TxnResult, TxnRole};

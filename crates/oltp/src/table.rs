@@ -18,7 +18,6 @@ use pushtap_pim::{BankAddr, Geometry, MemSystem, Op, Ps, Side};
 
 use crate::cost::{Breakdown, Meter};
 use crate::effects::ColumnWrite;
-use crate::index::HashIndex;
 
 /// Which storage format a database instance uses: it picks each table's
 /// generated [`TableLayout`] and the traffic pattern the table is timed as.
@@ -162,7 +161,6 @@ pub struct HtapTable {
     gc_outcome: GcOutcome,
     alloc: DeltaAllocator,
     snapshot: Snapshot,
-    index: HashIndex,
     cfg: TableConfig,
 }
 
@@ -226,7 +224,6 @@ impl HtapTable {
             snapshot: Snapshot::new(cfg.n_rows, devices, arena_rows),
             chains: VersionChains::with_capacity(cfg.n_rows, devices, arena_rows),
             gc_outcome: GcOutcome::with_capacity(devices as usize * arena_rows as usize),
-            index: HashIndex::with_capacity(cfg.n_rows),
             store,
             cfg,
         }
@@ -234,11 +231,10 @@ impl HtapTable {
 
     /// Takes back the newest write of `row` — the table's share of
     /// transaction rollback: the version leaves the row's chain and the
-    /// commit log, its delta slot returns to its arena's free list, and
-    /// with `drop_key` (the write was an insert of a key the index did
-    /// not hold) the key leaves the index. Row bytes stay where the
-    /// version left them: an unlinked version in a free slot is
-    /// unreachable, and the slot's next owner overwrites all of it.
+    /// commit log, and its delta slot returns to its arena's free list.
+    /// Row bytes stay where the version left them: an unlinked version
+    /// in a free slot is unreachable, and the slot's next owner
+    /// overwrites all of it.
     ///
     /// A transaction's writes must be taken back newest-first. Rollback
     /// is CPU-side metadata work (like the version chains, §5.1) and
@@ -272,21 +268,17 @@ impl HtapTable {
     /// let image = [1, 1, 1, 2, 1, 3, 3, 3, 1, 4, 4, 4, 4, 4, 4, 4, 4, 1, 5, 1, 6];
     ///
     /// // A transaction inserts a row, then aborts: the insert unwinds.
-    /// let (key_existed, _) = table.timed_insert_at(&meter, 0, &image, Ts(1), Ps::ZERO)?;
+    /// table.timed_insert_at(&meter, 0, &image, Ts(1), Ps::ZERO)?;
     /// assert_eq!(table.live_delta_rows(), 1);
-    /// table.undo_write(0, !key_existed);
+    /// table.undo_write(0);
     /// assert_eq!(table.live_delta_rows(), 0);
-    /// assert!(table.index().is_empty());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn undo_write(&mut self, row: u64, drop_key: bool) {
+    pub fn undo_write(&mut self, row: u64) {
         let RowSlot::Delta { rotation, idx } = self.chains.undo_update(row) else {
             unreachable!("versions live in the delta region");
         };
         self.alloc.release(rotation, idx);
-        if drop_key {
-            self.index.remove(row);
-        }
     }
 
     /// The table's layout.
@@ -307,11 +299,6 @@ impl HtapTable {
     /// The version chains.
     pub fn chains(&self) -> &VersionChains {
         &self.chains
-    }
-
-    /// The key → row index.
-    pub fn index(&self) -> &HashIndex {
-        &self.index
     }
 
     /// The current snapshot.
@@ -456,7 +443,6 @@ impl HtapTable {
         now: &mut Ps,
     ) -> Fetch {
         let probe = meter.indexing(1);
-        self.index.get(row);
         let (slot, hops) = match read_at {
             Some(ts) => {
                 let (slot, hops) = self.chains.visible_at(row, ts);
@@ -574,12 +560,12 @@ impl HtapTable {
     /// executor picks `row` from an insert ring it stripes
     /// deterministically (by home warehouse), so partitioned shards land
     /// each insert on the same global row an unpartitioned instance
-    /// would. Returns whether the index already held the row's key (the
-    /// ring came around), and the operation result.
+    /// would.
     ///
-    /// The insert is CPU work only: allocation, the index insert and the
-    /// row's computation. Its lines leave the CPU at the transaction's
-    /// force phase, like an update's ([`HtapTable::flush_newest`]).
+    /// The insert is CPU work only: allocation, the priced index insert
+    /// and the row's computation. Its lines leave the CPU at the
+    /// transaction's force phase, like an update's
+    /// ([`HtapTable::flush_newest`]).
     ///
     /// The slot allocation is the only step that can fail and comes
     /// first, so a failed insert leaves the table untouched.
@@ -599,20 +585,19 @@ impl HtapTable {
         image: &[u8],
         ts: Ts,
         at: Ps,
-    ) -> Result<(bool, OpResult), DeltaFull> {
+    ) -> Result<OpResult, DeltaFull> {
         assert!(row < self.cfg.n_rows, "insert row {row} out of range");
         let mut b = Breakdown::default();
         let rotation = self.store.arena_for_row(row);
         let idx = self.alloc.alloc(rotation)?;
         b.alloc += meter.alloc(1);
         b.indexing += meter.indexing(1);
-        let key_existed = self.index.insert(row, row).is_some();
         let new_slot = RowSlot::Delta { rotation, idx };
         self.store.write_image(new_slot, image);
         self.chains.record_update(row, new_slot, ts);
         b.compute += meter.compute(self.store.layout().schema().len() as u64);
         let end = at + b.cpu_total();
-        Ok((key_existed, OpResult { end, breakdown: b }))
+        Ok(OpResult { end, breakdown: b })
     }
 
     /// Issues the write-back of `row`'s newest version: its cache lines,
@@ -627,7 +612,6 @@ impl HtapTable {
     /// population.
     pub fn load_row(&mut self, row: u64, image: &[u8]) {
         self.store.write_image(RowSlot::Data { row }, image);
-        self.index.insert(row, row);
     }
 
     /// The slot of `row` visible in the current snapshot.
@@ -869,7 +853,7 @@ mod tests {
     use crate::cost::Meter;
     use proptest::prelude::*;
     use pushtap_format::{compact_layout, paper_example_schema, Column, TableSchema};
-    use pushtap_mvcc::{InsertUndo, UndoLog, UndoRecord};
+    use pushtap_mvcc::{UndoLog, UndoRecord};
     use pushtap_pim::{CpuSpec, Geometry};
 
     fn table(model: DbFormat) -> HtapTable {
@@ -1231,10 +1215,8 @@ mod tests {
         let mut mem = MemSystem::dimm();
         for (row, ts) in [(0, 1), (1, 2)] {
             let image = values(row as u8 + 1).concat();
-            let (key_existed, _) = t
-                .timed_insert_at(&meter(), row, &image, Ts(ts), Ps::ZERO)
+            t.timed_insert_at(&meter(), row, &image, Ts(ts), Ps::ZERO)
                 .unwrap();
-            assert!(!key_existed);
         }
         // The insert is a delta version: invisible to the snapshot until
         // the next snapshot update (insert isolation).
@@ -1277,18 +1259,14 @@ mod tests {
         fn insert(&mut self, seed: u8, ts: u64) -> u64 {
             let row = self.ring % self.t.n_rows();
             let image = values(seed).concat();
-            let (key_existed, _) = self
-                .t
+            self.t
                 .timed_insert_at(&meter(), row, &image, Ts(ts), Ps::ZERO)
                 .unwrap();
             self.ring += 1;
             self.undo.record(UndoRecord {
                 table: 0,
                 row,
-                insert: Some(InsertUndo {
-                    warehouse: 0,
-                    key_existed,
-                }),
+                insert: Some(0),
             });
             row
         }
@@ -1303,7 +1281,7 @@ mod tests {
 
         /// Takes one record back, as the engine does.
         fn take_back(t: &mut HtapTable, ring: &mut u64, rec: &UndoRecord) {
-            t.undo_write(rec.row, rec.insert.is_some_and(|i| !i.key_existed));
+            t.undo_write(rec.row);
             if rec.insert.is_some() {
                 *ring -= 1;
             }
@@ -1354,7 +1332,6 @@ mod tests {
         assert_eq!(s.t.live_delta_rows(), live_before);
         assert_eq!(s.t.chains().log().len(), log_before);
         assert_eq!(s.t.snapshot_read(5), snap_before);
-        assert_eq!(s.t.index().len(), 1, "the inserted keys left the index");
         let vals = s.read(5, 9);
         assert_eq!(vals[0], vec![7, 7], "committed update survives");
         assert_ne!(vals[1], vec![9, 9], "aborted update is gone");

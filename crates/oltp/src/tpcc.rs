@@ -29,9 +29,7 @@ use pushtap_chbench::{
 use pushtap_format::{
     compact_layout, naive_layout, LayoutError, RowSlot, TableLayout, TableSchema,
 };
-use pushtap_mvcc::{
-    DefragCostModel, DefragStrategy, DeltaFull, InsertUndo, Ts, TsOracle, UndoLog, UndoRecord,
-};
+use pushtap_mvcc::{DefragCostModel, DefragStrategy, DeltaFull, Ts, TsOracle, UndoLog, UndoRecord};
 use pushtap_pim::calib::UNIFIED_TH;
 use pushtap_pim::{BankAddr, Geometry, MemSystem, Ps, Side};
 use pushtap_sanitizer::{Access, AccessKind, SanKey};
@@ -88,13 +86,12 @@ fn ring_slot(first: u64, w: u64) -> usize {
 
 /// Takes one recorded write back on the table it names (newest first
 /// within a transaction): the version and its slot, and for an insert
-/// the index key, if it was new, and the ring's cursor.
+/// the ring's cursor.
 fn undo_record(tables: &mut [DbTable], first_warehouse: u64, rec: &UndoRecord) {
     let t = &mut tables[rec.table as usize];
-    t.table
-        .undo_write(rec.row, rec.insert.is_some_and(|i| !i.key_existed));
-    if let Some(insert) = rec.insert {
-        t.insert_cursors[ring_slot(first_warehouse, insert.warehouse)] -= 1;
+    t.table.undo_write(rec.row);
+    if let Some(w) = rec.insert {
+        t.insert_cursors[ring_slot(first_warehouse, w)] -= 1;
     }
 }
 
@@ -600,15 +597,12 @@ impl TpccDb {
         let slot = ring_slot(self.wh_range.start, w_id);
         let t = &mut self.tables[table as usize];
         let local = global_row - t.row_base;
-        let (key_existed, r) = t.table.timed_insert_at(meter, local, image, ts, at)?;
+        let r = t.table.timed_insert_at(meter, local, image, ts, at)?;
         t.insert_cursors[slot] += 1;
         self.undo.record(UndoRecord {
             table: table as u32,
             row: local,
-            insert: Some(InsertUndo {
-                warehouse: w_id,
-                key_existed,
-            }),
+            insert: Some(w_id),
         });
         // One InsertWrite covers the row version *and* its chain growth:
         // the physical row is the ring cursor's pick, so the declared
@@ -797,12 +791,12 @@ impl TpccDb {
     /// The transaction runs inside a begin/commit/abort scope: every
     /// successful write leaves a record in the engine's undo log, and a
     /// mid-transaction [`DeltaFull`] rolls the whole transaction back —
-    /// delta slots, version chains, row bytes, index entries and stripe
-    /// cursors all revert — before the error is surfaced. The caller
-    /// reclaims and re-executes under the *same* timestamp, which lands
-    /// on the *same* stripe slots, so committed state is a pure function
-    /// of the committed transaction stream, independent of when delta
-    /// arenas filled up.
+    /// delta slots, version chains, row bytes and stripe cursors all
+    /// revert — before the error is surfaced. The caller reclaims and
+    /// re-executes under the *same* timestamp, which lands on the *same*
+    /// stripe slots, so committed state is a pure function of the
+    /// committed transaction stream, independent of when delta arenas
+    /// filled up.
     ///
     /// Timestamps must arrive in increasing order per instance (MVCC
     /// version chains require per-row monotone timestamps), which
@@ -1329,7 +1323,7 @@ impl TpccDb {
 
     /// The coordinator's abort decision for the scope prepared at `ts`:
     /// that scope's pinned undo records replay in reverse (delta slots,
-    /// chains, row bytes, index entries, stripe cursors all revert).
+    /// chains, row bytes, stripe cursors all revert).
     /// Returns the prepare's latency — the work was done and rolled
     /// back, exactly like a local [`DeltaFull`] abort. Other pending
     /// scopes are untouched (their rows and rings are disjoint by

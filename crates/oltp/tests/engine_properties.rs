@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use pushtap_chbench::{dec_u64, enc_u64, RemoteMix, Table, TxnGen};
 use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
-use pushtap_mvcc::{DeltaFull, InsertUndo, Ts, UndoLog, UndoRecord};
+use pushtap_mvcc::{DeltaFull, Ts, UndoLog, UndoRecord};
 use pushtap_oltp::{
     Breakdown, ColumnWrite, DbConfig, DbFormat, Effect, HtapTable, Meter, OpResult, TableConfig,
     TaggedEffect, TpccDb,
@@ -396,16 +396,12 @@ impl Scoped {
         val: u64,
         ts: Ts,
     ) -> Result<(), pushtap_mvcc::DeltaFull> {
-        let (key_existed, _) = self
-            .t
+        self.t
             .timed_insert_at(meter, row, &row_image(val), ts, Ps::ZERO)?;
         self.undo.record(UndoRecord {
             table: 0,
             row,
-            insert: Some(InsertUndo {
-                warehouse: 0,
-                key_existed,
-            }),
+            insert: Some(0),
         });
         Ok(())
     }
@@ -469,7 +465,7 @@ impl Scoped {
     /// commits once the insert succeeded, so the cursor never steps
     /// back here.)
     fn take_back(t: &mut HtapTable, rec: &UndoRecord) {
-        t.undo_write(rec.row, rec.insert.is_some_and(|i| !i.key_existed));
+        t.undo_write(rec.row);
     }
 
     fn abort(&mut self) {
@@ -638,10 +634,6 @@ struct Observed {
     reads: Vec<Vec<Vec<u8>>>,
     /// `snapshot_read` of every row.
     snapshot: Vec<Vec<Vec<u8>>>,
-    /// The hash index's chains: per bucket, the `(key, row)` entries in
-    /// probe order — not where the index keeps them, which an entry
-    /// parked on its free list by a rollback would change.
-    index: Vec<Vec<(u64, u64)>>,
     /// The insert-ring cursor.
     ring_cursor: u64,
     live_delta_rows: u64,
@@ -658,9 +650,6 @@ fn observe(s: &Scoped, mem: &mut MemSystem, meter: &Meter, upto: u64) -> Observe
             .map(|(row, ts)| reader.timed_read(mem, meter, row, ts, Ps::ZERO).0)
             .collect(),
         snapshot: (0..SCAN_ROWS).map(|row| t.snapshot_read(row)).collect(),
-        index: (0..t.index().bucket_count())
-            .map(|bucket| t.index().chain(bucket).collect())
-            .collect(),
         ring_cursor: s.ring,
         live_delta_rows: t.live_delta_rows(),
         commit_log_len: t.commit_log_len(),

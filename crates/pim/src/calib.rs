@@ -61,7 +61,9 @@ pub const MI_HBM_REBUILD_SPEEDUP: f64 = 4.1;
 // with these: computation 36.63 %, allocation 44.20 %, indexing 19.18 %
 // (paper: 36.65 / 44.10 / 19.25 %).
 
-/// CPU cycles of one hash-index probe or insert. Source: fit to
+/// CPU cycles of one hash-index probe or insert. The reproduction keys
+/// every row by its position, so it performs no probe: this constant is
+/// the whole price of the one the paper's executor makes. Source: fit to
 /// Fig. 11(c).
 pub const INDEX_CYCLES: u64 = 200;
 

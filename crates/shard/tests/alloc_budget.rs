@@ -24,10 +24,9 @@ static ALLOCATOR: Counting = Counting;
 const SHARDS: u32 = 2;
 const BATCHES: u64 = 10;
 const BATCH_TXNS: u64 = 250;
-/// Allocations allowed to build the 2 shards: 3 700 measured, plus 50
-/// for allocator-internal differences between toolchains (the count
-/// depends on no simulated value).
-const BUILD_BUDGET: u64 = 3_750;
+/// Allocations allowed to build the 2 shards: 3 652 measured, the same
+/// in dev and release builds, plus one.
+const BUILD_BUDGET: u64 = 3_653;
 /// Replayed records per allocation allowed in recovery's replay: 76
 /// measured over 4 148 records (one per 54.6) — the scan's, the
 /// decoder's and the replay's lists growing to a log's size — budget

@@ -151,13 +151,15 @@ const ROWS: &[Row] = &[
               out: the version chains keep no map or set.",
     },
     Row {
-        name: "index-keeps-no-bucket-vec",
-        paths: &["crates/oltp/src/index.rs"],
+        name: "no-positional-identity-index",
+        paths: &["crates/oltp/src", "crates/mvcc/src"],
         non_test: true,
-        check: Any(&["Vec<Vec<"]),
-        sample: "buckets: Vec<Vec<u32>>,",
-        why: "Row metadata is arrays indexed by the integers the engine hands \
-              out: the hash index keeps no `Vec` per bucket.",
+        check: Any(&["HashIndex", "key_existed"]),
+        sample: "index: HashIndex,",
+        why: "Rows are keyed by their position, so a key → row index would map \
+              each row to itself: the engine prices a probe \
+              (`Meter::indexing`) and keeps no index, and rollback has no key \
+              to restore.",
     },
     Row {
         name: "undo-and-coordinator-keep-no-map",
