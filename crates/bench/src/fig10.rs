@@ -80,13 +80,7 @@ pub fn measure(scale: f64) -> MeasuredParams {
         system,
     )
     .expect("build");
-    let mut gen = pushtap_chbench::TxnGen::new(
-        17,
-        mi.row_db.table(pushtap_chbench::Table::Warehouse).n_rows(),
-        mi.row_db.table(pushtap_chbench::Table::Customer).n_rows(),
-        mi.row_db.table(pushtap_chbench::Table::Item).n_rows(),
-        mi.row_db.table(pushtap_chbench::Table::Stock).n_rows(),
-    );
+    let mut gen = mi.row_db.txn_gen(17);
     let t0 = mi.now();
     for txn in gen.batch(1_000) {
         mi.execute_txn(&txn);

@@ -152,13 +152,7 @@ pub fn olap_consistency(scale: f64, checkpoints: &[u64], query: Query) -> Vec<Ol
         let mut db = db_config(scale, DbFormat::RowStore);
         db.min_delta_rows = 2 * max + 4096;
         let mut mi = MultiInstance::new(db, system).expect("build");
-        let mut gen = pushtap_chbench::TxnGen::new(
-            99,
-            mi.row_db.table(pushtap_chbench::Table::Warehouse).n_rows(),
-            mi.row_db.table(pushtap_chbench::Table::Customer).n_rows(),
-            mi.row_db.table(pushtap_chbench::Table::Item).n_rows(),
-            mi.row_db.table(pushtap_chbench::Table::Stock).n_rows(),
-        );
+        let mut gen = mi.row_db.txn_gen(99);
         for &cp in checkpoints {
             for txn in gen.batch(cp as usize) {
                 mi.execute_txn(&txn);

@@ -30,3 +30,12 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1))
         .cloned()
 }
+
+/// FNV-1a of `bytes`: with the length, the tests' pin on a renderer's
+/// exact output.
+#[cfg(test)]
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

@@ -21,7 +21,9 @@
 use std::fmt::Write as _;
 
 use pushtap_chbench::RemoteMix;
-use pushtap_shard::{ArrivalConfig, ArrivalGen, OpenLoopConfig, ShardConfig, ShardedHtap};
+use pushtap_shard::{
+    ArrivalConfig, ArrivalGen, OpenLoopConfig, OpenLoopReport, ShardConfig, ShardedHtap,
+};
 
 /// Offered-load fractions of measured closed-loop capacity: three
 /// points below the knee, two past it.
@@ -37,7 +39,7 @@ pub const WINDOW: usize = 32;
 
 /// One point of the sweep: one shard count at one offered-load
 /// fraction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct OpenLoopPoint {
     /// Shard count.
     pub shards: u32,
@@ -46,28 +48,9 @@ pub struct OpenLoopPoint {
     /// Measured closed-loop capacity (transactions per simulated
     /// second) this point's rate was derived from.
     pub capacity_tps: f64,
-    /// Offered arrival rate actually generated.
-    pub offered_tps: f64,
-    /// Committed throughput over the run's makespan.
-    pub throughput_tps: f64,
-    /// Arrivals admitted past the inbox bound.
-    pub admitted: u64,
-    /// Arrivals rejected at a full inbox.
-    pub rejected: u64,
-    /// `rejected / arrivals`.
-    pub rejection_rate: f64,
-    /// Sojourn-time quantiles (arrival → wave completion), picoseconds.
-    pub sojourn_p50: u64,
-    /// 99th-percentile sojourn, picoseconds.
-    pub sojourn_p99: u64,
-    /// 99.9th-percentile sojourn, picoseconds.
-    pub sojourn_p999: u64,
-    /// Mean inbox depth seen at admission.
-    pub queue_depth_mean: u64,
-    /// Deepest backlog any inbox held.
-    pub queue_depth_max: u64,
-    /// Waves the incremental scheduler dispatched.
-    pub waves: u64,
+    /// The run's report: arrivals, admissions and rejections, sojourn
+    /// and inbox-depth histograms, and the admitted stream's execution.
+    pub report: OpenLoopReport,
 }
 
 fn deployment(shards: u32) -> ShardedHtap {
@@ -97,22 +80,11 @@ pub fn run_point(shards: u32, capacity: f64, fraction: f64, txns: u64) -> OpenLo
         .with_remote_mix(RemoteMix::TPCC, warehouses);
     let mut arrivals = ArrivalGen::new(7, ArrivalConfig::poisson(rate_tps));
     let open = OpenLoopConfig::new(INBOX_DEPTH, WINDOW);
-    let rep = service.run_open_loop(&mut gen, &mut arrivals, txns, &open);
     OpenLoopPoint {
         shards,
         fraction,
         capacity_tps: capacity,
-        offered_tps: rep.offered_rate_tps(),
-        throughput_tps: rep.throughput_tps(),
-        admitted: rep.admitted(),
-        rejected: rep.rejected(),
-        rejection_rate: rep.rejection_rate(),
-        sojourn_p50: rep.sojourn_quantile(0.50),
-        sojourn_p99: rep.sojourn_quantile(0.99),
-        sojourn_p999: rep.sojourn_quantile(0.999),
-        queue_depth_mean: rep.inbox_depth.mean(),
-        queue_depth_max: rep.inbox_depth.max(),
-        waves: rep.exec.coord.waves,
+        report: service.run_open_loop(&mut gen, &mut arrivals, txns, &open),
     }
 }
 
@@ -146,21 +118,22 @@ fn print_table(points: &[OpenLoopPoint]) {
         "waves"
     );
     for p in points {
+        let r = &p.report;
         println!(
             "{:>6} {:>9.2} {:>12.0} {:>12.0} {:>9} {:>9} {:>7.2}% {:>12.1} {:>12.1} {:>12.1} {:>7} {:>7} {:>7}",
             p.shards,
             p.fraction,
-            p.offered_tps,
-            p.throughput_tps,
-            p.admitted,
-            p.rejected,
-            p.rejection_rate * 100.0,
-            p.sojourn_p50 as f64 / 1e3,
-            p.sojourn_p99 as f64 / 1e3,
-            p.sojourn_p999 as f64 / 1e3,
-            p.queue_depth_mean,
-            p.queue_depth_max,
-            p.waves,
+            r.offered_rate_tps(),
+            r.throughput_tps(),
+            r.admitted(),
+            r.rejected(),
+            r.rejection_rate() * 100.0,
+            r.sojourn_quantile(0.50) as f64 / 1e3,
+            r.sojourn_quantile(0.99) as f64 / 1e3,
+            r.sojourn_quantile(0.999) as f64 / 1e3,
+            r.inbox_depth.mean(),
+            r.inbox_depth.max(),
+            r.exec.coord.waves,
         );
     }
 }
@@ -178,21 +151,34 @@ pub fn render_json(txns: u64, points: &[OpenLoopPoint]) -> String {
     let _ = writeln!(out, "  \"points\": [");
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 == points.len() { "" } else { "," };
+        let r = &p.report;
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"shards\": {},", p.shards);
         let _ = writeln!(out, "      \"fraction\": {:.2},", p.fraction);
         let _ = writeln!(out, "      \"capacity_tps\": {:.1},", p.capacity_tps);
-        let _ = writeln!(out, "      \"offered_tps\": {:.1},", p.offered_tps);
-        let _ = writeln!(out, "      \"throughput_tps\": {:.1},", p.throughput_tps);
-        let _ = writeln!(out, "      \"admitted\": {},", p.admitted);
-        let _ = writeln!(out, "      \"rejected\": {},", p.rejected);
-        let _ = writeln!(out, "      \"rejection_rate\": {:.4},", p.rejection_rate);
-        let _ = writeln!(out, "      \"sojourn_p50_ps\": {},", p.sojourn_p50);
-        let _ = writeln!(out, "      \"sojourn_p99_ps\": {},", p.sojourn_p99);
-        let _ = writeln!(out, "      \"sojourn_p999_ps\": {},", p.sojourn_p999);
-        let _ = writeln!(out, "      \"queue_depth_mean\": {},", p.queue_depth_mean);
-        let _ = writeln!(out, "      \"queue_depth_max\": {},", p.queue_depth_max);
-        let _ = writeln!(out, "      \"waves\": {}", p.waves);
+        let _ = writeln!(out, "      \"offered_tps\": {:.1},", r.offered_rate_tps());
+        let _ = writeln!(out, "      \"throughput_tps\": {:.1},", r.throughput_tps());
+        let _ = writeln!(out, "      \"admitted\": {},", r.admitted());
+        let _ = writeln!(out, "      \"rejected\": {},", r.rejected());
+        let _ = writeln!(out, "      \"rejection_rate\": {:.4},", r.rejection_rate());
+        let _ = writeln!(
+            out,
+            "      \"sojourn_p50_ps\": {},",
+            r.sojourn_quantile(0.50)
+        );
+        let _ = writeln!(
+            out,
+            "      \"sojourn_p99_ps\": {},",
+            r.sojourn_quantile(0.99)
+        );
+        let _ = writeln!(
+            out,
+            "      \"sojourn_p999_ps\": {},",
+            r.sojourn_quantile(0.999)
+        );
+        let _ = writeln!(out, "      \"queue_depth_mean\": {},", r.inbox_depth.mean());
+        let _ = writeln!(out, "      \"queue_depth_max\": {},", r.inbox_depth.max());
+        let _ = writeln!(out, "      \"waves\": {}", r.exec.coord.waves);
         let _ = writeln!(out, "    }}{comma}");
     }
     let _ = writeln!(out, "  ]");
@@ -226,21 +212,23 @@ mod tests {
         let txns = 1200;
         let capacity = capacity_tps(2, txns);
         assert!(capacity > 0.0);
-        let low = run_point(2, capacity, 0.3, txns);
-        let high = run_point(2, capacity, 2.0, txns);
-        assert_eq!(low.rejected, 0, "sub-knee traffic must not reject");
-        assert!(high.rejected > 0, "2x overload must trip admission control");
-        assert!(high.rejection_rate > 0.0 && high.rejection_rate < 1.0);
+        let low = run_point(2, capacity, 0.3, txns).report;
+        let high = run_point(2, capacity, 2.0, txns).report;
+        assert_eq!(low.rejected(), 0, "sub-knee traffic must not reject");
+        assert!(
+            high.rejected() > 0,
+            "2x overload must trip admission control"
+        );
+        assert!(high.rejection_rate() > 0.0 && high.rejection_rate() < 1.0);
         // Past the knee the p99 sojourn must grow much faster than the
         // 6.7x offered-rate step — queueing, not service time.
+        let (high_p99, low_p99) = (high.sojourn_quantile(0.99), low.sojourn_quantile(0.99));
         assert!(
-            high.sojourn_p99 > 8 * low.sojourn_p99.max(1),
-            "p99 must blow up past the knee ({} vs {})",
-            high.sojourn_p99,
-            low.sojourn_p99
+            high_p99 > 8 * low_p99.max(1),
+            "p99 must blow up past the knee ({high_p99} vs {low_p99})"
         );
-        assert_eq!(low.admitted, txns);
-        assert_eq!(high.admitted + high.rejected, txns);
+        assert_eq!(low.admitted(), txns);
+        assert_eq!(high.admitted() + high.rejected(), txns);
     }
 
     /// The JSON document carries every contract key the CI smoke greps.
@@ -262,5 +250,11 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key}");
         }
+        // The exact bytes, so a format drift fails here and not only in
+        // a diff of the committed file.
+        assert_eq!(
+            (json.len(), crate::fnv(json.as_bytes())),
+            (548, 0xcef3_cb23_4164_f303)
+        );
     }
 }

@@ -30,80 +30,28 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use pushtap_chbench::RemoteMix;
+use pushtap_core::OltpReport;
 use pushtap_olap::Query;
 use pushtap_pim::Ps;
-use pushtap_shard::{ShardConfig, ShardedHtap};
-use pushtap_trace::{chrome, fmt_ps, two_pc_overlap_peak, LatencyStats, MemSink};
+use pushtap_shard::{ShardConfig, ShardOltpReport, ShardedHtap};
+use pushtap_trace::{chrome, fmt_ps, two_pc_overlap_peak, MemSink};
 
-/// The routed stream's outcome at one point.
-#[derive(Debug, Clone, Copy)]
-pub struct RoutedPoint {
-    /// Aggregate tpmC of the routed global stream.
-    pub routed_tpmc: f64,
-    /// Share of deployment busy time spent on 2PC message rounds
-    /// (critical-path based — never exceeds 1.0 under overlap).
-    pub two_pc_time_share: f64,
-    /// Sequential-delivery ledger of 2PC message latency.
-    pub two_pc_time: Ps,
-    /// Coordinator latency that actually landed on the shards' clocks:
-    /// 2PC message stalls (what is left of the ledger after a wave's
-    /// deliveries overlap, plus laggard-vote waits) and group-commit
-    /// force barriers ([`RoutedPoint::wal_force_time`]).
-    pub critical_path_time: Ps,
-    /// Waves dispatched.
-    pub waves: u64,
-    /// Transactions in the largest wave.
-    pub max_wave: u64,
-    /// Fraction of cross-shard 2PCs overlapped with another of their
-    /// wave.
-    pub overlap_ratio: f64,
-    /// Prepared scopes aborted by coordinator decisions (participant
-    /// `DeltaFull` votes).
-    pub participant_aborts: u64,
-    /// Realised parallel speedup of the routed batch (≤ shards).
-    pub parallel_efficiency: f64,
-    /// End-to-end commit-latency distribution of the routed batch
-    /// (p50/p90/p99/p999/max/mean in picoseconds), merged across shards.
-    pub commit_latency: LatencyStats,
-    /// Effect records appended to the per-shard WALs.
-    pub wal_appends: u64,
-    /// Group-commit force barriers across the per-shard effect logs.
-    pub wal_forces: u64,
-    /// Framed bytes appended to the per-shard effect logs.
-    pub wal_bytes: u64,
-    /// Force-barrier latency charged to the shards' critical paths.
-    pub wal_force_time: Ps,
-    /// Commit decisions appended to the coordinator decision log.
-    pub decision_appends: u64,
-    /// Decision-log syncs (≤ appends — waves amortize).
-    pub decision_forces: u64,
-    /// Durable syncs per committed transaction (effect-log forces plus
-    /// decision syncs over commits) — group commit drives this below
-    /// 1.0 under waves.
-    pub fsync_per_txn: f64,
-}
+/// Driving threads per shard for the tpmC conversion.
+const CORES: u32 = 16;
 
-/// One row of the shard-scaling table: the routed stream, the local
-/// upper bound and the query latencies.
-#[derive(Debug, Clone, Copy)]
+/// One row of the shard-scaling table: the routed batch's and the local
+/// streams' reports, and the query latencies.
+#[derive(Debug, Clone)]
 pub struct ShardPoint {
     /// Shard count.
     pub shards: u32,
-    /// Transactions committed (the routed batch + the local streams).
-    pub committed: u64,
-    /// Aggregate tpmC of perfectly-partitioned local streams.
-    pub local_tpmc: f64,
-    /// Fraction of routed transactions touching a remote shard (each
-    /// runs as a two-phase commit).
-    pub cross_shard_fraction: f64,
-    /// Effects applied on non-home shards during the routed batch.
-    pub forwarded_effects: u64,
-    /// Two-phase-commit message rounds charged during the routed batch
-    /// (the merged `two_pc_stall` count).
-    pub commit_rounds: u64,
-    /// The routed batch's outcome (the `"pipelined"` object of the JSON
-    /// report — a key kept so the file stays diffable across PRs).
-    pub routed: RoutedPoint,
+    /// The routed global stream's batch, effect WAL on (the
+    /// `"pipelined"` object of the JSON report — a key kept so the file
+    /// stays diffable across PRs).
+    pub routed: ShardOltpReport,
+    /// Perfectly-partitioned local streams: the no-coordination upper
+    /// bound.
+    pub local: ShardOltpReport,
     /// End-to-end scatter-gather Q1 latency.
     pub q1_latency: Ps,
     /// End-to-end scatter-gather Q6 latency.
@@ -112,64 +60,26 @@ pub struct ShardPoint {
     pub q9_latency: Ps,
 }
 
-fn run_routed(
-    shards: u32,
-    txns: u64,
-    cores: u32,
-    mix: RemoteMix,
-) -> (ShardedHtap, pushtap_shard::ShardOltpReport, RoutedPoint) {
-    let mut service = ShardedHtap::new(ShardConfig::small(shards)).expect("build shards");
-    let _wal = service.enable_wal();
-    let warehouses = service.map().warehouses();
-    let mut gen = service.global_txn_gen(42).with_remote_mix(mix, warehouses);
-    let routed = service.run_txns(&mut gen, txns);
-    let total = routed.merged();
-    let point = RoutedPoint {
-        routed_tpmc: routed.tpmc(cores),
-        two_pc_time_share: routed.two_pc_time_share(),
-        two_pc_time: total.two_pc_time,
-        critical_path_time: total.critical_path_time,
-        waves: routed.coord.waves,
-        max_wave: routed.coord.max_wave,
-        overlap_ratio: routed.overlap_ratio(),
-        participant_aborts: total.participant_aborts,
-        parallel_efficiency: routed.parallel_efficiency(),
-        commit_latency: total.commit_latency.stats(),
-        wal_appends: total.wal_appends,
-        wal_forces: total.wal_forces,
-        wal_bytes: total.wal_bytes,
-        wal_force_time: total.wal_force_time,
-        decision_appends: routed.coord.decision_appends,
-        decision_forces: routed.coord.decision_forces,
-        fsync_per_txn: routed.fsync_per_txn(),
-    };
-    (service, routed, point)
-}
-
 /// Runs the sweep under the given remote-warehouse mix: `txns` routed
 /// transactions (and the same count again as local streams) per shard
 /// count, then one scatter-gather pass of each query.
-pub fn sweep(shard_counts: &[u32], txns: u64, cores: u32, mix: RemoteMix) -> Vec<ShardPoint> {
+pub fn sweep(shard_counts: &[u32], txns: u64, mix: RemoteMix) -> Vec<ShardPoint> {
     shard_counts
         .iter()
         .map(|&shards| {
-            let (mut service, report, routed) = run_routed(shards, txns, cores, mix);
+            let mut service = ShardedHtap::new(ShardConfig::small(shards)).expect("build shards");
+            let _wal = service.enable_wal();
+            let warehouses = service.map().warehouses();
+            let mut gen = service.global_txn_gen(42).with_remote_mix(mix, warehouses);
+            let routed = service.run_txns(&mut gen, txns);
             let local = service.run_local_txns(43, txns / shards as u64);
-            let q1 = service.run_query(Query::Q1);
-            let q6 = service.run_query(Query::Q6);
-            let q9 = service.run_query(Query::Q9);
-            let total = report.merged();
             ShardPoint {
                 shards,
-                committed: report.committed() + local.committed(),
-                local_tpmc: local.tpmc(cores),
-                cross_shard_fraction: report.remote.cross_shard_fraction(),
-                forwarded_effects: total.forwarded_effects,
-                commit_rounds: total.two_pc_stall.count(),
                 routed,
-                q1_latency: q1.total(),
-                q6_latency: q6.total(),
-                q9_latency: q9.total(),
+                local,
+                q1_latency: service.run_query(Query::Q1).total(),
+                q6_latency: service.run_query(Query::Q6).total(),
+                q9_latency: service.run_query(Query::Q9).total(),
             }
         })
         .collect()
@@ -205,19 +115,21 @@ fn print_table(label: &str, points: &[ShardPoint]) {
         "Q9"
     );
     for p in points {
+        let r = &p.routed;
+        let latency = r.merged().commit_latency.stats();
         println!(
             "{:>6} {:>12.0} {:>12.0} {:>7.1}% {:>6} {:>5} {:>7.1}% {:>8.2}% {:>9.3} {:>9} {:>9} {:>10} {:>10} {:>10}",
             p.shards,
-            p.routed.routed_tpmc,
-            p.local_tpmc,
-            p.cross_shard_fraction * 100.0,
-            p.routed.waves,
-            p.routed.max_wave,
-            p.routed.overlap_ratio * 100.0,
-            p.routed.two_pc_time_share * 100.0,
-            p.routed.fsync_per_txn,
-            fmt_ps(p.routed.commit_latency.p50),
-            fmt_ps(p.routed.commit_latency.p99),
+            r.tpmc(CORES),
+            p.local.tpmc(CORES),
+            r.remote.cross_shard_fraction() * 100.0,
+            r.coord.waves,
+            r.coord.max_wave,
+            r.overlap_ratio() * 100.0,
+            r.two_pc_time_share() * 100.0,
+            r.fsync_per_txn(),
+            fmt_ps(latency.p50),
+            fmt_ps(latency.p99),
             p.q1_latency,
             p.q6_latency,
             p.q9_latency,
@@ -230,11 +142,10 @@ fn print_table(label: &str, points: &[ShardPoint]) {
 fn sweep_all(
     shard_counts: &[u32],
     txns: u64,
-    cores: u32,
 ) -> Vec<(&'static str, &'static str, Vec<ShardPoint>)> {
     MIXES
         .iter()
-        .map(|&(mix, key, label)| (key, label, sweep(shard_counts, txns, cores, mix)))
+        .map(|&(mix, key, label)| (key, label, sweep(shard_counts, txns, mix)))
         .collect()
 }
 
@@ -246,7 +157,7 @@ fn print_header() {
 /// Prints the shard-scaling tables, one per remote-warehouse mix.
 pub fn print_all() {
     print_header();
-    for (_, label, points) in sweep_all(&[1, 2, 4, 8], 400, 16) {
+    for (_, label, points) in sweep_all(&[1, 2, 4, 8], 400) {
         print_table(label, &points);
     }
 }
@@ -256,7 +167,7 @@ pub fn print_all() {
 /// must not run twice).
 pub fn print_and_write_json() -> std::io::Result<()> {
     print_header();
-    let all = sweep_all(&[1, 2, 4, 8], 400, 16);
+    let all = sweep_all(&[1, 2, 4, 8], 400);
     for (_, label, points) in &all {
         print_table(label, points);
     }
@@ -266,7 +177,10 @@ pub fn print_and_write_json() -> std::io::Result<()> {
     Ok(())
 }
 
-fn json_routed(out: &mut String, point: &RoutedPoint) {
+/// Writes the routed batch's `"pipelined"` object; `total` is its
+/// [`ShardOltpReport::merged`].
+fn json_routed(out: &mut String, routed: &ShardOltpReport, total: &OltpReport) {
+    let latency = total.commit_latency.stats();
     let _ = write!(
         out,
         "{{\"routed_tpmc\":{:.1},\"two_pc_time_share\":{:.6},\"two_pc_time_ps\":{},\
@@ -276,27 +190,27 @@ fn json_routed(out: &mut String, point: &RoutedPoint) {
          \"commit_mean_ps\":{},\"commit_max_ps\":{},\
          \"wal_appends\":{},\"wal_forces\":{},\"wal_bytes\":{},\"wal_force_time_ps\":{},\
          \"decision_appends\":{},\"decision_forces\":{},\"fsync_per_txn\":{:.6}}}",
-        point.routed_tpmc,
-        point.two_pc_time_share,
-        point.two_pc_time.ps(),
-        point.critical_path_time.ps(),
-        point.waves,
-        point.max_wave,
-        point.overlap_ratio,
-        point.participant_aborts,
-        point.parallel_efficiency,
-        point.commit_latency.p50,
-        point.commit_latency.p99,
-        point.commit_latency.p999,
-        point.commit_latency.mean,
-        point.commit_latency.max,
-        point.wal_appends,
-        point.wal_forces,
-        point.wal_bytes,
-        point.wal_force_time.ps(),
-        point.decision_appends,
-        point.decision_forces,
-        point.fsync_per_txn,
+        routed.tpmc(CORES),
+        routed.two_pc_time_share(),
+        total.two_pc_time.ps(),
+        total.critical_path_time.ps(),
+        routed.coord.waves,
+        routed.coord.max_wave,
+        routed.overlap_ratio(),
+        total.participant_aborts,
+        routed.parallel_efficiency(),
+        latency.p50,
+        latency.p99,
+        latency.p999,
+        latency.mean,
+        latency.max,
+        total.wal_appends,
+        total.wal_forces,
+        total.wal_bytes,
+        total.wal_force_time.ps(),
+        routed.coord.decision_appends,
+        routed.coord.decision_forces,
+        routed.fsync_per_txn(),
     );
 }
 
@@ -311,6 +225,7 @@ fn render_json(all: &[(&'static str, &'static str, Vec<ShardPoint>)]) -> String 
                 out.push_str(",\n");
             }
             first = false;
+            let total = p.routed.merged();
             let _ = write!(
                 out,
                 "    {{\"mix\":\"{mix_key}\",\"shards\":{},\"committed\":{},\
@@ -318,16 +233,16 @@ fn render_json(all: &[(&'static str, &'static str, Vec<ShardPoint>)]) -> String 
                  \"forwarded_effects\":{},\"commit_rounds\":{},\
                  \"q1_ps\":{},\"q6_ps\":{},\"q9_ps\":{},\"pipelined\":",
                 p.shards,
-                p.committed,
-                p.local_tpmc,
-                p.cross_shard_fraction,
-                p.forwarded_effects,
-                p.commit_rounds,
+                p.routed.committed() + p.local.committed(),
+                p.local.tpmc(CORES),
+                p.routed.remote.cross_shard_fraction(),
+                total.forwarded_effects,
+                total.two_pc_stall.count(),
                 p.q1_latency.ps(),
                 p.q6_latency.ps(),
                 p.q9_latency.ps(),
             );
-            json_routed(&mut out, &p.routed);
+            json_routed(&mut out, &p.routed, &total);
             out.push('}');
         }
     }
@@ -391,28 +306,29 @@ mod tests {
 
     #[test]
     fn local_throughput_scales_with_shards() {
-        let points = sweep(&[1, 4], 120, 16, RemoteMix::Uniform);
+        let points = sweep(&[1, 4], 120, RemoteMix::Uniform);
         assert_eq!(points.len(), 2);
-        let (one, four) = (points[0], points[1]);
+        let (one, four) = (&points[0], &points[1]);
         assert_eq!(one.shards, 1);
-        assert!(one.committed > 0 && four.committed > 0);
+        let committed = |p: &ShardPoint| p.routed.committed() + p.local.committed();
+        assert!(committed(one) > 0 && committed(four) > 0);
         // Perfectly-partitioned load on 4 engines must beat 1 engine by
         // a clear margin (4× minus skew; accept > 2×).
+        let (one_local, four_local) = (one.local.tpmc(CORES), four.local.tpmc(CORES));
         assert!(
-            four.local_tpmc > one.local_tpmc * 2.0,
-            "local tpmC {} vs {}",
-            four.local_tpmc,
-            one.local_tpmc
+            four_local > one_local * 2.0,
+            "local tpmC {four_local} vs {one_local}"
         );
         // A single shard sees no cross-shard traffic and runs no 2PC;
         // four shards must do both.
-        assert_eq!(one.cross_shard_fraction, 0.0);
-        assert_eq!(one.forwarded_effects, 0);
-        assert_eq!(one.commit_rounds, 0);
-        assert!(four.cross_shard_fraction > 0.5);
-        assert!(four.forwarded_effects > 0);
-        assert!(four.commit_rounds > 0);
-        assert!(four.routed.two_pc_time_share > 0.0);
+        let (one_total, four_total) = (one.routed.merged(), four.routed.merged());
+        assert_eq!(one.routed.remote.cross_shard_fraction(), 0.0);
+        assert_eq!(one_total.forwarded_effects, 0);
+        assert_eq!(one_total.two_pc_stall.count(), 0);
+        assert!(four.routed.remote.cross_shard_fraction() > 0.5);
+        assert!(four_total.forwarded_effects > 0);
+        assert!(four_total.two_pc_stall.count() > 0);
+        assert!(four.routed.two_pc_time_share() > 0.0);
     }
 
     /// The TPC-C remote rates cut cross-shard coordination by an order
@@ -420,25 +336,27 @@ mod tests {
     /// mix never fires 2PC at all.
     #[test]
     fn remote_mixes_order_two_pc_cost() {
-        let local = sweep(&[4], 150, 16, RemoteMix::LOCAL);
-        let tpcc = sweep(&[4], 150, 16, RemoteMix::TPCC);
-        let uniform = sweep(&[4], 150, 16, RemoteMix::Uniform);
-        assert_eq!(local[0].cross_shard_fraction, 0.0);
-        assert_eq!(local[0].forwarded_effects, 0);
-        assert_eq!(local[0].routed.two_pc_time_share, 0.0);
+        let [local, tpcc, uniform] = [RemoteMix::LOCAL, RemoteMix::TPCC, RemoteMix::Uniform]
+            .map(|mix| sweep(&[4], 150, mix).remove(0).routed);
+        let cross = |r: &ShardOltpReport| r.remote.cross_shard_fraction();
+        let (local_total, tpcc_total, uniform_total) =
+            (local.merged(), tpcc.merged(), uniform.merged());
+        assert_eq!(cross(&local), 0.0);
+        assert_eq!(local_total.forwarded_effects, 0);
+        assert_eq!(local.two_pc_time_share(), 0.0);
         assert!(
-            tpcc[0].cross_shard_fraction < uniform[0].cross_shard_fraction * 0.5,
+            cross(&tpcc) < cross(&uniform) * 0.5,
             "TPC-C {} vs uniform {}",
-            tpcc[0].cross_shard_fraction,
-            uniform[0].cross_shard_fraction
+            cross(&tpcc),
+            cross(&uniform)
         );
         // ~48.9% of txns are Payments at 15% remote, plus NewOrders with
         // ≥5 lines at 1%: expect a low-but-nonzero cross-shard rate.
-        assert!(tpcc[0].cross_shard_fraction > 0.0);
-        assert!(tpcc[0].cross_shard_fraction < 0.35);
-        assert!(tpcc[0].forwarded_effects > 0);
-        assert!(tpcc[0].forwarded_effects < uniform[0].forwarded_effects);
-        assert!(tpcc[0].commit_rounds < uniform[0].commit_rounds);
+        assert!(cross(&tpcc) > 0.0);
+        assert!(cross(&tpcc) < 0.35);
+        assert!(tpcc_total.forwarded_effects > 0);
+        assert!(tpcc_total.forwarded_effects < uniform_total.forwarded_effects);
+        assert!(tpcc_total.two_pc_stall.count() < uniform_total.two_pc_stall.count());
     }
 
     /// At ≥ 4 shards under the cross-shard-heavy mixes the schedule
@@ -446,11 +364,11 @@ mod tests {
     #[test]
     fn waves_overlap_two_pcs() {
         for mix in [RemoteMix::TPCC, RemoteMix::Uniform] {
-            for p in sweep(&[4, 8], 150, 16, mix) {
-                let r = p.routed;
-                assert!(r.overlap_ratio > 0.0, "{} shards", p.shards);
-                assert!(r.waves > 0 && r.max_wave > 1);
-                assert!(r.two_pc_time_share <= 1.0);
+            for p in sweep(&[4, 8], 150, mix) {
+                let r = &p.routed;
+                assert!(r.overlap_ratio() > 0.0, "{} shards", p.shards);
+                assert!(r.coord.waves > 0 && r.coord.max_wave > 1);
+                assert!(r.two_pc_time_share() <= 1.0);
             }
         }
     }
@@ -459,7 +377,7 @@ mod tests {
     /// numbers.
     #[test]
     fn json_report_lists_every_point() {
-        let json = render_json(&sweep_all(&[1, 2], 60, 16));
+        let json = render_json(&sweep_all(&[1, 2], 60));
         assert!(json.contains("\"bench\": \"shard_scale\""));
         for mix in ["local", "tpcc", "uniform"] {
             assert!(
@@ -480,6 +398,12 @@ mod tests {
         // Balanced braces — cheap well-formedness check without a
         // JSON parser in the dependency-free build.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        // The exact bytes, so a format drift fails here and not only in
+        // a diff of the committed file.
+        assert_eq!(
+            (json.len(), crate::fnv(json.as_bytes())),
+            (4_212, 0xf537_d7f3_cae8_0a8b)
+        );
     }
 
     /// The durability acceptance number: every sweep runs with the
@@ -489,32 +413,32 @@ mod tests {
     /// touches the decision log.
     #[test]
     fn group_commit_amortizes_under_waves() {
-        for p in sweep(&[4, 8], 150, 16, RemoteMix::Uniform) {
-            let r = p.routed;
-            assert!(r.wal_appends > 0 && r.wal_forces > 0 && r.wal_bytes > 0);
+        for p in sweep(&[4, 8], 150, RemoteMix::Uniform) {
+            let (r, total) = (&p.routed, p.routed.merged());
+            assert!(total.wal_appends > 0 && total.wal_forces > 0 && total.wal_bytes > 0);
             assert!(
-                r.fsync_per_txn < 1.0,
+                r.fsync_per_txn() < 1.0,
                 "{} shards: fsync/txn {:.3} must stay below 1",
                 p.shards,
-                r.fsync_per_txn
+                r.fsync_per_txn()
             );
             // Presumed abort: one durable decision per cross-shard
             // commit, synced at most once per decision.
-            assert!(r.decision_appends > 0);
-            assert!(r.decision_forces <= r.decision_appends);
-            assert!(r.wal_force_time > Ps::ZERO);
+            assert!(r.coord.decision_appends > 0);
+            assert!(r.coord.decision_forces <= r.coord.decision_appends);
+            assert!(total.wal_force_time > Ps::ZERO);
         }
-        let local = sweep(&[4], 100, 16, RemoteMix::LOCAL);
-        assert_eq!(local[0].routed.decision_appends, 0);
-        assert!(local[0].routed.wal_appends > 0);
+        let local = &sweep(&[4], 100, RemoteMix::LOCAL)[0].routed;
+        assert_eq!(local.coord.decision_appends, 0);
+        assert!(local.merged().wal_appends > 0);
     }
 
     /// Commit-latency percentiles are populated and ordered on a routed
     /// sweep point.
     #[test]
     fn sweep_reports_ordered_commit_percentiles() {
-        let points = sweep(&[2], 80, 16, RemoteMix::Uniform);
-        let s = points[0].routed.commit_latency;
+        let points = sweep(&[2], 80, RemoteMix::Uniform);
+        let s = points[0].routed.merged().commit_latency.stats();
         assert_eq!(s.count, 80, "one sample per committed txn");
         assert!(s.p50 > 0);
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999);
@@ -536,12 +460,6 @@ mod tests {
         );
     }
 
-    fn fnv(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
     /// The 8-shard uniform-mix timeline `shard_scale -- --trace <path>`
     /// writes, pinned by its byte length and FNV-1a hash: any change to
     /// a span, its timestamps or the renderer moves one of them.
@@ -549,7 +467,7 @@ mod tests {
     fn eight_shard_trace_is_pinned() {
         let (doc, wave, peak) = render_trace(8, 240);
         assert_eq!(
-            (doc.len(), fnv(doc.as_bytes())),
+            (doc.len(), crate::fnv(doc.as_bytes())),
             (633_842, 0xea8b_d972_d36d_dca4)
         );
         assert_eq!((wave, peak), (2, 15));

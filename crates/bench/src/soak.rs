@@ -25,10 +25,10 @@
 use std::fmt::Write as _;
 
 use pushtap_chbench::RemoteMix;
-use pushtap_core::{tpmc, GcStats};
+use pushtap_core::{tpmc, OltpReport};
 use pushtap_pim::Ps;
 use pushtap_shard::{ShardConfig, ShardedHtap};
-use pushtap_trace::{fmt_ps, Histogram, LatencyStats};
+use pushtap_trace::fmt_ps;
 
 /// Shards in the soak deployment.
 const SHARDS: u32 = 2;
@@ -57,21 +57,16 @@ pub struct SoakRun {
     pub label: &'static str,
     /// Gauge samples, one per slice boundary.
     pub samples: Vec<SoakSample>,
-    /// Transactions committed (the whole stream, every time).
-    pub committed: u64,
+    /// Every slice's report folded into one by [`OltpReport::merge`]:
+    /// commits (the whole stream, every time), `DeltaFull` aborts (must
+    /// stay 0 — the arenas are sized so neither configuration ever
+    /// reclaims under pressure), GC counters (zero everywhere for
+    /// `no_gc`), busy and GC time, and the commit-latency distribution.
+    /// Its GC gauges sum every slice's sample; [`SoakRun::samples`] holds
+    /// them one by one.
+    pub report: OltpReport,
     /// Aggregate throughput over the summed slice makespans.
     pub tpmc: f64,
-    /// End-to-end commit-latency distribution, merged over the run.
-    pub commit_latency: LatencyStats,
-    /// Merged GC counters (zero everywhere for `no_gc`).
-    pub gc: GcStats,
-    /// GC time as a share of total busy time.
-    pub gc_time_share: f64,
-    /// `DeltaFull` aborts (must stay 0 — the arenas are sized so
-    /// neither configuration ever reclaims under pressure).
-    pub aborts: u64,
-    /// Final live-version gauge.
-    pub final_live: u64,
     /// Median live-version gauge over the steady-state (second) half of
     /// the run.
     pub median_live: u64,
@@ -81,6 +76,21 @@ pub struct SoakRun {
 }
 
 impl SoakRun {
+    /// Final live-version gauge.
+    pub fn final_live(&self) -> u64 {
+        self.samples.last().map_or(0, |s| s.live_versions)
+    }
+
+    /// GC time as a share of total busy time.
+    pub fn gc_time_share(&self) -> f64 {
+        let busy = self.report.total_time();
+        if busy == Ps::ZERO {
+            0.0
+        } else {
+            self.report.gc_time.ps() as f64 / busy.ps() as f64
+        }
+    }
+
     /// The boundedness acceptance: the final gauge within 2× of the
     /// steady-state median, *and* the steady-state median within 2× of
     /// the warm-up median. A GC plateau satisfies both; steady linear
@@ -88,7 +98,7 @@ impl SoakRun {
     /// its first-half median) even though its final-over-median ratio
     /// alone would look tame.
     pub fn bounded(&self) -> bool {
-        self.final_live <= 2 * self.median_live.max(1)
+        self.final_live() <= 2 * self.median_live.max(1)
             && self.median_live <= 2 * self.early_median_live.max(1)
     }
 
@@ -126,34 +136,19 @@ pub fn run_soak(total_txns: u64, gc: bool) -> SoakRun {
         .with_remote_mix(RemoteMix::TPCC, warehouses);
     let slice = (total_txns / SLICES).max(1);
     let mut samples = Vec::with_capacity(SLICES as usize);
-    let mut committed = 0u64;
+    let mut report = OltpReport::default();
     let mut makespan = Ps::ZERO;
-    let mut busy = Ps::ZERO;
-    let mut gc_time = Ps::ZERO;
-    let mut latency = Histogram::new();
-    let mut stats = GcStats::default();
-    let mut aborts = 0u64;
-    while committed < total_txns {
-        let n = slice.min(total_txns - committed);
-        let report = service.run_txns(&mut gen, n);
-        assert_eq!(report.committed(), n, "soak batches must commit whole");
-        committed += n;
-        makespan += report.makespan();
-        busy += report
-            .per_shard
-            .iter()
-            .map(|s| s.report.total_time())
-            .sum::<Ps>();
-        let total = report.merged();
-        gc_time += total.gc_time;
-        latency.merge(&total.commit_latency);
-        stats.merge(&total.gc);
-        aborts += total.aborts;
-        let g = total.gc;
+    while report.committed < total_txns {
+        let n = slice.min(total_txns - report.committed);
+        let batch = service.run_txns(&mut gen, n);
+        assert_eq!(batch.committed(), n, "soak batches must commit whole");
+        makespan += batch.makespan();
+        let total = batch.merged();
+        report.merge(&total);
         samples.push(SoakSample {
-            txns: committed,
-            live_versions: g.live_versions,
-            commit_log_len: g.commit_log_len,
+            txns: report.committed,
+            live_versions: total.gc.live_versions,
+            commit_log_len: total.gc.commit_log_len,
         });
     }
     let median = |window: &[SoakSample]| {
@@ -161,25 +156,13 @@ pub fn run_soak(total_txns: u64, gc: bool) -> SoakRun {
         lives.sort_unstable();
         lives[lives.len() / 2]
     };
-    let median_live = median(&samples[samples.len() / 2..]);
-    let early_median_live = median(&samples[..(samples.len() / 2).max(1)]);
-    let final_live = samples.last().map_or(0, |s| s.live_versions);
     SoakRun {
         label: if gc { "gc" } else { "no_gc" },
+        median_live: median(&samples[samples.len() / 2..]),
+        early_median_live: median(&samples[..(samples.len() / 2).max(1)]),
         samples,
-        committed,
-        tpmc: tpmc(committed, makespan, CORES),
-        commit_latency: latency.stats(),
-        gc_time_share: if busy == Ps::ZERO {
-            0.0
-        } else {
-            gc_time.ps() as f64 / busy.ps() as f64
-        },
-        gc: stats,
-        aborts,
-        final_live,
-        median_live,
-        early_median_live,
+        tpmc: tpmc(report.committed, makespan, CORES),
+        report,
     }
 }
 
@@ -189,27 +172,31 @@ pub fn run_both(total_txns: u64) -> (SoakRun, SoakRun) {
 }
 
 fn print_run(run: &SoakRun) {
+    let latency = run.report.commit_latency.stats();
+    let gc = &run.report.gc;
     println!(
         "{:>6}: tpmC {:>10.0}  p50 {:>9}  p99 {:>9}  gc passes {:>5}  reclaimed {:>7}  \
          trimmed {:>7}  gc share {:>6.3}%  live early/steady/final {:>7}/{:>7}/{:>7} \
          ({:.2}x, bounded: {})",
         run.label,
         run.tpmc,
-        fmt_ps(run.commit_latency.p50),
-        fmt_ps(run.commit_latency.p99),
-        run.gc.passes,
-        run.gc.versions_reclaimed,
-        run.gc.log_trimmed,
-        run.gc_time_share * 100.0,
+        fmt_ps(latency.p50),
+        fmt_ps(latency.p99),
+        gc.passes,
+        gc.versions_reclaimed,
+        gc.log_trimmed,
+        run.gc_time_share() * 100.0,
         run.early_median_live,
         run.median_live,
-        run.final_live,
+        run.final_live(),
         run.growth_ratio(),
         run.bounded(),
     );
 }
 
 fn json_run(out: &mut String, run: &SoakRun) {
+    let latency = run.report.commit_latency.stats();
+    let gc = &run.report.gc;
     let _ = write!(
         out,
         "{{\"label\":\"{}\",\"committed\":{},\"tpmc\":{:.1},\
@@ -222,20 +209,20 @@ fn json_run(out: &mut String, run: &SoakRun) {
          \"final_commit_log\":{},\"growth_ratio\":{:.3},\"bounded\":{},\
          \"samples\":[",
         run.label,
-        run.committed,
+        run.report.committed,
         run.tpmc,
-        run.commit_latency.p50,
-        run.commit_latency.p99,
-        run.commit_latency.p999,
-        run.gc.passes,
-        run.gc.versions_reclaimed,
-        run.gc.slots_recycled,
-        run.gc.log_trimmed,
-        run.gc.chain_steps,
-        run.gc.bytes_copied,
-        run.gc_time_share,
-        run.aborts,
-        run.final_live,
+        latency.p50,
+        latency.p99,
+        latency.p999,
+        gc.passes,
+        gc.versions_reclaimed,
+        gc.slots_recycled,
+        gc.log_trimmed,
+        gc.chain_steps,
+        gc.bytes_copied,
+        run.gc_time_share(),
+        run.report.aborts,
+        run.final_live(),
         run.median_live,
         run.early_median_live,
         run.samples.last().map_or(0, |s| s.commit_log_len),
@@ -282,28 +269,31 @@ pub fn print_and_write_json(total_txns: u64) -> std::io::Result<()> {
     print_run(&gc);
     print_run(&no_gc);
     assert_eq!(
-        gc.aborts, 0,
+        gc.report.aborts, 0,
         "soak arenas must never reclaim under pressure"
     );
-    assert_eq!(no_gc.aborts, 0, "control arenas must never reclaim at all");
-    assert!(gc.gc.passes > 0, "the gc run must collect");
-    assert_eq!(no_gc.gc.passes, 0, "the control must not collect");
+    assert_eq!(
+        no_gc.report.aborts, 0,
+        "control arenas must never reclaim at all"
+    );
+    assert!(gc.report.gc.passes > 0, "the gc run must collect");
+    assert_eq!(no_gc.report.gc.passes, 0, "the control must not collect");
     assert!(
         gc.bounded(),
         "gc live versions must plateau (early/steady/final {}/{}/{})",
         gc.early_median_live,
         gc.median_live,
-        gc.final_live
+        gc.final_live()
     );
     assert!(
         !no_gc.bounded(),
         "the control must grow unboundedly (early/steady/final {}/{}/{})",
         no_gc.early_median_live,
         no_gc.median_live,
-        no_gc.final_live
+        no_gc.final_live()
     );
     assert!(
-        no_gc.final_live > 2 * gc.final_live.max(1),
+        no_gc.final_live() > 2 * gc.final_live().max(1),
         "the control must grow past the collected run"
     );
     let path = "BENCH_soak.json";
@@ -319,19 +309,29 @@ mod tests {
     #[test]
     fn small_soak_bounds_gc_and_not_control() {
         let (gc, no_gc) = run_both(2_000);
-        assert_eq!(gc.committed, 2_000);
-        assert!(gc.gc.passes > 0, "gc run must collect");
-        assert_eq!(no_gc.gc.passes, 0, "control must not collect");
-        assert_eq!(gc.aborts + no_gc.aborts, 0, "no pressure reclamation");
+        assert_eq!(gc.report.committed, 2_000);
+        assert!(gc.report.gc.passes > 0, "gc run must collect");
+        assert_eq!(no_gc.report.gc.passes, 0, "control must not collect");
+        assert_eq!(
+            gc.report.aborts + no_gc.report.aborts,
+            0,
+            "no pressure reclamation"
+        );
         assert!(gc.bounded(), "gc gauge must plateau");
         assert!(!no_gc.bounded(), "control gauge must keep growing");
         assert!(
-            no_gc.final_live > gc.final_live,
+            no_gc.final_live() > gc.final_live(),
             "control must hold more garbage"
         );
         let json = render_json(&gc, &no_gc);
         assert!(json.contains("\"bench\": \"soak\""));
         assert!(json.contains("\"bounded\":true"));
         assert!(json.contains("\"label\":\"no_gc\""));
+        // The exact bytes, so a format drift fails here and not only in
+        // a diff of the committed file.
+        assert_eq!(
+            (json.len(), crate::fnv(json.as_bytes())),
+            (3_222, 0xa438_0965_5851_24f9)
+        );
     }
 }

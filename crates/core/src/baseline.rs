@@ -50,41 +50,65 @@ impl IdealModel {
 
     /// Ideal execution time of one of the three evaluation queries over a
     /// population scaled by `scale` (columns compact, CPU coordination
-    /// identical to the real engine's task division).
+    /// identical to the real engine's task division). Each scan reads
+    /// the schema's width of the column the real query scans.
     pub fn query_time(&self, query: Query, scale: f64, mem: &mut MemSystem, at: Ps) -> Ps {
         let ol = Table::OrderLine.rows_at_scale(scale);
         let it = Table::Item.rows_at_scale(scale);
+        let (date, number, quantity, amount) = (
+            width(Table::OrderLine, "ol_delivery_d"),
+            width(Table::OrderLine, "ol_number"),
+            width(Table::OrderLine, "ol_quantity"),
+            width(Table::OrderLine, "ol_amount"),
+        );
         let units = self.engine.units();
         let mut s = QuerySteps::new(&self.engine, mem, self.cpu, at);
         let timing = match query {
             Query::Q6 => {
-                self.column_scan(&mut s, ol, 8, PimOpKind::Filter);
-                self.column_scan(&mut s, ol, 2, PimOpKind::Filter);
-                self.column_scan(&mut s, ol, 8, PimOpKind::Aggregate);
+                self.column_scan(&mut s, ol, date, PimOpKind::Filter);
+                self.column_scan(&mut s, ol, quantity, PimOpKind::Filter);
+                self.column_scan(&mut s, ol, amount, PimOpKind::Aggregate);
                 s.gather(units * 8, units)
             }
             Query::Q1 => {
-                self.column_scan(&mut s, ol, 8, PimOpKind::Filter);
-                self.column_scan(&mut s, ol, 1, PimOpKind::Group);
+                self.column_scan(&mut s, ol, date, PimOpKind::Filter);
+                self.column_scan(&mut s, ol, number, PimOpKind::Group);
                 // Group-index shuffle: one index byte per row (§6.3).
                 s.shuffle(ol);
-                self.column_scan(&mut s, ol, 2, PimOpKind::Aggregate);
-                self.column_scan(&mut s, ol, 8, PimOpKind::Aggregate);
+                self.column_scan(&mut s, ol, quantity, PimOpKind::Aggregate);
+                self.column_scan(&mut s, ol, amount, PimOpKind::Aggregate);
                 s.gather(units * Q1_GROUPS * 3, units * Q1_GROUPS)
             }
             Query::Q9 => {
-                self.column_scan(&mut s, it, 4, PimOpKind::Hash);
-                self.column_scan(&mut s, ol, 4, PimOpKind::Hash);
+                let item_id = width(Table::Item, "i_id");
+                let line_item_id = width(Table::OrderLine, "ol_i_id");
+                self.column_scan(&mut s, it, item_id, PimOpKind::Hash);
+                self.column_scan(&mut s, ol, line_item_id, PimOpKind::Hash);
                 // Hash fetch + bucket partition + transfer back (§6.3),
-                // then the join over both compact hash columns.
+                // then the join over both compact columns of 4-byte
+                // hash values.
                 s.partition(it + ol);
                 self.column_scan(&mut s, it + ol, 4, PimOpKind::Join);
-                self.column_scan(&mut s, ol, 8, PimOpKind::Aggregate);
+                self.column_scan(&mut s, ol, amount, PimOpKind::Aggregate);
                 s.gather(units * Q9_GROUPS * 8, units * Q9_GROUPS)
             }
         };
         timing.end
     }
+}
+
+/// The width of `table`'s column `name`, from [`Table::columns`].
+///
+/// # Panics
+///
+/// Panics if `table` has no such column.
+fn width(table: Table, name: &str) -> u32 {
+    table
+        .columns()
+        .iter()
+        .find(|&&(column, _)| column == name)
+        .map(|&(_, width)| width)
+        .unwrap_or_else(|| panic!("{} has no column {name}", table.name()))
 }
 
 /// The multi-instance baseline.

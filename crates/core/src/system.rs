@@ -441,19 +441,10 @@ impl Pushtap {
         &self.defrag_cost
     }
 
-    /// A transaction generator for this instance: home warehouses drawn
-    /// from the warehouse range the instance *owns*, customer/item/stock
-    /// indices from the global populations. On an unpartitioned instance
-    /// this is the whole population; on a shard it is the shard's own
-    /// load (foreign home warehouses never appear).
+    /// This instance's transaction generator, [`TpccDb::txn_gen`]: its
+    /// own warehouses' load over the global populations.
     pub fn txn_gen(&self, seed: u64) -> TxnGen {
-        TxnGen::with_warehouse_range(
-            seed,
-            self.db.warehouse_range(),
-            self.db.global_rows_of(Table::Customer),
-            self.db.global_rows_of(Table::Item),
-            self.db.global_rows_of(Table::Stock),
-        )
+        self.db.txn_gen(seed)
     }
 
     /// Executes one transaction under the next timestamp of this

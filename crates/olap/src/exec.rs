@@ -8,7 +8,9 @@
 //! per-unit messaging and keeps the banks for the whole offload.
 
 use pushtap_oltp::HtapTable;
-use pushtap_pim::{ControlArch, ControlModel, MemSystem, PimOpKind, PimUnit, Ps, SystemConfig};
+use pushtap_pim::{
+    even_shares, ControlArch, ControlModel, MemSystem, PimOpKind, PimUnit, Ps, SystemConfig,
+};
 
 /// Timing outcome of one column scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -177,19 +179,13 @@ impl ScanEngine {
         let g = geometry.granularity;
         let rows = table.n_rows();
         let shards = &table.config().shards;
-        let n = shards.len() as u64;
         let mut end = at;
         for p in parts {
             let w = layout.parts()[p as usize].width() as u64;
             let bursts = (rows * w).div_ceil(g as u64);
             let useful = ((layout.schema().column(col).width as u64 * rows) / bursts.max(1))
                 .min(g as u64 * 8) as u32;
-            let (share, extra) = (bursts / n, bursts % n);
-            for (i, &bank) in (0..).zip(shards) {
-                let bursts = share + u64::from(i < extra);
-                if bursts == 0 {
-                    break;
-                }
+            for ((_, bursts), &bank) in even_shares(bursts, shards.len() as u32).zip(shards) {
                 let done = mem.stream_sampled(
                     table.config().side,
                     bank,

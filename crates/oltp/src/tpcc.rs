@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use pushtap_chbench::{
     put_text, put_u64, stripe, stripe_of, NewOrder, Partitioning, Payment, RowGen, Table, Txn,
+    TxnGen,
 };
 use pushtap_format::{
     compact_layout, naive_layout, LayoutError, RowSlot, TableLayout, TableSchema,
@@ -529,6 +530,21 @@ impl TpccDb {
     /// Global (pre-partitioning) row count of `table`.
     pub fn global_rows_of(&self, table: Table) -> u64 {
         self.tables[table as usize].global_rows
+    }
+
+    /// A transaction generator for this instance: home warehouses drawn
+    /// from the warehouse range the instance *owns*, customer/item/stock
+    /// indices from the global populations. On an unpartitioned instance
+    /// this is the whole population; on a shard it is the shard's own
+    /// load (foreign home warehouses never appear).
+    pub fn txn_gen(&self, seed: u64) -> TxnGen {
+        TxnGen::with_warehouse_range(
+            seed,
+            self.warehouse_range(),
+            self.global_rows_of(Table::Customer),
+            self.global_rows_of(Table::Item),
+            self.global_rows_of(Table::Stock),
+        )
     }
 
     /// The global row this instance's local row 0 of `table` holds: 0 for

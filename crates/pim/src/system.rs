@@ -265,7 +265,7 @@ impl MemSystem {
             Side::Host => self.cfg.cpu_geometry.channels,
         };
         let mut end = at;
-        for (ch, n) in channel_shares(lines, channels) {
+        for (ch, n) in even_shares(lines, channels) {
             let bank = BankAddr::new(ch, 0, 0);
             end = end.max(self.stream_sampled(side, bank, 0, n, 16, op, useful, at));
         }
@@ -286,7 +286,7 @@ impl MemSystem {
     pub fn pim_transfer(&mut self, bytes: u64, at: Ps) -> Ps {
         let bursts = bytes.div_ceil(64);
         let mut end = at;
-        for (ch, n) in channel_shares(bursts, self.cfg.pim_geometry.channels) {
+        for (ch, n) in even_shares(bursts, self.cfg.pim_geometry.channels) {
             let (from, to) = (BankAddr::new(ch, 0, 0), BankAddr::new(ch, 0, 1));
             let mid = self.stream_sampled(Side::Pim, from, 0, n, 16, Op::Read, 64, at);
             let done = self.stream_sampled(Side::Pim, to, 0, n, 16, Op::Write, 64, mid);
@@ -326,14 +326,14 @@ impl MemSystem {
     }
 }
 
-/// How the interleaved address map splits `n` consecutive lines over
-/// `channels` channels: as evenly as possible, the first `n % channels`
-/// channels taking one more. Yields each channel that gets a line, with
+/// How an interleaved address map splits `n` consecutive lines over
+/// `ways` channels or banks: as evenly as possible, the first
+/// `n % ways` taking one more. Yields each way that gets a line, with
 /// its share.
-fn channel_shares(n: u64, channels: u32) -> impl Iterator<Item = (u32, u64)> {
-    let (share, extra) = (n / u64::from(channels), n % u64::from(channels));
-    (0..channels)
-        .map(move |ch| (ch, share + u64::from(u64::from(ch) < extra)))
+pub fn even_shares(n: u64, ways: u32) -> impl Iterator<Item = (u32, u64)> {
+    let (share, extra) = (n / u64::from(ways), n % u64::from(ways));
+    (0..ways)
+        .map(move |way| (way, share + u64::from(u64::from(way) < extra)))
         .take_while(|&(_, n)| n > 0)
 }
 

@@ -98,7 +98,9 @@ pub struct WaveScheduler {
     /// or one past a pending wave it conflicts with.
     pending: VecDeque<Wave>,
     pending_txns: usize,
-    /// Dispatched waves handed back, emptied, for later waves to fill.
+    /// Dispatched waves handed back, emptied, for later waves to fill;
+    /// each stream starts on them smallest first, so it pops the
+    /// largest first.
     spare: Vec<Wave>,
 }
 
@@ -134,6 +136,11 @@ impl WaveScheduler {
             "a new stream starts on a drained, closed scheduler"
         );
         self.window = window;
+        // A closed-loop batch's first waves are its largest, and it
+        // hands its waves back in dispatch order: popped as handed back,
+        // the next batch's first wave would take the last one's list and
+        // regrow it.
+        self.spare.sort_unstable_by_key(Vec::capacity);
     }
 
     /// Admits one transaction: assigns its wave by the greedy

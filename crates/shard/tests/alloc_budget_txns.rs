@@ -40,9 +40,9 @@ const INBOX: usize = 128;
 const WINDOW: usize = 32;
 const RATE_TPS: f64 = 120_000.0;
 const ARRIVALS: u64 = 1_000;
-/// Allocations allowed over the closed-loop batches: 184 measured
-/// (0.074 per transaction), plus one.
-const CLOSED_BUDGET: u64 = 185;
+/// Allocations allowed over the closed-loop batches: 169 measured
+/// (0.068 per transaction), plus one.
+const CLOSED_BUDGET: u64 = 170;
 /// Allocations allowed over the open-loop run: 14 measured (0.014 per
 /// admitted transaction), plus one.
 const OPEN_BUDGET: u64 = 15;
