@@ -12,7 +12,6 @@
 //! pass a scale argument to grow them.
 
 #![forbid(unsafe_code)]
-pub mod energy;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;

@@ -62,8 +62,8 @@ pub struct SoakRun {
     /// stay 0 — the arenas are sized so neither configuration ever
     /// reclaims under pressure), GC counters (zero everywhere for
     /// `no_gc`), busy and GC time, and the commit-latency distribution.
-    /// Its GC gauges sum every slice's sample; [`SoakRun::samples`] holds
-    /// them one by one.
+    /// Its GC gauges are the last slice's; [`SoakRun::samples`] holds
+    /// every slice's.
     pub report: OltpReport,
     /// Aggregate throughput over the summed slice makespans.
     pub tpmc: f64,
@@ -78,7 +78,7 @@ pub struct SoakRun {
 impl SoakRun {
     /// Final live-version gauge.
     pub fn final_live(&self) -> u64 {
-        self.samples.last().map_or(0, |s| s.live_versions)
+        self.report.gc.live_versions
     }
 
     /// GC time as a share of total busy time.
@@ -145,6 +145,10 @@ pub fn run_soak(total_txns: u64, gc: bool) -> SoakRun {
         makespan += batch.makespan();
         let total = batch.merged();
         report.merge(&total);
+        // Gauges read the deployment now; summing them over slices would
+        // count the same versions once per slice.
+        report.gc.live_versions = total.gc.live_versions;
+        report.gc.commit_log_len = total.gc.commit_log_len;
         samples.push(SoakSample {
             txns: report.committed,
             live_versions: total.gc.live_versions,
@@ -225,7 +229,7 @@ fn json_run(out: &mut String, run: &SoakRun) {
         run.final_live(),
         run.median_live,
         run.early_median_live,
-        run.samples.last().map_or(0, |s| s.commit_log_len),
+        gc.commit_log_len,
         run.growth_ratio(),
         run.bounded(),
     );
@@ -333,5 +337,18 @@ mod tests {
             (json.len(), crate::fnv(json.as_bytes())),
             (3_222, 0xa438_0965_5851_24f9)
         );
+    }
+
+    /// The merged report's gauges read the deployment at the end of the
+    /// run, not the sum of every slice's reading.
+    #[test]
+    fn merged_gauges_are_the_last_sample() {
+        let run = run_soak(400, false);
+        let last = run.samples.last().expect("one sample per slice");
+        assert_eq!(
+            (run.report.gc.live_versions, run.report.gc.commit_log_len),
+            (last.live_versions, last.commit_log_len)
+        );
+        assert!(last.live_versions > 0, "the control must hold versions");
     }
 }

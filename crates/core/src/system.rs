@@ -72,8 +72,11 @@ impl GcStats {
         self.bytes_copied += pass.bytes_copied;
     }
 
-    /// Accumulates another report's GC stats (counters and gauges both
-    /// sum — each shard contributes its own end-of-batch gauge once).
+    /// Merges another shard's GC stats taken at the same instant:
+    /// counters and gauges both sum, each shard contributing its own
+    /// end-of-batch gauge once. Slices of one run over time are not
+    /// shards: summing their gauges counts the same live versions once
+    /// per slice.
     pub fn merge(&mut self, other: &GcStats) {
         self.passes += other.passes;
         self.versions_reclaimed += other.versions_reclaimed;

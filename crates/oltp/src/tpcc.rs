@@ -197,12 +197,6 @@ impl DbConfig {
             min_delta_rows: 4096,
         }
     }
-
-    /// Same configuration with a different format.
-    pub fn with_format(mut self, format: DbFormat) -> DbConfig {
-        self.format = format;
-        self
-    }
 }
 
 /// The transactional database: one HTAP table per CH table.
@@ -1581,7 +1575,10 @@ mod tests {
         let mem0 = MemSystem::dimm();
         let mut times = Vec::new();
         for format in [DbFormat::RowStore, DbFormat::Unified, DbFormat::ColumnStore] {
-            let cfg = DbConfig::small().with_format(format);
+            let cfg = DbConfig {
+                format,
+                ..DbConfig::small()
+            };
             let mut db = TpccDb::build(&cfg, &mem0).unwrap();
             let mut mem = MemSystem::dimm();
             let mut tg = TxnGen::new(

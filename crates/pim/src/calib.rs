@@ -128,16 +128,6 @@ pub const SCHED_DECODE: Ps = Ps::new(50_000);
 /// to the CPU through the DRAM read protocol, 100 ns. Source: assumed.
 pub const POLL_RETURN: Ps = Ps::new(100_000);
 
-// ---- Energy (§1) ----
-
-/// Energy per byte moved over the CPU memory bus (I/O and DRAM core), in
-/// pJ. Source: assumed.
-pub const CPU_PJ_PER_BYTE: f64 = 120.0;
-
-/// Energy per byte moved over the PIM-internal wire, in pJ. Source: §1,
-/// the commercial architecture's 10× reduction over the bus (\[11\]).
-pub const PIM_PJ_PER_BYTE: f64 = 12.0;
-
 // ---- Storage format (§7.2) ----
 
 /// The unified format's bin-packing threshold `th`, a ratio. Source:

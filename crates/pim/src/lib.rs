@@ -14,7 +14,7 @@
 //! * [`ControlModel`] — PUSHtap's scheduler + polling-module control path
 //!   vs the original per-unit control path (§6.1);
 //! * [`MemSystem`] — the facade the database engine drives, with
-//!   effective-bandwidth and energy accounting;
+//!   effective-bandwidth accounting;
 //! * [`DeviceMem`]/[`DeviceArray`] — functional byte storage so the
 //!   database on top is value-correct, not just timed;
 //! * [`calib`] — every hand-set model constant that Table 1 does not give,
@@ -48,7 +48,6 @@ mod bank;
 pub mod calib;
 mod config;
 mod controller;
-mod energy;
 mod geometry;
 mod mem;
 mod pim_unit;
@@ -60,7 +59,6 @@ mod timing;
 pub use bank::{BankState, RowOutcome};
 pub use config::{CpuSpec, MemKind, PimUnitSpec, SystemConfig};
 pub use controller::{ChannelController, Completion, CtrlStats, Op};
-pub use energy::EnergyStats;
 pub use geometry::{BankAddr, Geometry};
 pub use mem::{DeviceArray, DeviceMem};
 pub use pim_unit::{PimOpKind, PimUnit, PIPELINE_SATURATION_TASKLETS};

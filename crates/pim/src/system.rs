@@ -1,12 +1,11 @@
 //! Whole-memory-system facade: the timing front door for the engine crates.
 //!
 //! A [`MemSystem`] owns one controller per channel on both the PIM side and
-//! the host (conventional DRAM) side, accumulates traffic/energy statistics,
+//! the host (conventional DRAM) side, accumulates traffic statistics,
 //! and offers streaming helpers used by scans.
 
 use crate::config::{MemKind, SystemConfig};
 use crate::controller::{ChannelController, Completion, Op};
-use crate::energy::EnergyStats;
 use crate::geometry::BankAddr;
 use crate::time::Ps;
 
@@ -21,7 +20,7 @@ pub enum Side {
 }
 
 /// Traffic statistics, the basis of effective-bandwidth measurements.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SysStats {
     /// Bytes fetched over the CPU bus (whole cache lines).
     pub cpu_fetched: u64,
@@ -31,8 +30,6 @@ pub struct SysStats {
     pub pim_loaded: u64,
     /// Bytes of those that carried live data.
     pub pim_useful: u64,
-    /// Energy accounting.
-    pub energy: EnergyStats,
 }
 
 impl SysStats {
@@ -159,7 +156,6 @@ impl MemSystem {
         let completion = c.access(bank.rank, bank.bank, row, op, at);
         self.stats.cpu_fetched += line;
         self.stats.cpu_useful += useful as u64;
-        self.stats.energy.add_cpu_bytes(line);
         completion
     }
 
@@ -249,7 +245,6 @@ impl MemSystem {
         let line = self.line_bytes(side) as u64;
         self.stats.cpu_fetched += line * remaining;
         self.stats.cpu_useful += useful_per_burst as u64 * remaining;
-        self.stats.energy.add_cpu_bytes(line * remaining);
         measured + rate * remaining
     }
 
@@ -306,7 +301,6 @@ impl MemSystem {
         assert!(useful <= loaded, "useful {useful} > loaded {loaded}");
         self.stats.pim_loaded += loaded;
         self.stats.pim_useful += useful;
-        self.stats.energy.add_pim_bytes(loaded);
     }
 
     /// Locks every bank of every PIM-side rank until `until` (whole-memory
@@ -390,7 +384,7 @@ mod tests {
             sampled.stream_sampled(Side::Pim, bank, 0, bursts, 128, Op::Read, 64, Ps::ZERO);
         let err = (t_exact.as_us() - t_sampled.as_us()).abs() / t_exact.as_us();
         assert!(err < 0.02, "extrapolation error {err}");
-        assert_eq!(exact.stats().cpu_fetched, sampled.stats().cpu_fetched);
+        assert_eq!(exact.stats(), sampled.stats());
     }
 
     #[test]
@@ -446,10 +440,6 @@ mod tests {
                 let moved = 2 * bytes.div_ceil(64) * 64;
                 let s = m.stats();
                 assert_eq!((s.cpu_fetched, s.cpu_useful), (moved, moved), "{bytes} B");
-                assert_eq!(
-                    s.energy.cpu_pj,
-                    moved as f64 * crate::calib::CPU_PJ_PER_BYTE
-                );
             }
         }
     }

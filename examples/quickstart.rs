@@ -69,10 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = system.mem().stats();
     println!(
-        "\nmemory traffic: CPU eff. bandwidth {:.1}%, PIM eff. bandwidth {:.1}%, energy {:.3} mJ",
+        "\nmemory traffic: CPU eff. bandwidth {:.1}%, PIM eff. bandwidth {:.1}%",
         stats.cpu_effective() * 100.0,
         stats.pim_effective() * 100.0,
-        stats.energy.total_mj()
     );
     Ok(())
 }

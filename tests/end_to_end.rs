@@ -72,7 +72,7 @@ fn lifecycle_with_defragmentation() {
 fn workload_specific_optimization() {
     let mut unified = small_system();
     let mut rs_cfg = PushtapConfig::small();
-    rs_cfg.db = rs_cfg.db.with_format(DbFormat::RowStore);
+    rs_cfg.db.format = DbFormat::RowStore;
     let mut rs = Pushtap::new(rs_cfg).expect("build");
 
     let mut gen_u = unified.txn_gen(5);
@@ -104,7 +104,10 @@ fn performance_isolation_vs_multi_instance() {
 
     // MI: the same stream forces a rebuild proportional to staleness.
     let mut mi = MultiInstance::new(
-        DbConfig::small().with_format(DbFormat::RowStore),
+        DbConfig {
+            format: DbFormat::RowStore,
+            ..DbConfig::small()
+        },
         SystemConfig::dimm(),
     )
     .expect("build");
