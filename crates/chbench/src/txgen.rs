@@ -1,8 +1,7 @@
 //! TPC-C transaction mix generation (Payment + NewOrder, ~90 % of the
 //! standard mix — the two types the paper simulates, §7.1).
 
-use std::fmt;
-
+use pushtap_format::Inline;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,9 +27,7 @@ pub struct Payment {
 /// The lines are held inline, at most [`NewOrder::MAX_LINES`] of them
 /// (TPC-C's `ol_cnt` is 5..=15), so a transaction owns no heap memory;
 /// read them through [`NewOrder::items`] and [`NewOrder::stock_rows`].
-/// The slots past the line count stay zero, so the derived equality is
-/// equality of the lines.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NewOrder {
     /// Warehouse.
     pub w_id: u64,
@@ -38,18 +35,19 @@ pub struct NewOrder {
     pub d_id: u64,
     /// Customer row index.
     pub c_row: u64,
-    /// Order lines in use.
-    lines: u8,
     /// Item row index per order line.
-    items: [u64; NewOrder::MAX_LINES],
+    items: Lines,
     /// Stock row index per order line.
-    stock_rows: [u64; NewOrder::MAX_LINES],
+    stock_rows: Lines,
 }
+
+/// One row index per order line of a NewOrder.
+type Lines = Inline<u64, 15>;
 
 impl NewOrder {
     /// The most order lines one NewOrder holds (TPC-C's largest
     /// `ol_cnt`).
-    pub const MAX_LINES: usize = 15;
+    pub const MAX_LINES: usize = Lines::CAPACITY;
 
     /// A NewOrder with one line per `(items[i], stock_rows[i])` pair.
     ///
@@ -65,39 +63,23 @@ impl NewOrder {
             items.len(),
             NewOrder::MAX_LINES
         );
-        let mut no = NewOrder {
+        NewOrder {
             w_id,
             d_id,
             c_row,
-            lines: items.len() as u8,
-            items: [0; NewOrder::MAX_LINES],
-            stock_rows: [0; NewOrder::MAX_LINES],
-        };
-        no.items[..items.len()].copy_from_slice(items);
-        no.stock_rows[..items.len()].copy_from_slice(stock_rows);
-        no
+            items: items.iter().copied().collect(),
+            stock_rows: stock_rows.iter().copied().collect(),
+        }
     }
 
     /// Item row index per order line.
     pub fn items(&self) -> &[u64] {
-        &self.items[..self.lines as usize]
+        &self.items
     }
 
     /// Stock row index per order line.
     pub fn stock_rows(&self) -> &[u64] {
-        &self.stock_rows[..self.lines as usize]
-    }
-}
-
-impl fmt::Debug for NewOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NewOrder")
-            .field("w_id", &self.w_id)
-            .field("d_id", &self.d_id)
-            .field("c_row", &self.c_row)
-            .field("items", &self.items())
-            .field("stock_rows", &self.stock_rows())
-            .finish()
+        &self.stock_rows
     }
 }
 
@@ -342,7 +324,7 @@ impl TxnGen {
                     let w_id = self.wh_start + self.rng.random_range(0..self.warehouses);
                     let d_id = self.rng.random_range(0..10);
                     let c_row = self.rng.random_range(0..self.customers);
-                    self.neworder(w_id, d_id, c_row, ol_cnt, stock_rows)
+                    self.neworder(w_id, d_id, c_row, stock_rows)
                 }
                 RemoteMix::Tpcc { neworder, .. } => {
                     let w_id = self.wh_start + self.rng.random_range(0..self.warehouses);
@@ -372,7 +354,7 @@ impl TxnGen {
                         (self.rng.random_range(5..=15) as u64).min(reachable.max(1)) as usize;
                     let stock_rows = self
                         .distinct_stock_rows(ol_cnt, |g| g.striped_row(w_id, g.stocks, neworder));
-                    self.neworder(w_id, d_id, c_row, ol_cnt, stock_rows)
+                    self.neworder(w_id, d_id, c_row, stock_rows)
                 }
             }
         }
@@ -386,38 +368,27 @@ impl TxnGen {
         &mut self,
         ol_cnt: usize,
         mut draw: impl FnMut(&mut TxnGen) -> u64,
-    ) -> [u64; NewOrder::MAX_LINES] {
-        let mut rows = [0; NewOrder::MAX_LINES];
-        let mut n = 0;
-        while n < ol_cnt {
+    ) -> Lines {
+        let mut rows = Lines::default();
+        while rows.len() < ol_cnt {
             let s = draw(self);
-            if !rows[..n].contains(&s) {
-                rows[n] = s;
-                n += 1;
+            if !rows.contains(&s) {
+                rows.push(s);
             }
         }
         rows
     }
 
-    /// The NewOrder over `stock_rows`' first `ol_cnt` lines, drawing
-    /// one item per line — the last draws of a NewOrder.
-    fn neworder(
-        &mut self,
-        w_id: u64,
-        d_id: u64,
-        c_row: u64,
-        ol_cnt: usize,
-        stock_rows: [u64; NewOrder::MAX_LINES],
-    ) -> Txn {
-        let mut items = [0; NewOrder::MAX_LINES];
-        for item in &mut items[..ol_cnt] {
-            *item = self.rng.random_range(0..self.items);
-        }
+    /// The NewOrder with one line per stock row, drawing one item per
+    /// line — the last draws of a NewOrder.
+    fn neworder(&mut self, w_id: u64, d_id: u64, c_row: u64, stock_rows: Lines) -> Txn {
+        let items = (0..stock_rows.len())
+            .map(|_| self.rng.random_range(0..self.items))
+            .collect();
         Txn::NewOrder(NewOrder {
             w_id,
             d_id,
             c_row,
-            lines: ol_cnt as u8,
             items,
             stock_rows,
         })

@@ -331,13 +331,7 @@ mod tests {
     #[test]
     fn mi_transactions_run_on_host_side() {
         let mut mi = MultiInstance::new(DbConfig::small(), SystemConfig::dimm()).unwrap();
-        let mut gen = pushtap_chbench::TxnGen::new(
-            2,
-            mi.row_db.table(Table::Warehouse).n_rows(),
-            mi.row_db.table(Table::Customer).n_rows(),
-            mi.row_db.table(Table::Item).n_rows(),
-            mi.row_db.table(Table::Stock).n_rows(),
-        );
+        let mut gen = mi.row_db.txn_gen(2);
         let t0 = mi.now();
         for txn in gen.batch(20) {
             mi.execute_txn(&txn);

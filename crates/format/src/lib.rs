@@ -21,7 +21,9 @@
 //! * [`TableStore`] — functional storage: real bytes in [`pushtap_pim`]
 //!   device memories;
 //! * [`cpu_effective`]/[`pim_effective`]/[`storage_breakdown`] — the
-//!   effective-bandwidth analyses behind Fig. 8.
+//!   effective-bandwidth analyses behind Fig. 8;
+//! * [`Inline`] — the fixed-capacity list every layer holds a
+//!   transaction's short lists in, so describing one never allocates.
 //!
 //! # Examples
 //!
@@ -44,6 +46,7 @@
 mod bandwidth;
 mod binpack;
 mod circulant;
+mod inline;
 mod layout;
 mod region;
 mod schema;
@@ -55,6 +58,7 @@ pub use bandwidth::{
 };
 pub use binpack::{compact_layout, naive_layout};
 pub use circulant::Placement;
+pub use inline::Inline;
 pub use layout::{ByteSource, Fragment, LayoutError, PartLayout, Slot, TableLayout};
 pub use region::{PartRegion, RegionPlan};
 pub use schema::{paper_example_schema, Column, ColumnKind, TableSchema};

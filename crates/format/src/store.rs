@@ -19,6 +19,7 @@
 use pushtap_pim::DeviceArray;
 
 use crate::circulant::Placement;
+use crate::inline::Inline;
 use crate::layout::{Fragment, TableLayout};
 use crate::region::{PartRegion, RegionPlan};
 
@@ -335,24 +336,25 @@ impl TableStore {
         assert!(width <= 8, "column {col} is wider than an integer");
         // Every fragment holds at least one of the column's bytes, so the
         // width bound also bounds the fragments the cursor holds inline.
-        let fragments = self.layout.fragments(col);
-        debug_assert!(fragments.len() <= MAX_FRAGMENTS);
-        let mut frags = [CursorFragment::default(); MAX_FRAGMENTS];
-        for (to, f) in frags.iter_mut().zip(fragments) {
-            let part = self.region.parts()[f.part as usize];
-            *to = CursorFragment {
-                device: f.device,
-                stride: part.width as u64,
-                data_base: part.data_base + f.offset as u64,
-                delta_base: part.delta_base + f.offset as u64,
-                len: f.len as usize,
-                shift: 8 * f.col_byte,
-            };
-        }
+        let frags = self
+            .layout
+            .fragments(col)
+            .iter()
+            .map(|f| {
+                let part = self.region.parts()[f.part as usize];
+                CursorFragment {
+                    device: f.device,
+                    stride: part.width as u64,
+                    data_base: part.data_base + f.offset as u64,
+                    delta_base: part.delta_base + f.offset as u64,
+                    len: f.len as usize,
+                    shift: 8 * f.col_byte,
+                }
+            })
+            .collect();
         ColumnCursor {
             mem: &self.mem,
             frags,
-            n_frags: fragments.len(),
             block_rows: self.placement.block_rows() as u64,
             n_rows: self.region.n_rows(),
             arena_rows: self.region.arena_rows(),
@@ -387,9 +389,8 @@ struct CursorFragment {
 #[derive(Debug, Clone)]
 pub struct ColumnCursor<'a> {
     mem: &'a DeviceArray,
-    /// The column's fragments, held inline: the first `n_frags` are set.
-    frags: [CursorFragment; MAX_FRAGMENTS],
-    n_frags: usize,
+    /// The column's fragments, held inline.
+    frags: Inline<CursorFragment, MAX_FRAGMENTS>,
     block_rows: u64,
     n_rows: u64,
     arena_rows: u64,
@@ -428,7 +429,7 @@ impl ColumnCursor<'_> {
             }
         };
         let mut value = 0u64;
-        for f in &self.frags[..self.n_frags] {
+        for f in self.frags.iter() {
             let device = (f.device + rotation) % self.arenas;
             let base = if delta { f.delta_base } else { f.data_base };
             let offset = (base + index * f.stride) as usize;

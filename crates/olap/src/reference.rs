@@ -102,7 +102,6 @@ mod tests {
     use super::*;
     use crate::exec::ScanEngine;
     use crate::query::Query;
-    use pushtap_chbench::TxnGen;
     use pushtap_oltp::DbConfig;
     use pushtap_pim::{ControlArch, MemSystem, Ps, SystemConfig};
 
@@ -116,13 +115,7 @@ mod tests {
         let mut mem = MemSystem::dimm();
         let mut db = TpccDb::build(&DbConfig::small(), &mem).unwrap();
         let engine = ScanEngine::new(ControlArch::Pushtap, &SystemConfig::dimm());
-        let mut tg = TxnGen::new(
-            3,
-            db.table(Table::Warehouse).n_rows(),
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        );
+        let mut tg = db.txn_gen(3);
         let mut now = Ps::ZERO;
         for (i, txn) in (1..).zip(tg.batch(120)) {
             now = db
@@ -157,13 +150,7 @@ mod tests {
         let engine = ScanEngine::new(ControlArch::Pushtap, &SystemConfig::dimm());
         let (before, _) = Query::Q6.execute(&db, &engine, &mut mem, Ps::ZERO);
         // Touch order lines directly: bump amounts via the OLTP path.
-        let mut tg = TxnGen::new(
-            9,
-            db.table(Table::Warehouse).n_rows(),
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        );
+        let mut tg = db.txn_gen(9);
         let mut now = Ps::ZERO;
         for (i, txn) in (1..).zip(tg.batch(60)) {
             now = db
@@ -190,13 +177,7 @@ mod tests {
         let mut db = TpccDb::build(&DbConfig::small(), &mem).unwrap();
         let t0 = db.last_ts();
         let q_at_t0 = ref_q6(&db, t0);
-        let mut tg = TxnGen::new(
-            5,
-            db.table(Table::Warehouse).n_rows(),
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        );
+        let mut tg = db.txn_gen(5);
         let mut now = Ps::ZERO;
         for (i, txn) in (1..).zip(tg.batch(60)) {
             now = db

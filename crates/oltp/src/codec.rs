@@ -292,7 +292,7 @@ fn decode_record(
                         len: n,
                     });
                 }
-                let mut writes = Writes::new();
+                let mut writes = Writes::default();
                 for _ in 0..n {
                     let col = c.u32()?;
                     let write = match c.u8()? {
@@ -316,7 +316,7 @@ fn decode_record(
                             })
                         }
                     };
-                    writes.push(col, write);
+                    writes.push((col, write));
                 }
                 Effect::Update { table, row, writes }
             }
@@ -337,7 +337,7 @@ fn decode_record(
                         len: n,
                     });
                 }
-                let mut image = RowImage::new();
+                let mut image = RowImage::default();
                 for &(_, width) in columns {
                     let len = c.u32()?;
                     if len != width {

@@ -21,24 +21,25 @@
 //! handed to a non-owning engine is a routing bug, not a fallback path.
 //!
 //! An effect is plain `Copy` data that owns no heap memory: a read is
-//! two numbers, an update is an inline list of at most three
+//! two numbers, an update is an [`Inline`] list of at most three
 //! `(column, value, width)` writes with no byte vector per value
 //! ([`Writes`], [`ColumnWrite`]), and an insert is **one row image** —
-//! the new row's columns one after another in schema order, inline in
-//! at most 64 bytes ([`RowImage`]). The image is what the table store
-//! scatters (`TableStore::write_image`) and what the log frames column
-//! by column ([`crate::codec`]); nothing between the decomposition and
-//! either of them builds a value list. So a transaction is described
-//! without touching the allocator: the engine decomposes it into one
-//! effect list it reuses ([`TpccDb::decompose_into`]).
+//! the new row's columns one after another in schema order, an
+//! [`Inline`] list of at most 64 bytes ([`RowImage`]). The image is what
+//! the table store scatters (`TableStore::write_image`) and what the log
+//! frames column by column ([`crate::codec`]); nothing between the
+//! decomposition and either of them builds a value list. So a
+//! transaction is described without touching the allocator: the engine
+//! decomposes it into one effect list it reuses
+//! ([`TpccDb::decompose_into`]).
 //!
 //! [`TpccDb::decompose`]: crate::TpccDb::decompose
 //! [`TpccDb::decompose_into`]: crate::TpccDb::decompose_into
 
 use std::fmt;
-use std::ops::Deref;
 
 use pushtap_chbench::Table;
+use pushtap_format::Inline;
 
 /// How one column of an updated row changes.
 ///
@@ -97,94 +98,18 @@ impl ColumnWrite {
     }
 }
 
+impl Default for ColumnWrite {
+    /// An eight-byte zero: the filler of a [`Writes`] list's unused slots.
+    fn default() -> ColumnWrite {
+        ColumnWrite::Set { value: 0, width: 8 }
+    }
+}
+
 /// The column writes of one update, held inline: at most
 /// [`Writes::CAPACITY`], the widest TPC-C update (CUSTOMER's balance,
 /// year-to-date and payment count; STOCK's quantity, year-to-date and
 /// order count). Reads as a slice of `(column, write)`.
-#[derive(Clone, Copy)]
-pub struct Writes {
-    len: u8,
-    slots: [(u32, ColumnWrite); Writes::CAPACITY],
-}
-
-impl Writes {
-    /// The most writes one update holds.
-    pub const CAPACITY: usize = 3;
-
-    /// No writes.
-    pub const fn new() -> Writes {
-        Writes {
-            len: 0,
-            slots: [(0, ColumnWrite::Set { value: 0, width: 0 }); Writes::CAPACITY],
-        }
-    }
-
-    /// Appends one column write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list already holds [`Writes::CAPACITY`] writes.
-    pub fn push(&mut self, col: u32, write: ColumnWrite) {
-        let at = self.len as usize;
-        assert!(
-            at < Writes::CAPACITY,
-            "an update holds at most {} writes",
-            Writes::CAPACITY
-        );
-        self.slots[at] = (col, write);
-        self.len += 1;
-    }
-}
-
-impl Default for Writes {
-    fn default() -> Writes {
-        Writes::new()
-    }
-}
-
-impl Deref for Writes {
-    type Target = [(u32, ColumnWrite)];
-
-    fn deref(&self) -> &[(u32, ColumnWrite)] {
-        &self.slots[..self.len as usize]
-    }
-}
-
-impl<const N: usize> From<[(u32, ColumnWrite); N]> for Writes {
-    /// # Panics
-    ///
-    /// Panics if `N` exceeds [`Writes::CAPACITY`].
-    fn from(writes: [(u32, ColumnWrite); N]) -> Writes {
-        writes.into_iter().collect()
-    }
-}
-
-impl FromIterator<(u32, ColumnWrite)> for Writes {
-    /// # Panics
-    ///
-    /// Panics past [`Writes::CAPACITY`] writes.
-    fn from_iter<I: IntoIterator<Item = (u32, ColumnWrite)>>(iter: I) -> Writes {
-        let mut writes = Writes::new();
-        for (col, write) in iter {
-            writes.push(col, write);
-        }
-        writes
-    }
-}
-
-impl PartialEq for Writes {
-    fn eq(&self, other: &Writes) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for Writes {}
-
-impl fmt::Debug for Writes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
+pub type Writes = Inline<(u32, ColumnWrite), 3>;
 
 /// The bytes of one inserted row, held inline: at most
 /// [`RowImage::CAPACITY`] bytes, which covers every table the executor
@@ -192,81 +117,7 @@ impl fmt::Debug for Writes {
 /// `TpccDb::build_partitioned` asserts the fit). Reads as a byte slice;
 /// fill it through [`Extend`] (`pushtap_chbench::put_u64` and
 /// `put_text` write into it directly).
-#[derive(Clone, Copy)]
-pub struct RowImage {
-    len: u8,
-    bytes: [u8; RowImage::CAPACITY],
-}
-
-impl RowImage {
-    /// The most bytes one row image holds.
-    pub const CAPACITY: usize = 64;
-
-    /// An empty image.
-    pub const fn new() -> RowImage {
-        RowImage {
-            len: 0,
-            bytes: [0; RowImage::CAPACITY],
-        }
-    }
-}
-
-impl Default for RowImage {
-    fn default() -> RowImage {
-        RowImage::new()
-    }
-}
-
-impl Deref for RowImage {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.bytes[..self.len as usize]
-    }
-}
-
-impl Extend<u8> for RowImage {
-    /// # Panics
-    ///
-    /// Panics past [`RowImage::CAPACITY`] bytes.
-    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
-        for b in iter {
-            let at = self.len as usize;
-            assert!(
-                at < RowImage::CAPACITY,
-                "a row image holds at most {} bytes",
-                RowImage::CAPACITY
-            );
-            self.bytes[at] = b;
-            self.len += 1;
-        }
-    }
-}
-
-impl FromIterator<u8> for RowImage {
-    /// # Panics
-    ///
-    /// Panics past [`RowImage::CAPACITY`] bytes.
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> RowImage {
-        let mut image = RowImage::new();
-        image.extend(iter);
-        image
-    }
-}
-
-impl PartialEq for RowImage {
-    fn eq(&self, other: &RowImage) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for RowImage {}
-
-impl fmt::Debug for RowImage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
+pub type RowImage = Inline<u8, 64>;
 
 /// One row-level effect of a transaction, in global row indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,6 +183,13 @@ pub enum Key {
     Ring(Table, u64),
 }
 
+impl Default for Key {
+    /// Warehouse 0's row: the filler of a [`KeySet`]'s unused slots.
+    fn default() -> Key {
+        Key::Row(Table::Warehouse, 0)
+    }
+}
+
 /// The canonical read/write keyset of one transaction, derived from its
 /// effect decomposition ([`TpccDb::decompose`]) — the input the sharded
 /// coordinator's wave scheduler orders transactions by.
@@ -344,10 +202,10 @@ pub enum Key {
 /// writes — read/read sharing (e.g. the replicated, read-only ITEM
 /// table) never orders anything.
 ///
-/// The keys are held inline, at most [`KeySet::CAPACITY`] of them, the
-/// way [`Writes`] and [`RowImage`] hold theirs: a keyset is plain `Copy`
-/// data, so stamping one on every admitted transaction never touches
-/// the allocator.
+/// The keys are held inline, at most [`KeySet::CAPACITY`] of them, in
+/// one [`Inline`] list like [`Writes`] and [`RowImage`]: a keyset is
+/// plain `Copy` data, so stamping one on every admitted transaction
+/// never touches the allocator.
 ///
 /// [`TpccDb::decompose`]: crate::TpccDb::decompose
 ///
@@ -389,28 +247,20 @@ pub enum Key {
 /// assert!(!ring.conflicts(&row_w) && !row_w.conflicts(&ring));
 /// assert!(!ring.conflicts(&row_r) && !row_r.conflicts(&ring));
 /// ```
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeySet {
     /// How many of `keys` are reads: `keys[..reads]` are the read keys
-    /// and `keys[reads..len]` the write keys, each run sorted and
+    /// and `keys[reads..]` the write keys, each run sorted and
     /// deduplicated.
     reads: u8,
-    len: u8,
-    keys: [Key; KeySet::CAPACITY],
+    keys: Inline<Key, 35>,
 }
 
 impl KeySet {
     /// The most keys one keyset holds: a 15-line NewOrder reads its
     /// customer and 15 items and writes its district, 15 stock rows and
     /// three insert rings (ORDER, NEWORDER, ORDERLINE).
-    pub const CAPACITY: usize = 35;
-
-    /// No keys (an unstamped placeholder).
-    const EMPTY: KeySet = KeySet {
-        reads: 0,
-        len: 0,
-        keys: [Key::Row(Table::Warehouse, 0); KeySet::CAPACITY],
-    };
+    pub const CAPACITY: usize = Inline::<Key, 35>::CAPACITY;
 
     /// A keyset from explicit read and write keys (sorted and
     /// deduplicated internally).
@@ -422,7 +272,7 @@ impl KeySet {
         reads: impl IntoIterator<Item = Key>,
         writes: impl IntoIterator<Item = Key>,
     ) -> KeySet {
-        let mut set = KeySet::EMPTY;
+        let mut set = KeySet::default();
         for key in reads {
             set.insert_read(key);
         }
@@ -436,7 +286,7 @@ impl KeySet {
     /// per read or updated row, one [`Key::Ring`] per insert's
     /// (table, home-warehouse) stripe ring. Touches no heap memory.
     pub fn from_effects(effects: &[TaggedEffect]) -> KeySet {
-        let mut set = KeySet::EMPTY;
+        let mut set = KeySet::default();
         for e in effects {
             match e.effect {
                 Effect::Read { table, row } => set.insert_read(Key::Row(table, row)),
@@ -449,33 +299,17 @@ impl KeySet {
 
     /// Adds a read key, keeping the reads sorted and deduplicated.
     fn insert_read(&mut self, key: Key) {
-        if self.insert(0, self.reads as usize, key) {
+        if let Err(at) = self.reads().binary_search(&key) {
+            self.keys.insert(at, key);
             self.reads += 1;
         }
     }
 
     /// Adds a write key, keeping the writes sorted and deduplicated.
     fn insert_write(&mut self, key: Key) {
-        self.insert(self.reads as usize, self.len as usize, key);
-    }
-
-    /// Inserts `key` into the sorted run `keys[from..to]` unless it is
-    /// there already, shifting everything after it up one slot; returns
-    /// whether it was inserted.
-    fn insert(&mut self, from: usize, to: usize, key: Key) -> bool {
-        let Err(at) = self.keys[from..to].binary_search(&key) else {
-            return false;
-        };
-        let (at, len) = (from + at, self.len as usize);
-        assert!(
-            len < KeySet::CAPACITY,
-            "a keyset holds at most {} keys",
-            KeySet::CAPACITY
-        );
-        self.keys.copy_within(at..len, at + 1);
-        self.keys[at] = key;
-        self.len += 1;
-        true
+        if let Err(at) = self.writes().binary_search(&key) {
+            self.keys.insert(self.reads as usize + at, key);
+        }
     }
 
     /// The read keys, sorted.
@@ -485,12 +319,12 @@ impl KeySet {
 
     /// The write keys (rows and rings), sorted.
     pub fn writes(&self) -> &[Key] {
-        &self.keys[self.reads as usize..self.len as usize]
+        &self.keys[self.reads as usize..]
     }
 
     /// Whether the keyset touches nothing (an unstamped placeholder).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.keys.is_empty()
     }
 
     /// Whether two transactions must execute in timestamp order: one's
@@ -502,20 +336,6 @@ impl KeySet {
             || sorted_intersect(self.reads(), other.writes())
     }
 }
-
-impl Default for KeySet {
-    fn default() -> KeySet {
-        KeySet::EMPTY
-    }
-}
-
-impl PartialEq for KeySet {
-    fn eq(&self, other: &KeySet) -> bool {
-        self.reads() == other.reads() && self.writes() == other.writes()
-    }
-}
-
-impl Eq for KeySet {}
 
 impl fmt::Debug for KeySet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -561,16 +381,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 3 writes")]
+    #[should_panic(expected = "at most 3 items")]
     fn a_fourth_write_overflows_the_list() {
-        let mut writes = Writes::new();
+        let mut writes = Writes::default();
         for col in 0..4 {
-            writes.push(col, ColumnWrite::set(1, 1));
+            writes.push((col, ColumnWrite::set(1, 1)));
         }
     }
 
     #[test]
-    #[should_panic(expected = "at most 64 bytes")]
+    #[should_panic(expected = "at most 64 items")]
     fn a_65th_byte_overflows_the_image() {
         let _: RowImage = (0..65).collect();
     }
@@ -623,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 35 keys")]
+    #[should_panic(expected = "at most 35 items")]
     fn a_36th_key_overflows_the_keyset() {
         let _ = KeySet::new(
             (0..16).map(|r| row(Table::Item, r)),

@@ -894,7 +894,7 @@ impl TpccDb {
     }
 
     fn decompose_payment(&self, p: &Payment, ts: Ts, effects: &mut Vec<TaggedEffect>) {
-        let mut history = RowImage::new();
+        let mut history = RowImage::default();
         put_u64(&mut history, p.c_row, 4);
         put_u64(&mut history, p.d_id, 1);
         put_u64(&mut history, p.w_id, 4);
@@ -984,7 +984,7 @@ impl TpccDb {
         // peeked here without consuming it; applying the insert advances
         // the cursor to exactly this slot.
         let o_row = self.insert_target(Table::Order, no.w_id);
-        let mut order = RowImage::new();
+        let mut order = RowImage::default();
         put_u64(&mut order, ts.0, 4);
         put_u64(&mut order, no.d_id, 1);
         put_u64(&mut order, no.w_id, 4);
@@ -1001,7 +1001,7 @@ impl TpccDb {
                 image: order,
             },
         });
-        let mut new_order = RowImage::new();
+        let mut new_order = RowImage::default();
         put_u64(&mut new_order, o_row, 4);
         put_u64(&mut new_order, no.d_id, 1);
         put_u64(&mut new_order, no.w_id, 4);
@@ -1047,7 +1047,7 @@ impl TpccDb {
                     },
                 });
             }
-            let mut line = RowImage::new();
+            let mut line = RowImage::default();
             put_u64(&mut line, o_row, 4);
             put_u64(&mut line, no.d_id, 1);
             put_u64(&mut line, no.w_id, 4);
@@ -1377,13 +1377,7 @@ mod tests {
         let mem = MemSystem::dimm();
         let cfg = DbConfig::small();
         let db = TpccDb::build(&cfg, &mem).unwrap();
-        let tg = TxnGen::new(
-            1,
-            db.table(Table::Warehouse).n_rows(),
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        );
+        let tg = db.txn_gen(1);
         (db, mem, tg)
     }
 
@@ -1581,13 +1575,7 @@ mod tests {
             };
             let mut db = TpccDb::build(&cfg, &mem0).unwrap();
             let mut mem = MemSystem::dimm();
-            let mut tg = TxnGen::new(
-                1,
-                db.table(Table::Warehouse).n_rows(),
-                db.table(Table::Customer).n_rows(),
-                db.table(Table::Item).n_rows(),
-                db.table(Table::Stock).n_rows(),
-            );
+            let mut tg = db.txn_gen(1);
             let mut now = Ps::ZERO;
             for (i, txn) in (1..).zip(tg.batch(150)) {
                 now = db
@@ -1618,13 +1606,7 @@ mod tests {
         cfg.min_delta_rows = 16; // two slots per rotation arena
         let mut db = TpccDb::build(&cfg, &mem).unwrap();
         let mut mem = MemSystem::dimm();
-        let mut tg = TxnGen::new(
-            1,
-            db.table(Table::Warehouse).n_rows(),
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        );
+        let mut tg = db.txn_gen(1);
         let mut saw_abort = false;
         for _ in 0..40 {
             let txn = tg.next_txn();
@@ -1693,13 +1675,7 @@ mod tests {
         b.share_timestamps(oracle.clone());
         assert!(Arc::ptr_eq(a.ts_oracle(), &oracle) && Arc::ptr_eq(b.ts_oracle(), &oracle));
         let mut mem = MemSystem::dimm();
-        let mut tg = TxnGen::new(
-            1,
-            a.table(Table::Warehouse).n_rows(),
-            a.table(Table::Customer).n_rows(),
-            a.table(Table::Item).n_rows(),
-            a.table(Table::Stock).n_rows(),
-        );
+        let mut tg = a.txn_gen(1);
         let t1 = a
             .execute_at(&tg.next_txn(), oracle.allocate(), &mut mem, Ps::ZERO)
             .expect("commit");
@@ -1722,13 +1698,7 @@ mod tests {
         cfg.min_delta_rows = 16;
         let mut db = TpccDb::build(&cfg, &mem).unwrap();
         let mut mem = MemSystem::dimm();
-        let mut tg = TxnGen::new(
-            1,
-            db.table(Table::Warehouse).n_rows(),
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        );
+        let mut tg = db.txn_gen(1);
         let at = Ps::new(1_000);
         let mut wasted = Ps::ZERO;
         let mut saw_abort = false;

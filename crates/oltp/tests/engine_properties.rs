@@ -4,7 +4,7 @@
 //! read-your-writes.
 
 use proptest::prelude::*;
-use pushtap_chbench::{dec_u64, enc_u64, RemoteMix, Table, TxnGen};
+use pushtap_chbench::{dec_u64, enc_u64, RemoteMix, Table};
 use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
 use pushtap_mvcc::{DeltaFull, Ts, UndoLog, UndoRecord};
 use pushtap_oltp::{
@@ -171,13 +171,7 @@ proptest! {
     #[test]
     fn decomposition_keysets_are_deterministic(seed in 0u64..1024, n in 1usize..16, ts in 1u64..1_000) {
         let (db, _mem) = build();
-        let mut tg = pushtap_chbench::TxnGen::new(
-            seed,
-            db.table(Table::Warehouse).n_rows(),
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        );
+        let mut tg = db.txn_gen(seed);
         for txn in tg.batch(n) {
             let first = db.decompose(&txn, Ts(ts));
             let keys = pushtap_oltp::KeySet::from_effects(&first);
@@ -243,14 +237,7 @@ proptest! {
         cfg.min_warehouses = 4;
         let db = TpccDb::build(&cfg, &mem).expect("build");
         let warehouses = db.table(Table::Warehouse).n_rows();
-        let mut tg = TxnGen::new(
-            seed,
-            warehouses,
-            db.table(Table::Customer).n_rows(),
-            db.table(Table::Item).n_rows(),
-            db.table(Table::Stock).n_rows(),
-        )
-        .with_remote_mix(mix, warehouses);
+        let mut tg = db.txn_gen(seed).with_remote_mix(mix, warehouses);
         for (ts, txn) in (1..).zip(tg.batch(n)) {
             let effects = db.decompose(&txn, Ts(ts));
             let home = txn.home_warehouse();

@@ -1,10 +1,8 @@
 //! Transaction routing: home-shard selection, participant-set
 //! computation, and remote-touch accounting.
 
-use std::fmt;
-use std::ops::Deref;
-
 use pushtap_chbench::Txn;
+use pushtap_format::Inline;
 use pushtap_mvcc::{Ts, TsOracle};
 use pushtap_oltp::KeySet;
 use pushtap_pim::Ps;
@@ -59,50 +57,16 @@ pub struct RoutedTxn {
 /// of a NewOrder's up to 15 stock rows plus its customer's owner. Reads
 /// as a slice of shard ids, so routing a transaction never touches the
 /// allocator.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
-pub struct Participants {
-    len: u8,
-    /// The shards, ascending; the slots past `len` stay zero, so the
-    /// derived equality is the slices' equality.
-    shards: [u32; Participants::CAPACITY],
-}
+pub type Participants = Inline<u32, 16>;
 
-impl Participants {
-    /// The most participants one transaction has.
-    pub const CAPACITY: usize = 16;
-
-    /// Adds `shard` unless it is already a participant.
-    ///
-    /// # Panics
-    ///
-    /// Panics past [`Participants::CAPACITY`] distinct shards.
-    fn insert(&mut self, shard: u32) {
-        let len = self.len as usize;
-        let Err(at) = self.shards[..len].binary_search(&shard) else {
-            return;
-        };
-        assert!(
-            len < Participants::CAPACITY,
-            "a transaction has at most {} participants",
-            Participants::CAPACITY
-        );
-        self.shards.copy_within(at..len, at + 1);
-        self.shards[at] = shard;
-        self.len += 1;
-    }
-}
-
-impl Deref for Participants {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        &self.shards[..self.len as usize]
-    }
-}
-
-impl fmt::Debug for Participants {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+/// Adds `shard` to `participants` unless it is already one.
+///
+/// # Panics
+///
+/// Panics past [`Participants::CAPACITY`] distinct shards.
+fn add_participant(participants: &mut Participants, shard: u32) {
+    if let Err(at) = participants.binary_search(&shard) {
+        participants.insert(at, shard);
     }
 }
 
@@ -139,7 +103,7 @@ impl TxnRouter {
             Txn::Payment(p) => {
                 let owner = self.map.shard_of_customer(p.c_row);
                 if owner != shard {
-                    participants.insert(owner);
+                    add_participant(&mut participants, owner);
                 }
                 u64::from(owner != shard)
             }
@@ -148,13 +112,13 @@ impl TxnRouter {
                 for &s in no.stock_rows() {
                     let owner = self.map.shard_of_stock(s);
                     if owner != shard {
-                        participants.insert(owner);
+                        add_participant(&mut participants, owner);
                         remote += 1;
                     }
                 }
                 let owner = self.map.shard_of_customer(no.c_row);
                 if owner != shard {
-                    participants.insert(owner);
+                    add_participant(&mut participants, owner);
                     remote += 1;
                 }
                 remote
@@ -297,7 +261,7 @@ mod tests {
     fn participants_sort_dedup_and_fill_inline() {
         let mut p = Participants::default();
         for shard in [5, 1, 5, 3, 1] {
-            p.insert(shard);
+            add_participant(&mut p, shard);
         }
         assert_eq!(
             (&p[..], format!("{p:?}")),
@@ -305,17 +269,17 @@ mod tests {
         );
         let mut full = Participants::default();
         for shard in (0..Participants::CAPACITY as u32).rev() {
-            full.insert(shard);
+            add_participant(&mut full, shard);
         }
         assert!(full.iter().copied().eq(0..Participants::CAPACITY as u32));
     }
 
     #[test]
-    #[should_panic(expected = "at most 16 participants")]
+    #[should_panic(expected = "at most 16 items")]
     fn a_17th_participant_overflows_the_set() {
         let mut p = Participants::default();
         for shard in 0..=Participants::CAPACITY as u32 {
-            p.insert(shard);
+            add_participant(&mut p, shard);
         }
     }
 

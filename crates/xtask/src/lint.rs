@@ -363,6 +363,22 @@ const ROWS: &[Row] = &[
               keeps its lines inline.",
     },
     Row {
+        name: "one-inline-list",
+        paths: &[
+            "crates/chbench/src",
+            "crates/format/src",
+            "crates/oltp/src",
+            "crates/shard/src",
+            "!crates/format/src/inline.rs",
+        ],
+        non_test: true,
+        check: Any(&["len: u8,", "lines: u8,", "n_frags"]),
+        sample: "    len: u8,",
+        why: "A transaction's short lists are held in one fixed-capacity list, \
+              `pushtap_format::Inline`: no struct keeps its own length beside \
+              a fixed array.",
+    },
+    Row {
         name: "one-floor-split",
         paths: &["crates", "src", "examples", "tests", "!crates/chbench/src"],
         non_test: false,

@@ -3,7 +3,6 @@
 //! (workload-specific optimization, performance isolation, data
 //! freshness) *and* value correctness end to end.
 
-use pushtap::chbench::Table;
 use pushtap::core::{MultiInstance, Pushtap, PushtapConfig};
 use pushtap::olap::{ref_q1, ref_q6, ref_q9, Query, QueryResult};
 use pushtap::oltp::{DbConfig, DbFormat};
@@ -111,13 +110,7 @@ fn performance_isolation_vs_multi_instance() {
         SystemConfig::dimm(),
     )
     .expect("build");
-    let mut gen = pushtap::chbench::TxnGen::new(
-        11,
-        mi.row_db.table(Table::Warehouse).n_rows(),
-        mi.row_db.table(Table::Customer).n_rows(),
-        mi.row_db.table(Table::Item).n_rows(),
-        mi.row_db.table(Table::Stock).n_rows(),
-    );
+    let mut gen = mi.row_db.txn_gen(11);
     for txn in gen.batch(400) {
         mi.execute_txn(&txn);
     }
