@@ -6,8 +6,6 @@
 //! Numeric columns encode little-endian; text columns are filled with a
 //! deterministic printable pattern.
 
-use pushtap_format::TableSchema;
-
 use crate::schema::Table;
 
 /// Item ids (`i_id`, and the `ol_i_id` and `s_i_id` that reference an
@@ -21,14 +19,6 @@ pub fn put_u64<E: Extend<u8>>(out: &mut E, v: u64, width: u32) {
     let n = (width as usize).min(8);
     out.extend(v.to_le_bytes()[..n].iter().copied());
     out.extend(std::iter::repeat_n(0, width as usize - n));
-}
-
-/// Encodes `v` little-endian into exactly `width` bytes (truncating high
-/// bytes if `width < 8`).
-pub fn enc_u64(v: u64, width: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(width as usize);
-    put_u64(&mut out, v, width);
-    out
 }
 
 /// Decodes a little-endian unsigned integer from up to 8 bytes.
@@ -111,11 +101,11 @@ impl ValueKind {
     }
 }
 
-/// A deterministic row generator for one table.
+/// A deterministic row generator for one table. It reads the table's
+/// columns from [`Table::columns`], so it builds no schema.
 #[derive(Debug, Clone)]
 pub struct RowGen {
     table: Table,
-    schema: TableSchema,
     /// Per column: what to generate and at which width.
     kinds: Vec<(ValueKind, u32)>,
     rows: u64,
@@ -124,15 +114,13 @@ pub struct RowGen {
 impl RowGen {
     /// Creates a generator producing `rows` rows of `table`.
     pub fn new(table: Table, rows: u64) -> RowGen {
-        let schema = table.schema();
         RowGen {
             table,
-            kinds: schema
+            kinds: table
                 .columns()
                 .iter()
-                .map(|c| (ValueKind::of(&c.name), c.width))
+                .map(|&(name, width)| (ValueKind::of(name), width))
                 .collect(),
-            schema,
             rows,
         }
     }
@@ -140,11 +128,6 @@ impl RowGen {
     /// The table.
     pub fn table(&self) -> Table {
         self.table
-    }
-
-    /// The schema used for widths.
-    pub fn schema(&self) -> &TableSchema {
-        &self.schema
     }
 
     /// Number of rows this generator produces.
@@ -158,7 +141,7 @@ impl RowGen {
     ///
     /// Panics if `row` or `col` is out of range.
     pub fn value(&self, row: u64, col: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.schema.column(col).width as usize);
+        let mut out = Vec::with_capacity(self.kinds[col as usize].1 as usize);
         self.put_value(row, col, &mut out);
         out
     }
@@ -181,7 +164,7 @@ impl RowGen {
 
     /// Generates the whole row, one value per column.
     pub fn row(&self, row: u64) -> Vec<Vec<u8>> {
-        (0..self.schema.len() as u32)
+        (0..self.kinds.len() as u32)
             .map(|c| self.value(row, c))
             .collect()
     }
@@ -191,7 +174,7 @@ impl RowGen {
     /// to row.
     pub fn row_image(&self, row: u64, out: &mut Vec<u8>) {
         out.clear();
-        for c in 0..self.schema.len() as u32 {
+        for c in 0..self.kinds.len() as u32 {
             self.put_value(row, c, out);
         }
     }
@@ -203,6 +186,11 @@ mod tests {
 
     #[test]
     fn encoding_round_trips() {
+        let enc_u64 = |v, width| {
+            let mut out = Vec::new();
+            put_u64(&mut out, v, width);
+            out
+        };
         assert_eq!(dec_u64(&enc_u64(123_456, 4)), 123_456);
         assert_eq!(dec_u64(&enc_u64(77, 1)), 77);
         assert_eq!(dec_u64(&enc_u64(u64::MAX, 8)), u64::MAX);
@@ -253,7 +241,7 @@ mod tests {
             for (i, v) in row.iter().enumerate() {
                 assert_eq!(
                     v.len() as u32,
-                    g.schema().column(i as u32).width,
+                    g.table().schema().column(i as u32).width,
                     "{} col {i}",
                     table.name()
                 );
@@ -264,7 +252,7 @@ mod tests {
     #[test]
     fn dates_are_in_2007_window() {
         let g = RowGen::new(Table::OrderLine, 100);
-        let col = g.schema().index_of("ol_delivery_d").unwrap();
+        let col = g.table().schema().index_of("ol_delivery_d").unwrap();
         for r in 0..100 {
             let v = dec_u64(&g.value(r, col));
             assert!((1_167_600_000..1_230_672_000).contains(&v));
@@ -278,7 +266,7 @@ mod tests {
         let cutoff = 1_167_600_000 + 31_536_000;
         for rows in [500u64, 5000] {
             let g = RowGen::new(Table::OrderLine, rows);
-            let col = g.schema().index_of("ol_delivery_d").unwrap();
+            let col = g.table().schema().index_of("ol_delivery_d").unwrap();
             let late = (0..rows)
                 .filter(|&r| dec_u64(&g.value(r, col)) > cutoff)
                 .count() as f64
@@ -290,7 +278,7 @@ mod tests {
     #[test]
     fn quantities_are_small() {
         let g = RowGen::new(Table::OrderLine, 100);
-        let col = g.schema().index_of("ol_quantity").unwrap();
+        let col = g.table().schema().index_of("ol_quantity").unwrap();
         for r in 0..100 {
             let v = dec_u64(&g.value(r, col));
             assert!((1..=50).contains(&v));

@@ -13,7 +13,7 @@ use pushtap_format::{Column, TableSchema};
 
 /// The HTAPBench-style fact/dimension tables.
 pub fn tables() -> Vec<TableSchema> {
-    let n = |name: &str, w: u32| Column::normal(name, w);
+    let n = |name: &'static str, w: u32| Column::normal(name, w);
     vec![
         TableSchema::new(
             "ht_sales",

@@ -41,7 +41,7 @@ mod schema;
 mod split;
 mod txgen;
 
-pub use gen::{dec_u64, enc_u64, put_text, put_u64, RowGen, ITEM_IDS};
+pub use gen::{dec_u64, put_text, put_u64, RowGen, ITEM_IDS};
 pub use queries::{
     key_columns_of, key_columns_upto, query_footprints, scan_weight, QueryFootprint,
 };

@@ -20,397 +20,404 @@ pub struct QueryFootprint {
     /// Query number, 1..=22.
     pub query: u8,
     /// Scanned columns (column names are globally unique in TPC-C).
-    pub columns: Vec<&'static str>,
+    pub columns: &'static [&'static str],
 }
 
 /// Footprints of Q1..Q22, in order.
-pub fn query_footprints() -> Vec<QueryFootprint> {
-    let q = |query: u8, columns: Vec<&'static str>| QueryFootprint { query, columns };
-    vec![
-        // Q1: pricing summary over ORDERLINE (aggregation-heavy).
-        q(
-            1,
-            vec!["ol_number", "ol_quantity", "ol_amount", "ol_delivery_d"],
-        ),
-        // Q2: minimum-cost supplier join over ITEM/STOCK/SUPPLIER/NATION/REGION.
-        q(
-            2,
-            vec![
-                "i_id",
-                "i_name",
-                "i_data",
-                "su_suppkey",
-                "su_name",
-                "su_address",
-                "su_phone",
-                "su_comment",
-                "su_nationkey",
-                "s_i_id",
-                "s_w_id",
-                "s_quantity",
-                "n_nationkey",
-                "n_name",
-                "n_regionkey",
-                "r_regionkey",
-                "r_name",
-            ],
-        ),
-        // Q3: unshipped orders of high-value customers.
-        q(
-            3,
-            vec![
-                "c_state",
-                "c_id",
-                "c_w_id",
-                "c_d_id",
-                "no_w_id",
-                "no_d_id",
-                "no_o_id",
-                "o_id",
-                "o_c_id",
-                "o_w_id",
-                "o_d_id",
-                "o_entry_d",
-                "ol_o_id",
-                "ol_w_id",
-                "ol_d_id",
-                "ol_amount",
-            ],
-        ),
-        // Q4: order priority counting.
-        q(
-            4,
-            vec![
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_entry_d",
-                "o_ol_cnt",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_delivery_d",
-            ],
-        ),
-        // Q5: local supplier revenue by nation.
-        q(
-            5,
-            vec![
-                "c_id",
-                "c_d_id",
-                "c_w_id",
-                "c_state",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_c_id",
-                "o_entry_d",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_amount",
-                "ol_supply_w_id",
-                "ol_i_id",
-                "s_i_id",
-                "s_w_id",
-                "su_suppkey",
-                "su_nationkey",
-                "n_nationkey",
-                "n_name",
-                "n_regionkey",
-                "r_regionkey",
-                "r_name",
-            ],
-        ),
-        // Q6: forecast revenue change (selection-heavy).
-        q(6, vec!["ol_delivery_d", "ol_quantity", "ol_amount"]),
-        // Q7: bi-national volume shipping.
-        q(
-            7,
-            vec![
-                "su_suppkey",
-                "su_nationkey",
-                "s_i_id",
-                "s_w_id",
-                "ol_supply_w_id",
-                "ol_i_id",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_delivery_d",
-                "ol_amount",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_c_id",
-                "c_id",
-                "c_d_id",
-                "c_w_id",
-                "c_state",
-                "n_nationkey",
-                "n_name",
-            ],
-        ),
-        // Q8: national market share.
-        q(
-            8,
-            vec![
-                "i_id",
-                "i_data",
-                "su_suppkey",
-                "su_nationkey",
-                "s_i_id",
-                "s_w_id",
-                "ol_i_id",
-                "ol_supply_w_id",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_amount",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_entry_d",
-                "o_c_id",
-                "c_id",
-                "c_d_id",
-                "c_w_id",
-                "n_nationkey",
-                "n_regionkey",
-                "n_name",
-                "r_regionkey",
-                "r_name",
-            ],
-        ),
-        // Q9: product-type profit (join-heavy).
-        q(
-            9,
-            vec![
-                "i_id",
-                "i_data",
-                "su_suppkey",
-                "su_nationkey",
-                "s_i_id",
-                "s_w_id",
-                "ol_i_id",
-                "ol_supply_w_id",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_amount",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_entry_d",
-                "n_nationkey",
-                "n_name",
-            ],
-        ),
-        // Q10: returned-item reporting.
-        q(
-            10,
-            vec![
-                "c_id",
-                "c_d_id",
-                "c_w_id",
-                "c_last",
-                "c_city",
-                "c_phone",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_c_id",
-                "o_entry_d",
-                "o_carrier_id",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_amount",
-                "ol_delivery_d",
-                "n_nationkey",
-                "n_name",
-            ],
-        ),
-        // Q11: important stock identification.
-        q(
-            11,
-            vec![
-                "s_i_id",
-                "s_w_id",
-                "s_order_cnt",
-                "su_suppkey",
-                "su_nationkey",
-                "n_nationkey",
-                "n_name",
-            ],
-        ),
-        // Q12: shipping-mode priority.
-        q(
-            12,
-            vec![
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_entry_d",
-                "o_carrier_id",
-                "o_ol_cnt",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_delivery_d",
-            ],
-        ),
-        // Q13: customer order-count distribution.
-        q(
-            13,
-            vec![
-                "c_id",
-                "c_d_id",
-                "c_w_id",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_c_id",
-                "o_carrier_id",
-            ],
-        ),
-        // Q14: promotion-effect revenue share.
-        q(
-            14,
-            vec!["i_id", "i_data", "ol_i_id", "ol_amount", "ol_delivery_d"],
-        ),
-        // Q15: top supplier revenue.
-        q(
-            15,
-            vec![
-                "s_i_id",
-                "s_w_id",
-                "ol_i_id",
-                "ol_supply_w_id",
-                "ol_amount",
-                "ol_delivery_d",
-                "su_suppkey",
-                "su_name",
-                "su_address",
-                "su_phone",
-            ],
-        ),
-        // Q16: parts/supplier relationship counting.
-        q(
-            16,
-            vec![
-                "i_id",
-                "i_data",
-                "i_name",
-                "i_price",
-                "s_i_id",
-                "s_w_id",
-                "su_suppkey",
-                "su_comment",
-            ],
-        ),
-        // Q17: small-quantity-order revenue.
-        q(
-            17,
-            vec!["i_id", "i_data", "ol_i_id", "ol_quantity", "ol_amount"],
-        ),
-        // Q18: large-volume customers.
-        q(
-            18,
-            vec![
-                "c_id",
-                "c_d_id",
-                "c_w_id",
-                "c_last",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_c_id",
-                "o_entry_d",
-                "o_ol_cnt",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_amount",
-            ],
-        ),
-        // Q19: discounted-revenue (brand/quantity filter).
-        q(
-            19,
-            vec![
-                "i_id",
-                "i_data",
-                "i_price",
-                "ol_i_id",
-                "ol_quantity",
-                "ol_amount",
-                "ol_w_id",
-            ],
-        ),
-        // Q20: potential part promotion.
-        q(
-            20,
-            vec![
-                "i_id",
-                "i_data",
-                "s_i_id",
-                "s_w_id",
-                "s_quantity",
-                "ol_i_id",
-                "ol_delivery_d",
-                "ol_quantity",
-                "su_suppkey",
-                "su_name",
-                "su_address",
-                "su_nationkey",
-                "n_nationkey",
-                "n_name",
-            ],
-        ),
-        // Q21: late-delivery suppliers.
-        q(
-            21,
-            vec![
-                "su_suppkey",
-                "su_name",
-                "su_nationkey",
-                "s_i_id",
-                "s_w_id",
-                "ol_o_id",
-                "ol_d_id",
-                "ol_w_id",
-                "ol_i_id",
-                "ol_delivery_d",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_entry_d",
-                "n_nationkey",
-                "n_name",
-            ],
-        ),
-        // Q22: global sales opportunity.
-        q(
-            22,
-            vec![
-                "c_id",
-                "c_d_id",
-                "c_w_id",
-                "c_state",
-                "c_phone",
-                "c_balance",
-                "o_id",
-                "o_d_id",
-                "o_w_id",
-                "o_c_id",
-            ],
-        ),
-    ]
+pub fn query_footprints() -> &'static [QueryFootprint] {
+    &FOOTPRINTS
 }
+
+/// One footprint entry of [`FOOTPRINTS`].
+const fn q(query: u8, columns: &'static [&'static str]) -> QueryFootprint {
+    QueryFootprint { query, columns }
+}
+
+/// The footprints, written once as data: reading them allocates nothing.
+const FOOTPRINTS: [QueryFootprint; 22] = [
+    // Q1: pricing summary over ORDERLINE (aggregation-heavy).
+    q(
+        1,
+        &["ol_number", "ol_quantity", "ol_amount", "ol_delivery_d"],
+    ),
+    // Q2: minimum-cost supplier join over ITEM/STOCK/SUPPLIER/NATION/REGION.
+    q(
+        2,
+        &[
+            "i_id",
+            "i_name",
+            "i_data",
+            "su_suppkey",
+            "su_name",
+            "su_address",
+            "su_phone",
+            "su_comment",
+            "su_nationkey",
+            "s_i_id",
+            "s_w_id",
+            "s_quantity",
+            "n_nationkey",
+            "n_name",
+            "n_regionkey",
+            "r_regionkey",
+            "r_name",
+        ],
+    ),
+    // Q3: unshipped orders of high-value customers.
+    q(
+        3,
+        &[
+            "c_state",
+            "c_id",
+            "c_w_id",
+            "c_d_id",
+            "no_w_id",
+            "no_d_id",
+            "no_o_id",
+            "o_id",
+            "o_c_id",
+            "o_w_id",
+            "o_d_id",
+            "o_entry_d",
+            "ol_o_id",
+            "ol_w_id",
+            "ol_d_id",
+            "ol_amount",
+        ],
+    ),
+    // Q4: order priority counting.
+    q(
+        4,
+        &[
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_entry_d",
+            "o_ol_cnt",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_delivery_d",
+        ],
+    ),
+    // Q5: local supplier revenue by nation.
+    q(
+        5,
+        &[
+            "c_id",
+            "c_d_id",
+            "c_w_id",
+            "c_state",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_c_id",
+            "o_entry_d",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_amount",
+            "ol_supply_w_id",
+            "ol_i_id",
+            "s_i_id",
+            "s_w_id",
+            "su_suppkey",
+            "su_nationkey",
+            "n_nationkey",
+            "n_name",
+            "n_regionkey",
+            "r_regionkey",
+            "r_name",
+        ],
+    ),
+    // Q6: forecast revenue change (selection-heavy).
+    q(6, &["ol_delivery_d", "ol_quantity", "ol_amount"]),
+    // Q7: bi-national volume shipping.
+    q(
+        7,
+        &[
+            "su_suppkey",
+            "su_nationkey",
+            "s_i_id",
+            "s_w_id",
+            "ol_supply_w_id",
+            "ol_i_id",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_delivery_d",
+            "ol_amount",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_c_id",
+            "c_id",
+            "c_d_id",
+            "c_w_id",
+            "c_state",
+            "n_nationkey",
+            "n_name",
+        ],
+    ),
+    // Q8: national market share.
+    q(
+        8,
+        &[
+            "i_id",
+            "i_data",
+            "su_suppkey",
+            "su_nationkey",
+            "s_i_id",
+            "s_w_id",
+            "ol_i_id",
+            "ol_supply_w_id",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_amount",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_entry_d",
+            "o_c_id",
+            "c_id",
+            "c_d_id",
+            "c_w_id",
+            "n_nationkey",
+            "n_regionkey",
+            "n_name",
+            "r_regionkey",
+            "r_name",
+        ],
+    ),
+    // Q9: product-type profit (join-heavy).
+    q(
+        9,
+        &[
+            "i_id",
+            "i_data",
+            "su_suppkey",
+            "su_nationkey",
+            "s_i_id",
+            "s_w_id",
+            "ol_i_id",
+            "ol_supply_w_id",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_amount",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_entry_d",
+            "n_nationkey",
+            "n_name",
+        ],
+    ),
+    // Q10: returned-item reporting.
+    q(
+        10,
+        &[
+            "c_id",
+            "c_d_id",
+            "c_w_id",
+            "c_last",
+            "c_city",
+            "c_phone",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_c_id",
+            "o_entry_d",
+            "o_carrier_id",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_amount",
+            "ol_delivery_d",
+            "n_nationkey",
+            "n_name",
+        ],
+    ),
+    // Q11: important stock identification.
+    q(
+        11,
+        &[
+            "s_i_id",
+            "s_w_id",
+            "s_order_cnt",
+            "su_suppkey",
+            "su_nationkey",
+            "n_nationkey",
+            "n_name",
+        ],
+    ),
+    // Q12: shipping-mode priority.
+    q(
+        12,
+        &[
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_entry_d",
+            "o_carrier_id",
+            "o_ol_cnt",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_delivery_d",
+        ],
+    ),
+    // Q13: customer order-count distribution.
+    q(
+        13,
+        &[
+            "c_id",
+            "c_d_id",
+            "c_w_id",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_c_id",
+            "o_carrier_id",
+        ],
+    ),
+    // Q14: promotion-effect revenue share.
+    q(
+        14,
+        &["i_id", "i_data", "ol_i_id", "ol_amount", "ol_delivery_d"],
+    ),
+    // Q15: top supplier revenue.
+    q(
+        15,
+        &[
+            "s_i_id",
+            "s_w_id",
+            "ol_i_id",
+            "ol_supply_w_id",
+            "ol_amount",
+            "ol_delivery_d",
+            "su_suppkey",
+            "su_name",
+            "su_address",
+            "su_phone",
+        ],
+    ),
+    // Q16: parts/supplier relationship counting.
+    q(
+        16,
+        &[
+            "i_id",
+            "i_data",
+            "i_name",
+            "i_price",
+            "s_i_id",
+            "s_w_id",
+            "su_suppkey",
+            "su_comment",
+        ],
+    ),
+    // Q17: small-quantity-order revenue.
+    q(
+        17,
+        &["i_id", "i_data", "ol_i_id", "ol_quantity", "ol_amount"],
+    ),
+    // Q18: large-volume customers.
+    q(
+        18,
+        &[
+            "c_id",
+            "c_d_id",
+            "c_w_id",
+            "c_last",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_c_id",
+            "o_entry_d",
+            "o_ol_cnt",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_amount",
+        ],
+    ),
+    // Q19: discounted-revenue (brand/quantity filter).
+    q(
+        19,
+        &[
+            "i_id",
+            "i_data",
+            "i_price",
+            "ol_i_id",
+            "ol_quantity",
+            "ol_amount",
+            "ol_w_id",
+        ],
+    ),
+    // Q20: potential part promotion.
+    q(
+        20,
+        &[
+            "i_id",
+            "i_data",
+            "s_i_id",
+            "s_w_id",
+            "s_quantity",
+            "ol_i_id",
+            "ol_delivery_d",
+            "ol_quantity",
+            "su_suppkey",
+            "su_name",
+            "su_address",
+            "su_nationkey",
+            "n_nationkey",
+            "n_name",
+        ],
+    ),
+    // Q21: late-delivery suppliers.
+    q(
+        21,
+        &[
+            "su_suppkey",
+            "su_name",
+            "su_nationkey",
+            "s_i_id",
+            "s_w_id",
+            "ol_o_id",
+            "ol_d_id",
+            "ol_w_id",
+            "ol_i_id",
+            "ol_delivery_d",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_entry_d",
+            "n_nationkey",
+            "n_name",
+        ],
+    ),
+    // Q22: global sales opportunity.
+    q(
+        22,
+        &[
+            "c_id",
+            "c_d_id",
+            "c_w_id",
+            "c_state",
+            "c_phone",
+            "c_balance",
+            "o_id",
+            "o_d_id",
+            "o_w_id",
+            "o_c_id",
+        ],
+    ),
+];
 
 /// The union of columns scanned by queries `1..=upto`, grouped by table.
 pub fn key_columns_upto(upto: u8) -> BTreeMap<Table, Vec<&'static str>> {
-    key_columns_of(&(1..=upto).collect::<Vec<u8>>())
+    key_columns(1..=upto)
 }
 
 /// The union of columns scanned by the given queries, grouped by table.
@@ -419,15 +426,22 @@ pub fn key_columns_upto(upto: u8) -> BTreeMap<Table, Vec<&'static str>> {
 ///
 /// Panics if a query number is outside `1..=22`.
 pub fn key_columns_of(queries: &[u8]) -> BTreeMap<Table, Vec<&'static str>> {
-    let footprints = query_footprints();
+    key_columns(queries.iter().copied())
+}
+
+/// [`key_columns_of`] over any sequence of query numbers. Each table's
+/// list is sized to the table's columns when first met, so it never
+/// grows.
+fn key_columns(queries: impl Iterator<Item = u8>) -> BTreeMap<Table, Vec<&'static str>> {
     let mut map: BTreeMap<Table, Vec<&'static str>> = BTreeMap::new();
-    for &qn in queries {
+    for qn in queries {
         assert!((1..=22).contains(&qn), "query Q{qn} out of range");
-        let fp = &footprints[(qn - 1) as usize];
-        for &col in &fp.columns {
+        for &col in FOOTPRINTS[(qn - 1) as usize].columns {
             let table = Table::of_column(col)
                 .unwrap_or_else(|| panic!("footprint references unknown column {col}"));
-            let cols = map.entry(table).or_default();
+            let cols = map
+                .entry(table)
+                .or_insert_with(|| Vec::with_capacity(table.columns().len()));
             if !cols.contains(&col) {
                 cols.push(col);
             }
@@ -441,10 +455,9 @@ pub fn key_columns_of(queries: &[u8]) -> BTreeMap<Table, Vec<&'static str>> {
 /// e.g. that eight queries analyse `id`-like columns but only three analyse
 /// `state`-like ones).
 pub fn scan_weight(column: &str, queries: &[u8]) -> f64 {
-    let footprints = query_footprints();
     queries
         .iter()
-        .filter(|&&qn| footprints[(qn - 1) as usize].columns.contains(&column))
+        .filter(|&&qn| FOOTPRINTS[(qn - 1) as usize].columns.contains(&column))
         .count() as f64
 }
 

@@ -297,19 +297,21 @@ pub const MAX_KEY_WIDTH: u32 = 32;
 
 /// Returns the schema of `table` with exactly the given columns marked as
 /// keys (columns not in the list — and columns wider than
-/// [`MAX_KEY_WIDTH`] — become Normal).
+/// [`MAX_KEY_WIDTH`] — become Normal). Built once, straight from
+/// [`Table::columns`].
 pub fn schema_with_keys(table: Table, keys: &[&str]) -> TableSchema {
-    let all = table.schema();
-    let filtered: Vec<&str> = keys
+    let cols = table
+        .columns()
         .iter()
-        .copied()
-        .filter(|k| {
-            all.index_of(k)
-                .map(|i| all.column(i).width <= MAX_KEY_WIDTH)
-                .unwrap_or(false)
+        .map(|&(name, width)| {
+            if width <= MAX_KEY_WIDTH && keys.contains(&name) {
+                Column::key(name, width)
+            } else {
+                Column::normal(name, width)
+            }
         })
         .collect();
-    all.with_keys(&filtered)
+    TableSchema::new(table.name(), cols)
 }
 
 #[cfg(test)]

@@ -42,8 +42,9 @@ proptest! {
         let a = g.row(row);
         let b = g.row(row);
         prop_assert_eq!(&a, &b);
+        let schema = g.table().schema();
         for (i, v) in a.iter().enumerate() {
-            prop_assert_eq!(v.len() as u32, g.schema().column(i as u32).width);
+            prop_assert_eq!(v.len() as u32, schema.column(i as u32).width);
         }
     }
 
@@ -52,7 +53,7 @@ proptest! {
     #[test]
     fn id_domains_hold(row in 0u64..50_000) {
         let g = RowGen::new(Table::OrderLine, 50_000);
-        let s = g.schema();
+        let s = g.table().schema();
         let iid = dec_u64(&g.value(row, s.index_of("ol_i_id").unwrap()));
         prop_assert!(iid < 100_000);
         let num = dec_u64(&g.value(row, s.index_of("ol_number").unwrap()));
@@ -75,7 +76,7 @@ proptest! {
             let schema = schema_with_keys(*table, cols);
             for col in schema.columns() {
                 let scanned = qs.iter().any(|&q| {
-                    fps[(q - 1) as usize].columns.contains(&col.name.as_str())
+                    fps[(q - 1) as usize].columns.contains(&&*col.name)
                 });
                 if col.is_key() {
                     prop_assert!(scanned, "{} keyed but never scanned", col.name);

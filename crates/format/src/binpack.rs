@@ -15,7 +15,7 @@
 //! final part of width `ceil(remaining / devices)` (optimal for the CPU;
 //! PIM never scans them).
 
-use std::collections::VecDeque;
+use std::iter::Peekable;
 
 use crate::layout::{ByteSource, LayoutError, PartLayout, TableLayout};
 use crate::schema::TableSchema;
@@ -54,27 +54,22 @@ pub fn compact_layout(
     assert!(devices > 0, "need at least one device");
 
     // Key columns sorted widest-first (stable on declaration order).
-    let mut keys: VecDeque<u32> = {
-        let mut k = schema.key_indices();
-        k.sort_by_key(|&i| std::cmp::Reverse(schema.column(i).width));
-        k.into()
-    };
+    let mut keys = schema.key_indices();
+    keys.sort_by_key(|&i| std::cmp::Reverse(schema.column(i).width));
+    let mut keys = keys.into_iter().peekable();
     // Normal column bytes, in declaration order.
-    let mut normal: VecDeque<ByteSource> = schema
-        .normal_indices()
-        .into_iter()
-        .flat_map(|col| (0..schema.column(col).width).map(move |byte| ByteSource { col, byte }))
-        .collect();
+    let mut normal = normal_bytes(schema).peekable();
 
-    let mut parts: Vec<PartLayout> = Vec::new();
+    // Each part takes at least one key; one more holds leftover normals.
+    let mut parts: Vec<PartLayout> = Vec::with_capacity(keys.len() + 1);
 
-    while let Some(&lead) = keys.front() {
+    while let Some(&lead) = keys.peek() {
         let w = schema.column(lead).width;
         let mut part = PartLayout::empty(w, devices);
         let mut dev = 0u32;
         // Step 1 & 2: admit key columns while they pass the threshold test.
         while dev < devices {
-            let Some(&cand) = keys.front() else { break };
+            let Some(&cand) = keys.peek() else { break };
             let cw = schema.column(cand).width;
             let admit = if dev == 0 {
                 true // the widest key defines the part
@@ -84,7 +79,7 @@ pub fn compact_layout(
             if !admit {
                 break;
             }
-            keys.pop_front();
+            keys.next();
             for b in 0..cw {
                 *part.slot_mut(dev, b) = Some(ByteSource { col: cand, byte: b });
             }
@@ -96,26 +91,40 @@ pub fn compact_layout(
     }
 
     // Trailing part(s) for leftover normal bytes.
-    if !normal.is_empty() {
-        let w = (normal.len() as u32).div_ceil(devices);
+    let left = normal.clone().count() as u32;
+    if left > 0 {
+        let w = left.div_ceil(devices);
         let mut part = PartLayout::empty(w, devices);
         fill_with_normals(&mut part, devices, &mut normal);
         parts.push(part);
     }
-    debug_assert!(normal.is_empty());
+    debug_assert!(normal.peek().is_none());
 
     TableLayout::new(schema.clone(), devices, parts)
 }
 
-fn fill_with_normals(part: &mut PartLayout, devices: u32, normal: &mut VecDeque<ByteSource>) {
+/// The normal columns' bytes in declaration order, drawn straight from
+/// the schema.
+fn normal_bytes(schema: &TableSchema) -> impl Iterator<Item = ByteSource> + Clone + '_ {
+    (0u32..)
+        .zip(schema.columns())
+        .filter(|(_, c)| !c.is_key())
+        .flat_map(|(col, c)| (0..c.width).map(move |byte| ByteSource { col, byte }))
+}
+
+fn fill_with_normals(
+    part: &mut PartLayout,
+    devices: u32,
+    normal: &mut Peekable<impl Iterator<Item = ByteSource>>,
+) {
     for dev in 0..devices {
         for off in 0..part.width() {
-            if normal.is_empty() {
+            if normal.peek().is_none() {
                 return;
             }
             let slot = part.slot_mut(dev, off);
             if slot.is_none() {
-                *slot = normal.pop_front();
+                *slot = normal.next();
             }
         }
     }
@@ -135,18 +144,18 @@ fn fill_with_normals(part: &mut PartLayout, devices: u32, normal: &mut VecDeque<
 /// Panics if `devices` is zero.
 pub fn naive_layout(schema: &TableSchema, devices: u32) -> Result<TableLayout, LayoutError> {
     assert!(devices > 0, "need at least one device");
-    let mut parts = Vec::new();
-    let cols: Vec<u32> = (0..schema.len() as u32).collect();
-    for group in cols.chunks(devices as usize) {
+    let mut parts = Vec::with_capacity(schema.len().div_ceil(devices as usize));
+    for (g, group) in schema.columns().chunks(devices as usize).enumerate() {
         let w = group
             .iter()
-            .map(|&c| schema.column(c).width)
+            .map(|c| c.width)
             .max()
             .expect("non-empty group");
         let mut part = PartLayout::empty(w, devices);
-        for (dev, &col) in group.iter().enumerate() {
-            for b in 0..schema.column(col).width {
-                *part.slot_mut(dev as u32, b) = Some(ByteSource { col, byte: b });
+        for (dev, c) in (0u32..).zip(group) {
+            let col = g as u32 * devices + dev;
+            for b in 0..c.width {
+                *part.slot_mut(dev, b) = Some(ByteSource { col, byte: b });
             }
         }
         parts.push(part);

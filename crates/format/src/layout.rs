@@ -37,32 +37,37 @@ pub struct Fragment {
     pub len: u32,
 }
 
-/// One part of a table layout: `devices × width` byte slots per row.
+/// One part of a table layout: `devices × width` byte slots per row, held
+/// in one flat vector, device after device (slot `(dev, off)` at
+/// `dev * width + off`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartLayout {
     width: u32,
-    slots: Vec<Vec<Slot>>, // [device][width]
+    slots: Vec<Slot>,
 }
 
 impl PartLayout {
-    /// Creates a part from explicit slots.
+    /// Creates a part from explicit slots, device after device: `width`
+    /// slots of device 0, then `width` of device 1, and so on.
     ///
     /// # Panics
     ///
-    /// Panics if devices is zero or any device has a slot row of the wrong
-    /// length.
-    pub fn new(width: u32, slots: Vec<Vec<Slot>>) -> PartLayout {
+    /// Panics if `width` is zero, or `slots` is empty or not a whole
+    /// number of devices of `width` slots.
+    pub fn new(width: u32, slots: Vec<Slot>) -> PartLayout {
         assert!(!slots.is_empty(), "part needs at least one device");
         assert!(width > 0, "part width must be positive");
-        for s in &slots {
-            assert_eq!(s.len() as u32, width, "slot row length != width");
-        }
+        assert_eq!(
+            slots.len() % width as usize,
+            0,
+            "slot count is not a whole number of devices of width {width}"
+        );
         PartLayout { width, slots }
     }
 
     /// Creates an all-padding part.
     pub fn empty(width: u32, devices: u32) -> PartLayout {
-        PartLayout::new(width, vec![vec![None; width as usize]; devices as usize])
+        PartLayout::new(width, vec![None; (width * devices) as usize])
     }
 
     /// Bytes per device per row.
@@ -72,7 +77,18 @@ impl PartLayout {
 
     /// Number of device slots.
     pub fn devices(&self) -> u32 {
-        self.slots.len() as u32
+        (self.slots.len() / self.width as usize) as u32
+    }
+
+    /// Position of `(device, offset)` in the flat slot vector. An offset
+    /// past the width would alias the next device's slots, so it panics.
+    fn at(&self, device: u32, offset: u32) -> usize {
+        assert!(
+            offset < self.width,
+            "offset {offset} beyond width {}",
+            self.width
+        );
+        (device * self.width + offset) as usize
     }
 
     /// The slot at `(device, offset)`.
@@ -81,30 +97,28 @@ impl PartLayout {
     ///
     /// Panics if out of range.
     pub fn slot(&self, device: u32, offset: u32) -> Slot {
-        self.slots[device as usize][offset as usize]
+        self.slots[self.at(device, offset)]
     }
 
     /// Mutable access used by layout generators.
     pub(crate) fn slot_mut(&mut self, device: u32, offset: u32) -> &mut Slot {
-        &mut self.slots[device as usize][offset as usize]
+        let at = self.at(device, offset);
+        &mut self.slots[at]
     }
 
     /// Total non-padding bytes per row in this part.
     pub fn data_bytes(&self) -> u32 {
-        self.slots
-            .iter()
-            .map(|d| d.iter().filter(|s| s.is_some()).count() as u32)
-            .sum()
+        self.slots.iter().filter(|s| s.is_some()).count() as u32
     }
 
     /// Total padding bytes per row in this part.
     pub fn padding_bytes(&self) -> u32 {
-        self.devices() * self.width - self.data_bytes()
+        self.total_bytes() - self.data_bytes()
     }
 
     /// Total bytes (data + padding) per row in this part.
     pub fn total_bytes(&self) -> u32 {
-        self.devices() * self.width
+        self.slots.len() as u32
     }
 }
 
@@ -164,8 +178,11 @@ pub struct TableLayout {
     schema: TableSchema,
     devices: u32,
     parts: Vec<PartLayout>,
-    /// Per column: ordered fragments covering `[0, width)`.
-    frags: Vec<Vec<Fragment>>,
+    /// Every column's fragments, column after column, each column's
+    /// ordered by column byte.
+    frags: Vec<Fragment>,
+    /// Column `c`'s fragments are `frags[frag_starts[c]..frag_starts[c + 1]]`.
+    frag_starts: Vec<u32>,
 }
 
 impl TableLayout {
@@ -185,13 +202,16 @@ impl TableLayout {
         for p in &parts {
             assert_eq!(p.devices(), devices, "part device count mismatch");
         }
-        // Coverage map: per column, which bytes we have seen, where.
+        // Coverage map over the row image: column `c`'s byte `b` at
+        // `col_starts[c] + b`, holding where the layout put it.
         let ncols = schema.len();
-        let mut seen: Vec<Vec<Option<(u32, u32, u32)>>> = schema
-            .columns()
-            .iter()
-            .map(|c| vec![None; c.width as usize])
-            .collect();
+        let mut col_starts = Vec::with_capacity(ncols);
+        let mut row_width = 0;
+        for c in schema.columns() {
+            col_starts.push(row_width);
+            row_width += c.width;
+        }
+        let mut seen: Vec<Option<(u32, u32, u32)>> = vec![None; row_width as usize];
         for (pi, part) in parts.iter().enumerate() {
             for dev in 0..devices {
                 for off in 0..part.width() {
@@ -203,7 +223,7 @@ impl TableLayout {
                         if src.byte >= width {
                             return Err(LayoutError::BadReference { col: src.col });
                         }
-                        let cell = &mut seen[src.col as usize][src.byte as usize];
+                        let cell = &mut seen[(col_starts[src.col as usize] + src.byte) as usize];
                         if cell.is_some() {
                             return Err(LayoutError::DuplicateByte {
                                 col: src.col,
@@ -215,17 +235,20 @@ impl TableLayout {
                 }
             }
         }
-        // Completeness + fragment extraction.
-        let mut frags: Vec<Vec<Fragment>> = Vec::with_capacity(ncols);
+        // Completeness + fragment extraction. A fragment holds at least
+        // one byte, so the row width bounds their number.
+        let mut frags: Vec<Fragment> = Vec::with_capacity(row_width as usize);
+        let mut frag_starts = Vec::with_capacity(ncols + 1);
         for (ci, col) in schema.columns().iter().enumerate() {
-            let mut col_frags: Vec<Fragment> = Vec::new();
+            let first = frags.len();
+            frag_starts.push(first as u32);
             for b in 0..col.width {
                 let (part, device, offset) =
-                    seen[ci][b as usize].ok_or(LayoutError::MissingByte {
+                    seen[(col_starts[ci] + b) as usize].ok_or(LayoutError::MissingByte {
                         col: ci as u32,
                         byte: b,
                     })?;
-                match col_frags.last_mut() {
+                match frags[first..].last_mut() {
                     Some(f)
                         if f.part == part
                             && f.device == device
@@ -234,7 +257,7 @@ impl TableLayout {
                     {
                         f.len += 1;
                     }
-                    _ => col_frags.push(Fragment {
+                    _ => frags.push(Fragment {
                         part,
                         device,
                         offset,
@@ -243,16 +266,17 @@ impl TableLayout {
                     }),
                 }
             }
-            if col.is_key() && col_frags.len() != 1 {
+            if col.is_key() && frags.len() - first != 1 {
                 return Err(LayoutError::SplitKeyColumn { col: ci as u32 });
             }
-            frags.push(col_frags);
         }
+        frag_starts.push(frags.len() as u32);
         Ok(TableLayout {
             schema,
             devices,
             parts,
             frags,
+            frag_starts,
         })
     }
 
@@ -277,13 +301,14 @@ impl TableLayout {
     ///
     /// Panics if `col` is out of range.
     pub fn fragments(&self, col: u32) -> &[Fragment] {
-        &self.frags[col as usize]
+        let c = col as usize;
+        &self.frags[self.frag_starts[c] as usize..self.frag_starts[c + 1] as usize]
     }
 
     /// The part and device holding key column `col`, if it is a key column
     /// mapped as one fragment.
     pub fn key_location(&self, col: u32) -> Option<(u32, u32)> {
-        let f = &self.frags[col as usize];
+        let f = self.fragments(col);
         if self.schema.column(col).is_key() && f.len() == 1 {
             Some((f[0].part, f[0].device))
         } else {
@@ -333,7 +358,7 @@ impl TableLayout {
     /// loaded byte (§4.1). Returns `None` for columns that are not a single
     /// device-local fragment (normal columns scanned via the CPU instead).
     pub fn pim_scan_effectiveness(&self, col: u32) -> Option<f64> {
-        let f = &self.frags[col as usize];
+        let f = self.fragments(col);
         if f.len() != 1 {
             return None;
         }
@@ -361,8 +386,12 @@ mod tests {
         let part = PartLayout::new(
             3,
             vec![
-                vec![src(0, 0), src(0, 1), src(1, 2)],
-                vec![src(1, 0), src(1, 1), None],
+                src(0, 0),
+                src(0, 1),
+                src(1, 2), // dev0
+                src(1, 0),
+                src(1, 1),
+                None, // dev1
             ],
         );
         let l = TableLayout::new(two_col_schema(), 2, vec![part]).unwrap();
@@ -380,8 +409,12 @@ mod tests {
         let part = PartLayout::new(
             3,
             vec![
-                vec![src(0, 0), src(0, 1), None],
-                vec![src(1, 0), src(1, 1), None],
+                src(0, 0),
+                src(0, 1),
+                None, // dev0
+                src(1, 0),
+                src(1, 1),
+                None, // dev1
             ],
         );
         let err = TableLayout::new(two_col_schema(), 2, vec![part]).unwrap_err();
@@ -393,8 +426,12 @@ mod tests {
         let part = PartLayout::new(
             3,
             vec![
-                vec![src(0, 0), src(0, 1), src(1, 0)],
-                vec![src(1, 0), src(1, 1), src(1, 2)],
+                src(0, 0),
+                src(0, 1),
+                src(1, 0), // dev0
+                src(1, 0),
+                src(1, 1),
+                src(1, 2), // dev1
             ],
         );
         let err = TableLayout::new(two_col_schema(), 2, vec![part]).unwrap_err();
@@ -407,8 +444,12 @@ mod tests {
         let part = PartLayout::new(
             3,
             vec![
-                vec![src(0, 0), src(1, 0), src(1, 1)],
-                vec![src(0, 1), src(1, 2), None],
+                src(0, 0),
+                src(1, 0),
+                src(1, 1), // dev0
+                src(0, 1),
+                src(1, 2),
+                None, // dev1
             ],
         );
         let err = TableLayout::new(two_col_schema(), 2, vec![part]).unwrap_err();
@@ -417,11 +458,11 @@ mod tests {
 
     #[test]
     fn bad_reference_is_rejected() {
-        let part = PartLayout::new(1, vec![vec![src(9, 0)], vec![None]]);
+        let part = PartLayout::new(1, vec![src(9, 0), None]);
         let err = TableLayout::new(two_col_schema(), 2, vec![part]).unwrap_err();
         assert_eq!(err, LayoutError::BadReference { col: 9 });
         // Byte beyond the column width is also a bad reference.
-        let part = PartLayout::new(1, vec![vec![src(0, 7)], vec![None]]);
+        let part = PartLayout::new(1, vec![src(0, 7), None]);
         let err = TableLayout::new(two_col_schema(), 2, vec![part]).unwrap_err();
         assert_eq!(err, LayoutError::BadReference { col: 0 });
     }

@@ -4,6 +4,8 @@
 //! whole within one device so its PIM unit can scan it locally (§4.1.2).
 //! *Normal columns* may be split byte-wise across devices.
 
+use std::borrow::Cow;
+
 /// Whether a column is scanned by frequent analytical queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnKind {
@@ -16,8 +18,9 @@ pub enum ColumnKind {
 /// A fixed-width column.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Column {
-    /// Column name.
-    pub name: String,
+    /// Column name: borrowed when it is a literal, so building a schema
+    /// from a static column list allocates nothing per column.
+    pub name: Cow<'static, str>,
     /// Width in bytes.
     pub width: u32,
     /// Key/normal classification.
@@ -30,7 +33,7 @@ impl Column {
     /// # Panics
     ///
     /// Panics if `width` is zero.
-    pub fn key(name: impl Into<String>, width: u32) -> Column {
+    pub fn key(name: impl Into<Cow<'static, str>>, width: u32) -> Column {
         assert!(width > 0, "zero-width column");
         Column {
             name: name.into(),
@@ -44,7 +47,7 @@ impl Column {
     /// # Panics
     ///
     /// Panics if `width` is zero.
-    pub fn normal(name: impl Into<String>, width: u32) -> Column {
+    pub fn normal(name: impl Into<Cow<'static, str>>, width: u32) -> Column {
         assert!(width > 0, "zero-width column");
         Column {
             name: name.into(),
@@ -83,7 +86,7 @@ impl Column {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
-    name: String,
+    name: Cow<'static, str>,
     columns: Vec<Column>,
 }
 
@@ -93,12 +96,14 @@ impl TableSchema {
     /// # Panics
     ///
     /// Panics if `columns` is empty or contains duplicate names.
-    pub fn new(name: impl Into<String>, columns: Vec<Column>) -> TableSchema {
+    pub fn new(name: impl Into<Cow<'static, str>>, columns: Vec<Column>) -> TableSchema {
         assert!(!columns.is_empty(), "schema needs at least one column");
-        let mut names: Vec<&str> = columns.iter().map(|c| c.name.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), columns.len(), "duplicate column names");
+        for (i, c) in columns.iter().enumerate() {
+            assert!(
+                columns[..i].iter().all(|d| d.name != c.name),
+                "duplicate column names"
+            );
+        }
         TableSchema {
             name: name.into(),
             columns,
@@ -154,13 +159,6 @@ impl TableSchema {
             .collect()
     }
 
-    /// Indices of normal columns, in declaration order.
-    pub fn normal_indices(&self) -> Vec<u32> {
-        (0..self.columns.len() as u32)
-            .filter(|&i| !self.columns[i as usize].is_key())
-            .collect()
-    }
-
     /// Returns a copy where exactly the named columns are key columns.
     /// Used by the Fig. 8(c,d) experiment, where the key set derives from
     /// an OLAP query subset.
@@ -172,27 +170,33 @@ impl TableSchema {
         for n in key_names {
             assert!(self.index_of(n).is_some(), "unknown column {n}");
         }
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Column {
-                name: c.name.clone(),
-                width: c.width,
-                kind: if key_names.contains(&c.name.as_str()) {
-                    ColumnKind::Key
-                } else {
-                    ColumnKind::Normal
-                },
-            })
-            .collect();
-        TableSchema::new(self.name.clone(), columns)
+        self.keyed_where(|c| key_names.contains(&&*c.name))
     }
 
     /// Returns a copy where every column is a key column (degrades the
     /// compact format to the naïve aligned format — "ALL" in Fig. 8(c,d)).
     pub fn with_all_keys(&self) -> TableSchema {
-        let names: Vec<&str> = self.columns.iter().map(|c| c.name.as_str()).collect();
-        self.with_keys(&names)
+        self.keyed_where(|_| true)
+    }
+
+    /// A copy whose key columns are exactly those `is_key` accepts.
+    fn keyed_where(&self, is_key: impl Fn(&Column) -> bool) -> TableSchema {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| Column {
+                kind: if is_key(c) {
+                    ColumnKind::Key
+                } else {
+                    ColumnKind::Normal
+                },
+                ..c.clone()
+            })
+            .collect();
+        TableSchema {
+            name: self.name.clone(),
+            columns,
+        }
     }
 }
 
@@ -220,7 +224,8 @@ mod tests {
         let s = paper_example_schema();
         assert_eq!(s.row_width(), 21);
         assert_eq!(s.key_indices(), vec![0, 1, 2, 4]);
-        assert_eq!(s.normal_indices(), vec![3, 5]);
+        let normal: Vec<u32> = (0..6).filter(|&i| !s.column(i).is_key()).collect();
+        assert_eq!(normal, vec![3, 5]);
         assert_eq!(s.index_of("zip"), Some(3));
         assert_eq!(s.index_of("nope"), None);
         assert_eq!(s.name(), "customer_example");
@@ -232,7 +237,7 @@ mod tests {
     fn with_keys_reclassifies() {
         let s = paper_example_schema().with_keys(&["zip"]);
         assert_eq!(s.key_indices(), vec![3]);
-        assert_eq!(s.normal_indices().len(), 5);
+        assert_eq!(s.columns().iter().filter(|c| !c.is_key()).count(), 5);
         // Widths unchanged.
         assert_eq!(s.row_width(), 21);
     }

@@ -116,21 +116,23 @@ impl TableStore {
         let devices = layout.devices();
         let region = RegionPlan::new(&layout, n_rows, delta_rows);
         let mut column_at = 0;
-        let mut image_fragments = Vec::new();
-        for (col, column) in layout.schema().columns().iter().enumerate() {
+        let columns = layout.schema().columns();
+        let fragments = (0..columns.len() as u32).map(|col| layout.fragments(col).len());
+        let mut image_fragments = Vec::with_capacity(fragments.sum());
+        for (col, column) in columns.iter().enumerate() {
             let fragments = layout.fragments(col as u32).iter();
             image_fragments.extend(fragments.map(|&f| (column_at, f)));
             column_at += column.width;
         }
         // Every byte the store writes lies in the plan's regions, so each
-        // device's store reaches at most `bytes_per_device` and never
-        // reallocates: reserved here, written only as rows arrive.
-        let reserved = region.bytes_per_device() as usize;
+        // device holds `bytes_per_device`: allocated zeroed here, touched
+        // only as rows arrive.
+        let bytes = region.bytes_per_device() as usize;
         TableStore {
             placement: Placement::new(devices, block_rows),
             region,
             image_fragments,
-            mem: DeviceArray::with_capacity(devices, reserved),
+            mem: DeviceArray::new(devices, bytes),
             layout,
         }
     }
@@ -207,8 +209,7 @@ impl TableStore {
             let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as usize;
             let from = (column_at + f.col_byte) as usize;
             self.mem
-                .device_mut(device)
-                .write(off, &image[from..from + f.len as usize]);
+                .write(device, off, &image[from..from + f.len as usize]);
         }
     }
 
@@ -232,7 +233,8 @@ impl TableStore {
         for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
             let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
-            self.mem.device_mut(device).write(
+            self.mem.write(
+                device,
                 off as usize,
                 &value[f.col_byte as usize..(f.col_byte + f.len) as usize],
             );
@@ -248,7 +250,8 @@ impl TableStore {
         for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
             let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
-            self.mem.device(device).read_into(
+            self.mem.read_into(
+                device,
                 off as usize,
                 &mut out[f.col_byte as usize..(f.col_byte + f.len) as usize],
             );
@@ -273,11 +276,7 @@ impl TableStore {
         for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
             let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
-            value |= self
-                .mem
-                .device(device)
-                .read_le(off as usize, f.len as usize)
-                << (8 * f.col_byte);
+            value |= self.mem.read_le(device, off as usize, f.len as usize) << (8 * f.col_byte);
         }
         value
     }
@@ -300,20 +299,10 @@ impl TableStore {
             SlotIndex::of(&self.region, from),
             SlotIndex::of(&self.region, to),
         );
-        let parts = self.region.parts();
-        // Every device holds the same offsets, so each is sized once, to
-        // the furthest byte any part's copy reads or writes, and then
-        // takes all its parts' copies inside that extent.
-        let end = parts
-            .iter()
-            .map(|part| from.offset_in(part).max(to.offset_in(part)) + part.width as usize)
-            .max()
-            .unwrap_or(0);
         for dev in 0..self.mem.width() {
-            let mem = self.mem.device_mut(dev);
-            mem.ensure(end);
-            for part in parts {
-                mem.copy_within(
+            for part in self.region.parts() {
+                self.mem.copy_within(
+                    dev,
                     from.offset_in(part),
                     to.offset_in(part),
                     part.width as usize,
@@ -408,8 +397,8 @@ impl ColumnCursor<'_> {
     }
 
     /// The column's value of `slot`, decoded little-endian like
-    /// `dec_u64` of [`TableStore::read_value`]. Bytes past a device's
-    /// written extent read as zero.
+    /// `dec_u64` of [`TableStore::read_value`]. Unwritten bytes read as
+    /// zero.
     ///
     /// `slot` must lie within [`ColumnCursor::extents`]: checked in debug
     /// builds only, because a scan establishes it once for all its slots.
@@ -433,7 +422,7 @@ impl ColumnCursor<'_> {
             let device = (f.device + rotation) % self.arenas;
             let base = if delta { f.delta_base } else { f.data_base };
             let offset = (base + index * f.stride) as usize;
-            value |= self.mem.device(device).read_le(offset, f.len) << f.shift;
+            value |= self.mem.read_le(device, offset, f.len) << f.shift;
         }
         value
     }
@@ -487,8 +476,8 @@ mod tests {
                 assert_eq!(by_image.read_u64(slot, col), u64::from_le_bytes(le));
             }
         }
-        for (a, b) in by_values.mem().iter().zip(by_image.mem().iter()) {
-            assert_eq!(a.read(0, a.len()), b.read(0, b.len()));
+        for dev in 0..by_values.mem().width() {
+            assert_eq!(by_values.mem().device(dev), by_image.mem().device(dev));
         }
     }
 
@@ -532,7 +521,7 @@ mod tests {
         let off = s.region().data_offset(part, row) + f.offset as u64;
         (
             device,
-            s.mem().device(device).read_le(off as usize, f.len as usize),
+            s.mem().read_le(device, off as usize, f.len as usize),
         )
     }
 

@@ -111,7 +111,7 @@ proptest! {
     /// multi-fragment normal columns and key columns, rows spanning more
     /// than `devices + 1` circulant blocks plus a partial block, every
     /// rotation arena up to its last index, recycled-slot residue, and
-    /// reads past the written extent (zero on both paths).
+    /// reads of unwritten bytes (zero on both paths).
     #[test]
     fn cursor_equals_read_value(
         schema in arb_int_schema(),
@@ -125,13 +125,13 @@ proptest! {
         let mut store = TableStore::new(layout, block, n_rows, 3 * devices as u64);
         let mut state = seed;
         let mut row_values = || random_row(&schema, &mut state);
-        // Nothing written: every device's extent is empty.
+        // Nothing written: every byte reads zero.
         assert_cursor_equals_read_value(&store, "empty")?;
         for col in 0..schema.len() as u32 {
             prop_assert_eq!(store.column_cursor(col).u64_at(RowSlot::Data { row: n_rows - 1 }), 0);
         }
-        // The first half of the rows and one delta slot: the rest lies
-        // past, or straddles, some device's written extent.
+        // The first half of the rows and one delta slot: the rest is
+        // unwritten, or straddles written bytes.
         for row in 0..n_rows / 2 {
             store.write_row(RowSlot::Data { row }, &row_values());
         }

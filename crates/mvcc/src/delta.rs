@@ -8,8 +8,20 @@
 #[derive(Debug, Clone)]
 pub struct DeltaAllocator {
     arena_rows: u64,
-    next: Vec<u64>,
-    free: Vec<Vec<u64>>,
+    heads: Vec<ArenaHead>,
+    /// Every arena's free list, arena after arena: arena `r`'s holds
+    /// `free[r * arena_rows..][..heads[r].freed]`, most recently freed
+    /// last.
+    free: Vec<u64>,
+}
+
+/// Where one arena's allocation stands.
+#[derive(Debug, Clone, Copy, Default)]
+struct ArenaHead {
+    /// Slots below this have been handed out at least once.
+    next: u64,
+    /// Length of the arena's free list.
+    freed: u64,
 }
 
 /// Raised when a delta arena has no free slot: the engine must run
@@ -30,8 +42,9 @@ impl std::error::Error for DeltaFull {}
 
 impl DeltaAllocator {
     /// Creates an allocator with `arenas` rotation arenas of `arena_rows`
-    /// slots each. Each arena's free list holds room for all its slots
-    /// from the start, so releasing a slot never grows it.
+    /// slots each. The free lists hold room for every slot from the
+    /// start, allocated zeroed and touched only as slots are released,
+    /// so releasing a slot never allocates.
     ///
     /// # Panics
     ///
@@ -40,10 +53,8 @@ impl DeltaAllocator {
         assert!(arenas > 0 && arena_rows > 0, "degenerate delta region");
         DeltaAllocator {
             arena_rows,
-            next: vec![0; arenas as usize],
-            free: (0..arenas)
-                .map(|_| Vec::with_capacity(arena_rows as usize))
-                .collect(),
+            heads: vec![ArenaHead::default(); arenas as usize],
+            free: vec![0; arenas as usize * arena_rows as usize],
         }
     }
 
@@ -59,33 +70,46 @@ impl DeltaAllocator {
     /// Returns [`DeltaFull`] when the arena is exhausted.
     pub fn alloc(&mut self, rotation: u32) -> Result<u64, DeltaFull> {
         let r = rotation as usize;
-        if let Some(idx) = self.free[r].pop() {
-            return Ok(idx);
+        let head = &mut self.heads[r];
+        if head.freed > 0 {
+            head.freed -= 1;
+            return Ok(self.free[(r as u64 * self.arena_rows + head.freed) as usize]);
         }
-        if self.next[r] < self.arena_rows {
-            let idx = self.next[r];
-            self.next[r] += 1;
-            Ok(idx)
+        if head.next < self.arena_rows {
+            head.next += 1;
+            Ok(head.next - 1)
         } else {
             Err(DeltaFull { rotation })
         }
     }
 
     /// Returns a slot to `rotation`'s free list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena's free list is already full: some slot was
+    /// released twice.
     pub fn release(&mut self, rotation: u32, idx: u64) {
         debug_assert!(idx < self.arena_rows);
-        self.free[rotation as usize].push(idx);
+        let r = rotation as usize;
+        let head = &mut self.heads[r];
+        assert!(
+            head.freed < head.next,
+            "arena {rotation} released more slots than it allocated"
+        );
+        self.free[(r as u64 * self.arena_rows + head.freed) as usize] = idx;
+        head.freed += 1;
     }
 
     /// Live (allocated, unreleased) slots in `rotation`'s arena.
     pub fn live(&self, rotation: u32) -> u64 {
-        let r = rotation as usize;
-        self.next[r] - self.free[r].len() as u64
+        let head = self.heads[rotation as usize];
+        head.next - head.freed
     }
 
     /// Live slots across all arenas.
     pub fn live_total(&self) -> u64 {
-        (0..self.next.len() as u32).map(|r| self.live(r)).sum()
+        self.heads.iter().map(|h| h.next - h.freed).sum()
     }
 }
 

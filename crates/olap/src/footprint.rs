@@ -53,7 +53,7 @@ pub fn run_footprint_query(
 
     // Group the footprint by table, preserving order.
     let mut by_table: BTreeMap<Table, Vec<&'static str>> = BTreeMap::new();
-    for &col in &fp.columns {
+    for &col in fp.columns {
         let table = Table::of_column(col).expect("footprint column exists");
         by_table.entry(table).or_default().push(col);
     }

@@ -76,7 +76,7 @@ pub enum ColumnWrite {
 
 impl ColumnWrite {
     /// A blind write of `value` truncated to `width` little-endian bytes
-    /// (what `enc_u64(value, width)` holds).
+    /// (what `put_u64` appends at `width`).
     ///
     /// # Panics
     ///

@@ -342,9 +342,16 @@ impl TpccDb {
         );
         let mut tables = Vec::with_capacity(pushtap_chbench::ALL_TABLES.len());
         let mut base_dram_row = 0u32;
+        // One row image buffer for the whole population, sized to the
+        // widest table's rows.
+        let widest = pushtap_chbench::ALL_TABLES
+            .into_iter()
+            .map(|t| t.columns().iter().map(|&(_, width)| width).sum::<u32>())
+            .max();
+        let mut image = Vec::with_capacity(widest.unwrap_or(0) as usize);
         for table in pushtap_chbench::ALL_TABLES {
-            let keys: Vec<&str> = key_map.get(&table).cloned().unwrap_or_default();
-            let schema = pushtap_chbench::schema_with_keys(table, &keys);
+            let keys = key_map.get(&table).map_or(&[][..], Vec::as_slice);
+            let schema = pushtap_chbench::schema_with_keys(table, keys);
             let layout = layout_for(&schema, cfg.format, geometry.devices_per_rank)?;
             let global = global_rows(cfg, table);
             let (row_base, n_rows) = match table.partitioning() {
@@ -379,7 +386,6 @@ impl TpccDb {
             // Functional population from *global* row indices, so every
             // shard's slice matches the unpartitioned build byte for byte.
             let gen = RowGen::new(table, global);
-            let mut image = Vec::new();
             for row in 0..n_rows {
                 gen.row_image(row_base + row, &mut image);
                 t.load_row(row, &image);

@@ -4,7 +4,7 @@
 //! read-your-writes.
 
 use proptest::prelude::*;
-use pushtap_chbench::{dec_u64, enc_u64, RemoteMix, Table};
+use pushtap_chbench::{dec_u64, put_u64, RemoteMix, Table};
 use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
 use pushtap_mvcc::{DeltaFull, Ts, UndoLog, UndoRecord};
 use pushtap_oltp::{
@@ -356,11 +356,11 @@ fn column_value(val: u64, c: usize) -> u64 {
 
 /// The image of the row that carries `val`.
 fn row_image(val: u64) -> Vec<u8> {
-    SCAN_WIDTHS
-        .iter()
-        .enumerate()
-        .flat_map(|(c, &w)| enc_u64(column_value(val, c), w))
-        .collect()
+    let mut image = Vec::new();
+    for (c, &w) in SCAN_WIDTHS.iter().enumerate() {
+        put_u64(&mut image, column_value(val, c), w);
+    }
+    image
 }
 
 /// One table written the way the engine writes its twelve: every

@@ -15,8 +15,8 @@
 //!   vs the original per-unit control path (§6.1);
 //! * [`MemSystem`] — the facade the database engine drives, with
 //!   effective-bandwidth accounting;
-//! * [`DeviceMem`]/[`DeviceArray`] — functional byte storage so the
-//!   database on top is value-correct, not just timed;
+//! * [`DeviceArray`] — functional byte storage so the database on top is
+//!   value-correct, not just timed;
 //! * [`calib`] — every hand-set model constant that Table 1 does not give,
 //!   each with its unit and source.
 //!
@@ -60,7 +60,7 @@ pub use bank::{BankState, RowOutcome};
 pub use config::{CpuSpec, MemKind, PimUnitSpec, SystemConfig};
 pub use controller::{ChannelController, Completion, CtrlStats, Op};
 pub use geometry::{BankAddr, Geometry};
-pub use mem::{DeviceArray, DeviceMem};
+pub use mem::DeviceArray;
 pub use pim_unit::{PimOpKind, PimUnit, PIPELINE_SATURATION_TASKLETS};
 pub use scheduler::{ControlArch, ControlModel};
 pub use system::{even_shares, MemSystem, Side, SysStats};

@@ -4,12 +4,17 @@
 //! durable image once, decodes every record into one effect list and
 //! writes the survivors into one buffer; replay shares the scan and the
 //! list, and applies the records to tables whose storage was sized when
-//! they were built; building an engine resolves each table's schema once.
+//! they were built. Building an engine allocates per table, not per
+//! column, part, device or arena: each table's schema is built once, its
+//! layout's parts and fragments are flat, and its device bytes and free
+//! lists are one buffer each.
 //!
 //! The counts are exact: the counting global allocator of
 //! `crates/core/tests/support/counting.rs` tallies every `alloc` and
 //! `realloc` call the process makes. This binary holds one test, so
-//! nothing else runs while it counts.
+//! nothing else runs while it counts. The builds it counts follow an
+//! uncounted one, so no allocation the process makes once, on its first
+//! build, lands in a count.
 
 use pushtap_shard::{ShardConfig, ShardedHtap};
 
@@ -24,9 +29,14 @@ static ALLOCATOR: Counting = Counting;
 const SHARDS: u32 = 2;
 const BATCHES: u64 = 10;
 const BATCH_TXNS: u64 = 250;
-/// Allocations allowed to build the 2 shards: 3 652 measured, the same
-/// in dev and release builds, plus one.
-const BUILD_BUDGET: u64 = 3_653;
+/// Allocations allowed to build the 2 shards: 966 measured, the same in
+/// dev and release builds, plus one.
+const BUILD_BUDGET: u64 = 967;
+/// Allocations allowed to recover the 2 shards, build and replay
+/// together — what a recovery costs its caller: 1 042 measured (966 to
+/// build, 76 to replay), the same in dev and release builds, plus the
+/// replay's six of slack (below).
+const RECOVER_BUDGET: u64 = 1_048;
 /// Replayed records per allocation allowed in recovery's replay: 76
 /// measured over 4 148 records (one per 54.6) — the scan's, the
 /// decoder's and the replay's lists growing to a log's size — budget
@@ -44,9 +54,6 @@ fn config() -> ShardConfig {
 
 #[test]
 fn checkpoint_replay_and_build_allocate_per_log() {
-    let (build, service) = counted(|| ShardedHtap::new(ShardConfig::small(SHARDS)));
-    drop(service.expect("the small config lays out"));
-
     let mut service = ShardedHtap::new(config()).expect("the small config lays out");
     let handles = service.enable_wal();
     let mut gen = service.global_txn_gen(42);
@@ -65,14 +72,15 @@ fn checkpoint_replay_and_build_allocate_per_log() {
     let log_count = report.per_shard.len() as u64 + 1;
 
     let logs = handles.harvest();
-    let (rebuild, fresh) = counted(|| ShardedHtap::new(config()));
+    let (build, fresh) = counted(|| ShardedHtap::new(config()));
     drop(fresh.expect("the small config lays out"));
     let (recover, recovered) = counted(|| ShardedHtap::recover(config(), &logs));
     let (_, recovery) = recovered.expect("the logs recover");
-    let replay = recover.saturating_sub(rebuild);
+    let replay = recover.saturating_sub(build);
     let replayed = recovery.replayed();
 
     println!("build: {build} allocations for {SHARDS} shards");
+    println!("recover: {recover} allocations (build and replay)");
     println!(
         "checkpoint: {checkpoint} allocations over {log_count} logs \
          (at least {records} records per effect log)"
@@ -93,5 +101,9 @@ fn checkpoint_replay_and_build_allocate_per_log() {
     assert!(
         build <= BUILD_BUDGET,
         "{build} allocations to build {SHARDS} shards, budget {BUILD_BUDGET}"
+    );
+    assert!(
+        recover <= RECOVER_BUDGET,
+        "{recover} allocations to recover {SHARDS} shards, budget {RECOVER_BUDGET}"
     );
 }

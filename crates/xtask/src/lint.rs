@@ -379,6 +379,22 @@ const ROWS: &[Row] = &[
               a fixed array.",
     },
     Row {
+        name: "layout-keeps-no-nested-vec",
+        paths: &[
+            "crates/format/src",
+            "crates/pim/src/mem.rs",
+            "crates/mvcc/src/delta.rs",
+        ],
+        non_test: true,
+        check: AnyUnless(&["Vec<Vec<"], in_a_row_read),
+        sample: "    slots: Vec<Vec<Slot>>,",
+        why: "Building an engine allocates per table, not per column, part, \
+              device or arena: a part's slots, a layout's fragments, a rank's \
+              device bytes and a table's delta free lists are each one flat \
+              buffer with a stride. `TableStore::read_row` returns a row's \
+              values, one per column, because its caller asked for them.",
+    },
+    Row {
         name: "one-floor-split",
         paths: &["crates", "src", "examples", "tests", "!crates/chbench/src"],
         non_test: false,
@@ -532,6 +548,11 @@ const ROWS: &[Row] = &[
 /// or above the hit that declares a function names one of them.
 fn in_a_value_read(file: &Scanned, offset: usize, _: &str) -> bool {
     in_fn(file, offset, &["fn timed_read(", "fn snapshot_read("])
+}
+
+/// A hit inside `TableStore::read_row`, which gathers a row's values.
+fn in_a_row_read(file: &Scanned, offset: usize, _: &str) -> bool {
+    in_fn(file, offset, &["fn read_row("])
 }
 
 /// A read issued by `HtapTable::fetch` or by the snapshot update's

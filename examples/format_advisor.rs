@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .key_indices()
             .into_iter()
             .filter(|&c| layout.key_location(c).map(|(p, _)| p) == Some(i as u32))
-            .map(|c| schema.column(c).name.as_str())
+            .map(|c| &*schema.column(c).name)
             .collect();
         println!(
             "  part {i}: width {:>3} B/device, {:>2} data bytes, {:>2} padding — keys: {}",
