@@ -6,6 +6,8 @@
 //! slot→device assignment by one device per block, so every column is
 //! spread evenly over all devices (and thus all PIM units).
 
+use crate::region::RowSlot;
+
 /// Block-circulant slot→device mapping.
 ///
 /// # Examples
@@ -52,13 +54,26 @@ impl Placement {
     }
 
     /// The block index of `row`.
+    #[inline]
     pub fn block_of(&self, row: u64) -> u64 {
         row / self.block_rows as u64
     }
 
     /// The rotation applied within `row`'s block.
+    #[inline]
     pub fn rotation_of(&self, row: u64) -> u32 {
         (self.block_of(row) % self.devices as u64) as u32
+    }
+
+    /// The rotation a row version's bytes are placed under: a data row
+    /// rotates with its block, and a delta version carries its arena's
+    /// rotation, which is its origin row's (§5.1).
+    #[inline]
+    pub(crate) fn rotation_of_slot(&self, slot: RowSlot) -> u32 {
+        match slot {
+            RowSlot::Data { row } => self.rotation_of(row),
+            RowSlot::Delta { rotation, .. } => rotation,
+        }
     }
 
     /// The physical device holding layout slot `slot` for `row`.

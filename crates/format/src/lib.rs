@@ -17,7 +17,9 @@
 //! * [`TableLayout`] — a validated byte-exact mapping with per-column
 //!   [`Fragment`]s;
 //! * [`Placement`] — block-circulant rotation for PIM load balance (§4.2);
-//! * [`RegionPlan`] — data/delta/bitmap regions per device (§5.1);
+//! * [`RegionPlan`] — data/delta/bitmap regions per device (§5.1), and
+//!   the one address rule of a row version: [`RegionPlan::resolve`]
+//!   turns a [`RowSlot`] into its [`RegionRow`];
 //! * [`TableStore`] — functional storage: real bytes in [`pushtap_pim`]
 //!   device memories;
 //! * [`cpu_effective`]/[`pim_effective`]/[`storage_breakdown`] — the
@@ -60,6 +62,6 @@ pub use binpack::{compact_layout, naive_layout};
 pub use circulant::Placement;
 pub use inline::Inline;
 pub use layout::{ByteSource, Fragment, LayoutError, PartLayout, Slot, TableLayout};
-pub use region::{PartRegion, RegionPlan};
+pub use region::{PartRegion, RegionPlan, RegionRow, RowSlot};
 pub use schema::{paper_example_schema, Column, ColumnKind, TableSchema};
-pub use store::{ColumnCursor, RowSlot, TableStore};
+pub use store::{ColumnCursor, TableStore};

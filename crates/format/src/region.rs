@@ -7,11 +7,89 @@
 //! allocated in arena `g`, so the version's column→device assignment
 //! matches its origin row and PIM units can copy versions back locally
 //! during defragmentation.
+//!
+//! This module also holds the one address rule of a row version: which
+//! region row a [`RowSlot`] is ([`RegionRow`]), where a part's slice of
+//! it starts, and the way back from a region row to its slot.
 
 use crate::layout::TableLayout;
 
-/// Per-part region bases in device-local byte offsets.
+/// Identifies a stored row version: the original in the data region or a
+/// version in a delta arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RowSlot {
+    /// Row `row` of the data region.
+    Data {
+        /// Row index.
+        row: u64,
+    },
+    /// Delta slot `idx` of rotation arena `rotation`.
+    Delta {
+        /// Rotation arena (must equal the origin row's rotation).
+        rotation: u32,
+        /// Index within the arena.
+        idx: u64,
+    },
+}
+
+/// A row version's row within its region: data row `row` is row `row` of
+/// the data region, and delta slot `idx` of arena `rotation` is row
+/// `rotation × arena_rows + idx` of the delta region, whose arenas lie
+/// one after another. Every part lays the rows of a region out alike, so
+/// one region row serves all of them ([`RegionRow::offset_in`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionRow {
+    /// Whether the row lies in the delta region.
+    pub delta: bool,
+    /// The row's index within its region.
+    pub index: u64,
+}
+
+impl RegionRow {
+    /// `slot`'s region row under arenas of `arena_rows` slots, unchecked:
+    /// [`RegionPlan::resolve`] checks the slot against a plan first.
+    #[inline]
+    pub fn of(slot: RowSlot, arena_rows: u64) -> RegionRow {
+        match slot {
+            RowSlot::Data { row } => RegionRow {
+                delta: false,
+                index: row,
+            },
+            RowSlot::Delta { rotation, idx } => RegionRow {
+                delta: true,
+                index: rotation as u64 * arena_rows + idx,
+            },
+        }
+    }
+
+    /// The slot at this region row: the inverse of [`RegionRow::of`].
+    #[inline]
+    pub fn slot(self, arena_rows: u64) -> RowSlot {
+        if self.delta {
+            RowSlot::Delta {
+                rotation: (self.index / arena_rows) as u32,
+                idx: self.index % arena_rows,
+            }
+        } else {
+            RowSlot::Data { row: self.index }
+        }
+    }
+
+    /// Device-local offset of the row's slice in `part`: the region's
+    /// base plus one part width per row before it.
+    #[inline]
+    pub fn offset_in(self, part: &PartRegion) -> u64 {
+        let base = if self.delta {
+            part.delta_base
+        } else {
+            part.data_base
+        };
+        base + self.index * part.width as u64
+    }
+}
+
+/// Per-part region bases in device-local byte offsets.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartRegion {
     /// Part row width (bytes per device per row).
     pub width: u32,
@@ -95,28 +173,23 @@ impl RegionPlan {
         &self.parts
     }
 
-    /// Device-local offset of `row`'s slice in `part`'s data region.
+    /// `slot`'s region row in this plan.
     ///
     /// # Panics
     ///
-    /// Panics if the row or part is out of range.
-    pub fn data_offset(&self, part: u32, row: u64) -> u64 {
-        assert!(row < self.n_rows, "row {row} out of range");
-        let p = &self.parts[part as usize];
-        p.data_base + row * p.width as u64
-    }
-
-    /// Device-local offset of delta slot `idx` of rotation arena
-    /// `rotation` in `part`'s delta region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena or index is out of range.
-    pub fn delta_offset(&self, part: u32, rotation: u32, idx: u64) -> u64 {
-        assert!(rotation < self.arenas, "rotation {rotation} out of range");
-        assert!(idx < self.arena_rows, "delta index {idx} out of range");
-        let p = &self.parts[part as usize];
-        p.delta_base + (rotation as u64 * self.arena_rows + idx) * p.width as u64
+    /// Panics if the slot lies outside the plan: a data row at or past
+    /// `n_rows`, a rotation at or past `arenas`, or a delta index at or
+    /// past `arena_rows`.
+    #[inline]
+    pub fn resolve(&self, slot: RowSlot) -> RegionRow {
+        match slot {
+            RowSlot::Data { row } => assert!(row < self.n_rows, "row {row} out of range"),
+            RowSlot::Delta { rotation, idx } => {
+                assert!(rotation < self.arenas, "rotation {rotation} out of range");
+                assert!(idx < self.arena_rows, "delta index {idx} out of range");
+            }
+        }
+        RegionRow::of(slot, self.arena_rows)
     }
 
     /// Base offset of the snapshot-bitmap region (replicated per device).
@@ -168,15 +241,38 @@ mod tests {
     #[test]
     fn offsets_are_strided_by_width() {
         let (_, r) = plan();
-        assert_eq!(r.data_offset(0, 0), 0);
-        assert_eq!(r.data_offset(0, 3), 12);
-        assert_eq!(r.data_offset(1, 3), r.parts()[1].data_base + 6);
-        let d0 = r.delta_offset(0, 0, 0);
-        let d1 = r.delta_offset(0, 0, 1);
-        assert_eq!(d1 - d0, 4);
+        let offset = |part: usize, slot| r.resolve(slot).offset_in(&r.parts()[part]);
+        let data = |row| RowSlot::Data { row };
+        let delta = |rotation, idx| RowSlot::Delta { rotation, idx };
+        assert_eq!(offset(0, data(0)), 0);
+        assert_eq!(offset(0, data(3)), 12);
+        assert_eq!(offset(1, data(3)), r.parts()[1].data_base + 6);
+        let d0 = offset(0, delta(0, 0));
+        assert_eq!(d0, r.parts()[0].delta_base);
+        assert_eq!(offset(0, delta(0, 1)) - d0, 4);
         // Different arenas are arena_rows apart.
-        let a1 = r.delta_offset(0, 1, 0);
-        assert_eq!(a1 - d0, r.arena_rows() * 4);
+        assert_eq!(offset(0, delta(1, 0)) - d0, r.arena_rows() * 4);
+    }
+
+    /// Every slot of the plan maps to its own region row, and back.
+    #[test]
+    fn region_rows_invert_to_their_slots() {
+        let (_, r) = plan();
+        let data = (0..r.n_rows()).map(|row| RowSlot::Data { row });
+        let delta = (0..r.arenas()).flat_map(|rotation| {
+            (0..r.arena_rows()).map(move |idx| RowSlot::Delta { rotation, idx })
+        });
+        let mut rows = Vec::new();
+        for slot in data.chain(delta) {
+            let at = r.resolve(slot);
+            assert_eq!(at.slot(r.arena_rows()), slot);
+            rows.push((at.delta, at.index));
+        }
+        let expect: Vec<_> = (0..r.n_rows())
+            .map(|i| (false, i))
+            .chain((0..r.delta_rows()).map(|i| (true, i)))
+            .collect();
+        assert_eq!(rows, expect, "each region's rows, once each, in order");
     }
 
     /// The bitmap region closes the device: one data bit per row and
@@ -194,13 +290,26 @@ mod tests {
     #[should_panic(expected = "row 100 out of range")]
     fn row_bounds_checked() {
         let (_, r) = plan();
-        let _ = r.data_offset(0, 100);
+        let _ = r.resolve(RowSlot::Data { row: 100 });
     }
 
     #[test]
     #[should_panic(expected = "delta index")]
     fn delta_bounds_checked() {
         let (_, r) = plan();
-        let _ = r.delta_offset(0, 0, r.arena_rows());
+        let _ = r.resolve(RowSlot::Delta {
+            rotation: 0,
+            idx: r.arena_rows(),
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rotation 4 out of range")]
+    fn rotation_bounds_checked() {
+        let (_, r) = plan();
+        let _ = r.resolve(RowSlot::Delta {
+            rotation: r.arenas(),
+            idx: 0,
+        });
     }
 }

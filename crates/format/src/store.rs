@@ -21,80 +21,7 @@ use pushtap_pim::DeviceArray;
 use crate::circulant::Placement;
 use crate::inline::Inline;
 use crate::layout::{Fragment, TableLayout};
-use crate::region::{PartRegion, RegionPlan};
-
-/// Identifies a stored row version: the original in the data region or a
-/// version in a delta arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RowSlot {
-    /// Row `row` of the data region.
-    Data {
-        /// Row index.
-        row: u64,
-    },
-    /// Delta slot `idx` of rotation arena `rotation`.
-    Delta {
-        /// Rotation arena (must equal the origin row's rotation).
-        rotation: u32,
-        /// Index within the arena.
-        idx: u64,
-    },
-}
-
-/// Where a slot's slices lie in every part: in the data or the delta
-/// region, at which row index of it. A part's slice then starts at
-/// `base + index × width`.
-#[derive(Debug, Clone, Copy)]
-struct SlotIndex {
-    delta: bool,
-    index: u64,
-}
-
-impl SlotIndex {
-    /// Resolves `slot` against the region plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot lies outside the plan, like
-    /// [`RegionPlan::data_offset`] and [`RegionPlan::delta_offset`].
-    fn of(region: &RegionPlan, slot: RowSlot) -> SlotIndex {
-        match slot {
-            RowSlot::Data { row } => {
-                assert!(row < region.n_rows(), "row {row} out of range");
-                SlotIndex {
-                    delta: false,
-                    index: row,
-                }
-            }
-            RowSlot::Delta { rotation, idx } => {
-                assert!(
-                    rotation < region.arenas(),
-                    "rotation {rotation} out of range"
-                );
-                assert!(idx < region.arena_rows(), "delta index {idx} out of range");
-                SlotIndex {
-                    delta: true,
-                    index: rotation as u64 * region.arena_rows() + idx,
-                }
-            }
-        }
-    }
-
-    /// Device-local offset of the slot's slice in `part`.
-    fn offset_in(self, part: &PartRegion) -> usize {
-        let base = if self.delta {
-            part.delta_base
-        } else {
-            part.data_base
-        };
-        (base + self.index * part.width as u64) as usize
-    }
-}
-
-/// Device-local offset of `slot`'s slice in `part`'s region.
-fn base_offset(region: &RegionPlan, part: u32, slot: RowSlot) -> u64 {
-    SlotIndex::of(region, slot).offset_in(&region.parts()[part as usize]) as u64
-}
+use crate::region::{PartRegion, RegionPlan, RegionRow, RowSlot};
 
 /// A table instance stored in the unified format.
 #[derive(Debug, Clone)]
@@ -157,15 +84,6 @@ impl TableStore {
         &self.mem
     }
 
-    /// Rotation of a slot: data rows rotate with their block; delta slots
-    /// carry their arena's rotation (§5.1).
-    fn rotation(&self, slot: RowSlot) -> u32 {
-        match slot {
-            RowSlot::Data { row } => self.placement.rotation_of(row),
-            RowSlot::Delta { rotation, .. } => rotation,
-        }
-    }
-
     /// The rotation arena a new version of data row `row` must use.
     pub fn arena_for_row(&self, row: u64) -> u32 {
         self.placement.rotation_of(row)
@@ -201,15 +119,15 @@ impl TableStore {
     pub fn write_image(&mut self, slot: RowSlot, image: &[u8]) {
         let row_width = self.layout.schema().row_width() as usize;
         assert_eq!(image.len(), row_width, "row image width mismatch");
-        let rotation = self.rotation(slot);
+        let rotation = self.placement.rotation_of_slot(slot);
         let devices = self.layout.devices();
-        let at = SlotIndex::of(&self.region, slot);
+        let at = self.region.resolve(slot);
         for &(column_at, f) in &self.image_fragments {
             let device = (f.device + rotation) % devices;
-            let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as usize;
+            let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as u64;
             let from = (column_at + f.col_byte) as usize;
             self.mem
-                .write(device, off, &image[from..from + f.len as usize]);
+                .write(device, off as usize, &image[from..from + f.len as usize]);
         }
     }
 
@@ -228,11 +146,12 @@ impl TableStore {
     pub fn write_value(&mut self, slot: RowSlot, col: u32, value: &[u8]) {
         let width = self.layout.schema().column(col).width;
         assert_eq!(value.len() as u32, width, "width mismatch for column {col}");
-        let rotation = self.rotation(slot);
+        let rotation = self.placement.rotation_of_slot(slot);
         let devices = self.layout.devices();
+        let at = self.region.resolve(slot);
         for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
-            let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
+            let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as u64;
             self.mem.write(
                 device,
                 off as usize,
@@ -244,12 +163,13 @@ impl TableStore {
     /// Reads one column value of a row version.
     pub fn read_value(&self, slot: RowSlot, col: u32) -> Vec<u8> {
         let width = self.layout.schema().column(col).width as usize;
-        let rotation = self.rotation(slot);
+        let rotation = self.placement.rotation_of_slot(slot);
         let devices = self.layout.devices();
+        let at = self.region.resolve(slot);
         let mut out = vec![0u8; width];
         for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
-            let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
+            let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as u64;
             self.mem.read_into(
                 device,
                 off as usize,
@@ -270,12 +190,13 @@ impl TableStore {
     pub fn read_u64(&self, slot: RowSlot, col: u32) -> u64 {
         let width = self.layout.schema().column(col).width;
         assert!(width <= 8, "column {col} is wider than an integer");
-        let rotation = self.rotation(slot);
+        let rotation = self.placement.rotation_of_slot(slot);
         let devices = self.layout.devices();
+        let at = self.region.resolve(slot);
         let mut value = 0u64;
         for f in self.layout.fragments(col) {
             let device = (f.device + rotation) % devices;
-            let off = base_offset(&self.region, f.part, slot) + f.offset as u64;
+            let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as u64;
             value |= self.mem.read_le(device, off as usize, f.len as usize) << (8 * f.col_byte);
         }
         value
@@ -291,20 +212,17 @@ impl TableStore {
     /// Panics if the two slots' rotations differ.
     pub fn copy_version(&mut self, from: RowSlot, to: RowSlot) {
         assert_eq!(
-            self.rotation(from),
-            self.rotation(to),
+            self.placement.rotation_of_slot(from),
+            self.placement.rotation_of_slot(to),
             "a version moves only within its rotation"
         );
-        let (from, to) = (
-            SlotIndex::of(&self.region, from),
-            SlotIndex::of(&self.region, to),
-        );
+        let (from, to) = (self.region.resolve(from), self.region.resolve(to));
         for dev in 0..self.mem.width() {
             for part in self.region.parts() {
                 self.mem.copy_within(
                     dev,
-                    from.offset_in(part),
-                    to.offset_in(part),
+                    from.offset_in(part) as usize,
+                    to.offset_in(part) as usize,
                     part.width as usize,
                 );
             }
@@ -313,8 +231,8 @@ impl TableStore {
 
     /// A cursor over column `col` — the column dimension of the format.
     /// Everything a value access needs (the column's fragments, their
-    /// parts' strides and region bases, the device count, the circulant
-    /// block size) is resolved here, once per scan.
+    /// parts' strides and region bases, the placement) is resolved here,
+    /// once per scan.
     ///
     /// # Panics
     ///
@@ -333,9 +251,11 @@ impl TableStore {
                 let part = self.region.parts()[f.part as usize];
                 CursorFragment {
                     device: f.device,
-                    stride: part.width as u64,
-                    data_base: part.data_base + f.offset as u64,
-                    delta_base: part.delta_base + f.offset as u64,
+                    region: PartRegion {
+                        width: part.width,
+                        data_base: part.data_base + f.offset as u64,
+                        delta_base: part.delta_base + f.offset as u64,
+                    },
                     len: f.len as usize,
                     shift: 8 * f.col_byte,
                 }
@@ -344,10 +264,8 @@ impl TableStore {
         ColumnCursor {
             mem: &self.mem,
             frags,
-            block_rows: self.placement.block_rows() as u64,
-            n_rows: self.region.n_rows(),
-            arena_rows: self.region.arena_rows(),
-            arenas: self.region.arenas(),
+            placement: self.placement,
+            region: &self.region,
         }
     }
 }
@@ -356,16 +274,15 @@ impl TableStore {
 /// integer column.
 const MAX_FRAGMENTS: usize = 8;
 
-/// One fragment of a cursor's column with its part's stride and region
-/// bases folded in: the fragment of region index `i` lies at
-/// `base + i * stride` on device `(device + rotation) mod devices`.
+/// One fragment of a cursor's column, with the fragment's offset within
+/// a part's row folded into the part's region bases: the fragment of a
+/// region row lies at [`RegionRow::offset_in`] `region`, on device
+/// `(device + rotation) mod devices`.
 #[derive(Debug, Clone, Copy, Default)]
 struct CursorFragment {
     /// Device slot within the part, before rotation.
     device: u32,
-    stride: u64,
-    data_base: u64,
-    delta_base: u64,
+    region: PartRegion,
     len: usize,
     /// Bit position of the fragment's first byte within the value.
     shift: u32,
@@ -374,55 +291,49 @@ struct CursorFragment {
 /// One integer column of a [`TableStore`], resolved for reading
 /// ([`TableStore::column_cursor`]): the view of the format a PIM unit
 /// scans. Building one allocates nothing, and a read decodes in place —
-/// no allocation, no per-value schema, layout or region lookup.
+/// no allocation, no per-value schema or layout lookup.
 #[derive(Debug, Clone)]
 pub struct ColumnCursor<'a> {
     mem: &'a DeviceArray,
     /// The column's fragments, held inline.
     frags: Inline<CursorFragment, MAX_FRAGMENTS>,
-    block_rows: u64,
-    n_rows: u64,
-    arena_rows: u64,
-    /// Rotation arenas, which is also the device count.
-    arenas: u32,
+    placement: Placement,
+    region: &'a RegionPlan,
 }
 
 impl ColumnCursor<'_> {
     /// The slots the cursor covers: data rows, and delta slots over all
-    /// arenas — the region plan's `n_rows` and `arenas × arena_rows`. A
-    /// scan checks its bitmaps' lengths against these once, which makes
-    /// a range check per value redundant.
+    /// arenas — the region plan's `n_rows` and `delta_rows`. A scan
+    /// checks its bitmaps' lengths against these once, which makes a
+    /// range check per value redundant.
     pub fn extents(&self) -> (u64, u64) {
-        (self.n_rows, self.arenas as u64 * self.arena_rows)
+        (self.region.n_rows(), self.region.delta_rows())
     }
 
     /// The column's value of `slot`, decoded little-endian like
     /// `dec_u64` of [`TableStore::read_value`]. Unwritten bytes read as
     /// zero.
     ///
-    /// `slot` must lie within [`ColumnCursor::extents`]: checked in debug
-    /// builds only, because a scan establishes it once for all its slots.
-    /// A slot outside them reads bytes of some other slot or zeros.
+    /// `slot` must lie within [`ColumnCursor::extents`]: checked
+    /// ([`RegionPlan::resolve`]) in debug builds only, because a scan
+    /// establishes it once for all its slots. A slot outside them reads
+    /// bytes of some other slot or zeros.
     #[inline]
     pub fn u64_at(&self, slot: RowSlot) -> u64 {
-        let (rotation, index, delta) = match slot {
-            RowSlot::Data { row } => {
-                debug_assert!(row < self.n_rows, "row {row} out of range");
-                let rotation = (row / self.block_rows % self.arenas as u64) as u32;
-                (rotation, row, false)
-            }
-            RowSlot::Delta { rotation, idx } => {
-                debug_assert!(rotation < self.arenas, "rotation {rotation} out of range");
-                debug_assert!(idx < self.arena_rows, "delta index {idx} out of range");
-                (rotation, rotation as u64 * self.arena_rows + idx, true)
-            }
+        let at = if cfg!(debug_assertions) {
+            self.region.resolve(slot)
+        } else {
+            RegionRow::of(slot, self.region.arena_rows())
         };
+        let rotation = self.placement.rotation_of_slot(slot);
+        let devices = self.placement.devices();
         let mut value = 0u64;
         for f in self.frags.iter() {
-            let device = (f.device + rotation) % self.arenas;
-            let base = if delta { f.delta_base } else { f.data_base };
-            let offset = (base + index * f.stride) as usize;
-            value |= self.mem.read_le(device, offset, f.len) << f.shift;
+            let device = (f.device + rotation) % devices;
+            value |= self
+                .mem
+                .read_le(device, at.offset_in(&f.region) as usize, f.len)
+                << f.shift;
         }
         value
     }
@@ -518,7 +429,8 @@ mod tests {
         let (part, slot) = s.layout().key_location(col).expect("key column");
         let device = s.placement().device_of(slot, row);
         let f = s.layout().fragments(col)[0];
-        let off = s.region().data_offset(part, row) + f.offset as u64;
+        let p = s.region().parts()[part as usize];
+        let off = p.data_base + row * p.width as u64 + f.offset as u64;
         (
             device,
             s.mem().read_le(device, off as usize, f.len as usize),

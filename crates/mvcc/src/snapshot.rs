@@ -7,7 +7,7 @@
 //! Updates are incremental: entries newer than the snapshot timestamp are
 //! left for the next snapshot (transaction T5 in the paper's example).
 
-use pushtap_format::RowSlot;
+use pushtap_format::{RegionRow, RowSlot};
 
 use crate::chain::LogEntry;
 use crate::timestamp::Ts;
@@ -171,35 +171,23 @@ impl Snapshot {
         self.ts
     }
 
-    fn delta_index(&self, rotation: u32, idx: u64) -> u64 {
-        rotation as u64 * self.arena_rows + idx
-    }
-
-    fn bit_of(&self, slot: RowSlot) -> (bool, u64) {
-        match slot {
-            RowSlot::Data { row } => (true, row),
-            RowSlot::Delta { rotation, idx } => (false, self.delta_index(rotation, idx)),
-        }
-    }
-
+    /// Sets `slot`'s bit, one per region row; returns whether it changed
+    /// and whether it lies in the data region.
     fn set_slot(&mut self, slot: RowSlot, v: bool) -> (bool, bool) {
-        let (is_data, i) = self.bit_of(slot);
-        let changed = if is_data {
-            self.data.set(i, v)
+        let at = RegionRow::of(slot, self.arena_rows);
+        let bits = if at.delta {
+            &mut self.delta
         } else {
-            self.delta.set(i, v)
+            &mut self.data
         };
-        (changed, is_data)
+        (bits.set(at.index, v), !at.delta)
     }
 
     /// Whether `slot` is visible in this snapshot.
     pub fn visible(&self, slot: RowSlot) -> bool {
-        let (is_data, i) = self.bit_of(slot);
-        if is_data {
-            self.data.get(i)
-        } else {
-            self.delta.get(i)
-        }
+        let at = RegionRow::of(slot, self.arena_rows);
+        let bits = if at.delta { &self.delta } else { &self.data };
+        bits.get(at.index)
     }
 
     /// Every snapshot-visible slot: the visible data rows ascending, then
@@ -209,10 +197,10 @@ impl Snapshot {
     pub fn visible_slots(&self) -> impl Iterator<Item = RowSlot> + '_ {
         let arena_rows = self.arena_rows;
         let data = self.data.ones().map(|row| RowSlot::Data { row });
-        let delta = self.delta.ones().map(move |i| RowSlot::Delta {
-            rotation: (i / arena_rows) as u32,
-            idx: i % arena_rows,
-        });
+        let delta = self
+            .delta
+            .ones()
+            .map(move |index| RegionRow { delta: true, index }.slot(arena_rows));
         data.chain(delta)
     }
 

@@ -185,7 +185,8 @@ impl ScanEngine {
             let bursts = (rows * w).div_ceil(g as u64);
             let useful = ((layout.schema().column(col).width as u64 * rows) / bursts.max(1))
                 .min(g as u64 * 8) as u32;
-            for ((_, bursts), &bank) in even_shares(bursts, shards.len() as u32).zip(shards) {
+            for ((_, bursts), &bank) in even_shares(bursts, shards.len() as u32).zip(shards.iter())
+            {
                 let done = mem.stream_sampled(
                     table.config().side,
                     bank,

@@ -8,7 +8,9 @@
 //! identical, only the cache-line traffic differs, which is exactly the
 //! comparison Fig. 9(a) makes.
 
-use pushtap_format::{RegionPlan, RowSlot, TableLayout, TableStore};
+use std::sync::Arc;
+
+use pushtap_format::{PartRegion, RegionPlan, RowSlot, TableLayout, TableStore};
 use pushtap_mvcc::{
     DefragCostModel, DefragStrategy, DeltaAllocator, DeltaFull, GcOutcome, Snapshot,
     SnapshotUpdate, Ts, VersionChains,
@@ -41,8 +43,9 @@ pub struct TableConfig {
     pub delta_rows: u64,
     /// Block-circulant block size.
     pub block_rows: u32,
-    /// The banks this table is sharded over.
-    pub shards: Vec<BankAddr>,
+    /// The banks this table is sharded over, shared by every table of an
+    /// engine.
+    pub shards: Arc<[BankAddr]>,
     /// First DRAM row used in each bank (table placement).
     pub base_dram_row: u32,
     /// Timing model.
@@ -75,47 +78,42 @@ pub struct LineRef {
     pub useful: u32,
 }
 
-/// What one row version costs in cache lines, as far as it depends only
-/// on the table: resolved once in [`HtapTable::new`] from the layout,
-/// the region plan and the access model, so that
-/// [`HtapTable::for_each_line`] does per access only the arithmetic that
-/// depends on the slot.
-#[derive(Debug, Clone)]
-enum LinePlan {
-    /// The unified format: one strip per part (§4.1.1), each on its own
-    /// channel.
-    Unified(Vec<PartLines>),
-    /// Contiguous arrays of fixed-width elements, one element per row:
-    /// the row-store model is one array of whole rows, the column-store
-    /// model one array per column.
-    Arrays(Vec<ArrayLines>),
-}
-
-/// One part of the unified format, as a row access sees it.
+/// One strip of a row version's bytes as a row access sees it, resolved
+/// once in [`HtapTable::new`] from the layout, the region plan and the
+/// access model, so that [`HtapTable::for_each_line`] does per access
+/// only the arithmetic that depends on the slot. The unified format has
+/// one strip per part (§4.1.1), each on its own channel; the row-store
+/// model one array of whole rows; the column-store model one array per
+/// column.
 #[derive(Debug, Clone, Copy)]
-struct PartLines {
-    /// Added to the row's block before the shard modulo: parts live on
+struct Strip {
+    /// Added to the row's block before the shard modulo: strips live on
     /// different banks (see [`bank_salt`]).
     salt: u64,
-    /// Bytes per device per row.
-    width: u64,
-    /// Device-local base of the part's data region.
-    data_base: u64,
-    /// Device-local base of the part's delta region.
-    delta_base: u64,
-    /// Non-padding bytes of the part per row, over all devices.
+    /// Bytes per row and the data and delta bases.
+    region: PartRegion,
+    /// Non-padding bytes per row, spread evenly over the row's chunks.
     useful: u64,
+    /// The chunk one line covers: the interleave granularity for a part,
+    /// the 64-byte line for an array.
+    unit: u64,
 }
 
-/// One array of the row-store or column-store timing model.
-#[derive(Debug, Clone, Copy)]
-struct ArrayLines {
-    /// As [`PartLines::salt`], per column; 0 for the row-store's rows.
-    salt: u64,
-    /// Element width in bytes: a row's or a column's.
-    width: u64,
-    /// Byte offset of the array.
-    base: u64,
+impl Strip {
+    /// An array of `width`-byte elements at `base`, one per row. A delta
+    /// version indexes the array like a row, so both bases are `base`.
+    fn array(salt: u64, width: u32, base: u64) -> Strip {
+        Strip {
+            salt,
+            region: PartRegion {
+                width,
+                data_base: base,
+                delta_base: base,
+            },
+            useful: width as u64,
+            unit: 64,
+        }
+    }
 }
 
 /// The bank offset of the `salt`-th part (or column array) of a table:
@@ -151,7 +149,7 @@ impl Fetch {
 #[derive(Debug, Clone)]
 pub struct HtapTable {
     store: TableStore,
-    lines: LinePlan,
+    strips: Vec<Strip>,
     /// The parts' widths (bytes per device per row), as the
     /// defragmentation cost model takes them.
     part_widths: Vec<u32>,
@@ -180,45 +178,33 @@ impl HtapTable {
         let store = TableStore::new(layout, cfg.block_rows, cfg.n_rows, cfg.delta_rows);
         let arena_rows = store.region().arena_rows();
         let schema = store.layout().schema();
-        let lines = match cfg.model {
-            DbFormat::Unified => LinePlan::Unified(
-                store
-                    .region()
-                    .parts()
-                    .iter()
-                    .zip(store.layout().parts())
-                    .enumerate()
-                    .map(|(p, (region, part))| PartLines {
-                        salt: bank_salt(p as u64 + 1),
-                        width: region.width as u64,
-                        data_base: region.data_base,
-                        delta_base: region.delta_base,
-                        useful: part.data_bytes() as u64,
-                    })
-                    .collect(),
-            ),
-            DbFormat::RowStore => LinePlan::Arrays(vec![ArrayLines {
-                salt: bank_salt(0),
-                width: schema.row_width() as u64,
-                base: 0,
-            }]),
+        let strips = match cfg.model {
+            DbFormat::Unified => store
+                .region()
+                .parts()
+                .iter()
+                .zip(store.layout().parts())
+                .enumerate()
+                .map(|(p, (&region, part))| Strip {
+                    salt: bank_salt(p as u64 + 1),
+                    region,
+                    useful: part.data_bytes() as u64,
+                    unit: cfg.geometry.granularity as u64,
+                })
+                .collect(),
+            DbFormat::RowStore => vec![Strip::array(bank_salt(0), schema.row_width(), 0)],
             DbFormat::ColumnStore => {
                 let mut base = 0u64;
                 let columns = schema.columns().iter().enumerate().map(|(ci, col)| {
-                    let width = col.width as u64;
-                    let lines = ArrayLines {
-                        salt: bank_salt(ci as u64 + 1),
-                        width,
-                        base,
-                    };
-                    base += width * cfg.n_rows;
-                    lines
+                    let strip = Strip::array(bank_salt(ci as u64 + 1), col.width, base);
+                    base += col.width as u64 * cfg.n_rows;
+                    strip
                 });
-                LinePlan::Arrays(columns.collect())
+                columns.collect()
             }
         };
         HtapTable {
-            lines,
+            strips,
             part_widths: store.layout().parts().iter().map(|p| p.width()).collect(),
             alloc: DeltaAllocator::new(devices, arena_rows),
             snapshot: Snapshot::new(cfg.n_rows, devices, arena_rows),
@@ -336,77 +322,35 @@ impl HtapTable {
 
     /// Hands `f` every cache line a full access to the row version at
     /// `slot` touches under the table's access model, in issue order.
-    /// Nothing is collected: the walk runs over a per-table plan that
+    /// Nothing is collected: the walk runs over the per-table strips that
     /// [`HtapTable::new`] resolved from the layout, the region plan and
     /// the configuration.
     ///
     /// # Panics
     ///
-    /// Under [`DbFormat::Unified`], panics if the slot lies outside
-    /// the region plan.
+    /// Panics if the slot lies outside the region plan.
     pub fn for_each_line(&self, slot: RowSlot, mut f: impl FnMut(LineRef)) {
         let g = self.cfg.geometry.granularity as u64;
-        let line_bytes = 64u64;
-        let region = self.store.region();
-        let row = match slot {
-            RowSlot::Data { row } => row,
-            // Delta versions shard with their arena (approximation: the
-            // arena index spreads like a row index).
-            RowSlot::Delta { rotation, idx } => rotation as u64 * region.arena_rows() + idx,
-        };
-        let block = row % self.cfg.n_rows.max(1) / self.cfg.block_rows as u64;
-        match &self.lines {
-            LinePlan::Unified(parts) => {
-                let delta = match slot {
-                    RowSlot::Data { row } => {
-                        assert!(row < region.n_rows(), "row {row} out of range");
-                        false
-                    }
-                    RowSlot::Delta { rotation, idx } => {
-                        assert!(
-                            rotation < region.arenas(),
-                            "rotation {rotation} out of range"
-                        );
-                        assert!(idx < region.arena_rows(), "delta index {idx} out of range");
-                        true
-                    }
-                };
-                for part in parts {
-                    let bank = self.bank_of(block, part.salt);
-                    let base = if delta {
-                        part.delta_base
-                    } else {
-                        part.data_base
-                    };
-                    let start = base + row * part.width;
-                    let c0 = start / g;
-                    let c1 = (start + part.width - 1) / g + 1;
-                    let useful = (part.useful / (c1 - c0)).min(line_bytes) as u32;
-                    for c in c0..c1 {
-                        f(LineRef {
-                            bank,
-                            dram_row: self.dram_row(c * g),
-                            useful,
-                        });
-                    }
-                }
-            }
-            LinePlan::Arrays(arrays) => {
-                for array in arrays {
-                    let bank = self.bank_of(block, array.salt);
-                    let w = array.width;
-                    let offset = array.base + row * w;
-                    let l0 = offset / line_bytes;
-                    let l1 = (offset + w - 1) / line_bytes + 1;
-                    let useful = (w / (l1 - l0)).min(line_bytes) as u32;
-                    for l in l0..l1 {
-                        f(LineRef {
-                            bank,
-                            dram_row: self.dram_row(l * g),
-                            useful,
-                        });
-                    }
-                }
+        let at = self.store.region().resolve(slot);
+        // Delta versions shard with their arena (approximation: the
+        // region row spreads like a row index).
+        let block = at.index % self.cfg.n_rows / self.cfg.block_rows as u64;
+        for strip in &self.strips {
+            let bank = self.bank_of(block, strip.salt);
+            let width = strip.region.width as u64;
+            let start = at.offset_in(&strip.region);
+            let c0 = start / strip.unit;
+            let c1 = (start + width - 1) / strip.unit + 1;
+            let useful = (strip.useful / (c1 - c0)).min(64) as u32;
+            // Chunk `c` starts at device-local byte `c × granularity`
+            // under every model: an array's 64-byte line spreads over the
+            // rank's devices, a granularity on each.
+            for c in c0..c1 {
+                f(LineRef {
+                    bank,
+                    dram_row: self.dram_row(c * g),
+                    useful,
+                });
             }
         }
     }
@@ -864,7 +808,7 @@ mod tests {
                 n_rows: 256,
                 delta_rows: 64,
                 block_rows: 16,
-                shards: vec![BankAddr::new(0, 0, 0), BankAddr::new(0, 0, 1)],
+                shards: vec![BankAddr::new(0, 0, 0), BankAddr::new(0, 0, 1)].into(),
                 base_dram_row: 0,
                 model,
                 side: Side::Pim,
@@ -1085,13 +1029,12 @@ mod tests {
             DbFormat::Unified => {
                 for (p, part) in t.store.layout().parts().iter().enumerate() {
                     let bank = shard_salted(shard_row, p as u64 + 1);
+                    let region = t.store.region().parts()[p];
+                    let width = region.width as u64;
                     let start = match slot {
-                        RowSlot::Data { row } => t.store.region().data_offset(p as u32, row),
-                        RowSlot::Delta { rotation, idx } => {
-                            t.store.region().delta_offset(p as u32, rotation, idx)
-                        }
+                        RowSlot::Data { .. } => region.data_base + row * width,
+                        RowSlot::Delta { .. } => region.delta_base + row * width,
                     };
-                    let width = t.store.region().parts()[p].width as u64;
                     let c0 = start / g;
                     let c1 = (start + width - 1) / g + 1;
                     let useful_total = part.data_bytes() as u64;
@@ -1148,8 +1091,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// For any schema, device count, table placement and shard
-        /// list, under all three access models, the plan-driven walk
+        /// For any schema, device count, table placement, shard list and
+        /// memory (8-byte DIMM or 64-byte HBM granularity), under all
+        /// three access models, the plan-driven walk
         /// visits exactly the lines the collecting derivation returns,
         /// in order — for every data row and every delta slot.
         #[test]
@@ -1158,6 +1102,7 @@ mod tests {
             devices in prop::sample::select(vec![1u32, 2, 4, 8]),
             sizes in (1u64..70, 1u64..40, 1u32..20),
             placement in (1u32..6, 0u32..70_000),
+            geometry in prop::sample::select(vec![Geometry::dimm(), Geometry::hbm()]),
         ) {
             let (n_rows, delta_rows, block_rows) = sizes;
             let (n_shards, base_dram_row) = placement;
@@ -1180,7 +1125,7 @@ mod tests {
                         base_dram_row,
                         model,
                         side: Side::Pim,
-                        geometry: Geometry::dimm(),
+                        geometry,
                     },
                 );
                 let region = t.region();
@@ -1192,6 +1137,24 @@ mod tests {
                     prop_assert_eq!(walked(&t, slot), lines_for(&t, slot), "{:?} {:?}", model, slot);
                 }
             }
+        }
+    }
+
+    /// Every model's walk range-checks the slot against the region plan.
+    #[test]
+    fn an_out_of_range_delta_slot_panics_in_the_line_walk() {
+        for model in [DbFormat::Unified, DbFormat::RowStore, DbFormat::ColumnStore] {
+            let t = table(model);
+            let slot = RowSlot::Delta {
+                rotation: 0,
+                idx: t.region().arena_rows(),
+            };
+            let walk = std::panic::catch_unwind(|| walked(&t, slot));
+            let message = walk.expect_err("the walk must panic");
+            let message = message
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(message.contains("delta index"), "{model:?}: {message}");
         }
     }
 

@@ -325,7 +325,7 @@ impl TpccDb {
             Side::Pim => mem.cfg().pim_geometry,
             Side::Host => mem.cfg().cpu_geometry,
         };
-        let shards: Vec<BankAddr> = geometry.bank_addrs().collect();
+        let shards: Arc<[BankAddr]> = geometry.bank_addrs().collect();
         // Key columns: every column CH-benCHmark's Q1–Q22 scan.
         let key_map = pushtap_chbench::key_columns_upto(22);
         let warehouses_global = global_rows(cfg, Table::Warehouse);

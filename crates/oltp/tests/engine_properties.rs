@@ -338,7 +338,7 @@ fn scan_table() -> HtapTable {
             n_rows: SCAN_ROWS,
             delta_rows: 20,
             block_rows: 8,
-            shards: vec![BankAddr::new(0, 0, 0), BankAddr::new(0, 0, 1)],
+            shards: vec![BankAddr::new(0, 0, 0), BankAddr::new(0, 0, 1)].into(),
             base_dram_row: 0,
             model: DbFormat::Unified,
             side: Side::Pim,

@@ -395,6 +395,26 @@ const ROWS: &[Row] = &[
               values, one per column, because its caller asked for them.",
     },
     Row {
+        name: "one-slot-address",
+        paths: &[
+            "crates/format/src",
+            "crates/mvcc/src",
+            "crates/oltp/src",
+            "crates/olap/src",
+            "!crates/format/src/region.rs",
+        ],
+        non_test: true,
+        check: AnyUnless(&["arena_rows"], not_a_slot_linearization),
+        sample: "let i = rotation as u64 * self.arena_rows + idx;",
+        why: "A row version has one address rule, written once in \
+              `format/src/region.rs`: `RegionRow::of` turns a delta slot into \
+              its region row `rotation × arena_rows + idx`, `RegionRow::slot` \
+              turns it back, and `RegionPlan::resolve` range-checks it. No \
+              layer keeps its own copy. Exempt is `DeltaAllocator`'s free \
+              list, whose stride of `arena_rows` per arena spaces the arenas' \
+              stacks of freed indices, not slots.",
+    },
+    Row {
         name: "one-floor-split",
         paths: &["crates", "src", "examples", "tests", "!crates/chbench/src"],
         non_test: false,
@@ -543,6 +563,31 @@ const ROWS: &[Row] = &[
               unoptimised.",
     },
 ];
+
+/// An `arena_rows` that is not an operand of the slot linearization or
+/// its inverse: not multiplied and then added to, and not a divisor or a
+/// modulus. A receiver (`self.`, `region().`) and a getter's `()` are
+/// skipped. `DeltaAllocator`'s free-list index (`self.free[…]` in
+/// `mvcc/src/delta.rs`) is a stride of its own.
+fn not_a_slot_linearization(file: &Scanned, offset: usize, literal: &str) -> bool {
+    let line = line_span(&file.text, offset);
+    if file.rel.ends_with("crates/mvcc/src/delta.rs")
+        && file.text[line.clone()].contains("self.free[")
+    {
+        return true;
+    }
+    let before = file.text[line.start..offset]
+        .trim_end_matches(|c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '(' | ')'))
+        .trim_end();
+    let after = file.text[offset + literal.len()..line.end]
+        .trim_start_matches("()")
+        .trim_start();
+    match before.chars().last() {
+        Some('/' | '%') => false,
+        Some('*') => !after.starts_with('+'),
+        _ => true,
+    }
+}
 
 /// `read_row` inside `timed_read` or `snapshot_read`: the nearest line at
 /// or above the hit that declares a function names one of them.
@@ -1294,6 +1339,36 @@ mod tests {
             .map(|v| v.file)
             .collect();
         assert_eq!(fired, [PathBuf::from("crates/oltp/src/tpcc.rs")]);
+    }
+
+    #[test]
+    fn the_slot_address_may_live_in_the_resolver_only() {
+        let row = ROWS
+            .iter()
+            .find(|row| row.name == "one-slot-address")
+            .expect("the row exists");
+        let tree = Tree::new("slot-address-home");
+        let sample = format!("{}\n", row.sample);
+        tree.plant(Path::new("crates/format/src/region.rs"), &sample);
+        tree.plant(Path::new("crates/mvcc/src/snapshot.rs"), &sample);
+        let inverse = "let slot = (i / arena_rows, i % arena_rows);\n";
+        tree.plant(Path::new("crates/olap/src/exec.rs"), inverse);
+        let extents = "let n = arenas as u64 * self.arena_rows;\n";
+        tree.plant(Path::new("crates/oltp/src/table.rs"), extents);
+        let free_list = "self.free[(r as u64 * self.arena_rows + head.freed) as usize] = idx;\n";
+        tree.plant(Path::new("crates/mvcc/src/delta.rs"), free_list);
+        let fired: Vec<PathBuf> = check(&tree.0, row)
+            .into_iter()
+            .filter(|v| v.line > 0)
+            .map(|v| v.file)
+            .collect();
+        assert_eq!(
+            fired,
+            [
+                PathBuf::from("crates/mvcc/src/snapshot.rs"),
+                PathBuf::from("crates/olap/src/exec.rs"),
+            ]
+        );
     }
 
     #[test]
