@@ -423,12 +423,6 @@ impl Pushtap {
         &self.mem
     }
 
-    /// Split borrow for callers that drive the OLAP engine directly:
-    /// a shared database view plus the mutable memory system.
-    pub fn db_and_mem_mut(&mut self) -> (&TpccDb, &mut MemSystem) {
-        (&self.db, &mut self.mem)
-    }
-
     /// The scan engine.
     pub fn engine(&self) -> &ScanEngine {
         &self.engine

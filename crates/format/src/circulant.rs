@@ -83,7 +83,15 @@ impl Placement {
     /// Panics if `slot` is out of range.
     pub fn device_of(&self, slot: u32, row: u64) -> u32 {
         assert!(slot < self.devices, "slot {slot} out of range");
-        (slot + self.rotation_of(row)) % self.devices
+        self.physical_device(slot, self.rotation_of(row))
+    }
+
+    /// The physical device that holds layout device `device` of a row
+    /// version placed under `rotation`: the §4.2 rule, written once.
+    /// Every byte the store reads or writes goes through it.
+    #[inline]
+    pub fn physical_device(&self, device: u32, rotation: u32) -> u32 {
+        (device + rotation) % self.devices
     }
 
     /// The layout slot that `device` holds for `row` (inverse of

@@ -120,10 +120,9 @@ impl TableStore {
         let row_width = self.layout.schema().row_width() as usize;
         assert_eq!(image.len(), row_width, "row image width mismatch");
         let rotation = self.placement.rotation_of_slot(slot);
-        let devices = self.layout.devices();
         let at = self.region.resolve(slot);
         for &(column_at, f) in &self.image_fragments {
-            let device = (f.device + rotation) % devices;
+            let device = self.placement.physical_device(f.device, rotation);
             let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as u64;
             let from = (column_at + f.col_byte) as usize;
             self.mem
@@ -147,10 +146,9 @@ impl TableStore {
         let width = self.layout.schema().column(col).width;
         assert_eq!(value.len() as u32, width, "width mismatch for column {col}");
         let rotation = self.placement.rotation_of_slot(slot);
-        let devices = self.layout.devices();
         let at = self.region.resolve(slot);
         for f in self.layout.fragments(col) {
-            let device = (f.device + rotation) % devices;
+            let device = self.placement.physical_device(f.device, rotation);
             let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as u64;
             self.mem.write(
                 device,
@@ -164,11 +162,10 @@ impl TableStore {
     pub fn read_value(&self, slot: RowSlot, col: u32) -> Vec<u8> {
         let width = self.layout.schema().column(col).width as usize;
         let rotation = self.placement.rotation_of_slot(slot);
-        let devices = self.layout.devices();
         let at = self.region.resolve(slot);
         let mut out = vec![0u8; width];
         for f in self.layout.fragments(col) {
-            let device = (f.device + rotation) % devices;
+            let device = self.placement.physical_device(f.device, rotation);
             let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as u64;
             self.mem.read_into(
                 device,
@@ -191,11 +188,10 @@ impl TableStore {
         let width = self.layout.schema().column(col).width;
         assert!(width <= 8, "column {col} is wider than an integer");
         let rotation = self.placement.rotation_of_slot(slot);
-        let devices = self.layout.devices();
         let at = self.region.resolve(slot);
         let mut value = 0u64;
         for f in self.layout.fragments(col) {
-            let device = (f.device + rotation) % devices;
+            let device = self.placement.physical_device(f.device, rotation);
             let off = at.offset_in(&self.region.parts()[f.part as usize]) + f.offset as u64;
             value |= self.mem.read_le(device, off as usize, f.len as usize) << (8 * f.col_byte);
         }
@@ -276,8 +272,8 @@ const MAX_FRAGMENTS: usize = 8;
 
 /// One fragment of a cursor's column, with the fragment's offset within
 /// a part's row folded into the part's region bases: the fragment of a
-/// region row lies at [`RegionRow::offset_in`] `region`, on device
-/// `(device + rotation) mod devices`.
+/// region row lies at [`RegionRow::offset_in`] `region`, on the
+/// [`Placement::physical_device`] of `device` under the row's rotation.
 #[derive(Debug, Clone, Copy, Default)]
 struct CursorFragment {
     /// Device slot within the part, before rotation.
@@ -326,10 +322,9 @@ impl ColumnCursor<'_> {
             RegionRow::of(slot, self.region.arena_rows())
         };
         let rotation = self.placement.rotation_of_slot(slot);
-        let devices = self.placement.devices();
         let mut value = 0u64;
         for f in self.frags.iter() {
-            let device = (f.device + rotation) % devices;
+            let device = self.placement.physical_device(f.device, rotation);
             value |= self
                 .mem
                 .read_le(device, at.offset_in(&f.region) as usize, f.len)

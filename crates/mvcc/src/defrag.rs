@@ -99,27 +99,17 @@ impl DefragCostModel {
     }
 
     /// Communication time for a whole *table* whose layout has several
-    /// parts: the per-device row width is the sum of the part widths, the
-    /// metadata is read (and, for the PIM strategy, broadcast) once, and
-    /// the Hybrid strategy resolves per table — "the hybrid selects
-    /// different strategies depending on the tables' row widths" (§7.4) —
-    /// so it equals `min(comm_cpu, comm_pim)` by Equation 3.
-    pub fn comm_parts(
-        &self,
-        strategy: DefragStrategy,
-        n: u64,
-        p: f64,
-        d: u32,
-        widths: &[u32],
-    ) -> f64 {
-        let w_total: u32 = widths.iter().sum();
+    /// parts: `w` is its per-device row width, the sum of the part
+    /// widths, the metadata is read (and, for the PIM strategy,
+    /// broadcast) once, and the Hybrid strategy resolves per table — "the
+    /// hybrid selects different strategies depending on the tables' row
+    /// widths" (§7.4) — so it equals `min(comm_cpu, comm_pim)` by
+    /// Equation 3.
+    pub fn comm_parts(&self, strategy: DefragStrategy, n: u64, p: f64, d: u32, w: u32) -> f64 {
         match strategy {
-            DefragStrategy::Cpu => self.comm_cpu(n, p, d, w_total),
-            DefragStrategy::Pim => self.comm_pim(n, p, d, w_total),
-            DefragStrategy::Hybrid => {
-                let s = self.pick(p, w_total);
-                self.comm_parts(s, n, p, d, widths)
-            }
+            DefragStrategy::Cpu => self.comm_cpu(n, p, d, w),
+            DefragStrategy::Pim => self.comm_pim(n, p, d, w),
+            DefragStrategy::Hybrid => self.comm_parts(self.pick(p, w), n, p, d, w),
         }
     }
 }
@@ -158,9 +148,9 @@ mod tests {
     fn hybrid_is_never_worse() {
         let m = DefragCostModel::new(16.0, 1e9, 10e9);
         for w in [2u32, 4, 8, 16, 20, 32, 64, 152] {
-            let h = m.comm_parts(DefragStrategy::Hybrid, 5_000, 0.8, 8, &[w]);
-            let c = m.comm_parts(DefragStrategy::Cpu, 5_000, 0.8, 8, &[w]);
-            let p = m.comm_parts(DefragStrategy::Pim, 5_000, 0.8, 8, &[w]);
+            let h = m.comm_parts(DefragStrategy::Hybrid, 5_000, 0.8, 8, w);
+            let c = m.comm_parts(DefragStrategy::Cpu, 5_000, 0.8, 8, w);
+            let p = m.comm_parts(DefragStrategy::Pim, 5_000, 0.8, 8, w);
             assert!(h <= c + 1e-12 && h <= p + 1e-12, "w={w}");
         }
     }

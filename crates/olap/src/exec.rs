@@ -8,9 +8,7 @@
 //! per-unit messaging and keeps the banks for the whole offload.
 
 use pushtap_oltp::HtapTable;
-use pushtap_pim::{
-    even_shares, ControlArch, ControlModel, MemSystem, PimOpKind, PimUnit, Ps, SystemConfig,
-};
+use pushtap_pim::{ControlArch, ControlModel, MemSystem, PimOpKind, PimUnit, Ps, SystemConfig};
 
 /// Timing outcome of one column scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,9 +73,9 @@ impl ScanEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `col` is not a device-local (key) column; normal columns
-    /// are scanned by the CPU instead (§4.1.2) via
-    /// [`ScanEngine::cpu_scan_column`].
+    /// Panics if `col` is not a device-local (key) column: only a key
+    /// column lies whole on one device, where a PIM unit can read it
+    /// (§4.1.2). Every column Q1, Q6 and Q9 scan is one.
     pub fn scan_column(
         &self,
         table: &HtapTable,
@@ -161,46 +159,6 @@ impl ScanEngine {
         mem.charge_pim_dma(total_bytes, (total_bytes as f64 * useful_frac) as u64);
         out.end = now;
         out
-    }
-
-    /// CPU-side fallback scan of a normal (device-split) column: the CPU
-    /// streams every part containing fragments of the column (§4.1.2's
-    /// "we can still perform analytical queries on normal columns ...
-    /// through the CPU, albeit with a performance loss"). A part's
-    /// bursts are split as evenly as possible over the table's shards,
-    /// as the interleaved address map spreads them, and every stream
-    /// starts at `at`.
-    pub fn cpu_scan_column(&self, table: &HtapTable, col: u32, mem: &mut MemSystem, at: Ps) -> Ps {
-        let layout = table.layout();
-        let mut parts: Vec<u32> = layout.fragments(col).iter().map(|f| f.part).collect();
-        parts.sort_unstable();
-        parts.dedup();
-        let geometry = &table.config().geometry;
-        let g = geometry.granularity;
-        let rows = table.n_rows();
-        let shards = &table.config().shards;
-        let mut end = at;
-        for p in parts {
-            let w = layout.parts()[p as usize].width() as u64;
-            let bursts = (rows * w).div_ceil(g as u64);
-            let useful = ((layout.schema().column(col).width as u64 * rows) / bursts.max(1))
-                .min(g as u64 * 8) as u32;
-            for ((_, bursts), &bank) in even_shares(bursts, shards.len() as u32).zip(shards.iter())
-            {
-                let done = mem.stream_sampled(
-                    table.config().side,
-                    bank,
-                    0,
-                    bursts,
-                    (geometry.row_bytes / g).max(1),
-                    pushtap_pim::Op::Read,
-                    useful.min(64),
-                    at,
-                );
-                end = end.max(done);
-            }
-        }
-        end
     }
 }
 
@@ -351,18 +309,6 @@ mod tests {
         let mut mem = MemSystem::dimm();
         push.scan_column(&table, col, PimOpKind::Filter, &mut mem, Ps::ZERO);
         assert!(mem.stats().pim_effective() > 0.99);
-    }
-
-    #[test]
-    fn cpu_scan_covers_normal_columns() {
-        let (push, _, _) = engines();
-        let schema = pushtap_format::paper_example_schema();
-        let zip = schema.index_of("zip").unwrap();
-        let table = test_table(100_000);
-        let mut mem = MemSystem::dimm();
-        let end = push.cpu_scan_column(&table, zip, &mut mem, Ps::ZERO);
-        assert!(end > Ps::ZERO);
-        assert!(mem.stats().cpu_fetched > 0);
     }
 
     #[test]

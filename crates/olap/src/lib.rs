@@ -7,16 +7,15 @@
 //! multi-column operators (group-index shuffles, hash-join bucket
 //! partitioning, §6.3).
 //!
-//! * [`ScanEngine`] — two-phase scans under PUSHtap's scheduler or the
-//!   original per-unit control architecture (the Fig. 12(b) comparison);
+//! * [`ScanEngine`] — two-phase scans of key columns, which lie whole
+//!   on one device (§4.1.2), under PUSHtap's scheduler or the original
+//!   per-unit control architecture (the Fig. 12(b) comparison);
 //!   a launch (Fig. 7(b)'s disguised 64-byte write) is charged by its
 //!   cost, `ControlModel::launch`, and its payload is not modelled;
 //! * [`QuerySteps`] — the §6.3 steps (scans, shuffles, the join's
 //!   bucket partition, the partials' gather), each priced once; every
 //!   query below and the ideal model of `pushtap-core` run on it;
 //! * [`Query`] — Q1 / Q6 / Q9 with value-correct results;
-//! * [`run_footprint_query`] — the other CH-benCHmark queries as their
-//!   column-footprint step sequences;
 //! * [`ref_q1`]/[`ref_q6`]/[`ref_q9`] — the naive reference executor used
 //!   to validate the PIM path.
 //!
@@ -41,12 +40,10 @@
 #![warn(missing_debug_implementations)]
 
 mod exec;
-mod footprint;
 mod query;
 mod reference;
 
 pub use exec::{ScanEngine, ScanOutcome};
-pub use footprint::{run_all_queries, run_footprint_query, FootprintReport};
 pub use query::{
     merge_partials, Q1Row, Q9Row, Query, QueryResult, QuerySteps, QueryTiming, DELIVERY_CUTOFF,
     PRICE_MODULUS, Q1_GROUPS, Q9_GROUPS, QUANTITY_MAX,

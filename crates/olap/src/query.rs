@@ -195,20 +195,11 @@ impl<'a> QuerySteps<'a> {
         }
     }
 
-    /// Scans column `col` of `table`: with the PIM units when the column
-    /// is device-local, otherwise through the CPU fallback (§4.1.2's
-    /// normal-column discussion), whose span is CPU compute. Returns
-    /// whether the PIM units ran it.
-    pub(crate) fn scan(&mut self, table: &HtapTable, col: u32, op: PimOpKind) -> bool {
-        let on_pim = table.layout().key_location(col).is_some();
-        if on_pim {
-            let out = self.engine.scan_column(table, col, op, self.mem, self.now);
-            self.absorb(&out);
-        } else {
-            let end = self.engine.cpu_scan_column(table, col, self.mem, self.now);
-            self.cpu_work(end.saturating_sub(self.now));
-        }
-        on_pim
+    /// Scans key column `col` of `table` on the PIM units
+    /// ([`ScanEngine::scan_column`], which panics on a normal column).
+    pub(crate) fn scan(&mut self, table: &HtapTable, col: u32, op: PimOpKind) {
+        let out = self.engine.scan_column(table, col, op, self.mem, self.now);
+        self.absorb(&out);
     }
 
     /// Runs `op` as raw two-phase PIM work: `per_unit` bytes on each unit,

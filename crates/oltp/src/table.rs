@@ -150,9 +150,6 @@ impl Fetch {
 pub struct HtapTable {
     store: TableStore,
     strips: Vec<Strip>,
-    /// The parts' widths (bytes per device per row), as the
-    /// defragmentation cost model takes them.
-    part_widths: Vec<u32>,
     chains: VersionChains,
     /// The outcome every GC pass refills, reserved to the table's delta
     /// slots, so a pass allocates nothing.
@@ -205,7 +202,6 @@ impl HtapTable {
         };
         HtapTable {
             strips,
-            part_widths: store.layout().parts().iter().map(|p| p.width()).collect(),
             alloc: DeltaAllocator::new(devices, arena_rows),
             snapshot: Snapshot::new(cfg.n_rows, devices, arena_rows),
             chains: VersionChains::with_capacity(cfg.n_rows, devices, arena_rows),
@@ -290,11 +286,6 @@ impl HtapTable {
     /// The current snapshot.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snapshot
-    }
-
-    /// The table configuration.
-    pub fn config(&self) -> &TableConfig {
-        &self.cfg
     }
 
     /// Number of data rows.
@@ -747,8 +738,10 @@ impl HtapTable {
         rows: u64,
         slots: u64,
     ) -> f64 {
-        let (n, d) = (slots.max(1), self.store.layout().devices());
-        model.comm_parts(strategy, n, rows as f64 / n as f64, d, &self.part_widths)
+        let layout = self.store.layout();
+        let w = layout.parts().iter().map(|part| part.width()).sum();
+        let n = slots.max(1);
+        model.comm_parts(strategy, n, rows as f64 / n as f64, layout.devices(), w)
     }
 
     /// Length of the commit log awaiting snapshot consumption — the

@@ -63,6 +63,6 @@ pub use geometry::{BankAddr, Geometry};
 pub use mem::DeviceArray;
 pub use pim_unit::{PimOpKind, PimUnit, PIPELINE_SATURATION_TASKLETS};
 pub use scheduler::{ControlArch, ControlModel};
-pub use system::{even_shares, MemSystem, Side, SysStats};
+pub use system::{MemSystem, Side, SysStats};
 pub use time::Ps;
 pub use timing::TimingParams;

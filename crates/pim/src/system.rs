@@ -194,7 +194,7 @@ impl MemSystem {
     /// hundreds of millions; the result matches `stream` asymptotically
     /// because warm sequential streams reach a steady rate.
     #[allow(clippy::too_many_arguments)]
-    pub fn stream_sampled(
+    pub(crate) fn stream_sampled(
         &mut self,
         side: Side,
         bank: BankAddr,
@@ -252,7 +252,7 @@ impl MemSystem {
     /// map: consecutive lines go to consecutive channels, so each channel
     /// streams its share (split as evenly as possible) out of bank 0 of
     /// rank 0, 16 lines to a DRAM row, all issued at `at` as in
-    /// [`MemSystem::stream_sampled`]. Returns the slowest channel's end,
+    /// `MemSystem::stream_sampled`. Returns the slowest channel's end,
     /// or `at` when `lines` is zero.
     pub fn stream_striped(&mut self, side: Side, lines: u64, op: Op, useful: u32, at: Ps) -> Ps {
         let channels = match side {
@@ -324,7 +324,7 @@ impl MemSystem {
 /// `ways` channels or banks: as evenly as possible, the first
 /// `n % ways` taking one more. Yields each way that gets a line, with
 /// its share.
-pub fn even_shares(n: u64, ways: u32) -> impl Iterator<Item = (u32, u64)> {
+pub(crate) fn even_shares(n: u64, ways: u32) -> impl Iterator<Item = (u32, u64)> {
     let (share, extra) = (n / u64::from(ways), n % u64::from(ways));
     (0..ways)
         .map(move |way| (way, share + u64::from(u64::from(way) < extra)))

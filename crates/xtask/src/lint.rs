@@ -415,6 +415,24 @@ const ROWS: &[Row] = &[
               stacks of freed indices, not slots.",
     },
     Row {
+        name: "one-device-rotation",
+        paths: &[
+            "crates/*/src",
+            "src",
+            "examples",
+            "!crates/format/src/circulant.rs",
+            "!crates/xtask",
+        ],
+        non_test: true,
+        check: Any(&["rotation) %"]),
+        sample: "let device = (f.device + rotation) % devices;",
+        why: "Block-circulant placement has one rotation rule, written once \
+              in `format/src/circulant.rs`: `Placement::physical_device` maps \
+              a layout device and a row version's rotation to the device \
+              that holds its bytes (§4.2). No reader or writer keeps its own \
+              copy.",
+    },
+    Row {
         name: "one-floor-split",
         paths: &["crates", "src", "examples", "tests", "!crates/chbench/src"],
         non_test: false,
@@ -1369,6 +1387,24 @@ mod tests {
                 PathBuf::from("crates/olap/src/exec.rs"),
             ]
         );
+    }
+
+    #[test]
+    fn the_device_rotation_may_live_in_the_placement_only() {
+        let row = ROWS
+            .iter()
+            .find(|row| row.name == "one-device-rotation")
+            .expect("the row exists");
+        let tree = Tree::new("device-rotation-home");
+        let sample = format!("{}\n", row.sample);
+        tree.plant(Path::new("crates/format/src/circulant.rs"), &sample);
+        tree.plant(Path::new("crates/format/src/store.rs"), &sample);
+        let fired: Vec<PathBuf> = check(&tree.0, row)
+            .into_iter()
+            .filter(|v| v.line > 0)
+            .map(|v| v.file)
+            .collect();
+        assert_eq!(fired, [PathBuf::from("crates/format/src/store.rs")]);
     }
 
     #[test]
