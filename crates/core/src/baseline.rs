@@ -85,10 +85,11 @@ impl IdealModel {
                 self.column_scan(&mut s, it, item_id, PimOpKind::Hash);
                 self.column_scan(&mut s, ol, line_item_id, PimOpKind::Hash);
                 // Hash fetch + bucket partition + transfer back (§6.3),
-                // then the join over both compact columns of 4-byte
-                // hash values.
+                // then the bucket-local join, each unit probing its
+                // share of the 4-byte hash values (the engine's rule).
                 s.partition(it + ol);
-                self.column_scan(&mut s, it + ol, 4, PimOpKind::Join);
+                let probe = self.engine.unit().round_to_wire((it + ol) * 4 / units);
+                s.phases(PimOpKind::Join, probe, probe.max(8) * units);
                 self.column_scan(&mut s, ol, amount, PimOpKind::Aggregate);
                 s.gather(units * Q9_GROUPS * 8, units * Q9_GROUPS)
             }
@@ -264,8 +265,10 @@ mod tests {
     }
 
     /// Ideal Q1/Q6/Q9 end times, back to back from zero, on DIMM and
-    /// HBM at two scales, pinned to the picosecond: captured when the
-    /// model priced the §6.3 steps with its own copy of them.
+    /// HBM at two scales, pinned to the picosecond. Recaptured when the
+    /// Q9 join took the engine's rounding (each unit's share of the
+    /// hash values rounded to the wire, not the total): the four Q9
+    /// entries moved and nothing else.
     #[test]
     fn ideal_query_times_are_pinned() {
         let mut ends = Vec::new();
@@ -284,17 +287,17 @@ mod tests {
             // DIMM, scale 0.001 then 0.01: Q1, Q6, Q9.
             29_894_450,
             36_149_200,
-            85_066_650,
+            85_065_650,
             73_369_650,
             103_372_400,
-            466_334_400,
+            466_364_400,
             // HBM.
             26_368_000,
             32_406_000,
-            59_813_000,
+            59_812_000,
             53_271_000,
             83_057_000,
-            247_164_000,
+            247_200_500,
         ];
         assert_eq!(ends, pinned.map(Ps::new));
     }
