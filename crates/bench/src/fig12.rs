@@ -2,9 +2,9 @@
 //! PIM-only vs Hybrid); (b) Q6 execution time across WRAM sizes for the
 //! original PIM architecture vs PUSHtap's memory-controller extension.
 
-use pushtap_core::{IdealModel, Pushtap, PushtapConfig};
+use pushtap_core::{Pushtap, PushtapConfig};
 use pushtap_mvcc::DefragStrategy;
-use pushtap_olap::Query;
+use pushtap_olap::{Query, ScanEngine};
 use pushtap_pim::{ControlArch, MemSystem, Ps, SystemConfig};
 
 /// One Fig. 12(a) point: estimated defragmentation time per strategy on
@@ -68,9 +68,10 @@ pub fn wram_sweep(scale: f64, wram_kbs: &[u32]) -> Vec<WramPoint> {
                 .into_iter()
                 .enumerate()
             {
-                let ideal = IdealModel::new(arch, &sys);
+                let engine = ScanEngine::new(arch, &sys);
                 let mut mem = MemSystem::new(sys);
-                times[i] = ideal.query_time(Query::Q6, scale, &mut mem, Ps::ZERO);
+                let timing = Query::Q6.execute_compact(scale, &engine, &mut mem, Ps::ZERO);
+                times[i] = timing.end;
             }
             WramPoint {
                 wram_kb: kb,

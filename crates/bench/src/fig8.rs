@@ -67,7 +67,7 @@ fn weighted_effectiveness<'a>(
     let mut pim_num = 0.0;
     let mut pim_den = 0.0;
     for (schema, rows) in tables {
-        let layout = compact_layout(schema, devices, th).expect("layout");
+        let layout = compact_layout(schema.clone(), devices, th).expect("layout");
         let weight = rows * schema.row_width() as f64;
         cpu_num += cpu_effective(&layout, 8) * weight;
         cpu_den += weight;
@@ -117,7 +117,7 @@ pub fn storage_at(th: f64, delta_frac: f64) -> pushtap_format::StorageBreakdown 
     let mut snapshot = 0.0;
     let mut total = 0.0;
     for (table, schema) in keyed_schemas(&queries) {
-        let layout = compact_layout(&schema, 8, th).expect("layout");
+        let layout = compact_layout(schema, 8, th).expect("layout");
         let b = storage_breakdown(&layout, delta_frac);
         let bytes = table.rows_full_scale() as f64
             * (layout.padded_row_bytes() as f64 * (1.0 + delta_frac)

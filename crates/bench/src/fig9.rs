@@ -3,8 +3,8 @@
 //! ideal / MI / PUSHtap (DIMM and HBM) across pre-query transaction
 //! counts.
 
-use pushtap_core::{IdealModel, MultiInstance, Pushtap, PushtapConfig};
-use pushtap_olap::Query;
+use pushtap_core::{MultiInstance, Pushtap, PushtapConfig};
+use pushtap_olap::{Query, ScanEngine};
 use pushtap_oltp::{DbConfig, DbFormat};
 use pushtap_pim::{ControlArch, MemSystem, Ps, SystemConfig};
 
@@ -99,14 +99,14 @@ pub fn olap_consistency(scale: f64, checkpoints: &[u64], query: Query) -> Vec<Ol
     // Ideal: compact columns, no consistency — constant in txns.
     {
         let cfg = SystemConfig::dimm();
-        let ideal = IdealModel::new(ControlArch::Pushtap, &cfg);
+        let engine = ScanEngine::new(ControlArch::Pushtap, &cfg);
         let mut mem = MemSystem::new(cfg);
-        let t = ideal.query_time(query, scale, &mut mem, Ps::ZERO);
+        let t = query.execute_compact(scale, &engine, &mut mem, Ps::ZERO);
         for &cp in checkpoints {
             out.push(OlapPoint {
                 label: "ideal".into(),
                 txns: cp,
-                scan: t,
+                scan: t.end,
                 consistency: Ps::ZERO,
             });
         }

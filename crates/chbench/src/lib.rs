@@ -24,7 +24,7 @@
 //! // Build the unified layout of ORDERLINE with Q1's columns as keys.
 //! let keys = key_columns_upto(1);
 //! let schema = schema_with_keys(Table::OrderLine, &keys[&Table::OrderLine]);
-//! let layout = compact_layout(&schema, 8, 0.6)?;
+//! let layout = compact_layout(schema, 8, 0.6)?;
 //! assert!(!layout.parts().is_empty());
 //! # Ok::<(), pushtap_format::LayoutError>(())
 //! ```

@@ -1,8 +1,6 @@
-//! Baselines of §7.3: the *ideal* scan model and the *multi-instance*
-//! (MI, Polynesia-like) PIM HTAP design.
-//!
-//! **Ideal** assumes every scanned column is already perfectly compact on
-//! the PIM side and charges only scan time — the lower bound in Fig. 9(b).
+//! The *multi-instance* (MI, Polynesia-like) PIM HTAP baseline of §7.3.
+//! (§7.3's other baseline, the *ideal* scan model, is
+//! `Query::execute_compact` in `pushtap-olap`.)
 //!
 //! **MI** keeps a row-store instance in host memory for OLTP and a
 //! column-store instance in PIM memory for OLAP. Before a query it must
@@ -10,107 +8,12 @@
 //! new-versioned rows plus their metadata cross the memory bus, then the
 //! PIM units merge them (§7.3's adaptation of \[6\] to the DIMM system).
 
-use pushtap_chbench::Table;
-use pushtap_olap::{Query, QuerySteps, ScanEngine, Q1_GROUPS, Q9_GROUPS};
+use pushtap_olap::{Query, ScanEngine};
 use pushtap_oltp::{DbConfig, DbFormat, TpccDb};
 use pushtap_pim::calib::{MI_HBM_REBUILD_SPEEDUP, MI_REBUILD_FIXED_OVERHEAD, VERSION_META_BYTES};
-use pushtap_pim::{MemKind, MemSystem, PimOpKind, Ps, Side, SystemConfig};
+use pushtap_pim::{ControlArch, MemKind, MemSystem, Ps, Side, SystemConfig};
 
 use crate::system::scattered_copy_model;
-
-/// Ideal query-time model: compact columns, no consistency work, but the
-/// same §6.3 CPU coordination (group-index shuffles, hash partitioning,
-/// partial-result collection) that every PIM query execution pays.
-#[derive(Debug, Clone)]
-pub struct IdealModel {
-    engine: ScanEngine,
-    cpu: pushtap_pim::CpuSpec,
-}
-
-impl IdealModel {
-    /// Builds the model for a system configuration and control
-    /// architecture matching the compared systems.
-    pub fn new(arch: pushtap_pim::ControlArch, cfg: &SystemConfig) -> IdealModel {
-        IdealModel {
-            engine: ScanEngine::new(arch, cfg),
-            cpu: cfg.cpu,
-        }
-    }
-
-    /// The underlying scan engine.
-    pub fn engine(&self) -> &ScanEngine {
-        &self.engine
-    }
-
-    /// Scans a perfectly-compact column of `rows` × `width` bytes.
-    fn column_scan(&self, steps: &mut QuerySteps, rows: u64, width: u32, op: PimOpKind) {
-        let total = self.engine.unit().round_to_wire(rows * width as u64);
-        steps.phases(op, total.div_ceil(self.engine.units()), total);
-    }
-
-    /// Ideal execution time of one of the three evaluation queries over a
-    /// population scaled by `scale` (columns compact, CPU coordination
-    /// identical to the real engine's task division). Each scan reads
-    /// the schema's width of the column the real query scans.
-    pub fn query_time(&self, query: Query, scale: f64, mem: &mut MemSystem, at: Ps) -> Ps {
-        let ol = Table::OrderLine.rows_at_scale(scale);
-        let it = Table::Item.rows_at_scale(scale);
-        let (date, number, quantity, amount) = (
-            width(Table::OrderLine, "ol_delivery_d"),
-            width(Table::OrderLine, "ol_number"),
-            width(Table::OrderLine, "ol_quantity"),
-            width(Table::OrderLine, "ol_amount"),
-        );
-        let units = self.engine.units();
-        let mut s = QuerySteps::new(&self.engine, mem, self.cpu, at);
-        let timing = match query {
-            Query::Q6 => {
-                self.column_scan(&mut s, ol, date, PimOpKind::Filter);
-                self.column_scan(&mut s, ol, quantity, PimOpKind::Filter);
-                self.column_scan(&mut s, ol, amount, PimOpKind::Aggregate);
-                s.gather(units * 8, units)
-            }
-            Query::Q1 => {
-                self.column_scan(&mut s, ol, date, PimOpKind::Filter);
-                self.column_scan(&mut s, ol, number, PimOpKind::Group);
-                // Group-index shuffle: one index byte per row (§6.3).
-                s.shuffle(ol);
-                self.column_scan(&mut s, ol, quantity, PimOpKind::Aggregate);
-                self.column_scan(&mut s, ol, amount, PimOpKind::Aggregate);
-                s.gather(units * Q1_GROUPS * 3, units * Q1_GROUPS)
-            }
-            Query::Q9 => {
-                let item_id = width(Table::Item, "i_id");
-                let line_item_id = width(Table::OrderLine, "ol_i_id");
-                self.column_scan(&mut s, it, item_id, PimOpKind::Hash);
-                self.column_scan(&mut s, ol, line_item_id, PimOpKind::Hash);
-                // Hash fetch + bucket partition + transfer back (§6.3),
-                // then the bucket-local join, each unit probing its
-                // share of the 4-byte hash values (the engine's rule).
-                s.partition(it + ol);
-                let probe = self.engine.unit().round_to_wire((it + ol) * 4 / units);
-                s.phases(PimOpKind::Join, probe, probe.max(8) * units);
-                self.column_scan(&mut s, ol, amount, PimOpKind::Aggregate);
-                s.gather(units * Q9_GROUPS * 8, units * Q9_GROUPS)
-            }
-        };
-        timing.end
-    }
-}
-
-/// The width of `table`'s column `name`, from [`Table::columns`].
-///
-/// # Panics
-///
-/// Panics if `table` has no such column.
-fn width(table: Table, name: &str) -> u32 {
-    table
-        .columns()
-        .iter()
-        .find(|&&(column, _)| column == name)
-        .map(|&(_, width)| width)
-        .unwrap_or_else(|| panic!("{} has no column {name}", table.name()))
-}
 
 /// The multi-instance baseline.
 #[derive(Debug)]
@@ -118,7 +21,8 @@ pub struct MultiInstance {
     /// The OLTP row-store instance, resident in host memory.
     pub row_db: TpccDb,
     mem: MemSystem,
-    ideal: IdealModel,
+    /// Scans the column instance's compact columns.
+    engine: ScanEngine,
     scale: f64,
     /// Transactions committed since the last rebuild.
     staleness: u64,
@@ -144,7 +48,7 @@ impl MultiInstance {
         let mem = MemSystem::new(system);
         let row_db = TpccDb::build(&db_cfg, &mem)?;
         Ok(MultiInstance {
-            ideal: IdealModel::new(pushtap_pim::ControlArch::Pushtap, &system),
+            engine: ScanEngine::new(ControlArch::Pushtap, &system),
             scale: db_cfg.scale,
             row_db,
             mem,
@@ -225,9 +129,9 @@ impl MultiInstance {
         self.pending_bytes = 0.0;
         self.fold_row_chains();
         let start = self.now + rebuild;
-        let end = self
-            .ideal
-            .query_time(query, self.scale, &mut self.mem, start);
+        let end = query
+            .execute_compact(self.scale, &self.engine, &mut self.mem, start)
+            .end;
         self.now = end;
         (end.saturating_sub(start) + rebuild, rebuild)
     }
@@ -247,20 +151,25 @@ impl MultiInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pushtap_pim::ControlArch;
+
+    /// The ideal (compact-column) time of `query` at `scale`, from zero
+    /// on a fresh memory system.
+    fn ideal(query: Query, scale: f64, cfg: SystemConfig) -> Ps {
+        let engine = ScanEngine::new(ControlArch::Pushtap, &cfg);
+        let mut mem = MemSystem::new(cfg);
+        query
+            .execute_compact(scale, &engine, &mut mem, Ps::ZERO)
+            .end
+    }
 
     #[test]
     fn ideal_scales_with_rows_and_query_weight() {
         let cfg = SystemConfig::dimm();
-        let ideal = IdealModel::new(ControlArch::Pushtap, &cfg);
-        let mut mem = MemSystem::new(cfg);
-        let q6_small = ideal.query_time(Query::Q6, 0.001, &mut mem, Ps::ZERO);
-        let mut mem2 = MemSystem::new(cfg);
-        let q6_big = ideal.query_time(Query::Q6, 0.01, &mut mem2, Ps::ZERO);
+        let q6_small = ideal(Query::Q6, 0.001, cfg);
+        let q6_big = ideal(Query::Q6, 0.01, cfg);
         assert!(q6_big > q6_small);
         // Q9 (join-heavy) costs more than Q6 (selection-heavy).
-        let mut mem3 = MemSystem::new(cfg);
-        let q9 = ideal.query_time(Query::Q9, 0.001, &mut mem3, Ps::ZERO);
+        let q9 = ideal(Query::Q9, 0.001, cfg);
         assert!(q9 > q6_small);
     }
 
@@ -273,12 +182,12 @@ mod tests {
     fn ideal_query_times_are_pinned() {
         let mut ends = Vec::new();
         for cfg in [SystemConfig::dimm(), SystemConfig::hbm()] {
-            let ideal = IdealModel::new(ControlArch::Pushtap, &cfg);
+            let engine = ScanEngine::new(ControlArch::Pushtap, &cfg);
             for scale in [0.001, 0.01] {
                 let mut mem = MemSystem::new(cfg);
                 let mut at = Ps::ZERO;
                 for q in Query::ALL {
-                    at = ideal.query_time(q, scale, &mut mem, at);
+                    at = q.execute_compact(scale, &engine, &mut mem, at).end;
                     ends.push(at);
                 }
             }

@@ -7,7 +7,6 @@
 //!   on delta pressure (aborted attempts roll back completely and are
 //!   counted in [`OltpReport::aborts`]), periodic hybrid
 //!   defragmentation, two-phase PIM analytics, on a DIMM or HBM system;
-//! * [`IdealModel`] — the compact-column lower bound of Fig. 9(b);
 //! * [`MultiInstance`] — the Polynesia-like MI baseline (row instance in
 //!   host memory + rebuilt column instance in PIM memory);
 //! * [`FrontierParams`] — the Fig. 10 throughput-frontier model;
@@ -37,7 +36,7 @@ mod frontier;
 mod metrics;
 mod system;
 
-pub use baseline::{IdealModel, MultiInstance};
+pub use baseline::MultiInstance;
 pub use frontier::{FrontierParams, FrontierPoint};
 pub use metrics::{qphh, tpmc};
 pub use system::{GcStats, OltpReport, Pushtap, PushtapConfig, QueryReport};

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use pushtap_chbench::{Table, Txn, TxnGen};
+use pushtap_chbench::{Txn, TxnGen};
 use pushtap_format::LayoutError;
 use pushtap_mvcc::{DefragCostModel, DefragStrategy, DeltaFull, Ts, TsOracle};
 use pushtap_olap::{Query, QueryResult, QueryTiming, ScanEngine};
@@ -778,7 +778,7 @@ impl Pushtap {
         self.assert_decided("a snapshot");
         let start = self.now;
         let meter = *self.db.meter();
-        for &t in Self::query_tables(query) {
+        for t in query.tables() {
             let (_, end) =
                 self.db
                     .table_mut(t)
@@ -799,14 +799,6 @@ impl Pushtap {
             scopes == 0,
             "{what} with {scopes} prepared-but-uncommitted transaction scope(s)"
         );
-    }
-
-    /// The tables `query` scans (and therefore snapshots).
-    fn query_tables(query: Query) -> &'static [Table] {
-        match query {
-            Query::Q1 | Query::Q6 => &[Table::OrderLine],
-            Query::Q9 => &[Table::OrderLine, Table::Item],
-        }
     }
 
     /// Runs one analytical query with fresh data: snapshot at this
@@ -830,9 +822,9 @@ impl Pushtap {
     pub fn run_query_at(&mut self, query: Query, cut: Ts) -> QueryReport {
         let consistency = self.snapshot_for_at(query, cut);
         // The effective cut: what the forward-only snapshots now hold.
-        let cut = Self::query_tables(query)
-            .iter()
-            .fold(cut, |c, &t| c.max(self.db.table(t).snapshot().ts()));
+        let cut = query
+            .tables()
+            .fold(cut, |c, t| c.max(self.db.table(t).snapshot().ts()));
         let start = self.now;
         let (result, mut timing) = query.execute(&self.db, &self.engine, &mut self.mem, start);
         self.now = timing.end.max(start);

@@ -160,16 +160,16 @@ mod tests {
     #[test]
     fn cpu_effectiveness_decreases_with_threshold() {
         let s = paper_example_schema();
-        let lo = compact_layout(&s, 4, 0.0).unwrap();
-        let hi = compact_layout(&s, 4, 1.0).unwrap();
+        let lo = compact_layout(s.clone(), 4, 0.0).unwrap();
+        let hi = compact_layout(s.clone(), 4, 1.0).unwrap();
         assert!(cpu_effective(&lo, 8) >= cpu_effective(&hi, 8));
     }
 
     #[test]
     fn pim_effectiveness_increases_with_threshold() {
         let s = paper_example_schema();
-        let lo = compact_layout(&s, 4, 0.0).unwrap();
-        let hi = compact_layout(&s, 4, 1.0).unwrap();
+        let lo = compact_layout(s.clone(), 4, 0.0).unwrap();
+        let hi = compact_layout(s.clone(), 4, 1.0).unwrap();
         let w = |_c| 1.0;
         assert!(pim_effective(&lo, w) < pim_effective(&hi, w));
         assert_eq!(pim_effective(&hi, w), 1.0);
@@ -178,8 +178,8 @@ mod tests {
     #[test]
     fn naive_wastes_both_sides() {
         let s = paper_example_schema();
-        let naive = naive_layout(&s, 4).unwrap();
-        let compact = compact_layout(&s, 4, 0.75).unwrap();
+        let naive = naive_layout(s.clone(), 4).unwrap();
+        let compact = compact_layout(s.clone(), 4, 0.75).unwrap();
         assert!(cpu_effective(&compact, 8) > cpu_effective(&naive, 8));
         let w = |_c| 1.0;
         assert!(pim_effective(&compact, w) > pim_effective(&naive, w));
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn weights_matter() {
         let s = paper_example_schema();
-        let l = compact_layout(&s, 4, 0.0).unwrap();
+        let l = compact_layout(s.clone(), 4, 0.0).unwrap();
         let id = s.index_of("id").unwrap();
         let w_id = s.index_of("w_id").unwrap();
         // id is half-effective at th=0; w_id fully effective.
@@ -201,14 +201,14 @@ mod tests {
     #[test]
     fn zero_weight_defaults_to_unity() {
         let s = paper_example_schema();
-        let l = compact_layout(&s, 4, 0.5).unwrap();
+        let l = compact_layout(s.clone(), 4, 0.5).unwrap();
         assert_eq!(pim_effective(&l, |_| 0.0), 1.0);
     }
 
     #[test]
     fn breakdown_sums_to_one_and_snapshot_is_small() {
         let s = paper_example_schema();
-        let l = compact_layout(&s, 4, 0.6).unwrap();
+        let l = compact_layout(s.clone(), 4, 0.6).unwrap();
         let b = storage_breakdown(&l, 0.5);
         assert!((b.total() - 1.0).abs() < 1e-12);
         assert!(b.data > 0.8);
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn lines_per_row_counts_all_parts() {
         let s = paper_example_schema();
-        let l = compact_layout(&s, 4, 0.75).unwrap();
+        let l = compact_layout(s.clone(), 4, 0.75).unwrap();
         // Parts of width 4 and 2 → 1 line each on average.
         assert!((cpu_lines_per_row(&l, 8) - 2.0).abs() < 1e-12);
     }

@@ -40,13 +40,13 @@ use crate::schema::TableSchema;
 ///
 /// // The paper's running example: th = 3/4 over 4 devices yields a
 /// // 4-byte part led by w_id and a 2-byte part with id, d_id, state.
-/// let layout = compact_layout(&paper_example_schema(), 4, 0.75).unwrap();
+/// let layout = compact_layout(paper_example_schema(), 4, 0.75).unwrap();
 /// assert_eq!(layout.parts().len(), 2);
 /// assert_eq!(layout.parts()[0].width(), 4);
 /// assert_eq!(layout.parts()[1].width(), 2);
 /// ```
 pub fn compact_layout(
-    schema: &TableSchema,
+    schema: TableSchema,
     devices: u32,
     th: f64,
 ) -> Result<TableLayout, LayoutError> {
@@ -58,7 +58,7 @@ pub fn compact_layout(
     keys.sort_by_key(|&i| std::cmp::Reverse(schema.column(i).width));
     let mut keys = keys.into_iter().peekable();
     // Normal column bytes, in declaration order.
-    let mut normal = normal_bytes(schema).peekable();
+    let mut normal = normal_bytes(&schema).peekable();
 
     // Each part takes at least one key; one more holds leftover normals.
     let mut parts: Vec<PartLayout> = Vec::with_capacity(keys.len() + 1);
@@ -99,8 +99,9 @@ pub fn compact_layout(
         parts.push(part);
     }
     debug_assert!(normal.peek().is_none());
+    drop(normal); // its borrow of the schema ends before the layout takes it
 
-    TableLayout::new(schema.clone(), devices, parts)
+    TableLayout::new(schema, devices, parts)
 }
 
 /// The normal columns' bytes in declaration order, drawn straight from
@@ -142,7 +143,7 @@ fn fill_with_normals(
 /// # Panics
 ///
 /// Panics if `devices` is zero.
-pub fn naive_layout(schema: &TableSchema, devices: u32) -> Result<TableLayout, LayoutError> {
+pub fn naive_layout(schema: TableSchema, devices: u32) -> Result<TableLayout, LayoutError> {
     assert!(devices > 0, "need at least one device");
     let mut parts = Vec::with_capacity(schema.len().div_ceil(devices as usize));
     for (g, group) in schema.columns().chunks(devices as usize).enumerate() {
@@ -160,7 +161,7 @@ pub fn naive_layout(schema: &TableSchema, devices: u32) -> Result<TableLayout, L
         }
         parts.push(part);
     }
-    TableLayout::new(schema.clone(), devices, parts)
+    TableLayout::new(schema, devices, parts)
 }
 
 #[cfg(test)]
@@ -175,7 +176,7 @@ mod tests {
     #[test]
     fn paper_running_example() {
         let s = paper_example_schema();
-        let l = compact_layout(&s, 4, 0.75).unwrap();
+        let l = compact_layout(s.clone(), 4, 0.75).unwrap();
         assert_eq!(l.parts().len(), 2);
 
         let p0 = &l.parts()[0];
@@ -207,7 +208,7 @@ mod tests {
     #[test]
     fn zero_threshold_packs_greedily() {
         let s = paper_example_schema();
-        let l = compact_layout(&s, 4, 0.0).unwrap();
+        let l = compact_layout(s.clone(), 4, 0.0).unwrap();
         // 4 keys fit the 4 devices of one part (w = 4 from w_id).
         assert_eq!(l.parts().len(), 2); // keys part + leftover normals
         let p0 = &l.parts()[0];
@@ -222,7 +223,7 @@ mod tests {
     #[test]
     fn unit_threshold_gives_full_pim_bandwidth() {
         let s = paper_example_schema();
-        let l = compact_layout(&s, 4, 1.0).unwrap();
+        let l = compact_layout(s.clone(), 4, 1.0).unwrap();
         for c in s.key_indices() {
             assert_eq!(l.pim_scan_effectiveness(c), Some(1.0));
         }
@@ -234,8 +235,8 @@ mod tests {
     #[test]
     fn threshold_monotonicity_of_parts() {
         let s = paper_example_schema();
-        let p0 = compact_layout(&s, 4, 0.0).unwrap().parts().len();
-        let p1 = compact_layout(&s, 4, 1.0).unwrap().parts().len();
+        let p0 = compact_layout(s.clone(), 4, 0.0).unwrap().parts().len();
+        let p1 = compact_layout(s.clone(), 4, 1.0).unwrap().parts().len();
         assert!(p1 >= p0);
     }
 
@@ -249,7 +250,7 @@ mod tests {
                 Column::normal("c", 2),
             ],
         );
-        let l = compact_layout(&s, 4, 0.6).unwrap();
+        let l = compact_layout(s.clone(), 4, 0.6).unwrap();
         assert_eq!(l.parts().len(), 1);
         // 13 bytes over 4 devices: w = 4, padding = 3.
         assert_eq!(l.parts()[0].width(), 4);
@@ -266,7 +267,7 @@ mod tests {
                 Column::key("c", 3),
             ],
         );
-        let l = compact_layout(&s, 2, 0.5).unwrap();
+        let l = compact_layout(s.clone(), 2, 0.5).unwrap();
         for c in 0..3 {
             assert_eq!(l.fragments(c).len(), 1);
         }
@@ -277,7 +278,7 @@ mod tests {
     #[test]
     fn naive_format_matches_figure_3b() {
         let s = paper_example_schema();
-        let l = naive_layout(&s, 4).unwrap();
+        let l = naive_layout(s.clone(), 4).unwrap();
         assert_eq!(l.parts().len(), 2);
         // Part 1: id, d_id, w_id, zip padded to 9.
         assert_eq!(l.parts()[0].width(), 9);
@@ -294,14 +295,14 @@ mod tests {
     #[test]
     fn compact_beats_naive_on_padding() {
         let s = paper_example_schema();
-        let compact = compact_layout(&s, 4, 0.75).unwrap();
-        let naive = naive_layout(&s, 4).unwrap();
+        let compact = compact_layout(s.clone(), 4, 0.75).unwrap();
+        let naive = naive_layout(s.clone(), 4).unwrap();
         assert!(compact.padding_per_row() < naive.padding_per_row());
     }
 
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn bad_threshold_panics() {
-        let _ = compact_layout(&paper_example_schema(), 4, 1.5);
+        let _ = compact_layout(paper_example_schema(), 4, 1.5);
     }
 }

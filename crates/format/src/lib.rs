@@ -32,8 +32,7 @@
 //! ```
 //! use pushtap_format::{compact_layout, cpu_effective, paper_example_schema, pim_effective};
 //!
-//! let schema = paper_example_schema();
-//! let layout = compact_layout(&schema, 4, 0.75)?;
+//! let layout = compact_layout(paper_example_schema(), 4, 0.75)?;
 //! // Key columns scan at full PIM bandwidth at this threshold…
 //! assert_eq!(pim_effective(&layout, |_| 1.0), 1.0);
 //! // …while the CPU still reads rows efficiently.

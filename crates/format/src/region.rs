@@ -210,7 +210,7 @@ mod tests {
     use crate::schema::paper_example_schema;
 
     fn plan() -> (crate::layout::TableLayout, RegionPlan) {
-        let l = compact_layout(&paper_example_schema(), 4, 0.75).unwrap();
+        let l = compact_layout(paper_example_schema(), 4, 0.75).unwrap();
         let r = RegionPlan::new(&l, 100, 40);
         (l, r)
     }

@@ -341,7 +341,7 @@ mod tests {
     use crate::schema::paper_example_schema;
 
     fn store() -> TableStore {
-        let layout = compact_layout(&paper_example_schema(), 4, 0.75).unwrap();
+        let layout = compact_layout(paper_example_schema(), 4, 0.75).unwrap();
         TableStore::new(layout, 8, 64, 16)
     }
 

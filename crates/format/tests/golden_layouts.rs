@@ -29,7 +29,7 @@ fn orderline_keys() -> TableSchema {
 #[test]
 fn orderline_golden_at_th06() {
     let s = orderline_keys();
-    let l = compact_layout(&s, 8, 0.6).unwrap();
+    let l = compact_layout(s.clone(), 8, 0.6).unwrap();
     // Part structure: w=8 (delivery_d, amount lead), w=4 (the four ids),
     // w=2 (quantity), w=1 (number, d_id).
     let widths: Vec<u32> = l.parts().iter().map(|p| p.width()).collect();
@@ -53,7 +53,7 @@ fn orderline_golden_at_th06() {
 fn paper_example_golden_at_th075() {
     // The Fig. 3(c)/Fig. 4 worked example, 4 devices, th = 3/4.
     let s = pushtap_format::paper_example_schema();
-    let l = compact_layout(&s, 4, 0.75).unwrap();
+    let l = compact_layout(s.clone(), 4, 0.75).unwrap();
     let widths: Vec<u32> = l.parts().iter().map(|p| p.width()).collect();
     assert_eq!(widths, vec![4, 2]);
     // Device assignments within part 0: w_id leads, normals fill.
@@ -79,7 +79,7 @@ fn customer_wide_text_stays_normal_and_splits() {
             Column::normal("c_data", 152),
         ],
     );
-    let l = compact_layout(&s, 8, 0.6).unwrap();
+    let l = compact_layout(s.clone(), 8, 0.6).unwrap();
     let c_data = s.index_of("c_data").unwrap();
     // Spread over several devices (fragments), not device-local.
     assert!(
@@ -98,7 +98,7 @@ fn customer_wide_text_stays_normal_and_splits() {
 fn single_device_degenerates_gracefully() {
     // HBM geometry (1 device): every key column leads its own part.
     let s = orderline_keys();
-    let l = compact_layout(&s, 1, 0.6).unwrap();
+    let l = compact_layout(s.clone(), 1, 0.6).unwrap();
     assert_eq!(l.parts().len(), 9 + 1); // 9 keys + trailing normals
     for c in s.key_indices() {
         assert_eq!(l.pim_scan_effectiveness(c), Some(1.0));
@@ -110,7 +110,7 @@ fn single_device_degenerates_gracefully() {
 #[test]
 fn threshold_zero_packs_orderline_into_two_parts() {
     let s = orderline_keys();
-    let l = compact_layout(&s, 8, 0.0).unwrap();
+    let l = compact_layout(s.clone(), 8, 0.0).unwrap();
     // 9 keys over 8 devices: part 0 holds 8, part 1 the last + normals.
     assert_eq!(l.parts().len(), 2);
     assert_eq!(l.parts()[0].width(), 8);

@@ -120,7 +120,7 @@ proptest! {
         block in 2u32..9,
         seed in any::<u64>(),
     ) {
-        let layout = compact_layout(&schema, devices, th).unwrap();
+        let layout = compact_layout(schema.clone(), devices, th).unwrap();
         let n_rows = (devices as u64 + 2) * block as u64 + block as u64 / 2;
         let mut store = TableStore::new(layout, block, n_rows, 3 * devices as u64);
         let mut state = seed;
@@ -169,7 +169,7 @@ proptest! {
         devices in 1u32..10,
         th in 0.0f64..=1.0,
     ) {
-        let layout = compact_layout(&schema, devices, th).unwrap();
+        let layout = compact_layout(schema.clone(), devices, th).unwrap();
         // Conservation: data bytes across parts equal the schema width.
         let data: u32 = layout.parts().iter().map(|p| p.data_bytes()).sum();
         prop_assert_eq!(data, schema.row_width());
@@ -187,7 +187,7 @@ proptest! {
         devices in 2u32..9,
         th in 0.0f64..=1.0,
     ) {
-        let layout = compact_layout(&schema, devices, th).unwrap();
+        let layout = compact_layout(schema.clone(), devices, th).unwrap();
         for c in schema.key_indices() {
             let (part, _) = layout.key_location(c).unwrap();
             let w = layout.parts()[part as usize].width();
@@ -207,7 +207,7 @@ proptest! {
         devices in 1u32..9,
         th in 0.0f64..=1.0,
     ) {
-        let layout = compact_layout(&schema, devices, th).unwrap();
+        let layout = compact_layout(schema.clone(), devices, th).unwrap();
         for c in schema.key_indices() {
             let e = layout.pim_scan_effectiveness(c).unwrap();
             prop_assert!(e > 0.0 && e <= 1.0);
@@ -226,8 +226,8 @@ proptest! {
         schema in arb_schema(),
         devices in 1u32..9,
     ) {
-        let compact = compact_layout(&schema, devices, 0.0).unwrap();
-        let naive = naive_layout(&schema, devices).unwrap();
+        let compact = compact_layout(schema.clone(), devices, 0.0).unwrap();
+        let naive = naive_layout(schema.clone(), devices).unwrap();
         prop_assert!(
             compact.padding_per_row() <= naive.padding_per_row(),
             "compact {} > naive {}",
@@ -245,8 +245,8 @@ proptest! {
         schema in arb_schema(),
         devices in 2u32..9,
     ) {
-        let lo = compact_layout(&schema, devices, 0.0).unwrap();
-        let hi = compact_layout(&schema, devices, 1.0).unwrap();
+        let lo = compact_layout(schema.clone(), devices, 0.0).unwrap();
+        let hi = compact_layout(schema.clone(), devices, 1.0).unwrap();
         prop_assert!(hi.parts().len() + 1 >= lo.parts().len());
         for l in [&lo, &hi] {
             let e = cpu_effective(l, 8);
@@ -266,7 +266,7 @@ proptest! {
         row in 0u64..64,
         seed in any::<u64>(),
     ) {
-        let layout = compact_layout(&schema, devices, th).unwrap();
+        let layout = compact_layout(schema.clone(), devices, th).unwrap();
         let mut store = TableStore::new(layout, 8, 64, 16);
         let mut state = seed;
         let values = random_row(&schema, &mut state);
@@ -295,7 +295,7 @@ proptest! {
         pick_idx in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        let layout = compact_layout(&schema, devices, th).unwrap();
+        let layout = compact_layout(schema.clone(), devices, th).unwrap();
         let n_rows = (devices as u64 + 2) * block as u64;
         let mut store = TableStore::new(layout, block, n_rows, 3 * devices as u64);
         let arena_rows = store.region().arena_rows();

@@ -35,7 +35,6 @@ pub struct ScanEngine {
     control: ControlModel,
     unit: PimUnit,
     units: u64,
-    arch: ControlArch,
 }
 
 impl ScanEngine {
@@ -45,13 +44,7 @@ impl ScanEngine {
             control: ControlModel::new(arch, cfg),
             unit: PimUnit::new(cfg.pim_unit),
             units: cfg.pim_geometry.pim_units() as u64,
-            arch,
         }
-    }
-
-    /// The control architecture in use.
-    pub fn arch(&self) -> ControlArch {
-        self.arch
     }
 
     /// Total PIM units participating in scans.
@@ -60,7 +53,7 @@ impl ScanEngine {
     }
 
     /// The per-unit cost model.
-    pub fn unit(&self) -> &PimUnit {
+    pub(crate) fn unit(&self) -> &PimUnit {
         &self.unit
     }
 
@@ -170,8 +163,7 @@ mod tests {
     use pushtap_pim::{BankAddr, Geometry, Side};
 
     fn test_table(n_rows: u64) -> HtapTable {
-        let schema = pushtap_format::paper_example_schema();
-        let layout = compact_layout(&schema, 8, 0.6).unwrap();
+        let layout = compact_layout(pushtap_format::paper_example_schema(), 8, 0.6).unwrap();
         let g = Geometry::dimm();
         HtapTable::new(
             layout,

@@ -12,10 +12,11 @@
 //!   per-unit control architecture (the Fig. 12(b) comparison);
 //!   a launch (Fig. 7(b)'s disguised 64-byte write) is charged by its
 //!   cost, `ControlModel::launch`, and its payload is not modelled;
-//! * [`QuerySteps`] — the §6.3 steps (scans, shuffles, the join's
-//!   bucket partition, the partials' gather), each priced once; every
-//!   query below and the ideal model of `pushtap-core` run on it;
-//! * [`Query`] — Q1 / Q6 / Q9 with value-correct results;
+//! * [`Query`] — Q1 / Q6 / Q9 with value-correct results. Each query's
+//!   §6.3 task division is one `const` table of [`Step`]s
+//!   ([`Query::plan`]), priced by one interpreter over the engine's
+//!   tables ([`Query::execute`]) or over compact columns
+//!   ([`Query::execute_compact`], the ideal of Fig. 9(b) and MI's scans);
 //! * [`ref_q1`]/[`ref_q6`]/[`ref_q9`] — the naive reference executor used
 //!   to validate the PIM path.
 //!
@@ -45,7 +46,7 @@ mod reference;
 
 pub use exec::{ScanEngine, ScanOutcome};
 pub use query::{
-    merge_partials, Q1Row, Q9Row, Query, QueryResult, QuerySteps, QueryTiming, DELIVERY_CUTOFF,
-    PRICE_MODULUS, Q1_GROUPS, Q9_GROUPS, QUANTITY_MAX,
+    merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryTiming, Step, DELIVERY_CUTOFF,
+    PRICE_MODULUS, QUANTITY_MAX,
 };
 pub use reference::{ref_q1, ref_q6, ref_q9};

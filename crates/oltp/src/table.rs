@@ -238,7 +238,7 @@ impl HtapTable {
     /// use pushtap_pim::CpuSpec;
     /// use pushtap_mvcc::Ts;
     ///
-    /// let layout = compact_layout(&paper_example_schema(), 8, 0.6)?;
+    /// let layout = compact_layout(paper_example_schema(), 8, 0.6)?;
     /// let mut table = HtapTable::new(layout, TableConfig {
     ///     n_rows: 64, delta_rows: 16, block_rows: 16,
     ///     shards: Geometry::dimm().bank_addrs().collect(), base_dram_row: 0,
@@ -794,7 +794,7 @@ mod tests {
     use pushtap_pim::{CpuSpec, Geometry};
 
     fn table(model: DbFormat) -> HtapTable {
-        let layout = compact_layout(&paper_example_schema(), 8, 0.6).unwrap();
+        let layout = compact_layout(paper_example_schema(), 8, 0.6).unwrap();
         HtapTable::new(
             layout,
             TableConfig {
@@ -1106,7 +1106,7 @@ mod tests {
                     if key { Column::key(format!("c{i}"), w) } else { Column::normal(format!("c{i}"), w) }
                 })
                 .collect();
-            let layout = compact_layout(&TableSchema::new("prop", columns), devices, 0.6).unwrap();
+            let layout = compact_layout(TableSchema::new("prop", columns), devices, 0.6).unwrap();
             for model in [DbFormat::Unified, DbFormat::RowStore, DbFormat::ColumnStore] {
                 let t = HtapTable::new(
                     layout.clone(),

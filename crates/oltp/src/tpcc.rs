@@ -277,7 +277,7 @@ pub fn global_rows(cfg: &DbConfig, table: Table) -> u64 {
 }
 
 fn layout_for(
-    schema: &TableSchema,
+    schema: TableSchema,
     format: DbFormat,
     devices: u32,
 ) -> Result<TableLayout, LayoutError> {
@@ -285,9 +285,7 @@ fn layout_for(
         DbFormat::Unified => compact_layout(schema, devices, UNIFIED_TH),
         // The classic baselines keep a validated (naïve) layout for
         // functional storage; their *timing* is the RS/CS traffic pattern.
-        DbFormat::RowStore | DbFormat::ColumnStore => {
-            naive_layout(&schema.with_all_keys(), devices)
-        }
+        DbFormat::RowStore | DbFormat::ColumnStore => naive_layout(schema.with_all_keys(), devices),
     }
 }
 
@@ -352,7 +350,7 @@ impl TpccDb {
         for table in pushtap_chbench::ALL_TABLES {
             let keys = key_map.get(&table).map_or(&[][..], Vec::as_slice);
             let schema = pushtap_chbench::schema_with_keys(table, keys);
-            let layout = layout_for(&schema, cfg.format, geometry.devices_per_rank)?;
+            let layout = layout_for(schema, cfg.format, geometry.devices_per_rank)?;
             let global = global_rows(cfg, table);
             let (row_base, n_rows) = match table.partitioning() {
                 Partitioning::Replicated => (0, global),

@@ -330,7 +330,7 @@ fn scan_table() -> HtapTable {
             Column::normal("d", 3),
         ],
     );
-    let layout = compact_layout(&schema, 4, 0.6).expect("layout");
+    let layout = compact_layout(schema, 4, 0.6).expect("layout");
     let g = Geometry::dimm();
     HtapTable::new(
         layout,

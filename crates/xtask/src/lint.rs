@@ -529,9 +529,19 @@ const ROWS: &[Row] = &[
         non_test: true,
         check: Any(&["pim_transfer(", "hash_partition_time("]),
         sample: "let end = mem.pim_transfer(bytes, now);",
-        why: "Every query runs on one step sequence, `QuerySteps` in \
-              `olap/src/query.rs`: its shuffles, bucket partitions and gathers \
+        why: "Every query is priced by one plan interpreter, `QuerySteps::run` \
+              in `olap/src/query.rs`: its shuffles, join partitions and gathers \
               (§6.3) are priced there once, and nowhere else.",
+    },
+    Row {
+        name: "one-query-plan",
+        paths: &["crates/core/src", "crates/shard/src", "crates/bench/src"],
+        non_test: true,
+        check: Any(&["PimOpKind::"]),
+        sample: "self.column_scan(&mut s, ol, amount, PimOpKind::Aggregate);",
+        why: "Each query's steps are written once, in its plan (`Query::plan` \
+              in `olap/src/query.rs`): no layer above the engine names a PIM \
+              operation, so none restates a query's steps.",
     },
     Row {
         name: "one-calibration-table",

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("th     parts  CPU-eff  PIM-eff  padding  snapshot");
     for i in 0..=10 {
         let th = i as f64 / 10.0;
-        let layout = compact_layout(&schema, devices, th)?;
+        let layout = compact_layout(schema.clone(), devices, th)?;
         let weight = |c: u32| scan_weight(&schema.column(c).name, &queries);
         let b = storage_breakdown(&layout, 0.5);
         println!(
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.6);
-    let layout = compact_layout(&schema, devices, th)?;
+    let layout = compact_layout(schema.clone(), devices, th)?;
     println!("\nlayout at th = {th}:");
     for (i, part) in layout.parts().iter().enumerate() {
         let keys_in_part: Vec<&str> = schema
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Compare with the naïve aligned strawman.
-    let naive = naive_layout(&schema.with_all_keys(), devices)?;
+    let naive = naive_layout(schema.with_all_keys(), devices)?;
     println!(
         "\nnaïve aligned format for comparison: {} parts, CPU eff {:.1}%, padding {:.1}%",
         naive.parts().len(),

@@ -19,13 +19,13 @@ fn all_tables_layout_cleanly() {
             let key_names: Vec<&str> = keys.get(&table).cloned().unwrap_or_default();
             let schema = schema_with_keys(table, &key_names);
             for th in [0.0, 0.3, 0.6, 1.0] {
-                let layout = compact_layout(&schema, geometry.devices_per_rank, th)
+                let layout = compact_layout(schema.clone(), geometry.devices_per_rank, th)
                     .unwrap_or_else(|e| panic!("{} th={th}: {e}", table.name()));
                 assert!(cpu_effective(&layout, geometry.granularity) > 0.0);
                 assert!(pim_effective(&layout, |_| 1.0) > 0.0);
             }
             // The naïve strawman also validates.
-            naive_layout(&schema.with_all_keys(), geometry.devices_per_rank)
+            naive_layout(schema.with_all_keys(), geometry.devices_per_rank)
                 .unwrap_or_else(|e| panic!("naive {}: {e}", table.name()));
         }
     }
@@ -38,7 +38,7 @@ fn generated_rows_round_trip_all_tables() {
     for table in ALL_TABLES {
         let key_names: Vec<&str> = keys.get(&table).cloned().unwrap_or_default();
         let schema = schema_with_keys(table, &key_names);
-        let layout = compact_layout(&schema, 8, 0.6).expect("layout");
+        let layout = compact_layout(schema, 8, 0.6).expect("layout");
         let mut store = TableStore::new(layout, 16, 100, 32);
         let gen = pushtap::chbench::RowGen::new(table, 100);
         for row in [0u64, 1, 15, 16, 17, 99] {
@@ -61,7 +61,7 @@ fn scanned_columns_are_device_local() {
     let keys = key_columns_upto(22);
     for (table, cols) in &keys {
         let schema = schema_with_keys(*table, cols);
-        let layout = compact_layout(&schema, 8, 0.6).expect("layout");
+        let layout = compact_layout(schema.clone(), 8, 0.6).expect("layout");
         for col in cols {
             if let Some(i) = schema.index_of(col) {
                 if schema.column(i).is_key() {
@@ -89,7 +89,7 @@ fn q1_key_set_satisfies_both_bandwidth_goals() {
     let schema = schema_with_keys(Table::OrderLine, &keys[&Table::OrderLine]);
     let ok = (0..=10).any(|i| {
         let th = i as f64 / 10.0;
-        let layout = compact_layout(&schema, 8, th).expect("layout");
+        let layout = compact_layout(schema.clone(), 8, th).expect("layout");
         pim_effective(&layout, |_| 1.0) >= 0.85 && cpu_effective(&layout, 8) >= 0.40
     });
     assert!(ok, "no threshold satisfies both goals for the Q1 key set");
