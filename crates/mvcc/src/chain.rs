@@ -8,14 +8,19 @@
 //! The keys of that metadata are small dense integers the engine itself
 //! hands out — a data-region row number, a `(rotation, idx)` delta slot —
 //! so it is held in arrays, not maps: `newest[row]` is the row's newest
-//! delta slot, and `slots[rotation][idx]` is that slot's [`VersionMeta`].
-//! Every lookup on the transaction path (newest slot, a chain hop, a read
-//! stamp) is one indexed load, and everything that enumerates rows — garbage
-//! collection, defragmentation — meets them in ascending order without
-//! sorting. The arrays grow on demand to the highest row and slot ever
-//! recorded, so [`VersionChains::new`] needs no sizes;
-//! [`VersionChains::with_capacity`] reserves them once from the table's
-//! region plan, so that recording never reallocates.
+//! delta slot, and `slots[idx * arenas + rotation]` is that slot's
+//! [`VersionMeta`]. Every lookup on the transaction path (newest slot, a
+//! chain hop, a read stamp) is one indexed load, and everything that
+//! enumerates rows — garbage collection, defragmentation — meets them in
+//! ascending order without sorting. The arrays grow on demand to the
+//! highest row and slot ever recorded, so [`VersionChains::new`] needs no
+//! sizes; [`VersionChains::with_capacity`] reserves them once from the
+//! table's region plan, so that recording never reallocates.
+//!
+//! The slot states of every arena share one list, interleaved by
+//! rotation: the list reaches `arenas × (peak idx + 1)` entries, which is
+//! what one list per arena would hold when rotations fill evenly, and it
+//! is one allocation per table, not one per arena.
 
 use std::ops::Range;
 
@@ -121,21 +126,75 @@ pub struct LogEntry {
 /// version in the slot, `None` while the slot holds no version.
 type SlotState = Option<VersionMeta>;
 
-/// `slot`'s state, if the arrays reach it (they grow on
-/// [`VersionChains::record_update`], so a slot they do not reach holds no
-/// version). Data-region slots have none.
-fn state_of(slots: &[Vec<SlotState>], slot: RowSlot) -> Option<&SlotState> {
-    match slot {
-        RowSlot::Data { .. } => None,
-        RowSlot::Delta { rotation, idx } => slots.get(rotation as usize)?.get(idx as usize),
-    }
+/// The slot states of every arena in one list, interleaved by rotation:
+/// delta slot `(rotation, idx)` sits at `idx * stride + rotation`, so the
+/// list holds whole groups of `stride` states, one per arena.
+#[derive(Debug, Clone, Default)]
+struct SlotStates {
+    states: Vec<SlotState>,
+    /// Arenas per group: the table's arena count when sized, else one
+    /// past the highest rotation recorded so far.
+    stride: usize,
 }
 
-/// [`state_of`], to change it.
-fn state_mut(slots: &mut [Vec<SlotState>], slot: RowSlot) -> Option<&mut SlotState> {
-    match slot {
-        RowSlot::Data { .. } => None,
-        RowSlot::Delta { rotation, idx } => slots.get_mut(rotation as usize)?.get_mut(idx as usize),
+impl SlotStates {
+    /// Room for `arenas` arenas of `arena_rows` slots, reserved once.
+    fn with_capacity(arenas: u32, arena_rows: u64) -> SlotStates {
+        SlotStates {
+            states: Vec::with_capacity(arenas as usize * arena_rows as usize),
+            stride: arenas as usize,
+        }
+    }
+
+    /// Where `slot`'s state sits, if `slot` is a delta slot of an arena
+    /// within the stride.
+    fn index(&self, slot: RowSlot) -> Option<usize> {
+        match slot {
+            RowSlot::Data { .. } => None,
+            RowSlot::Delta { rotation, idx } => {
+                let rotation = rotation as usize;
+                if rotation >= self.stride {
+                    return None;
+                }
+                (idx as usize)
+                    .checked_mul(self.stride)?
+                    .checked_add(rotation)
+            }
+        }
+    }
+
+    /// `slot`'s state, if the list reaches it (it grows on
+    /// [`VersionChains::record_update`], so a slot it does not reach
+    /// holds no version). Data-region slots have none.
+    fn get(&self, slot: RowSlot) -> Option<&SlotState> {
+        self.states.get(self.index(slot)?)
+    }
+
+    /// [`SlotStates::get`], to change it.
+    fn get_mut(&mut self, slot: RowSlot) -> Option<&mut SlotState> {
+        let at = self.index(slot)?;
+        self.states.get_mut(at)
+    }
+
+    /// Delta slot `(rotation, idx)`'s state, growing the list to reach
+    /// it: by whole groups within a sized list's capacity, and by a new
+    /// layout only when `rotation` lies beyond the stride (unsized
+    /// chains meeting a new arena).
+    fn reach(&mut self, rotation: usize, idx: usize) -> &mut SlotState {
+        if rotation >= self.stride {
+            let stride = rotation + 1;
+            let groups = self.states.len() / self.stride.max(1);
+            let mut states = vec![None; groups * stride];
+            for (at, state) in self.states.drain(..).enumerate() {
+                states[at / self.stride * stride + at % self.stride] = state;
+            }
+            *self = SlotStates { states, stride };
+        }
+        let at = idx * self.stride + rotation;
+        if self.states.len() <= at {
+            self.states.resize((idx + 1) * self.stride, None);
+        }
+        &mut self.states[at]
     }
 }
 
@@ -148,9 +207,9 @@ pub struct VersionChains {
     newest: Vec<Option<RowSlot>>,
     /// Rows with a delta version: the `Some` entries of `newest`.
     updated: usize,
-    /// `slots[rotation][idx]`: the state of delta slot `(rotation, idx)`,
-    /// up to the highest index ever recorded in the arena.
-    slots: Vec<Vec<SlotState>>,
+    /// The state of every delta slot, up to the highest index ever
+    /// recorded in any arena.
+    slots: SlotStates,
     /// Slots holding a version: the `Some` metadata entries of `slots`.
     versions: usize,
     log: Vec<LogEntry>,
@@ -166,19 +225,16 @@ impl VersionChains {
     /// Creates empty chains for a table of `rows` data rows and `arenas`
     /// rotation arenas of `arena_rows` delta slots each, with every
     /// array reserved to its bound so that recording never reallocates:
-    /// `newest` to the rows; each arena's slot states to its slots; and
+    /// `newest` to the rows; the slot states to every arena's slots; and
     /// the commit log to all the slots, because an entry lives exactly
     /// as long as the version in its new slot (a GC pass trims the two
     /// together, an undo removes both). The chains answer exactly as
     /// [`VersionChains::new`]'s do.
     pub fn with_capacity(rows: u64, arenas: u32, arena_rows: u64) -> VersionChains {
-        let slots = arenas as usize * arena_rows as usize;
         VersionChains {
             newest: Vec::with_capacity(rows as usize),
-            slots: (0..arenas)
-                .map(|_| Vec::with_capacity(arena_rows as usize))
-                .collect(),
-            log: Vec::with_capacity(slots),
+            slots: SlotStates::with_capacity(arenas, arena_rows),
+            log: Vec::with_capacity(arenas as usize * arena_rows as usize),
             ..VersionChains::default()
         }
     }
@@ -208,20 +264,13 @@ impl VersionChains {
         if let Some(m) = self.meta(prev) {
             assert!(m.write_ts < ts, "non-monotone commit at row {row}");
         }
-        let (rotation, idx) = (rotation as usize, idx as usize);
-        if self.slots.len() <= rotation {
-            self.slots.resize(rotation + 1, Vec::new());
-        }
-        let arena = &mut self.slots[rotation];
-        if arena.len() <= idx {
-            arena.resize(idx + 1, None);
-        }
         let meta = VersionMeta {
             write_ts: ts,
             read_ts: ts,
             prev: Some(prev),
         };
-        if arena[idx].replace(meta).is_none() {
+        let state = self.slots.reach(rotation as usize, idx as usize);
+        if state.replace(meta).is_none() {
             self.versions += 1;
         }
         if self.newest.len() <= row as usize {
@@ -279,7 +328,7 @@ impl VersionChains {
 
     /// Updates the read timestamp of the version at `slot`.
     pub fn mark_read(&mut self, slot: RowSlot, ts: Ts) {
-        if let Some(m) = state_mut(&mut self.slots, slot).and_then(Option::as_mut) {
+        if let Some(m) = self.slots.get_mut(slot).and_then(Option::as_mut) {
             m.read_ts = m.read_ts.max(ts);
         }
     }
@@ -287,7 +336,7 @@ impl VersionChains {
     /// Metadata of a version, if it has any (origin versions without
     /// updates have implicit `write_ts = 0`).
     pub fn meta(&self, slot: RowSlot) -> Option<&VersionMeta> {
-        state_of(&self.slots, slot)?.as_ref()
+        self.slots.get(slot)?.as_ref()
     }
 
     /// Rows that currently have delta versions, ascending.
@@ -358,7 +407,9 @@ impl VersionChains {
             Some(e.new_slot),
             "undo_update of a superseded version at row {row}"
         );
-        let m = state_mut(&mut self.slots, e.new_slot)
+        let m = self
+            .slots
+            .get_mut(e.new_slot)
             .and_then(Option::take)
             .expect("undone version must have metadata");
         debug_assert_eq!(m.prev, Some(e.prev_slot), "chain/log disagree");
@@ -456,15 +507,18 @@ impl VersionChains {
                 // Re-anchor the oldest survivor on the data region, which
                 // now holds the folded version's bytes.
                 Some(survivor) => {
-                    state_mut(&mut self.slots, survivor)
+                    self.slots
+                        .get_mut(survivor)
                         .and_then(Option::as_mut)
                         .expect("surviving version must have metadata")
                         .prev = Some(RowSlot::Data { row });
                 }
             }
             for i in first_freed..out.freed.len() {
-                *state_mut(&mut self.slots, out.freed[i]).expect("chain slot must have metadata") =
-                    None;
+                *self
+                    .slots
+                    .get_mut(out.freed[i])
+                    .expect("chain slot must have metadata") = None;
             }
             self.versions -= out.freed.len() - first_freed;
             out.folds.push(GcFold {
@@ -484,7 +538,7 @@ impl VersionChains {
         // if that is a delta slot, holds a version; the ones that no
         // longer do are exactly the ones this pass freed.
         let slots = &self.slots;
-        let holds_version = |slot| state_of(slots, slot).is_some_and(Option::is_some);
+        let holds_version = |slot| slots.get(slot).is_some_and(Option::is_some);
         let mut next = 0usize;
         self.log.retain_mut(|e| {
             let i = next;
@@ -516,10 +570,12 @@ mod tests {
 
         /// Where the arrays' storage lies: unchanged while none of them
         /// reallocates.
-        fn storage(&self) -> Vec<*const u8> {
-            let mut at = vec![self.newest.as_ptr().cast(), self.log.as_ptr().cast()];
-            at.extend(self.slots.iter().map(|arena| arena.as_ptr().cast()));
-            at
+        fn storage(&self) -> [*const u8; 3] {
+            [
+                self.newest.as_ptr().cast(),
+                self.log.as_ptr().cast(),
+                self.slots.states.as_ptr().cast(),
+            ]
         }
     }
 
@@ -736,6 +792,29 @@ mod tests {
         }
         // The last cut found nothing left to fold.
         assert!(out.is_empty() && c.log().is_empty());
+    }
+
+    /// Unsized chains lay their slot states out again when a record
+    /// names an arena past every one they have met; every version
+    /// already recorded keeps its metadata, and chains cross the arenas.
+    #[test]
+    fn a_new_highest_rotation_keeps_every_recorded_version() {
+        let mut c = VersionChains::new();
+        c.record_update(1, delta(0, 2), Ts(1));
+        c.record_update(2, delta(1, 0), Ts(2));
+        c.mark_read(delta(0, 2), Ts(3));
+        c.record_update(1, delta(4, 1), Ts(4));
+        c.record_update(3, delta(2, 3), Ts(5));
+        assert_eq!(c.meta(delta(0, 2)).map(|m| m.read_ts), Some(Ts(3)));
+        assert_eq!(c.meta(delta(1, 0)).map(|m| m.write_ts), Some(Ts(2)));
+        assert_eq!(c.meta(delta(4, 1)).and_then(|m| m.prev), Some(delta(0, 2)));
+        assert_eq!(c.meta(delta(2, 3)).map(|m| m.write_ts), Some(Ts(5)));
+        assert_eq!(c.meta(delta(3, 1)), None);
+        assert_eq!(c.meta(delta(5, 0)), None);
+        assert_eq!(c.visible_at(1, Ts(2)), (delta(0, 2), 1));
+        let out = c.gc(Ts(5));
+        assert_eq!(out.slots_recycled(), 4);
+        assert!(c.log().is_empty());
     }
 
     #[test]
@@ -993,6 +1072,13 @@ mod tests {
         )
     }
 
+    /// A permutation of the arenas: `shift + step·k` modulo the (prime)
+    /// arena count, which is every permutation of three.
+    fn arb_rotations() -> impl Strategy<Value = Vec<u32>> {
+        (0..ARENAS, 1..ARENAS)
+            .prop_map(|(shift, step)| (0..ARENAS).map(|k| (shift + step * k) % ARENAS).collect())
+    }
+
     /// The arrays and the reference maps, driven in lockstep: every call
     /// goes to both and must return the same. A second set of arrays,
     /// built sized ([`VersionChains::with_capacity`]), takes every call
@@ -1002,6 +1088,10 @@ mod tests {
         sized: VersionChains,
         maps: reference::VersionChains,
         alloc: crate::DeltaAllocator,
+        /// The arena each row class writes to: a permutation, so the
+        /// unsized arrays meet the rotations in any order — a new highest
+        /// one after versions exist included.
+        rotations: Vec<u32>,
         clock: u64,
         /// The rows each pending prepared scope wrote.
         scopes: Vec<Vec<u64>>,
@@ -1011,7 +1101,7 @@ mod tests {
         sized_outcome: GcOutcome,
         /// Where the sized arrays' and their outcome's storage lay when
         /// built.
-        sized_storage: (Vec<*const u8>, [*const u8; 3]),
+        sized_storage: ([*const u8; 3], [*const u8; 3]),
     }
 
     impl Pair {
@@ -1024,7 +1114,7 @@ mod tests {
                 let held = self.scopes.iter().any(|rows| rows.contains(&row));
                 let newest = self.arrays.newest_slot(row);
                 let stale = self.arrays.meta(newest).is_some_and(|m| m.write_ts >= ts);
-                let rotation = (row % ARENAS as u64) as u32;
+                let rotation = self.rotations[(row % ARENAS as u64) as usize];
                 if held || stale {
                     continue;
                 }
@@ -1140,7 +1230,8 @@ mod tests {
                 assert_eq!(a.has_versions(row), m.has_versions(row), "row {row}");
                 assert_eq!(a.has_versions(row), s.has_versions(row), "row {row}");
             }
-            for rotation in 0..ARENAS {
+            // One arena past the table's: no side holds a version there.
+            for rotation in 0..=ARENAS {
                 for idx in 0..ARENA_ROWS {
                     let slot = RowSlot::Delta { rotation, idx };
                     assert_eq!(a.meta(slot), m.meta(slot), "{slot:?}");
@@ -1173,10 +1264,13 @@ mod tests {
         /// slots recycled through all of it. Every pass of the arrays
         /// refills one reused [`GcOutcome`], which must also equal a
         /// fresh pass's. Arrays sized from the arenas answer every call
-        /// like unsized ones, and neither they nor their outcome ever
-        /// reallocate.
+        /// like unsized ones, which meet the arenas in any order, and
+        /// neither the sized arrays nor their outcome ever reallocate.
         #[test]
-        fn arrays_answer_like_the_maps_they_replaced(steps in arb_steps()) {
+        fn arrays_answer_like_the_maps_they_replaced(
+            steps in arb_steps(),
+            rotations in arb_rotations(),
+        ) {
             let sized = VersionChains::with_capacity(ROWS, ARENAS, ARENA_ROWS);
             let sized_outcome = GcOutcome::with_capacity((ARENAS as u64 * ARENA_ROWS) as usize);
             let mut pair = Pair {
@@ -1185,6 +1279,7 @@ mod tests {
                 sized,
                 maps: reference::VersionChains::default(),
                 alloc: crate::DeltaAllocator::new(ARENAS, ARENA_ROWS),
+                rotations,
                 clock: 0,
                 scopes: Vec::new(),
                 outcome: GcOutcome::default(),

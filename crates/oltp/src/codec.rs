@@ -272,7 +272,7 @@ fn decode_record(
         }
     };
     let count = c.u32()? as usize;
-    effects.reserve(count.min(1024));
+    effects.reserve(effect_count(bytes));
     let start = effects.len();
     for _ in 0..count {
         let warehouse = c.u64()?;
@@ -368,6 +368,27 @@ fn decode_record(
         cross,
         effects: start..effects.len(),
     })
+}
+
+/// Bytes of a record's header: `ts`, `role`, `cross` and `count`.
+const RECORD_HEADER: usize = 8 + 1 + 1 + 4;
+
+/// Bytes of the smallest effect, a read: `warehouse`, `kind`, `table`
+/// and `row`.
+const MIN_EFFECT: usize = 8 + 1 + 1 + 8;
+
+/// The effects a record payload declares, capped by what its bytes can
+/// hold — what a decoder may reserve before decoding it. A count the
+/// bytes cannot back fails to decode ([`CodecError::Truncated`]) and
+/// reserves no more than the bytes do; a payload too short for a header
+/// declares none.
+#[must_use]
+pub fn effect_count(payload: &[u8]) -> usize {
+    let Some(count) = payload.get(RECORD_HEADER - 4..RECORD_HEADER) else {
+        return 0;
+    };
+    let count = u32::from_le_bytes(count.try_into().unwrap()) as usize;
+    count.min((payload.len() - RECORD_HEADER) / MIN_EFFECT)
 }
 
 fn put_count(out: &mut Vec<u8>, n: usize) {
@@ -506,6 +527,27 @@ mod tests {
             appended,
             encode_parts(rec.ts, rec.role, rec.cross, &rec.effects)
         );
+    }
+
+    /// A record's declared effect count is read off its header, and a
+    /// count its bytes cannot back is capped by them: decoding it fails
+    /// without reserving more than the bytes could hold.
+    #[test]
+    fn effect_count_is_capped_by_the_payload() {
+        let rec = sample();
+        let encoded = rec.encode();
+        assert_eq!(effect_count(&encoded), rec.effects.len());
+        assert_eq!(effect_count(&encoded[..RECORD_HEADER - 1]), 0);
+        let mut lying = encoded.clone();
+        lying[RECORD_HEADER - 4..RECORD_HEADER].copy_from_slice(&u32::MAX.to_le_bytes());
+        let cap = (lying.len() - RECORD_HEADER) / MIN_EFFECT;
+        assert_eq!(effect_count(&lying), cap);
+        let mut effects = Vec::new();
+        assert_eq!(
+            EffectRecord::decode_into(&lying, &mut effects),
+            Err(CodecError::Truncated)
+        );
+        assert!(effects.is_empty() && effects.capacity() <= cap);
     }
 
     /// Records decode one after another into one list, each into its

@@ -390,18 +390,15 @@ pub(crate) struct Decided(Vec<u64>);
 impl Decided {
     /// Decodes every record of a scanned decision log.
     pub fn of(records: &[&[u8]]) -> Result<Decided, RecoverError> {
-        let mut decided = records
-            .iter()
-            .enumerate()
-            .map(|(record, payload)| match decode_decision(payload) {
-                Ok(ts) => Ok(ts.0),
-                Err(error) => Err(RecoverError::Undecodable {
-                    shard: None,
-                    record,
-                    error,
-                }),
-            })
-            .collect::<Result<Vec<u64>, RecoverError>>()?;
+        let mut decided = Vec::with_capacity(records.len());
+        for (record, payload) in records.iter().enumerate() {
+            let ts = decode_decision(payload).map_err(|error| RecoverError::Undecodable {
+                shard: None,
+                record,
+                error,
+            })?;
+            decided.push(ts.0);
+        }
         decided.sort_unstable();
         decided.dedup();
         Ok(Decided(decided))
@@ -470,7 +467,8 @@ mod tests {
         assert_eq!(decided.0, [3, 9]);
         assert!(decided.contains(Ts(3)) && decided.contains(Ts(9)));
         assert!(!decided.contains(Ts(4)));
-        let damaged: [&[u8]; 2] = [&entries[0], &[1, 2, 3]];
+        // The first undecodable record is the one named.
+        let damaged: [&[u8]; 3] = [&entries[0], &[1, 2, 3], &[0; 9]];
         assert_eq!(
             Decided::of(&damaged).map(|_| ()),
             Err(RecoverError::Undecodable {

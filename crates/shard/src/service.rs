@@ -311,7 +311,7 @@ impl ShardedHtap {
             .map(|(i, (shard, bytes))| replay_shard(i, shard, bytes, &decided))
             .collect::<Result<Vec<_>, _>>()?;
         let mut per_shard = Vec::with_capacity(self.shards.len());
-        let mut committed: Vec<Ts> = Vec::new();
+        let mut committed: Vec<Ts> = Vec::with_capacity(results.iter().map(|r| r.1.len()).sum());
         let mut watermark = 0u64;
         for (rec, c, max_ts) in results {
             per_shard.push(rec);
@@ -980,10 +980,16 @@ impl DecodedLog {
     /// Decodes the scanned records of shard `shard`'s effect log. The
     /// scan already truncated any torn or bit-flipped tail; a record
     /// whose checksum holds but whose payload does not decode is an
-    /// error — the bytes are intact, they are just not ours.
+    /// error — the bytes are intact, they are just not ours. The effect
+    /// list is reserved once, to the records' declared effect counts,
+    /// each capped by what its payload can hold.
     fn decode(shard: usize, scanned: &[&[u8]]) -> Result<DecodedLog, RecoverError> {
+        let effects = scanned
+            .iter()
+            .map(|payload| codec::effect_count(payload))
+            .sum();
         let mut log = DecodedLog {
-            effects: Vec::new(),
+            effects: Vec::with_capacity(effects),
             records: Vec::with_capacity(scanned.len()),
         };
         for (record, payload) in scanned.iter().enumerate() {
@@ -1041,19 +1047,30 @@ fn compact_shard_log(
     let committed = |r: &DecodedRecord| !r.cross || decided.contains(r.ts);
     // Last committed writer per (table, row, column): every committed
     // update write, sorted by key and newest first, then one per key —
-    // the only update writes worth replaying.
-    let mut last_writer: Vec<((Table, u64, u32), Ts)> = Vec::new();
-    for a in &appends {
-        let r = &decoded.records[a.last];
-        if !committed(r) {
-            continue;
-        }
-        for te in decoded.effects_of(r) {
-            if let Effect::Update { table, row, writes } = &te.effect {
-                last_writer.extend(writes.iter().map(|(col, _)| ((*table, *row, *col), r.ts)));
-            }
-        }
-    }
+    // the only update writes worth replaying. A counting pass sizes the
+    // list.
+    let committed_writes = || {
+        appends
+            .iter()
+            .map(|a| &decoded.records[a.last])
+            .filter(|r| committed(r))
+            .flat_map(|r| {
+                decoded
+                    .effects_of(r)
+                    .iter()
+                    .map(move |te| (&te.effect, r.ts))
+            })
+            .filter_map(|(effect, ts)| match effect {
+                Effect::Update { table, row, writes } => Some((*table, *row, writes, ts)),
+                _ => None,
+            })
+            .flat_map(|(table, row, writes, ts)| {
+                writes.iter().map(move |(col, _)| ((table, row, *col), ts))
+            })
+    };
+    let mut last_writer: Vec<((Table, u64, u32), Ts)> =
+        Vec::with_capacity(committed_writes().count());
+    last_writer.extend(committed_writes());
     last_writer.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
     last_writer.dedup_by_key(|w| w.0);
     let last_writes = |key: (Table, u64, u32), ts: Ts| {
@@ -1067,7 +1084,8 @@ fn compact_shard_log(
     appends.sort_unstable_by_key(|a| a.first);
     let mut emit = appends.iter().peekable();
     let db = shard.db();
-    let mut kept: Vec<TaggedEffect> = Vec::new();
+    let largest = decoded.records.iter().map(|r| r.effects.len()).max();
+    let mut kept: Vec<TaggedEffect> = Vec::with_capacity(largest.unwrap_or(0));
     Ok(log.rewrite(scanned, |i, out| {
         let Some(a) = emit.next_if(|a| a.first == i) else {
             return false; // a later append of an emitted timestamp
@@ -1141,7 +1159,7 @@ fn replay_shard(
         torn: log.torn,
         ..ShardRecovery::default()
     };
-    let mut committed: Vec<Ts> = Vec::new();
+    let mut committed: Vec<Ts> = Vec::with_capacity(appends.len());
     let mut max_ts = 0u64;
     let start = shard.now();
     // Ascending timestamp order: per-row commit timestamps must land
@@ -1200,6 +1218,44 @@ mod tests {
 
     fn service(shards: u32) -> ShardedHtap {
         ShardedHtap::new(ShardConfig::small(shards)).expect("build")
+    }
+
+    /// A log decodes into one effect list reserved once, exactly; a
+    /// record whose effect count its payload cannot back is a typed
+    /// error naming the record, not a reservation that size.
+    #[test]
+    fn a_decoded_log_reserves_its_effects_once() {
+        let read = |row| TaggedEffect {
+            effect: Effect::Read {
+                table: Table::Stock,
+                row,
+            },
+            warehouse: 1,
+        };
+        let record = |ts, effects: Vec<TaggedEffect>| {
+            EffectRecord {
+                ts: Ts(ts),
+                role: TxnRole::Coordinator,
+                cross: false,
+                effects,
+            }
+            .encode()
+        };
+        let (first, second) = (record(1, vec![read(3), read(4)]), record(2, vec![read(5)]));
+        let decoded = DecodedLog::decode(0, &[&first, &second]).expect("the records decode");
+        assert_eq!(decoded.effects.len(), 3);
+        assert_eq!(decoded.effects.capacity(), 3);
+        let mut lying = second.clone();
+        lying[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(codec::effect_count(&lying), 1, "capped by the payload");
+        assert_eq!(
+            DecodedLog::decode(3, &[&first, &lying]).map(|log| log.records.len()),
+            Err(RecoverError::Undecodable {
+                shard: Some(3),
+                record: 1,
+                error: pushtap_oltp::CodecError::Truncated,
+            })
+        );
     }
 
     #[test]

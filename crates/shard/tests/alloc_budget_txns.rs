@@ -10,9 +10,9 @@
 //! what is left is per call, not per transaction (the report's per-shard
 //! loads, lists and histograms among it).
 //!
-//! The budgets are the measured counts plus one allocation: a
-//! histogram grows its buckets lazily as it records, so a change that
-//! moves one simulated value may cost one more.
+//! The budgets are the measured counts: a report's histogram allocates
+//! its buckets once, whatever it records, so the counts do not follow the
+//! simulated values.
 //!
 //! The counts are exact: the counting global allocator of
 //! `crates/core/tests/support/counting.rs` tallies every `alloc` and
@@ -40,12 +40,12 @@ const INBOX: usize = 128;
 const WINDOW: usize = 32;
 const RATE_TPS: f64 = 120_000.0;
 const ARRIVALS: u64 = 1_000;
-/// Allocations allowed over the closed-loop batches: 169 measured
-/// (0.068 per transaction), plus one.
-const CLOSED_BUDGET: u64 = 170;
+/// Allocations allowed over the closed-loop batches: 150 measured
+/// (0.060 per transaction).
+const CLOSED_BUDGET: u64 = 150;
 /// Allocations allowed over the open-loop run: 14 measured (0.014 per
-/// admitted transaction), plus one.
-const OPEN_BUDGET: u64 = 15;
+/// admitted transaction).
+const OPEN_BUDGET: u64 = 14;
 
 /// The `shard_durable` deployment: 2 shards, maintenance every 200
 /// transactions.

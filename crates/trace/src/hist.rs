@@ -21,18 +21,15 @@ const LINEAR_MAX: u64 = 128;
 /// 1/64 of the value ⇒ midpoint error ≤ ~0.8 %.
 const SUB_BUCKETS: u64 = 64;
 
-/// The first growth reserves the buckets up to at least this value,
-/// 2^30 ≈ 1.07 ms in picoseconds: above the commit latencies, 2PC stalls
-/// and queue waits the reports record, so a histogram whose first sample
-/// lands low (a count, a zero wait) still grows once.
-const FIRST_RESERVE_UPTO: u64 = 1 << 30;
+/// Buckets covering the whole `u64` range: one past the last's index.
+const BUCKETS: usize = bucket_index(u64::MAX) + 1;
 
 /// Bucket index of `v` (total order, contiguous across octaves).
-fn bucket_index(v: u64) -> usize {
+const fn bucket_index(v: u64) -> usize {
     if v < LINEAR_MAX {
         v as usize
     } else {
-        let e = 63 - u64::from(v.leading_zeros());
+        let e = 63 - v.leading_zeros() as u64;
         let shift = e - 6;
         (LINEAR_MAX + (e - 7) * SUB_BUCKETS + ((v >> shift) - SUB_BUCKETS)) as usize
     }
@@ -57,8 +54,10 @@ fn bucket_value(i: usize) -> u64 {
 /// A mergeable log-bucketed histogram of `u64` samples (simulated
 /// picoseconds in this workspace), with ~1 % relative quantile error.
 ///
-/// Recording is O(1); the bucket vector grows lazily to the highest
-/// bucket touched, so an empty histogram allocates nothing.
+/// Recording is O(1). An empty histogram allocates nothing; the first
+/// sample reserves every bucket the `u64` range has (3 776, 30 KB
+/// reserved, written only up to the highest bucket touched), so a
+/// histogram allocates once whatever it records.
 /// `min`/`max` are tracked exactly and quantiles clamp to them, so the
 /// tails never report a value outside what was actually observed.
 #[derive(Debug, Clone)]
@@ -124,23 +123,21 @@ impl Histogram {
         }
     }
 
+    /// Extends the buckets to `len`, reserving all of them on the first
+    /// growth. Trailing empty buckets change no answer: `eq` trims them.
+    fn grow_to(&mut self, len: usize) {
+        if len > self.counts.len() {
+            if self.counts.capacity() == 0 {
+                self.counts.reserve_exact(BUCKETS);
+            }
+            self.counts.resize(len, 0);
+        }
+    }
+
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
         let i = bucket_index(v);
-        if i >= self.counts.len() {
-            // The first growth reserves up to a typical latency's
-            // bucket, and at least twice the buckets it needs, the
-            // headroom every later growth gets from `Vec`'s doubling: an
-            // exact first fit would reallocate at the next new maximum.
-            // Reserved capacity is not written, and trailing empty
-            // buckets change no answer: `eq` trims them and `merge`
-            // resizes.
-            if self.counts.capacity() == 0 {
-                let typical = bucket_index(FIRST_RESERVE_UPTO) + 1;
-                self.counts.reserve_exact(typical.max(2 * (i + 1)));
-            }
-            self.counts.resize(i + 1, 0);
-        }
+        self.grow_to(i + 1);
         self.counts[i] += 1;
         self.count += 1;
         self.sum += u128::from(v);
@@ -224,9 +221,7 @@ impl Histogram {
     /// min/max/sum/count combine). Associative and commutative, so
     /// per-shard partials can merge in any fan-in order.
     pub fn merge(&mut self, other: &Histogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
+        self.grow_to(other.counts.len());
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -428,21 +423,30 @@ mod tests {
         assert_eq!(m, before);
     }
 
-    /// `Default` and `new` build the same empty histogram: the same
-    /// samples then give equal histograms with the same minimum and the
-    /// same percentiles. (259 falls in the bucket 256..=259, whose
-    /// midpoint 258 only the exact minimum clamps back up to 259.)
-    /// Latencies of one magnitude grow the buckets once: the next new
-    /// maximum, an octave above the first sample, fits the headroom.
+    /// Every sample lands in the buckets the first growth reserved: the
+    /// extremes of the range, values between them, and a merge into the
+    /// histogram.
     #[test]
-    fn the_first_growth_leaves_headroom() {
+    fn the_bucket_storage_is_allocated_once() {
+        assert_eq!(BUCKETS, 3_776);
         let mut h = Histogram::new();
-        h.record(8_000_000);
-        let first = h.counts.as_ptr();
-        h.record(16_000_000);
-        h.record(20_000_000);
-        assert_eq!(h.counts.as_ptr(), first, "grew a second time");
-        assert_eq!(h.counts.len(), bucket_index(20_000_000) + 1);
+        h.record(0);
+        let (first, capacity) = (h.counts.as_ptr(), h.counts.capacity());
+        assert_eq!(capacity, BUCKETS);
+        for v in [u64::MAX, 1, 200, 8_000_000, 1 << 40, u64::MAX >> 1] {
+            h.record(v);
+        }
+        let mut other = Histogram::new();
+        other.record(u64::MAX);
+        other.record(3);
+        h.merge(&other);
+        assert_eq!((h.counts.as_ptr(), h.counts.capacity()), (first, capacity));
+        assert_eq!((h.count(), h.min(), h.max()), (9, 0, u64::MAX));
+        // A merge into an empty histogram is its first growth.
+        let mut merged = Histogram::new();
+        merged.merge(&other);
+        assert_eq!(merged.counts.capacity(), BUCKETS);
+        assert_eq!(merged, other);
     }
 
     #[test]
@@ -458,6 +462,10 @@ mod tests {
         assert_eq!(h.counts.len(), bucket_index(1_000_000_000) + 1);
     }
 
+    /// `Default` and `new` build the same empty histogram: the same
+    /// samples then give equal histograms with the same minimum and the
+    /// same percentiles. (259 falls in the bucket 256..=259, whose
+    /// midpoint 258 only the exact minimum clamps back up to 259.)
     #[test]
     fn default_is_new() {
         let (mut a, mut b) = (Histogram::default(), Histogram::new());

@@ -74,6 +74,34 @@ pub struct ScanOutcome<'a> {
     pub torn: bool,
 }
 
+/// One frame of a log image, checksum not yet verified.
+struct Frame<'a> {
+    bytes: &'a [u8],
+    sum: u32,
+    /// Where the frame ends in the image.
+    end: usize,
+}
+
+/// The complete frames of a log image, front to back, up to the first
+/// incomplete header (or the clean end) or the first payload the image
+/// tears off.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = Frame<'_>> {
+    let mut at = 0usize;
+    std::iter::from_fn(move || {
+        let header = bytes.get(at..at + HEADER_LEN)?;
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        let sum = u32::from_le_bytes(header[4..].try_into().unwrap());
+        let end = at + HEADER_LEN + len;
+        let payload = bytes.get(at + HEADER_LEN..end)?;
+        at = end;
+        Some(Frame {
+            bytes: payload,
+            sum,
+            end,
+        })
+    })
+}
+
 /// Walks a log image front to back and recovers the longest valid
 /// prefix of records.
 ///
@@ -83,20 +111,17 @@ pub struct ScanOutcome<'a> {
 /// `valid_len == bytes.len()`.
 #[must_use]
 pub fn scan(bytes: &[u8]) -> ScanOutcome<'_> {
-    let mut records = Vec::new();
+    // A first pass over the headers alone counts the frames that fit, so
+    // the list is allocated once; a checksum failure only leaves it
+    // shorter than counted.
+    let mut records = Vec::with_capacity(frames(bytes).count());
     let mut at = 0usize;
-    // Ends on the first incomplete header (or the clean end, at == len).
-    while let Some(header) = bytes.get(at..at + HEADER_LEN) {
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let sum = u32::from_le_bytes(header[4..].try_into().unwrap());
-        let Some(payload) = bytes.get(at + HEADER_LEN..at + HEADER_LEN + len) else {
-            break; // torn mid-payload
-        };
-        if checksum(payload) != sum {
+    for payload in frames(bytes) {
+        if checksum(payload.bytes) != payload.sum {
             break; // tear inside the payload, or media corruption
         }
-        records.push(payload);
-        at += HEADER_LEN + len;
+        records.push(payload.bytes);
+        at = payload.end;
     }
     ScanOutcome {
         records,
@@ -190,6 +215,29 @@ mod tests {
             let want = [b"r1".as_slice(), b"record-two", b"r3!"];
             assert_eq!(scan.records, want[..scan.records.len()], "cut at {cut}");
         }
+    }
+
+    /// The scan sizes its list once, to the whole frames the image
+    /// holds: exactly the records on a clean image or one torn mid-
+    /// payload, more than the records kept on a bit-flipped one.
+    #[test]
+    fn scan_never_grows_its_list() {
+        let log = log_of(&[b"a", b"bb", b"ccc", b"dddd", b"eeeee"]);
+        let clean = scan(&log);
+        assert_eq!(clean.records.len(), 5);
+        assert_eq!(clean.records.capacity(), 5);
+        let torn = scan(&log[..log.len() - 2]);
+        assert_eq!(torn.records.len(), 4);
+        assert_eq!(torn.records.capacity(), 4);
+        let mut flipped = log.clone();
+        flipped[HEADER_LEN + 1 + HEADER_LEN] ^= 0x10;
+        let flipped = scan(&flipped);
+        assert_eq!(flipped.records, [b"a"]);
+        assert_eq!(
+            flipped.records.capacity(),
+            5,
+            "counted before the checksums"
+        );
     }
 
     #[test]

@@ -384,15 +384,17 @@ const ROWS: &[Row] = &[
             "crates/format/src",
             "crates/pim/src/mem.rs",
             "crates/mvcc/src/delta.rs",
+            "crates/mvcc/src/chain.rs",
         ],
         non_test: true,
         check: AnyUnless(&["Vec<Vec<"], in_a_row_read),
         sample: "    slots: Vec<Vec<Slot>>,",
         why: "Building an engine allocates per table, not per column, part, \
               device or arena: a part's slots, a layout's fragments, a rank's \
-              device bytes and a table's delta free lists are each one flat \
-              buffer with a stride. `TableStore::read_row` returns a row's \
-              values, one per column, because its caller asked for them.",
+              device bytes, a table's delta free lists and its version \
+              chains' slot states are each one flat buffer with a stride. \
+              `TableStore::read_row` returns a row's values, one per column, \
+              because its caller asked for them.",
     },
     Row {
         name: "one-slot-address",
