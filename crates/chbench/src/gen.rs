@@ -6,6 +6,8 @@
 //! Numeric columns encode little-endian; text columns are filled with a
 //! deterministic printable pattern.
 
+use pushtap_format::Inline;
+
 use crate::schema::Table;
 
 /// Item ids (`i_id`, and the `ol_i_id` and `s_i_id` that reference an
@@ -51,7 +53,7 @@ fn mix(table: Table, row: u64, col: u32) -> u64 {
 
 /// What a column's values look like, decided once per column from its
 /// name.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum ValueKind {
     /// A dense identifier below this bound.
     Id(u64),
@@ -62,6 +64,7 @@ enum ValueKind {
     /// Money in cents.
     Money,
     /// Printable text.
+    #[default]
     Text,
 }
 
@@ -101,13 +104,17 @@ impl ValueKind {
     }
 }
 
+/// The most columns a table has (CUSTOMER's 21).
+const MAX_COLUMNS: usize = 21;
+
 /// A deterministic row generator for one table. It reads the table's
-/// columns from [`Table::columns`], so it builds no schema.
+/// columns from [`Table::columns`], so it builds no schema, and holds
+/// what it decided about them inline, so it allocates nothing.
 #[derive(Debug, Clone)]
 pub struct RowGen {
     table: Table,
     /// Per column: what to generate and at which width.
-    kinds: Vec<(ValueKind, u32)>,
+    kinds: Inline<(ValueKind, u32), MAX_COLUMNS>,
     rows: u64,
 }
 
@@ -141,15 +148,16 @@ impl RowGen {
     ///
     /// Panics if `row` or `col` is out of range.
     pub fn value(&self, row: u64, col: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.kinds[col as usize].1 as usize);
-        self.put_value(row, col, &mut out);
+        let kind = self.kinds[col as usize];
+        let mut out = Vec::with_capacity(kind.1 as usize);
+        self.put_value(row, col, kind, &mut out);
         out
     }
 
-    /// Appends the value of `(row, col)` to `out`.
-    fn put_value(&self, row: u64, col: u32, out: &mut Vec<u8>) {
+    /// Appends the value of `(row, col)`, a column of `kind` and `width`,
+    /// to `out`.
+    fn put_value(&self, row: u64, col: u32, (kind, width): (ValueKind, u32), out: &mut Vec<u8>) {
         assert!(row < self.rows, "row {row} out of range");
-        let (kind, width) = self.kinds[col as usize];
         let h = mix(self.table, row, col);
         match kind {
             ValueKind::Id(domain) => put_u64(out, h % domain, width),
@@ -174,8 +182,8 @@ impl RowGen {
     /// to row.
     pub fn row_image(&self, row: u64, out: &mut Vec<u8>) {
         out.clear();
-        for c in 0..self.kinds.len() as u32 {
-            self.put_value(row, c, out);
+        for (col, &kind) in (0u32..).zip(self.kinds.iter()) {
+            self.put_value(row, col, kind, out);
         }
     }
 }
@@ -210,6 +218,12 @@ mod tests {
         assert_eq!(a, text(42));
         assert!(a.iter().all(|&c| c.is_ascii_lowercase()));
         assert_ne!(text(43), a);
+    }
+
+    #[test]
+    fn every_table_fits_the_inline_column_list() {
+        let widest = crate::ALL_TABLES.iter().map(|t| t.columns().len()).max();
+        assert_eq!(widest, Some(MAX_COLUMNS));
     }
 
     #[test]

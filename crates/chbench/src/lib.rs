@@ -43,8 +43,10 @@ mod txgen;
 
 pub use gen::{dec_u64, put_text, put_u64, RowGen, ITEM_IDS};
 pub use queries::{
-    key_columns_of, key_columns_upto, query_footprints, scan_weight, QueryFootprint,
+    key_columns_of, key_columns_upto, query_footprints, scan_weight, scanned_upto, QueryFootprint,
 };
-pub use schema::{schema_with_keys, Partitioning, Table, ALL_TABLES, MAX_KEY_WIDTH};
+pub use schema::{
+    schema_with_keys, schema_with_keys_where, Partitioning, Table, ALL_TABLES, MAX_KEY_WIDTH,
+};
 pub use split::{stripe, stripe_of};
 pub use txgen::{NewOrder, Payment, RemoteMix, Txn, TxnGen};

@@ -415,6 +415,20 @@ const FOOTPRINTS: [QueryFootprint; 22] = [
     ),
 ];
 
+/// Whether any of queries `1..=upto` scans `column`: one read of the
+/// footprint table, which allocates nothing. A column is in
+/// [`key_columns_upto`]`(upto)` exactly when this holds.
+///
+/// # Panics
+///
+/// Panics if `upto` is above 22.
+pub fn scanned_upto(column: &str, upto: u8) -> bool {
+    assert!(upto <= 22, "query Q{upto} out of range");
+    FOOTPRINTS[..upto as usize]
+        .iter()
+        .any(|fp| fp.columns.contains(&column))
+}
+
 /// The union of columns scanned by queries `1..=upto`, grouped by table.
 pub fn key_columns_upto(upto: u8) -> BTreeMap<Table, Vec<&'static str>> {
     key_columns(1..=upto)
@@ -464,6 +478,22 @@ pub fn scan_weight(column: &str, queries: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::ALL_TABLES;
+
+    /// The footprint read answers for every column of every table as the
+    /// grouped union does, at every prefix of the queries.
+    #[test]
+    fn scanned_upto_agrees_with_the_grouped_union() {
+        for upto in 0..=22 {
+            let keys = key_columns_upto(upto);
+            for table in ALL_TABLES {
+                for &(column, _) in table.columns() {
+                    let listed = keys.get(&table).is_some_and(|cols| cols.contains(&column));
+                    assert_eq!(scanned_upto(column, upto), listed, "{column} at Q1-{upto}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn twenty_two_queries() {

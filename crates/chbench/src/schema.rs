@@ -300,11 +300,18 @@ pub const MAX_KEY_WIDTH: u32 = 32;
 /// [`MAX_KEY_WIDTH`] — become Normal). Built once, straight from
 /// [`Table::columns`].
 pub fn schema_with_keys(table: Table, keys: &[&str]) -> TableSchema {
+    schema_with_keys_where(table, |name| keys.contains(&name))
+}
+
+/// [`schema_with_keys`] with the key columns named by a predicate: a
+/// column is a key when `is_key` accepts its name and it is no wider
+/// than [`MAX_KEY_WIDTH`].
+pub fn schema_with_keys_where(table: Table, is_key: impl Fn(&str) -> bool) -> TableSchema {
     let cols = table
         .columns()
         .iter()
         .map(|&(name, width)| {
-            if width <= MAX_KEY_WIDTH && keys.contains(&name) {
+            if width <= MAX_KEY_WIDTH && is_key(name) {
                 Column::key(name, width)
             } else {
                 Column::normal(name, width)

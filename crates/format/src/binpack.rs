@@ -15,6 +15,7 @@
 //! final part of width `ceil(remaining / devices)` (optimal for the CPU;
 //! PIM never scans them).
 
+use std::cmp::Reverse;
 use std::iter::Peekable;
 
 use crate::layout::{ByteSource, LayoutError, PartLayout, TableLayout};
@@ -53,15 +54,14 @@ pub fn compact_layout(
     assert!((0.0..=1.0).contains(&th), "threshold {th} outside [0, 1]");
     assert!(devices > 0, "need at least one device");
 
-    // Key columns sorted widest-first (stable on declaration order).
-    let mut keys = schema.key_indices();
-    keys.sort_by_key(|&i| std::cmp::Reverse(schema.column(i).width));
-    let mut keys = keys.into_iter().peekable();
+    // Key columns widest-first (stable on declaration order).
+    let mut keys = widest_keys(&schema).peekable();
     // Normal column bytes, in declaration order.
     let mut normal = normal_bytes(&schema).peekable();
 
     // Each part takes at least one key; one more holds leftover normals.
-    let mut parts: Vec<PartLayout> = Vec::with_capacity(keys.len() + 1);
+    let key_count = schema.columns().iter().filter(|c| c.is_key()).count();
+    let mut parts: Vec<PartLayout> = Vec::with_capacity(key_count + 1);
 
     while let Some(&lead) = keys.peek() {
         let w = schema.column(lead).width;
@@ -99,9 +99,25 @@ pub fn compact_layout(
         parts.push(part);
     }
     debug_assert!(normal.peek().is_none());
-    drop(normal); // its borrow of the schema ends before the layout takes it
+    // Their borrows of the schema end before the layout takes it.
+    drop((keys, normal));
 
     TableLayout::new(schema, devices, parts)
+}
+
+/// The key columns' indices, widest first and in declaration order
+/// among equal widths, drawn straight from the schema: each step picks
+/// the least `(Reverse(width), index)` above the last one's.
+fn widest_keys(schema: &TableSchema) -> impl Iterator<Item = u32> + '_ {
+    let rank = |i: u32| (Reverse(schema.column(i).width), i);
+    let mut last = None;
+    std::iter::from_fn(move || {
+        let next = (0..schema.len() as u32)
+            .filter(|&i| schema.column(i).is_key() && last.is_none_or(|l| rank(i) > l))
+            .min_by_key(|&i| rank(i))?;
+        last = Some(rank(next));
+        Some(next)
+    })
 }
 
 /// The normal columns' bytes in declaration order, drawn straight from
@@ -298,6 +314,29 @@ mod tests {
         let compact = compact_layout(s.clone(), 4, 0.75).unwrap();
         let naive = naive_layout(s.clone(), 4).unwrap();
         assert!(compact.padding_per_row() < naive.padding_per_row());
+    }
+
+    /// The keys come widest first, ties in declaration order: the order a
+    /// stable sort of the key indices by descending width gives.
+    #[test]
+    fn keys_come_widest_first_and_stable() {
+        let s = TableSchema::new(
+            "ties",
+            vec![
+                Column::key("a", 2),
+                Column::normal("b", 9),
+                Column::key("c", 4),
+                Column::key("d", 2),
+                Column::key("e", 4),
+                Column::key("f", 1),
+            ],
+        );
+        for schema in [s.clone(), s.with_all_keys(), paper_example_schema()] {
+            let mut sorted = schema.key_indices();
+            sorted.sort_by_key(|&i| Reverse(schema.column(i).width));
+            assert_eq!(widest_keys(&schema).collect::<Vec<_>>(), sorted);
+        }
+        assert_eq!(widest_keys(&s).collect::<Vec<_>>(), vec![2, 4, 0, 3, 5]);
     }
 
     #[test]

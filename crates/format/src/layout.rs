@@ -202,16 +202,28 @@ impl TableLayout {
         for p in &parts {
             assert_eq!(p.devices(), devices, "part device count mismatch");
         }
-        // Coverage map over the row image: column `c`'s byte `b` at
-        // `col_starts[c] + b`, holding where the layout put it.
+        // The two lists the layout keeps serve first as its coverage map.
+        // `frag_starts[c]` holds column `c`'s first byte in the row image,
+        // and `frags[frag_starts[c] + b]` a one-byte fragment where the
+        // layout put column `c`'s byte `b` (`len` 0 while unmapped). A
+        // fragment holds at least one byte, so the row width bounds their
+        // number, and the pass that joins the cells into fragments writes
+        // each at or below the first cell it reads.
         let ncols = schema.len();
-        let mut col_starts = Vec::with_capacity(ncols);
+        let mut frag_starts = Vec::with_capacity(ncols + 1);
         let mut row_width = 0;
         for c in schema.columns() {
-            col_starts.push(row_width);
+            frag_starts.push(row_width);
             row_width += c.width;
         }
-        let mut seen: Vec<Option<(u32, u32, u32)>> = vec![None; row_width as usize];
+        let unmapped = Fragment {
+            part: 0,
+            device: 0,
+            offset: 0,
+            col_byte: 0,
+            len: 0,
+        };
+        let mut frags = vec![unmapped; row_width as usize];
         for (pi, part) in parts.iter().enumerate() {
             for dev in 0..devices {
                 for off in 0..part.width() {
@@ -223,54 +235,60 @@ impl TableLayout {
                         if src.byte >= width {
                             return Err(LayoutError::BadReference { col: src.col });
                         }
-                        let cell = &mut seen[(col_starts[src.col as usize] + src.byte) as usize];
-                        if cell.is_some() {
+                        let cell = &mut frags[(frag_starts[src.col as usize] + src.byte) as usize];
+                        if cell.len > 0 {
                             return Err(LayoutError::DuplicateByte {
                                 col: src.col,
                                 byte: src.byte,
                             });
                         }
-                        *cell = Some((pi as u32, dev, off));
+                        *cell = Fragment {
+                            part: pi as u32,
+                            device: dev,
+                            offset: off,
+                            col_byte: src.byte,
+                            len: 1,
+                        };
                     }
                 }
             }
         }
-        // Completeness + fragment extraction. A fragment holds at least
-        // one byte, so the row width bounds their number.
-        let mut frags: Vec<Fragment> = Vec::with_capacity(row_width as usize);
-        let mut frag_starts = Vec::with_capacity(ncols + 1);
+        // Completeness + fragment extraction: each column's cells join
+        // into its fragments, written down over the cells already read.
+        let mut written = 0;
         for (ci, col) in schema.columns().iter().enumerate() {
-            let first = frags.len();
-            frag_starts.push(first as u32);
+            let start = frag_starts[ci] as usize;
+            let first = written;
+            frag_starts[ci] = first as u32;
             for b in 0..col.width {
-                let (part, device, offset) =
-                    seen[(col_starts[ci] + b) as usize].ok_or(LayoutError::MissingByte {
+                let cell = frags[start + b as usize];
+                if cell.len == 0 {
+                    return Err(LayoutError::MissingByte {
                         col: ci as u32,
                         byte: b,
-                    })?;
-                match frags[first..].last_mut() {
+                    });
+                }
+                match frags[first..written].last_mut() {
                     Some(f)
-                        if f.part == part
-                            && f.device == device
-                            && f.offset + f.len == offset
+                        if f.part == cell.part
+                            && f.device == cell.device
+                            && f.offset + f.len == cell.offset
                             && f.col_byte + f.len == b =>
                     {
                         f.len += 1;
                     }
-                    _ => frags.push(Fragment {
-                        part,
-                        device,
-                        offset,
-                        col_byte: b,
-                        len: 1,
-                    }),
+                    _ => {
+                        frags[written] = cell;
+                        written += 1;
+                    }
                 }
             }
-            if col.is_key() && frags.len() - first != 1 {
+            if col.is_key() && written - first != 1 {
                 return Err(LayoutError::SplitKeyColumn { col: ci as u32 });
             }
         }
-        frag_starts.push(frags.len() as u32);
+        frags.truncate(written);
+        frag_starts.push(written as u32);
         Ok(TableLayout {
             schema,
             devices,
@@ -465,6 +483,171 @@ mod tests {
         let part = PartLayout::new(1, vec![src(0, 7), None]);
         let err = TableLayout::new(two_col_schema(), 2, vec![part]).unwrap_err();
         assert_eq!(err, LayoutError::BadReference { col: 0 });
+    }
+
+    /// A validated layout's fragments and per-column starts, or its error.
+    type Validated = Result<(Vec<Fragment>, Vec<u32>), LayoutError>;
+
+    /// The validator as it was written with a coverage map of its own,
+    /// kept to check that building into the kept lists changes no
+    /// answer: the same fragments and starts, or the same error.
+    fn reference_new(schema: &TableSchema, devices: u32, parts: &[PartLayout]) -> Validated {
+        let ncols = schema.len();
+        let mut col_starts = Vec::new();
+        let mut row_width = 0;
+        for c in schema.columns() {
+            col_starts.push(row_width);
+            row_width += c.width;
+        }
+        let mut seen: Vec<Option<(u32, u32, u32)>> = vec![None; row_width as usize];
+        for (pi, part) in parts.iter().enumerate() {
+            for dev in 0..devices {
+                for off in 0..part.width() {
+                    if let Some(src) = part.slot(dev, off) {
+                        if src.col as usize >= ncols || src.byte >= schema.column(src.col).width {
+                            return Err(LayoutError::BadReference { col: src.col });
+                        }
+                        let cell = &mut seen[(col_starts[src.col as usize] + src.byte) as usize];
+                        if cell.is_some() {
+                            return Err(LayoutError::DuplicateByte {
+                                col: src.col,
+                                byte: src.byte,
+                            });
+                        }
+                        *cell = Some((pi as u32, dev, off));
+                    }
+                }
+            }
+        }
+        let (mut frags, mut frag_starts) = (Vec::<Fragment>::new(), Vec::new());
+        for (ci, col) in schema.columns().iter().enumerate() {
+            let first = frags.len();
+            frag_starts.push(first as u32);
+            for b in 0..col.width {
+                let (part, device, offset) =
+                    seen[(col_starts[ci] + b) as usize].ok_or(LayoutError::MissingByte {
+                        col: ci as u32,
+                        byte: b,
+                    })?;
+                match frags[first..].last_mut() {
+                    Some(f)
+                        if f.part == part
+                            && f.device == device
+                            && f.offset + f.len == offset
+                            && f.col_byte + f.len == b =>
+                    {
+                        f.len += 1;
+                    }
+                    _ => frags.push(Fragment {
+                        part,
+                        device,
+                        offset,
+                        col_byte: b,
+                        len: 1,
+                    }),
+                }
+            }
+            if col.is_key() && frags.len() - first != 1 {
+                return Err(LayoutError::SplitKeyColumn { col: ci as u32 });
+            }
+        }
+        frag_starts.push(frags.len() as u32);
+        Ok((frags, frag_starts))
+    }
+
+    /// Both validators over the same planted parts.
+    fn both(schema: &TableSchema, devices: u32, parts: Vec<PartLayout>) -> (Validated, Validated) {
+        let reference = reference_new(schema, devices, &parts);
+        let built = TableLayout::new(schema.clone(), devices, parts).map(|l| {
+            assert_eq!(l.frags.capacity(), schema.row_width() as usize);
+            (l.frags, l.frag_starts)
+        });
+        (built, reference)
+    }
+
+    /// A tiny deterministic xorshift, so the planted layouts need no RNG
+    /// dependency.
+    fn xorshift(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x
+    }
+
+    /// Every error still comes back on a planted layout, each the one the
+    /// first broken slot or column names, and a layout that validates
+    /// keeps exactly the fragments the coverage-map validator found: on
+    /// valid compact layouts, and on each with one slot cleared, copied
+    /// over another, pointed past the schema or swapped with another.
+    #[test]
+    fn planted_layouts_validate_as_with_a_coverage_map() {
+        let schemas = [
+            two_col_schema(),
+            crate::schema::paper_example_schema(),
+            crate::schema::paper_example_schema().with_all_keys(),
+            TableSchema::new(
+                "wide",
+                vec![
+                    Column::normal("n0", 9),
+                    Column::key("k0", 8),
+                    Column::key("k1", 3),
+                    Column::normal("n1", 17),
+                    Column::key("k2", 8),
+                    Column::key("k3", 1),
+                ],
+            ),
+        ];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut seen = [0usize; 5];
+        for schema in &schemas {
+            for (devices, th) in [(2, 0.0), (4, 0.75), (8, 0.6), (3, 1.0)] {
+                let valid = crate::compact_layout(schema.clone(), devices, th).unwrap();
+                let (built, reference) = both(schema, devices, valid.parts().to_vec());
+                assert_eq!(built, reference);
+                assert!(built.is_ok());
+                for _ in 0..200 {
+                    let mut parts = valid.parts().to_vec();
+                    let pick = |state: &mut u64, parts: &[PartLayout]| {
+                        let p = (xorshift(state) % parts.len() as u64) as usize;
+                        let dev = (xorshift(state) % u64::from(devices)) as u32;
+                        let off = (xorshift(state) % u64::from(parts[p].width())) as u32;
+                        (p, dev, off)
+                    };
+                    let (p, dev, off) = pick(&mut state, &parts);
+                    let (q, qdev, qoff) = pick(&mut state, &parts);
+                    let there = parts[q].slot(qdev, qoff);
+                    match xorshift(&mut state) % 4 {
+                        0 => *parts[p].slot_mut(dev, off) = None,
+                        1 => *parts[p].slot_mut(dev, off) = there,
+                        2 => {
+                            *parts[p].slot_mut(dev, off) = Some(ByteSource {
+                                col: (xorshift(&mut state) % (schema.len() as u64 + 2)) as u32,
+                                byte: (xorshift(&mut state) % 40) as u32,
+                            })
+                        }
+                        _ => {
+                            *parts[q].slot_mut(qdev, qoff) = parts[p].slot(dev, off);
+                            *parts[p].slot_mut(dev, off) = there;
+                        }
+                    }
+                    let (built, reference) = both(schema, devices, parts);
+                    assert_eq!(built, reference);
+                    seen[match built {
+                        Ok(_) => 0,
+                        Err(LayoutError::MissingByte { .. }) => 1,
+                        Err(LayoutError::DuplicateByte { .. }) => 2,
+                        Err(LayoutError::SplitKeyColumn { .. }) => 3,
+                        Err(LayoutError::BadReference { .. }) => 4,
+                    }] += 1;
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every outcome planted: {seen:?}"
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! with the §6.3 CPU/PIM task division and returning *value-correct*
 //! results from the snapshot.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use pushtap_chbench::{Table, ALL_TABLES, ITEM_IDS};
@@ -104,48 +105,123 @@ impl QueryResult {
     /// # Panics
     ///
     /// Panics if the two partials come from different queries.
-    pub fn merge(self, other: QueryResult) -> QueryResult {
+    pub fn merge(mut self, other: QueryResult) -> QueryResult {
+        self.merge_from(&other);
+        self
+    }
+
+    /// [`QueryResult::merge`] in place, reading `other` where it lies.
+    /// Grouped partials are key-sorted lists with one row per key, so
+    /// the two lists merge in one pass into this one's
+    /// ([`merge_sorted`]), which grows at most once.
+    fn merge_from(&mut self, other: &QueryResult) {
         match (self, other) {
-            (QueryResult::Q1(a), QueryResult::Q1(b)) => {
-                let mut groups: BTreeMap<u64, Q1Row> = BTreeMap::new();
-                for row in a.into_iter().chain(b) {
-                    let e = groups.entry(row.ol_number).or_insert(Q1Row {
-                        ol_number: row.ol_number,
-                        sum_qty: 0,
-                        sum_amount: 0,
-                        count: 0,
-                    });
+            (QueryResult::Q1(a), QueryResult::Q1(b)) => merge_sorted(
+                a,
+                b,
+                |row| row.ol_number,
+                |e, row| {
                     e.sum_qty = e.sum_qty.wrapping_add(row.sum_qty);
                     e.sum_amount = e.sum_amount.wrapping_add(row.sum_amount);
                     e.count += row.count;
-                }
-                QueryResult::Q1(groups.into_values().collect())
+                },
+            ),
+            (QueryResult::Q6 { revenue: a }, QueryResult::Q6 { revenue: b }) => {
+                *a = a.wrapping_add(*b);
             }
-            (QueryResult::Q6 { revenue: a }, QueryResult::Q6 { revenue: b }) => QueryResult::Q6 {
-                revenue: a.wrapping_add(b),
-            },
-            (QueryResult::Q9(a), QueryResult::Q9(b)) => {
-                let mut groups: BTreeMap<u64, u64> = BTreeMap::new();
-                for row in a.into_iter().chain(b) {
-                    let g = groups.entry(row.group).or_insert(0);
-                    *g = g.wrapping_add(row.sum_amount);
-                }
-                QueryResult::Q9(
-                    groups
-                        .into_iter()
-                        .map(|(group, sum_amount)| Q9Row { group, sum_amount })
-                        .collect(),
-                )
-            }
+            (QueryResult::Q9(a), QueryResult::Q9(b)) => merge_sorted(
+                a,
+                b,
+                |row| row.group,
+                |e, row| e.sum_amount = e.sum_amount.wrapping_add(row.sum_amount),
+            ),
             (a, b) => panic!("cannot merge partials of different queries: {a:?} vs {b:?}"),
         }
     }
+
+    /// A copy whose row list has room for `rows` rows in all.
+    fn reserved_copy(&self, rows: usize) -> QueryResult {
+        fn copy<T: Copy>(list: &[T], rows: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(rows.max(list.len()));
+            out.extend_from_slice(list);
+            out
+        }
+        match self {
+            QueryResult::Q1(list) => QueryResult::Q1(copy(list, rows)),
+            &QueryResult::Q6 { revenue } => QueryResult::Q6 { revenue },
+            QueryResult::Q9(list) => QueryResult::Q9(copy(list, rows)),
+        }
+    }
+}
+
+/// Merges the key-sorted list `right` into the key-sorted list `left`
+/// in one pass, `add`ing a right row into the left row of the same key.
+/// Each list holds one row per key. The pass runs from the back: `left`
+/// first grows by `right`'s length, then every output row is written at
+/// or above the rows still to be read, and the slots left over — one per
+/// key the two shared — are closed up at the end.
+fn merge_sorted<T: Copy>(
+    left: &mut Vec<T>,
+    right: &[T],
+    key: impl Fn(&T) -> u64,
+    add: impl Fn(&mut T, &T),
+) {
+    debug_assert!(
+        left.is_sorted_by(|a, b| key(a) < key(b)),
+        "left partial unsorted"
+    );
+    debug_assert!(
+        right.is_sorted_by(|a, b| key(a) < key(b)),
+        "right partial unsorted"
+    );
+    let (mut i, mut j) = (left.len(), right.len());
+    left.extend_from_slice(right);
+    let mut w = left.len();
+    while j > 0 {
+        let r = &right[j - 1];
+        w -= 1;
+        match (i > 0).then(|| key(&left[i - 1]).cmp(&key(r))) {
+            Some(Ordering::Greater) => {
+                left[w] = left[i - 1];
+                i -= 1;
+            }
+            Some(Ordering::Equal) => {
+                let mut row = left[i - 1];
+                add(&mut row, r);
+                left[w] = row;
+                i -= 1;
+                j -= 1;
+            }
+            Some(Ordering::Less) | None => {
+                left[w] = *r;
+                j -= 1;
+            }
+        }
+    }
+    left.drain(i..w);
 }
 
 /// Folds any number of same-query partials into one result (`None` for
 /// an empty iterator).
 pub fn merge_partials(parts: impl IntoIterator<Item = QueryResult>) -> Option<QueryResult> {
     parts.into_iter().reduce(QueryResult::merge)
+}
+
+/// [`merge_partials`] over partials read where they lie, as a gather
+/// that keeps them does: the result's row list is allocated once, sized
+/// to the partials' rows together, and nothing is copied twice.
+pub fn gather_partials<'a, I>(parts: I) -> Option<QueryResult>
+where
+    I: IntoIterator<Item = &'a QueryResult>,
+    I::IntoIter: Clone,
+{
+    let mut parts = parts.into_iter();
+    let rows = parts.clone().map(|p| p.rows() as usize).sum();
+    let mut merged = parts.next()?.reserved_copy(rows);
+    for part in parts {
+        merged.merge_from(part);
+    }
+    Some(merged)
 }
 
 /// Timing of a query execution, decomposed as in Fig. 9(b).
@@ -999,6 +1075,124 @@ mod tests {
                 },
             ]
         );
+    }
+
+    /// A tiny deterministic xorshift, so the merge property needs no RNG
+    /// dependency.
+    fn xorshift(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x
+    }
+
+    /// The merge as it was written: every partial's rows folded through
+    /// an ordered map by key.
+    fn map_fold(parts: &[QueryResult]) -> QueryResult {
+        match &parts[0] {
+            QueryResult::Q1(_) => {
+                let mut groups: BTreeMap<u64, Q1Row> = BTreeMap::new();
+                for part in parts {
+                    let QueryResult::Q1(rows) = part else {
+                        panic!("mixed partials")
+                    };
+                    for row in rows {
+                        let e = groups.entry(row.ol_number).or_insert(Q1Row {
+                            sum_qty: 0,
+                            sum_amount: 0,
+                            count: 0,
+                            ..*row
+                        });
+                        e.sum_qty = e.sum_qty.wrapping_add(row.sum_qty);
+                        e.sum_amount = e.sum_amount.wrapping_add(row.sum_amount);
+                        e.count += row.count;
+                    }
+                }
+                QueryResult::Q1(groups.into_values().collect())
+            }
+            QueryResult::Q6 { .. } => QueryResult::Q6 {
+                revenue: parts.iter().fold(0u64, |sum, part| match part {
+                    QueryResult::Q6 { revenue } => sum.wrapping_add(*revenue),
+                    _ => panic!("mixed partials"),
+                }),
+            },
+            QueryResult::Q9(_) => {
+                let mut groups: BTreeMap<u64, u64> = BTreeMap::new();
+                for part in parts {
+                    let QueryResult::Q9(rows) = part else {
+                        panic!("mixed partials")
+                    };
+                    for row in rows {
+                        let g = groups.entry(row.group).or_insert(0);
+                        *g = g.wrapping_add(row.sum_amount);
+                    }
+                }
+                QueryResult::Q9(
+                    groups
+                        .into_iter()
+                        .map(|(group, sum_amount)| Q9Row { group, sum_amount })
+                        .collect(),
+                )
+            }
+        }
+    }
+
+    /// Random key-sorted partials of one query — each over a random
+    /// subset of a small key range, so pairs come disjoint, overlapping,
+    /// identical or empty — merge by value (owned), by reference (the
+    /// gather) and through an ordered map to the same result, and the
+    /// gather's row list is allocated once, to the rows of all partials.
+    #[test]
+    fn sorted_merges_equal_an_ordered_map_fold() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..2_000 {
+            let query = Query::ALL[round % 3];
+            let parts: Vec<QueryResult> = (0..1 + xorshift(&mut state) % 4)
+                .map(|_| {
+                    let span = 1 + xorshift(&mut state) % 20;
+                    let density = xorshift(&mut state) % 4;
+                    let keys: Vec<u64> = (0..span)
+                        .filter(|_| xorshift(&mut state) % 4 < density)
+                        .collect();
+                    let mut value = || xorshift(&mut state);
+                    match query {
+                        Query::Q1 => QueryResult::Q1(
+                            keys.iter()
+                                .map(|&ol_number| Q1Row {
+                                    ol_number,
+                                    sum_qty: value(),
+                                    sum_amount: value(),
+                                    count: value() % 1000,
+                                })
+                                .collect(),
+                        ),
+                        Query::Q6 => QueryResult::Q6 { revenue: value() },
+                        Query::Q9 => QueryResult::Q9(
+                            keys.iter()
+                                .map(|&group| Q9Row {
+                                    group,
+                                    sum_amount: value(),
+                                })
+                                .collect(),
+                        ),
+                    }
+                })
+                .collect();
+            let expected = map_fold(&parts);
+            let gathered = gather_partials(&parts).expect("at least one partial");
+            assert_eq!(gathered, expected, "gather, round {round}");
+            let rows: usize = parts.iter().map(|p| p.rows() as usize).sum();
+            match &gathered {
+                QueryResult::Q1(list) => assert_eq!(list.capacity(), rows),
+                QueryResult::Q9(list) => assert_eq!(list.capacity(), rows),
+                QueryResult::Q6 { .. } => {}
+            }
+            let merged = merge_partials(parts).expect("at least one partial");
+            assert_eq!(merged, expected, "merge, round {round}");
+        }
+        assert_eq!(gather_partials(&[]), None);
     }
 
     #[test]

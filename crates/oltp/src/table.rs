@@ -151,9 +151,6 @@ pub struct HtapTable {
     store: TableStore,
     strips: Vec<Strip>,
     chains: VersionChains,
-    /// The outcome every GC pass refills, reserved to the table's delta
-    /// slots, so a pass allocates nothing.
-    gc_outcome: GcOutcome,
     alloc: DeltaAllocator,
     snapshot: Snapshot,
     cfg: TableConfig,
@@ -161,10 +158,10 @@ pub struct HtapTable {
 
 impl HtapTable {
     /// Creates a table with the given layout and configuration. The
-    /// host structures that mirror the region plan — each device's bytes,
-    /// the version chains and the GC outcome — are reserved here to the
-    /// plan's extent, so writes, commits and GC passes never reallocate
-    /// them; the reserve is capacity, not memory written.
+    /// host structures that mirror the region plan — each device's bytes
+    /// and the version chains — are reserved here to the plan's extent,
+    /// so writes and commits never reallocate them; the reserve is
+    /// capacity, not memory written.
     ///
     /// # Panics
     ///
@@ -205,7 +202,6 @@ impl HtapTable {
             alloc: DeltaAllocator::new(devices, arena_rows),
             snapshot: Snapshot::new(cfg.n_rows, devices, arena_rows),
             chains: VersionChains::with_capacity(cfg.n_rows, devices, arena_rows),
-            gc_outcome: GcOutcome::with_capacity(devices as usize * arena_rows as usize),
             store,
             cfg,
         }
@@ -666,8 +662,13 @@ impl HtapTable {
     /// # Panics
     ///
     /// Panics if a version above `upto` survives the fold.
-    pub fn defragment(&mut self, upto: Ts, on_fold: impl FnMut(u64, Ts)) -> TableGcPass {
-        let folded = self.gc(upto, on_fold);
+    pub fn defragment(
+        &mut self,
+        upto: Ts,
+        out: &mut GcOutcome,
+        on_fold: impl FnMut(u64, Ts),
+    ) -> TableGcPass {
+        let folded = self.gc(upto, out, on_fold);
         assert!(
             self.chains.log().is_empty(),
             "a version above the defragmentation cut {upto:?} survived"
@@ -693,10 +694,19 @@ impl HtapTable {
     /// Each fold is handed to `on_fold` as the folded row and the newest
     /// timestamp the fold frees (every other freed version is older).
     ///
+    /// The pass plans into `out`, an outcome the caller keeps and the
+    /// pass consumes before it returns: one reserved to the
+    /// [`HtapTable::delta_slots`] of the largest table it serves makes no
+    /// pass on any of them allocate.
+    ///
     /// Returns the pass's stats; the fold is unpriced, and
     /// [`HtapTable::copy_back_seconds`] over its counts is its price.
-    pub fn gc(&mut self, before: Ts, mut on_fold: impl FnMut(u64, Ts)) -> TableGcPass {
-        let out = &mut self.gc_outcome;
+    pub fn gc(
+        &mut self,
+        before: Ts,
+        out: &mut GcOutcome,
+        mut on_fold: impl FnMut(u64, Ts),
+    ) -> TableGcPass {
         self.chains.gc_into(before, out);
         let mut pass = TableGcPass {
             chain_steps: out.traverse_steps as u64,
@@ -742,6 +752,12 @@ impl HtapTable {
         let w = layout.parts().iter().map(|part| part.width()).sum();
         let n = slots.max(1);
         model.comm_parts(strategy, n, rows as f64 / n as f64, layout.devices(), w)
+    }
+
+    /// The table's delta slots, every arena's: a bound on the versions
+    /// one GC pass folds, frees or trims ([`GcOutcome::with_capacity`]).
+    pub fn delta_slots(&self) -> usize {
+        self.layout().devices() as usize * self.region().arena_rows() as usize
     }
 
     /// Length of the commit log awaiting snapshot consumption — the
@@ -893,7 +909,9 @@ mod tests {
         update(&mut t, &mut mem, 5, Ts(2), &[(0, pair(7))]).unwrap();
         update(&mut t, &mut mem, 5, Ts(3), &[(1, pair(9))]).unwrap();
         let mut folds = Vec::new();
-        let pass = t.defragment(Ts(3), |row, ts| folds.push((row, ts)));
+        let pass = t.defragment(Ts(3), &mut GcOutcome::default(), |row, ts| {
+            folds.push((row, ts))
+        });
         assert_eq!(folds, vec![(5, Ts(3))], "the newest version folds");
         // A full fold: every updated row, every live version.
         assert_eq!(pass.rows_folded, 1);
@@ -915,7 +933,7 @@ mod tests {
         let mut mem = MemSystem::dimm();
         t.load_row(5, &values(1).concat());
         update(&mut t, &mut mem, 5, Ts(4), &[(0, pair(7))]).unwrap();
-        t.defragment(Ts(3), |_, _| {});
+        t.defragment(Ts(3), &mut GcOutcome::default(), |_, _| {});
     }
 
     /// GC folds the reclaimable tail back to the data region — versions
@@ -929,7 +947,7 @@ mod tests {
         update(&mut t, &mut mem, 5, Ts(3), &[(1, pair(9))]).unwrap();
         update(&mut t, &mut mem, 5, Ts(8), &[(0, pair(4))]).unwrap();
         assert_eq!(t.live_delta_rows(), 3);
-        let pass = t.gc(Ts(5), |_, _| {});
+        let pass = t.gc(Ts(5), &mut GcOutcome::default(), |_, _| {});
         assert!(pass.reclaimed_any());
         assert_eq!(pass.rows_folded, 1);
         assert_eq!(pass.slots_recycled, 2, "T3 and T2 fold, T8 survives");
@@ -943,7 +961,7 @@ mod tests {
         let (vals, _) = t.timed_read(&mut mem, &meter(), 5, Ts(9), Ps::ZERO);
         assert_eq!(vals[0], vec![4, 4]);
         // A second pass at the same cut reclaims nothing.
-        let pass = t.gc(Ts(5), |_, _| {});
+        let pass = t.gc(Ts(5), &mut GcOutcome::default(), |_, _| {});
         assert!(!pass.reclaimed_any());
         assert_eq!(
             (pass.rows_folded, pass.bytes_copied),
@@ -964,7 +982,7 @@ mod tests {
         let pinned = t.snapshot_read(5);
         // Later traffic plus GC at the pinned cut.
         update(&mut t, &mut mem, 5, Ts(6), &[(0, pair(8))]).unwrap();
-        let pass = t.gc(Ts(2), |_, _| {});
+        let pass = t.gc(Ts(2), &mut GcOutcome::default(), |_, _| {});
         assert_eq!(pass.slots_recycled, 1);
         assert_eq!(
             t.snapshot_read(5),

@@ -30,7 +30,9 @@ use pushtap_chbench::{
 use pushtap_format::{
     compact_layout, naive_layout, LayoutError, RowSlot, TableLayout, TableSchema,
 };
-use pushtap_mvcc::{DefragCostModel, DefragStrategy, DeltaFull, Ts, TsOracle, UndoLog, UndoRecord};
+use pushtap_mvcc::{
+    DefragCostModel, DefragStrategy, DeltaFull, GcOutcome, Ts, TsOracle, UndoLog, UndoRecord,
+};
 use pushtap_pim::calib::UNIFIED_TH;
 use pushtap_pim::{BankAddr, Geometry, MemSystem, Ps, Side};
 use pushtap_sanitizer::{Access, AccessKind, SanKey};
@@ -75,6 +77,8 @@ struct DbTable {
     /// Insert cursors of the warehouses this instance owns, by distance
     /// from the first ([`ring_slot`]): inserts cycle inside the
     /// home warehouse's stripe, deterministically across deployments.
+    /// Empty on a table the executor never inserts into
+    /// ([`INSERTED_TABLES`]).
     insert_cursors: Vec<u64>,
 }
 
@@ -233,6 +237,10 @@ pub struct TpccDb {
     /// [`Fetch`] per read or update of the effect set, in effect order.
     /// It keeps its capacity like `effects`.
     fetches: Vec<Fetch>,
+    /// The outcome every table's GC pass plans into and consumes
+    /// ([`HtapTable::gc`]), reserved to the largest table's delta slots,
+    /// so no pass allocates.
+    gc_outcome: GcOutcome,
 }
 
 /// Whether `effect` writes row `row` of `table` — an update of the row,
@@ -324,8 +332,6 @@ impl TpccDb {
             Side::Host => mem.cfg().cpu_geometry,
         };
         let shards: Arc<[BankAddr]> = geometry.bank_addrs().collect();
-        // Key columns: every column CH-benCHmark's Q1–Q22 scan.
-        let key_map = pushtap_chbench::key_columns_upto(22);
         let warehouses_global = global_rows(cfg, Table::Warehouse);
         let wh_range = stripe(
             u64::from(partition.index),
@@ -348,8 +354,10 @@ impl TpccDb {
             .max();
         let mut image = Vec::with_capacity(widest.unwrap_or(0) as usize);
         for table in pushtap_chbench::ALL_TABLES {
-            let keys = key_map.get(&table).map_or(&[][..], Vec::as_slice);
-            let schema = pushtap_chbench::schema_with_keys(table, keys);
+            // Key columns: every column CH-benCHmark's Q1–Q22 scan.
+            let schema = pushtap_chbench::schema_with_keys_where(table, |column| {
+                pushtap_chbench::scanned_upto(column, 22)
+            });
             let layout = layout_for(schema, cfg.format, geometry.devices_per_rank)?;
             let global = global_rows(cfg, table);
             let (row_base, n_rows) = match table.partitioning() {
@@ -397,13 +405,25 @@ impl TpccDb {
             let rows_used = (t.region().bytes_per_device() / geometry.row_bytes as u64) as u32 + 1;
             base_dram_row = (base_dram_row + rows_used) % geometry.rows_per_bank;
             assert_eq!(table as usize, tables.len(), "tables index by discriminant");
+            let rings = if INSERTED_TABLES.contains(&table) {
+                (wh_range.end - wh_range.start) as usize
+            } else {
+                0
+            };
             tables.push(DbTable {
                 table: t,
                 global_rows: global,
                 row_base,
-                insert_cursors: vec![0; (wh_range.end - wh_range.start) as usize],
+                insert_cursors: vec![0; rings],
             });
         }
+        let gc_outcome = GcOutcome::with_capacity(
+            tables
+                .iter()
+                .map(|t| t.table.delta_slots())
+                .max()
+                .unwrap_or(0),
+        );
         let col = |table: Table, name: &str| {
             tables[table as usize]
                 .table
@@ -443,6 +463,7 @@ impl TpccDb {
             // an item read and a stock update per line), so no
             // transaction grows it.
             fetches: Vec::with_capacity(2 + 2 * NewOrder::MAX_LINES),
+            gc_outcome,
         })
     }
 
@@ -681,7 +702,11 @@ impl TpccDb {
     /// identity tests assert.
     pub fn insert_cursor(&self, table: Table, w: u64) -> u64 {
         if self.wh_range.contains(&w) {
-            self.tables[table as usize].insert_cursors[ring_slot(self.wh_range.start, w)]
+            let cursors = &self.tables[table as usize].insert_cursors;
+            cursors
+                .get(ring_slot(self.wh_range.start, w))
+                .copied()
+                .unwrap_or(0)
         } else {
             0
         }
@@ -742,8 +767,8 @@ impl TpccDb {
         before: Ts,
     ) -> (TableGcPass, f64) {
         let mut seconds = 0.0;
-        let pass = self.fold_tables(|t, on_fold| {
-            let pass = t.gc(before, on_fold);
+        let pass = self.fold_tables(|t, out, on_fold| {
+            let pass = t.gc(before, out, on_fold);
             if pass.slots_recycled > 0 {
                 seconds +=
                     t.copy_back_seconds(model, strategy, pass.rows_folded, pass.slots_recycled);
@@ -759,15 +784,16 @@ impl TpccDb {
     /// the caller's to model.
     pub fn defragment(&mut self) -> TableGcPass {
         let upto = self.last_ts();
-        self.fold_tables(|t, on_fold| t.defragment(upto, on_fold))
+        self.fold_tables(|t, out, on_fold| t.defragment(upto, out, on_fold))
     }
 
     /// The loop [`TpccDb::gc`] and [`TpccDb::defragment`] share: `fold`
-    /// runs on every table holding a delta version, with a hook that
-    /// reports each fold to an armed sanitizer.
+    /// runs on every table holding a delta version, with the engine's one
+    /// GC outcome and a hook that reports each fold to an armed
+    /// sanitizer.
     fn fold_tables(
         &mut self,
-        mut fold: impl FnMut(&mut HtapTable, &mut dyn FnMut(u64, Ts)) -> TableGcPass,
+        mut fold: impl FnMut(&mut HtapTable, &mut GcOutcome, &mut dyn FnMut(u64, Ts)) -> TableGcPass,
     ) -> TableGcPass {
         let mut total = TableGcPass::default();
         let armed = self
@@ -779,7 +805,7 @@ impl TpccDb {
                 continue;
             }
             let row_base = t.row_base;
-            let pass = fold(&mut t.table, &mut |row, version| {
+            let pass = fold(&mut t.table, &mut self.gc_outcome, &mut |row, version| {
                 if let Some(((san, track), pin)) = armed {
                     san.reclaim_version(track, table as u32, row_base + row, version.0, pin);
                 }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use pushtap_chbench::{dec_u64, put_u64, RemoteMix, Table};
 use pushtap_format::{compact_layout, Column, RowSlot, TableSchema};
-use pushtap_mvcc::{DeltaFull, Ts, UndoLog, UndoRecord};
+use pushtap_mvcc::{DeltaFull, GcOutcome, Ts, UndoLog, UndoRecord};
 use pushtap_oltp::{
     Breakdown, ColumnWrite, DbConfig, DbFormat, Effect, HtapTable, Meter, OpResult, TableConfig,
     TaggedEffect, TpccDb,
@@ -120,7 +120,7 @@ db.table_mut(Table::Customer), &mut mem, &meter, *row, Ts(ts), &[(bal, ColumnWri
         }
         let t = db.table_mut(Table::Customer);
         prop_assert_eq!(t.live_delta_rows(), updates);
-        let pass = t.defragment(Ts(ts), |_, _| {});
+        let pass = t.defragment(Ts(ts), &mut GcOutcome::default(), |_, _| {});
         prop_assert_eq!(pass.slots_recycled, updates);
         prop_assert_eq!(pass.rows_folded as usize, newest.len());
         prop_assert_eq!(t.live_delta_rows(), 0);
@@ -590,10 +590,10 @@ fn run_step(
         }
         Step::Gc { behind } => {
             let before = Ts(clock.committed.saturating_sub(*behind));
-            s.t.gc(before, |_, _| {});
+            s.t.gc(before, &mut GcOutcome::default(), |_, _| {});
         }
         Step::Defrag => {
-            s.t.defragment(Ts(clock.committed), |_, _| {});
+            s.t.defragment(Ts(clock.committed), &mut GcOutcome::default(), |_, _| {});
         }
     }
     assert!(s.undo.is_empty(), "every scope of a step is decided in it");

@@ -134,12 +134,12 @@ impl Geometry {
         self.rank_bytes() * self.ranks_per_channel as u64 * self.channels as u64
     }
 
-    /// Iterates over every CPU-visible bank address.
-    pub fn bank_addrs(&self) -> impl Iterator<Item = BankAddr> + '_ {
+    /// Iterates over every CPU-visible bank address, channel by channel,
+    /// rank by rank. The iterator knows its exact length, so collecting
+    /// it allocates once.
+    pub fn bank_addrs(&self) -> impl ExactSizeIterator<Item = BankAddr> + '_ {
         let (c, r, b) = (self.channels, self.ranks_per_channel, self.banks_per_device);
-        (0..c).flat_map(move |ch| {
-            (0..r).flat_map(move |rk| (0..b).map(move |ba| BankAddr::new(ch, rk, ba)))
-        })
+        (0..c * r * b).map(move |i| BankAddr::new(i / (r * b), i / b % r, i % b))
     }
 }
 
@@ -176,15 +176,17 @@ mod tests {
 
     #[test]
     fn bank_addr_iteration_covers_all() {
-        let g = Geometry::dimm();
-        let addrs: Vec<_> = g.bank_addrs().collect();
-        // One lockstep bank set per channel × rank × bank.
-        let banks = g.channels * g.ranks_per_channel * g.banks_per_device;
-        assert_eq!(addrs.len(), banks as usize);
-        // All distinct.
-        let mut sorted = addrs.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), addrs.len());
+        for g in [Geometry::dimm(), Geometry::hbm()] {
+            let addrs: Vec<_> = g.bank_addrs().collect();
+            // One lockstep bank set per channel × rank × bank.
+            let banks = g.channels * g.ranks_per_channel * g.banks_per_device;
+            assert_eq!(addrs.len(), banks as usize);
+            assert_eq!(g.bank_addrs().len(), banks as usize);
+            // All distinct, channel by channel, rank by rank.
+            let mut sorted = addrs.clone();
+            sorted.sort();
+            sorted.dedup();
+            assert_eq!(sorted, addrs);
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! a closed-loop batch is the same scheduler with an unbounded window,
 //! admitted whole and then drained ([`build_waves`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use pushtap_oltp::Key;
@@ -60,8 +60,16 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// The latest wave touching each key.
-type KeyMap = HashMap<Key, u64, BuildHasherDefault<KeyHasher>>;
+/// The latest waves touching a key: the wave of its latest writer and
+/// the latest wave holding a reader of it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Latest {
+    writer: Option<u64>,
+    reader: Option<u64>,
+}
+
+/// The latest waves touching each key.
+type KeyMap = HashMap<Key, Latest, BuildHasherDefault<KeyHasher>>;
 
 /// Greedy earliest-wave assignment over a sliding window of admitted
 /// transactions.
@@ -82,25 +90,24 @@ type KeyMap = HashMap<Key, u64, BuildHasherDefault<KeyHasher>>;
 ///
 /// Memory stays bounded by the window: a dispatched wave takes its own
 /// key-map entries with it, so only keys of still-pending transactions
-/// are tracked. A scheduler is meant to be kept: its key maps keep
-/// their capacity, and a wave handed back through
-/// [`recycle`](WaveScheduler::recycle) lends its storage to a later
-/// wave, so a warm scheduler admits and dispatches without allocating.
+/// are tracked. A scheduler is meant to be kept: the pending
+/// transactions of every wave share one list, in admission order, which
+/// [`reset`](WaveScheduler::reset) reserves for the most a stream can
+/// hold pending; the key map keeps its capacity; and a wave handed back
+/// through [`recycle`](WaveScheduler::recycle) lends its storage to the
+/// next. So a scheduler's lists grow on its first stream, and a warm
+/// scheduler admits and dispatches without allocating.
 #[derive(Debug, Clone)]
 pub struct WaveScheduler {
     window: usize,
     floor: u64,
-    last_writer: KeyMap,
-    last_reader: KeyMap,
-    /// Admitted-but-undispatched transactions by wave: `pending[i]`
-    /// holds wave `floor + i`, in admission order. The pending waves
-    /// are contiguous from the floor: an admission lands on the floor
-    /// or one past a pending wave it conflicts with.
-    pending: VecDeque<Wave>,
+    latest: KeyMap,
+    /// Admitted-but-undispatched transactions in admission order, each
+    /// with its wave. A dispatched one leaves its place empty, and the
+    /// empty places are dropped once they outnumber the pending ones.
+    members: Vec<(u64, Option<RoutedTxn>)>,
     pending_txns: usize,
-    /// Dispatched waves handed back, emptied, for later waves to fill;
-    /// each stream starts on them smallest first, so it pops the
-    /// largest first.
+    /// Dispatched waves handed back, emptied, for later waves to fill.
     spare: Vec<Wave>,
 }
 
@@ -114,38 +121,37 @@ impl WaveScheduler {
         let mut sched = WaveScheduler {
             window: 1,
             floor: 0,
-            last_writer: KeyMap::default(),
-            last_reader: KeyMap::default(),
-            pending: VecDeque::new(),
+            latest: KeyMap::default(),
+            members: Vec::new(),
             pending_txns: 0,
             spare: Vec::new(),
         };
-        sched.reset(window);
+        sched.reset(window, 0);
         sched
     }
 
-    /// Starts a new stream, scheduled with window `window`, on the
-    /// storage of the last one, which must have been drained.
+    /// Starts a new stream of `arrivals` transactions, scheduled with
+    /// window `window`, on the storage of the last one, which must have
+    /// been drained. The member list is reserved for the most the stream
+    /// can hold pending: `arrivals`, or fewer if the window closes first.
     ///
     /// # Panics
     /// Panics if `window` is zero.
-    pub fn reset(&mut self, window: usize) {
+    pub fn reset(&mut self, window: usize, arrivals: u64) {
         assert!(window > 0, "scheduling window must be positive");
         debug_assert!(
-            self.is_empty() && self.last_writer.is_empty() && self.last_reader.is_empty(),
+            self.is_empty() && self.latest.is_empty(),
             "a new stream starts on a drained, closed scheduler"
         );
         self.window = window;
-        // A closed-loop batch's first waves are its largest, and it
-        // hands its waves back in dispatch order: popped as handed back,
-        // the next batch's first wave would take the last one's list and
-        // regrow it.
-        self.spare.sort_unstable_by_key(Vec::capacity);
+        self.members.clear();
+        let most_pending = usize::try_from(arrivals).map_or(window, |n| n.min(window));
+        self.members.reserve(most_pending);
     }
 
     /// Admits one transaction: assigns its wave by the greedy
     /// earliest-after-conflicts rule and records its keyset in the
-    /// maps. Transactions must be admitted in timestamp order.
+    /// map. Transactions must be admitted in timestamp order.
     ///
     /// # Panics
     /// Debug-asserts that the keyset is stamped (an empty keyset would
@@ -158,37 +164,26 @@ impl WaveScheduler {
             "unstamped keyset admitted to the wave scheduler (ts {:?})",
             routed.ts
         );
+        let after = |wave: Option<u64>| wave.map_or(0, |w| w + 1);
         let mut wave = self.floor;
         for k in routed.keys.reads() {
-            if let Some(&w) = self.last_writer.get(k) {
-                wave = wave.max(w + 1);
+            if let Some(latest) = self.latest.get(k) {
+                wave = wave.max(after(latest.writer));
             }
         }
         for k in routed.keys.writes() {
-            if let Some(&w) = self.last_writer.get(k) {
-                wave = wave.max(w + 1);
-            }
-            if let Some(&w) = self.last_reader.get(k) {
-                wave = wave.max(w + 1);
+            if let Some(latest) = self.latest.get(k) {
+                wave = wave.max(after(latest.writer)).max(after(latest.reader));
             }
         }
         for k in routed.keys.reads() {
-            let e = self.last_reader.entry(*k).or_insert(wave);
-            *e = (*e).max(wave);
+            let latest = self.latest.entry(*k).or_default();
+            latest.reader = latest.reader.max(Some(wave));
         }
         for k in routed.keys.writes() {
-            self.last_writer.insert(*k, wave);
+            self.latest.entry(*k).or_default().writer = Some(wave);
         }
-        let at = (wave - self.floor) as usize;
-        debug_assert!(
-            at <= self.pending.len(),
-            "pending waves must stay contiguous"
-        );
-        if at == self.pending.len() {
-            let fresh = self.spare.pop().unwrap_or_default();
-            self.pending.push_back(fresh);
-        }
-        self.pending[at].push(routed);
+        self.members.push((wave, Some(routed)));
         self.pending_txns += 1;
     }
 
@@ -213,28 +208,48 @@ impl WaveScheduler {
     /// floor past it, and drops the map entries it owned. `None` when
     /// nothing is pending.
     pub fn pop_wave(&mut self) -> Option<Wave> {
-        let wave = self.pending.pop_front()?;
+        if self.is_empty() {
+            return None;
+        }
         let index = self.floor;
-        self.pending_txns -= wave.len();
         self.floor = index + 1;
-        // A key's entry names the latest wave touching it. Entries that
+        let size = self.members.iter().filter(|(w, _)| *w == index).count();
+        // The pending waves are contiguous from the floor: an admission
+        // lands on the floor or one past a pending wave it conflicts with.
+        debug_assert!(size > 0, "pending waves must stay contiguous");
+        let mut wave = self.spare.pop().unwrap_or_default();
+        wave.reserve_exact(size);
+        for (w, member) in &mut self.members {
+            if *w == index {
+                wave.extend(member.take());
+            }
+        }
+        self.pending_txns -= size;
+        if self.pending_txns == 0 {
+            self.members.clear();
+        } else if self.members.len() > 2 * self.pending_txns {
+            self.members.retain(|(_, member)| member.is_some());
+        }
+        // A key's entry names the latest waves touching it. Entries that
         // still name this wave constrain nothing the floor doesn't
         // already; entries a later admission raised stay with that
         // admission's wave. Only this wave's own keys can name it, so
         // the prune costs its members' keysets, not the whole map — and
         // nothing once admission has closed.
-        let prune = |map: &mut KeyMap, k: &Key| {
-            if map.get(k) == Some(&index) {
-                map.remove(k);
-            }
-        };
-        if !self.last_writer.is_empty() || !self.last_reader.is_empty() {
+        if !self.latest.is_empty() {
             for routed in &wave {
-                for k in routed.keys.reads() {
-                    prune(&mut self.last_reader, k);
-                }
-                for k in routed.keys.writes() {
-                    prune(&mut self.last_writer, k);
+                for k in routed.keys.reads().iter().chain(routed.keys.writes()) {
+                    let Some(latest) = self.latest.get_mut(k) else {
+                        continue;
+                    };
+                    for named in [&mut latest.writer, &mut latest.reader] {
+                        if *named == Some(index) {
+                            *named = None;
+                        }
+                    }
+                    if latest.writer.is_none() && latest.reader.is_none() {
+                        self.latest.remove(k);
+                    }
                 }
             }
         }
@@ -249,13 +264,12 @@ impl WaveScheduler {
     }
 
     /// Ends admission: a scheduler that admits nothing more until its
-    /// pending waves are popped needs no key maps, so they are emptied
-    /// whole (keeping their capacity) instead of pruned wave by wave —
-    /// a closed-loop batch, which dispatches only after this, pays
-    /// nothing between its waves.
+    /// pending waves are popped needs no key map, so it is emptied whole
+    /// (keeping its capacity) instead of pruned wave by wave — a
+    /// closed-loop batch, which dispatches only after this, pays nothing
+    /// between its waves.
     pub fn close(&mut self) {
-        self.last_writer.clear();
-        self.last_reader.clear();
+        self.latest.clear();
     }
 }
 
@@ -263,6 +277,7 @@ impl WaveScheduler {
 /// with the given window, returning the dispatched waves in order.
 pub fn incremental_waves(stream: Vec<RoutedTxn>, window: usize) -> Vec<Wave> {
     let mut sched = WaveScheduler::new(window);
+    sched.reset(window, stream.len() as u64);
     let mut waves: Vec<Wave> = Vec::new();
     for routed in stream {
         sched.admit(routed);
@@ -298,7 +313,10 @@ mod tests {
         /// Key-map entries currently tracked — bounded by the keys of
         /// pending transactions.
         fn tracked_keys(&self) -> usize {
-            self.last_writer.len() + self.last_reader.len()
+            self.latest
+                .values()
+                .map(|l| usize::from(l.writer.is_some()) + usize::from(l.reader.is_some()))
+                .sum()
         }
     }
 
@@ -512,7 +530,7 @@ mod tests {
     fn a_kept_scheduler_schedules_like_a_fresh_one() {
         let mut sched = WaveScheduler::new(3);
         for window in [3, usize::MAX, 1, 5] {
-            sched.reset(window);
+            sched.reset(window, 8);
             let mut waves: Vec<Vec<u64>> = Vec::new();
             let mut take = |sched: &mut WaveScheduler| {
                 let wave = sched.pop_wave().unwrap();

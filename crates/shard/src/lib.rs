@@ -51,7 +51,7 @@
 //!   engines (fact tables warehouse-partitioned, dimension tables
 //!   replicated, all drawing timestamps from one oracle), OLTP driven
 //!   through the coordinator, and Q1/Q6/Q9 answered by global-cut
-//!   scatter-gather with [`pushtap_olap::merge_partials`];
+//!   scatter-gather with [`pushtap_olap::gather_partials`];
 //! * [`ShardOltpReport`] / [`ShardQueryReport`] — per-shard and
 //!   aggregate accounting (routed counts, remote touches, makespan,
 //!   scatter latency, merge cost, wasted retry latency, the agreed

@@ -11,7 +11,7 @@ use pushtap_chbench::{Table, Txn, TxnGen};
 use pushtap_core::{Pushtap, QueryReport};
 use pushtap_format::LayoutError;
 use pushtap_mvcc::{Ts, TsOracle};
-use pushtap_olap::{merge_partials, Query};
+use pushtap_olap::{gather_partials, Query};
 use pushtap_oltp::{
     codec, ColumnWrite, DecodedRecord, Effect, EffectRecord, KeySet, Partition, TaggedEffect,
     TxnRole, Writes,
@@ -117,7 +117,29 @@ pub struct ShardedHtap {
     /// What the run's waves account to, per shard.
     pub(crate) loads: Vec<ShardLoad>,
     stats: CoordStats,
+    front: FrontEnd,
+}
+
+/// What the admission front end records over a run besides the
+/// execution report: the open-loop half of an [`OpenLoopReport`]. It is
+/// kept from run to run and cleared with its storage kept, so a
+/// closed-loop batch, which reports none of it, allocates none of it;
+/// [`ShardedHtap::run_open_loop`] takes the lists out into its report.
+#[derive(Debug, Default)]
+struct FrontEnd {
+    /// Arrivals turned away per shard.
+    rejected: Vec<u64>,
+    /// Inbox depth after every admission.
+    inbox_depth: Histogram,
+    /// Arrival (or run start) to home-shard wave completion, per
+    /// admitted transaction.
     sojourn: Histogram,
+    /// The arrival index of every admitted transaction.
+    admitted_index: Vec<u64>,
+    /// The first admitted transaction's timestamp.
+    first_ts: Ts,
+    /// The last arrival drawn.
+    horizon: Ps,
 }
 
 impl ShardedHtap {
@@ -160,7 +182,7 @@ impl ShardedHtap {
             admission: Vec::new(),
             wave_lists: Vec::new(),
             stats: CoordStats::default(),
-            sojourn: Histogram::default(),
+            front: FrontEnd::default(),
         })
     }
 
@@ -441,7 +463,6 @@ impl ShardedHtap {
     /// Panics if the service crashed at an armed crash point.
     pub fn run_txns(&mut self, gen: &mut TxnGen, n: u64) -> ShardOltpReport {
         self.drive(n, || (gen.next_txn(), Ps::ZERO), &CLOSED_LOOP)
-            .exec
     }
 
     /// Executes `per_shard` transactions on every shard from that
@@ -463,7 +484,7 @@ impl ShardedHtap {
             drawn += 1;
             (gen.next_txn(), Ps::ZERO)
         };
-        let report = self.drive(total, next, &CLOSED_LOOP).exec;
+        let report = self.drive(total, next, &CLOSED_LOOP);
         debug_assert_eq!(
             report.remote.remote_touches, 0,
             "warehouse-local streams must never cross shards"
@@ -496,7 +517,18 @@ impl ShardedHtap {
         n: u64,
         open: &OpenLoopConfig,
     ) -> OpenLoopReport {
-        self.drive(n, || (gen.next_txn(), arrivals.next_arrival()), open)
+        let exec = self.drive(n, || (gen.next_txn(), arrivals.next_arrival()), open);
+        let front = &mut self.front;
+        OpenLoopReport {
+            exec,
+            arrivals: n,
+            rejected_per_shard: std::mem::take(&mut front.rejected),
+            sojourn: std::mem::take(&mut front.sojourn),
+            inbox_depth: std::mem::take(&mut front.inbox_depth),
+            first_ts: front.first_ts,
+            admitted_index: std::mem::take(&mut front.admitted_index),
+            horizon: front.horizon,
+        }
     }
 
     /// The one path from a generated transaction to a committed byte.
@@ -517,25 +549,23 @@ impl ShardedHtap {
     /// [`Durability`]; an armed crash that fires stops the loop dead
     /// (admitted work not yet dispatched dies with the process) and
     /// marks the service crashed.
+    ///
+    /// Returns the execution report; what the front end recorded stays
+    /// in [`FrontEnd`] until the next run.
     fn drive(
         &mut self,
         n: u64,
         mut next: impl FnMut() -> (Txn, Ps),
         open: &OpenLoopConfig,
-    ) -> OpenLoopReport {
+    ) -> ShardOltpReport {
         self.assert_alive();
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
-        self.start_run(open.window);
+        self.start_run(open.window, n);
         let decisions_before = self.durability.as_ref().map(|d| d.decision_log.stats());
         let mut remote = RemoteTouches::default();
-        let mut rejected: Vec<u64> = vec![0; self.shards.len()];
-        let mut inbox_depth = Histogram::default();
-        let first_ts = Ts(self.oracle.watermark().0 + 1);
-        let mut admitted_index: Vec<u64> = Vec::with_capacity(n as usize);
-        let mut horizon = Ps::ZERO;
         for arrival_idx in 0..n {
             let (txn, at) = next();
-            horizon = at;
+            self.front.horizon = at;
             // Work conservation: while every engine would sit idle
             // before this arrival lands, flush pending frontier waves
             // into the gap instead of holding admitted work hostage to
@@ -558,7 +588,7 @@ impl ShardedHtap {
                 // arrival away *before* it draws a timestamp, keeping
                 // the admitted stream's timestamps contiguous. The
                 // rejection is counted and traced, never silent.
-                rejected[home] += 1;
+                self.front.rejected[home] += 1;
                 let probe = self.shards[home].db().probe();
                 probe.span(Phase::Rejected, 0, 0, at, at);
                 continue;
@@ -568,10 +598,13 @@ impl ShardedHtap {
             db.decompose_into(&routed.txn, routed.ts, &mut self.admission);
             routed.keys = KeySet::from_effects(&self.admission);
             routed.arrival = at;
-            debug_assert_eq!(routed.ts.0, first_ts.0 + admitted_index.len() as u64);
+            debug_assert_eq!(
+                routed.ts.0,
+                self.front.first_ts.0 + self.front.admitted_index.len() as u64
+            );
             remote.add(&routed);
             self.waiting[home] += 1;
-            inbox_depth.record(depth + 1);
+            self.front.inbox_depth.record(depth + 1);
             let probe = self.shards[home].db().probe();
             if let Some((san, track)) = probe.sanitizer() {
                 san.note_arrival(routed.ts.0, at.ps());
@@ -581,7 +614,7 @@ impl ShardedHtap {
             // home shard's pipeline.
             let entered = self.entered(&routed);
             probe.span(Phase::Routed, routed.ts.0, 0, entered, entered);
-            admitted_index.push(arrival_idx);
+            self.front.admitted_index.push(arrival_idx);
             self.sched.admit(routed);
             self.dispatch_while(|s| s.sched.window_full());
         }
@@ -613,28 +646,20 @@ impl ShardedHtap {
                 san.batch_end(pending);
             }
         }
-        OpenLoopReport {
-            exec: ShardOltpReport {
-                per_shard: self.take_loads(),
-                remote,
-                coord: stats,
-            },
-            arrivals: n,
-            rejected_per_shard: rejected,
-            sojourn: std::mem::take(&mut self.sojourn),
-            inbox_depth,
-            first_ts,
-            admitted_index,
-            horizon,
+        ShardOltpReport {
+            per_shard: self.take_loads(),
+            remote,
+            coord: stats,
         }
     }
 
     /// Readies the per-run state for a new run of
-    /// [`ShardedHtap::drive`] with a scheduling window of `window`: each
-    /// shard's start clock, empty inboxes, and fresh loads, counters and
-    /// sojourns.
-    fn start_run(&mut self, window: usize) {
-        self.sched.reset(window);
+    /// [`ShardedHtap::drive`] over `n` arrivals with a scheduling window
+    /// of `window`: each shard's start clock, empty inboxes, fresh loads
+    /// and counters, and a cleared front end whose lists keep their
+    /// storage.
+    fn start_run(&mut self, window: usize, n: u64) {
+        self.sched.reset(window, n);
         for (start, shard) in self.starts.iter_mut().zip(&self.shards) {
             *start = shard.now();
         }
@@ -642,7 +667,15 @@ impl ShardedHtap {
         self.in_flight.iter_mut().for_each(VecDeque::clear);
         self.loads = self.shards.iter().map(|_| ShardLoad::default()).collect();
         self.stats = CoordStats::default();
-        self.sojourn = Histogram::default();
+        let front = &mut self.front;
+        front.rejected.clear();
+        front.rejected.resize(self.shards.len(), 0);
+        front.inbox_depth.clear();
+        front.sojourn.clear();
+        front.admitted_index.clear();
+        front.admitted_index.reserve(n as usize);
+        front.first_ts = Ts(self.oracle.watermark().0 + 1);
+        front.horizon = Ps::ZERO;
     }
 
     /// The run's per-shard loads, each with its elapsed time and its
@@ -744,8 +777,8 @@ impl ShardedHtap {
             // Shard clocks are monotone and waves execute in dispatch
             // order, so each in-flight queue stays sorted.
             let done = self.shards[home].now();
-            self.sojourn
-                .record(done.saturating_sub(self.entered(routed)).ps());
+            let sojourn = done.saturating_sub(self.entered(routed));
+            self.front.sojourn.record(sojourn.ps());
             self.in_flight[home].push_back(done);
         }
     }
@@ -939,7 +972,7 @@ impl ShardedHtap {
             .meter()
             .cpu
             .cycles(gathered * MERGE_CYCLES_PER_ROW);
-        let result = merge_partials(partials.iter().map(|p| p.result.clone()))
+        let result = gather_partials(partials.iter().map(|p| &p.result))
             .unwrap_or_else(|| panic!("scatter-gather over zero shards"));
         ShardQueryReport {
             result,
@@ -1508,7 +1541,7 @@ mod tests {
         assert!(earlier.ts < later.ts);
 
         let run = |s: &mut ShardedHtap, wave: &[RoutedTxn]| {
-            s.start_run(usize::MAX);
+            s.start_run(usize::MAX, wave.len() as u64);
             assert!(!s.run_wave(wave, 1, None));
             s.take_loads()
         };

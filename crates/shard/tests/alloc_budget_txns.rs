@@ -3,12 +3,20 @@
 //! (behind `ShardedHtap::run_txns` and `ShardedHtap::run_open_loop`)
 //! makes well under one heap allocation per committed transaction. The
 //! admission keyset, the routed participant set, the wave scheduler's
-//! key maps and waves, each wave's member, item and effect lists, the
-//! run's inbox counts and in-flight deques, the delta arenas' free
-//! lists and every garbage-collection pass reuse storage they already
-//! hold, and every table's storage is sized when its engine is built, so
-//! what is left is per call, not per transaction (the report's per-shard
-//! loads, lists and histograms among it).
+//! member list, key map and wave list, each wave's member, item and
+//! effect lists, the run's inbox counts and in-flight deques, the front
+//! end's rejection counts, admission indices and histograms (which only
+//! an open-loop run hands out), the delta arenas' free lists and every
+//! garbage-collection pass reuse storage they already hold, and every
+//! table's storage is sized when its engine is built, so what is left is
+//! per call, not per transaction (the report's per-shard loads, lists
+//! and histograms among it).
+//!
+//! A fresh deployment's first batch also grows that storage, once: the
+//! scheduler's member list is reserved for the batch, its wave list grows
+//! to the widest wave, and its key map to the batch's keys. A gather
+//! reads the shards' partials where they lie and merges them into one
+//! list, allocated once.
 //!
 //! The budgets are the measured counts: a report's histogram allocates
 //! its buckets once, whatever it records, so the counts do not follow the
@@ -21,6 +29,7 @@
 
 use pushtap_chbench::RemoteMix;
 use pushtap_core::Pushtap;
+use pushtap_olap::Query;
 use pushtap_shard::{ArrivalConfig, ArrivalGen, OpenLoopConfig, ShardConfig, ShardedHtap};
 
 #[path = "../../core/tests/support/counting.rs"]
@@ -40,12 +49,20 @@ const INBOX: usize = 128;
 const WINDOW: usize = 32;
 const RATE_TPS: f64 = 120_000.0;
 const ARRIVALS: u64 = 1_000;
-/// Allocations allowed over the closed-loop batches: 150 measured
-/// (0.060 per transaction).
-const CLOSED_BUDGET: u64 = 150;
-/// Allocations allowed over the open-loop run: 14 measured (0.014 per
+/// Allocations allowed over a fresh deployment's first batch: 118
+/// measured.
+const FIRST_BATCH_BUDGET: u64 = 118;
+/// Allocations allowed over the closed-loop batches: 93 measured
+/// (0.037 per transaction).
+const CLOSED_BUDGET: u64 = 93;
+/// Allocations allowed per Q1, Q6 and Q9 on the warm deployment: the
+/// shards' partial list and, per shard, Q1's group table or Q9's item
+/// bitset and result list, then the gathered list (4, 1 and 6
+/// measured).
+const QUERY_BUDGETS: [u64; 3] = [4, 1, 6];
+/// Allocations allowed over the open-loop run: 11 measured (0.011 per
 /// admitted transaction).
-const OPEN_BUDGET: u64 = 14;
+const OPEN_BUDGET: u64 = 11;
 
 /// The `shard_durable` deployment: 2 shards, maintenance every 200
 /// transactions.
@@ -60,13 +77,26 @@ fn the_sharded_transaction_path_allocates_at_most_once_per_transaction() {
     let mut service = ShardedHtap::new(config()).expect("the small config lays out");
     let _handles = service.enable_wal();
     let mut gen = service.global_txn_gen(42);
-    service.run_txns(&mut gen, BATCH_TXNS);
+    let (first, report) = counted(|| service.run_txns(&mut gen, BATCH_TXNS));
+    assert_eq!(report.committed(), BATCH_TXNS);
     let (closed, committed) = counted(|| {
         (0..BATCHES)
             .map(|_| service.run_txns(&mut gen, BATCH_TXNS).committed())
             .sum::<u64>()
     });
     assert_eq!(committed, BATCHES * BATCH_TXNS);
+
+    // The first query a deployment answers also grows the oracle's pin
+    // list, once; the counted queries follow it.
+    service.run_query(Query::Q6);
+    let mut queries = [0u64; 3];
+    for round in 0..2 {
+        for (q, &query) in Query::ALL.iter().enumerate() {
+            let (calls, report) = counted(|| service.run_query(query));
+            assert_eq!(report.per_shard.len(), SHARDS as usize, "round {round}");
+            queries[q] = queries[q].max(calls);
+        }
+    }
 
     // The open-loop shape on the same deployment, with arrivals that
     // begin once every engine has caught up with the closed-loop work.
@@ -83,15 +113,29 @@ fn the_sharded_transaction_path_allocates_at_most_once_per_transaction() {
     let admitted = report.exec.committed();
     assert_eq!(admitted, report.admitted());
 
+    println!("first batch: {first} allocations over {BATCH_TXNS} transactions");
     println!(
         "closed loop: {closed} allocations over {committed} transactions ({:.3} per transaction)",
         closed as f64 / committed as f64
     );
+    println!("queries: at most {queries:?} allocations per Q1, Q6, Q9");
     println!(
         "open loop: {opened} allocations over {admitted} admitted of {ARRIVALS} arrivals \
          ({:.3} per transaction)",
         opened as f64 / admitted as f64
     );
+    assert!(
+        first <= FIRST_BATCH_BUDGET,
+        "first batch: {first} allocations over {BATCH_TXNS} transactions, budget \
+         {FIRST_BATCH_BUDGET}"
+    );
+    for ((query, calls), budget) in Query::ALL.iter().zip(queries).zip(QUERY_BUDGETS) {
+        assert!(
+            calls <= budget,
+            "{}: {calls} allocations, budget {budget}",
+            query.name()
+        );
+    }
     assert!(
         closed <= CLOSED_BUDGET,
         "closed loop: {closed} allocations over {committed} transactions, budget \

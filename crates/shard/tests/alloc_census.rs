@@ -1,8 +1,9 @@
-//! The allocation census of the `shard_durable` shape: where its heap
-//! allocations are made, per phase. Not a budget — the budgets are
-//! `alloc_budget.rs` and `alloc_budget_txns.rs` — but the measurement a
-//! budget cut starts from. Run it alone, in the dev profile, whose debug
-//! info names every frame:
+//! The allocation census of the benchmark's three workload shapes:
+//! where their heap allocations are made, per phase. Not a budget — the
+//! budgets are `alloc_budget.rs` and `alloc_budget_txns.rs` here and
+//! `alloc_budget.rs` and `alloc_budget_cold.rs` in `pushtap-core` — but
+//! the measurement a budget cut starts from. Run it alone, in the dev
+//! profile, whose debug info names every frame:
 //!
 //! ```text
 //! cargo test --offline -p pushtap-shard --test alloc_census -- --ignored --nocapture
@@ -15,11 +16,21 @@
 //! those allocations are made with the recording switched off on the
 //! calling thread, so they are neither recorded nor captured again.
 //!
-//! The shape is the benchmark's: two shards with maintenance every 200
-//! transactions and the WAL on, 20 batches of 250 transactions, a query
-//! (Q1, Q6, Q9 in turn) after every second batch, a checkpoint after
-//! every tenth, then recovery from the harvested logs. The counts are
-//! exact, so they match `alloc_budget.rs` phase for phase.
+//! The shapes are the benchmark's:
+//!
+//! - `shard_durable`: two shards with maintenance every 200 transactions
+//!   and the WAL on, 20 batches of 250 transactions, a query (Q1, Q6, Q9
+//!   in turn) after every second batch, a checkpoint after every tenth,
+//!   then recovery from the harvested logs;
+//! - `engine_oltp`: one small engine with maintenance every 5 000
+//!   transactions, 100 batches of 200 transactions (it answers no
+//!   query);
+//! - `engine_htap`: one engine at scale 0.002, 102 rounds of a
+//!   50-transaction burst and one query cycling Q1 → Q6 → Q9.
+//!
+//! Each shape's build is a phase of its own; `shard_durable`'s is the
+//! process's first, so it also holds what the process allocates once.
+//! The counts are exact, so they match the budgets phase for phase.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -28,11 +39,23 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use pushtap_core::{Pushtap, PushtapConfig};
 use pushtap_olap::Query;
 use pushtap_shard::{ShardConfig, ShardedHtap};
 
-/// The phases the census splits the run into.
-const PHASES: [&str; 4] = ["transactions", "queries", "checkpoints", "recovery"];
+/// The phases the census splits the runs into, shape by shape.
+const PHASES: [&str; 10] = [
+    "shard_durable build",
+    "shard_durable transactions",
+    "shard_durable queries",
+    "shard_durable checkpoints",
+    "shard_durable recovery",
+    "engine_oltp build",
+    "engine_oltp transactions",
+    "engine_htap build",
+    "engine_htap transactions",
+    "engine_htap queries",
+];
 /// No phase open: nothing is recorded.
 const IDLE: usize = usize::MAX;
 /// Sites printed per phase.
@@ -42,6 +65,12 @@ const SEGMENTS: u64 = 20;
 const SEGMENT_TXNS: u64 = 250;
 const QUERY_EVERY: u64 = 2;
 const CHECKPOINT_EVERY: u64 = 10;
+const OLTP_SEGMENTS: u64 = 100;
+const OLTP_SEGMENT_TXNS: u64 = 200;
+const OLTP_DEFRAG_PERIOD: u64 = 5_000;
+const HTAP_ROUNDS: u64 = 102;
+const HTAP_BURST_TXNS: u64 = 50;
+const HTAP_SCALE: f64 = 0.002;
 
 /// Forwards to the system allocator and records a backtrace per call
 /// while a phase is open.
@@ -176,25 +205,58 @@ fn config() -> ShardConfig {
     cfg
 }
 
-#[test]
-#[ignore = "a measuring tool: prints the census, asserts nothing"]
-fn shard_durable_allocation_census() {
-    let mut service = ShardedHtap::new(config()).expect("the small config lays out");
-    let handles = service.enable_wal();
+/// The `shard_durable` shape, phases 0 to 4.
+fn shard_durable() {
+    let (mut service, handles) = in_phase(0, || {
+        let mut service = ShardedHtap::new(config()).expect("the small config lays out");
+        let handles = service.enable_wal();
+        (service, handles)
+    });
     let mut gen = service.global_txn_gen(42);
     for k in 0..SEGMENTS {
-        in_phase(0, || service.run_txns(&mut gen, SEGMENT_TXNS));
+        in_phase(1, || service.run_txns(&mut gen, SEGMENT_TXNS));
         if (k + 1) % QUERY_EVERY == 0 {
             let query = Query::ALL[(k / QUERY_EVERY % 3) as usize];
-            in_phase(1, || service.run_query(query));
+            in_phase(2, || service.run_query(query));
         }
         if (k + 1) % CHECKPOINT_EVERY == 0 {
-            in_phase(2, || service.checkpoint());
+            in_phase(3, || service.checkpoint());
         }
     }
     let logs = handles.harvest();
-    let recovered = in_phase(3, || ShardedHtap::recover(config(), &logs));
+    let recovered = in_phase(4, || ShardedHtap::recover(config(), &logs));
     recovered.expect("the logs recover");
+}
+
+/// The `engine_oltp` shape, phases 5 and 6.
+fn engine_oltp() {
+    let mut config = PushtapConfig::small();
+    config.defrag_period = OLTP_DEFRAG_PERIOD;
+    let mut engine = in_phase(5, || Pushtap::new(config)).expect("the small config lays out");
+    let mut gen = engine.txn_gen(42);
+    for _ in 0..OLTP_SEGMENTS {
+        in_phase(6, || engine.run_txns(&mut gen, OLTP_SEGMENT_TXNS));
+    }
+}
+
+/// The `engine_htap` shape, phases 7 to 9.
+fn engine_htap() {
+    let mut config = PushtapConfig::small();
+    config.db.scale = HTAP_SCALE;
+    let mut engine = in_phase(7, || Pushtap::new(config)).expect("the configuration lays out");
+    let mut gen = engine.txn_gen(42);
+    for k in 0..HTAP_ROUNDS {
+        in_phase(8, || engine.run_txns(&mut gen, HTAP_BURST_TXNS));
+        in_phase(9, || engine.run_query(Query::ALL[(k % 3) as usize]));
+    }
+}
+
+#[test]
+#[ignore = "a measuring tool: prints the census, asserts nothing"]
+fn benchmark_shapes_allocation_census() {
+    shard_durable();
+    engine_oltp();
+    engine_htap();
 
     let traces = std::mem::take(&mut *TRACES.lock().unwrap_or_else(PoisonError::into_inner));
     let mut by_phase: Vec<BTreeMap<String, u64>> = vec![BTreeMap::new(); PHASES.len()];

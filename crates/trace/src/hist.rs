@@ -134,6 +134,17 @@ impl Histogram {
         }
     }
 
+    /// Empties the histogram but keeps its bucket storage: it then reads
+    /// exactly like [`Histogram::new`], and recording into it again
+    /// allocates nothing.
+    pub fn clear(&mut self) {
+        self.counts.clear();
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
         let i = bucket_index(v);
@@ -447,6 +458,34 @@ mod tests {
         merged.merge(&other);
         assert_eq!(merged.counts.capacity(), BUCKETS);
         assert_eq!(merged, other);
+    }
+
+    /// A cleared histogram keeps every bucket of capacity, reads like a
+    /// fresh one (equal, the same stats, the same `Debug` text), and
+    /// records into the storage it kept.
+    #[test]
+    fn a_cleared_histogram_reads_like_a_fresh_one() {
+        let mut h = Histogram::new();
+        for v in [0, 5, 1_000, u64::MAX] {
+            h.record(v);
+        }
+        let first = h.counts.as_ptr();
+        h.clear();
+        let fresh = Histogram::new();
+        assert_eq!(h.counts.capacity(), BUCKETS);
+        assert_eq!(h, fresh);
+        assert_eq!(h.stats(), fresh.stats());
+        assert_eq!((h.min(), h.max(), h.mean()), (0, 0, 0));
+        assert_eq!(format!("{h:?}"), format!("{fresh:?}"));
+        let mut again = Histogram::new();
+        for v in [259, 1_000, 8_000_000] {
+            h.record(v);
+            again.record(v);
+        }
+        assert_eq!(h.counts.as_ptr(), first, "recorded into the kept buckets");
+        assert_eq!(h, again);
+        assert_eq!(h.stats(), again.stats());
+        assert_eq!(h.min(), 259);
     }
 
     #[test]
