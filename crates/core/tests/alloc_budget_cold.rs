@@ -3,11 +3,11 @@
 //! arena, and keeps what it allocates: no scratch list. Then, with no
 //! warm-up, rounds of [a burst of transactions, then one query cycling
 //! Q1 → Q6 → Q9] allocate only what they return. Every table's storage —
-//! its device bytes and version chains — the engine's one GC outcome and
-//! its per-transaction lists are sized when the engine is built, and a
-//! query resolves its column cursors inline. What is left is
-//! the reports' histograms and the query results (a Q9 also builds its
-//! item bitset).
+//! its device bytes and version chains — the engine's one GC outcome,
+//! its per-transaction lists and Q9's item bitset are sized when the
+//! engine is built, a query resolves its column cursors inline, and a
+//! report's histograms hold a burst's latencies inline. What is left is
+//! the query results.
 //!
 //! The counts are exact: the counting global allocator of
 //! `support/counting.rs` tallies every `alloc` and `realloc` call the
@@ -32,9 +32,10 @@ static ALLOCATOR: Counting = Counting;
 const ROUNDS: u64 = 30;
 const BURST_TXNS: u64 = 50;
 const SCALE: f64 = 0.002;
-/// Allocations allowed to build the engine at this shape: 244 measured,
-/// the same in dev and release builds.
-const BUILD_BUDGET: u64 = 244;
+/// Allocations allowed to build the engine at this shape: 245 measured,
+/// the same in dev and release builds. One of them is Q9's item bitset,
+/// which the engine keeps for its queries.
+const BUILD_BUDGET: u64 = 245;
 
 #[test]
 fn a_fresh_engine_allocates_only_what_it_returns() {
@@ -50,38 +51,25 @@ fn a_fresh_engine_allocates_only_what_it_returns() {
         "{build} allocations to build the engine, budget {BUILD_BUDGET}"
     );
     let mut gen = engine.txn_gen(42);
-    let (mut txns, mut histograms) = (0, 0);
+    let mut txns = 0;
     let mut queries = [0u64; 3];
     for k in 0..ROUNDS {
         let (calls, report) = counted(|| engine.run_txns(&mut gen, BURST_TXNS));
         assert_eq!(report.committed, BURST_TXNS);
         txns += calls;
-        histograms += [
-            &report.commit_latency,
-            &report.queue_wait,
-            &report.defrag_stall,
-            &report.gc_stall,
-            &report.two_pc_stall,
-        ]
-        .iter()
-        .filter(|h| !h.is_empty())
-        .count() as u64;
         let q = (k % 3) as usize;
         let (calls, _) = counted(|| engine.run_query(Query::ALL[q]));
         queries[q] = queries[q].max(calls);
     }
     println!(
-        "{txns} allocations over {} transactions ({histograms} report histograms recorded); \
-         at most {queries:?} per Q1, Q6, Q9",
+        "{txns} allocations over {} transactions; at most {queries:?} per Q1, Q6, Q9",
         ROUNDS * BURST_TXNS
     );
-    assert_eq!(queries, [1, 0, 2], "a query allocates its result only");
-    // A report histogram that records allocates its buckets once,
-    // whatever it records (32 of 32 at this shape).
-    assert!(
-        txns <= histograms,
-        "{txns} allocations over {} transactions, budget {histograms}: one per report \
-         histogram that recorded",
+    assert_eq!(queries, [1, 0, 1], "a query allocates its result only");
+    assert_eq!(
+        txns,
+        0,
+        "{txns} allocations over {} transactions",
         ROUNDS * BURST_TXNS
     );
 }

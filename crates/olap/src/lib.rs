@@ -46,7 +46,7 @@ mod reference;
 
 pub use exec::{ScanEngine, ScanOutcome};
 pub use query::{
-    gather_partials, merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryTiming, Step,
-    DELIVERY_CUTOFF, PRICE_MODULUS, QUANTITY_MAX,
+    gather_partials, merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryScratch, QueryTiming,
+    Step, DELIVERY_CUTOFF, PRICE_MODULUS, QUANTITY_MAX,
 };
 pub use reference::{ref_q1, ref_q6, ref_q9};

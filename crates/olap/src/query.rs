@@ -481,7 +481,8 @@ impl Query {
 
     /// Executes the query against the database's *current snapshots*
     /// (call the engine's snapshotting first for freshness), returning
-    /// the value result and the timing.
+    /// the value result and the timing. A Q9 builds its item bitset
+    /// afresh; [`Query::execute_with`] reuses one the caller keeps.
     pub fn execute(
         self,
         db: &TpccDb,
@@ -489,12 +490,29 @@ impl Query {
         mem: &mut MemSystem,
         at: Ps,
     ) -> (QueryResult, QueryTiming) {
+        let mut scratch = QueryScratch {
+            items: ItemSet::default(),
+        };
+        self.execute_with(db, engine, mem, at, &mut scratch)
+    }
+
+    /// [`Query::execute`] over the caller's `scratch`, which a Q9 clears
+    /// and builds its item bitset in: a query then allocates only its
+    /// result.
+    pub fn execute_with(
+        self,
+        db: &TpccDb,
+        engine: &ScanEngine,
+        mem: &mut MemSystem,
+        at: Ps,
+        scratch: &mut QueryScratch,
+    ) -> (QueryResult, QueryTiming) {
         let steps = QuerySteps::new(engine, mem, db.meter().cpu, at);
         let timing = steps.run(self.plan(), Source::Engine(db));
         let result = match self {
             Query::Q1 => q1(db),
             Query::Q6 => q6(db),
-            Query::Q9 => q9(db),
+            Query::Q9 => q9(db, &mut scratch.items),
         };
         (result, timing)
     }
@@ -609,11 +627,41 @@ impl Q1Groups {
 /// goes to an ordered set.
 const DENSE_IDS: u64 = 1 << 26;
 
+/// Bitset words that cover the ids below `ids` (capped at [`DENSE_IDS`]).
+fn dense_words(ids: u64) -> usize {
+    ids.min(DENSE_IDS).div_ceil(64) as usize
+}
+
+/// What a query builds besides its result, kept by the caller from one
+/// query to the next: Q9's item bitset. An engine holds one, so its
+/// queries allocate only their results.
+#[derive(Debug)]
+pub struct QueryScratch {
+    items: ItemSet,
+}
+
+impl QueryScratch {
+    /// Scratch whose item bitset already covers every item id
+    /// ([`ITEM_IDS`], whatever the scale): its one allocation.
+    pub fn new() -> QueryScratch {
+        QueryScratch {
+            items: ItemSet::new(),
+        }
+    }
+}
+
+impl Default for QueryScratch {
+    /// The same as [`QueryScratch::new`].
+    fn default() -> QueryScratch {
+        QueryScratch::new()
+    }
+}
+
 /// Q9's build side: the ids of the items passing the price predicate,
 /// over scanned `[i_price, i_id]` tuples. Item ids are dense below
 /// [`ITEM_IDS`], so a bitset sized to them holds every item and
 /// membership is one bit test per probing order line.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ItemSet {
     /// Bit `id` of the words, grown to the largest id seen.
     dense: Vec<u64>,
@@ -631,9 +679,17 @@ impl ItemSet {
     /// [`DENSE_IDS`]), so adding them allocates nothing further.
     fn with_dense_ids(ids: u64) -> ItemSet {
         ItemSet {
-            dense: vec![0; ids.min(DENSE_IDS).div_ceil(64) as usize],
+            dense: vec![0; dense_words(ids)],
             sparse: BTreeSet::new(),
         }
+    }
+
+    /// Empties the set for the next Q9, its bitset covering every item
+    /// id again: it allocates only if the set holds no bitset yet.
+    fn reset(&mut self) {
+        self.dense.clear();
+        self.dense.resize(dense_words(ITEM_IDS), 0);
+        self.sparse.clear();
     }
 
     #[inline]
@@ -720,14 +776,14 @@ fn q1(db: &TpccDb) -> QueryResult {
 }
 
 /// Q9's value: a semi-join on the ids of the items passing the price
-/// filter.
-fn q9(db: &TpccDb) -> QueryResult {
+/// filter, built in `matching`.
+fn q9(db: &TpccDb, matching: &mut ItemSet) -> QueryResult {
     let (ol, it) = (db.table(Table::OrderLine), db.table(Table::Item));
-    let mut matching = ItemSet::new();
+    matching.reset();
     it.scan_snapshot([col(it, "i_price"), col(it, "i_id")], |item| {
         matching.add(item)
     });
-    let mut groups = Q9Groups::new(&matching);
+    let mut groups = Q9Groups::new(matching);
     ol.scan_snapshot([col(ol, "ol_i_id"), col(ol, "ol_amount")], |line| {
         groups.add(line)
     });
@@ -850,6 +906,27 @@ mod tests {
         };
         assert_eq!(rows.len(), Q9_GROUPS as usize);
         assert!(t.cpu_compute > Ps::ZERO, "join needs CPU partitioning");
+    }
+
+    /// A Q9 over kept scratch clears the set it built last time and
+    /// builds in the same storage again, with the same answer as a fresh
+    /// one, even after the set outgrew the item-id domain.
+    #[test]
+    fn q9_reuses_the_callers_item_bitset() {
+        let (db, mut mem, engine) = setup();
+        let (fresh, _) = Query::Q9.execute(&db, &engine, &mut mem, Ps::ZERO);
+        let mut scratch = QueryScratch::new();
+        for _ in 0..2 {
+            let built = scratch.items.dense.as_ptr();
+            let (kept, _) = Query::Q9.execute_with(&db, &engine, &mut mem, Ps::ZERO, &mut scratch);
+            assert_eq!(kept, fresh);
+            assert_eq!(scratch.items.dense.as_ptr(), built, "rebuilt elsewhere");
+            assert_eq!(scratch.items.dense.len(), dense_words(ITEM_IDS));
+            scratch.items.add([PRICE_MODULUS, ITEM_IDS + 64]);
+            scratch.items.add([PRICE_MODULUS, DENSE_IDS]);
+        }
+        let (q6, _) = Query::Q6.execute_with(&db, &engine, &mut mem, Ps::ZERO, &mut scratch);
+        assert_eq!(q6, Query::Q6.execute(&db, &engine, &mut mem, Ps::ZERO).0);
     }
 
     #[test]

@@ -114,6 +114,10 @@ pub struct ShardedHtap {
     /// customers.
     waiting: Vec<u64>,
     in_flight: Vec<VecDeque<Ps>>,
+    /// Whether arrivals remain to be admitted. Only admission reads
+    /// `in_flight`, so the waves dispatched after the last arrival (a
+    /// closed-loop batch's every wave) queue no completion clock.
+    admitting: bool,
     /// What the run's waves account to, per shard.
     pub(crate) loads: Vec<ShardLoad>,
     stats: CoordStats,
@@ -174,6 +178,7 @@ impl ShardedHtap {
             starts: vec![Ps::ZERO; shards.len()],
             waiting: vec![0; shards.len()],
             in_flight: vec![VecDeque::new(); shards.len()],
+            admitting: false,
             loads: Vec::new(),
             shards,
             oracle,
@@ -560,7 +565,7 @@ impl ShardedHtap {
     ) -> ShardOltpReport {
         self.assert_alive();
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
-        self.start_run(open.window, n);
+        self.start_run(open, n);
         let decisions_before = self.durability.as_ref().map(|d| d.decision_log.stats());
         let mut remote = RemoteTouches::default();
         for arrival_idx in 0..n {
@@ -619,6 +624,7 @@ impl ShardedHtap {
             self.dispatch_while(|s| s.sched.window_full());
         }
         // The source is exhausted; drain everything still queued.
+        self.admitting = false;
         self.sched.close();
         self.dispatch_while(|_| true);
 
@@ -654,17 +660,23 @@ impl ShardedHtap {
     }
 
     /// Readies the per-run state for a new run of
-    /// [`ShardedHtap::drive`] over `n` arrivals with a scheduling window
-    /// of `window`: each shard's start clock, empty inboxes, fresh loads
-    /// and counters, and a cleared front end whose lists keep their
-    /// storage.
-    fn start_run(&mut self, window: usize, n: u64) {
-        self.sched.reset(window, n);
+    /// [`ShardedHtap::drive`] over `n` arrivals under `open`: each
+    /// shard's start clock, empty inboxes, fresh loads and counters, and
+    /// a cleared front end whose lists keep their storage. A bounded
+    /// inbox holds at most its depth in flight, so its in-flight deques
+    /// are reserved to that once.
+    fn start_run(&mut self, open: &OpenLoopConfig, n: u64) {
+        self.sched.reset(open.window, n);
         for (start, shard) in self.starts.iter_mut().zip(&self.shards) {
             *start = shard.now();
         }
         self.waiting.fill(0);
         self.in_flight.iter_mut().for_each(VecDeque::clear);
+        if open.inbox_depth != usize::MAX {
+            let most = usize::try_from(n).map_or(open.inbox_depth, |n| n.min(open.inbox_depth));
+            self.in_flight.iter_mut().for_each(|q| q.reserve(most));
+        }
+        self.admitting = true;
         self.loads = self.shards.iter().map(|_| ShardLoad::default()).collect();
         self.stats = CoordStats::default();
         let front = &mut self.front;
@@ -734,8 +746,9 @@ impl ShardedHtap {
     ///
     /// Each member's inbox wait lands in its home shard's queue-wait
     /// histogram and, when positive, a [`Phase::Queued`] span; after
-    /// the wave, its sojourn is recorded and its inbox slot is held
-    /// until the wave's completion on the home clock.
+    /// the wave, its sojourn is recorded and, while arrivals remain to
+    /// be admitted, its inbox slot is held until the wave's completion
+    /// on the home clock.
     fn dispatch(&mut self, wave: &[RoutedTxn]) {
         self.stats.waves += 1;
         self.stats.max_wave = self.stats.max_wave.max(wave.len() as u64);
@@ -779,7 +792,9 @@ impl ShardedHtap {
             let done = self.shards[home].now();
             let sojourn = done.saturating_sub(self.entered(routed));
             self.front.sojourn.record(sojourn.ps());
-            self.in_flight[home].push_back(done);
+            if self.admitting {
+                self.in_flight[home].push_back(done);
+            }
         }
     }
 
@@ -1541,7 +1556,7 @@ mod tests {
         assert!(earlier.ts < later.ts);
 
         let run = |s: &mut ShardedHtap, wave: &[RoutedTxn]| {
-            s.start_run(usize::MAX, wave.len() as u64);
+            s.start_run(&CLOSED_LOOP, wave.len() as u64);
             assert!(!s.run_wave(wave, 1, None));
             s.take_loads()
         };

@@ -334,6 +334,8 @@ const ROWS: &[Row] = &[
             "crates/olap/src",
             "crates/wal/src",
             "crates/shard/src",
+            "crates/trace/src",
+            "crates/chbench/src",
         ],
         non_test: true,
         check: AnyUnless(
@@ -342,7 +344,11 @@ const ROWS: &[Row] = &[
         ),
         sample: "static COUNTER: u32 = 0;",
         why: "A run repeats exactly: nothing in a simulation crate outlives \
-              the engine that built it.",
+              the engine that built it. A buffer kept in a static or a \
+              thread-local pool would warm in the benchmark's first \
+              repetition and fail its check that every repetition makes \
+              the same allocations; storage is inline or owned by the \
+              deployment.",
     },
     Row {
         name: "effect-writes-inline",
