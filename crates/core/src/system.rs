@@ -9,7 +9,7 @@ use std::sync::Arc;
 use pushtap_chbench::{Txn, TxnGen};
 use pushtap_format::LayoutError;
 use pushtap_mvcc::{DefragCostModel, DefragStrategy, DeltaFull, Ts, TsOracle};
-use pushtap_olap::{Query, QueryResult, QueryScratch, QueryTiming, ScanEngine};
+use pushtap_olap::{Query, QueryResult, QueryTiming, ScanEngine};
 use pushtap_oltp::{
     Breakdown, DbConfig, Partition, Probe, TableGcPass, TaggedEffect, TpccDb, TxnResult, TxnRole,
 };
@@ -326,9 +326,6 @@ pub struct Pushtap {
     /// [`Pushtap::take_report`]: transaction and wasted time, aborts,
     /// maintenance pauses and GC passes.
     tally: OltpReport,
-    /// What a query builds besides its result (Q9's item bitset),
-    /// allocated with the engine and reused by every query.
-    scratch: QueryScratch,
 }
 
 impl Pushtap {
@@ -366,7 +363,6 @@ impl Pushtap {
             now: Ps::ZERO,
             txns_since_defrag: 0,
             tally: OltpReport::default(),
-            scratch: QueryScratch::new(),
         })
     }
 
@@ -830,13 +826,7 @@ impl Pushtap {
             .tables()
             .fold(cut, |c, t| c.max(self.db.table(t).snapshot().ts()));
         let start = self.now;
-        let (result, mut timing) = query.execute_with(
-            &self.db,
-            &self.engine,
-            &mut self.mem,
-            start,
-            &mut self.scratch,
-        );
+        let (result, mut timing) = query.execute(&self.db, &self.engine, &mut self.mem, start);
         self.now = timing.end.max(start);
         timing.end = self.now - start + consistency;
         QueryReport {

@@ -16,7 +16,12 @@
 //!   §6.3 task division is one `const` table of [`Step`]s
 //!   ([`Query::plan`]), priced by one interpreter over the engine's
 //!   tables ([`Query::execute`]) or over compact columns
-//!   ([`Query::execute_compact`], the ideal of Fig. 9(b) and MI's scans);
+//!   ([`Query::execute_compact`], the ideal of Fig. 9(b) and MI's scans).
+//!   [`Query::execute`] is an engine's one entry point; the value half
+//!   keeps its working state in fixed arrays local to the query, sized
+//!   by the key domains (a row per value of Q1's one-byte `ol_number`, a
+//!   bit per Q9 item id below `ITEM_IDS`), so a query allocates only its
+//!   result;
 //! * [`ref_q1`]/[`ref_q6`]/[`ref_q9`] — the naive reference executor used
 //!   to validate the PIM path.
 //!
@@ -46,7 +51,7 @@ mod reference;
 
 pub use exec::{ScanEngine, ScanOutcome};
 pub use query::{
-    gather_partials, merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryScratch, QueryTiming,
-    Step, DELIVERY_CUTOFF, PRICE_MODULUS, QUANTITY_MAX,
+    gather_partials, merge_partials, Q1Row, Q9Row, Query, QueryResult, QueryTiming, Step,
+    DELIVERY_CUTOFF, PRICE_MODULUS, QUANTITY_MAX,
 };
 pub use reference::{ref_q1, ref_q6, ref_q9};

@@ -4,7 +4,7 @@
 //! results from the snapshot.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use pushtap_chbench::{Table, ALL_TABLES, ITEM_IDS};
 use pushtap_oltp::{HtapTable, TpccDb};
@@ -481,8 +481,8 @@ impl Query {
 
     /// Executes the query against the database's *current snapshots*
     /// (call the engine's snapshotting first for freshness), returning
-    /// the value result and the timing. A Q9 builds its item bitset
-    /// afresh; [`Query::execute_with`] reuses one the caller keeps.
+    /// the value result and the timing. The query's working state lives
+    /// in fixed arrays of its own, so it allocates only its result.
     pub fn execute(
         self,
         db: &TpccDb,
@@ -490,29 +490,12 @@ impl Query {
         mem: &mut MemSystem,
         at: Ps,
     ) -> (QueryResult, QueryTiming) {
-        let mut scratch = QueryScratch {
-            items: ItemSet::default(),
-        };
-        self.execute_with(db, engine, mem, at, &mut scratch)
-    }
-
-    /// [`Query::execute`] over the caller's `scratch`, which a Q9 clears
-    /// and builds its item bitset in: a query then allocates only its
-    /// result.
-    pub fn execute_with(
-        self,
-        db: &TpccDb,
-        engine: &ScanEngine,
-        mem: &mut MemSystem,
-        at: Ps,
-        scratch: &mut QueryScratch,
-    ) -> (QueryResult, QueryTiming) {
         let steps = QuerySteps::new(engine, mem, db.meter().cpu, at);
         let timing = steps.run(self.plan(), Source::Engine(db));
         let result = match self {
             Query::Q1 => q1(db),
             Query::Q6 => q6(db),
-            Query::Q9 => q9(db, &mut scratch.items),
+            Query::Q9 => q9(db),
         };
         (result, timing)
     }
@@ -559,12 +542,11 @@ impl Q6Revenue {
     }
 }
 
-/// Group keys below this index a table; any other key the data holds
-/// goes to an ordered map, so no key range is assumed.
-const DENSE_GROUPS: u64 = 1 << 12;
+/// Q1's group keys: `ol_number` is a one-byte column, so a table of
+/// this many rows holds every key the column can carry.
+const Q1_KEYS: usize = 1 << 8;
 
-/// A Q1 group no line fell into: what the group table starts as and is
-/// grown with, and where a new key starts.
+/// A Q1 group no line fell into: what the group table starts as.
 const EMPTY_Q1_ROW: Q1Row = Q1Row {
     ol_number: 0,
     sum_qty: 0,
@@ -573,24 +555,18 @@ const EMPTY_Q1_ROW: Q1Row = Q1Row {
 };
 
 /// Q1's groups over scanned
-/// `[ol_delivery_d, ol_number, ol_quantity, ol_amount]` tuples.
-/// `ol_number` is a line's position within its order (1..=15), so the
-/// groups are a small table indexed by key: [`Q1_GROUPS`] rows cover
-/// every key the generator writes, and the table grows past them only for
-/// a larger key. Its storage becomes the result.
+/// `[ol_delivery_d, ol_number, ol_quantity, ol_amount]` tuples: a fixed
+/// table indexed by the one-byte key.
 #[derive(Debug)]
 struct Q1Groups {
-    /// `dense[k]` is group `k`; a group no line fell into has count 0.
-    dense: Vec<Q1Row>,
-    /// Groups of keys at or above [`DENSE_GROUPS`].
-    sparse: BTreeMap<u64, Q1Row>,
+    /// `rows[k]` is group `k`; a group no line fell into has count 0.
+    rows: [Q1Row; Q1_KEYS],
 }
 
 impl Q1Groups {
     fn new() -> Q1Groups {
         Q1Groups {
-            dense: vec![EMPTY_Q1_ROW; Q1_GROUPS as usize],
-            sparse: BTreeMap::new(),
+            rows: [EMPTY_Q1_ROW; Q1_KEYS],
         }
     }
 
@@ -599,97 +575,46 @@ impl Q1Groups {
         if date <= DELIVERY_CUTOFF {
             return;
         }
-        let e = if num < DENSE_GROUPS {
-            if num as usize >= self.dense.len() {
-                self.dense.resize(num as usize + 1, EMPTY_Q1_ROW);
-            }
-            &mut self.dense[num as usize]
-        } else {
-            self.sparse.entry(num).or_insert(EMPTY_Q1_ROW)
-        };
+        let e = &mut self.rows[num as usize];
         e.ol_number = num;
         e.sum_qty = e.sum_qty.wrapping_add(qty);
         e.sum_amount = e.sum_amount.wrapping_add(amt);
         e.count += 1;
     }
 
-    /// The groups in key order: the table's keys all precede the map's.
-    /// The table is filtered in place into the result.
+    /// The groups a line fell into, in key order, in a list of exactly
+    /// their number.
     fn finish(self) -> QueryResult {
-        let mut rows = self.dense;
-        rows.retain(|g| g.count > 0);
-        rows.extend(self.sparse.into_values());
+        let groups = self.rows.iter().filter(|g| g.count > 0);
+        let mut rows = Vec::with_capacity(groups.clone().count());
+        rows.extend(groups);
         QueryResult::Q1(rows)
     }
 }
 
-/// Item ids below this are bits of a bitset; any other id the data holds
-/// goes to an ordered set.
-const DENSE_IDS: u64 = 1 << 26;
-
-/// Bitset words that cover the ids below `ids` (capped at [`DENSE_IDS`]).
-fn dense_words(ids: u64) -> usize {
-    ids.min(DENSE_IDS).div_ceil(64) as usize
-}
-
-/// What a query builds besides its result, kept by the caller from one
-/// query to the next: Q9's item bitset. An engine holds one, so its
-/// queries allocate only their results.
-#[derive(Debug)]
-pub struct QueryScratch {
-    items: ItemSet,
-}
-
-impl QueryScratch {
-    /// Scratch whose item bitset already covers every item id
-    /// ([`ITEM_IDS`], whatever the scale): its one allocation.
-    pub fn new() -> QueryScratch {
-        QueryScratch {
-            items: ItemSet::new(),
-        }
-    }
-}
-
-impl Default for QueryScratch {
-    /// The same as [`QueryScratch::new`].
-    fn default() -> QueryScratch {
-        QueryScratch::new()
-    }
-}
+/// Words of [`ItemSet`]'s bitset: one bit per item id the generator
+/// writes.
+const ITEM_WORDS: usize = ITEM_IDS.div_ceil(64) as usize;
 
 /// Q9's build side: the ids of the items passing the price predicate,
-/// over scanned `[i_price, i_id]` tuples. Item ids are dense below
-/// [`ITEM_IDS`], so a bitset sized to them holds every item and
-/// membership is one bit test per probing order line.
-#[derive(Debug, Default)]
+/// over scanned `[i_price, i_id]` tuples. The generator writes item ids
+/// below [`ITEM_IDS`], whatever the scale, so a fixed bitset holds every
+/// item and membership is one bit test per probing order line. A larger
+/// id, which only a replayed log could hold, goes to an ordered set.
+#[derive(Debug)]
 struct ItemSet {
-    /// Bit `id` of the words, grown to the largest id seen.
-    dense: Vec<u64>,
-    /// Ids at or above [`DENSE_IDS`].
+    /// Bit `id` of the words, for the ids below [`ITEM_IDS`].
+    dense: [u64; ITEM_WORDS],
+    /// Ids at or above [`ITEM_IDS`].
     sparse: BTreeSet<u64>,
 }
 
 impl ItemSet {
-    /// The set Q9 builds: its bitset covers every item id.
     fn new() -> ItemSet {
-        ItemSet::with_dense_ids(ITEM_IDS)
-    }
-
-    /// A set whose bitset already covers ids below `ids` (capped at
-    /// [`DENSE_IDS`]), so adding them allocates nothing further.
-    fn with_dense_ids(ids: u64) -> ItemSet {
         ItemSet {
-            dense: vec![0; dense_words(ids)],
+            dense: [0; ITEM_WORDS],
             sparse: BTreeSet::new(),
         }
-    }
-
-    /// Empties the set for the next Q9, its bitset covering every item
-    /// id again: it allocates only if the set holds no bitset yet.
-    fn reset(&mut self) {
-        self.dense.clear();
-        self.dense.resize(dense_words(ITEM_IDS), 0);
-        self.sparse.clear();
     }
 
     #[inline]
@@ -697,12 +622,8 @@ impl ItemSet {
         if !price.is_multiple_of(PRICE_MODULUS) {
             return;
         }
-        if iid < DENSE_IDS {
-            let word = (iid / 64) as usize;
-            if word >= self.dense.len() {
-                self.dense.resize(word + 1, 0);
-            }
-            self.dense[word] |= 1 << (iid % 64);
+        if iid < ITEM_IDS {
+            self.dense[(iid / 64) as usize] |= 1 << (iid % 64);
         } else {
             self.sparse.insert(iid);
         }
@@ -710,10 +631,8 @@ impl ItemSet {
 
     #[inline]
     fn contains(&self, iid: u64) -> bool {
-        if iid < DENSE_IDS {
-            self.dense
-                .get((iid / 64) as usize)
-                .is_some_and(|word| word >> (iid % 64) & 1 == 1)
+        if iid < ITEM_IDS {
+            self.dense[(iid / 64) as usize] >> (iid % 64) & 1 == 1
         } else {
             self.sparse.contains(&iid)
         }
@@ -776,14 +695,14 @@ fn q1(db: &TpccDb) -> QueryResult {
 }
 
 /// Q9's value: a semi-join on the ids of the items passing the price
-/// filter, built in `matching`.
-fn q9(db: &TpccDb, matching: &mut ItemSet) -> QueryResult {
+/// filter.
+fn q9(db: &TpccDb) -> QueryResult {
     let (ol, it) = (db.table(Table::OrderLine), db.table(Table::Item));
-    matching.reset();
+    let mut matching = ItemSet::new();
     it.scan_snapshot([col(it, "i_price"), col(it, "i_id")], |item| {
         matching.add(item)
     });
-    let mut groups = Q9Groups::new(matching);
+    let mut groups = Q9Groups::new(&matching);
     ol.scan_snapshot([col(ol, "ol_i_id"), col(ol, "ol_amount")], |line| {
         groups.add(line)
     });
@@ -795,6 +714,7 @@ mod tests {
     use super::*;
     use pushtap_oltp::DbConfig;
     use pushtap_pim::{ControlArch, SystemConfig};
+    use std::collections::BTreeMap;
 
     fn setup() -> (TpccDb, MemSystem, ScanEngine) {
         let mem = MemSystem::dimm();
@@ -879,21 +799,21 @@ mod tests {
     }
 
     /// Q9's build side is sized from the item-id domain, not from the
-    /// item table's rows, which the ids run far past: adding every item
-    /// of a real item table leaves the bitset where it was built.
+    /// item table's rows: every id of a real item table lands in the
+    /// bitset, none in the ordered set.
     #[test]
     fn item_set_over_the_item_table_never_grows() {
         let (db, _, _) = setup();
         let it = db.table(Table::Item);
         let mut matching = ItemSet::new();
-        let built = (matching.dense.as_ptr(), matching.dense.len());
         let mut top = 0;
         it.scan_snapshot([col(it, "i_price"), col(it, "i_id")], |item| {
             top = top.max(item[1]);
             matching.add(item);
         });
         assert!(top > it.n_rows(), "id {top} within {} rows", it.n_rows());
-        assert_eq!((matching.dense.as_ptr(), matching.dense.len()), built);
+        assert!(top < ITEM_IDS, "id {top} past the item-id domain");
+        assert!(matching.dense.iter().any(|&word| word != 0));
         assert!(matching.sparse.is_empty());
     }
 
@@ -906,27 +826,6 @@ mod tests {
         };
         assert_eq!(rows.len(), Q9_GROUPS as usize);
         assert!(t.cpu_compute > Ps::ZERO, "join needs CPU partitioning");
-    }
-
-    /// A Q9 over kept scratch clears the set it built last time and
-    /// builds in the same storage again, with the same answer as a fresh
-    /// one, even after the set outgrew the item-id domain.
-    #[test]
-    fn q9_reuses_the_callers_item_bitset() {
-        let (db, mut mem, engine) = setup();
-        let (fresh, _) = Query::Q9.execute(&db, &engine, &mut mem, Ps::ZERO);
-        let mut scratch = QueryScratch::new();
-        for _ in 0..2 {
-            let built = scratch.items.dense.as_ptr();
-            let (kept, _) = Query::Q9.execute_with(&db, &engine, &mut mem, Ps::ZERO, &mut scratch);
-            assert_eq!(kept, fresh);
-            assert_eq!(scratch.items.dense.as_ptr(), built, "rebuilt elsewhere");
-            assert_eq!(scratch.items.dense.len(), dense_words(ITEM_IDS));
-            scratch.items.add([PRICE_MODULUS, ITEM_IDS + 64]);
-            scratch.items.add([PRICE_MODULUS, DENSE_IDS]);
-        }
-        let (q6, _) = Query::Q6.execute_with(&db, &engine, &mut mem, Ps::ZERO, &mut scratch);
-        assert_eq!(q6, Query::Q6.execute(&db, &engine, &mut mem, Ps::ZERO).0);
     }
 
     #[test]
@@ -963,7 +862,7 @@ mod tests {
         ) {
             q1.add(line);
         }
-        let mut matching = ItemSet::with_dense_ids(0);
+        let mut matching = ItemSet::new();
         for item in tuples(it, ["i_price", "i_id"]) {
             matching.add(item);
         }
@@ -978,14 +877,16 @@ mod tests {
         }
     }
 
-    /// Keys outside the dense domains the aggregators are sized for —
-    /// nothing the generator produces, but nothing the column widths
-    /// forbid — still group and join correctly, in key order.
+    /// Keys at the edges of the domains the aggregators are sized for
+    /// group and join correctly: Q1's whole one-byte key range, in key
+    /// order, and item ids at or past [`ITEM_IDS`] — nothing the
+    /// generator writes, but nothing the 4-byte column forbids — through
+    /// the ordered set, with a probe past the bitset answering `false`.
     #[test]
     fn aggregators_assume_no_key_range() {
         let late = DELIVERY_CUTOFF + 1;
         let mut q1 = Q1Groups::new();
-        for num in [u64::MAX, 3, DENSE_GROUPS, 3, DENSE_GROUPS - 1] {
+        for num in [255, 3, 0, 3] {
             q1.add([late, num, 2, 10]);
         }
         q1.add([DELIVERY_CUTOFF, 5, 2, 10]); // filtered out
@@ -993,18 +894,10 @@ mod tests {
             panic!("wrong kind")
         };
         let keys: Vec<(u64, u64)> = rows.iter().map(|r| (r.ol_number, r.count)).collect();
-        assert_eq!(
-            keys,
-            vec![
-                (3, 2),
-                (DENSE_GROUPS - 1, 1),
-                (DENSE_GROUPS, 1),
-                (u64::MAX, 1)
-            ]
-        );
+        assert_eq!(keys, vec![(0, 1), (3, 2), (255, 1)]);
 
-        let mut items = ItemSet::with_dense_ids(4);
-        for iid in [2, 700, DENSE_IDS, u64::MAX] {
+        let mut items = ItemSet::new();
+        for iid in [2, 700, ITEM_IDS - 1, ITEM_IDS + 1, u64::MAX - 1] {
             items.add([PRICE_MODULUS * 3, iid]);
         }
         items.add([PRICE_MODULUS * 3 + 1, 3]); // fails the price predicate
@@ -1013,16 +906,20 @@ mod tests {
             (3, false),
             (700, true),
             (701, false),
-            (DENSE_IDS, true),
-            (DENSE_IDS + 1, false),
-            (u64::MAX, true),
+            (ITEM_IDS - 1, true),
+            (ITEM_IDS, false),
+            (ITEM_IDS + 1, true),
+            (ITEM_IDS + 64, false),
+            (u64::MAX - 1, true),
+            (u64::MAX, false),
         ] {
             assert_eq!(items.contains(iid), expect, "item {iid}");
         }
         let mut q9 = Q9Groups::new(&items);
         q9.add([700, 5]);
-        q9.add([u64::MAX, 0]);
+        q9.add([ITEM_IDS + 1, 0]);
         q9.add([701, 9]); // no such item
+        q9.add([u64::MAX, 9]); // no such item, past the bitset
         assert_eq!(
             q9.finish(),
             QueryResult::Q9(vec![
@@ -1031,7 +928,7 @@ mod tests {
                     sum_amount: 5
                 },
                 Q9Row {
-                    group: u64::MAX % Q9_GROUPS, // 1: seen, though its sum is 0
+                    group: (ITEM_IDS + 1) % Q9_GROUPS, // 6: seen, though its sum is 0
                     sum_amount: 0
                 },
             ])

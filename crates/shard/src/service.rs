@@ -131,6 +131,9 @@ pub struct ShardedHtap {
 /// [`ShardedHtap::run_open_loop`] takes the lists out into its report.
 #[derive(Debug, Default)]
 struct FrontEnd {
+    /// Whether the run hands the front end out (an open-loop run): only
+    /// then are the inbox depths and sojourns recorded.
+    reported: bool,
     /// Arrivals turned away per shard.
     rejected: Vec<u64>,
     /// Inbox depth after every admission.
@@ -467,7 +470,7 @@ impl ShardedHtap {
     ///
     /// Panics if the service crashed at an armed crash point.
     pub fn run_txns(&mut self, gen: &mut TxnGen, n: u64) -> ShardOltpReport {
-        self.drive(n, || (gen.next_txn(), Ps::ZERO), &CLOSED_LOOP)
+        self.drive(n, || (gen.next_txn(), Ps::ZERO), None)
     }
 
     /// Executes `per_shard` transactions on every shard from that
@@ -489,7 +492,7 @@ impl ShardedHtap {
             drawn += 1;
             (gen.next_txn(), Ps::ZERO)
         };
-        let report = self.drive(total, next, &CLOSED_LOOP);
+        let report = self.drive(total, next, None);
         debug_assert_eq!(
             report.remote.remote_touches, 0,
             "warehouse-local streams must never cross shards"
@@ -522,7 +525,7 @@ impl ShardedHtap {
         n: u64,
         open: &OpenLoopConfig,
     ) -> OpenLoopReport {
-        let exec = self.drive(n, || (gen.next_txn(), arrivals.next_arrival()), open);
+        let exec = self.drive(n, || (gen.next_txn(), arrivals.next_arrival()), Some(open));
         let front = &mut self.front;
         OpenLoopReport {
             exec,
@@ -547,8 +550,10 @@ impl ShardedHtap {
     /// engine would otherwise idle before the next arrival, and once
     /// the source is exhausted. A closed-loop batch is this loop with
     /// every arrival at time zero and no bound on inbox or window
-    /// ([`CLOSED_LOOP`]): nothing dispatches until the whole batch is
-    /// admitted, so it is scheduled with the full stream in view.
+    /// (`open` is `None`, read as [`CLOSED_LOOP`]): nothing dispatches
+    /// until the whole batch is admitted, so it is scheduled with the
+    /// full stream in view, and the front end, which it does not report,
+    /// records no inbox depths or sojourns.
     ///
     /// With the WAL enabled the run logs through the deployment's
     /// [`Durability`]; an armed crash that fires stops the loop dead
@@ -561,9 +566,11 @@ impl ShardedHtap {
         &mut self,
         n: u64,
         mut next: impl FnMut() -> (Txn, Ps),
-        open: &OpenLoopConfig,
+        open: Option<&OpenLoopConfig>,
     ) -> ShardOltpReport {
         self.assert_alive();
+        self.front.reported = open.is_some();
+        let open = open.unwrap_or(&CLOSED_LOOP);
         assert!(open.inbox_depth > 0, "inbox depth must be positive");
         self.start_run(open, n);
         let decisions_before = self.durability.as_ref().map(|d| d.decision_log.stats());
@@ -609,7 +616,9 @@ impl ShardedHtap {
             );
             remote.add(&routed);
             self.waiting[home] += 1;
-            self.front.inbox_depth.record(depth + 1);
+            if self.front.reported {
+                self.front.inbox_depth.record(depth + 1);
+            }
             let probe = self.shards[home].db().probe();
             if let Some((san, track)) = probe.sanitizer() {
                 san.note_arrival(routed.ts.0, at.ps());
@@ -746,9 +755,9 @@ impl ShardedHtap {
     ///
     /// Each member's inbox wait lands in its home shard's queue-wait
     /// histogram and, when positive, a [`Phase::Queued`] span; after
-    /// the wave, its sojourn is recorded and, while arrivals remain to
-    /// be admitted, its inbox slot is held until the wave's completion
-    /// on the home clock.
+    /// the wave, its sojourn is recorded if the run reports it and,
+    /// while arrivals remain to be admitted, its inbox slot is held
+    /// until the wave's completion on the home clock.
     fn dispatch(&mut self, wave: &[RoutedTxn]) {
         self.stats.waves += 1;
         self.stats.max_wave = self.stats.max_wave.max(wave.len() as u64);
@@ -790,8 +799,10 @@ impl ShardedHtap {
             // Shard clocks are monotone and waves execute in dispatch
             // order, so each in-flight queue stays sorted.
             let done = self.shards[home].now();
-            let sojourn = done.saturating_sub(self.entered(routed));
-            self.front.sojourn.record(sojourn.ps());
+            if self.front.reported {
+                let sojourn = done.saturating_sub(self.entered(routed));
+                self.front.sojourn.record(sojourn.ps());
+            }
             if self.admitting {
                 self.in_flight[home].push_back(done);
             }

@@ -12,7 +12,8 @@
 //! its layout's parts and fragments are flat and validated in the lists
 //! the layout keeps, its device bytes, free lists and version chains'
 //! slot states are one buffer each, and one GC outcome serves all the
-//! engine's tables, as one item bitset serves all its Q9s.
+//! engine's tables. An engine keeps no query state: a query builds its
+//! own in fixed arrays on the stack.
 //!
 //! Each budget is the measured count; `alloc_census.rs` names the site
 //! of every allocation counted here.
@@ -37,10 +38,9 @@ static ALLOCATOR: Counting = Counting;
 const SHARDS: u32 = 2;
 const BATCHES: u64 = 10;
 const BATCH_TXNS: u64 = 250;
-/// Allocations allowed to build the 2 shards: 496 measured, the same in
-/// dev and release builds. Two of them are the shards' Q9 item bitsets,
-/// which each engine keeps for its queries.
-const BUILD_BUDGET: u64 = 496;
+/// Allocations allowed to build the 2 shards: 494 measured, the same in
+/// dev and release builds (a recovery, this build and its replay: 509).
+const BUILD_BUDGET: u64 = 494;
 /// Allocations a checkpoint makes per effect log, whatever its length:
 /// the durable image, the scan's record list, the decoded effect and
 /// record lists, the dedupe's order and appends, the last-writer list,

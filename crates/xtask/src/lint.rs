@@ -351,6 +351,16 @@ const ROWS: &[Row] = &[
               deployment.",
     },
     Row {
+        name: "one-query-entry",
+        paths: &["crates/*/src"],
+        non_test: true,
+        check: Any(&["execute_with", "QueryScratch"]),
+        sample: "let (r, t) = q.execute_with(&db, &engine, &mut mem, at, &mut scratch);",
+        why: "A query's working state lives in the query, and an engine runs \
+              every query through `Query::execute`: no caller-kept scratch, \
+              no second entry point.",
+    },
+    Row {
         name: "effect-writes-inline",
         paths: &["crates/oltp/src"],
         non_test: true,
